@@ -4,7 +4,7 @@
 // `go test -bench=. -benchmem` finishes in minutes; cmd/benchrunner runs the
 // same experiments at the paper's scale and prints the full tables.
 //
-// Mapping (see DESIGN.md §5 for the full per-experiment index):
+// Mapping (benchrunner -list prints the full per-experiment index):
 //
 //	Fig. 10  -> BenchmarkFig10_Compression
 //	Fig. 11  -> BenchmarkFig11_BinSweep
@@ -414,7 +414,7 @@ func BenchmarkFusedKernels(b *testing.B) {
 	})
 }
 
-// BenchmarkCompressedKernels pits the run-native WAH/CONCISE kernels
+// BenchmarkCompressedKernels pits the run-native CONCISE kernels
 // against the decompress-then-dense path they replace. "native" gallops
 // over the compressed run stream (IntersectCount / AndInto); "decompress"
 // models the old mandatory stop — decompress every column into scratch,
@@ -427,10 +427,9 @@ func BenchmarkFusedKernels(b *testing.B) {
 // native ≥1.3x at ≤5% density and never >5% slower on the dense (95%)
 // fixture. The scatter fixture — uniform random bits, almost no fills — is
 // the regime where galloping cannot win; the adaptive index detects it per
-// column (compressed size above ¼ of dense, surfaced here as the
-// nativeDispatch metric) and routes those columns through the decompression
-// cache instead, so its rows document the crossover rather than a served
-// path.
+// column (compressed size above ¼ of dense) and routes those columns through
+// the decompression cache instead, so its rows document the crossover rather
+// than a served path.
 func BenchmarkCompressedKernels(b *testing.B) {
 	const nbits = 100_000
 	rng := rand.New(rand.NewSource(5))
@@ -467,8 +466,8 @@ func BenchmarkCompressedKernels(b *testing.B) {
 		{"clustered25%", 0.25, 128, mkClustered},
 		// Dense columns gallop only when their one-runs span whole 31-bit
 		// groups; short bursts at 95% leave a literal gap in most groups,
-		// which the dispatch metric below would reject — burst 2048 models
-		// the long-run shape that actually executes natively.
+		// which the index's fill-dominated rule would reject — burst 2048
+		// models the long-run shape that actually executes natively.
 		{"dense95%", 0.95, 2048, mkClustered},
 		{"scatter5%", 0.05, 0, mkScatter},
 	}
@@ -477,46 +476,13 @@ func BenchmarkCompressedKernels(b *testing.B) {
 		for i := range cols {
 			cols[i] = fx.mk(fx.density, fx.burst)
 		}
-		wahBms := make([]*wah.Bitmap, len(cols))
 		concBms := make([]*concise.Bitmap, len(cols))
 		scratch := make([]*bitvec.Vector, len(cols))
-		nativeDispatch := 1.0
 		for i, v := range cols {
-			wahBms[i] = wah.Compress(v)
 			concBms[i] = concise.Compress(v)
 			scratch[i] = bitvec.New(nbits)
-			// The adaptive index's fill-dominated rule: run-native only when
-			// the compressed payload is ≤ ¼ of the dense payload.
-			if wahBms[i].Words() > ((nbits+63)/64)/2 {
-				nativeDispatch = 0
-			}
 		}
 		name := fx.name
-		b.Run(name+"/dispatch", func(b *testing.B) {
-			// Not a timing benchmark: records whether the cursor would serve
-			// these columns through the native kernels (1) or the
-			// decompression-cache fallback (0).
-			for i := 0; i < b.N; i++ {
-				_ = nativeDispatch
-			}
-			b.ReportMetric(nativeDispatch, "nativeDispatch")
-			b.ReportMetric(0, "ns/op")
-		})
-		b.Run(name+"/WAH/nativeCount", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				wah.IntersectCount(wahBms...)
-			}
-		})
-		b.Run(name+"/WAH/decompressCount", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for j, bm := range wahBms {
-					bm.DecompressInto(scratch[j])
-				}
-				bitvec.IntersectCount(scratch...)
-			}
-		})
 		b.Run(name+"/CONCISE/nativeCount", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -609,14 +575,14 @@ func BenchmarkAblationRefinement(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCodecs compares the same binned IBIG query over raw,
-// WAH and CONCISE column stores: the codec buys index space at the price of
+// BenchmarkAblationCodecs compares the same binned IBIG query over raw and
+// CONCISE column stores: the codec buys index space at the price of
 // per-query decompression.
 func BenchmarkAblationCodecs(b *testing.B) {
 	ds := benchSynthetic(gen.IND, nil)
 	queue := core.BuildMaxScoreQueue(ds)
 	stats := ds.Stats()
-	for _, codec := range []bitmapidx.Codec{bitmapidx.Raw, bitmapidx.WAH, bitmapidx.Concise} {
+	for _, codec := range []bitmapidx.Codec{bitmapidx.Raw, bitmapidx.Concise} {
 		ix := bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: codec, Bins: []int{32}})
 		b.Run(codec.String(), func(b *testing.B) {
 			b.ReportAllocs()

@@ -8,7 +8,7 @@
 //	benchrunner -exp table3 -format markdown -o table3.md
 //
 // Scales: quick (reduced cardinalities, minutes), full (Table 2 sizes,
-// Zillow capped at 50K — see DESIGN.md), tiny (smoke test, seconds).
+// Zillow capped at 50K), tiny (smoke test, seconds).
 package main
 
 import (

@@ -36,14 +36,13 @@
 // ack means; "always" survives kill -9), folds them into published epochs at
 // -publish-interval cadence, and replays acked-but-unpublished rows on
 // restart. Reload and DELETE stay file-authoritative: both discard the WAL.
-// Publishes are incremental by default (-delta-publish): a batch is folded
-// into the previous epoch's index by column patching — O(batch) work,
-// fingerprint-verified, answers byte-identical to a rebuild — and
-// -delta-ship extends the same economy to replication: followers that
-// advertise an epoch in the leader's append lineage receive only the rows
-// appended since. Standing top-k subscriptions ride the same deltas: POST
-// /v1/datasets/{name}/subscribe pushes a new answer (SSE or long-poll) only
-// when a publish actually changed it.
+// Publishes are incremental: a batch is folded into the previous epoch's
+// index by column patching — O(batch) work, fingerprint-verified, answers
+// byte-identical to a rebuild — and replication shares the economy:
+// followers that advertise an epoch in the leader's append lineage receive
+// only the rows appended since. Standing top-k subscriptions ride the same
+// deltas: POST /v1/datasets/{name}/subscribe pushes a new answer (SSE or
+// long-poll) only when a publish actually changed it.
 //
 // Usage:
 //
@@ -57,7 +56,7 @@
 //	tkdserver -addr :8081 -follow http://leader:8080                       # replication follower
 //	tkdserver -dataset d=data.csv -waldir /var/lib/tkd/wal -fsync always   # durable ingest
 //
-// Endpoints: POST /v1/query, GET/POST /v1/datasets, POST
+// Endpoints: POST /v1/datasets/{name}/query, GET/POST /v1/datasets, POST
 // /v1/datasets/{name}/append, POST /v1/datasets/{name}/reload, DELETE
 // /v1/datasets/{name}, GET /healthz, GET /metrics. See the README's
 // "Operating tkdserver" section for an example curl session and the
@@ -129,9 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		walDir      = fs.String("waldir", "", "directory for per-dataset write-ahead logs: enables POST /v1/datasets/{name}/append with crash recovery (empty = ingest disabled; ignored with -shards > 1 or -follow)")
 		fsyncPolicy = fs.String("fsync", "always", "when an append's WAL record is fsynced: always (ack = on disk), interval (ack = logged, fsynced on -fsync-interval), none (ack = handed to the OS)")
 		fsyncIvl    = fs.Duration("fsync-interval", 50*time.Millisecond, "WAL flush cadence under -fsync interval (a crash loses at most one interval of acked rows)")
-		publishIvl  = fs.Duration("publish-interval", 500*time.Millisecond, "cadence at which logged rows are folded into a published epoch (one index rebuild per batch)")
-		deltaPub    = fs.Bool("delta-publish", true, "fold WAL batches into the previous epoch's index by column patching instead of rebuilding — O(batch), fingerprint-verified, byte-identical answers (false = rebuild every publish)")
-		deltaShip   = fs.Bool("delta-ship", true, "answer followers that advertise a lineage-covered epoch with just the rows appended since, instead of the full epoch stream")
+		publishIvl  = fs.Duration("publish-interval", 500*time.Millisecond, "cadence at which logged rows are folded into a published epoch (one index patch per batch)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -190,8 +187,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Fsync:           fsync,
 		FsyncInterval:   *fsyncIvl,
 		PublishInterval: *publishIvl,
-		DeltaPublish:    *deltaPub,
-		DeltaShip:       *deltaShip,
 	}, logger)
 	if err != nil {
 		fmt.Fprintln(stderr, "tkdserver:", err)

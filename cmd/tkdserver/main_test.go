@@ -57,8 +57,8 @@ func TestBuildServerServesLoadedCSV(t *testing.T) {
 
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	body := strings.NewReader(`{"dataset":"d1","k":5,"algorithm":"IBIG"}`)
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json", body)
+	body := strings.NewReader(`{"k":5,"algorithm":"IBIG"}`)
+	resp, err := http.Post(ts.URL+"/v1/datasets/d1/query", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestIndexDirWarmRestart(t *testing.T) {
 	if !strings.Contains(metrics, "tkd_index_builds_total 0") {
 		t.Errorf("warm restart rebuilt the index:\n%s", grepLine(metrics, "tkd_index_"))
 	}
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
-		strings.NewReader(`{"dataset":"d","k":4}`))
+	resp, err := http.Post(ts.URL+"/v1/datasets/d/query", "application/json",
+		strings.NewReader(`{"k":4}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/bitmapidx"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/gen"
@@ -114,22 +113,6 @@ func TestTKDAnswerConsistencyOnRealShapes(t *testing.T) {
 			if want := core.Score(small, it.Index); want != it.Score {
 				t.Fatalf("reported score %d, exact %d", it.Score, want)
 			}
-		}
-	}
-}
-
-// TestWAHBackedIndexEndToEnd runs the full IBIG pipeline over a WAH-coded
-// index (the codec the paper rejected — it must still be correct).
-func TestWAHBackedIndexEndToEnd(t *testing.T) {
-	ds := gen.Synthetic(gen.Config{N: 400, Dim: 4, Cardinality: 12, MissingRate: 0.3, Dist: gen.IND, Seed: 76})
-	queue := core.BuildMaxScoreQueue(ds)
-	wahIx := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.WAH, Bins: []int{6}})
-	want, _ := core.Naive(ds, 9)
-	got, _ := core.IBIG(ds, 9, wahIx, queue)
-	ws, gs := want.Scores(), got.Scores()
-	for i := range ws {
-		if ws[i] != gs[i] {
-			t.Fatalf("WAH-backed IBIG: %v, want %v", gs, ws)
 		}
 	}
 }

@@ -23,9 +23,11 @@
 // Eq. (3)–(4), and [Qi]/[Pi] become bin-granular (so Lemma 3 no longer
 // holds and the IBIG refinement of Algorithm 5 takes over).
 //
-// Columns can be stored raw (dense) or compressed with WAH or CONCISE; the
-// codec choice affects storage cost and per-query decompression work, which
-// is exactly the trade-off Figs. 10–11 of the paper measure.
+// Columns are stored raw (dense) or compressed with CONCISE, the codec the
+// paper picks over WAH in Fig. 10; compression trades storage cost against
+// per-query decompression work, the trade-off Fig. 11 measures. An adaptive
+// index additionally picks dense, CONCISE or sorted-ID sparse per column
+// (see column.go and DESIGN.md).
 package bitmapidx
 
 import (
@@ -36,20 +38,20 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/compress/concise"
-	"repro/internal/compress/wah"
 	"repro/internal/data"
 )
 
 // Codec selects the physical column representation.
 type Codec int
 
+// The values are the persisted header codec bytes of format v3. Value 1 was
+// WAH, which the index no longer stores: it stays reserved so old files are
+// recognized and rejected (ErrUnsupportedCodec), never misread.
 const (
 	// Raw stores dense, uncompressed columns.
-	Raw Codec = iota
-	// WAH stores Word-Aligned-Hybrid-compressed columns.
-	WAH
+	Raw Codec = 0
 	// Concise stores CONCISE-compressed columns (the paper's pick for IBIG).
-	Concise
+	Concise Codec = 2
 )
 
 // String implements fmt.Stringer.
@@ -57,8 +59,6 @@ func (c Codec) String() string {
 	switch c {
 	case Raw:
 		return "raw"
-	case WAH:
-		return "WAH"
 	case Concise:
 		return "CONCISE"
 	default:
@@ -81,8 +81,8 @@ type Options struct {
 	// whenever the codec gets the column fill-dominated (≤ ¼ of the dense
 	// payload, served by the run-native kernels); otherwise dense above
 	// DenseMinDensity and Codec-compressed (cache-served) in the middle
-	// band. Raw promotes to CONCISE as the compression codec. Pin a pure
-	// codec by leaving Adaptive false.
+	// band. Raw promotes to CONCISE as the compression codec. Leaving
+	// Adaptive false stores every column in Codec (the paper's setups).
 	Adaptive bool
 }
 
@@ -508,14 +508,10 @@ func (ix *Index) encode(v *bitvec.Vector) column {
 }
 
 func (ix *Index) encodeCodec(v *bitvec.Vector) column {
-	switch ix.codec {
-	case WAH:
-		return newWAHColumn(wah.Compress(v))
-	case Concise:
+	if ix.codec == Concise {
 		return newConciseColumn(concise.Compress(v))
-	default:
-		return column{kind: kindDense, dense: v.Clone()}
 	}
+	return column{kind: kindDense, dense: v.Clone()}
 }
 
 // encodeAdaptive picks a column's representation: sorted ids below the
@@ -663,7 +659,6 @@ type Cursor struct {
 	scratchQ, scratchP []*bitvec.Vector
 	cols               []*bitvec.Vector // reusable dense-column buffer
 	// representation-dispatch buffers for the compressed-native count paths.
-	wahCols  []*wah.Bitmap
 	concCols []*concise.Bitmap
 	sparseQ  [][]int32
 	qrefs    []qref
@@ -679,7 +674,6 @@ func (ix *Index) NewCursor() *Cursor {
 		scratchQ: make([]*bitvec.Vector, len(ix.dims)),
 		scratchP: make([]*bitvec.Vector, len(ix.dims)),
 		cols:     make([]*bitvec.Vector, 0, len(ix.dims)),
-		wahCols:  make([]*wah.Bitmap, 0, len(ix.dims)),
 		concCols: make([]*concise.Bitmap, 0, len(ix.dims)),
 		sparseQ:  make([][]int32, 0, len(ix.dims)),
 		qrefs:    make([]qref, 0, len(ix.dims)),
@@ -718,7 +712,7 @@ func (c *Cursor) dense(d, b int, scratch **bitvec.Vector) *bitvec.Vector {
 // QP computes the paper's sets Q = ∩Qi − {o} and P = ∩Pi for object obj as
 // bit vectors (Definition 4). A Raw index runs the fused dense pass; any
 // other index dispatches per column on its representation — dense AND,
-// sorted-ID merge, or the codec's run-native AndInto — with the
+// sorted-ID merge, or CONCISE's run-native AndInto — with the
 // decompressed-column cache serving only the compressed columns that are
 // not fill-dominated. The returned vectors are owned by the cursor and
 // valid until the next QP call.
@@ -924,7 +918,7 @@ const noTau = -1 << 62
 //   - any sparse column: iterate the smallest id list and membership-test
 //     the others (dense Get, sorted-id binary search; compressed columns
 //     materialize through the cache — no native random access);
-//   - all columns compressed and fill-dominated: the codec's run-native
+//   - all columns compressed and fill-dominated: CONCISE's run-native
 //     multi-way gallop, no decompression at all;
 //   - otherwise: materialize compressed columns (shared cache or scratch)
 //     and run the fused dense cascade.
@@ -1033,22 +1027,13 @@ func (c *Cursor) countViaSparse(tau int, refs []qref, minRef int) (int, bool) {
 	return count, count > tau
 }
 
-// countNative runs the codec's multi-way run gallop over the candidate's
+// countNative runs CONCISE's multi-way run gallop over the candidate's
 // Q-columns — all compressed and fill-dominated, by the caller's
 // classification.
 func (c *Cursor) countNative(tau int, refs []qref) (int, bool) {
-	ix := c.ix
-	if ix.codec == WAH {
-		cols := c.wahCols[:0]
-		for _, r := range refs {
-			cols = append(cols, ix.dims[r.d].cols[r.qb].wah)
-		}
-		c.wahCols = cols
-		return wah.IntersectCountAbove(tau, cols...)
-	}
 	cols := c.concCols[:0]
 	for _, r := range refs {
-		cols = append(cols, ix.dims[r.d].cols[r.qb].conc)
+		cols = append(cols, c.ix.dims[r.d].cols[r.qb].conc)
 	}
 	c.concCols = cols
 	return concise.IntersectCountAbove(tau, cols...)

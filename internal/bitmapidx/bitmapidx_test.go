@@ -159,20 +159,15 @@ func TestBinnedQSupersetOfUnbinned(t *testing.T) {
 	}
 }
 
-// TestCodecsAgree: WAH- and CONCISE-backed indexes must produce bit-for-bit
-// identical Q/P vectors to the raw index.
+// TestCodecsAgree: a CONCISE-backed index must produce bit-for-bit identical
+// Q/P vectors to the raw index.
 func TestCodecsAgree(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 700, Dim: 4, Cardinality: 40, MissingRate: 0.15, Dist: gen.IND, Seed: 33})
 	raw := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Raw})
-	cw := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.WAH})
 	cc := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise})
-	rc, wc, ccur := raw.NewCursor(), cw.NewCursor(), cc.NewCursor()
+	rc, ccur := raw.NewCursor(), cc.NewCursor()
 	for i := 0; i < ds.Len(); i += 13 {
 		qr, pr := rc.QP(i)
-		qw, pw := wc.QP(i)
-		if !qr.Equal(qw) || !pr.Equal(pw) {
-			t.Fatalf("WAH index disagrees at object %d", i)
-		}
 		qc, pc := ccur.QP(i)
 		if !qr.Equal(qc) || !pr.Equal(pc) {
 			t.Fatalf("CONCISE index disagrees at object %d", i)

@@ -75,7 +75,7 @@ func TestStandingEntryBound(t *testing.T) {
 	ds := boundDataset(9)
 	for _, opts := range []Options{
 		{Codec: Raw, Bins: []int{3}},
-		{Codec: WAH, Bins: []int{3}},
+		{Codec: Concise, Bins: []int{3}},
 		{Codec: Concise, Bins: []int{3}, Adaptive: true},
 	} {
 		ix := Build(ds, opts)

@@ -3,35 +3,34 @@ package bitmapidx
 import (
 	"repro/internal/bitvec"
 	"repro/internal/compress/concise"
-	"repro/internal/compress/wah"
 )
 
-// Column representations. A physical column is stored in one of four forms:
+// Column representations. A physical column is stored in one of three forms:
 //
 //   - dense: a raw bit vector, intersected with the fused bitvec kernels;
-//   - WAH / CONCISE: the codec-compressed word stream;
+//   - CONCISE: the compressed word stream;
 //   - sparse: the sorted ids of the set bits, for very sparse columns —
 //     intersected by scatter/merge without ever materializing the column.
 //
 // A non-adaptive index stores every column in the configured codec (dense
-// for Raw), exactly as before. An adaptive index picks per column by
-// measured density at build time: the high-density columns that compress
-// poorly stay dense, the near-empty ones become id lists, and only the
-// middle band pays for the codec. Compressed columns additionally record
-// whether they are fill-dominated — compressed to a quarter of the dense
-// payload or better — in which case the run-native kernels in
-// compress/{wah,concise} beat reading a cached dense copy and the
+// for Raw, CONCISE otherwise) — the paper's setups. An adaptive index picks
+// per column by measured density at build time: the high-density columns
+// that compress poorly stay dense, the near-empty ones become id lists, and
+// only the middle band pays for the codec. Compressed columns additionally
+// record whether they are fill-dominated — compressed to a quarter of the
+// dense payload or better — in which case the run-native kernels in
+// compress/concise beat reading a cached dense copy and the
 // decompressed-column cache is bypassed entirely.
 
 // colKind identifies a column's physical representation. The values double
-// as the persisted column-kind bytes of format v3.
+// as the persisted column-kind bytes of format v3; 1 was WAH and stays
+// reserved (see Codec).
 type colKind uint8
 
 const (
-	kindDense colKind = iota
-	kindWAH
-	kindConcise
-	kindSparse
+	kindDense   colKind = 0
+	kindConcise colKind = 2
+	kindSparse  colKind = 3
 )
 
 const (
@@ -53,7 +52,6 @@ const (
 type column struct {
 	kind      colKind
 	dense     *bitvec.Vector
-	wah       *wah.Bitmap
 	conc      *concise.Bitmap
 	ids       []int32
 	runNative bool // compressed and fill-dominated: prefer run-native kernels
@@ -65,10 +63,6 @@ type column struct {
 // read on the query path.
 func runNativeWorthwhile(compWords, nbits int) bool {
 	return compWords <= ((nbits+63)/64)/2
-}
-
-func newWAHColumn(b *wah.Bitmap) column {
-	return column{kind: kindWAH, wah: b, runNative: runNativeWorthwhile(b.Words(), b.NBits())}
 }
 
 func newConciseColumn(b *concise.Bitmap) column {
@@ -89,8 +83,6 @@ func (c *column) sizeBytes() int {
 	switch c.kind {
 	case kindDense:
 		return c.dense.SizeBytes()
-	case kindWAH:
-		return c.wah.SizeBytes()
 	case kindConcise:
 		return c.conc.SizeBytes()
 	default:
@@ -103,8 +95,6 @@ func decompressInto(col *column, dst *bitvec.Vector) {
 	switch col.kind {
 	case kindDense:
 		dst.CopyFrom(col.dense)
-	case kindWAH:
-		col.wah.DecompressInto(dst)
 	case kindConcise:
 		col.conc.DecompressInto(dst)
 	default:
@@ -123,11 +113,6 @@ func (c *column) andIntoDirect(dst *bitvec.Vector) bool {
 		dst.And(c.dense)
 	case kindSparse:
 		dst.AndIDs(c.ids)
-	case kindWAH:
-		if !c.runNative {
-			return false
-		}
-		wah.AndInto(dst, c.wah)
 	case kindConcise:
 		if !c.runNative {
 			return false

@@ -195,7 +195,7 @@ func AppendRows(old *Index, next *data.Dataset) (*Index, bool) {
 // column, without mutating it: dense columns word-copy into a longer vector
 // (the trimmed-tail invariant guarantees the straddling word's padding is
 // clean), sparse columns append the new ids (all beyond the old rows, so the
-// list stays sorted), and compressed columns go through the codec's
+// list stays sorted), and compressed columns go through CONCISE's
 // O(words + delta) Extend. The column keeps its representation; only the
 // run-native flag of compressed columns is re-measured for the new length.
 func extendColumn(old *column, extra *bitvec.Vector, oldN int) column {
@@ -216,8 +216,6 @@ func extendColumn(old *column, extra *bitvec.Vector, oldN int) column {
 			return true
 		})
 		return column{kind: kindSparse, ids: ids}
-	case kindWAH:
-		return newWAHColumn(old.wah.Extend(extra))
 	default:
 		return newConciseColumn(old.conc.Extend(extra))
 	}

@@ -77,10 +77,9 @@ func TestAppendRowsEquivalence(t *testing.T) {
 		opts Options
 	}{
 		{"rawBinned", Options{Codec: Raw, Bins: []int{4}}},
-		{"wahBinned", Options{Codec: WAH, Bins: []int{4}}},
 		{"conciseBinned", Options{Codec: Concise, Bins: []int{3}}},
 		{"adaptive", Options{Codec: Concise, Bins: []int{4}, Adaptive: true}},
-		{"optimalBins", Options{Codec: WAH, Bins: []int{}}},
+		{"optimalBins", Options{Codec: Concise, Bins: []int{}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,15 +137,8 @@ func TestAppendRowsEquivalence(t *testing.T) {
 					if pc.kind != oc.kind {
 						t.Fatalf("dim %d column %d changed representation %d -> %d", d, b, oc.kind, pc.kind)
 					}
-					switch pc.kind {
-					case kindWAH:
-						if pc.runNative != runNativeWorthwhile(pc.wah.Words(), pc.wah.NBits()) {
-							t.Fatalf("dim %d column %d: stale run-native flag", d, b)
-						}
-					case kindConcise:
-						if pc.runNative != runNativeWorthwhile(pc.conc.Words(), pc.conc.NBits()) {
-							t.Fatalf("dim %d column %d: stale run-native flag", d, b)
-						}
+					if pc.kind == kindConcise && pc.runNative != runNativeWorthwhile(pc.conc.Words(), pc.conc.NBits()) {
+						t.Fatalf("dim %d column %d: stale run-native flag", d, b)
 					}
 				}
 			}

@@ -25,17 +25,15 @@ func TestEmptyBinsFallsBackToDefault(t *testing.T) {
 // TestAdaptiveMatchesRaw pins the tentpole invariant: an adaptive index —
 // columns stored dense, compressed or sparse by density, intersections
 // dispatched to run-native kernels — answers QP and the Heuristic 2 bounds
-// bit-identically to the Raw dense reference, for both base codecs, binned
-// and unbinned.
+// bit-identically to the Raw dense reference, binned and unbinned.
 func TestAdaptiveMatchesRaw(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 900, Dim: 5, Cardinality: 40, MissingRate: 0.25, Dist: gen.IND, Seed: 12})
 	stats := ds.Stats()
 	raw := bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw})
 	for _, opts := range []bitmapidx.Options{
 		{Codec: bitmapidx.Concise, Adaptive: true},
-		{Codec: bitmapidx.WAH, Adaptive: true},
 		{Codec: bitmapidx.Concise, Bins: []int{6}, Adaptive: true},
-		{Codec: bitmapidx.WAH, Bins: []int{16}, Adaptive: true},
+		{Codec: bitmapidx.Concise, Bins: []int{16}, Adaptive: true},
 	} {
 		ix := bitmapidx.BuildWithStats(ds, stats, opts)
 		if !ix.Adaptive() {
@@ -105,7 +103,7 @@ func TestMaxBitScoreAbove(t *testing.T) {
 		{Codec: bitmapidx.Raw},
 		{Codec: bitmapidx.Concise, Bins: []int{8}},
 		{Codec: bitmapidx.Concise, Bins: []int{8}, Adaptive: true},
-		{Codec: bitmapidx.WAH, Adaptive: true},
+		{Codec: bitmapidx.Concise, Adaptive: true},
 	} {
 		ix := bitmapidx.BuildWithStats(ds, stats, opts)
 		c := ix.NewCursor()

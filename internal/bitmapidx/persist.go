@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 
 	"repro/internal/bitvec"
 	"repro/internal/compress/concise"
-	"repro/internal/compress/wah"
 	"repro/internal/data"
 )
 
@@ -22,7 +22,7 @@ import (
 //	magic "TKDIX\x03" | codec | binned | adaptive | dim | N | dataset fingerprint
 //	per dimension: len(rankToBucket), rankToBucket..., #cols,
 //	               per column: representation kind + nbits + payload
-//	               (dense: word count + 64-bit words; WAH/CONCISE: 32-bit
+//	               (dense: word count + 64-bit words; CONCISE: 32-bit
 //	               words; sparse: sorted set-bit ids)
 //	crc32 (IEEE) of everything before it
 //
@@ -33,10 +33,17 @@ import (
 // adaptive per-column representation (the kind byte already existed in v2;
 // v3 adds the adaptive header flag and the sparse kind). Older versions —
 // v1 without fingerprints, v2 without representations — are rejected as a
-// version mismatch; callers degrade to a rebuild, exactly as the serving
-// layer's index cache does for any unreadable file.
+// version mismatch, and a v3 file written with the retired WAH codec (header
+// codec or column kind 1) as ErrUnsupportedCodec; callers degrade to a
+// rebuild, exactly as the serving layer's index cache does for any
+// unreadable file.
 
 var persistMagic = [6]byte{'T', 'K', 'D', 'I', 'X', 3}
+
+// ErrUnsupportedCodec is wrapped by Load when the file names a codec or
+// column kind this build does not read — in practice value 1, the WAH codec
+// older builds could pin. The file is intact but unusable: rebuild.
+var ErrUnsupportedCodec = errors.New("bitmapidx: unsupported codec")
 
 type crcWriter struct {
 	w   io.Writer
@@ -125,7 +132,7 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 // The persisted column-kind bytes coincide with the in-memory colKind
-// values: dense 0, WAH 1, CONCISE 2, sparse 3.
+// values: dense 0, CONCISE 2, sparse 3 (1 is reserved).
 func saveColumn(w io.Writer, c *column, nbits int) error {
 	if err := binary.Write(w, binary.LittleEndian, uint8(c.kind)); err != nil {
 		return err
@@ -140,12 +147,6 @@ func saveColumn(w io.Writer, c *column, nbits int) error {
 			return err
 		}
 		return binary.Write(w, binary.LittleEndian, words)
-	case kindWAH:
-		nbits, words := c.wah.Persist()
-		if err := binary.Write(w, binary.LittleEndian, uint64(nbits)); err != nil {
-			return err
-		}
-		return writeU32s(w, words)
 	case kindConcise:
 		nbits, words := c.conc.Persist()
 		if err := binary.Write(w, binary.LittleEndian, uint64(nbits)); err != nil {
@@ -185,8 +186,8 @@ func Load(r io.Reader, ds *data.Dataset) (*Index, error) {
 		return nil, fmt.Errorf("bitmapidx: reading header: %w", err)
 	}
 	codec, binned, adaptive, dim, n := Codec(hdr[0]), hdr[1] == 1, hdr[2] == 1, int(hdr[3]), int(hdr[4])
-	if codec < Raw || codec > Concise {
-		return nil, fmt.Errorf("bitmapidx: unknown codec %d", codec)
+	if codec != Raw && codec != Concise {
+		return nil, fmt.Errorf("%w %d — rebuild", ErrUnsupportedCodec, hdr[0])
 	}
 	if adaptive && codec == Raw {
 		// Build promotes adaptive+Raw to CONCISE, so no valid file carries
@@ -260,25 +261,28 @@ func Load(r io.Reader, ds *data.Dataset) (*Index, error) {
 	return ix, nil
 }
 
-// allowedKind reports whether a persisted column kind is consistent with
-// the file header: pure-codec indexes carry exactly their codec's kind,
-// adaptive ones may mix dense/sparse with the base codec. The cursor paths
-// dispatch on the header (qpDense for Raw, countNative by codec), so an
-// inconsistent kind — reachable only via a crafted file that also beats the
-// CRC — must be rejected here rather than fault there.
-func allowedKind(k colKind, codec Codec, adaptive bool) bool {
+// checkKind rejects a persisted column kind the file header does not allow:
+// pure-codec indexes carry exactly their codec's kind, adaptive ones may mix
+// dense/sparse with CONCISE. The cursor paths dispatch on the header (qpDense
+// for Raw), so an inconsistent kind — reachable only via a crafted file that
+// also beats the CRC — must be rejected here rather than fault there. A kind
+// this build does not know (1, the retired WAH) is ErrUnsupportedCodec.
+func checkKind(k colKind, codec Codec, adaptive bool) error {
+	var ok bool
 	switch k {
 	case kindDense:
-		return codec == Raw || adaptive
-	case kindWAH:
-		return codec == WAH
+		ok = codec == Raw || adaptive
 	case kindConcise:
-		return codec == Concise
+		ok = codec == Concise
 	case kindSparse:
-		return adaptive
+		ok = adaptive
 	default:
-		return false
+		return fmt.Errorf("%w: column kind %d — rebuild", ErrUnsupportedCodec, k)
 	}
+	if !ok {
+		return fmt.Errorf("column kind %d inconsistent with codec %v (adaptive %v)", k, codec, adaptive)
+	}
+	return nil
 }
 
 func loadColumn(r io.Reader, c *column, n int, codec Codec, adaptive bool) error {
@@ -286,8 +290,8 @@ func loadColumn(r io.Reader, c *column, n int, codec Codec, adaptive bool) error
 	if err := binary.Read(r, binary.LittleEndian, &kind); err != nil {
 		return err
 	}
-	if !allowedKind(colKind(kind), codec, adaptive) {
-		return fmt.Errorf("column kind %d inconsistent with codec %v (adaptive %v)", kind, codec, adaptive)
+	if err := checkKind(colKind(kind), codec, adaptive); err != nil {
+		return err
 	}
 	var nbits uint64
 	if err := binary.Read(r, binary.LittleEndian, &nbits); err != nil {
@@ -310,12 +314,6 @@ func loadColumn(r io.Reader, c *column, n int, codec Codec, adaptive bool) error
 			return err
 		}
 		*c = column{kind: kindDense, dense: v}
-	case kindWAH:
-		words, err := readU32s(r, uint64(n)+2)
-		if err != nil {
-			return err
-		}
-		*c = newWAHColumn(wah.Restore(int(nbits), words))
 	case kindConcise:
 		words, err := readU32s(r, uint64(n)+2)
 		if err != nil {
@@ -338,8 +336,6 @@ func loadColumn(r io.Reader, c *column, n int, codec Codec, adaptive bool) error
 			ids[i] = int32(id)
 		}
 		*c = column{kind: kindSparse, ids: ids}
-	default:
-		return fmt.Errorf("unknown column kind %d", kind)
 	}
 	return nil
 }

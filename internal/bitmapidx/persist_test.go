@@ -2,11 +2,17 @@ package bitmapidx_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/bitmapidx"
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/gen"
 	"repro/internal/paperdata"
 )
@@ -41,9 +47,6 @@ func roundTrip(t *testing.T, opts bitmapidx.Options) {
 }
 
 func TestSaveLoadRaw(t *testing.T) { roundTrip(t, bitmapidx.Options{Codec: bitmapidx.Raw}) }
-func TestSaveLoadWAH(t *testing.T) {
-	roundTrip(t, bitmapidx.Options{Codec: bitmapidx.WAH, Bins: []int{8}})
-}
 func TestSaveLoadConcise(t *testing.T) {
 	roundTrip(t, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{8}})
 }
@@ -162,4 +165,91 @@ func TestLoadRejectsWrongDataset(t *testing.T) {
 	if _, err := bitmapidx.Load(bytes.NewReader(buf.Bytes()), sameShape); err == nil {
 		t.Fatal("index bound to a dataset with foreign values")
 	}
+}
+
+// golden reads one fixture written by the commit before WAH left the index
+// (see testdata/README.md): golden.csv is the dataset every golden_v3_*.idx
+// was saved against.
+func golden(t *testing.T, name string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+func goldenDataset(t *testing.T) *data.Dataset {
+	t.Helper()
+	ds, err := data.ReadCSV(bytes.NewReader(golden(t, "golden.csv")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestLoadGoldenV3 pins on-disk compatibility: v3 files an older build wrote
+// under the adaptive default and under pure CONCISE load unchanged — same
+// header codec value, same column-kind bytes — re-save byte-identically, and
+// answer exactly.
+func TestLoadGoldenV3(t *testing.T) {
+	ds := goldenDataset(t)
+	want, _ := core.Naive(ds, 7)
+	for _, tc := range []struct {
+		file     string
+		adaptive bool
+	}{
+		{"golden_v3_adaptive.idx", true},
+		{"golden_v3_concise.idx", false},
+	} {
+		blob := golden(t, tc.file)
+		ix, err := bitmapidx.Load(bytes.NewReader(blob), ds)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if ix.Adaptive() != tc.adaptive || ix.CodecUsed() != bitmapidx.Concise || !ix.Binned() {
+			t.Fatalf("%s: loaded as adaptive=%v codec=%v binned=%v", tc.file, ix.Adaptive(), ix.CodecUsed(), ix.Binned())
+		}
+		if d, c, s := ix.Representations(); tc.adaptive && (d == 0 || c == 0 || s == 0) {
+			t.Fatalf("%s: fixture not mixed: dense=%d compressed=%d sparse=%d", tc.file, d, c, s)
+		}
+		var out bytes.Buffer
+		if err := ix.Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), blob) {
+			t.Fatalf("%s: re-saved index differs from the golden bytes — the v3 format moved", tc.file)
+		}
+		got, _ := core.IBIG(ds, 7, ix, nil)
+		if ws, gs := want.Scores(), got.Scores(); !slices.Equal(ws, gs) {
+			t.Fatalf("%s: IBIG scores %v, want %v", tc.file, gs, ws)
+		}
+	}
+}
+
+// TestLoadRejectsWAH: the retired codec's value 1 — as the header codec of a
+// real WAH-pinned file, or as a column kind inside an otherwise valid file —
+// fails with ErrUnsupportedCodec and a rebuild hint, never a misparse.
+func TestLoadRejectsWAH(t *testing.T) {
+	ds := goldenDataset(t)
+	check := func(name string, blob []byte) {
+		t.Helper()
+		_, err := bitmapidx.Load(bytes.NewReader(blob), ds)
+		if !errors.Is(err, bitmapidx.ErrUnsupportedCodec) || !strings.Contains(err.Error(), "rebuild") {
+			t.Fatalf("%s: error = %v, want ErrUnsupportedCodec with a rebuild hint", name, err)
+		}
+	}
+	check("WAH-pinned file", golden(t, "golden_v3_wah.idx"))
+
+	// Column kind 1: rewrite the kind byte of dimension 0's first column (the
+	// all-ones column, CONCISE in an adaptive index). Layout up to it: magic,
+	// six u64 header fields, u64 rank count + u32 ranks, u64 column count.
+	blob := golden(t, "golden_v3_adaptive.idx")
+	const hdr = 6 + 6*8
+	kindAt := hdr + 8 + 4*int(binary.LittleEndian.Uint64(blob[hdr:])) + 8
+	if blob[kindAt] != 2 {
+		t.Fatalf("fixture layout drifted: byte %d is %d, want column kind 2", kindAt, blob[kindAt])
+	}
+	blob[kindAt] = 1
+	check("column kind 1", blob)
 }

@@ -1,7 +1,8 @@
 // Package codec holds the pieces shared by the WAH and CONCISE bitmap
 // compression codecs: both slice a bit vector into 31-bit groups and
 // represent runs of all-zero / all-one groups compactly, so the group
-// reader/writer and the run-level AND are implemented once here.
+// reader/writer and the group-level helpers of CONCISE's run-native kernels
+// are implemented once here.
 package codec
 
 import "repro/internal/bitvec"
@@ -152,59 +153,4 @@ func ClampGroup(val uint32, g, nbits int) uint32 {
 		val &= uint32(1)<<(nbits-base) - 1
 	}
 	return val
-}
-
-// Iterator yields a compressed bitmap as a sequence of runs: `repeat`
-// consecutive groups whose 31-bit payload is `val`. Runs with repeat > 1
-// always carry val == 0 or val == GroupMask (pure fills), which lets the
-// consumer skip work.
-type Iterator interface {
-	// Next returns the next run. ok is false when the sequence is exhausted.
-	Next() (val uint32, repeat int, ok bool)
-}
-
-// AndRuns streams the intersection of two run sequences into emit. Both
-// sequences must describe the same number of groups.
-func AndRuns(a, b Iterator, emit func(val uint32, repeat int)) {
-	av, ar, aok := a.Next()
-	bv, br, bok := b.Next()
-	for aok && bok {
-		n := ar
-		if br < n {
-			n = br
-		}
-		switch {
-		case ar > 1 && br > 1:
-			// Both fills: emit the AND of the fill values for n groups.
-			emit(av&bv, n)
-		case ar > 1:
-			// a is a fill: 0-fill kills b's group, 1-fill passes it.
-			if av == 0 {
-				emit(0, 1)
-			} else {
-				emit(bv, 1)
-			}
-			n = 1
-		case br > 1:
-			if bv == 0 {
-				emit(0, 1)
-			} else {
-				emit(av, 1)
-			}
-			n = 1
-		default:
-			emit(av&bv, 1)
-		}
-		ar -= n
-		br -= n
-		if ar == 0 {
-			av, ar, aok = a.Next()
-		}
-		if br == 0 {
-			bv, br, bok = b.Next()
-		}
-	}
-	if aok != bok {
-		panic("codec: AndRuns length mismatch")
-	}
 }

@@ -122,81 +122,6 @@ func (b *Bitmap) appendSeq(bit uint32) {
 	b.words = append(b.words, w)
 }
 
-// appendSeqN appends count pure fill groups at once, merging with the last
-// word where possible and spilling as counters saturate.
-func (b *Bitmap) appendSeqN(bit uint32, count int) {
-	if count <= 0 {
-		return
-	}
-	// Let appendSeq handle the first group's literal-merging subtleties.
-	b.appendSeq(bit)
-	count--
-	for count > 0 {
-		last := b.words[len(b.words)-1]
-		if last&literalFlag == 0 && (last&seqOneFlag != 0) == (bit == 1) {
-			room := int(maxCounter - last&counterMask)
-			take := count
-			if take > room {
-				take = room
-			}
-			b.words[len(b.words)-1] = last + uint32(take)
-			count -= take
-			if count == 0 {
-				return
-			}
-		}
-		w := uint32(0)
-		if bit == 1 {
-			w |= seqOneFlag
-		}
-		b.words = append(b.words, w)
-		count--
-	}
-}
-
-// iter yields runs. A mixed sequence is split into its first (flipped)
-// group followed by a pure fill run.
-type iter struct {
-	words []uint32
-	pos   int
-	// pending pure fill left over after emitting a mixed first group
-	pendVal uint32
-	pendRep int
-}
-
-func (b *Bitmap) iterator() *iter { return &iter{words: b.words} }
-
-func (it *iter) Next() (uint32, int, bool) {
-	if it.pendRep > 0 {
-		v, r := it.pendVal, it.pendRep
-		it.pendRep = 0
-		return v, r, true
-	}
-	if it.pos >= len(it.words) {
-		return 0, 0, false
-	}
-	w := it.words[it.pos]
-	it.pos++
-	if w&literalFlag != 0 {
-		return w & codec.GroupMask, 1, true
-	}
-	fill := uint32(0)
-	if w&seqOneFlag != 0 {
-		fill = codec.GroupMask
-	}
-	groups := int(w&counterMask) + 1
-	pos := (w & posMask) >> posShift
-	if pos == 0 {
-		return fill, groups, true
-	}
-	first := fill ^ (1 << (pos - 1))
-	if groups > 1 {
-		it.pendVal = fill
-		it.pendRep = groups - 1
-	}
-	return first, 1, true
-}
-
 // Decompress reconstructs the original bit vector.
 func (b *Bitmap) Decompress() *bitvec.Vector {
 	w := codec.NewWriter(b.nbits)
@@ -214,68 +139,8 @@ func (b *Bitmap) DecompressInto(dst *bitvec.Vector) {
 }
 
 func (b *Bitmap) emitAll(w *codec.Writer) {
-	it := b.iterator()
-	for {
-		val, rep, ok := it.Next()
-		if !ok {
-			break
-		}
-		w.Emit(val, rep)
+	r := runReader{words: b.words}
+	for r.next() {
+		w.Emit(r.val, r.rep)
 	}
-}
-
-// And returns the compressed intersection of a and b without materializing
-// dense vectors. Both bitmaps must have the same logical length.
-func And(a, b *Bitmap) *Bitmap {
-	if a.nbits != b.nbits {
-		panic("concise: length mismatch")
-	}
-	out := &Bitmap{nbits: a.nbits}
-	codec.AndRuns(a.iterator(), b.iterator(), func(val uint32, repeat int) {
-		switch val {
-		case 0:
-			out.appendSeqN(0, repeat)
-		case codec.GroupMask:
-			out.appendSeqN(1, repeat)
-		default:
-			for r := 0; r < repeat; r++ {
-				out.appendGroup(val)
-			}
-		}
-	})
-	return out
-}
-
-// Count returns the number of set bits without decompressing.
-func (b *Bitmap) Count() int {
-	c := 0
-	groups := 0
-	ng := codec.NumGroups(b.nbits)
-	it := b.iterator()
-	for {
-		val, rep, ok := it.Next()
-		if !ok {
-			break
-		}
-		switch val {
-		case 0:
-		case codec.GroupMask:
-			full := rep
-			if groups+rep == ng {
-				if tail := b.nbits % codec.GroupBits; tail != 0 {
-					full--
-					c += tail
-				}
-			}
-			c += full * codec.GroupBits
-		default:
-			g := val
-			if base := groups * codec.GroupBits; base+codec.GroupBits > b.nbits {
-				g &= uint32(1)<<(b.nbits-base) - 1
-			}
-			c += bits.OnesCount32(g)
-		}
-		groups += rep
-	}
-	return c
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitvec"
-	"repro/internal/compress/wah"
 )
 
 func randomVector(rng *rand.Rand, n int, density float64) *bitvec.Vector {
@@ -54,16 +53,13 @@ func TestRoundTripDensities(t *testing.T) {
 
 func TestMixedSequenceAbsorbsLoneBit(t *testing.T) {
 	// A single set bit followed by a long run of zeros: CONCISE stores one
-	// mixed 0-sequence word; WAH needs a literal plus a fill.
+	// mixed 0-sequence word (WAH needs a literal plus a fill — the Fig. 10
+	// size comparison lives in compress/codec's tests).
 	v := bitvec.New(31 * 100)
 	v.Set(5)
 	c := Compress(v)
 	if c.Words() != 1 {
 		t.Fatalf("CONCISE words = %d, want 1", c.Words())
-	}
-	w := wah.Compress(v)
-	if w.Words() != 2 {
-		t.Fatalf("WAH words = %d, want 2", w.Words())
 	}
 	if !c.Decompress().Equal(v) {
 		t.Fatal("round trip failed")
@@ -83,32 +79,13 @@ func TestMixedOneSequence(t *testing.T) {
 	}
 }
 
-func TestCompressionNoWorseThanWAHOnIndexColumns(t *testing.T) {
-	// Range-encoded columns are long 1-runs with sparse 0 prefixes; CONCISE
-	// must achieve a compression ratio at least as good as WAH, the paper's
-	// Fig. 10 finding.
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 20; trial++ {
-		v := bitvec.NewOnes(50_000)
-		// Sprinkle isolated zero bits, the pattern mixed sequences absorb.
-		for i := 0; i < 30; i++ {
-			v.Clear(rng.Intn(50_000))
-		}
-		c := Compress(v).SizeBytes()
-		w := wah.Compress(v).SizeBytes()
-		if c > w {
-			t.Fatalf("trial %d: CONCISE %dB > WAH %dB", trial, c, w)
-		}
-	}
-}
-
 func TestCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{0, 1, 31, 62, 100, 997, 4096} {
 		for _, d := range []float64{0, 0.1, 0.9, 1} {
 			v := randomVector(rng, n, d)
-			if got, want := Compress(v).Count(), v.Count(); got != want {
-				t.Fatalf("Count n=%d d=%g: got %d want %d", n, d, got, want)
+			if got, want := IntersectCount(Compress(v)), v.Count(); got != want {
+				t.Fatalf("IntersectCount n=%d d=%g: got %d want %d", n, d, got, want)
 			}
 		}
 	}
@@ -121,15 +98,20 @@ func TestAndMatchesDense(t *testing.T) {
 		a := randomVector(rng, n, rng.Float64())
 		b := randomVector(rng, n, rng.Float64())
 		want := a.Clone().And(b)
-		got := And(Compress(a), Compress(b)).Decompress()
+		got := a.Clone()
+		AndInto(got, Compress(b))
 		if !got.Equal(want) {
-			t.Fatalf("And mismatch n=%d trial=%d", n, trial)
+			t.Fatalf("AndInto mismatch n=%d trial=%d", n, trial)
+		}
+		if c := IntersectCount(Compress(a), Compress(b)); c != want.Count() {
+			t.Fatalf("IntersectCount = %d, want %d (n=%d trial=%d)", c, want.Count(), n, trial)
 		}
 	}
 }
 
 func TestAndOnRunHeavyInputs(t *testing.T) {
-	// Exercise the fill×fill, fill×literal and mixed-word paths of AndRuns.
+	// Exercise the fill×fill, fill×literal and mixed-word paths of the run
+	// gallop.
 	a := bitvec.NewOnes(31 * 40)
 	a.Clear(3) // mixed 1-seq
 	b := bitvec.New(31 * 40)
@@ -138,9 +120,13 @@ func TestAndOnRunHeavyInputs(t *testing.T) {
 	}
 	b.Set(0) // mixed 0-seq head
 	want := a.Clone().And(b)
-	got := And(Compress(a), Compress(b)).Decompress()
+	got := a.Clone()
+	AndInto(got, Compress(b))
 	if !got.Equal(want) {
-		t.Fatal("And mismatch on run-heavy input")
+		t.Fatal("AndInto mismatch on run-heavy input")
+	}
+	if c := IntersectCount(Compress(a), Compress(b)); c != want.Count() {
+		t.Fatalf("IntersectCount = %d on run-heavy input, want %d", c, want.Count())
 	}
 }
 
@@ -150,7 +136,7 @@ func TestAndLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	And(Compress(bitvec.New(31)), Compress(bitvec.New(62)))
+	AndInto(bitvec.New(31), Compress(bitvec.New(62)))
 }
 
 func TestQuickRoundTrip(t *testing.T) {
@@ -163,42 +149,11 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickAndAgreesWithWAH(t *testing.T) {
-	// Cross-codec property: both codecs' compressed ANDs agree with the
-	// dense AND, hence with each other.
-	f := func(ba, bb []bool) bool {
-		n := len(ba)
-		if len(bb) < n {
-			n = len(bb)
-		}
-		a := bitvec.FromBits(ba[:n])
-		b := bitvec.FromBits(bb[:n])
-		dense := a.Clone().And(b)
-		viaConcise := And(Compress(a), Compress(b)).Decompress()
-		viaWAH := wah.And(wah.Compress(a), wah.Compress(b)).Decompress()
-		return viaConcise.Equal(dense) && viaWAH.Equal(dense)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkCompressDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
 	v := randomVector(rng, 100_000, 0.9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Compress(v)
-	}
-}
-
-func BenchmarkAndCompressed(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(16))
-	x := Compress(randomVector(rng, 100_000, 0.95))
-	y := Compress(randomVector(rng, 100_000, 0.95))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		And(x, y)
 	}
 }

@@ -43,9 +43,6 @@ func TestExtendDifferential(t *testing.T) {
 				if got.NBits() != n+e {
 					t.Fatalf("n=%d e=%d: NBits=%d", n, e, got.NBits())
 				}
-				if got.Count() != want.Count() {
-					t.Fatalf("n=%d e=%d density=%g: Count %d != %d", n, e, density, got.Count(), want.Count())
-				}
 				if bm.nbits != n || len(bm.words) != len(wordsBefore) {
 					t.Fatalf("n=%d e=%d: Extend mutated the receiver header", n, e)
 				}

@@ -1,13 +1,12 @@
 package concise
 
 // Run-native kernels over the CONCISE word stream, mirroring the dense
-// kernel signatures in internal/bitvec and the WAH kernels in
-// internal/compress/wah: AND into a dense accumulator, multi-way
-// intersection popcount with and without a threshold, and set-difference
-// iteration — all galloping over sequence (fill) words without
-// decompressing. A mixed sequence word (embedded flipped bit) decodes as one
-// literal group followed by a pure fill run, exactly as DecompressInto sees
-// it, so results are bit-identical to the dense reference.
+// kernel signatures in internal/bitvec: AND into a dense accumulator and
+// multi-way intersection popcount with and without a threshold — all
+// galloping over sequence (fill) words without decompressing. A mixed
+// sequence word (embedded flipped bit) decodes as one literal group followed
+// by a pure fill run; DecompressInto walks the same runReader, so results
+// are bit-identical to the dense reference.
 
 import (
 	"math/bits"
@@ -119,9 +118,11 @@ func AndInto(dst *bitvec.Vector, b *Bitmap) {
 	}
 }
 
-// IntersectCount returns |b0 & b1 & …| through a run-level gallop; see the
-// WAH counterpart for the galloping strategy. It panics if bs is empty or
-// lengths differ.
+// IntersectCount returns |b0 & b1 & …| through a run-level gallop: each
+// step skips the longest 0-sequence any operand offers, counts a stretch of
+// all-ones groups shared by every operand in one multiplication, and pays a
+// word AND + popcount only where some operand holds a literal. It panics if
+// bs is empty or lengths differ.
 func IntersectCount(bs ...*Bitmap) int {
 	c, _ := intersectCount(noTau, bs)
 	return c
@@ -208,62 +209,4 @@ func intersectCount(tau int, bs []*Bitmap) (int, bool) {
 		}
 	}
 	return count, count > tau
-}
-
-// AndNotForEachWord streams the nonzero 31-bit groups of a &^ b to fn along
-// with the bit index of each group's first bit, galloping past a's
-// 0-sequences and b's 1-sequences. fn returning false stops the iteration.
-func AndNotForEachWord(a, b *Bitmap, fn func(base int, w uint64) bool) {
-	if a.nbits != b.nbits {
-		panic("concise: AndNotForEachWord length mismatch")
-	}
-	ra := runReader{words: a.words}
-	rb := runReader{words: b.words}
-	ng := codec.NumGroups(a.nbits)
-	g := 0
-	for g < ng {
-		if !ra.ensure() {
-			return
-		}
-		bval, bfill, brep := uint32(0), true, ng-g
-		if rb.ensure() {
-			bval, bfill, brep = rb.val, rb.fill, rb.rep
-		}
-		switch {
-		case ra.fill && ra.val == 0:
-			n := ra.rep
-			ra.skip(n)
-			rb.skip(n)
-			g += n
-		case bfill && bval == codec.GroupMask:
-			n := brep
-			ra.skip(n)
-			rb.skip(n)
-			g += n
-		case ra.fill && bfill: // a 1-sequence over b 0-sequence
-			n := ra.rep
-			if brep < n {
-				n = brep
-			}
-			for i := 0; i < n; i++ {
-				if w := codec.ClampGroup(codec.GroupMask, g+i, a.nbits); w != 0 {
-					if !fn((g+i)*codec.GroupBits, uint64(w)) {
-						return
-					}
-				}
-			}
-			ra.skip(n)
-			rb.skip(n)
-			g += n
-		default:
-			if w := codec.ClampGroup(ra.val&^bval, g, a.nbits); w != 0 {
-				if !fn(g*codec.GroupBits, uint64(w)) {
-					return
-				}
-			}
-			ra.skip(1)
-			rb.skip(1)
-			g++
-		}
-	}
 }

@@ -72,40 +72,5 @@ func TestKernelsAgainstDenseReference(t *testing.T) {
 				t.Fatalf("set %d tau %d: count=%d, want %d", si, tau, gc, exact)
 			}
 		}
-
-		// AndNotForEachWord reassembles to the dense a &^ b.
-		diff := bitvec.New(n)
-		AndNotForEachWord(bms[0], bms[1], func(base int, w uint64) bool {
-			for ; w != 0; w &= w - 1 {
-				diff.Set(base + trailingZeros(w))
-			}
-			return true
-		})
-		wantDiff := cols[0].Clone().AndNot(cols[1])
-		if !diff.Equal(wantDiff) {
-			t.Fatalf("set %d: AndNotForEachWord mismatch", si)
-		}
-	}
-}
-
-func trailingZeros(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
-	}
-	return n
-}
-
-// TestAndNotForEachWordEarlyStop pins the fn-returns-false contract.
-func TestAndNotForEachWordEarlyStop(t *testing.T) {
-	a, b := bitvec.NewOnes(500), bitvec.New(500)
-	calls := 0
-	AndNotForEachWord(Compress(a), Compress(b), func(base int, w uint64) bool {
-		calls++
-		return calls < 3
-	})
-	if calls != 3 {
-		t.Fatalf("early stop after %d calls, want 3", calls)
 	}
 }

@@ -1,7 +1,9 @@
 // Package wah implements the 32-bit Word-Aligned Hybrid bitmap compression
-// scheme of Wu, Otoo and Shoshani (SSDBM 2002), one of the two codecs the
-// TKD paper evaluates for compressing the columns of its bitmap index
-// (Fig. 10). A WAH-compressed bitmap is a sequence of 32-bit words:
+// scheme of Wu, Otoo and Shoshani (SSDBM 2002), the codec the TKD paper
+// compares CONCISE against before picking CONCISE for its bitmap index
+// (Fig. 10). It exists for that comparison only — compress, decompress,
+// measure — and the index never stores a WAH column. A WAH-compressed bitmap
+// is a sequence of 32-bit words:
 //
 //   - literal word:  MSB = 0, low 31 bits hold one group verbatim;
 //   - fill word:     MSB = 1, bit 30 is the fill bit, low 30 bits count how
@@ -9,8 +11,6 @@
 package wah
 
 import (
-	"math/bits"
-
 	"repro/internal/bitvec"
 	"repro/internal/compress/codec"
 )
@@ -27,79 +27,37 @@ type Bitmap struct {
 	nbits int
 }
 
-// NBits returns the logical (uncompressed) length in bits.
-func (b *Bitmap) NBits() int { return b.nbits }
-
 // SizeBytes returns the compressed payload size in bytes.
 func (b *Bitmap) SizeBytes() int { return len(b.words) * 4 }
-
-// Words returns the number of compressed words; exposed for tests.
-func (b *Bitmap) Words() int { return len(b.words) }
-
-// Persist exposes the logical length and raw compressed words for
-// serialization.
-func (b *Bitmap) Persist() (nbits int, words []uint32) { return b.nbits, b.words }
-
-// Restore rebuilds a bitmap from Persist output. The words are adopted, not
-// copied.
-func Restore(nbits int, words []uint32) *Bitmap {
-	return &Bitmap{nbits: nbits, words: words}
-}
 
 // Compress encodes v.
 func Compress(v *bitvec.Vector) *Bitmap {
 	b := &Bitmap{nbits: v.Len()}
 	ng := codec.NumGroups(v.Len())
 	for g := 0; g < ng; g++ {
-		b.appendGroup(codec.Slice(v, g))
+		switch grp := codec.Slice(v, g); grp {
+		case 0:
+			b.appendFill(fillFlag)
+		case codec.GroupMask:
+			b.appendFill(fillFlag | fillBitFlag)
+		default:
+			b.words = append(b.words, grp)
+		}
 	}
 	return b
 }
 
-func (b *Bitmap) appendGroup(g uint32) {
-	switch g {
-	case 0:
-		b.appendFill(0)
-	case codec.GroupMask:
-		b.appendFill(1)
-	default:
-		b.words = append(b.words, g)
-	}
-}
-
-func (b *Bitmap) appendFill(bit uint32) { b.appendFillN(bit, 1) }
-
-// appendFillN appends count fill groups at once, merging with a trailing
-// compatible fill word and spilling into fresh fill words as counters
-// saturate.
-func (b *Bitmap) appendFillN(bit uint32, count int) {
-	if count <= 0 {
-		return
-	}
+// appendFill appends one fill group of the given kind (fillFlag, with
+// fillBitFlag set for a 1-fill), extending a trailing fill word of the same
+// kind while its counter has room.
+func (b *Bitmap) appendFill(kind uint32) {
 	if n := len(b.words); n > 0 {
-		last := b.words[n-1]
-		if last&fillFlag != 0 && (last&fillBitFlag != 0) == (bit == 1) {
-			room := int(maxFill - last&maxFill)
-			take := count
-			if take > room {
-				take = room
-			}
-			b.words[n-1] = last + uint32(take)
-			count -= take
+		if last := b.words[n-1]; last&^maxFill == kind && last&maxFill < maxFill {
+			b.words[n-1] = last + 1
+			return
 		}
 	}
-	for count > 0 {
-		take := count
-		if take > int(maxFill) {
-			take = int(maxFill)
-		}
-		w := fillFlag | uint32(take)
-		if bit == 1 {
-			w |= fillBitFlag
-		}
-		b.words = append(b.words, w)
-		count -= take
-	}
+	b.words = append(b.words, kind|1)
 }
 
 // Decompress reconstructs the original bit vector.
@@ -119,92 +77,14 @@ func (b *Bitmap) DecompressInto(dst *bitvec.Vector) {
 }
 
 func (b *Bitmap) emitAll(w *codec.Writer) {
-	it := b.iterator()
-	for {
-		val, rep, ok := it.Next()
-		if !ok {
-			break
-		}
-		w.Emit(val, rep)
-	}
-}
-
-type iter struct {
-	words []uint32
-	pos   int
-}
-
-func (b *Bitmap) iterator() *iter { return &iter{words: b.words} }
-
-func (it *iter) Next() (uint32, int, bool) {
-	if it.pos >= len(it.words) {
-		return 0, 0, false
-	}
-	w := it.words[it.pos]
-	it.pos++
-	if w&fillFlag == 0 {
-		return w & codec.GroupMask, 1, true
-	}
-	val := uint32(0)
-	if w&fillBitFlag != 0 {
-		val = codec.GroupMask
-	}
-	return val, int(w & maxFill), true
-}
-
-// And returns the compressed intersection of a and b without decompressing
-// to a dense vector. Both bitmaps must have the same logical length.
-func And(a, b *Bitmap) *Bitmap {
-	if a.nbits != b.nbits {
-		panic("wah: length mismatch")
-	}
-	out := &Bitmap{nbits: a.nbits}
-	codec.AndRuns(a.iterator(), b.iterator(), func(val uint32, repeat int) {
-		switch val {
-		case 0:
-			out.appendFillN(0, repeat)
-		case codec.GroupMask:
-			out.appendFillN(1, repeat)
+	for _, word := range b.words {
+		switch {
+		case word&fillFlag == 0:
+			w.Emit(word, 1)
+		case word&fillBitFlag != 0:
+			w.Emit(codec.GroupMask, int(word&maxFill))
 		default:
-			for r := 0; r < repeat; r++ {
-				out.appendGroup(val)
-			}
+			w.Emit(0, int(word&maxFill))
 		}
-	})
-	return out
-}
-
-// Count returns the number of set bits without decompressing.
-func (b *Bitmap) Count() int {
-	c := 0
-	groups := 0
-	ng := codec.NumGroups(b.nbits)
-	it := b.iterator()
-	for {
-		val, rep, ok := it.Next()
-		if !ok {
-			break
-		}
-		switch val {
-		case 0:
-		case codec.GroupMask:
-			full := rep
-			// The final group may be partial; clamp its contribution.
-			if groups+rep == ng {
-				if tail := b.nbits % codec.GroupBits; tail != 0 {
-					full--
-					c += tail
-				}
-			}
-			c += full * codec.GroupBits
-		default:
-			g := val
-			if base := groups * codec.GroupBits; base+codec.GroupBits > b.nbits {
-				g &= uint32(1)<<(b.nbits-base) - 1
-			}
-			c += bits.OnesCount32(g)
-		}
-		groups += rep
 	}
-	return c
 }

@@ -54,14 +54,14 @@ func TestFillMerging(t *testing.T) {
 	// 10 all-zero groups must compress to a single fill word.
 	v := bitvec.New(31 * 10)
 	b := Compress(v)
-	if b.Words() != 1 {
-		t.Fatalf("zero fill: %d words, want 1", b.Words())
+	if len(b.words) != 1 {
+		t.Fatalf("zero fill: %d words, want 1", len(b.words))
 	}
 	// 10 all-one groups likewise.
 	v = bitvec.NewOnes(31 * 10)
 	b = Compress(v)
-	if b.Words() != 1 {
-		t.Fatalf("ones fill: %d words, want 1", b.Words())
+	if len(b.words) != 1 {
+		t.Fatalf("ones fill: %d words, want 1", len(b.words))
 	}
 }
 
@@ -73,48 +73,12 @@ func TestMixedRuns(t *testing.T) {
 		v.Set(i)
 	}
 	b := Compress(v)
-	if b.Words() != 3 {
-		t.Fatalf("got %d words, want 3", b.Words())
+	if len(b.words) != 3 {
+		t.Fatalf("got %d words, want 3", len(b.words))
 	}
 	if !b.Decompress().Equal(v) {
 		t.Fatal("round trip failed")
 	}
-}
-
-func TestCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 31, 62, 100, 997, 4096} {
-		for _, d := range []float64{0, 0.1, 0.9, 1} {
-			v := randomVector(rng, n, d)
-			if got, want := Compress(v).Count(), v.Count(); got != want {
-				t.Fatalf("Count n=%d d=%g: got %d want %d", n, d, got, want)
-			}
-		}
-	}
-}
-
-func TestAndMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		n := rng.Intn(700)
-		da, db := rng.Float64(), rng.Float64()
-		a := randomVector(rng, n, da)
-		b := randomVector(rng, n, db)
-		want := a.Clone().And(b)
-		got := And(Compress(a), Compress(b)).Decompress()
-		if !got.Equal(want) {
-			t.Fatalf("And mismatch n=%d trial=%d", n, trial)
-		}
-	}
-}
-
-func TestAndLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	And(Compress(bitvec.New(31)), Compress(bitvec.New(62)))
 }
 
 func TestCompressionRatioOnRuns(t *testing.T) {
@@ -143,32 +107,15 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickAnd(t *testing.T) {
-	f := func(ba, bb []bool) bool {
-		n := len(ba)
-		if len(bb) < n {
-			n = len(bb)
-		}
-		a := bitvec.FromBits(ba[:n])
-		b := bitvec.FromBits(bb[:n])
-		want := a.Clone().And(b)
-		got := And(Compress(a), Compress(b)).Decompress()
-		return got.Equal(want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLongFillSaturation(t *testing.T) {
 	// More groups than one fill word can count is impractical to allocate
 	// (2^30 groups), so instead exercise the counter merge path heavily.
 	v := bitvec.New(31 * 3000)
 	b := Compress(v)
-	if b.Words() != 1 {
-		t.Fatalf("got %d words, want 1", b.Words())
+	if len(b.words) != 1 {
+		t.Fatalf("got %d words, want 1", len(b.words))
 	}
-	if b.Count() != 0 {
+	if b.Decompress().Count() != 0 {
 		t.Fatal("count nonzero")
 	}
 }
@@ -179,16 +126,5 @@ func BenchmarkCompressDense(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Compress(v)
-	}
-}
-
-func BenchmarkAndCompressed(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(5))
-	x := Compress(randomVector(rng, 100_000, 0.95))
-	y := Compress(randomVector(rng, 100_000, 0.95))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		And(x, y)
 	}
 }

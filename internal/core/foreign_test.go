@@ -51,7 +51,7 @@ func TestForeignScorer(t *testing.T) {
 		"raw-unbinned": {Codec: bitmapidx.Raw},
 		"concise-bins": {Codec: bitmapidx.Concise, Bins: []int{4}},
 		"adaptive":     {Codec: bitmapidx.Concise, Bins: []int{4}, Adaptive: true},
-		"wah-bins":     {Codec: bitmapidx.WAH, Bins: []int{3}},
+		"concise-3":    {Codec: bitmapidx.Concise, Bins: []int{3}},
 	}
 	cands := make([]*data.Object, 0, 60)
 	for i := 0; i < 40; i++ {

@@ -7,10 +7,11 @@ import (
 	"repro/internal/core"
 )
 
-// Ablation is not a paper artifact: it isolates the design choices DESIGN.md
-// calls out — the Q−P refinement strategy of §4.5 (direct value comparison
-// vs B+-tree bin scanning) and the column-store codec (raw vs WAH vs
-// CONCISE) — on the default synthetic workloads.
+// Ablation is not a paper artifact: it isolates two design choices — the
+// Q−P refinement strategy of §4.5 (direct value comparison vs B+-tree bin
+// scanning) and the column-store codec (raw vs CONCISE; WAH is compared on
+// size and compression time in Fig. 10, not served) — on the default
+// synthetic workloads.
 func Ablation(s Scale) []Table {
 	var out []Table
 	for _, nd := range syntheticPair(s, nil) {
@@ -39,7 +40,7 @@ func Ablation(s Scale) []Table {
 			Title:  fmt.Sprintf("Ablation — %s: column-store codec for the binned index (k=%d)", nd.name, defaultK),
 			Header: []string{"codec", "time (s)", "index (KB)"},
 		}
-		for _, codec := range []bitmapidx.Codec{bitmapidx.Raw, bitmapidx.WAH, bitmapidx.Concise} {
+		for _, codec := range []bitmapidx.Codec{bitmapidx.Raw, bitmapidx.Concise} {
 			ix := bitmapidx.BuildWithStats(nd.ds, stats, bitmapidx.Options{Codec: codec, Bins: bins})
 			d, _ := runAlgo(core.AlgIBIG, nd.ds, defaultK, &core.Pre{Queue: queue, Binned: ix})
 			codecTab.Rows = append(codecTab.Rows,

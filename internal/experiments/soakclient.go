@@ -22,10 +22,10 @@ func newSoakClient(base string) *soakClient {
 	return &soakClient{base: base, hc: &http.Client{}}
 }
 
-// query posts one /v1/query and returns the ranked items.
+// query posts one /v1/datasets/{name}/query and returns the ranked items.
 func (c *soakClient) query(dataset string, k, workers int) ([]server.QueryItem, error) {
-	body, _ := json.Marshal(server.QueryRequest{Dataset: dataset, K: k, Workers: workers})
-	resp, err := c.hc.Post(c.base+"/v1/query", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(server.QueryRequest{K: k, Workers: workers})
+	resp, err := c.hc.Post(c.base+"/v1/datasets/"+dataset+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}

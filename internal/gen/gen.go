@@ -7,7 +7,7 @@
 // The real datasets themselves are not redistributable, so the simulators
 // reproduce the five statistics the TKD algorithms are sensitive to —
 // cardinality, dimensionality, per-dimension domain size, missing rate, and
-// value correlation structure — as documented per dataset in DESIGN.md §4.
+// value correlation structure — as documented on each simulator below.
 package gen
 
 import (

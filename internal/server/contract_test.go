@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -61,12 +62,11 @@ func TestErrorContract(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"query bad json", "POST", "/v1/query", nil, "{", http.StatusBadRequest, "bad_request"},
-		{"query k zero", "POST", "/v1/query", server.QueryRequest{Dataset: "file"}, "", http.StatusBadRequest, "bad_request"},
-		{"query bad algorithm", "POST", "/v1/query", server.QueryRequest{Dataset: "file", K: 3, Algorithm: "nope"}, "", http.StatusBadRequest, "bad_request"},
-		{"query unknown dataset", "POST", "/v1/query", server.QueryRequest{Dataset: "ghost", K: 3}, "", http.StatusNotFound, "dataset_not_found"},
-		{"scoped query contradiction", "POST", "/v1/datasets/file/query", server.QueryRequest{Dataset: "mem", K: 3}, "", http.StatusBadRequest, "bad_request"},
-		{"scoped query unknown dataset", "POST", "/v1/datasets/ghost/query", server.QueryRequest{K: 3}, "", http.StatusNotFound, "dataset_not_found"},
+		{"query bad json", "POST", "/v1/datasets/file/query", nil, "{", http.StatusBadRequest, "bad_request"},
+		{"query k zero", "POST", "/v1/datasets/file/query", server.QueryRequest{}, "", http.StatusBadRequest, "bad_request"},
+		{"query bad algorithm", "POST", "/v1/datasets/file/query", server.QueryRequest{K: 3, Algorithm: "nope"}, "", http.StatusBadRequest, "bad_request"},
+		{"query contradiction", "POST", "/v1/datasets/file/query", server.QueryRequest{Dataset: "mem", K: 3}, "", http.StatusBadRequest, "bad_request"},
+		{"query unknown dataset", "POST", "/v1/datasets/ghost/query", server.QueryRequest{K: 3}, "", http.StatusNotFound, "dataset_not_found"},
 		{"subscribe bad json", "POST", "/v1/datasets/file/subscribe", nil, "nope", http.StatusBadRequest, "bad_request"},
 		{"subscribe k zero", "POST", "/v1/datasets/file/subscribe", server.SubscribeRequest{}, "", http.StatusBadRequest, "bad_request"},
 		{"subscribe unknown dataset", "POST", "/v1/datasets/ghost/subscribe", server.SubscribeRequest{K: 3}, "", http.StatusNotFound, "dataset_not_found"},
@@ -198,6 +198,17 @@ func TestRoutesDocumented(t *testing.T) {
 		want := rt.Method + " " + rt.Pattern
 		if !strings.Contains(doc, want) {
 			t.Errorf("README.md does not document route %q", want)
+		}
+	}
+	// And the converse: every row of the README's route table is a served
+	// route, so removing a route cannot leave its documentation behind.
+	served := make(map[string]bool)
+	for _, rt := range server.Routes() {
+		served[rt.Method+" "+rt.Pattern] = true
+	}
+	for _, m := range regexp.MustCompile("(?m)^\\| `((?:GET|POST|DELETE|PUT) /[^`]*)` \\|").FindAllStringSubmatch(doc, -1) {
+		if !served[m[1]] {
+			t.Errorf("README.md documents route %q, which the server does not serve", m[1])
 		}
 	}
 	// The error-code glossary must cover every code the envelope can carry.

@@ -21,8 +21,6 @@ func TestFollowerDeltaSync(t *testing.T) {
 	ref := tkd.GenerateIND(2000, 4, 20, 0.2, 91)
 	d := newIngestDirs(t, ref)
 	cfg := ingestConfig(d, 20*time.Millisecond)
-	cfg.DeltaPublish = true
-	cfg.DeltaShip = true
 	leader, lts := startIngestServer(t, cfg, d)
 	defer func() { lts.Close(); leader.Close() }()
 

@@ -372,8 +372,8 @@ func (s *Server) registerFollowed(name string, ds *tkd.Dataset, epoch uint64) er
 // X-TKD-Have-Fingerprint equal to the current fingerprint gets 304 and no
 // body — the steady-state poll costs a header exchange.
 //
-// Under Config.DeltaShip a follower that also advertises its current epoch
-// (X-TKD-Have-Epoch) may instead get the delta form — just the rows
+// A follower that also advertises its current epoch (X-TKD-Have-Epoch) may
+// instead get the delta form — just the rows
 // appended since that epoch, marked by an X-TKD-Delta: 1 response header —
 // when the leader's append lineage proves the follower's state is a strict
 // prefix of the current one. Any doubt (stale base, divergent fingerprint,
@@ -419,7 +419,7 @@ func (s *Server) handleEpochStream(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	if s.cfg.DeltaShip && unsharded != nil && haveFPOK {
+	if unsharded != nil && haveFPOK {
 		if have := r.Header.Get("X-TKD-Have-Epoch"); have != "" {
 			if haveEpoch, err := strconv.ParseUint(have, 10, 64); err == nil && haveEpoch > 0 {
 				if dx, ok := unsharded.ExportEpochDelta(haveEpoch, haveFP); ok {

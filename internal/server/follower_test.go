@@ -266,7 +266,7 @@ func TestFollowerRollingReloadE2E(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Post(lts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(lts.URL+"/v1/datasets/big/query", "application/json", bytes.NewReader(body))
 				if err != nil {
 					failures.Add(1)
 					firstErr.CompareAndSwap(nil, fmt.Sprintf("transport: %v", err))

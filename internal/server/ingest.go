@@ -22,9 +22,10 @@ import (
 // is logged — and, under the "always" fsync policy, fsynced — before it is
 // acked, then buffered; a background publisher folds the buffered rows into
 // the dataset on the Config.PublishInterval cadence as one epoch-RCU
-// publish (patching the previous epoch's index in place under
-// Config.DeltaPublish, rebuilding it otherwise), persists the resulting
-// index, and records a checkpoint in the WAL
+// publish (tkd.AppendRows: patching the previous epoch's index in place,
+// O(batch), falling back to a rebuild only when it cannot — cold index,
+// lineage break), persists the resulting index, and records a checkpoint in
+// the WAL
 // (row count covered, epoch number, data fingerprint). Startup recovery
 // replays the WAL on top of the source file: rows up to the last checkpoint
 // reconstruct the published state (the persisted index warm-loads when the
@@ -55,9 +56,9 @@ type ingestState struct {
 	replayed int64 // rows replayed into the dataset at open, set once
 
 	// Publish-path accounting: how many publishes patched the previous
-	// epoch's index in place (Config.DeltaPublish) versus rebuilt it from
-	// scratch. Exposed per dataset in /v1/datasets and /metrics; the kill
-	// harness audits deltaPublishes to prove recovery covers patched epochs.
+	// epoch's index in place versus rebuilt it from scratch. Exposed per
+	// dataset in /v1/datasets and /metrics; the kill harness audits
+	// deltaPublishes to prove recovery covers patched epochs.
 	deltaPublishes   atomic.Int64
 	rebuildPublishes atomic.Int64
 }
@@ -333,7 +334,7 @@ func (s *Server) publishLoop() {
 				if e.ing == nil {
 					continue
 				}
-				if _, err := s.publishPending(e); err != nil {
+				if err := s.publishPending(e); err != nil {
 					s.log.Warn("ingest publish failed", "dataset", e.name, "err", err)
 				}
 			}
@@ -344,7 +345,7 @@ func (s *Server) publishLoop() {
 // publishPending folds e's pending rows into a published epoch under the
 // reload lock, which serializes it against reloads and evictions (both
 // reshape the data and the WAL underneath a publish).
-func (s *Server) publishPending(e *entry) (int, error) {
+func (s *Server) publishPending(e *entry) error {
 	e.reloadMu.Lock()
 	defer e.reloadMu.Unlock()
 	return s.publishPendingLocked(e)
@@ -352,7 +353,7 @@ func (s *Server) publishPending(e *entry) (int, error) {
 
 // publishPendingLocked is publishPending for callers already holding
 // e.reloadMu (the reload handler flushes before swapping).
-func (s *Server) publishPendingLocked(e *entry) (int, error) {
+func (s *Server) publishPendingLocked(e *entry) error {
 	ing := e.ing
 	ing.mu.Lock()
 	rows := ing.pending
@@ -361,7 +362,7 @@ func (s *Server) publishPendingLocked(e *entry) (int, error) {
 	lg := ing.log
 	ing.mu.Unlock()
 	if len(rows) == 0 {
-		return 0, nil
+		return nil
 	}
 	start := time.Now()
 	tr := obs.New("ingest-publish")
@@ -370,31 +371,19 @@ func (s *Server) publishPendingLocked(e *entry) (int, error) {
 	root.SetInt("rows", int64(len(rows)))
 
 	pub := root.StartChild("publish")
-	patched := false
-	if s.cfg.DeltaPublish {
-		tk := make([]tkd.Row, len(rows))
-		for i, r := range rows {
-			tk[i] = tkd.Row{ID: r.ID, Values: r.Values}
-		}
-		var err error
-		if patched, err = ing.base.AppendRows(tk); err != nil {
-			// Cannot happen for rows the append handler validated; if it
-			// does (the dataset changed shape underneath us) the batch is
-			// rejected whole, the rows stay safe in the WAL, and a restart
-			// retries the replay.
-			pub.End()
-			root.End()
-			return 0, fmt.Errorf("folding %d rows: %w", len(rows), err)
-		}
-	} else {
-		for i, r := range rows {
-			if err := ing.base.Append(r.ID, r.Values...); err != nil {
-				pub.End()
-				root.End()
-				return i, fmt.Errorf("folding row %d of %d: %w", i+1, len(rows), err)
-			}
-		}
-		ing.base.PrepareFor(tkd.IBIG)
+	tk := make([]tkd.Row, len(rows))
+	for i, r := range rows {
+		tk[i] = tkd.Row{ID: r.ID, Values: r.Values}
+	}
+	patched, err := ing.base.AppendRows(tk)
+	if err != nil {
+		// Cannot happen for rows the append handler validated; if it does
+		// (the dataset changed shape underneath us) the batch is rejected
+		// whole, the rows stay safe in the WAL, and a restart retries the
+		// replay.
+		pub.End()
+		root.End()
+		return fmt.Errorf("folding %d rows: %w", len(rows), err)
 	}
 	if patched {
 		ing.deltaPublishes.Add(1)
@@ -447,7 +436,7 @@ func (s *Server) publishPendingLocked(e *entry) (int, error) {
 		entry.Err = cpErr.Error()
 	}
 	s.qlog.Add(entry)
-	return len(rows), cpErr
+	return cpErr
 }
 
 // flushIngest publishes every dataset's pending rows and forces a final
@@ -458,7 +447,7 @@ func (s *Server) flushIngest() {
 		if e.ing == nil {
 			continue
 		}
-		if _, err := s.publishPending(e); err != nil {
+		if err := s.publishPending(e); err != nil {
 			s.log.Warn("ingest flush failed", "dataset", e.name, "err", err)
 		}
 		if err := e.ing.log.Sync(); err != nil {

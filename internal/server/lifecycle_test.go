@@ -485,54 +485,67 @@ func TestStaleIndexCacheRebuilds(t *testing.T) {
 	}
 }
 
-// TestCorruptIndexCacheRebuilds: garbage in the cache file degrades to a
-// rebuild and surfaces on the error counter — never a failed boot.
+// TestCorruptIndexCacheRebuilds: a cache file that cannot be used — garbage
+// in the body, or an intact index written with the retired WAH codec (header
+// codec byte 1) — degrades to a rebuild and surfaces on the error counter,
+// never a failed boot.
 func TestCorruptIndexCacheRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	csv := filepath.Join(dir, "c.csv")
-	ixdir := filepath.Join(dir, "ix")
-	writeCSV(t, tkd.GenerateIND(200, 3, 15, 0.2, 7), csv)
-
-	s1 := server.New(server.Config{IndexDir: ixdir})
-	if err := s1.LoadCSVFile("c", csv, false); err != nil {
-		t.Fatal(err)
-	}
-	s1.Close()
-
-	// Bit-flip the cached index body (past the wrapper header so the
-	// fingerprint still matches and the load is attempted).
-	files, err := filepath.Glob(filepath.Join(ixdir, "*.tkdix"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("index files: %v err %v", files, err)
-	}
-	blob, err := os.ReadFile(files[0])
+	wahIndex, err := os.ReadFile(filepath.Join("..", "bitmapidx", "testdata", "golden_v3_wah.idx"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[len(blob)/2] ^= 0x10
-	if err := os.WriteFile(files[0], blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// The cache file is a 16-byte wrapper (magic, fingerprint) ahead of the
+	// index stream; both cases keep it so the load is attempted.
+	const wrapper = 16
+	for name, spoil := range map[string]func(blob []byte) []byte{
+		"bit flip":  func(blob []byte) []byte { blob[len(blob)/2] ^= 0x10; return blob },
+		"WAH codec": func(blob []byte) []byte { return append(blob[:wrapper:wrapper], wahIndex...) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			csv := filepath.Join(dir, "c.csv")
+			ixdir := filepath.Join(dir, "ix")
+			writeCSV(t, tkd.GenerateIND(200, 3, 15, 0.2, 7), csv)
 
-	s2 := server.New(server.Config{IndexDir: ixdir})
-	ds2, err := loadPublicCSV(csv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.AddDataset("c", ds2); err != nil {
-		t.Fatalf("corrupt cache failed the boot: %v", err)
-	}
-	if got := ds2.IndexBuilds(); got != 1 {
-		t.Fatalf("corrupt cache: %d builds, want 1", got)
-	}
-	ts := httptest.NewServer(s2)
-	defer ts.Close()
-	defer s2.Close()
-	metrics := getBody(t, ts.URL+"/metrics")
-	if got := sumMetric(t, metrics, "tkd_index_cache_errors_total"); got == 0 {
-		t.Error("cache corruption not surfaced on tkd_index_cache_errors_total")
-	}
-	if _, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "c", K: 3}); code != http.StatusOK {
-		t.Fatalf("query after corrupt-cache rebuild: HTTP %d", code)
+			s1 := server.New(server.Config{IndexDir: ixdir})
+			if err := s1.LoadCSVFile("c", csv, false); err != nil {
+				t.Fatal(err)
+			}
+			s1.Close()
+
+			files, err := filepath.Glob(filepath.Join(ixdir, "*.tkdix"))
+			if err != nil || len(files) != 1 {
+				t.Fatalf("index files: %v err %v", files, err)
+			}
+			blob, err := os.ReadFile(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(files[0], spoil(blob), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2 := server.New(server.Config{IndexDir: ixdir})
+			ds2, err := loadPublicCSV(csv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s2.AddDataset("c", ds2); err != nil {
+				t.Fatalf("unusable cache failed the boot: %v", err)
+			}
+			if got := ds2.IndexBuilds(); got != 1 {
+				t.Fatalf("unusable cache: %d builds, want 1", got)
+			}
+			ts := httptest.NewServer(s2)
+			defer ts.Close()
+			defer s2.Close()
+			metrics := getBody(t, ts.URL+"/metrics")
+			if got := sumMetric(t, metrics, "tkd_index_cache_errors_total"); got == 0 {
+				t.Error("unusable cache not surfaced on tkd_index_cache_errors_total")
+			}
+			if _, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "c", K: 3}); code != http.StatusOK {
+				t.Fatalf("query after the rebuild: HTTP %d", code)
+			}
+		})
 	}
 }

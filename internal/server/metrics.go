@@ -418,7 +418,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "tkd_columns_served_total{dataset=%q,repr=\"compressed\"} %d\n", e.name, cacheStats[i].CompressedCols)
 		fmt.Fprintf(w, "tkd_columns_served_total{dataset=%q,repr=\"sparse\"} %d\n", e.name, cacheStats[i].SparseCols)
 	}
-	fmt.Fprintf(w, "# HELP tkd_kernel_native_hits_total Compressed columns served by the run-native WAH/CONCISE kernels, by dataset.\n")
+	fmt.Fprintf(w, "# HELP tkd_kernel_native_hits_total Compressed columns served by the run-native CONCISE kernels, by dataset.\n")
 	fmt.Fprintf(w, "# TYPE tkd_kernel_native_hits_total counter\n")
 	for i, e := range entries {
 		fmt.Fprintf(w, "tkd_kernel_native_hits_total{dataset=%q} %d\n", e.name, cacheStats[i].NativeKernel)

@@ -5,7 +5,7 @@
 //
 // Endpoints:
 //
-//	POST   /v1/query                  — {"dataset","k","algorithm","workers"} → ranked answer
+//	POST   /v1/datasets/{name}/query  — {"k","algorithm","workers"} → ranked answer
 //	GET    /v1/datasets               — resident datasets and their shapes
 //	POST   /v1/datasets               — {"name","path","negate"} registers a CSV at runtime
 //	POST   /v1/datasets/{name}/reload — rebuild from the source file, swap epochs, zero downtime
@@ -141,27 +141,12 @@ type Config struct {
 	// defaults to 50ms.
 	FsyncInterval time.Duration
 	// PublishInterval is the cadence at which logged rows are folded into a
-	// published epoch (one index rebuild per batch, not per row); <= 0
+	// published epoch (one index patch per batch, not per row); <= 0
 	// defaults to 500ms.
 	PublishInterval time.Duration
 	// WALFS overrides WAL segment-file creation (the chaos harness injects
 	// write/fsync faults here); nil uses the operating system.
 	WALFS wal.FS
-
-	// DeltaPublish folds an ingest batch into the previous epoch's index by
-	// column patching (tkd.AppendRows) instead of rebuilding it from
-	// scratch — O(batch) instead of O(dataset) per publish. The patched
-	// artifacts are equivalence-checked by construction (identical
-	// fingerprints, identical answers); a publish that cannot patch (cold
-	// index, shape change) transparently falls back to the rebuild. False
-	// keeps the legacy rebuild-every-publish behavior.
-	DeltaPublish bool
-	// DeltaShip lets the epoch-stream endpoint answer a follower that
-	// advertises its current epoch (X-TKD-Have-Epoch) with just the rows
-	// appended since — the follower patches its own index — instead of the
-	// full dataset+index stream. Falls back to the full stream whenever the
-	// follower's base is stale, divergent, or unknown.
-	DeltaShip bool
 }
 
 // Server is the HTTP query service. Create with New, register datasets with
@@ -195,7 +180,6 @@ type Route struct {
 // routes (and panics on a table/handler mismatch, so the two cannot drift),
 // and the docs-conformance test holds README.md to the same table.
 var apiRoutes = []Route{
-	{"POST", "/v1/query", "Top-k query, dataset named in the body (deprecated: use the dataset-scoped route)"},
 	{"POST", "/v1/datasets/{name}/query", "Top-k query against the named dataset"},
 	{"POST", "/v1/datasets/{name}/subscribe", "Standing top-k subscription (SSE or long-poll)"},
 	{"GET", "/v1/datasets", "List resident datasets"},
@@ -246,7 +230,6 @@ func New(cfg Config) *Server {
 	s.peer = shard.NewPeer(s.resolveShardData)
 	s.peer.SetQueryLog(s.qlog)
 	handlers := map[string]http.Handler{
-		"POST /v1/query":                     http.HandlerFunc(s.handleQuery),
 		"POST /v1/datasets/{name}/query":     http.HandlerFunc(s.handleDatasetQuery),
 		"POST /v1/datasets/{name}/subscribe": http.HandlerFunc(s.handleSubscribe),
 		"GET /v1/datasets":                   http.HandlerFunc(s.handleDatasets),
@@ -597,9 +580,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // ---- wire types ----
 
-// QueryRequest is the POST /v1/query body.
+// QueryRequest is the POST /v1/datasets/{name}/query body.
 type QueryRequest struct {
-	Dataset string `json:"dataset"`
+	// Dataset is optional: the path names the dataset, and a body that names
+	// a different one is rejected.
+	Dataset string `json:"dataset,omitempty"`
 	K       int    `json:"k"`
 	// Algorithm is one of Naive, ESB, UBB, BIG, IBIG; empty selects IBIG.
 	Algorithm string `json:"algorithm,omitempty"`
@@ -644,7 +629,7 @@ type QueryStats struct {
 	Windows       int   `json:"windows"`
 }
 
-// QueryResponse is the POST /v1/query answer.
+// QueryResponse is the POST /v1/datasets/{name}/query answer.
 type QueryResponse struct {
 	Dataset   string `json:"dataset"`
 	K         int    `json:"k"`
@@ -705,8 +690,8 @@ type DatasetInfo struct {
 	WALLagRows      uint64 `json:"wal_lag_rows,omitempty"`
 	WALReplayedRows int64  `json:"wal_replayed_rows,omitempty"`
 	// DeltaPublishes counts the publishes that patched the previous epoch's
-	// index in place (Config.DeltaPublish) and RebuildPublishes the ones
-	// that rebuilt it from scratch. Absent without -waldir.
+	// index in place and RebuildPublishes the ones that fell back to
+	// rebuilding it from scratch. Absent without -waldir.
 	DeltaPublishes   int64 `json:"delta_publishes,omitempty"`
 	RebuildPublishes int64 `json:"rebuild_publishes,omitempty"`
 }
@@ -742,20 +727,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// handleQuery serves the legacy body-addressed POST /v1/query (the dataset
-// named in the body). POST /v1/datasets/{name}/query is the resource-style
-// spelling of the same query; both run serveQuery.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.serveQuery(w, r, "")
-}
-
-// handleDatasetQuery serves POST /v1/datasets/{name}/query: the same body
-// as /v1/query with the dataset taken from the path.
+// handleDatasetQuery serves POST /v1/datasets/{name}/query.
 func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
-	s.serveQuery(w, r, r.PathValue("name"))
-}
-
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, pathDataset string) {
 	if s.draining.Load() {
 		writeError(w, r, http.StatusServiceUnavailable, errDraining, "server: shutting down")
 		return
@@ -767,16 +740,15 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, pathDataset 
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "bad request body: %v", err)
 		return
 	}
-	if pathDataset != "" {
-		// Resource route: the path names the dataset. A body that names a
-		// different one is a contradiction, not a tiebreak.
-		if req.Dataset != "" && req.Dataset != pathDataset {
-			writeError(w, r, http.StatusBadRequest, errBadRequest,
-				"body dataset %q contradicts path dataset %q", req.Dataset, pathDataset)
-			return
-		}
-		req.Dataset = pathDataset
+	// The path names the dataset. A body that names a different one is a
+	// contradiction, not a tiebreak.
+	name := r.PathValue("name")
+	if req.Dataset != "" && req.Dataset != name {
+		writeError(w, r, http.StatusBadRequest, errBadRequest,
+			"body dataset %q contradicts path dataset %q", req.Dataset, name)
+		return
 	}
+	req.Dataset = name
 	if req.K <= 0 {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "k must be positive")
 		return

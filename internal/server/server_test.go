@@ -19,21 +19,19 @@ import (
 
 // testDatasets builds the two workloads the end-to-end test serves, plus an
 // independent identically generated copy of each for serial ground truth.
-// The served "ac" dataset pins its index to pure CONCISE while "ind" keeps
-// the adaptive default — so the end-to-end checks cover both the
-// decompressed-column cache path and the representation-dispatch path, and
-// the byte-identical comparison against the (adaptive) reference copies
-// doubles as a cross-representation answer check.
+// "ac" is sized to exercise the decompressed-column cache under the 1 KiB
+// budget TestEndToEnd sets: a 10% missing rate sits inside the adaptive
+// codec band (5% < σ < 25%), so each dimension's tail-bucket column is
+// literal-heavy CONCISE served through the cache, and at 4000 rows (504-byte
+// columns) only two of them fit.
 func testDatasets() (serve, ref map[string]*tkd.Dataset) {
 	mk := func() map[string]*tkd.Dataset {
 		return map[string]*tkd.Dataset{
-			"ac":  tkd.GenerateAC(1200, 4, 40, 0.25, 3),
+			"ac":  tkd.GenerateAC(4000, 4, 40, 0.10, 3),
 			"ind": tkd.GenerateIND(900, 5, 30, 0.15, 9),
 		}
 	}
-	serve = mk()
-	serve["ac"].SetIndexRepresentation(tkd.ConciseIndex)
-	return serve, mk()
+	return mk(), mk()
 }
 
 func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server, map[string]*tkd.Dataset) {
@@ -56,9 +54,9 @@ func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.S
 func postQuery(t *testing.T, url string, req server.QueryRequest) (server.QueryResponse, int) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/datasets/"+req.Dataset+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /v1/query: %v", err)
+		t.Fatalf("POST query: %v", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -159,7 +157,7 @@ func TestEndToEnd(t *testing.T) {
 	wg.Wait()
 
 	// /metrics: the small cache budget must have produced both hits and
-	// evictions on the CONCISE-pinned dataset, the representation counters
+	// evictions on the cache-served "ac" columns, the representation counters
 	// must show column traffic, and the query counters must cover both
 	// datasets.
 	metrics := getBody(t, ts.URL+"/metrics")
@@ -307,13 +305,13 @@ func TestValidation(t *testing.T) {
 		}
 	}
 	// GET on the query endpoint is rejected.
-	resp, err := http.Get(ts.URL + "/v1/query")
+	resp, err := http.Get(ts.URL + "/v1/datasets/ac/query")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/query: HTTP %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v1/datasets/ac/query: HTTP %d, want 405", resp.StatusCode)
 	}
 }
 

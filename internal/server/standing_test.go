@@ -78,7 +78,6 @@ func subscribePoll(t *testing.T, url string, req server.SubscribeRequest) server
 func TestStandingSubscription(t *testing.T) {
 	d := newIngestDirs(t, standingFixture(t))
 	cfg := ingestConfig(d, 20*time.Millisecond)
-	cfg.DeltaPublish = true
 	s, ts := startIngestServer(t, cfg, d)
 	defer func() { ts.Close(); s.Close() }()
 
@@ -149,7 +148,6 @@ func TestStandingSubscription(t *testing.T) {
 func TestStandingSSE(t *testing.T) {
 	d := newIngestDirs(t, standingFixture(t))
 	cfg := ingestConfig(d, 20*time.Millisecond)
-	cfg.DeltaPublish = true
 	s, ts := startIngestServer(t, cfg, d)
 	defer func() { ts.Close(); s.Close() }()
 
@@ -211,7 +209,6 @@ func TestStandingSSE(t *testing.T) {
 func TestStandingSubscribersShareOneQuery(t *testing.T) {
 	d := newIngestDirs(t, standingFixture(t))
 	cfg := ingestConfig(d, 20*time.Millisecond)
-	cfg.DeltaPublish = true
 	s, ts := startIngestServer(t, cfg, d)
 	defer func() { ts.Close(); s.Close() }()
 

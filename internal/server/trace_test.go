@@ -14,11 +14,12 @@ import (
 	"repro/internal/server"
 )
 
-// postQueryRaw posts a query body with optional headers and returns the raw
-// response bytes and status.
+// postQueryRaw posts a query body to the "big" dataset (the one every trace
+// test serves) with optional headers and returns the raw response bytes and
+// status.
 func postQueryRaw(t *testing.T, url string, body string, headers map[string]string) ([]byte, int) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/query", strings.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/datasets/big/query", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

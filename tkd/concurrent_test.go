@@ -100,12 +100,12 @@ func TestConcurrentPrepare(t *testing.T) {
 
 // TestCacheBudgetPlumbing checks that SetCacheBudget reaches the compressed
 // index and CacheStats surfaces live counters and evictions under a budget
-// squeezed below the working set. The index is pinned to pure CONCISE: the
-// default adaptive representation stores these mid-density columns dense
-// and would leave the cache legitimately cold.
+// squeezed below the working set. A 10% missing rate sits inside the
+// adaptive codec band (5% < σ < 25%): each dimension's tail-bucket column is
+// literal-heavy CONCISE, served through the decompressed-column cache, and
+// at 4000 rows (504-byte columns) only two of the five fit in 1 KiB.
 func TestCacheBudgetPlumbing(t *testing.T) {
-	ds := tkd.GenerateIND(600, 5, 30, 0.2, 13)
-	ds.SetIndexRepresentation(tkd.ConciseIndex)
+	ds := tkd.GenerateIND(4000, 5, 30, 0.10, 13)
 	ds.SetCacheBudget(1 << 10) // far below the column population
 	if _, err := ds.TopK(10); err != nil {
 		t.Fatal(err)
@@ -123,42 +123,12 @@ func TestCacheBudgetPlumbing(t *testing.T) {
 	if st.Bytes > st.Budget {
 		t.Fatalf("resident bytes %d exceed budget %d", st.Bytes, st.Budget)
 	}
-}
-
-// TestIndexRepresentationKnob pins the adaptive default and the
-// SetIndexRepresentation switch: the representation counters flow for the
-// adaptive index, switching publishes a fresh epoch, and the answer set is
-// identical under every representation.
-func TestIndexRepresentationKnob(t *testing.T) {
-	ds := tkd.GenerateIND(800, 4, 50, 0.02, 21)
-	want, err := ds.TopK(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := ds.CacheStats()
-	if st.DenseCols+st.CompressedCols+st.SparseCols == 0 {
-		t.Fatal("adaptive index recorded no served columns")
+	// The representation counters flow and account for every compressed
+	// column served: run-native kernel or dense fallback.
+	if st.DenseCols == 0 || st.CompressedCols == 0 {
+		t.Fatalf("adaptive index served dense=%d compressed=%d columns, want both", st.DenseCols, st.CompressedCols)
 	}
 	if st.CompressedCols != st.NativeKernel+st.Fallback {
 		t.Fatalf("compressed %d != native %d + fallback %d", st.CompressedCols, st.NativeKernel, st.Fallback)
-	}
-	for _, rep := range []tkd.IndexRepresentation{tkd.WAHIndex, tkd.ConciseIndex} {
-		epoch := ds.Epoch()
-		ds.SetIndexRepresentation(rep)
-		if ds.Epoch() == epoch {
-			t.Fatalf("representation %d: no epoch published", rep)
-		}
-		got, err := ds.TopK(8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Items) != len(want.Items) {
-			t.Fatalf("representation %d: %d items, want %d", rep, len(got.Items), len(want.Items))
-		}
-		for i, it := range got.Items {
-			if it != want.Items[i] {
-				t.Fatalf("representation %d item %d: %+v, want %+v", rep, i, it, want.Items[i])
-			}
-		}
 	}
 }

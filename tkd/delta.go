@@ -115,13 +115,13 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 			if b := d.cacheBudget.Load(); b > 0 {
 				ix.SetCacheBudget(b)
 			}
-			ns = &snapshot{ds: next, bins: base.bins, rep: base.rep}
+			ns = &snapshot{ds: next, bins: base.bins}
 			ns.art.Store(&artifacts{queue: core.BuildMaxScoreQueueFromIndex(ix), binned: ix})
 			patched = true
 		}
 	}
 	if ns == nil {
-		ns = &snapshot{ds: next, bins: d.bins, rep: d.indexRep}
+		ns = &snapshot{ds: next, bins: d.bins}
 		ns.art.Store(&artifacts{})
 	}
 	ns.epoch = d.nextEpochLocked(sp.at)
@@ -344,8 +344,8 @@ func ReadEpochDelta(r io.Reader) (*EpochDelta, error) {
 	if dlen == 0 || dlen > maxEpochData {
 		return nil, fmt.Errorf("tkd: delta stream rows section of %d bytes is out of range", dlen)
 	}
-	raw := make([]byte, dlen)
-	if _, err := io.ReadFull(r, raw); err != nil {
+	raw, err := readSection(r, dlen)
+	if err != nil {
 		return nil, fmt.Errorf("tkd: delta stream rows section: %w", err)
 	}
 	rows, err := data.ReadCSV(bytes.NewReader(raw))

@@ -44,6 +44,21 @@ var epochMagic = [8]byte{'T', 'K', 'D', 'E', 'P', 'O', '1', '\n'}
 // engine cannot serve datasets anywhere near this large anyway).
 const maxEpochData = 1 << 32
 
+// readSection reads an n-byte stream section into a buffer that grows with
+// the bytes actually received: the length comes off the network, and a
+// header declaring gigabytes must cost nothing until the payload arrives. A
+// stream that ends early is io.ErrUnexpectedEOF.
+func readSection(r io.Reader, n uint64) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // EpochExport pins one published epoch of a dataset for replication: the
 // epoch number, the data fingerprint and a Write method that streams both
 // data and index from that same snapshot, immune to concurrent reloads.
@@ -141,8 +156,8 @@ func ImportEpoch(r io.Reader) (*Dataset, uint64, error) {
 	}
 	// Buffer the data section whole: the CSV reader must not consume a byte
 	// of the index section that follows it.
-	raw := make([]byte, dlen)
-	if _, err := io.ReadFull(r, raw); err != nil {
+	raw, err := readSection(r, dlen)
+	if err != nil {
 		return nil, 0, fmt.Errorf("tkd: epoch stream data section: %w", err)
 	}
 	ds, err := data.ReadCSV(bytes.NewReader(raw))
@@ -161,16 +176,8 @@ func ImportEpoch(r io.Reader) (*Dataset, uint64, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("tkd: epoch stream index section: %w", err)
 		}
-		// Adopt the leader's index representation: the index is the leader's
-		// verbatim, and a follower that re-pinned a different codec would
-		// otherwise silently rebuild what it was just shipped.
-		switch {
-		case ix.Adaptive():
-			fresh.indexRep = AdaptiveIndex
-		case ix.CodecUsed() == bitmapidx.WAH:
-			fresh.indexRep = WAHIndex
-		default:
-			fresh.indexRep = ConciseIndex
+		if !ix.Adaptive() {
+			return nil, 0, fmt.Errorf("tkd: epoch stream index section is not adaptive (codec=%v)", ix.CodecUsed())
 		}
 		fresh.pendingBinned = ix
 	}

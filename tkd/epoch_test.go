@@ -3,9 +3,16 @@ package tkd_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/bitmapidx"
 	"repro/tkd"
 )
 
@@ -143,5 +150,111 @@ func TestReplaceFromAtAlignsEpochNumbering(t *testing.T) {
 	d.ReplaceFrom(tkd.GenerateIND(100, 3, 10, 0.2, 6))
 	if d.Epoch() != 12 {
 		t.Fatalf("epoch %d after ReplaceFrom, want 12", d.Epoch())
+	}
+}
+
+// goldenFixture reads one of the persistence fixtures the pre-removal build
+// wrote (internal/bitmapidx/testdata/README.md describes them).
+func goldenFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("..", "internal", "bitmapidx", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestImportGoldenEpoch pins wire compatibility: an epoch stream a leader
+// built before the WAH codec left the index (default settings, index section
+// included) still imports, lands on the leader's epoch and fingerprint, and
+// serves from the shipped index with zero builds.
+func TestImportGoldenEpoch(t *testing.T) {
+	fresh, epoch, err := tkd.ImportEpoch(bytes.NewReader(goldenFixture(t, "golden_epoch_adaptive.bin")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch != 1 || fresh.Fingerprint() != 0x711c1970f99fff09 {
+		t.Fatalf("imported epoch %d fingerprint %016x, want 1 / 711c1970f99fff09", epoch, fresh.Fingerprint())
+	}
+	got, err := fresh.TopK(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.TopK(7, tkd.WithAlgorithm(tkd.Naive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Scores(), want.Scores()) {
+		t.Fatalf("IBIG over the shipped index scores %v, Naive %v", got.Scores(), want.Scores())
+	}
+	if n := fresh.IndexBuilds(); n != 0 {
+		t.Fatalf("golden import built the index %d times, want 0", n)
+	}
+}
+
+// TestLoadIndexAcceptsOnlyAdaptive: the dataset builds adaptive indexes and
+// warm-loads nothing else — a pure-CONCISE file is refused, a WAH one is an
+// unsupported codec — and a refused load leaves the dataset serving.
+func TestLoadIndexAcceptsOnlyAdaptive(t *testing.T) {
+	ds, err := tkd.ReadCSV(bytes.NewReader(goldenFixture(t, "golden.csv")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v3_concise.idx"))); err == nil || !strings.Contains(err.Error(), "rebuild") {
+		t.Fatalf("pure-CONCISE index: error = %v, want a rebuild refusal", err)
+	}
+	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v3_wah.idx"))); !errors.Is(err, bitmapidx.ErrUnsupportedCodec) {
+		t.Fatalf("WAH index: error = %v, want ErrUnsupportedCodec", err)
+	}
+	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v3_adaptive.idx"))); err != nil {
+		t.Fatalf("adaptive index: %v", err)
+	}
+	if _, err := ds.TopK(5); err != nil {
+		t.Fatal(err)
+	}
+	if n := ds.IndexBuilds(); n != 0 {
+		t.Fatalf("warm-loaded dataset built the index %d times, want 0", n)
+	}
+}
+
+// maxLenHeaders returns a full-stream and a delta-stream header that each
+// declare the largest accepted section (4 GiB) and then end.
+func maxLenHeaders() (full, delta []byte) {
+	u64 := func(b []byte, vs ...uint64) []byte {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	}
+	full = u64([]byte("TKDEPO1\n"), 1, 0xfeed)
+	full = append(full, 1) // flags
+	full = u64(full, 1<<32)
+	delta = u64([]byte("TKDEPD1\n"), 1, 0xfeed, 2, 0xbeef, 1<<32)
+	return full, delta
+}
+
+// TestEpochStreamsAllocateByBytesReceived is the regression test for the
+// pre-allocation bug: both readers used to make([]byte, dlen) straight from
+// the header, so 33 (full) or 48 (delta) crafted bytes cost a follower
+// 4 GiB. A declared length must cost nothing until payload arrives, and the
+// short body must surface as a truncation.
+func TestEpochStreamsAllocateByBytesReceived(t *testing.T) {
+	full, delta := maxLenHeaders()
+	if len(full) != 33 || len(delta) != 48 {
+		t.Fatalf("crafted headers are %d and %d bytes, want 33 and 48", len(full), len(delta))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, errFull := tkd.ImportEpoch(bytes.NewReader(full))
+	_, errDelta := tkd.ReadEpochDelta(bytes.NewReader(delta))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(errFull, io.ErrUnexpectedEOF) {
+		t.Errorf("full stream: error = %v, want a truncation (io.ErrUnexpectedEOF)", errFull)
+	}
+	if !errors.Is(errDelta, io.ErrUnexpectedEOF) {
+		t.Errorf("delta stream: error = %v, want a truncation (io.ErrUnexpectedEOF)", errDelta)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("two empty-bodied streams allocated %d bytes; the declared length leaked into an allocation", grew)
 	}
 }

@@ -84,48 +84,6 @@ type (
 	Stats = core.Stats
 )
 
-// IndexRepresentation selects how the binned bitmap index stores its
-// columns. The default, AdaptiveIndex, picks dense, compressed or sorted-ID
-// sparse per (dimension, bin) column by measured density and dispatches
-// query execution to the matching kernels; the pure-codec settings pin
-// every column to one codec — the paper's storage setup, and the right
-// choice when index bytes matter more than query time. Answers are
-// identical under every representation.
-type IndexRepresentation int
-
-const (
-	// AdaptiveIndex picks each column's representation by density (default).
-	AdaptiveIndex IndexRepresentation = iota
-	// ConciseIndex pins every column to CONCISE (the paper's IBIG setup).
-	ConciseIndex
-	// WAHIndex pins every column to WAH.
-	WAHIndex
-)
-
-// matches reports whether a built index carries this representation.
-func (r IndexRepresentation) matches(ix *bitmapidx.Index) bool {
-	switch r {
-	case ConciseIndex:
-		return !ix.Adaptive() && ix.CodecUsed() == bitmapidx.Concise
-	case WAHIndex:
-		return !ix.Adaptive() && ix.CodecUsed() == bitmapidx.WAH
-	default:
-		return ix.Adaptive()
-	}
-}
-
-// binnedOptions translates the representation into bitmapidx build options.
-func (r IndexRepresentation) binnedOptions(bins []int) bitmapidx.Options {
-	switch r {
-	case ConciseIndex:
-		return bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins}
-	case WAHIndex:
-		return bitmapidx.Options{Codec: bitmapidx.WAH, Bins: bins}
-	default:
-		return bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins, Adaptive: true}
-	}
-}
-
 // need is a bitmask of preprocessing artifacts a query requires.
 type need uint8
 
@@ -179,7 +137,6 @@ type snapshot struct {
 	epoch uint64
 	ds    *data.Dataset
 	bins  []int
-	rep   IndexRepresentation
 
 	// art is the artifact set, read with one atomic load on the query fast
 	// path and grown copy-on-write under bmu when a query needs something
@@ -225,7 +182,7 @@ func (s *snapshot) ensure(n need, d *Dataset) *artifacts {
 		if bins == nil {
 			bins = []int{core.OptimalBins(s.ds.Len(), s.missingRate())}
 		}
-		na.binned = bitmapidx.Build(s.ds, s.rep.binnedOptions(bins))
+		na.binned = bitmapidx.Build(s.ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins, Adaptive: true})
 		d.binnedBuilds.Add(1)
 		if b := d.cacheBudget.Load(); b > 0 {
 			na.binned.SetCacheBudget(b)
@@ -273,7 +230,6 @@ type Dataset struct {
 	staging       *data.Dataset // mutable master copy of the data
 	shared        bool          // staging is referenced by a published snapshot: copy before writing
 	bins          []int
-	indexRep      IndexRepresentation
 	pendingBinned *bitmapidx.Index // LoadIndex result awaiting the next publish
 
 	cur   atomic.Pointer[snapshot] // the published epoch; nil when staging is dirty
@@ -313,7 +269,7 @@ func (d *Dataset) publishLocked() *snapshot {
 	if s := d.cur.Load(); s != nil {
 		return s
 	}
-	s := &snapshot{epoch: d.epoch.Add(1), ds: d.staging, bins: d.bins, rep: d.indexRep}
+	s := &snapshot{epoch: d.epoch.Add(1), ds: d.staging, bins: d.bins}
 	a := &artifacts{}
 	if d.pendingBinned != nil {
 		a.binned = d.pendingBinned
@@ -442,7 +398,7 @@ func (d *Dataset) replaceFrom(src *Dataset, at uint64) {
 		d.epoch.Store(at)
 		next = at
 	}
-	s := &snapshot{epoch: next, ds: ss.ds, bins: ss.bins, rep: ss.rep}
+	s := &snapshot{epoch: next, ds: ss.ds, bins: ss.bins}
 	na := *sa
 	if na.binned != nil {
 		if b := d.cacheBudget.Load(); b > 0 {
@@ -453,7 +409,6 @@ func (d *Dataset) replaceFrom(src *Dataset, at uint64) {
 	d.staging = ss.ds
 	d.shared = true
 	d.bins = ss.bins
-	d.indexRep = ss.rep
 	d.pendingBinned = nil
 	old := d.cur.Load()
 	d.cur.Store(s)
@@ -750,33 +705,7 @@ func (d *Dataset) setBins(bins []int) {
 		return // staging dirty; the layout lands at the next publish
 	}
 	oa := old.art.Load()
-	s := &snapshot{epoch: d.epoch.Add(1), ds: old.ds, bins: d.bins, rep: d.indexRep}
-	s.art.Store(&artifacts{queue: oa.queue, bitmap: oa.bitmap, trees: oa.trees})
-	d.cur.Store(s)
-	old.release(nil)
-	d.clearLineageLocked()
-}
-
-// SetIndexRepresentation selects how the binned bitmap index stores its
-// columns (see IndexRepresentation). Changing it publishes a fresh epoch
-// that keeps every representation-independent artifact and drops only the
-// binned index, which rebuilds lazily under the new setting; in-flight
-// queries finish on the old epoch. Answers are identical under every
-// representation, so this is purely a space/time knob.
-func (d *Dataset) SetIndexRepresentation(rep IndexRepresentation) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.indexRep == rep {
-		return
-	}
-	d.indexRep = rep
-	d.pendingBinned = nil
-	old := d.cur.Load()
-	if old == nil {
-		return // staging dirty; the setting lands at the next publish
-	}
-	oa := old.art.Load()
-	s := &snapshot{epoch: d.epoch.Add(1), ds: old.ds, bins: d.bins, rep: rep}
+	s := &snapshot{epoch: d.epoch.Add(1), ds: old.ds, bins: d.bins}
 	s.art.Store(&artifacts{queue: oa.queue, bitmap: oa.bitmap, trees: oa.trees})
 	d.cur.Store(s)
 	old.release(nil)
@@ -903,13 +832,12 @@ func (d *Dataset) LoadIndex(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if !d.indexRep.matches(ix) {
-		// An index persisted under a different representation setting must
-		// not silently override the pin; callers (e.g. the server's
-		// fingerprint-keyed index cache) treat this like any other load
-		// failure and rebuild under the current setting.
-		return fmt.Errorf("tkd: persisted index representation (adaptive=%v codec=%v) does not match the dataset setting — rebuild",
-			ix.Adaptive(), ix.CodecUsed())
+	if !ix.Adaptive() {
+		// The dataset only ever builds adaptive indexes; one persisted under a
+		// pinned codec must not silently replace them. Callers (e.g. the
+		// server's fingerprint-keyed index cache) treat this like any other
+		// load failure and rebuild.
+		return fmt.Errorf("tkd: persisted index is not adaptive (codec=%v) — rebuild", ix.CodecUsed())
 	}
 	if b := d.cacheBudget.Load(); b > 0 {
 		ix.SetCacheBudget(b)
