@@ -109,6 +109,9 @@ type Index struct {
 	// ranks[i] holds the value rank of object i in every dimension, -1 when
 	// missing; precomputed so Q/P lookups never search.
 	ranks [][]int32
+	// masks holds the row count of every distinct observed-dimension mask,
+	// the input of the scorers' |F(o)| derivation (see maskcount.go).
+	masks []maskCount
 	ones  *bitvec.Vector // shared all-ones column
 	// colCache lazily holds decompressed columns of a compressed index,
 	// shared by every cursor (nil for Raw indexes). A query touches the same
@@ -406,6 +409,7 @@ func buildWithStats(ds *data.Dataset, stats []data.DimStats, opts Options) *Inde
 		binned:   opts.Bins != nil,
 		adaptive: opts.Adaptive,
 		ranks:    make([][]int32, n),
+		masks:    countMasks(nil, ds, 0),
 		ones:     bitvec.NewOnes(n),
 	}
 	if err := ix.computeRanks(); err != nil {

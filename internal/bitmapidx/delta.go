@@ -157,6 +157,7 @@ func AppendRows(old *Index, next *data.Dataset) (*Index, bool) {
 		binned:   true,
 		adaptive: old.adaptive,
 		ranks:    ranks,
+		masks:    countMasks(old.masks, next, oldN),
 		ones:     bitvec.NewOnes(n),
 	}
 

@@ -1,6 +1,7 @@
 package bitmapidx
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -236,5 +237,52 @@ func TestAppendRowsFallbacks(t *testing.T) {
 	}
 	if got := patched.Bucket(2, 1); got != -1 {
 		t.Errorf("appended row bucket in empty dim = %d, want -1", got)
+	}
+}
+
+// TestAppendRowsMaskCounts: the per-mask row counts AppendRows carries forward
+// from the old epoch equal a fresh Build's over the extended dataset, sum to
+// N, and a Save/Load round trip recomputes the same counts; IncomparableRows
+// agrees with a scan of the rows.
+func TestAppendRowsMaskCounts(t *testing.T) {
+	base, next := deltaFixture(5)
+	opts := Options{Codec: Concise, Bins: []int{3}, Adaptive: true}
+	old := Build(base, opts)
+	patched, ok := AppendRows(old, next)
+	if !ok {
+		t.Fatal("AppendRows refused a strict row extension")
+	}
+	fresh := Build(next, opts)
+	if !reflect.DeepEqual(patched.masks, fresh.masks) {
+		t.Fatalf("patched mask counts %v, fresh build %v", patched.masks, fresh.masks)
+	}
+	total := 0
+	for _, mc := range patched.masks {
+		total += mc.rows
+	}
+	if total != next.Len() {
+		t.Fatalf("mask counts sum to %d, dataset has %d rows", total, next.Len())
+	}
+	var buf bytes.Buffer
+	if err := patched.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.masks, fresh.masks) {
+		t.Fatalf("loaded mask counts %v, fresh build %v", loaded.masks, fresh.masks)
+	}
+	for mask := uint64(0); mask < 1<<uint(next.Dim()); mask++ {
+		want := 0
+		for i := 0; i < next.Len(); i++ {
+			if next.Obj(i).Mask&mask == 0 {
+				want++
+			}
+		}
+		if got := patched.IncomparableRows(mask); got != want {
+			t.Fatalf("IncomparableRows(%04b) = %d, scan says %d", mask, got, want)
+		}
 	}
 }

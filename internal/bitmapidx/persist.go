@@ -36,7 +36,8 @@ import (
 // version mismatch, and a v3 file written with the retired WAH codec (header
 // codec or column kind 1) as ErrUnsupportedCodec; callers degrade to a
 // rebuild, exactly as the serving layer's index cache does for any
-// unreadable file.
+// unreadable file. The per-mask row counts (maskcount.go) are derived state
+// like the ranks: recomputed by Load, never stored.
 
 var persistMagic = [6]byte{'T', 'K', 'D', 'I', 'X', 3}
 
@@ -252,6 +253,7 @@ func Load(r io.Reader, ds *data.Dataset) (*Index, error) {
 		codec:    codec,
 		binned:   binned,
 		adaptive: adaptive,
+		masks:    countMasks(nil, ds, 0),
 		ones:     bitvec.NewOnes(n),
 	}
 	if err := ix.computeRanks(); err != nil {

@@ -1,69 +1,51 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/bitmapidx"
+	"repro/internal/bitvec"
 	"repro/internal/btree"
 	"repro/internal/data"
 	"repro/internal/obs"
 )
 
 // bigState carries the shared machinery of the BIG and IBIG algorithms: the
-// bitmap index cursor and the |F(o)| cache used by Heuristic 3.
+// bitmap index cursor and the |F(o)| memo behind the bitwise |G(o)| count.
 type bigState struct {
 	ds     *data.Dataset
 	ix     *bitmapidx.Index
 	cursor *bitmapidx.Cursor
-	// bucketSizes maps each distinct observed-dimension mask to its object
-	// count; fCount derives |F(o)| (incomparable objects) from it.
-	bucketSizes map[uint64]int
-	fCache      map[uint64]int
+	f      fCounts
 	// B+-tree refinement state (RefineBTree only).
 	trees []*btree.Tree
 	tags  *epochTags
 }
 
 func newBigState(ds *data.Dataset, ix *bitmapidx.Index) *bigState {
-	return newBigStateSized(ds, ix, bucketSizesOf(ds))
+	return &bigState{ds: ds, ix: ix, cursor: ix.NewCursor(), f: newFCounts(ix)}
 }
 
-// newBigStateSized builds a bigState around precomputed bucket sizes so the
-// parallel engine can share one map (read-only) across all worker states.
-func newBigStateSized(ds *data.Dataset, ix *bitmapidx.Index, sizes map[uint64]int) *bigState {
-	return &bigState{
-		ds:          ds,
-		ix:          ix,
-		cursor:      ix.NewCursor(),
-		bucketSizes: sizes,
-		fCache:      make(map[uint64]int),
-	}
+// fCounts memoizes |F(o)| — the number of indexed rows sharing no observed
+// dimension with o — per distinct mask, over the per-mask row counts the
+// index computed once for its epoch (there are far fewer distinct masks than
+// objects). Not safe for concurrent use; each scorer state owns one.
+type fCounts struct {
+	ix   *bitmapidx.Index
+	memo map[uint64]int
 }
 
-// bucketSizesOf maps each distinct observed-dimension mask to its object
-// count, the input of the |F(o)| derivation.
-func bucketSizesOf(ds *data.Dataset) map[uint64]int {
-	sizes := make(map[uint64]int)
-	for mask, ids := range ds.Buckets() {
-		sizes[mask] = len(ids)
-	}
-	return sizes
+func newFCounts(ix *bitmapidx.Index) fCounts {
+	return fCounts{ix: ix, memo: make(map[uint64]int)}
 }
 
-// fCount returns |F(o)| — the number of objects sharing no observed
-// dimension with mask — computed once per distinct mask from the bucket
-// sizes (there are far fewer distinct masks than objects).
-func (s *bigState) fCount(mask uint64) int {
-	if c, ok := s.fCache[mask]; ok {
-		return c
+func (f fCounts) of(mask uint64) int {
+	c, ok := f.memo[mask]
+	if !ok {
+		c = f.ix.IncomparableRows(mask)
+		f.memo[mask] = c
 	}
-	c := 0
-	for m, n := range s.bucketSizes {
-		if m&mask == 0 {
-			c += n
-		}
-	}
-	s.fCache[mask] = c
 	return c
 }
 
@@ -76,25 +58,73 @@ const (
 	prunedH3                    // dropped by partial score pruning (Heuristic 3)
 )
 
+// noBudget disables rimScore's Heuristic 3 cut: no rim can exceed it.
+const noBudget = math.MaxInt
+
+// rimScore classifies the Q−P rim of a candidate against the rows of ds — the
+// one place BIG-Score, IBIG-Score and the shard-side foreign scorer compare
+// values (the paper's tagT counting, lines 7-8 of Algorithms 3 and 5). Only
+// the rim words Q[w] &^ P[w] are expanded bit by bit; a rim member p is
+// always comparable to the candidate (every incomparable row sits in P) and
+//
+//	p[i] < cand[i] on a common dim   → nonD (possible only under binning:
+//	                                    same bin, smaller value)
+//	all common dims equal            → nonD (this also drops cand itself when
+//	                                    it is a row of ds)
+//	otherwise                        → dominated, a member of L(cand)
+//
+// It returns |L| and |nonD|. Heuristic 3 (Algorithm 5, lines 11-12): as soon
+// as |nonD| exceeds nonDBudget the walk stops and ok is false; pass noBudget
+// to always classify the whole rim.
+func rimScore(ds *data.Dataset, cand *data.Object, q, p *bitvec.Vector, nonDBudget int) (dominated, nonD int, ok bool) {
+	pw := p.Words()
+	for wi, w := range q.Words() {
+		w &^= pw[wi]
+		base := wi * 64
+		for ; w != 0; w &= w - 1 {
+			po := ds.Obj(base + bits.TrailingZeros64(w))
+			common := cand.Mask & po.Mask
+			// worse: p ≥ cand on every common dimension and > on at least one.
+			worse := false
+			for m := common; m != 0; m &= m - 1 {
+				d := bits.TrailingZeros64(m)
+				if po.Values[d] < cand.Values[d] {
+					worse = false
+					break
+				}
+				if po.Values[d] > cand.Values[d] {
+					worse = true
+				}
+			}
+			if worse {
+				dominated++
+				continue
+			}
+			nonD++
+			if nonD > nonDBudget {
+				return dominated, nonD, false
+			}
+		}
+	}
+	return dominated, nonD, true
+}
+
 // bigScore computes score(o) through the bitmap index — Algorithm 3
 // (BIG-Score) when the index is value-granular and Algorithm 5 (IBIG-Score)
 // when it is binned; the two differ only in whether Q−P candidates need
 // value refinement and whether Heuristic 3 applies.
 //
-// The paper materializes G(o) = P − F(o) and nonD(o) as sets; equivalently
-// (and cheaper) we stream over the members of Q once. Note that every
-// object incomparable to o sits in P (it carries the all-ones missing
-// encoding in each of o's observed dimensions), so F(o) ⊆ P ⊆ Q and the
-// classification of a member p of Q is:
+// The paper materializes G(o) = P − F(o) as a set; only its size matters.
+// Every object incomparable to o sits in P (a row missing on dimension i is
+// set in every column of i, so it passes each of o's observed dimensions),
+// hence F(o) ⊆ P ⊆ Q, every comparable member of P is strictly worse than o
+// on all common dimensions, and
 //
-//	p incomparable to o            → in F(o): skip, never dominated
-//	p ∈ P, comparable              → in G(o): strictly worse on all common dims
-//	p ∈ Q−P (always comparable)    → refine: p[i] < o[i] on a common dim ⇒
-//	                                  nonD (possible only under binning);
-//	                                  all common dims equal ⇒ nonD;
-//	                                  otherwise dominated (in L(o))
+//	score(o) = |G(o)| + |L(o)| = |P| − |F(o)| + |L(o)|
 //
-// giving score(o) = |G(o)| + |L(o)| = |Q| − |F(o)| − |nonD(o)|.
+// with |P| a popcount, |F(o)| a per-mask constant of the epoch, and L(o) the
+// dominated part of the Q−P rim (rimScore). Members of G(o) are counted,
+// never visited.
 func (s *bigState) bigScore(o int, tau int, full bool, st *Stats) (int, scoreResult) {
 	var maxBit int
 	if s.ix.CodecUsed() != bitmapidx.Raw {
@@ -120,65 +150,20 @@ func (s *bigState) bigScore(o int, tau int, full bool, st *Stats) (int, scoreRes
 		}
 	}
 	obj := s.ds.Obj(o)
-	// Heuristic 3 (Algorithm 5, lines 11-12): once |nonD| exceeds
-	// |Q| − |F(o)| − τ the final score cannot beat τ. The paper enables it
-	// for the binned index, where Q−P refinement is the dominant cost.
-	useH3 := full && s.ix.Binned()
-	nonDBudget := maxBit - s.fCount(obj.Mask) - tau
-	nonD := 0
-	score := 0
-	// Stream the members of Q a word at a time, classifying against the
-	// matching P word — no per-bit callback, no per-bit bounds-checked
-	// p.Get. Members of P need only the F(o)-vs-G(o) mask test; only the
-	// Q−P rim compares values.
-	qw, pw := q.Words(), p.Words()
-	for wi, w := range qw {
-		if w == 0 {
-			continue
-		}
-		pword := pw[wi]
-		base := wi * 64
-		for ; w != 0; w &= w - 1 {
-			bit := bits.TrailingZeros64(w)
-			po := s.ds.Obj(base + bit)
-			common := obj.Mask & po.Mask
-			if common == 0 {
-				continue // member of F(o)
-			}
-			st.Comparisons++
-			if pword&(1<<bit) != 0 {
-				score++ // member of G(o)
-				continue
-			}
-			// Q−P candidate: compare on the common observed dimensions (the
-			// paper's tagT counting, lines 7-8 of Algorithms 3 and 5).
-			equal := 0
-			worse := false
-			for d, m := 0, common; m != 0; d, m = d+1, m>>1 {
-				if m&1 == 0 {
-					continue
-				}
-				switch {
-				case po.Values[d] == obj.Values[d]:
-					equal++
-				case po.Values[d] < obj.Values[d]:
-					// Only possible under a binned index (same bin, smaller
-					// value); with value-granular columns Q−P members are ≥ o
-					// everywhere.
-					worse = true
-				}
-			}
-			if worse || equal == bits.OnesCount64(common) {
-				nonD++
-				if useH3 && nonD > nonDBudget {
-					return 0, prunedH3 // Heuristic 3
-				}
-				continue
-			}
-			score++ // member of L(o)
-		}
+	f := s.f.of(obj.Mask)
+	// Heuristic 3: once |nonD| exceeds |Q| − |F(o)| − τ the final score
+	// cannot beat τ. The paper enables it for the binned index, where Q−P
+	// refinement is the dominant cost.
+	budget := noBudget
+	if full && s.ix.Binned() {
+		budget = maxBit - f - tau
 	}
-	return score, scored
+	l, nonD, ok := rimScore(s.ds, obj, q, p, budget)
+	st.Comparisons += int64(l + nonD)
+	if !ok {
+		return 0, prunedH3
+	}
+	return p.Count() - f + l, scored
 }
 
 // BIG is the bitmap index guided algorithm (Algorithm 4): the UBB main loop

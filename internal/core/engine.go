@@ -237,10 +237,9 @@ func bitmapRunParallel(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxS
 	if refine == RefineBTree && trees == nil {
 		trees = BuildDimTrees(ds)
 	}
-	sizes := bucketSizesOf(ds)
 	scorers := make([]scorer, workers)
 	for w := range scorers {
-		state := newBigStateSized(ds, ix, sizes)
+		state := newBigState(ds, ix)
 		if refine == RefineBTree {
 			state.trees = trees
 			state.tags = newEpochTags(ds.Len())

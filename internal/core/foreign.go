@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"repro/internal/bitmapidx"
 	"repro/internal/data"
 )
@@ -36,14 +34,14 @@ func ForeignScore(ds *data.Dataset, cand *data.Object) int {
 // per goroutine, they share the index's decompressed-column cache.
 type ForeignScorer struct {
 	ds     *data.Dataset
-	ix     *bitmapidx.Index
 	cursor *bitmapidx.Cursor
+	f      fCounts
 }
 
 // NewForeignScorer returns a scorer over one shard's dataset and index (the
 // index must be built over exactly ds).
 func NewForeignScorer(ds *data.Dataset, ix *bitmapidx.Index) *ForeignScorer {
-	return &ForeignScorer{ds: ds, ix: ix, cursor: ix.NewCursor()}
+	return &ForeignScorer{ds: ds, cursor: ix.NewCursor(), f: newFCounts(ix)}
 }
 
 // BoundAbove reports whether the candidate's shard-local Heuristic 2 bound
@@ -57,51 +55,15 @@ func (s *ForeignScorer) BoundAbove(cand *data.Object, tau int) (int, bool) {
 }
 
 // Score computes the exact number of shard rows dominated by cand — the
-// IBIG-Score classification of Algorithm 5 run over a foreign candidate:
-// stream the members of Q, skip the incomparable (F), count members of P
-// (strictly worse on every common dimension, bin-granular), and refine the
-// Q−P rim by value comparison. No Heuristic 3 applies: a shard cannot prune
-// on a partial score, since the candidate's fate depends on the sum.
+// IBIG-Score of Algorithm 5 run over a foreign candidate, in the same bitwise
+// form as the in-set scorer: |P| − |F| rows are dominated without being
+// visited (F ⊆ P holds for a foreign candidate too — a shard row sharing no
+// dimension with cand is missing on each of them, so it is set in every
+// column of those dimensions), and rimScore adds the dominated part of the
+// Q−P rim. No Heuristic 3 applies: a shard cannot prune on a partial score,
+// since the candidate's fate depends on the sum.
 func (s *ForeignScorer) Score(cand *data.Object) int {
 	q, p := s.cursor.QPObject(cand)
-	score := 0
-	qw, pw := q.Words(), p.Words()
-	for wi, w := range qw {
-		if w == 0 {
-			continue
-		}
-		pword := pw[wi]
-		base := wi * 64
-		for ; w != 0; w &= w - 1 {
-			bit := bits.TrailingZeros64(w)
-			po := s.ds.Obj(base + bit)
-			common := cand.Mask & po.Mask
-			if common == 0 {
-				continue // member of F: incomparable, never dominated
-			}
-			if pword&(1<<bit) != 0 {
-				score++ // member of P: strictly worse or missing everywhere
-				continue
-			}
-			// Q−P rim: compare on the common observed dimensions.
-			equal := 0
-			worse := false
-			for d, m := 0, common; m != 0; d, m = d+1, m>>1 {
-				if m&1 == 0 {
-					continue
-				}
-				switch {
-				case po.Values[d] == cand.Values[d]:
-					equal++
-				case po.Values[d] < cand.Values[d]:
-					worse = true
-				}
-			}
-			if worse || equal == bits.OnesCount64(common) {
-				continue // not dominated (this also drops cand itself)
-			}
-			score++
-		}
-	}
-	return score
+	l, _, _ := rimScore(s.ds, cand, q, p, noBudget)
+	return p.Count() - s.f.of(cand.Mask) + l
 }

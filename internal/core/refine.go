@@ -117,10 +117,11 @@ func (s *bigState) bigScoreBTree(o int, tau int, full bool, st *Stats) (int, sco
 	}
 	q, p := s.cursor.QP(o)
 	obj := s.ds.Obj(o)
-	g := p.Count() - s.fCount(obj.Mask)
+	f := s.f.of(obj.Mask)
+	g := p.Count() - f
 	rim := maxBit - p.Count() // |Q−P|
 	useH3 := full && s.ix.Binned()
-	nonDBudget := maxBit - s.fCount(obj.Mask) - tau
+	nonDBudget := maxBit - f - tau
 	nonD := 0
 
 	s.tags.reset()

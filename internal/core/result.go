@@ -59,7 +59,13 @@ type Stats struct {
 	PrunedH3 int
 	// PrunedSkyband counts objects discarded by ESB's local-skyband step.
 	PrunedSkyband int
-	// Comparisons counts pairwise object comparisons (dominance tests).
+	// Comparisons counts pairwise object comparisons — the value-level
+	// dominance tests a run performs. Naive, ESB and UBB compare a scored
+	// object against every other row. BIG and IBIG count the members of G(o)
+	// by popcount (|P| − |F(o)|) without visiting them, so there it counts
+	// only the members of the Q−P rim whose values were compared (for the
+	// B+-tree refinement: the in-bin tree entries visited); members of G(o)
+	// are counted into the score, never compared.
 	Comparisons int64
 	// Workers is the goroutine count a parallel run used (0 for the serial
 	// paths).

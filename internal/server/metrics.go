@@ -370,7 +370,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	for _, e := range entries {
 		fmt.Fprintf(w, "tkd_scored_objects_total{dataset=%q} %d\n", e.name, e.met.aggStats().Scored)
 	}
-	fmt.Fprintf(w, "# HELP tkd_comparisons_total Pairwise dominance comparisons, by dataset.\n")
+	fmt.Fprintf(w, "# HELP tkd_comparisons_total Value-level dominance comparisons (BIG/IBIG: Q-P rim members refined; G(o) is counted by popcount), by dataset.\n")
 	fmt.Fprintf(w, "# TYPE tkd_comparisons_total counter\n")
 	for _, e := range entries {
 		fmt.Fprintf(w, "tkd_comparisons_total{dataset=%q} %d\n", e.name, e.met.aggStats().Comparisons)

@@ -252,16 +252,16 @@ func (l *Local) LoadIndex(r io.Reader) error {
 	return nil
 }
 
-// scorer fetches a pooled foreign scorer over ix (cursors are
-// single-goroutine; the pool amortizes their scratch buffers across scatter
-// calls).
-func (l *Local) scorer(pool *sync.Pool, ix *bitmapidx.Index) *core.ForeignScorer {
+// scorer fetches a pooled foreign scorer box over ix (cursors are
+// single-goroutine; the pool amortizes their scratch buffers and |F| memo
+// across scatter calls). The caller puts the same box back when done.
+func (l *Local) scorer(pool *sync.Pool, ix *bitmapidx.Index) *scorerBox {
 	if v := pool.Get(); v != nil {
 		if box := v.(*scorerBox); box.ix == ix {
-			return box.s
+			return box
 		}
 	}
-	return core.NewForeignScorer(l.ds, ix)
+	return &scorerBox{ix: ix, s: core.NewForeignScorer(l.ds, ix)}
 }
 
 // ctxCheckStride is how many candidates a Local scores between context
@@ -304,8 +304,9 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 	} else {
 		pool, ix = &l.binnedScorers, l.binnedIndex()
 	}
-	s := l.scorer(pool, ix)
-	defer pool.Put(&scorerBox{ix: ix, s: s})
+	box := l.scorer(pool, ix)
+	defer pool.Put(box)
+	s := box.s
 	switch req.Mode {
 	case ModeBounds:
 		for i, c := range req.Cands {
