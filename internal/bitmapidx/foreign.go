@@ -93,9 +93,3 @@ func (c *Cursor) ForeignCountAbove(values []float64, mask uint64, tau int) (int,
 	}
 	return c.intersectQAbove(refs, tau)
 }
-
-// ForeignCount is the unconditional |∩Qi| for a foreign candidate.
-func (c *Cursor) ForeignCount(values []float64, mask uint64) int {
-	cnt, _ := c.ForeignCountAbove(values, mask, noTau)
-	return cnt
-}

@@ -249,20 +249,6 @@ func bitmapRunParallel(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxS
 	return engineRun(ds, k, queue, scorers, sp)
 }
 
-// BIGWorkers is BIG across a worker pool. workers <= 0 selects GOMAXPROCS;
-// workers == 1 is the serial path.
-func BIGWorkers(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue, workers int) (Result, Stats) {
-	if ix.Binned() {
-		panic("core: BIG requires an unbinned index; use IBIG")
-	}
-	return bitmapRunParallel(ds, k, ix, queue, RefineDirect, nil, workers, nil)
-}
-
-// IBIGWorkers is IBIG across a worker pool.
-func IBIGWorkers(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue, workers int) (Result, Stats) {
-	return bitmapRunParallel(ds, k, ix, queue, RefineDirect, nil, workers, nil)
-}
-
 // IBIGBTreeWorkers is IBIG with the B+-tree Q−P refinement across a worker
 // pool. trees may be nil (built on the fly); the trees are shared read-only
 // by every worker.
@@ -279,8 +265,7 @@ func IBIGBTreeWorkersTraced(ds *data.Dataset, k int, ix *bitmapidx.Index, queue 
 // NaiveWorkers is the exhaustive baseline across a worker pool, built on the
 // batch-windowed engine: every object is scored, windows walk the dataset in
 // index order, and the in-order merge makes the answer byte-identical to
-// Naive's — including rank-k tie-breaks, which the shard-heap ParallelNaive
-// cannot guarantee.
+// Naive's, rank-k tie-breaks included.
 func NaiveWorkers(ds *data.Dataset, k int, workers int) (Result, Stats) {
 	workers = clampWorkers(workers, ds.Len())
 	if workers <= 1 {
@@ -293,23 +278,6 @@ func NaiveWorkers(ds *data.Dataset, k int, workers int) (Result, Stats) {
 	for i := 0; i < n; i++ {
 		queue.Order[i] = int32(i)
 		queue.MaxScore[i] = n
-	}
-	scorers := make([]scorer, workers)
-	for w := range scorers {
-		scorers[w] = ubbScorer{ds: ds}
-	}
-	return engineRun(ds, k, queue, scorers, nil)
-}
-
-// UBBWorkers is UBB across a worker pool: exhaustive per-candidate scoring
-// under the engine's windowed Heuristic 1.
-func UBBWorkers(ds *data.Dataset, k int, queue *MaxScoreQueue, workers int) (Result, Stats) {
-	if queue == nil {
-		queue = BuildMaxScoreQueue(ds)
-	}
-	workers = clampWorkers(workers, len(queue.Order))
-	if workers <= 1 {
-		return ubbRun(ds, k, queue, nil)
 	}
 	scorers := make([]scorer, workers)
 	for w := range scorers {

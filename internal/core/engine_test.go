@@ -96,7 +96,7 @@ func TestUBBWorkersMatchesSerial(t *testing.T) {
 	queue := BuildMaxScoreQueue(ds)
 	for _, k := range []int{1, 4, 300} {
 		want, _ := UBB(ds, k, queue)
-		got, _ := UBBWorkers(ds, k, queue, 4)
+		got, _ := RunWorkers(AlgUBB, ds, k, &Pre{Queue: queue}, 4)
 		if len(got.Items) != len(want.Items) {
 			t.Fatalf("k=%d: %d items, want %d", k, len(got.Items), len(want.Items))
 		}

@@ -66,23 +66,33 @@ type Pre struct {
 	Binned *bitmapidx.Index
 }
 
-// Preprocess builds every artifact an algorithm set needs. bins follows
-// bitmapidx.Options.Bins semantics; when nil, the paper's Eq. (8) optimum is
-// used for every dimension. The binned index is representation-adaptive
-// over a CONCISE base — the paper's codec choice for IBIG — so each column
-// is stored dense, compressed or sparse by measured density and query
-// execution dispatches to the matching kernels; answers are bit-identical
-// to a pure-codec index (build one directly via bitmapidx for the paper's
-// storage experiments).
-func Preprocess(ds *data.Dataset, bins []int) *Pre {
+// BuildServingIndex builds the binned bitmap index IBIG serves from — the
+// one place the serving recipe is spelled: bins follows
+// bitmapidx.Options.Bins semantics, nil meaning the paper's Eq. (8) optimum
+// for every dimension, over a representation-adaptive CONCISE base (the
+// paper's codec choice for IBIG), so each column is stored dense, compressed
+// or sparse by measured density and query execution dispatches to the
+// matching kernels. Answers are bit-identical to a pure-codec index (build
+// one directly via bitmapidx for the paper's storage experiments). stats may
+// be nil (computed from ds).
+func BuildServingIndex(ds *data.Dataset, stats []data.DimStats, bins []int) *bitmapidx.Index {
 	if bins == nil {
 		bins = []int{OptimalBins(ds.Len(), ds.MissingRate())}
 	}
+	if stats == nil {
+		stats = ds.Stats()
+	}
+	return bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins, Adaptive: true})
+}
+
+// Preprocess builds every artifact an algorithm set needs; bins is handed to
+// BuildServingIndex (nil = Eq. (8)).
+func Preprocess(ds *data.Dataset, bins []int) *Pre {
 	stats := ds.Stats()
 	return &Pre{
 		Queue:  BuildMaxScoreQueue(ds),
 		Bitmap: bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw}),
-		Binned: bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins, Adaptive: true}),
+		Binned: BuildServingIndex(ds, stats, bins),
 	}
 }
 
@@ -155,8 +165,7 @@ func RunWorkersTraced(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers in
 			pre.Queue = BuildMaxScoreQueue(ds)
 		}
 		if pre.Binned == nil {
-			bins := []int{OptimalBins(ds.Len(), ds.MissingRate())}
-			pre.Binned = bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins, Adaptive: true})
+			pre.Binned = BuildServingIndex(ds, nil, nil)
 		}
 		return bitmapRunParallel(ds, k, pre.Binned, pre.Queue, RefineDirect, nil, workers, sp)
 	default:

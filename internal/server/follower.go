@@ -212,7 +212,7 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 		// Conditional fetch: the leader answers 304 with no body when the
 		// follower already serves these bytes.
 		req.Header.Set("X-TKD-Have-Fingerprint", fmt.Sprintf("%016x", e.ds.Fingerprint()))
-		if _, ok := e.ds.(*tkd.Dataset); ok {
+		if e.ds.Shards() == 0 { // sharded: no dataset-level index for a delta to patch
 			// Advertise our epoch too: a delta-shipping leader whose append
 			// lineage covers it answers with just the rows appended since
 			// (X-TKD-Delta: 1) instead of the full stream.
@@ -273,28 +273,13 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 		}
 		return true, nil
 	}
-	switch d := e.ds.(type) {
-	case *tkd.Dataset:
-		// The binned index came over the stream; finish the remaining IBIG
-		// artifacts off to the side, then swap under the leader's number.
-		fresh.PrepareFor(tkd.IBIG)
-		d.ReplaceFromAt(fresh, epoch)
-		// Persist the shipped index so a restart warms from disk instead of
-		// re-fetching. A cache error is a cold restart, not a sync failure.
-		if c, err := newIndexCache(f.s.cfg.IndexDir); err == nil && c != nil {
-			if err := c.save(name, d); err != nil {
-				f.s.life.indexCacheErrors.Add(1)
-			}
-		}
-	case *tkd.ShardedDataset:
-		// Mirror handleReload's sharded path: swap first (the shard topology
-		// keys to the new epoch), then warm the local shards against it.
-		d.ReplaceFromAt(fresh, epoch)
-		if _, err := f.s.warmPrepare(name, d); err != nil {
-			f.s.life.indexCacheErrors.Add(1)
-		}
-	default:
-		return false, fmt.Errorf("dataset %q cannot accept an epoch swap", name)
+	// The same sequence a reload runs: warm off to the side (the binned index
+	// came over the stream when the leader is unsharded; a sharded replica
+	// builds or warm-loads its per-shard ones), swap under the leader's
+	// number, persist what the cache lacked — the shipped index included, so a
+	// restart warms from disk instead of re-fetching.
+	if _, err := f.s.swapIn(e, fresh, epoch); err != nil {
+		return false, err
 	}
 	e.followed.Store(true)
 	e.leaderSeen.Store(epoch)
@@ -313,8 +298,8 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 // advertised state is then unchanged) retries, and a leader whose lineage no
 // longer covers us falls back to the full stream on its own.
 func (f *follower) applyDelta(name string, e *entry, body io.Reader, sp *obs.Span) (bool, error) {
-	d, ok := e.ds.(*tkd.Dataset)
-	if !ok {
+	d := e.ds
+	if d.Shards() > 0 { // sharded: never advertised a delta base, has no index to patch
 		return false, fmt.Errorf("leader sent an epoch delta for %q but the local replica cannot patch", name)
 	}
 	imp := sp.StartChild("import")
@@ -335,12 +320,8 @@ func (f *follower) applyDelta(name string, e *entry, body io.Reader, sp *obs.Spa
 		pub.SetStr("mode", "rebuild") // cold local index; rows still applied
 	}
 	// Persist the patched index so a restart warms from disk, exactly as the
-	// full-stream path does. A cache error is a cold restart, not a failure.
-	if c, err := newIndexCache(f.s.cfg.IndexDir); err == nil && c != nil {
-		if err := c.save(name, d); err != nil {
-			f.s.life.indexCacheErrors.Add(1)
-		}
-	}
+	// full-stream path does.
+	f.s.persist(name, d.IndexParts())
 	e.followed.Store(true)
 	e.leaderSeen.Store(dx.Epoch)
 	e.leaderEpoch.Store(dx.Epoch)
@@ -351,8 +332,8 @@ func (f *follower) applyDelta(name string, e *entry, body io.Reader, sp *obs.Spa
 }
 
 // registerFollowed installs a dataset discovered on the leader: the normal
-// register path (cache budget, scheduler, sharding wrap when the follower
-// itself coordinates shards), then the follower bookkeeping.
+// register path (shard topology when the follower itself coordinates
+// shards, warm-up, persist, scheduler), then the follower bookkeeping.
 func (s *Server) registerFollowed(name string, ds *tkd.Dataset, epoch uint64) error {
 	if _, err := s.register(name, ds, "", false); err != nil {
 		return err
@@ -386,26 +367,13 @@ func (s *Server) handleEpochStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, errDatasetNotFound, "unknown dataset %q", name)
 		return
 	}
-	var (
-		src          *tkd.Dataset
-		unsharded    *tkd.Dataset
-		includeIndex bool
-	)
-	switch d := e.ds.(type) {
-	case *tkd.Dataset:
-		// Unsharded leader: ship the binned index along so followers skip
-		// the dominant preprocessing cost.
-		src, unsharded, includeIndex = d, d, true
-	case *tkd.ShardedDataset:
-		// A sharded coordinator has no dataset-level index to offer — its
-		// indexes are per shard. Followers rebuild or warm-load their own.
-		src, includeIndex = d.Source(), false
-	default:
-		writeError(w, r, http.StatusNotImplemented, errEpochExportUnsupported,
-			"dataset %q does not support epoch export", name)
-		return
-	}
-	x := src.ExportEpoch()
+	// An unsharded leader ships its binned index along so followers skip the
+	// dominant preprocessing cost, and offers rows-since deltas off its
+	// append lineage. A sharded coordinator has neither: its indexes are per
+	// shard (followers rebuild or warm-load their own) and it takes no
+	// appends.
+	unsharded := e.ds.Shards() == 0
+	x := e.ds.ExportEpoch()
 	fp := x.Fingerprint()
 	haveFP, haveFPOK := uint64(0), false
 	if have := r.Header.Get("X-TKD-Have-Fingerprint"); have != "" {
@@ -419,10 +387,10 @@ func (s *Server) handleEpochStream(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	if unsharded != nil && haveFPOK {
+	if unsharded && haveFPOK {
 		if have := r.Header.Get("X-TKD-Have-Epoch"); have != "" {
 			if haveEpoch, err := strconv.ParseUint(have, 10, 64); err == nil && haveEpoch > 0 {
-				if dx, ok := unsharded.ExportEpochDelta(haveEpoch, haveFP); ok {
+				if dx, ok := e.ds.ExportEpochDelta(haveEpoch, haveFP); ok {
 					w.Header().Set("X-TKD-Epoch", strconv.FormatUint(dx.Epoch(), 10))
 					w.Header().Set("X-TKD-Fingerprint", fmt.Sprintf("%016x", dx.Fingerprint()))
 					w.Header().Set("X-TKD-Delta", "1")
@@ -442,7 +410,7 @@ func (s *Server) handleEpochStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-TKD-Epoch", strconv.FormatUint(x.Epoch(), 10))
 	w.Header().Set("X-TKD-Fingerprint", fmt.Sprintf("%016x", fp))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := x.Write(w, includeIndex); err != nil {
+	if err := x.Write(w, unsharded); err != nil {
 		// Headers are gone; all we can do is abort the stream (the import
 		// side will fail its checks) and surface the event in the log.
 		s.log.Warn("epoch stream aborted", "dataset", name, "err", err)

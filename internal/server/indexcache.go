@@ -16,15 +16,19 @@ import (
 // The on-disk persisted-index cache behind tkdserver -indexdir. The paper's
 // Table 3 shows binned-bitmap construction dominating preprocessing cost;
 // persisting the index means a warm restart (or a reload of an unchanged
-// file) skips the rebuild entirely. One file per dataset name:
+// file) skips the rebuild entirely. One file per index part (see
+// tkd.IndexPart) — the whole index of an unsharded dataset, one in-process
+// shard's otherwise:
 //
-//	<dir>/<escaped name>.tkdix = magic | dataset fingerprint | SaveIndex stream
+//	<dir>/<escaped name>.tkdix               = magic | fingerprint | index stream
+//	<dir>/<escaped name>%shard-<i>.tkdix     = the same, for shard i
 //
-// The fingerprint (tkd.Dataset.Fingerprint, a digest of the full data
-// contents) gates reuse: a changed data file hashes differently, so the
-// stale index is rebuilt and overwritten rather than trusted. The SaveIndex
-// stream carries its own CRC and shape checks, so a truncated or bit-flipped
-// cache file degrades to a rebuild, never to a corrupt serving index.
+// The fingerprint (a digest of the rows the part indexes) gates reuse: a
+// changed data file — or a changed row range — hashes differently, so the
+// stale index is rebuilt and overwritten rather than trusted, shard by
+// shard. The index stream carries its own CRC and shape checks, so a
+// truncated or bit-flipped cache file degrades to a rebuild, never to a
+// corrupt serving index.
 
 // cacheMagic versions the wrapper; bump it to invalidate every cached file.
 var cacheMagic = [8]byte{'T', 'K', 'D', 'I', 'X', 'D', '1', '\n'}
@@ -43,28 +47,22 @@ func newIndexCache(dir string) (*indexCache, error) {
 	return &indexCache{dir: dir}, nil
 }
 
-// path maps a dataset name to its cache file, escaping separators so names
-// like "prod/nba" cannot walk out of the directory.
-func (c *indexCache) path(name string) string {
-	return filepath.Join(c.dir, url.PathEscape(name)+".tkdix")
-}
-
-// shardPath maps one shard of a sharded dataset to its cache file. The
-// shard index rides in the name; the shard *contents* are validated by the
-// slice fingerprint in the header, exactly like the dataset-level file.
-// The raw '%' separator cannot appear in an escaped dataset name
+// path maps one index part of a dataset to its cache file, escaping
+// separators so names like "prod/nba" cannot walk out of the directory. The
+// raw '%' of a shard suffix cannot appear in an escaped dataset name
 // (PathEscape turns a literal '%' into %25), so no dataset name — sharded
 // or not — can collide with another dataset's shard files.
-func (c *indexCache) shardPath(name string, i int) string {
-	return filepath.Join(c.dir, url.PathEscape(name)+fmt.Sprintf("%%shard-%d.tkdix", i))
+func (c *indexCache) path(name string, p tkd.IndexPart) string {
+	return filepath.Join(c.dir, url.PathEscape(name)+p.Suffix+".tkdix")
 }
 
-// tryLoadStream restores a persisted index from path when the file exists
-// and its header fingerprint matches fp, feeding the index stream to load.
-// ok reports whether the rebuild was skipped; a missing or mismatched file
-// is a miss (false, nil), a corrupt one surfaces its error so the caller
-// can log it — either way the caller falls back to building.
-func (c *indexCache) tryLoadStream(path string, fp uint64, load func(io.Reader) error) (ok bool, err error) {
+// tryLoad restores one persisted index part when its file exists and the
+// header fingerprint matches the part's. ok reports whether the rebuild was
+// skipped; a missing or mismatched file is a miss (false, nil), a corrupt
+// one surfaces its error so the caller can count it — either way the caller
+// falls back to building.
+func (c *indexCache) tryLoad(name string, p tkd.IndexPart) (ok bool, err error) {
+	path := c.path(name, p)
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return false, nil
@@ -85,19 +83,19 @@ func (c *indexCache) tryLoadStream(path string, fp uint64, load func(io.Reader) 
 	if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
 		return false, fmt.Errorf("server: index cache %s: %w", path, err)
 	}
-	if got != fp {
+	if got != p.Fingerprint {
 		return false, nil // data changed since the index was persisted
 	}
-	if err := load(br); err != nil {
+	if err := p.Load(br); err != nil {
 		return false, fmt.Errorf("server: index cache %s: %w", path, err)
 	}
 	return true, nil
 }
 
-// saveStream persists an index stream under path with the fingerprint
-// header, writing to a temp file and renaming so a concurrent reader or a
-// crash mid-write never sees a torn file.
-func (c *indexCache) saveStream(path string, fp uint64, save func(io.Writer) error) error {
+// save persists one index part (building it if needed) under the
+// fingerprint header, writing to a temp file and renaming so a concurrent
+// reader or a crash mid-write never sees a torn file.
+func (c *indexCache) save(name string, p tkd.IndexPart) error {
 	tmp, err := os.CreateTemp(c.dir, ".tkdix-tmp-*")
 	if err != nil {
 		return err
@@ -108,11 +106,11 @@ func (c *indexCache) saveStream(path string, fp uint64, save func(io.Writer) err
 		tmp.Close()
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, fp); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, p.Fingerprint); err != nil {
 		tmp.Close()
 		return err
 	}
-	if err := save(bw); err != nil {
+	if err := p.Save(bw); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -123,39 +121,5 @@ func (c *indexCache) saveStream(path string, fp uint64, save func(io.Writer) err
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// tryLoad restores name's persisted index into ds (fingerprint-gated).
-func (c *indexCache) tryLoad(name string, ds *tkd.Dataset) (bool, error) {
-	return c.tryLoadStream(c.path(name), ds.Fingerprint(), ds.LoadIndex)
-}
-
-// save persists ds's binned index (building it if needed).
-func (c *indexCache) save(name string, ds *tkd.Dataset) error {
-	return c.saveStream(c.path(name), ds.Fingerprint(), ds.SaveIndex)
-}
-
-// tryLoadShard restores shard i's persisted index, keyed by the shard's
-// slice fingerprint so a changed row range rebuilds while unchanged shards
-// warm-load.
-func (c *indexCache) tryLoadShard(name string, i int, sd *tkd.ShardedDataset) (bool, error) {
-	fp, err := sd.ShardFingerprint(i)
-	if err != nil {
-		return false, err
-	}
-	return c.tryLoadStream(c.shardPath(name, i), fp, func(r io.Reader) error {
-		return sd.LoadShardIndex(i, r)
-	})
-}
-
-// saveShard persists shard i's binned index.
-func (c *indexCache) saveShard(name string, i int, sd *tkd.ShardedDataset) error {
-	fp, err := sd.ShardFingerprint(i)
-	if err != nil {
-		return err
-	}
-	return c.saveStream(c.shardPath(name, i), fp, func(w io.Writer) error {
-		return sd.SaveShardIndex(i, w)
-	})
+	return os.Rename(tmp.Name(), c.path(name, p))
 }

@@ -70,12 +70,11 @@ func (ing *ingestState) lag() uint64 {
 	return ing.logged - ing.published
 }
 
-// ingestEnabled reports whether this server attaches WALs to the datasets
-// it registers: a WAL directory is configured and the server is neither a
-// replication follower (its data belongs to the leader) nor a shard
-// coordinator.
+// ingestEnabled reports whether this server attaches WALs to the unsharded
+// datasets it registers: a WAL directory is configured and the server is not
+// a replication follower (its data belongs to the leader).
 func (s *Server) ingestEnabled() bool {
-	return s.cfg.WALDir != "" && s.cfg.Follow == "" && s.cfg.Shards <= 1
+	return s.cfg.WALDir != "" && s.cfg.Follow == ""
 }
 
 // walDir maps a dataset name to its WAL directory, escaping separators the
@@ -205,7 +204,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		msg := fmt.Sprintf("ingest is not enabled for %q", name)
 		if s.cfg.WALDir == "" {
 			msg += " (start tkdserver with -waldir)"
-		} else if s.cfg.Shards > 1 {
+		} else if e.ds.Shards() > 0 { // see register: no cross-shard commit protocol
 			msg += " (sharded datasets do not ingest)"
 		}
 		writeError(w, r, http.StatusConflict, errIngestDisabled, "%s", msg)
@@ -396,13 +395,8 @@ func (s *Server) publishPendingLocked(e *entry) error {
 	pub.SetInt("epoch", int64(epoch))
 	pub.End()
 
-	// Persist the rebuilt index so a restart warm-loads it; an error is a
-	// cold restart, not a failed publish.
-	if c, err := newIndexCache(s.cfg.IndexDir); err == nil && c != nil {
-		if err := c.save(e.name, ing.base); err != nil {
-			s.life.indexCacheErrors.Add(1)
-		}
-	}
+	// Persist the patched (or rebuilt) index so a restart warm-loads it.
+	s.persist(e.name, ing.base.IndexParts())
 
 	// The checkpoint fsyncs regardless of policy: it declares the first
 	// `logged` rows covered by this epoch, and that claim must not outrun

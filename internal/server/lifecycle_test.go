@@ -3,12 +3,14 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,6 +60,223 @@ func doJSON(t *testing.T, method, url string, body any) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, b
+}
+
+// assertCacheFiles pins the index directory's contents to exactly want —
+// the on-disk names a parent binary's -indexdir must keep warm-loading
+// under.
+func assertCacheFiles(t *testing.T, stage, dir string, want []string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("%s: %v", stage, err)
+	}
+	got := make([]string, 0, len(entries))
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: index dir holds %v, want exactly %v", stage, got, want)
+	}
+}
+
+// assertAnswers checks the served top-k against ref's serial answer.
+func assertAnswers(t *testing.T, stage, url string, ref *tkd.Dataset) {
+	t.Helper()
+	want, err := ref.TopK(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, code := postQuery(t, url, server.QueryRequest{Dataset: "big", K: 6})
+	if code != http.StatusOK {
+		t.Fatalf("%s: query status %d", stage, code)
+	}
+	if len(got.Items) != len(want.Items) {
+		t.Fatalf("%s: %d items, want %d", stage, len(got.Items), len(want.Items))
+	}
+	for i, it := range got.Items {
+		if w := want.Items[i]; it.Index != w.Index || it.ID != w.ID || it.Score != w.Score {
+			t.Fatalf("%s: rank %d: got %+v, want %+v", stage, i+1, it, w)
+		}
+	}
+}
+
+// servesFingerprint reports whether url's "big" currently holds exactly the
+// bytes hashing to fp: the epoch endpoint answers a conditional poll 304.
+func servesFingerprint(t *testing.T, url string, fp uint64) bool {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url+"/v1/datasets/big/epoch", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-TKD-Have-Fingerprint", fmt.Sprintf("%016x", fp))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusNotModified
+}
+
+// TestDatasetLifecycle walks one dataset through its whole serving life —
+// register → warm restart → reload of the unchanged file → reload of a
+// changed file → follower full import (first registration, then a swap into
+// the resident replica) → evict — once per topology. Both rows run the same
+// load → shard → warm off to the side → swap → persist sequence; what
+// differs is only how many index parts there are, and their file names,
+// which are pinned here because an -indexdir written by an older binary
+// must keep warm-loading.
+func TestDatasetLifecycle(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+		rows   int
+		files  []string // exact index-dir contents, sorted
+		// followerBuilds is what a follower with the same topology builds on
+		// a full import: an unsharded leader ships its index (0); a sharded
+		// replica builds its own per-shard ones.
+		followerBuilds int64
+	}{
+		{"unsharded", 0, 900, []string{"big.tkdix"}, 0},
+		{"shards=3", 3, 900, []string{"big%shard-0.tkdix", "big%shard-1.tkdix", "big%shard-2.tkdix"}, 3},
+		// More shards than rows: shard 0 covers no row, so it has no index,
+		// no file, and no phantom cache error.
+		{"shards=3 over 2 rows", 3, 2, []string{"big%shard-1.tkdix", "big%shard-2.tkdix"}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			gen := func(seed int64) *tkd.Dataset { return tkd.GenerateAC(tc.rows, 4, 20, 0.3, seed) }
+			parts := int64(len(tc.files))
+			csv := filepath.Join(dir, "big.csv")
+			writeCSV(t, gen(1), csv)
+			ixdir := filepath.Join(dir, "ix")
+			cfg := server.Config{Shards: tc.shards, IndexDir: ixdir}
+
+			// Register, cold: every part is built once and persisted.
+			s1 := server.New(cfg)
+			if err := s1.LoadCSVFile("big", csv, false); err != nil {
+				t.Fatal(err)
+			}
+			ts1 := httptest.NewServer(s1)
+			m := getBody(t, ts1.URL+"/metrics")
+			if got := sumMetric(t, m, "tkd_index_builds_total"); got != parts {
+				t.Fatalf("cold boot: %d index builds, want %d", got, parts)
+			}
+			if got := sumMetric(t, m, "tkd_index_warm_loads_total"); got != 0 {
+				t.Fatalf("cold boot: %d warm loads, want 0", got)
+			}
+			if info := listDatasets(t, ts1.URL)["big"]; info.Shards != tc.shards || info.Objects != tc.rows {
+				t.Fatalf("cold boot: /v1/datasets row %+v, want shards=%d objects=%d", info, tc.shards, tc.rows)
+			}
+			assertAnswers(t, "cold boot", ts1.URL, gen(1))
+			assertCacheFiles(t, "cold boot", ixdir, tc.files)
+			ts1.Close()
+			s1.Close()
+
+			// Warm restart: same file, same index dir, zero builds.
+			s2 := server.New(cfg)
+			defer s2.Close()
+			if err := s2.LoadCSVFile("big", csv, false); err != nil {
+				t.Fatal(err)
+			}
+			ts2 := httptest.NewServer(s2)
+			defer ts2.Close()
+			m = getBody(t, ts2.URL+"/metrics")
+			if got := sumMetric(t, m, "tkd_index_builds_total"); got != 0 {
+				t.Fatalf("warm restart: %d index builds, want 0", got)
+			}
+			if got := sumMetric(t, m, "tkd_index_warm_loads_total"); got != parts {
+				t.Fatalf("warm restart: %d warm loads, want %d", got, parts)
+			}
+			assertAnswers(t, "warm restart", ts2.URL, gen(1))
+
+			// Reload of the unchanged file: the replacement warms from the
+			// cache before the swap, for either topology.
+			reload := func(stage string) server.ReloadResponse {
+				t.Helper()
+				code, body := doJSON(t, http.MethodPost, ts2.URL+"/v1/datasets/big/reload", nil)
+				if code != http.StatusOK {
+					t.Fatalf("%s: reload status %d: %s", stage, code, body)
+				}
+				var rr server.ReloadResponse
+				if err := json.Unmarshal(body, &rr); err != nil {
+					t.Fatal(err)
+				}
+				return rr
+			}
+			if rr := reload("unchanged reload"); !rr.WarmIndex || rr.Objects != tc.rows {
+				t.Fatalf("unchanged reload: %+v, want warm_index=true objects=%d", rr, tc.rows)
+			}
+			m = getBody(t, ts2.URL+"/metrics")
+			if got := sumMetric(t, m, "tkd_index_builds_total"); got != 0 {
+				t.Fatalf("unchanged reload: %d index builds, want still 0", got)
+			}
+			assertAnswers(t, "unchanged reload", ts2.URL, gen(1))
+
+			// Reload of a changed file: every part rebuilds and overwrites
+			// its file in place.
+			writeCSV(t, gen(2), csv)
+			if rr := reload("changed reload"); rr.WarmIndex {
+				t.Fatalf("changed reload reported warm_index=true: %+v", rr)
+			}
+			m = getBody(t, ts2.URL+"/metrics")
+			if got := sumMetric(t, m, "tkd_index_builds_total"); got != parts {
+				t.Fatalf("changed reload: %d index builds, want %d", got, parts)
+			}
+			if got := sumMetric(t, m, "tkd_index_cache_errors_total"); got != 0 {
+				t.Fatalf("changed reload: %d cache errors, want 0", got)
+			}
+			assertAnswers(t, "changed reload", ts2.URL, gen(2))
+			assertCacheFiles(t, "changed reload", ixdir, tc.files)
+
+			// Follower, same topology: a full import registers the dataset,
+			// and persists its parts under the same names.
+			fixdir := filepath.Join(dir, "fix")
+			fol := server.New(server.Config{Shards: tc.shards, IndexDir: fixdir,
+				Follow: ts2.URL, FollowInterval: 5 * time.Millisecond})
+			defer fol.Close()
+			fts := httptest.NewServer(fol)
+			defer fts.Close()
+			converged := func(stage string, ref *tkd.Dataset) {
+				t.Helper()
+				waitUntil(t, stage, func() bool {
+					d, ok := listDatasets(t, fts.URL)["big"]
+					return ok && d.Followed && d.LeaderEpoch == listDatasets(t, ts2.URL)["big"].Epoch &&
+						servesFingerprint(t, fts.URL, ref.Fingerprint())
+				})
+				assertAnswers(t, stage, fts.URL, ref)
+			}
+			converged("follower bootstrap", gen(2))
+			m = getBody(t, fts.URL+"/metrics")
+			if got := sumMetric(t, m, "tkd_index_builds_total"); got != tc.followerBuilds {
+				t.Fatalf("follower bootstrap: %d index builds, want %d", got, tc.followerBuilds)
+			}
+			assertCacheFiles(t, "follower bootstrap", fixdir, tc.files)
+
+			// A leader reload cuts the append lineage, so the follower's next
+			// sync is a full import swapped into the resident replica.
+			writeCSV(t, gen(3), csv)
+			reload("leader reload under a follower")
+			converged("follower swap", gen(3))
+			assertCacheFiles(t, "follower swap", fixdir, tc.files)
+			if got := sumMetric(t, getBody(t, fts.URL+"/metrics"), "tkd_index_cache_errors_total"); got != 0 {
+				t.Fatalf("follower swap: %d cache errors, want 0", got)
+			}
+
+			// Evict: the name is gone, the eviction is counted.
+			if code, body := doJSON(t, http.MethodDelete, ts2.URL+"/v1/datasets/big", nil); code != http.StatusOK {
+				t.Fatalf("evict status %d: %s", code, body)
+			}
+			if _, code := postQuery(t, ts2.URL, server.QueryRequest{Dataset: "big", K: 3}); code != http.StatusNotFound {
+				t.Fatalf("query after evict: status %d, want 404", code)
+			}
+			if got := sumMetric(t, getBody(t, ts2.URL+"/metrics"), "tkd_dataset_evictions_total"); got != 1 {
+				t.Fatalf("evictions = %d, want 1", got)
+			}
+		})
+	}
 }
 
 // TestWarmRestartSkipsPrepare is the -indexdir acceptance test: the first

@@ -438,12 +438,12 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 	var sharded []shardedEntry
 	for _, e := range entries {
-		if sd, ok := e.ds.(*tkd.ShardedDataset); ok {
+		if n := e.ds.Shards(); n > 0 { // the shard families exist only for sharded datasets
 			sharded = append(sharded, shardedEntry{
 				name:     e.name,
-				n:        sd.ShardCount(),
-				m:        sd.Metrics(),
-				replicas: sd.ReplicaStates(),
+				n:        n,
+				m:        e.ds.Metrics(),
+				replicas: e.ds.ReplicaStates(),
 			})
 		}
 	}

@@ -10,33 +10,14 @@ import (
 	"repro/tkd"
 )
 
-// Queryable is the dataset surface the serving layer needs: the query entry
-// point plus the lifecycle, cache and warm-start hooks. Both *tkd.Dataset
-// and *tkd.ShardedDataset implement it, which is what lets the registry
-// treat a sharded dataset like any other resident.
-type Queryable interface {
-	TopK(k int, opts ...tkd.Option) (tkd.Result, error)
-	Len() int
-	Dim() int
-	MissingRate() float64
-	Epoch() uint64
-	Fingerprint() uint64
-	IndexBuilds() int64
-	CacheStats() tkd.CacheStats
-	SetCacheBudget(bytes int64)
-	ReleaseCache()
-	ReplaceFrom(src *tkd.Dataset)
-	PrepareFor(algs ...tkd.Algorithm)
-}
-
-// entry is one resident dataset: the warm Queryable, its batch scheduler
-// and its metrics. The dataset pointer is stable for the entry's
-// lifetime — hot reloads swap the data inside it (ReplaceFrom publishes a
-// new epoch), so the scheduler and in-flight queries never chase a moving
-// pointer.
+// entry is one resident dataset: the warm *tkd.Dataset (sharded or not —
+// ds.Shards() tells), its batch scheduler and its metrics. The dataset
+// pointer is stable for the entry's lifetime — hot reloads swap the data
+// inside it (ReplaceFrom publishes a new epoch), so the scheduler and
+// in-flight queries never chase a moving pointer.
 type entry struct {
 	name string
-	ds   Queryable
+	ds   *tkd.Dataset
 	sch  *scheduler
 	met  *datasetMetrics
 

@@ -67,7 +67,7 @@ type request struct {
 var errSchedulerDraining = fmt.Errorf("server: dataset is draining")
 
 type scheduler struct {
-	ds       Queryable
+	ds       *tkd.Dataset
 	adm      *admission
 	met      *datasetMetrics
 	in       chan *request
@@ -86,7 +86,7 @@ type scheduler struct {
 	drainOnce sync.Once
 }
 
-func newScheduler(ds Queryable, adm *admission, met *datasetMetrics, window time.Duration, maxBatch int, done chan struct{}) *scheduler {
+func newScheduler(ds *tkd.Dataset, adm *admission, met *datasetMetrics, window time.Duration, maxBatch int, done chan struct{}) *scheduler {
 	if maxBatch <= 0 {
 		maxBatch = 64
 	}

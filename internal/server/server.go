@@ -76,9 +76,11 @@ type Config struct {
 	// keyed by the shard's slice fingerprint, so a warm restart skips
 	// rebuilds shard by shard.
 	IndexDir string
-	// Shards splits every registered dataset into that many row-range
-	// shards behind a scatter-gather coordinator (see tkd.ShardedDataset);
-	// <= 1 serves unsharded. Answers are byte-identical either way.
+	// Shards attaches a shard topology to every registered dataset: that
+	// many row-range shards behind a scatter-gather coordinator (see
+	// tkd.Shard); <= 1 serves unsharded. It is the same dataset type and the
+	// same lifecycle either way — only the execution plan of a query
+	// differs — and answers are byte-identical.
 	Shards int
 	// ShardPeers serves the shards from remote tkdserver peers instead of
 	// in-process: shard i goes to ShardPeers[i % len(ShardPeers)]. Each
@@ -155,6 +157,8 @@ type Server struct {
 	cfg       Config
 	adm       *admission
 	reg       *registry
+	ixc       *indexCache // resolved once in New; nil = persistence off
+	ixcErr    error       // why IndexDir could not be opened; fails registration
 	mux       *http.ServeMux
 	peer      *shard.Peer
 	life      lifecycleMetrics
@@ -226,6 +230,9 @@ func New(cfg Config) *Server {
 		log:  cfg.Logger,
 		done: make(chan struct{}),
 	}
+	if s.ixc, s.ixcErr = newIndexCache(cfg.IndexDir); s.ixcErr != nil {
+		s.life.indexCacheErrors.Add(1)
+	}
 	s.standing = newStandingRegistry()
 	s.peer = shard.NewPeer(s.resolveShardData)
 	s.peer.SetQueryLog(s.qlog)
@@ -271,10 +278,10 @@ func New(cfg Config) *Server {
 // (persisted index when available, built — and persisted — otherwise) and
 // starts its batch scheduler. Datasets registered this way have no source
 // file, so /reload returns 409 for them; use LoadCSVFile or POST
-// /v1/datasets for reloadable datasets. A plain *tkd.Dataset is sharded
-// automatically when Config.Shards > 1; a pre-built *tkd.ShardedDataset is
-// registered as-is.
-func (s *Server) AddDataset(name string, ds Queryable) error {
+// /v1/datasets for reloadable datasets. An unsharded dataset gets the
+// server's shard topology attached when Config.Shards > 1; one that already
+// carries a topology (tkd.Shard) is registered as-is.
+func (s *Server) AddDataset(name string, ds *tkd.Dataset) error {
 	_, err := s.register(name, ds, "", false)
 	return err
 }
@@ -284,37 +291,22 @@ func (s *Server) AddDataset(name string, ds Queryable) error {
 // The soak harness stamps the per-shard p99 from this into its report.
 func (s *Server) ShardMetrics(name string) (m tkd.ShardMetrics, shards int, ok bool) {
 	e, found := s.reg.get(name)
-	if !found {
+	if !found || e.ds.Shards() == 0 { // unsharded: no scatter-gather counters to report
 		return m, 0, false
 	}
-	sd, isSharded := e.ds.(*tkd.ShardedDataset)
-	if !isSharded {
-		return m, 0, false
-	}
-	return sd.Metrics(), sd.ShardCount(), true
+	return e.ds.Metrics(), e.ds.Shards(), true
 }
 
 // resolveShardData backs the /v1/shard/query and /v1/shard/health peer
 // endpoints: the frozen epoch data of a resident dataset plus its epoch
 // counter, whether it is served unsharded or is itself a scatter-gather
-// coordinator (peers slice the source either way).
+// coordinator (peers slice the full data either way).
 func (s *Server) resolveShardData(name string) (*data.Dataset, uint64, bool) {
 	e, ok := s.reg.get(name)
 	if !ok {
 		return nil, 0, false
 	}
-	var (
-		ds    *data.Dataset
-		epoch uint64
-	)
-	switch d := e.ds.(type) {
-	case *tkd.Dataset:
-		ds, epoch = d.ShardData(), d.Epoch()
-	case *tkd.ShardedDataset:
-		ds, epoch = d.Source().ShardData(), d.Epoch()
-	default:
-		return nil, 0, false
-	}
+	ds, epoch := e.ds.ShardData(), e.ds.Epoch()
 	// A followed entry reports the leader's epoch numbering: a dataset
 	// adopted into following mid-life (pre-loaded from the same CSV) has a
 	// lower local counter for the very same bytes, and health probes should
@@ -337,61 +329,68 @@ func (s *Server) LoadCSVFile(name, path string, negate bool) error {
 	return err
 }
 
+// shard attaches this server's shard topology (Config.Shards > 1) to a
+// freshly loaded dataset — the first step of the one lifecycle sequence
+// register, handleReload and the follower import all run: load → shard →
+// warm off to the side (warmPrepare) → swap (swapIn; register has nothing
+// to swap with) → persist. A dataset that already carries a topology is
+// left alone.
+func (s *Server) shard(name string, ds *tkd.Dataset) (*tkd.Dataset, error) {
+	if s.cfg.Shards <= 1 || ds.Shards() > 0 {
+		return ds, nil
+	}
+	opts := []tkd.ShardOption{tkd.WithShards(s.cfg.Shards)}
+	if len(s.cfg.ShardPeers) > 0 {
+		opts = append(opts, tkd.WithShardPeers(s.cfg.ShardPeers...))
+	}
+	if s.cfg.ShardClient != nil {
+		opts = append(opts, tkd.WithShardClient(s.cfg.ShardClient))
+	}
+	if s.cfg.ShardPolicy != nil {
+		opts = append(opts, tkd.WithShardPolicy(*s.cfg.ShardPolicy))
+	}
+	if s.cfg.PeerTimeout > 0 {
+		opts = append(opts, tkd.WithShardPeerTimeout(s.cfg.PeerTimeout))
+	}
+	if s.cfg.HealthInterval > 0 {
+		opts = append(opts, tkd.WithShardHealthChecks(s.cfg.HealthInterval))
+	}
+	return tkd.Shard(ds, name, opts...)
+}
+
 // register installs a dataset; warm reports whether the persisted-index
 // cache supplied the index.
-func (s *Server) register(name string, ds Queryable, path string, negate bool) (warm bool, err error) {
+func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool) (warm bool, err error) {
 	if name == "" {
 		return false, fmt.Errorf("server: empty dataset name")
 	}
 	if ds.Len() == 0 {
 		return false, fmt.Errorf("server: dataset %q is empty", name)
 	}
+	if s.ixcErr != nil {
+		return false, s.ixcErr
+	}
 	// Fail the common duplicate before paying index construction; the
 	// registry's add re-checks under its lock for the racing case.
 	if _, ok := s.reg.get(name); ok {
 		return false, fmt.Errorf("%w: %q", errDuplicate, name)
 	}
-	if base, ok := ds.(*tkd.Dataset); ok && s.cfg.Shards > 1 {
-		opts := []tkd.ShardOption{tkd.WithShards(s.cfg.Shards)}
-		if len(s.cfg.ShardPeers) > 0 {
-			opts = append(opts, tkd.WithShardPeers(s.cfg.ShardPeers...))
-		}
-		if s.cfg.ShardClient != nil {
-			opts = append(opts, tkd.WithShardClient(s.cfg.ShardClient))
-		}
-		if s.cfg.ShardPolicy != nil {
-			opts = append(opts, tkd.WithShardPolicy(*s.cfg.ShardPolicy))
-		}
-		if s.cfg.PeerTimeout > 0 {
-			opts = append(opts, tkd.WithShardPeerTimeout(s.cfg.PeerTimeout))
-		}
-		if s.cfg.HealthInterval > 0 {
-			opts = append(opts, tkd.WithShardHealthChecks(s.cfg.HealthInterval))
-		}
-		sharded, err := tkd.Shard(base, name, opts...)
-		if err != nil {
-			return false, err
-		}
-		ds = sharded
+	if ds, err = s.shard(name, ds); err != nil {
+		return false, err
 	}
 	// Open the WAL and replay acked rows before warming: replay changes the
 	// data (and its fingerprint), so the index cache's fingerprint gate
 	// below decides correctly between warm-loading the checkpointed index
 	// and rebuilding over the replayed suffix.
 	var ing *ingestState
-	if base, ok := ds.(*tkd.Dataset); ok && s.ingestEnabled() {
-		ing, err = s.openIngest(name, base)
+	if ds.Shards() == 0 && s.ingestEnabled() { // sharded: appends would need a cross-shard commit protocol
+		ing, err = s.openIngest(name, ds)
 		if err != nil {
 			return false, err
 		}
 	}
-	warm, err = s.warmPrepare(name, ds)
-	if err != nil {
-		if ing != nil {
-			ing.log.Close()
-		}
-		return false, err
-	}
+	warm, cold := s.warmPrepare(name, ds)
+	s.persist(name, cold)
 	if ing != nil {
 		// The warm-up above published the recovered state (replayed suffix
 		// included); checkpoint it so the next restart skips the replay. A
@@ -413,6 +412,7 @@ func (s *Server) register(name string, ds Queryable, path string, negate bool) (
 	}
 	if err := s.reg.add(e); err != nil {
 		sch.stop() // lost a registration race; don't leak the goroutine
+		ds.Close()
 		if ing != nil {
 			ing.log.Close() // the resident entry owns the segment files
 		}
@@ -421,108 +421,75 @@ func (s *Server) register(name string, ds Queryable, path string, negate bool) (
 	return warm, nil
 }
 
-// warmPrepare gets ds query-ready: apply the cache budget, restore the
-// persisted binned index when the cache directory has a fingerprint match,
-// build (and persist) it otherwise, and eagerly finish the IBIG serving
-// artifacts so the first query is as fast as the thousandth. The
-// value-granular BIG bitmap — the most expensive artifact, needed only for
-// explicit BIG queries — builds lazily on first use. warm reports whether
-// the persisted index supplied the artifact (rebuild skipped). Sharded
-// datasets warm shard by shard: one cache file per shard, keyed by the
-// shard's slice fingerprint, so a restart (or a reload of an unchanged
-// file) skips rebuilds shard by shard and a partially valid cache still
-// saves most of the work.
-func (s *Server) warmPrepare(name string, ds Queryable) (warm bool, err error) {
+// warmPrepare gets ds query-ready off to the side: apply the cache budget,
+// restore every index part the cache directory holds a fingerprint match
+// for, and eagerly finish the IBIG serving artifacts so the first query is
+// as fast as the thousandth. The value-granular BIG bitmap — the most
+// expensive artifact, needed only for explicit BIG queries — builds lazily
+// on first use. warm reports whether the cache supplied every part (rebuild
+// skipped); cold lists the parts it did not — built here, or shipped with
+// an imported epoch — for persist to write once the caller has swapped. A
+// sharded dataset has one part per in-process shard, so a restart (or a
+// reload of an unchanged file) skips rebuilds shard by shard and a
+// partially valid cache still saves most of the work.
+func (s *Server) warmPrepare(name string, ds *tkd.Dataset) (warm bool, cold []tkd.IndexPart) {
 	if s.cfg.CacheBudget > 0 {
 		ds.SetCacheBudget(s.cfg.CacheBudget)
 	}
-	ixc, err := newIndexCache(s.cfg.IndexDir)
-	if err != nil {
-		return false, err
-	}
-	if sd, ok := ds.(*tkd.ShardedDataset); ok {
-		return s.warmPrepareSharded(name, sd, ixc)
-	}
-	// Index persistence needs the Save/LoadIndex hooks, which live on the
-	// concrete *tkd.Dataset; any other Queryable implementation skips the
-	// cache and simply prepares in-process.
-	base, persistable := ds.(*tkd.Dataset)
-	if ixc != nil && persistable {
-		ok, err := ixc.tryLoad(name, base)
-		if err != nil {
-			// A corrupt cache file is a miss, not an outage: rebuild below
-			// and overwrite it. Surface the event on /metrics.
-			s.life.indexCacheErrors.Add(1)
-		}
-		if ok {
-			warm = true
-			s.life.indexWarmLoads.Add(1)
+	if s.ixc != nil {
+		warm = true
+		for _, p := range ds.IndexParts() {
+			ok, err := s.ixc.tryLoad(name, p)
+			if err != nil {
+				// A corrupt cache file is a miss, not an outage: rebuild below
+				// and overwrite it. Surface the event on /metrics.
+				s.life.indexCacheErrors.Add(1)
+			}
+			if ok {
+				s.life.indexWarmLoads.Add(1)
+			} else {
+				warm = false
+				cold = append(cold, p)
+			}
 		}
 	}
 	before := ds.IndexBuilds()
 	ds.PrepareFor(tkd.IBIG)
-	if built := ds.IndexBuilds() - before; built > 0 {
-		s.life.indexBuilds.Add(built)
-		if ixc != nil && persistable {
-			if err := ixc.save(name, base); err != nil {
-				s.life.indexCacheErrors.Add(1)
-			}
-		}
-	}
-	return warm, nil
+	s.life.indexBuilds.Add(ds.IndexBuilds() - before)
+	return warm, cold
 }
 
-// warmPrepareSharded is warmPrepare's per-shard flavour: restore every local
-// shard's persisted index, build the rest, persist what was built. warm
-// reports whether every local shard came from the cache.
-func (s *Server) warmPrepareSharded(name string, sd *tkd.ShardedDataset, ixc *indexCache) (warm bool, err error) {
-	// persistable marks the shards with something to persist: in-process
-	// (remote shards warm on their peers) and non-empty (a zero-row shard —
-	// more shards than rows — has no index at all, and treating it as a
-	// cache error would leave a permanent phantom corruption signal on
-	// /metrics).
-	persistable := func(i int) bool {
-		if !sd.ShardIsLocal(i) {
-			return false
-		}
-		rows, err := sd.ShardRows(i)
-		return err == nil && rows > 0
+// persist writes index parts to the cache directory so a restart warm-loads
+// them. An error is a cold restart, not a failure of whatever published the
+// index.
+func (s *Server) persist(name string, parts []tkd.IndexPart) {
+	if s.ixc == nil {
+		return
 	}
-	loaded := make([]bool, sd.ShardCount())
-	if ixc != nil {
-		for i := range loaded {
-			if !persistable(i) {
-				continue
-			}
-			ok, err := ixc.tryLoadShard(name, i, sd)
-			if err != nil {
-				s.life.indexCacheErrors.Add(1)
-			}
-			if ok {
-				loaded[i] = true
-				s.life.indexWarmLoads.Add(1)
-			}
+	for _, p := range parts {
+		if err := s.ixc.save(name, p); err != nil {
+			s.life.indexCacheErrors.Add(1)
 		}
 	}
-	before := sd.IndexBuilds()
-	sd.PrepareFor(tkd.IBIG)
-	if built := sd.IndexBuilds() - before; built > 0 {
-		s.life.indexBuilds.Add(built)
+}
+
+// swapIn replaces e's data with a freshly loaded dataset, zero downtime:
+// shard and warm the replacement entirely off to the side — queries keep
+// flowing on the current epoch the whole time — then publish it as e's next
+// epoch (numbered at when that moves the counter forward; 0 = next), which
+// carries the warm artifacts over, and persist what the cache lacked.
+// Coordinators holding cached slices of the pre-swap epoch keep getting
+// them for one more epoch: the peer cache rebuilds on the next scatter call
+// and retains the retired epoch as its grace predecessor, so their
+// in-flight queries finish instead of 409ing.
+func (s *Server) swapIn(e *entry, fresh *tkd.Dataset, at uint64) (warm bool, err error) {
+	if fresh, err = s.shard(e.name, fresh); err != nil {
+		return false, err
 	}
-	warm = true
-	for i := range loaded {
-		if !persistable(i) {
-			continue
-		}
-		if !loaded[i] {
-			warm = false
-			if ixc != nil {
-				if err := ixc.saveShard(name, i, sd); err != nil {
-					s.life.indexCacheErrors.Add(1)
-				}
-			}
-		}
-	}
+	warm, cold := s.warmPrepare(e.name, fresh)
+	e.ds.ReplaceFromAt(fresh, at)
+	fresh.Close() // its health loops, if any; the swap built e's own
+	s.persist(e.name, cold)
 	return warm, nil
 }
 
@@ -540,9 +507,7 @@ func (s *Server) Close() {
 		// Retire the replica-set health loops of every sharded resident so
 		// their goroutines do not outlive the server.
 		for _, e := range s.reg.list() {
-			if sd, ok := e.ds.(*tkd.ShardedDataset); ok {
-				sd.Close()
-			}
+			e.ds.Close()
 			if e.ing != nil {
 				e.ing.log.Close()
 			}
@@ -978,10 +943,8 @@ func (s *Server) datasetInfo(e *entry) DatasetInfo {
 		CacheBytes:  e.ds.CacheStats().Bytes,
 		Epoch:       e.ds.Epoch(),
 		Reloads:     e.met.reloads.Load(),
+		Shards:      e.ds.Shards(),
 		Source:      e.path,
-	}
-	if sd, ok := e.ds.(*tkd.ShardedDataset); ok {
-		info.Shards = sd.ShardCount()
 	}
 	if e.followed.Load() {
 		info.Followed = true
@@ -1106,8 +1069,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	// Build the replacement — data, index, queue — entirely off to the
-	// side; queries keep flowing on the current epoch the whole time.
 	fresh, err := loadCSV(e.path, e.negate)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, errInternal, "%v", err)
@@ -1118,38 +1079,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			"reload of %q from %s produced an empty dataset", name, e.path)
 		return
 	}
-	var warm bool
-	if _, sharded := e.ds.(*tkd.ShardedDataset); sharded {
-		// A sharded entry swaps first, then warms: the shard topology is
-		// keyed to the new epoch, so the per-shard indexes can only build
-		// (or warm-load, for an unchanged file) against it. Queries racing
-		// the warm-up block briefly on the shard-set build; none fail.
-		e.ds.ReplaceFrom(fresh)
-		// The swap is live from here on. The peer cache rebuilds lazily on
-		// the next scatter call (retaining the pre-reload epoch as the
-		// one-epoch grace for coordinators still mid-query on it), and the
-		// response must report the reload as served even if the warm-up
-		// below hits a cache problem (claiming failure for an epoch that
-		// already took effect would be worse than a cold cache — which is
-		// all a warm-up error means).
-		warm, err = s.warmPrepare(name, e.ds)
-		if err != nil {
-			s.life.indexCacheErrors.Add(1)
-			warm, err = false, nil
-		}
-	} else {
-		// Unsharded: build the replacement's index entirely off to the
-		// side, then swap — ReplaceFrom carries the warm artifacts over.
-		warm, err = s.warmPrepare(name, fresh)
-		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, errInternal, "%v", err)
-			return
-		}
-		e.ds.ReplaceFrom(fresh)
-		// Coordinators holding cached slices of the pre-reload epoch keep
-		// getting them for one more epoch: the peer cache rebuilds on the
-		// next scatter call and retains the retired epoch as its grace
-		// predecessor, so their in-flight queries finish instead of 409ing.
+	warm, err := s.swapIn(e, fresh, 0)
+	if err != nil {
+		writeError(w, r, http.StatusInternalServerError, errInternal, "%v", err)
+		return
 	}
 	if e.ing != nil {
 		// A reload declares the source file authoritative: rows ingested
@@ -1189,9 +1122,7 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	// including any shard slices the peer endpoint cached for coordinators.
 	e.sch.drainStop()
 	e.ds.ReleaseCache()
-	if sd, ok := e.ds.(*tkd.ShardedDataset); ok {
-		sd.Close()
-	}
+	e.ds.Close()
 	if e.ing != nil {
 		// The WAL dies with the dataset: acked-but-unpublished rows are
 		// discarded (DELETE is the explicit discard), and the segments must

@@ -217,14 +217,12 @@ func (g *standingRegistry) evaluate(e *entry, sq *standingQuery, appended int) {
 	sq.mu.Unlock()
 
 	if seeded && full && appended > 0 {
-		if d, ok := e.ds.(*tkd.Dataset); ok {
-			if affects, ok := d.AppendImpact(appended, tau); ok && !affects {
-				// Proof: none of the appended rows can score ≥ τ, and no
-				// existing object gained a dominated point — the ranked
-				// answer is bit-identical, skip the engine.
-				g.tauSkips.Add(1)
-				return
-			}
+		if affects, ok := e.ds.AppendImpact(appended, tau); ok && !affects {
+			// Proof: none of the appended rows can score ≥ τ, and no
+			// existing object gained a dominated point — the ranked
+			// answer is bit-identical, skip the engine.
+			g.tauSkips.Add(1)
+			return
 		}
 	}
 
@@ -327,7 +325,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, errDatasetNotFound, "unknown dataset %q", name)
 		return
 	}
-	if _, ok := e.ds.(*tkd.Dataset); !ok {
+	if e.ds.Shards() > 0 {
 		// Standing queries live off the single-node append/delta publish
 		// path; a sharded dataset has no such path to hang them on.
 		writeError(w, r, http.StatusNotImplemented, errNotSubscribable,

@@ -129,9 +129,6 @@ func NewLocal(slice *data.Dataset) *Local {
 // Rows implements Backend.
 func (l *Local) Rows() int { return l.ds.Len() }
 
-// Data returns the shard's slice.
-func (l *Local) Data() *data.Dataset { return l.ds }
-
 // Fingerprint digests the slice contents, memoized (the data is frozen).
 func (l *Local) Fingerprint() uint64 {
 	l.fpOnce.Do(func() { l.fp = l.ds.Fingerprint() })
@@ -182,8 +179,7 @@ func (l *Local) binnedIndex() *bitmapidx.Index {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.binned == nil {
-		bins := []int{core.OptimalBins(l.ds.Len(), l.ds.MissingRate())}
-		l.binned = bitmapidx.Build(l.ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins, Adaptive: true})
+		l.binned = core.BuildServingIndex(l.ds, nil, nil)
 		if l.budget > 0 {
 			l.binned.SetCacheBudget(l.budget)
 		}

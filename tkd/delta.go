@@ -79,7 +79,7 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 		if base == nil || base.epoch != sp.baseEpoch {
 			return false, fmt.Errorf("tkd: delta base epoch %d does not match the current epoch", sp.baseEpoch)
 		}
-		if fp := d.epochFPLocked(base); fp != sp.baseFP {
+		if fp := base.fingerprint(); fp != sp.baseFP {
 			return false, fmt.Errorf("tkd: delta base fingerprint %016x does not match %016x", sp.baseFP, fp)
 		}
 	}
@@ -125,6 +125,7 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 		ns.art.Store(&artifacts{})
 	}
 	ns.epoch = d.nextEpochLocked(sp.at)
+	ns.seedFingerprint(fp)
 	d.staging = next
 	d.shared = true
 	d.pendingBinned = nil
@@ -187,24 +188,12 @@ func (d *Dataset) nextEpochLocked(at uint64) uint64 {
 	return next
 }
 
-// epochFPLocked returns s's data fingerprint, served from the lineage when
-// the epoch is on record (the common delta-apply case) instead of an O(N)
-// rehash.
-func (d *Dataset) epochFPLocked(s *snapshot) uint64 {
-	for i := len(d.lineage) - 1; i >= 0; i-- {
-		if r := &d.lineage[i]; r.epoch == s.epoch && r.rows == s.ds.Len() {
-			return r.fp
-		}
-	}
-	return s.ds.Fingerprint()
-}
-
 // recordLineageLocked extends the append lineage with the just-published
 // epoch, seeding it with the base epoch when a new chain starts (so the base
 // itself is a valid delta starting point).
 func (d *Dataset) recordLineageLocked(base *snapshot, epoch uint64, rows int, fp uint64) {
 	if len(d.lineage) == 0 && base != nil {
-		d.lineage = append(d.lineage, epochRecord{epoch: base.epoch, rows: base.ds.Len(), fp: base.ds.Fingerprint()})
+		d.lineage = append(d.lineage, epochRecord{epoch: base.epoch, rows: base.ds.Len(), fp: base.fingerprint()})
 	}
 	d.lineage = append(d.lineage, epochRecord{epoch: epoch, rows: rows, fp: fp})
 	if len(d.lineage) > maxLineage {

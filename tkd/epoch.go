@@ -78,7 +78,7 @@ func (d *Dataset) ExportEpoch() *EpochExport {
 func (x *EpochExport) Epoch() uint64 { return x.s.epoch }
 
 // Fingerprint returns the pinned epoch's data fingerprint.
-func (x *EpochExport) Fingerprint() uint64 { return x.s.ds.Fingerprint() }
+func (x *EpochExport) Fingerprint() uint64 { return x.s.fingerprint() }
 
 // Write streams the pinned epoch. includeIndex controls the index section:
 // a leader serving the dataset unsharded includes its binned index (built
@@ -168,9 +168,6 @@ func ImportEpoch(r io.Reader) (*Dataset, uint64, error) {
 		return nil, 0, fmt.Errorf("tkd: epoch stream data fingerprint %016x does not match header %016x", got, fp)
 	}
 	fresh := wrap(ds)
-	// First publish numbers the epoch; pre-position the counter so it lands
-	// on the leader's number.
-	fresh.epoch.Store(epoch - 1)
 	if flags&1 != 0 {
 		ix, err := bitmapidx.Load(r, ds)
 		if err != nil {
@@ -181,5 +178,10 @@ func ImportEpoch(r io.Reader) (*Dataset, uint64, error) {
 		}
 		fresh.pendingBinned = ix
 	}
+	// Publish now, under the leader's number (the counter is pre-positioned
+	// so the first publish lands on it), and hand the snapshot the digest
+	// just verified.
+	fresh.epoch.Store(epoch - 1)
+	fresh.current().seedFingerprint(fp)
 	return fresh, epoch, nil
 }

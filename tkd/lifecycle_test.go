@@ -249,6 +249,67 @@ func TestFingerprintStability(t *testing.T) {
 	}
 }
 
+// TestFingerprintMemoized: the digest is computed once per epoch — a second
+// call on a published dataset allocates (and hashes) nothing — and every
+// kind of mutation still moves it to exactly what a fresh parse of the same
+// rows reports, so no stale memo can survive a publish.
+func TestFingerprintMemoized(t *testing.T) {
+	ds := tkd.GenerateIND(10_000, 4, 40, 0.2, 6)
+	ds.Fingerprint()
+	if allocs := testing.AllocsPerRun(20, func() { ds.Fingerprint() }); allocs != 0 {
+		t.Fatalf("second Fingerprint() on a published epoch: %v allocs/op, want 0", allocs)
+	}
+	// reparse round-trips ds through CSV into a fresh dataset whose memo is
+	// necessarily cold.
+	reparse := func() uint64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := ds.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := tkd.ReadCSV(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fresh.Fingerprint()
+	}
+	steps := []struct {
+		name   string
+		mutate func()
+	}{
+		{"Append", func() {
+			if err := ds.Append("extra", 1, 2, tkd.Missing, 4); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Negate", ds.Negate},
+		{"ReplaceFrom", func() { ds.ReplaceFrom(tkd.GenerateIND(300, 4, 40, 0.2, 7)) }},
+		{"AppendRows", func() {
+			if _, err := ds.AppendRows([]tkd.Row{{ID: "r1", Values: []float64{3, 1, 4, 1}}, {ID: "r2", Values: []float64{tkd.Missing, 5, 9, 2}}}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"AppendRows (patched)", func() {
+			ds.PrepareFor(tkd.IBIG)
+			patched, err := ds.AppendRows([]tkd.Row{{ID: "r3", Values: []float64{6, 5, 3, 5}}})
+			if err != nil || !patched {
+				t.Fatalf("patched=%v err=%v", patched, err)
+			}
+		}},
+	}
+	for _, st := range steps {
+		before := ds.Fingerprint()
+		st.mutate()
+		got := ds.Fingerprint()
+		if got == before {
+			t.Fatalf("%s did not change the fingerprint", st.name)
+		}
+		if want := reparse(); got != want {
+			t.Fatalf("%s: fingerprint %016x, a fresh ReadCSV of the same rows reports %016x", st.name, got, want)
+		}
+	}
+}
+
 // TestCacheBudgetSurvivesSwap: the budget configured on the serving dataset
 // re-applies to the index that arrives with a ReplaceFrom.
 func TestCacheBudgetSurvivesSwap(t *testing.T) {

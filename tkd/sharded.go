@@ -7,13 +7,32 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
+
+// Sharding is a second way to execute TopK over the one Dataset type, not a
+// second kind of dataset: dominance counts add up over a row partition, so
+// Shard attaches a topology — N row-range shards behind a scatter-gather
+// coordinator — and every query, mutation and lifecycle call keeps going
+// through the same *Dataset. Each shard is an independent slice of the
+// published epoch with its own binned bitmap index and column cache,
+// servable in-process or by a remote tkdserver peer, while the coordinator
+// keeps the full data and the global MaxScore queue. Answers are
+// byte-identical to the unsharded plan's for every algorithm: the
+// coordinator replays the serial offer sequence with exact summed partial
+// scores, pruning across shards with the pushed-down global τ (see package
+// repro/internal/shard for the protocol).
+//
+// The per-epoch shard set is one more lazily built artifact of the
+// snapshot: the first query (or Prepare) on an epoch slices it under the
+// snapshot's build lock, queries in flight keep the set of the epoch they
+// started on, and retiring the snapshot closes the set's health loops and
+// drops its column caches. Nobody blocks anybody, as everywhere else.
 
 // ShardMetrics is a snapshot of a sharded dataset's scatter-gather counters:
 // fan-out calls, τ push-down prunes, retries, hedges, degraded answers and
@@ -107,23 +126,9 @@ func WithShardPeerTimeout(d time.Duration) ShardOption {
 	return func(c *shardConfig) { c.peerTimeout = d }
 }
 
-// ShardedDataset serves TKD queries over one dataset split into N row-range
-// shards behind a scatter-gather coordinator. Each shard is an independent
-// slice of the published epoch with its own binned bitmap index and column
-// cache — servable in-process or by a remote tkdserver peer — while the
-// coordinator keeps the full data and the global MaxScore queue. Answers
-// are byte-identical to the unsharded dataset's for every algorithm: the
-// coordinator replays the serial offer sequence with exact summed partial
-// scores, pruning across shards with the pushed-down global τ (see package
-// repro/internal/shard for the protocol).
-//
-// The wrapped Dataset remains the mutation surface: Append, Negate and
-// ReplaceFrom publish epochs exactly as before, and the shard set follows —
-// a query that observes a new epoch rebuilds the slices (and their indexes)
-// before running. Queries in flight keep the shard set they started with;
-// nobody blocks anybody, mirroring the single-process epoch/RCU contract.
-type ShardedDataset struct {
-	src            *Dataset
+// topology is the set-once shard configuration of a Dataset; the counters in
+// met survive epoch swaps.
+type topology struct {
 	name           string // dataset name on peers (remote topologies)
 	n              int
 	peers          [][]string
@@ -131,52 +136,15 @@ type ShardedDataset struct {
 	policy         ShardPolicy
 	healthInterval time.Duration
 	met            *shard.Metrics
-
-	mu  sync.Mutex
-	cur atomic.Pointer[shardSet]
-
-	cacheBudget atomic.Int64
 }
 
-// shardSet is one epoch's worth of shard topology: the frozen data, the
-// coordinator over it, and one swappable slot per shard.
-type shardSet struct {
-	epoch uint64
-	data  *data.Dataset
-	coord *shard.Coordinator
-	from  []int // shard i covers rows [from[i], from[i+1])
-	slots []atomic.Pointer[backendBox]
-}
-
-// close stops every slot's background machinery (replica-set health
-// loops). Queries in flight on the set keep working — close only retires
-// goroutines.
-func (s *shardSet) close() {
-	for i := range s.slots {
-		if rs, ok := s.slots[i].Load().b.(*shard.ReplicaSet); ok {
-			rs.Close()
-		}
-	}
-}
-
-// backendBox boxes the Backend interface value for atomic swapping
-// (individual shard reloads replace one box while queries hold the old one).
-type backendBox struct{ b shard.Backend }
-
-// backends snapshots the current backend of every slot.
-func (s *shardSet) backends() []shard.Backend {
-	out := make([]shard.Backend, len(s.slots))
-	for i := range s.slots {
-		out[i] = s.slots[i].Load().b
-	}
-	return out
-}
-
-// Shard wraps src in a scatter-gather coordinator. name is the dataset's
-// registry name on remote peers (ignored for in-process shards, but always
-// recorded so a topology can add peers later). The source dataset is shared,
-// not copied: mutations through src publish epochs the sharded view follows.
-func Shard(src *Dataset, name string, opts ...ShardOption) (*ShardedDataset, error) {
+// Shard attaches a shard topology to src and returns src: from here on TopK
+// runs through the scatter-gather coordinator. name is the dataset's
+// registry name on remote peers (ignored for in-process shards). The
+// topology is set once — sharding an already sharded dataset is an error —
+// and mutations keep publishing epochs exactly as before; each epoch's
+// shard set follows lazily.
+func Shard(src *Dataset, name string, opts ...ShardOption) (*Dataset, error) {
 	cfg := shardConfig{shards: 2, policy: DefaultShardPolicy()}
 	for _, o := range opts {
 		o(&cfg)
@@ -187,8 +155,7 @@ func Shard(src *Dataset, name string, opts ...ShardOption) (*ShardedDataset, err
 	if cfg.client == nil && len(cfg.peers) > 0 && cfg.peerTimeout > 0 {
 		cfg.client = &http.Client{Timeout: cfg.peerTimeout}
 	}
-	return &ShardedDataset{
-		src:            src,
+	t := &topology{
 		name:           name,
 		n:              cfg.shards,
 		peers:          cfg.peers,
@@ -196,216 +163,170 @@ func Shard(src *Dataset, name string, opts ...ShardOption) (*ShardedDataset, err
 		policy:         cfg.policy,
 		healthInterval: cfg.healthInterval,
 		met:            shard.NewMetrics(cfg.shards),
-	}, nil
+	}
+	if !src.topo.CompareAndSwap(nil, t) {
+		return nil, fmt.Errorf("tkd: dataset is already sharded")
+	}
+	return src, nil
 }
 
-// Source returns the wrapped dataset — the mutation surface.
-func (sd *ShardedDataset) Source() *Dataset { return sd.src }
-
-// ShardCount returns N.
-func (sd *ShardedDataset) ShardCount() int { return sd.n }
-
-// set resolves the shard set for the source's current epoch, building it
-// (slices, backends, coordinator) when a mutation published a new one.
-// Builds happen under the mutex; concurrent queries on the old epoch keep
-// their set.
-func (sd *ShardedDataset) set() *shardSet {
-	s := sd.src.current()
-	if cs := sd.cur.Load(); cs != nil && cs.epoch == s.epoch {
-		return cs
+// Shards returns the shard count of the attached topology, 0 for an
+// unsharded dataset (a 1-shard topology is still a topology). It is the one
+// accessor policy code branches on.
+func (d *Dataset) Shards() int {
+	if t := d.topo.Load(); t != nil {
+		return t.n
 	}
-	sd.mu.Lock()
-	defer sd.mu.Unlock()
-	s = sd.src.current()
-	if cs := sd.cur.Load(); cs != nil && cs.epoch == s.epoch {
-		return cs
-	}
-	// The global MaxScore queue is the coordinator-side artifact; ensure it
-	// on the source snapshot so unsharded queries on the same Dataset share
-	// the build.
-	queue := s.ensure(needQueue, sd.src).queue
-	ds := s.ds
-	n := sd.n
-	ns := &shardSet{
-		epoch: s.epoch,
-		data:  ds,
-		coord: shard.NewCoordinator(ds, queue, sd.met),
-		from:  make([]int, n+1),
-		slots: make([]atomic.Pointer[backendBox], n),
-	}
-	budget := sd.perShardBudget()
-	for i := 0; i < n; i++ {
-		lo, hi := i*ds.Len()/n, (i+1)*ds.Len()/n
-		ns.from[i], ns.from[i+1] = lo, hi
-		ns.slots[i].Store(&backendBox{b: sd.buildBackend(ds, i, lo, hi, budget)})
-	}
-	old := sd.cur.Load()
-	sd.cur.Store(ns)
-	if old != nil {
-		// Retire the old epoch's health loops; in-flight queries on the old
-		// set are unaffected (close never touches the query path).
-		old.close()
-	}
-	return ns
+	return 0
 }
 
-// buildBackend constructs shard i over rows [lo, hi): an in-process Local,
-// or a replica set of Remotes pointing at the peer group the shard is
-// assigned to (retry/hedge/breaker semantics apply even to a single-peer
-// group — one replica is just the degenerate set).
-func (sd *ShardedDataset) buildBackend(ds *data.Dataset, i, lo, hi int, budget int64) shard.Backend {
-	slice := ds.Slice(lo, hi)
-	if len(sd.peers) == 0 {
-		l := shard.NewLocal(slice)
-		if budget > 0 {
-			l.SetCacheBudget(budget)
-		}
-		return l
-	}
-	group := sd.peers[i%len(sd.peers)]
-	fp := slice.Fingerprint()
-	replicas := make([]shard.Backend, len(group))
-	for r, u := range group {
-		replicas[r] = shard.NewRemote(sd.client, u, sd.name, lo, hi, fp)
-	}
-	rs, err := shard.NewReplicaSet(i, replicas, sd.policy, sd.met)
-	if err != nil {
-		// Unreachable: all replicas were built from the same slice identity.
-		return replicas[0]
-	}
-	rs.StartHealthChecks(sd.healthInterval)
-	return rs
+// shardSet is one epoch's shard backends behind their coordinator; locals
+// lists the in-process ones.
+type shardSet struct {
+	coord    *shard.Coordinator
+	backends []shard.Backend
+	locals   []*shard.Local
 }
 
-// perShardBudget splits the dataset-level cache budget evenly.
-func (sd *ShardedDataset) perShardBudget() int64 {
-	b := sd.cacheBudget.Load()
-	if b <= 0 {
-		return 0
+// build slices ds into the topology's row ranges. Shard i is an in-process
+// Local — taken over from warm, the set another Dataset built over this very
+// data, when there is one — or a replica set of Remotes pointing at the
+// shard's peer group (retry/hedge/breaker semantics apply even to a
+// single-peer group — one replica is just the degenerate set). budget is the
+// dataset-level cache budget, split evenly.
+func (t *topology) build(ds *data.Dataset, queue *core.MaxScoreQueue, budget int64, warm *shardSet) *shardSet {
+	ss := &shardSet{coord: shard.NewCoordinator(ds, queue, t.met), backends: make([]shard.Backend, t.n)}
+	if warm != nil && len(warm.backends) != t.n {
+		warm = nil
 	}
-	return max(b/int64(sd.n), 1)
-}
-
-// ReloadShard rebuilds shard i's backend — fresh slice handle, fresh
-// indexes — and swaps it in atomically. Queries in flight keep the backend
-// they captured; queries that start after the swap see the new one. It is
-// the per-shard maintenance primitive (e.g. re-pick representations after a
-// cache-budget change) and the unit the race tests hammer. Remote shards
-// have no coordinator-side state to rebuild beyond the handle itself.
-func (sd *ShardedDataset) ReloadShard(i int) error {
-	s := sd.set()
-	if i < 0 || i >= len(s.slots) {
-		return fmt.Errorf("tkd: shard %d out of range [0,%d)", i, len(s.slots))
-	}
-	old := s.slots[i].Swap(&backendBox{b: sd.buildBackend(s.data, i, s.from[i], s.from[i+1], sd.perShardBudget())})
-	if rs, ok := old.b.(*shard.ReplicaSet); ok {
-		rs.Close()
-	}
-	return nil
-}
-
-// TopK answers the TKD query through the shard fan-out; same options, same
-// answers — byte-identical to the unsharded Dataset — different topology.
-// WithWorkers is accepted and ignored: the fan-out across shards is the
-// parallelism. WithBins is likewise ignored (each shard bins its own slice
-// by Eq. (8); bin layout never changes answers). WithBTreeRefinement maps
-// to the IBIG scatter plan — refinement strategy is a shard-local detail
-// that cannot change answers either.
-func (sd *ShardedDataset) TopK(k int, opts ...Option) (Result, error) {
-	if k <= 0 {
-		return Result{}, fmt.Errorf("tkd: k must be positive, got %d", k)
-	}
-	cfg := queryConfig{alg: IBIG, workers: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	ctx := cfg.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s := sd.set()
-	if s.data.Len() == 0 {
-		return Result{}, fmt.Errorf("tkd: empty dataset")
-	}
-	// The engine span wraps the whole scatter-gather run; the coordinator
-	// reads it back out of the context for its window spans and τ samples.
-	eng := cfg.engineSpan(k, s.data.Len())
-	eng.SetInt("shards", int64(sd.n))
-	if eng != nil {
-		ctx = obs.ContextWithSpan(ctx, eng)
-	}
-	var outcome shard.Outcome
-	res, st, err := s.coord.Run(ctx, cfg.alg, k, s.backends(),
-		shard.RunOptions{AllowPartial: cfg.allowPartial, Outcome: &outcome})
-	if err != nil {
-		eng.SetStr("error", err.Error())
-		eng.End()
-		return Result{}, err
-	}
-	stampStats(eng, st)
-	if outcome.Degraded {
-		eng.SetInt("degraded", 1)
-		eng.SetInt("covered_rows", int64(outcome.CoveredRows))
-	}
-	eng.End()
-	if cfg.stats != nil {
-		*cfg.stats = st
-	}
-	if cfg.degradation != nil {
-		*cfg.degradation = Degradation{
-			Degraded:    outcome.Degraded,
-			CoveredRows: outcome.CoveredRows,
-			TotalRows:   outcome.TotalRows,
-			DownShards:  outcome.DownShards,
-		}
-	}
-	return res, nil
-}
-
-// Prepare eagerly builds every shard's serving artifacts (the per-shard
-// binned indexes) plus the coordinator's global queue, in parallel across
-// shards.
-func (sd *ShardedDataset) Prepare() { sd.PrepareFor(IBIG) }
-
-// PrepareFor eagerly builds the artifacts the given algorithms' scatter
-// plans consume on each in-process shard (remote shards warm on their
-// peers, on first use).
-func (sd *ShardedDataset) PrepareFor(algs ...Algorithm) {
-	s := sd.set()
-	var wg sync.WaitGroup
-	for _, box := range s.backends() {
-		l, ok := box.(*shard.Local)
-		if !ok {
+	for i := range ss.backends {
+		lo, hi := i*ds.Len()/t.n, (i+1)*ds.Len()/t.n
+		if len(t.peers) == 0 {
+			var l *shard.Local
+			if warm != nil {
+				l, _ = warm.backends[i].(*shard.Local)
+			}
+			if l == nil {
+				l = shard.NewLocal(ds.Slice(lo, hi))
+			}
+			ss.backends[i] = l
+			ss.locals = append(ss.locals, l)
 			continue
 		}
+		group := t.peers[i%len(t.peers)]
+		var fp uint64
+		if warm != nil {
+			fp = warm.backends[i].Fingerprint() // same rows, already hashed
+		} else {
+			fp = ds.Slice(lo, hi).Fingerprint()
+		}
+		replicas := make([]shard.Backend, len(group))
+		for r, u := range group {
+			replicas[r] = shard.NewRemote(t.client, u, t.name, lo, hi, fp)
+		}
+		rs, err := shard.NewReplicaSet(i, replicas, t.policy, t.met)
+		if err != nil {
+			// Unreachable: all replicas were built from the same slice identity.
+			ss.backends[i] = replicas[0]
+			continue
+		}
+		rs.StartHealthChecks(t.healthInterval)
+		ss.backends[i] = rs
+	}
+	ss.setCacheBudget(budget)
+	return ss
+}
+
+// setCacheBudget splits the dataset-level budget evenly across the shards
+// (total <= 0 keeps each shard's bitmapidx default).
+func (ss *shardSet) setCacheBudget(total int64) {
+	if total <= 0 {
+		return
+	}
+	per := max(total/int64(len(ss.backends)), 1)
+	for _, l := range ss.locals {
+		l.SetCacheBudget(per)
+	}
+}
+
+func (ss *shardSet) releaseCache() {
+	for _, l := range ss.locals {
+		l.ReleaseCache()
+	}
+}
+
+// close stops the set's background machinery (replica-set health loops).
+// Queries in flight on the set keep working — close only retires
+// goroutines.
+func (ss *shardSet) close() {
+	for _, b := range ss.backends {
+		if rs, ok := b.(*shard.ReplicaSet); ok {
+			rs.Close()
+		}
+	}
+}
+
+// prewarm builds every in-process shard's side of the algorithms' scatter
+// plans, in parallel across shards.
+func (ss *shardSet) prewarm(algs []Algorithm) {
+	var wg sync.WaitGroup
+	for _, l := range ss.locals {
 		wg.Add(1)
-		go func(l *shard.Local) {
+		go func() {
 			defer wg.Done()
 			for _, a := range algs {
 				l.Prewarm(a)
 			}
-		}(l)
+		}()
 	}
 	wg.Wait()
 }
 
+// run is TopK's sharded arm: the coordinator walks the global queue and
+// fans windows out to the backends. eng wraps the whole scatter-gather run;
+// the coordinator reads it back out of the context for its window spans and
+// τ samples.
+func (ss *shardSet) run(ctx context.Context, alg Algorithm, k int, allowPartial bool, eng *obs.Span) (Result, Stats, Degradation, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	eng.SetInt("shards", int64(len(ss.backends)))
+	if eng != nil {
+		ctx = obs.ContextWithSpan(ctx, eng)
+	}
+	var outcome shard.Outcome
+	res, st, err := ss.coord.Run(ctx, alg, k, ss.backends, shard.RunOptions{AllowPartial: allowPartial, Outcome: &outcome})
+	if err == nil && outcome.Degraded {
+		eng.SetInt("degraded", 1)
+		eng.SetInt("covered_rows", int64(outcome.CoveredRows))
+	}
+	return res, st, Degradation(outcome), err
+}
+
 // Metrics snapshots the scatter-gather counters (fan-out, τ push-downs,
 // retries, hedges, degraded answers, per-shard latency histograms).
-// Counters survive epoch swaps and shard reloads.
-func (sd *ShardedDataset) Metrics() ShardMetrics { return sd.met.Snapshot() }
+// Counters survive epoch swaps; an unsharded dataset reports the zero
+// value.
+func (d *Dataset) Metrics() ShardMetrics {
+	if t := d.topo.Load(); t != nil {
+		return t.met.Snapshot()
+	}
+	return ShardMetrics{}
+}
 
 // ReplicaStates snapshots every shard's replica breaker states, in shard
 // order: nil for a shard not served by a replica set (in-process Locals),
-// one BreakerState per replica otherwise. The serving layer renders these
-// as the tkd_shard_breaker_state / tkd_shard_replicas_healthy gauges.
-func (sd *ShardedDataset) ReplicaStates() [][]BreakerState {
-	s := sd.cur.Load()
-	if s == nil {
+// one BreakerState per replica otherwise; nil altogether for an unsharded
+// dataset or an epoch whose set is not built yet. The serving layer renders
+// these as the tkd_shard_breaker_state / tkd_shard_replicas_healthy gauges.
+func (d *Dataset) ReplicaStates() [][]BreakerState {
+	a := d.builtArtifacts()
+	if a.shards == nil {
 		return nil
 	}
-	out := make([][]BreakerState, len(s.slots))
-	for i := range s.slots {
-		if rs, ok := s.slots[i].Load().b.(*shard.ReplicaSet); ok {
+	out := make([][]BreakerState, len(a.shards.backends))
+	for i, b := range a.shards.backends {
+		if rs, ok := b.(*shard.ReplicaSet); ok {
 			out[i] = rs.States()
 		}
 	}
@@ -413,189 +334,49 @@ func (sd *ShardedDataset) ReplicaStates() [][]BreakerState {
 }
 
 // Close stops the background machinery (replica health-check loops) of the
-// current shard set. Queries keep working; call it when retiring the
-// dataset so the goroutines do not outlive it.
-func (sd *ShardedDataset) Close() {
-	if s := sd.cur.Load(); s != nil {
-		s.close()
+// current epoch's shard set; a no-op on an unsharded dataset. Queries keep
+// working; call it when retiring the dataset so the goroutines do not
+// outlive it.
+func (d *Dataset) Close() {
+	if a := d.builtArtifacts(); a.shards != nil {
+		a.shards.close()
 	}
 }
 
-// ---- the Dataset query surface, for the serving layer ----
-
-// Len returns the number of objects; Dim the dimensionality.
-func (sd *ShardedDataset) Len() int { return sd.src.Len() }
-
-// Dim returns the dataset dimensionality.
-func (sd *ShardedDataset) Dim() int { return sd.src.Dim() }
-
-// MissingRate returns the fraction of missing cells.
-func (sd *ShardedDataset) MissingRate() float64 { return sd.src.MissingRate() }
-
-// Epoch returns the source dataset's epoch counter.
-func (sd *ShardedDataset) Epoch() uint64 { return sd.src.Epoch() }
-
-// Fingerprint digests the full dataset contents.
-func (sd *ShardedDataset) Fingerprint() uint64 { return sd.src.Fingerprint() }
-
-// ReplaceFrom hot-swaps the underlying data (see Dataset.ReplaceFrom). The
-// shard set rebuilds lazily: the first query on the new epoch slices and
-// indexes it; queries still in flight finish on the old shard set.
-func (sd *ShardedDataset) ReplaceFrom(src *Dataset) {
-	old := sd.cur.Load()
-	sd.src.ReplaceFrom(src)
-	sd.releaseRetired(old)
+// IndexPart is one separately persisted piece of a dataset's serving index:
+// the whole binned index of an unsharded dataset, or the index of one
+// non-empty in-process shard (remote shards persist on their peers, and a
+// zero-row shard — more shards than rows — has no index at all).
+type IndexPart struct {
+	// Suffix distinguishes the part's file from its siblings: "" for the
+	// dataset-level index, "%shard-<i>" for shard i. The '%' cannot appear
+	// in a path-escaped dataset name, so names never collide.
+	Suffix string
+	// Fingerprint digests the rows the part indexes — the cache key.
+	Fingerprint uint64
+	// Save serializes the part (building it first if needed). Load restores
+	// a stream written by Save, validating it against the part's rows; on
+	// any error the part is unchanged and builds lazily.
+	Save func(io.Writer) error
+	Load func(io.Reader) error
 }
 
-// ReplaceFromAt is ReplaceFrom with an externally assigned epoch number (see
-// Dataset.ReplaceFromAt) — a replication follower serving a sharded resident
-// publishes the leader's epoch through it.
-func (sd *ShardedDataset) ReplaceFromAt(src *Dataset, epoch uint64) {
-	old := sd.cur.Load()
-	sd.src.ReplaceFromAt(src, epoch)
-	sd.releaseRetired(old)
-}
-
-// releaseRetired drops the retired shard set's decompressed-column caches so
-// a swap returns its budget immediately.
-func (sd *ShardedDataset) releaseRetired(old *shardSet) {
-	if old == nil {
-		return
+// IndexParts lists the current epoch's persistable index parts.
+func (d *Dataset) IndexParts() []IndexPart {
+	s := d.current()
+	if d.Shards() == 0 {
+		return []IndexPart{{Fingerprint: s.fingerprint(), Save: d.SaveIndex, Load: d.LoadIndex}}
 	}
-	for i := range old.slots {
-		if l, ok := old.slots[i].Load().b.(*shard.Local); ok {
-			l.ReleaseCache()
+	var parts []IndexPart
+	for i, b := range s.ensure(needQueue|needShards, d).shards.backends {
+		if l, ok := b.(*shard.Local); ok && l.Rows() > 0 {
+			parts = append(parts, IndexPart{
+				Suffix:      fmt.Sprintf("%%shard-%d", i),
+				Fingerprint: l.Fingerprint(),
+				Save:        l.SaveIndex,
+				Load:        l.LoadIndex,
+			})
 		}
 	}
-}
-
-// SetCacheBudget bounds the decompressed-column caches across all shards to
-// bytes in total (split evenly).
-func (sd *ShardedDataset) SetCacheBudget(bytes int64) {
-	sd.cacheBudget.Store(bytes)
-	if s := sd.cur.Load(); s != nil {
-		per := sd.perShardBudget()
-		for i := range s.slots {
-			if l, ok := s.slots[i].Load().b.(*shard.Local); ok && per > 0 {
-				l.SetCacheBudget(per)
-			}
-		}
-	}
-}
-
-// CacheStats aggregates the per-shard column-cache and representation
-// counters.
-func (sd *ShardedDataset) CacheStats() CacheStats {
-	s := sd.cur.Load()
-	if s == nil {
-		return CacheStats{}
-	}
-	var out CacheStats
-	for i := range s.slots {
-		l, ok := s.slots[i].Load().b.(*shard.Local)
-		if !ok {
-			continue
-		}
-		st := l.CacheStats()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Evicted += st.Evicted
-		out.Bytes += st.Bytes
-		out.Budget += st.Budget
-		out.DenseCols += st.DenseCols
-		out.CompressedCols += st.CompressedCols
-		out.SparseCols += st.SparseCols
-		out.NativeKernel += st.NativeKernel
-		out.Fallback += st.Fallback
-	}
-	return out
-}
-
-// ReleaseCache drops every shard's decompressed-column cache.
-func (sd *ShardedDataset) ReleaseCache() {
-	if s := sd.cur.Load(); s != nil {
-		for i := range s.slots {
-			if l, ok := s.slots[i].Load().b.(*shard.Local); ok {
-				l.ReleaseCache()
-			}
-		}
-	}
-}
-
-// IndexBuilds sums the shards' from-scratch index constructions — the warm
-// restart observable: a restart that loads every persisted shard index
-// reports zero new builds.
-func (sd *ShardedDataset) IndexBuilds() int64 {
-	s := sd.cur.Load()
-	if s == nil {
-		return 0
-	}
-	var n int64
-	for i := range s.slots {
-		if l, ok := s.slots[i].Load().b.(*shard.Local); ok {
-			n += l.Builds()
-		}
-	}
-	return n
-}
-
-// ShardFingerprint returns shard i's slice fingerprint — the key of its
-// persisted index file.
-func (sd *ShardedDataset) ShardFingerprint(i int) (uint64, error) {
-	s := sd.set()
-	if i < 0 || i >= len(s.slots) {
-		return 0, fmt.Errorf("tkd: shard %d out of range [0,%d)", i, len(s.slots))
-	}
-	return s.slots[i].Load().b.Fingerprint(), nil
-}
-
-// SaveShardIndex serializes shard i's binned index (building it first if
-// needed) so a warm restart can skip that shard's rebuild. Remote shards
-// persist on their peers; saving one here is an error.
-func (sd *ShardedDataset) SaveShardIndex(i int, w io.Writer) error {
-	l, err := sd.localShard(i)
-	if err != nil {
-		return err
-	}
-	return l.SaveIndex(w)
-}
-
-// LoadShardIndex restores shard i's persisted index. The stream is
-// validated against the shard's slice (including its fingerprint); on any
-// error the shard is unchanged and rebuilds lazily.
-func (sd *ShardedDataset) LoadShardIndex(i int, r io.Reader) error {
-	l, err := sd.localShard(i)
-	if err != nil {
-		return err
-	}
-	return l.LoadIndex(r)
-}
-
-// ShardIsLocal reports whether shard i runs in-process (remote shards
-// persist their indexes on their peers, not here).
-func (sd *ShardedDataset) ShardIsLocal(i int) bool {
-	_, err := sd.localShard(i)
-	return err == nil
-}
-
-// ShardRows returns shard i's row count. A zero-row shard (more shards
-// than rows) has no index to persist or warm.
-func (sd *ShardedDataset) ShardRows(i int) (int, error) {
-	s := sd.set()
-	if i < 0 || i >= len(s.slots) {
-		return 0, fmt.Errorf("tkd: shard %d out of range [0,%d)", i, len(s.slots))
-	}
-	return s.slots[i].Load().b.Rows(), nil
-}
-
-func (sd *ShardedDataset) localShard(i int) (*shard.Local, error) {
-	s := sd.set()
-	if i < 0 || i >= len(s.slots) {
-		return nil, fmt.Errorf("tkd: shard %d out of range [0,%d)", i, len(s.slots))
-	}
-	l, ok := s.slots[i].Load().b.(*shard.Local)
-	if !ok {
-		return nil, fmt.Errorf("tkd: shard %d is remote", i)
-	}
-	return l, nil
+	return parts
 }

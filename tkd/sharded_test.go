@@ -35,18 +35,20 @@ func assertSameResult(t *testing.T, label string, want, got Result) {
 	}
 }
 
-// TestShardedCrosscheck asserts that the sharded dataset returns
-// byte-identical answers — identical objects, ranks and scores — to the
-// unsharded one, across all five algorithms (plus the B+-tree refinement)
-// and N = 1, 2, 4 shards, on both value distributions.
+// TestShardedCrosscheck asserts that a sharded dataset returns
+// byte-identical answers — identical objects, ranks and scores — to an
+// unsharded one over the same rows (same generator seed), across all five
+// algorithms (plus the B+-tree refinement) and N = 1, 2, 4 shards, on both
+// value distributions.
 func TestShardedCrosscheck(t *testing.T) {
-	datasets := map[string]*Dataset{
-		"IND": GenerateIND(900, 4, 30, 0.25, 42),
-		"AC":  GenerateAC(700, 3, 25, 0.3, 43),
+	datasets := map[string]func() *Dataset{
+		"IND": func() *Dataset { return GenerateIND(900, 4, 30, 0.25, 42) },
+		"AC":  func() *Dataset { return GenerateAC(700, 3, 25, 0.3, 43) },
 	}
-	for dname, ds := range datasets {
+	for dname, mk := range datasets {
+		ds := mk()
 		for _, n := range []int{1, 2, 4} {
-			sd, err := Shard(ds, dname, WithShards(n))
+			sd, err := Shard(mk(), dname, WithShards(n))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,9 +75,10 @@ func TestShardedCrosscheck(t *testing.T) {
 // final sort) to stay byte-identical.
 func TestShardedCrosscheckTies(t *testing.T) {
 	// Cardinality 3 over 600 objects: scores collide massively.
-	ds := GenerateIND(600, 3, 3, 0.35, 7)
+	mk := func() *Dataset { return GenerateIND(600, 3, 3, 0.35, 7) }
+	ds := mk()
 	for _, n := range []int{2, 4} {
-		sd, err := Shard(ds, "ties", WithShards(n))
+		sd, err := Shard(mk(), "ties", WithShards(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,12 +147,12 @@ func TestShardedTauPushdown(t *testing.T) {
 	}
 }
 
-// TestShardedFollowsEpochs checks the shard set tracks source mutations:
-// append through the source, query through the shards, answers match a
-// fresh unsharded run.
+// TestShardedFollowsEpochs checks the shard set tracks the dataset's own
+// mutations: append, query through the shards, answers match an unsharded
+// dataset that took the same append.
 func TestShardedFollowsEpochs(t *testing.T) {
 	ds := GenerateIND(400, 3, 12, 0.2, 5)
-	sd, err := Shard(ds, "epochs", WithShards(3))
+	sd, err := Shard(GenerateIND(400, 3, 12, 0.2, 5), "epochs", WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +166,10 @@ func TestShardedFollowsEpochs(t *testing.T) {
 	}
 	assertSameResult(t, "pre-mutation", want, before)
 
-	if err := ds.Append("late-arrival", 0, 0, 0); err != nil {
-		t.Fatal(err)
+	for _, d := range []*Dataset{ds, sd} {
+		if err := d.Append("late-arrival", 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want, err = ds.TopK(5)
 	if err != nil {
@@ -186,20 +191,26 @@ func TestShardedFollowsEpochs(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentReload hammers queries against concurrent individual
-// shard reloads and a wholesale ReplaceFrom — the race-clean contract. Run
-// under -race.
+// TestShardedConcurrentReload hammers queries against concurrent wholesale
+// ReplaceFrom swaps — alternately from a plain source (the shard set
+// rebuilds lazily) and from a sharded, prepared one (its warm shards carry
+// over) — the race-clean contract. Run under -race.
 func TestShardedConcurrentReload(t *testing.T) {
-	ds := GenerateIND(800, 4, 20, 0.25, 21)
-	sd, err := Shard(ds, "reload", WithShards(4))
+	mk := func() *Dataset { return GenerateIND(800, 4, 20, 0.25, 21) } // same seed: same answers
+	sd, err := Shard(mk(), "reload", WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ds.TopK(6)
+	want, err := mk().TopK(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replacement := GenerateIND(800, 4, 20, 0.25, 21) // same seed: same answers
+	plain := mk()
+	warm, err := Shard(mk(), "reload", WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.Prepare()
 
 	var queriers, reloaders sync.WaitGroup
 	stop := make(chan struct{})
@@ -208,7 +219,7 @@ func TestShardedConcurrentReload(t *testing.T) {
 		queriers.Add(1)
 		go func() {
 			defer queriers.Done()
-			for i := 0; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
@@ -232,13 +243,11 @@ func TestShardedConcurrentReload(t *testing.T) {
 		reloaders.Add(1)
 		go func(g int) {
 			defer reloaders.Done()
-			for i := 0; i < 20; i++ {
-				if err := sd.ReloadShard((g*2 + i) % sd.ShardCount()); err != nil {
-					errs <- err
-					return
-				}
-				if i%7 == 3 {
-					sd.ReplaceFrom(replacement)
+			for i := 0; i < 12; i++ {
+				if (g+i)%2 == 0 {
+					sd.ReplaceFrom(plain)
+				} else {
+					sd.ReplaceFrom(warm)
 				}
 			}
 		}(g)
@@ -251,14 +260,24 @@ func TestShardedConcurrentReload(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+	// A swap from the prepared source carries its shards' indexes: nothing
+	// is left to build on the new epoch.
+	sd.ReplaceFrom(warm)
+	before := sd.IndexBuilds()
+	if _, err := sd.TopK(6); err != nil {
+		t.Fatal(err)
+	}
+	if built := sd.IndexBuilds() - before; built != 0 {
+		t.Fatalf("query after a warm ReplaceFrom built %d shard indexes, want 0", built)
+	}
 }
 
-// TestShardedIndexPersistRoundTrip saves every shard's index and restores it
-// into a fresh sharded view of the same data: zero rebuilds afterwards, and
-// a stream from the wrong shard is rejected (fingerprint keying).
+// TestShardedIndexPersistRoundTrip saves every index part and restores it
+// into a fresh sharded dataset over the same rows: zero rebuilds afterwards,
+// and a stream from the wrong shard is rejected (fingerprint keying).
 func TestShardedIndexPersistRoundTrip(t *testing.T) {
 	ds := GenerateIND(500, 3, 15, 0.2, 31)
-	sd, err := Shard(ds, "persist", WithShards(3))
+	sd, err := Shard(GenerateIND(500, 3, 15, 0.2, 31), "persist", WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +285,17 @@ func TestShardedIndexPersistRoundTrip(t *testing.T) {
 	if sd.IndexBuilds() != 3 {
 		t.Fatalf("expected 3 shard index builds, got %d", sd.IndexBuilds())
 	}
-	saved := make([]*bytes.Buffer, 3)
-	for i := range saved {
+	parts := sd.IndexParts()
+	if len(parts) != 3 {
+		t.Fatalf("expected 3 index parts, got %d", len(parts))
+	}
+	saved := make([]*bytes.Buffer, len(parts))
+	for i, p := range parts {
+		if want := fmt.Sprintf("%%shard-%d", i); p.Suffix != want {
+			t.Fatalf("part %d suffix %q, want %q", i, p.Suffix, want)
+		}
 		saved[i] = &bytes.Buffer{}
-		if err := sd.SaveShardIndex(i, saved[i]); err != nil {
+		if err := p.Save(saved[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,12 +304,16 @@ func TestShardedIndexPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	freshParts := fresh.IndexParts()
 	// Wrong shard's stream: rejected, shard unchanged.
-	if err := fresh.LoadShardIndex(0, bytes.NewReader(saved[1].Bytes())); err == nil {
+	if err := freshParts[0].Load(bytes.NewReader(saved[1].Bytes())); err == nil {
 		t.Fatal("expected a fingerprint mismatch loading shard 1's index into shard 0")
 	}
-	for i := range saved {
-		if err := fresh.LoadShardIndex(i, bytes.NewReader(saved[i].Bytes())); err != nil {
+	for i, p := range freshParts {
+		if p.Fingerprint != parts[i].Fingerprint {
+			t.Fatalf("part %d fingerprint differs across identical data", i)
+		}
+		if err := p.Load(bytes.NewReader(saved[i].Bytes())); err != nil {
 			t.Fatalf("shard %d warm load: %v", i, err)
 		}
 	}
@@ -298,5 +328,60 @@ func TestShardedIndexPersistRoundTrip(t *testing.T) {
 	assertSameResult(t, "warm-restored", want, got)
 	if fresh.IndexBuilds() != 0 {
 		t.Fatalf("warm restart built %d indexes, want 0", fresh.IndexBuilds())
+	}
+
+	// More shards than rows: the zero-row shards have no part.
+	tiny, err := Shard(GenerateIND(2, 3, 15, 0, 1), "tiny", WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tiny.IndexParts()); n != 2 {
+		t.Fatalf("2 rows over 4 shards: %d index parts, want 2", n)
+	}
+	// An unsharded dataset is one part with no suffix, keyed by its
+	// fingerprint.
+	up := ds.IndexParts()
+	if len(up) != 1 || up[0].Suffix != "" || up[0].Fingerprint != ds.Fingerprint() {
+		t.Fatalf("unsharded parts = %+v", up)
+	}
+}
+
+// TestTopologyAccessorsTotal: the shard accessors are total — an unsharded
+// dataset answers 0 / zero / nil / no-op instead of needing a type switch —
+// and the topology is set once.
+func TestTopologyAccessorsTotal(t *testing.T) {
+	ds := GenerateIND(200, 3, 10, 0.2, 3)
+	if n := ds.Shards(); n != 0 {
+		t.Fatalf("unsharded Shards() = %d, want 0", n)
+	}
+	if m := ds.Metrics(); m.Fanout != 0 || m.TauPushdowns != 0 || len(m.PerShard) != 0 {
+		t.Fatalf("unsharded Metrics() = %+v, want zero", m)
+	}
+	if rs := ds.ReplicaStates(); rs != nil {
+		t.Fatalf("unsharded ReplicaStates() = %v, want nil", rs)
+	}
+	ds.Close() // no-op
+	if _, err := ds.TopK(3); err != nil {
+		t.Fatalf("query after Close on an unsharded dataset: %v", err)
+	}
+
+	sd, err := Shard(ds, "once", WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sd != ds {
+		t.Fatal("Shard must return the dataset it was given")
+	}
+	if n := ds.Shards(); n != 1 {
+		t.Fatalf("a 1-shard topology is still a topology: Shards() = %d, want 1", n)
+	}
+	if _, err := Shard(ds, "twice", WithShards(2)); err == nil {
+		t.Fatal("a second Shard on the same dataset must fail")
+	}
+	if n := ds.Shards(); n != 1 {
+		t.Fatalf("a rejected Shard changed the topology: Shards() = %d", n)
+	}
+	if _, err := Shard(GenerateIND(10, 2, 4, 0, 1), "zero", WithShards(0)); err == nil {
+		t.Fatal("a zero-shard topology must fail")
 	}
 }

@@ -36,6 +36,19 @@
 // see the new one; nobody blocks anybody. Epoch reports the current
 // version, and ReplaceFrom is the zero-downtime wholesale swap a serving
 // layer uses to hot-reload a resident dataset.
+//
+// # Topologies
+//
+// There is one dataset type and two ways to execute TopK on it. By default a
+// query runs in-process over the whole epoch. Shard attaches a shard
+// topology to the same *Dataset — N row-range shards, in-process or on
+// remote peers, behind a scatter-gather coordinator — after which TopK fans
+// out across the shards and returns byte-identical answers. Nothing else
+// about the dataset changes type or owner: mutations, epochs, Prepare, the
+// cache budget and index persistence (IndexParts) all go through the same
+// methods, which aggregate over the shards where there are any, and
+// Shards() — 0 when unsharded — is the one accessor policy code branches
+// on. See sharded.go.
 package tkd
 
 import (
@@ -92,6 +105,7 @@ const (
 	needBitmap
 	needBinned
 	needTrees
+	needShards // the epoch's shard set (sharded datasets only; see sharded.go)
 )
 
 // artifacts is one immutable artifact set. Once a pointer to it is
@@ -103,6 +117,7 @@ type artifacts struct {
 	bitmap *bitmapidx.Index
 	binned *bitmapidx.Index
 	trees  []*btree.Tree
+	shards *shardSet
 }
 
 func (a *artifacts) has(n need) bool {
@@ -116,6 +131,9 @@ func (a *artifacts) has(n need) bool {
 		return false
 	}
 	if n&needTrees != 0 && a.trees == nil {
+		return false
+	}
+	if n&needShards != 0 && a.shards == nil {
 		return false
 	}
 	return true
@@ -144,16 +162,35 @@ type snapshot struct {
 	art atomic.Pointer[artifacts]
 	bmu sync.Mutex
 
-	// mrOnce memoizes MissingRate: the data is frozen, but the scan is
-	// O(N) and monitoring endpoints poll it.
+	// mrOnce and fpOnce memoize MissingRate and Fingerprint: the data is
+	// frozen, but both scans are O(N) and monitoring endpoints, followers
+	// and every publish poll them.
 	mrOnce sync.Once
 	mr     float64
+	fpOnce sync.Once
+	fp     uint64
+
+	// retired is set when a successor replaces the snapshot; a shard set a
+	// late query still builds on it then closes its health loops at once.
+	retired atomic.Bool
 }
 
 // missingRate computes the frozen data's missing rate once per epoch.
 func (s *snapshot) missingRate() float64 {
 	s.mrOnce.Do(func() { s.mr = s.ds.MissingRate() })
 	return s.mr
+}
+
+// fingerprint hashes the frozen data once per epoch.
+func (s *snapshot) fingerprint() uint64 {
+	s.fpOnce.Do(func() { s.fp = s.ds.Fingerprint() })
+	return s.fp
+}
+
+// seedFingerprint installs a digest the caller has just computed over this
+// very data (appendRows, ImportEpoch), sparing the first reader the rehash.
+func (s *snapshot) seedFingerprint(fp uint64) {
+	s.fpOnce.Do(func() { s.fp = fp })
 }
 
 // ensure returns an artifact set satisfying n, building missing pieces
@@ -178,11 +215,7 @@ func (s *snapshot) ensure(n need, d *Dataset) *artifacts {
 		na.bitmap = bitmapidx.Build(s.ds, bitmapidx.Options{Codec: bitmapidx.Raw})
 	}
 	if n&needBinned != 0 && na.binned == nil {
-		bins := s.bins
-		if bins == nil {
-			bins = []int{core.OptimalBins(s.ds.Len(), s.missingRate())}
-		}
-		na.binned = bitmapidx.Build(s.ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins, Adaptive: true})
+		na.binned = core.BuildServingIndex(s.ds, nil, s.bins)
 		d.binnedBuilds.Add(1)
 		if b := d.cacheBudget.Load(); b > 0 {
 			na.binned.SetCacheBudget(b)
@@ -191,7 +224,15 @@ func (s *snapshot) ensure(n need, d *Dataset) *artifacts {
 	if n&needTrees != 0 && na.trees == nil {
 		na.trees = core.BuildDimTrees(s.ds)
 	}
+	if n&needShards != 0 && na.shards == nil {
+		// The global queue is the coordinator-side artifact (callers ask for
+		// needQueue|needShards, so it is built by now).
+		na.shards = d.topo.Load().build(s.ds, na.queue, d.cacheBudget.Load(), nil)
+	}
 	s.art.Store(&na)
+	if na.shards != nil && s.retired.Load() {
+		na.shards.close() // built on an epoch already replaced: no health loops
+	}
 	return &na
 }
 
@@ -204,16 +245,23 @@ func (s *snapshot) installBinned(ix *bitmapidx.Index) {
 	s.art.Store(&na)
 }
 
-// release drops the retired snapshot's decompressed-column cache so a
-// replaced epoch returns its budget immediately instead of at the next GC.
-// In-flight queries on the old epoch keep any column vector they already
-// hold (eviction never mutates a column) and re-decompress on further
-// touches. keep is the successor's binned index when the artifact survived
-// the swap (a bin-layout change keeps the queue and bitmap, a ReplaceFrom
-// may carry everything).
+// release retires a replaced snapshot: its decompressed-column caches are
+// dropped so the epoch returns its budget immediately instead of at the
+// next GC, and its shard set's health loops stop. In-flight queries on the
+// old epoch keep working — they hold any column vector they already have
+// (eviction never mutates a column), re-decompress on further touches, and
+// close never touches the query path. keep is the successor's binned index
+// when the artifact survived the swap (a bin-layout change keeps the queue
+// and bitmap, a ReplaceFrom may carry everything).
 func (s *snapshot) release(keep *bitmapidx.Index) {
-	if a := s.art.Load(); a.binned != nil && a.binned != keep {
+	s.retired.Store(true)
+	a := s.art.Load()
+	if a.binned != nil && a.binned != keep {
 		a.binned.DropCache()
+	}
+	if a.shards != nil {
+		a.shards.close()
+		a.shards.releaseCache()
 	}
 }
 
@@ -237,6 +285,10 @@ type Dataset struct {
 
 	cacheBudget  atomic.Int64 // SetCacheBudget value; 0 = bitmapidx default
 	binnedBuilds atomic.Int64 // binned-index constructions (LoadIndex does not count)
+
+	// topo is the shard topology Shard attached, nil for an unsharded
+	// dataset; set at most once (see sharded.go).
+	topo atomic.Pointer[topology]
 
 	// lineage records recent append-only publishes (see delta.go); any other
 	// mutation clears it, cutting delta shipping back to full transfers.
@@ -307,11 +359,20 @@ func (d *Dataset) invalidateLocked() {
 // ReplaceFrom). Two queries that observe the same epoch saw identical data.
 func (d *Dataset) Epoch() uint64 { return d.epoch.Load() }
 
-// IndexBuilds reports how many times the binned bitmap index was built from
-// scratch for this dataset. Indexes restored through LoadIndex do not
-// count, which makes the counter the observable for "did the warm start
-// skip the rebuild".
-func (d *Dataset) IndexBuilds() int64 { return d.binnedBuilds.Load() }
+// IndexBuilds reports how many times a serving index was built from scratch
+// for this dataset: the binned bitmap index, plus — on a sharded dataset —
+// every index the current epoch's in-process shards built. Indexes restored
+// through LoadIndex or an IndexPart's Load do not count, which makes the
+// counter the observable for "did the warm start skip the rebuild".
+func (d *Dataset) IndexBuilds() int64 {
+	n := d.binnedBuilds.Load()
+	if a := d.builtArtifacts(); a.shards != nil {
+		for _, l := range a.shards.locals {
+			n += l.Builds()
+		}
+	}
+	return n
+}
 
 // Append adds one object; use Missing for unobserved dimensions. Objects
 // must have at least one observed value. Safe to call while queries are
@@ -347,10 +408,12 @@ func (d *Dataset) RestoreEpoch(n uint64) {
 	if s := d.cur.Load(); s != nil {
 		// Republish the same bytes under the restored number: keep the
 		// built binned index for the pending publish, drop the snapshot.
-		if a := s.art.Load(); a.binned != nil {
+		a := s.art.Load()
+		if a.binned != nil {
 			d.pendingBinned = a.binned
 		}
 		d.cur.Store(nil)
+		s.release(a.binned)
 	}
 	d.epoch.Store(n - 1) // publishLocked's Add(1) lands the next epoch on n
 	d.clearLineageLocked()
@@ -391,15 +454,18 @@ func (d *Dataset) replaceFrom(src *Dataset, at uint64) {
 	}
 	ss := src.current()
 	sa := ss.art.Load()
+	na := *sa
+	// src's shard set does not cross over as is — its coordinator counts
+	// into src's metrics and its replica sets run src's health loops — but a
+	// sharded receiver rebuilds its own set around src's warm in-process
+	// shards, so per-shard indexes built off to the side survive the swap.
+	na.shards = nil
+	if t := d.topo.Load(); t != nil && sa.shards != nil {
+		na.shards = t.build(ss.ds, sa.queue, d.cacheBudget.Load(), sa.shards)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	next := d.epoch.Add(1)
-	if at > next {
-		d.epoch.Store(at)
-		next = at
-	}
-	s := &snapshot{epoch: next, ds: ss.ds, bins: ss.bins}
-	na := *sa
+	s := &snapshot{epoch: d.nextEpochLocked(at), ds: ss.ds, bins: ss.bins}
 	if na.binned != nil {
 		if b := d.cacheBudget.Load(); b > 0 {
 			na.binned.SetCacheBudget(b)
@@ -436,7 +502,8 @@ func (d *Dataset) MissingRate() float64 { return d.current().missingRate() }
 // dimensionality, object order, IDs, masks and observed values — stable
 // across process restarts. A persisted-index cache compares fingerprints to
 // decide reuse-vs-rebuild without trusting file names or mtimes.
-func (d *Dataset) Fingerprint() uint64 { return d.view().Fingerprint() }
+// The digest is computed once per epoch and memoized.
+func (d *Dataset) Fingerprint() uint64 { return d.current().fingerprint() }
 
 // ShardData returns the frozen data of the dataset's current epoch — the
 // handle the serving layer's shard-protocol endpoint slices row ranges
@@ -602,37 +669,55 @@ func needFor(alg Algorithm, btreeRefine bool) need {
 
 // Prepare eagerly builds every preprocessing artifact (MaxScore queue,
 // bitmap index, binned bitmap index) so that subsequent TopK calls measure
-// pure query time. It is idempotent and safe to call concurrently.
-func (d *Dataset) Prepare() { d.PrepareFor(UBB, BIG, IBIG) }
+// pure query time; on a sharded dataset, the global queue plus every
+// in-process shard's binned index — the IBIG scatter plan. It is idempotent
+// and safe to call concurrently.
+func (d *Dataset) Prepare() {
+	if d.Shards() > 0 {
+		d.PrepareFor(IBIG)
+		return
+	}
+	d.PrepareFor(UBB, BIG, IBIG)
+}
 
 // PrepareFor eagerly builds only the artifacts the given algorithms
 // consume. A serving process that answers IBIG by default calls
 // PrepareFor(IBIG) to skip the value-granular bitmap (the most expensive
 // artifact, needed only by BIG); anything skipped still builds lazily on
-// first use.
+// first use. On a sharded dataset the in-process shards build their side of
+// each algorithm's scatter plan in parallel (remote shards warm on their
+// peers, on first use).
 func (d *Dataset) PrepareFor(algs ...Algorithm) {
+	s := d.current()
+	if d.Shards() > 0 {
+		s.ensure(needQueue|needShards, d).shards.prewarm(algs)
+		return
+	}
 	var n need
 	for _, a := range algs {
 		n |= needFor(a, false)
 	}
-	d.current().ensure(n, d)
+	s.ensure(n, d)
 }
 
 // SetCacheBudget bounds the decompressed-column cache of the compressed
 // bitmap index to at most bytes (0 restores the bitmapidx default), taking
 // effect immediately on an already-built index and carrying over to future
-// epochs. Long-lived servers use this together with CacheStats to size the
+// epochs; a sharded dataset splits the budget evenly across its shards.
+// Long-lived servers use this together with CacheStats to size the
 // per-dataset memory footprint.
 func (d *Dataset) SetCacheBudget(bytes int64) {
 	d.cacheBudget.Store(bytes)
-	if s := d.cur.Load(); s != nil {
-		if a := s.art.Load(); a.binned != nil {
-			b := bytes
-			if b <= 0 {
-				b = bitmapidx.DefaultCacheBudget
-			}
-			a.binned.SetCacheBudget(b)
+	a := d.builtArtifacts()
+	if a.binned != nil {
+		b := bytes
+		if b <= 0 {
+			b = bitmapidx.DefaultCacheBudget
 		}
+		a.binned.SetCacheBudget(b)
+	}
+	if a.shards != nil {
+		a.shards.setCacheBudget(bytes)
 	}
 }
 
@@ -643,7 +728,8 @@ func (d *Dataset) SetCacheBudget(bytes int64) {
 // path (DenseCols/CompressedCols/SparseCols) and — for compressed columns —
 // the split between run-native kernel execution (NativeKernel) and
 // decompress-to-dense fallbacks (Fallback). All zero until an IBIG query
-// (or Prepare) builds the index.
+// (or Prepare) builds the index. A sharded dataset reports the sum over its
+// in-process shards' indexes.
 type CacheStats struct {
 	Hits    int64
 	Misses  int64
@@ -658,36 +744,59 @@ type CacheStats struct {
 	Fallback       int64
 }
 
-// CacheStats snapshots the column-cache counters; see the CacheStats type.
-func (d *Dataset) CacheStats() CacheStats {
-	s := d.cur.Load()
-	if s == nil {
-		return CacheStats{}
-	}
-	a := s.art.Load()
-	if a.binned == nil {
-		return CacheStats{}
-	}
-	st := a.binned.CacheStats()
-	return CacheStats{
-		Hits: st.Hits, Misses: st.Misses, Evicted: st.Evicted, Bytes: st.Bytes, Budget: st.Budget,
-		DenseCols: st.DenseCols, CompressedCols: st.CompressedCols, SparseCols: st.SparseCols,
-		NativeKernel: st.NativeKernel, Fallback: st.Fallback,
-	}
+func (c *CacheStats) add(st bitmapidx.CacheStats) {
+	c.Hits += st.Hits
+	c.Misses += st.Misses
+	c.Evicted += st.Evicted
+	c.Bytes += st.Bytes
+	c.Budget += st.Budget
+	c.DenseCols += st.DenseCols
+	c.CompressedCols += st.CompressedCols
+	c.SparseCols += st.SparseCols
+	c.NativeKernel += st.NativeKernel
+	c.Fallback += st.Fallback
 }
 
-// ReleaseCache drops the decompressed-column cache of the current epoch's
-// compressed index, returning its bytes to the process immediately. The
+// CacheStats snapshots the column-cache counters; see the CacheStats type.
+func (d *Dataset) CacheStats() CacheStats {
+	var out CacheStats
+	a := d.builtArtifacts()
+	if a.shards != nil {
+		for _, l := range a.shards.locals {
+			out.add(l.CacheStats())
+		}
+	} else if a.binned != nil {
+		out.add(a.binned.CacheStats())
+	}
+	return out
+}
+
+// ReleaseCache drops the decompressed-column caches of the current epoch's
+// compressed indexes, returning their bytes to the process immediately. The
 // artifacts themselves stay installed and queries still in flight stay
 // correct (a dropped column simply decompresses again on the next touch).
 // A serving layer calls this when it evicts a resident dataset.
 func (d *Dataset) ReleaseCache() {
-	if s := d.cur.Load(); s != nil {
-		if a := s.art.Load(); a.binned != nil {
-			a.binned.DropCache()
-		}
+	a := d.builtArtifacts()
+	if a.binned != nil {
+		a.binned.DropCache()
+	}
+	if a.shards != nil {
+		a.shards.releaseCache()
 	}
 }
+
+// builtArtifacts returns whatever the current epoch has built so far,
+// without publishing or building anything (an empty set while staging is
+// dirty).
+func (d *Dataset) builtArtifacts() *artifacts {
+	if s := d.cur.Load(); s != nil {
+		return s.art.Load()
+	}
+	return &noArtifacts
+}
+
+var noArtifacts artifacts
 
 // setBins records a new bin layout; if it differs from the current one, a
 // fresh epoch is published that carries every bins-independent artifact
@@ -717,6 +826,14 @@ func (d *Dataset) setBins(bins []int) {
 // paper. Safe for concurrent use: any number of goroutines may query one
 // Dataset, sharing its warm indexes and column cache, even while other
 // goroutines mutate it (each query runs on the epoch current at its start).
+//
+// On a sharded dataset (see Shard) the same options give the same answers —
+// byte-identical — through the scatter-gather coordinator. WithWorkers is
+// then accepted and ignored: the fan-out across shards is the parallelism.
+// WithBins is likewise ignored (each shard bins its own slice by Eq. (8);
+// bin layout never changes answers), and WithBTreeRefinement maps to the
+// IBIG scatter plan — refinement strategy is a shard-local detail that
+// cannot change answers either.
 func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	if k <= 0 {
 		return Result{}, fmt.Errorf("tkd: k must be positive, got %d", k)
@@ -730,31 +847,47 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 			return Result{}, err
 		}
 	}
-	if cfg.degradation != nil {
-		// An unsharded dataset has no shards to lose: coverage is always
-		// total. (AllowPartial itself is a no-op here.)
-		*cfg.degradation = Degradation{CoveredRows: d.Len(), TotalRows: d.Len()}
-	}
-	if cfg.bins != nil {
+	t := d.topo.Load()
+	if cfg.bins != nil && t == nil {
 		d.setBins(cfg.bins)
 	}
 	s := d.current()
-	if s.ds.Len() == 0 {
+	rows := s.ds.Len()
+	if rows == 0 {
 		return Result{}, fmt.Errorf("tkd: empty dataset")
 	}
-	a := s.ensure(needFor(cfg.alg, cfg.btree), d)
-	eng := cfg.engineSpan(k, s.ds.Len())
+	n := needFor(cfg.alg, cfg.btree)
+	if t != nil {
+		n = needQueue | needShards
+	}
+	a := s.ensure(n, d)
+	eng := cfg.engineSpan(k, rows)
 	var res Result
 	var st Stats
-	if cfg.alg == IBIG && cfg.btree {
+	// An unsharded dataset has no shards to lose: coverage is always total.
+	// (AllowPartial itself is a no-op there.)
+	deg := Degradation{CoveredRows: rows, TotalRows: rows}
+	switch {
+	case t != nil:
+		var err error
+		res, st, deg, err = a.shards.run(cfg.ctx, cfg.alg, k, cfg.allowPartial, eng)
+		if err != nil {
+			eng.SetStr("error", err.Error())
+			eng.End()
+			return Result{}, err
+		}
+	case cfg.alg == IBIG && cfg.btree:
 		res, st = core.IBIGBTreeWorkersTraced(s.ds, k, a.binned, a.queue, a.trees, cfg.workers, eng)
-	} else {
+	default:
 		res, st = core.RunWorkersTraced(cfg.alg, s.ds, k, a.pre(), cfg.workers, eng)
 	}
 	stampStats(eng, st)
 	eng.End()
 	if cfg.stats != nil {
 		*cfg.stats = st
+	}
+	if cfg.degradation != nil {
+		*cfg.degradation = deg
 	}
 	return res, nil
 }
