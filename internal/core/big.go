@@ -58,8 +58,8 @@ const (
 	prunedH3                    // dropped by partial score pruning (Heuristic 3)
 )
 
-// noBudget disables rimScore's Heuristic 3 cut: no rim can exceed it.
-const noBudget = math.MaxInt
+// NoBudget disables rimScore's Heuristic 3 cut: no rim can exceed it.
+const NoBudget = math.MaxInt
 
 // rimScore classifies the Q−P rim of a candidate against the rows of ds — the
 // one place BIG-Score, IBIG-Score and the shard-side foreign scorer compare
@@ -74,7 +74,7 @@ const noBudget = math.MaxInt
 //	otherwise                        → dominated, a member of L(cand)
 //
 // It returns |L| and |nonD|. Heuristic 3 (Algorithm 5, lines 11-12): as soon
-// as |nonD| exceeds nonDBudget the walk stops and ok is false; pass noBudget
+// as |nonD| exceeds nonDBudget the walk stops and ok is false; pass NoBudget
 // to always classify the whole rim.
 func rimScore(ds *data.Dataset, cand *data.Object, q, p *bitvec.Vector, nonDBudget int) (dominated, nonD int, ok bool) {
 	pw := p.Words()
@@ -154,7 +154,7 @@ func (s *bigState) bigScore(o int, tau int, full bool, st *Stats) (int, scoreRes
 	// Heuristic 3: once |nonD| exceeds |Q| − |F(o)| − τ the final score
 	// cannot beat τ. The paper enables it for the binned index, where Q−P
 	// refinement is the dominant cost.
-	budget := noBudget
+	budget := NoBudget
 	if full && s.ix.Binned() {
 		budget = maxBit - f - tau
 	}

@@ -45,13 +45,22 @@ func NewForeignScorer(ds *data.Dataset, ix *bitmapidx.Index) *ForeignScorer {
 }
 
 // BoundAbove reports whether the candidate's shard-local Heuristic 2 bound
-// |∩Qi| exceeds tau, returning the exact bound when it does. The bound caps
-// the partial score this shard can contribute; a coordinator that knows the
-// other shards' bounds (or just their row counts) prunes candidates whose
-// bound sum cannot beat the global τ — the cross-shard form of bitmap
-// pruning, with tau here being the pushed-down per-shard residual.
+// |∩Qi| − |F(cand)| exceeds tau, returning the exact bound when it does. The
+// bound is net of the shard rows sharing no dimension with cand — all of them
+// sit in every Qi and none can be dominated — so it caps the partial score
+// this shard can contribute, and Score's exact answer is this bound minus the
+// non-dominated part of the Q−P rim. A coordinator that knows the other
+// shards' bounds (or just their row counts) prunes candidates whose bound sum
+// cannot beat the global τ — the cross-shard form of bitmap pruning, with tau
+// here being the pushed-down per-shard residual.
 func (s *ForeignScorer) BoundAbove(cand *data.Object, tau int) (int, bool) {
-	return s.cursor.ForeignCountAbove(cand.Values, cand.Mask, tau)
+	f := s.f.of(cand.Mask)
+	tau = min(tau, s.ds.Len()) // no count beats either; keeps tau+f in range
+	b, above := s.cursor.ForeignCountAbove(cand.Values, cand.Mask, tau+f)
+	if !above {
+		return 0, false
+	}
+	return b - f, true
 }
 
 // Score computes the exact number of shard rows dominated by cand — the
@@ -60,10 +69,20 @@ func (s *ForeignScorer) BoundAbove(cand *data.Object, tau int) (int, bool) {
 // visited (F ⊆ P holds for a foreign candidate too — a shard row sharing no
 // dimension with cand is missing on each of them, so it is set in every
 // column of those dimensions), and rimScore adds the dominated part of the
-// Q−P rim. No Heuristic 3 applies: a shard cannot prune on a partial score,
-// since the candidate's fate depends on the sum.
-func (s *ForeignScorer) Score(cand *data.Object) int {
+// Q−P rim.
+//
+// nonDBudget is the cross-shard form of Heuristic 3. A shard cannot prune on
+// its partial score — the candidate's fate depends on the sum — but
+// score = |Q| − |F| − |nonD| on every shard, so a coordinator holding the
+// bound sum B = Σ(|Q_s| − |F_s|) knows the total is at most B − |nonD_s| for
+// any one shard s: once this shard's own |nonD| exceeds B − τ the total is
+// below τ and the walk stops with ok false. Pass NoBudget for the exact score
+// unconditionally.
+func (s *ForeignScorer) Score(cand *data.Object, nonDBudget int) (score int, ok bool) {
 	q, p := s.cursor.QPObject(cand)
-	l, _, _ := rimScore(s.ds, cand, q, p, noBudget)
-	return p.Count() - s.f.of(cand.Mask) + l
+	l, _, ok := rimScore(s.ds, cand, q, p, nonDBudget)
+	if !ok {
+		return 0, false
+	}
+	return p.Count() - s.f.of(cand.Mask) + l, true
 }

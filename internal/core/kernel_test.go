@@ -58,7 +58,9 @@ func shifted(o *data.Object, delta float64) *data.Object {
 // whose score cannot beat τ; ForeignScorer.Score equals ForeignScore on every
 // slice of a three-way row partition, for candidates that are shard rows,
 // rows of other shards, off-domain values and the no-common-dimension
-// candidate, and the partials of an in-set object sum to its global score.
+// candidate — under a budget it returns that score or stops with the slice's
+// true |nonD| above the budget — and the partials of an in-set object sum to
+// its global score.
 func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options) {
 	t.Helper()
 	n := ds.Len()
@@ -95,11 +97,24 @@ func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options) {
 		}
 		fs := NewForeignScorer(slice, bitmapidx.Build(slice, opts))
 		check := func(what string, cand *data.Object) int {
-			got, want := fs.Score(cand), ForeignScore(slice, cand)
-			if got != want {
-				t.Fatalf("shard %d, %s: ForeignScorer.Score = %d, ForeignScore = %d", s, what, got, want)
+			want := ForeignScore(slice, cand)
+			// The slice's true |nonD|, and the identity the exact-phase budget
+			// rests on: score = (|Q| − |F|) − |nonD| with the bound net of F.
+			q, p := fs.cursor.QPObject(cand)
+			_, nonD, _ := rimScore(slice, cand, q, p, NoBudget)
+			if bound, _ := fs.BoundAbove(cand, -1); bound-nonD != want {
+				t.Fatalf("shard %d, %s: bound %d − nonD %d != ForeignScore %d", s, what, bound, nonD, want)
 			}
-			return got
+			for _, budget := range []int{-1, 0, 1, nonD - 1, nonD, NoBudget} {
+				got, ok := fs.Score(cand, budget)
+				if ok && got != want {
+					t.Fatalf("shard %d, %s, budget %d: ForeignScorer.Score = %d, ForeignScore = %d", s, what, budget, got, want)
+				}
+				if !ok && nonD <= budget {
+					t.Fatalf("shard %d, %s: pruned on budget %d with nonD %d", s, what, budget, nonD)
+				}
+			}
+			return want
 		}
 		for o := 0; o < n; o++ {
 			obj := ds.Obj(o)
@@ -206,7 +221,7 @@ func BenchmarkScoreKernel(b *testing.B) {
 		cand := ds.Obj(top)
 		b.ReportAllocs()
 		for b.Loop() {
-			fs.Score(cand)
+			fs.Score(cand, NoBudget)
 		}
 	})
 }

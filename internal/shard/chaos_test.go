@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,6 +180,83 @@ func TestChaosRunFailClosedAndDegraded(t *testing.T) {
 		if it.Score != scores[i] {
 			t.Fatalf("rank %d: score %d, want %d — degraded answer is not the top-k over live rows", i+1, it.Score, scores[i])
 		}
+	}
+}
+
+// budgetAuditor holds every Pruned answer of the backend it wraps to the
+// budget's promise: the candidate's total score over the rows the query
+// covers is below the τ the request was cut against.
+type budgetAuditor struct {
+	Backend
+	t      *testing.T
+	truth  map[*data.Object]int
+	pruned *atomic.Int64
+}
+
+func (a budgetAuditor) Partial(ctx context.Context, req *Request) ([]int32, error) {
+	res, err := a.Backend.Partial(ctx, req)
+	for i, v := range res {
+		if req.Mode == ModeScores && v == Pruned {
+			a.pruned.Add(1)
+			if total := a.truth[req.Cands[i]]; total >= req.Tau {
+				a.t.Errorf("candidate %q pruned on budget %d at τ=%d, but scores %d over the live rows", req.Cands[i].ID, req.Budgets[i], req.Tau, total)
+			}
+		}
+	}
+	return res, err
+}
+
+// TestChaosDegradedBudgetsSound is the degraded pass at a size where the
+// pruning phases run: with one shard down under AllowPartial the bound sums
+// — and so the exact-phase budgets — cover the live shards only. Every
+// budget prune is audited against the brute-force score over the live rows,
+// and every answer must be the brute-force top-k over them.
+func TestChaosDegradedBudgetsSound(t *testing.T) {
+	ds := testDataset(3000)
+	const n = 3
+	backends := localBackends(ds, n)
+	truth := make(map[*data.Object]int, ds.Len())
+	ranked := make([]int, ds.Len())
+	for i := range ranked {
+		for s, b := range backends {
+			if s != 1 {
+				ranked[i] += core.ForeignScore(b.(*Local).ds, ds.Obj(i))
+			}
+		}
+		truth[ds.Obj(i)] = ranked[i]
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(ranked)))
+	var pruned atomic.Int64
+	for s, b := range backends {
+		backends[s] = budgetAuditor{Backend: b, t: t, truth: truth, pruned: &pruned}
+	}
+	down, err := NewReplicaSet(1, []Backend{downBackend{backends[1]}}, chaosPolicy(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends[1] = down
+
+	c := NewCoordinator(ds, nil, nil)
+	for _, alg := range []core.Algorithm{core.AlgBIG, core.AlgIBIG} {
+		for _, k := range []int{1, 3, 7, 16, 40, 100} {
+			var out Outcome
+			got, _, err := c.Run(context.Background(), alg, k, backends, RunOptions{AllowPartial: true, Outcome: &out})
+			if err != nil {
+				t.Fatalf("%v k=%d: %v", alg, k, err)
+			}
+			if !out.Degraded || len(got.Items) != k {
+				t.Fatalf("%v k=%d: degraded=%v with %d items", alg, k, out.Degraded, len(got.Items))
+			}
+			for i, it := range got.Items {
+				if it.Score != truth[ds.Obj(it.Index)] || it.Score != ranked[i] {
+					t.Fatalf("%v k=%d rank %d: item %d scored %d; brute force over live rows says %d, rank score %d",
+						alg, k, i+1, it.Index, it.Score, truth[ds.Obj(it.Index)], ranked[i])
+				}
+			}
+		}
+	}
+	if pruned.Load() == 0 {
+		t.Fatal("no degraded run pruned on a budget — the test is vacuous")
 	}
 }
 

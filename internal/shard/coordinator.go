@@ -44,39 +44,52 @@ func (c *Coordinator) maxScoreQueue() *core.MaxScoreQueue {
 	return c.queue
 }
 
+// pass is the state of one runOnce attempt: the shards it covers and the
+// scatter buffers it reuses from window to window. Backends only read a
+// request for the duration of the call (ReplicaSet joins its hedge
+// stragglers), so nothing here is copied per scatter.
+type pass struct {
+	met      *Metrics
+	backends []Backend
+	live     []int // indices of the non-down backends
+	others   []int // per live shard: rows held by the other live shards
+
+	wg      sync.WaitGroup
+	reqs    []Request // each shard's copy of the request: Residual differs
+	results [][]int32
+	errs    []error
+}
+
 // scatter fans one request to the live backends concurrently and gathers
-// the per-shard result vectors, indexed by position in live. Residuals
-// carries the per-live-shard pushed-down thresholds for ModeBounds (nil on
-// the exact phase).
+// the per-shard result vectors, indexed by position in live and valid until
+// the next scatter. A ModeBounds request carries τ pushed down as each
+// shard's residual: τ minus the rows of the other live shards.
 //
 // In a trace the fan-out is one phase span — "scatter" for the bounds phase,
 // "gather" for the exact-score phase, matching the stage histogram labels —
 // with one "shard" child per live backend, each carrying whatever replica
 // attempts happen beneath it.
-func (c *Coordinator) scatter(ctx context.Context, backends []Backend, live []int, req Request, residuals []int) ([][]int32, error) {
+func (p *pass) scatter(ctx context.Context, req Request) ([][]int32, error) {
 	phase := "gather"
 	if req.Mode == ModeBounds {
 		phase = "scatter"
 	}
 	psp := obs.SpanFromContext(ctx).StartChild(phase)
 	psp.SetInt("candidates", int64(len(req.Cands)))
-	psp.SetInt("shards", int64(len(live)))
-	results := make([][]int32, len(live))
-	errs := make([]error, len(live))
-	var wg sync.WaitGroup
-	for i, s := range live {
-		wg.Add(1)
+	psp.SetInt("shards", int64(len(p.live)))
+	for i, s := range p.live {
+		p.reqs[i] = req
+		if req.Mode == ModeBounds {
+			p.reqs[i].Residual = req.Tau - p.others[i]
+		}
+		p.wg.Add(1)
 		go func(i, s int, b Backend) {
-			defer wg.Done()
-			r := req
-			if residuals != nil {
-				r.Residual = residuals[i]
-			}
+			defer p.wg.Done()
 			ssp := psp.StartChild("shard")
 			ssp.SetInt("shard", int64(s))
 			t0 := time.Now()
-			res, err := b.Partial(obs.ContextWithSpan(ctx, ssp), &r)
-			c.met.observeShard(s, time.Since(t0))
+			res, err := b.Partial(obs.ContextWithSpan(ctx, ssp), &p.reqs[i])
+			p.met.observeShard(s, time.Since(t0))
 			if err == nil && len(res) != len(req.Cands) {
 				err = fmt.Errorf("shard %d returned %d results for %d candidates", s, len(res), len(req.Cands))
 			}
@@ -84,13 +97,13 @@ func (c *Coordinator) scatter(ctx context.Context, backends []Backend, live []in
 				ssp.SetStr("error", err.Error())
 			}
 			ssp.End()
-			results[i], errs[i] = res, err
-		}(i, s, backends[s])
+			p.results[i], p.errs[i] = res, err
+		}(i, s, p.backends[s])
 	}
-	wg.Wait()
+	p.wg.Wait()
 	psp.End()
-	c.met.addFanout(len(live))
-	return results, errors.Join(errs...)
+	p.met.addFanout(len(p.live))
+	return p.results, errors.Join(p.errs...)
 }
 
 // candidatesFor returns the serial algorithm's candidate order for the
@@ -230,40 +243,57 @@ func (c *Coordinator) outcome(backends []Backend, down []bool) Outcome {
 // runOnce is one full pass over the live shards (the non-down subset).
 func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, backends []Backend, down []bool) (core.Result, core.Stats, error) {
 	var st core.Stats
-	live := make([]int, 0, len(backends))
+	p := &pass{met: c.met, backends: backends, live: make([]int, 0, len(backends))}
 	liveRows := 0
 	totalRows := 0
 	for s, b := range backends {
 		totalRows += b.Rows()
 		if !down[s] {
-			live = append(live, s)
+			p.live = append(p.live, s)
 			liveRows += b.Rows()
 		}
 	}
-	st.Workers = len(live)
+	st.Workers = len(p.live)
 	if k <= 0 || c.ds.Len() == 0 {
 		return core.Result{}, st, nil
 	}
 	if totalRows != c.ds.Len() {
 		return core.Result{}, st, fmt.Errorf("shard: backends cover %d rows, dataset has %d", totalRows, c.ds.Len())
 	}
+	p.others = make([]int, len(p.live))
+	for i, s := range p.live {
+		p.others[i] = liveRows - backends[s].Rows()
+	}
+	p.reqs = make([]Request, len(p.live))
+	p.results = make([][]int32, len(p.live))
+	p.errs = make([]error, len(p.live))
 
 	useQueue := alg == core.AlgUBB || alg == core.AlgBIG || alg == core.AlgIBIG
 	useBounds := alg == core.AlgBIG || alg == core.AlgIBIG
 	var fr *core.Frontier
 	var queue *core.MaxScoreQueue
 	var static []int32
+	// size is the next window's width. The exhaustive plans have nothing to
+	// prune, so they scatter full windows. The queue-driven plans prune
+	// against τ, which is only live once k candidates have been offered: the
+	// first window is exactly those k, and each later one doubles — every
+	// candidate past the k-th meets a live τ, at a logarithmic number of
+	// extra round trips.
+	size := core.WindowSize
 	if useQueue {
 		queue = c.maxScoreQueue()
 		fr = core.NewFrontier(queue)
+		size = min(k, core.WindowSize)
 	} else {
 		static = c.candidatesFor(alg, k, &st)
 	}
 
 	heap := core.NewAnswerHeap(k)
+	// ids holds the window's candidates still in play, cands their objects
+	// and budgets their exact-phase budgets, all in window order.
+	ids := make([]int32, 0, core.WindowSize)
 	cands := make([]*data.Object, 0, core.WindowSize)
-	keep := make([]bool, 0, core.WindowSize)
-	totals := make([]int, 0, core.WindowSize)
+	budgets := make([]int, 0, core.WindowSize)
 	pos := 0
 
 	// sp is the engine span riding ctx (nil when tracing is off): it receives
@@ -287,17 +317,18 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 		var window []int32
 		if useQueue {
 			fr.SetTau(tau)
-			_, w, pruned, ok := fr.NextWindow(core.WindowSize)
+			_, w, pruned, ok := fr.NextWindow(size)
 			st.PrunedH1 += pruned
 			if !ok {
 				break
 			}
 			window = w
+			size = min(2*size, core.WindowSize)
 		} else {
 			if pos >= len(static) {
 				break
 			}
-			end := min(pos+core.WindowSize, len(static))
+			end := min(pos+size, len(static))
 			window = static[pos:end]
 			pos = end
 		}
@@ -308,99 +339,81 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 		wsp.SetInt("candidates", int64(len(window)))
 		wctx := obs.ContextWithSpan(ctx, wsp)
 
-		cands = cands[:0]
-		keep = keep[:0]
+		ids, cands = ids[:0], cands[:0]
 		for _, id := range window {
-			cands = append(cands, c.ds.Obj(int(id)))
 			// Per-candidate Heuristic 1 against the window-start τ: the
 			// serial loop would have stopped at or before such a candidate,
 			// so skipping its scatter is free and sound. (MaxScore bounds the
 			// full-data score, which bounds any subset score, so this stays
 			// sound on a degraded pass.)
-			h1 := useQueue && tau >= 0 && queue.MaxScore[id] <= tau
-			if h1 {
+			if useQueue && tau >= 0 && queue.MaxScore[id] <= tau {
 				st.PrunedH1++
+				continue
 			}
-			keep = append(keep, !h1)
+			ids = append(ids, id)
+			cands = append(cands, c.ds.Obj(int(id)))
 		}
 
-		if useBounds && tau >= 0 {
+		budgets = budgets[:0]
+		if useBounds && tau >= 0 && len(cands) > 0 {
 			// Bounds phase: push τ down as per-shard residuals and prune
 			// candidates whose per-shard bound sum cannot beat it. Only the
 			// Heuristic-1 survivors scatter — the dropped ones would cost a
 			// bound walk per shard (and wire payload per candidate for
 			// remote shards) just to be ignored.
-			residuals := make([]int, len(live))
-			for i, s := range live {
-				residuals[i] = tau - (liveRows - backends[s].Rows())
-			}
-			probe := make([]*data.Object, 0, len(cands))
-			probeIdx := make([]int, 0, len(cands))
-			for i, ok := range keep {
-				if ok {
-					probe = append(probe, cands[i])
-					probeIdx = append(probeIdx, i)
-				}
-			}
-			if len(probe) > 0 {
-				bounds, err := c.scatter(wctx, backends, live, Request{Alg: alg, Mode: ModeBounds, Tau: tau, Cands: probe}, residuals)
-				if err != nil {
-					wsp.End()
-					return core.Result{}, st, err
-				}
-				pruned := 0
-				for pi, i := range probeIdx {
-					sum := 0
-					for s := range bounds {
-						sum += int(bounds[s][pi])
-					}
-					if sum <= tau {
-						keep[i] = false
-						pruned++
-						st.Candidates++
-						st.PrunedH2++
-					}
-				}
-				c.met.addPushdowns(pruned)
-			}
-		}
-
-		// Exact phase over the survivors.
-		survivors := cands[:0]
-		for i, ok := range keep {
-			if ok {
-				survivors = append(survivors, cands[i])
-			}
-		}
-		var scores [][]int32
-		if len(survivors) > 0 {
-			var err error
-			scores, err = c.scatter(wctx, backends, live, Request{Alg: alg, Mode: ModeScores, Tau: tau, Cands: survivors}, nil)
+			bounds, err := p.scatter(wctx, Request{Alg: alg, Mode: ModeBounds, Tau: tau, Cands: cands})
 			if err != nil {
 				wsp.End()
 				return core.Result{}, st, err
 			}
-		}
-		totals = totals[:0]
-		for i := range survivors {
-			sum := 0
-			for s := range scores {
-				sum += int(scores[s][i])
+			n := 0
+			for i := range cands {
+				sum := 0
+				for s := range bounds {
+					sum += int(bounds[s][i])
+				}
+				if sum <= tau {
+					st.Candidates++
+					st.PrunedH2++
+					continue
+				}
+				// Each shard's exact score is its bound minus its own
+				// non-dominated rim rows, so the total is at most sum minus
+				// any one shard's count: a shard that counts more than
+				// sum − τ has proved the total below τ and stops there.
+				ids[n], cands[n] = ids[i], cands[i]
+				budgets = append(budgets, sum-tau)
+				n++
 			}
-			totals = append(totals, sum)
+			c.met.addPushdowns(len(cands) - n)
+			ids, cands = ids[:n], cands[:n]
 		}
 
-		// Offer in queue order — the serial replay that makes the answer,
-		// including rank-k tie-breaks, byte-identical.
-		li := 0
-		for i, id := range window {
-			if !keep[i] {
-				continue
+		// Exact phase over the survivors, offered in queue order — the serial
+		// replay that makes the answer, including rank-k tie-breaks,
+		// byte-identical. A candidate any shard answered Pruned scores below
+		// the window-start τ: its offer would be a no-op, exactly as the
+		// serial loop's Heuristic 3 prune is.
+		if len(cands) > 0 {
+			scores, err := p.scatter(wctx, Request{Alg: alg, Mode: ModeScores, Tau: tau, Cands: cands, Budgets: budgets})
+			if err != nil {
+				wsp.End()
+				return core.Result{}, st, err
 			}
-			st.Candidates++
-			st.Scored++
-			heap.Offer(core.Item{Index: int(id), ID: c.ds.Obj(int(id)).ID, Score: totals[li]})
-			li++
+			for i, id := range ids {
+				st.Candidates++
+				sum, pruned := 0, false
+				for s := range scores {
+					pruned = pruned || scores[s][i] == Pruned
+					sum += int(scores[s][i])
+				}
+				if pruned {
+					st.PrunedH3++
+					continue
+				}
+				st.Scored++
+				heap.Offer(core.Item{Index: int(id), ID: cands[i].ID, Score: sum})
+			}
 		}
 		wsp.End()
 	}

@@ -67,21 +67,28 @@ func (p *Peer) SetQueryLog(q *obs.QueryLog) { p.qlog = q }
 // dataset's epoch moved underneath it — the replaced entry is retained as
 // the new one's prev, so wantFP can still select the retired epoch (a
 // coordinator mid-query when this peer reloaded). Building a fresh entry
-// also sweeps the dataset's stale ones — ranges keyed to older epochs (a
-// reload that changed the row count changes the coordinator's shard
-// boundaries, so the old keys would otherwise pin their slices and indexes
-// forever).
+// also sweeps the dataset's stale ones — ranges keyed to epochs older than
+// the one just replaced (a reload that changed the row count changes the
+// coordinator's shard boundaries, so the old keys would otherwise pin their
+// slices and indexes forever).
 func (p *Peer) local(ds *data.Dataset, key peerKey, wantFP uint64) (*Local, uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, ok := p.locals[key]
 	if !ok || e.identity != ds {
+		// The epoch this range is leaving is every other range's grace epoch
+		// too: their entries stay until their own next request retires them
+		// into prev (or the epoch after sweeps them).
+		var leaving *data.Dataset
+		if ok {
+			leaving = e.identity
+		}
 		live := 0
 		for k, o := range p.locals {
 			if k.name != key.name || k == key {
 				continue
 			}
-			if o.identity != ds {
+			if o.identity != ds && o.identity != leaving {
 				delete(p.locals, k)
 			} else {
 				live++
@@ -188,6 +195,10 @@ func (p *Peer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if err := checkBudgets(mode, len(req.Budgets), len(req.Candidates)); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	ds, _, ok := p.resolve(req.Dataset)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
@@ -219,7 +230,7 @@ func (p *Peer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	root.SetInt("from", int64(req.From))
 	root.SetInt("to", int64(req.To))
 	root.SetInt("candidates", int64(len(cands)))
-	results, err := local.Partial(r.Context(), &Request{Alg: alg, Mode: mode, Tau: req.Tau, Residual: req.Residual, Cands: cands})
+	results, err := local.Partial(r.Context(), &Request{Alg: alg, Mode: mode, Tau: req.Tau, Residual: req.Residual, Cands: cands, Budgets: req.Budgets})
 	root.End()
 	p.record(tr, &req, time.Since(started), err)
 	if err != nil {

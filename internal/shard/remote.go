@@ -30,7 +30,11 @@ type WireCandidate struct {
 	Mask   uint64    `json:"m"`
 }
 
-// WireRequest is the POST /v1/shard/query body.
+// WireRequest is the POST /v1/shard/query body. Budgets is optional: absent
+// (the only shape before it existed) asks a "scores" request for exact
+// partial scores; present, it carries Request.Budgets and lets the peer
+// answer -1 (Pruned) per candidate. A peer decodes with
+// DisallowUnknownFields, so peers are upgraded before coordinators.
 type WireRequest struct {
 	Dataset     string          `json:"dataset"`
 	From        int             `json:"from"`
@@ -41,6 +45,7 @@ type WireRequest struct {
 	Tau         int             `json:"tau"`
 	Residual    int             `json:"residual"`
 	Candidates  []WireCandidate `json:"candidates"`
+	Budgets     []int           `json:"budgets,omitempty"`
 }
 
 // WireResponse is the answer: one entry per candidate. Trace, when present,
@@ -72,7 +77,9 @@ type WireHealth struct {
 
 // PeerError is a peer's non-200 answer, preserving the status so callers
 // can classify it: 409 marks a stale replica (never retried, breaker
-// tripped), 5xx is retryable, other 4xx means the request itself is bad.
+// tripped), 5xx is retryable, other 4xx means the request itself is bad. A
+// 200 whose body fails validation is reported as 502 — what a gateway calls
+// an invalid upstream answer — so the replica set retries elsewhere.
 type PeerError struct {
 	URL    string
 	Status int
@@ -148,6 +155,7 @@ func (r *Remote) Partial(ctx context.Context, req *Request) ([]int32, error) {
 		Tau:         req.Tau,
 		Residual:    req.Residual,
 		Candidates:  make([]WireCandidate, len(req.Cands)),
+		Budgets:     req.Budgets,
 	}
 	for i, c := range req.Cands {
 		vals := make([]float64, len(c.Values))
@@ -192,12 +200,47 @@ func (r *Remote) Partial(ctx context.Context, req *Request) ([]int32, error) {
 		}
 		return nil, &PeerError{URL: r.baseURL, Status: resp.StatusCode, Msg: msg}
 	}
+	// A result is an int32 (at most 11 bytes and a comma); the envelope and
+	// the trace summary fit in the fixed part.
+	lr := &io.LimitedReader{R: resp.Body, N: 4096 + 12*int64(len(req.Cands))}
 	var out WireResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("shard: peer %s: decoding response: %w", r.baseURL, err)
+	if err := json.NewDecoder(lr).Decode(&out); err != nil {
+		if lr.N <= 0 {
+			err = fmt.Errorf("body exceeds the cap for %d candidates", len(req.Cands))
+		}
+		return nil, r.badResponse("decoding response: %v", err)
+	}
+	if err := r.checkResults(req, out.Results); err != nil {
+		return nil, err
 	}
 	sp.SetRemote(out.Trace)
 	return out.Results, nil
+}
+
+// badResponse is the fail-closed error for a 200 answer that cannot be
+// trusted; see PeerError.
+func (r *Remote) badResponse(format string, args ...any) error {
+	return &PeerError{URL: r.baseURL, Status: http.StatusBadGateway, Msg: fmt.Sprintf(format, args...)}
+}
+
+// checkResults holds a peer's 200 answer to what this shard can say: one
+// result per candidate, a bound no lower than 0, a partial score within the
+// shard's row count — or Pruned, when the request carried budgets. Anything
+// else would corrupt the coordinator's sums silently.
+func (r *Remote) checkResults(req *Request, results []int32) error {
+	if len(results) != len(req.Cands) {
+		return r.badResponse("%d results for %d candidates", len(results), len(req.Cands))
+	}
+	for i, v := range results {
+		switch {
+		case v == Pruned && req.Mode == ModeScores && len(req.Budgets) > 0:
+		case v < 0:
+			return r.badResponse("result %d is %d", i, v)
+		case req.Mode == ModeScores && int(v) > r.Rows():
+			return r.badResponse("partial score %d of candidate %d exceeds the shard's %d rows", v, i, r.Rows())
+		}
+	}
+	return nil
 }
 
 // Health implements HealthChecker: one cheap GET /v1/shard/health round

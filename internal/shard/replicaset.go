@@ -280,10 +280,13 @@ func classifyPair(primary, hedge error) error {
 }
 
 // once runs one attempt: a call on r, optionally hedged on a second replica
-// when r is slow. The first success wins and cancels the loser; when both
-// fail, the errors are classified deterministically (stale, then retryable,
-// then the primary's) so the caller's retry decision never depends on the
-// race between the two failure paths.
+// when r is slow. The first success wins, cancels the loser and waits for it
+// to return — a backend abandons a cancelled call at once, and the caller
+// reuses req's slices for its next scatter, so no call may outlive this one
+// still reading them. When both fail, the errors are classified
+// deterministically (stale, then retryable, then the primary's) so the
+// caller's retry decision never depends on the race between the two failure
+// paths.
 func (rs *ReplicaSet) once(ctx context.Context, r *replica, req *Request) ([]int32, error) {
 	d := rs.hedgeDelay()
 	if d <= 0 || len(rs.reps) < 2 {
@@ -302,6 +305,10 @@ func (rs *ReplicaSet) once(ctx context.Context, r *replica, req *Request) ([]int
 		case o := <-ch:
 			pending--
 			if o.err == nil {
+				cancel()
+				for ; pending > 0; pending-- {
+					<-ch
+				}
 				return o.res, nil
 			}
 			if o.hedged {

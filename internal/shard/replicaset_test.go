@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/data"
 )
 
@@ -322,6 +323,39 @@ func TestReplicaSetHedgeRacesSecondReplica(t *testing.T) {
 	}
 	if met.Snapshot().Hedges == 0 {
 		t.Fatal("the hanging primary was never hedged")
+	}
+}
+
+// TestReplicaSetHedgeStragglerJoined runs multi-window queries with every
+// scatter call hedged onto a second in-process replica. The coordinator
+// reuses its request buffers from one scatter to the next, so a hedge loser
+// still reading them after the winner returned is a data race — which the
+// race detector reports here if once stops joining its stragglers.
+func TestReplicaSetHedgeStragglerJoined(t *testing.T) {
+	ds := testDataset(2000)
+	const n = 2
+	pol := Policy{MaxAttempts: 2, Hedge: true, HedgeAfter: time.Nanosecond}
+	backends := make([]Backend, n)
+	for i := range backends {
+		slice := ds.Slice(i*ds.Len()/n, (i+1)*ds.Len()/n)
+		rs, err := NewReplicaSet(i, []Backend{NewLocal(slice), NewLocal(slice)}, pol, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = rs
+	}
+	pre := core.Preprocess(ds, nil)
+	c := NewCoordinator(ds, pre.Queue, nil)
+	for _, k := range []int{3, 20} {
+		want, _ := core.Run(core.AlgIBIG, ds, k, pre)
+		got, st, err := c.Run(context.Background(), core.AlgIBIG, k, backends, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertEqual(t, fmt.Sprintf("k=%d", k), want, got)
+		if st.Windows < 3 {
+			t.Fatalf("k=%d: %d windows — no buffer was reused", k, st.Windows)
+		}
 	}
 }
 

@@ -11,7 +11,10 @@
 // queue, and the candidate heap.
 //
 // A query walks the queue in windows through the same core.Frontier seam
-// the in-process parallel engine uses:
+// the in-process parallel engine uses. τ is live once k candidates have been
+// offered, so the queue-driven plans ramp their windows: the first is
+// exactly the k candidates that fill the heap, each later one doubles up to
+// core.WindowSize.
 //
 //  1. Heuristic 1 stays global: the frontier stops once the window's best
 //     bound cannot beat τ, and per-candidate bounds are rechecked against
@@ -19,16 +22,22 @@
 //  2. Bounds phase (BIG/IBIG, once the heap is full): the window fans out
 //     to every shard with the global τ *pushed down* as a per-shard
 //     residual — τ minus the other shards' row counts — so a shard's
-//     threshold-aware |∩Qi| walk can bail out early; a candidate whose
-//     per-shard bounds sum to at most τ is pruned without exact scoring
-//     (the cross-shard form of Heuristic 2).
-//  3. Exact phase: survivors fan out again and each shard returns its exact
-//     partial score; the coordinator sums them and offers the candidates to
-//     the answer heap in queue order, replaying the serial loop's offer
-//     sequence exactly. Every pruned candidate provably scores ≤ τ at its
-//     offer position, so its missing offer is a no-op in the serial replay
-//     — the answer set, ranks and scores come out byte-identical, including
-//     ties at the k-th score.
+//     threshold-aware |∩Qi| walk can bail out early. A shard answers
+//     b_s = |Q_s| − |F_s|, its bound net of the rows sharing no dimension
+//     with the candidate; a candidate whose bounds sum to at most τ is
+//     pruned without exact scoring (the cross-shard form of Heuristic 2).
+//  3. Exact phase: survivors fan out again, each with the budget
+//     B − τ, B = Σ b_s. On every shard score_s = b_s − nonD_s, nonD_s being
+//     the non-dominated rows of the Q−P rim it walks, so the total is at
+//     most B − nonD_s for any one shard: a shard whose own nonD_s exceeds
+//     the budget stops and answers Pruned (the cross-shard form of
+//     Heuristic 3), and one such answer drops the candidate. Otherwise each
+//     shard returns its exact partial score; the coordinator sums them and
+//     offers the candidates to the answer heap in queue order, replaying
+//     the serial loop's offer sequence exactly. Every pruned candidate
+//     provably scores ≤ τ at its offer position, so its missing offer is a
+//     no-op in the serial replay — the answer set, ranks and scores come
+//     out byte-identical, including ties at the k-th score.
 //
 // Shards are served in-process (Local, a zero-copy slice of the frozen
 // epoch) or by a remote tkdserver peer speaking the small HTTP protocol in
@@ -52,8 +61,9 @@ type Mode int
 
 const (
 	// ModeBounds asks for per-candidate upper bounds on the shard's partial
-	// score (|∩Qi| over the shard's index), threshold-aware against the
-	// request's Residual.
+	// score (|∩Qi| over the shard's index, net of the shard rows sharing no
+	// dimension with the candidate), threshold-aware against the request's
+	// Residual.
 	ModeBounds Mode = iota
 	// ModeScores asks for exact partial scores.
 	ModeScores
@@ -72,13 +82,23 @@ type Request struct {
 	Tau int
 	// Residual is the pushed-down per-shard threshold for ModeBounds: the
 	// global τ minus the other shards' total row count. When the shard's
-	// threshold-aware bound walk proves |∩Qi| ≤ Residual, it may report
-	// Residual instead of the exact count — the candidate's bound sum then
+	// threshold-aware bound walk proves its bound ≤ Residual, it may report
+	// Residual instead of the exact bound — the candidate's bound sum then
 	// cannot exceed τ, so the coordinator prunes it either way.
 	Residual int
 	// Cands are the candidates; values and mask are read, never written.
 	Cands []*data.Object
+	// Budgets, when non-empty on ModeScores, holds one non-dominated budget
+	// per candidate: the candidate's bound sum over the live shards minus τ.
+	// A shard whose own count of non-dominated rim rows exceeds the budget
+	// has proved the total score is below τ and may answer Pruned instead of
+	// its partial score. Empty asks for exact scores unconditionally.
+	Budgets []int
 }
+
+// Pruned is the exact-phase answer for a candidate whose walk stopped on its
+// budget. Only a request that carried Budgets may be answered with it.
+const Pruned int32 = -1
 
 // Backend is one shard: Partial answers scatter calls, Rows and Fingerprint
 // identify what it serves. Implementations must be safe for concurrent
@@ -89,9 +109,10 @@ type Backend interface {
 	// Fingerprint digests the shard's slice contents (data.Dataset
 	// fingerprint of the row range).
 	Fingerprint() uint64
-	// Partial returns one int32 per candidate: an upper bound (ModeBounds)
-	// or the exact partial score (ModeScores). ctx bounds the call — a
-	// cancelled or expired context abandons the work and returns ctx.Err().
+	// Partial returns one int32 per candidate: an upper bound (ModeBounds),
+	// or the exact partial score or Pruned (ModeScores). ctx bounds the call
+	// — a cancelled or expired context abandons the work and returns
+	// ctx.Err().
 	Partial(ctx context.Context, req *Request) ([]int32, error)
 }
 
@@ -260,6 +281,21 @@ func (l *Local) scorer(pool *sync.Pool, ix *bitmapidx.Index) *scorerBox {
 	return &scorerBox{ix: ix, s: core.NewForeignScorer(l.ds, ix)}
 }
 
+// checkBudgets is the Request.Budgets shape rule, shared by Local and the
+// peer's wire validation: exact phase only, one per candidate or none.
+func checkBudgets(mode Mode, budgets, cands int) error {
+	if budgets == 0 {
+		return nil
+	}
+	if mode != ModeScores {
+		return fmt.Errorf("shard: budgets on a bounds request")
+	}
+	if budgets != cands {
+		return fmt.Errorf("shard: %d budgets for %d candidates", budgets, cands)
+	}
+	return nil
+}
+
 // ctxCheckStride is how many candidates a Local scores between context
 // checks — fine enough that cancellation lands within microseconds, coarse
 // enough that the atomic load never shows up in a profile.
@@ -268,6 +304,9 @@ const ctxCheckStride = 64
 // Partial implements Backend.
 func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := checkBudgets(req.Mode, len(req.Budgets), len(req.Cands)); err != nil {
 		return nil, err
 	}
 	out := make([]int32, len(req.Cands))
@@ -313,10 +352,11 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 			}
 			b, above := s.BoundAbove(c, req.Residual)
 			if !above {
-				// |∩Qi| ≤ Residual: report the cap — it is still an upper
-				// bound on the partial score, and it forces the
+				// Bound ≤ Residual: report the cap — it is still an upper
+				// bound on the partial score (as is the row count, for a
+				// Residual no coordinator would send), and it forces the
 				// coordinator's bound sum to at most τ.
-				b = req.Residual
+				b = min(req.Residual, l.ds.Len())
 			}
 			out[i] = int32(b)
 		}
@@ -327,7 +367,15 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 					return nil, err
 				}
 			}
-			out[i] = int32(s.Score(c))
+			budget := core.NoBudget
+			if len(req.Budgets) > 0 {
+				budget = req.Budgets[i]
+			}
+			if score, ok := s.Score(c, budget); ok {
+				out[i] = int32(score)
+			} else {
+				out[i] = Pruned
+			}
 		}
 	default:
 		return nil, fmt.Errorf("shard: unknown mode %d", req.Mode)

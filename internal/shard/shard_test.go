@@ -2,9 +2,12 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -51,6 +54,71 @@ func TestCoordinatorMatchesSerial(t *testing.T) {
 					t.Fatalf("%v n=%d k=%d: %v", alg, n, k, err)
 				}
 				assertEqual(t, fmt.Sprintf("%v n=%d k=%d", alg, n, k), want, got)
+			}
+		}
+	}
+}
+
+// batchRecorder notes how many candidates each scatter call carried. One
+// query's calls on one backend are sequential, so no lock is needed.
+type batchRecorder struct {
+	Backend
+	batches []int
+}
+
+func (b *batchRecorder) Partial(ctx context.Context, req *Request) ([]int32, error) {
+	b.batches = append(b.batches, len(req.Cands))
+	return b.Backend.Partial(ctx, req)
+}
+
+// TestShardedWorkBounded is the gate that keeps the blind 256-wide first
+// window from coming back. The coordinator's counts are deterministic, so
+// they are pinned against the serial run's on the benchmark's data shape:
+// the first window is exactly the k candidates that fill the heap, every
+// later candidate meets a live τ (bounds phase, then budgeted exact phase),
+// and the sharded plan exact-scores at most 3× what the serial loop scores at
+// any one k and at most 2× over the k cycle — the slack being the window-start
+// τ and a budget each shard must exceed on its own. (At the parent commit the
+// same fixture reads 1.98–28× per k and 3.5–5.8× per cycle.) IBIG prunes on
+// the budget at every k; BIG's value-granular rim holds only rows equal to
+// the candidate on every common dimension, so its budget rarely bites and is
+// not pinned.
+func TestShardedWorkBounded(t *testing.T) {
+	ds := gen.Synthetic(gen.Config{N: 20000, Dim: 5, Cardinality: 100, MissingRate: 0.2, Dist: gen.IND, Seed: 1})
+	pre := core.Preprocess(ds, nil)
+	for _, n := range []int{2, 3} {
+		backends := localBackends(ds, n)
+		rec := &batchRecorder{Backend: backends[0]}
+		backends[0] = rec
+		c := NewCoordinator(ds, pre.Queue, nil)
+		for _, alg := range []core.Algorithm{core.AlgBIG, core.AlgIBIG} {
+			cycleSerial, cycleSharded := 0, 0
+			for _, k := range []int{4, 16, 64} {
+				label := fmt.Sprintf("%v n=%d k=%d", alg, n, k)
+				want, serial := core.Run(alg, ds, k, pre)
+				rec.batches = rec.batches[:0]
+				got, st, err := c.Run(context.Background(), alg, k, backends, RunOptions{})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertEqual(t, label, want, got)
+				if rec.batches[0] != k {
+					t.Errorf("%s: first scatter carried %d candidates, want k", label, rec.batches[0])
+				}
+				if serial.Candidates > k && st.Windows < 2 {
+					t.Errorf("%s: %d windows for %d serial candidates", label, st.Windows, serial.Candidates)
+				}
+				if st.Scored > 3*serial.Scored {
+					t.Errorf("%s: sharded scored %d, serial %d", label, st.Scored, serial.Scored)
+				}
+				if alg == core.AlgIBIG && st.PrunedH3 == 0 {
+					t.Errorf("%s: no exact-phase budget prune (stats %+v)", label, st)
+				}
+				cycleSerial += serial.Scored
+				cycleSharded += st.Scored
+			}
+			if cycleSharded > 2*cycleSerial {
+				t.Errorf("%v n=%d: sharded scored %d over the k cycle, serial %d", alg, n, cycleSharded, cycleSerial)
 			}
 		}
 	}
@@ -111,6 +179,60 @@ func TestRemoteBackends(t *testing.T) {
 	}
 }
 
+// TestRemoteFailsClosed feeds Remote.Partial 200 answers no honest peer
+// sends: each must come back as a retryable *PeerError with no results, so a
+// replica set moves on instead of summing garbage.
+func TestRemoteFailsClosed(t *testing.T) {
+	var body string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, body)
+	}))
+	defer ts.Close()
+	const rows = 50
+	r := NewRemote(nil, ts.URL, "d", 0, rows, 1)
+	cands := []*data.Object{testDataset(3).Obj(0), testDataset(3).Obj(1)}
+	scores := &Request{Mode: ModeScores, Cands: cands}
+	budgeted := &Request{Mode: ModeScores, Cands: cands, Budgets: []int{3, 3}}
+	bounds := &Request{Mode: ModeBounds, Cands: cands}
+	for _, tc := range []struct {
+		name string
+		req  *Request
+		body string
+	}{
+		{"oversized body", scores, `{"results":[1,2],"pad":"` + strings.Repeat("x", 8192) + `"}`},
+		{"score above the row count", scores, `{"results":[1,51]}`},
+		{"negative score", scores, `{"results":[-2,1]}`},
+		{"pruned without a budget", scores, `{"results":[-1,1]}`},
+		{"below the sentinel with a budget", budgeted, `{"results":[-2,1]}`},
+		{"negative bound", bounds, `{"results":[-1,1]}`},
+		{"too few results", scores, `{"results":[1]}`},
+		{"too many results", scores, `{"results":[1,2,3]}`},
+		{"not JSON", scores, `<html>`},
+	} {
+		body = tc.body
+		res, err := r.Partial(context.Background(), tc.req)
+		var pe *PeerError
+		if res != nil || !errors.As(err, &pe) || !retryable(err) {
+			t.Errorf("%s: got (%v, %v), want no results and a retryable *PeerError", tc.name, res, err)
+		}
+	}
+	// What an honest peer may say passes: the row count itself, a bound above
+	// it (looser, never wrong), and Pruned under a budget.
+	for _, tc := range []struct {
+		req  *Request
+		body string
+	}{
+		{scores, `{"results":[0,50]}`},
+		{bounds, `{"results":[0,51]}`},
+		{budgeted, `{"results":[-1,50]}`},
+	} {
+		body = tc.body
+		if _, err := r.Partial(context.Background(), tc.req); err != nil {
+			t.Errorf("body %s: %v", tc.body, err)
+		}
+	}
+}
+
 // TestLocalBoundsResidualCap checks the pushed-down residual contract: when
 // the threshold-aware walk proves the bound cannot exceed the residual, the
 // reported cap still upper-bounds the true partial score.
@@ -125,14 +247,14 @@ func TestLocalBoundsResidualCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, residual := range []int{-5, 0, 3, 50, 1000} {
+	for _, residual := range []int{math.MinInt, -5, 0, 3, 50, 1000, math.MaxInt} {
 		bounds, err := l.Partial(context.Background(), &Request{Alg: core.AlgIBIG, Mode: ModeBounds, Tau: residual, Residual: residual, Cands: cands})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range cands {
-			if bounds[i] < exact[i] {
-				t.Fatalf("residual %d candidate %d: bound %d < exact partial %d", residual, i, bounds[i], exact[i])
+			if bounds[i] < exact[i] || int(bounds[i]) > l.Rows() {
+				t.Fatalf("residual %d candidate %d: bound %d outside [exact partial %d, rows %d]", residual, i, bounds[i], exact[i], l.Rows())
 			}
 		}
 	}

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/gen"
 )
 
 // fuzzPeer builds a Peer over a small fixed dataset; the resolver knows one
@@ -102,6 +106,18 @@ func FuzzShardWire(f *testing.F) {
 	badMode.Mode = "vibes"
 	f.Add(mustJSON(f, badMode), "")
 
+	// Budgets: well-formed, then every way to get them wrong.
+	for _, b := range [][]int{{5}, {-1}, {math.MinInt}, {math.MaxInt}, {1, 2}} {
+		budgeted := valid
+		budgeted.Budgets = b
+		f.Add(mustJSON(f, budgeted), "")
+	}
+	onBounds := valid
+	onBounds.Mode, onBounds.Budgets = "bounds", []int{5}
+	f.Add(mustJSON(f, onBounds), "")
+	f.Add([]byte(strings.Replace(string(validBody), `"mode"`, `"budgets":[1e400],"mode"`, 1)), "")
+	f.Add(goldenScoresRequest(f), "")
+
 	f.Add([]byte(`{"dataset":"d","from":0,"to":10,"unknown_field":true}`), "")
 	f.Add(validBody[:20], "") // truncated JSON
 	f.Add([]byte(`{`), "")
@@ -146,6 +162,115 @@ func FuzzShardWire(f *testing.F) {
 			t.Fatalf("non-JSON answer %q for body %q", out, body)
 		}
 	})
+}
+
+// goldenScoresRequest is the exact-phase body a coordinator built from the
+// commit before budgets existed sends (captured from its Remote.Partial): no
+// budgets field, rows [40,120) of testDataset(120), candidates 0, 57, 119.
+func goldenScoresRequest(tb testing.TB) []byte {
+	tb.Helper()
+	b, err := os.ReadFile("testdata/scores_request_pr15.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// postShardQuery serves one body through the peer and decodes a 200 answer.
+func postShardQuery(t *testing.T, peer *Peer, body []byte) (int, []int32) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	peer.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/query", bytes.NewReader(body)))
+	var out WireResponse
+	if rec.Code == http.StatusOK {
+		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rec.Code, out.Results
+}
+
+// TestPeerAnswersOldCoordinator pins the upgrade order's safe half: a peer
+// with budgets still answers the previous request shape, exactly.
+func TestPeerAnswersOldCoordinator(t *testing.T) {
+	peer, ds := fuzzPeer(t)
+	code, results := postShardQuery(t, peer, goldenScoresRequest(t))
+	if code != http.StatusOK {
+		t.Fatalf("status %d for the pre-budget request body", code)
+	}
+	slice := ds.Slice(40, 120)
+	for i, o := range []int{0, 57, 119} {
+		if want := core.ForeignScore(slice, ds.Obj(o)); int(results[i]) != want {
+			t.Fatalf("candidate %d: %d, want the exact partial score %d", o, results[i], want)
+		}
+	}
+}
+
+// TestPeerBudgets checks the optional budgets field end to end: one per
+// candidate on a scores request or a 400, and under a budget every answer is
+// the exact partial score or Pruned.
+func TestPeerBudgets(t *testing.T) {
+	peer, ds := fuzzPeer(t)
+	req := validWireRequest(ds)
+	req.Candidates = append(req.Candidates, req.Candidates[0], req.Candidates[0])
+	_, exact := postShardQuery(t, peer, mustJSON(t, req))
+
+	req.Budgets = []int{-1, 0, math.MaxInt}
+	code, got := postShardQuery(t, peer, mustJSON(t, req))
+	if code != http.StatusOK {
+		t.Fatalf("status %d for a budgeted request", code)
+	}
+	for i, v := range got {
+		if v != exact[i] && v != Pruned {
+			t.Fatalf("budget %d: answered %d, want %d or Pruned", req.Budgets[i], v, exact[i])
+		}
+	}
+	if got[2] != exact[2] {
+		t.Fatalf("an unreachable budget pruned: %d, want %d", got[2], exact[2])
+	}
+
+	req.Budgets = []int{1, 2}
+	if code, _ := postShardQuery(t, peer, mustJSON(t, req)); code != http.StatusBadRequest {
+		t.Fatalf("status %d for 2 budgets on 3 candidates, want 400", code)
+	}
+	req.Mode, req.Budgets = "bounds", []int{1, 2, 3}
+	if code, _ := postShardQuery(t, peer, mustJSON(t, req)); code != http.StatusBadRequest {
+		t.Fatalf("status %d for budgets on a bounds request, want 400", code)
+	}
+}
+
+// TestPeerGraceCoversEveryRange reloads a peer under a coordinator that is
+// mid-query on two ranges: whichever range is asked for first on the new
+// epoch, the other must still answer the retired epoch's fingerprint — a
+// query that makes many round trips outlives the swap by many calls.
+func TestPeerGraceCoversEveryRange(t *testing.T) {
+	v1 := testDataset(120)
+	v2 := gen.Synthetic(gen.Config{N: 120, Dim: v1.Dim(), Cardinality: 15, MissingRate: 0.25, Dist: gen.AC, Seed: 18})
+	cur := v1
+	peer := NewPeer(func(string) (*data.Dataset, uint64, bool) { return cur, 1, true })
+	ask := func(ds *data.Dataset, from, to int) int {
+		req := validWireRequest(ds)
+		req.From, req.To, req.Fingerprint = from, to, ds.Slice(from, to).Fingerprint()
+		code, _ := postShardQuery(t, peer, mustJSON(t, req))
+		return code
+	}
+	for _, r := range [][2]int{{0, 60}, {60, 120}} {
+		if code := ask(v1, r[0], r[1]); code != http.StatusOK {
+			t.Fatalf("range %v on the first epoch: status %d", r, code)
+		}
+	}
+	cur = v2
+	if code := ask(v2, 0, 60); code != http.StatusOK {
+		t.Fatalf("first range on the new epoch: status %d", code)
+	}
+	for _, r := range [][2]int{{60, 120}, {0, 60}} {
+		if code := ask(v1, r[0], r[1]); code != http.StatusOK {
+			t.Fatalf("range %v on the retired epoch: status %d, want the one-epoch grace", r, code)
+		}
+	}
+	if code := ask(v2, 60, 120); code != http.StatusOK {
+		t.Fatalf("second range on the new epoch: status %d", code)
+	}
 }
 
 // TestPeerBodyCap checks the request-size guard: a body past maxWireBodyBytes

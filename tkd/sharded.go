@@ -193,7 +193,8 @@ type shardSet struct {
 // data, when there is one — or a replica set of Remotes pointing at the
 // shard's peer group (retry/hedge/breaker semantics apply even to a
 // single-peer group — one replica is just the degenerate set). budget is the
-// dataset-level cache budget, split evenly.
+// dataset-level cache budget, split evenly. The replica sets' health loops
+// are the caller's to start (startHealthChecks), once the epoch is published.
 func (t *topology) build(ds *data.Dataset, queue *core.MaxScoreQueue, budget int64, warm *shardSet) *shardSet {
 	ss := &shardSet{coord: shard.NewCoordinator(ds, queue, t.met), backends: make([]shard.Backend, t.n)}
 	if warm != nil && len(warm.backends) != t.n {
@@ -230,7 +231,6 @@ func (t *topology) build(ds *data.Dataset, queue *core.MaxScoreQueue, budget int
 			ss.backends[i] = replicas[0]
 			continue
 		}
-		rs.StartHealthChecks(t.healthInterval)
 		ss.backends[i] = rs
 	}
 	ss.setCacheBudget(budget)
@@ -258,6 +258,21 @@ func (ss *shardSet) releaseCache() {
 // close stops the set's background machinery (replica-set health loops).
 // Queries in flight on the set keep working — close only retires
 // goroutines.
+// startHealthChecks starts the replica sets' probe loops. A probe asks a
+// peer what it serves now and quarantines a replica that answers another
+// fingerprint, so the loops may run only while the set's epoch is the
+// published one: started before the swap they quarantine peers still on the
+// predecessor, left running after it they quarantine peers that moved on —
+// which in-flight queries on the retired epoch still reach through the
+// peers' one-epoch grace.
+func (ss *shardSet) startHealthChecks(interval time.Duration) {
+	for _, b := range ss.backends {
+		if rs, ok := b.(*shard.ReplicaSet); ok {
+			rs.StartHealthChecks(interval)
+		}
+	}
+}
+
 func (ss *shardSet) close() {
 	for _, b := range ss.backends {
 		if rs, ok := b.(*shard.ReplicaSet); ok {

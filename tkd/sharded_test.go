@@ -3,8 +3,14 @@ package tkd
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/data"
+	"repro/internal/shard"
 )
 
 // algorithms under crosscheck: the paper's five plus the B+-tree-refined
@@ -145,6 +151,62 @@ func TestShardedTauPushdown(t *testing.T) {
 			t.Fatalf("shard %d observed no scatter calls", s)
 		}
 	}
+}
+
+// TestShardedHealthLoopsFollowThePublishedEpoch pins when a replica set's
+// health loop may run. The peer serves whatever the dataset currently
+// publishes — as a tkdserver that is its own peer does — and answers probes
+// slowly, so probes are in flight across the swap. Neither set may end up
+// quarantining the peer for serving the other's epoch: queries in flight on
+// the retired epoch still reach it through the peer's one-epoch grace, and
+// queries on the new one must not find every breaker open.
+func TestShardedHealthLoopsFollowThePublishedEpoch(t *testing.T) {
+	var d *Dataset
+	peer := shard.NewPeer(func(string) (*data.Dataset, uint64, bool) { return d.ShardData(), d.Epoch(), true })
+	mux := http.NewServeMux()
+	mux.Handle("POST /v1/shard/query", peer)
+	mux.HandleFunc("GET /v1/shard/health", func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(5 * time.Millisecond)
+		peer.ServeHealth(w, r)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	opts := []ShardOption{WithShards(2), WithShardPeers(ts.URL), WithShardHealthChecks(time.Millisecond)}
+	d, err := Shard(GenerateIND(300, 3, 12, 0.2, 5), "d", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.TopK(3); err != nil {
+		t.Fatal(err)
+	}
+	// The replacement is sharded and prepared off to the side, as a server
+	// reload does, so the swap itself builds the successor's set.
+	next, err := Shard(GenerateIND(300, 3, 12, 0.2, 6), "d", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	next.Prepare()
+	retired := d.current().art.Load().shards
+	allClosed := func(label string, ss *shardSet) {
+		t.Helper()
+		for i, b := range ss.backends {
+			for r, st := range b.(*shard.ReplicaSet).States() {
+				if st != shard.BreakerClosed {
+					t.Errorf("%s set: shard %d replica %d is %v", label, i, r, st)
+				}
+			}
+		}
+	}
+	time.Sleep(10 * time.Millisecond) // probes are flowing
+	d.ReplaceFrom(next)
+	published := d.current().art.Load().shards
+	allClosed("published", published)
+	time.Sleep(20 * time.Millisecond) // anything in flight across the swap has landed
+	allClosed("retired", retired)
+	allClosed("published", published)
 }
 
 // TestShardedFollowsEpochs checks the shard set tracks the dataset's own

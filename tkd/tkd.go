@@ -227,7 +227,9 @@ func (s *snapshot) ensure(n need, d *Dataset) *artifacts {
 	if n&needShards != 0 && na.shards == nil {
 		// The global queue is the coordinator-side artifact (callers ask for
 		// needQueue|needShards, so it is built by now).
-		na.shards = d.topo.Load().build(s.ds, na.queue, d.cacheBudget.Load(), nil)
+		t := d.topo.Load()
+		na.shards = t.build(s.ds, na.queue, d.cacheBudget.Load(), nil)
+		na.shards.startHealthChecks(t.healthInterval)
 	}
 	s.art.Store(&na)
 	if na.shards != nil && s.retired.Load() {
@@ -245,14 +247,15 @@ func (s *snapshot) installBinned(ix *bitmapidx.Index) {
 	s.art.Store(&na)
 }
 
-// release retires a replaced snapshot: its decompressed-column caches are
-// dropped so the epoch returns its budget immediately instead of at the
-// next GC, and its shard set's health loops stop. In-flight queries on the
-// old epoch keep working — they hold any column vector they already have
-// (eviction never mutates a column), re-decompress on further touches, and
-// close never touches the query path. keep is the successor's binned index
-// when the artifact survived the swap (a bin-layout change keeps the queue
-// and bitmap, a ReplaceFrom may carry everything).
+// release retires a snapshot that was just replaced — or, in replaceFrom, is
+// about to be: its decompressed-column caches are dropped so the epoch
+// returns its budget immediately instead of at the next GC, and its shard
+// set's health loops stop. In-flight queries on the old epoch keep working —
+// they hold any column vector they already have (eviction never mutates a
+// column), re-decompress on further touches, and close never touches the
+// query path. keep is the successor's binned index when the artifact survived
+// the swap (a bin-layout change keeps the queue and bitmap, a ReplaceFrom may
+// carry everything).
 func (s *snapshot) release(keep *bitmapidx.Index) {
 	s.retired.Store(true)
 	a := s.art.Load()
@@ -476,10 +479,15 @@ func (d *Dataset) replaceFrom(src *Dataset, at uint64) {
 	d.shared = true
 	d.bins = ss.bins
 	d.pendingBinned = nil
-	old := d.cur.Load()
-	d.cur.Store(s)
-	if old != nil {
+	// Health loops run on the published epoch only (see startHealthChecks):
+	// the predecessor is retired — its loops stopped — before the swap, the
+	// successor's start after it.
+	if old := d.cur.Load(); old != nil {
 		old.release(na.binned)
+	}
+	d.cur.Store(s)
+	if na.shards != nil {
+		na.shards.startHealthChecks(d.topo.Load().healthInterval)
 	}
 	d.clearLineageLocked()
 }
