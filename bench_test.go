@@ -618,7 +618,10 @@ func BenchmarkAblationESBvsGlobalSkyband(b *testing.B) {
 // rebuild it replaces: folding a 64-row append into a warm 20k-row dataset
 // by patching the binned index and re-deriving the MaxScore queue, vs
 // appending and rebuilding both artifacts from scratch. The benchdiff gate
-// holds the delta path to its O(delta)-ish budget.
+// holds the delta path to its budget, and the 200k-row case beside the 20k
+// one shows what of it still grows with N: the rows, their fingerprint and
+// the rank table extend in O(batch); the MaxScore queue (O(N·d), inherent —
+// see DESIGN.md §2) and the column extension (O(compressed words)) do not.
 func BenchmarkDeltaPublish(b *testing.B) {
 	const n, dim, card, batch = 20_000, 5, 64, 64
 	mkRows := func(seed int64) []tkd.Row {
@@ -633,28 +636,33 @@ func BenchmarkDeltaPublish(b *testing.B) {
 		}
 		return rows
 	}
-	mk := func() *tkd.Dataset {
+	mkN := func(n int) *tkd.Dataset {
 		ds := tkd.GenerateIND(n, dim, card, 0.02, 31)
 		ds.PrepareFor(tkd.IBIG)
 		return ds
 	}
-	b.Run("delta", func(b *testing.B) {
-		b.StopTimer()
-		ds := mk()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if i > 0 && i%64 == 0 {
-				ds = mk() // keep the base near 20k rows
-			}
-			rows := mkRows(int64(i))
-			b.StartTimer()
-			patched, err := ds.AppendRows(rows)
+	mk := func() *tkd.Dataset { return mkN(n) }
+	delta := func(n int) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.StopTimer()
-			if err != nil || !patched {
-				b.Fatalf("patched=%v err=%v", patched, err)
+			ds := mkN(n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%64 == 0 {
+					ds = mkN(n) // keep the base near n rows
+				}
+				rows := mkRows(int64(i))
+				b.StartTimer()
+				patched, err := ds.AppendRows(rows)
+				b.StopTimer()
+				if err != nil || !patched {
+					b.Fatalf("patched=%v err=%v", patched, err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("delta", delta(n))
+	b.Run("delta200k", delta(10*n))
 	b.Run("rebuild", func(b *testing.B) {
 		b.StopTimer()
 		ds := mk()

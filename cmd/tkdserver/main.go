@@ -113,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxWorkers  = fs.Int("max-workers", 0, "total in-flight worker goroutines across queries (0 = GOMAXPROCS)")
 		maxBatch    = fs.Int("max-batch", 64, "max queries per scheduling window")
 		cacheBudget = fs.Int64("cache-budget", 0, "per-dataset decompressed-column cache bytes (0 = 32 MiB default)")
-		indexDir    = fs.String("indexdir", "", "directory for persisted indexes; warm restarts skip index construction (empty = rebuild at boot)")
+		indexDir    = fs.String("indexdir", "", "directory for persisted indexes; warm restarts skip index construction. With -waldir the file is a checkpoint: rewritten when the rows have grown by an eighth and on a graceful shutdown, and a restart after a crash loads it and patches the rows logged since (empty = rebuild at boot)")
 		drainWait   = fs.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight requests on SIGTERM/SIGINT")
 		shards      = fs.Int("shards", 1, "split each dataset into N row-range shards behind a scatter-gather coordinator (1 = unsharded; answers are byte-identical either way)")
 		peersFlag   = fs.String("peers", "", "comma-separated base URLs of tkdserver peers that serve the shards remotely (requires -shards > 1; peers must serve the same -dataset mappings; pipe-separate replicas within an entry, e.g. http://a:8080|http://b:8080)")

@@ -106,9 +106,12 @@ type Index struct {
 	// columns were served (run-native kernel vs dense materialization);
 	// surfaced through CacheStats for the serving metrics.
 	rep repStats
-	// ranks[i] holds the value rank of object i in every dimension, -1 when
-	// missing; precomputed so Q/P lookups never search.
-	ranks [][]int32
+	// ranks is the value-rank table, flat with stride dim: ranks[i*dim+d] is
+	// the rank of object i in dimension d, -1 when missing; precomputed so
+	// Q/P lookups never search. A patched index whose append brought no new
+	// distinct value extends its predecessor's table in place (see
+	// AppendRows).
+	ranks []int32
 	// masks holds the row count of every distinct observed-dimension mask,
 	// the input of the scorers' |F(o)| derivation (see maskcount.go).
 	masks []maskCount
@@ -125,6 +128,10 @@ type Index struct {
 	clock    []*sharedCol // colCache flattened in sweep order
 	colSize  int64        // bytes of one decompressed column
 	cache    cacheState
+	// ranksExtended marks that the spare capacity behind ranks has been
+	// handed to a successor (AppendRows). Written once per publish; kept at
+	// the end, away from the fields every candidate reads.
+	ranksExtended atomic.Bool
 }
 
 // sharedCol is one slot of the shared decompressed-column cache. v is nil
@@ -408,7 +415,6 @@ func buildWithStats(ds *data.Dataset, stats []data.DimStats, opts Options) *Inde
 		codec:    codec,
 		binned:   opts.Bins != nil,
 		adaptive: opts.Adaptive,
-		ranks:    make([][]int32, n),
 		masks:    countMasks(nil, ds, 0),
 		ones:     bitvec.NewOnes(n),
 	}
@@ -437,28 +443,31 @@ func buildWithStats(ds *data.Dataset, stats []data.DimStats, opts Options) *Inde
 	return ix
 }
 
-// computeRanks fills the per-object value-rank table from the dataset and
-// the per-dimension stats.
+// computeRanks fills the value-rank table from the dataset and the
+// per-dimension stats.
 func (ix *Index) computeRanks() error {
 	n, dim := ix.ds.Len(), ix.ds.Dim()
-	if ix.ranks == nil {
-		ix.ranks = make([][]int32, n)
-	}
-	for i := 0; i < n; i++ {
-		r := make([]int32, dim)
-		o := ix.ds.Obj(i)
-		for d := 0; d < dim; d++ {
+	ix.ranks = make([]int32, n*dim)
+	return fillRanks(ix.ranks, ix.ds, 0, ix.stats)
+}
+
+// fillRanks writes the ranks of rows [from, ds.Len()) of ds under stats into
+// ranks, which starts at row from.
+func fillRanks(ranks []int32, ds *data.Dataset, from int, stats []data.DimStats) error {
+	dim := ds.Dim()
+	for i := from; i < ds.Len(); i++ {
+		o := ds.Obj(i)
+		r := ranks[(i-from)*dim : (i-from+1)*dim]
+		for d := range r {
+			r[d] = -1
 			if o.Observed(d) {
-				rank := ix.stats[d].Rank(o.Values[d])
+				rank := stats[d].Rank(o.Values[d])
 				if rank < 0 {
 					return fmt.Errorf("bitmapidx: value %v of object %d absent from dimension %d stats", o.Values[d], i, d)
 				}
 				r[d] = int32(rank)
-			} else {
-				r[d] = -1
 			}
 		}
-		ix.ranks[i] = r
 	}
 	return nil
 }
@@ -487,7 +496,7 @@ func (ix *Index) buildDim(d int, rankToBucket []int, buckets int) dimIndex {
 	// byBucket[b] lists objects whose value falls in bucket b.
 	byBucket := make([][]int32, buckets)
 	for i := 0; i < n; i++ {
-		if r := ix.ranks[i][d]; r >= 0 {
+		if r := ix.Rank(i, d); r >= 0 {
 			b := rankToBucket[r]
 			byBucket[b] = append(byBucket[b], int32(i))
 		}
@@ -613,15 +622,20 @@ func (ix *Index) ForEachDenseColumn(fn func(v *bitvec.Vector)) {
 // Bucket returns the column bucket of object obj in dimension d, or -1 when
 // the value is missing. For the unbinned index the bucket is the value rank.
 func (ix *Index) Bucket(obj, d int) int {
-	r := ix.ranks[obj][d]
+	r := ix.Rank(obj, d)
 	if r < 0 {
 		return -1
 	}
 	return ix.dims[d].rankToBucket[r]
 }
 
+// Ranks returns the value-rank table for whole-table walks: flat with stride
+// Dataset().Dim(), Ranks()[obj*dim+d] == Rank(obj, d). Read-only — the table
+// may be shared with the index this one was patched from.
+func (ix *Index) Ranks() []int32 { return ix.ranks }
+
 // Rank returns the value rank of object obj in dimension d, or -1.
-func (ix *Index) Rank(obj, d int) int { return int(ix.ranks[obj][d]) }
+func (ix *Index) Rank(obj, d int) int { return int(ix.ranks[obj*ix.ds.Dim()+d]) }
 
 // BucketMinValue returns the smallest observed value falling in bucket b of
 // dimension d — the bin's lower boundary, which the IBIG B+-tree refinement

@@ -61,7 +61,8 @@ func (c *Cursor) intersectRefs(refs []qref) int {
 // comparable to a single column intersection.
 func (ix *Index) DominatorCeil(obj int) int {
 	pm := ix.ds.Obj(obj).Mask
-	pr := ix.ranks[obj]
+	dim := ix.ds.Dim()
+	pr := ix.ranks[obj*dim : (obj+1)*dim]
 	count := 0
 	n := ix.ds.Len()
 	for q := 0; q < n; q++ {
@@ -72,7 +73,7 @@ func (ix *Index) DominatorCeil(obj int) int {
 		if m == 0 {
 			continue
 		}
-		qr := ix.ranks[q]
+		qr := ix.ranks[q*dim : (q+1)*dim]
 		ok := true
 		for d := 0; m != 0; d, m = d+1, m>>1 {
 			if m&1 == 0 {

@@ -1,6 +1,8 @@
 package bitmapidx
 
 import (
+	"slices"
+
 	"repro/internal/bitvec"
 	"repro/internal/data"
 )
@@ -12,9 +14,14 @@ import (
 // Precondition: next's first old.Dataset().Len() rows are exactly old's
 // dataset (the caller constructs next by extending the indexed dataset; the
 // serving layer additionally fingerprint-checks the result against the
-// epoch it publishes). old is not modified and stays fully queryable — the
-// patched index shares no mutable state with it, so in-flight readers of
-// the previous epoch are unaffected.
+// epoch it publishes). old is not modified and stays fully queryable, so
+// in-flight readers of the previous epoch are unaffected. The one thing the
+// two may share is the rank table: when the appended rows bring no new
+// distinct value no old rank moves, and the patched index appends the new
+// rows' ranks into the spare capacity behind old's — readers of old never
+// look past their own rows. That capacity has a single claimant: the first
+// patch of an index takes it, a second patch of the same index copies, so
+// two successors of one base never see each other's tail.
 //
 // The patch keeps old's frozen bin layout: appended rows whose value already
 // exists keep that value's bin, and a brand-new distinct value is assigned
@@ -65,6 +72,7 @@ func AppendRows(old *Index, next *data.Dataset) (*Index, bool) {
 	merged := make([]data.DimStats, dim)
 	r2bs := make([][]int, dim)
 	shifts := make([][]int32, dim)
+	shifted := false
 	for d := 0; d < dim; d++ {
 		st := &old.stats[d]
 		dd := &deltas[d]
@@ -111,42 +119,33 @@ func AppendRows(old *Index, next *data.Dataset) (*Index, bool) {
 		merged[d] = m
 		r2bs[d] = r2b
 		shifts[d] = sh
+		shifted = shifted || ins > 0
 	}
 
-	// Rank table over one fresh flat backing: old rows shift by the number of
-	// new distinct values inserted below them, appended rows look up their
-	// merged rank. A fresh backing (rather than extending old.ranks) keeps
-	// the patched index free of aliasing with the live one.
-	flat := make([]int32, n*dim)
-	ranks := make([][]int32, n)
-	for i := range ranks {
-		ranks[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	for i := 0; i < oldN; i++ {
-		or := old.ranks[i]
-		nr := ranks[i]
-		for d := 0; d < dim; d++ {
-			r := or[d]
-			if r >= 0 {
-				r += shifts[d][r]
+	// Rank table. Old rows shift by the number of new distinct values
+	// inserted below them — a rewrite into a fresh table — unless nothing was
+	// inserted anywhere, in which case old's table is extended as it stands.
+	// Appended rows look up their merged rank either way.
+	var ranks []int32
+	if shifted {
+		ranks = make([]int32, n*dim)
+		for i := 0; i < oldN*dim; i += dim {
+			for d, r := range old.ranks[i : i+dim] {
+				if r >= 0 {
+					r += shifts[d][r]
+				}
+				ranks[i+d] = r
 			}
-			nr[d] = r
 		}
-	}
-	for i := oldN; i < n; i++ {
-		o := next.Obj(i)
-		nr := ranks[i]
-		for d := 0; d < dim; d++ {
-			if !o.Observed(d) {
-				nr[d] = -1
-				continue
-			}
-			r := merged[d].Rank(o.Values[d])
-			if r < 0 {
-				return nil, false
-			}
-			nr[d] = int32(r)
+	} else {
+		ranks = old.ranks[:oldN*dim]
+		if !old.ranksExtended.CompareAndSwap(false, true) {
+			ranks = slices.Clip(ranks)
 		}
+		ranks = slices.Grow(ranks, delta*dim)[:n*dim]
+	}
+	if fillRanks(ranks[oldN*dim:], next, oldN, merged) != nil {
+		return nil, false
 	}
 
 	ix := &Index{
@@ -174,7 +173,7 @@ func AppendRows(old *Index, next *data.Dataset) (*Index, bool) {
 		di.cols[0] = extendColumn(&oldDi.cols[0], deltaOnes, oldN)
 		byBucket := make([][]int32, buckets)
 		for j := 0; j < delta; j++ {
-			if r := ranks[oldN+j][d]; r >= 0 {
+			if r := ranks[(oldN+j)*dim+d]; r >= 0 {
 				b := r2bs[d][r]
 				byBucket[b] = append(byBucket[b], int32(j))
 			}

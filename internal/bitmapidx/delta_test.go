@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -107,10 +109,8 @@ func TestAppendRowsEquivalence(t *testing.T) {
 			if err := ref.computeRanks(); err != nil {
 				t.Fatal(err)
 			}
-			for i := range ref.ranks {
-				if !reflect.DeepEqual(ref.ranks[i], patched.ranks[i]) {
-					t.Fatalf("ranks of object %d diverge: %v != %v", i, patched.ranks[i], ref.ranks[i])
-				}
+			if !slices.Equal(ref.ranks, patched.ranks) {
+				t.Fatal("patched rank table diverges from a recompute")
 			}
 
 			for d := 0; d < next.Dim(); d++ {
@@ -284,5 +284,176 @@ func TestAppendRowsMaskCounts(t *testing.T) {
 		if got := patched.IncomparableRows(mask); got != want {
 			t.Fatalf("IncomparableRows(%04b) = %d, scan says %d", mask, got, want)
 		}
+	}
+}
+
+// extendWith returns base's rows followed by extra, built through the
+// storage-sharing extension the publish path uses.
+func extendWith(base *data.Dataset, prefix string, extra [][]float64) *data.Dataset {
+	next := base.Extend(len(extra))
+	for i, vals := range extra {
+		next.MustAppend(fmt.Sprintf("%s%d", prefix, i), vals)
+	}
+	return next
+}
+
+// assertSameAsScratch fails unless p is the index AppendRows promises: what a
+// from-scratch build over p's rows yields under p's (frozen) rank→bin maps —
+// the same stats, mask counts, rank table (computeRanks's) and column bits.
+func assertSameAsScratch(t *testing.T, label string, p *Index) {
+	t.Helper()
+	ds := p.ds
+	s := &Index{
+		ds:       ds,
+		stats:    ds.Stats(),
+		dims:     make([]dimIndex, ds.Dim()),
+		codec:    p.codec,
+		binned:   true,
+		adaptive: p.adaptive,
+		masks:    countMasks(nil, ds, 0),
+		ones:     bitvec.NewOnes(ds.Len()),
+	}
+	if err := s.computeRanks(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !reflect.DeepEqual(p.stats, s.stats) || !reflect.DeepEqual(p.masks, s.masks) {
+		t.Fatalf("%s: stats or mask counts diverge from a from-scratch build", label)
+	}
+	if !slices.Equal(p.ranks, s.ranks) {
+		t.Fatalf("%s: rank table diverges from computeRanks", label)
+	}
+	for d := range s.dims {
+		s.dims[d] = s.buildDim(d, p.dims[d].rankToBucket, len(p.dims[d].cols)-1)
+		for b := range s.dims[d].cols {
+			if !colBits(t, p, d, b).Equal(colBits(t, s, d, b)) {
+				t.Fatalf("%s: dim %d column %d bits diverge from a from-scratch build", label, d, b)
+			}
+		}
+	}
+}
+
+// sharesRanks reports whether two indexes' rank tables start at the same
+// address, i.e. one extended the other in place.
+func sharesRanks(a, b *Index) bool { return &a.ranks[0] == &b.ranks[0] }
+
+// TestAppendRowsTwoExtensionsOfOneBase: the spare capacity behind a base —
+// its rows' and its rank table's — has a single claimant. The first patch of
+// an index appends in place, a second patch of the same index copies; each
+// equals a from-scratch build, neither sees the other's tail, and the base is
+// untouched — all while readers keep using the base (run under -race).
+func TestAppendRowsTwoExtensionsOfOneBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const dim, grid = 4, 9
+	seed := data.New(dim)
+	for i, vals := range randIncomplete(rng, 300, dim, grid, 0.3) {
+		seed.MustAppend(fmt.Sprintf("o%d", i), vals)
+	}
+	opts := Options{Codec: Concise, Bins: []int{4}, Adaptive: true}
+	// One patch first: a freshly built table has no spare capacity, a patched
+	// one (grown by append) does. The grid holds every value already, so no
+	// batch below brings a new distinct one and the table is extended as is.
+	baseDS := extendWith(seed, "g", randIncomplete(rng, 8, dim, grid, 0.3))
+	base, ok := AppendRows(Build(seed, opts), baseDS)
+	if !ok {
+		t.Fatal("AppendRows fell back")
+	}
+	baseRanks := slices.Clone(base.ranks)
+	rowsA := randIncomplete(rng, 7, dim, grid, 0.3)
+	rowsB := randIncomplete(rng, 11, dim, grid, 0.3)
+
+	// Readers of the base epoch, for as long as the patches run.
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			c := base.NewCursor()
+			for i := 0; ; i = (i + 1) % baseDS.Len() {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c.QP(i)
+				base.DominatorCeil(i)
+				baseDS.Fingerprint()
+			}
+		}()
+	}
+	a := extendWith(baseDS, "a", rowsA)
+	pa, okA := AppendRows(base, a)
+	b := extendWith(baseDS, "b", rowsB)
+	pb, okB := AppendRows(base, b)
+	close(stop)
+	readers.Wait()
+	if !okA || !okB {
+		t.Fatal("AppendRows fell back")
+	}
+
+	if !sharesRanks(pa, base) {
+		t.Error("first patch with no new distinct value copied the rank table")
+	}
+	if sharesRanks(pb, base) {
+		t.Error("second patch of the same base extended its rank table in place too")
+	}
+	if a.Obj(0) != baseDS.Obj(0) || b.Obj(0) == baseDS.Obj(0) {
+		t.Error("want the first extension to share the base's rows and the second to copy them")
+	}
+	assertSameAsScratch(t, "first extension", pa)
+	assertSameAsScratch(t, "second extension", pb)
+	if a.Len() != baseDS.Len()+len(rowsA) || b.Len() != baseDS.Len()+len(rowsB) || a.Obj(baseDS.Len()).ID != "a0" || b.Obj(baseDS.Len()).ID != "b0" {
+		t.Fatal("the two extensions see each other's rows")
+	}
+	if base.ds.Len() != baseDS.Len() || !slices.Equal(base.ranks, baseRanks) {
+		t.Fatal("patching changed the base index")
+	}
+	assertSameAsScratch(t, "base", base)
+}
+
+// TestAppendRowsRankTableSharedOrRewritten: the table is extended in place
+// exactly when no dimension gained a distinct value; when one did — every
+// batch, on continuous-valued data — old ranks shift and the table is
+// rewritten, to the ranks computeRanks assigns.
+func TestAppendRowsRankTableSharedOrRewritten(t *testing.T) {
+	const dim = 3
+	opts := Options{Codec: Concise, Bins: []int{4}, Adaptive: true}
+	for _, tc := range []struct {
+		name   string
+		grid   int // 0: continuous values
+		shared bool
+	}{{"grid", 7, true}, {"continuous", 0, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(33))
+			batch := func(n int) [][]float64 {
+				if tc.grid > 0 {
+					return randIncomplete(rng, n, dim, tc.grid, 0.2)
+				}
+				rows := make([][]float64, n)
+				for i := range rows {
+					rows[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+				}
+				return rows
+			}
+			ds := data.New(dim)
+			for i, vals := range batch(200) {
+				ds.MustAppend(fmt.Sprintf("o%d", i), vals)
+			}
+			ix := Build(ds, opts)
+			for step := 0; step < 6; step++ {
+				next := extendWith(ds, fmt.Sprintf("s%d-", step), batch(5))
+				px, ok := AppendRows(ix, next)
+				if !ok {
+					t.Fatalf("step %d: AppendRows fell back", step)
+				}
+				assertSameAsScratch(t, fmt.Sprintf("step %d", step), px)
+				// Step 0 patches a freshly built table, which has no capacity
+				// to spare; from then on sharing is the rule under test.
+				if step > 0 && sharesRanks(px, ix) != tc.shared {
+					t.Fatalf("step %d: rank table shared = %v, want %v", step, !tc.shared, tc.shared)
+				}
+				ds, ix = next, px
+			}
+		})
 	}
 }

@@ -19,32 +19,47 @@ import (
 // Zillow bitmap), so a production deployment builds once and reloads. The
 // on-disk layout is a little-endian stream:
 //
-//	magic "TKDIX\x03" | codec | binned | adaptive | dim | N | dataset fingerprint
+//	magic "TKDIX\x04" | codec | binned | adaptive | dim | N | dataset fingerprint
 //	per dimension: len(rankToBucket), rankToBucket..., #cols,
 //	               per column: representation kind + nbits + payload
 //	               (dense: word count + 64-bit words; CONCISE: 32-bit
 //	               words; sparse: sorted set-bit ids)
 //	crc32 (IEEE) of everything before it
 //
-// Object ranks are not stored: Load recomputes them from the dataset, which
-// must be the exact dataset the index was built from — shape AND the full
-// content fingerprint (data.Dataset.Fingerprint) are verified, so an index
-// file cannot silently bind to the wrong data. Version 3 records the
-// adaptive per-column representation (the kind byte already existed in v2;
-// v3 adds the adaptive header flag and the sparse kind). Older versions —
-// v1 without fingerprints, v2 without representations — are rejected as a
-// version mismatch, and a v3 file written with the retired WAH codec (header
-// codec or column kind 1) as ErrUnsupportedCodec; callers degrade to a
-// rebuild, exactly as the serving layer's index cache does for any
-// unreadable file. The per-mask row counts (maskcount.go) are derived state
-// like the ranks: recomputed by Load, never stored.
+// Object ranks are not stored: Load recomputes them from the dataset, whose
+// rows must be the rows the index was built from — shape AND the full
+// content fingerprint (data.Dataset.Fingerprint) of those N rows are
+// verified, so an index file cannot silently bind to the wrong data. The
+// header's (N, fingerprint) pair makes the file a checkpoint of a growing
+// dataset: LoadPrefix accepts it whenever the first N rows of the data in
+// hand hash to it, and the caller patches the rows behind them with
+// AppendRows. Version 4 has the byte layout of version 3 (the adaptive
+// header flag, one kind byte per column) under the extendable fingerprint
+// definition — the key moved, so the version did. Older versions — v1 without
+// fingerprints, v2 without representations, v3 keyed by the count-first
+// fingerprint — are rejected with ErrVersion, data that does not match with
+// ErrStale, and a file written with the retired WAH codec (header codec or
+// column kind 1) with ErrUnsupportedCodec; callers degrade to a rebuild,
+// exactly as the serving layer's index cache does for any unreadable file.
+// The per-mask row counts (maskcount.go) are derived state like the ranks:
+// recomputed by Load, never stored.
 
-var persistMagic = [6]byte{'T', 'K', 'D', 'I', 'X', 3}
+var persistMagic = [6]byte{'T', 'K', 'D', 'I', 'X', 4}
 
 // ErrUnsupportedCodec is wrapped by Load when the file names a codec or
 // column kind this build does not read — in practice value 1, the WAH codec
 // older builds could pin. The file is intact but unusable: rebuild.
 var ErrUnsupportedCodec = errors.New("bitmapidx: unsupported codec")
+
+// ErrVersion is wrapped by Load when the file is an index stream of another
+// format version: intact, perhaps, but keyed or laid out differently.
+// Rebuild.
+var ErrVersion = errors.New("bitmapidx: unsupported index version")
+
+// ErrStale is wrapped by Load when the file is a readable index of other
+// rows than the dataset's: a different shape, more rows than the dataset
+// has, or a fingerprint the dataset's rows do not hash to. Rebuild.
+var ErrStale = errors.New("bitmapidx: index does not match the dataset")
 
 type crcWriter struct {
 	w   io.Writer
@@ -169,7 +184,15 @@ func saveColumn(w io.Writer, c *column, nbits int) error {
 // Load deserializes an index previously written by Save and re-binds it to
 // ds, which must be the dataset the index was built from. The stored CRC is
 // verified; shape mismatches are rejected.
-func Load(r io.Reader, ds *data.Dataset) (*Index, error) {
+func Load(r io.Reader, ds *data.Dataset) (*Index, error) { return load(r, ds, false) }
+
+// LoadPrefix is Load for a dataset that may have grown since the index was
+// saved: the file's N rows must be ds's first N, and the returned index is
+// bound to that prefix (ix.Dataset() is ds itself when N is all of it, else
+// ds.Slice(0, N)). The caller brings it level with AppendRows(ix, ds).
+func LoadPrefix(r io.Reader, ds *data.Dataset) (*Index, error) { return load(r, ds, true) }
+
+func load(r io.Reader, ds *data.Dataset, prefixOK bool) (*Index, error) {
 	br := bufio.NewReader(r)
 	cr := &crcReader{r: br}
 	var magic [6]byte
@@ -178,7 +201,7 @@ func Load(r io.Reader, ds *data.Dataset) (*Index, error) {
 	}
 	if magic != persistMagic {
 		if bytes.Equal(magic[:5], persistMagic[:5]) {
-			return nil, fmt.Errorf("bitmapidx: index version %d, want %d — rebuild", magic[5], persistMagic[5])
+			return nil, fmt.Errorf("%w %d, want %d — rebuild", ErrVersion, magic[5], persistMagic[5])
 		}
 		return nil, fmt.Errorf("bitmapidx: bad magic %q", magic[:])
 	}
@@ -196,11 +219,14 @@ func Load(r io.Reader, ds *data.Dataset) (*Index, error) {
 		// through the dense-only cursor path.
 		return nil, fmt.Errorf("bitmapidx: adaptive index with Raw base codec")
 	}
-	if dim != ds.Dim() || n != ds.Len() {
-		return nil, fmt.Errorf("bitmapidx: index is %dx%d, dataset is %dx%d", n, dim, ds.Len(), ds.Dim())
+	if dim != ds.Dim() || hdr[4] > uint64(ds.Len()) || (!prefixOK && n != ds.Len()) {
+		return nil, fmt.Errorf("%w: index is %dx%d, dataset is %dx%d", ErrStale, hdr[4], dim, ds.Len(), ds.Dim())
+	}
+	if n < ds.Len() {
+		ds = ds.Slice(0, n)
 	}
 	if fp := ds.Fingerprint(); hdr[5] != fp {
-		return nil, fmt.Errorf("bitmapidx: index fingerprint %016x does not match dataset %016x — wrong or changed data", hdr[5], fp)
+		return nil, fmt.Errorf("%w: index fingerprint %016x, the dataset's first %d rows hash to %016x — wrong or changed data", ErrStale, hdr[5], n, fp)
 	}
 
 	dims := make([]dimIndex, dim)

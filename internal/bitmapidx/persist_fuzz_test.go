@@ -26,10 +26,24 @@ func savedIndex(tb testing.TB, opts Options) []byte {
 	return buf.Bytes()
 }
 
-// FuzzLoadIndex feeds arbitrary bytes to Load. The contract under test: a
-// corrupt stream returns an error — it never panics, never OOMs on
-// implausible lengths, and never yields an index whose use would fault. A
-// stream that does load must round-trip byte-identically through Save.
+// fuzzGrown is fuzzDataset followed by rows that came later — the data in
+// hand when a persisted index turns out to be a checkpoint of a prefix.
+func fuzzGrown() *data.Dataset {
+	base := fuzzDataset()
+	more := gen.Synthetic(gen.Config{N: 9, Dim: 3, Cardinality: 10, MissingRate: 0.2, Dist: gen.IND, Seed: 43})
+	next := base.Extend(more.Len())
+	for i := 0; i < more.Len(); i++ {
+		next.MustAppend(more.Obj(i).ID+"+", more.Obj(i).Values)
+	}
+	return next
+}
+
+// FuzzLoadIndex feeds arbitrary bytes to Load and LoadPrefix. The contract
+// under test: a corrupt stream returns an error — it never panics, never OOMs
+// on implausible lengths, and never yields an index whose use would fault. A
+// stream that does load must round-trip byte-identically through Save, and
+// one that loads as a prefix of a grown dataset must cover exactly the rows
+// its header names and take the tail through AppendRows.
 func FuzzLoadIndex(f *testing.F) {
 	binned := savedIndex(f, Options{Codec: Concise, Bins: []int{4}})
 	raw := savedIndex(f, Options{Codec: Raw})
@@ -56,6 +70,15 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add(wrongVer)
 	f.Add([]byte("TKDIX"))
 	f.Add([]byte{})
+	// The previous version's magic over the same body (a v3 file is keyed by
+	// the old fingerprint definition), and a header naming more rows than
+	// either dataset has.
+	v3 := append([]byte(nil), binned...)
+	v3[5] = 3
+	f.Add(v3)
+	tooLong := append([]byte(nil), binned...)
+	tooLong[6+4*8] = 200
+	f.Add(tooLong)
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		ds := fuzzDataset()
@@ -72,6 +95,17 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 		if _, err := Load(bytes.NewReader(buf.Bytes()), ds); err != nil {
 			t.Fatalf("re-loading a re-saved index: %v", err)
+		}
+		// What loads whole also loads as a checkpoint of the grown data.
+		grown := fuzzGrown()
+		px, err := LoadPrefix(bytes.NewReader(blob), grown)
+		if err != nil || px.ds.Len() != ds.Len() {
+			t.Fatalf("prefix load over grown data: index %v, err %v", px != nil, err)
+		}
+		if px.binned {
+			if full, ok := AppendRows(px, grown); ok && full.ds.Len() != grown.Len() {
+				t.Fatalf("patched prefix covers %d of %d rows", full.ds.Len(), grown.Len())
+			}
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -167,9 +168,8 @@ func TestLoadRejectsWrongDataset(t *testing.T) {
 	}
 }
 
-// golden reads one fixture written by the commit before WAH left the index
-// (see testdata/README.md): golden.csv is the dataset every golden_v3_*.idx
-// was saved against.
+// golden reads one persistence fixture (see testdata/README.md): golden.csv
+// is the dataset every golden_v*.idx was saved against.
 func golden(t *testing.T, name string) []byte {
 	t.Helper()
 	blob, err := os.ReadFile(filepath.Join("testdata", name))
@@ -188,19 +188,38 @@ func goldenDataset(t *testing.T) *data.Dataset {
 	return ds
 }
 
-// TestLoadGoldenV3 pins on-disk compatibility: v3 files an older build wrote
+// TestLoadGoldenV3 pins the migration: the v3 files an older build wrote are
+// keyed by the count-first fingerprint, which no dataset hashes to any more,
+// so every one of them — whatever its codec — fails closed with ErrVersion
+// and a rebuild hint before a byte of it is trusted, through the prefix
+// loader too.
+func TestLoadGoldenV3(t *testing.T) {
+	ds := goldenDataset(t)
+	for _, file := range []string{"golden_v3_adaptive.idx", "golden_v3_concise.idx", "golden_v3_wah.idx"} {
+		for name, load := range map[string]func(io.Reader, *data.Dataset) (*bitmapidx.Index, error){
+			"Load": bitmapidx.Load, "LoadPrefix": bitmapidx.LoadPrefix,
+		} {
+			ix, err := load(bytes.NewReader(golden(t, file)), ds)
+			if ix != nil || !errors.Is(err, bitmapidx.ErrVersion) || !strings.Contains(err.Error(), "rebuild") {
+				t.Fatalf("%s(%s): index %v, error = %v; want ErrVersion with a rebuild hint", name, file, ix != nil, err)
+			}
+		}
+	}
+}
+
+// TestLoadGoldenV4 pins on-disk compatibility from here on: v4 files written
 // under the adaptive default and under pure CONCISE load unchanged — same
 // header codec value, same column-kind bytes — re-save byte-identically, and
 // answer exactly.
-func TestLoadGoldenV3(t *testing.T) {
+func TestLoadGoldenV4(t *testing.T) {
 	ds := goldenDataset(t)
 	want, _ := core.Naive(ds, 7)
 	for _, tc := range []struct {
 		file     string
 		adaptive bool
 	}{
-		{"golden_v3_adaptive.idx", true},
-		{"golden_v3_concise.idx", false},
+		{"golden_v4_adaptive.idx", true},
+		{"golden_v4_concise.idx", false},
 	} {
 		blob := golden(t, tc.file)
 		ix, err := bitmapidx.Load(bytes.NewReader(blob), ds)
@@ -218,7 +237,7 @@ func TestLoadGoldenV3(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out.Bytes(), blob) {
-			t.Fatalf("%s: re-saved index differs from the golden bytes — the v3 format moved", tc.file)
+			t.Fatalf("%s: re-saved index differs from the golden bytes — the v4 format moved", tc.file)
 		}
 		got, _ := core.IBIG(ds, 7, ix, nil)
 		if ws, gs := want.Scores(), got.Scores(); !slices.Equal(ws, gs) {
@@ -227,9 +246,10 @@ func TestLoadGoldenV3(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsWAH: the retired codec's value 1 — as the header codec of a
-// real WAH-pinned file, or as a column kind inside an otherwise valid file —
-// fails with ErrUnsupportedCodec and a rebuild hint, never a misparse.
+// TestLoadRejectsWAH: the retired codec's value 1 — as the header codec (the
+// byte a WAH-pinned build wrote there, see golden_v3_wah.idx), or as a column
+// kind inside an otherwise valid file — fails with ErrUnsupportedCodec and a
+// rebuild hint, never a misparse.
 func TestLoadRejectsWAH(t *testing.T) {
 	ds := goldenDataset(t)
 	check := func(name string, blob []byte) {
@@ -239,12 +259,17 @@ func TestLoadRejectsWAH(t *testing.T) {
 			t.Fatalf("%s: error = %v, want ErrUnsupportedCodec with a rebuild hint", name, err)
 		}
 	}
-	check("WAH-pinned file", golden(t, "golden_v3_wah.idx"))
+	pinned := golden(t, "golden_v4_concise.idx")
+	if wah := golden(t, "golden_v3_wah.idx"); pinned[6] != 2 || wah[6] != 1 {
+		t.Fatalf("fixture layout drifted: header codec bytes %d / %d, want 2 (CONCISE) / 1 (WAH)", pinned[6], wah[6])
+	}
+	pinned[6] = 1
+	check("WAH header codec", pinned)
 
 	// Column kind 1: rewrite the kind byte of dimension 0's first column (the
 	// all-ones column, CONCISE in an adaptive index). Layout up to it: magic,
 	// six u64 header fields, u64 rank count + u32 ranks, u64 column count.
-	blob := golden(t, "golden_v3_adaptive.idx")
+	blob := golden(t, "golden_v4_adaptive.idx")
 	const hdr = 6 + 6*8
 	kindAt := hdr + 8 + 4*int(binary.LittleEndian.Uint64(blob[hdr:])) + 8
 	if blob[kindAt] != 2 {
@@ -252,4 +277,67 @@ func TestLoadRejectsWAH(t *testing.T) {
 	}
 	blob[kindAt] = 1
 	check("column kind 1", blob)
+}
+
+// TestLoadPrefixCheckpoint: a saved index is a checkpoint — (rows,
+// fingerprint) of the rows it covers. Over data that has grown since, Load
+// (exact) refuses it as stale, LoadPrefix binds it to the prefix it names
+// and AppendRows brings it level, with answers equal to Naive over all the
+// rows; data whose prefix does not hash to the checkpoint is stale for both.
+func TestLoadPrefixCheckpoint(t *testing.T) {
+	base := gen.Synthetic(gen.Config{N: 400, Dim: 4, Cardinality: 12, MissingRate: 0.2, Dist: gen.IND, Seed: 91})
+	more := gen.Synthetic(gen.Config{N: 37, Dim: 4, Cardinality: 14, MissingRate: 0.2, Dist: gen.IND, Seed: 92})
+	opts := bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{}, Adaptive: true}
+	var saved bytes.Buffer
+	if err := bitmapidx.Build(base, opts).Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	grow := func(from *data.Dataset) *data.Dataset {
+		next := from.Extend(more.Len())
+		for i := 0; i < more.Len(); i++ {
+			next.MustAppend("late-"+more.Obj(i).ID, more.Obj(i).Values)
+		}
+		return next
+	}
+	grown := grow(base)
+
+	if _, err := bitmapidx.Load(bytes.NewReader(saved.Bytes()), grown); !errors.Is(err, bitmapidx.ErrStale) {
+		t.Fatalf("exact load over grown data: error = %v, want ErrStale", err)
+	}
+	ix, err := bitmapidx.LoadPrefix(bytes.NewReader(saved.Bytes()), grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Dataset().Len() != base.Len() {
+		t.Fatalf("prefix index covers %d rows, the checkpoint names %d", ix.Dataset().Len(), base.Len())
+	}
+	full, ok := bitmapidx.AppendRows(ix, grown)
+	if !ok || full.Dataset() != grown {
+		t.Fatal("the tail could not be patched onto the loaded prefix")
+	}
+	want, _ := core.Naive(grown, 9)
+	got, _ := core.IBIG(grown, 9, full, nil)
+	if ws, gs := want.Scores(), got.Scores(); !slices.Equal(ws, gs) {
+		t.Fatalf("IBIG over checkpoint + tail scores %v, Naive %v", gs, ws)
+	}
+	// An exact match is the prefix case with nothing behind it.
+	if whole, err := bitmapidx.LoadPrefix(bytes.NewReader(saved.Bytes()), base); err != nil || whole.Dataset() != base {
+		t.Fatalf("prefix load of an exact match: bound to the dataset itself = %v, err %v", err == nil && whole.Dataset() == base, err)
+	}
+
+	// Same shape and length, another first row: not this checkpoint's data.
+	other := data.New(4)
+	other.MustAppend("intruder", []float64{1, 2, 3, 4})
+	for i := 1; i < base.Len(); i++ {
+		other.MustAppend(base.Obj(i).ID, base.Obj(i).Values)
+	}
+	for name, ds := range map[string]*data.Dataset{"same length": other, "grown": grow(other)} {
+		if _, err := bitmapidx.LoadPrefix(bytes.NewReader(saved.Bytes()), ds); !errors.Is(err, bitmapidx.ErrStale) {
+			t.Fatalf("%s, foreign prefix: error = %v, want ErrStale", name, err)
+		}
+	}
+	// Fewer rows than the checkpoint covers.
+	if _, err := bitmapidx.LoadPrefix(bytes.NewReader(saved.Bytes()), base.Slice(0, 399)); !errors.Is(err, bitmapidx.ErrStale) {
+		t.Fatalf("checkpoint longer than the data: error = %v, want ErrStale", err)
+	}
 }

@@ -10,12 +10,12 @@
 package data
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // MaxDim is the largest supported dimensionality. Observed-dimension masks
@@ -76,9 +76,32 @@ func (o *Object) Dominates(p *Object) bool {
 // Dataset is an ordered collection of incomplete objects sharing one
 // dimensionality. Object identity within the library is positional (the
 // int32 index), matching the bit positions of the vertical bitmap columns.
+//
+// Beside the rows a dataset carries two running summaries that an append
+// extends in O(row) instead of recomputing in O(N): the fingerprint chain
+// (see Fingerprint, Seal) and the missing-cell count (MissingRate). Both
+// describe rows the dataset has already seen, so every operation that keeps
+// those rows — Append, Extend, Clone, a Slice from row 0 — carries them
+// over, and the one that rewrites rows in place (Negate) starts them again.
 type Dataset struct {
 	dim  int
 	objs []Object
+
+	// chain is the FNV-1a state over dim and rows [0, hashed); Seal advances
+	// it, Fingerprint folds whatever is left on the fly.
+	chain  uint64
+	hashed int
+	// missing counts the unobserved cells of all rows; -1 on a row-range view
+	// that has not counted its own.
+	missing int
+
+	// arena is the rest of the value chunk Extend reserved; Append carves
+	// each row's Values out of it, one allocation per batch instead of one
+	// per row.
+	arena []float64
+	// extended is set by the first Extend: the spare capacity behind objs
+	// then belongs to that extension alone.
+	extended atomic.Bool
 }
 
 // New returns an empty dataset of the given dimensionality.
@@ -86,7 +109,7 @@ func New(dim int) *Dataset {
 	if dim <= 0 || dim > MaxDim {
 		panic(fmt.Sprintf("data: dimensionality %d out of range [1,%d]", dim, MaxDim))
 	}
-	return &Dataset{dim: dim}
+	return &Dataset{dim: dim, chain: chainSeed(dim)}
 }
 
 // Dim returns the dimensionality d.
@@ -107,20 +130,62 @@ func (ds *Dataset) Append(id string, values []float64) (int, error) {
 	if len(values) != ds.dim {
 		return 0, fmt.Errorf("data: object %q has %d values, want %d", id, len(values), ds.dim)
 	}
-	o := Object{ID: id, Values: make([]float64, ds.dim)}
+	o := Object{ID: id}
 	for i, v := range values {
-		if math.IsNaN(v) {
-			o.Values[i] = math.NaN()
-			continue
+		if !math.IsNaN(v) {
+			o.Mask |= 1 << uint(i)
 		}
-		o.Values[i] = v
-		o.Mask |= 1 << uint(i)
 	}
 	if o.Mask == 0 {
 		return 0, fmt.Errorf("data: object %q has no observed dimension", id)
 	}
+	if len(ds.arena) >= ds.dim {
+		o.Values, ds.arena = ds.arena[:ds.dim:ds.dim], ds.arena[ds.dim:]
+	} else {
+		o.Values = make([]float64, ds.dim)
+	}
+	for i, v := range values {
+		if math.IsNaN(v) {
+			v = math.NaN()
+		}
+		o.Values[i] = v
+	}
+	if ds.extended.Load() {
+		// An extension owns the spare capacity behind these rows: move to a
+		// backing array of our own rather than write into its tail.
+		ds.objs = slices.Clip(ds.objs)
+		ds.extended.Store(false)
+	}
 	ds.objs = append(ds.objs, o)
+	if ds.missing >= 0 {
+		ds.missing += ds.dim - o.ObservedCount()
+	}
 	return len(ds.objs) - 1, nil
+}
+
+// Extend returns a dataset that starts out as ds's rows and has room for n
+// more, so a frozen dataset (a published epoch) grows its successor in
+// O(batch): the extension shares ds's rows, their fingerprint chain and
+// missing-cell count, and its appends go into the spare capacity of the
+// shared backing array, behind ds's length where no reader of ds looks.
+// That capacity has a single claimant — the first Extend of a dataset takes
+// it, any later Extend of the same dataset starts from a capacity-clamped
+// view and copies the row headers on its first Append — so two extensions of
+// one base never see each other's rows, and discarding an extension leaves
+// the base as it was. ds must not be appended to afterwards.
+func (ds *Dataset) Extend(n int) *Dataset {
+	objs := ds.objs
+	if !ds.extended.CompareAndSwap(false, true) {
+		objs = slices.Clip(objs)
+	}
+	return &Dataset{
+		dim:     ds.dim,
+		objs:    slices.Grow(objs, n),
+		chain:   ds.chain,
+		hashed:  ds.hashed,
+		missing: ds.missing,
+		arena:   make([]float64, n*ds.dim),
+	}
 }
 
 // MustAppend is Append that panics on error; for fixtures and generators.
@@ -137,7 +202,9 @@ func Missing() float64 { return math.NaN() }
 
 // Negate flips the sign of every observed value in place, converting
 // larger-is-better data (ratings) to the library's smaller-is-better
-// convention.
+// convention. Rewriting rows invalidates what the fingerprint chain has
+// folded, so the chain starts again (any future in-place mutator must do the
+// same).
 func (ds *Dataset) Negate() {
 	for i := range ds.objs {
 		o := &ds.objs[i]
@@ -147,11 +214,12 @@ func (ds *Dataset) Negate() {
 			}
 		}
 	}
+	ds.chain, ds.hashed = chainSeed(ds.dim), 0
 }
 
 // Clone returns a deep copy of the dataset.
 func (ds *Dataset) Clone() *Dataset {
-	out := New(ds.dim)
+	out := &Dataset{dim: ds.dim, chain: ds.chain, hashed: ds.hashed, missing: ds.missing}
 	out.objs = make([]Object, len(ds.objs))
 	for i, o := range ds.objs {
 		out.objs[i] = Object{ID: o.ID, Values: append([]float64(nil), o.Values...), Mask: o.Mask}
@@ -165,53 +233,129 @@ func (ds *Dataset) Clone() *Dataset {
 // Append on the parent may reallocate the backing array, but the slice
 // header captured here keeps the original rows alive and unchanged, so a
 // shard built from a frozen epoch stays valid even if the source dataset
-// moves on.
+// moves on. A view from row 0 that covers everything the parent's
+// fingerprint chain has folded continues that chain; any other view starts
+// its own.
 func (ds *Dataset) Slice(lo, hi int) *Dataset {
 	if lo < 0 || hi > len(ds.objs) || lo > hi {
 		panic(fmt.Sprintf("data: slice [%d,%d) out of range [0,%d)", lo, hi, len(ds.objs)))
 	}
-	return &Dataset{dim: ds.dim, objs: ds.objs[lo:hi:hi]}
+	out := &Dataset{dim: ds.dim, objs: ds.objs[lo:hi:hi], chain: chainSeed(ds.dim), missing: -1}
+	if lo == 0 && hi >= ds.hashed {
+		out.chain, out.hashed = ds.chain, ds.hashed
+	}
+	if lo == 0 && hi == len(ds.objs) {
+		out.missing = ds.missing
+	}
+	return out
 }
 
 // MissingRate returns the fraction of (object, dimension) cells that are
-// missing — the paper's σ.
+// missing — the paper's σ. O(1) from the running count, except on a
+// row-range view, which scans its rows.
 func (ds *Dataset) MissingRate() float64 {
 	if len(ds.objs) == 0 {
 		return 0
 	}
-	missing := 0
-	for i := range ds.objs {
-		missing += ds.dim - ds.objs[i].ObservedCount()
+	missing := ds.missing
+	if missing < 0 {
+		missing = 0
+		for i := range ds.objs {
+			missing += ds.dim - ds.objs[i].ObservedCount()
+		}
 	}
 	return float64(missing) / float64(len(ds.objs)*ds.dim)
 }
 
-// Fingerprint returns a 64-bit FNV-1a digest of the dataset's full
-// contents: dimensionality, object order, IDs, observed-dimension masks and
-// observed values. It is stable across process restarts, so a persisted
-// index keyed by fingerprint can decide reuse-vs-rebuild without trusting
-// file names or modification times.
-func (ds *Dataset) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(ds.dim))
-	put(uint64(len(ds.objs)))
-	for i := range ds.objs {
-		o := &ds.objs[i]
-		h.Write([]byte(o.ID))
-		h.Write([]byte{0}) // terminate the ID so {"ab","c"} != {"a","bc"}
-		put(o.Mask)
-		for d := 0; d < ds.dim; d++ {
+// The fingerprint is an FNV-1a chain that an append extends. The 64-bit
+// state starts at the FNV offset basis and absorbs, byte by byte:
+//
+//	dim as u64 little-endian;
+//	then per row, in order: the ID bytes, one 0x00 (so {"ab","c"} and
+//	  {"a","bc"} differ), Mask as u64 LE, and for each observed dimension in
+//	  ascending order the IEEE-754 bits of the value as u64 LE;
+//	last, the row count as u64 LE.
+//
+// Folding the count last (not first) is what makes the state after n rows a
+// prefix of the state after n+m: the chain is kept open on the dataset and
+// only a copy is closed with the count.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// foldU64 absorbs v's eight bytes, least significant first (unrolled: the
+// chain is bound by the multiply's latency, and a loop adds to it).
+func foldU64(h, v uint64) uint64 {
+	h = (h ^ (v & 0xff)) * fnvPrime
+	h = (h ^ (v >> 8 & 0xff)) * fnvPrime
+	h = (h ^ (v >> 16 & 0xff)) * fnvPrime
+	h = (h ^ (v >> 24 & 0xff)) * fnvPrime
+	h = (h ^ (v >> 32 & 0xff)) * fnvPrime
+	h = (h ^ (v >> 40 & 0xff)) * fnvPrime
+	h = (h ^ (v >> 48 & 0xff)) * fnvPrime
+	h = (h ^ (v >> 56)) * fnvPrime
+	return h
+}
+
+func chainSeed(dim int) uint64 { return foldU64(fnvOffset, uint64(dim)) }
+
+// rowsHashed counts the rows every fingerprint pass of the process has
+// folded — the observable behind "a publish hashes the batch, not the
+// dataset".
+var rowsHashed atomic.Int64
+
+// RowsHashed returns the number of rows folded into fingerprint chains by
+// this process so far.
+func RowsHashed() int64 { return rowsHashed.Load() }
+
+// foldRows absorbs objs into the chain state h.
+func foldRows(h uint64, objs []Object, dim int) uint64 {
+	for i := range objs {
+		o := &objs[i]
+		for j := 0; j < len(o.ID); j++ {
+			h = (h ^ uint64(o.ID[j])) * fnvPrime
+		}
+		h *= fnvPrime // the 0x00 terminator: h ^ 0 == h
+		h = foldU64(h, o.Mask)
+		for d := 0; d < dim; d++ {
 			if o.Observed(d) {
-				put(math.Float64bits(o.Values[d]))
+				h = foldU64(h, math.Float64bits(o.Values[d]))
 			}
 		}
 	}
-	return h.Sum64()
+	rowsHashed.Add(int64(len(objs)))
+	return h
+}
+
+// Seal folds every row the chain has not absorbed yet into it, after which
+// Fingerprint is an O(1) read until the next Append — and stays O(1) across
+// appends if Seal is called again, which then costs O(appended rows). It
+// writes to the dataset, so the owner calls it before sharing the dataset
+// with readers (tkd seals every epoch it publishes); Fingerprint itself
+// never writes.
+func (ds *Dataset) Seal() {
+	if ds.hashed == len(ds.objs) {
+		return // nothing to fold, and nothing written under a reader's feet
+	}
+	ds.chain = foldRows(ds.chain, ds.objs[ds.hashed:], ds.dim)
+	ds.hashed = len(ds.objs)
+}
+
+// Fingerprint returns the 64-bit digest of the dataset's full contents —
+// dimensionality, object order, IDs, observed-dimension masks and observed
+// values — as defined above. It is a pure function of the rows, whatever
+// path built them (ReadCSV, Append, Extend, Clone, a Slice), and stable
+// across process restarts, so a persisted index keyed by fingerprint can
+// decide reuse-vs-rebuild without trusting file names or modification times.
+// It is a pure read: on a sealed dataset O(1), otherwise one pass over the
+// rows Seal has not folded.
+func (ds *Dataset) Fingerprint() uint64 {
+	h := ds.chain
+	if ds.hashed < len(ds.objs) {
+		h = foldRows(h, ds.objs[ds.hashed:], ds.dim)
+	}
+	return foldU64(h, uint64(len(ds.objs)))
 }
 
 // DimStats summarizes one dimension of a dataset: the sorted distinct

@@ -24,11 +24,16 @@ import (
 // mid-ingest, restarted, and audited. The durability contract under test is
 // the WAL's reason to exist: every row the server acked before the kill must
 // be present after recovery, and the recovered dataset must answer queries
-// byte-identically to a fresh unsharded load of the same rows. The only
-// latitude is the single append in flight when the kill lands — it was never
-// acked, so it may legitimately appear (logged before the kill) or not
-// (at-least-once's one ambiguous row); anything else is a lost write or a
-// silent divergence, and the report row makes either impossible to miss.
+// byte-identically to a fresh unsharded load of the same rows. Appends go
+// out in batches of 1, 4 and 20 rows — one WAL write and one fsync each — so
+// the kill also lands inside multi-row batches. The only latitude is the
+// single append request in flight when the kill lands — it was never acked,
+// so any prefix of its rows may legitimately appear (the frames that reached
+// the log before the kill) or none (at-least-once's one ambiguous request);
+// anything else is a lost write or a silent divergence, and the report row
+// makes either impossible to miss. Every restart also exercises the
+// checkpointed index: the file in -indexdir covers a prefix of the recovered
+// rows and the WAL supplies the tail.
 
 // KillLoadConfig parameterizes one kill-under-load run.
 type KillLoadConfig struct {
@@ -76,8 +81,8 @@ type KillLoadResult struct {
 	// Acked counts rows the server acknowledged with 200 before a kill;
 	// all of them must survive every recovery.
 	Acked int
-	// InflightKept counts ambiguous in-flight rows (append cut off by the
-	// kill before a response arrived) that turned out to be durable.
+	// InflightKept counts ambiguous in-flight rows (of the append request the
+	// kill cut off before a response arrived) that turned out to be durable.
 	InflightKept int
 	// Lost counts acked rows missing after a recovery — must be zero.
 	Lost int
@@ -149,8 +154,8 @@ func RunKillLoad(cfg KillLoadConfig) (KillLoadResult, error) {
 
 	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
 	hc := &http.Client{Timeout: 10 * time.Second}
-	next := 0                   // next append row index (ids never reused)
-	var inflight *killAppendRow // the one row cut off by the previous kill
+	next := 0                    // next append row index (ids never reused)
+	var inflight []killAppendRow // the one request cut off by the previous kill
 
 	for round := 0; round <= cfg.Kills; round++ {
 		proc, baseURL, err := startKillServer(bin, dir, csv)
@@ -167,17 +172,19 @@ func RunKillLoad(cfg KillLoadConfig) (KillLoadResult, error) {
 		}
 		res.Replayed = info.WALReplayedRows
 
-		// Settle the one ambiguous row: present means it was logged before
-		// the kill (fold it into the reference), absent means the kill beat
-		// the log write — both honour the ack contract. Any other delta is
-		// a durability bug.
+		// Settle the one ambiguous request: a prefix of its rows present
+		// means those frames were logged before the kill (fold them into the
+		// reference), none means the kill beat the log write — both honour
+		// the ack contract. Any other delta is a durability bug.
 		delta := info.Objects - expected.Len()
-		if inflight != nil && delta == 1 {
-			if err := expected.Append(inflight.id, inflight.vals...); err != nil {
-				proc.kill()
-				return res, fmt.Errorf("round %d: reference append: %w", round, err)
+		if delta > 0 && delta <= len(inflight) {
+			for _, row := range inflight[:delta] {
+				if err := expected.Append(row.id, row.vals...); err != nil {
+					proc.kill()
+					return res, fmt.Errorf("round %d: reference append: %w", round, err)
+				}
 			}
-			res.InflightKept++
+			res.InflightKept += delta
 			delta = 0
 		}
 		inflight = nil
@@ -226,7 +233,7 @@ func RunKillLoad(cfg KillLoadConfig) (KillLoadResult, error) {
 
 		// Ingest under load until the seeded SIGKILL lands. Every 200 is an
 		// ack the next recovery must honour; the append that errors out is
-		// the round's one ambiguous row.
+		// the round's one ambiguous request.
 		delay := cfg.KillAfterMin
 		if span := cfg.KillAfterMax - cfg.KillAfterMin; span > 0 {
 			delay += time.Duration(rng.Int63n(int64(span)))
@@ -247,21 +254,25 @@ func RunKillLoad(cfg KillLoadConfig) (KillLoadResult, error) {
 					roundDeltas = inf.DeltaPublishes
 				}
 			}
-			row := killRowFor(next, cfg.Dim)
-			if err := postKillAppend(hc, baseURL, row); err != nil {
-				// Transport cut mid-request: the kill landed. This row was
-				// sent but never acked — resolve it after the restart.
-				inflight = &row
+			batch := make([]killAppendRow, killBatchSizes[appended%len(killBatchSizes)])
+			for i := range batch {
+				batch[i] = killRowFor(next, cfg.Dim)
 				next++
+			}
+			if err := postKillAppend(hc, baseURL, batch); err != nil {
+				// Transport cut mid-request: the kill landed. These rows were
+				// sent but never acked — resolve them after the restart.
+				inflight = batch
 				break
 			}
-			if err := expected.Append(row.id, row.vals...); err != nil {
-				timer.Stop()
-				proc.kill()
-				return res, fmt.Errorf("reference append: %w", err)
+			for _, row := range batch {
+				if err := expected.Append(row.id, row.vals...); err != nil {
+					timer.Stop()
+					proc.kill()
+					return res, fmt.Errorf("reference append: %w", err)
+				}
 			}
-			res.Acked++
-			next++
+			res.Acked += len(batch)
 		}
 		timer.Stop()
 		res.DeltaPublishes += roundDeltas
@@ -271,6 +282,10 @@ func RunKillLoad(cfg KillLoadConfig) (KillLoadResult, error) {
 	res.Wall = time.Since(start)
 	return res, nil
 }
+
+// killBatchSizes are the rows per append request, cycled: single rows, small
+// batches and the 20-row batch the served benchmark's writer sends.
+var killBatchSizes = []int{1, 4, 20}
 
 // killAppendRow is one deterministic generated row; values are a pure
 // function of the row index so the reference can regenerate them.
@@ -429,15 +444,19 @@ func killFingerprintMatches(hc *http.Client, base string, fp uint64) (bool, erro
 	}
 }
 
-// postKillAppend sends one row; nil means the server acked it (200). A non-200
-// status aborts the run loudly — under a healthy disk appends never fail, so
-// anything but a transport cut is a harness or server bug, not a kill.
-func postKillAppend(hc *http.Client, base string, row killAppendRow) error {
-	vals := make([]*float64, len(row.vals))
-	for i := range row.vals {
-		vals[i] = &row.vals[i]
+// postKillAppend sends one batch; nil means the server acked it (200). A
+// non-200 status aborts the run loudly — under a healthy disk appends never
+// fail, so anything but a transport cut is a harness or server bug, not a kill.
+func postKillAppend(hc *http.Client, base string, batch []killAppendRow) error {
+	req := server.AppendRequest{Rows: make([]server.AppendRow, len(batch))}
+	for i, row := range batch {
+		vals := make([]*float64, len(row.vals))
+		for j := range row.vals {
+			vals[j] = &row.vals[j]
+		}
+		req.Rows[i] = server.AppendRow{ID: row.id, Values: vals}
 	}
-	body, err := json.Marshal(server.AppendRequest{Rows: []server.AppendRow{{ID: row.id, Values: vals}}})
+	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}

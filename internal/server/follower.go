@@ -319,9 +319,7 @@ func (f *follower) applyDelta(name string, e *entry, body io.Reader, sp *obs.Spa
 	} else {
 		pub.SetStr("mode", "rebuild") // cold local index; rows still applied
 	}
-	// Persist the patched index so a restart warms from disk, exactly as the
-	// full-stream path does.
-	f.s.persist(name, d.IndexParts())
+	f.s.checkpointIndex(e, false)
 	e.followed.Store(true)
 	e.leaderSeen.Store(dx.Epoch)
 	e.leaderEpoch.Store(dx.Epoch)

@@ -2,12 +2,17 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -354,5 +359,114 @@ func TestFollowerRollingReloadE2E(t *testing.T) {
 				t.Fatalf("%s diverges from the fresh unsharded run at rank %d: %+v vs %+v", url, i+1, g, it)
 			}
 		}
+	}
+}
+
+// TestFollowerMixedVersionFailsClosed: the epoch stream's magic moved with
+// the fingerprint definition (TKDEPO1/TKDEPD1 → 2), so a leader and a
+// follower from different builds must not exchange a byte they would
+// misread. A follower that converged on a same-build leader and then meets a
+// TKDEPO1 leader — full stream or delta — counts typed version errors and
+// keeps serving the epoch it has; and what a current leader sends is, by its
+// first eight bytes, nothing a TKDEPO1 follower's magic check lets through.
+func TestFollowerMixedVersionFailsClosed(t *testing.T) {
+	testdata := filepath.Join("..", "bitmapidx", "testdata")
+	read := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(testdata, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	current, old := read("golden_epoch_adaptive.bin"), read("golden_epoch_v1_adaptive.bin")
+	fpOf := func(stream []byte) string { return fmt.Sprintf("%016x", binary.LittleEndian.Uint64(stream[16:])) }
+
+	// The leader fixture: phase 0 is this build (serves the current stream at
+	// epoch 1, answers conditional polls), phase 1 a TKDEPO1 build that moved
+	// on to epoch 2, phase 2 the same build answering with a TKDEPD1 delta.
+	var phase atomic.Int32
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/datasets":
+			fmt.Fprint(w, `{"datasets":[{"name":"g"}]}`)
+		case "/v1/datasets/g/epoch":
+			switch phase.Load() {
+			case 0:
+				w.Header().Set("X-TKD-Epoch", "1")
+				w.Header().Set("X-TKD-Fingerprint", fpOf(current))
+				if r.Header.Get("X-TKD-Have-Fingerprint") == fpOf(current) {
+					w.WriteHeader(http.StatusNotModified)
+					return
+				}
+				w.Write(current)
+			case 1:
+				w.Header().Set("X-TKD-Epoch", "2")
+				w.Header().Set("X-TKD-Fingerprint", fpOf(old))
+				w.Write(old)
+			default:
+				w.Header().Set("X-TKD-Epoch", "2")
+				w.Header().Set("X-TKD-Fingerprint", fpOf(old))
+				w.Header().Set("X-TKD-Delta", "1")
+				w.Write(append([]byte("TKDEPD1\n"), make([]byte, 64)...))
+			}
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer leader.Close()
+
+	logs := &logCapture{}
+	fol := server.New(server.Config{Follow: leader.URL, FollowInterval: 5 * time.Millisecond, Logger: slog.New(logs)})
+	defer fol.Close()
+	fts := httptest.NewServer(fol)
+	defer fts.Close()
+	waitUntil(t, "follower converged on the same-build leader", func() bool {
+		d, ok := listDatasets(t, fts.URL)["g"]
+		return ok && d.Followed && d.LeaderEpoch == 1
+	})
+	before, code := postQuery(t, fts.URL, server.QueryRequest{Dataset: "g", K: 5})
+	if code != http.StatusOK {
+		t.Fatalf("follower query: HTTP %d", code)
+	}
+
+	versionErrors := func() int {
+		n := 0
+		for _, v := range logs.attr("follower: sync failed", "err") {
+			if err, ok := v.Any().(error); ok && errors.Is(err, tkd.ErrStreamVersion) {
+				n++
+			}
+		}
+		return n
+	}
+	for p, what := range map[int32]string{1: "full stream", 2: "delta"} {
+		seen := versionErrors()
+		phase.Store(p)
+		waitUntil(t, "version error on an old leader's "+what, func() bool { return versionErrors() > seen })
+		info := listDatasets(t, fts.URL)["g"]
+		if info.Epoch != 1 || info.LeaderEpoch != 1 || info.LeaderSeen != 2 {
+			t.Fatalf("old leader's %s: follower at epoch %d (applied %d, seen %d), want 1 / 1 / 2", what, info.Epoch, info.LeaderEpoch, info.LeaderSeen)
+		}
+		after, code := postQuery(t, fts.URL, server.QueryRequest{Dataset: "g", K: 5})
+		if code != http.StatusOK || !reflect.DeepEqual(after.Items, before.Items) {
+			t.Fatalf("old leader's %s: follower stopped serving its last epoch (HTTP %d)", what, code)
+		}
+	}
+	if got := scrapeMetric(t, fts.URL, "tkd_follower_sync_errors_total"); got < 2 {
+		t.Fatalf("tkd_follower_sync_errors_total = %v, want the refused syncs counted", got)
+	}
+
+	// The reverse: a TKDEPO1 follower compares the first eight bytes against
+	// its own magic and refuses anything else. What this build's leader puts
+	// on the wire — fetched from the follower's own epoch endpoint — must not
+	// pass that check.
+	resp, err := http.Get(fts.URL + "/v1/datasets/g/epoch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !bytes.HasPrefix(body, []byte("TKDEPO2\n")) || bytes.HasPrefix(body, old[:8]) {
+		t.Fatalf("this build's stream starts %q (err %v); want TKDEPO2, which an old follower rejects as a bad magic", body[:min(8, len(body))], err)
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -20,18 +19,25 @@ import (
 // tkd.IndexPart) — the whole index of an unsharded dataset, one in-process
 // shard's otherwise:
 //
-//	<dir>/<escaped name>.tkdix               = magic | fingerprint | index stream
+//	<dir>/<escaped name>.tkdix               = magic | index stream
 //	<dir>/<escaped name>%shard-<i>.tkdix     = the same, for shard i
 //
-// The fingerprint (a digest of the rows the part indexes) gates reuse: a
-// changed data file — or a changed row range — hashes differently, so the
-// stale index is rebuilt and overwritten rather than trusted, shard by
-// shard. The index stream carries its own CRC and shape checks, so a
-// truncated or bit-flipped cache file degrades to a rebuild, never to a
+// The stream's own header gates reuse: it names the row count and the
+// fingerprint (a digest of those rows) it was saved at, and it loads only
+// onto data whose first that-many rows hash to it. So the file is a
+// checkpoint, not a mirror: an ingesting dataset rewrites it when the rows
+// have grown by an eighth (Server.checkpointIndex), and a restart loads the
+// checkpoint and patches the rows the write-ahead log — or the leader —
+// supplied since. A changed data file, or a changed row range, hashes
+// differently, so the stale index is rebuilt and overwritten rather than
+// trusted, shard by shard. The stream carries its own CRC and shape checks,
+// so a truncated or bit-flipped cache file degrades to a rebuild, never to a
 // corrupt serving index.
 
 // cacheMagic versions the wrapper; bump it to invalidate every cached file.
-var cacheMagic = [8]byte{'T', 'K', 'D', 'I', 'X', 'D', '1', '\n'}
+// Version 2 dropped the wrapper's copy of the fingerprint (the stream's
+// header is the one that is verified) when the fingerprint definition moved.
+var cacheMagic = [8]byte{'T', 'K', 'D', 'I', 'X', 'D', '2', '\n'}
 
 type indexCache struct{ dir string }
 
@@ -56,45 +62,43 @@ func (c *indexCache) path(name string, p tkd.IndexPart) string {
 	return filepath.Join(c.dir, url.PathEscape(name)+p.Suffix+".tkdix")
 }
 
-// tryLoad restores one persisted index part when its file exists and the
-// header fingerprint matches the part's. ok reports whether the rebuild was
-// skipped; a missing or mismatched file is a miss (false, nil), a corrupt
-// one surfaces its error so the caller can count it — either way the caller
-// falls back to building.
-func (c *indexCache) tryLoad(name string, p tkd.IndexPart) (ok bool, err error) {
+// tryLoad restores one persisted index part when its file exists and is a
+// checkpoint of the part's rows: all of them, or a prefix, in which case
+// patched counts the rows folded in behind it. ok reports whether the
+// rebuild was skipped; a missing file, an older wrapper or a checkpoint of
+// other rows is a miss (false, nil), a corrupt one surfaces its error so the
+// caller can count it — either way the caller falls back to building.
+func (c *indexCache) tryLoad(name string, p tkd.IndexPart) (patched int, ok bool, err error) {
 	path := c.path(name, p)
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
+		return 0, false, nil
 	}
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return false, fmt.Errorf("server: index cache %s: %w", path, err)
+		return 0, false, fmt.Errorf("server: index cache %s: %w", path, err)
 	}
 	if magic != cacheMagic {
-		return false, nil // older or foreign format: rebuild
+		return 0, false, nil // older or foreign format: rebuild
 	}
-	var got uint64
-	if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
-		return false, fmt.Errorf("server: index cache %s: %w", path, err)
+	patched, err = p.Load(br)
+	if errors.Is(err, tkd.ErrIndexStale) {
+		return 0, false, nil // data changed since the index was persisted
 	}
-	if got != p.Fingerprint {
-		return false, nil // data changed since the index was persisted
+	if err != nil {
+		return 0, false, fmt.Errorf("server: index cache %s: %w", path, err)
 	}
-	if err := p.Load(br); err != nil {
-		return false, fmt.Errorf("server: index cache %s: %w", path, err)
-	}
-	return true, nil
+	return patched, true, nil
 }
 
-// save persists one index part (building it if needed) under the
-// fingerprint header, writing to a temp file and renaming so a concurrent
-// reader or a crash mid-write never sees a torn file.
+// save persists one index part (building it if needed), writing to a temp
+// file and renaming so a concurrent reader or a crash mid-write never sees a
+// torn file.
 func (c *indexCache) save(name string, p tkd.IndexPart) error {
 	tmp, err := os.CreateTemp(c.dir, ".tkdix-tmp-*")
 	if err != nil {
@@ -103,10 +107,6 @@ func (c *indexCache) save(name string, p tkd.IndexPart) error {
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	bw := bufio.NewWriter(tmp)
 	if _, err := bw.Write(cacheMagic[:]); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, p.Fingerprint); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -22,17 +22,20 @@ import (
 // is logged — and, under the "always" fsync policy, fsynced — before it is
 // acked, then buffered; a background publisher folds the buffered rows into
 // the dataset on the Config.PublishInterval cadence as one epoch-RCU
-// publish (tkd.AppendRows: patching the previous epoch's index in place,
-// O(batch), falling back to a rebuild only when it cannot — cold index,
-// lineage break), persists the resulting index, and records a checkpoint in
-// the WAL
-// (row count covered, epoch number, data fingerprint). Startup recovery
-// replays the WAL on top of the source file: rows up to the last checkpoint
-// reconstruct the published state (the persisted index warm-loads when the
-// fingerprint still matches), rows beyond it are exactly the
-// acked-but-unpublished suffix and are republished as a fresh epoch before
-// the server starts answering. Followers need nothing new: a recovered
-// epoch ships over the same epoch-stream endpoint as any other publish.
+// publish (tkd.AppendRows: extending the previous epoch's rows, fingerprint
+// and index in O(batch), falling back to a rebuild only when it cannot —
+// cold index, lineage break) and records a checkpoint in the WAL (row count
+// covered, epoch number, data fingerprint). The persisted index is not
+// rewritten per publish: it is a checkpoint of a row prefix, saved again
+// once the rows have grown by an eighth (Server.checkpointIndex), and the
+// WAL is its delta log. Startup recovery replays the WAL on top of the
+// source file, loads the index checkpoint — accepted when the first
+// that-many recovered rows hash to its fingerprint — and patches the rows
+// behind it the way a publish would, so a restart after a crash costs a load
+// and a patch, not a rebuild. Rows beyond the last WAL checkpoint are exactly
+// the acked-but-unpublished suffix; they are published with the rest before
+// the server starts answering. Followers need nothing new: a recovered epoch
+// ships over the same epoch-stream endpoint as any other publish.
 //
 // Sharded datasets and replication followers do not ingest: a follower's
 // data is the leader's (mutations there get a 409 pointing at the leader),
@@ -93,13 +96,13 @@ func (s *Server) walOptions() wal.Options {
 
 // openIngest opens (recovering if needed) the WAL behind name and replays
 // every recovered row into base. The caller has loaded base from its source
-// but not prepared it yet: replay happens before index warm-up, so the
-// index cache's fingerprint gate naturally decides between a warm load (no
-// unpublished suffix — the persisted index matches the checkpointed state)
-// and a rebuild. RestoreEpoch fast-forwards the epoch counter so the first
-// publish after recovery resumes the pre-crash numbering instead of
-// restarting at 1 — followers would otherwise see the counter jump
-// backwards under an already-shipped fingerprint.
+// but not prepared it yet: replay happens before index warm-up, so the index
+// checkpoint in the cache directory is checked against the recovered rows —
+// it loads when it covers a prefix of them, the replayed tail is patched on
+// top, and anything else rebuilds. RestoreEpoch fast-forwards the epoch
+// counter so the first publish after recovery resumes the pre-crash
+// numbering instead of restarting at 1 — followers would otherwise see the
+// counter jump backwards under an already-shipped fingerprint.
 func (s *Server) openIngest(name string, base *tkd.Dataset) (*ingestState, error) {
 	l, rec, err := wal.Open(s.walDir(name), s.walOptions())
 	if err != nil {
@@ -264,22 +267,18 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 
 	ing := e.ing
 	walSp := root.StartChild("wal")
+	// One batch, one write, one fsync (under -fsync always): the ack below
+	// still means "on disk", and it costs one flush whatever the batch size.
+	// The rows become pending — publishable — only once the whole batch is
+	// logged.
 	ing.mu.Lock()
-	var (
-		appended int
-		logErr   error
-	)
-	for _, row := range rows {
-		if logErr = ing.log.AppendRow(row); logErr != nil {
-			break
-		}
-		ing.pending = append(ing.pending, row)
-		ing.logged++
-		appended++
+	logErr := ing.log.AppendRows(rows)
+	if logErr == nil {
+		ing.pending = append(ing.pending, rows...)
+		ing.logged += uint64(len(rows))
 	}
 	pending := ing.logged - ing.published
 	ing.mu.Unlock()
-	walSp.SetInt("rows", int64(appended))
 	walSp.End()
 	root.End()
 	s.stages.observeTrace(tr, false)
@@ -295,17 +294,17 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	s.qlog.Add(entry)
 	if logErr != nil {
-		// The log is poisoned: rows logged before the failure are (or will
-		// be, on restart) replayed, rows after it were never acked. The
-		// client must treat the whole batch as failed and retry against a
-		// healthy server.
+		// The log is poisoned and none of the batch was acked; a prefix of
+		// its frames may have reached the file and will then replay on
+		// restart. The client must treat the whole batch as failed and retry
+		// against a healthy server.
 		writeErrorTrace(w, tr.ID(), http.StatusInternalServerError, errWALFailed,
-			"wal append failed after %d of %d rows: %v", appended, len(rows), logErr)
+			"wal append of %d rows failed, none acked: %v", len(rows), logErr)
 		return
 	}
 	writeJSON(w, http.StatusOK, AppendResponse{
 		Dataset:  name,
-		Appended: appended,
+		Appended: len(rows),
 		Durable:  s.cfg.Fsync == wal.SyncAlways,
 		Pending:  pending,
 		Epoch:    e.ds.Epoch(),
@@ -395,8 +394,7 @@ func (s *Server) publishPendingLocked(e *entry) error {
 	pub.SetInt("epoch", int64(epoch))
 	pub.End()
 
-	// Persist the patched (or rebuilt) index so a restart warm-loads it.
-	s.persist(e.name, ing.base.IndexParts())
+	s.checkpointIndex(e, false)
 
 	// The checkpoint fsyncs regardless of policy: it declares the first
 	// `logged` rows covered by this epoch, and that claim must not outrun
@@ -441,7 +439,13 @@ func (s *Server) flushIngest() {
 		if e.ing == nil {
 			continue
 		}
-		if err := s.publishPending(e); err != nil {
+		e.reloadMu.Lock()
+		err := s.publishPendingLocked(e)
+		// Leave an index file level with the data: the next boot then loads
+		// it whole, with no tail to patch.
+		s.checkpointIndex(e, true)
+		e.reloadMu.Unlock()
+		if err != nil {
 			s.log.Warn("ingest flush failed", "dataset", e.name, "err", err)
 		}
 		if err := e.ing.log.Sync(); err != nil {

@@ -1,11 +1,16 @@
 package server_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -460,4 +465,254 @@ func TestIngestRejectedOnShardedServer(t *testing.T) {
 	if code != http.StatusConflict {
 		t.Fatalf("sharded append answered %d (%s), want 409", code, body)
 	}
+}
+
+// batchOf builds n appendable rows inside GenerateIND(…, c=20)'s value grid.
+func batchOf(tag string, n int) []server.AppendRow {
+	rows := make([]server.AppendRow, n)
+	for i := range rows {
+		v := func(x int) *float64 { return fptr(float64(x % 19)) }
+		rows[i] = server.AppendRow{ID: fmt.Sprintf("%s%03d", tag, i), Values: []*float64{v(i * 7), v(i*11 + 3), v(i*13 + 5)}}
+		if i%4 == 1 {
+			rows[i].Values[i%3] = nil
+		}
+	}
+	return rows
+}
+
+// TestIngestBatchFsyncsOnce: one append request is one WAL batch — one fsync
+// under -fsync always, whatever the row count, and none under -fsync none —
+// and the ack still counts every row.
+func TestIngestBatchFsyncsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		policy  wal.Policy
+		fsyncs  int64
+		durable bool
+	}{{wal.SyncAlways, 1, true}, {wal.SyncNone, 0, false}} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			d := newIngestDirs(t, tkd.GenerateIND(100, 3, 20, 0.2, 41))
+			cfg := ingestConfig(d, time.Hour) // no publish: its checkpoint fsyncs too
+			cfg.Fsync = tc.policy
+			s, ts := startIngestServer(t, cfg, d)
+			defer func() { ts.Close(); s.Close() }()
+			for req := int64(1); req <= 3; req++ {
+				ar := appendRows(t, ts.URL, batchOf(fmt.Sprintf("r%d-", req), 20))
+				if ar.Appended != 20 || ar.Durable != tc.durable || ar.Pending != uint64(20*req) {
+					t.Fatalf("request %d acked %+v", req, ar)
+				}
+				if got := sumMetric(t, getBody(t, ts.URL+"/metrics"), "tkd_wal_fsyncs_total"); got != tc.fsyncs*req {
+					t.Fatalf("after %d 20-row requests: %d fsyncs, want %d", req, got, tc.fsyncs*req)
+				}
+			}
+			if info := datasetInfo(t, ts.URL); info.WALAppends != 60 {
+				t.Fatalf("wal_appends = %d, want 60", info.WALAppends)
+			}
+		})
+	}
+}
+
+// TestIngestBatchWriteFailureAcksNothing: a write that fails mid-batch (the
+// WALFS fault hook persists a proper prefix of the bytes, then errors) fails
+// the whole request — nothing acked, nothing pending, nothing published —
+// and the restart replays whatever whole frames reached the file: a prefix
+// of the batch, in order, and never the full batch.
+func TestIngestBatchWriteFailureAcksNothing(t *testing.T) {
+	ref := tkd.GenerateIND(100, 3, 20, 0.2, 43)
+	d := newIngestDirs(t, ref)
+	cfg := ingestConfig(d, 5*time.Millisecond)
+	cfg.WALFS = wal.NewChaos(wal.ChaosConfig{Seed: 5, ShortWriteP: 1})
+	s, ts := startIngestServer(t, cfg, d)
+	rows := batchOf("torn", 20)
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/d/append", server.AppendRequest{Rows: rows})
+	if code != http.StatusInternalServerError {
+		t.Fatalf("append through a failing write answered %d (%s), want 500", code, body)
+	}
+	if env := decodeEnvelope(t, "torn batch", body); env.Code != "wal_failed" {
+		t.Fatalf("error code %q, want wal_failed", env.Code)
+	}
+	time.Sleep(30 * time.Millisecond) // several publish ticks
+	if info := datasetInfo(t, ts.URL); info.Objects != 100 || info.WALAppends != 0 || info.WALLagRows != 0 {
+		t.Fatalf("after the failed batch: %d objects, %d wal appends, lag %d; want 100 / 0 / 0", info.Objects, info.WALAppends, info.WALLagRows)
+	}
+	ts.Close()
+	s.Close()
+
+	s2, ts2 := startIngestServer(t, ingestConfig(d, time.Hour), d)
+	defer func() { ts2.Close(); s2.Close() }()
+	info := datasetInfo(t, ts2.URL)
+	replayed := int(info.WALReplayedRows)
+	if replayed >= len(rows) || info.Objects != 100+replayed {
+		t.Fatalf("restart replayed %d of the %d unacked rows into %d objects; want a proper prefix on top of 100", replayed, len(rows), info.Objects)
+	}
+	t.Logf("the torn batch left %d whole frames behind", replayed)
+	applyRows(t, ref, rows[:replayed])
+	sameAnswer(t, ts2.URL, ref, 10)
+}
+
+// logCapture collects the server's structured log records by message.
+type logCapture struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (c *logCapture) Enabled(context.Context, slog.Level) bool { return true }
+func (c *logCapture) WithAttrs([]slog.Attr) slog.Handler       { return c }
+func (c *logCapture) WithGroup(string) slog.Handler            { return c }
+func (c *logCapture) Handle(_ context.Context, r slog.Record) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.recs = append(c.recs, r.Clone())
+	return nil
+}
+
+// attr returns attribute key of every record with the given message.
+func (c *logCapture) attr(msg, key string) []slog.Value {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []slog.Value
+	for _, r := range c.recs {
+		if r.Message != msg {
+			continue
+		}
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == key {
+				out = append(out, a.Value)
+			}
+			return true
+		})
+	}
+	return out
+}
+
+func (c *logCapture) intAttr(msg, key string) []int64 {
+	var out []int64
+	for _, v := range c.attr(msg, key) {
+		out = append(out, v.Int64())
+	}
+	return out
+}
+
+// TestIngestRestartPatchesFromCheckpoint: the index file is a checkpoint of
+// a prefix and the WAL is its delta log. Publishes that stay within an eighth
+// of the rows last saved do not rewrite the file; after a crash (Close
+// without Shutdown) the reboot loads the checkpoint, patches exactly the rows
+// logged since, builds nothing, and serves the reference answers and
+// fingerprint. A checkpoint whose prefix does not match the data in hand is a
+// miss and rebuilds.
+func TestIngestRestartPatchesFromCheckpoint(t *testing.T) {
+	ref := tkd.GenerateIND(400, 3, 20, 0.2, 47)
+	d := newIngestDirs(t, ref)
+	s, ts := startIngestServer(t, ingestConfig(d, 5*time.Millisecond), d)
+	ixFile := filepath.Join(d.indexDir, "d.tkdix")
+	atBoot, err := os.ReadFile(ixFile)
+	if err != nil {
+		t.Fatalf("no index checkpoint after the cold boot: %v", err)
+	}
+
+	// Three publishes, 36 rows: 436 < 400·9/8 = 450, so no rewrite is due.
+	const publishes, perPublish = 3, 12
+	var all []server.AppendRow
+	for p := 0; p < publishes; p++ {
+		rows := batchOf(fmt.Sprintf("p%d-", p), perPublish)
+		all = append(all, rows...)
+		appendRows(t, ts.URL, rows)
+		waitFor(t, "publish", func() bool {
+			info := datasetInfo(t, ts.URL)
+			return info.Objects == 400+len(all) && info.WALLagRows == 0
+		})
+	}
+	if got := datasetInfo(t, ts.URL).DeltaPublishes; got != publishes {
+		t.Fatalf("%d delta publishes, want %d", got, publishes)
+	}
+	if now, err := os.ReadFile(ixFile); err != nil || !bytes.Equal(now, atBoot) {
+		t.Fatalf("the index file was rewritten by a publish inside the 9/8 bound (err %v)", err)
+	}
+	ts.Close()
+	s.Close() // a crash as far as the index file goes: no flush, no final save
+
+	applyRows(t, ref, all)
+	logs := &logCapture{}
+	cfg := ingestConfig(d, 5*time.Millisecond)
+	cfg.Logger = slog.New(logs)
+	s2, ts2 := startIngestServer(t, cfg, d)
+	metrics := getBody(t, ts2.URL+"/metrics")
+	if builds, warm := sumMetric(t, metrics, "tkd_index_builds_total"), sumMetric(t, metrics, "tkd_index_warm_loads_total"); builds != 0 || warm != 1 {
+		t.Fatalf("reboot over checkpoint + WAL: %d index builds, %d warm loads; want 0 / 1", builds, warm)
+	}
+	if patched := logs.intAttr("index checkpoint loaded", "patched_rows"); len(patched) != 1 || patched[0] != int64(len(all)) {
+		t.Fatalf("reboot patched %v rows behind the checkpoint, want [%d] (the WAL's tail)", patched, len(all))
+	}
+	if info := datasetInfo(t, ts2.URL); info.Objects != ref.Len() || info.WALLagRows != 0 {
+		t.Fatalf("reboot serves %d objects with lag %d, want %d / 0", info.Objects, info.WALLagRows, ref.Len())
+	}
+	if got, want := epochFingerprint(t, ts2.URL), fmt.Sprintf("%016x", ref.Fingerprint()); got != want {
+		t.Fatalf("rebooted dataset hashes to %s, the reference rows to %s", got, want)
+	}
+	sameAnswer(t, ts2.URL, ref, 10)
+	if now, err := os.ReadFile(ixFile); err != nil || !bytes.Equal(now, atBoot) {
+		t.Fatalf("a warm reboot rewrote the checkpoint it had just loaded (err %v)", err)
+	}
+
+	// The file still covers 400 rows. The publish that takes the data to
+	// 456 ≥ 400·9/8 rewrites it; the next one (461 < 456·9/8) does not.
+	fileChanged := func(since []byte) func() bool {
+		return func() bool {
+			now, err := os.ReadFile(ixFile)
+			return err == nil && !bytes.Equal(now, since)
+		}
+	}
+	appendRows(t, ts2.URL, batchOf("big-", 20))
+	applyRows(t, ref, batchOf("big-", 20))
+	waitFor(t, "checkpoint rewrite at 9/8 growth", fileChanged(atBoot))
+	at456, err := os.ReadFile(ixFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRows(t, ts2.URL, batchOf("few-", 5))
+	applyRows(t, ref, batchOf("few-", 5))
+	waitFor(t, "publish", func() bool { // lag 0: the publish ran to its end, index checkpoint decision included
+		info := datasetInfo(t, ts2.URL)
+		return info.Objects == 461 && info.WALLagRows == 0
+	})
+	if fileChanged(at456)() {
+		t.Fatal("a 5-row publish rewrote a checkpoint that covers 456 of 461 rows")
+	}
+	ts2.Close()
+	s2.Shutdown() // the drain saves whatever the growth, so the next boot has no tail
+	if !fileChanged(at456)() {
+		t.Fatal("the drain left a checkpoint behind the data")
+	}
+	logs3 := &logCapture{}
+	cfg.Logger = slog.New(logs3)
+	s3, ts3 := startIngestServer(t, cfg, d)
+	if patched := logs3.intAttr("index checkpoint loaded", "patched_rows"); len(patched) != 1 || patched[0] != 0 {
+		t.Fatalf("boot after a drain patched %v rows, want [0]", patched)
+	}
+	sameAnswer(t, ts3.URL, ref, 10)
+	ts3.Close()
+	s3.Close()
+
+	// A checkpoint of other rows under this name: a miss, a rebuild, the
+	// reference answers all the same.
+	otherDirs := newIngestDirs(t, tkd.GenerateIND(400, 3, 20, 0.2, 48))
+	so, tso := startIngestServer(t, ingestConfig(otherDirs, time.Hour), otherDirs)
+	tso.Close()
+	so.Close()
+	foreign, err := os.ReadFile(filepath.Join(otherDirs.indexDir, "d.tkdix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ixFile, foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s4, ts4 := startIngestServer(t, cfg, d)
+	defer func() { ts4.Close(); s4.Close() }()
+	metrics = getBody(t, ts4.URL+"/metrics")
+	if builds, warm := sumMetric(t, metrics, "tkd_index_builds_total"), sumMetric(t, metrics, "tkd_index_warm_loads_total"); builds != 1 || warm != 0 {
+		t.Fatalf("foreign checkpoint: %d index builds, %d warm loads; want 1 / 0", builds, warm)
+	}
+	if errs := sumMetric(t, metrics, "tkd_index_cache_errors_total"); errs != 0 {
+		t.Fatalf("a checkpoint of other rows is a miss, not an error; counted %d", errs)
+	}
+	sameAnswer(t, ts4.URL, ref, 10)
 }

@@ -704,21 +704,69 @@ func TestStaleIndexCacheRebuilds(t *testing.T) {
 	}
 }
 
+// TestOldIndexCacheFormatRebuilds is the index-file half of the fingerprint
+// migration: an -indexdir an earlier build wrote — the TKDIXD1 wrapper, its
+// copy of the old-definition fingerprint, a v3 stream — is a miss for this
+// build (not an error, never a load): the boot rebuilds once, overwrites the
+// file in the current format under the same name, and the next boot is warm.
+func TestOldIndexCacheFormatRebuilds(t *testing.T) {
+	testdata := filepath.Join("..", "bitmapidx", "testdata")
+	v3, err := os.ReadFile(filepath.Join(testdata, "golden_v3_adaptive.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ixdir := filepath.Join(dir, "ix")
+	if err := os.MkdirAll(ixdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// What the previous build left for golden.csv: wrapper magic, the
+	// fingerprint it keyed the file by (the v3 header's own copy), the stream.
+	old := append([]byte("TKDIXD1\n"), v3[6+5*8:6+6*8]...)
+	old = append(old, v3...)
+	file := filepath.Join(ixdir, "g.tkdix")
+	if err := os.WriteFile(file, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	boot := func() (builds, warm, errs int64) {
+		s := server.New(server.Config{IndexDir: ixdir})
+		defer s.Close()
+		if err := s.LoadCSVFile("g", filepath.Join(testdata, "golden.csv"), false); err != nil {
+			t.Fatalf("an old index file failed the boot: %v", err)
+		}
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		if _, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "g", K: 3}); code != http.StatusOK {
+			t.Fatalf("query: HTTP %d", code)
+		}
+		m := getBody(t, ts.URL+"/metrics")
+		return sumMetric(t, m, "tkd_index_builds_total"), sumMetric(t, m, "tkd_index_warm_loads_total"), sumMetric(t, m, "tkd_index_cache_errors_total")
+	}
+	if builds, warm, errs := boot(); builds != 1 || warm != 0 || errs != 0 {
+		t.Fatalf("boot over an old-format file: %d builds, %d warm loads, %d cache errors; want 1 / 0 / 0", builds, warm, errs)
+	}
+	now, err := os.ReadFile(file)
+	if err != nil || !bytes.HasPrefix(now, []byte("TKDIXD2\nTKDIX\x04")) {
+		t.Fatalf("the rebuild did not overwrite the old file in the current format (err %v)", err)
+	}
+	if builds, warm, errs := boot(); builds != 0 || warm != 1 || errs != 0 {
+		t.Fatalf("second boot: %d builds, %d warm loads, %d cache errors; want 0 / 1 / 0", builds, warm, errs)
+	}
+}
+
 // TestCorruptIndexCacheRebuilds: a cache file that cannot be used — garbage
 // in the body, or an intact index written with the retired WAH codec (header
 // codec byte 1) — degrades to a rebuild and surfaces on the error counter,
 // never a failed boot.
 func TestCorruptIndexCacheRebuilds(t *testing.T) {
-	wahIndex, err := os.ReadFile(filepath.Join("..", "bitmapidx", "testdata", "golden_v3_wah.idx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The cache file is a 16-byte wrapper (magic, fingerprint) ahead of the
-	// index stream; both cases keep it so the load is attempted.
-	const wrapper = 16
+	// The cache file is an 8-byte wrapper magic ahead of the index stream,
+	// whose header codec byte follows its own 6-byte magic; both cases keep
+	// the wrapper so the load is attempted.
+	const wrapper, codecAt = 8, 8 + 6
 	for name, spoil := range map[string]func(blob []byte) []byte{
 		"bit flip":  func(blob []byte) []byte { blob[len(blob)/2] ^= 0x10; return blob },
-		"WAH codec": func(blob []byte) []byte { return append(blob[:wrapper:wrapper], wahIndex...) },
+		"WAH codec": func(blob []byte) []byte { blob[codecAt] = 1; return blob },
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

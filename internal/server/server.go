@@ -70,11 +70,13 @@ type Config struct {
 	// MaxBodyBytes bounds a request body; <= 0 defaults to 1 MiB.
 	MaxBodyBytes int64
 	// IndexDir enables the persisted-index cache: built binned indexes are
-	// written here (keyed by dataset name, validated by content
-	// fingerprint) and warm starts load them instead of rebuilding. Empty
-	// disables persistence. Sharded datasets persist one file per shard,
-	// keyed by the shard's slice fingerprint, so a warm restart skips
-	// rebuilds shard by shard.
+	// written here (keyed by dataset name, validated by the row count and
+	// content fingerprint in the file) and warm starts load them instead of
+	// rebuilding. An ingesting dataset's file is a checkpoint, rewritten when
+	// the rows have grown by an eighth and at a graceful shutdown; a restart
+	// patches the rows logged since on top of it. Empty disables persistence.
+	// Sharded datasets persist one file per shard, keyed by the shard's slice
+	// fingerprint, so a warm restart skips rebuilds shard by shard.
 	IndexDir string
 	// Shards attaches a shard topology to every registered dataset: that
 	// many row-range shards behind a scatter-gather coordinator (see
@@ -379,9 +381,9 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 		return false, err
 	}
 	// Open the WAL and replay acked rows before warming: replay changes the
-	// data (and its fingerprint), so the index cache's fingerprint gate
-	// below decides correctly between warm-loading the checkpointed index
-	// and rebuilding over the replayed suffix.
+	// data (and its fingerprint), and the warm-up below checks the index
+	// checkpoint against the rows as recovered — a checkpoint of a prefix
+	// loads and takes the replayed tail as a patch.
 	var ing *ingestState
 	if ds.Shards() == 0 && s.ingestEnabled() { // sharded: appends would need a cross-shard commit protocol
 		ing, err = s.openIngest(name, ds)
@@ -389,8 +391,8 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 			return false, err
 		}
 	}
-	warm, cold := s.warmPrepare(name, ds)
-	s.persist(name, cold)
+	warm, cold, tail := s.warmPrepare(name, ds)
+	saved := s.persistWarmed(name, ds, cold, tail)
 	if ing != nil {
 		// The warm-up above published the recovered state (replayed suffix
 		// included); checkpoint it so the next restart skips the replay. A
@@ -410,6 +412,7 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 		negate: negate,
 		ing:    ing,
 	}
+	e.savedRows.Store(saved)
 	if err := s.reg.add(e); err != nil {
 		sch.stop() // lost a registration race; don't leak the goroutine
 		ds.Close()
@@ -422,24 +425,26 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 }
 
 // warmPrepare gets ds query-ready off to the side: apply the cache budget,
-// restore every index part the cache directory holds a fingerprint match
-// for, and eagerly finish the IBIG serving artifacts so the first query is
-// as fast as the thousandth. The value-granular BIG bitmap — the most
-// expensive artifact, needed only for explicit BIG queries — builds lazily
-// on first use. warm reports whether the cache supplied every part (rebuild
-// skipped); cold lists the parts it did not — built here, or shipped with
-// an imported epoch — for persist to write once the caller has swapped. A
-// sharded dataset has one part per in-process shard, so a restart (or a
-// reload of an unchanged file) skips rebuilds shard by shard and a
-// partially valid cache still saves most of the work.
-func (s *Server) warmPrepare(name string, ds *tkd.Dataset) (warm bool, cold []tkd.IndexPart) {
+// restore every index part the cache directory holds a checkpoint of, and
+// eagerly finish the IBIG serving artifacts so the first query is as fast as
+// the thousandth. The value-granular BIG bitmap — the most expensive
+// artifact, needed only for explicit BIG queries — builds lazily on first
+// use. warm reports whether the cache supplied every part (rebuild skipped);
+// cold lists the parts it did not — built here, or shipped with an imported
+// epoch — for persist to write once the caller has swapped; tail counts the
+// rows patched behind a checkpoint that was saved when the data was shorter
+// (a restart over a write-ahead log: the file on disk still covers only
+// Len() − tail rows). A sharded dataset has one part per in-process shard, so
+// a restart (or a reload of an unchanged file) skips rebuilds shard by shard
+// and a partially valid cache still saves most of the work.
+func (s *Server) warmPrepare(name string, ds *tkd.Dataset) (warm bool, cold []tkd.IndexPart, tail int) {
 	if s.cfg.CacheBudget > 0 {
 		ds.SetCacheBudget(s.cfg.CacheBudget)
 	}
 	if s.ixc != nil {
 		warm = true
 		for _, p := range ds.IndexParts() {
-			ok, err := s.ixc.tryLoad(name, p)
+			patched, ok, err := s.ixc.tryLoad(name, p)
 			if err != nil {
 				// A corrupt cache file is a miss, not an outage: rebuild below
 				// and overwrite it. Surface the event on /metrics.
@@ -447,6 +452,8 @@ func (s *Server) warmPrepare(name string, ds *tkd.Dataset) (warm bool, cold []tk
 			}
 			if ok {
 				s.life.indexWarmLoads.Add(1)
+				tail += patched
+				s.log.Info("index checkpoint loaded", "dataset", name, "part", p.Suffix, "patched_rows", patched)
 			} else {
 				warm = false
 				cold = append(cold, p)
@@ -456,20 +463,54 @@ func (s *Server) warmPrepare(name string, ds *tkd.Dataset) (warm bool, cold []tk
 	before := ds.IndexBuilds()
 	ds.PrepareFor(tkd.IBIG)
 	s.life.indexBuilds.Add(ds.IndexBuilds() - before)
-	return warm, cold
+	return warm, cold, tail
 }
 
 // persist writes index parts to the cache directory so a restart warm-loads
-// them. An error is a cold restart, not a failure of whatever published the
-// index.
-func (s *Server) persist(name string, parts []tkd.IndexPart) {
+// them, and reports whether every part made it. An error is a cold restart,
+// not a failure of whatever published the index.
+func (s *Server) persist(name string, parts []tkd.IndexPart) bool {
 	if s.ixc == nil {
-		return
+		return false
 	}
+	ok := true
 	for _, p := range parts {
 		if err := s.ixc.save(name, p); err != nil {
 			s.life.indexCacheErrors.Add(1)
+			ok = false
 		}
+	}
+	return ok
+}
+
+// persistWarmed finishes a warmPrepare: it writes the parts the cache did not
+// supply and returns the row count the files in the cache directory now
+// cover — all of ds's, less the tail that was patched behind an older
+// checkpoint; 0 when a write failed, so that the first publish tries again.
+func (s *Server) persistWarmed(name string, ds *tkd.Dataset, cold []tkd.IndexPart, tail int) int64 {
+	if !s.persist(name, cold) {
+		return 0
+	}
+	return int64(ds.Len() - tail)
+}
+
+// checkpointIndex is the one place an append-publish — the leader's fold of
+// its pending rows or a follower's applied delta — meets the persisted
+// index. The file is a checkpoint and the write-ahead log (or the leader's
+// rows) is its delta log, so it is not rewritten per publish: only once the
+// rows have grown to 9/8 of the rows it covers, or when force says this is
+// the last chance (the shutdown flush). Rewriting at every eighth of growth
+// keeps the bytes written over a dataset's life within 9× the final index
+// (a geometric series) — O(1) amortized per appended row where the
+// per-publish rewrite was O(N) — and bounds what a restart after a crash has
+// to patch behind the checkpoint to a ninth of the rows.
+func (s *Server) checkpointIndex(e *entry, force bool) {
+	rows, saved := int64(e.ds.Len()), e.savedRows.Load()
+	if s.ixc == nil || rows == saved || (!force && rows*8 < saved*9) {
+		return
+	}
+	if s.persist(e.name, e.ds.IndexParts()) {
+		e.savedRows.Store(rows)
 	}
 }
 
@@ -486,10 +527,10 @@ func (s *Server) swapIn(e *entry, fresh *tkd.Dataset, at uint64) (warm bool, err
 	if fresh, err = s.shard(e.name, fresh); err != nil {
 		return false, err
 	}
-	warm, cold := s.warmPrepare(e.name, fresh)
+	warm, cold, tail := s.warmPrepare(e.name, fresh)
 	e.ds.ReplaceFromAt(fresh, at)
 	fresh.Close() // its health loops, if any; the swap built e's own
-	s.persist(e.name, cold)
+	e.savedRows.Store(s.persistWarmed(e.name, fresh, cold, tail))
 	return warm, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -167,9 +168,17 @@ func FuzzShardWire(f *testing.F) {
 // goldenScoresRequest is the exact-phase body a coordinator built from the
 // commit before budgets existed sends (captured from its Remote.Partial): no
 // budgets field, rows [40,120) of testDataset(120), candidates 0, 57, 119.
+// Its fingerprint field was re-cut when the fingerprint definition moved; the
+// capture as that coordinator really sent it is kept beside it
+// (scores_request_pr15_fp_v1.json) as the stale-peer fixture.
 func goldenScoresRequest(tb testing.TB) []byte {
 	tb.Helper()
-	b, err := os.ReadFile("testdata/scores_request_pr15.json")
+	return readFixture(tb, "scores_request_pr15.json")
+}
+
+func readFixture(tb testing.TB, name string) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -203,6 +212,17 @@ func TestPeerAnswersOldCoordinator(t *testing.T) {
 		if want := core.ForeignScore(slice, ds.Obj(o)); int(results[i]) != want {
 			t.Fatalf("candidate %d: %d, want the exact partial score %d", o, results[i], want)
 		}
+	}
+}
+
+// TestPeerRefusesOldFingerprint pins the other half: a coordinator from
+// before the fingerprint definition moved names the slice by a digest this
+// build no longer computes, and gets the stale-slice 409 — never an answer
+// over rows it cannot vouch for. Upgrade coordinator and peers together.
+func TestPeerRefusesOldFingerprint(t *testing.T) {
+	peer, _ := fuzzPeer(t)
+	if code, _ := postShardQuery(t, peer, readFixture(t, "scores_request_pr15_fp_v1.json")); code != http.StatusConflict {
+		t.Fatalf("status %d for a request keyed by the old fingerprint, want 409", code)
 	}
 }
 

@@ -33,7 +33,9 @@ type Row struct {
 // Checkpoint records a completed epoch publish: the first Rows row records
 // of the log are included in the published epoch number Epoch, whose data
 // fingerprint is Fingerprint. Recovery replays rows beyond Rows into a
-// fresh epoch; the fingerprint gates warm-loading the persisted index.
+// fresh epoch. The fingerprint is recorded for the operator reading a log;
+// no code compares it (the persisted index carries its own), which is why
+// the record format did not move when the fingerprint's definition did.
 type Checkpoint struct {
 	Rows        uint64
 	Epoch       uint64

@@ -358,11 +358,25 @@ func (l *Log) syncLoop() {
 
 // AppendRow logs one row record, fsyncing first when the policy is
 // SyncAlways — a nil return then means the row is on disk.
-func (l *Log) AppendRow(r Row) error {
-	if err := l.append(EncodeRow(r), l.opts.Policy == SyncAlways); err != nil {
+func (l *Log) AppendRow(r Row) error { return l.AppendRows([]Row{r}) }
+
+// AppendRows logs a batch of row records: the very frames AppendRow writes,
+// laid end to end, handed to the segment in one write and — under SyncAlways
+// — made durable by one fsync, so an ack costs one disk flush however many
+// rows it covers. A nil return means every row is logged (on disk, under
+// SyncAlways). On error the log is poisoned and none of the batch is
+// acknowledged; some prefix of its frames may have reached the file, and
+// recovery replays whatever prefix survived, as it would after a crash
+// mid-batch.
+func (l *Log) AppendRows(rows []Row) error {
+	payloads := make([][]byte, len(rows))
+	for i, r := range rows {
+		payloads[i] = EncodeRow(r)
+	}
+	if err := l.append(payloads, l.opts.Policy == SyncAlways); err != nil {
 		return err
 	}
-	l.appends.Add(1)
+	l.appends.Add(int64(len(rows)))
 	return nil
 }
 
@@ -370,12 +384,13 @@ func (l *Log) AppendRow(r Row) error {
 // policy: a checkpoint that is not durable would let a crash replay rows
 // into an epoch that followers already fetched.
 func (l *Log) AppendCheckpoint(cp Checkpoint) error {
-	return l.append(EncodeCheckpoint(cp), true)
+	return l.append([][]byte{EncodeCheckpoint(cp)}, true)
 }
 
-// append frames payload into the current segment, rotating first when the
-// segment is full.
-func (l *Log) append(payload []byte, sync bool) error {
+// append frames the payloads into the current segment through one buffer —
+// one write, unless a segment fills up on the way: a frame never spans
+// segments, so the buffer is flushed and the segment rotated first.
+func (l *Log) append(payloads [][]byte, sync bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
@@ -384,29 +399,32 @@ func (l *Log) append(payload []byte, sync bool) error {
 	if l.closed {
 		return ErrClosed
 	}
-	if l.f != nil && l.size+frameHeader+int64(len(payload)) > l.opts.SegmentBytes && l.size > 0 {
-		if err := l.rotateLocked(); err != nil {
-			return err
+	var buf []byte
+	for _, payload := range payloads {
+		if at := l.size + int64(len(buf)); l.f != nil && at > 0 && at+frameHeader+int64(len(payload)) > l.opts.SegmentBytes {
+			if err := l.writeLocked(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+			if err := l.rotateLocked(); err != nil {
+				return err
+			}
 		}
-	}
-	if l.f == nil {
-		f, err := l.opts.FS.Create(filepath.Join(l.dir, segmentName(l.seq)))
-		if err != nil {
-			l.err = fmt.Errorf("wal: creating segment: %w", err)
-			return l.err
+		if l.f == nil {
+			f, err := l.opts.FS.Create(filepath.Join(l.dir, segmentName(l.seq)))
+			if err != nil {
+				l.err = fmt.Errorf("wal: creating segment: %w", err)
+				return l.err
+			}
+			l.f, l.size = f, 0
 		}
-		l.f, l.size = f, 0
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+		buf = append(buf, payload...)
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	if err := l.writeLocked(hdr[:]); err != nil {
+	if err := l.writeLocked(buf); err != nil {
 		return err
 	}
-	if err := l.writeLocked(payload); err != nil {
-		return err
-	}
-	l.dirty = true
 	if sync {
 		return l.syncLocked()
 	}
@@ -417,6 +435,9 @@ func (l *Log) append(payload []byte, sync bool) error {
 // segment tail is torn, and anything appended past it would sit beyond
 // damage the recovery scan must reject.
 func (l *Log) writeLocked(b []byte) error {
+	if len(b) == 0 {
+		return nil
+	}
 	n, err := l.f.Write(b)
 	l.size += int64(n)
 	if err == nil && n < len(b) {
@@ -426,6 +447,7 @@ func (l *Log) writeLocked(b []byte) error {
 		l.err = fmt.Errorf("wal: segment write failed: %w", err)
 		return l.err
 	}
+	l.dirty = true
 	return nil
 }
 

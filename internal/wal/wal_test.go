@@ -587,3 +587,152 @@ func TestWALRecordCodecs(t *testing.T) {
 		t.Fatal("DecodeRow accepted a truncated payload")
 	}
 }
+
+// countingFS counts the Write calls its files see.
+type countingFS struct{ writes int }
+
+type countingFile struct {
+	*os.File
+	fs *countingFS
+}
+
+func (fs *countingFS) Create(path string) (File, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{File: f, fs: fs}, nil
+}
+
+func (f *countingFile) Write(p []byte) (int, error) {
+	f.fs.writes++
+	return f.File.Write(p)
+}
+
+// TestWALAppendRowsBatch: a batch is the same bytes as its rows appended one
+// by one — format, and so every old log and the fuzz corpus, untouched — but
+// one write and, under SyncAlways, one fsync for the lot; under SyncNone, no
+// fsync at all.
+func TestWALAppendRowsBatch(t *testing.T) {
+	rows := testRows(20)
+	oneByOne := t.TempDir()
+	l, _, err := Open(oneByOne, Options{Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := l.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.Fsyncs() != 20 || l.Appends() != 20 {
+		t.Fatalf("row by row: %d fsyncs, %d appends; want 20 / 20", l.Fsyncs(), l.Appends())
+	}
+	l.Close()
+	want, err := os.ReadFile(lastSegment(t, oneByOne))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		policy Policy
+		fsyncs int64
+	}{{SyncAlways, 1}, {SyncNone, 0}} {
+		dir := t.TempDir()
+		fs := &countingFS{}
+		l, _, err := Open(dir, Options{Policy: tc.policy, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendRows(rows); err != nil {
+			t.Fatal(err)
+		}
+		if l.Fsyncs() != tc.fsyncs || l.Appends() != 20 || fs.writes != 1 {
+			t.Fatalf("%v: one 20-row batch cost %d fsyncs, %d writes and counted %d appends; want %d / 1 / 20",
+				tc.policy, l.Fsyncs(), fs.writes, l.Appends(), tc.fsyncs)
+		}
+		l.Close()
+		got, err := os.ReadFile(lastSegment(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%v: a batch does not leave the bytes its rows leave one by one", tc.policy)
+		}
+		_, rec, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, rec.Rows, rows)
+	}
+}
+
+// TestWALAppendRowsRotatesInsideABatch: a frame never spans segments, so a
+// batch larger than a segment is cut at frame boundaries — sealed segments
+// behind it — and replays whole.
+func TestWALAppendRowsRotatesInsideABatch(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Policy: SyncNone, SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := testRows(25)
+	if err := l.AppendRows(rows[:13]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendRows(rows[13:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seqs, err := listSegments(dir)
+	if err != nil || len(seqs) < 3 {
+		t.Fatalf("expected several segments, got %d (err %v)", len(seqs), err)
+	}
+	for _, seq := range seqs {
+		if fi, err := os.Stat(filepath.Join(dir, segmentName(seq))); err != nil || fi.Size() > 128 {
+			t.Fatalf("segment %d is %d bytes, over the 128-byte bound (err %v)", seq, fi.Size(), err)
+		}
+	}
+	_, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, rec.Rows, rows)
+}
+
+// TestWALAppendRowsTornBatchReplaysPrefix: a write that fails part-way
+// through a batch poisons the log and acknowledges nothing; the bytes that
+// did land are whole frames plus a torn tail, which the next open truncates,
+// leaving a prefix of the batch — never a row out of order, never a row
+// after a gap.
+func TestWALAppendRowsTornBatchReplaysPrefix(t *testing.T) {
+	rows := testRows(20)
+	for seed := uint64(1); seed <= 6; seed++ {
+		dir := t.TempDir()
+		c := NewChaos(ChaosConfig{Seed: seed, ShortWriteP: 1})
+		l, _, err := Open(dir, Options{Policy: SyncAlways, FS: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendRows(rows); err == nil {
+			t.Fatal("batch succeeded through a short write")
+		}
+		if l.Appends() != 0 || l.Fsyncs() != 0 {
+			t.Fatalf("a failed batch counted %d appends and %d fsyncs", l.Appends(), l.Fsyncs())
+		}
+		if err := l.AppendRows(rows[:1]); err == nil {
+			t.Fatal("poisoned log accepted a batch")
+		}
+		l.Close()
+		_, rec, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("seed %d: recovery failed: %v", seed, err)
+		}
+		if len(rec.Rows) >= len(rows) {
+			t.Fatalf("seed %d: recovered all %d rows of a batch whose write failed", seed, len(rec.Rows))
+		}
+		sameRows(t, rec.Rows, rows[:len(rec.Rows)])
+	}
+}

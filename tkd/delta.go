@@ -79,7 +79,7 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 		if base == nil || base.epoch != sp.baseEpoch {
 			return false, fmt.Errorf("tkd: delta base epoch %d does not match the current epoch", sp.baseEpoch)
 		}
-		if fp := base.fingerprint(); fp != sp.baseFP {
+		if fp := base.ds.Fingerprint(); fp != sp.baseFP {
 			return false, fmt.Errorf("tkd: delta base fingerprint %016x does not match %016x", sp.baseFP, fp)
 		}
 	}
@@ -90,17 +90,19 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 		base = d.publishLocked()
 	}
 
-	// Extend off to the side: a capacity-clamped view of the frozen rows plus
-	// the batch. Object headers are copied once (shallow — the frozen value
-	// slices are shared), the base rows themselves are never touched, and a
-	// mid-batch validation error discards the extension with no state change.
-	src := base.ds
-	next := src.Slice(0, src.Len())
+	// Extend off to the side, in O(batch): the extension appends behind the
+	// frozen rows in their own backing array (data.Dataset.Extend — readers
+	// of the base epoch never look past its length) and continues the base's
+	// fingerprint chain over the batch alone. The base rows are never
+	// touched, so a mid-batch validation error or a fingerprint mismatch
+	// discards the extension with no state change.
+	next := base.ds.Extend(len(sp.rows))
 	for _, r := range sp.rows {
 		if _, err := next.Append(r.ID, r.Values); err != nil {
 			return false, err
 		}
 	}
+	next.Seal()
 	fp := next.Fingerprint()
 	if sp.verify && fp != sp.wantFP {
 		return false, fmt.Errorf("tkd: appended data fingerprint %016x does not match expected %016x", fp, sp.wantFP)
@@ -125,7 +127,6 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 		ns.art.Store(&artifacts{})
 	}
 	ns.epoch = d.nextEpochLocked(sp.at)
-	ns.seedFingerprint(fp)
 	d.staging = next
 	d.shared = true
 	d.pendingBinned = nil
@@ -193,7 +194,7 @@ func (d *Dataset) nextEpochLocked(at uint64) uint64 {
 // itself is a valid delta starting point).
 func (d *Dataset) recordLineageLocked(base *snapshot, epoch uint64, rows int, fp uint64) {
 	if len(d.lineage) == 0 && base != nil {
-		d.lineage = append(d.lineage, epochRecord{epoch: base.epoch, rows: base.ds.Len(), fp: base.fingerprint()})
+		d.lineage = append(d.lineage, epochRecord{epoch: base.epoch, rows: base.ds.Len(), fp: base.ds.Fingerprint()})
 	}
 	d.lineage = append(d.lineage, epochRecord{epoch: epoch, rows: rows, fp: fp})
 	if len(d.lineage) > maxLineage {
@@ -212,7 +213,7 @@ func (d *Dataset) clearLineageLocked() { d.lineage = nil }
 // follower already holds, plus enough identity to make applying it exactly
 // as safe as a full transfer:
 //
-//	magic     [8]byte  "TKDEPD1\n"
+//	magic     [8]byte  "TKDEPD2\n"
 //	baseEpoch uint64   the follower's base epoch
 //	baseFP    uint64   the base data fingerprint (apply refuses a divergent base)
 //	epoch     uint64   the epoch the delta produces
@@ -226,8 +227,9 @@ func (d *Dataset) clearLineageLocked() { d.lineage = nil }
 // fingerprint check runs before anything is published, so a torn or
 // mismatched delta can never install wrong bytes.
 
-// epochDeltaMagic versions the delta stream.
-var epochDeltaMagic = [8]byte{'T', 'K', 'D', 'E', 'P', 'D', '1', '\n'}
+// epochDeltaMagic versions the delta stream; it moves together with
+// epochMagic.
+var epochDeltaMagic = [8]byte{'T', 'K', 'D', 'E', 'P', 'D', '2', '\n'}
 
 // EpochDeltaExport pins the rows appended between a follower's base epoch
 // and the current one, ready to stream.
@@ -318,8 +320,8 @@ func ReadEpochDelta(r io.Reader) (*EpochDelta, error) {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("tkd: delta stream header: %w", err)
 	}
-	if magic != epochDeltaMagic {
-		return nil, fmt.Errorf("tkd: not a delta epoch stream (bad magic %q)", magic[:])
+	if err := checkMagic(magic, epochDeltaMagic, "epoch delta"); err != nil {
+		return nil, err
 	}
 	var baseEpoch, baseFP, epoch, fp, dlen uint64
 	for _, v := range []*uint64{&baseEpoch, &baseFP, &epoch, &fp, &dlen} {

@@ -2,11 +2,14 @@ package tkd_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/data"
 	"repro/tkd"
 )
 
@@ -396,6 +399,283 @@ func TestApplyEpochDeltaRejectsDivergence(t *testing.T) {
 		matching.PrepareFor(tkd.IBIG)
 		if _, err := matching.ApplyEpochDelta(parsed); err == nil {
 			t.Fatal("corrupted delta rows accepted")
+		}
+	}
+}
+
+// assertSameAsRebuild fails unless ds — fingerprint, missing rate, IBIG and
+// UBB answers — is what a fresh parse and from-scratch build of its rows is.
+func assertSameAsRebuild(t *testing.T, label string, ds *tkd.Dataset) {
+	t.Helper()
+	scratch := rebuildFrom(t, ds, nil)
+	if ds.Fingerprint() != scratch.Fingerprint() {
+		t.Fatalf("%s: fingerprint %016x, a fresh parse of the same rows hashes to %016x", label, ds.Fingerprint(), scratch.Fingerprint())
+	}
+	if ds.MissingRate() != scratch.MissingRate() {
+		t.Fatalf("%s: missing rate %v, a scan of the same rows says %v", label, ds.MissingRate(), scratch.MissingRate())
+	}
+	for _, alg := range []tkd.Algorithm{tkd.IBIG, tkd.UBB} {
+		got, err := ds.TopK(12, tkd.WithAlgorithm(alg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := scratch.TopK(12, tkd.WithAlgorithm(alg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Items, want.Items) {
+			t.Fatalf("%s, %v: answers diverge from a rebuild:\n%v\n%v", label, alg, got.Items, want.Items)
+		}
+	}
+}
+
+// TestAppendRowsTwoExtensionsOfOneBase: two datasets that took over the same
+// published epoch (ReplaceFrom shares the frozen rows and the index) each
+// append to it. The first extends the shared backing arrays in place, the
+// second must copy; each ends up exactly what a rebuild of its own rows is,
+// and the base epoch's holder still serves the base.
+func TestAppendRowsTwoExtensionsOfOneBase(t *testing.T) {
+	base := tkd.GenerateIND(500, 4, 12, 0.2, 61)
+	base.PrepareFor(tkd.IBIG)
+	// One publish first, so the shared arrays carry spare capacity. Batches
+	// stay inside the value grid (speedupBatch): no new distinct value, so a
+	// patch extends the rank table in place as well as the rows.
+	if _, err := base.AppendRows(speedupBatch(10, 4, 12, 1)); err != nil {
+		t.Fatal(err)
+	}
+	baseFP, baseLen := base.Fingerprint(), base.Len()
+	baseTop, err := base.TopK(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := tkd.NewDataset(4), tkd.NewDataset(4)
+	a.ReplaceFrom(base)
+	b.ReplaceFrom(base)
+	for _, x := range []struct {
+		ds   *tkd.Dataset
+		rows []tkd.Row
+	}{{a, speedupBatch(9, 4, 12, 2)}, {b, speedupBatch(13, 4, 12, 3)}} {
+		if patched, err := x.ds.AppendRows(x.rows); err != nil || !patched {
+			t.Fatalf("patched=%v err=%v", patched, err)
+		}
+	}
+	assertSameAsRebuild(t, "first extension", a)
+	assertSameAsRebuild(t, "second extension", b)
+	if a.Len() != baseLen+9 || b.Len() != baseLen+13 || a.ID(baseLen) != "s2-0" || b.ID(baseLen) != "s3-0" {
+		t.Fatal("the two extensions see each other's rows")
+	}
+	if base.Len() != baseLen || base.Fingerprint() != baseFP {
+		t.Fatal("extending changed the base epoch")
+	}
+	again, err := base.TopK(12)
+	if err != nil || !reflect.DeepEqual(again.Items, baseTop.Items) {
+		t.Fatalf("the base epoch answers differently after being extended (err %v)", err)
+	}
+	assertSameAsRebuild(t, "base", base)
+}
+
+// TestApplyEpochDeltaFailedVerifyLeavesBaseIntact: a delta whose rows do not
+// hash to its header is refused after the extension has been written into
+// the base's spare capacity. The base epoch — rows, fingerprint, missing
+// rate, answers — must be exactly as before, and the good delta that follows
+// must publish as if nothing had happened.
+func TestApplyEpochDeltaFailedVerifyLeavesBaseIntact(t *testing.T) {
+	mk := func() *tkd.Dataset {
+		ds := tkd.GenerateIND(400, 3, 10, 0.2, 71)
+		ds.PrepareFor(tkd.IBIG)
+		if _, err := ds.AppendRows(speedupBatch(6, 3, 10, 4)); err != nil { // spare capacity behind the rows
+			t.Fatal(err)
+		}
+		return ds
+	}
+	leader, follower := mk(), mk()
+	e0, fp0 := follower.Epoch(), follower.Fingerprint()
+	top0, err := follower.TopK(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leader.AppendRows(speedupBatch(8, 3, 10, 5)); err != nil {
+		t.Fatal(err)
+	}
+	x, ok := leader.ExportEpochDelta(e0, fp0)
+	if !ok {
+		t.Fatal("no delta")
+	}
+	var buf bytes.Buffer
+	if err := x.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+
+	bad := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(bad[32:], x.Fingerprint()^1) // the produced-data fingerprint
+	parsed, err := tkd.ReadEpochDelta(bytes.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := follower.ApplyEpochDelta(parsed); err == nil {
+		t.Fatal("a delta that fails its fingerprint verify was applied")
+	}
+	if follower.Epoch() != e0 || follower.Fingerprint() != fp0 || follower.Len() != 406 {
+		t.Fatal("the refused delta moved the follower")
+	}
+	if again, err := follower.TopK(10); err != nil || !reflect.DeepEqual(again.Items, top0.Items) {
+		t.Fatalf("the refused delta changed the follower's answers (err %v)", err)
+	}
+	assertSameAsRebuild(t, "base after the refused delta", follower)
+
+	parsed, err = tkd.ReadEpochDelta(bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if patched, err := follower.ApplyEpochDelta(parsed); err != nil || !patched {
+		t.Fatalf("good delta after a refused one: patched=%v err=%v", patched, err)
+	}
+	if follower.Epoch() != leader.Epoch() || follower.Fingerprint() != leader.Fingerprint() {
+		t.Fatal("follower did not converge on the leader")
+	}
+	assertSameAsRebuild(t, "follower after the good delta", follower)
+}
+
+// TestReadersDuringAppendPublishes: 200 append-publishes land — extending
+// rows, values and rank table in place behind every earlier epoch — while one
+// reader keeps a frozen epoch in hand and another queries whatever is current.
+// No race (run under -race), the frozen epoch never changes, and every answer
+// equals the oracle of the epoch it was stamped with.
+func TestReadersDuringAppendPublishes(t *testing.T) {
+	const publishes, batch, dim, card = 200, 5, 3, 9
+	ds := tkd.GenerateIND(300, dim, card, 0.2, 81)
+	ds.PrepareFor(tkd.IBIG)
+	e0 := ds.Epoch()
+	batches := make([][]tkd.Row, publishes)
+	for i := range batches {
+		batches[i] = speedupBatch(batch, dim, card, int64(i))
+	}
+
+	frozen := ds.ShardData() // epoch e0's rows: later epochs grow behind its length
+	frozenFP, frozenLen := frozen.Fingerprint(), frozen.Len()
+
+	// An answer is stamped with the fingerprint read before and after it: the
+	// identity key of the epoch that produced it (the Epoch() counter leads
+	// the snapshot swap by a few instructions, so it cannot stamp).
+	type stamped struct {
+		fp    uint64
+		items []tkd.Item
+	}
+	var seen []stamped
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if frozen.Fingerprint() != frozenFP || frozen.Len() != frozenLen {
+				t.Error("a frozen epoch changed under its reader")
+				return
+			}
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			before := ds.Fingerprint()
+			res, err := ds.TopK(7)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if ds.Fingerprint() == before { // no publish in between: the answer is this epoch's
+				seen = append(seen, stamped{before, res.Items})
+			}
+		}
+	}()
+	for _, rows := range batches {
+		if patched, err := ds.AppendRows(rows); err != nil || !patched {
+			t.Fatalf("patched=%v err=%v", patched, err)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	assertSameAsRebuild(t, "after 200 publishes", ds)
+
+	// Which epoch a fingerprint names: replay the publishes into an oracle.
+	oracle := tkd.GenerateIND(300, dim, card, 0.2, 81)
+	published := map[uint64]int{oracle.Fingerprint(): 0}
+	for i, rows := range batches {
+		for _, r := range rows {
+			if err := oracle.Append(r.ID, r.Values...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		published[oracle.Fingerprint()] = i + 1
+	}
+	// Oracle answers are rebuilt per epoch; check a spread of the stamped ones.
+	checked := map[uint64]bool{}
+	for i := 0; i < len(seen); i += max(1, len(seen)/12) {
+		s := seen[i]
+		n, ok := published[s.fp]
+		if !ok {
+			t.Fatalf("a reader saw fingerprint %016x, which no published epoch has", s.fp)
+		}
+		if checked[s.fp] {
+			continue
+		}
+		checked[s.fp] = true
+		at := tkd.GenerateIND(300, dim, card, 0.2, 81)
+		for _, rows := range batches[:n] {
+			for _, r := range rows {
+				if err := at.Append(r.ID, r.Values...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want, err := at.TopK(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.items, want.Items) {
+			t.Fatalf("after %d publishes (epoch %d): answer differs from the oracle over its %d rows", n, e0+uint64(n), at.Len())
+		}
+	}
+	if len(checked) == 0 {
+		t.Log("no answer was stamped with a single epoch; only the final state was checked")
+	}
+}
+
+// TestMissingRateCarriedAcrossPublishes: the missing-cell count rides along
+// with every append-publish, and after k of them still equals a scan of the
+// materialised rows — exactly, not within a tolerance.
+func TestMissingRateCarriedAcrossPublishes(t *testing.T) {
+	ds := tkd.GenerateIND(250, 4, 10, 0.3, 91)
+	ds.PrepareFor(tkd.IBIG)
+	for k := 0; k < 8; k++ {
+		if _, err := ds.AppendRows(deltaBatch(fmt.Sprintf("m%d-", k), 7, 4, 10, int64(k))); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ds.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := data.ReadCSV(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := 0
+		for i := 0; i < rows.Len(); i++ {
+			scan += rows.Dim() - rows.Obj(i).ObservedCount()
+		}
+		if got, want := ds.MissingRate(), float64(scan)/float64(rows.Len()*rows.Dim()); got != want {
+			t.Fatalf("publish %d: carried missing rate %v, scan of the rows %v", k, got, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package tkd
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -21,7 +22,7 @@ import (
 //
 // Stream layout (all integers little-endian):
 //
-//	magic [8]byte  "TKDEPO1\n"
+//	magic [8]byte  "TKDEPO2\n"
 //	epoch uint64   the snapshot's epoch number (never 0: 0 marks "unpublished")
 //	fp    uint64   data fingerprint, verified against the rebuilt data on import
 //	flags uint8    bit 0: an index section follows the data
@@ -37,8 +38,30 @@ import (
 // import; it can never publish wrong bytes.
 
 // epochMagic versions the epoch stream; bump it to make old leaders and new
-// followers mutually unintelligible instead of subtly wrong.
-var epochMagic = [8]byte{'T', 'K', 'D', 'E', 'P', 'O', '1', '\n'}
+// followers mutually unintelligible instead of subtly wrong. Version 2 is
+// version 1's layout keyed by the extendable fingerprint (see
+// data.Dataset.Fingerprint): the identity key moved, so a version-1 peer's
+// fingerprints mean something else and must not be compared.
+var epochMagic = [8]byte{'T', 'K', 'D', 'E', 'P', 'O', '2', '\n'}
+
+// ErrStreamVersion is wrapped by ImportEpoch and ReadEpochDelta when the
+// bytes are an epoch stream of another format version — a leader and a
+// follower from different builds. The follower keeps serving the epoch it
+// has; upgrade both sides together.
+var ErrStreamVersion = errors.New("tkd: unsupported epoch stream version")
+
+// checkMagic matches a stream's first eight bytes against the magic this
+// build writes; the same family under another version byte is
+// ErrStreamVersion, anything else is not a stream at all.
+func checkMagic(got, want [8]byte, what string) error {
+	if got == want {
+		return nil
+	}
+	if bytes.Equal(got[:6], want[:6]) && got[7] == want[7] {
+		return fmt.Errorf("%w: %s stream is version %q, this build speaks %q", ErrStreamVersion, what, got[6], want[6])
+	}
+	return fmt.Errorf("tkd: not an %s stream (bad magic %q)", what, got[:])
+}
 
 // maxEpochData bounds the data section an import will buffer (the in-memory
 // engine cannot serve datasets anywhere near this large anyway).
@@ -78,7 +101,7 @@ func (d *Dataset) ExportEpoch() *EpochExport {
 func (x *EpochExport) Epoch() uint64 { return x.s.epoch }
 
 // Fingerprint returns the pinned epoch's data fingerprint.
-func (x *EpochExport) Fingerprint() uint64 { return x.s.fingerprint() }
+func (x *EpochExport) Fingerprint() uint64 { return x.s.ds.Fingerprint() }
 
 // Write streams the pinned epoch. includeIndex controls the index section:
 // a leader serving the dataset unsharded includes its binned index (built
@@ -132,8 +155,8 @@ func ImportEpoch(r io.Reader) (*Dataset, uint64, error) {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, 0, fmt.Errorf("tkd: epoch stream header: %w", err)
 	}
-	if magic != epochMagic {
-		return nil, 0, fmt.Errorf("tkd: not an epoch stream (bad magic %q)", magic[:])
+	if err := checkMagic(magic, epochMagic, "epoch"); err != nil {
+		return nil, 0, err
 	}
 	var epoch, fp, dlen uint64
 	var flags uint8
@@ -164,6 +187,7 @@ func ImportEpoch(r io.Reader) (*Dataset, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("tkd: epoch stream data section: %w", err)
 	}
+	ds.Seal() // the one full hash of the import; the publish below finds it done
 	if got := ds.Fingerprint(); got != fp {
 		return nil, 0, fmt.Errorf("tkd: epoch stream data fingerprint %016x does not match header %016x", got, fp)
 	}
@@ -179,9 +203,8 @@ func ImportEpoch(r io.Reader) (*Dataset, uint64, error) {
 		fresh.pendingBinned = ix
 	}
 	// Publish now, under the leader's number (the counter is pre-positioned
-	// so the first publish lands on it), and hand the snapshot the digest
-	// just verified.
+	// so the first publish lands on it).
 	fresh.epoch.Store(epoch - 1)
-	fresh.current().seedFingerprint(fp)
+	fresh.current()
 	return fresh, epoch, nil
 }

@@ -46,6 +46,10 @@ func FuzzImportEpoch(f *testing.F) {
 	full, _ := maxLenHeaders()
 	f.Add(full)
 	f.Add([]byte{})
+	// The same stream under the previous magic (what a TKDEPO1 leader sends)
+	// and under one from the future: version errors, never a parse.
+	mutate(func(b []byte) []byte { b[6] = '1'; return b })
+	mutate(func(b []byte) []byte { b[6] = '3'; return b })
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		ds, epoch, err := tkd.ImportEpoch(bytes.NewReader(blob))
@@ -99,6 +103,8 @@ func FuzzReadEpochDelta(f *testing.F) {
 	_, delta := maxLenHeaders()
 	f.Add(delta)
 	f.Add([]byte{})
+	mutate(func(b []byte) []byte { b[6] = '1'; return b }) // a TKDEPD1 leader's delta
+	mutate(func(b []byte) []byte { b[6] = '3'; return b })
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		d, err := tkd.ReadEpochDelta(bytes.NewReader(blob))

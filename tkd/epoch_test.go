@@ -153,8 +153,8 @@ func TestReplaceFromAtAlignsEpochNumbering(t *testing.T) {
 	}
 }
 
-// goldenFixture reads one of the persistence fixtures the pre-removal build
-// wrote (internal/bitmapidx/testdata/README.md describes them).
+// goldenFixture reads one of the persistence fixtures
+// (internal/bitmapidx/testdata/README.md describes them).
 func goldenFixture(t *testing.T, name string) []byte {
 	t.Helper()
 	blob, err := os.ReadFile(filepath.Join("..", "internal", "bitmapidx", "testdata", name))
@@ -164,17 +164,21 @@ func goldenFixture(t *testing.T, name string) []byte {
 	return blob
 }
 
-// TestImportGoldenEpoch pins wire compatibility: an epoch stream a leader
-// built before the WAH codec left the index (default settings, index section
-// included) still imports, lands on the leader's epoch and fingerprint, and
-// serves from the shipped index with zero builds.
+// TestImportGoldenEpoch pins wire compatibility: a committed TKDEPO2 epoch
+// stream (default settings, index section included) imports, lands on the
+// leader's epoch and fingerprint, and serves from the shipped index with zero
+// builds — and the TKDEPO1 stream of the same rows, which an old leader still
+// sends, is refused with the typed version error, not misread.
 func TestImportGoldenEpoch(t *testing.T) {
+	if _, _, err := tkd.ImportEpoch(bytes.NewReader(goldenFixture(t, "golden_epoch_v1_adaptive.bin"))); !errors.Is(err, tkd.ErrStreamVersion) {
+		t.Fatalf("TKDEPO1 stream: error = %v, want ErrStreamVersion", err)
+	}
 	fresh, epoch, err := tkd.ImportEpoch(bytes.NewReader(goldenFixture(t, "golden_epoch_adaptive.bin")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 1 || fresh.Fingerprint() != 0x711c1970f99fff09 {
-		t.Fatalf("imported epoch %d fingerprint %016x, want 1 / 711c1970f99fff09", epoch, fresh.Fingerprint())
+	if epoch != 1 || fresh.Fingerprint() != 0xfc7d71f6ed0b09c9 {
+		t.Fatalf("imported epoch %d fingerprint %016x, want 1 / fc7d71f6ed0b09c9", epoch, fresh.Fingerprint())
 	}
 	got, err := fresh.TopK(7)
 	if err != nil {
@@ -193,20 +197,31 @@ func TestImportGoldenEpoch(t *testing.T) {
 }
 
 // TestLoadIndexAcceptsOnlyAdaptive: the dataset builds adaptive indexes and
-// warm-loads nothing else — a pure-CONCISE file is refused, a WAH one is an
-// unsupported codec — and a refused load leaves the dataset serving.
+// warm-loads nothing else — a pure-CONCISE file is refused, a WAH header
+// codec is an unsupported codec, every v3 file (keyed by the old fingerprint)
+// is an unsupported version — and a refused load leaves the dataset serving.
 func TestLoadIndexAcceptsOnlyAdaptive(t *testing.T) {
 	ds, err := tkd.ReadCSV(bytes.NewReader(goldenFixture(t, "golden.csv")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v3_concise.idx"))); err == nil || !strings.Contains(err.Error(), "rebuild") {
+	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v4_concise.idx"))); err == nil || !strings.Contains(err.Error(), "rebuild") {
 		t.Fatalf("pure-CONCISE index: error = %v, want a rebuild refusal", err)
 	}
-	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v3_wah.idx"))); !errors.Is(err, bitmapidx.ErrUnsupportedCodec) {
+	wah := goldenFixture(t, "golden_v4_concise.idx")
+	wah[6] = 1 // the header codec byte a WAH-pinned build wrote
+	if err := ds.LoadIndex(bytes.NewReader(wah)); !errors.Is(err, bitmapidx.ErrUnsupportedCodec) {
 		t.Fatalf("WAH index: error = %v, want ErrUnsupportedCodec", err)
 	}
-	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v3_adaptive.idx"))); err != nil {
+	for _, old := range []string{"golden_v3_adaptive.idx", "golden_v3_concise.idx", "golden_v3_wah.idx"} {
+		if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, old))); !errors.Is(err, bitmapidx.ErrVersion) {
+			t.Fatalf("%s: error = %v, want ErrVersion", old, err)
+		}
+	}
+	if _, err := ds.TopK(5, tkd.WithAlgorithm(tkd.UBB)); err != nil {
+		t.Fatalf("dataset stopped serving after refused loads: %v", err)
+	}
+	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v4_adaptive.idx"))); err != nil {
 		t.Fatalf("adaptive index: %v", err)
 	}
 	if _, err := ds.TopK(5); err != nil {
@@ -226,10 +241,10 @@ func maxLenHeaders() (full, delta []byte) {
 		}
 		return b
 	}
-	full = u64([]byte("TKDEPO1\n"), 1, 0xfeed)
+	full = u64([]byte("TKDEPO2\n"), 1, 0xfeed)
 	full = append(full, 1) // flags
 	full = u64(full, 1<<32)
-	delta = u64([]byte("TKDEPD1\n"), 1, 0xfeed, 2, 0xbeef, 1<<32)
+	delta = u64([]byte("TKDEPD2\n"), 1, 0xfeed, 2, 0xbeef, 1<<32)
 	return full, delta
 }
 
@@ -256,5 +271,32 @@ func TestEpochStreamsAllocateByBytesReceived(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("two empty-bodied streams allocated %d bytes; the declared length leaked into an allocation", grew)
+	}
+}
+
+// TestEpochStreamVersionMismatch: both stream readers tell "another version
+// of this format" (the same magic family under a different version byte — a
+// TKDEPO1/TKDEPD1 peer, or one from the future) from "not a stream at all":
+// the first is the typed ErrStreamVersion a follower logs and counts while it
+// keeps serving, the second stays an ordinary bad-magic error.
+func TestEpochStreamVersionMismatch(t *testing.T) {
+	full, delta := maxLenHeaders()
+	for _, v := range []byte{'1', '3'} {
+		f, d := bytes.Clone(full), bytes.Clone(delta)
+		f[6], d[6] = v, v
+		if _, _, err := tkd.ImportEpoch(bytes.NewReader(f)); !errors.Is(err, tkd.ErrStreamVersion) {
+			t.Errorf("full stream version %c: error = %v, want ErrStreamVersion", v, err)
+		}
+		if _, err := tkd.ReadEpochDelta(bytes.NewReader(d)); !errors.Is(err, tkd.ErrStreamVersion) {
+			t.Errorf("delta stream version %c: error = %v, want ErrStreamVersion", v, err)
+		}
+	}
+	// A delta handed to the full reader, and the reverse, are not version
+	// skew.
+	if _, _, err := tkd.ImportEpoch(bytes.NewReader(delta)); err == nil || errors.Is(err, tkd.ErrStreamVersion) {
+		t.Errorf("delta bytes through ImportEpoch: error = %v, want a bad-magic refusal", err)
+	}
+	if _, err := tkd.ReadEpochDelta(bytes.NewReader(full)); err == nil || errors.Is(err, tkd.ErrStreamVersion) {
+		t.Errorf("full-stream bytes through ReadEpochDelta: error = %v, want a bad-magic refusal", err)
 	}
 }

@@ -367,29 +367,30 @@ type IndexPart struct {
 	// dataset-level index, "%shard-<i>" for shard i. The '%' cannot appear
 	// in a path-escaped dataset name, so names never collide.
 	Suffix string
-	// Fingerprint digests the rows the part indexes — the cache key.
-	Fingerprint uint64
-	// Save serializes the part (building it first if needed). Load restores
-	// a stream written by Save, validating it against the part's rows; on
+	// Save serializes the part (building it first if needed) under the
+	// (rows, fingerprint) of the rows it indexes. Load restores a stream
+	// written by Save, validating that pair against the part's rows, and
+	// reports how many rows it patched on top: a stream saved when the
+	// dataset-level part was shorter is a checkpoint of a prefix, and the
+	// rows behind it are folded in the way an append-publish folds them
+	// (shards take no appends, so their parts match whole or not at all). On
 	// any error the part is unchanged and builds lazily.
 	Save func(io.Writer) error
-	Load func(io.Reader) error
+	Load func(io.Reader) (patched int, err error)
 }
 
 // IndexParts lists the current epoch's persistable index parts.
 func (d *Dataset) IndexParts() []IndexPart {
-	s := d.current()
 	if d.Shards() == 0 {
-		return []IndexPart{{Fingerprint: s.fingerprint(), Save: d.SaveIndex, Load: d.LoadIndex}}
+		return []IndexPart{{Save: d.SaveIndex, Load: d.loadIndex}}
 	}
 	var parts []IndexPart
-	for i, b := range s.ensure(needQueue|needShards, d).shards.backends {
+	for i, b := range d.current().ensure(needQueue|needShards, d).shards.backends {
 		if l, ok := b.(*shard.Local); ok && l.Rows() > 0 {
 			parts = append(parts, IndexPart{
-				Suffix:      fmt.Sprintf("%%shard-%d", i),
-				Fingerprint: l.Fingerprint(),
-				Save:        l.SaveIndex,
-				Load:        l.LoadIndex,
+				Suffix: fmt.Sprintf("%%shard-%d", i),
+				Save:   l.SaveIndex,
+				Load:   func(r io.Reader) (int, error) { return 0, l.LoadIndex(r) },
 			})
 		}
 	}

@@ -2,6 +2,7 @@ package tkd
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -336,7 +337,8 @@ func TestShardedConcurrentReload(t *testing.T) {
 
 // TestShardedIndexPersistRoundTrip saves every index part and restores it
 // into a fresh sharded dataset over the same rows: zero rebuilds afterwards,
-// and a stream from the wrong shard is rejected (fingerprint keying).
+// and a stream from the wrong shard is rejected as stale (the stream's own
+// rows-and-fingerprint header is the key).
 func TestShardedIndexPersistRoundTrip(t *testing.T) {
 	ds := GenerateIND(500, 3, 15, 0.2, 31)
 	sd, err := Shard(GenerateIND(500, 3, 15, 0.2, 31), "persist", WithShards(3))
@@ -368,15 +370,12 @@ func TestShardedIndexPersistRoundTrip(t *testing.T) {
 	}
 	freshParts := fresh.IndexParts()
 	// Wrong shard's stream: rejected, shard unchanged.
-	if err := freshParts[0].Load(bytes.NewReader(saved[1].Bytes())); err == nil {
-		t.Fatal("expected a fingerprint mismatch loading shard 1's index into shard 0")
+	if _, err := freshParts[0].Load(bytes.NewReader(saved[1].Bytes())); !errors.Is(err, ErrIndexStale) {
+		t.Fatalf("loading shard 1's index into shard 0: err = %v, want ErrIndexStale", err)
 	}
 	for i, p := range freshParts {
-		if p.Fingerprint != parts[i].Fingerprint {
-			t.Fatalf("part %d fingerprint differs across identical data", i)
-		}
-		if err := p.Load(bytes.NewReader(saved[i].Bytes())); err != nil {
-			t.Fatalf("shard %d warm load: %v", i, err)
+		if patched, err := p.Load(bytes.NewReader(saved[i].Bytes())); err != nil || patched != 0 {
+			t.Fatalf("shard %d warm load: patched %d rows, err %v", i, patched, err)
 		}
 	}
 	want, err := ds.TopK(7)
@@ -400,10 +399,9 @@ func TestShardedIndexPersistRoundTrip(t *testing.T) {
 	if n := len(tiny.IndexParts()); n != 2 {
 		t.Fatalf("2 rows over 4 shards: %d index parts, want 2", n)
 	}
-	// An unsharded dataset is one part with no suffix, keyed by its
-	// fingerprint.
+	// An unsharded dataset is one part with no suffix.
 	up := ds.IndexParts()
-	if len(up) != 1 || up[0].Suffix != "" || up[0].Fingerprint != ds.Fingerprint() {
+	if len(up) != 1 || up[0].Suffix != "" {
 		t.Fatalf("unsharded parts = %+v", up)
 	}
 }

@@ -153,8 +153,12 @@ func (a *artifacts) pre() *core.Pre {
 // snapshot while newer epochs are being prepared and published.
 type snapshot struct {
 	epoch uint64
-	ds    *data.Dataset
-	bins  []int
+	// ds is sealed before the snapshot is published (publishLocked,
+	// appendRows, ImportEpoch), so ds.Fingerprint() is an O(1) read that
+	// writes nothing — monitoring endpoints, followers and every publish
+	// poll it.
+	ds   *data.Dataset
+	bins []int
 
 	// art is the artifact set, read with one atomic load on the query fast
 	// path and grown copy-on-write under bmu when a query needs something
@@ -162,35 +166,9 @@ type snapshot struct {
 	art atomic.Pointer[artifacts]
 	bmu sync.Mutex
 
-	// mrOnce and fpOnce memoize MissingRate and Fingerprint: the data is
-	// frozen, but both scans are O(N) and monitoring endpoints, followers
-	// and every publish poll them.
-	mrOnce sync.Once
-	mr     float64
-	fpOnce sync.Once
-	fp     uint64
-
 	// retired is set when a successor replaces the snapshot; a shard set a
 	// late query still builds on it then closes its health loops at once.
 	retired atomic.Bool
-}
-
-// missingRate computes the frozen data's missing rate once per epoch.
-func (s *snapshot) missingRate() float64 {
-	s.mrOnce.Do(func() { s.mr = s.ds.MissingRate() })
-	return s.mr
-}
-
-// fingerprint hashes the frozen data once per epoch.
-func (s *snapshot) fingerprint() uint64 {
-	s.fpOnce.Do(func() { s.fp = s.ds.Fingerprint() })
-	return s.fp
-}
-
-// seedFingerprint installs a digest the caller has just computed over this
-// very data (appendRows, ImportEpoch), sparing the first reader the rehash.
-func (s *snapshot) seedFingerprint(fp uint64) {
-	s.fpOnce.Do(func() { s.fp = fp })
 }
 
 // ensure returns an artifact set satisfying n, building missing pieces
@@ -324,6 +302,10 @@ func (d *Dataset) publishLocked() *snapshot {
 	if s := d.cur.Load(); s != nil {
 		return s
 	}
+	// Freeze: fold the rows the fingerprint chain has not seen (all of a
+	// freshly loaded file, the appended ones after a copy-on-write) so every
+	// reader of the epoch gets the digest in O(1).
+	d.staging.Seal()
 	s := &snapshot{epoch: d.epoch.Add(1), ds: d.staging, bins: d.bins}
 	a := &artifacts{}
 	if d.pendingBinned != nil {
@@ -502,16 +484,17 @@ func (d *Dataset) Len() int { return d.view().Len() }
 // Dim returns the dataset dimensionality.
 func (d *Dataset) Dim() int { return d.view().Dim() }
 
-// MissingRate returns the fraction of missing cells (the paper's σ),
-// memoized per epoch.
-func (d *Dataset) MissingRate() float64 { return d.current().missingRate() }
+// MissingRate returns the fraction of missing cells (the paper's σ), O(1)
+// from the count the data carries forward across appends.
+func (d *Dataset) MissingRate() float64 { return d.view().MissingRate() }
 
 // Fingerprint returns a 64-bit digest of the dataset's full contents —
 // dimensionality, object order, IDs, masks and observed values — stable
 // across process restarts. A persisted-index cache compares fingerprints to
-// decide reuse-vs-rebuild without trusting file names or mtimes.
-// The digest is computed once per epoch and memoized.
-func (d *Dataset) Fingerprint() uint64 { return d.current().fingerprint() }
+// decide reuse-vs-rebuild without trusting file names or mtimes. Publishing
+// an epoch folds its new rows into a running chain (see
+// data.Dataset.Fingerprint), so the call itself is O(1).
+func (d *Dataset) Fingerprint() uint64 { return d.view().Fingerprint() }
 
 // ShardData returns the frozen data of the dataset's current epoch — the
 // handle the serving layer's shard-protocol endpoint slices row ranges
@@ -956,29 +939,57 @@ func (d *Dataset) SaveIndex(w io.Writer) error {
 	return a.binned.Save(w)
 }
 
-// LoadIndex restores an index written by SaveIndex. The dataset must be
-// identical to the one the index was built from; shape and per-dimension
-// domains are verified and the stream is checksummed. On any error the
-// dataset is left exactly as it was — a corrupt index file never poisons a
-// running server.
+// ErrIndexStale is wrapped by LoadIndex (and an IndexPart's Load) when the
+// stream is a sound index of other rows than this dataset's — a changed
+// source file, another dataset's file under this name. It is the expected
+// miss of a persisted-index cache, as opposed to a corrupt file.
+var ErrIndexStale = bitmapidx.ErrStale
+
+// LoadIndex restores an index written by SaveIndex. The stream is a
+// checkpoint: it names the row count and fingerprint it was saved at, and it
+// is accepted when the dataset's first that-many rows hash to that
+// fingerprint — the whole dataset, or a prefix of one that has grown since
+// (a restart that replayed its write-ahead log on top), in which case the
+// rows behind the prefix are patched in by the same bitmapidx.AppendRows that
+// serves append-publishes. Shape and per-dimension domains are verified and
+// the stream is checksummed. On any error the dataset is left exactly as it
+// was — a corrupt or stale index file never poisons a running server.
 func (d *Dataset) LoadIndex(r io.Reader) error {
+	_, err := d.loadIndex(r)
+	return err
+}
+
+// loadIndex is LoadIndex reporting how many rows it patched behind the
+// stream's prefix (0 for an exact match).
+func (d *Dataset) loadIndex(r io.Reader) (patched int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	target := d.staging
 	s := d.cur.Load()
 	if s != nil {
 		target = s.ds
+	} else {
+		// Not published yet, so still ours to write: hash the rows once here
+		// and the publish finds it done.
+		target.Seal()
 	}
-	ix, err := bitmapidx.Load(r, target)
+	ix, err := bitmapidx.LoadPrefix(r, target)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if !ix.Adaptive() {
 		// The dataset only ever builds adaptive indexes; one persisted under a
 		// pinned codec must not silently replace them. Callers (e.g. the
-		// server's fingerprint-keyed index cache) treat this like any other
-		// load failure and rebuild.
-		return fmt.Errorf("tkd: persisted index is not adaptive (codec=%v) — rebuild", ix.CodecUsed())
+		// server's index cache) treat this like any other load failure and
+		// rebuild.
+		return 0, fmt.Errorf("tkd: persisted index is not adaptive (codec=%v) — rebuild", ix.CodecUsed())
+	}
+	if tail := target.Len() - ix.Dataset().Len(); tail > 0 {
+		px, ok := bitmapidx.AppendRows(ix, target)
+		if !ok {
+			return 0, fmt.Errorf("tkd: persisted index covers %d of %d rows and the rest cannot be patched onto it — rebuild", ix.Dataset().Len(), target.Len())
+		}
+		ix, patched = px, tail
 	}
 	if b := d.cacheBudget.Load(); b > 0 {
 		ix.SetCacheBudget(b)
@@ -988,7 +999,7 @@ func (d *Dataset) LoadIndex(r io.Reader) error {
 	} else {
 		d.pendingBinned = ix
 	}
-	return nil
+	return patched, nil
 }
 
 // KSkyband returns the dataset indices of the objects dominated by fewer
