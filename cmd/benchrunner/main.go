@@ -65,7 +65,6 @@ type benchExperiment struct {
 type benchReport struct {
 	Host        hostInfo          `json:"host"`
 	Scale       string            `json:"scale"`
-	Workers     int               `json:"workers,omitempty"`
 	Shards      int               `json:"shards,omitempty"`
 	Experiments []benchExperiment `json:"experiments"`
 }
@@ -79,12 +78,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp     = fs.String("exp", "all", "experiment: all, fig10, fig11, table3, fig12, table4, fig13..fig18, ablation, parallel, serve, kill")
+		exp     = fs.String("exp", "all", "experiment: all, fig10, fig11, table3, fig12, table4, fig13..fig18, ablation, serve, kill")
 		scale   = fs.String("scale", "quick", "scale: quick, full, tiny")
 		format  = fs.String("format", "text", "output format: text, markdown")
 		out     = fs.String("o", "", "output file (default stdout)")
 		list    = fs.Bool("list", false, "list experiments and exit")
-		workers = fs.Int("workers", 0, "worker count for the parallel experiment (0 = GOMAXPROCS)")
 		shards  = fs.Int("shards", 1, "shard count for the serve experiment (1 = unsharded)")
 		chaos   = fs.Bool("chaos", false, "run the serve experiment as a fault-injection soak: replicated remote shards behind a transport injecting seeded errors/timeouts/stale responses; answers must stay byte-identical")
 		seed    = fs.Uint64("seed", 1, "fault-schedule seed for -chaos and the kill experiment")
@@ -130,15 +128,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		w = f
 	}
 
-	report := benchReport{Host: currentHost(), Scale: sc.String(), Workers: *workers, Shards: *shards}
+	report := benchReport{Host: currentHost(), Scale: sc.String(), Shards: *shards}
 	for _, spec := range specs {
 		fmt.Fprintf(stderr, "benchrunner: running %s (%s scale)...\n", spec.Name, sc)
 		start := time.Now()
 		var tables []experiments.Table
 		switch spec.Name {
-		case "parallel":
-			// Parameterized beyond scale: honour -workers.
-			tables = experiments.ParallelSweep(sc, *workers)
 		case "serve":
 			// Honour -shards; the report row carries the per-shard p99.
 			// -chaos swaps in the fault-injection soak over replicated

@@ -126,8 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		follow      = fs.String("follow", "", "base URL of a leader tkdserver to follow: its datasets are discovered, fetched over the epoch stream endpoint and kept in lockstep through every reload (a follower needs no -dataset flags of its own)")
 		followIvl   = fs.Duration("follow-interval", 2*time.Second, "leader poll period in follower mode (polls are conditional and cheap)")
 		walDir      = fs.String("waldir", "", "directory for per-dataset write-ahead logs: enables POST /v1/datasets/{name}/append with crash recovery (empty = ingest disabled; ignored with -shards > 1 or -follow)")
-		fsyncPolicy = fs.String("fsync", "always", "when an append's WAL record is fsynced: always (ack = on disk), interval (ack = logged, fsynced on -fsync-interval), none (ack = handed to the OS)")
-		fsyncIvl    = fs.Duration("fsync-interval", 50*time.Millisecond, "WAL flush cadence under -fsync interval (a crash loses at most one interval of acked rows)")
+		fsyncPolicy = fs.String("fsync", "always", "when an append's WAL record is fsynced: always (ack = on disk) or none (ack = handed to the OS)")
 		publishIvl  = fs.Duration("publish-interval", 500*time.Millisecond, "cadence at which logged rows are folded into a published epoch (one index patch per batch)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -185,7 +184,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FollowInterval:  *followIvl,
 		WALDir:          *walDir,
 		Fsync:           fsync,
-		FsyncInterval:   *fsyncIvl,
 		PublishInterval: *publishIvl,
 	}, logger)
 	if err != nil {

@@ -3,13 +3,12 @@
 // same parameter sweeps, same reported rows/series. Absolute numbers differ
 // from the paper (different hardware, Go instead of Java, simulated real
 // datasets); the shapes — which algorithm wins, growth trends, crossovers —
-// are the reproduction target, recorded in EXPERIMENTS.md.
+// are the reproduction target; `benchrunner -exp … -json` records them.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"time"
 
@@ -62,8 +61,8 @@ func ParseScale(name string) (Scale, error) {
 // ZillowCap bounds the Zillow simulator at Full scale. The paper's raw
 // (value-granular) bitmap index over all 200K entries needs multiple GB —
 // the authors report 5,749 s to build it (Table 3); we cap the dataset so
-// the BIG index fits comfortably in laptop RAM. The cap is documented in
-// EXPERIMENTS.md wherever Zillow rows appear.
+// the BIG index fits comfortably in laptop RAM. The Zillow rows of
+// `benchrunner -exp … -json` are over the capped dataset.
 const ZillowCap = 50_000
 
 // Table is one reproduced table or figure panel in row/column form.
@@ -128,7 +127,7 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// Spec describes one runnable experiment for the CLI and EXPERIMENTS.md.
+// Spec describes one runnable experiment of `benchrunner -exp … -json`.
 type Spec struct {
 	Name  string // e.g. "fig12"
 	Paper string // what the paper's artifact shows
@@ -150,7 +149,6 @@ func All() []Spec {
 		{"fig17", "TKD cost on synthetic data vs dimensional cardinality c", Fig17},
 		{"fig18", "Objects pruned by Heuristics 1/2/3 vs k", Fig18},
 		{"ablation", "Design-choice ablations: refinement strategy, column codec (not in the paper)", Ablation},
-		{"parallel", "Parallel engine: serial vs worker-pool query time and speedup (not in the paper)", Parallel},
 		{"serve", "Server soak: concurrent clients + hot reloads vs QPS and latency percentiles (not in the paper)", Serve},
 		{"kill", "Kill-under-load: SIGKILL tkdserver mid-ingest, restart, audit zero acked-row loss (not in the paper)", Kill},
 	}
@@ -246,21 +244,6 @@ func measure(fn func()) time.Duration {
 	start := time.Now()
 	fn()
 	return time.Since(start)
-}
-
-// measureAllocs runs fn once and returns its wall-clock duration plus the
-// heap allocations it performed (runtime.MemStats.Mallocs delta — the same
-// counter `go test -benchmem` divides into allocs/op). The JSON report
-// carries it so the per-candidate zero-alloc claim of the query engine is
-// tracked alongside the timing trajectory.
-func measureAllocs(fn func()) (time.Duration, uint64) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	fn()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return elapsed, after.Mallocs - before.Mallocs
 }
 
 func seconds(d time.Duration) string { return fmt.Sprintf("%.4f", d.Seconds()) }

@@ -16,7 +16,6 @@ type admission struct {
 	cond     *sync.Cond
 	capacity int
 	used     int
-	waits    int64 // acquisitions that had to block; surfaced on /metrics
 }
 
 // newAdmission returns a controller with the given worker capacity;
@@ -40,13 +39,8 @@ func (a *admission) acquire(n int) int {
 		n = 1
 	}
 	a.mu.Lock()
-	blocked := false
 	for a.used+n > a.capacity {
-		blocked = true
 		a.cond.Wait()
-	}
-	if blocked {
-		a.waits++
 	}
 	a.used += n
 	a.mu.Unlock()
@@ -59,11 +53,4 @@ func (a *admission) release(n int) {
 	a.used -= n
 	a.mu.Unlock()
 	a.cond.Broadcast()
-}
-
-// snapshot reads the controller's gauges for /metrics.
-func (a *admission) snapshot() (capacity, inflight int, waits int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.capacity, a.used, a.waits
 }

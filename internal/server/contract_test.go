@@ -215,10 +215,46 @@ func TestRoutesDocumented(t *testing.T) {
 	for _, code := range []string{
 		"bad_request", "dataset_not_found", "dataset_exists", "follower_readonly",
 		"ingest_disabled", "not_reloadable", "deadline_exceeded", "degraded_unavailable",
-		"draining", "wal_failed", "not_subscribable", "epoch_export_unsupported", "internal",
+		"draining", "wal_failed", "not_subscribable", "internal",
 	} {
 		if !strings.Contains(doc, "`"+code+"`") {
 			t.Errorf("README.md error-code glossary is missing `%s`", code)
+		}
+	}
+}
+
+// TestMetricsDocumented holds README.md's metrics glossary to the family
+// table the way TestRoutesDocumented holds the API reference to the route
+// table: every served family has exactly one glossary row, and every
+// glossary row names a served family, so neither can move without the other.
+func TestMetricsDocumented(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(server.Config{})
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	served := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(rec.Body.String(), -1) {
+		served[m[1]] = true
+	}
+	if len(served) == 0 {
+		t.Fatal("an empty server's /metrics declares no family")
+	}
+	rows := make(map[string]int)
+	for _, m := range regexp.MustCompile("(?m)^\\| `(tkd_[a-z_]+)[`{]").FindAllStringSubmatch(string(readme), -1) {
+		rows[m[1]]++
+	}
+	for name := range served {
+		if rows[name] != 1 {
+			t.Errorf("README.md glossary has %d rows for served family %s, want 1", rows[name], name)
+		}
+	}
+	for name := range rows {
+		if !served[name] {
+			t.Errorf("README.md glossary documents %s, which /metrics does not serve", name)
 		}
 	}
 }

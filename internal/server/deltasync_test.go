@@ -59,13 +59,13 @@ func TestFollowerDeltaSync(t *testing.T) {
 	})
 
 	// The sync must have gone over the delta path, not a full re-transfer.
-	if got := scrapeMetric(t, fts.URL, "tkd_follower_delta_syncs_total"); got < 1 {
+	if got := metricValue(t, getBody(t, fts.URL+"/metrics"), "tkd_follower_delta_syncs_total"); got < 1 {
 		t.Fatalf("follower delta syncs = %v, want >= 1", got)
 	}
-	if got := scrapeMetric(t, lts.URL, "tkd_epoch_delta_ships_total"); got < 1 {
+	if got := metricValue(t, getBody(t, lts.URL+"/metrics"), "tkd_epoch_delta_ships_total"); got < 1 {
 		t.Fatalf("leader delta ships = %v, want >= 1", got)
 	}
-	deltaBytes := scrapeMetric(t, lts.URL, "tkd_epoch_delta_ship_bytes_total")
+	deltaBytes := metricValue(t, getBody(t, lts.URL+"/metrics"), "tkd_epoch_delta_ship_bytes_total")
 	if deltaBytes <= 0 || deltaBytes >= float64(fullBytes) {
 		t.Fatalf("delta shipped %v bytes, want strictly under the %d-byte full stream", deltaBytes, fullBytes)
 	}

@@ -51,10 +51,6 @@ const (
 	// errNotSubscribable: the dataset cannot host standing subscriptions in
 	// this serving mode. 501.
 	errNotSubscribable = "not_subscribable"
-	// errEpochExportUnsupported: the dataset cannot serve the epoch-stream
-	// endpoint. 501. Reserved — every resident is a *tkd.Dataset and exports
-	// one, sharded or not, so no handler answers it today.
-	errEpochExportUnsupported = "epoch_export_unsupported"
 	// errInternal: everything else. 500.
 	errInternal = "internal"
 )

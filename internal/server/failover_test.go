@@ -98,7 +98,7 @@ func TestServerQueryDeadline(t *testing.T) {
 	if _, code := postQuery(t, cts.URL, server.QueryRequest{Dataset: "big", K: 5, TimeoutMillis: -1}); code != http.StatusBadRequest {
 		t.Fatalf("negative timeout: status %d, want 400", code)
 	}
-	if v := metricValue(t, fetchMetrics(t, cts.URL), "tkd_query_deadline_exceeded_total", `dataset="big"`); v < 2 {
+	if v := metricValue(t, fetchMetrics(t, cts.URL), `tkd_query_deadline_exceeded_total{dataset="big"}`); v < 2 {
 		t.Fatalf("tkd_query_deadline_exceeded_total = %v, want >= 2", v)
 	}
 }
@@ -142,7 +142,7 @@ func TestServerReplicaFailover(t *testing.T) {
 		}
 	}
 	body := fetchMetrics(t, cts.URL)
-	if v := metricValue(t, body, "tkd_shard_retries_total", `dataset="big"`); v < 1 {
+	if v := metricValue(t, body, `tkd_shard_retries_total{dataset="big"}`); v < 1 {
 		t.Fatalf("tkd_shard_retries_total = %v, want >= 1", v)
 	}
 	if !strings.Contains(body, `tkd_shard_breaker_state{dataset="big",shard="0",replica="0"}`) {
@@ -193,7 +193,7 @@ func TestServerDegradedMode(t *testing.T) {
 	}
 
 	body := fetchMetrics(t, cts.URL)
-	if v := metricValue(t, body, "tkd_shard_degraded_queries_total", `dataset="big"`); v < 1 {
+	if v := metricValue(t, body, `tkd_shard_degraded_queries_total{dataset="big"}`); v < 1 {
 		t.Fatalf("tkd_shard_degraded_queries_total = %v, want >= 1", v)
 	}
 

@@ -452,7 +452,7 @@ func TestFollowerMixedVersionFailsClosed(t *testing.T) {
 			t.Fatalf("old leader's %s: follower stopped serving its last epoch (HTTP %d)", what, code)
 		}
 	}
-	if got := scrapeMetric(t, fts.URL, "tkd_follower_sync_errors_total"); got < 2 {
+	if got := metricValue(t, getBody(t, fts.URL+"/metrics"), "tkd_follower_sync_errors_total"); got < 2 {
 		t.Fatalf("tkd_follower_sync_errors_total = %v, want the refused syncs counted", got)
 	}
 

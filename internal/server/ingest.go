@@ -44,7 +44,7 @@ import (
 
 // ingestState is one dataset's WAL-backed ingest side: the log, the rows
 // logged but not yet folded into a published epoch, and the row accounting
-// that drives checkpoints and the lag gauge. It hangs off the registry
+// that drives checkpoints and the reported lag. It hangs off the registry
 // entry; nil means ingest is not enabled for that dataset.
 type ingestState struct {
 	mu      sync.Mutex
@@ -60,8 +60,8 @@ type ingestState struct {
 
 	// Publish-path accounting: how many publishes patched the previous
 	// epoch's index in place versus rebuilt it from scratch. Exposed per
-	// dataset in /v1/datasets and /metrics; the kill harness audits
-	// deltaPublishes to prove recovery covers patched epochs.
+	// dataset in /v1/datasets; the kill harness audits deltaPublishes to
+	// prove recovery covers patched epochs.
 	deltaPublishes   atomic.Int64
 	rebuildPublishes atomic.Int64
 }
@@ -87,11 +87,7 @@ func (s *Server) walDir(name string) string {
 }
 
 func (s *Server) walOptions() wal.Options {
-	return wal.Options{
-		Policy:   s.cfg.Fsync,
-		Interval: s.cfg.FsyncInterval,
-		FS:       s.cfg.WALFS,
-	}
+	return wal.Options{Policy: s.cfg.Fsync, FS: s.cfg.WALFS}
 }
 
 // openIngest opens (recovering if needed) the WAL behind name and replays

@@ -3,66 +3,14 @@ package server
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/tkd"
 )
-
-// latencyBuckets are the upper bounds (seconds) of the query latency
-// histogram, Prometheus-style cumulative; the implicit +Inf bucket is the
-// total count. Single-sourced from the shard package so the query-latency
-// and per-shard scatter-latency families stay bucket-compatible on one
-// dashboard by construction.
-var latencyBuckets = shard.LatencyBuckets
-
-// histogram is a fixed-bucket latency histogram safe for concurrent
-// observation.
-type histogram struct {
-	counts   [len(latencyBuckets)]atomic.Int64 // per-bucket (non-cumulative) counts
-	total    atomic.Int64
-	sumNanos atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	// total first: a concurrent scrape then renders the in-flight
-	// observation in +Inf only, which keeps the cumulative buckets monotone
-	// (bucket > +Inf would be invalid exposition).
-	h.total.Add(1)
-	h.sumNanos.Add(int64(d))
-	s := d.Seconds()
-	for i, ub := range latencyBuckets {
-		if s <= ub {
-			h.counts[i].Add(1)
-			break
-		}
-	}
-}
-
-// write renders the histogram in Prometheus text form under name with a
-// dataset label.
-func (h *histogram) write(w io.Writer, name, dataset string) {
-	h.writeLabeled(w, name, "dataset", dataset)
-}
-
-// writeLabeled renders the histogram under name with one arbitrary label.
-func (h *histogram) writeLabeled(w io.Writer, name, label, value string) {
-	cum := int64(0)
-	for i, ub := range latencyBuckets {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", name, label, value, formatBound(ub), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, value, h.total.Load())
-	fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, label, value, float64(h.sumNanos.Load())/float64(time.Second))
-	fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, value, h.total.Load())
-}
 
 // queryStages enumerates the tkd_query_stage_seconds labels in exposition
 // order. Each stage is fed from the trace spans of the same name — queue is
@@ -74,7 +22,7 @@ var queryStages = [...]string{"queue", "engine", "scatter", "gather", "retry", "
 
 // stageMetrics breaks query time down by pipeline stage, server-wide.
 type stageMetrics struct {
-	hists [len(queryStages)]histogram
+	hists [len(queryStages)]obs.Histogram
 }
 
 // observeTrace folds one completed trace's span durations into the stage
@@ -89,27 +37,11 @@ func (m *stageMetrics) observeTrace(tr *obs.Trace, coalesced bool) {
 		}
 		for i, stage := range queryStages {
 			if name == stage {
-				m.hists[i].observe(sp.Duration())
+				m.hists[i].Observe(sp.Duration())
 				return
 			}
 		}
 	})
-}
-
-// write renders the per-stage histograms.
-func (m *stageMetrics) write(w io.Writer) {
-	fmt.Fprintf(w, "# HELP tkd_query_stage_seconds Query time by pipeline stage: scheduler queue wait, engine execution, shard scatter (bounds) and gather (scores) phases, retry backoff waits, WAL write/fsync time, and ingest publish (epoch fold) time.\n")
-	fmt.Fprintf(w, "# TYPE tkd_query_stage_seconds histogram\n")
-	for i, stage := range queryStages {
-		m.hists[i].writeLabeled(w, "tkd_query_stage_seconds", "stage", stage)
-	}
-}
-
-func formatBound(ub float64) string {
-	if math.IsInf(ub, 1) {
-		return "+Inf"
-	}
-	return fmt.Sprintf("%g", ub)
 }
 
 // buildVersion reports the main module's version as recorded in the build
@@ -122,401 +54,205 @@ func buildVersion() string {
 	return "unknown"
 }
 
-// datasetMetrics aggregates one dataset's serving counters. Query counts are
-// per algorithm; the pruning counters accumulate each query's core.Stats via
-// Stats.Add under a light mutex (queries are milliseconds, the add is
-// nanoseconds).
-// numAlgorithms sizes the per-algorithm counters; IBIG is the last entry of
-// core's algorithm enumeration.
-const numAlgorithms = int(core.AlgIBIG) + 1
-
-type datasetMetrics struct {
-	queries          [numAlgorithms]atomic.Int64
-	errors           atomic.Int64 // failed client queries
-	batches          atomic.Int64 // scheduling windows served
-	coalesced        atomic.Int64 // queries answered by sharing an identical query's run
-	reloads          atomic.Int64 // epoch swaps served for this dataset
-	deadlineExceeded atomic.Int64 // queries that outran their deadline (504s)
-	latency          histogram
-
-	mu  sync.Mutex
-	agg core.Stats
+// datasetScrape is everything a scrape reads of one dataset, taken once
+// before any family is written so that the samples of one scrape agree: the
+// pruning counters under one lock, the cache and representation counters
+// from one CacheStats, the shard counters from one Metrics.
+type datasetScrape struct {
+	e        *entry
+	label    string // dataset="<name>"
+	stats    core.Stats
+	cache    tkd.CacheStats
+	shards   int // 0 = unsharded: the shard families carry no sample for it
+	shard    tkd.ShardMetrics
+	replicas [][]tkd.BreakerState
 }
 
-// lifecycleMetrics aggregates the server-wide dataset lifecycle counters:
-// evictions, persisted-index cache traffic and from-scratch index builds.
-// (Reloads are per-dataset, on datasetMetrics.)
-type lifecycleMetrics struct {
-	evictions        atomic.Int64 // datasets removed via DELETE /v1/datasets/{name}
-	indexWarmLoads   atomic.Int64 // binned indexes restored from the IndexDir cache
-	indexBuilds      atomic.Int64 // binned indexes built from scratch
-	indexCacheErrors atomic.Int64 // unreadable/unwritable cache files (each degraded to a rebuild)
-	deltaShips       atomic.Int64 // epoch deltas served to followers instead of full streams
-	deltaShipBytes   atomic.Int64 // bytes those delta bodies put on the wire
+// expo writes one scrape in Prometheus text exposition format.
+type expo struct {
+	w    io.Writer
+	s    *Server
+	ds   []datasetScrape
+	name string // the family being written
 }
 
-// record folds one finished execution into the counters. served is the
-// number of client queries the execution answered (> 1 when the scheduler
-// coalesced identical queries onto it); the latency and work counters are
-// recorded once per execution, the query counter once per client.
-func (m *datasetMetrics) record(alg core.Algorithm, st core.Stats, elapsed time.Duration, served int, err error) {
-	if err != nil {
-		m.errors.Add(int64(served))
-		return
+// family is one row of the /metrics table. A row earns its place with a
+// README runbook sentence or a test assertion that reads it (DESIGN.md §3);
+// TestMetricsDocumented holds the README glossary to the table and
+// TestMetricsExposition holds the names and TYPEs to a golden list.
+type family struct {
+	name, typ, help string
+	collect         func(x *expo)
+}
+
+func (x *expo) begin(f *family) {
+	x.name = f.name
+	fmt.Fprintf(x.w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+}
+
+func (x *expo) sample(labels string, v int64) {
+	if labels != "" {
+		labels = "{" + labels + "}"
 	}
-	m.queries[int(alg)].Add(int64(served))
-	m.latency.observe(elapsed)
-	m.mu.Lock()
-	m.agg.Add(st)
-	m.mu.Unlock()
+	fmt.Fprintf(x.w, "%s%s %d\n", x.name, labels, v)
 }
 
-// aggStats snapshots the accumulated work counters.
-func (m *datasetMetrics) aggStats() core.Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.agg
-}
-
-// queryTotal sums the per-algorithm query counters.
-func (m *datasetMetrics) queryTotal() int64 {
-	var t int64
-	for i := range m.queries {
-		t += m.queries[i].Load()
+func (x *expo) hist(labels string, h obs.HistogramSnapshot) {
+	cum := int64(0)
+	for i, ub := range obs.LatencyBuckets {
+		cum += h.Buckets[i]
+		fmt.Fprintf(x.w, "%s_bucket{%s,le=\"%g\"} %d\n", x.name, labels, ub, cum)
 	}
-	return t
+	fmt.Fprintf(x.w, "%s_bucket{%s,le=\"+Inf\"} %d\n", x.name, labels, h.Count)
+	fmt.Fprintf(x.w, "%s_sum{%s} %g\n", x.name, labels, h.SumSeconds)
+	fmt.Fprintf(x.w, "%s_count{%s} %d\n", x.name, labels, h.Count)
 }
+
+// whenFollowing is a family of one unlabelled sample, in follower mode only.
+func whenFollowing(v func(f *follower) int64) func(*expo) {
+	return func(x *expo) {
+		if x.s.fol != nil {
+			x.sample("", v(x.s.fol))
+		}
+	}
+}
+
+// each is a family of one {dataset} sample per resident dataset keep admits.
+func each(keep func(*datasetScrape) bool, v func(d *datasetScrape) int64) func(*expo) {
+	return func(x *expo) {
+		for i := range x.ds {
+			if d := &x.ds[i]; keep(d) {
+				x.sample(d.label, v(d))
+			}
+		}
+	}
+}
+
+func resident(*datasetScrape) bool    { return true }
+func ingesting(d *datasetScrape) bool { return d.e.ing != nil }
+func followed(d *datasetScrape) bool  { return d.e.followed.Load() }
+func sharded(d *datasetScrape) bool   { return d.shards > 0 }
 
 // writeMetrics renders the whole server state in Prometheus text exposition
 // format (also human-readable enough to double as the expvar-style dump).
 func (s *Server) writeMetrics(w io.Writer) {
 	entries := s.reg.list()
-
-	fmt.Fprintf(w, "# HELP tkd_build_info Build metadata; the metric is always 1, the labels carry the information.\n")
-	fmt.Fprintf(w, "# TYPE tkd_build_info gauge\n")
-	fmt.Fprintf(w, "tkd_build_info{version=%q,go=%q,gomaxprocs=\"%d\"} 1\n",
-		buildVersion(), runtime.Version(), runtime.GOMAXPROCS(0))
-
-	fmt.Fprintf(w, "# HELP tkd_datasets Number of datasets resident in the registry.\n")
-	fmt.Fprintf(w, "# TYPE tkd_datasets gauge\n")
-	fmt.Fprintf(w, "tkd_datasets %d\n", len(entries))
-
-	s.stages.write(w)
-
-	capacity, inflight, waits := s.adm.snapshot()
-	fmt.Fprintf(w, "# HELP tkd_admission_worker_capacity Total worker goroutines the admission controller allows in flight.\n")
-	fmt.Fprintf(w, "# TYPE tkd_admission_worker_capacity gauge\n")
-	fmt.Fprintf(w, "tkd_admission_worker_capacity %d\n", capacity)
-	fmt.Fprintf(w, "# HELP tkd_admission_inflight_workers Worker goroutines currently admitted.\n")
-	fmt.Fprintf(w, "# TYPE tkd_admission_inflight_workers gauge\n")
-	fmt.Fprintf(w, "tkd_admission_inflight_workers %d\n", inflight)
-	fmt.Fprintf(w, "# HELP tkd_admission_waits_total Query admissions that had to queue for worker slots.\n")
-	fmt.Fprintf(w, "# TYPE tkd_admission_waits_total counter\n")
-	fmt.Fprintf(w, "tkd_admission_waits_total %d\n", waits)
-
-	fmt.Fprintf(w, "# HELP tkd_dataset_epoch Epoch counter of the resident dataset; advances on every reload/swap.\n")
-	fmt.Fprintf(w, "# TYPE tkd_dataset_epoch gauge\n")
+	x := &expo{w: w, s: s, ds: make([]datasetScrape, 0, len(entries))}
 	for _, e := range entries {
-		fmt.Fprintf(w, "tkd_dataset_epoch{dataset=%q} %d\n", e.name, e.ds.Epoch())
-	}
-	fmt.Fprintf(w, "# HELP tkd_dataset_reloads_total Zero-downtime reloads served, by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_dataset_reloads_total counter\n")
-	for _, e := range entries {
-		fmt.Fprintf(w, "tkd_dataset_reloads_total{dataset=%q} %d\n", e.name, e.met.reloads.Load())
-	}
-	fmt.Fprintf(w, "# HELP tkd_dataset_evictions_total Datasets evicted from the registry since boot.\n")
-	fmt.Fprintf(w, "# TYPE tkd_dataset_evictions_total counter\n")
-	fmt.Fprintf(w, "tkd_dataset_evictions_total %d\n", s.life.evictions.Load())
-	fmt.Fprintf(w, "# HELP tkd_index_warm_loads_total Binned indexes restored from the persisted-index cache (rebuild skipped).\n")
-	fmt.Fprintf(w, "# TYPE tkd_index_warm_loads_total counter\n")
-	fmt.Fprintf(w, "tkd_index_warm_loads_total %d\n", s.life.indexWarmLoads.Load())
-	fmt.Fprintf(w, "# HELP tkd_index_builds_total Binned indexes built from scratch.\n")
-	fmt.Fprintf(w, "# TYPE tkd_index_builds_total counter\n")
-	fmt.Fprintf(w, "tkd_index_builds_total %d\n", s.life.indexBuilds.Load())
-	fmt.Fprintf(w, "# HELP tkd_index_cache_errors_total Persisted-index cache files that failed to read or write (each degraded to a rebuild).\n")
-	fmt.Fprintf(w, "# TYPE tkd_index_cache_errors_total counter\n")
-	fmt.Fprintf(w, "tkd_index_cache_errors_total %d\n", s.life.indexCacheErrors.Load())
-	fmt.Fprintf(w, "# HELP tkd_epoch_delta_ships_total Epoch-stream requests answered with a rows-since delta instead of the full stream.\n")
-	fmt.Fprintf(w, "# TYPE tkd_epoch_delta_ships_total counter\n")
-	fmt.Fprintf(w, "tkd_epoch_delta_ships_total %d\n", s.life.deltaShips.Load())
-	fmt.Fprintf(w, "# HELP tkd_epoch_delta_ship_bytes_total Bytes those delta bodies put on the wire.\n")
-	fmt.Fprintf(w, "# TYPE tkd_epoch_delta_ship_bytes_total counter\n")
-	fmt.Fprintf(w, "tkd_epoch_delta_ship_bytes_total %d\n", s.life.deltaShipBytes.Load())
-
-	fmt.Fprintf(w, "# HELP tkd_standing_subscribers Standing-query subscribers connected right now.\n")
-	fmt.Fprintf(w, "# TYPE tkd_standing_subscribers gauge\n")
-	fmt.Fprintf(w, "tkd_standing_subscribers %d\n", s.standing.subscribers.Load())
-	fmt.Fprintf(w, "# HELP tkd_standing_evals_total Standing-query engine re-evaluations actually run.\n")
-	fmt.Fprintf(w, "# TYPE tkd_standing_evals_total counter\n")
-	fmt.Fprintf(w, "tkd_standing_evals_total %d\n", s.standing.evals.Load())
-	fmt.Fprintf(w, "# HELP tkd_standing_tau_skips_total Standing-query re-evaluations skipped because the tau-check proved the appended rows could not change the answer.\n")
-	fmt.Fprintf(w, "# TYPE tkd_standing_tau_skips_total counter\n")
-	fmt.Fprintf(w, "tkd_standing_tau_skips_total %d\n", s.standing.tauSkips.Load())
-	fmt.Fprintf(w, "# HELP tkd_standing_events_total Standing-query answer changes broadcast to subscribers.\n")
-	fmt.Fprintf(w, "# TYPE tkd_standing_events_total counter\n")
-	fmt.Fprintf(w, "tkd_standing_events_total %d\n", s.standing.events.Load())
-
-	// Durable-ingest WAL counters, present only for WAL-backed datasets.
-	var walEntries []*entry
-	for _, e := range entries {
-		if e.ing != nil {
-			walEntries = append(walEntries, e)
+		d := datasetScrape{e: e, label: fmt.Sprintf("dataset=%q", e.name), cache: e.ds.CacheStats(), shards: e.ds.Shards()}
+		e.met.mu.Lock()
+		d.stats = e.met.agg
+		e.met.mu.Unlock()
+		if d.shards > 0 {
+			d.shard, d.replicas = e.ds.Metrics(), e.ds.ReplicaStates()
 		}
+		x.ds = append(x.ds, d)
 	}
-	if len(walEntries) > 0 {
-		fmt.Fprintf(w, "# HELP tkd_wal_appends_total Row records appended to the ingest WAL since boot, by dataset.\n")
-		fmt.Fprintf(w, "# TYPE tkd_wal_appends_total counter\n")
-		for _, e := range walEntries {
-			fmt.Fprintf(w, "tkd_wal_appends_total{dataset=%q} %d\n", e.name, e.ing.log.Appends())
-		}
-		fmt.Fprintf(w, "# HELP tkd_wal_fsyncs_total Fsyncs issued by the ingest WAL since boot, by dataset.\n")
-		fmt.Fprintf(w, "# TYPE tkd_wal_fsyncs_total counter\n")
-		for _, e := range walEntries {
-			fmt.Fprintf(w, "tkd_wal_fsyncs_total{dataset=%q} %d\n", e.name, e.ing.log.Fsyncs())
-		}
-		fmt.Fprintf(w, "# HELP tkd_wal_replayed_rows_total Acked rows crash recovery replayed from the WAL at startup, by dataset.\n")
-		fmt.Fprintf(w, "# TYPE tkd_wal_replayed_rows_total counter\n")
-		for _, e := range walEntries {
-			fmt.Fprintf(w, "tkd_wal_replayed_rows_total{dataset=%q} %d\n", e.name, e.ing.replayed)
-		}
-		fmt.Fprintf(w, "# HELP tkd_wal_lag_rows Rows logged (and acked) but not yet folded into a published epoch, by dataset — what a crash right now would replay.\n")
-		fmt.Fprintf(w, "# TYPE tkd_wal_lag_rows gauge\n")
-		for _, e := range walEntries {
-			fmt.Fprintf(w, "tkd_wal_lag_rows{dataset=%q} %d\n", e.name, e.ing.lag())
-		}
-		fmt.Fprintf(w, "# HELP tkd_ingest_publishes_total Ingest publishes since boot, by dataset and mode: delta patched the previous epoch's index in place, rebuild built it from scratch.\n")
-		fmt.Fprintf(w, "# TYPE tkd_ingest_publishes_total counter\n")
-		for _, e := range walEntries {
-			fmt.Fprintf(w, "tkd_ingest_publishes_total{dataset=%q,mode=\"delta\"} %d\n", e.name, e.ing.deltaPublishes.Load())
-			fmt.Fprintf(w, "tkd_ingest_publishes_total{dataset=%q,mode=\"rebuild\"} %d\n", e.name, e.ing.rebuildPublishes.Load())
-		}
+	for i := range metricFamilies {
+		x.begin(&metricFamilies[i])
+		metricFamilies[i].collect(x)
 	}
+}
 
-	// Follower replication counters, present only in follower mode.
-	if s.fol != nil {
-		fmt.Fprintf(w, "# HELP tkd_follower_syncs_total Leader epochs imported and published by the follower sync loop.\n")
-		fmt.Fprintf(w, "# TYPE tkd_follower_syncs_total counter\n")
-		fmt.Fprintf(w, "tkd_follower_syncs_total %d\n", s.fol.syncs.Load())
-		fmt.Fprintf(w, "# HELP tkd_follower_sync_errors_total Failed leader poll, fetch or import attempts.\n")
-		fmt.Fprintf(w, "# TYPE tkd_follower_sync_errors_total counter\n")
-		fmt.Fprintf(w, "tkd_follower_sync_errors_total %d\n", s.fol.syncErrors.Load())
-		fmt.Fprintf(w, "# HELP tkd_follower_delta_syncs_total Leader epochs applied from a rows-since delta stream (a subset of tkd_follower_syncs_total).\n")
-		fmt.Fprintf(w, "# TYPE tkd_follower_delta_syncs_total counter\n")
-		fmt.Fprintf(w, "tkd_follower_delta_syncs_total %d\n", s.fol.deltaSyncs.Load())
-		fmt.Fprintf(w, "# HELP tkd_follower_epoch_lag Leader epochs observed but not yet applied, by dataset (0 = converged).\n")
-		fmt.Fprintf(w, "# TYPE tkd_follower_epoch_lag gauge\n")
-		for _, e := range entries {
-			if !e.followed.Load() {
-				continue
-			}
-			seen, applied := e.leaderSeen.Load(), e.leaderEpoch.Load()
-			var lag uint64
-			if seen > applied {
-				lag = seen - applied
-			}
-			fmt.Fprintf(w, "tkd_follower_epoch_lag{dataset=%q} %d\n", e.name, lag)
+// metricFamilies is the whole /metrics surface, in exposition order.
+var metricFamilies = []family{
+	{"tkd_build_info", "gauge", "Build metadata; the metric is always 1, the labels carry the information.", func(x *expo) {
+		x.sample(fmt.Sprintf("version=%q,go=%q,gomaxprocs=\"%d\"", buildVersion(), runtime.Version(), runtime.GOMAXPROCS(0)), 1)
+	}},
+	{"tkd_query_stage_seconds", "histogram", "Query time by pipeline stage: scheduler queue wait, engine execution, shard scatter (bounds) and gather (scores) phases, retry backoff waits, WAL write/fsync time, and ingest publish (epoch fold) time.", func(x *expo) {
+		for i, stage := range queryStages {
+			x.hist(fmt.Sprintf("stage=%q", stage), x.s.stages.hists[i].Snapshot())
 		}
-	}
-
-	fmt.Fprintf(w, "# HELP tkd_queries_total Queries served, by dataset and algorithm.\n")
-	fmt.Fprintf(w, "# TYPE tkd_queries_total counter\n")
-	for _, e := range entries {
-		for i, alg := range core.Algorithms {
-			if n := e.met.queries[i].Load(); n > 0 {
-				fmt.Fprintf(w, "tkd_queries_total{dataset=%q,algorithm=%q} %d\n", e.name, alg, n)
-			}
+	}},
+	{"tkd_dataset_epoch", "gauge", "Epoch counter of the resident dataset; advances on every reload/swap.", each(resident, func(d *datasetScrape) int64 { return int64(d.e.ds.Epoch()) })},
+	{"tkd_dataset_reloads_total", "counter", "Zero-downtime reloads served, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.reloads.Load() })},
+	{"tkd_dataset_evictions_total", "counter", "Datasets evicted from the registry since boot.", func(x *expo) { x.sample("", x.s.life.evictions.Load()) }},
+	{"tkd_index_warm_loads_total", "counter", "Binned indexes restored from the persisted-index cache (rebuild skipped).", func(x *expo) { x.sample("", x.s.life.indexWarmLoads.Load()) }},
+	{"tkd_index_builds_total", "counter", "Binned indexes built from scratch.", func(x *expo) { x.sample("", x.s.life.indexBuilds.Load()) }},
+	{"tkd_index_cache_errors_total", "counter", "Persisted-index cache files that failed to read or write (each degraded to a rebuild).", func(x *expo) { x.sample("", x.s.life.indexCacheErrors.Load()) }},
+	{"tkd_epoch_delta_ships_total", "counter", "Epoch-stream requests answered with a rows-since delta instead of the full stream.", func(x *expo) { x.sample("", x.s.life.deltaShips.Load()) }},
+	{"tkd_epoch_delta_ship_bytes_total", "counter", "Bytes those delta bodies put on the wire.", func(x *expo) { x.sample("", x.s.life.deltaShipBytes.Load()) }},
+	{"tkd_standing_subscribers", "gauge", "Standing-query subscribers connected right now.", func(x *expo) { x.sample("", x.s.standing.subscribers.Load()) }},
+	{"tkd_standing_evals_total", "counter", "Standing-query engine re-evaluations actually run.", func(x *expo) { x.sample("", x.s.standing.evals.Load()) }},
+	{"tkd_standing_tau_skips_total", "counter", "Standing-query re-evaluations skipped because the tau-check proved the appended rows could not change the answer.", func(x *expo) { x.sample("", x.s.standing.tauSkips.Load()) }},
+	{"tkd_wal_appends_total", "counter", "Row records appended to the ingest WAL since boot, by dataset.", each(ingesting, func(d *datasetScrape) int64 { return d.e.ing.log.Appends() })},
+	{"tkd_wal_fsyncs_total", "counter", "Fsyncs issued by the ingest WAL since boot, by dataset.", each(ingesting, func(d *datasetScrape) int64 { return d.e.ing.log.Fsyncs() })},
+	{"tkd_follower_syncs_total", "counter", "Leader epochs imported and published by the follower sync loop.", whenFollowing(func(f *follower) int64 { return f.syncs.Load() })},
+	{"tkd_follower_sync_errors_total", "counter", "Failed leader poll, fetch or import attempts.", whenFollowing(func(f *follower) int64 { return f.syncErrors.Load() })},
+	{"tkd_follower_delta_syncs_total", "counter", "Leader epochs applied from a rows-since delta stream (a subset of tkd_follower_syncs_total).", whenFollowing(func(f *follower) int64 { return f.deltaSyncs.Load() })},
+	{"tkd_follower_epoch_lag", "gauge", "Leader epochs observed but not yet applied, by dataset (0 = converged).", each(followed, func(d *datasetScrape) int64 {
+		if seen, applied := d.e.leaderSeen.Load(), d.e.leaderEpoch.Load(); seen > applied {
+			return int64(seen - applied)
 		}
-	}
-	fmt.Fprintf(w, "# HELP tkd_query_errors_total Queries that failed, by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_query_errors_total counter\n")
-	for _, e := range entries {
-		fmt.Fprintf(w, "tkd_query_errors_total{dataset=%q} %d\n", e.name, e.met.errors.Load())
-	}
-	fmt.Fprintf(w, "# HELP tkd_query_deadline_exceeded_total Queries that outran their deadline (answered 504), by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_query_deadline_exceeded_total counter\n")
-	for _, e := range entries {
-		fmt.Fprintf(w, "tkd_query_deadline_exceeded_total{dataset=%q} %d\n", e.name, e.met.deadlineExceeded.Load())
-	}
-
-	fmt.Fprintf(w, "# HELP tkd_batches_total Scheduling windows the batch scheduler served, by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_batches_total counter\n")
-	for _, e := range entries {
-		fmt.Fprintf(w, "tkd_batches_total{dataset=%q} %d\n", e.name, e.met.batches.Load())
-	}
-	fmt.Fprintf(w, "# HELP tkd_coalesced_queries_total Queries answered by sharing an identical in-window query's execution.\n")
-	fmt.Fprintf(w, "# TYPE tkd_coalesced_queries_total counter\n")
-	for _, e := range entries {
-		fmt.Fprintf(w, "tkd_coalesced_queries_total{dataset=%q} %d\n", e.name, e.met.coalesced.Load())
-	}
-
-	fmt.Fprintf(w, "# HELP tkd_query_latency_seconds Query latency histogram, by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_query_latency_seconds histogram\n")
-	for _, e := range entries {
-		e.met.latency.write(w, "tkd_query_latency_seconds", e.name)
-	}
-
-	// Per-query work counters (the paper's pruning heuristics), aggregated.
-	fmt.Fprintf(w, "# HELP tkd_pruned_objects_total Objects pruned before exact scoring, by dataset and heuristic.\n")
-	fmt.Fprintf(w, "# TYPE tkd_pruned_objects_total counter\n")
-	for _, e := range entries {
-		st := e.met.aggStats()
-		fmt.Fprintf(w, "tkd_pruned_objects_total{dataset=%q,heuristic=\"h1\"} %d\n", e.name, st.PrunedH1)
-		fmt.Fprintf(w, "tkd_pruned_objects_total{dataset=%q,heuristic=\"h2\"} %d\n", e.name, st.PrunedH2)
-		fmt.Fprintf(w, "tkd_pruned_objects_total{dataset=%q,heuristic=\"h3\"} %d\n", e.name, st.PrunedH3)
-		fmt.Fprintf(w, "tkd_pruned_objects_total{dataset=%q,heuristic=\"skyband\"} %d\n", e.name, st.PrunedSkyband)
-	}
-	fmt.Fprintf(w, "# HELP tkd_scored_objects_total Exact score computations, by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_scored_objects_total counter\n")
-	for _, e := range entries {
-		fmt.Fprintf(w, "tkd_scored_objects_total{dataset=%q} %d\n", e.name, e.met.aggStats().Scored)
-	}
-	fmt.Fprintf(w, "# HELP tkd_comparisons_total Value-level dominance comparisons (BIG/IBIG: Q-P rim members refined; G(o) is counted by popcount), by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_comparisons_total counter\n")
-	for _, e := range entries {
-		fmt.Fprintf(w, "tkd_comparisons_total{dataset=%q} %d\n", e.name, e.met.aggStats().Comparisons)
-	}
-
-	// Decompressed-column cache and representation counters: one snapshot
-	// per dataset for every family below, so ratios like native+fallback vs
-	// compressed stay internally consistent within a single scrape.
-	cacheStats := make([]tkd.CacheStats, len(entries))
-	for i, e := range entries {
-		cacheStats[i] = e.ds.CacheStats()
-	}
-	fmt.Fprintf(w, "# HELP tkd_cache_hits_total Decompressed-column cache hits, by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_cache_hits_total counter\n")
-	for i, e := range entries {
-		fmt.Fprintf(w, "tkd_cache_hits_total{dataset=%q} %d\n", e.name, cacheStats[i].Hits)
-	}
-	fmt.Fprintf(w, "# HELP tkd_cache_misses_total Decompressed-column cache misses (each pays one decompression), by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_cache_misses_total counter\n")
-	for i, e := range entries {
-		fmt.Fprintf(w, "tkd_cache_misses_total{dataset=%q} %d\n", e.name, cacheStats[i].Misses)
-	}
-	fmt.Fprintf(w, "# HELP tkd_cache_evictions_total Columns evicted by the CLOCK policy, by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_cache_evictions_total counter\n")
-	for i, e := range entries {
-		fmt.Fprintf(w, "tkd_cache_evictions_total{dataset=%q} %d\n", e.name, cacheStats[i].Evicted)
-	}
-	fmt.Fprintf(w, "# HELP tkd_cache_resident_bytes Decompressed columns currently resident, by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_cache_resident_bytes gauge\n")
-	for i, e := range entries {
-		fmt.Fprintf(w, "tkd_cache_resident_bytes{dataset=%q} %d\n", e.name, cacheStats[i].Bytes)
-	}
-	fmt.Fprintf(w, "# HELP tkd_cache_budget_bytes Configured decompressed-column cache bound, by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_cache_budget_bytes gauge\n")
-	for i, e := range entries {
-		fmt.Fprintf(w, "tkd_cache_budget_bytes{dataset=%q} %d\n", e.name, cacheStats[i].Budget)
-	}
-
-	// Column representation traffic: which physical form served each column
-	// on the query path, and how compressed columns were executed.
-	fmt.Fprintf(w, "# HELP tkd_columns_served_total Index columns consumed by queries, by dataset and physical representation.\n")
-	fmt.Fprintf(w, "# TYPE tkd_columns_served_total counter\n")
-	for i, e := range entries {
-		fmt.Fprintf(w, "tkd_columns_served_total{dataset=%q,repr=\"dense\"} %d\n", e.name, cacheStats[i].DenseCols)
-		fmt.Fprintf(w, "tkd_columns_served_total{dataset=%q,repr=\"compressed\"} %d\n", e.name, cacheStats[i].CompressedCols)
-		fmt.Fprintf(w, "tkd_columns_served_total{dataset=%q,repr=\"sparse\"} %d\n", e.name, cacheStats[i].SparseCols)
-	}
-	fmt.Fprintf(w, "# HELP tkd_kernel_native_hits_total Compressed columns served by the run-native CONCISE kernels, by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_kernel_native_hits_total counter\n")
-	for i, e := range entries {
-		fmt.Fprintf(w, "tkd_kernel_native_hits_total{dataset=%q} %d\n", e.name, cacheStats[i].NativeKernel)
-	}
-	fmt.Fprintf(w, "# HELP tkd_kernel_decompress_fallbacks_total Compressed columns that fell back to a dense materialization (cache or scratch), by dataset.\n")
-	fmt.Fprintf(w, "# TYPE tkd_kernel_decompress_fallbacks_total counter\n")
-	for i, e := range entries {
-		fmt.Fprintf(w, "tkd_kernel_decompress_fallbacks_total{dataset=%q} %d\n", e.name, cacheStats[i].Fallback)
-	}
-
-	// Scatter-gather counters, for the datasets served sharded.
-	type shardedEntry struct {
-		name     string
-		n        int
-		m        tkd.ShardMetrics
-		replicas [][]tkd.BreakerState
-	}
-	var sharded []shardedEntry
-	for _, e := range entries {
-		if n := e.ds.Shards(); n > 0 { // the shard families exist only for sharded datasets
-			sharded = append(sharded, shardedEntry{
-				name:     e.name,
-				n:        n,
-				m:        e.ds.Metrics(),
-				replicas: e.ds.ReplicaStates(),
-			})
-		}
-	}
-	if len(sharded) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# HELP tkd_dataset_shards Row-range shards the dataset is split into.\n")
-	fmt.Fprintf(w, "# TYPE tkd_dataset_shards gauge\n")
-	for _, se := range sharded {
-		fmt.Fprintf(w, "tkd_dataset_shards{dataset=%q} %d\n", se.name, se.n)
-	}
-	fmt.Fprintf(w, "# HELP tkd_shard_fanout_total Scatter calls fanned out to shards (one per shard per phase per window).\n")
-	fmt.Fprintf(w, "# TYPE tkd_shard_fanout_total counter\n")
-	for _, se := range sharded {
-		fmt.Fprintf(w, "tkd_shard_fanout_total{dataset=%q} %d\n", se.name, se.m.Fanout)
-	}
-	fmt.Fprintf(w, "# HELP tkd_shard_tau_pushdowns_total Candidates pruned across shards by the pushed-down global tau (the cross-shard Heuristic 2).\n")
-	fmt.Fprintf(w, "# TYPE tkd_shard_tau_pushdowns_total counter\n")
-	for _, se := range sharded {
-		fmt.Fprintf(w, "tkd_shard_tau_pushdowns_total{dataset=%q} %d\n", se.name, se.m.TauPushdowns)
-	}
-	fmt.Fprintf(w, "# HELP tkd_shard_retries_total Scatter calls re-issued to another replica after a retryable failure.\n")
-	fmt.Fprintf(w, "# TYPE tkd_shard_retries_total counter\n")
-	for _, se := range sharded {
-		fmt.Fprintf(w, "tkd_shard_retries_total{dataset=%q} %d\n", se.name, se.m.Retries)
-	}
-	fmt.Fprintf(w, "# HELP tkd_shard_hedges_total Duplicate scatter calls fired at a second replica to cut tail latency.\n")
-	fmt.Fprintf(w, "# TYPE tkd_shard_hedges_total counter\n")
-	for _, se := range sharded {
-		fmt.Fprintf(w, "tkd_shard_hedges_total{dataset=%q} %d\n", se.name, se.m.Hedges)
-	}
-	fmt.Fprintf(w, "# HELP tkd_shard_degraded_queries_total Queries answered in allow_partial degraded mode (exact over the live row-ranges only).\n")
-	fmt.Fprintf(w, "# TYPE tkd_shard_degraded_queries_total counter\n")
-	for _, se := range sharded {
-		fmt.Fprintf(w, "tkd_shard_degraded_queries_total{dataset=%q} %d\n", se.name, se.m.Degraded)
-	}
-	fmt.Fprintf(w, "# HELP tkd_shard_breaker_state Replica circuit-breaker position: 0 closed, 1 open, 2 half-open.\n")
-	fmt.Fprintf(w, "# TYPE tkd_shard_breaker_state gauge\n")
-	for _, se := range sharded {
-		for sh, states := range se.replicas {
-			for r, st := range states {
-				fmt.Fprintf(w, "tkd_shard_breaker_state{dataset=%q,shard=\"%d\",replica=\"%d\"} %d\n", se.name, sh, r, int(st))
-			}
-		}
-	}
-	fmt.Fprintf(w, "# HELP tkd_shard_replicas_healthy Replicas currently admitting calls (breaker not open), by shard.\n")
-	fmt.Fprintf(w, "# TYPE tkd_shard_replicas_healthy gauge\n")
-	for _, se := range sharded {
-		for sh, states := range se.replicas {
-			if states == nil {
-				continue // in-process shard: no replica set
-			}
-			healthy := 0
-			for _, st := range states {
-				if st != shard.BreakerOpen {
-					healthy++
+		return 0
+	})},
+	{"tkd_queries_total", "counter", "Queries served, by dataset and algorithm.", func(x *expo) {
+		for _, d := range x.ds {
+			for i, alg := range core.Algorithms {
+				if n := d.e.met.queries[i].Load(); n > 0 {
+					x.sample(fmt.Sprintf("%s,algorithm=%q", d.label, alg), n)
 				}
 			}
-			fmt.Fprintf(w, "tkd_shard_replicas_healthy{dataset=%q,shard=\"%d\"} %d\n", se.name, sh, healthy)
 		}
-	}
-	fmt.Fprintf(w, "# HELP tkd_shard_latency_seconds Per-shard scatter-call latency histogram.\n")
-	fmt.Fprintf(w, "# TYPE tkd_shard_latency_seconds histogram\n")
-	for _, se := range sharded {
-		for sh, lat := range se.m.PerShard {
-			cum := int64(0)
-			for b, ub := range shard.LatencyBuckets {
-				cum += lat.Buckets[b]
-				fmt.Fprintf(w, "tkd_shard_latency_seconds_bucket{dataset=%q,shard=\"%d\",le=%q} %d\n", se.name, sh, formatBound(ub), cum)
+	}},
+	{"tkd_query_errors_total", "counter", "Queries that failed, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.errors.Load() })},
+	{"tkd_query_deadline_exceeded_total", "counter", "Queries that outran their deadline (answered 504), by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.deadlineExceeded.Load() })},
+	{"tkd_batches_total", "counter", "Scheduling windows the batch scheduler served, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.batches.Load() })},
+	{"tkd_coalesced_queries_total", "counter", "Queries answered by sharing an identical in-window query's execution.", each(resident, func(d *datasetScrape) int64 { return d.e.met.coalesced.Load() })},
+	{"tkd_pruned_objects_total", "counter", "Objects pruned before exact scoring, by dataset and heuristic.", func(x *expo) {
+		for _, d := range x.ds {
+			x.sample(d.label+`,heuristic="h1"`, int64(d.stats.PrunedH1))
+			x.sample(d.label+`,heuristic="h2"`, int64(d.stats.PrunedH2))
+			x.sample(d.label+`,heuristic="h3"`, int64(d.stats.PrunedH3))
+			x.sample(d.label+`,heuristic="skyband"`, int64(d.stats.PrunedSkyband))
+		}
+	}},
+	{"tkd_cache_hits_total", "counter", "Decompressed-column cache hits, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.cache.Hits })},
+	{"tkd_cache_evictions_total", "counter", "Columns evicted by the CLOCK policy, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.cache.Evicted })},
+	{"tkd_columns_served_total", "counter", "Index columns consumed by queries, by dataset and physical representation.", func(x *expo) {
+		for _, d := range x.ds {
+			x.sample(d.label+`,repr="dense"`, d.cache.DenseCols)
+			x.sample(d.label+`,repr="compressed"`, d.cache.CompressedCols)
+			x.sample(d.label+`,repr="sparse"`, d.cache.SparseCols)
+		}
+	}},
+	{"tkd_kernel_native_hits_total", "counter", "Compressed columns served by the run-native CONCISE kernels, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.cache.NativeKernel })},
+	{"tkd_kernel_decompress_fallbacks_total", "counter", "Compressed columns that fell back to a dense materialization (cache or scratch), by dataset.", each(resident, func(d *datasetScrape) int64 { return d.cache.Fallback })},
+	{"tkd_dataset_shards", "gauge", "Row-range shards the dataset is split into.", each(sharded, func(d *datasetScrape) int64 { return int64(d.shards) })},
+	{"tkd_shard_fanout_total", "counter", "Scatter calls fanned out to shards (one per shard per phase per window).", each(sharded, func(d *datasetScrape) int64 { return d.shard.Fanout })},
+	{"tkd_shard_tau_pushdowns_total", "counter", "Candidates pruned across shards by the pushed-down global tau (the cross-shard Heuristic 2).", each(sharded, func(d *datasetScrape) int64 { return d.shard.TauPushdowns })},
+	{"tkd_shard_retries_total", "counter", "Scatter calls re-issued to another replica after a retryable failure.", each(sharded, func(d *datasetScrape) int64 { return d.shard.Retries })},
+	{"tkd_shard_degraded_queries_total", "counter", "Queries answered in allow_partial degraded mode (exact over the live row-ranges only).", each(sharded, func(d *datasetScrape) int64 { return d.shard.Degraded })},
+	{"tkd_shard_breaker_state", "gauge", "Replica circuit-breaker position: 0 closed, 1 open, 2 half-open.", func(x *expo) {
+		for _, d := range x.ds {
+			for sh, states := range d.replicas {
+				for r, st := range states {
+					x.sample(fmt.Sprintf("%s,shard=\"%d\",replica=\"%d\"", d.label, sh, r), int64(st))
+				}
 			}
-			fmt.Fprintf(w, "tkd_shard_latency_seconds_bucket{dataset=%q,shard=\"%d\",le=\"+Inf\"} %d\n", se.name, sh, lat.Count)
-			fmt.Fprintf(w, "tkd_shard_latency_seconds_sum{dataset=%q,shard=\"%d\"} %g\n", se.name, sh, lat.SumSeconds)
-			fmt.Fprintf(w, "tkd_shard_latency_seconds_count{dataset=%q,shard=\"%d\"} %d\n", se.name, sh, lat.Count)
 		}
-	}
+	}},
+	{"tkd_shard_replicas_healthy", "gauge", "Replicas currently admitting calls (breaker not open), by shard.", func(x *expo) {
+		for _, d := range x.ds {
+			for sh, states := range d.replicas {
+				if states == nil {
+					continue // in-process shard: no replica set
+				}
+				healthy := int64(0)
+				for _, st := range states {
+					if st != shard.BreakerOpen {
+						healthy++
+					}
+				}
+				x.sample(fmt.Sprintf("%s,shard=\"%d\"", d.label, sh), healthy)
+			}
+		}
+	}},
+	{"tkd_shard_latency_seconds", "histogram", "Per-shard scatter-call latency histogram.", func(x *expo) {
+		for _, d := range x.ds {
+			for sh, lat := range d.shard.PerShard {
+				x.hist(fmt.Sprintf("%s,shard=\"%d\"", d.label, sh), lat)
+			}
+		}
+	}},
 }

@@ -310,12 +310,11 @@ func (s *scheduler) serve(batch []*request) {
 			opts = append(opts, tkd.WithAllowPartial(&deg))
 		}
 		res, err := s.ds.TopK(key.K, opts...)
-		elapsed := time.Since(start)
 		exec.End()
 		close(execDone)
 		cancel()
 		s.adm.release(granted)
-		s.met.record(key.Alg, st, elapsed, len(reqs), err)
+		s.met.record(key.Alg, st, len(reqs), err)
 		if n := len(reqs) - 1; n > 0 {
 			s.met.coalesced.Add(int64(n))
 		}

@@ -12,7 +12,7 @@
 //	POST   /v1/datasets/{name}/append — durable row ingest through the WAL (requires Config.WALDir)
 //	DELETE /v1/datasets/{name}        — evict: drain the scheduler, release the cache, remove the WAL
 //	GET    /healthz                   — liveness
-//	GET    /metrics                   — Prometheus text: query/latency/pruning/cache/lifecycle counters
+//	GET    /metrics                   — Prometheus text: the family table of metrics.go
 //
 // Concurrent requests against one dataset are coalesced by a per-dataset
 // batch scheduler (see scheduler.go) that shares the warm artifacts and the
@@ -141,9 +141,6 @@ type Config struct {
 	// Fsync selects when an append's WAL record is fsynced; the zero value
 	// (wal.SyncAlways) is the only policy whose ack means "survives kill -9".
 	Fsync wal.Policy
-	// FsyncInterval is the flush cadence under wal.SyncInterval; <= 0
-	// defaults to 50ms.
-	FsyncInterval time.Duration
 	// PublishInterval is the cadence at which logged rows are folded into a
 	// published epoch (one index patch per batch, not per row); <= 0
 	// defaults to 500ms.
@@ -151,6 +148,18 @@ type Config struct {
 	// WALFS overrides WAL segment-file creation (the chaos harness injects
 	// write/fsync faults here); nil uses the operating system.
 	WALFS wal.FS
+}
+
+// lifecycleMetrics aggregates the server-wide dataset lifecycle counters:
+// evictions, persisted-index cache traffic and from-scratch index builds.
+// (Reloads are per-dataset, on datasetMetrics.)
+type lifecycleMetrics struct {
+	evictions        atomic.Int64 // datasets removed via DELETE /v1/datasets/{name}
+	indexWarmLoads   atomic.Int64 // binned indexes restored from the IndexDir cache
+	indexBuilds      atomic.Int64 // binned indexes built from scratch
+	indexCacheErrors atomic.Int64 // unreadable/unwritable cache files (each degraded to a rebuild)
+	deltaShips       atomic.Int64 // epoch deltas served to followers instead of full streams
+	deltaShipBytes   atomic.Int64 // bytes those delta bodies put on the wire
 }
 
 // Server is the HTTP query service. Create with New, register datasets with

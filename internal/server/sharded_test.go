@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"testing"
 
 	"repro/internal/server"
@@ -35,20 +34,6 @@ func shardedFixture(t *testing.T, dir string) (path string, ref *tkd.Dataset) {
 		t.Fatal(err)
 	}
 	return path, tkd.GenerateAC(2500, 4, 20, 0.4, 77)
-}
-
-func metricValue(t *testing.T, body, metric, labels string) float64 {
-	t.Helper()
-	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(metric+`{`+labels+`}`) + ` ([0-9.e+-]+)$`)
-	m := re.FindStringSubmatch(body)
-	if m == nil {
-		t.Fatalf("metric %s{%s} not found", metric, labels)
-	}
-	v, err := strconv.ParseFloat(m[1], 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
 }
 
 // TestShardedServing serves one dataset split 4 ways in-process and checks:
@@ -117,17 +102,17 @@ func TestShardedServing(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	body := string(raw)
-	if v := metricValue(t, body, "tkd_dataset_shards", `dataset="big"`); v != 4 {
+	if v := metricValue(t, body, `tkd_dataset_shards{dataset="big"}`); v != 4 {
 		t.Fatalf("tkd_dataset_shards = %v, want 4", v)
 	}
-	if v := metricValue(t, body, "tkd_shard_fanout_total", `dataset="big"`); v == 0 {
+	if v := metricValue(t, body, `tkd_shard_fanout_total{dataset="big"}`); v == 0 {
 		t.Fatal("tkd_shard_fanout_total is zero after queries")
 	}
-	if v := metricValue(t, body, "tkd_shard_tau_pushdowns_total", `dataset="big"`); v == 0 {
+	if v := metricValue(t, body, `tkd_shard_tau_pushdowns_total{dataset="big"}`); v == 0 {
 		t.Fatal("tkd_shard_tau_pushdowns_total is zero after an IBIG run")
 	}
 	for sh := 0; sh < 4; sh++ {
-		if v := metricValue(t, body, "tkd_shard_latency_seconds_count", fmt.Sprintf(`dataset="big",shard="%d"`, sh)); v == 0 {
+		if v := metricValue(t, body, fmt.Sprintf(`tkd_shard_latency_seconds_count{dataset="big",shard="%d"}`, sh)); v == 0 {
 			t.Fatalf("shard %d latency histogram is empty", sh)
 		}
 	}

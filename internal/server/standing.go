@@ -116,7 +116,6 @@ type standingRegistry struct {
 	subscribers atomic.Int64 // connected subscribers right now
 	evals       atomic.Int64 // engine re-evaluations actually run
 	tauSkips    atomic.Int64 // re-evaluations proven unnecessary by the τ-check
-	events      atomic.Int64 // answer-changed broadcasts
 }
 
 func newStandingRegistry() *standingRegistry {
@@ -253,7 +252,6 @@ func (g *standingRegistry) evaluate(e *entry, sq *standingQuery, appended int) {
 	}
 	if changed || sq.ver == 0 {
 		sq.ver++
-		g.events.Add(1)
 		sq.broadcastLocked()
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -36,26 +35,6 @@ func standingFixture(t *testing.T) *tkd.Dataset {
 		}
 	}
 	return ds
-}
-
-// scrapeMetric fetches /metrics and returns one un-labelled metric.
-func scrapeMetric(t *testing.T, url, name string) float64 {
-	t.Helper()
-	code, body := doJSON(t, http.MethodGet, url+"/metrics", nil)
-	if code != http.StatusOK {
-		t.Fatalf("GET /metrics answered %d", code)
-	}
-	for _, line := range strings.Split(string(body), "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			if err != nil {
-				t.Fatalf("metric %s: %v", name, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("metric %s not found", name)
-	return 0
 }
 
 func subscribePoll(t *testing.T, url string, req server.SubscribeRequest) server.StandingEvent {
@@ -107,7 +86,7 @@ func TestStandingSubscription(t *testing.T) {
 		})
 	}()
 	waitFor(t, "poller parked", func() bool {
-		return scrapeMetric(t, ts.URL, "tkd_standing_subscribers") >= 1
+		return metricValue(t, getBody(t, ts.URL+"/metrics"), "tkd_standing_subscribers") >= 1
 	})
 	appendRows(t, ts.URL, []server.AppendRow{{ID: "p", Values: []*float64{nil, nil, fptr(0.5), fptr(42)}}})
 	waitFor(t, "irrelevant append published", func() bool {
@@ -117,7 +96,7 @@ func TestStandingSubscription(t *testing.T) {
 	if got.Version != ev.Version {
 		t.Fatalf("irrelevant append advanced the answer to version %d (items %v)", got.Version, got.Items)
 	}
-	if skips := scrapeMetric(t, ts.URL, "tkd_standing_tau_skips_total"); skips < 1 {
+	if skips := metricValue(t, getBody(t, ts.URL+"/metrics"), "tkd_standing_tau_skips_total"); skips < 1 {
 		t.Fatalf("tau skips = %v, want >= 1 (the irrelevant append must be proven away, not re-evaluated)", skips)
 	}
 
@@ -129,7 +108,7 @@ func TestStandingSubscription(t *testing.T) {
 		})
 	}()
 	waitFor(t, "poller parked again", func() bool {
-		return scrapeMetric(t, ts.URL, "tkd_standing_subscribers") >= 1
+		return metricValue(t, getBody(t, ts.URL+"/metrics"), "tkd_standing_subscribers") >= 1
 	})
 	appendRows(t, ts.URL, []server.AppendRow{{ID: "q", Values: []*float64{nil, nil, fptr(0.25), fptr(0.25)}}})
 	got = <-parked
@@ -223,11 +202,11 @@ func TestStandingSubscribersShareOneQuery(t *testing.T) {
 		}()
 	}
 	waitFor(t, "both pollers parked", func() bool {
-		return scrapeMetric(t, ts.URL, "tkd_standing_subscribers") >= 2
+		return metricValue(t, getBody(t, ts.URL+"/metrics"), "tkd_standing_subscribers") >= 2
 	})
 	// Baseline after both are parked: the seed poll released its standing
 	// query on return, so the first parked poller re-materialised it.
-	evalsBefore := scrapeMetric(t, ts.URL, "tkd_standing_evals_total")
+	evalsBefore := metricValue(t, getBody(t, ts.URL+"/metrics"), "tkd_standing_evals_total")
 	appendRows(t, ts.URL, []server.AppendRow{{ID: "q", Values: []*float64{nil, nil, fptr(0.25), fptr(0.25)}}})
 	for i := 0; i < 2; i++ {
 		ev := <-results
@@ -235,7 +214,7 @@ func TestStandingSubscribersShareOneQuery(t *testing.T) {
 			t.Fatalf("subscriber %d: version %d items %+v", i, ev.Version, ev.Items)
 		}
 	}
-	if evals := scrapeMetric(t, ts.URL, "tkd_standing_evals_total"); evals != evalsBefore+1 {
+	if evals := metricValue(t, getBody(t, ts.URL+"/metrics"), "tkd_standing_evals_total"); evals != evalsBefore+1 {
 		t.Fatalf("publish ran %v evaluations for 2 subscribers, want exactly 1", evals-evalsBefore)
 	}
 }
@@ -256,7 +235,7 @@ func TestStandingEvictCloses(t *testing.T) {
 		})
 	}()
 	waitFor(t, "poller parked", func() bool {
-		return scrapeMetric(t, ts.URL, "tkd_standing_subscribers") >= 1
+		return metricValue(t, getBody(t, ts.URL+"/metrics"), "tkd_standing_subscribers") >= 1
 	})
 	if code, body := doJSON(t, http.MethodDelete, ts.URL+"/v1/datasets/d", nil); code != http.StatusOK {
 		t.Fatalf("evict answered %d: %s", code, body)

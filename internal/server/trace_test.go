@@ -403,7 +403,7 @@ func TestStageMetricsExposed(t *testing.T) {
 	}
 	body := getURL2(t, ts.URL+"/metrics")
 	for _, stage := range []string{"queue", "engine", "scatter", "gather"} {
-		if v := metricValue(t, body, "tkd_query_stage_seconds_count", `stage="`+stage+`"`); v == 0 {
+		if v := metricValue(t, body, `tkd_query_stage_seconds_count{stage="`+stage+`"}`); v == 0 {
 			t.Errorf("stage %q histogram empty after a sharded query", stage)
 		}
 	}

@@ -30,6 +30,9 @@ type Coordinator struct {
 // artifact to share it with unsharded queries. met may be nil (no metrics
 // collected).
 func NewCoordinator(ds *data.Dataset, queue *core.MaxScoreQueue, met *Metrics) *Coordinator {
+	if met == nil {
+		met = NewMetrics(0)
+	}
 	c := &Coordinator{ds: ds, queue: queue, met: met}
 	if queue != nil {
 		c.queueOnce.Do(func() {})
@@ -102,7 +105,7 @@ func (p *pass) scatter(ctx context.Context, req Request) ([][]int32, error) {
 	}
 	p.wg.Wait()
 	psp.End()
-	p.met.addFanout(len(p.live))
+	p.met.fanout.Add(int64(len(p.live)))
 	return p.results, errors.Join(p.errs...)
 }
 
@@ -187,7 +190,7 @@ func (c *Coordinator) Run(ctx context.Context, alg core.Algorithm, k int, backen
 				*opts.Outcome = c.outcome(backends, down)
 			}
 			if anyDown(down) {
-				c.met.addDegraded()
+				c.met.degraded.Add(1)
 			}
 			return res, st, nil
 		}
@@ -385,7 +388,7 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 				budgets = append(budgets, sum-tau)
 				n++
 			}
-			c.met.addPushdowns(len(cands) - n)
+			c.met.pushdowns.Add(int64(len(cands) - n))
 			ids, cands = ids[:n], cands[:n]
 		}
 

@@ -1,35 +1,11 @@
 package shard
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
-
-// LatencyBuckets are the upper bounds (seconds) of the per-shard scatter
-// latency histograms, matching the serving layer's query-latency buckets so
-// the two families read side by side on one dashboard.
-var LatencyBuckets = [...]float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
-
-// latHist is one shard's scatter-call latency histogram, safe for concurrent
-// observation.
-type latHist struct {
-	counts   [len(LatencyBuckets)]atomic.Int64 // per-bucket (non-cumulative)
-	total    atomic.Int64
-	sumNanos atomic.Int64
-}
-
-func (h *latHist) observe(d time.Duration) {
-	h.total.Add(1)
-	h.sumNanos.Add(int64(d))
-	s := d.Seconds()
-	for i, ub := range LatencyBuckets {
-		if s <= ub {
-			h.counts[i].Add(1)
-			break
-		}
-	}
-}
 
 // Metrics aggregates one sharded dataset's scatter-gather counters: how many
 // shard calls fanned out, how many candidates the pushed-down τ pruned
@@ -42,83 +18,23 @@ type Metrics struct {
 	retries   atomic.Int64
 	hedges    atomic.Int64
 	degraded  atomic.Int64
-	perShard  []latHist
+	perShard  []obs.Histogram
 }
 
-// NewMetrics sizes the per-shard histograms for n shards.
+// NewMetrics sizes the per-shard histograms for n shards; n = 0 is the
+// throwaway a coordinator or replica set built without metrics counts into.
 func NewMetrics(n int) *Metrics {
-	return &Metrics{perShard: make([]latHist, n)}
+	return &Metrics{perShard: make([]obs.Histogram, n)}
 }
 
 func (m *Metrics) observeShard(s int, d time.Duration) {
-	if m == nil || s >= len(m.perShard) {
-		return
-	}
-	m.perShard[s].observe(d)
-}
-
-func (m *Metrics) addFanout(n int) {
-	if m != nil {
-		m.fanout.Add(int64(n))
+	if s < len(m.perShard) {
+		m.perShard[s].Observe(d)
 	}
 }
 
-func (m *Metrics) addPushdowns(n int) {
-	if m != nil {
-		m.pushdowns.Add(int64(n))
-	}
-}
-
-func (m *Metrics) addRetry() {
-	if m != nil {
-		m.retries.Add(1)
-	}
-}
-
-func (m *Metrics) addHedge() {
-	if m != nil {
-		m.hedges.Add(1)
-	}
-}
-
-func (m *Metrics) addDegraded() {
-	if m != nil {
-		m.degraded.Add(1)
-	}
-}
-
-// ShardLatency is one shard's histogram snapshot. Buckets holds the
-// non-cumulative counts per LatencyBuckets entry; observations above the
-// last bound are Count minus the bucket sum.
-type ShardLatency struct {
-	Count      int64
-	SumSeconds float64
-	Buckets    []int64
-}
-
-// Quantile estimates the q-quantile (0 < q < 1) in seconds from the bucket
-// counts by nearest rank — ceil(q·Count), so with 10 observations the p99
-// is the 10th (slowest) sample, never a faster one: a single straggler
-// call stays visible, which is the whole point of the per-shard metric.
-// Each bucket's mass is attributed to its upper bound (the conservative
-// Prometheus-style read). Returns 0 with no observations.
-func (l ShardLatency) Quantile(q float64) float64 {
-	if l.Count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(l.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range l.Buckets {
-		cum += c
-		if cum >= rank {
-			return LatencyBuckets[i]
-		}
-	}
-	return LatencyBuckets[len(LatencyBuckets)-1] // +Inf tail: report the last bound
-}
+// ShardLatency is one shard's scatter-latency histogram snapshot.
+type ShardLatency = obs.HistogramSnapshot
 
 // Snapshot is a point-in-time copy of the metrics.
 type Snapshot struct {
@@ -143,9 +59,6 @@ type Snapshot struct {
 
 // Snapshot copies the counters.
 func (m *Metrics) Snapshot() Snapshot {
-	if m == nil {
-		return Snapshot{}
-	}
 	s := Snapshot{
 		Fanout:       m.fanout.Load(),
 		TauPushdowns: m.pushdowns.Load(),
@@ -155,16 +68,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		PerShard:     make([]ShardLatency, len(m.perShard)),
 	}
 	for i := range m.perShard {
-		h := &m.perShard[i]
-		sl := ShardLatency{
-			Count:      h.total.Load(),
-			SumSeconds: float64(h.sumNanos.Load()) / float64(time.Second),
-			Buckets:    make([]int64, len(LatencyBuckets)),
-		}
-		for b := range h.counts {
-			sl.Buckets[b] = h.counts[b].Load()
-		}
-		s.PerShard[i] = sl
+		s.PerShard[i] = m.perShard[i].Snapshot()
 	}
 	return s
 }

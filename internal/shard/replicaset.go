@@ -107,7 +107,7 @@ type ReplicaSet struct {
 	met   *Metrics
 	reps  []*replica
 	next  atomic.Uint64
-	lat   latHist // successful scatter-call latencies; the auto-hedge source
+	lat   obs.Histogram // successful scatter-call latencies; the auto-hedge source
 
 	healthStarted atomic.Bool
 	stop          chan struct{}
@@ -117,12 +117,15 @@ type ReplicaSet struct {
 
 // NewReplicaSet wraps backends (all serving shard index shard) behind one
 // Backend. Every backend must report the same Rows and Fingerprint. met may
-// be nil.
+// be nil (no metrics collected).
 func NewReplicaSet(shard int, backends []Backend, pol Policy, met *Metrics) (*ReplicaSet, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("shard: replica set needs at least one backend")
 	}
 	pol = pol.normalized()
+	if met == nil {
+		met = NewMetrics(0)
+	}
 	rs := &ReplicaSet{
 		shard: shard,
 		rows:  backends[0].Rows(),
@@ -222,9 +225,7 @@ func (rs *ReplicaSet) Partial(ctx context.Context, req *Request) ([]int32, error
 		if attempt == rs.pol.MaxAttempts {
 			break
 		}
-		if rs.met != nil {
-			rs.met.addRetry()
-		}
+		rs.met.retries.Add(1)
 		if isStale(err) {
 			// The replica is quarantined (trip happened in call); another
 			// replica may hold the right bytes — switch with no backoff,
@@ -321,9 +322,7 @@ func (rs *ReplicaSet) once(ctx context.Context, r *replica, req *Request) ([]int
 			}
 		case <-timer.C:
 			if r2, ok := rs.pick(r); ok {
-				if rs.met != nil {
-					rs.met.addHedge()
-				}
+				rs.met.hedges.Add(1)
 				pending++
 				go func() { res, err := rs.call(cctx, r2, req, true); ch <- callResult{res, err, true} }()
 			}
@@ -343,13 +342,9 @@ func (rs *ReplicaSet) hedgeDelay() time.Duration {
 		return rs.pol.HedgeAfter
 	}
 	const minObservations = 20
-	n := rs.lat.total.Load()
-	if n < minObservations {
+	sl := rs.lat.Snapshot()
+	if sl.Count < minObservations {
 		return 0
-	}
-	sl := ShardLatency{Count: n, Buckets: make([]int64, len(LatencyBuckets))}
-	for i := range rs.lat.counts {
-		sl.Buckets[i] = rs.lat.counts[i].Load()
 	}
 	d := time.Duration(sl.Quantile(0.99) * float64(time.Second))
 	// A degenerate distribution — observations concentrated in the overflow
@@ -397,7 +392,7 @@ func (rs *ReplicaSet) call(ctx context.Context, r *replica, req *Request, hedged
 	res, err := r.b.Partial(actx, req)
 	if err == nil {
 		r.br.onSuccess()
-		rs.lat.observe(time.Since(t0))
+		rs.lat.Observe(time.Since(t0))
 		return res, nil
 	}
 	if ctx.Err() != nil {

@@ -473,7 +473,7 @@ func TestReplicaSetHedgeDelayClampsDegenerateP99(t *testing.T) {
 	// p99 resolves to the last bucket bound (seconds), a hedge trigger so
 	// late it would never fire within the attempt timeout.
 	for i := 0; i < 25; i++ {
-		rs.lat.observe(10 * time.Second)
+		rs.lat.Observe(10 * time.Second)
 	}
 	if d := rs.hedgeDelay(); d != pol.AttemptTimeout {
 		t.Fatalf("hedgeDelay = %v with a degenerate p99, want the %v attempt timeout", d, pol.AttemptTimeout)

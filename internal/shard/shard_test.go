@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/gen"
+	"repro/internal/obs"
 )
 
 func testDataset(n int) *data.Dataset {
@@ -262,31 +263,31 @@ func TestLocalBoundsResidualCap(t *testing.T) {
 
 // TestMetricsQuantile pins the histogram quantile estimator.
 func TestMetricsQuantile(t *testing.T) {
-	l := ShardLatency{Count: 100, Buckets: make([]int64, len(LatencyBuckets))}
+	l := ShardLatency{Count: 100, Buckets: make([]int64, len(obs.LatencyBuckets))}
 	l.Buckets[2] = 90 // 90 obs <= 5ms
 	l.Buckets[5] = 10 // 10 obs <= 100ms
-	if got := l.Quantile(0.5); got != LatencyBuckets[2] {
-		t.Fatalf("p50 = %v, want %v", got, LatencyBuckets[2])
+	if got := l.Quantile(0.5); got != obs.LatencyBuckets[2] {
+		t.Fatalf("p50 = %v, want %v", got, obs.LatencyBuckets[2])
 	}
-	if got := l.Quantile(0.99); got != LatencyBuckets[5] {
-		t.Fatalf("p99 = %v, want %v", got, LatencyBuckets[5])
+	if got := l.Quantile(0.99); got != obs.LatencyBuckets[5] {
+		t.Fatalf("p99 = %v, want %v", got, obs.LatencyBuckets[5])
 	}
 	if got := (ShardLatency{}).Quantile(0.99); got != 0 {
 		t.Fatalf("empty p99 = %v, want 0", got)
 	}
 	// Nearest rank: with 10 observations, one straggler IS the p99 — it
 	// must not hide behind the nine fast calls.
-	s := ShardLatency{Count: 10, Buckets: make([]int64, len(LatencyBuckets))}
+	s := ShardLatency{Count: 10, Buckets: make([]int64, len(obs.LatencyBuckets))}
 	s.Buckets[0] = 9 // nine fast calls
 	s.Buckets[7] = 1 // one 1s straggler
-	if got := s.Quantile(0.99); got != LatencyBuckets[7] {
-		t.Fatalf("straggler p99 = %v, want %v", got, LatencyBuckets[7])
+	if got := s.Quantile(0.99); got != obs.LatencyBuckets[7] {
+		t.Fatalf("straggler p99 = %v, want %v", got, obs.LatencyBuckets[7])
 	}
 	// Two observations: the "p99" is the slower one, never the faster.
-	two := ShardLatency{Count: 2, Buckets: make([]int64, len(LatencyBuckets))}
+	two := ShardLatency{Count: 2, Buckets: make([]int64, len(obs.LatencyBuckets))}
 	two.Buckets[0] = 1
 	two.Buckets[4] = 1
-	if got := two.Quantile(0.99); got != LatencyBuckets[4] {
-		t.Fatalf("two-sample p99 = %v, want %v", got, LatencyBuckets[4])
+	if got := two.Quantile(0.99); got != obs.LatencyBuckets[4] {
+		t.Fatalf("two-sample p99 = %v, want %v", got, obs.LatencyBuckets[4])
 	}
 }

@@ -10,13 +10,12 @@
 // barriers regardless of the fsync policy.
 //
 // Durability is the fsync policy's contract: SyncAlways fsyncs before every
-// append returns (an acked record survives kill -9), SyncInterval batches
-// fsyncs on a timer (a crash loses at most one interval), SyncNone leaves
-// flushing to the operating system (bulk loads and tests). A failed write
-// or fsync permanently poisons the log: the kernel may have dropped the
-// dirty pages the failed fsync covered, so retrying the sync could report
-// success for data that never reached disk — every later operation returns
-// the original error and the caller must treat the log as lost.
+// append returns (an acked record survives kill -9), SyncNone leaves flushing
+// to the operating system (bulk loads and tests). A failed write or fsync
+// permanently poisons the log: the kernel may have dropped the dirty pages
+// the failed fsync covered, so retrying the sync could report success for
+// data that never reached disk — every later operation returns the original
+// error and the caller must treat the log as lost.
 //
 // Open scans the existing segments before accepting appends. A torn tail —
 // an incomplete or CRC-broken final frame at the very end of the final
@@ -38,7 +37,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Policy selects when appends are fsynced.
@@ -48,9 +46,6 @@ const (
 	// SyncAlways fsyncs before every append returns: an acked record is on
 	// disk. The slowest and the only policy whose ack means durable.
 	SyncAlways Policy = iota
-	// SyncInterval fsyncs on a timer (Options.Interval): an ack means
-	// logged, and a crash loses at most the records of one interval.
-	SyncInterval
 	// SyncNone never fsyncs between segment rotations: an ack means the
 	// bytes reached the kernel, nothing more.
 	SyncNone
@@ -58,14 +53,10 @@ const (
 
 // String implements fmt.Stringer.
 func (p Policy) String() string {
-	switch p {
-	case SyncAlways:
+	if p == SyncAlways {
 		return "always"
-	case SyncInterval:
-		return "interval"
-	default:
-		return "none"
 	}
+	return "none"
 }
 
 // ParsePolicy resolves a policy name as spelled on the tkdserver -fsync flag.
@@ -73,12 +64,10 @@ func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "none":
 		return SyncNone, nil
 	default:
-		return SyncAlways, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or none)", s)
+		return SyncAlways, fmt.Errorf("wal: unknown fsync policy %q (want always or none)", s)
 	}
 }
 
@@ -106,8 +95,6 @@ func (osFS) Create(path string) (File, error) {
 type Options struct {
 	// Policy selects the fsync policy; the zero value is SyncAlways.
 	Policy Policy
-	// Interval is the SyncInterval fsync cadence; <= 0 defaults to 50ms.
-	Interval time.Duration
 	// SegmentBytes rotates to a new segment file once the current one
 	// passes this size; <= 0 defaults to 4 MiB.
 	SegmentBytes int64
@@ -161,9 +148,6 @@ type Log struct {
 
 	appends atomic.Int64 // row records appended (this process)
 	fsyncs  atomic.Int64 // fsyncs issued (this process)
-
-	stop chan struct{} // interval-sync goroutine shutdown
-	wg   sync.WaitGroup
 }
 
 func segmentName(seq uint64) string { return fmt.Sprintf("wal-%016d.seg", seq) }
@@ -185,9 +169,6 @@ func parseSegmentName(name string) (uint64, bool) {
 // acked records, truncating a torn tail, rejecting mid-log corruption with
 // ErrCorrupt) and returns a log ready to append after the recovered data.
 func Open(dir string, opts Options) (*Log, *Recovery, error) {
-	if opts.Interval <= 0 {
-		opts.Interval = 50 * time.Millisecond
-	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 4 << 20
 	}
@@ -241,7 +222,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		}
 		rec.TruncatedBytes += truncated
 	}
-	l := &Log{dir: dir, opts: opts, stop: make(chan struct{})}
+	l := &Log{dir: dir, opts: opts}
 	if n := len(seqs); n > 0 {
 		// Appends continue in a fresh segment: the recovered tail keeps the
 		// exact bytes the scan validated, and a restart never interleaves
@@ -249,10 +230,6 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		l.seq = seqs[n-1] + 1
 	} else {
 		l.seq = 1
-	}
-	if opts.Policy == SyncInterval {
-		l.wg.Add(1)
-		go l.syncLoop()
 	}
 	return l, rec, nil
 }
@@ -337,23 +314,6 @@ func scanSegment(path string, final bool, h func(payload []byte) error) (truncat
 		off = end
 	}
 	return 0, nil
-}
-
-// syncLoop is the SyncInterval flusher.
-func (l *Log) syncLoop() {
-	defer l.wg.Done()
-	t := time.NewTicker(l.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			l.syncLocked()
-			l.mu.Unlock()
-		}
-	}
 }
 
 // AppendRow logs one row record, fsyncing first when the policy is
@@ -526,10 +486,6 @@ func (l *Log) closeLocked() error {
 		return nil
 	}
 	l.closed = true
-	close(l.stop)
-	l.mu.Unlock()
-	l.wg.Wait()
-	l.mu.Lock()
 	err := l.syncLocked()
 	if l.f != nil {
 		if cerr := l.f.Close(); err == nil {

@@ -7,8 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 )
 
 // frame wraps one payload in the on-disk record framing.
@@ -170,7 +170,7 @@ func TestWALPolicyParse(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Policy
-	}{{"always", SyncAlways}, {"interval", SyncInterval}, {"none", SyncNone}} {
+	}{{"always", SyncAlways}, {"none", SyncNone}} {
 		p, err := ParsePolicy(tc.in)
 		if err != nil || p != tc.want {
 			t.Fatalf("ParsePolicy(%q) = %v, %v", tc.in, p, err)
@@ -179,33 +179,15 @@ func TestWALPolicyParse(t *testing.T) {
 			t.Fatalf("Policy(%q).String() = %q", tc.in, p.String())
 		}
 	}
-	if _, err := ParsePolicy("sometimes"); err == nil {
-		t.Fatal("ParsePolicy accepted garbage")
-	}
-}
-
-func TestWALIntervalSync(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, Options{Policy: SyncInterval, Interval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.AppendRow(Row{ID: "x", Values: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for l.Fsyncs() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("interval policy never fsynced")
+	// "interval" was a policy once; it is refused like any other unknown
+	// name, with the valid ones listed.
+	for _, bad := range []string{"sometimes", "interval"} {
+		if _, err := ParsePolicy(bad); err == nil || !strings.Contains(err.Error(), "always or none") {
+			t.Fatalf("ParsePolicy(%q) = %v, want an error listing the valid names", bad, err)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
-// A failed fsync must poison the log permanently: the first error surfaces
-// and every later operation fails with it instead of retrying into pages
-// the kernel may already have dropped.
 func TestWALFsyncFailurePoisons(t *testing.T) {
 	dir := t.TempDir()
 	c := NewChaos(ChaosConfig{Seed: 1, SyncErrP: 1})
@@ -553,7 +535,7 @@ func TestWALRemove(t *testing.T) {
 }
 
 func TestWALCloseIdempotent(t *testing.T) {
-	l, _, err := Open(t.TempDir(), Options{Policy: SyncInterval, Interval: time.Millisecond})
+	l, _, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
