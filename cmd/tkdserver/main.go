@@ -111,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		negate      = fs.Bool("negate", false, "negate loaded values (use when larger is better)")
 		window      = fs.Duration("window", 2*time.Millisecond, "batch coalescing window (0 = serve immediately)")
 		maxWorkers  = fs.Int("max-workers", 0, "total in-flight worker goroutines across queries (0 = GOMAXPROCS)")
-		maxBatch    = fs.Int("max-batch", 64, "max queries per scheduling window")
 		cacheBudget = fs.Int64("cache-budget", 0, "per-dataset decompressed-column cache bytes (0 = 32 MiB default)")
 		indexDir    = fs.String("indexdir", "", "directory for persisted indexes; warm restarts skip index construction. With -waldir the file is a checkpoint: rewritten when the rows have grown by an eighth and on a graceful shutdown, and a restart after a crash loads it and patches the rows logged since (empty = rebuild at boot)")
 		drainWait   = fs.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight requests on SIGTERM/SIGINT")
@@ -170,7 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	srv, err := buildServer(datasets, *negate, server.Config{
 		MaxWorkers:      *maxWorkers,
 		BatchWindow:     *window,
-		MaxBatch:        *maxBatch,
 		CacheBudget:     *cacheBudget,
 		IndexDir:        *indexDir,
 		Shards:          *shards,

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -184,5 +185,45 @@ func TestBuildServerRejectsEmptyName(t *testing.T) {
 	var out bytes.Buffer
 	if _, err := buildServer([]string{"=" + path}, false, server.Config{}, bufLogger(&out)); err == nil {
 		t.Fatal("empty dataset name accepted")
+	}
+}
+
+// TestFlagsDocumented holds README.md's flag paragraph to the command line
+// the way TestRoutesDocumented holds the API reference to the route table:
+// every flag `tkdserver -h` prints is named in the paragraph, and every flag
+// the paragraph names is one -h prints, so neither can move without the other.
+func TestFlagsDocumented(t *testing.T) {
+	var out, usage bytes.Buffer
+	if code := run([]string{"-h"}, &out, &usage); code != 2 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(usage.String(), -1) {
+		defined[m[1]] = true
+	}
+	if len(defined) == 0 {
+		t.Fatalf("no flags parsed out of the usage text:\n%s", usage.String())
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	para := regexp.MustCompile(`(?s)\nFlags: .*?\n\n`).FindString(string(readme))
+	if para == "" {
+		t.Fatal(`README.md has no "Flags: " paragraph`)
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("`-([a-z-]+)[ `]").FindAllStringSubmatch(para, -1) {
+		documented[m[1]] = true
+	}
+	for f := range defined {
+		if !documented[f] {
+			t.Errorf("README.md's flag paragraph does not name -%s", f)
+		}
+	}
+	for f := range documented {
+		if !defined[f] {
+			t.Errorf("README.md's flag paragraph names -%s, which tkdserver does not define", f)
+		}
 	}
 }

@@ -44,7 +44,7 @@ import (
 // Codec selects the physical column representation.
 type Codec int
 
-// The values are the persisted header codec bytes of format v3. Value 1 was
+// The values are the persisted header codec bytes of format v4. Value 1 was
 // WAH, which the index no longer stores: it stays reserved so old files are
 // recognized and rejected (ErrUnsupportedCodec), never misread.
 const (

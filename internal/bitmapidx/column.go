@@ -23,7 +23,7 @@ import (
 // decompressed-column cache is bypassed entirely.
 
 // colKind identifies a column's physical representation. The values double
-// as the persisted column-kind bytes of format v3; 1 was WAH and stays
+// as the persisted column-kind bytes of format v4; 1 was WAH and stays
 // reserved (see Codec).
 type colKind uint8
 

@@ -1,0 +1,234 @@
+package core
+
+import (
+	"fmt"
+	"io"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/bitmapidx"
+	"repro/internal/data"
+)
+
+// Need is a bitmask of preprocessing artifacts.
+type Need uint8
+
+const (
+	NeedQueue  Need = 1 << iota // the MaxScore queue of §4.2
+	NeedBitmap                  // the value-granular bitmap index of §4.3 (BIG)
+	NeedBinned                  // the binned serving index of §4.4 (IBIG)
+	NeedTrees                   // one B+-tree per dimension (the §4.5 refinement)
+)
+
+// NeedFor maps an algorithm to the artifacts it consumes; btreeRefine is
+// IBIG's B+-tree refinement. Naive and ESB work straight off the data.
+func NeedFor(alg Algorithm, btreeRefine bool) Need {
+	switch alg {
+	case AlgUBB:
+		return NeedQueue
+	case AlgBIG:
+		return NeedQueue | NeedBitmap
+	case AlgIBIG:
+		if btreeRefine {
+			return NeedQueue | NeedBinned | NeedTrees
+		}
+		return NeedQueue | NeedBinned
+	}
+	return 0
+}
+
+func (pre *Pre) have() Need {
+	var n Need
+	if pre.Queue != nil {
+		n |= NeedQueue
+	}
+	if pre.Bitmap != nil {
+		n |= NeedBitmap
+	}
+	if pre.Binned != nil {
+		n |= NeedBinned
+	}
+	if pre.Trees != nil {
+		n |= NeedTrees
+	}
+	return n
+}
+
+// fill builds the artifacts of n that pre lacks — the one place each recipe
+// is chosen. bins is BuildServingIndex's (nil = Eq. (8)).
+func (pre *Pre) fill(ds *data.Dataset, bins []int, n Need) {
+	n &^= pre.have()
+	if n&NeedQueue != 0 {
+		pre.Queue = BuildMaxScoreQueue(ds)
+	}
+	var stats []data.DimStats // one pass serves both indexes when both build
+	if n&NeedBitmap != 0 {
+		stats = ds.Stats()
+		pre.Bitmap = bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw})
+	}
+	if n&NeedBinned != 0 {
+		pre.Binned = BuildServingIndex(ds, stats, bins)
+	}
+	if n&NeedTrees != 0 {
+		pre.Trees = BuildDimTrees(ds)
+	}
+}
+
+// Prepared holds the preprocessing artifacts of one frozen dataset — an
+// epoch, or a shard's slice of one — and is the one place they are built,
+// installed, loaded, saved, budgeted and counted. The set is an immutable Pre
+// behind an atomic pointer: growing it publishes a fresh copy under the build
+// lock, so a reader's *Pre never changes and a warm Ensure is one atomic load
+// and a mask test. Safe for concurrent use.
+type Prepared struct {
+	ds   *data.Dataset
+	bins []int
+
+	pre    atomic.Pointer[Pre]
+	mu     sync.Mutex // serializes every change of pre and budget
+	budget int64      // serving index's column-cache budget; 0 = bitmapidx.DefaultCacheBudget
+	builds atomic.Int64
+}
+
+// NewPrepared returns an empty holder over ds, which must stay immutable for
+// the holder's lifetime. bins is the serving index's layout (nil = Eq. (8)).
+func NewPrepared(ds *data.Dataset, bins []int) *Prepared {
+	p := &Prepared{ds: ds, bins: bins}
+	p.pre.Store(&nothingBuilt)
+	return p
+}
+
+// nothingBuilt is every fresh holder's set; sets are never written in place.
+var nothingBuilt Pre
+
+// Dataset returns the frozen rows the holder was made over.
+func (p *Prepared) Dataset() *data.Dataset { return p.ds }
+
+// Bins returns the layout NewPrepared was given.
+func (p *Prepared) Bins() []int { return p.bins }
+
+// Built returns whatever is built so far, without building anything.
+func (p *Prepared) Built() *Pre { return p.pre.Load() }
+
+// Builds counts the serving indexes this holder built from scratch; installed
+// and loaded ones do not count, which makes it the observable for "did the
+// warm start skip the rebuild".
+func (p *Prepared) Builds() int64 { return p.builds.Load() }
+
+// Ensure returns a set holding every artifact of n, building what is missing.
+func (p *Prepared) Ensure(n Need) *Pre {
+	if pre := p.pre.Load(); pre.have()&n == n {
+		return pre
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pre := p.pre.Load()
+	if pre.have()&n == n {
+		return pre
+	}
+	np := *pre
+	np.fill(p.ds, p.bins, n)
+	if np.Binned != pre.Binned {
+		p.builds.Add(1)
+	}
+	p.storeLocked(&np)
+	return &np
+}
+
+// Install adopts artifacts made elsewhere — a patched index with the queue
+// rebuilt from it, a predecessor's or another dataset's warm set: pre's
+// non-nil fields replace the holder's, the rest stay.
+func (p *Prepared) Install(pre Pre) {
+	if pre.have() == 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	np := *p.pre.Load()
+	if pre.Queue != nil {
+		np.Queue = pre.Queue
+	}
+	if pre.Bitmap != nil {
+		np.Bitmap = pre.Bitmap
+	}
+	if pre.Binned != nil {
+		np.Binned = pre.Binned
+	}
+	if pre.Trees != nil {
+		np.Trees = pre.Trees
+	}
+	p.storeLocked(&np)
+}
+
+// storeLocked publishes np with the holder's budget on its serving index.
+func (p *Prepared) storeLocked(np *Pre) {
+	if np.Binned != nil {
+		b := p.budget
+		if b <= 0 {
+			b = bitmapidx.DefaultCacheBudget
+		}
+		np.Binned.SetCacheBudget(b)
+	}
+	p.pre.Store(np)
+}
+
+// SetCacheBudget bounds the serving index's decompressed-column cache to
+// bytes (<= 0 restores bitmapidx.DefaultCacheBudget): at once on an index
+// already here, and on any that is built, installed or loaded later.
+func (p *Prepared) SetCacheBudget(bytes int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.budget = bytes
+	p.storeLocked(p.pre.Load())
+}
+
+// CacheStats snapshots the serving index's column-cache counters (zero while
+// there is none).
+func (p *Prepared) CacheStats() bitmapidx.CacheStats {
+	if ix := p.pre.Load().Binned; ix != nil {
+		return ix.CacheStats()
+	}
+	return bitmapidx.CacheStats{}
+}
+
+// DropCache returns the serving index's decompressed columns to the process.
+// Queries in flight stay correct: a dropped column decompresses again on its
+// next touch.
+func (p *Prepared) DropCache() {
+	if ix := p.pre.Load().Binned; ix != nil {
+		ix.DropCache()
+	}
+}
+
+// SaveServing serializes the serving index, building it first if needed,
+// under the (rows, fingerprint) of the rows it indexes.
+func (p *Prepared) SaveServing(w io.Writer) error {
+	return p.Ensure(NeedBinned).Binned.Save(w)
+}
+
+// LoadServing installs a serving index written by SaveServing in place of any
+// the holder has. The stream is a checkpoint: it is accepted when the holder's
+// first that-many rows hash to its fingerprint, and the rows behind that
+// prefix — patched reports how many — are folded in by the bitmapidx.AppendRows
+// that serves append-publishes. Only an adaptive index is accepted: that is
+// the only kind BuildServingIndex makes, and one persisted under a pinned
+// codec must not silently replace it. On any error the holder is unchanged and
+// callers rebuild.
+func (p *Prepared) LoadServing(r io.Reader) (patched int, err error) {
+	ix, err := bitmapidx.LoadPrefix(r, p.ds)
+	if err != nil {
+		return 0, err
+	}
+	if !ix.Adaptive() {
+		return 0, fmt.Errorf("core: persisted index is not adaptive (codec=%v) — rebuild", ix.CodecUsed())
+	}
+	if tail := p.ds.Len() - ix.Dataset().Len(); tail > 0 {
+		px, ok := bitmapidx.AppendRows(ix, p.ds)
+		if !ok {
+			return 0, fmt.Errorf("core: persisted index covers %d of %d rows and the rest cannot be patched onto it — rebuild", ix.Dataset().Len(), p.ds.Len())
+		}
+		ix, patched = px, tail
+	}
+	p.Install(Pre{Binned: ix})
+	return patched, nil
+}

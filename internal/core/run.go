@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitmapidx"
+	"repro/internal/btree"
 	"repro/internal/data"
 	"repro/internal/obs"
 )
@@ -64,6 +65,8 @@ type Pre struct {
 	Bitmap *bitmapidx.Index
 	// Binned is the binned, compressed bitmap index (IBIG).
 	Binned *bitmapidx.Index
+	// Trees holds one B+-tree per dimension (IBIG's §4.5 refinement only).
+	Trees []*btree.Tree
 }
 
 // BuildServingIndex builds the binned bitmap index IBIG serves from — the
@@ -88,12 +91,9 @@ func BuildServingIndex(ds *data.Dataset, stats []data.DimStats, bins []int) *bit
 // Preprocess builds every artifact an algorithm set needs; bins is handed to
 // BuildServingIndex (nil = Eq. (8)).
 func Preprocess(ds *data.Dataset, bins []int) *Pre {
-	stats := ds.Stats()
-	return &Pre{
-		Queue:  BuildMaxScoreQueue(ds),
-		Bitmap: bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw}),
-		Binned: BuildServingIndex(ds, stats, bins),
-	}
+	pre := &Pre{}
+	pre.fill(ds, bins, NeedQueue|NeedBitmap|NeedBinned)
+	return pre
 }
 
 // Run dispatches a TKD query to the chosen algorithm, building any missing
@@ -124,6 +124,7 @@ func RunWorkersTraced(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers in
 	if pre == nil {
 		pre = &Pre{}
 	}
+	pre.fill(ds, nil, NeedFor(a, false))
 	serial := workers == 1
 	switch a {
 	case AlgNaive:
@@ -137,9 +138,6 @@ func RunWorkersTraced(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers in
 		}
 		return ESBWorkers(ds, k, workers)
 	case AlgUBB:
-		if pre.Queue == nil {
-			pre.Queue = BuildMaxScoreQueue(ds)
-		}
 		workers = clampWorkers(workers, len(pre.Queue.Order))
 		if workers <= 1 {
 			return ubbRun(ds, k, pre.Queue, sp)
@@ -150,23 +148,11 @@ func RunWorkersTraced(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers in
 		}
 		return engineRun(ds, k, pre.Queue, scorers, sp)
 	case AlgBIG:
-		if pre.Queue == nil {
-			pre.Queue = BuildMaxScoreQueue(ds)
-		}
-		if pre.Bitmap == nil {
-			pre.Bitmap = bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Raw})
-		}
 		if pre.Bitmap.Binned() {
 			panic("core: BIG requires an unbinned index; use IBIG")
 		}
 		return bitmapRunParallel(ds, k, pre.Bitmap, pre.Queue, RefineDirect, nil, workers, sp)
 	case AlgIBIG:
-		if pre.Queue == nil {
-			pre.Queue = BuildMaxScoreQueue(ds)
-		}
-		if pre.Binned == nil {
-			pre.Binned = BuildServingIndex(ds, nil, nil)
-		}
 		return bitmapRunParallel(ds, k, pre.Binned, pre.Queue, RefineDirect, nil, workers, sp)
 	default:
 		panic(fmt.Sprintf("core: unknown algorithm %d", int(a)))

@@ -33,6 +33,14 @@ type Object struct {
 	Mask   uint64
 }
 
+// Row is one object on its way into a dataset — an append batch, a WAL
+// record: the ID and the full value vector, NaN marking unobserved
+// dimensions. tkd.Row and wal.Row are this type.
+type Row struct {
+	ID     string
+	Values []float64
+}
+
 // Observed reports whether dimension i of the object is observed.
 func (o *Object) Observed(i int) bool { return o.Mask&(1<<uint(i)) != 0 }
 

@@ -181,17 +181,7 @@ func (f *follower) syncDataset(name string) {
 		f.syncs.Add(1)
 	}
 	if applied || err != nil {
-		entry := obs.QueryEntry{
-			Time:      start,
-			Dataset:   name,
-			Algorithm: "follower/sync",
-			Duration:  time.Since(start),
-			Trace:     tr,
-		}
-		if err != nil {
-			entry.Err = err.Error()
-		}
-		f.s.qlog.Add(entry)
+		f.s.logTrace(tr, obs.QueryEntry{Time: start, Dataset: name, Algorithm: "follower/sync"}, err)
 	}
 }
 

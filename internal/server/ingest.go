@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -171,10 +170,10 @@ type AppendRow struct {
 
 // AppendResponse is the POST /v1/datasets/{name}/append answer. Durable
 // reports what the ack means under the server's fsync policy: true means
-// the rows are on disk and survive kill -9, false means they are logged
-// (and will be fsynced by the interval flusher or the OS). Pending counts
-// the rows logged but not yet folded into a published epoch — they are
-// queryable after the next publish tick, and a restart replays them.
+// the rows are on disk and survive kill -9, false means they are logged and
+// handed to the OS (-fsync none; a graceful shutdown still fsyncs). Pending
+// counts the rows logged but not yet folded into a published epoch — they
+// are queryable after the next publish tick, and a restart replays them.
 type AppendResponse struct {
 	Dataset  string `json:"dataset"`
 	Appended int    `json:"appended"`
@@ -210,10 +209,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AppendRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, errBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Rows) == 0 {
@@ -276,19 +272,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	pending := ing.logged - ing.published
 	ing.mu.Unlock()
 	walSp.End()
-	root.End()
+	s.logTrace(tr, obs.QueryEntry{Time: start, Dataset: name, Algorithm: "ingest/append"}, logErr)
 	s.stages.observeTrace(tr, false)
-	entry := obs.QueryEntry{
-		Time:      start,
-		Dataset:   name,
-		Algorithm: "ingest/append",
-		Duration:  time.Since(start),
-		Trace:     tr,
-	}
-	if logErr != nil {
-		entry.Err = logErr.Error()
-	}
-	s.qlog.Add(entry)
 	if logErr != nil {
 		// The log is poisoned and none of the batch was acked; a prefix of
 		// its frames may have reached the file and will then replay on
@@ -365,11 +350,7 @@ func (s *Server) publishPendingLocked(e *entry) error {
 	root.SetInt("rows", int64(len(rows)))
 
 	pub := root.StartChild("publish")
-	tk := make([]tkd.Row, len(rows))
-	for i, r := range rows {
-		tk[i] = tkd.Row{ID: r.ID, Values: r.Values}
-	}
-	patched, err := ing.base.AppendRows(tk)
+	patched, err := ing.base.AppendRows(rows)
 	if err != nil {
 		// Cannot happen for rows the append handler validated; if it does
 		// (the dataset changed shape underneath us) the batch is rejected
@@ -411,19 +392,8 @@ func (s *Server) publishPendingLocked(e *entry) error {
 		}
 		ing.mu.Unlock()
 	}
-	root.End()
+	s.logTrace(tr, obs.QueryEntry{Time: start, Dataset: e.name, Algorithm: "ingest/publish"}, cpErr)
 	s.stages.observeTrace(tr, false)
-	entry := obs.QueryEntry{
-		Time:      start,
-		Dataset:   e.name,
-		Algorithm: "ingest/publish",
-		Duration:  time.Since(start),
-		Trace:     tr,
-	}
-	if cpErr != nil {
-		entry.Err = cpErr.Error()
-	}
-	s.qlog.Add(entry)
 	return cpErr
 }
 

@@ -67,13 +67,12 @@ type request struct {
 var errSchedulerDraining = fmt.Errorf("server: dataset is draining")
 
 type scheduler struct {
-	ds       *tkd.Dataset
-	adm      *admission
-	met      *datasetMetrics
-	in       chan *request
-	done     chan struct{} // server-wide immediate shutdown (Server.Close)
-	window   time.Duration
-	maxBatch int
+	ds     *tkd.Dataset
+	adm    *admission
+	met    *datasetMetrics
+	in     chan *request
+	done   chan struct{} // server-wide immediate shutdown (Server.Close)
+	window time.Duration
 
 	// Drain machinery: draining flips first, then drainStop takes rw
 	// exclusively as a barrier against submits that passed the flag check,
@@ -86,20 +85,20 @@ type scheduler struct {
 	drainOnce sync.Once
 }
 
-func newScheduler(ds *tkd.Dataset, adm *admission, met *datasetMetrics, window time.Duration, maxBatch int, done chan struct{}) *scheduler {
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
+// maxBatch bounds the queries one scheduling window may hold (and the submit
+// queue behind it).
+const maxBatch = 64
+
+func newScheduler(ds *tkd.Dataset, adm *admission, met *datasetMetrics, window time.Duration, done chan struct{}) *scheduler {
 	s := &scheduler{
-		ds:       ds,
-		adm:      adm,
-		met:      met,
-		in:       make(chan *request, maxBatch),
-		done:     done,
-		drained:  make(chan struct{}),
-		exited:   make(chan struct{}),
-		window:   window,
-		maxBatch: maxBatch,
+		ds:      ds,
+		adm:     adm,
+		met:     met,
+		in:      make(chan *request, maxBatch),
+		done:    done,
+		drained: make(chan struct{}),
+		exited:  make(chan struct{}),
+		window:  window,
 	}
 	go s.loop()
 	return s
@@ -194,7 +193,7 @@ func (s *scheduler) loop() {
 		if s.window > 0 {
 			timer := time.NewTimer(s.window)
 		collect:
-			for len(batch) < s.maxBatch {
+			for len(batch) < maxBatch {
 				select {
 				case r := <-s.in:
 					batch = append(batch, r)
@@ -214,7 +213,7 @@ func (s *scheduler) loop() {
 		// Opportunistic drain: anything that arrived while the window closed
 		// rides along rather than waiting a full extra window.
 	drain:
-		for len(batch) < s.maxBatch {
+		for len(batch) < maxBatch {
 			select {
 			case r := <-s.in:
 				batch = append(batch, r)

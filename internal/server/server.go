@@ -61,14 +61,9 @@ type Config struct {
 	// concurrent queries after the first one arrives; 0 serves whatever has
 	// already queued without waiting.
 	BatchWindow time.Duration
-	// MaxBatch bounds the queries one scheduling window may hold; <= 0
-	// defaults to 64.
-	MaxBatch int
 	// CacheBudget bounds each dataset's decompressed-column cache in bytes;
 	// <= 0 keeps the bitmapidx default (32 MiB).
 	CacheBudget int64
-	// MaxBodyBytes bounds a request body; <= 0 defaults to 1 MiB.
-	MaxBodyBytes int64
 	// IndexDir enables the persisted-index cache: built binned indexes are
 	// written here (keyed by dataset name, validated by the row count and
 	// content fingerprint in the file) and warm starts load them instead of
@@ -114,9 +109,6 @@ type Config struct {
 	// warn level with its trace ID; <= 0 disables slow-query logging. The
 	// in-memory query log (GET /v1/debug/queries) is always on regardless.
 	SlowQuery time.Duration
-	// QueryLogSize is how many recent queries the in-memory ring retains for
-	// GET /v1/debug/queries; <= 0 defaults to 256.
-	QueryLogSize int
 	// Follow makes this server a replication follower of the leader
 	// tkdserver at the given base URL: the leader's datasets are discovered,
 	// fetched over GET /v1/datasets/{name}/epoch and kept in lockstep — each
@@ -220,15 +212,6 @@ func Routes() []Route {
 
 // New returns an empty server.
 func New(cfg Config) *Server {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.QueryLogSize <= 0 {
-		cfg.QueryLogSize = 256
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -237,7 +220,7 @@ func New(cfg Config) *Server {
 		adm:  newAdmission(cfg.MaxWorkers),
 		reg:  newRegistry(),
 		mux:  http.NewServeMux(),
-		qlog: obs.NewQueryLog(cfg.QueryLogSize),
+		qlog: obs.NewQueryLog(queryLogSize),
 		log:  cfg.Logger,
 		done: make(chan struct{}),
 	}
@@ -411,7 +394,7 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 		}
 	}
 	met := &datasetMetrics{}
-	sch := newScheduler(ds, s.adm, met, s.cfg.BatchWindow, s.cfg.MaxBatch, s.done)
+	sch := newScheduler(ds, s.adm, met, s.cfg.BatchWindow, s.done)
 	e := &entry{
 		name:   name,
 		ds:     ds,
@@ -742,6 +725,53 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads the request's JSON body into v — bounded, unknown fields
+// rejected — and answers 400 itself when it cannot; the handler goes on only
+// on true.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, r, http.StatusBadRequest, errBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
+// parseAlgorithm resolves a request's algorithm name — empty selects IBIG —
+// and answers 400 itself for a name it does not know.
+func parseAlgorithm(w http.ResponseWriter, r *http.Request, name string) (core.Algorithm, bool) {
+	if name == "" {
+		return core.AlgIBIG, true
+	}
+	alg, err := core.ParseAlgorithm(name)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, errBadRequest, "%v", err)
+	}
+	return alg, err == nil
+}
+
+// queryLogSize is how many recent operations the in-memory ring behind GET
+// /v1/debug/queries retains.
+const queryLogSize = 256
+
+// logTrace closes out one traced operation — a query, an append, a publish,
+// a follower sync: it ends the root span and records e, stamped with the
+// duration since e.Time, the trace and err, in the always-on ring log.
+func (s *Server) logTrace(tr *obs.Trace, e obs.QueryEntry, err error) obs.QueryEntry {
+	tr.Root().End()
+	e.Duration = time.Since(e.Time)
+	e.Trace = tr
+	if err != nil {
+		e.Err = err.Error()
+	}
+	s.qlog.Add(e)
+	return e
+}
+
 // handleDatasetQuery serves POST /v1/datasets/{name}/query.
 func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
@@ -749,10 +779,7 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, errBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// The path names the dataset. A body that names a different one is a
@@ -772,14 +799,9 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "workers must be >= 0")
 		return
 	}
-	alg := core.AlgIBIG
-	if req.Algorithm != "" {
-		var err error
-		alg, err = core.ParseAlgorithm(req.Algorithm)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, errBadRequest, "%v", err)
-			return
-		}
+	alg, ok := parseAlgorithm(w, r, req.Algorithm)
+	if !ok {
+		return
 	}
 	if req.TimeoutMillis < 0 {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "timeout_millis must be >= 0")
@@ -887,37 +909,22 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// finishQuery closes out one query's trace: end the root span, fold the span
-// durations into the per-stage histograms, record the query in the always-on
-// ring log, and emit the slow-query warning when the configured threshold is
-// exceeded. A coalesced reply shares another query's execution subtree, so
-// only its own queue wait feeds the stage histograms — the shared engine,
-// scatter, gather and retry spans are observed once, on the hosting query.
+// finishQuery closes out one query's trace: log it (logTrace), fold the span
+// durations into the per-stage histograms, and emit the slow-query warning
+// when the configured threshold is exceeded. A coalesced reply shares another
+// query's execution subtree, so only its own queue wait feeds the stage
+// histograms — the shared engine, scatter, gather and retry spans are
+// observed once, on the hosting query.
 func (s *Server) finishQuery(tr *obs.Trace, req *QueryRequest, alg core.Algorithm, start time.Time, coalesced bool, qerr error) {
-	root := tr.Root()
-	root.End()
-	elapsed := time.Since(start)
+	entry := s.logTrace(tr, obs.QueryEntry{Time: start, Dataset: req.Dataset, K: req.K, Algorithm: alg.String(), Coalesced: coalesced}, qerr)
 	s.stages.observeTrace(tr, coalesced)
-	entry := obs.QueryEntry{
-		Time:      start,
-		Dataset:   req.Dataset,
-		K:         req.K,
-		Algorithm: alg.String(),
-		Duration:  elapsed,
-		Coalesced: coalesced,
-		Trace:     tr,
-	}
-	if qerr != nil {
-		entry.Err = qerr.Error()
-	}
-	s.qlog.Add(entry)
-	if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
+	if s.cfg.SlowQuery > 0 && entry.Duration >= s.cfg.SlowQuery {
 		s.log.Warn("slow query",
 			"trace_id", tr.ID().String(),
 			"dataset", req.Dataset,
 			"k", req.K,
 			"algorithm", alg.String(),
-			"duration_ms", float64(elapsed.Microseconds())/1000,
+			"duration_ms", float64(entry.Duration.Microseconds())/1000,
 			"coalesced", coalesced,
 			"err", entry.Err,
 		)
@@ -1040,10 +1047,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RegisterRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, errBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Path == "" {

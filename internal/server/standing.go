@@ -294,10 +294,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubscribeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, errBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.K <= 0 {
@@ -308,14 +305,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "wait_millis must be >= 0")
 		return
 	}
-	alg := core.AlgIBIG
-	if req.Algorithm != "" {
-		var err error
-		alg, err = core.ParseAlgorithm(req.Algorithm)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, errBadRequest, "%v", err)
-			return
-		}
+	alg, ok := parseAlgorithm(w, r, req.Algorithm)
+	if !ok {
+		return
 	}
 	name := r.PathValue("name")
 	e, ok := s.reg.get(name)

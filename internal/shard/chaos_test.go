@@ -220,7 +220,7 @@ func TestChaosDegradedBudgetsSound(t *testing.T) {
 	for i := range ranked {
 		for s, b := range backends {
 			if s != 1 {
-				ranked[i] += core.ForeignScore(b.(*Local).ds, ds.Obj(i))
+				ranked[i] += core.ForeignScore(b.(*Local).Dataset(), ds.Obj(i))
 			}
 		}
 		truth[ds.Obj(i)] = ranked[i]

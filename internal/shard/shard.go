@@ -47,9 +47,7 @@ package shard
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitmapidx"
 	"repro/internal/core"
@@ -116,16 +114,13 @@ type Backend interface {
 	Partial(ctx context.Context, req *Request) ([]int32, error)
 }
 
-// Local is an in-process shard: a row-range slice of a frozen epoch plus
-// lazily built bitmap indexes over it. Safe for concurrent use.
+// Local is an in-process shard: a core.Prepared over a row-range slice of a
+// frozen epoch — its indexes are built, loaded, saved, budgeted and counted
+// there, exactly as the epoch's own are — plus what only a scatter target
+// needs: the fingerprint memo and the pooled foreign scorers. Safe for
+// concurrent use; a warm Partial takes no lock.
 type Local struct {
-	ds *data.Dataset
-
-	mu     sync.Mutex
-	binned *bitmapidx.Index // IBIG artifact (adaptive over CONCISE)
-	bitmap *bitmapidx.Index // BIG artifact (value-granular, Raw)
-	budget int64            // column-cache budget to apply at build time
-	builds atomic.Int64
+	*core.Prepared
 
 	fpOnce sync.Once
 	fp     uint64
@@ -142,131 +137,20 @@ type scorerBox struct {
 }
 
 // NewLocal wraps a row-range slice (see data.Dataset.Slice). The slice must
-// stay immutable for the shard's lifetime — the epoch contract.
+// stay immutable for the shard's lifetime — the epoch contract. Its binned
+// index takes the paper's Eq. (8) bins for the slice's own size and missing
+// rate.
 func NewLocal(slice *data.Dataset) *Local {
-	return &Local{ds: slice}
+	return &Local{Prepared: core.NewPrepared(slice, nil)}
 }
 
 // Rows implements Backend.
-func (l *Local) Rows() int { return l.ds.Len() }
+func (l *Local) Rows() int { return l.Dataset().Len() }
 
 // Fingerprint digests the slice contents, memoized (the data is frozen).
 func (l *Local) Fingerprint() uint64 {
-	l.fpOnce.Do(func() { l.fp = l.ds.Fingerprint() })
+	l.fpOnce.Do(func() { l.fp = l.Dataset().Fingerprint() })
 	return l.fp
-}
-
-// Builds reports how many indexes this shard built from scratch (warm
-// installs via LoadIndex do not count).
-func (l *Local) Builds() int64 { return l.builds.Load() }
-
-// SetCacheBudget bounds the shard's decompressed-column cache, applying
-// immediately to a built index and at build time otherwise.
-func (l *Local) SetCacheBudget(bytes int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.budget = bytes
-	if l.binned != nil && bytes > 0 {
-		l.binned.SetCacheBudget(bytes)
-	}
-}
-
-// CacheStats snapshots the binned index's column-cache counters (zero while
-// unbuilt).
-func (l *Local) CacheStats() bitmapidx.CacheStats {
-	l.mu.Lock()
-	ix := l.binned
-	l.mu.Unlock()
-	if ix == nil {
-		return bitmapidx.CacheStats{}
-	}
-	return ix.CacheStats()
-}
-
-// ReleaseCache drops the shard's decompressed-column cache.
-func (l *Local) ReleaseCache() {
-	l.mu.Lock()
-	ix := l.binned
-	l.mu.Unlock()
-	if ix != nil {
-		ix.DropCache()
-	}
-}
-
-// binnedIndex lazily builds the shard's binned (IBIG) index: adaptive
-// representation over the slice, bin counts from the paper's Eq. (8) for
-// the slice's own size and missing rate.
-func (l *Local) binnedIndex() *bitmapidx.Index {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.binned == nil {
-		l.binned = core.BuildServingIndex(l.ds, nil, nil)
-		if l.budget > 0 {
-			l.binned.SetCacheBudget(l.budget)
-		}
-		l.builds.Add(1)
-	}
-	return l.binned
-}
-
-// bitmapIndex lazily builds the value-granular (BIG) index.
-func (l *Local) bitmapIndex() *bitmapidx.Index {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.bitmap == nil {
-		l.bitmap = bitmapidx.Build(l.ds, bitmapidx.Options{Codec: bitmapidx.Raw})
-		l.builds.Add(1)
-	}
-	return l.bitmap
-}
-
-// Prewarm eagerly builds the artifacts the algorithm's scatter plan uses.
-func (l *Local) Prewarm(alg core.Algorithm) {
-	if l.ds.Len() == 0 {
-		return
-	}
-	switch alg {
-	case core.AlgBIG:
-		l.bitmapIndex()
-	case core.AlgIBIG:
-		l.binnedIndex()
-	}
-}
-
-// SaveIndex serializes the shard's binned index (building it first if
-// needed); LoadIndex restores it on a warm restart.
-func (l *Local) SaveIndex(w io.Writer) error {
-	if l.ds.Len() == 0 {
-		return fmt.Errorf("shard: empty shard has no index")
-	}
-	return l.binnedIndex().Save(w)
-}
-
-// LoadIndex installs a persisted binned index. The stream is validated
-// against the slice (shape, domains, checksum — and, in persist format v2+,
-// the slice fingerprint); on any error the shard is unchanged and the index
-// builds from scratch on first use. An index that arrives after a build (or
-// another load) already won is dropped silently — first one wins.
-func (l *Local) LoadIndex(r io.Reader) error {
-	if l.ds.Len() == 0 {
-		return fmt.Errorf("shard: empty shard has no index")
-	}
-	ix, err := bitmapidx.Load(r, l.ds)
-	if err != nil {
-		return err
-	}
-	if !ix.Adaptive() {
-		return fmt.Errorf("shard: persisted index is not adaptive — rebuild")
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.binned == nil {
-		if l.budget > 0 {
-			ix.SetCacheBudget(l.budget)
-		}
-		l.binned = ix
-	}
-	return nil
 }
 
 // scorer fetches a pooled foreign scorer box over ix (cursors are
@@ -278,7 +162,7 @@ func (l *Local) scorer(pool *sync.Pool, ix *bitmapidx.Index) *scorerBox {
 			return box
 		}
 	}
-	return &scorerBox{ix: ix, s: core.NewForeignScorer(l.ds, ix)}
+	return &scorerBox{ix: ix, s: core.NewForeignScorer(l.Dataset(), ix)}
 }
 
 // checkBudgets is the Request.Budgets shape rule, shared by Local and the
@@ -310,7 +194,8 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 		return nil, err
 	}
 	out := make([]int32, len(req.Cands))
-	if l.ds.Len() == 0 {
+	ds := l.Dataset()
+	if ds.Len() == 0 {
 		return out, nil
 	}
 	indexed := req.Alg == core.AlgBIG || req.Alg == core.AlgIBIG
@@ -318,7 +203,7 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 		if req.Mode == ModeBounds {
 			// The exhaustive plans have no cheap bound; every row is one.
 			for i := range out {
-				out[i] = int32(l.ds.Len())
+				out[i] = int32(ds.Len())
 			}
 			return out, nil
 		}
@@ -328,16 +213,16 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 					return nil, err
 				}
 			}
-			out[i] = int32(core.ForeignScore(l.ds, c))
+			out[i] = int32(core.ForeignScore(ds, c))
 		}
 		return out, nil
 	}
 	var pool *sync.Pool
 	var ix *bitmapidx.Index
 	if req.Alg == core.AlgBIG {
-		pool, ix = &l.bitmapScorers, l.bitmapIndex()
+		pool, ix = &l.bitmapScorers, l.Ensure(core.NeedBitmap).Bitmap
 	} else {
-		pool, ix = &l.binnedScorers, l.binnedIndex()
+		pool, ix = &l.binnedScorers, l.Ensure(core.NeedBinned).Binned
 	}
 	box := l.scorer(pool, ix)
 	defer pool.Put(box)
@@ -356,7 +241,7 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 				// bound on the partial score (as is the row count, for a
 				// Residual no coordinator would send), and it forces the
 				// coordinator's bound sum to at most τ.
-				b = min(req.Residual, l.ds.Len())
+				b = min(req.Residual, ds.Len())
 			}
 			out[i] = int32(b)
 		}
@@ -386,5 +271,5 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 // Health implements HealthChecker from the frozen slice: a Local can never
 // lag, so its answer is its identity.
 func (l *Local) Health(context.Context) (HealthInfo, error) {
-	return HealthInfo{Rows: l.ds.Len(), Fingerprint: l.Fingerprint()}, nil
+	return HealthInfo{Rows: l.Rows(), Fingerprint: l.Fingerprint()}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/data"
 )
 
 // Record payloads. The first payload byte is the type; the frame (length +
@@ -25,10 +27,7 @@ const frameHeader = 8
 
 // Row is one ingested object as logged: the ID and the full value vector
 // with NaN for unobserved dimensions.
-type Row struct {
-	ID     string
-	Values []float64
-}
+type Row = data.Row
 
 // Checkpoint records a completed epoch publish: the first Rows row records
 // of the log are included in the published epoch number Epoch, whose data

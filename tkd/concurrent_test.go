@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bitmapidx"
 	"repro/tkd"
 )
 
@@ -130,5 +131,39 @@ func TestCacheBudgetPlumbing(t *testing.T) {
 	}
 	if st.CompressedCols != st.NativeKernel+st.Fallback {
 		t.Fatalf("compressed %d != native %d + fallback %d", st.CompressedCols, st.NativeKernel, st.Fallback)
+	}
+
+	// One rule on both topologies: a budget splits evenly over the parts, 0
+	// restores the bitmapidx default on each of them, and a BIG query — which
+	// builds a value-granular bitmap, not a serving index — leaves IndexBuilds
+	// alone.
+	sharded, err := tkd.Shard(tkd.GenerateIND(4000, 5, 30, 0.10, 13), "budget", tkd.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name  string
+		ds    *tkd.Dataset
+		parts int64
+	}{{"unsharded", ds, 1}, {"sharded", sharded, 3}} {
+		const b = 3 << 10
+		arm.ds.SetCacheBudget(b)
+		if _, err := arm.ds.TopK(10); err != nil {
+			t.Fatal(err)
+		}
+		if got := arm.ds.CacheStats().Budget; got != b {
+			t.Fatalf("%s: budget = %d, want %d", arm.name, got, b)
+		}
+		arm.ds.SetCacheBudget(0)
+		if got, want := arm.ds.CacheStats().Budget, arm.parts*bitmapidx.DefaultCacheBudget; got != want {
+			t.Fatalf("%s: budget after SetCacheBudget(0) = %d, want the default %d", arm.name, got, want)
+		}
+		builds := arm.ds.IndexBuilds()
+		if _, err := arm.ds.TopK(10, tkd.WithAlgorithm(tkd.BIG)); err != nil {
+			t.Fatal(err)
+		}
+		if got := arm.ds.IndexBuilds(); got != builds {
+			t.Fatalf("%s: a BIG query moved IndexBuilds %d -> %d", arm.name, builds, got)
+		}
 	}
 }

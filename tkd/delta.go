@@ -24,10 +24,7 @@ import (
 
 // Row is one object of an AppendRows batch; Missing (NaN) marks unobserved
 // values.
-type Row struct {
-	ID     string
-	Values []float64
-}
+type Row = data.Row
 
 // maxLineage bounds the append lineage ring. A follower more than this many
 // append-publishes behind full-syncs instead; at the serving layer's publish
@@ -86,7 +83,7 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 
 	if base == nil {
 		// Staging is dirty: publish it first so there is a frozen base to
-		// extend (and so a LoadIndex'd pending index becomes patchable).
+		// extend.
 		base = d.publishLocked()
 	}
 
@@ -111,31 +108,22 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 	// Incremental path: patch the published binned index and rebuild the
 	// MaxScore queue from it without touching B+-trees. The value-granular
 	// bitmap and trees (BIG-only artifacts) are dropped and rebuild lazily.
-	var ns *snapshot
-	if a := base.art.Load(); a.binned != nil {
-		if ix, ok := bitmapidx.AppendRows(a.binned, next); ok {
-			if b := d.cacheBudget.Load(); b > 0 {
-				ix.SetCacheBudget(b)
-			}
-			ns = &snapshot{ds: next, bins: base.bins}
-			ns.art.Store(&artifacts{queue: core.BuildMaxScoreQueueFromIndex(ix), binned: ix})
+	var pre core.Pre
+	if old := base.part.Built().Binned; old != nil {
+		if ix, ok := bitmapidx.AppendRows(old, next); ok {
+			pre = core.Pre{Queue: core.BuildMaxScoreQueueFromIndex(ix), Binned: ix}
 			patched = true
 		}
 	}
-	if ns == nil {
-		ns = &snapshot{ds: next, bins: d.bins}
-		ns.art.Store(&artifacts{})
-	}
-	ns.epoch = d.nextEpochLocked(sp.at)
+	ns := d.newSnapshot(d.nextEpochLocked(sp.at), next, base.part.Bins(), pre)
 	d.staging = next
 	d.shared = true
-	d.pendingBinned = nil
 	d.cur.Store(ns)
-	base.release(ns.art.Load().binned)
+	base.release(pre.Binned)
 	if !patched {
 		// Rebuild path: pay the artifact build now so the publish is complete
 		// either way, mirroring the patch path.
-		ns.ensure(needQueue|needBinned, d)
+		ns.part.Ensure(core.NeedQueue | core.NeedBinned)
 	}
 	d.recordLineageLocked(base, ns.epoch, next.Len(), fp)
 	return patched, nil
@@ -156,20 +144,20 @@ func (d *Dataset) AppendImpact(appended, tau int) (affects, ok bool) {
 	if s == nil {
 		return false, false
 	}
-	a := s.art.Load()
+	ix := s.part.Built().Binned
 	n := s.ds.Len()
-	if a == nil || a.binned == nil || a.binned.Dataset().Len() != n {
+	if ix == nil || ix.Dataset().Len() != n {
 		return false, false
 	}
 	if appended <= 0 || appended > n {
 		return false, false
 	}
-	c := a.binned.NewCursor()
+	c := ix.NewCursor()
 	for i := n - appended; i < n; i++ {
 		if c.StandingEntryBound(i) >= tau {
 			return true, true
 		}
-		if a.binned.DominatorCeil(i) > 0 {
+		if ix.DominatorCeil(i) > 0 {
 			return true, true
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bitmapidx"
 	"repro/internal/data"
 )
 
@@ -86,7 +85,6 @@ func readSection(r io.Reader, n uint64) ([]byte, error) {
 // epoch number, the data fingerprint and a Write method that streams both
 // data and index from that same snapshot, immune to concurrent reloads.
 type EpochExport struct {
-	d *Dataset
 	s *snapshot
 }
 
@@ -94,7 +92,7 @@ type EpochExport struct {
 // handle stays valid — and internally consistent — however many epochs are
 // published after it.
 func (d *Dataset) ExportEpoch() *EpochExport {
-	return &EpochExport{d: d, s: d.current()}
+	return &EpochExport{s: d.current()}
 }
 
 // Epoch returns the pinned epoch's number.
@@ -136,8 +134,7 @@ func (x *EpochExport) Write(w io.Writer, includeIndex bool) error {
 		return err
 	}
 	if includeIndex {
-		a := x.s.ensure(needBinned, x.d)
-		return a.binned.Save(w)
+		return x.s.part.SaveServing(w)
 	}
 	return nil
 }
@@ -191,20 +188,15 @@ func ImportEpoch(r io.Reader) (*Dataset, uint64, error) {
 	if got := ds.Fingerprint(); got != fp {
 		return nil, 0, fmt.Errorf("tkd: epoch stream data fingerprint %016x does not match header %016x", got, fp)
 	}
-	fresh := wrap(ds)
-	if flags&1 != 0 {
-		ix, err := bitmapidx.Load(r, ds)
-		if err != nil {
-			return nil, 0, fmt.Errorf("tkd: epoch stream index section: %w", err)
-		}
-		if !ix.Adaptive() {
-			return nil, 0, fmt.Errorf("tkd: epoch stream index section is not adaptive (codec=%v)", ix.CodecUsed())
-		}
-		fresh.pendingBinned = ix
-	}
 	// Publish now, under the leader's number (the counter is pre-positioned
 	// so the first publish lands on it).
+	fresh := wrap(ds)
 	fresh.epoch.Store(epoch - 1)
+	if flags&1 != 0 {
+		if err := fresh.LoadIndex(r); err != nil {
+			return nil, 0, fmt.Errorf("tkd: epoch stream index section: %w", err)
+		}
+	}
 	fresh.current()
 	return fresh, epoch, nil
 }

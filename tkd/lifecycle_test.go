@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bitmapidx"
 	"repro/tkd"
 )
 
@@ -324,5 +325,35 @@ func TestCacheBudgetSurvivesSwap(t *testing.T) {
 	}
 	if got := target.CacheStats().Budget; got != 1<<10 {
 		t.Fatalf("budget after swap = %d, want %d", got, 1<<10)
+	}
+
+	// The same on a shard topology, whose swap carries per-shard indexes; and
+	// a budget put back to 0 lands on the carried indexes too.
+	shard3 := func(n int, seed int64) *tkd.Dataset {
+		ds, err := tkd.Shard(tkd.GenerateIND(n, 4, 30, 0.2, seed), "swap", tkd.WithShards(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	starget := shard3(400, 8)
+	starget.SetCacheBudget(3 << 10)
+	starget.Prepare()
+	sreplacement := shard3(500, 9)
+	sreplacement.Prepare()
+	starget.ReplaceFrom(sreplacement)
+	builds := starget.IndexBuilds()
+	if _, err := starget.TopK(5); err != nil {
+		t.Fatal(err)
+	}
+	if got := starget.CacheStats().Budget; got != 3<<10 {
+		t.Fatalf("sharded budget after swap = %d, want %d", got, 3<<10)
+	}
+	if got := starget.IndexBuilds(); got != builds {
+		t.Fatalf("sharded swap rebuilt carried indexes: IndexBuilds %d -> %d", builds, got)
+	}
+	starget.SetCacheBudget(0)
+	if got, want := starget.CacheStats().Budget, int64(3*bitmapidx.DefaultCacheBudget); got != want {
+		t.Fatalf("sharded budget after SetCacheBudget(0) = %d, want the default %d", got, want)
 	}
 }

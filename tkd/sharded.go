@@ -28,9 +28,9 @@ import (
 // scores, pruning across shards with the pushed-down global τ (see package
 // repro/internal/shard for the protocol).
 //
-// The per-epoch shard set is one more lazily built artifact of the
-// snapshot: the first query (or Prepare) on an epoch slices it under the
-// snapshot's build lock, queries in flight keep the set of the epoch they
+// The per-epoch shard set is lazily built state of the snapshot, next to the
+// epoch's own artifacts: the first query (or Prepare) on an epoch slices it
+// under the snapshot's lock, queries in flight keep the set of the epoch they
 // started on, and retiring the snapshot closes the set's health loops and
 // drops its column caches. Nobody blocks anybody, as everywhere else.
 
@@ -180,21 +180,44 @@ func (d *Dataset) Shards() int {
 	return 0
 }
 
-// shardSet is one epoch's shard backends behind their coordinator; locals
-// lists the in-process ones.
+// shardSet is one epoch's shard backends behind their coordinator; parts
+// lists the in-process ones' artifact holders (see snapshot.parts).
 type shardSet struct {
 	coord    *shard.Coordinator
 	backends []shard.Backend
-	locals   []*shard.Local
+	parts    []*core.Prepared
+}
+
+// shardSet returns the epoch's shard set, slicing it on first use around the
+// global queue — the coordinator-side artifact.
+func (s *snapshot) shardSet() *shardSet {
+	if ss := s.shards.Load(); ss != nil {
+		return ss
+	}
+	queue := s.part.Ensure(core.NeedQueue).Queue
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	if ss := s.shards.Load(); ss != nil {
+		return ss
+	}
+	t := s.d.topo.Load()
+	ss := t.build(s.ds, queue, s.d.partBudget(), nil)
+	ss.startHealthChecks(t.healthInterval)
+	s.shards.Store(ss)
+	if s.retired.Load() {
+		ss.close() // built on an epoch already replaced: no health loops
+	}
+	return ss
 }
 
 // build slices ds into the topology's row ranges. Shard i is an in-process
-// Local — taken over from warm, the set another Dataset built over this very
-// data, when there is one — or a replica set of Remotes pointing at the
-// shard's peer group (retry/hedge/breaker semantics apply even to a
-// single-peer group — one replica is just the degenerate set). budget is the
-// dataset-level cache budget, split evenly. The replica sets' health loops
-// are the caller's to start (startHealthChecks), once the epoch is published.
+// Local — seeded with the artifacts of warm's, the set another Dataset built
+// over this very data, when there is one — or a replica set of Remotes
+// pointing at the shard's peer group (retry/hedge/breaker semantics apply
+// even to a single-peer group — one replica is just the degenerate set).
+// budget is each shard's cache budget (Dataset.partBudget). The replica sets'
+// health loops are the caller's to start (startHealthChecks), once the epoch
+// is published.
 func (t *topology) build(ds *data.Dataset, queue *core.MaxScoreQueue, budget int64, warm *shardSet) *shardSet {
 	ss := &shardSet{coord: shard.NewCoordinator(ds, queue, t.met), backends: make([]shard.Backend, t.n)}
 	if warm != nil && len(warm.backends) != t.n {
@@ -203,15 +226,15 @@ func (t *topology) build(ds *data.Dataset, queue *core.MaxScoreQueue, budget int
 	for i := range ss.backends {
 		lo, hi := i*ds.Len()/t.n, (i+1)*ds.Len()/t.n
 		if len(t.peers) == 0 {
-			var l *shard.Local
+			l := shard.NewLocal(ds.Slice(lo, hi))
+			l.SetCacheBudget(budget)
 			if warm != nil {
-				l, _ = warm.backends[i].(*shard.Local)
-			}
-			if l == nil {
-				l = shard.NewLocal(ds.Slice(lo, hi))
+				if wl, ok := warm.backends[i].(*shard.Local); ok {
+					l.Install(*wl.Built())
+				}
 			}
 			ss.backends[i] = l
-			ss.locals = append(ss.locals, l)
+			ss.parts = append(ss.parts, l.Prepared)
 			continue
 		}
 		group := t.peers[i%len(t.peers)]
@@ -233,31 +256,9 @@ func (t *topology) build(ds *data.Dataset, queue *core.MaxScoreQueue, budget int
 		}
 		ss.backends[i] = rs
 	}
-	ss.setCacheBudget(budget)
 	return ss
 }
 
-// setCacheBudget splits the dataset-level budget evenly across the shards
-// (total <= 0 keeps each shard's bitmapidx default).
-func (ss *shardSet) setCacheBudget(total int64) {
-	if total <= 0 {
-		return
-	}
-	per := max(total/int64(len(ss.backends)), 1)
-	for _, l := range ss.locals {
-		l.SetCacheBudget(per)
-	}
-}
-
-func (ss *shardSet) releaseCache() {
-	for _, l := range ss.locals {
-		l.ReleaseCache()
-	}
-}
-
-// close stops the set's background machinery (replica-set health loops).
-// Queries in flight on the set keep working — close only retires
-// goroutines.
 // startHealthChecks starts the replica sets' probe loops. A probe asks a
 // peer what it serves now and quarantines a replica that answers another
 // fingerprint, so the loops may run only while the set's epoch is the
@@ -273,6 +274,9 @@ func (ss *shardSet) startHealthChecks(interval time.Duration) {
 	}
 }
 
+// close stops the set's background machinery (replica-set health loops).
+// Queries in flight on the set keep working — close only retires
+// goroutines.
 func (ss *shardSet) close() {
 	for _, b := range ss.backends {
 		if rs, ok := b.(*shard.ReplicaSet); ok {
@@ -281,17 +285,18 @@ func (ss *shardSet) close() {
 	}
 }
 
-// prewarm builds every in-process shard's side of the algorithms' scatter
-// plans, in parallel across shards.
-func (ss *shardSet) prewarm(algs []Algorithm) {
+// prewarm builds the artifacts of n on every non-empty in-process shard, in
+// parallel across shards.
+func (ss *shardSet) prewarm(n core.Need) {
 	var wg sync.WaitGroup
-	for _, l := range ss.locals {
+	for _, p := range ss.parts {
+		if p.Dataset().Len() == 0 {
+			continue // more shards than rows: nothing to index
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, a := range algs {
-				l.Prewarm(a)
-			}
+			p.Ensure(n)
 		}()
 	}
 	wg.Wait()
@@ -335,12 +340,12 @@ func (d *Dataset) Metrics() ShardMetrics {
 // dataset or an epoch whose set is not built yet. The serving layer renders
 // these as the tkd_shard_breaker_state / tkd_shard_replicas_healthy gauges.
 func (d *Dataset) ReplicaStates() [][]BreakerState {
-	a := d.builtArtifacts()
-	if a.shards == nil {
+	ss := d.builtShards()
+	if ss == nil {
 		return nil
 	}
-	out := make([][]BreakerState, len(a.shards.backends))
-	for i, b := range a.shards.backends {
+	out := make([][]BreakerState, len(ss.backends))
+	for i, b := range ss.backends {
 		if rs, ok := b.(*shard.ReplicaSet); ok {
 			out[i] = rs.States()
 		}
@@ -353,9 +358,18 @@ func (d *Dataset) ReplicaStates() [][]BreakerState {
 // working; call it when retiring the dataset so the goroutines do not
 // outlive it.
 func (d *Dataset) Close() {
-	if a := d.builtArtifacts(); a.shards != nil {
-		a.shards.close()
+	if ss := d.builtShards(); ss != nil {
+		ss.close()
 	}
+}
+
+// builtShards returns the current epoch's shard set if it is built: nil on an
+// unsharded dataset, while staging is dirty, and before the first use.
+func (d *Dataset) builtShards() *shardSet {
+	if s := d.cur.Load(); s != nil {
+		return s.shards.Load()
+	}
+	return nil
 }
 
 // IndexPart is one separately persisted piece of a dataset's serving index:
@@ -370,28 +384,26 @@ type IndexPart struct {
 	// Save serializes the part (building it first if needed) under the
 	// (rows, fingerprint) of the rows it indexes. Load restores a stream
 	// written by Save, validating that pair against the part's rows, and
-	// reports how many rows it patched on top: a stream saved when the
-	// dataset-level part was shorter is a checkpoint of a prefix, and the
-	// rows behind it are folded in the way an append-publish folds them
-	// (shards take no appends, so their parts match whole or not at all). On
-	// any error the part is unchanged and builds lazily.
+	// reports how many rows it patched on top: a stream saved when the part
+	// was shorter is a checkpoint of a prefix, and the rows behind it are
+	// folded in the way an append-publish folds them (core.Prepared's
+	// LoadServing, for the dataset and for a shard alike — though no shard
+	// grows in place today). On any error the part is unchanged and builds
+	// lazily.
 	Save func(io.Writer) error
 	Load func(io.Reader) (patched int, err error)
 }
 
 // IndexParts lists the current epoch's persistable index parts.
 func (d *Dataset) IndexParts() []IndexPart {
+	s := d.current()
 	if d.Shards() == 0 {
-		return []IndexPart{{Save: d.SaveIndex, Load: d.loadIndex}}
+		return []IndexPart{{Save: s.part.SaveServing, Load: s.part.LoadServing}}
 	}
 	var parts []IndexPart
-	for i, b := range d.current().ensure(needQueue|needShards, d).shards.backends {
+	for i, b := range s.shardSet().backends {
 		if l, ok := b.(*shard.Local); ok && l.Rows() > 0 {
-			parts = append(parts, IndexPart{
-				Suffix: fmt.Sprintf("%%shard-%d", i),
-				Save:   l.SaveIndex,
-				Load:   func(r io.Reader) (int, error) { return 0, l.LoadIndex(r) },
-			})
+			parts = append(parts, IndexPart{Suffix: fmt.Sprintf("%%shard-%d", i), Save: l.SaveServing, Load: l.LoadServing})
 		}
 	}
 	return parts

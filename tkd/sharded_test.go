@@ -190,7 +190,7 @@ func TestShardedHealthLoopsFollowThePublishedEpoch(t *testing.T) {
 	}
 	defer next.Close()
 	next.Prepare()
-	retired := d.current().art.Load().shards
+	retired := d.current().shards.Load()
 	allClosed := func(label string, ss *shardSet) {
 		t.Helper()
 		for i, b := range ss.backends {
@@ -203,7 +203,7 @@ func TestShardedHealthLoopsFollowThePublishedEpoch(t *testing.T) {
 	}
 	time.Sleep(10 * time.Millisecond) // probes are flowing
 	d.ReplaceFrom(next)
-	published := d.current().art.Load().shards
+	published := d.current().shards.Load()
 	allClosed("published", published)
 	time.Sleep(20 * time.Millisecond) // anything in flight across the swap has landed
 	allClosed("retired", retired)

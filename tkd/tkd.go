@@ -61,7 +61,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitmapidx"
-	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/gen"
@@ -97,152 +96,76 @@ type (
 	Stats = core.Stats
 )
 
-// need is a bitmask of preprocessing artifacts a query requires.
-type need uint8
-
-const (
-	needQueue need = 1 << iota
-	needBitmap
-	needBinned
-	needTrees
-	needShards // the epoch's shard set (sharded datasets only; see sharded.go)
-)
-
-// artifacts is one immutable artifact set. Once a pointer to it is
-// published through snapshot.art every field is frozen; growing the set
-// installs a fresh copy (copy-on-write), so readers holding an older
-// pointer are never disturbed.
-type artifacts struct {
-	queue  *core.MaxScoreQueue
-	bitmap *bitmapidx.Index
-	binned *bitmapidx.Index
-	trees  []*btree.Tree
-	shards *shardSet
-}
-
-func (a *artifacts) has(n need) bool {
-	if n&needQueue != 0 && a.queue == nil {
-		return false
-	}
-	if n&needBitmap != 0 && a.bitmap == nil {
-		return false
-	}
-	if n&needBinned != 0 && a.binned == nil {
-		return false
-	}
-	if n&needTrees != 0 && a.trees == nil {
-		return false
-	}
-	if n&needShards != 0 && a.shards == nil {
-		return false
-	}
-	return true
-}
-
-// pre materializes the core.Pre view of the set. Every artifact the chosen
-// algorithm touches is already present, so core.RunWorkers never writes into
-// the returned struct.
-func (a *artifacts) pre() *core.Pre {
-	return &core.Pre{Queue: a.queue, Bitmap: a.bitmap, Binned: a.binned}
-}
-
-// snapshot is one published epoch of a Dataset: a frozen view of the data
-// plus its lazily grown acceleration artifacts. The data is immutable from
-// the moment the snapshot is published (mutations copy the staging dataset
-// first — see Dataset.cowLocked), so any number of queries may run on one
-// snapshot while newer epochs are being prepared and published.
+// snapshot is one published epoch of a Dataset: a frozen view of the data,
+// the holder of its lazily grown acceleration artifacts and, on a sharded
+// dataset, the epoch's shard set. The data is immutable from the moment the
+// snapshot is published (mutations copy the staging dataset first — see
+// Dataset.cowLocked), so any number of queries may run on one snapshot while
+// newer epochs are being prepared and published.
 type snapshot struct {
+	d     *Dataset // the owner: topology, cache budget, build count
 	epoch uint64
 	// ds is sealed before the snapshot is published (publishLocked,
 	// appendRows, ImportEpoch), so ds.Fingerprint() is an O(1) read that
 	// writes nothing — monitoring endpoints, followers and every publish
 	// poll it.
-	ds   *data.Dataset
-	bins []int
+	ds *data.Dataset
+	// part builds, loads, budgets and counts the epoch's artifacts; a warm
+	// query reads them with one atomic load and no lock traffic.
+	part *core.Prepared
 
-	// art is the artifact set, read with one atomic load on the query fast
-	// path and grown copy-on-write under bmu when a query needs something
-	// not built yet.
-	art atomic.Pointer[artifacts]
-	bmu sync.Mutex
+	// shards is the epoch's shard set (sharded datasets only; see sharded.go),
+	// built under smu by the first query, Prepare or IndexParts that needs it.
+	shards atomic.Pointer[shardSet]
+	smu    sync.Mutex
 
 	// retired is set when a successor replaces the snapshot; a shard set a
 	// late query still builds on it then closes its health loops at once.
 	retired atomic.Bool
 }
 
-// ensure returns an artifact set satisfying n, building missing pieces
-// under the snapshot's build lock. The fast path — everything already
-// built — is a single atomic load, so a warm snapshot serves concurrent
-// queries with zero lock traffic.
-func (s *snapshot) ensure(n need, d *Dataset) *artifacts {
-	if a := s.art.Load(); a.has(n) {
-		return a
-	}
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
-	a := s.art.Load()
-	if a.has(n) {
-		return a
-	}
-	na := *a
-	if n&needQueue != 0 && na.queue == nil {
-		na.queue = core.BuildMaxScoreQueue(s.ds)
-	}
-	if n&needBitmap != 0 && na.bitmap == nil {
-		na.bitmap = bitmapidx.Build(s.ds, bitmapidx.Options{Codec: bitmapidx.Raw})
-	}
-	if n&needBinned != 0 && na.binned == nil {
-		na.binned = core.BuildServingIndex(s.ds, nil, s.bins)
-		d.binnedBuilds.Add(1)
-		if b := d.cacheBudget.Load(); b > 0 {
-			na.binned.SetCacheBudget(b)
-		}
-	}
-	if n&needTrees != 0 && na.trees == nil {
-		na.trees = core.BuildDimTrees(s.ds)
-	}
-	if n&needShards != 0 && na.shards == nil {
-		// The global queue is the coordinator-side artifact (callers ask for
-		// needQueue|needShards, so it is built by now).
-		t := d.topo.Load()
-		na.shards = t.build(s.ds, na.queue, d.cacheBudget.Load(), nil)
-		na.shards.startHealthChecks(t.healthInterval)
-	}
-	s.art.Store(&na)
-	if na.shards != nil && s.retired.Load() {
-		na.shards.close() // built on an epoch already replaced: no health loops
-	}
-	return &na
+// newSnapshot freezes ds as the given epoch of d: a holder under d's cache
+// budget, seeded with the artifacts that arrive already made.
+func (d *Dataset) newSnapshot(epoch uint64, ds *data.Dataset, bins []int, pre core.Pre) *snapshot {
+	s := &snapshot{d: d, epoch: epoch, ds: ds, part: core.NewPrepared(ds, bins)}
+	s.part.SetCacheBudget(d.cacheBudget.Load())
+	s.part.Install(pre)
+	return s
 }
 
-// installBinned swaps in a binned index restored by LoadIndex.
-func (s *snapshot) installBinned(ix *bitmapidx.Index) {
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
-	na := *s.art.Load()
-	na.binned = ix
-	s.art.Store(&na)
+// parts lists the holders behind the epoch's serving indexes — the epoch's
+// own on an unsharded dataset, one per in-process shard otherwise (none until
+// the shard set is built). The cache budget, the cache counters, the build
+// count and the release of a retired epoch are each one loop over them.
+func (s *snapshot) parts() []*core.Prepared {
+	if s.d.topo.Load() == nil {
+		return []*core.Prepared{s.part}
+	}
+	if ss := s.shards.Load(); ss != nil {
+		return ss.parts
+	}
+	return nil
 }
 
 // release retires a snapshot that was just replaced — or, in replaceFrom, is
 // about to be: its decompressed-column caches are dropped so the epoch
-// returns its budget immediately instead of at the next GC, and its shard
-// set's health loops stop. In-flight queries on the old epoch keep working —
-// they hold any column vector they already have (eviction never mutates a
-// column), re-decompress on further touches, and close never touches the
-// query path. keep is the successor's binned index when the artifact survived
-// the swap (a bin-layout change keeps the queue and bitmap, a ReplaceFrom may
-// carry everything).
+// returns its budget immediately instead of at the next GC, its builds move
+// to the owner's running count, and its shard set's health loops stop.
+// In-flight queries on the old epoch keep working — they hold any column
+// vector they already have (eviction never mutates a column), re-decompress
+// on further touches, and close never touches the query path. keep is the
+// successor's binned index when the artifact survived the swap (a ReplaceFrom
+// of the dataset's own data, a republish under a restored number).
 func (s *snapshot) release(keep *bitmapidx.Index) {
 	s.retired.Store(true)
-	a := s.art.Load()
-	if a.binned != nil && a.binned != keep {
-		a.binned.DropCache()
+	for _, p := range s.parts() {
+		if p.Built().Binned != keep {
+			p.DropCache()
+		}
+		s.d.retiredBuilds.Add(p.Builds())
 	}
-	if a.shards != nil {
-		a.shards.close()
-		a.shards.releaseCache()
+	if ss := s.shards.Load(); ss != nil {
+		ss.close()
 	}
 }
 
@@ -255,17 +178,16 @@ func (s *snapshot) release(keep *bitmapidx.Index) {
 type Dataset struct {
 	// mu guards the staging data and epoch publication; queries do not
 	// take it on the fast path.
-	mu            sync.Mutex
-	staging       *data.Dataset // mutable master copy of the data
-	shared        bool          // staging is referenced by a published snapshot: copy before writing
-	bins          []int
-	pendingBinned *bitmapidx.Index // LoadIndex result awaiting the next publish
+	mu      sync.Mutex
+	staging *data.Dataset // mutable master copy of the data
+	shared  bool          // staging is referenced by a published snapshot: copy before writing
+	bins    []int
 
 	cur   atomic.Pointer[snapshot] // the published epoch; nil when staging is dirty
 	epoch atomic.Uint64            // epochs published so far
 
-	cacheBudget  atomic.Int64 // SetCacheBudget value; 0 = bitmapidx default
-	binnedBuilds atomic.Int64 // binned-index constructions (LoadIndex does not count)
+	cacheBudget   atomic.Int64 // SetCacheBudget value; 0 = bitmapidx default
+	retiredBuilds atomic.Int64 // serving-index builds of epochs since replaced
 
 	// topo is the shard topology Shard attached, nil for an unsharded
 	// dataset; set at most once (see sharded.go).
@@ -306,13 +228,7 @@ func (d *Dataset) publishLocked() *snapshot {
 	// freshly loaded file, the appended ones after a copy-on-write) so every
 	// reader of the epoch gets the digest in O(1).
 	d.staging.Seal()
-	s := &snapshot{epoch: d.epoch.Add(1), ds: d.staging, bins: d.bins}
-	a := &artifacts{}
-	if d.pendingBinned != nil {
-		a.binned = d.pendingBinned
-		d.pendingBinned = nil
-	}
-	s.art.Store(a)
+	s := d.newSnapshot(d.epoch.Add(1), d.staging, d.bins, core.Pre{})
 	d.shared = true
 	d.cur.Store(s)
 	return s
@@ -335,7 +251,6 @@ func (d *Dataset) invalidateLocked() {
 		d.cur.Store(nil)
 		old.release(nil)
 	}
-	d.pendingBinned = nil // bound to the outdated data
 	d.clearLineageLocked()
 }
 
@@ -344,17 +259,16 @@ func (d *Dataset) invalidateLocked() {
 // ReplaceFrom). Two queries that observe the same epoch saw identical data.
 func (d *Dataset) Epoch() uint64 { return d.epoch.Load() }
 
-// IndexBuilds reports how many times a serving index was built from scratch
-// for this dataset: the binned bitmap index, plus — on a sharded dataset —
-// every index the current epoch's in-process shards built. Indexes restored
-// through LoadIndex or an IndexPart's Load do not count, which makes the
-// counter the observable for "did the warm start skip the rebuild".
+// IndexBuilds reports how many times a serving index — the binned bitmap
+// index of the dataset, or of an in-process shard — was built from scratch
+// for this dataset, over all its epochs. Indexes restored through LoadIndex or
+// an IndexPart's Load, patched by an append-publish or carried in by
+// ReplaceFrom do not count, which makes the counter the observable for "did
+// the warm start skip the rebuild".
 func (d *Dataset) IndexBuilds() int64 {
-	n := d.binnedBuilds.Load()
-	if a := d.builtArtifacts(); a.shards != nil {
-		for _, l := range a.shards.locals {
-			n += l.Builds()
-		}
+	n := d.retiredBuilds.Load()
+	for _, p := range d.parts() {
+		n += p.Builds()
 	}
 	return n
 }
@@ -378,9 +292,8 @@ func (d *Dataset) Append(id string, values ...float64) error {
 // leader that replayed its write-ahead log resumes the epoch numbering its
 // followers and health probes already track, instead of restarting from 1
 // and reading as a massive regression. When a snapshot is already current
-// it is retired (its binned index carries over to the republish), so the
-// restored number takes effect on the very next query. A counter already
-// at or past n is left alone.
+// the same bytes and artifacts are republished under the restored number. A
+// counter already at or past n is left alone.
 func (d *Dataset) RestoreEpoch(n uint64) {
 	if n == 0 {
 		return
@@ -390,17 +303,12 @@ func (d *Dataset) RestoreEpoch(n uint64) {
 	if d.epoch.Load() >= n {
 		return
 	}
-	if s := d.cur.Load(); s != nil {
-		// Republish the same bytes under the restored number: keep the
-		// built binned index for the pending publish, drop the snapshot.
-		a := s.art.Load()
-		if a.binned != nil {
-			d.pendingBinned = a.binned
-		}
-		d.cur.Store(nil)
-		s.release(a.binned)
+	d.epoch.Store(n - 1) // the next Add(1) — here or in publishLocked — lands on n
+	if old := d.cur.Load(); old != nil {
+		pre := *old.part.Built()
+		d.cur.Store(d.newSnapshot(d.epoch.Add(1), old.ds, old.part.Bins(), pre))
+		old.release(pre.Binned)
 	}
-	d.epoch.Store(n - 1) // publishLocked's Add(1) lands the next epoch on n
 	d.clearLineageLocked()
 }
 
@@ -438,38 +346,31 @@ func (d *Dataset) replaceFrom(src *Dataset, at uint64) {
 		return
 	}
 	ss := src.current()
-	sa := ss.art.Load()
-	na := *sa
+	pre := *ss.part.Built()
 	// src's shard set does not cross over as is — its coordinator counts
 	// into src's metrics and its replica sets run src's health loops — but a
 	// sharded receiver rebuilds its own set around src's warm in-process
 	// shards, so per-shard indexes built off to the side survive the swap.
-	na.shards = nil
-	if t := d.topo.Load(); t != nil && sa.shards != nil {
-		na.shards = t.build(ss.ds, sa.queue, d.cacheBudget.Load(), sa.shards)
+	var shards *shardSet
+	if t, warm := d.topo.Load(), ss.shards.Load(); t != nil && warm != nil {
+		shards = t.build(ss.ds, pre.Queue, d.partBudget(), warm)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := &snapshot{epoch: d.nextEpochLocked(at), ds: ss.ds, bins: ss.bins}
-	if na.binned != nil {
-		if b := d.cacheBudget.Load(); b > 0 {
-			na.binned.SetCacheBudget(b)
-		}
-	}
-	s.art.Store(&na)
+	s := d.newSnapshot(d.nextEpochLocked(at), ss.ds, ss.part.Bins(), pre)
+	s.shards.Store(shards)
 	d.staging = ss.ds
 	d.shared = true
-	d.bins = ss.bins
-	d.pendingBinned = nil
+	d.bins = ss.part.Bins()
 	// Health loops run on the published epoch only (see startHealthChecks):
 	// the predecessor is retired — its loops stopped — before the swap, the
 	// successor's start after it.
 	if old := d.cur.Load(); old != nil {
-		old.release(na.binned)
+		old.release(pre.Binned)
 	}
 	d.cur.Store(s)
-	if na.shards != nil {
-		na.shards.startHealthChecks(d.topo.Load().healthInterval)
+	if shards != nil {
+		shards.startHealthChecks(d.topo.Load().healthInterval)
 	}
 	d.clearLineageLocked()
 }
@@ -640,24 +541,6 @@ func WithAllowPartial(d *Degradation) Option {
 	}
 }
 
-// needFor maps a query configuration to the artifacts it consumes.
-func needFor(alg Algorithm, btreeRefine bool) need {
-	switch alg {
-	case UBB:
-		return needQueue
-	case BIG:
-		return needQueue | needBitmap
-	case IBIG:
-		n := needQueue | needBinned
-		if btreeRefine {
-			n |= needTrees
-		}
-		return n
-	default: // Naive and ESB work straight off the data
-		return 0
-	}
-}
-
 // Prepare eagerly builds every preprocessing artifact (MaxScore queue,
 // bitmap index, binned bitmap index) so that subsequent TopK calls measure
 // pure query time; on a sharded dataset, the global queue plus every
@@ -679,16 +562,16 @@ func (d *Dataset) Prepare() {
 // each algorithm's scatter plan in parallel (remote shards warm on their
 // peers, on first use).
 func (d *Dataset) PrepareFor(algs ...Algorithm) {
+	var n core.Need
+	for _, a := range algs {
+		n |= core.NeedFor(a, false)
+	}
 	s := d.current()
 	if d.Shards() > 0 {
-		s.ensure(needQueue|needShards, d).shards.prewarm(algs)
+		s.shardSet().prewarm(n &^ core.NeedQueue) // the queue is the coordinator's
 		return
 	}
-	var n need
-	for _, a := range algs {
-		n |= needFor(a, false)
-	}
-	s.ensure(n, d)
+	s.part.Ensure(n)
 }
 
 // SetCacheBudget bounds the decompressed-column cache of the compressed
@@ -699,17 +582,19 @@ func (d *Dataset) PrepareFor(algs ...Algorithm) {
 // per-dataset memory footprint.
 func (d *Dataset) SetCacheBudget(bytes int64) {
 	d.cacheBudget.Store(bytes)
-	a := d.builtArtifacts()
-	if a.binned != nil {
-		b := bytes
-		if b <= 0 {
-			b = bitmapidx.DefaultCacheBudget
-		}
-		a.binned.SetCacheBudget(b)
+	for _, p := range d.parts() {
+		p.SetCacheBudget(d.partBudget())
 	}
-	if a.shards != nil {
-		a.shards.setCacheBudget(bytes)
+}
+
+// partBudget is the cache budget of one part: the dataset's, split evenly
+// across the shards of a topology; 0 stays 0, the bitmapidx default per part.
+func (d *Dataset) partBudget() int64 {
+	b := d.cacheBudget.Load()
+	if b <= 0 {
+		return 0
 	}
+	return max(b/int64(max(d.Shards(), 1)), 1)
 }
 
 // CacheStats reports the decompressed-column cache and representation
@@ -751,13 +636,8 @@ func (c *CacheStats) add(st bitmapidx.CacheStats) {
 // CacheStats snapshots the column-cache counters; see the CacheStats type.
 func (d *Dataset) CacheStats() CacheStats {
 	var out CacheStats
-	a := d.builtArtifacts()
-	if a.shards != nil {
-		for _, l := range a.shards.locals {
-			out.add(l.CacheStats())
-		}
-	} else if a.binned != nil {
-		out.add(a.binned.CacheStats())
+	for _, p := range d.parts() {
+		out.add(p.CacheStats())
 	}
 	return out
 }
@@ -768,26 +648,19 @@ func (d *Dataset) CacheStats() CacheStats {
 // correct (a dropped column simply decompresses again on the next touch).
 // A serving layer calls this when it evicts a resident dataset.
 func (d *Dataset) ReleaseCache() {
-	a := d.builtArtifacts()
-	if a.binned != nil {
-		a.binned.DropCache()
-	}
-	if a.shards != nil {
-		a.shards.releaseCache()
+	for _, p := range d.parts() {
+		p.DropCache()
 	}
 }
 
-// builtArtifacts returns whatever the current epoch has built so far,
-// without publishing or building anything (an empty set while staging is
-// dirty).
-func (d *Dataset) builtArtifacts() *artifacts {
+// parts returns the current epoch's parts without publishing or building
+// anything (none while staging is dirty).
+func (d *Dataset) parts() []*core.Prepared {
 	if s := d.cur.Load(); s != nil {
-		return s.art.Load()
+		return s.parts()
 	}
-	return &noArtifacts
+	return nil
 }
-
-var noArtifacts artifacts
 
 // setBins records a new bin layout; if it differs from the current one, a
 // fresh epoch is published that carries every bins-independent artifact
@@ -799,15 +672,13 @@ func (d *Dataset) setBins(bins []int) {
 		return
 	}
 	d.bins = slices.Clone(bins)
-	d.pendingBinned = nil
 	old := d.cur.Load()
 	if old == nil {
 		return // staging dirty; the layout lands at the next publish
 	}
-	oa := old.art.Load()
-	s := &snapshot{epoch: d.epoch.Add(1), ds: old.ds, bins: d.bins}
-	s.art.Store(&artifacts{queue: oa.queue, bitmap: oa.bitmap, trees: oa.trees})
-	d.cur.Store(s)
+	pre := *old.part.Built()
+	pre.Binned = nil
+	d.cur.Store(d.newSnapshot(d.epoch.Add(1), old.ds, d.bins, pre))
 	old.release(nil)
 	d.clearLineageLocked()
 }
@@ -847,11 +718,14 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	if rows == 0 {
 		return Result{}, fmt.Errorf("tkd: empty dataset")
 	}
-	n := needFor(cfg.alg, cfg.btree)
+	// Whatever has to be built is built before the engine span opens.
+	var pre *core.Pre
+	var shards *shardSet
 	if t != nil {
-		n = needQueue | needShards
+		shards = s.shardSet()
+	} else {
+		pre = s.part.Ensure(core.NeedFor(cfg.alg, cfg.btree))
 	}
-	a := s.ensure(n, d)
 	eng := cfg.engineSpan(k, rows)
 	var res Result
 	var st Stats
@@ -861,16 +735,16 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	switch {
 	case t != nil:
 		var err error
-		res, st, deg, err = a.shards.run(cfg.ctx, cfg.alg, k, cfg.allowPartial, eng)
+		res, st, deg, err = shards.run(cfg.ctx, cfg.alg, k, cfg.allowPartial, eng)
 		if err != nil {
 			eng.SetStr("error", err.Error())
 			eng.End()
 			return Result{}, err
 		}
 	case cfg.alg == IBIG && cfg.btree:
-		res, st = core.IBIGBTreeWorkersTraced(s.ds, k, a.binned, a.queue, a.trees, cfg.workers, eng)
+		res, st = core.IBIGBTreeWorkersTraced(s.ds, k, pre.Binned, pre.Queue, pre.Trees, cfg.workers, eng)
 	default:
-		res, st = core.RunWorkersTraced(cfg.alg, s.ds, k, a.pre(), cfg.workers, eng)
+		res, st = core.RunWorkersTraced(cfg.alg, s.ds, k, pre, cfg.workers, eng)
 	}
 	stampStats(eng, st)
 	eng.End()
@@ -935,8 +809,7 @@ func (d *Dataset) Project(dims ...int) (*Dataset, []int, error) {
 // index, the dominant preprocessing artifact. LoadIndex restores it against
 // the same dataset, skipping the rebuild.
 func (d *Dataset) SaveIndex(w io.Writer) error {
-	a := d.current().ensure(needBinned, d)
-	return a.binned.Save(w)
+	return d.current().part.SaveServing(w)
 }
 
 // ErrIndexStale is wrapped by LoadIndex (and an IndexPart's Load) when the
@@ -952,54 +825,13 @@ var ErrIndexStale = bitmapidx.ErrStale
 // (a restart that replayed its write-ahead log on top), in which case the
 // rows behind the prefix are patched in by the same bitmapidx.AppendRows that
 // serves append-publishes. Shape and per-dimension domains are verified and
-// the stream is checksummed. On any error the dataset is left exactly as it
-// was — a corrupt or stale index file never poisons a running server.
+// the stream is checksummed. On any error the data and its index are left
+// exactly as they were — a corrupt or stale index file never poisons a
+// running server. (core.Prepared.LoadServing holds the rule; mutations that
+// are still staged are published first, as the next query would.)
 func (d *Dataset) LoadIndex(r io.Reader) error {
-	_, err := d.loadIndex(r)
+	_, err := d.current().part.LoadServing(r)
 	return err
-}
-
-// loadIndex is LoadIndex reporting how many rows it patched behind the
-// stream's prefix (0 for an exact match).
-func (d *Dataset) loadIndex(r io.Reader) (patched int, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	target := d.staging
-	s := d.cur.Load()
-	if s != nil {
-		target = s.ds
-	} else {
-		// Not published yet, so still ours to write: hash the rows once here
-		// and the publish finds it done.
-		target.Seal()
-	}
-	ix, err := bitmapidx.LoadPrefix(r, target)
-	if err != nil {
-		return 0, err
-	}
-	if !ix.Adaptive() {
-		// The dataset only ever builds adaptive indexes; one persisted under a
-		// pinned codec must not silently replace them. Callers (e.g. the
-		// server's index cache) treat this like any other load failure and
-		// rebuild.
-		return 0, fmt.Errorf("tkd: persisted index is not adaptive (codec=%v) — rebuild", ix.CodecUsed())
-	}
-	if tail := target.Len() - ix.Dataset().Len(); tail > 0 {
-		px, ok := bitmapidx.AppendRows(ix, target)
-		if !ok {
-			return 0, fmt.Errorf("tkd: persisted index covers %d of %d rows and the rest cannot be patched onto it — rebuild", ix.Dataset().Len(), target.Len())
-		}
-		ix, patched = px, tail
-	}
-	if b := d.cacheBudget.Load(); b > 0 {
-		ix.SetCacheBudget(b)
-	}
-	if s != nil {
-		s.installBinned(ix)
-	} else {
-		d.pendingBinned = ix
-	}
-	return patched, nil
 }
 
 // KSkyband returns the dataset indices of the objects dominated by fewer
