@@ -1,8 +1,9 @@
 // Command tkdserver serves top-k dominating queries over multiple resident
 // datasets through an HTTP/JSON API. Each dataset is loaded once (datagen
 // CSV format), indexed once, and queried from warm indexes; concurrent
-// queries against one dataset are coalesced into batch scheduling windows
-// and the total worker fan-out is bounded by an admission controller.
+// queries against one dataset are collected into batch scheduling windows
+// (identical ones execute once, distinct ones run side by side) and an
+// admission controller bounds the total worker fan-out and shares it fairly.
 //
 // The dataset lifecycle is live: datasets can be registered, hot-reloaded
 // (zero downtime — in-flight queries finish on the old epoch) and evicted
@@ -109,8 +110,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
 		negate      = fs.Bool("negate", false, "negate loaded values (use when larger is better)")
-		window      = fs.Duration("window", 2*time.Millisecond, "batch coalescing window (0 = serve immediately)")
-		maxWorkers  = fs.Int("max-workers", 0, "total in-flight worker goroutines across queries (0 = GOMAXPROCS)")
+		window      = fs.Duration("window", 2*time.Millisecond, "how long a scheduling window collects after its first query before its groups are dispatched (0 = dispatch immediately)")
+		maxWorkers  = fs.Int("max-workers", 0, "total in-flight worker goroutines across queries, shared fairly between the queries runnable at once (0 = GOMAXPROCS)")
 		cacheBudget = fs.Int64("cache-budget", 0, "per-dataset decompressed-column cache bytes (0 = 32 MiB default)")
 		indexDir    = fs.String("indexdir", "", "directory for persisted indexes; warm restarts skip index construction. With -waldir the file is a checkpoint: rewritten when the rows have grown by an eighth and on a graceful shutdown, and a restart after a crash loads it and patches the rows logged since (empty = rebuild at boot)")
 		drainWait   = fs.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight requests on SIGTERM/SIGINT")

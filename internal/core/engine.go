@@ -203,12 +203,6 @@ func engineRun(ds *data.Dataset, k int, queue *MaxScoreQueue, scorers []scorer, 
 					}
 					got, how := s.score(int(order[i]), t, t >= 0, ws)
 					commit(start, end, i, slot{score: got, how: how, done: true})
-					// When workers oversubscribe the cores, yield after each
-					// candidate so claims and commits round-robin tightly;
-					// otherwise a preempted worker parks its claimed slot for
-					// a whole timeslice and the τ frontier stalls behind it.
-					// With enough cores this is a no-op reschedule.
-					runtime.Gosched()
 				}
 			}(w)
 		}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,21 +14,25 @@ import (
 
 // The batch scheduler. Each resident dataset owns one scheduler goroutine;
 // concurrent requests against that dataset are coalesced into scheduling
-// windows. A window forms when the first request arrives: the scheduler
-// keeps collecting until the batch window elapses (or maxBatch requests are
-// in hand), then serves the window group by group — identical queries
-// (same k, algorithm, workers) execute once and fan the answer out to every
-// waiter, and distinct queries run back to back over the same warm core.Pre
-// and decompressed-column cache, which is exactly the reuse the window
-// exists to create. The admission controller gates each group's worker
-// fan-out, so windows on different datasets proceed concurrently without
-// oversubscribing the machine.
+// windows. A window forms when the first request arrives: the loop keeps
+// collecting until the batch window elapses (or maxBatch requests are in
+// hand), groups identical queries (same k, algorithm, workers) so each group
+// executes once and fans its answer out to every waiter, hands every group to
+// a goroutine of its own and goes straight back to collecting. The loop only
+// collects and groups: distinct queries — of one window or of successive
+// ones — run side by side over the same warm core.Pre and decompressed-column
+// cache, and a connection whose answer came back early starts its next window
+// while another's query is still executing. How many workers a group gets,
+// and when, is the admission controller's decision (admission.go), server-wide
+// across datasets.
 //
 // Lifecycle: a scheduler retires through drainStop (dataset eviction,
 // graceful server shutdown), which refuses new submits, lets in-flight
-// submits finish enqueueing, serves everything already queued and only then
-// lets the goroutine exit — no accepted query is ever dropped. The server's
-// done channel (Close) is the immediate teardown used by tests.
+// submits finish enqueueing, dispatches everything already queued, joins
+// every group still executing and only then lets the goroutine exit — no
+// accepted query is ever dropped, and no goroutine the scheduler started
+// outlives it. The server's done channel (Close) is the immediate teardown
+// used by tests.
 
 // queryKey identifies one executable query shape; requests with equal keys
 // inside a window share one execution. AllowPartial is part of the key: a
@@ -74,10 +77,16 @@ type scheduler struct {
 	done   chan struct{} // server-wide immediate shutdown (Server.Close)
 	window time.Duration
 
+	// Groups dispatched and not yet answered: inflight holds one token per
+	// group, so at maxBatch of them the loop stops collecting and a full
+	// queue pushes back on submit; groups is what the loop joins on exit.
+	inflight chan struct{}
+	groups   sync.WaitGroup
+
 	// Drain machinery: draining flips first, then drainStop takes rw
 	// exclusively as a barrier against submits that passed the flag check,
-	// then drained tells the loop to serve the backlog and exit (closing
-	// exited). See drainStop for the full handshake.
+	// then drained tells the loop to dispatch the backlog, join its groups
+	// and exit (closing exited). See drainStop for the full handshake.
 	draining  atomic.Bool
 	rw        sync.RWMutex
 	drained   chan struct{}
@@ -85,20 +94,21 @@ type scheduler struct {
 	drainOnce sync.Once
 }
 
-// maxBatch bounds the queries one scheduling window may hold (and the submit
-// queue behind it).
+// maxBatch bounds the queries one scheduling window may hold, the submit
+// queue behind it and the groups in flight ahead of it.
 const maxBatch = 64
 
 func newScheduler(ds *tkd.Dataset, adm *admission, met *datasetMetrics, window time.Duration, done chan struct{}) *scheduler {
 	s := &scheduler{
-		ds:      ds,
-		adm:     adm,
-		met:     met,
-		in:      make(chan *request, maxBatch),
-		done:    done,
-		drained: make(chan struct{}),
-		exited:  make(chan struct{}),
-		window:  window,
+		ds:       ds,
+		adm:      adm,
+		met:      met,
+		in:       make(chan *request, maxBatch),
+		done:     done,
+		drained:  make(chan struct{}),
+		exited:   make(chan struct{}),
+		window:   window,
+		inflight: make(chan struct{}, maxBatch),
 	}
 	go s.loop()
 	return s
@@ -106,9 +116,9 @@ func newScheduler(ds *tkd.Dataset, adm *admission, met *datasetMetrics, window t
 
 // drainStop retires the scheduler gracefully: new submits are refused with
 // errSchedulerDraining, submits already past the check finish enqueueing, and the
-// loop serves every queued request before its goroutine exits. Safe to call
-// multiple times and concurrently; it returns once the loop is gone (or the
-// server was torn down via Close).
+// loop answers every queued request before its goroutine exits. Safe to call
+// multiple times and concurrently; it returns once the loop and every group
+// it dispatched are gone (or the server was torn down via Close).
 func (s *scheduler) drainStop() {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
@@ -125,10 +135,6 @@ func (s *scheduler) drainStop() {
 	case <-s.done:
 	}
 }
-
-// stop terminates this scheduler without touching the rest of the server;
-// used when a registration loses the name to a concurrent one.
-func (s *scheduler) stop() { s.drainStop() }
 
 // submit enqueues one query and waits for its reply; ctx cancellation (or
 // server shutdown) abandons the wait — the scheduler still finishes the
@@ -175,10 +181,12 @@ func (s *scheduler) submit(ctx context.Context, key queryKey, sp *obs.Span) (rep
 	}
 }
 
-// loop is the scheduler goroutine: collect a window, serve it, repeat;
-// on drain, serve the backlog and exit.
+// loop is the scheduler goroutine: collect a window, dispatch it, repeat;
+// on drain, dispatch the backlog. It exits only once every group it
+// dispatched has replied.
 func (s *scheduler) loop() {
 	defer close(s.exited)
+	defer s.groups.Wait()
 	for {
 		var first *request
 		select {
@@ -203,7 +211,7 @@ func (s *scheduler) loop() {
 					timer.Stop()
 					return
 				case <-s.drained:
-					// Serve what is in hand now; the next loop iteration
+					// Dispatch what is in hand now; the next loop iteration
 					// lands in finalDrain for the rest.
 					break collect
 				}
@@ -221,11 +229,11 @@ func (s *scheduler) loop() {
 				break drain
 			}
 		}
-		s.serve(batch)
+		s.dispatch(batch)
 	}
 }
 
-// finalDrain serves everything enqueued before the drain barrier closed the
+// finalDrain dispatches everything enqueued before the drain barrier closed the
 // queue. The barrier guarantees no concurrent senders remain, so a
 // non-blocking sweep sees the complete backlog.
 func (s *scheduler) finalDrain() {
@@ -236,16 +244,16 @@ func (s *scheduler) finalDrain() {
 			batch = append(batch, r)
 		default:
 			if len(batch) > 0 {
-				s.serve(batch)
+				s.dispatch(batch)
 			}
 			return
 		}
 	}
 }
 
-// serve executes one scheduling window: group identical queries, run each
-// group once under admission control, fan answers out.
-func (s *scheduler) serve(batch []*request) {
+// dispatch closes one scheduling window: group identical queries, take each
+// group's place in the admission line in arrival order and start it.
+func (s *scheduler) dispatch(batch []*request) {
 	s.met.batches.Add(1)
 	var order []queryKey
 	groups := make(map[queryKey][]*request, len(batch))
@@ -255,85 +263,91 @@ func (s *scheduler) serve(batch []*request) {
 		}
 		groups[r.key] = append(groups[r.key], r)
 	}
-	for _, key := range order {
-		reqs := groups[key]
-		want := key.Workers
-		if want <= 0 {
-			want = runtime.GOMAXPROCS(0)
-		}
-		granted := s.adm.acquire(want)
-		// The execution's context is the union of its waiters': it cancels —
-		// aborting in-flight shard RPCs and freeing the worker slots — only
-		// once EVERY waiter's deadline fired or client disconnected. One
-		// impatient client in a coalesced group must not kill the answer the
-		// patient ones are still waiting for.
-		execCtx, cancel := context.WithCancel(context.Background())
-		execDone := make(chan struct{})
-		var waiting atomic.Int64
-		waiting.Store(int64(len(reqs)))
-		for _, r := range reqs {
-			go func(c context.Context) {
-				select {
-				case <-c.Done():
-					if waiting.Add(-1) == 0 {
-						cancel()
-					}
-				case <-execDone:
+	for i, key := range order {
+		s.inflight <- struct{}{}
+		s.groups.Add(1)
+		go s.run(key, groups[key], len(batch), s.adm.enter(key.Workers, len(order)-1-i))
+	}
+}
+
+// run executes one group once its admission grant is held and fans the
+// answer out; window is the size of the scheduling window the group rode in.
+func (s *scheduler) run(key queryKey, reqs []*request, window int, g *grant) {
+	defer s.groups.Done()
+	defer func() { <-s.inflight }()
+	granted := g.wait()
+	// The execution's context is the union of its waiters': it cancels —
+	// aborting in-flight shard RPCs and freeing the worker slots — only
+	// once EVERY waiter's deadline fired or client disconnected. One
+	// impatient client in a coalesced group must not kill the answer the
+	// patient ones are still waiting for.
+	execCtx, cancel := context.WithCancel(context.Background())
+	execDone := make(chan struct{})
+	var waiting atomic.Int64
+	waiting.Store(int64(len(reqs)))
+	for _, r := range reqs {
+		go func(c context.Context) {
+			select {
+			case <-c.Done():
+				if waiting.Add(-1) == 0 {
+					cancel()
 				}
-			}(r.ctx)
-		}
-		start := time.Now()
-		// Every waiter records its own queue wait — from enqueue to the moment
-		// its group starts executing (window collection plus earlier groups).
-		// The execution itself runs once, as a subtree of the first traced
-		// waiter's trace; the other waiters adopt the completed subtree by
-		// reference, so a coalesced reply's trace still shows exactly what ran.
-		var exec *obs.Span
-		for _, r := range reqs {
-			r.sp.ChildAt("queue", r.enq, start)
-			if exec == nil {
-				exec = r.sp.StartChild("execute")
+			case <-execDone:
 			}
+		}(r.ctx)
+	}
+	start := time.Now()
+	// Every waiter records its own queue wait — from enqueue to the moment
+	// its group holds its slots and starts executing (window collection plus
+	// the admission line), so queue ends where execute begins. The execution
+	// itself runs once, as a subtree of the first traced waiter's trace; the
+	// other waiters adopt the completed subtree by reference, so a coalesced
+	// reply's trace still shows exactly what ran.
+	var exec *obs.Span
+	for _, r := range reqs {
+		r.sp.ChildAt("queue", r.enq, start)
+		if exec == nil {
+			exec = r.sp.StartChild("execute")
 		}
-		exec.SetInt("batch", int64(len(reqs)))
-		exec.SetInt("granted", int64(granted))
-		var st tkd.Stats
-		var deg tkd.Degradation
-		opts := []tkd.Option{
-			tkd.WithAlgorithm(key.Alg),
-			tkd.WithWorkers(granted),
-			tkd.WithStats(&st),
-			tkd.WithContext(obs.ContextWithSpan(execCtx, exec)),
-		}
-		if key.AllowPartial {
-			opts = append(opts, tkd.WithAllowPartial(&deg))
-		}
-		res, err := s.ds.TopK(key.K, opts...)
-		exec.End()
-		close(execDone)
-		cancel()
-		s.adm.release(granted)
-		s.met.record(key.Alg, st, len(reqs), err)
-		if n := len(reqs) - 1; n > 0 {
-			s.met.coalesced.Add(int64(n))
-		}
-		adopted := false
-		for i, r := range reqs {
-			if r.sp != nil && exec != nil {
-				if adopted {
-					r.sp.Adopt(exec)
-				}
-				adopted = true
+	}
+	exec.SetInt("batch", int64(len(reqs)))
+	exec.SetInt("granted", int64(granted))
+	var st tkd.Stats
+	var deg tkd.Degradation
+	opts := []tkd.Option{
+		tkd.WithAlgorithm(key.Alg),
+		tkd.WithWorkers(granted),
+		tkd.WithStats(&st),
+		tkd.WithContext(obs.ContextWithSpan(execCtx, exec)),
+	}
+	if key.AllowPartial {
+		opts = append(opts, tkd.WithAllowPartial(&deg))
+	}
+	res, err := s.ds.TopK(key.K, opts...)
+	exec.End()
+	close(execDone)
+	cancel()
+	s.adm.release(granted)
+	s.met.record(key.Alg, st, len(reqs), err)
+	if n := len(reqs) - 1; n > 0 {
+		s.met.coalesced.Add(int64(n))
+	}
+	adopted := false
+	for i, r := range reqs {
+		if r.sp != nil && exec != nil {
+			if adopted {
+				r.sp.Adopt(exec)
 			}
-			r.reply <- reply{
-				res:       res,
-				st:        st,
-				deg:       deg,
-				err:       err,
-				coalesced: i > 0,
-				batch:     len(batch),
-				granted:   granted,
-			}
+			adopted = true
+		}
+		r.reply <- reply{
+			res:       res,
+			st:        st,
+			deg:       deg,
+			err:       err,
+			coalesced: i > 0,
+			batch:     window,
+			granted:   granted,
 		}
 	}
 }

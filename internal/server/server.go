@@ -14,13 +14,14 @@
 //	GET    /healthz                   — liveness
 //	GET    /metrics                   — Prometheus text: the family table of metrics.go
 //
-// Concurrent requests against one dataset are coalesced by a per-dataset
-// batch scheduler (see scheduler.go) that shares the warm artifacts and the
-// decompressed-column cache across a scheduling window, deduplicates
-// identical queries, and admits worker fan-out through a global semaphore.
-// The paper's determinism guarantee (WithWorkers never changes an answer)
-// is what makes both the dedup and the admission clamp transparent to
-// clients.
+// Concurrent requests against one dataset are collected by a per-dataset
+// batch scheduler (see scheduler.go) into scheduling windows: identical
+// queries of a window execute once, distinct ones run side by side over the
+// warm artifacts and the decompressed-column cache, and a server-wide FIFO
+// admission controller (admission.go) sizes and gates each query's worker
+// fan-out. The paper's determinism guarantee (WithWorkers never changes an
+// answer) is what makes both the dedup and the admission grant transparent
+// to clients.
 //
 // Lifecycle: reloads build the replacement dataset and its index off to the
 // side, then publish it with tkd's epoch/RCU pointer swap — queries in
@@ -406,7 +407,7 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 	}
 	e.savedRows.Store(saved)
 	if err := s.reg.add(e); err != nil {
-		sch.stop() // lost a registration race; don't leak the goroutine
+		sch.drainStop() // lost a registration race; don't leak the goroutine
 		ds.Close()
 		if ing != nil {
 			ing.log.Close() // the resident entry owns the segment files
@@ -586,9 +587,11 @@ type QueryRequest struct {
 	K       int    `json:"k"`
 	// Algorithm is one of Naive, ESB, UBB, BIG, IBIG; empty selects IBIG.
 	Algorithm string `json:"algorithm,omitempty"`
-	// Workers fans candidate scoring across that many goroutines: 1 (the
-	// default) is serial, 0 asks for GOMAXPROCS; the admission controller
-	// may grant fewer under load.
+	// Workers fans candidate scoring across that many goroutines (1 is
+	// serial), clamped to the admission capacity. 0 or absent leaves the
+	// count to the admission controller: the query's fair share of the
+	// cores — all of them when it is alone, one when as many queries as
+	// cores are runnable.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMillis bounds this query end to end — scheduler wait, shard
 	// fan-out, in-flight peer RPCs all observe the deadline. 0 falls back to

@@ -8,7 +8,9 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -409,6 +411,87 @@ func TestStageMetricsExposed(t *testing.T) {
 	}
 	if !regexp.MustCompile(`(?m)^tkd_build_info\{version="[^"]*",go="go[^"]*",gomaxprocs="\d+"\} 1$`).MatchString(body) {
 		t.Errorf("tkd_build_info gauge missing or malformed:\n%s", grepLine2(body, "tkd_build_info"))
+	}
+}
+
+// TestGrantAndQueueSpans pins what a trace says about admission: two distinct
+// queries of one window on a 2-slot server run side by side, one worker each,
+// and each one's queue span (window plus the wait for slots) ends where its
+// execute span begins, the two together inside the latency the client saw; a
+// lone query is granted both slots.
+func TestGrantAndQueueSpans(t *testing.T) {
+	_, ts, _ := newTestServer(t, server.Config{MaxWorkers: 2, BatchWindow: 100 * time.Millisecond})
+	type observed struct {
+		qr      server.QueryResponse
+		latency time.Duration
+	}
+	explain := func(k int, alg string) observed {
+		start := time.Now()
+		qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "ac", K: k, Algorithm: alg, Explain: true})
+		if code != http.StatusOK || qr.Trace == nil {
+			t.Errorf("k=%d: HTTP %d, trace %v", k, code, qr.Trace)
+		}
+		return observed{qr, time.Since(start)}
+	}
+	// spansOf returns a reply's queue and execute spans; begin and end place
+	// a span on the wall clock, so spans of different traces compare.
+	spansOf := func(o observed) (queue, exec *obs.SpanJSON) {
+		spans := collectSpans(o.qr.Trace.Root)
+		queues, execs := spansNamed(spans, "queue"), spansNamed(spans, "execute")
+		if len(queues) != 1 || len(execs) != 1 {
+			t.Fatalf("%d queue / %d execute spans, want 1 / 1", len(queues), len(execs))
+		}
+		return queues[0], execs[0]
+	}
+	begin := func(o observed, sp *obs.SpanJSON) time.Time {
+		return o.qr.Trace.Start.Add(time.Duration(sp.StartUS) * time.Microsecond)
+	}
+	end := func(o observed, sp *obs.SpanJSON) time.Time {
+		return begin(o, sp).Add(time.Duration(sp.DurUS) * time.Microsecond)
+	}
+
+	// Naive on 4000 rows runs long enough for the two executions to overlap
+	// for certain; the 100 ms window puts both requests in one window.
+	var pair [2]observed
+	var wg sync.WaitGroup
+	for i, k := range []int{3, 4} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pair[i] = explain(k, "Naive")
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	var execs [2]*obs.SpanJSON
+	for i, o := range pair {
+		queue, exec := spansOf(o)
+		execs[i] = exec
+		if o.qr.Workers != 1 || exec.Attrs["granted"] != float64(1) {
+			t.Errorf("query %d: workers %d, granted attr %v; want 1 of the 2 slots each", i, o.qr.Workers, exec.Attrs["granted"])
+		}
+		if o.qr.BatchSize != 2 {
+			t.Errorf("query %d rode a window of %d, want 2", i, o.qr.BatchSize)
+		}
+		if gap := begin(o, exec).Sub(end(o, queue)); gap < -time.Millisecond || gap > 20*time.Millisecond {
+			t.Errorf("query %d: execute begins %v after queue ends; the two must meet", i, gap)
+		}
+		if covered := time.Duration(queue.DurUS+exec.DurUS) * time.Microsecond; covered > o.latency {
+			t.Errorf("query %d: queue + execute = %v exceeds the observed latency %v", i, covered, o.latency)
+		}
+	}
+	if !begin(pair[0], execs[0]).Before(end(pair[1], execs[1])) || !begin(pair[1], execs[1]).Before(end(pair[0], execs[0])) {
+		t.Errorf("execute spans do not overlap: %+v and %+v", execs[0], execs[1])
+	}
+
+	lone := explain(5, "")
+	if t.Failed() {
+		t.FailNow()
+	}
+	if _, exec := spansOf(lone); lone.qr.Workers != 2 || exec.Attrs["granted"] != float64(2) {
+		t.Errorf("lone query: workers %d, granted attr %v; want both slots", lone.qr.Workers, exec.Attrs["granted"])
 	}
 }
 
