@@ -20,6 +20,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -52,11 +53,11 @@ func benchPre(ds *data.Dataset, bins []int) *core.Pre {
 	if bins == nil {
 		bins = []int{core.OptimalBins(ds.Len(), ds.MissingRate())}
 	}
-	stats := ds.Stats()
+	sorted := ds.SortDims()
 	return &core.Pre{
 		Queue:  core.BuildMaxScoreQueue(ds),
-		Bitmap: bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw}),
-		Binned: bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins}),
+		Bitmap: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw}),
+		Binned: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins}),
 	}
 }
 
@@ -91,9 +92,9 @@ func BenchmarkFig10_Compression(b *testing.B) {
 // against BIG on the same data, reporting index size as a custom metric.
 func BenchmarkFig11_BinSweep(b *testing.B) {
 	ds := benchSynthetic(gen.IND, nil)
-	stats := ds.Stats()
+	sorted := ds.SortDims()
 	queue := core.BuildMaxScoreQueue(ds)
-	big := bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw})
+	big := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw})
 	b.Run("BIG", func(b *testing.B) {
 		pre := &core.Pre{Queue: queue, Bitmap: big}
 		b.ReportAllocs()
@@ -103,7 +104,7 @@ func BenchmarkFig11_BinSweep(b *testing.B) {
 		b.ReportMetric(float64(big.SizeBytes())/1024, "KB-index")
 	})
 	for _, xi := range []int{4, 16, 64} {
-		binned := bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{xi}})
+		binned := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{xi}})
 		b.Run(fmt.Sprintf("IBIG-xi%d", xi), func(b *testing.B) {
 			pre := &core.Pre{Queue: queue, Binned: binned}
 			b.ReportAllocs()
@@ -116,10 +117,19 @@ func BenchmarkFig11_BinSweep(b *testing.B) {
 }
 
 // BenchmarkTable3_Preprocessing times the three preprocessing builds.
+// MaxScoreQueue is the paper's §4.2 procedure (one B+-tree per dimension, the
+// column Table 3 reports); MaxScoreQueueSorted is the builder everything that
+// serves uses — the identical queue from one sort per dimension. Each index
+// case is a whole build, its sorts included.
 func BenchmarkTable3_Preprocessing(b *testing.B) {
 	ds := benchSynthetic(gen.IND, nil)
-	stats := ds.Stats()
 	b.Run("MaxScoreQueue", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			core.BuildMaxScoreQueueBTree(ds)
+		}
+	})
+	b.Run("MaxScoreQueueSorted", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			core.BuildMaxScoreQueue(ds)
@@ -128,13 +138,13 @@ func BenchmarkTable3_Preprocessing(b *testing.B) {
 	b.Run("BitmapIndex", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw})
+			bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Raw})
 		}
 	})
 	b.Run("BinnedBitmapIndex", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{32}})
+			bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{32}})
 		}
 	})
 }
@@ -521,7 +531,7 @@ func BenchmarkCompressedKernels(b *testing.B) {
 	// decompresses through the cache.
 	ds := gen.Synthetic(gen.Config{N: 20_000, Dim: 5, Cardinality: 64, MissingRate: 0.02, Dist: gen.IND, Seed: 31})
 	queue := core.BuildMaxScoreQueue(ds)
-	stats := ds.Stats()
+	sorted := ds.SortDims()
 	for _, cfg := range []struct {
 		name string
 		opts bitmapidx.Options
@@ -529,7 +539,7 @@ func BenchmarkCompressedKernels(b *testing.B) {
 		{"IBIG/adaptive", bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{32}, Adaptive: true}},
 		{"IBIG/pureConcise", bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{32}}},
 	} {
-		ix := bitmapidx.BuildWithStats(ds, stats, cfg.opts)
+		ix := bitmapidx.BuildSorted(sorted, cfg.opts)
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -581,9 +591,9 @@ func BenchmarkAblationRefinement(b *testing.B) {
 func BenchmarkAblationCodecs(b *testing.B) {
 	ds := benchSynthetic(gen.IND, nil)
 	queue := core.BuildMaxScoreQueue(ds)
-	stats := ds.Stats()
+	sorted := ds.SortDims()
 	for _, codec := range []bitmapidx.Codec{bitmapidx.Raw, bitmapidx.Concise} {
-		ix := bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: codec, Bins: []int{32}})
+		ix := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: codec, Bins: []int{32}})
 		b.Run(codec.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -680,6 +690,57 @@ func BenchmarkDeltaPublish(b *testing.B) {
 			}
 			ds.PrepareFor(tkd.IBIG)
 			b.StopTimer()
+		}
+	})
+}
+
+// BenchmarkColdPrepare times what a server pays before its first answer, at
+// the served benchmark's scale (100 k × 5 IND, 100 values per dimension, 20 %
+// missing — the query-heavy CSV): parse is ReadCSV; prepare is the cold build,
+// PrepareFor(IBIG) on freshly parsed rows — one sort per dimension, the
+// serving index peeled off it, the MaxScore queue derived from the index;
+// warm is a restart over a persisted index, LoadIndex plus the queue.
+func BenchmarkColdPrepare(b *testing.B) {
+	src := tkd.GenerateIND(100_000, 5, 100, 0.2, 1)
+	var csv, idx bytes.Buffer
+	if err := src.WriteCSV(&csv); err != nil {
+		b.Fatal(err)
+	}
+	if err := src.SaveIndex(&idx); err != nil {
+		b.Fatal(err)
+	}
+	parse := func(b *testing.B) *tkd.Dataset {
+		ds, err := tkd.ReadCSV(bytes.NewReader(csv.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ds
+	}
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			parse(b)
+		}
+	})
+	b.Run("prepare", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ds := parse(b)
+			b.StartTimer()
+			ds.PrepareFor(tkd.IBIG)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ds := parse(b)
+			b.StartTimer()
+			if err := ds.LoadIndex(bytes.NewReader(idx.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+			ds.PrepareFor(tkd.IBIG)
 		}
 	})
 }

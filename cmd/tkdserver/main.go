@@ -177,7 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		PeerTimeout:     *peerTimeout,
 		QueryTimeout:    *queryTO,
 		HealthInterval:  *healthIvl,
-		Logger:          logger,
 		SlowQuery:       *slowQuery,
 		Follow:          *follow,
 		FollowInterval:  *followIvl,
@@ -264,10 +263,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// buildServer loads every -dataset mapping into a fresh server, logging each
-// load (index construction dominates startup when no persisted index is
-// available, so the feedback matters).
+// buildServer loads every -dataset mapping into a fresh server that logs to
+// logger — each load ends with the server's "dataset loaded" line, which
+// says where a slow start went: parsing, the index, the queue or the persist.
 func buildServer(datasets []string, negate bool, cfg server.Config, logger *slog.Logger) (*server.Server, error) {
+	cfg.Logger = logger
 	srv := server.New(cfg)
 	for _, spec := range datasets {
 		name, path, _ := strings.Cut(spec, "=")
@@ -275,12 +275,10 @@ func buildServer(datasets []string, negate bool, cfg server.Config, logger *slog
 			srv.Close()
 			return nil, fmt.Errorf("bad -dataset %q: want name=path", spec)
 		}
-		start := time.Now()
 		if err := srv.LoadCSVFile(name, path, negate); err != nil {
 			srv.Close()
 			return nil, err
 		}
-		logger.Info("dataset loaded", "dataset", name, "path", path, "seconds", time.Since(start).Seconds())
 	}
 	return srv, nil
 }

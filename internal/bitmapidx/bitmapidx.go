@@ -384,18 +384,19 @@ func (ix *Index) evictToBudget() {
 	}
 }
 
-// Build constructs the index. Stats are recomputed from the dataset; pass
-// the same dataset to the query algorithms.
+// Build constructs the index over ds: one sort per dimension
+// (data.Dataset.SortDims), then BuildSorted. Pass the same dataset to the
+// query algorithms.
 func Build(ds *data.Dataset, opts Options) *Index {
-	return buildWithStats(ds, ds.Stats(), opts)
+	return BuildSorted(ds.SortDims(), opts)
 }
 
-// BuildWithStats is Build for callers that already computed ds.Stats().
-func BuildWithStats(ds *data.Dataset, stats []data.DimStats, opts Options) *Index {
-	return buildWithStats(ds, stats, opts)
-}
-
-func buildWithStats(ds *data.Dataset, stats []data.DimStats, opts Options) *Index {
+// BuildSorted constructs the index from a dataset already sorted, for
+// callers that build more than one thing from the same rows: the stats and
+// the rank table are the sort's (shared, read-only), and every dimension's
+// columns peel off its sorted order, the dimensions side by side.
+func BuildSorted(s *data.Sorted, opts Options) *Index {
+	ds := s.Dataset()
 	n, dim := ds.Len(), ds.Dim()
 	if opts.Bins != nil && len(opts.Bins) == 0 {
 		// A binned index was requested with no counts: use the Eq. (8)
@@ -410,49 +411,35 @@ func buildWithStats(ds *data.Dataset, stats []data.DimStats, opts Options) *Inde
 	}
 	ix := &Index{
 		ds:       ds,
-		stats:    stats,
+		stats:    s.Stats,
 		dims:     make([]dimIndex, dim),
 		codec:    codec,
 		binned:   opts.Bins != nil,
 		adaptive: opts.Adaptive,
+		ranks:    s.Ranks,
 		masks:    countMasks(nil, ds, 0),
 		ones:     bitvec.NewOnes(n),
 	}
-	if err := ix.computeRanks(); err != nil {
-		panic(err)
-	}
-	for d := 0; d < dim; d++ {
-		ci := stats[d].Cardinality()
+	data.ForEachDim(dim, func(d int) {
+		st := &s.Stats[d]
 		var r2b []int
 		if ix.binned {
-			xi := binsFor(opts.Bins, d)
-			r2b = AssignBins(&stats[d], xi)
+			r2b = AssignBins(st, binsFor(opts.Bins, d))
 		} else {
-			r2b = make([]int, ci)
+			r2b = make([]int, st.Cardinality())
 			for r := range r2b {
 				r2b[r] = r
 			}
 		}
-		buckets := 0
-		if ci > 0 {
-			buckets = r2b[ci-1] + 1
-		}
-		ix.dims[d] = ix.buildDim(d, r2b, buckets)
-	}
+		ix.dims[d] = ix.buildDim(r2b, st.CountPerValue, s.Order[d])
+	})
 	ix.initColCache()
 	return ix
 }
 
-// computeRanks fills the value-rank table from the dataset and the
-// per-dimension stats.
-func (ix *Index) computeRanks() error {
-	n, dim := ix.ds.Len(), ix.ds.Dim()
-	ix.ranks = make([]int32, n*dim)
-	return fillRanks(ix.ranks, ix.ds, 0, ix.stats)
-}
-
 // fillRanks writes the ranks of rows [from, ds.Len()) of ds under stats into
-// ranks, which starts at row from.
+// ranks, which starts at row from — the lookup AppendRows gives the rows it
+// appends; a build takes every rank from the sort instead.
 func fillRanks(ranks []int32, ds *data.Dataset, from int, stats []data.DimStats) error {
 	dim := ds.Dim()
 	for i := from; i < ds.Len(); i++ {
@@ -485,26 +472,28 @@ func binsFor(bins []int, d int) int {
 // buildDim materializes the columns of one dimension. Column b (1-based
 // bucket) has bit p set iff bucket(p[d]) >= b or p[d] is missing; it is
 // produced by peeling objects off the previous column as their bucket is
-// passed, so the whole dimension costs O(N · buckets/64 + N) word work.
-func (ix *Index) buildDim(d int, rankToBucket []int, buckets int) dimIndex {
-	n := ix.ds.Len()
+// passed. order is the dimension's objects by ascending rank and counts its
+// objects per rank (data.Sorted), so bucket b's objects are the next run of
+// order: the whole dimension costs O(N · buckets/64 + N) word work and no
+// lookup.
+func (ix *Index) buildDim(rankToBucket, counts []int, order []int32) dimIndex {
+	buckets := 0
+	if ci := len(rankToBucket); ci > 0 {
+		buckets = rankToBucket[ci-1] + 1
+	}
 	di := dimIndex{
 		cols:         make([]column, buckets+1),
 		rankToBucket: rankToBucket,
 	}
 	di.cols[0] = ix.encode(ix.ones)
-	// byBucket[b] lists objects whose value falls in bucket b.
-	byBucket := make([][]int32, buckets)
-	for i := 0; i < n; i++ {
-		if r := ix.Rank(i, d); r >= 0 {
-			b := rankToBucket[r]
-			byBucket[b] = append(byBucket[b], int32(i))
-		}
-	}
-	cur := bitvec.NewOnes(n)
+	cur := bitvec.NewOnes(ix.ds.Len())
+	r := 0
 	for b := 1; b <= buckets; b++ {
-		for _, id := range byBucket[b-1] {
-			cur.Clear(int(id))
+		for ; r < len(counts) && rankToBucket[r] < b; r++ {
+			for _, id := range order[:counts[r]] {
+				cur.Clear(int(id))
+			}
+			order = order[counts[r]:]
 		}
 		di.cols[b] = ix.encode(cur)
 	}

@@ -162,8 +162,9 @@ func AppendRows(old *Index, next *data.Dataset) (*Index, bool) {
 
 	// Patch the columns: each column's new tail is the delta rows' bits under
 	// the same range-encoded rule (bit j set iff bin(row oldN+j) >= b or
-	// missing), produced by the same peel-off pass as buildDim but over delta
-	// bits, then appended through the representation's extend path.
+	// missing), produced by buildDim's peel-off pass over the delta rows'
+	// bits (bucketed here: a batch is not sorted), then appended through the
+	// representation's extend path.
 	deltaOnes := bitvec.NewOnes(delta)
 	cur := bitvec.New(delta)
 	for d := 0; d < dim; d++ {

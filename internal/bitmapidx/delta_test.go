@@ -98,7 +98,8 @@ func TestAppendRowsEquivalence(t *testing.T) {
 				t.Fatal("merged stats differ from recomputed stats")
 			}
 
-			// Ranks match a recompute from the merged stats.
+			// Ranks match a from-scratch sort of the merged rows.
+			sorted := next.SortDims()
 			ref := &Index{
 				ds:       next,
 				stats:    patched.stats,
@@ -106,10 +107,7 @@ func TestAppendRowsEquivalence(t *testing.T) {
 				adaptive: patched.adaptive,
 				ones:     bitvec.NewOnes(next.Len()),
 			}
-			if err := ref.computeRanks(); err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(ref.ranks, patched.ranks) {
+			if !slices.Equal(sorted.Ranks, patched.ranks) {
 				t.Fatal("patched rank table diverges from a recompute")
 			}
 
@@ -127,7 +125,7 @@ func TestAppendRowsEquivalence(t *testing.T) {
 				if buckets != len(old.dims[d].cols)-1 {
 					t.Fatalf("dim %d: bucket count changed %d -> %d", d, len(old.dims[d].cols)-1, buckets)
 				}
-				want := ref.buildDim(d, r2b, buckets)
+				want := ref.buildDim(r2b, sorted.Stats[d].CountPerValue, sorted.Order[d])
 				for b := range want.cols {
 					exp := bitvec.New(next.Len())
 					decompressInto(&want.cols[b], exp)
@@ -170,8 +168,9 @@ func TestAppendRowsQueries(t *testing.T) {
 		ranks:    patched.ranks,
 		ones:     bitvec.NewOnes(next.Len()),
 	}
+	sorted := next.SortDims()
 	for d := range scratch.dims {
-		scratch.dims[d] = scratch.buildDim(d, patched.dims[d].rankToBucket, len(patched.dims[d].cols)-1)
+		scratch.dims[d] = scratch.buildDim(patched.dims[d].rankToBucket, sorted.Stats[d].CountPerValue, sorted.Order[d])
 	}
 	scratch.initColCache()
 	cp, cs := patched.NewCursor(), scratch.NewCursor()
@@ -299,31 +298,30 @@ func extendWith(base *data.Dataset, prefix string, extra [][]float64) *data.Data
 
 // assertSameAsScratch fails unless p is the index AppendRows promises: what a
 // from-scratch build over p's rows yields under p's (frozen) rank→bin maps —
-// the same stats, mask counts, rank table (computeRanks's) and column bits.
+// the same stats, mask counts, rank table (the sort's) and column bits.
 func assertSameAsScratch(t *testing.T, label string, p *Index) {
 	t.Helper()
 	ds := p.ds
+	sorted := ds.SortDims()
 	s := &Index{
 		ds:       ds,
-		stats:    ds.Stats(),
+		stats:    sorted.Stats,
 		dims:     make([]dimIndex, ds.Dim()),
 		codec:    p.codec,
 		binned:   true,
 		adaptive: p.adaptive,
+		ranks:    sorted.Ranks,
 		masks:    countMasks(nil, ds, 0),
 		ones:     bitvec.NewOnes(ds.Len()),
-	}
-	if err := s.computeRanks(); err != nil {
-		t.Fatalf("%s: %v", label, err)
 	}
 	if !reflect.DeepEqual(p.stats, s.stats) || !reflect.DeepEqual(p.masks, s.masks) {
 		t.Fatalf("%s: stats or mask counts diverge from a from-scratch build", label)
 	}
 	if !slices.Equal(p.ranks, s.ranks) {
-		t.Fatalf("%s: rank table diverges from computeRanks", label)
+		t.Fatalf("%s: rank table diverges from the sort's", label)
 	}
 	for d := range s.dims {
-		s.dims[d] = s.buildDim(d, p.dims[d].rankToBucket, len(p.dims[d].cols)-1)
+		s.dims[d] = s.buildDim(p.dims[d].rankToBucket, sorted.Stats[d].CountPerValue, sorted.Order[d])
 		for b := range s.dims[d].cols {
 			if !colBits(t, p, d, b).Equal(colBits(t, s, d, b)) {
 				t.Fatalf("%s: dim %d column %d bits diverge from a from-scratch build", label, d, b)
@@ -414,7 +412,7 @@ func TestAppendRowsTwoExtensionsOfOneBase(t *testing.T) {
 // TestAppendRowsRankTableSharedOrRewritten: the table is extended in place
 // exactly when no dimension gained a distinct value; when one did — every
 // batch, on continuous-valued data — old ranks shift and the table is
-// rewritten, to the ranks computeRanks assigns.
+// rewritten, to the ranks a from-scratch sort assigns.
 func TestAppendRowsRankTableSharedOrRewritten(t *testing.T) {
 	const dim = 3
 	opts := Options{Codec: Concise, Bins: []int{4}, Adaptive: true}

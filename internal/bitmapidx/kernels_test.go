@@ -28,20 +28,20 @@ func TestEmptyBinsFallsBackToDefault(t *testing.T) {
 // bit-identically to the Raw dense reference, binned and unbinned.
 func TestAdaptiveMatchesRaw(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 900, Dim: 5, Cardinality: 40, MissingRate: 0.25, Dist: gen.IND, Seed: 12})
-	stats := ds.Stats()
-	raw := bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw})
+	sorted := ds.SortDims()
+	raw := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw})
 	for _, opts := range []bitmapidx.Options{
 		{Codec: bitmapidx.Concise, Adaptive: true},
 		{Codec: bitmapidx.Concise, Bins: []int{6}, Adaptive: true},
 		{Codec: bitmapidx.Concise, Bins: []int{16}, Adaptive: true},
 	} {
-		ix := bitmapidx.BuildWithStats(ds, stats, opts)
+		ix := bitmapidx.BuildSorted(sorted, opts)
 		if !ix.Adaptive() {
 			t.Fatalf("%v: index not adaptive", opts)
 		}
 		rawRef := raw
 		if opts.Bins != nil {
-			rawRef = bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw, Bins: opts.Bins})
+			rawRef = bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw, Bins: opts.Bins})
 		}
 		cur, ref := ix.NewCursor(), rawRef.NewCursor()
 		for o := 0; o < ds.Len(); o += 3 {
@@ -98,14 +98,14 @@ func TestAdaptivePicksMixedRepresentations(t *testing.T) {
 // compressed binned index.
 func TestMaxBitScoreAbove(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 400, Dim: 5, Cardinality: 25, MissingRate: 0.3, Dist: gen.AC, Seed: 6})
-	stats := ds.Stats()
+	sorted := ds.SortDims()
 	for _, opts := range []bitmapidx.Options{
 		{Codec: bitmapidx.Raw},
 		{Codec: bitmapidx.Concise, Bins: []int{8}},
 		{Codec: bitmapidx.Concise, Bins: []int{8}, Adaptive: true},
 		{Codec: bitmapidx.Concise, Adaptive: true},
 	} {
-		ix := bitmapidx.BuildWithStats(ds, stats, opts)
+		ix := bitmapidx.BuildSorted(sorted, opts)
 		c := ix.NewCursor()
 		for o := 0; o < ds.Len(); o += 7 {
 			exact := c.MaxBitScore(o)

@@ -263,27 +263,26 @@ func load(r io.Reader, ds *data.Dataset, prefixOK bool) (*Index, error) {
 		return nil, fmt.Errorf("bitmapidx: checksum mismatch (stored %08x, computed %08x)", stored, sum)
 	}
 
-	// Rebuild the derived in-memory state (stats, ranks) from the dataset
-	// and verify it matches what the index was built from.
-	stats := ds.Stats()
+	// Rebuild the derived in-memory state (stats, ranks) from the dataset —
+	// the same one sort per dimension a build starts with — and verify it
+	// matches what the index was built from.
+	sorted := ds.SortDims()
 	for d := range dims {
-		if len(dims[d].rankToBucket) != stats[d].Cardinality() {
+		if len(dims[d].rankToBucket) != sorted.Stats[d].Cardinality() {
 			return nil, fmt.Errorf("bitmapidx: dimension %d has %d distinct values, index was built over %d — wrong dataset",
-				d, stats[d].Cardinality(), len(dims[d].rankToBucket))
+				d, sorted.Stats[d].Cardinality(), len(dims[d].rankToBucket))
 		}
 	}
 	ix := &Index{
 		ds:       ds,
-		stats:    stats,
+		stats:    sorted.Stats,
 		dims:     dims,
 		codec:    codec,
 		binned:   binned,
 		adaptive: adaptive,
+		ranks:    sorted.Ranks,
 		masks:    countMasks(nil, ds, 0),
 		ones:     bitvec.NewOnes(n),
-	}
-	if err := ix.computeRanks(); err != nil {
-		return nil, err
 	}
 	ix.initColCache()
 	return ix, nil

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -339,5 +340,43 @@ func TestLoadPrefixCheckpoint(t *testing.T) {
 	// Fewer rows than the checkpoint covers.
 	if _, err := bitmapidx.LoadPrefix(bytes.NewReader(saved.Bytes()), base.Slice(0, 399)); !errors.Is(err, bitmapidx.ErrStale) {
 		t.Fatalf("checkpoint longer than the data: error = %v, want ErrStale", err)
+	}
+}
+
+// TestBuildDeterministicAcrossCores: a build sorts and encodes its dimensions
+// side by side, each into its own slot, so the index — down to the bytes Save
+// writes — must not depend on how many run at once. The golden files say the
+// bytes are also the ones earlier builds wrote: a cold build over golden.csv
+// reproduces golden_v4_*.idx exactly.
+func TestBuildDeterministicAcrossCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	saved := func(ds *data.Dataset, opts bitmapidx.Options) []byte {
+		var out bytes.Buffer
+		if err := bitmapidx.Build(ds, opts).Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	small := goldenDataset(t)
+	large := gen.Synthetic(gen.Config{N: 20000, Dim: 7, Cardinality: 100, MissingRate: 0.2, Dist: gen.IND, Seed: 5})
+	serving := bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{}, Adaptive: true}
+	var want []byte
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for file, opts := range map[string]bitmapidx.Options{
+			"golden_v4_adaptive.idx": {Codec: bitmapidx.Concise, Bins: []int{30}, Adaptive: true},
+			"golden_v4_concise.idx":  {Codec: bitmapidx.Concise, Bins: []int{30}},
+		} {
+			if !bytes.Equal(saved(small, opts), golden(t, file)) {
+				t.Fatalf("GOMAXPROCS %d: a cold build over golden.csv no longer saves %s's bytes", procs, file)
+			}
+		}
+		got := saved(large, serving)
+		if want == nil {
+			want = got
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("GOMAXPROCS %d: saved index differs from the one built at GOMAXPROCS 1", procs)
+		}
 	}
 }

@@ -115,9 +115,9 @@ func TestSharedColumnCache(t *testing.T) {
 	cfg := gen.Default(gen.IND, 11)
 	cfg.N = 500
 	ds := gen.Synthetic(cfg)
-	stats := ds.Stats()
-	raw := bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw, Bins: []int{8}})
-	conc := bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{8}})
+	sorted := ds.SortDims()
+	raw := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw, Bins: []int{8}})
+	conc := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{8}})
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		go func() {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/bitmapidx"
 	"repro/internal/data"
@@ -55,23 +57,37 @@ func (pre *Pre) have() Need {
 }
 
 // fill builds the artifacts of n that pre lacks — the one place each recipe
-// is chosen. bins is BuildServingIndex's (nil = Eq. (8)).
-func (pre *Pre) fill(ds *data.Dataset, bins []int, n Need) {
+// is chosen — and reports how long the indexes and the queue took. bins is
+// BuildServingIndex's (nil = Eq. (8)). The indexes come first, off one sort
+// per dimension however many of them build, and the queue is derived from an
+// index when there is one (built here, loaded or installed): only a queue
+// wanted alone sorts for itself.
+func (pre *Pre) fill(ds *data.Dataset, bins []int, n Need) (index, queue time.Duration) {
 	n &^= pre.have()
-	if n&NeedQueue != 0 {
-		pre.Queue = BuildMaxScoreQueue(ds)
+	t0 := time.Now()
+	var sorted *data.Sorted
+	if n&(NeedBitmap|NeedBinned) != 0 {
+		sorted = ds.SortDims()
 	}
-	var stats []data.DimStats // one pass serves both indexes when both build
 	if n&NeedBitmap != 0 {
-		stats = ds.Stats()
-		pre.Bitmap = bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw})
+		pre.Bitmap = bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw})
 	}
 	if n&NeedBinned != 0 {
-		pre.Binned = BuildServingIndex(ds, stats, bins)
+		pre.Binned = BuildServingIndex(sorted, bins)
 	}
+	t1 := time.Now()
+	if n&NeedQueue != 0 {
+		if ix := cmp.Or(pre.Binned, pre.Bitmap); ix != nil {
+			pre.Queue = BuildMaxScoreQueueFromIndex(ix)
+		} else {
+			pre.Queue = BuildMaxScoreQueue(ds)
+		}
+	}
+	t2 := time.Now()
 	if n&NeedTrees != 0 {
 		pre.Trees = BuildDimTrees(ds)
 	}
+	return t1.Sub(t0), t2.Sub(t1)
 }
 
 // Prepared holds the preprocessing artifacts of one frozen dataset — an
@@ -88,6 +104,10 @@ type Prepared struct {
 	mu     sync.Mutex // serializes every change of pre and budget
 	budget int64      // serving index's column-cache budget; 0 = bitmapidx.DefaultCacheBudget
 	builds atomic.Int64
+	// indexNanos and queueNanos add up what the holder has spent making (or
+	// loading) its indexes and its queue — how a slow boot or reload says
+	// which artifact was slow.
+	indexNanos, queueNanos atomic.Int64
 }
 
 // NewPrepared returns an empty holder over ds, which must stay immutable for
@@ -115,6 +135,12 @@ func (p *Prepared) Built() *Pre { return p.pre.Load() }
 // warm start skip the rebuild".
 func (p *Prepared) Builds() int64 { return p.builds.Load() }
 
+// BuildTimes reports the time the holder has spent so far building or loading
+// its indexes, and building its queue. Installed artifacts cost it nothing.
+func (p *Prepared) BuildTimes() (index, queue time.Duration) {
+	return time.Duration(p.indexNanos.Load()), time.Duration(p.queueNanos.Load())
+}
+
 // Ensure returns a set holding every artifact of n, building what is missing.
 func (p *Prepared) Ensure(n Need) *Pre {
 	if pre := p.pre.Load(); pre.have()&n == n {
@@ -127,7 +153,9 @@ func (p *Prepared) Ensure(n Need) *Pre {
 		return pre
 	}
 	np := *pre
-	np.fill(p.ds, p.bins, n)
+	index, queue := np.fill(p.ds, p.bins, n)
+	p.indexNanos.Add(int64(index))
+	p.queueNanos.Add(int64(queue))
 	if np.Binned != pre.Binned {
 		p.builds.Add(1)
 	}
@@ -215,6 +243,7 @@ func (p *Prepared) SaveServing(w io.Writer) error {
 // codec must not silently replace it. On any error the holder is unchanged and
 // callers rebuild.
 func (p *Prepared) LoadServing(r io.Reader) (patched int, err error) {
+	defer func(start time.Time) { p.indexNanos.Add(int64(time.Since(start))) }(time.Now())
 	ix, err := bitmapidx.LoadPrefix(r, p.ds)
 	if err != nil {
 		return 0, err

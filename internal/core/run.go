@@ -76,16 +76,13 @@ type Pre struct {
 // paper's codec choice for IBIG), so each column is stored dense, compressed
 // or sparse by measured density and query execution dispatches to the
 // matching kernels. Answers are bit-identical to a pure-codec index (build
-// one directly via bitmapidx for the paper's storage experiments). stats may
-// be nil (computed from ds).
-func BuildServingIndex(ds *data.Dataset, stats []data.DimStats, bins []int) *bitmapidx.Index {
+// one directly via bitmapidx for the paper's storage experiments).
+func BuildServingIndex(sorted *data.Sorted, bins []int) *bitmapidx.Index {
 	if bins == nil {
+		ds := sorted.Dataset()
 		bins = []int{OptimalBins(ds.Len(), ds.MissingRate())}
 	}
-	if stats == nil {
-		stats = ds.Stats()
-	}
-	return bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins, Adaptive: true})
+	return bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins, Adaptive: true})
 }
 
 // Preprocess builds every artifact an algorithm set needs; bins is handed to

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -42,11 +43,29 @@ func (ds *Dataset) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// csvBlock is how many rows ReadCSV reserves at a time: the size of a value
+// arena, and the row headers' starting capacity.
+const csvBlock = 1024
+
+// reserve makes room for one more row without a per-row allocation: Append
+// carves the row's Values out of a block arena (the one Extend feeds the same
+// way), and the row headers double from csvBlock instead of creeping up by a
+// quarter — a 100 k-row load copies them twice over, not five times.
+func (ds *Dataset) reserve() {
+	if len(ds.arena) < ds.dim {
+		ds.arena = make([]float64, csvBlock*ds.dim)
+	}
+	if len(ds.objs) == cap(ds.objs) {
+		ds.objs = slices.Grow(ds.objs, max(len(ds.objs), csvBlock))
+	}
+}
+
 // ReadCSV parses a dataset written by WriteCSV (or hand-authored in the same
 // layout). Objects with no observed dimension are rejected, matching the
 // paper's model assumption.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(r)
+	cr.ReuseRecord = true // fields are copied out (ParseFloat) or fresh strings (the ID) before the next Read
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("data: reading CSV header: %w", err)
@@ -57,6 +76,7 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	ds := New(len(header) - 1)
 	values := make([]float64, ds.dim)
 	for line := 2; ; line++ {
+		ds.reserve()
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break

@@ -396,7 +396,10 @@ func (s *DimStats) RankGE(v float64) int {
 	return sort.SearchFloat64s(s.Distinct, v)
 }
 
-// Stats computes per-dimension statistics in one pass over the dataset.
+// Stats computes per-dimension statistics in one pass over the dataset. A
+// build takes its statistics from SortDims, which yields ranks and bucket
+// order in the same pass; Stats summarises an append batch for the index
+// patch, and is the plain form SortDims is tested against.
 func (ds *Dataset) Stats() []DimStats {
 	out := make([]DimStats, ds.dim)
 	for d := 0; d < ds.dim; d++ {

@@ -2,7 +2,11 @@ package data_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -491,5 +495,76 @@ func TestMissingRateCarriedForward(t *testing.T) {
 	ds.Negate()
 	if got := ds.MissingRate(); got != want {
 		t.Errorf("after Negate: MissingRate = %v, want %v", got, want)
+	}
+}
+
+// TestSortMatchesStats: the one sort per dimension the cold build runs must
+// read the same summary off the rows as Stats does, rank every cell the way
+// DimStats.Rank would, and list each dimension's observed objects by
+// ascending value, ties by index — at any GOMAXPROCS, since the dimensions
+// sort side by side.
+func TestSortMatchesStats(t *testing.T) {
+	m := data.Missing()
+	rng := rand.New(rand.NewSource(24))
+	random := data.New(5)
+	for i := 0; i < 3000; i++ {
+		row := make([]float64, 5)
+		for d := range row {
+			switch {
+			case rng.Float64() < 0.25 && d > 0:
+				row[d] = m
+			case d == 1:
+				row[d] = rng.NormFloat64() * 1e3 // continuous, both signs
+			case d == 2:
+				row[d] = float64(rng.Intn(7)) - 3 // heavy ties around zero
+			default:
+				row[d] = float64(rng.Intn(300))
+			}
+		}
+		random.MustAppend(fmt.Sprintf("r%d", i), row)
+	}
+	edge := data.New(3) // −0 and +0 share a rank; dimension 2 is missing everywhere
+	for i, row := range [][]float64{{0, 1, m}, {math.Copysign(0, -1), 1, m}, {-1, m, m}, {math.Inf(1), 1, m}, {math.Inf(-1), 2, m}} {
+		edge.MustAppend(fmt.Sprintf("e%d", i), row)
+	}
+	one := data.New(2)
+	one.MustAppend("only", []float64{m, 4})
+
+	for name, ds := range map[string]*data.Dataset{
+		"paper sample": paperdata.Sample(), "random": random, "edge": edge, "n=1": one, "empty": data.New(3),
+	} {
+		for _, procs := range []int{1, 2, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			s := ds.SortDims()
+			runtime.GOMAXPROCS(prev)
+			stats := ds.Stats()
+			if !reflect.DeepEqual(s.Stats, stats) {
+				t.Fatalf("%s, GOMAXPROCS %d: Sort().Stats differs from Stats()", name, procs)
+			}
+			n, dim := ds.Len(), ds.Dim()
+			for d := 0; d < dim; d++ {
+				seen := 0
+				for i := 0; i < n; i++ {
+					want := -1
+					if o := ds.Obj(i); o.Observed(d) {
+						want = stats[d].Rank(o.Values[d])
+						seen++
+					}
+					if got := int(s.Ranks[i*dim+d]); got != want {
+						t.Fatalf("%s, GOMAXPROCS %d: rank of object %d in dimension %d = %d, want %d", name, procs, i, d, got, want)
+					}
+				}
+				order := s.Order[d]
+				if len(order) != seen {
+					t.Fatalf("%s: dimension %d orders %d objects, %d are observed", name, d, len(order), seen)
+				}
+				for j := 1; j < len(order); j++ {
+					a, b := ds.Obj(int(order[j-1])).Values[d], ds.Obj(int(order[j])).Values[d]
+					if a > b || (a == b && order[j-1] >= order[j]) {
+						t.Fatalf("%s: dimension %d order breaks at %d: object %d (%v) before object %d (%v)", name, d, j, order[j-1], a, order[j], b)
+					}
+				}
+			}
+		}
 	}
 }

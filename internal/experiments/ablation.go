@@ -17,14 +17,14 @@ func Ablation(s Scale) []Table {
 	for _, nd := range syntheticPair(s, nil) {
 		queue := core.BuildMaxScoreQueue(nd.ds)
 		trees := core.BuildDimTrees(nd.ds)
-		stats := nd.ds.Stats()
+		sorted := nd.ds.SortDims()
 		bins := defaultBins(nd.name)
 
 		refineTab := Table{
 			Title:  fmt.Sprintf("Ablation — %s: IBIG Q−P refinement strategy (k=%d)", nd.name, defaultK),
 			Header: []string{"refinement", "time (s)", "comparisons"},
 		}
-		binned := bitmapidx.BuildWithStats(nd.ds, stats, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins})
+		binned := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins})
 		dDirect, stDirect := runAlgo(core.AlgIBIG, nd.ds, defaultK, &core.Pre{Queue: queue, Binned: binned})
 		dTree := measure(func() {
 			_, _ = core.IBIGBTree(nd.ds, defaultK, binned, queue, trees)
@@ -41,7 +41,7 @@ func Ablation(s Scale) []Table {
 			Header: []string{"codec", "time (s)", "index (KB)"},
 		}
 		for _, codec := range []bitmapidx.Codec{bitmapidx.Raw, bitmapidx.Concise} {
-			ix := bitmapidx.BuildWithStats(nd.ds, stats, bitmapidx.Options{Codec: codec, Bins: bins})
+			ix := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: codec, Bins: bins})
 			d, _ := runAlgo(core.AlgIBIG, nd.ds, defaultK, &core.Pre{Queue: queue, Binned: ix})
 			codecTab.Rows = append(codecTab.Rows,
 				[]string{codec.String(), seconds(d), fmt.Sprintf("%d", ix.SizeBytes()/1024)})

@@ -15,11 +15,11 @@ import (
 func Fig12(s Scale) []Table {
 	var out []Table
 	for _, nd := range realDatasets(s) {
-		stats := nd.ds.Stats()
+		sorted := nd.ds.SortDims()
 		pre := &core.Pre{
 			Queue:  core.BuildMaxScoreQueue(nd.ds),
-			Bitmap: bitmapidx.BuildWithStats(nd.ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw}),
-			Binned: bitmapidx.BuildWithStats(nd.ds, stats, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: defaultBins(nd.name)}),
+			Bitmap: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw}),
+			Binned: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: defaultBins(nd.name)}),
 		}
 		tab := Table{
 			Title:  fmt.Sprintf("Fig. 12 — %s: TKD cost (s) vs k", nd.name),

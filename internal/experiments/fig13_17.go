@@ -29,11 +29,11 @@ func sweepSynthetic(title, label string, points []string,
 		}
 		for p := range points {
 			ds := dataset(p, dist)
-			stats := ds.Stats()
+			sorted := ds.SortDims()
 			pre := &core.Pre{
 				Queue:  core.BuildMaxScoreQueue(ds),
-				Bitmap: bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Raw}),
-				Binned: bitmapidx.BuildWithStats(ds, stats, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: defaultBins(dist.String())}),
+				Bitmap: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw}),
+				Binned: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: defaultBins(dist.String())}),
 			}
 			row := []string{points[p]}
 			for _, alg := range synAlgorithms {

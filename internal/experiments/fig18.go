@@ -14,10 +14,10 @@ import (
 func Fig18(s Scale) []Table {
 	var out []Table
 	for _, nd := range allDatasets(s) {
-		stats := nd.ds.Stats()
+		sorted := nd.ds.SortDims()
 		pre := &core.Pre{
 			Queue:  core.BuildMaxScoreQueue(nd.ds),
-			Binned: bitmapidx.BuildWithStats(nd.ds, stats, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: defaultBins(nd.name)}),
+			Binned: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: defaultBins(nd.name)}),
 		}
 		tab := Table{
 			Title:  fmt.Sprintf("Fig. 18 — %s: objects pruned per heuristic vs k (IBIG)", nd.name),

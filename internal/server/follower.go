@@ -247,6 +247,7 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 		return f.applyDelta(name, e, resp.Body, sp)
 	}
 
+	start := time.Now()
 	imp := sp.StartChild("import")
 	fresh, epoch, err := tkd.ImportEpoch(resp.Body)
 	imp.End()
@@ -258,7 +259,7 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 	defer pub.End()
 	pub.SetInt("epoch", int64(epoch))
 	if !resident {
-		if err := f.s.registerFollowed(name, fresh, epoch); err != nil {
+		if err := f.s.registerFollowed(name, fresh, epoch, start); err != nil {
 			return false, err
 		}
 		return true, nil
@@ -268,7 +269,7 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 	// builds or warm-loads its per-shard ones), swap under the leader's
 	// number, persist what the cache lacked — the shipped index included, so a
 	// restart warms from disk instead of re-fetching.
-	if _, err := f.s.swapIn(e, fresh, epoch); err != nil {
+	if _, err := f.s.swapIn(e, fresh, epoch, start); err != nil {
 		return false, err
 	}
 	e.followed.Store(true)
@@ -322,8 +323,8 @@ func (f *follower) applyDelta(name string, e *entry, body io.Reader, sp *obs.Spa
 // registerFollowed installs a dataset discovered on the leader: the normal
 // register path (shard topology when the follower itself coordinates
 // shards, warm-up, persist, scheduler), then the follower bookkeeping.
-func (s *Server) registerFollowed(name string, ds *tkd.Dataset, epoch uint64) error {
-	if _, err := s.register(name, ds, "", false); err != nil {
+func (s *Server) registerFollowed(name string, ds *tkd.Dataset, epoch uint64, start time.Time) error {
+	if _, err := s.register(name, ds, "", false, start); err != nil {
 		return err
 	}
 	if e, ok := s.reg.get(name); ok {

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,13 +289,30 @@ func TestWarmRestartSkipsPrepare(t *testing.T) {
 	csv := filepath.Join(dir, "d.csv")
 	writeCSV(t, tkd.GenerateIND(600, 4, 25, 0.2, 17), csv)
 	ixdir := filepath.Join(dir, "ix")
-	cfg := server.Config{IndexDir: ixdir}
+	var logs bytes.Buffer
+	cfg := server.Config{IndexDir: ixdir, Logger: slog.New(slog.NewTextHandler(&logs, nil))}
+	// Every load ends with one line that decomposes it; wantLoadLine checks
+	// the latest one and empties the buffer.
+	wantLoadLine := func(stage, msg string, warm bool) {
+		t.Helper()
+		line := strings.TrimSpace(logs.String())
+		line = line[strings.LastIndex(line, "\n")+1:]
+		logs.Reset()
+		want := []string{fmt.Sprintf("msg=%q", msg), "dataset=d", "rows=600", fmt.Sprintf("warm=%v", warm),
+			"parse_ms=", "index_ms=", "queue_ms=", "persist_ms=", "seconds="}
+		for _, w := range want {
+			if !strings.Contains(line, w) {
+				t.Fatalf("%s: load line lacks %s:\n%s", stage, w, line)
+			}
+		}
+	}
 
 	// Cold boot: builds once, persists.
 	s1 := server.New(cfg)
 	if err := s1.LoadCSVFile("d", csv, false); err != nil {
 		t.Fatal(err)
 	}
+	wantLoadLine("cold boot", "dataset loaded", false)
 	ts1 := httptest.NewServer(s1)
 	want, code := postQuery(t, ts1.URL, server.QueryRequest{Dataset: "d", K: 5})
 	if code != http.StatusOK {
@@ -306,6 +325,11 @@ func TestWarmRestartSkipsPrepare(t *testing.T) {
 	if got := sumMetric(t, m1, "tkd_index_warm_loads_total"); got != 0 {
 		t.Fatalf("cold boot: %d warm loads, want 0", got)
 	}
+	// A reload of the unchanged file is a load too, warm from the cache.
+	if code, body := doJSON(t, http.MethodPost, ts1.URL+"/v1/datasets/d/reload", nil); code != http.StatusOK {
+		t.Fatalf("reload: HTTP %d: %s", code, body)
+	}
+	wantLoadLine("reload", "dataset reloaded", true)
 	ts1.Close()
 	s1.Close()
 
@@ -323,6 +347,7 @@ func TestWarmRestartSkipsPrepare(t *testing.T) {
 	if got := ds2.IndexBuilds(); got != 0 {
 		t.Fatalf("warm boot rebuilt the index %d times, want 0", got)
 	}
+	wantLoadLine("warm boot", "dataset loaded", true)
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
 	defer s2.Close()

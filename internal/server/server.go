@@ -277,7 +277,7 @@ func New(cfg Config) *Server {
 // server's shard topology attached when Config.Shards > 1; one that already
 // carries a topology (tkd.Shard) is registered as-is.
 func (s *Server) AddDataset(name string, ds *tkd.Dataset) error {
-	_, err := s.register(name, ds, "", false)
+	_, err := s.register(name, ds, "", false, time.Now())
 	return err
 }
 
@@ -316,11 +316,12 @@ func (s *Server) resolveShardData(name string) (*data.Dataset, uint64, bool) {
 // negate flips values for larger-is-better data. The path is recorded so
 // POST /v1/datasets/{name}/reload can rebuild from it.
 func (s *Server) LoadCSVFile(name, path string, negate bool) error {
+	start := time.Now()
 	ds, err := loadCSV(path, negate)
 	if err != nil {
 		return err
 	}
-	_, err = s.register(name, ds, path, negate)
+	_, err = s.register(name, ds, path, negate, start)
 	return err
 }
 
@@ -354,8 +355,10 @@ func (s *Server) shard(name string, ds *tkd.Dataset) (*tkd.Dataset, error) {
 }
 
 // register installs a dataset; warm reports whether the persisted-index
-// cache supplied the index.
-func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool) (warm bool, err error) {
+// cache supplied the index. start is when the caller began reading ds from
+// its source, for the log line the load ends with (logLoad).
+func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool, start time.Time) (warm bool, err error) {
+	parse := time.Since(start)
 	if name == "" {
 		return false, fmt.Errorf("server: empty dataset name")
 	}
@@ -385,7 +388,9 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 		}
 	}
 	warm, cold, tail := s.warmPrepare(name, ds)
+	persistStart := time.Now()
 	saved := s.persistWarmed(name, ds, cold, tail)
+	persist := time.Since(persistStart)
 	if ing != nil {
 		// The warm-up above published the recovered state (replayed suffix
 		// included); checkpoint it so the next restart skips the replay. A
@@ -414,7 +419,24 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 		}
 		return false, err
 	}
+	s.logLoad("dataset loaded", name, path, ds, warm, start, parse, persist)
 	return warm, nil
+}
+
+// logLoad writes the line every load ends with — a boot or runtime register
+// ("dataset loaded"), a reload or a follower's full import ("dataset
+// reloaded") — with the load decomposed: parse_ms reading the source (the CSV
+// file, a leader's epoch stream), index_ms building or warm-loading the
+// serving indexes, queue_ms the MaxScore queue (both from
+// tkd.Dataset.BuildTimes: summed over the shards of a sharded dataset, so
+// they can exceed the wall clock there), persist_ms writing what the index
+// cache lacked. seconds is the wall clock of the whole load.
+func (s *Server) logLoad(msg, name, path string, ds *tkd.Dataset, warm bool, start time.Time, parse, persist time.Duration) {
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+	index, queue := ds.BuildTimes()
+	s.log.Info(msg, "dataset", name, "path", path, "rows", ds.Len(), "warm", warm,
+		"parse_ms", ms(parse), "index_ms", ms(index), "queue_ms", ms(queue), "persist_ms", ms(persist),
+		"seconds", time.Since(start).Seconds())
 }
 
 // warmPrepare gets ds query-ready off to the side: apply the cache budget,
@@ -511,19 +533,23 @@ func (s *Server) checkpointIndex(e *entry, force bool) {
 // shard and warm the replacement entirely off to the side — queries keep
 // flowing on the current epoch the whole time — then publish it as e's next
 // epoch (numbered at when that moves the counter forward; 0 = next), which
-// carries the warm artifacts over, and persist what the cache lacked.
+// carries the warm artifacts over, and persist what the cache lacked. start
+// is when the caller began reading fresh from its source (see logLoad).
 // Coordinators holding cached slices of the pre-swap epoch keep getting
 // them for one more epoch: the peer cache rebuilds on the next scatter call
 // and retains the retired epoch as its grace predecessor, so their
 // in-flight queries finish instead of 409ing.
-func (s *Server) swapIn(e *entry, fresh *tkd.Dataset, at uint64) (warm bool, err error) {
+func (s *Server) swapIn(e *entry, fresh *tkd.Dataset, at uint64, start time.Time) (warm bool, err error) {
+	parse := time.Since(start)
 	if fresh, err = s.shard(e.name, fresh); err != nil {
 		return false, err
 	}
 	warm, cold, tail := s.warmPrepare(e.name, fresh)
 	e.ds.ReplaceFromAt(fresh, at)
 	fresh.Close() // its health loops, if any; the swap built e's own
+	persistStart := time.Now()
 	e.savedRows.Store(s.persistWarmed(e.name, fresh, cold, tail))
+	s.logLoad("dataset reloaded", e.name, e.path, fresh, warm, start, parse, time.Since(persistStart))
 	return warm, nil
 }
 
@@ -1072,7 +1098,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "%v", err)
 		return
 	}
-	warm, err := s.register(req.Name, ds, req.Path, req.Negate)
+	warm, err := s.register(req.Name, ds, req.Path, req.Negate, start)
 	if err != nil {
 		status, code := http.StatusBadRequest, errBadRequest
 		if errors.Is(err, errDuplicate) {
@@ -1136,7 +1162,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			"reload of %q from %s produced an empty dataset", name, e.path)
 		return
 	}
-	warm, err := s.swapIn(e, fresh, 0)
+	warm, err := s.swapIn(e, fresh, 0, start)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, errInternal, "%v", err)
 		return

@@ -75,7 +75,7 @@ func TestChaosReplicaExactness(t *testing.T) {
 		chaos := NewChaos(chaosMix(seed))
 		met := NewMetrics(3)
 		backends := replicatedChaosBackends(t, ds, 3, chaos, chaosPolicy(), met)
-		c := NewCoordinator(ds, pre.Queue, met)
+		c := NewCoordinator(core.NewPrepared(ds, nil), met)
 		for _, alg := range core.Algorithms {
 			for _, k := range []int{1, 7} {
 				want, _ := core.Run(alg, ds, k, pre)
@@ -127,7 +127,7 @@ func TestChaosRunFailClosedAndDegraded(t *testing.T) {
 		}
 		backends[i] = rs
 	}
-	c := NewCoordinator(ds, nil, NewMetrics(n))
+	c := NewCoordinator(core.NewPrepared(ds, nil), NewMetrics(n))
 
 	// Default: fail closed with the typed error naming the shard.
 	_, _, err := c.Run(context.Background(), core.AlgIBIG, k, backends, RunOptions{})
@@ -236,7 +236,7 @@ func TestChaosDegradedBudgetsSound(t *testing.T) {
 	}
 	backends[1] = down
 
-	c := NewCoordinator(ds, nil, nil)
+	c := NewCoordinator(core.NewPrepared(ds, nil), nil)
 	for _, alg := range []core.Algorithm{core.AlgBIG, core.AlgIBIG} {
 		for _, k := range []int{1, 3, 7, 16, 40, 100} {
 			var out Outcome
@@ -280,7 +280,7 @@ func TestChaosCancellationReleasesScatter(t *testing.T) {
 		}
 		backends = append(backends, rs)
 	}
-	c := NewCoordinator(ds, nil, NewMetrics(2))
+	c := NewCoordinator(core.NewPrepared(ds, nil), NewMetrics(2))
 
 	base := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
@@ -335,7 +335,7 @@ func TestChaosTransportRemoteExactness(t *testing.T) {
 		backends[i] = rs
 	}
 	pre := core.Preprocess(ds, nil)
-	c := NewCoordinator(ds, pre.Queue, NewMetrics(n))
+	c := NewCoordinator(core.NewPrepared(ds, nil), NewMetrics(n))
 	for _, alg := range []core.Algorithm{core.AlgNaive, core.AlgUBB, core.AlgIBIG} {
 		want, _ := core.Run(alg, ds, 6, pre)
 		got, _, err := c.Run(context.Background(), alg, 6, backends, RunOptions{})

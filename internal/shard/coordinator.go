@@ -15,36 +15,26 @@ import (
 )
 
 // Coordinator drives scatter-gather queries over a fixed set of shard
-// backends. It owns the coordinator-side artifacts — the full (frozen)
-// dataset and the global MaxScore queue — and is safe for concurrent Run
-// calls; the backends it is handed per call do the shard-side work.
+// backends. The coordinator-side artifacts — the full (frozen) dataset and
+// the global MaxScore queue — live in the holder it is made over; it is safe
+// for concurrent Run calls, and the backends it is handed per call do the
+// shard-side work.
 type Coordinator struct {
-	ds        *data.Dataset
-	queueOnce sync.Once
-	queue     *core.MaxScoreQueue
-	met       *Metrics
+	ds   *data.Dataset
+	part *core.Prepared
+	met  *Metrics
 }
 
-// NewCoordinator wraps the full dataset. queue may be nil (built once, on
-// the first queue-driven query); pass the dataset's existing MaxScore
-// artifact to share it with unsharded queries. met may be nil (no metrics
-// collected).
-func NewCoordinator(ds *data.Dataset, queue *core.MaxScoreQueue, met *Metrics) *Coordinator {
+// NewCoordinator wraps the holder of the full dataset's artifacts: the first
+// queue-driven query builds the global queue in it unless someone already has
+// (a caller warming up beside the shards' index builds, a predecessor's queue
+// installed), and every later one reads it with an atomic load. met may be
+// nil (no metrics collected).
+func NewCoordinator(part *core.Prepared, met *Metrics) *Coordinator {
 	if met == nil {
 		met = NewMetrics(0)
 	}
-	c := &Coordinator{ds: ds, queue: queue, met: met}
-	if queue != nil {
-		c.queueOnce.Do(func() {})
-	}
-	return c
-}
-
-// maxScoreQueue returns the coordinator's queue, building it exactly once
-// under concurrent Run calls.
-func (c *Coordinator) maxScoreQueue() *core.MaxScoreQueue {
-	c.queueOnce.Do(func() { c.queue = core.BuildMaxScoreQueue(c.ds) })
-	return c.queue
+	return &Coordinator{ds: part.Dataset(), part: part, met: met}
 }
 
 // pass is the state of one runOnce attempt: the shards it covers and the
@@ -284,7 +274,7 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 	// extra round trips.
 	size := core.WindowSize
 	if useQueue {
-		queue = c.maxScoreQueue()
+		queue = c.part.Ensure(core.NeedQueue).Queue
 		fr = core.NewFrontier(queue)
 		size = min(k, core.WindowSize)
 	} else {

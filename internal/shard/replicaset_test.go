@@ -345,7 +345,7 @@ func TestReplicaSetHedgeStragglerJoined(t *testing.T) {
 		backends[i] = rs
 	}
 	pre := core.Preprocess(ds, nil)
-	c := NewCoordinator(ds, pre.Queue, nil)
+	c := NewCoordinator(core.NewPrepared(ds, nil), nil)
 	for _, k := range []int{3, 20} {
 		want, _ := core.Run(core.AlgIBIG, ds, k, pre)
 		got, st, err := c.Run(context.Background(), core.AlgIBIG, k, backends, RunOptions{})

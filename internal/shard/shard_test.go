@@ -47,7 +47,7 @@ func TestCoordinatorMatchesSerial(t *testing.T) {
 	pre := core.Preprocess(ds, nil)
 	for _, alg := range core.Algorithms {
 		for _, n := range []int{1, 3} {
-			c := NewCoordinator(ds, pre.Queue, NewMetrics(n))
+			c := NewCoordinator(core.NewPrepared(ds, nil), NewMetrics(n))
 			for _, k := range []int{1, 7} {
 				want, _ := core.Run(alg, ds, k, pre)
 				got, _, err := c.Run(context.Background(), alg, k, localBackends(ds, n), RunOptions{})
@@ -91,7 +91,7 @@ func TestShardedWorkBounded(t *testing.T) {
 		backends := localBackends(ds, n)
 		rec := &batchRecorder{Backend: backends[0]}
 		backends[0] = rec
-		c := NewCoordinator(ds, pre.Queue, nil)
+		c := NewCoordinator(core.NewPrepared(ds, nil), nil)
 		for _, alg := range []core.Algorithm{core.AlgBIG, core.AlgIBIG} {
 			cycleSerial, cycleSharded := 0, 0
 			for _, k := range []int{4, 16, 64} {
@@ -151,7 +151,7 @@ func TestRemoteBackends(t *testing.T) {
 		backends[i] = NewRemote(nil, peers[i%len(peers)].URL, "d", lo, hi, ds.Slice(lo, hi).Fingerprint())
 	}
 	pre := core.Preprocess(ds, nil)
-	c := NewCoordinator(ds, pre.Queue, NewMetrics(n))
+	c := NewCoordinator(core.NewPrepared(ds, nil), NewMetrics(n))
 	for _, alg := range []core.Algorithm{core.AlgNaive, core.AlgUBB, core.AlgIBIG} {
 		want, _ := core.Run(alg, ds, 6, pre)
 		got, st, err := c.Run(context.Background(), alg, 6, backends, RunOptions{})

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
@@ -188,20 +187,20 @@ type shardSet struct {
 	parts    []*core.Prepared
 }
 
-// shardSet returns the epoch's shard set, slicing it on first use around the
-// global queue — the coordinator-side artifact.
+// shardSet returns the epoch's shard set, slicing it on first use. Slicing
+// builds nothing: the global queue and the shards' indexes come from prewarm,
+// side by side, or from the first query that needs them.
 func (s *snapshot) shardSet() *shardSet {
 	if ss := s.shards.Load(); ss != nil {
 		return ss
 	}
-	queue := s.part.Ensure(core.NeedQueue).Queue
 	s.smu.Lock()
 	defer s.smu.Unlock()
 	if ss := s.shards.Load(); ss != nil {
 		return ss
 	}
 	t := s.d.topo.Load()
-	ss := t.build(s.ds, queue, s.d.partBudget(), nil)
+	ss := t.build(s.part, s.d.partBudget(), nil)
 	ss.startHealthChecks(t.healthInterval)
 	s.shards.Store(ss)
 	if s.retired.Load() {
@@ -210,16 +209,17 @@ func (s *snapshot) shardSet() *shardSet {
 	return ss
 }
 
-// build slices ds into the topology's row ranges. Shard i is an in-process
-// Local — seeded with the artifacts of warm's, the set another Dataset built
-// over this very data, when there is one — or a replica set of Remotes
-// pointing at the shard's peer group (retry/hedge/breaker semantics apply
-// even to a single-peer group — one replica is just the degenerate set).
-// budget is each shard's cache budget (Dataset.partBudget). The replica sets'
-// health loops are the caller's to start (startHealthChecks), once the epoch
-// is published.
-func (t *topology) build(ds *data.Dataset, queue *core.MaxScoreQueue, budget int64, warm *shardSet) *shardSet {
-	ss := &shardSet{coord: shard.NewCoordinator(ds, queue, t.met), backends: make([]shard.Backend, t.n)}
+// build slices the rows of global — the epoch's own holder, where the
+// coordinator keeps the global queue — into the topology's row ranges. Shard i is an in-process Local — seeded with the
+// artifacts of warm's, the set another Dataset built over this very data, when
+// there is one — or a replica set of Remotes pointing at the shard's peer
+// group (retry/hedge/breaker semantics apply even to a single-peer group —
+// one replica is just the degenerate set). budget is each shard's cache budget
+// (Dataset.partBudget). The replica sets' health loops are the caller's to
+// start (startHealthChecks), once the epoch is published.
+func (t *topology) build(global *core.Prepared, budget int64, warm *shardSet) *shardSet {
+	ds := global.Dataset()
+	ss := &shardSet{coord: shard.NewCoordinator(global, t.met), backends: make([]shard.Backend, t.n)}
 	if warm != nil && len(warm.backends) != t.n {
 		warm = nil
 	}
@@ -285,19 +285,23 @@ func (ss *shardSet) close() {
 	}
 }
 
-// prewarm builds the artifacts of n on every non-empty in-process shard, in
-// parallel across shards.
-func (ss *shardSet) prewarm(n core.Need) {
+// prewarm builds the artifacts of n side by side: the coordinator's global
+// queue in global, the epoch's own holder, and every non-empty in-process
+// shard's part of the rest.
+func (ss *shardSet) prewarm(global *core.Prepared, n core.Need) {
 	var wg sync.WaitGroup
-	for _, p := range ss.parts {
-		if p.Dataset().Len() == 0 {
-			continue // more shards than rows: nothing to index
-		}
+	ensure := func(p *core.Prepared, n core.Need) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			p.Ensure(n)
 		}()
+	}
+	ensure(global, n&core.NeedQueue)
+	for _, p := range ss.parts {
+		if p.Dataset().Len() > 0 { // more shards than rows: nothing to index
+			ensure(p, n&^core.NeedQueue)
+		}
 	}
 	wg.Wait()
 }

@@ -59,6 +59,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/bitmapidx"
 	"repro/internal/core"
@@ -124,13 +125,19 @@ type snapshot struct {
 	retired atomic.Bool
 }
 
-// newSnapshot freezes ds as the given epoch of d: a holder under d's cache
-// budget, seeded with the artifacts that arrive already made.
+// newSnapshot freezes ds as the given epoch of d, its artifacts in a fresh
+// holder (newPart).
 func (d *Dataset) newSnapshot(epoch uint64, ds *data.Dataset, bins []int, pre core.Pre) *snapshot {
-	s := &snapshot{d: d, epoch: epoch, ds: ds, part: core.NewPrepared(ds, bins)}
-	s.part.SetCacheBudget(d.cacheBudget.Load())
-	s.part.Install(pre)
-	return s
+	return &snapshot{d: d, epoch: epoch, ds: ds, part: d.newPart(ds, bins, pre)}
+}
+
+// newPart returns a holder over ds under d's cache budget, seeded with the
+// artifacts that arrive already made.
+func (d *Dataset) newPart(ds *data.Dataset, bins []int, pre core.Pre) *core.Prepared {
+	p := core.NewPrepared(ds, bins)
+	p.SetCacheBudget(d.cacheBudget.Load())
+	p.Install(pre)
+	return p
 }
 
 // parts lists the holders behind the epoch's serving indexes — the epoch's
@@ -273,6 +280,28 @@ func (d *Dataset) IndexBuilds() int64 {
 	return n
 }
 
+// BuildTimes reports what the current epoch's artifacts cost to make: index
+// is the time spent building or loading its serving indexes (BIG's bitmap
+// too, if a query asked for one), queue the time spent on its MaxScore queue.
+// A sharded dataset adds up its in-process shards, which build side by side
+// and beside the coordinator's queue — the sum can exceed the wall clock.
+// Zero while staging is dirty; artifacts carried in from another epoch or
+// dataset cost nothing. It is what a serving layer logs when a load ends.
+func (d *Dataset) BuildTimes() (index, queue time.Duration) {
+	s := d.cur.Load()
+	if s == nil {
+		return 0, 0
+	}
+	index, queue = s.part.BuildTimes()
+	if ss := s.shards.Load(); ss != nil {
+		for _, p := range ss.parts {
+			i, q := p.BuildTimes()
+			index, queue = index+i, queue+q
+		}
+	}
+	return index, queue
+}
+
 // Append adds one object; use Missing for unobserved dimensions. Objects
 // must have at least one observed value. Safe to call while queries are
 // running: they finish on the epoch they started on.
@@ -351,13 +380,14 @@ func (d *Dataset) replaceFrom(src *Dataset, at uint64) {
 	// into src's metrics and its replica sets run src's health loops — but a
 	// sharded receiver rebuilds its own set around src's warm in-process
 	// shards, so per-shard indexes built off to the side survive the swap.
+	part := d.newPart(ss.ds, ss.part.Bins(), pre)
 	var shards *shardSet
 	if t, warm := d.topo.Load(), ss.shards.Load(); t != nil && warm != nil {
-		shards = t.build(ss.ds, pre.Queue, d.partBudget(), warm)
+		shards = t.build(part, d.partBudget(), warm)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := d.newSnapshot(d.nextEpochLocked(at), ss.ds, ss.part.Bins(), pre)
+	s := &snapshot{d: d, epoch: d.nextEpochLocked(at), ds: ss.ds, part: part}
 	s.shards.Store(shards)
 	d.staging = ss.ds
 	d.shared = true
@@ -568,7 +598,7 @@ func (d *Dataset) PrepareFor(algs ...Algorithm) {
 	}
 	s := d.current()
 	if d.Shards() > 0 {
-		s.shardSet().prewarm(n &^ core.NeedQueue) // the queue is the coordinator's
+		s.shardSet().prewarm(s.part, n)
 		return
 	}
 	s.part.Ensure(n)
@@ -723,6 +753,7 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	var shards *shardSet
 	if t != nil {
 		shards = s.shardSet()
+		s.part.Ensure(core.NeedFor(cfg.alg, false) & core.NeedQueue) // the coordinator's
 	} else {
 		pre = s.part.Ensure(core.NeedFor(cfg.alg, cfg.btree))
 	}
