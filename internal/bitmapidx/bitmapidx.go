@@ -26,8 +26,8 @@
 // Columns are stored raw (dense) or compressed with CONCISE, the codec the
 // paper picks over WAH in Fig. 10; compression trades storage cost against
 // per-query decompression work, the trade-off Fig. 11 measures. An adaptive
-// index additionally picks dense, CONCISE or sorted-ID sparse per column
-// (see column.go and DESIGN.md).
+// index picks per column: CONCISE when the compression is fill-dominated,
+// dense otherwise (see column.go and DESIGN.md §1).
 package bitmapidx
 
 import (
@@ -77,12 +77,11 @@ type Options struct {
 	// are clamped to [1, Ci].
 	Bins []int
 	// Adaptive lets every (dimension, bin) column pick its own physical
-	// representation: sorted-ID sparse below SparseMaxDensity; compressed
-	// whenever the codec gets the column fill-dominated (≤ ¼ of the dense
-	// payload, served by the run-native kernels); otherwise dense above
-	// DenseMinDensity and Codec-compressed (cache-served) in the middle
-	// band. Raw promotes to CONCISE as the compression codec. Leaving
-	// Adaptive false stores every column in Codec (the paper's setups).
+	// representation: compressed when the codec gets the column
+	// fill-dominated (≤ ¼ of the dense payload, served by the run-native
+	// kernels), dense otherwise. Raw promotes to CONCISE as the compression
+	// codec. Leaving Adaptive false stores every column in Codec (the
+	// paper's setups).
 	Adaptive bool
 }
 
@@ -117,7 +116,10 @@ type Index struct {
 	masks []maskCount
 	ones  *bitvec.Vector // shared all-ones column
 	// colCache lazily holds decompressed columns of a compressed index,
-	// shared by every cursor (nil for Raw indexes). A query touches the same
+	// shared by every cursor (nil for Raw indexes). It serves the
+	// literal-heavy columns of a pure-CONCISE index (the paper's setups) and
+	// the count path's all-ones column; every other column of an adaptive
+	// index is read in the form it is stored in. A query touches the same
 	// columns for thousands of candidates, and a parallel query touches them
 	// from N workers — caching the decompression means a hot column is
 	// decompressed once per index, not once per cursor. The cache is bounded
@@ -165,7 +167,6 @@ type cacheState struct {
 type repStats struct {
 	dense      atomic.Int64
 	compressed atomic.Int64
-	sparse     atomic.Int64
 	native     atomic.Int64
 	fallback   atomic.Int64
 }
@@ -173,7 +174,7 @@ type repStats struct {
 // repTally is one operation's local representation counts, flushed to the
 // index's atomic counters at the end of the operation.
 type repTally struct {
-	dense, compressed, sparse, native, fallback int64
+	dense, compressed, native, fallback int64
 }
 
 func (ix *Index) flushTally(t *repTally) {
@@ -182,9 +183,6 @@ func (ix *Index) flushTally(t *repTally) {
 	}
 	if t.compressed != 0 {
 		ix.rep.compressed.Add(t.compressed)
-	}
-	if t.sparse != 0 {
-		ix.rep.sparse.Add(t.sparse)
 	}
 	if t.native != 0 {
 		ix.rep.native.Add(t.native)
@@ -198,7 +196,7 @@ func (ix *Index) flushTally(t *repTally) {
 // and representation counters. Hits and Misses count sharedDense lookups (a
 // miss pays one decompression), Evicted counts columns dropped by the CLOCK
 // sweep, Bytes is the resident payload and Budget the configured bound.
-// DenseCols/CompressedCols/SparseCols count columns served per physical
+// DenseCols/CompressedCols count columns served per physical
 // representation on the query path; NativeKernel and Fallback split the
 // compressed-column traffic into run-native kernel hits versus dense
 // materializations (cache or scratch).
@@ -211,7 +209,6 @@ type CacheStats struct {
 
 	DenseCols      int64
 	CompressedCols int64
-	SparseCols     int64
 	NativeKernel   int64
 	Fallback       int64
 }
@@ -228,7 +225,6 @@ func (ix *Index) CacheStats() CacheStats {
 
 		DenseCols:      ix.rep.dense.Load(),
 		CompressedCols: ix.rep.compressed.Load(),
-		SparseCols:     ix.rep.sparse.Load(),
 		NativeKernel:   ix.rep.native.Load(),
 		Fallback:       ix.rep.fallback.Load(),
 	}
@@ -286,7 +282,7 @@ func (ix *Index) sharedDense(d, b int) *bitvec.Vector {
 		return nil
 	}
 	v := bitvec.New(ix.ds.Len())
-	decompressInto(&ix.dims[d].cols[b], v)
+	ix.dims[d].cols[b].conc.DecompressInto(v)
 	if sc.v.CompareAndSwap(nil, v) {
 		sc.ref.Store(true)
 	} else {
@@ -405,7 +401,7 @@ func BuildSorted(s *data.Sorted, opts Options) *Index {
 	}
 	codec := opts.Codec
 	if opts.Adaptive && codec == Raw {
-		// The middle density band of an adaptive index needs a codec;
+		// The fill-dominated columns of an adaptive index need a codec;
 		// CONCISE is the paper's pick for IBIG.
 		codec = Concise
 	}
@@ -511,38 +507,28 @@ func (ix *Index) encode(v *bitvec.Vector) column {
 
 func (ix *Index) encodeCodec(v *bitvec.Vector) column {
 	if ix.codec == Concise {
-		return newConciseColumn(concise.Compress(v))
+		return newConciseColumn(concise.Compress(v), false)
 	}
 	return column{kind: kindDense, dense: v.Clone()}
 }
 
-// encodeAdaptive picks a column's representation: sorted ids below the
-// sparse break-even; otherwise the column is trial-compressed and kept
-// compressed when fill-dominated — clustered or sorted data, and notably
-// the all-ones column (one fill word instead of n/8 dense bytes, on disk
-// and in RAM), where the run-native kernels beat dense word scans at any
-// density. Literal-heavy columns fall back to the density rule: dense past
-// DenseMinDensity, compressed (served via the cache) in the middle band.
+// encodeAdaptive trial-compresses the column and keeps it compressed only
+// when fill-dominated — clustered or sorted data, and notably the all-ones
+// column (one fill word instead of n/8 dense bytes, on disk and in RAM),
+// where the run-native kernels beat dense word scans at any density. A
+// literal-heavy stream is larger than the raw vector and slower to read, so
+// the column stays dense.
 func (ix *Index) encodeAdaptive(v *bitvec.Vector) column {
-	n := v.Len()
-	cnt := v.Count()
-	if n > 0 && float64(cnt) <= SparseMaxDensity*float64(n) {
-		return newSparseColumn(v)
-	}
-	col := ix.encodeCodec(v)
-	if col.runNative {
+	if col := ix.encodeCodec(v); col.runNative {
 		return col
 	}
-	if n == 0 || float64(cnt) >= DenseMinDensity*float64(n) {
-		return column{kind: kindDense, dense: v.Clone()}
-	}
-	return col
+	return column{kind: kindDense, dense: v.Clone()}
 }
 
 // Binned reports whether the index is bin-granular.
 func (ix *Index) Binned() bool { return ix.binned }
 
-// Adaptive reports whether columns picked their representation by density.
+// Adaptive reports whether each column picked its own representation.
 func (ix *Index) Adaptive() bool { return ix.adaptive }
 
 // CodecUsed returns the configured codec.
@@ -576,21 +562,18 @@ func (ix *Index) Columns() int {
 
 // Representations returns how many physical columns are stored in each
 // representation. A pure-codec index reports everything under one bucket;
-// an adaptive index typically mixes all three.
-func (ix *Index) Representations() (dense, compressed, sparse int) {
+// an adaptive index mixes the two.
+func (ix *Index) Representations() (dense, compressed int) {
 	for d := range ix.dims {
 		for c := range ix.dims[d].cols {
-			switch ix.dims[d].cols[c].kind {
-			case kindDense:
+			if ix.dims[d].cols[c].kind == kindDense {
 				dense++
-			case kindSparse:
-				sparse++
-			default:
+			} else {
 				compressed++
 			}
 		}
 	}
-	return dense, compressed, sparse
+	return dense, compressed
 }
 
 // ForEachDenseColumn visits every physical column of a Raw-codec index as a
@@ -659,15 +642,14 @@ type Cursor struct {
 	ix   *Index
 	q, p *bitvec.Vector
 	// scratchQ/scratchP are per-dimension materialization fallbacks used
-	// only when the shared cache is full of hotter columns (or for sparse
-	// columns that a dense consumer needs scattered); two per dimension
-	// because the fused QP pass needs a dimension's Q- and P-columns alive
-	// at once. Lazily allocated: they cost nothing while the cache holds.
+	// only when the shared cache is full of hotter columns; two per
+	// dimension because the fused QP pass needs a dimension's Q- and
+	// P-columns alive at once. Lazily allocated: they cost nothing while the
+	// cache holds.
 	scratchQ, scratchP []*bitvec.Vector
 	cols               []*bitvec.Vector // reusable dense-column buffer
-	// representation-dispatch buffers for the compressed-native count paths.
+	// the compressed-native count path's column buffer.
 	concCols []*concise.Bitmap
-	sparseQ  [][]int32
 	qrefs    []qref
 }
 
@@ -682,29 +664,21 @@ func (ix *Index) NewCursor() *Cursor {
 		scratchP: make([]*bitvec.Vector, len(ix.dims)),
 		cols:     make([]*bitvec.Vector, 0, len(ix.dims)),
 		concCols: make([]*concise.Bitmap, 0, len(ix.dims)),
-		sparseQ:  make([][]int32, 0, len(ix.dims)),
 		qrefs:    make([]qref, 0, len(ix.dims)),
 	}
 	return c
 }
 
 // dense returns column b of dimension d as a dense vector: the stored
-// vector for dense columns, a scatter into *scratch for sparse ones, and
-// for compressed columns the shared cache entry — or, when the cache is
-// full of hotter columns, a decompression into *scratch. A cached result
-// stays valid for the caller even if evicted meanwhile; a scratch result is
-// valid until *scratch is reused for the same dimension.
+// vector for dense columns, and for compressed columns the shared cache
+// entry — or, when the cache is full of hotter columns, a decompression into
+// *scratch. A cached result stays valid for the caller even if evicted
+// meanwhile; a scratch result is valid until *scratch is reused for the same
+// dimension.
 func (c *Cursor) dense(d, b int, scratch **bitvec.Vector) *bitvec.Vector {
 	col := &c.ix.dims[d].cols[b]
-	switch col.kind {
-	case kindDense:
+	if col.kind == kindDense {
 		return col.dense
-	case kindSparse:
-		if *scratch == nil {
-			*scratch = bitvec.New(c.ix.ds.Len())
-		}
-		(*scratch).CopyFromIDs(col.ids)
-		return *scratch
 	}
 	if v := c.ix.sharedDense(d, b); v != nil {
 		return v
@@ -712,16 +686,16 @@ func (c *Cursor) dense(d, b int, scratch **bitvec.Vector) *bitvec.Vector {
 	if *scratch == nil {
 		*scratch = bitvec.New(c.ix.ds.Len())
 	}
-	decompressInto(col, *scratch)
+	col.conc.DecompressInto(*scratch)
 	return *scratch
 }
 
 // QP computes the paper's sets Q = ∩Qi − {o} and P = ∩Pi for object obj as
 // bit vectors (Definition 4). A Raw index runs the fused dense pass; any
-// other index dispatches per column on its representation — dense AND,
-// sorted-ID merge, or CONCISE's run-native AndInto — with the
-// decompressed-column cache serving only the compressed columns that are
-// not fill-dominated. The returned vectors are owned by the cursor and
+// other index dispatches per column on its representation — dense AND or
+// CONCISE's run-native AndInto — with the decompressed-column cache serving
+// only the compressed columns that are not fill-dominated (none, on an
+// adaptive index). The returned vectors are owned by the cursor and
 // valid until the next QP call.
 func (c *Cursor) QP(obj int) (q, p *bitvec.Vector) {
 	refs := c.buildRefs(obj)
@@ -810,32 +784,28 @@ func (c *Cursor) qpDispatch(refs []qref, clear int) (q, p *bitvec.Vector) {
 }
 
 // seedColumn materializes column (d, b) into dst, seeding an accumulator:
-// dense copy, sparse scatter, or — for compressed columns — a copy of the
-// shared cache entry when resident, else one run-native decompression
-// straight into dst (no scratch, no cache churn).
+// dense copy or — for compressed columns — one run-native decompression
+// straight into dst (no scratch, no cache churn) when fill-dominated, else a
+// copy of the shared cache entry when resident.
 func (c *Cursor) seedColumn(dst *bitvec.Vector, d, b int, t *repTally) {
 	col := &c.ix.dims[d].cols[b]
-	switch col.kind {
-	case kindDense:
+	if col.kind == kindDense {
 		t.dense++
 		dst.CopyFrom(col.dense)
-	case kindSparse:
-		t.sparse++
-		dst.CopyFromIDs(col.ids)
-	default:
-		t.compressed++
-		if col.runNative {
-			t.native++
-			decompressInto(col, dst)
-			return
-		}
-		t.fallback++
-		if v := c.ix.sharedDense(d, b); v != nil {
-			dst.CopyFrom(v)
-			return
-		}
-		decompressInto(col, dst)
+		return
 	}
+	t.compressed++
+	if col.runNative {
+		t.native++
+		col.conc.DecompressInto(dst)
+		return
+	}
+	t.fallback++
+	if v := c.ix.sharedDense(d, b); v != nil {
+		dst.CopyFrom(v)
+		return
+	}
+	col.conc.DecompressInto(dst)
 }
 
 // andColumn sets dst &= column (d, b) through the representation's kernel;
@@ -843,22 +813,19 @@ func (c *Cursor) seedColumn(dst *bitvec.Vector, d, b int, t *repTally) {
 // shared cache (or *scratch) and AND densely — the cache's fallback role.
 func (c *Cursor) andColumn(dst *bitvec.Vector, d, b int, scratch **bitvec.Vector, t *repTally) {
 	col := &c.ix.dims[d].cols[b]
-	switch col.kind {
-	case kindDense:
+	switch {
+	case col.kind == kindDense:
 		t.dense++
-	case kindSparse:
-		t.sparse++
+		dst.And(col.dense)
+	case col.runNative:
+		t.compressed++
+		t.native++
+		concise.AndInto(dst, col.conc)
 	default:
 		t.compressed++
-		if col.runNative {
-			t.native++
-		} else {
-			t.fallback++
-			dst.And(c.dense(d, b, scratch))
-			return
-		}
+		t.fallback++
+		dst.And(c.dense(d, b, scratch))
 	}
-	col.andIntoDirect(dst)
 }
 
 // qCols collects the Q-columns of refs as dense vectors into the cursor's
@@ -889,7 +856,7 @@ func (c *Cursor) MaxBitScore(obj int) int {
 
 // MaxBitScoreAbove is the threshold-aware MaxBitScore: it reports whether
 // the Heuristic 2 bound exceeds tau, returning the exact bound when it does.
-// Every path bails out as soon as the remaining columns/ids/words cannot
+// Every path bails out as soon as the remaining columns/words cannot
 // lift the count past tau, so pruned candidates (the common case late in a
 // query) cost a fraction of a full count.
 func (c *Cursor) MaxBitScoreAbove(obj, tau int) (int, bool) {
@@ -922,117 +889,43 @@ const noTau = -1 << 62
 // intersectQAbove computes |∩Qi| over the given Q-column refs with the
 // IntersectCountAbove contract, dispatching on the representation mix:
 //
-//   - any sparse column: iterate the smallest id list and membership-test
-//     the others (dense Get, sorted-id binary search; compressed columns
-//     materialize through the cache — no native random access);
 //   - all columns compressed and fill-dominated: CONCISE's run-native
 //     multi-way gallop, no decompression at all;
 //   - otherwise: materialize compressed columns (shared cache or scratch)
 //     and run the fused dense cascade.
 func (c *Cursor) intersectQAbove(refs []qref, tau int) (int, bool) {
 	ix := c.ix
-	var t repTally
-	defer ix.flushTally(&t)
-
-	// Classification scan: representation census plus the smallest sparse
-	// column, paid once over the (few) observed dimensions.
-	sparse, dense, native, fallback := 0, 0, 0, 0
-	minRef, minLen := -1, 0
-	for i, r := range refs {
-		col := &ix.dims[r.d].cols[r.qb]
-		switch col.kind {
-		case kindDense:
-			dense++
-		case kindSparse:
-			sparse++
-			if minRef < 0 || len(col.ids) < minLen {
-				minRef, minLen = i, len(col.ids)
-			}
-		default:
-			if col.runNative {
-				native++
-			} else {
-				fallback++
-			}
-		}
-	}
 	if len(refs) == 0 {
 		n := ix.ds.Len()
 		return n, n > tau
 	}
-	t.dense += int64(dense)
-	t.sparse += int64(sparse)
-	t.compressed += int64(native + fallback)
+	var t repTally
+	defer ix.flushTally(&t)
 
-	switch {
-	case sparse > 0:
-		// Compressed columns have no random access; they fall back to a
-		// dense materialization for the membership tests.
-		t.fallback += int64(native + fallback)
-		return c.countViaSparse(tau, refs, minRef)
-	case dense == 0 && fallback == 0:
-		t.native += int64(native)
-		return c.countNative(tau, refs)
-	default:
-		t.fallback += int64(native + fallback)
-		return bitvec.IntersectCountAbove(tau, c.qCols(refs)...)
+	// Representation census, paid once over the (few) observed dimensions.
+	var native int64
+	for _, r := range refs {
+		col := &ix.dims[r.d].cols[r.qb]
+		switch {
+		case col.kind == kindDense:
+			t.dense++
+		case col.runNative:
+			native++
+		}
 	}
+	t.compressed = int64(len(refs)) - t.dense
+	if native == int64(len(refs)) {
+		t.native = native
+		return c.countNative(tau, refs)
+	}
+	t.fallback = t.compressed
+	return bitvec.IntersectCountAbove(tau, c.qCols(refs)...)
 }
 
 // qref locates one candidate's columns in dimension d: Q-column bucket qb
 // and P-column bucket pb (pb is only meaningful on the QP paths; the count
 // paths read qb alone).
 type qref struct{ d, qb, pb int32 }
-
-// countViaSparse counts |∩Qi| by iterating the smallest sparse Q-column
-// (refs[minRef]) and testing each id against every other column, with an
-// early exit once the remaining ids cannot beat tau.
-func (c *Cursor) countViaSparse(tau int, refs []qref, minRef int) (int, bool) {
-	ix := c.ix
-	// Gather the other columns into the cursor's reusable buffers: dense
-	// vectors (including materialized compressed columns) and id lists.
-	denseCols := c.cols[:0]
-	sparseCols := c.sparseQ[:0]
-	for i, r := range refs {
-		if i == minRef {
-			continue
-		}
-		col := &ix.dims[r.d].cols[r.qb]
-		if col.kind == kindSparse {
-			sparseCols = append(sparseCols, col.ids)
-			continue
-		}
-		denseCols = append(denseCols, c.dense(int(r.d), int(r.qb), &c.scratchQ[r.d]))
-	}
-	c.cols, c.sparseQ = denseCols, sparseCols
-
-	base := ix.dims[refs[minRef].d].cols[refs[minRef].qb].ids
-	count := 0
-	for i, id := range base {
-		if count+(len(base)-i) <= tau {
-			return 0, false
-		}
-		member := true
-		for _, v := range denseCols {
-			if !v.Get(int(id)) {
-				member = false
-				break
-			}
-		}
-		if member {
-			for _, ids := range sparseCols {
-				if !containsID(ids, id) {
-					member = false
-					break
-				}
-			}
-		}
-		if member {
-			count++
-		}
-	}
-	return count, count > tau
-}
 
 // countNative runs CONCISE's multi-way run gallop over the candidate's
 // Q-columns — all compressed and fill-dominated, by the caller's

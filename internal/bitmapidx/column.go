@@ -5,134 +5,68 @@ import (
 	"repro/internal/compress/concise"
 )
 
-// Column representations. A physical column is stored in one of three forms:
+// Column representations. A physical column is stored in one of two forms:
 //
 //   - dense: a raw bit vector, intersected with the fused bitvec kernels;
-//   - CONCISE: the compressed word stream;
-//   - sparse: the sorted ids of the set bits, for very sparse columns —
-//     intersected by scatter/merge without ever materializing the column.
+//   - CONCISE: the compressed word stream.
 //
 // A non-adaptive index stores every column in the configured codec (dense
-// for Raw, CONCISE otherwise) — the paper's setups. An adaptive index picks
-// per column by measured density at build time: the high-density columns
-// that compress poorly stay dense, the near-empty ones become id lists, and
-// only the middle band pays for the codec. Compressed columns additionally
-// record whether they are fill-dominated — compressed to a quarter of the
-// dense payload or better — in which case the run-native kernels in
-// compress/concise beat reading a cached dense copy and the
-// decompressed-column cache is bypassed entirely.
+// for Raw, CONCISE otherwise) — the paper's setups. An adaptive (serving)
+// index keeps a column compressed only when its trial compression is
+// fill-dominated — a quarter of the dense payload or better: the all-ones
+// column, clustered or sorted data — and stores it dense otherwise, so every
+// column is read by a kernel over the form it is stored in: the run-native
+// kernels in compress/concise for the first, the word kernels for the
+// second. The rule is a measured break-even with no density constant: a
+// literal-heavy CONCISE stream costs a word per 31 bits, more than the raw
+// vector, and a column of incomplete data is never sparse enough for an id
+// list to pay (a row missing on a dimension is set in all of its columns).
+// DESIGN.md §1 has the census. The decompressed-column cache is what serves
+// the literal-heavy columns of a pure-CONCISE index.
 
 // colKind identifies a column's physical representation. The values double
-// as the persisted column-kind bytes of format v4; 1 was WAH and stays
-// reserved (see Codec).
+// as the persisted column-kind bytes of format v4; 1 was WAH and 3 the
+// sorted-id sparse list, and both stay reserved (see checkKind).
 type colKind uint8
 
 const (
 	kindDense   colKind = 0
 	kindConcise colKind = 2
-	kindSparse  colKind = 3
-)
-
-const (
-	// SparseMaxDensity is the highest set-bit density at which an adaptive
-	// index stores a column as a sorted-ID sparse list. Above ~1/32 the id
-	// list outgrows the dense vector; 5% keeps a safety band where the
-	// merge-style intersection kernels still win on work, not just space.
-	SparseMaxDensity = 0.05
-	// DenseMinDensity is the density above which an adaptive index stores a
-	// column dense: randomly scattered columns past ~25% compress into
-	// literal-dominated streams that cost more space *and* more query time
-	// than the raw vector.
-	DenseMinDensity = 0.25
 )
 
 // column is one physical column; exactly one payload field matching kind is
-// set. The cursors consume columns through the seedInto/andInto/contains
-// helpers below, which dispatch on the representation.
+// set.
 type column struct {
 	kind      colKind
 	dense     *bitvec.Vector
 	conc      *concise.Bitmap
-	ids       []int32
-	runNative bool // compressed and fill-dominated: prefer run-native kernels
+	runNative bool // compressed and fill-dominated: served by the run-native kernels
 }
 
 // runNativeWorthwhile reports whether a compressed column of compWords
 // 32-bit words over nbits logical bits is fill-dominated enough (≤ ¼ of the
-// dense payload) that galloping over the run stream beats a cached dense
-// read on the query path.
+// dense payload) that galloping over the run stream beats a dense read on
+// the query path.
 func runNativeWorthwhile(compWords, nbits int) bool {
 	return compWords <= ((nbits+63)/64)/2
 }
 
-func newConciseColumn(b *concise.Bitmap) column {
-	return column{kind: kindConcise, conc: b, runNative: runNativeWorthwhile(b.Words(), b.NBits())}
-}
-
-// newSparseColumn extracts the sorted set-bit ids of v.
-func newSparseColumn(v *bitvec.Vector) column {
-	ids := make([]int32, 0, v.Count())
-	v.ForEach(func(i int) bool {
-		ids = append(ids, int32(i))
-		return true
-	})
-	return column{kind: kindSparse, ids: ids}
+// newConciseColumn stores b as a column. Under the adaptive rule a stream
+// that is not fill-dominated — a patch took the column out of it, or a file
+// of the earlier three-kind rule held it so — is decompressed once and its
+// bits stored dense instead.
+func newConciseColumn(b *concise.Bitmap, adaptive bool) column {
+	if runNative := runNativeWorthwhile(b.Words(), b.NBits()); runNative || !adaptive {
+		return column{kind: kindConcise, conc: b, runNative: runNative}
+	}
+	v := bitvec.New(b.NBits())
+	b.DecompressInto(v)
+	return column{kind: kindDense, dense: v}
 }
 
 func (c *column) sizeBytes() int {
-	switch c.kind {
-	case kindDense:
+	if c.kind == kindDense {
 		return c.dense.SizeBytes()
-	case kindConcise:
-		return c.conc.SizeBytes()
-	default:
-		return len(c.ids) * 4
 	}
-}
-
-// decompressInto materializes any representation into dst.
-func decompressInto(col *column, dst *bitvec.Vector) {
-	switch col.kind {
-	case kindDense:
-		dst.CopyFrom(col.dense)
-	case kindConcise:
-		col.conc.DecompressInto(dst)
-	default:
-		dst.CopyFromIDs(col.ids)
-	}
-}
-
-// andInto sets dst = dst & column through the representation's best kernel:
-// dense AND, sorted-ID merge, run-native AND, or — for compressed columns
-// that are not fill-dominated — a dense AND against mat, the caller's
-// materialized copy (see Cursor.andColumn, which owns the cache/scratch
-// decision).
-func (c *column) andIntoDirect(dst *bitvec.Vector) bool {
-	switch c.kind {
-	case kindDense:
-		dst.And(c.dense)
-	case kindSparse:
-		dst.AndIDs(c.ids)
-	case kindConcise:
-		if !c.runNative {
-			return false
-		}
-		concise.AndInto(dst, c.conc)
-	}
-	return true
-}
-
-// containsID reports whether id is a member of a sorted id list (manual
-// binary search: no closure, no allocation on the per-candidate path).
-func containsID(ids []int32, id int32) bool {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(ids) && ids[lo] == id
+	return c.conc.SizeBytes()
 }

@@ -31,10 +31,11 @@ import (
 // bin-granular [Qi]/[Pi] columns remain supersets/subsets of the true
 // candidate sets and the IBIG refinement computes exact scores — so answers
 // are identical to a from-scratch build even though the bin boundaries drift
-// from the Eq. (3)–(4) equi-depth optimum. Each column also keeps old's
-// physical representation (only the compressed columns' run-native flag is
-// re-measured); the equi-depth re-bin and the density-driven representation
-// re-pick are deferred to the next full rebuild (reload).
+// from the Eq. (3)–(4) equi-depth optimum; the equi-depth re-bin is deferred
+// to the next full rebuild (reload). A column keeps old's physical
+// representation, with one exception that keeps an adaptive index's rule —
+// every column dense or fill-dominated — true across patches: a compressed
+// column the appended bits take out of fill-domination is re-stored dense.
 //
 // It reports false — and the caller falls back to a full rebuild — when the
 // patch cannot preserve semantics: next is not a strict row extension, the
@@ -163,28 +164,31 @@ func AppendRows(old *Index, next *data.Dataset) (*Index, bool) {
 	// Patch the columns: each column's new tail is the delta rows' bits under
 	// the same range-encoded rule (bit j set iff bin(row oldN+j) >= b or
 	// missing), produced by buildDim's peel-off pass over the delta rows'
-	// bits (bucketed here: a batch is not sorted), then appended through the
-	// representation's extend path.
+	// bits, then appended through the representation's extend path. A batch
+	// is not sorted, so each bucket's rows are found by a scan of bucketOf
+	// (−1: missing, never peeled), one buffer for every dimension.
 	deltaOnes := bitvec.NewOnes(delta)
 	cur := bitvec.New(delta)
+	bucketOf := make([]int32, delta)
 	for d := 0; d < dim; d++ {
 		oldDi := &old.dims[d]
 		buckets := len(oldDi.cols) - 1
 		di := dimIndex{cols: make([]column, buckets+1), rankToBucket: r2bs[d]}
-		di.cols[0] = extendColumn(&oldDi.cols[0], deltaOnes, oldN)
-		byBucket := make([][]int32, buckets)
-		for j := 0; j < delta; j++ {
+		di.cols[0] = ix.extendColumn(&oldDi.cols[0], deltaOnes)
+		for j := range bucketOf {
+			bucketOf[j] = -1
 			if r := ranks[(oldN+j)*dim+d]; r >= 0 {
-				b := r2bs[d][r]
-				byBucket[b] = append(byBucket[b], int32(j))
+				bucketOf[j] = int32(r2bs[d][r])
 			}
 		}
 		cur.SetAll()
 		for b := 1; b <= buckets; b++ {
-			for _, id := range byBucket[b-1] {
-				cur.Clear(int(id))
+			for j, bj := range bucketOf {
+				if bj == int32(b-1) {
+					cur.Clear(j)
+				}
 			}
-			di.cols[b] = extendColumn(&oldDi.cols[b], cur, oldN)
+			di.cols[b] = ix.extendColumn(&oldDi.cols[b], cur)
 		}
 		ix.dims[d] = di
 	}
@@ -193,15 +197,15 @@ func AppendRows(old *Index, next *data.Dataset) (*Index, bool) {
 }
 
 // extendColumn appends extra's bits (the delta rows' tail) to a frozen
-// column, without mutating it: dense columns word-copy into a longer vector
-// (the trimmed-tail invariant guarantees the straddling word's padding is
-// clean), sparse columns append the new ids (all beyond the old rows, so the
-// list stays sorted), and compressed columns go through CONCISE's
-// O(words + delta) Extend. The column keeps its representation; only the
-// run-native flag of compressed columns is re-measured for the new length.
-func extendColumn(old *column, extra *bitvec.Vector, oldN int) column {
-	switch old.kind {
-	case kindDense:
+// column of the index ix patches, without mutating it: dense columns
+// word-copy into a longer vector (the trimmed-tail invariant guarantees the
+// straddling word's padding is clean) and compressed columns go through
+// CONCISE's O(words + delta) Extend, which re-measures the run-native flag
+// for the new length. On an adaptive index a column that stops being
+// fill-dominated is decompressed once and dense from then on.
+func (ix *Index) extendColumn(old *column, extra *bitvec.Vector) column {
+	if old.kind == kindDense {
+		oldN := old.dense.Len()
 		v := bitvec.New(oldN + extra.Len())
 		copy(v.Words(), old.dense.Words())
 		extra.ForEach(func(j int) bool {
@@ -209,15 +213,6 @@ func extendColumn(old *column, extra *bitvec.Vector, oldN int) column {
 			return true
 		})
 		return column{kind: kindDense, dense: v}
-	case kindSparse:
-		ids := make([]int32, 0, len(old.ids)+extra.Count())
-		ids = append(ids, old.ids...)
-		extra.ForEach(func(j int) bool {
-			ids = append(ids, int32(oldN+j))
-			return true
-		})
-		return column{kind: kindSparse, ids: ids}
-	default:
-		return newConciseColumn(old.conc.Extend(extra))
 	}
+	return newConciseColumn(old.conc.Extend(extra), ix.adaptive)
 }

@@ -62,17 +62,33 @@ func deltaFixture(seed int64) (base, next *data.Dataset) {
 	return base, next
 }
 
-func colBits(t *testing.T, ix *Index, d, b int) *bitvec.Vector {
-	t.Helper()
-	v := bitvec.New(ix.ds.Len())
-	decompressInto(&ix.dims[d].cols[b], v)
-	return v
+func colBits(col *column) *bitvec.Vector {
+	if col.kind == kindDense {
+		return col.dense
+	}
+	return col.conc.Decompress()
+}
+
+// LiteralHeavy counts the compressed columns that are not fill-dominated —
+// zero on every adaptive index, however it came to be (built, patched,
+// loaded). Exported to the external tests of this package.
+func (ix *Index) LiteralHeavy() int {
+	n := 0
+	for d := range ix.dims {
+		for c := range ix.dims[d].cols {
+			if col := &ix.dims[d].cols[c]; col.kind == kindConcise && !col.runNative {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestAppendRowsEquivalence checks the patched index against a from-scratch
 // build under the same frozen bin layout: identical stats, ranks and
 // column bits, with each column keeping its pre-patch physical
-// representation and a re-measured run-native flag.
+// representation — but for an adaptive index's compressed columns that left
+// fill-domination, now dense — and a re-measured run-native flag.
 func TestAppendRowsEquivalence(t *testing.T) {
 	base, next := deltaFixture(3)
 	cases := []struct {
@@ -127,13 +143,11 @@ func TestAppendRowsEquivalence(t *testing.T) {
 				}
 				want := ref.buildDim(r2b, sorted.Stats[d].CountPerValue, sorted.Order[d])
 				for b := range want.cols {
-					exp := bitvec.New(next.Len())
-					decompressInto(&want.cols[b], exp)
-					if !colBits(t, patched, d, b).Equal(exp) {
+					pc, oc := &patched.dims[d].cols[b], &old.dims[d].cols[b]
+					if !colBits(pc).Equal(colBits(&want.cols[b])) {
 						t.Fatalf("dim %d column %d bits diverge from scratch build", d, b)
 					}
-					pc, oc := &patched.dims[d].cols[b], &old.dims[d].cols[b]
-					if pc.kind != oc.kind {
+					if pc.kind != oc.kind && !(patched.adaptive && pc.kind == kindDense) {
 						t.Fatalf("dim %d column %d changed representation %d -> %d", d, b, oc.kind, pc.kind)
 					}
 					if pc.kind == kindConcise && pc.runNative != runNativeWorthwhile(pc.conc.Words(), pc.conc.NBits()) {
@@ -143,6 +157,9 @@ func TestAppendRowsEquivalence(t *testing.T) {
 			}
 			if patched.codec != Raw && len(patched.clock) == 0 {
 				t.Fatal("patched compressed index has no column cache")
+			}
+			if patched.adaptive && patched.LiteralHeavy() != 0 {
+				t.Fatal("patched adaptive index holds a literal-heavy compressed column")
 			}
 		})
 	}
@@ -184,6 +201,67 @@ func TestAppendRowsQueries(t *testing.T) {
 			t.Fatalf("object %d: MaxBitScore %d != %d", i, got, want)
 		}
 	}
+}
+
+// TestAppendRowsKeepsServingRule: "adaptive ⇒ every column is dense or
+// fill-dominated" holds for a patched index as it does for a built one. The
+// base is sorted on every dimension, so its columns are single runs and stay
+// compressed; 200 twenty-row publishes of scattered values then take them out
+// of fill-domination one by one, and each is re-stored dense in the patch
+// that does it. A checkpoint saved along the way, prefix-loaded over the
+// final rows and patched level, obeys the rule too; both equal a from-scratch
+// build bit for bit.
+func TestAppendRowsKeepsServingRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, dim, grid, publishes, batch = 2000, 3, 16, 200, 20
+	ds := data.New(dim)
+	for i := 0; i < n; i++ {
+		v := float64(i * grid / n)
+		ds.MustAppend(fmt.Sprintf("o%d", i), []float64{v, v, v})
+	}
+	ix := Build(ds, Options{Codec: Concise, Bins: []int{8}, Adaptive: true})
+	dense0, conc0 := ix.Representations()
+	if dense0 != 0 || ix.LiteralHeavy() != 0 {
+		t.Fatalf("sorted base: %d dense, %d compressed (%d literal-heavy), want every column fill-dominated", dense0, conc0, ix.LiteralHeavy())
+	}
+	var checkpoint bytes.Buffer
+	for p := 0; p < publishes; p++ {
+		ds = extendWith(ds, fmt.Sprintf("p%d-", p), randIncomplete(rng, batch, dim, grid, 0.1))
+		next, ok := AppendRows(ix, ds)
+		if !ok {
+			t.Fatalf("publish %d fell back", p)
+		}
+		ix = next
+		if lh := ix.LiteralHeavy(); lh != 0 {
+			t.Fatalf("publish %d: %d literal-heavy compressed columns", p, lh)
+		}
+		if p == publishes/4 {
+			if err := ix.Save(&checkpoint); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dense, conc := ix.Representations()
+	if dense == 0 || conc < dim {
+		t.Fatalf("after %d publishes: %d dense, %d compressed; want re-stored columns beside the %d all-ones ones", publishes, dense, conc, dim)
+	}
+	assertSameAsScratch(t, "patched", ix)
+
+	loaded, err := LoadPrefix(bytes.NewReader(checkpoint.Bytes()), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	level, ok := AppendRows(loaded, ds)
+	if !ok {
+		t.Fatal("the tail could not be patched onto the loaded checkpoint")
+	}
+	if loaded.LiteralHeavy() != 0 || level.LiteralHeavy() != 0 {
+		t.Fatalf("checkpoint: %d literal-heavy columns as loaded, %d once patched level", loaded.LiteralHeavy(), level.LiteralHeavy())
+	}
+	if ld, _ := level.Representations(); ld != dense {
+		t.Fatalf("checkpoint + tail stores %d columns dense, %d publishes stored %d", ld, publishes, dense)
+	}
+	assertSameAsScratch(t, "checkpoint + tail", level)
 }
 
 // TestAppendRowsFallbacks pins every condition under which AppendRows must
@@ -323,7 +401,7 @@ func assertSameAsScratch(t *testing.T, label string, p *Index) {
 	for d := range s.dims {
 		s.dims[d] = s.buildDim(p.dims[d].rankToBucket, sorted.Stats[d].CountPerValue, sorted.Order[d])
 		for b := range s.dims[d].cols {
-			if !colBits(t, p, d, b).Equal(colBits(t, s, d, b)) {
+			if !colBits(&p.dims[d].cols[b]).Equal(colBits(&s.dims[d].cols[b])) {
 				t.Fatalf("%s: dim %d column %d bits diverge from a from-scratch build", label, d, b)
 			}
 		}

@@ -1,9 +1,12 @@
 package bitmapidx_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/bitmapidx"
+	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/gen"
 )
 
@@ -23,9 +26,10 @@ func TestEmptyBinsFallsBackToDefault(t *testing.T) {
 }
 
 // TestAdaptiveMatchesRaw pins the tentpole invariant: an adaptive index —
-// columns stored dense, compressed or sparse by density, intersections
-// dispatched to run-native kernels — answers QP and the Heuristic 2 bounds
-// bit-identically to the Raw dense reference, binned and unbinned.
+// columns stored compressed when fill-dominated and dense otherwise,
+// intersections dispatched to the matching kernels — answers QP and the
+// Heuristic 2 bounds bit-identically to the Raw dense reference, binned and
+// unbinned.
 func TestAdaptiveMatchesRaw(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 900, Dim: 5, Cardinality: 40, MissingRate: 0.25, Dist: gen.IND, Seed: 12})
 	sorted := ds.SortDims()
@@ -63,7 +67,7 @@ func TestAdaptiveMatchesRaw(t *testing.T) {
 			}
 		}
 		st := ix.CacheStats()
-		if st.DenseCols+st.CompressedCols+st.SparseCols == 0 {
+		if st.DenseCols+st.CompressedCols == 0 {
 			t.Fatalf("%v: no columns counted as served", opts)
 		}
 		if st.CompressedCols != st.NativeKernel+st.Fallback {
@@ -72,24 +76,53 @@ func TestAdaptiveMatchesRaw(t *testing.T) {
 	}
 }
 
-// TestAdaptivePicksMixedRepresentations checks that a realistic binned
-// index actually exercises more than one representation — otherwise the
-// dispatch paths above would be vacuous.
-func TestAdaptivePicksMixedRepresentations(t *testing.T) {
-	// Missing values encode as all-ones across the dimension, so a column's
-	// density is at least the missing rate — sparse columns (top buckets)
-	// only appear when few values are missing.
-	ds := gen.Synthetic(gen.Config{N: 2000, Dim: 4, Cardinality: 100, MissingRate: 0.01, Dist: gen.IND, Seed: 3})
-	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{32}, Adaptive: true})
-	cur := ix.NewCursor()
-	for o := 0; o < ds.Len(); o += 5 {
-		cur.QP(o)
-		cur.MaxBitScoreAbove(o, ds.Len()/3)
+// TestServingIndexKinds is the census behind the two-kind rule (DESIGN.md
+// §1): on the four benchmark shapes, the paper's default settings, low
+// missing rates and the three simulators, every column of the serving index
+// is dense or fill-dominated CONCISE — each is read by a kernel over the form
+// it is stored in, and the decompressed-column cache is left with the
+// fill-dominated columns of the count path — and the saved index is no larger
+// than under the three-kind density rule it replaced (parentBytes, recorded
+// at PR 24), except at σ = 0.02, where the five sparse id lists that rule
+// picked were 2.0 % of the file smaller than the dense columns they became.
+func TestServingIndexKinds(t *testing.T) {
+	syn := func(n, dim, card int, sigma float64, dist gen.Distribution) *data.Dataset {
+		return gen.Synthetic(gen.Config{N: n, Dim: dim, Cardinality: card, MissingRate: sigma, Dist: dist, Seed: 1})
 	}
-	st := ix.CacheStats()
-	if st.DenseCols == 0 || st.SparseCols == 0 {
-		t.Fatalf("expected dense and sparse traffic, got dense=%d compressed=%d sparse=%d",
-			st.DenseCols, st.CompressedCols, st.SparseCols)
+	heavy := syn(100_000, 5, 100, 0.2, gen.IND)
+	for _, tc := range []struct {
+		name        string
+		ds          *data.Dataset
+		parentBytes int
+		over        int // ‰ of parentBytes the file may exceed it by
+		wantBytes   int // exact, when non-zero
+	}{
+		{"query-heavy, ingest (100k x 5, c 100, sigma 0.2)", heavy, 2_447_858, 0, 2_443_858},
+		{"query-sharded slice (33,333 rows of it)", heavy.Slice(0, 33_333), 505_687, 0, 0},
+		{"query-light (2000 x 4, c 40, sigma 0.2)", syn(2000, 4, 40, 0.2, gen.IND), 8_522, 0, 0},
+		{"paper default IND (100k x 10, c 200, sigma 0.1)", syn(100_000, 10, 200, 0.1, gen.IND), 3_658_618, 0, 0},
+		{"paper default AC", syn(100_000, 10, 200, 0.1, gen.AC), 3_531_804, 0, 0},
+		{"sigma 0.02 (100k x 5, c 100)", syn(100_000, 5, 100, 0.02, gen.IND), 861_265, 21, 0},
+		{"sigma 0.05", syn(100_000, 5, 100, 0.05, gen.IND), 1_343_056, 0, 0},
+		{"NBA", gen.NBA(1), 197_410, 0, 0},
+		{"MovieLens", gen.MovieLens(1), 140_801, 0, 0},
+		{"Zillow-50k", gen.Zillow(1, 50_000), 806_038, 0, 0},
+	} {
+		ix := core.BuildServingIndex(tc.ds.SortDims(), nil)
+		dense, compressed := ix.Representations()
+		if lh := ix.LiteralHeavy(); lh != 0 || dense+compressed != ix.Columns() || compressed < tc.ds.Dim() {
+			t.Errorf("%s: %d dense + %d compressed of %d columns, %d of them literal-heavy; want every column dense or fill-dominated, the all-ones ones compressed",
+				tc.name, dense, compressed, ix.Columns(), lh)
+		}
+		var out bytes.Buffer
+		if err := ix.Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		limit := tc.parentBytes + tc.parentBytes*tc.over/1000
+		if out.Len() > limit || (tc.wantBytes != 0 && out.Len() != tc.wantBytes) {
+			t.Errorf("%s: saved index is %d B, limit %d B (exact %d)", tc.name, out.Len(), limit, tc.wantBytes)
+		}
+		t.Logf("%-50s %3d columns: %3d dense, %2d fill-dominated; saved %9d B (three-kind rule %9d B)", tc.name, ix.Columns(), dense, compressed, out.Len(), tc.parentBytes)
 	}
 }
 

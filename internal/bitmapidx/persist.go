@@ -23,7 +23,7 @@ import (
 //	per dimension: len(rankToBucket), rankToBucket..., #cols,
 //	               per column: representation kind + nbits + payload
 //	               (dense: word count + 64-bit words; CONCISE: 32-bit
-//	               words; sparse: sorted set-bit ids)
+//	               words)
 //	crc32 (IEEE) of everything before it
 //
 // Object ranks are not stored: Load recomputes them from the dataset, whose
@@ -38,9 +38,12 @@ import (
 // definition — the key moved, so the version did. Older versions — v1 without
 // fingerprints, v2 without representations, v3 keyed by the count-first
 // fingerprint — are rejected with ErrVersion, data that does not match with
-// ErrStale, and a file written with the retired WAH codec (header codec or
-// column kind 1) with ErrUnsupportedCodec; callers degrade to a rebuild,
-// exactly as the serving layer's index cache does for any unreadable file.
+// ErrStale, and a file holding a retired representation (WAH: header codec
+// or column kind 1; the sorted-id sparse list: column kind 3) with
+// ErrUnsupportedCodec; callers degrade to a rebuild, exactly as the serving
+// layer's index cache does for any unreadable file. An adaptive file written
+// under the earlier three-kind rule may also hold literal-heavy CONCISE
+// columns; those load, re-stored dense (see loadColumn).
 // The per-mask row counts (maskcount.go) are derived state like the ranks:
 // recomputed by Load, never stored.
 
@@ -48,7 +51,8 @@ var persistMagic = [6]byte{'T', 'K', 'D', 'I', 'X', 4}
 
 // ErrUnsupportedCodec is wrapped by Load when the file names a codec or
 // column kind this build does not read — in practice value 1, the WAH codec
-// older builds could pin. The file is intact but unusable: rebuild.
+// older builds could pin, or column kind 3, the sparse id list older
+// adaptive builds could pick. The file is intact but unusable: rebuild.
 var ErrUnsupportedCodec = errors.New("bitmapidx: unsupported codec")
 
 // ErrVersion is wrapped by Load when the file is an index stream of another
@@ -136,7 +140,7 @@ func (ix *Index) Save(w io.Writer) error {
 			return err
 		}
 		for c := range di.cols {
-			if err := saveColumn(cw, &di.cols[c], ix.ds.Len()); err != nil {
+			if err := saveColumn(cw, &di.cols[c]); err != nil {
 				return err
 			}
 		}
@@ -148,13 +152,12 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 // The persisted column-kind bytes coincide with the in-memory colKind
-// values: dense 0, CONCISE 2, sparse 3 (1 is reserved).
-func saveColumn(w io.Writer, c *column, nbits int) error {
+// values: dense 0, CONCISE 2 (1 and 3 are reserved).
+func saveColumn(w io.Writer, c *column) error {
 	if err := binary.Write(w, binary.LittleEndian, uint8(c.kind)); err != nil {
 		return err
 	}
-	switch c.kind {
-	case kindDense:
+	if c.kind == kindDense {
 		words := c.dense.Words()
 		if err := binary.Write(w, binary.LittleEndian, uint64(c.dense.Len())); err != nil {
 			return err
@@ -163,22 +166,12 @@ func saveColumn(w io.Writer, c *column, nbits int) error {
 			return err
 		}
 		return binary.Write(w, binary.LittleEndian, words)
-	case kindConcise:
-		nbits, words := c.conc.Persist()
-		if err := binary.Write(w, binary.LittleEndian, uint64(nbits)); err != nil {
-			return err
-		}
-		return writeU32s(w, words)
-	default: // kindSparse: the logical length (= N) plus the sorted ids.
-		if err := binary.Write(w, binary.LittleEndian, uint64(nbits)); err != nil {
-			return err
-		}
-		ids := make([]uint32, len(c.ids))
-		for i, id := range c.ids {
-			ids[i] = uint32(id)
-		}
-		return writeU32s(w, ids)
 	}
+	nbits, words := c.conc.Persist()
+	if err := binary.Write(w, binary.LittleEndian, uint64(nbits)); err != nil {
+		return err
+	}
+	return writeU32s(w, words)
 }
 
 // Load deserializes an index previously written by Save and re-binds it to
@@ -215,7 +208,7 @@ func load(r io.Reader, ds *data.Dataset, prefixOK bool) (*Index, error) {
 	}
 	if adaptive && codec == Raw {
 		// Build promotes adaptive+Raw to CONCISE, so no valid file carries
-		// this combination — and accepting it would route sparse columns
+		// this combination — and accepting it would route compressed columns
 		// through the dense-only cursor path.
 		return nil, fmt.Errorf("bitmapidx: adaptive index with Raw base codec")
 	}
@@ -290,10 +283,11 @@ func load(r io.Reader, ds *data.Dataset, prefixOK bool) (*Index, error) {
 
 // checkKind rejects a persisted column kind the file header does not allow:
 // pure-codec indexes carry exactly their codec's kind, adaptive ones may mix
-// dense/sparse with CONCISE. The cursor paths dispatch on the header (qpDense
-// for Raw), so an inconsistent kind — reachable only via a crafted file that
+// dense with CONCISE. The cursor paths dispatch on the header (qpDense for
+// Raw), so an inconsistent kind — reachable only via a crafted file that
 // also beats the CRC — must be rejected here rather than fault there. A kind
-// this build does not know (1, the retired WAH) is ErrUnsupportedCodec.
+// this build does not know (1, the retired WAH; 3, the retired sparse id
+// list) is ErrUnsupportedCodec.
 func checkKind(k colKind, codec Codec, adaptive bool) error {
 	var ok bool
 	switch k {
@@ -301,8 +295,6 @@ func checkKind(k colKind, codec Codec, adaptive bool) error {
 		ok = codec == Raw || adaptive
 	case kindConcise:
 		ok = codec == Concise
-	case kindSparse:
-		ok = adaptive
 	default:
 		return fmt.Errorf("%w: column kind %d — rebuild", ErrUnsupportedCodec, k)
 	}
@@ -312,6 +304,10 @@ func checkKind(k colKind, codec Codec, adaptive bool) error {
 	return nil
 }
 
+// loadColumn reads one column. A literal-heavy CONCISE column under an
+// adaptive header — what the earlier density rule stored in its middle band —
+// is re-stored dense, so a loaded adaptive index obeys the same rule as a
+// built one.
 func loadColumn(r io.Reader, c *column, n int, codec Codec, adaptive bool) error {
 	var kind uint8
 	if err := binary.Read(r, binary.LittleEndian, &kind); err != nil {
@@ -327,8 +323,7 @@ func loadColumn(r io.Reader, c *column, n int, codec Codec, adaptive bool) error
 	if int(nbits) != n {
 		return fmt.Errorf("column has %d bits, dataset has %d objects", nbits, n)
 	}
-	switch colKind(kind) {
-	case kindDense:
+	if colKind(kind) == kindDense {
 		var nwords uint64
 		if err := binary.Read(r, binary.LittleEndian, &nwords); err != nil {
 			return err
@@ -341,28 +336,12 @@ func loadColumn(r io.Reader, c *column, n int, codec Codec, adaptive bool) error
 			return err
 		}
 		*c = column{kind: kindDense, dense: v}
-	case kindConcise:
-		words, err := readU32s(r, uint64(n)+2)
-		if err != nil {
-			return err
-		}
-		*c = newConciseColumn(concise.Restore(int(nbits), words))
-	case kindSparse:
-		raw, err := readU32s(r, uint64(n))
-		if err != nil {
-			return err
-		}
-		ids := make([]int32, len(raw))
-		for i, id := range raw {
-			// The ids must be strictly ascending and in range: the
-			// merge/binary-search kernels and the dense scatter rely on it,
-			// and a CRC collision must never yield an index that faults.
-			if id >= uint32(n) || (i > 0 && id <= raw[i-1]) {
-				return fmt.Errorf("sparse column id %d out of order or range", id)
-			}
-			ids[i] = int32(id)
-		}
-		*c = column{kind: kindSparse, ids: ids}
+		return nil
 	}
+	words, err := readU32s(r, uint64(n)+2)
+	if err != nil {
+		return err
+	}
+	*c = newConciseColumn(concise.Restore(int(nbits), words), adaptive)
 	return nil
 }

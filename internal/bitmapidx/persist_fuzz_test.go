@@ -2,6 +2,9 @@ package bitmapidx
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/data"
@@ -26,6 +29,29 @@ func savedIndex(tb testing.TB, opts Options) []byte {
 	return buf.Bytes()
 }
 
+// Byte offsets into a saved index: the adaptive header flag (third u64 after
+// the magic and the codec) and dimension 0's first column-kind byte (after
+// the six header fields, the u64 rank count, its u32 ranks and the u64 column
+// count).
+const adaptiveFlagAt = len(persistMagic) + 2*8
+
+func firstKindAt(blob []byte) int {
+	const hdr = len(persistMagic) + 6*8
+	return hdr + 8 + 4*int(binary.LittleEndian.Uint64(blob[hdr:])) + 8
+}
+
+// threeKindMiddleBand is what the three-kind adaptive rule could leave on
+// disk and this build still reads: an adaptive header over CONCISE columns
+// that are not fill-dominated. Made from a pure-CONCISE save by setting the
+// header flag and re-sealing the checksum.
+func threeKindMiddleBand(tb testing.TB, bins int) []byte {
+	blob := savedIndex(tb, Options{Codec: Concise, Bins: []int{bins}})
+	blob[adaptiveFlagAt] = 1
+	body := blob[:len(blob)-4]
+	binary.LittleEndian.PutUint32(blob[len(body):], crc32.ChecksumIEEE(body))
+	return blob
+}
+
 // fuzzGrown is fuzzDataset followed by rows that came later — the data in
 // hand when a persisted index turns out to be a checkpoint of a prefix.
 func fuzzGrown() *data.Dataset {
@@ -43,7 +69,9 @@ func fuzzGrown() *data.Dataset {
 // on implausible lengths, and never yields an index whose use would fault. A
 // stream that does load must round-trip byte-identically through Save, and
 // one that loads as a prefix of a grown dataset must cover exactly the rows
-// its header names and take the tail through AppendRows.
+// its header names and take the tail through AppendRows. An adaptive stream
+// holds a retired column kind (rejected) or comes up under the serving rule:
+// every column dense or fill-dominated.
 func FuzzLoadIndex(f *testing.F) {
 	binned := savedIndex(f, Options{Codec: Concise, Bins: []int{4}})
 	raw := savedIndex(f, Options{Codec: Raw})
@@ -51,9 +79,17 @@ func FuzzLoadIndex(f *testing.F) {
 	wahIdx := append([]byte(nil), binned...)
 	wahIdx[len(persistMagic)] = 1
 
+	// What the three-kind adaptive rule wrote: a sparse id list (column kind
+	// 3 — here the kind byte alone, over a fill word read as an id count) and
+	// literal-heavy CONCISE columns under the adaptive header.
+	sparseIdx := savedIndex(f, Options{Codec: Concise, Bins: []int{4}, Adaptive: true})
+	sparseIdx[firstKindAt(sparseIdx)] = 3
+
 	f.Add(binned)
 	f.Add(raw)
 	f.Add(wahIdx)
+	f.Add(sparseIdx)
+	f.Add(threeKindMiddleBand(f, 4))
 	// Truncations: header-only, mid-columns, missing checksum.
 	f.Add(binned[:6])
 	f.Add(binned[:len(binned)/2])
@@ -85,6 +121,9 @@ func FuzzLoadIndex(f *testing.F) {
 		ix, err := Load(bytes.NewReader(blob), ds)
 		if err != nil {
 			return // rejected, as corrupt input should be
+		}
+		if ix.adaptive && ix.LiteralHeavy() != 0 {
+			t.Fatalf("adaptive index loaded with %d literal-heavy compressed columns", ix.LiteralHeavy())
 		}
 		// The accepted stream must be semantically intact: saving it again
 		// reproduces a loadable index, and a query-path touch of every
@@ -156,5 +195,49 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 	}
 	if !bytes.Equal(valid, again.Bytes()) {
 		t.Error("save/load/save is not byte-identical")
+	}
+}
+
+// TestLoadThreeKindAdaptive: an adaptive file written under the three-kind
+// rule either holds a sparse id list — column kind 3, ErrUnsupportedCodec,
+// rebuild — or loads with its literal-heavy CONCISE columns re-stored dense:
+// the index obeys the serving rule, answers as the columns it was read from
+// and re-saves as exactly what a fresh adaptive build saves.
+func TestLoadThreeKindAdaptive(t *testing.T) {
+	ds := fuzzDataset()
+	opts := Options{Codec: Concise, Bins: []int{4}, Adaptive: true}
+	fresh := savedIndex(t, opts)
+
+	sparse := append([]byte(nil), fresh...)
+	sparse[firstKindAt(sparse)] = 3
+	if _, err := Load(bytes.NewReader(sparse), ds); !errors.Is(err, ErrUnsupportedCodec) {
+		t.Fatalf("column kind 3: error = %v, want ErrUnsupportedCodec", err)
+	}
+
+	ix, err := Load(bytes.NewReader(threeKindMiddleBand(t, 4)), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pure := Build(ds, Options{Codec: Concise, Bins: []int{4}})
+	if pure.LiteralHeavy() == 0 {
+		t.Fatal("fixture has no literal-heavy column to re-store")
+	}
+	if !ix.adaptive || ix.LiteralHeavy() != 0 {
+		t.Fatalf("loaded adaptive=%v with %d literal-heavy compressed columns", ix.adaptive, ix.LiteralHeavy())
+	}
+	got, want := ix.NewCursor(), pure.NewCursor()
+	for o := 0; o < ds.Len(); o++ {
+		gq, gp := got.QP(o)
+		wq, wp := want.QP(o)
+		if !gq.Equal(wq) || !gp.Equal(wp) {
+			t.Fatalf("object %d: Q/P diverge from the columns the file held", o)
+		}
+	}
+	var out bytes.Buffer
+	if err := ix.Save(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), fresh) {
+		t.Fatal("the re-stored index does not save as a fresh adaptive build does")
 	}
 }

@@ -53,16 +53,13 @@ func TestSaveLoadConcise(t *testing.T) {
 	roundTrip(t, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{8}})
 }
 
-// TestSaveLoadAdaptive round-trips format v3's adaptive representation: the
-// per-column kinds must survive persistence exactly, on a dataset sparse
-// enough (1% missing, many bins) that all three representations appear.
+// TestSaveLoadAdaptive round-trips the adaptive representation: the
+// per-column kinds must survive persistence exactly (TestServingIndexKinds
+// holds which kinds a build picks).
 func TestSaveLoadAdaptive(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 1500, Dim: 4, Cardinality: 80, MissingRate: 0.01, Dist: gen.IND, Seed: 77})
 	orig := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{32}, Adaptive: true})
-	od, oc, os := orig.Representations()
-	if od == 0 || oc == 0 || os == 0 {
-		t.Fatalf("fixture not mixed: dense=%d compressed=%d sparse=%d", od, oc, os)
-	}
+	od, oc := orig.Representations()
 	var buf bytes.Buffer
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -74,8 +71,8 @@ func TestSaveLoadAdaptive(t *testing.T) {
 	if !loaded.Adaptive() {
 		t.Fatal("adaptive flag lost in round trip")
 	}
-	if ld, lc, ls := loaded.Representations(); ld != od || lc != oc || ls != os {
-		t.Fatalf("representations changed: loaded %d/%d/%d, want %d/%d/%d", ld, lc, ls, od, oc, os)
+	if ld, lc := loaded.Representations(); ld != od || lc != oc || loaded.LiteralHeavy() != 0 {
+		t.Fatalf("representations changed: loaded %d dense / %d compressed (%d literal-heavy), want %d / %d (0)", ld, lc, loaded.LiteralHeavy(), od, oc)
 	}
 	oCur, lCur := orig.NewCursor(), loaded.NewCursor()
 	for i := 0; i < ds.Len(); i += 31 {
@@ -230,8 +227,8 @@ func TestLoadGoldenV4(t *testing.T) {
 		if ix.Adaptive() != tc.adaptive || ix.CodecUsed() != bitmapidx.Concise || !ix.Binned() {
 			t.Fatalf("%s: loaded as adaptive=%v codec=%v binned=%v", tc.file, ix.Adaptive(), ix.CodecUsed(), ix.Binned())
 		}
-		if d, c, s := ix.Representations(); tc.adaptive && (d == 0 || c == 0 || s == 0) {
-			t.Fatalf("%s: fixture not mixed: dense=%d compressed=%d sparse=%d", tc.file, d, c, s)
+		if d, c := ix.Representations(); tc.adaptive && (d == 0 || c == 0 || ix.LiteralHeavy() != 0) {
+			t.Fatalf("%s: dense=%d compressed=%d (%d literal-heavy), want both kinds and every compressed column fill-dominated", tc.file, d, c, ix.LiteralHeavy())
 		}
 		var out bytes.Buffer
 		if err := ix.Save(&out); err != nil {
@@ -247,19 +244,24 @@ func TestLoadGoldenV4(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsWAH: the retired codec's value 1 — as the header codec (the
-// byte a WAH-pinned build wrote there, see golden_v3_wah.idx), or as a column
-// kind inside an otherwise valid file — fails with ErrUnsupportedCodec and a
-// rebuild hint, never a misparse.
+// TestLoadRejectsWAH: a retired representation's byte fails with
+// ErrUnsupportedCodec and a rebuild hint, never a misparse — WAH's value 1 as
+// the header codec (the byte a WAH-pinned build wrote there, see
+// golden_v3_wah.idx) or as a column kind inside an otherwise valid file, and
+// column kind 3, the sorted-id sparse list of the three-kind adaptive rule
+// (golden_v4_adaptive_3kind.idx, as the last build that wrote it left it).
 func TestLoadRejectsWAH(t *testing.T) {
 	ds := goldenDataset(t)
 	check := func(name string, blob []byte) {
 		t.Helper()
-		_, err := bitmapidx.Load(bytes.NewReader(blob), ds)
-		if !errors.Is(err, bitmapidx.ErrUnsupportedCodec) || !strings.Contains(err.Error(), "rebuild") {
-			t.Fatalf("%s: error = %v, want ErrUnsupportedCodec with a rebuild hint", name, err)
+		for _, load := range []func(io.Reader, *data.Dataset) (*bitmapidx.Index, error){bitmapidx.Load, bitmapidx.LoadPrefix} {
+			ix, err := load(bytes.NewReader(blob), ds)
+			if ix != nil || !errors.Is(err, bitmapidx.ErrUnsupportedCodec) || !strings.Contains(err.Error(), "rebuild") {
+				t.Fatalf("%s: error = %v, want ErrUnsupportedCodec with a rebuild hint", name, err)
+			}
 		}
 	}
+	check("column kind 3", golden(t, "golden_v4_adaptive_3kind.idx"))
 	pinned := golden(t, "golden_v4_concise.idx")
 	if wah := golden(t, "golden_v3_wah.idx"); pinned[6] != 2 || wah[6] != 1 {
 		t.Fatalf("fixture layout drifted: header codec bytes %d / %d, want 2 (CONCISE) / 1 (WAH)", pinned[6], wah[6])

@@ -382,33 +382,6 @@ func IntersectCountAbove(tau int, vs ...*Vector) (count int, above bool) {
 	return c, c > tau
 }
 
-// CopyFromIDs overwrites v with exactly the bits listed in ids (ascending
-// object ids) — the scatter that materializes a sorted-ID "sparse" column
-// into a dense accumulator. ids out of range panic via Set.
-func (v *Vector) CopyFromIDs(ids []int32) {
-	v.Reset()
-	for _, id := range ids {
-		v.Set(int(id))
-	}
-}
-
-// AndIDs sets v = v ∩ {ids} in place, where ids is an ascending list of bit
-// positions: words with no listed bit are zeroed wholesale, so the cost is
-// O(words + len(ids)) with no column read at all. It is the intersection
-// kernel for the sorted-ID sparse column representation.
-func (v *Vector) AndIDs(ids []int32) {
-	j := 0
-	for wi := range v.words {
-		base := int32(wi * wordBits)
-		var mask uint64
-		for j < len(ids) && ids[j]-base < wordBits {
-			mask |= 1 << uint(ids[j]-base)
-			j++
-		}
-		v.words[wi] &= mask
-	}
-}
-
 // AndNotForEachWord streams the nonzero words of a &^ b to fn along with the
 // bit index of each word's first bit — set-difference iteration without a
 // per-bit callback, for callers that only need the difference. (The BIG/IBIG

@@ -332,45 +332,3 @@ func BenchmarkCount4096(b *testing.B) {
 		_ = x.Count()
 	}
 }
-
-// TestSparseIDKernels pins CopyFromIDs and AndIDs — the scatter and merge
-// kernels behind the sorted-ID sparse column representation — against the
-// per-bit reference, including word-boundary ids and empty lists.
-func TestSparseIDKernels(t *testing.T) {
-	ids := []int32{0, 1, 63, 64, 65, 127, 128, 200, 310}
-	v := New(311)
-	v.CopyFromIDs(ids)
-	if v.Count() != len(ids) {
-		t.Fatalf("CopyFromIDs set %d bits, want %d", v.Count(), len(ids))
-	}
-	for _, id := range ids {
-		if !v.Get(int(id)) {
-			t.Fatalf("bit %d not set", id)
-		}
-	}
-
-	w := NewOnes(311)
-	w.Clear(64)
-	w.Clear(200)
-	w.AndIDs(ids)
-	want := New(311)
-	for _, id := range ids {
-		if id != 64 && id != 200 {
-			want.Set(int(id))
-		}
-	}
-	if !w.Equal(want) {
-		t.Fatalf("AndIDs = %s, want %s", w, want)
-	}
-
-	w.AndIDs(nil)
-	if w.Any() {
-		t.Fatal("AndIDs(nil) left bits set")
-	}
-
-	// CopyFromIDs must fully overwrite previous contents.
-	v.CopyFromIDs([]int32{5})
-	if v.Count() != 1 || !v.Get(5) {
-		t.Fatal("CopyFromIDs did not reset previous contents")
-	}
-}

@@ -73,10 +73,10 @@ type Pre struct {
 // one place the serving recipe is spelled: bins follows
 // bitmapidx.Options.Bins semantics, nil meaning the paper's Eq. (8) optimum
 // for every dimension, over a representation-adaptive CONCISE base (the
-// paper's codec choice for IBIG), so each column is stored dense, compressed
-// or sparse by measured density and query execution dispatches to the
-// matching kernels. Answers are bit-identical to a pure-codec index (build
-// one directly via bitmapidx for the paper's storage experiments).
+// paper's codec choice for IBIG), so each column is stored compressed when
+// that is fill-dominated and dense otherwise, and query execution dispatches
+// to the matching kernels. Answers are bit-identical to a pure-codec index
+// (build one directly via bitmapidx for the paper's storage experiments).
 func BuildServingIndex(sorted *data.Sorted, bins []int) *bitmapidx.Index {
 	if bins == nil {
 		ds := sorted.Dataset()

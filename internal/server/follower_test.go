@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitmapidx"
 	"repro/internal/server"
 	"repro/tkd"
 )
@@ -369,6 +370,10 @@ func TestFollowerRollingReloadE2E(t *testing.T) {
 // TKDEPO1 leader — full stream or delta — counts typed version errors and
 // keeps serving the epoch it has; and what a current leader sends is, by its
 // first eight bytes, nothing a TKDEPO1 follower's magic check lets through.
+// The magic did not move when the sorted-id sparse column kind was retired, so
+// a TKDEPO2 leader one build back may ship an index section holding one: the
+// import fails closed on that section (bitmapidx.ErrUnsupportedCodec) and the
+// follower keeps its epoch the same way.
 func TestFollowerMixedVersionFailsClosed(t *testing.T) {
 	testdata := filepath.Join("..", "bitmapidx", "testdata")
 	read := func(name string) []byte {
@@ -379,12 +384,13 @@ func TestFollowerMixedVersionFailsClosed(t *testing.T) {
 		}
 		return b
 	}
-	current, old := read("golden_epoch_adaptive.bin"), read("golden_epoch_v1_adaptive.bin")
+	current, old, threeKind := read("golden_epoch_adaptive.bin"), read("golden_epoch_v1_adaptive.bin"), read("golden_epoch_adaptive_3kind.bin")
 	fpOf := func(stream []byte) string { return fmt.Sprintf("%016x", binary.LittleEndian.Uint64(stream[16:])) }
 
 	// The leader fixture: phase 0 is this build (serves the current stream at
 	// epoch 1, answers conditional polls), phase 1 a TKDEPO1 build that moved
-	// on to epoch 2, phase 2 the same build answering with a TKDEPD1 delta.
+	// on to epoch 2, phase 2 the same build answering with a TKDEPD1 delta,
+	// phase 3 a TKDEPO2 build whose index still has sparse columns.
 	var phase atomic.Int32
 	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -404,11 +410,15 @@ func TestFollowerMixedVersionFailsClosed(t *testing.T) {
 				w.Header().Set("X-TKD-Epoch", "2")
 				w.Header().Set("X-TKD-Fingerprint", fpOf(old))
 				w.Write(old)
-			default:
+			case 2:
 				w.Header().Set("X-TKD-Epoch", "2")
 				w.Header().Set("X-TKD-Fingerprint", fpOf(old))
 				w.Header().Set("X-TKD-Delta", "1")
 				w.Write(append([]byte("TKDEPD1\n"), make([]byte, 64)...))
+			default:
+				w.Header().Set("X-TKD-Epoch", "2")
+				w.Header().Set("X-TKD-Fingerprint", fpOf(threeKind))
+				w.Write(threeKind)
 			}
 		default:
 			http.NotFound(w, r)
@@ -430,19 +440,27 @@ func TestFollowerMixedVersionFailsClosed(t *testing.T) {
 		t.Fatalf("follower query: HTTP %d", code)
 	}
 
-	versionErrors := func() int {
+	syncErrors := func(target error) int {
 		n := 0
 		for _, v := range logs.attr("follower: sync failed", "err") {
-			if err, ok := v.Any().(error); ok && errors.Is(err, tkd.ErrStreamVersion) {
+			if err, ok := v.Any().(error); ok && errors.Is(err, target) {
 				n++
 			}
 		}
 		return n
 	}
-	for p, what := range map[int32]string{1: "full stream", 2: "delta"} {
-		seen := versionErrors()
+	for p, tc := range map[int32]struct {
+		what string
+		err  error
+	}{
+		1: {"full stream", tkd.ErrStreamVersion},
+		2: {"delta", tkd.ErrStreamVersion},
+		3: {"three-kind index section", bitmapidx.ErrUnsupportedCodec},
+	} {
+		what := tc.what
+		seen := syncErrors(tc.err)
 		phase.Store(p)
-		waitUntil(t, "version error on an old leader's "+what, func() bool { return versionErrors() > seen })
+		waitUntil(t, "typed error on an old leader's "+what, func() bool { return syncErrors(tc.err) > seen })
 		info := listDatasets(t, fts.URL)["g"]
 		if info.Epoch != 1 || info.LeaderEpoch != 1 || info.LeaderSeen != 2 {
 			t.Fatalf("old leader's %s: follower at epoch %d (applied %d, seen %d), want 1 / 1 / 2", what, info.Epoch, info.LeaderEpoch, info.LeaderSeen)

@@ -735,30 +735,51 @@ func TestStaleIndexCacheRebuilds(t *testing.T) {
 // build (not an error, never a load): the boot rebuilds once, overwrites the
 // file in the current format under the same name, and the next boot is warm.
 func TestOldIndexCacheFormatRebuilds(t *testing.T) {
-	testdata := filepath.Join("..", "bitmapidx", "testdata")
-	v3, err := os.ReadFile(filepath.Join(testdata, "golden_v3_adaptive.idx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	ixdir := filepath.Join(dir, "ix")
-	if err := os.MkdirAll(ixdir, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	v3 := goldenIndexFile(t, "golden_v3_adaptive.idx")
 	// What the previous build left for golden.csv: wrapper magic, the
 	// fingerprint it keyed the file by (the v3 header's own copy), the stream.
 	old := append([]byte("TKDIXD1\n"), v3[6+5*8:6+6*8]...)
-	old = append(old, v3...)
-	file := filepath.Join(ixdir, "g.tkdix")
-	if err := os.WriteFile(file, old, 0o644); err != nil {
+	bootOverIndexFile(t, append(old, v3...), 0)
+}
+
+// TestThreeKindIndexCacheRebuilds: an -indexdir file in the current wrapper
+// and version whose index holds a sorted-id sparse column (kind 3, which the
+// three-kind adaptive rule could pick and this build does not read) is a
+// counted miss — tkd_index_cache_errors_total — that rebuilds once and is
+// overwritten in place; the next boot is warm.
+func TestThreeKindIndexCacheRebuilds(t *testing.T) {
+	bootOverIndexFile(t, append([]byte("TKDIXD2\n"), goldenIndexFile(t, "golden_v4_adaptive_3kind.idx")...), 1)
+}
+
+func goldenIndexFile(t *testing.T, name string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("..", "bitmapidx", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// bootOverIndexFile boots golden.csv twice over an -indexdir that holds file
+// as the dataset's index: the first boot must rebuild once, count wantErrs
+// cache errors and overwrite the file in the current format, the second load
+// it warm.
+func bootOverIndexFile(t *testing.T, file []byte, wantErrs int64) {
+	t.Helper()
+	ixdir := filepath.Join(t.TempDir(), "ix")
+	if err := os.MkdirAll(ixdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(ixdir, "g.tkdix")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	boot := func() (builds, warm, errs int64) {
 		s := server.New(server.Config{IndexDir: ixdir})
 		defer s.Close()
-		if err := s.LoadCSVFile("g", filepath.Join(testdata, "golden.csv"), false); err != nil {
-			t.Fatalf("an old index file failed the boot: %v", err)
+		if err := s.LoadCSVFile("g", filepath.Join("..", "bitmapidx", "testdata", "golden.csv"), false); err != nil {
+			t.Fatalf("an unreadable index file failed the boot: %v", err)
 		}
 		ts := httptest.NewServer(s)
 		defer ts.Close()
@@ -768,12 +789,12 @@ func TestOldIndexCacheFormatRebuilds(t *testing.T) {
 		m := getBody(t, ts.URL+"/metrics")
 		return sumMetric(t, m, "tkd_index_builds_total"), sumMetric(t, m, "tkd_index_warm_loads_total"), sumMetric(t, m, "tkd_index_cache_errors_total")
 	}
-	if builds, warm, errs := boot(); builds != 1 || warm != 0 || errs != 0 {
-		t.Fatalf("boot over an old-format file: %d builds, %d warm loads, %d cache errors; want 1 / 0 / 0", builds, warm, errs)
+	if builds, warm, errs := boot(); builds != 1 || warm != 0 || errs != wantErrs {
+		t.Fatalf("boot over the file: %d builds, %d warm loads, %d cache errors; want 1 / 0 / %d", builds, warm, errs, wantErrs)
 	}
-	now, err := os.ReadFile(file)
-	if err != nil || !bytes.HasPrefix(now, []byte("TKDIXD2\nTKDIX\x04")) {
-		t.Fatalf("the rebuild did not overwrite the old file in the current format (err %v)", err)
+	now, err := os.ReadFile(path)
+	if err != nil || !bytes.HasPrefix(now, []byte("TKDIXD2\nTKDIX\x04")) || bytes.Equal(now, file) {
+		t.Fatalf("the rebuild did not overwrite the file in the current format (err %v)", err)
 	}
 	if builds, warm, errs := boot(); builds != 0 || warm != 1 || errs != 0 {
 		t.Fatalf("second boot: %d builds, %d warm loads, %d cache errors; want 0 / 1 / 0", builds, warm, errs)

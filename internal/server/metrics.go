@@ -213,7 +213,6 @@ var metricFamilies = []family{
 		for _, d := range x.ds {
 			x.sample(d.label+`,repr="dense"`, d.cache.DenseCols)
 			x.sample(d.label+`,repr="compressed"`, d.cache.CompressedCols)
-			x.sample(d.label+`,repr="sparse"`, d.cache.SparseCols)
 		}
 	}},
 	{"tkd_kernel_native_hits_total", "counter", "Compressed columns served by the run-native CONCISE kernels, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.cache.NativeKernel })},

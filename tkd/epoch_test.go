@@ -168,10 +168,14 @@ func goldenFixture(t *testing.T, name string) []byte {
 // stream (default settings, index section included) imports, lands on the
 // leader's epoch and fingerprint, and serves from the shipped index with zero
 // builds — and the TKDEPO1 stream of the same rows, which an old leader still
-// sends, is refused with the typed version error, not misread.
+// sends, is refused with the typed version error, not misread; so is, on its
+// index section, a TKDEPO2 stream whose index holds a retired column kind.
 func TestImportGoldenEpoch(t *testing.T) {
 	if _, _, err := tkd.ImportEpoch(bytes.NewReader(goldenFixture(t, "golden_epoch_v1_adaptive.bin"))); !errors.Is(err, tkd.ErrStreamVersion) {
 		t.Fatalf("TKDEPO1 stream: error = %v, want ErrStreamVersion", err)
+	}
+	if ds, _, err := tkd.ImportEpoch(bytes.NewReader(goldenFixture(t, "golden_epoch_adaptive_3kind.bin"))); ds != nil || !errors.Is(err, bitmapidx.ErrUnsupportedCodec) {
+		t.Fatalf("TKDEPO2 stream with sparse columns: dataset %v, error = %v; want none and ErrUnsupportedCodec", ds != nil, err)
 	}
 	fresh, epoch, err := tkd.ImportEpoch(bytes.NewReader(goldenFixture(t, "golden_epoch_adaptive.bin")))
 	if err != nil {
@@ -198,8 +202,9 @@ func TestImportGoldenEpoch(t *testing.T) {
 
 // TestLoadIndexAcceptsOnlyAdaptive: the dataset builds adaptive indexes and
 // warm-loads nothing else — a pure-CONCISE file is refused, a WAH header
-// codec is an unsupported codec, every v3 file (keyed by the old fingerprint)
-// is an unsupported version — and a refused load leaves the dataset serving.
+// codec or a sparse column kind is an unsupported codec, every v3 file (keyed
+// by the old fingerprint) is an unsupported version — and a refused load
+// leaves the dataset serving.
 func TestLoadIndexAcceptsOnlyAdaptive(t *testing.T) {
 	ds, err := tkd.ReadCSV(bytes.NewReader(goldenFixture(t, "golden.csv")))
 	if err != nil {
@@ -212,6 +217,9 @@ func TestLoadIndexAcceptsOnlyAdaptive(t *testing.T) {
 	wah[6] = 1 // the header codec byte a WAH-pinned build wrote
 	if err := ds.LoadIndex(bytes.NewReader(wah)); !errors.Is(err, bitmapidx.ErrUnsupportedCodec) {
 		t.Fatalf("WAH index: error = %v, want ErrUnsupportedCodec", err)
+	}
+	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v4_adaptive_3kind.idx"))); !errors.Is(err, bitmapidx.ErrUnsupportedCodec) {
+		t.Fatalf("three-kind adaptive index: error = %v, want ErrUnsupportedCodec", err)
 	}
 	for _, old := range []string{"golden_v3_adaptive.idx", "golden_v3_concise.idx", "golden_v3_wah.idx"} {
 		if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, old))); !errors.Is(err, bitmapidx.ErrVersion) {

@@ -631,7 +631,7 @@ func (d *Dataset) partBudget() int64 {
 // counters of the binned bitmap index: lookup hits and misses, columns
 // evicted by the CLOCK policy, resident bytes and the configured budget,
 // plus how many columns each physical representation served on the query
-// path (DenseCols/CompressedCols/SparseCols) and — for compressed columns —
+// path (DenseCols/CompressedCols) and — for compressed columns —
 // the split between run-native kernel execution (NativeKernel) and
 // decompress-to-dense fallbacks (Fallback). All zero until an IBIG query
 // (or Prepare) builds the index. A sharded dataset reports the sum over its
@@ -645,7 +645,6 @@ type CacheStats struct {
 
 	DenseCols      int64
 	CompressedCols int64
-	SparseCols     int64
 	NativeKernel   int64
 	Fallback       int64
 }
@@ -658,7 +657,6 @@ func (c *CacheStats) add(st bitmapidx.CacheStats) {
 	c.Budget += st.Budget
 	c.DenseCols += st.DenseCols
 	c.CompressedCols += st.CompressedCols
-	c.SparseCols += st.SparseCols
 	c.NativeKernel += st.NativeKernel
 	c.Fallback += st.Fallback
 }
