@@ -89,7 +89,11 @@ func BenchmarkFig10_Compression(b *testing.B) {
 }
 
 // BenchmarkFig11_BinSweep times the IBIG query under increasing bin counts
-// against BIG on the same data, reporting index size as a custom metric.
+// against BIG on the same data, reporting per ξ what the layout costs — index
+// bytes, and as sub-benchmarks the cold build off a shared sort and the
+// AppendRows of a 20-row batch — and what a query over it still does: rows
+// walked and exact scores computed (`benchrunner -exp fig11` is the same
+// sweep over every dataset).
 func BenchmarkFig11_BinSweep(b *testing.B) {
 	ds := benchSynthetic(gen.IND, nil)
 	sorted := ds.SortDims()
@@ -103,15 +107,31 @@ func BenchmarkFig11_BinSweep(b *testing.B) {
 		}
 		b.ReportMetric(float64(big.SizeBytes())/1024, "KB-index")
 	})
+	base := ds.Slice(0, ds.Len()-20)
 	for _, xi := range []int{4, 16, 64} {
-		binned := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{xi}})
+		opts := bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{xi}}
+		binned := bitmapidx.BuildSorted(sorted, opts)
 		b.Run(fmt.Sprintf("IBIG-xi%d", xi), func(b *testing.B) {
 			pre := &core.Pre{Queue: queue, Binned: binned}
 			b.ReportAllocs()
+			var st core.Stats
 			for i := 0; i < b.N; i++ {
-				core.Run(core.AlgIBIG, ds, 16, pre)
+				_, st = core.Run(core.AlgIBIG, ds, 16, pre)
 			}
 			b.ReportMetric(float64(binned.SizeBytes())/1024, "KB-index")
+			b.ReportMetric(float64(st.Comparisons), "walked/op")
+			b.ReportMetric(float64(st.Scored), "scored/op")
+		})
+		b.Run(fmt.Sprintf("build-xi%d", xi), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bitmapidx.BuildSorted(sorted, opts)
+			}
+		})
+		old := bitmapidx.Build(base, opts)
+		b.Run(fmt.Sprintf("AppendRows-xi%d", xi), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bitmapidx.AppendRows(old, ds)
+			}
 		})
 	}
 }

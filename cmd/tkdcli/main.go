@@ -33,9 +33,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var (
 		k       = fs.Int("k", 10, "number of answers")
 		algStr  = fs.String("alg", "IBIG", "algorithm: Naive, ESB, UBB, BIG, IBIG")
-		stats   = fs.Bool("stats", false, "print pruning statistics (comparisons = value comparisons made: for BIG/IBIG the Q-P rim only, members of G(o) are counted by popcount, not compared)")
+		stats   = fs.Bool("stats", false, "print pruning statistics (comparisons = rows compared: for BIG/IBIG only those tying a bin of the candidate that holds several values; what a candidate dominates is counted by popcount, not compared)")
 		negate  = fs.Bool("negate", false, "negate values (use when larger is better)")
-		bins    = fs.Int("bins", 0, "bins per dimension for IBIG (0 = Eq. 8 optimum)")
+		bins    = fs.Int("bins", 0, "bins per dimension for IBIG (0 = twice the Eq. 8 optimum, at most one per distinct value)")
 		workers = fs.Int("workers", 1, "parallel scoring goroutines (1 = serial, 0 = GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -28,6 +28,21 @@ func OptimalBins(n int, sigma float64) int {
 	return xi
 }
 
+// ServingBins is the bin count the serving index asks of every dimension when
+// the caller names none: r(N, σ) = 2 · Eq. (8), which AssignBins caps at the
+// dimension's distinct-value count, so ξᵢ = min(cᵢ, r). Eq. (8) minimizes
+// space × query cost under a model where a score visits all of Q; since the
+// score became popcounts plus a walk of what ties an inexact bucket (score.go)
+// the query term is that walk, ∝ N·d/ξ, and it vanishes where a candidate's
+// buckets hold one value each. Twice Eq. (8) is where the Fig. 11 sweep
+// (DESIGN.md §1) puts that point for low-cardinality dimensions — the greedy
+// equi-depth rule gives the low ranks, where candidates live, a bucket each —
+// and where, on continuous ones, the next doubling stops paying for its
+// bytes.
+func ServingBins(n int, sigma float64) int {
+	return 2 * OptimalBins(n, sigma)
+}
+
 // AssignBins partitions the distinct values of one dimension into at most
 // xi bins using the paper's adaptive equi-depth rule (§4.4, Eq. 3–4): each
 // bin greedily takes whole distinct values while its accumulated object

@@ -90,6 +90,35 @@ type dimIndex struct {
 	// rankToBucket maps a value rank to its column bucket: identity for the
 	// unbinned index, the bin assignment for the binned one.
 	rankToBucket []int
+	// exact[b] says exactly one value rank maps to bucket b, so tying the
+	// bucket is equalling the value (see score.go). Derived wherever
+	// rankToBucket is written — build, patch, load — and never persisted.
+	exact []bool
+}
+
+// newDimIndex pairs a dimension's columns with its rank→bucket map and
+// derives the exact-bucket flags. It reports false when the map is not what
+// a build or a patch produces — starting at bucket 0, non-decreasing in
+// steps of at most one and ending at the last bucket the columns hold —
+// which only a crafted file can be.
+func newDimIndex(cols []column, rankToBucket []int) (dimIndex, bool) {
+	buckets := len(cols) - 1
+	if buckets < 0 {
+		return dimIndex{}, false
+	}
+	exact := make([]bool, buckets)
+	prev := -1
+	for r, b := range rankToBucket {
+		if b != prev && b != prev+1 || b >= buckets {
+			return dimIndex{}, false
+		}
+		exact[b] = b != prev && (r+1 == len(rankToBucket) || rankToBucket[r+1] != b)
+		prev = b
+	}
+	if prev != buckets-1 {
+		return dimIndex{}, false
+	}
+	return dimIndex{cols: cols, rankToBucket: rankToBucket, exact: exact}, true
 }
 
 // Index is a (possibly binned, possibly compressed) bitmap index over one
@@ -477,11 +506,8 @@ func (ix *Index) buildDim(rankToBucket, counts []int, order []int32) dimIndex {
 	if ci := len(rankToBucket); ci > 0 {
 		buckets = rankToBucket[ci-1] + 1
 	}
-	di := dimIndex{
-		cols:         make([]column, buckets+1),
-		rankToBucket: rankToBucket,
-	}
-	di.cols[0] = ix.encode(ix.ones)
+	cols := make([]column, buckets+1)
+	cols[0] = ix.encode(ix.ones)
 	cur := bitvec.NewOnes(ix.ds.Len())
 	r := 0
 	for b := 1; b <= buckets; b++ {
@@ -491,7 +517,16 @@ func (ix *Index) buildDim(rankToBucket, counts []int, order []int32) dimIndex {
 			}
 			order = order[counts[r]:]
 		}
-		di.cols[b] = ix.encode(cur)
+		cols[b] = ix.encode(cur)
+	}
+	return mustDimIndex(cols, rankToBucket)
+}
+
+// mustDimIndex is newDimIndex for a map this package made itself.
+func mustDimIndex(cols []column, rankToBucket []int) dimIndex {
+	di, ok := newDimIndex(cols, rankToBucket)
+	if !ok {
+		panic("bitmapidx: malformed rank→bucket map")
 	}
 	return di
 }
@@ -517,10 +552,11 @@ func (ix *Index) encodeCodec(v *bitvec.Vector) column {
 // column (one fill word instead of n/8 dense bytes, on disk and in RAM),
 // where the run-native kernels beat dense word scans at any density. A
 // literal-heavy stream is larger than the raw vector and slower to read, so
-// the column stays dense.
+// the column stays dense — and the trial is abandoned at the word that takes
+// it past the threshold.
 func (ix *Index) encodeAdaptive(v *bitvec.Vector) column {
-	if col := ix.encodeCodec(v); col.runNative {
-		return col
+	if b, ok := concise.CompressWithin(v, runNativeLimit(v.Len())); ok {
+		return column{kind: kindConcise, conc: b, runNative: true}
 	}
 	return column{kind: kindDense, dense: v.Clone()}
 }
@@ -639,15 +675,17 @@ const DefaultCacheBudget = 32 << 20
 // Every buffer below is reused across candidates, so a warmed-up cursor is
 // allocation-free per candidate on both the serial and parallel paths.
 type Cursor struct {
-	ix   *Index
-	q, p *bitvec.Vector
-	// scratchQ/scratchP are per-dimension materialization fallbacks used
-	// only when the shared cache is full of hotter columns; two per
-	// dimension because the fused QP pass needs a dimension's Q- and
-	// P-columns alive at once. Lazily allocated: they cost nothing while the
-	// cache holds.
-	scratchQ, scratchP []*bitvec.Vector
-	cols               []*bitvec.Vector // reusable dense-column buffer
+	ix *Index
+	// q and p hold QP's result; the scoring kernel accumulates ∩Qᵢ, E and W
+	// in q, p and w.
+	q, p, w *bitvec.Vector
+	// scratchQ/scratchP/scratchM are per-dimension materialization
+	// fallbacks used only when the shared cache is full of hotter columns;
+	// three per dimension because the scoring pass needs a dimension's Q-, P-
+	// and missing columns alive at once. Lazily allocated: they cost nothing
+	// while the cache holds.
+	scratchQ, scratchP, scratchM []*bitvec.Vector
+	cols                         []*bitvec.Vector // reusable dense-column buffer
 	// the compressed-native count path's column buffer.
 	concCols []*concise.Bitmap
 	qrefs    []qref
@@ -660,8 +698,10 @@ func (ix *Index) NewCursor() *Cursor {
 		ix:       ix,
 		q:        bitvec.New(n),
 		p:        bitvec.New(n),
+		w:        bitvec.New(n),
 		scratchQ: make([]*bitvec.Vector, len(ix.dims)),
 		scratchP: make([]*bitvec.Vector, len(ix.dims)),
+		scratchM: make([]*bitvec.Vector, len(ix.dims)),
 		cols:     make([]*bitvec.Vector, 0, len(ix.dims)),
 		concCols: make([]*concise.Bitmap, 0, len(ix.dims)),
 		qrefs:    make([]qref, 0, len(ix.dims)),
@@ -705,19 +745,25 @@ func (c *Cursor) QP(obj int) (q, p *bitvec.Vector) {
 	return c.qpDispatch(refs, obj)
 }
 
-// buildRefs gathers the (dimension, Q-bucket, P-bucket) column references of
-// an in-set object into the cursor's reusable buffer: Q is column bucket(o),
-// P the adjacent column bucket(o)+1 (which always exists — the column one
-// past the worst bucket is exactly the "missing in this dimension" set).
+// buildRefs gathers the column references of an in-set object into the
+// cursor's reusable buffer: Q is column bucket(o), P the adjacent column
+// bucket(o)+1 (which always exists — the column one past the worst bucket is
+// exactly the "missing in this dimension" set), and the tie set is exact
+// when o's value has the bucket to itself.
 func (c *Cursor) buildRefs(obj int) []qref {
 	ix := c.ix
 	refs := c.qrefs[:0]
-	for d := range ix.dims {
-		b := ix.Bucket(obj, d)
-		if b < 0 {
+	for d, r := range ix.ranks[obj*len(ix.dims):][:len(ix.dims)] {
+		if r < 0 {
 			continue // missing: Qi = Pi = S, the all-ones column
 		}
-		refs = append(refs, qref{d: int32(d), qb: int32(b), pb: int32(b + 1)})
+		di := &ix.dims[d]
+		b := di.rankToBucket[r]
+		t := tieWalk
+		if di.exact[b] {
+			t = tieExact
+		}
+		refs = append(refs, qref{d: int32(d), qb: int32(b), tie: t, key: 2 * r})
 	}
 	c.qrefs = refs
 	return refs
@@ -725,15 +771,14 @@ func (c *Cursor) buildRefs(obj int) []qref {
 
 // qpDense is the all-dense fast path: each dimension's Q- and P-columns are
 // intersected in a single fused pass, and the first observed dimension seeds
-// both accumulators directly so no SetAll pass is paid. clear >= 0 removes
-// that object from Q (an in-set candidate excludes itself; foreign
-// candidates pass -1).
-func (c *Cursor) qpDense(refs []qref, clear int) (q, p *bitvec.Vector) {
+// both accumulators directly so no SetAll pass is paid. obj is cleared from Q
+// (a candidate excludes itself).
+func (c *Cursor) qpDense(refs []qref, obj int) (q, p *bitvec.Vector) {
 	ix := c.ix
 	var cq0, cp0 *bitvec.Vector
 	for i, r := range refs {
 		cq := ix.dims[r.d].cols[r.qb].dense
-		cp := ix.dims[r.d].cols[r.pb].dense
+		cp := ix.dims[r.d].cols[r.qb+1].dense
 		switch i {
 		case 0:
 			cq0, cp0 = cq, cp
@@ -752,33 +797,29 @@ func (c *Cursor) qpDense(refs []qref, clear int) (q, p *bitvec.Vector) {
 		c.q.CopyFrom(cq0)
 		c.p.CopyFrom(cp0)
 	}
-	if clear >= 0 {
-		c.q.Clear(clear)
-	}
+	c.q.Clear(obj)
 	return c.q, c.p
 }
 
 // qpDispatch accumulates Q and P per-column through each column's best
 // kernel. AND order is irrelevant to the result, so the answer is
 // bit-identical to the dense path's.
-func (c *Cursor) qpDispatch(refs []qref, clear int) (q, p *bitvec.Vector) {
+func (c *Cursor) qpDispatch(refs []qref, obj int) (q, p *bitvec.Vector) {
 	var t repTally
 	for i, r := range refs {
 		if i == 0 {
 			c.seedColumn(c.q, int(r.d), int(r.qb), &t)
-			c.seedColumn(c.p, int(r.d), int(r.pb), &t)
+			c.seedColumn(c.p, int(r.d), int(r.qb+1), &t)
 		} else {
 			c.andColumn(c.q, int(r.d), int(r.qb), &c.scratchQ[r.d], &t)
-			c.andColumn(c.p, int(r.d), int(r.pb), &c.scratchP[r.d], &t)
+			c.andColumn(c.p, int(r.d), int(r.qb+1), &c.scratchP[r.d], &t)
 		}
 	}
 	if len(refs) == 0 {
 		c.q.SetAll()
 		c.p.SetAll()
 	}
-	if clear >= 0 {
-		c.q.Clear(clear)
-	}
+	c.q.Clear(obj)
 	c.ix.flushTally(&t)
 	return c.q, c.p
 }
@@ -828,12 +869,15 @@ func (c *Cursor) andColumn(dst *bitvec.Vector, d, b int, scratch **bitvec.Vector
 	}
 }
 
-// qCols collects the Q-columns of refs as dense vectors into the cursor's
-// reusable buffer (the all-dense count path).
+// qCols collects the Q-columns of refs that constrain anything (bucket 0 is
+// all ones) as dense vectors into the cursor's reusable buffer (the all-dense
+// count path).
 func (c *Cursor) qCols(refs []qref) []*bitvec.Vector {
 	cols := c.cols[:0]
 	for _, r := range refs {
-		cols = append(cols, c.dense(int(r.d), int(r.qb), &c.scratchQ[r.d]))
+		if r.qb != 0 {
+			cols = append(cols, c.dense(int(r.d), int(r.qb), &c.scratchQ[r.d]))
+		}
 	}
 	c.cols = cols
 	return cols
@@ -842,15 +886,8 @@ func (c *Cursor) qCols(refs []qref) []*bitvec.Vector {
 // MaxBitScore computes |Q| = |∩Qi − {o}| for object obj — the Heuristic 2
 // upper bound — without materializing the intersection or P.
 func (c *Cursor) MaxBitScore(obj int) int {
-	refs := c.buildRefs(obj)
-	if c.ix.codec == Raw {
-		if len(refs) == 0 {
-			return c.ix.ds.Len() - 1
-		}
-		// o always belongs to ∩Qi: its own bits pass every Qi column.
-		return bitvec.IntersectCount(c.qCols(refs)...) - 1
-	}
-	cnt, _ := c.intersectQAbove(refs, noTau)
+	// o always belongs to ∩Qi: its own bits pass every Qi column.
+	cnt, _ := c.intersectQAbove(c.buildRefs(obj), noTau)
 	return cnt - 1
 }
 
@@ -860,21 +897,9 @@ func (c *Cursor) MaxBitScore(obj int) int {
 // lift the count past tau, so pruned candidates (the common case late in a
 // query) cost a fraction of a full count.
 func (c *Cursor) MaxBitScoreAbove(obj, tau int) (int, bool) {
-	refs := c.buildRefs(obj)
-	if c.ix.codec == Raw {
-		if len(refs) == 0 {
-			mb := c.ix.ds.Len() - 1
-			return mb, mb > tau
-		}
-		// maxBit = |∩Qi| − 1 (o passes every column), so maxBit > tau ⇔
-		// |∩Qi| > tau+1.
-		cnt, above := bitvec.IntersectCountAbove(tau+1, c.qCols(refs)...)
-		if !above {
-			return 0, false
-		}
-		return cnt - 1, true
-	}
-	cnt, above := c.intersectQAbove(refs, tau+1)
+	// maxBit = |∩Qi| − 1 (o passes every column), so maxBit > tau ⇔
+	// |∩Qi| > tau+1.
+	cnt, above := c.intersectQAbove(c.buildRefs(obj), tau+1)
 	if !above {
 		return 0, false
 	}
@@ -887,45 +912,44 @@ func (c *Cursor) MaxBitScoreAbove(obj, tau int) (int, bool) {
 const noTau = -1 << 62
 
 // intersectQAbove computes |∩Qi| over the given Q-column refs with the
-// IntersectCountAbove contract, dispatching on the representation mix:
+// IntersectCountAbove contract. A bucket-0 Q-column is all ones, the identity
+// of AND, and is left out; the rest dispatch on the representation mix:
 //
+//   - Raw, or any column dense: materialize compressed columns (shared cache
+//     or scratch) and run the fused dense cascade;
 //   - all columns compressed and fill-dominated: CONCISE's run-native
-//     multi-way gallop, no decompression at all;
-//   - otherwise: materialize compressed columns (shared cache or scratch)
-//     and run the fused dense cascade.
+//     multi-way gallop, no decompression at all.
 func (c *Cursor) intersectQAbove(refs []qref, tau int) (int, bool) {
 	ix := c.ix
-	if len(refs) == 0 {
-		n := ix.ds.Len()
-		return n, n > tau
-	}
-	var t repTally
-	defer ix.flushTally(&t)
-
 	// Representation census, paid once over the (few) observed dimensions.
-	var native int64
+	var t repTally
 	for _, r := range refs {
 		col := &ix.dims[r.d].cols[r.qb]
 		switch {
+		case r.qb == 0:
 		case col.kind == kindDense:
 			t.dense++
 		case col.runNative:
-			native++
+			t.compressed++
+			t.native++
+		default:
+			t.compressed++
 		}
 	}
-	t.compressed = int64(len(refs)) - t.dense
-	if native == int64(len(refs)) {
-		t.native = native
+	if t.dense+t.compressed == 0 {
+		n := ix.ds.Len()
+		return n, n > tau
+	}
+	if ix.codec == Raw {
+		return bitvec.IntersectCountAbove(tau, c.qCols(refs)...)
+	}
+	defer ix.flushTally(&t)
+	if t.dense == 0 && t.native == t.compressed {
 		return c.countNative(tau, refs)
 	}
-	t.fallback = t.compressed
+	t.native, t.fallback = 0, t.compressed
 	return bitvec.IntersectCountAbove(tau, c.qCols(refs)...)
 }
-
-// qref locates one candidate's columns in dimension d: Q-column bucket qb
-// and P-column bucket pb (pb is only meaningful on the QP paths; the count
-// paths read qb alone).
-type qref struct{ d, qb, pb int32 }
 
 // countNative runs CONCISE's multi-way run gallop over the candidate's
 // Q-columns — all compressed and fill-dominated, by the caller's
@@ -933,7 +957,9 @@ type qref struct{ d, qb, pb int32 }
 func (c *Cursor) countNative(tau int, refs []qref) (int, bool) {
 	cols := c.concCols[:0]
 	for _, r := range refs {
-		cols = append(cols, c.ix.dims[r.d].cols[r.qb].conc)
+		if r.qb != 0 {
+			cols = append(cols, c.ix.dims[r.d].cols[r.qb].conc)
+		}
 	}
 	c.concCols = cols
 	return concise.IntersectCountAbove(tau, cols...)

@@ -1,7 +1,5 @@
 package bitmapidx
 
-import "repro/internal/bitvec"
-
 // Standing-query bounds. A standing top-k subscription re-evaluates only
 // when a published delta *could* change the answer; these two bounds make
 // that check cheap. Both are conservative (never under-count), so a
@@ -25,25 +23,14 @@ func (c *Cursor) StandingEntryBound(obj int) int {
 	if len(refs) == 0 {
 		return c.ix.ds.Len() - 1
 	}
-	qcnt := c.intersectRefs(refs)
+	qcnt, _ := c.intersectQAbove(refs, noTau)
 	// Rewrite the refs in place to each dimension's missing column; the
 	// Q-count above is already taken.
 	for i := range refs {
 		refs[i].qb = int32(len(c.ix.dims[refs[i].d].cols) - 1)
 	}
-	misscnt := c.intersectRefs(refs)
+	misscnt, _ := c.intersectQAbove(refs, noTau)
 	return qcnt - misscnt - 1
-}
-
-// intersectRefs counts |∩ cols(refs)| through the index's representation
-// dispatch (fused dense cascade for Raw, the mixed-representation paths
-// otherwise).
-func (c *Cursor) intersectRefs(refs []qref) int {
-	if c.ix.codec == Raw {
-		return bitvec.IntersectCount(c.qCols(refs)...)
-	}
-	cnt, _ := c.intersectQAbove(refs, noTau)
-	return cnt
 }
 
 // DominatorCeil returns an upper bound on the number of objects that could

@@ -43,12 +43,12 @@ type column struct {
 	runNative bool // compressed and fill-dominated: served by the run-native kernels
 }
 
-// runNativeWorthwhile reports whether a compressed column of compWords
-// 32-bit words over nbits logical bits is fill-dominated enough (≤ ¼ of the
-// dense payload) that galloping over the run stream beats a dense read on
+// runNativeLimit is the most 32-bit compressed words a column of nbits
+// logical bits may take and still count as fill-dominated: ¼ of the dense
+// payload, below which galloping over the run stream beats a dense read on
 // the query path.
-func runNativeWorthwhile(compWords, nbits int) bool {
-	return compWords <= ((nbits+63)/64)/2
+func runNativeLimit(nbits int) int {
+	return ((nbits + 63) / 64) / 2
 }
 
 // newConciseColumn stores b as a column. Under the adaptive rule a stream
@@ -56,7 +56,7 @@ func runNativeWorthwhile(compWords, nbits int) bool {
 // of the earlier three-kind rule held it so — is decompressed once and its
 // bits stored dense instead.
 func newConciseColumn(b *concise.Bitmap, adaptive bool) column {
-	if runNative := runNativeWorthwhile(b.Words(), b.NBits()); runNative || !adaptive {
+	if runNative := b.Words() <= runNativeLimit(b.NBits()); runNative || !adaptive {
 		return column{kind: kindConcise, conc: b, runNative: runNative}
 	}
 	v := bitvec.New(b.NBits())

@@ -173,8 +173,8 @@ func AppendRows(old *Index, next *data.Dataset) (*Index, bool) {
 	for d := 0; d < dim; d++ {
 		oldDi := &old.dims[d]
 		buckets := len(oldDi.cols) - 1
-		di := dimIndex{cols: make([]column, buckets+1), rankToBucket: r2bs[d]}
-		di.cols[0] = ix.extendColumn(&oldDi.cols[0], deltaOnes)
+		cols := make([]column, buckets+1)
+		cols[0] = ix.extendColumn(&oldDi.cols[0], deltaOnes)
 		for j := range bucketOf {
 			bucketOf[j] = -1
 			if r := ranks[(oldN+j)*dim+d]; r >= 0 {
@@ -188,9 +188,11 @@ func AppendRows(old *Index, next *data.Dataset) (*Index, bool) {
 					cur.Clear(j)
 				}
 			}
-			di.cols[b] = ix.extendColumn(&oldDi.cols[b], cur)
+			cols[b] = ix.extendColumn(&oldDi.cols[b], cur)
 		}
-		ix.dims[d] = di
+		// A new distinct value joined its predecessor's bucket: one that was
+		// exact stops being so here.
+		ix.dims[d] = mustDimIndex(cols, r2bs[d])
 	}
 	ix.initColCache()
 	return ix, true

@@ -150,7 +150,7 @@ func TestAppendRowsEquivalence(t *testing.T) {
 					if pc.kind != oc.kind && !(patched.adaptive && pc.kind == kindDense) {
 						t.Fatalf("dim %d column %d changed representation %d -> %d", d, b, oc.kind, pc.kind)
 					}
-					if pc.kind == kindConcise && pc.runNative != runNativeWorthwhile(pc.conc.Words(), pc.conc.NBits()) {
+					if pc.kind == kindConcise && pc.runNative != (pc.conc.Words() <= runNativeLimit(pc.conc.NBits())) {
 						t.Fatalf("dim %d column %d: stale run-native flag", d, b)
 					}
 				}
@@ -364,6 +364,51 @@ func TestAppendRowsMaskCounts(t *testing.T) {
 	}
 }
 
+// TestAppendRowsClearsExactBucket: a bucket is exact while one value maps to
+// it. A published row whose value the index has not seen is filed in its
+// predecessor's bucket, which stops being exact there and then; a row whose
+// value it has seen changes nothing; and the flags are derived state — a
+// loaded index recomputes the same ones from the rank→bucket map it read.
+func TestAppendRowsClearsExactBucket(t *testing.T) {
+	base := data.New(2)
+	for i, vals := range [][]float64{{0, 5}, {1, 5}, {2, 6}, {2, data.Missing()}, {0, 7}} {
+		base.MustAppend(fmt.Sprintf("o%d", i), vals)
+	}
+	ix := Build(base, Options{Codec: Concise, Bins: []int{3}, Adaptive: true})
+	if want := []bool{true, true, true}; !slices.Equal(ix.dims[0].exact, want) || !slices.Equal(ix.dims[1].exact, want) {
+		t.Fatalf("three values in three bins: exact = %v, %v", ix.dims[0].exact, ix.dims[1].exact)
+	}
+	seen, ok := AppendRows(ix, extendWith(base, "s", [][]float64{{1, 7}}))
+	if !ok || !slices.Equal(seen.dims[0].exact, []bool{true, true, true}) {
+		t.Fatalf("a value the index holds: ok=%v exact=%v", ok, seen.dims[0].exact)
+	}
+	grown, ok := AppendRows(seen, extendWith(seen.ds, "n", [][]float64{{1.5, 4}, {data.Missing(), 9}}))
+	if !ok {
+		t.Fatal("AppendRows refused a strict row extension")
+	}
+	// 1.5 joins 1's bucket; 4 sorts below every value and joins bucket 0, 9
+	// above and joins the last.
+	if got, want := grown.dims[0].exact, []bool{true, false, true}; !slices.Equal(got, want) {
+		t.Errorf("dimension 0 exact = %v, want %v", got, want)
+	}
+	if got, want := grown.dims[1].exact, []bool{false, true, false}; !slices.Equal(got, want) {
+		t.Errorf("dimension 1 exact = %v, want %v", got, want)
+	}
+	var buf bytes.Buffer
+	if err := grown.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, grown.ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := range grown.dims {
+		if !slices.Equal(loaded.dims[d].exact, grown.dims[d].exact) {
+			t.Errorf("dimension %d: loaded exact = %v, patched %v", d, loaded.dims[d].exact, grown.dims[d].exact)
+		}
+	}
+}
+
 // extendWith returns base's rows followed by extra, built through the
 // storage-sharing extension the publish path uses.
 func extendWith(base *data.Dataset, prefix string, extra [][]float64) *data.Dataset {
@@ -400,6 +445,9 @@ func assertSameAsScratch(t *testing.T, label string, p *Index) {
 	}
 	for d := range s.dims {
 		s.dims[d] = s.buildDim(p.dims[d].rankToBucket, sorted.Stats[d].CountPerValue, sorted.Order[d])
+		if !slices.Equal(p.dims[d].exact, s.dims[d].exact) {
+			t.Fatalf("%s: dim %d exact-bucket flags %v, its rank→bucket map says %v", label, d, p.dims[d].exact, s.dims[d].exact)
+		}
 		for b := range s.dims[d].cols {
 			if !colBits(&p.dims[d].cols[b]).Equal(colBits(&s.dims[d].cols[b])) {
 				t.Fatalf("%s: dim %d column %d bits diverge from a from-scratch build", label, d, b)

@@ -1,10 +1,5 @@
 package bitmapidx
 
-import (
-	"repro/internal/bitvec"
-	"repro/internal/data"
-)
-
 // Foreign-candidate access: the cursor operations keyed not by an object
 // index but by raw (values, mask) pairs, for candidates that are not rows of
 // the indexed dataset. This is the shard-side primitive of scatter-gather
@@ -13,9 +8,10 @@ import (
 // shard by mapping its values into the shard's own value domains:
 //
 //	Qi = { p : p[i] ≥ v or missing }  = col[bucket(RankGE(v))]
-//	Pi ⊆ { p : p[i] > v or missing }  = col[qb+1] (bin-granular; the Q−P rim
-//	                                    is refined by value, exactly as IBIG
-//	                                    refines in-set candidates)
+//	Pi ⊆ { p : p[i] > v or missing }  = col[qb+1] (bin-granular; what ties
+//	                                    the bucket is resolved by the scoring
+//	                                    kernel, exactly as for in-set
+//	                                    candidates — see score.go)
 //
 // A value beyond the shard's domain maps to the all-missing column (rank Ci);
 // a value below it to column 0. Unlike the in-set paths nothing is
@@ -25,11 +21,13 @@ import (
 
 // buildRefsForeign maps a foreign candidate's observed values to column refs
 // in the cursor's reusable buffer. For each observed dimension d with value
-// v: the Q-column is the bucket of the smallest distinct value ≥ v, and the
-// P-column the one past it — except that an unbinned index with v absent
-// from the domain uses the Q-column for P too ({p > v} = {p ≥ distinct[r]}
-// exactly), and a v beyond every observed value uses the final
-// ("missing in this dimension") column for both.
+// v the Q-column is the bucket of the smallest distinct value ≥ v. When v is
+// that value the dimension reads as an in-set object's would. When v is
+// absent from the domain no row equals it: below the first value of its
+// bucket — always, on a value-granular index — {p > v} = {p ≥ that value}
+// exactly, P coincides with Q and nothing ties; past it, the bucket's smaller
+// values are told from the larger by rank. A v beyond every observed value
+// uses the final ("missing in this dimension") column for both.
 func (c *Cursor) buildRefsForeign(values []float64, mask uint64) []qref {
 	ix := c.ix
 	refs := c.qrefs[:0]
@@ -39,40 +37,27 @@ func (c *Cursor) buildRefsForeign(values []float64, mask uint64) []qref {
 		}
 		v := values[d]
 		st := &ix.stats[d]
-		buckets := int32(len(ix.dims[d].cols) - 1)
+		di := &ix.dims[d]
 		r := st.RankGE(v)
-		if r >= len(st.Distinct) {
-			refs = append(refs, qref{d: int32(d), qb: buckets, pb: buckets})
-			continue
+		ref := qref{d: int32(d), qb: int32(len(di.cols) - 1), tie: tieNone, key: int32(2*r - 1)}
+		if r < len(st.Distinct) {
+			b := di.rankToBucket[r]
+			ref.qb = int32(b)
+			switch {
+			case st.Distinct[r] == v:
+				ref.key++
+				ref.tie = tieWalk
+				if di.exact[b] {
+					ref.tie = tieExact
+				}
+			case r > 0 && di.rankToBucket[r-1] == b:
+				ref.tie = tieWalk
+			}
 		}
-		qb := int32(ix.dims[d].rankToBucket[r])
-		pb := qb + 1
-		if !ix.binned && st.Distinct[r] != v {
-			// Value-granular index, v between two domain values: strictly
-			// greater and greater-or-equal coincide.
-			pb = qb
-		}
-		refs = append(refs, qref{d: int32(d), qb: qb, pb: pb})
+		refs = append(refs, ref)
 	}
 	c.qrefs = refs
 	return refs
-}
-
-// QPForeign computes Q = ∩Qi and P = ∩Pi for a foreign candidate given by
-// (values, mask). Unlike QP, no self-bit is cleared from Q — the candidate
-// is not (necessarily) a row of this index's dataset. The returned vectors
-// are owned by the cursor and valid until the next QP/QPForeign call.
-func (c *Cursor) QPForeign(values []float64, mask uint64) (q, p *bitvec.Vector) {
-	refs := c.buildRefsForeign(values, mask)
-	if c.ix.codec == Raw {
-		return c.qpDense(refs, -1)
-	}
-	return c.qpDispatch(refs, -1)
-}
-
-// QPObject is QPForeign over a data.Object.
-func (c *Cursor) QPObject(o *data.Object) (q, p *bitvec.Vector) {
-	return c.QPForeign(o.Values, o.Mask)
 }
 
 // ForeignCountAbove computes |∩Qi| for a foreign candidate with the
@@ -83,13 +68,5 @@ func (c *Cursor) QPObject(o *data.Object) (q, p *bitvec.Vector) {
 // of shard rows the candidate can dominate, and the coordinator prunes a
 // candidate whose per-shard bounds sum to at most the global τ.
 func (c *Cursor) ForeignCountAbove(values []float64, mask uint64, tau int) (int, bool) {
-	refs := c.buildRefsForeign(values, mask)
-	if c.ix.codec == Raw {
-		if len(refs) == 0 {
-			n := c.ix.ds.Len()
-			return n, n > tau
-		}
-		return bitvec.IntersectCountAbove(tau, c.qCols(refs)...)
-	}
-	return c.intersectQAbove(refs, tau)
+	return c.intersectQAbove(c.buildRefsForeign(values, mask), tau)
 }

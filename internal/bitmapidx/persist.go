@@ -108,9 +108,31 @@ func readU32s(r io.Reader, limit uint64) ([]uint32, error) {
 	return xs, nil
 }
 
+// writeWords writes a dense column's payload, little-endian, through a small
+// fixed buffer: the columns are nearly all of a serving index's bytes, and
+// binary.Write would allocate each one's encoding whole.
+func writeWords(w io.Writer, words []uint64) error {
+	var buf [4096]byte
+	for len(words) > 0 {
+		n := min(len(words), len(buf)/8)
+		for i, x := range words[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], x)
+		}
+		if _, err := w.Write(buf[:8*n]); err != nil {
+			return err
+		}
+		words = words[n:]
+	}
+	return nil
+}
+
+// saveBuffer sizes Save's writer to hold several columns, so the payload
+// reaches the file in a few large writes.
+const saveBuffer = 64 << 10
+
 // Save serializes the index.
 func (ix *Index) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, saveBuffer)
 	cw := &crcWriter{w: bw}
 	if _, err := cw.Write(persistMagic[:]); err != nil {
 		return err
@@ -165,7 +187,7 @@ func saveColumn(w io.Writer, c *column) error {
 		if err := binary.Write(w, binary.LittleEndian, uint64(len(words))); err != nil {
 			return err
 		}
-		return binary.Write(w, binary.LittleEndian, words)
+		return writeWords(w, words)
 	}
 	nbits, words := c.conc.Persist()
 	if err := binary.Write(w, binary.LittleEndian, uint64(nbits)); err != nil {
@@ -245,7 +267,10 @@ func load(r io.Reader, ds *data.Dataset, prefixOK bool) (*Index, error) {
 				return nil, fmt.Errorf("bitmapidx: dimension %d column %d: %w", d, c, err)
 			}
 		}
-		dims[d] = dimIndex{cols: cols, rankToBucket: r2b}
+		var ok bool
+		if dims[d], ok = newDimIndex(cols, r2b); !ok {
+			return nil, fmt.Errorf("bitmapidx: dimension %d: rank→bucket map does not fit its %d columns", d, ncols)
+		}
 	}
 	sum := cr.crc
 	var stored uint32

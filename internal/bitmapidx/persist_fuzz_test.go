@@ -52,6 +52,21 @@ func threeKindMiddleBand(tb testing.TB, bins int) []byte {
 	return blob
 }
 
+// TestLoadRejectsMalformedBuckets: the exact-bucket flags are derived from
+// the rank→bucket map at load, so a map no build or patch produces — here one
+// that does not start at bucket 0, under a valid checksum — is refused rather
+// than indexed past the columns.
+func TestLoadRejectsMalformedBuckets(t *testing.T) {
+	blob := savedIndex(t, Options{Codec: Concise, Bins: []int{4}})
+	const firstBucketAt = len(persistMagic) + 6*8 + 8
+	binary.LittleEndian.PutUint32(blob[firstBucketAt:], 9)
+	body := blob[:len(blob)-4]
+	binary.LittleEndian.PutUint32(blob[len(body):], crc32.ChecksumIEEE(body))
+	if _, err := Load(bytes.NewReader(blob), fuzzDataset()); err == nil {
+		t.Fatal("a rank→bucket map starting at bucket 9 loaded")
+	}
+}
+
 // fuzzGrown is fuzzDataset followed by rows that came later — the data in
 // hand when a persisted index turns out to be a checkpoint of a prefix.
 func fuzzGrown() *data.Dataset {

@@ -327,6 +327,50 @@ func AndPairInto(q, p, cq, cp *Vector) {
 	}
 }
 
+// AndTie sets v &= (q &^ p) | m in one pass and returns v: the step of the
+// scoring kernel that keeps, of a candidate dimension's rows, those tying its
+// bucket (in Q but not P) or missing the dimension. A nil q reads as all
+// ones — bucket 0, whose Q-column constrains nothing.
+func (v *Vector) AndTie(q, p, m *Vector) *Vector {
+	v.mustMatch(p)
+	v.mustMatch(m)
+	vw := v.words
+	pw, mw := p.words[:len(vw)], m.words[:len(vw)]
+	if q == nil {
+		for i := range vw {
+			vw[i] &= ^pw[i] | mw[i]
+		}
+		return v
+	}
+	v.mustMatch(q)
+	qw := q.words[:len(vw)]
+	for i := range vw {
+		vw[i] &= qw[i]&^pw[i] | mw[i]
+	}
+	return v
+}
+
+// OrAndNot sets v |= a &^ b and returns v; a nil a reads as all ones (bits
+// past the length may then be set in the last word: AND the result with a
+// trimmed vector before counting).
+func (v *Vector) OrAndNot(a, b *Vector) *Vector {
+	v.mustMatch(b)
+	vw := v.words
+	bw := b.words[:len(vw)]
+	if a == nil {
+		for i := range vw {
+			vw[i] |= ^bw[i]
+		}
+		return v
+	}
+	v.mustMatch(a)
+	aw := a.words[:len(vw)]
+	for i := range vw {
+		vw[i] |= aw[i] &^ bw[i]
+	}
+	return v
+}
+
 // IntersectCount returns |v0 & v1 & …| via a word-level cascade without
 // materializing the intersection. It panics if vs is empty or lengths
 // differ.

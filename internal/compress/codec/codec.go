@@ -57,7 +57,8 @@ func NewWriterInto(dst *bitvec.Vector) *Writer {
 }
 
 // Emit appends `repeat` copies of the 31-bit group val. Bits beyond the
-// vector length are dropped.
+// vector length are dropped. A fill is written a word at a time — nothing
+// for zeros, a range fill for ones — and only other groups one by one.
 func (w *Writer) Emit(val uint32, repeat int) {
 	if val == 0 {
 		w.next += repeat
@@ -65,6 +66,23 @@ func (w *Writer) Emit(val uint32, repeat int) {
 	}
 	words := w.v.Words()
 	n := w.v.Len()
+	if val == GroupMask {
+		start := w.next * GroupBits
+		w.next += repeat
+		if end := min(w.next*GroupBits, n); start < end {
+			sw, ew, first, last := wordSpan(start, end)
+			if sw == ew {
+				words[sw] |= first & last
+				return
+			}
+			words[sw] |= first
+			for wi := sw + 1; wi < ew; wi++ {
+				words[wi] = ^uint64(0)
+			}
+			words[ew] |= last
+		}
+		return
+	}
 	for r := 0; r < repeat; r++ {
 		off := w.next * GroupBits
 		w.next++
@@ -117,17 +135,23 @@ func ZeroGroups(words []uint64, g, rep int) {
 	if start >= end {
 		return
 	}
-	sw, ew := start/64, (end-1)/64
+	sw, ew, first, last := wordSpan(start, end)
 	if sw == ew {
-		mask := (^uint64(0) << (start % 64)) & (^uint64(0) >> (63 - (end-1)%64))
-		words[sw] &^= mask
+		words[sw] &^= first & last
 		return
 	}
-	words[sw] &^= ^uint64(0) << (start % 64)
+	words[sw] &^= first
 	for wi := sw + 1; wi < ew; wi++ {
 		words[wi] = 0
 	}
-	words[ew] &^= ^uint64(0) >> (63 - (end-1)%64)
+	words[ew] &^= last
+}
+
+// wordSpan locates the non-empty bit range [start, end) in 64-bit words: the
+// first and last word it touches and the mask of its bits in each (when they
+// are one word, the range is first & last).
+func wordSpan(start, end int) (sw, ew int, first, last uint64) {
+	return start / 64, (end - 1) / 64, ^uint64(0) << (start % 64), ^uint64(0) >> (63 - (end-1)%64)
 }
 
 // OnesInGroups returns how many one bits `rep` all-ones groups starting at

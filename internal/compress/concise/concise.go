@@ -17,6 +17,7 @@
 package concise
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/bitvec"
@@ -59,12 +60,24 @@ func Restore(nbits int, words []uint32) *Bitmap {
 
 // Compress encodes v.
 func Compress(v *bitvec.Vector) *Bitmap {
+	b, _ := CompressWithin(v, math.MaxInt)
+	return b
+}
+
+// CompressWithin encodes v unless that takes more than maxWords compressed
+// words, in which case it stops there and reports false — for a caller that
+// keeps the stream only when it is small. (The stream never shrinks: a group
+// either adds a word or folds into the last one.)
+func CompressWithin(v *bitvec.Vector, maxWords int) (*Bitmap, bool) {
 	b := &Bitmap{nbits: v.Len()}
 	ng := codec.NumGroups(v.Len())
 	for g := 0; g < ng; g++ {
 		b.appendGroup(codec.Slice(v, g))
+		if len(b.words) > maxWords {
+			return nil, false
+		}
 	}
-	return b
+	return b, true
 }
 
 func (b *Bitmap) appendGroup(g uint32) {

@@ -1,30 +1,32 @@
 package core
 
 import (
-	"math"
-	"math/bits"
-
 	"repro/internal/bitmapidx"
-	"repro/internal/bitvec"
 	"repro/internal/btree"
 	"repro/internal/data"
 	"repro/internal/obs"
 )
 
 // bigState carries the shared machinery of the BIG and IBIG algorithms: the
-// bitmap index cursor and the |F(o)| memo behind the bitwise |G(o)| count.
+// bitmap index cursor, plus what the B+-tree refinement reference needs.
 type bigState struct {
 	ds     *data.Dataset
 	ix     *bitmapidx.Index
 	cursor *bitmapidx.Cursor
-	f      fCounts
 	// B+-tree refinement state (RefineBTree only).
+	f     fCounts
 	trees []*btree.Tree
 	tags  *epochTags
 }
 
-func newBigState(ds *data.Dataset, ix *bitmapidx.Index) *bigState {
-	return &bigState{ds: ds, ix: ix, cursor: ix.NewCursor(), f: newFCounts(ix)}
+// newBigState returns one worker's scoring state; trees is read only under
+// RefineBTree.
+func newBigState(ds *data.Dataset, ix *bitmapidx.Index, refine Refinement, trees []*btree.Tree) *bigState {
+	s := &bigState{ds: ds, ix: ix, cursor: ix.NewCursor()}
+	if refine == RefineBTree {
+		s.f, s.trees, s.tags = newFCounts(ix), trees, newEpochTags(ds.Len())
+	}
+	return s
 }
 
 // fCounts memoizes |F(o)| — the number of indexed rows sharing no observed
@@ -58,112 +60,38 @@ const (
 	prunedH3                    // dropped by partial score pruning (Heuristic 3)
 )
 
-// NoBudget disables rimScore's Heuristic 3 cut: no rim can exceed it.
-const NoBudget = math.MaxInt
-
-// rimScore classifies the Q−P rim of a candidate against the rows of ds — the
-// one place BIG-Score, IBIG-Score and the shard-side foreign scorer compare
-// values (the paper's tagT counting, lines 7-8 of Algorithms 3 and 5). Only
-// the rim words Q[w] &^ P[w] are expanded bit by bit; a rim member p is
-// always comparable to the candidate (every incomparable row sits in P) and
-//
-//	p[i] < cand[i] on a common dim   → nonD (possible only under binning:
-//	                                    same bin, smaller value)
-//	all common dims equal            → nonD (this also drops cand itself when
-//	                                    it is a row of ds)
-//	otherwise                        → dominated, a member of L(cand)
-//
-// It returns |L| and |nonD|. Heuristic 3 (Algorithm 5, lines 11-12): as soon
-// as |nonD| exceeds nonDBudget the walk stops and ok is false; pass NoBudget
-// to always classify the whole rim.
-func rimScore(ds *data.Dataset, cand *data.Object, q, p *bitvec.Vector, nonDBudget int) (dominated, nonD int, ok bool) {
-	pw := p.Words()
-	for wi, w := range q.Words() {
-		w &^= pw[wi]
-		base := wi * 64
-		for ; w != 0; w &= w - 1 {
-			po := ds.Obj(base + bits.TrailingZeros64(w))
-			common := cand.Mask & po.Mask
-			// worse: p ≥ cand on every common dimension and > on at least one.
-			worse := false
-			for m := common; m != 0; m &= m - 1 {
-				d := bits.TrailingZeros64(m)
-				if po.Values[d] < cand.Values[d] {
-					worse = false
-					break
-				}
-				if po.Values[d] > cand.Values[d] {
-					worse = true
-				}
-			}
-			if worse {
-				dominated++
-				continue
-			}
-			nonD++
-			if nonD > nonDBudget {
-				return dominated, nonD, false
-			}
-		}
-	}
-	return dominated, nonD, true
-}
-
 // bigScore computes score(o) through the bitmap index — Algorithm 3
-// (BIG-Score) when the index is value-granular and Algorithm 5 (IBIG-Score)
-// when it is binned; the two differ only in whether Q−P candidates need
-// value refinement and whether Heuristic 3 applies.
+// (BIG-Score) and Algorithm 5 (IBIG-Score) in one bitwise form (the kernel
+// and its proof are in bitmapidx/score.go):
 //
-// The paper materializes G(o) = P − F(o) as a set; only its size matters.
-// Every object incomparable to o sits in P (a row missing on dimension i is
-// set in every column of i, so it passes each of o's observed dimensions),
-// hence F(o) ⊆ P ⊆ Q, every comparable member of P is strictly worse than o
-// on all common dimensions, and
+//	score(o) = |∩Qᵢ| − |E| − nonD(W)
 //
-//	score(o) = |G(o)| + |L(o)| = |P| − |F(o)| + |L(o)|
+// |∩Qᵢ| is the Heuristic 2 count. E — the rows equal to o or missing wherever
+// o is observed: o itself, its duplicates, all of F(o) — is a second popcount
+// over the same columns. W is what is left of the paper's Q−P refinement:
+// the rows that tie a bucket of o holding more than one value, classified one
+// by one against the rank table (the tagT counting of lines 7-8). Over a
+// value-granular index, or a binned one fine enough where o sits, W is empty
+// and no row is visited; BIG and IBIG differ only in that.
 //
-// with |P| a popcount, |F(o)| a per-mask constant of the epoch, and L(o) the
-// dominated part of the Q−P rim (rimScore). Members of G(o) are counted,
-// never visited.
+// Heuristic 3 (Algorithm 5, lines 11-12) is the kernel's limit: once the
+// members of ∩Qᵢ known not to be dominated exceed |∩Qᵢ| − τ − 1 the score
+// cannot beat τ and the walk stops. It can only fire on a walked row.
 func (s *bigState) bigScore(o int, tau int, full bool, st *Stats) (int, scoreResult) {
-	var maxBit int
-	if s.ix.CodecUsed() != bitmapidx.Raw {
-		// Compressed index: evaluate the Heuristic 2 bound entirely over the
-		// (cached) columns first; the dense Q/P vectors are only
-		// materialized for objects that survive the filter. With a live τ
-		// the threshold-aware cascade bails out mid-walk on pruned objects.
-		if full {
-			mb, above := s.cursor.MaxBitScoreAbove(o, tau)
-			if !above {
-				return 0, prunedH2
-			}
-			maxBit = mb
-		} else {
-			maxBit = s.cursor.MaxBitScore(o)
-		}
-	}
-	q, p := s.cursor.QP(o)
-	if s.ix.CodecUsed() == bitmapidx.Raw {
-		maxBit = q.Count()
-		if full && maxBit <= tau {
+	cnt, limit := -1, bitmapidx.NoLimit
+	if full {
+		maxBit, above := s.cursor.MaxBitScoreAbove(o, tau)
+		if !above {
 			return 0, prunedH2 // Heuristic 2
 		}
+		cnt, limit = maxBit+1, maxBit-tau
 	}
-	obj := s.ds.Obj(o)
-	f := s.f.of(obj.Mask)
-	// Heuristic 3: once |nonD| exceeds |Q| − |F(o)| − τ the final score
-	// cannot beat τ. The paper enables it for the binned index, where Q−P
-	// refinement is the dominant cost.
-	budget := NoBudget
-	if full && s.ix.Binned() {
-		budget = maxBit - f - tau
-	}
-	l, nonD, ok := rimScore(s.ds, obj, q, p, budget)
-	st.Comparisons += int64(l + nonD)
+	score, walked, ok := s.cursor.Score(o, cnt, limit)
+	st.Comparisons += int64(walked)
 	if !ok {
 		return 0, prunedH3
 	}
-	return p.Count() - f + l, scored
+	return score, scored
 }
 
 // BIG is the bitmap index guided algorithm (Algorithm 4): the UBB main loop
@@ -197,11 +125,7 @@ func bitmapRunRefine(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxSco
 		queue = BuildMaxScoreQueue(ds)
 	}
 	var st Stats
-	state := newBigState(ds, ix)
-	if refine == RefineBTree {
-		state.trees = trees
-		state.tags = newEpochTags(ds.Len())
-	}
+	state := newBigState(ds, ix, refine, trees)
 	sc := newCandidateHeap(k)
 	pos := 0
 	for p, idx := range queue.Order {

@@ -33,7 +33,10 @@ import (
 //     scores — is byte-identical to the serial run's. (Which candidates
 //     get H2/H3-pruned versus scored-then-rejected does depend on timing,
 //     so the pruning counters in Stats may vary run to run; the answer
-//     never does.)
+//     never does. For BIG/IBIG, Comparisons counts the walked members of W
+//     — rows tying an inexact bucket of a candidate — Heuristic 3 can only
+//     fire on a candidate that has some, and a candidate whose buckets are
+//     all exact is Scored by two popcounts whatever τ is: see bigScore.)
 //   - Heuristic 1's early stop is preserved twice over: workers skip
 //     candidates whose bound cannot beat the τ they observe, and a window
 //     whose first (highest-bound) candidate cannot beat τ ends the query.
@@ -233,12 +236,7 @@ func bitmapRunParallel(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxS
 	}
 	scorers := make([]scorer, workers)
 	for w := range scorers {
-		state := newBigState(ds, ix)
-		if refine == RefineBTree {
-			state.trees = trees
-			state.tags = newEpochTags(ds.Len())
-		}
-		scorers[w] = bigScorer{state: state, refine: refine}
+		scorers[w] = bigScorer{state: newBigState(ds, ix, refine, trees), refine: refine}
 	}
 	return engineRun(ds, k, queue, scorers, sp)
 }

@@ -49,10 +49,10 @@ func NewForeignScorer(ds *data.Dataset, ix *bitmapidx.Index) *ForeignScorer {
 // bound is net of the shard rows sharing no dimension with cand — all of them
 // sit in every Qi and none can be dominated — so it caps the partial score
 // this shard can contribute, and Score's exact answer is this bound minus the
-// non-dominated part of the Q−P rim. A coordinator that knows the other
-// shards' bounds (or just their row counts) prunes candidates whose bound sum
-// cannot beat the global τ — the cross-shard form of bitmap pruning, with tau
-// here being the pushed-down per-shard residual.
+// shard's comparable rows of ∩Qi that cand does not dominate. A coordinator
+// that knows the other shards' bounds (or just their row counts) prunes
+// candidates whose bound sum cannot beat the global τ — the cross-shard form
+// of bitmap pruning, with tau here being the pushed-down per-shard residual.
 func (s *ForeignScorer) BoundAbove(cand *data.Object, tau int) (int, bool) {
 	f := s.f.of(cand.Mask)
 	tau = min(tau, s.ds.Len()) // no count beats either; keeps tau+f in range
@@ -63,13 +63,15 @@ func (s *ForeignScorer) BoundAbove(cand *data.Object, tau int) (int, bool) {
 	return b - f, true
 }
 
+// NoBudget disables Score's cross-shard Heuristic 3 cut.
+const NoBudget = bitmapidx.NoLimit
+
 // Score computes the exact number of shard rows dominated by cand — the
-// IBIG-Score of Algorithm 5 run over a foreign candidate, in the same bitwise
-// form as the in-set scorer: |P| − |F| rows are dominated without being
-// visited (F ⊆ P holds for a foreign candidate too — a shard row sharing no
-// dimension with cand is missing on each of them, so it is set in every
-// column of those dimensions), and rimScore adds the dominated part of the
-// Q−P rim.
+// in-set scorer's kernel run over a foreign candidate:
+// |∩Qᵢ| − |E| − nonD(W) (bitmapidx/score.go). F(cand) ⊆ E holds for a foreign
+// candidate too — a shard row sharing no dimension with cand is missing on
+// each of them — so |E| − |F| + nonD(W) is the shard's |nonD|: what separates
+// the score from BoundAbove's net bound.
 //
 // nonDBudget is the cross-shard form of Heuristic 3. A shard cannot prune on
 // its partial score — the candidate's fate depends on the sum — but
@@ -79,10 +81,10 @@ func (s *ForeignScorer) BoundAbove(cand *data.Object, tau int) (int, bool) {
 // below τ and the walk stops with ok false. Pass NoBudget for the exact score
 // unconditionally.
 func (s *ForeignScorer) Score(cand *data.Object, nonDBudget int) (score int, ok bool) {
-	q, p := s.cursor.QPObject(cand)
-	l, _, ok := rimScore(s.ds, cand, q, p, nonDBudget)
-	if !ok {
-		return 0, false
+	limit := nonDBudget
+	if limit != NoBudget {
+		limit += s.f.of(cand.Mask)
 	}
-	return p.Count() - s.f.of(cand.Mask) + l, true
+	score, _, ok = s.cursor.ScoreForeign(cand.Values, cand.Mask, limit)
+	return score, ok
 }

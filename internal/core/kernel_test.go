@@ -10,17 +10,29 @@ import (
 	"repro/internal/gen"
 )
 
-// kernelDataset generates cfg's rows and appends one dimension no row
-// observes, so a candidate observed only there shares no dimension with any
-// row — the all-of-S-is-F(o) corner of |G| = |P| − |F|.
-func kernelDataset(cfg gen.Config) *data.Dataset {
-	src := gen.Synthetic(cfg)
-	ds := data.New(cfg.Dim + 1)
-	row := make([]float64, cfg.Dim+1)
+// kernelDataset generates cfg's rows for checkScoreKernel.
+func kernelDataset(cfg gen.Config, tail int) *data.Dataset {
+	return blindDim(gen.Synthetic(cfg), tail)
+}
+
+// blindDim copies src with one more dimension that no row observes, so a
+// candidate observed only there shares no dimension with any row — the
+// all-of-S-is-F(o) corner. Every other one of the last tail rows is moved
+// half a step off src's (integer) domain: published onto an index of the
+// rows before them (servedIndex), those bring distinct values the index has
+// not seen, and the rest values it has.
+func blindDim(src *data.Dataset, tail int) *data.Dataset {
+	ds := data.New(src.Dim() + 1)
+	row := make([]float64, src.Dim()+1)
 	for i := 0; i < src.Len(); i++ {
 		o := src.Obj(i)
 		copy(row, o.Values)
-		row[cfg.Dim] = math.NaN()
+		if back := src.Len() - i; back <= tail && back%2 == 1 {
+			for d := range o.Values {
+				row[d] += 0.5
+			}
+		}
+		row[src.Dim()] = math.NaN()
 		ds.MustAppend(o.ID, row)
 	}
 	return ds
@@ -52,21 +64,35 @@ func shifted(o *data.Object, delta float64) *data.Object {
 	return c
 }
 
+// servedIndex is the index checkScoreKernel scores through: a build over ds,
+// or — with tail > 0 on a binned layout — a build over all but the last tail
+// rows with those published onto it by AppendRows, so that rows arrive in
+// buckets a build would have laid out differently.
+func servedIndex(ds *data.Dataset, opts bitmapidx.Options, tail int) *bitmapidx.Index {
+	if base := ds.Len() - tail; tail > 0 && base > 0 && opts.Bins != nil {
+		if ix, ok := bitmapidx.AppendRows(bitmapidx.Build(ds.Slice(0, base), opts), ds); ok {
+			return ix
+		}
+	}
+	return bitmapidx.Build(ds, opts)
+}
+
 // checkScoreKernel holds the bitwise scorers to the definition over one
-// dataset and index flavour: bigScore without a threshold equals Score for
-// every object; with a live τ it returns that exact score or prunes an object
-// whose score cannot beat τ; ForeignScorer.Score equals ForeignScore on every
-// slice of a three-way row partition, for candidates that are shard rows,
-// rows of other shards, off-domain values and the no-common-dimension
-// candidate — under a budget it returns that score or stops with the slice's
-// true |nonD| above the budget — and the partials of an in-set object sum to
-// its global score.
-func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options) {
+// dataset and index flavour (built, or patched by its last tail rows):
+// bigScore without a threshold equals Score for every object; with a live τ
+// it returns that exact score or prunes an object whose score cannot beat τ;
+// ForeignScorer.Score equals ForeignScore on every slice of a three-way row
+// partition, for candidates that are shard rows, rows of other shards,
+// off-domain values and the no-common-dimension candidate — under a budget it
+// returns that score or stops with the slice's true |nonD| above the budget —
+// and the partials of an in-set object sum to its global score. It returns
+// how many rows the unpruned in-set scores walked.
+func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options, tail int) (walked int64) {
 	t.Helper()
 	n := ds.Len()
-	ix := bitmapidx.Build(ds, opts)
-	state := newBigState(ds, ix)
-	var st Stats
+	ix := servedIndex(ds, opts, tail)
+	state := newBigState(ds, ix, RefineDirect, nil)
+	var st, live Stats
 	for o := 0; o < n; o++ {
 		want := Score(ds, o)
 		got, how := state.bigScore(o, -1, false, &st)
@@ -77,7 +103,7 @@ func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options) {
 			if tau < 0 {
 				continue
 			}
-			got, how := state.bigScore(o, tau, true, &st)
+			got, how := state.bigScore(o, tau, true, &live)
 			if how == scored && got != want {
 				t.Fatalf("object %d τ=%d: bigScore = %d, Score = %d", o, tau, got, want)
 			}
@@ -95,15 +121,15 @@ func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options) {
 		if slice.Len() == 0 {
 			continue
 		}
-		fs := NewForeignScorer(slice, bitmapidx.Build(slice, opts))
+		fs := NewForeignScorer(slice, servedIndex(slice, opts, min(tail, slice.Len()/2)))
 		check := func(what string, cand *data.Object) int {
 			want := ForeignScore(slice, cand)
-			// The slice's true |nonD|, and the identity the exact-phase budget
-			// rests on: score = (|Q| − |F|) − |nonD| with the bound net of F.
-			q, p := fs.cursor.QPObject(cand)
-			_, nonD, _ := rimScore(slice, cand, q, p, NoBudget)
-			if bound, _ := fs.BoundAbove(cand, -1); bound-nonD != want {
-				t.Fatalf("shard %d, %s: bound %d − nonD %d != ForeignScore %d", s, what, bound, nonD, want)
+			// The slice's |nonD| by the identity the exact-phase budget rests
+			// on: score = (|Q| − |F|) − |nonD| with the bound net of F.
+			bound, _ := fs.BoundAbove(cand, -1)
+			nonD := bound - want
+			if nonD < 0 {
+				t.Fatalf("shard %d, %s: bound %d below ForeignScore %d", s, what, bound, want)
 			}
 			for _, budget := range []int{-1, 0, 1, nonD - 1, nonD, NoBudget} {
 				got, ok := fs.Score(cand, budget)
@@ -132,6 +158,7 @@ func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options) {
 			t.Fatalf("object %d: foreign partials sum to %d, Score = %d", o, sum, want)
 		}
 	}
+	return st.Comparisons
 }
 
 // TestScoreKernelMatchesDefinition runs checkScoreKernel over low-cardinality
@@ -142,7 +169,7 @@ func TestScoreKernelMatchesDefinition(t *testing.T) {
 	for _, dist := range []gen.Distribution{gen.IND, gen.AC} {
 		for i, sigma := range []float64{0, 0.2, 0.6} {
 			cfg := gen.Config{N: 240, Dim: 4, Cardinality: 5, MissingRate: sigma, Dist: dist, Seed: int64(40 + i)}
-			ds := kernelDataset(cfg)
+			ds := kernelDataset(cfg, 0)
 			if sigma == 0.6 {
 				ix := bitmapidx.Build(ds, bitmapidx.Options{})
 				withF := 0
@@ -157,25 +184,94 @@ func TestScoreKernelMatchesDefinition(t *testing.T) {
 			}
 			for name, opts := range kernelIndexes(ds.Dim(), 3) {
 				t.Run(fmt.Sprintf("%v/σ=%v/%s", dist, sigma, name), func(t *testing.T) {
-					checkScoreKernel(t, ds, opts)
+					checkScoreKernel(t, ds, opts, 0)
 				})
 			}
 		}
 	}
 }
 
+// TestScoreKernelCases holds score(o) = |∩Q| − |E| − nonD(W) to the
+// definition on the shapes its proof turns on, each through checkScoreKernel
+// (every row in-set with and without τ; every row, its off-domain shifts —
+// absent from, below and beyond a shard's domain — and the no-common-dimension
+// candidate as foreign candidates of three shards), and the served answers —
+// serial, two workers (the race job runs this) — to Naive's.
+func TestScoreKernelCases(t *testing.T) {
+	rows := func(dim int, rows ...[]float64) *data.Dataset {
+		ds := data.New(dim)
+		for i, r := range rows {
+			ds.MustAppend(fmt.Sprintf("r%d", i), r)
+		}
+		return blindDim(ds, 0)
+	}
+	repeat := func(times int, rs ...[]float64) (out [][]float64) {
+		for i := 0; i < times; i++ {
+			out = append(out, rs...)
+		}
+		return out
+	}
+	na := math.NaN()
+	// Twelve values per dimension in ascending rows, so a coarse layout's last
+	// bin catches several of them and the top of every dimension lives there.
+	ladderCfg := gen.Config{N: 300, Dim: 3, Cardinality: 12, MissingRate: 0.2, Dist: gen.IND, Seed: 5}
+	ladder := kernelDataset(ladderCfg, 0)
+	for _, tc := range []struct {
+		name string
+		ds   *data.Dataset
+		opts bitmapidx.Options
+		tail int
+		// walks: whether some unpruned in-set score has rows to walk.
+		walks bool
+	}{
+		{"all rows equal (o ∈ E)", rows(2, repeat(20, []float64{3, 7})...), bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{4}, Adaptive: true}, 0, false},
+		{"duplicates, value-granular", rows(3, repeat(8, []float64{1, 2, 3}, []float64{1, 2, na}, []float64{2, 1, 3}, []float64{na, na, 5})...), bitmapidx.Options{Codec: bitmapidx.Raw}, 0, false},
+		{"duplicates in one bucket (o ∈ W)", rows(3, repeat(8, []float64{1, 2, 3}, []float64{1, 2, na}, []float64{2, 1, 3}, []float64{na, na, 5})...), bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{1}, Adaptive: true}, 0, true},
+		{"one observed dimension", rows(3, repeat(6, []float64{1, na, na}, []float64{2, na, na}, []float64{na, 4, na}, []float64{na, 4, na}, []float64{na, na, 9}, []float64{5, 6, 7})...), bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{2}, Adaptive: true}, 0, true},
+		{"catch-all last bin", ladder, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{3}}, 0, true},
+		{"exact and inexact buckets on one candidate", ladder, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{12, 1, 7, 1}, Adaptive: true}, 0, true},
+		{"every bucket exact under a binned layout", ladder, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{12}, Adaptive: true}, 0, false},
+		{"publish: new values join exact buckets", kernelDataset(ladderCfg, 40), bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{12}, Adaptive: true}, 40, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if walked := checkScoreKernel(t, tc.ds, tc.opts, tc.tail); (walked > 0) != tc.walks {
+				t.Errorf("in-set scores walked %d rows, want walks = %v", walked, tc.walks)
+			}
+			pre := &Pre{Queue: BuildMaxScoreQueue(tc.ds)}
+			alg := AlgIBIG
+			if tc.opts.Bins == nil {
+				alg, pre.Bitmap = AlgBIG, servedIndex(tc.ds, tc.opts, tc.tail)
+			} else {
+				pre.Binned = servedIndex(tc.ds, tc.opts, tc.tail)
+			}
+			for _, k := range []int{1, 5, 16} {
+				want, _ := Naive(tc.ds, k)
+				for _, workers := range []int{1, 2} {
+					got, _ := RunWorkers(alg, tc.ds, k, pre, workers)
+					if fmt.Sprint(got.Scores()) != fmt.Sprint(want.Scores()) {
+						t.Fatalf("k=%d workers=%d: scores %v, Naive %v", k, workers, got.Scores(), want.Scores())
+					}
+				}
+			}
+		})
+	}
+}
+
 // FuzzScoreKernel drives checkScoreKernel from fuzzed generator parameters.
+// The committed corpus (testdata/fuzz/FuzzScoreKernel) adds the shapes of
+// TestScoreKernelCases: a single value everywhere, one dimension, a layout of
+// as many bins as values with new values published into it.
 func FuzzScoreKernel(f *testing.F) {
-	// seed, n, dim, cardinality, σ in tenths, bins — the cases of
+	// seed, n, dim, cardinality, σ in tenths, bins, tail — the cases of
 	// TestScoreKernelMatchesDefinition plus the degenerate shapes.
 	for i, sigma := range []uint8{0, 2, 6} {
-		f.Add(int64(40+i), uint16(239), uint8(4), uint8(5), sigma, uint8(2), false)
-		f.Add(int64(40+i), uint16(239), uint8(4), uint8(5), sigma, uint8(2), true)
+		f.Add(int64(40+i), uint16(239), uint8(4), uint8(5), sigma, uint8(2), uint8(0), false)
+		f.Add(int64(40+i), uint16(239), uint8(4), uint8(5), sigma, uint8(2), uint8(9), true)
 	}
-	f.Add(int64(1), uint16(1), uint8(1), uint8(1), uint8(0), uint8(1), false)
-	f.Add(int64(2), uint16(400), uint8(6), uint8(2), uint8(9), uint8(40), true)
-	f.Add(int64(3), uint16(65), uint8(2), uint8(200), uint8(3), uint8(0), false)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, dim, card, sigma, bins uint8, ac bool) {
+	f.Add(int64(1), uint16(1), uint8(1), uint8(1), uint8(0), uint8(1), uint8(0), false)
+	f.Add(int64(2), uint16(400), uint8(6), uint8(2), uint8(9), uint8(40), uint8(200), true)
+	f.Add(int64(3), uint16(65), uint8(2), uint8(200), uint8(3), uint8(0), uint8(3), false)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, dim, card, sigma, bins, tail uint8, ac bool) {
 		cfg := gen.Config{
 			N:           1 + int(n)%400,
 			Dim:         1 + int(dim)%6,
@@ -187,28 +283,64 @@ func FuzzScoreKernel(f *testing.F) {
 		if ac {
 			cfg.Dist = gen.AC
 		}
-		ds := kernelDataset(cfg)
+		ds := kernelDataset(cfg, int(tail))
 		for _, opts := range kernelIndexes(ds.Dim(), 1+int(bins)) {
-			checkScoreKernel(t, ds, opts)
+			checkScoreKernel(t, ds, opts, int(tail))
 		}
 	})
 }
 
+// TestScoreKernelAllocs: a warmed cursor scores without allocating — in-set
+// with and without τ, and as a foreign candidate — whether every bucket of
+// the candidate is exact (popcounts only) or some rows are walked.
+func TestScoreKernelAllocs(t *testing.T) {
+	ds := gen.Synthetic(gen.Config{N: 6000, Dim: 5, Cardinality: 60, MissingRate: 0.2, Dist: gen.IND, Seed: 1})
+	top := int(BuildMaxScoreQueue(ds).Order[0])
+	for _, tc := range []struct {
+		name  string
+		bins  int
+		walks bool
+	}{
+		{"exact buckets", 60, false},
+		{"walked", 6, true},
+	} {
+		ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{tc.bins}, Adaptive: true})
+		state := newBigState(ds, ix, RefineDirect, nil)
+		fs := NewForeignScorer(ds, ix)
+		cand := ds.Obj(top)
+		var st Stats
+		score, _ := state.bigScore(top, -1, false, &st)
+		if (st.Comparisons > 0) != tc.walks {
+			t.Fatalf("%s: walked %d rows, want walks = %v", tc.name, st.Comparisons, tc.walks)
+		}
+		runs := map[string]func(){
+			"in-set":         func() { state.bigScore(top, -1, false, &st) },
+			"in-set, live τ": func() { state.bigScore(top, score/2, true, &st) },
+			"foreign":        func() { fs.Score(cand, NoBudget) },
+		}
+		for what, run := range runs {
+			run() // warm: column cache, scratch, the |F| memo
+			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+				t.Errorf("%s, %s: %v allocs per score, want 0", tc.name, what, allocs)
+			}
+		}
+	}
+}
+
 // BenchmarkScoreKernel times one candidate through the bitwise scorers at
 // serving scale (the benchmark's query-heavy shape: IND 100000×5, cardinality
-// 100, σ = 0.2, Eq. (8) bins, adaptive CONCISE): the top-of-queue object
-// scored in-set without a threshold — the widest Q the query sees — and the
-// same object scored as a foreign candidate against the first of three
-// shards. Both must stay allocation-free; the CI bench gate pins that.
+// 100, σ = 0.2, the serving index as BuildServingIndex lays it out): the
+// top-of-queue object scored in-set without a threshold — every bucket it
+// sits in is exact, so two popcounts — and the same object scored as a
+// foreign candidate against the first of three shards, whose coarser layout
+// leaves rows to walk. Both must stay allocation-free; the CI bench gate and
+// TestScoreKernelAllocs pin that.
 func BenchmarkScoreKernel(b *testing.B) {
 	ds := gen.Synthetic(gen.Config{N: 100_000, Dim: 5, Cardinality: 100, MissingRate: 0.2, Dist: gen.IND, Seed: 1})
-	build := func(ds *data.Dataset) *bitmapidx.Index {
-		bins := []int{OptimalBins(ds.Len(), ds.MissingRate())}
-		return bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins, Adaptive: true})
-	}
+	build := func(ds *data.Dataset) *bitmapidx.Index { return BuildServingIndex(ds.SortDims(), nil) }
 	top := int(BuildMaxScoreQueue(ds).Order[0])
 	b.Run("inset", func(b *testing.B) {
-		state := newBigState(ds, build(ds))
+		state := newBigState(ds, build(ds), RefineDirect, nil)
 		var st Stats
 		b.ReportAllocs()
 		for b.Loop() {

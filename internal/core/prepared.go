@@ -58,7 +58,7 @@ func (pre *Pre) have() Need {
 
 // fill builds the artifacts of n that pre lacks — the one place each recipe
 // is chosen — and reports how long the indexes and the queue took. bins is
-// BuildServingIndex's (nil = Eq. (8)). The indexes come first, off one sort
+// BuildServingIndex's (nil = bitmapidx.ServingBins). The indexes come first, off one sort
 // per dimension however many of them build, and the queue is derived from an
 // index when there is one (built here, loaded or installed): only a queue
 // wanted alone sorts for itself.
@@ -111,7 +111,7 @@ type Prepared struct {
 }
 
 // NewPrepared returns an empty holder over ds, which must stay immutable for
-// the holder's lifetime. bins is the serving index's layout (nil = Eq. (8)).
+// the holder's lifetime. bins is the serving index's layout (nil = bitmapidx.ServingBins).
 func NewPrepared(ds *data.Dataset, bins []int) *Prepared {
 	p := &Prepared{ds: ds, bins: bins}
 	p.pre.Store(&nothingBuilt)

@@ -48,7 +48,11 @@ type Stats struct {
 	// Candidates is the number of objects entering the scoring phase
 	// (|SC| for ESB; the evaluated prefix of the queue for UBB/BIG/IBIG).
 	Candidates int
-	// Scored is the number of exact score computations completed.
+	// Scored is the number of exact score computations completed. BIG and
+	// IBIG complete one for every candidate Heuristic 2 lets through whose
+	// buckets are all exact — the score is then two popcounts, and comes
+	// back exact even when it cannot beat τ — so under a fine bin layout
+	// Scored rises where PrunedH3 used to.
 	Scored int
 	// PrunedH1 counts objects pruned by upper-bound-score pruning
 	// (Heuristic 1), including everything cut off by early termination.
@@ -56,16 +60,19 @@ type Stats struct {
 	// PrunedH2 counts objects pruned by bitmap pruning (Heuristic 2).
 	PrunedH2 int
 	// PrunedH3 counts objects pruned by partial-score pruning (Heuristic 3).
+	// It can only fire on a candidate with rows to walk: one that sits in a
+	// bucket holding more than one value.
 	PrunedH3 int
 	// PrunedSkyband counts objects discarded by ESB's local-skyband step.
 	PrunedSkyband int
 	// Comparisons counts pairwise object comparisons — the value-level
 	// dominance tests a run performs. Naive, ESB and UBB compare a scored
-	// object against every other row. BIG and IBIG count the members of G(o)
-	// by popcount (|P| − |F(o)|) without visiting them, so there it counts
-	// only the members of the Q−P rim whose values were compared (for the
-	// B+-tree refinement: the in-bin tree entries visited); members of G(o)
-	// are counted into the score, never compared.
+	// object against every other row. BIG and IBIG count what a candidate
+	// dominates by popcount (|∩Q| − |E|, bitmapidx/score.go) without
+	// visiting it, so there Comparisons counts only the walked members of W
+	// — the rows that tie an inexact bucket of the candidate, classified
+	// against the rank table; zero over a value-granular index — and, for
+	// the B+-tree refinement, the in-bin tree entries visited.
 	Comparisons int64
 	// Workers is the goroutine count a parallel run used (0 for the serial
 	// paths).

@@ -71,8 +71,8 @@ type Pre struct {
 
 // BuildServingIndex builds the binned bitmap index IBIG serves from — the
 // one place the serving recipe is spelled: bins follows
-// bitmapidx.Options.Bins semantics, nil meaning the paper's Eq. (8) optimum
-// for every dimension, over a representation-adaptive CONCISE base (the
+// bitmapidx.Options.Bins semantics, nil meaning bitmapidx.ServingBins for
+// every dimension, over a representation-adaptive CONCISE base (the
 // paper's codec choice for IBIG), so each column is stored compressed when
 // that is fill-dominated and dense otherwise, and query execution dispatches
 // to the matching kernels. Answers are bit-identical to a pure-codec index
@@ -80,13 +80,13 @@ type Pre struct {
 func BuildServingIndex(sorted *data.Sorted, bins []int) *bitmapidx.Index {
 	if bins == nil {
 		ds := sorted.Dataset()
-		bins = []int{OptimalBins(ds.Len(), ds.MissingRate())}
+		bins = []int{bitmapidx.ServingBins(ds.Len(), ds.MissingRate())}
 	}
 	return bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins, Adaptive: true})
 }
 
 // Preprocess builds every artifact an algorithm set needs; bins is handed to
-// BuildServingIndex (nil = Eq. (8)).
+// BuildServingIndex (nil = bitmapidx.ServingBins).
 func Preprocess(ds *data.Dataset, bins []int) *Pre {
 	pre := &Pre{}
 	pre.fill(ds, bins, NeedQueue|NeedBitmap|NeedBinned)

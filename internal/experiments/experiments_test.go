@@ -59,6 +59,29 @@ func TestFig18CountsAreConsistent(t *testing.T) {
 	}
 }
 
+// TestFig11BytesFallWalkedRises pins the trade the serving bin rule is read
+// off, as counts: over every shape of the serving sweep, fewer bins never make
+// the index larger and never leave a query fewer rows to walk, and from the
+// finest layout to the coarsest the bytes fall while the walked rows rise.
+func TestFig11BytesFallWalkedRises(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment drivers in -short mode")
+	}
+	for _, nd := range append(servingShapes(Tiny), allDatasets(Tiny)...) {
+		xis, pts := servingSweep(nd.ds)
+		for i := 1; i < len(pts); i++ {
+			if pts[i-1].bytes > pts[i].bytes || pts[i-1].walked < pts[i].walked {
+				t.Errorf("%s: ξ %d → %d: index %d → %d B, walked %.0f → %.0f rows per query",
+					nd.name, xis[i-1], xis[i], pts[i-1].bytes, pts[i].bytes, pts[i-1].walked, pts[i].walked)
+			}
+		}
+		if first, last := pts[0], pts[len(pts)-1]; first.bytes >= last.bytes || first.walked <= last.walked {
+			t.Errorf("%s: ξ %d against %d: index %d against %d B, walked %.0f against %.0f",
+				nd.name, xis[0], xis[len(xis)-1], first.bytes, last.bytes, first.walked, last.walked)
+		}
+	}
+}
+
 // TestTable4DistancesInRange: Jaccard distances are in [0,1].
 func TestTable4DistancesInRange(t *testing.T) {
 	if testing.Short() {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/bitmapidx"
 	"repro/internal/bitvec"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/compress/wah"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/gen"
 )
 
 // defaultBins returns the per-dataset bin layout of §5.1: "we employ IBIG
@@ -93,12 +95,95 @@ func binsLabel(bins []int) string {
 	return fmt.Sprintf("%d", bins[3])
 }
 
+// binPoint is one (dataset, ξ) point of the Fig. 11 sweep: what a bin layout
+// costs to build, hold and patch, and what a query over it does.
+type binPoint struct {
+	query  time.Duration // mean per query over ks
+	walked float64       // rows of W classified by rank, per query
+	scored float64       // exact scores computed, per query
+	bytes  int           // column payload
+	build  time.Duration // cold build off the shared sort
+	patch  time.Duration // AppendRows of the dataset's last patchRows rows
+}
+
+// patchRows is the append the sweep times: the served benchmark's batch.
+const patchRows = 20
+
+func sweepPoint(ds *data.Dataset, sorted *data.Sorted, queue *core.MaxScoreQueue, opts bitmapidx.Options, ks []int) binPoint {
+	var pt binPoint
+	var ix *bitmapidx.Index
+	pt.build = measure(func() { ix = bitmapidx.BuildSorted(sorted, opts) })
+	pt.bytes = ix.SizeBytes()
+	pre := &core.Pre{Queue: queue, Binned: ix}
+	for _, k := range ks {
+		d, st := runAlgo(core.AlgIBIG, ds, k, pre)
+		pt.query += d / time.Duration(len(ks))
+		pt.walked += float64(st.Comparisons) / float64(len(ks))
+		pt.scored += float64(st.Scored) / float64(len(ks))
+	}
+	if base := ds.Len() - patchRows; base > 0 {
+		old := bitmapidx.Build(ds.Slice(0, base), opts)
+		pt.patch = measure(func() { bitmapidx.AppendRows(old, ds) })
+	}
+	return pt
+}
+
+var binSweepHeader = []string{"ξ", "IBIG time (s)", "S_IBIG (KB)", "walked", "scored", "build (ms)", "AppendRows (ms)"}
+
+func (pt binPoint) row(label string) []string {
+	return []string{
+		label, seconds(pt.query), fmt.Sprintf("%d", pt.bytes/1024),
+		fmt.Sprintf("%.0f", pt.walked), fmt.Sprintf("%.1f", pt.scored),
+		fmt.Sprintf("%.2f", pt.build.Seconds()*1e3), fmt.Sprintf("%.2f", pt.patch.Seconds()*1e3),
+	}
+}
+
+// servingShapes are the datasets the serving index's bin rule is stated over,
+// beyond the paper's: the three shapes the served benchmark boots (a
+// -shards 3 slice is a third of the query-heavy rows) and the query-heavy
+// shape over a near-continuous domain, where no bucket is exact at any
+// affordable ξ.
+func servingShapes(s Scale) []named {
+	heavyN, lightN := 100_000, 2000
+	if s == Tiny {
+		heavyN, lightN = 2000, 400
+	}
+	syn := func(n, dim, card int) *data.Dataset {
+		return gen.Synthetic(gen.Config{N: n, Dim: dim, Cardinality: card, MissingRate: 0.2, Dist: gen.IND, Seed: 1})
+	}
+	heavy := syn(heavyN, 5, 100)
+	return []named{
+		{"query-heavy, ingest (100k x 5, c 100)", heavy},
+		{"query-sharded slice (a third of it)", heavy.Slice(0, heavy.Len()/3)},
+		{"query-light (2000 x 4, c 40)", syn(lightN, 4, 40)},
+		{"100k x 5, c 1000", syn(heavyN, 5, 1000)},
+	}
+}
+
+// servingSweep measures the serving recipe over ds at ½, 1, 2, 4 and 8 times
+// Eq. (8) bins per dimension, in that order.
+func servingSweep(ds *data.Dataset) (xis []int, pts []binPoint) {
+	queue := core.BuildMaxScoreQueue(ds)
+	sorted := ds.SortDims()
+	eq8 := core.OptimalBins(ds.Len(), ds.MissingRate())
+	for _, xi := range []int{max(1, eq8/2), eq8, 2 * eq8, 4 * eq8, 8 * eq8} {
+		xis = append(xis, xi)
+		pts = append(pts, sweepPoint(ds, sorted, queue, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{xi}, Adaptive: true}, ksSweep))
+	}
+	return xis, pts
+}
+
 // Fig11 reproduces Fig. 11: for every dataset, TKD CPU time of BIG (fixed)
 // and IBIG under increasing bin count ξ, plus the index sizes S_BIG and
-// S_IBIG(ξ).
+// S_IBIG(ξ) — and, past the paper, what each ξ costs to build and patch and
+// how many rows a query still walks. The second set of tables is the sweep
+// the serving rule ξᵢ = min(cᵢ, 2 · Eq. (8)) is read off (DESIGN.md §1): the
+// serving recipe at multiples of Eq. (8), Table 2's k sweep, over the
+// benchmark's shapes and the paper's datasets.
 func Fig11(s Scale) []Table {
 	var out []Table
-	for _, nd := range allDatasets(s) {
+	paper := allDatasets(s)
+	for _, nd := range paper {
 		queue := core.BuildMaxScoreQueue(nd.ds)
 		sorted := nd.ds.SortDims()
 		big := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw})
@@ -107,14 +192,27 @@ func Fig11(s Scale) []Table {
 		tab := Table{
 			Title: fmt.Sprintf("Fig. 11 — %s: TKD cost vs ξ (k=%d, BIG time %ss, S_BIG %dKB)",
 				nd.name, defaultK, seconds(bigTime), big.SizeBytes()/1024),
-			Header: []string{"ξ", "IBIG time (s)", "S_IBIG (KB)"},
+			Header: binSweepHeader,
 		}
 		for _, bins := range fig11Sweeps(nd.name) {
-			binned := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins})
-			ibigTime, _ := runAlgo(core.AlgIBIG, nd.ds, defaultK, &core.Pre{Queue: queue, Binned: binned})
-			tab.Rows = append(tab.Rows, []string{
-				binsLabel(bins), seconds(ibigTime), fmt.Sprintf("%d", binned.SizeBytes()/1024),
-			})
+			pt := sweepPoint(nd.ds, sorted, queue, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins}, []int{defaultK})
+			tab.Rows = append(tab.Rows, pt.row(binsLabel(bins)))
+		}
+		out = append(out, tab)
+	}
+	for _, nd := range append(servingShapes(s), paper...) {
+		eq8 := core.OptimalBins(nd.ds.Len(), nd.ds.MissingRate())
+		tab := Table{
+			Title:  fmt.Sprintf("Fig. 11 (serving) — %s: adaptive index vs ξ, k ∈ %v, Eq. (8) = %d", nd.name, ksSweep, eq8),
+			Header: binSweepHeader,
+		}
+		xis, pts := servingSweep(nd.ds)
+		for i, pt := range pts {
+			label := fmt.Sprintf("%d", xis[i])
+			if xis[i] == bitmapidx.ServingBins(nd.ds.Len(), nd.ds.MissingRate()) {
+				label += " (rule)"
+			}
+			tab.Rows = append(tab.Rows, pt.row(label))
 		}
 		out = append(out, tab)
 	}
@@ -144,6 +242,3 @@ func Table3(s Scale) []Table {
 	}
 	return []Table{tab}
 }
-
-// ensure data import is used even if providers change.
-var _ = data.MaxDim

@@ -367,6 +367,74 @@ func TestWarmRestartSkipsPrepare(t *testing.T) {
 	}
 }
 
+// TestIndexFileOfAnotherBinLayoutServedAsIs: an -indexdir file written when
+// the serving index took Eq. (8) bins carries its own layout and is served as
+// it is — answers never depend on ξ, and which buckets are exact is recomputed
+// from the file's rank→bucket maps at load. The boot over it is warm, builds
+// nothing, and answers byte for byte what a fresh build under today's rule
+// answers.
+func TestIndexFileOfAnotherBinLayoutServedAsIs(t *testing.T) {
+	dir := t.TempDir()
+	csv := filepath.Join(dir, "d.csv")
+	writeCSV(t, tkd.GenerateIND(3000, 4, 80, 0.2, 17), csv)
+	old, err := loadPublicCSV(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.TopK(1, tkd.WithBins(39)); err != nil {
+		t.Fatal(err)
+	}
+	file := bytes.NewBufferString("TKDIXD2\n")
+	if err := old.SaveIndex(file); err != nil {
+		t.Fatal(err)
+	}
+	ixdir := filepath.Join(dir, "ix")
+	if err := os.MkdirAll(ixdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ixdir, "d.tkdix"), file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	s := server.New(server.Config{IndexDir: ixdir, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	defer s.Close()
+	if err := s.LoadCSVFile("d", csv, false); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(logs.String(), "warm=true") {
+		t.Fatalf("the boot over a 39-bin index file was not warm:\n%s", logs.String())
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	fresh, err := loadPublicCSV(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 7, 40} {
+		got, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "d", K: k})
+		if code != http.StatusOK {
+			t.Fatalf("k=%d: HTTP %d", k, code)
+		}
+		want, err := fresh.TopK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range got.Items {
+			if w := want.Items[i]; len(got.Items) != len(want.Items) || it.Index != w.Index || it.ID != w.ID || it.Score != w.Score {
+				t.Fatalf("k=%d item %d: %+v from the 39-bin file, %+v from a fresh build", k, i, it, w)
+			}
+		}
+	}
+	m := getBody(t, ts.URL+"/metrics")
+	if builds, warm := sumMetric(t, m, "tkd_index_builds_total"), sumMetric(t, m, "tkd_index_warm_loads_total"); builds != 0 || warm != 1 {
+		t.Fatalf("%d index builds, %d warm loads; want 0 / 1", builds, warm)
+	}
+	if fresh.IndexBuilds() != 1 {
+		t.Fatalf("the reference built %d indexes, want its own one", fresh.IndexBuilds())
+	}
+}
+
 func loadPublicCSV(path string) (*tkd.Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {

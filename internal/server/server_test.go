@@ -20,14 +20,14 @@ import (
 // testDatasets builds the two workloads the end-to-end test serves, plus an
 // independent identically generated copy of each for serial ground truth.
 // "ac" is sized to exercise the decompressed-column cache under the 1 KiB
-// budget TestEndToEnd sets: a 10% missing rate sits inside the adaptive
-// codec band (5% < σ < 25%), so each dimension's tail-bucket column is
-// literal-heavy CONCISE served through the cache, and at 4000 rows (504-byte
-// columns) only two of them fit.
+// budget TestEndToEnd sets: its rows are complete, so each dimension's
+// missing column is all zeros — one CONCISE fill word, read by the scoring
+// kernel through the cache — and at 4000 rows (504-byte columns) only two of
+// the four fit.
 func testDatasets() (serve, ref map[string]*tkd.Dataset) {
 	mk := func() map[string]*tkd.Dataset {
 		return map[string]*tkd.Dataset{
-			"ac":  tkd.GenerateAC(4000, 4, 40, 0.10, 3),
+			"ac":  tkd.GenerateAC(4000, 4, 40, 0, 3),
 			"ind": tkd.GenerateIND(900, 5, 30, 0.15, 9),
 		}
 	}

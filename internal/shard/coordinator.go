@@ -370,8 +370,8 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 					st.PrunedH2++
 					continue
 				}
-				// Each shard's exact score is its bound minus its own
-				// non-dominated rim rows, so the total is at most sum minus
+				// Each shard's exact score is its bound minus the comparable
+				// rows it finds not dominated, so the total is at most sum minus
 				// any one shard's count: a shard that counts more than
 				// sum − τ has proved the total below τ and stops there.
 				ids[n], cands[n] = ids[i], cands[i]

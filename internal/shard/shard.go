@@ -28,9 +28,9 @@
 //     pruned without exact scoring (the cross-shard form of Heuristic 2).
 //  3. Exact phase: survivors fan out again, each with the budget
 //     B − τ, B = Σ b_s. On every shard score_s = b_s − nonD_s, nonD_s being
-//     the non-dominated rows of the Q−P rim it walks, so the total is at
-//     most B − nonD_s for any one shard: a shard whose own nonD_s exceeds
-//     the budget stops and answers Pruned (the cross-shard form of
+//     the comparable rows of Q_s the candidate does not dominate, so the
+//     total is at most B − nonD_s for any one shard: a shard whose own
+//     nonD_s exceeds the budget stops and answers Pruned (the cross-shard form of
 //     Heuristic 3), and one such answer drops the candidate. Otherwise each
 //     shard returns its exact partial score; the coordinator sums them and
 //     offers the candidates to the answer heap in queue order, replaying
@@ -88,9 +88,10 @@ type Request struct {
 	Cands []*data.Object
 	// Budgets, when non-empty on ModeScores, holds one non-dominated budget
 	// per candidate: the candidate's bound sum over the live shards minus τ.
-	// A shard whose own count of non-dominated rim rows exceeds the budget
-	// has proved the total score is below τ and may answer Pruned instead of
-	// its partial score. Empty asks for exact scores unconditionally.
+	// A shard whose own count of comparable rows the candidate does not
+	// dominate exceeds the budget has proved the total score is below τ and
+	// may answer Pruned instead of its partial score. Empty asks for exact
+	// scores unconditionally.
 	Budgets []int
 }
 
@@ -138,8 +139,8 @@ type scorerBox struct {
 
 // NewLocal wraps a row-range slice (see data.Dataset.Slice). The slice must
 // stay immutable for the shard's lifetime — the epoch contract. Its binned
-// index takes the paper's Eq. (8) bins for the slice's own size and missing
-// rate.
+// index takes the serving default (bitmapidx.ServingBins) for the slice's own
+// size and missing rate.
 func NewLocal(slice *data.Dataset) *Local {
 	return &Local{Prepared: core.NewPrepared(slice, nil)}
 }

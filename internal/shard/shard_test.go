@@ -81,9 +81,9 @@ func (b *batchRecorder) Partial(ctx context.Context, req *Request) ([]int32, err
 // any one k and at most 2× over the k cycle — the slack being the window-start
 // τ and a budget each shard must exceed on its own. (At the parent commit the
 // same fixture reads 1.98–28× per k and 3.5–5.8× per cycle.) IBIG prunes on
-// the budget at every k; BIG's value-granular rim holds only rows equal to
-// the candidate on every common dimension, so its budget rarely bites and is
-// not pinned.
+// the budget at every k (a 20 k-row slice's layout leaves rows to walk); over
+// BIG's value-granular index nothing is walked, so its budget never stops a
+// shard and is not pinned.
 func TestShardedWorkBounded(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 20000, Dim: 5, Cardinality: 100, MissingRate: 0.2, Dist: gen.IND, Seed: 1})
 	pre := core.Preprocess(ds, nil)

@@ -101,12 +101,12 @@ func TestConcurrentPrepare(t *testing.T) {
 
 // TestCacheBudgetPlumbing checks that SetCacheBudget reaches the compressed
 // index and CacheStats surfaces live counters and evictions under a budget
-// squeezed below the working set. A 10% missing rate sits inside the
-// adaptive codec band (5% < σ < 25%): each dimension's tail-bucket column is
-// literal-heavy CONCISE, served through the decompressed-column cache, and
-// at 4000 rows (504-byte columns) only two of the five fit in 1 KiB.
+// squeezed below the working set. The rows are complete, so each dimension's
+// missing column is all zeros — one CONCISE fill word, which the scoring
+// kernel reads through the decompressed-column cache — and at 4000 rows
+// (504-byte columns) only two of the five fit in 1 KiB.
 func TestCacheBudgetPlumbing(t *testing.T) {
-	ds := tkd.GenerateIND(4000, 5, 30, 0.10, 13)
+	ds := tkd.GenerateIND(4000, 5, 30, 0, 13)
 	ds.SetCacheBudget(1 << 10) // far below the column population
 	if _, err := ds.TopK(10); err != nil {
 		t.Fatal(err)

@@ -480,14 +480,16 @@ func WithAlgorithm(a Algorithm) Option {
 
 // WithBins overrides the bin counts of the binned bitmap index used by
 // IBIG: one entry per dimension, or a single entry broadcast to all. The
-// default is the paper's space×time optimum, Eq. (8); calling WithBins with
-// no arguments keeps that default rather than requesting an empty layout.
+// default is twice the paper's space×time optimum, Eq. (8), and never more
+// than a dimension has distinct values (DESIGN.md §1 has the sweep behind
+// it); calling WithBins with no arguments keeps that default rather than
+// requesting an empty layout. Answers never depend on the layout.
 // Changing the layout publishes a new epoch (the queue and value-granular
 // bitmap carry over; only the binned index rebuilds).
 func WithBins(bins ...int) Option {
 	return func(c *queryConfig) {
 		if len(bins) == 0 {
-			// No counts given: leave the Eq. (8) default in force instead of
+			// No counts given: leave the default in force instead of
 			// handing the index builder an empty (and formerly panicking)
 			// bin list.
 			return
@@ -720,8 +722,8 @@ func (d *Dataset) setBins(bins []int) {
 // On a sharded dataset (see Shard) the same options give the same answers —
 // byte-identical — through the scatter-gather coordinator. WithWorkers is
 // then accepted and ignored: the fan-out across shards is the parallelism.
-// WithBins is likewise ignored (each shard bins its own slice by Eq. (8);
-// bin layout never changes answers), and WithBTreeRefinement maps to the
+// WithBins is likewise ignored (each shard bins its own slice by the default
+// rule; bin layout never changes answers), and WithBTreeRefinement maps to the
 // IBIG scatter plan — refinement strategy is a shard-local detail that
 // cannot change answers either.
 func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {

@@ -55,7 +55,7 @@ func TestWithWorkersDeterminism(t *testing.T) {
 }
 
 // TestWithBinsNoArgs pins the fixed empty-bin-list behaviour: WithBins()
-// with no arguments keeps the Eq. (8) default instead of panicking during
+// with no arguments keeps the default layout instead of panicking during
 // index construction.
 func TestWithBinsNoArgs(t *testing.T) {
 	ds := tkd.GenerateIND(200, 4, 20, 0.2, 9)
