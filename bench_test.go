@@ -567,6 +567,38 @@ func BenchmarkCompressedKernels(b *testing.B) {
 			}
 		})
 	}
+
+	// The many-masks shape: 3,700 rows over 60 dimensions at σ = 0.95 hold
+	// 2,873 distinct masks, every row passes Heuristic 1, and Heuristic 2's
+	// |F(o)| is asked 3,700 times a query — the gate on what that costs.
+	ml := gen.MovieLens(1)
+	mlPre := core.Preprocess(ml, nil)
+	b.Run("IBIG/movielens", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			core.IBIG(ml, 16, mlPre.Binned, mlPre.Queue)
+		}
+	})
+}
+
+// BenchmarkShardedTopK times the in-process sharded plan end to end on the
+// served benchmark's query-sharded shape — IND 100000×5, cardinality 100,
+// σ = 0.2 behind three shards, warm — one query an op, cycling the nine k
+// values that workload's two clients send.
+func BenchmarkShardedTopK(b *testing.B) {
+	ds, err := tkd.Shard(tkd.GenerateIND(100_000, 5, 100, 0.2, 1), "bench", tkd.WithShards(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds.PrepareFor(tkd.IBIG)
+	ks := []int{4, 8, 16, 32, 64, 6, 12, 24, 48}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ds.TopK(ks[i%len(ks)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkAblationMFD times the MFD-weighted scoring extension (not in the

@@ -689,6 +689,9 @@ type Cursor struct {
 	// the compressed-native count path's column buffer.
 	concCols []*concise.Bitmap
 	qrefs    []qref
+	// fmemo[i] is IncomparableRows(ix.masks[i].mask) + 1 once evaluated, 0
+	// before; allocated by the first call.
+	fmemo []int32
 }
 
 // NewCursor returns a cursor over the index.

@@ -5,32 +5,15 @@ package bitmapidx
 // that check cheap. Both are conservative (never under-count), so a
 // skip decision based on them is sound.
 
-// StandingEntryBound returns an upper bound on the dominance score of obj
-// that excludes incomparable objects. The plain Heuristic 2 bound |∩Qi|−1
-// counts every object missing all of obj's observed dimensions — such
-// objects pass every range-encoded column yet are incomparable with obj and
-// can never be dominated by it. Since the all-missing intersection is a
-// subset of ∩Qi, the comparability-masked bound is
-//
-//	|∩Qi| − |∩ missᵢ| − 1   over obj's observed dimensions i,
-//
-// using each dimension's last column (no bin reaches past the worst bucket,
-// so only rows missing the dimension survive it). For an appended row p the
-// bound says whether p can possibly enter a standing answer whose k-th
-// score is τ: StandingEntryBound(p) < τ means it cannot.
+// StandingEntryBound returns Heuristic 2's upper bound on the dominance
+// score of obj, |∩Qi| − 1 − |F(obj)|: the plain count takes in every row
+// missing all of obj's observed dimensions — such rows pass every
+// range-encoded column yet are incomparable with obj and can never be
+// dominated by it (see IncomparableRows). For an appended row p the bound says
+// whether p can possibly enter a standing answer whose k-th score is τ:
+// StandingEntryBound(p) < τ means it cannot.
 func (c *Cursor) StandingEntryBound(obj int) int {
-	refs := c.buildRefs(obj)
-	if len(refs) == 0 {
-		return c.ix.ds.Len() - 1
-	}
-	qcnt, _ := c.intersectQAbove(refs, noTau)
-	// Rewrite the refs in place to each dimension's missing column; the
-	// Q-count above is already taken.
-	for i := range refs {
-		refs[i].qb = int32(len(c.ix.dims[refs[i].d].cols) - 1)
-	}
-	misscnt, _ := c.intersectQAbove(refs, noTau)
-	return qcnt - misscnt - 1
+	return c.MaxBitScore(obj) - c.IncomparableRows(c.ix.ds.Obj(obj).Mask)
 }
 
 // DominatorCeil returns an upper bound on the number of objects that could

@@ -319,8 +319,8 @@ func TestAppendRowsFallbacks(t *testing.T) {
 
 // TestAppendRowsMaskCounts: the per-mask row counts AppendRows carries forward
 // from the old epoch equal a fresh Build's over the extended dataset, sum to
-// N, and a Save/Load round trip recomputes the same counts; IncomparableRows
-// agrees with a scan of the rows.
+// N, and a Save/Load round trip recomputes the same counts; both evaluations
+// of IncomparableRows agree with a scan of the rows.
 func TestAppendRowsMaskCounts(t *testing.T) {
 	base, next := deltaFixture(5)
 	opts := Options{Codec: Concise, Bins: []int{3}, Adaptive: true}
@@ -351,6 +351,7 @@ func TestAppendRowsMaskCounts(t *testing.T) {
 	if !reflect.DeepEqual(loaded.masks, fresh.masks) {
 		t.Fatalf("loaded mask counts %v, fresh build %v", loaded.masks, fresh.masks)
 	}
+	c := patched.NewCursor()
 	for mask := uint64(0); mask < 1<<uint(next.Dim()); mask++ {
 		want := 0
 		for i := 0; i < next.Len(); i++ {
@@ -358,7 +359,13 @@ func TestAppendRowsMaskCounts(t *testing.T) {
 				want++
 			}
 		}
-		if got := patched.IncomparableRows(mask); got != want {
+		if got := patched.disjointMaskRows(mask); got != want {
+			t.Fatalf("disjointMaskRows(%04b) = %d, scan says %d", mask, got, want)
+		}
+		if got := c.missingEverywhere(mask); got != want {
+			t.Fatalf("missingEverywhere(%04b) = %d, scan says %d", mask, got, want)
+		}
+		if got := c.IncomparableRows(mask); got != want {
 			t.Fatalf("IncomparableRows(%04b) = %d, scan says %d", mask, got, want)
 		}
 	}

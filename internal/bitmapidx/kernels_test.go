@@ -82,7 +82,9 @@ func TestAdaptiveMatchesRaw(t *testing.T) {
 // serving index is dense or fill-dominated CONCISE — each is read by a kernel
 // over the form it is stored in — and the saved index, built under
 // ξᵢ = min(cᵢ, 2 · Eq. (8)), is at most twice what it was under Eq. (8)
-// (eq8Bytes, recorded at PR 25), the query-heavy one pinned to the byte.
+// (eq8Bytes, recorded at PR 25), the query-heavy one pinned to the byte. A
+// shard's slice is laid out under its dataset's rule and held to its dataset's
+// bytes per row: a third of the rows, a third of the budget.
 func TestServingIndexKinds(t *testing.T) {
 	syn := func(n, dim, card int, sigma float64, dist gen.Distribution) *data.Dataset {
 		return gen.Synthetic(gen.Config{N: n, Dim: dim, Cardinality: card, MissingRate: sigma, Dist: dist, Seed: 1})
@@ -92,20 +94,21 @@ func TestServingIndexKinds(t *testing.T) {
 		name      string
 		ds        *data.Dataset
 		eq8Bytes  int
-		wantBytes int // exact, when non-zero
+		wantBytes int   // exact, when non-zero
+		bins      []int // nil: the dataset's own rule
 	}{
-		{"query-heavy, ingest (100k x 5, c 100, sigma 0.2)", heavy, 2_443_858, 4_856_957},
-		{"query-sharded slice (33,333 rows of it)", heavy.Slice(0, 33_333), 504_463, 0},
-		{"query-light (2000 x 4, c 40, sigma 0.2)", syn(2000, 4, 40, 0.2, gen.IND), 8_506, 0},
-		{"paper default IND (100k x 10, c 200, sigma 0.1)", syn(100_000, 10, 200, 0.1, gen.IND), 3_639_558, 0},
-		{"paper default AC", syn(100_000, 10, 200, 0.1, gen.AC), 3_514_348, 0},
-		{"sigma 0.02 (100k x 5, c 100)", syn(100_000, 5, 100, 0.02, gen.IND), 878_733, 0},
-		{"sigma 0.05", syn(100_000, 5, 100, 0.05, gen.IND), 1_316_968, 0},
-		{"NBA", gen.NBA(1), 196_934, 0},
-		{"MovieLens", gen.MovieLens(1), 140_801, 0},
-		{"Zillow-50k", gen.Zillow(1, 50_000), 802_742, 0},
+		{"query-heavy, ingest (100k x 5, c 100, sigma 0.2)", heavy, 2_443_858, 4_856_957, nil},
+		{"query-sharded slice (33,333 rows of it)", heavy.Slice(0, 33_333), 2_443_858 / 3, 0, []int{bitmapidx.ServingBins(heavy.Len(), heavy.MissingRate())}},
+		{"query-light (2000 x 4, c 40, sigma 0.2)", syn(2000, 4, 40, 0.2, gen.IND), 8_506, 0, nil},
+		{"paper default IND (100k x 10, c 200, sigma 0.1)", syn(100_000, 10, 200, 0.1, gen.IND), 3_639_558, 0, nil},
+		{"paper default AC", syn(100_000, 10, 200, 0.1, gen.AC), 3_514_348, 0, nil},
+		{"sigma 0.02 (100k x 5, c 100)", syn(100_000, 5, 100, 0.02, gen.IND), 878_733, 0, nil},
+		{"sigma 0.05", syn(100_000, 5, 100, 0.05, gen.IND), 1_316_968, 0, nil},
+		{"NBA", gen.NBA(1), 196_934, 0, nil},
+		{"MovieLens", gen.MovieLens(1), 140_801, 0, nil},
+		{"Zillow-50k", gen.Zillow(1, 50_000), 802_742, 0, nil},
 	} {
-		ix := core.BuildServingIndex(tc.ds.SortDims(), nil)
+		ix := core.BuildServingIndex(tc.ds.SortDims(), tc.bins)
 		dense, compressed := ix.Representations()
 		if lh := ix.LiteralHeavy(); lh != 0 || dense+compressed != ix.Columns() || compressed < tc.ds.Dim() {
 			t.Errorf("%s: %d dense + %d compressed of %d columns, %d of them literal-heavy; want every column dense or fill-dominated, the all-ones ones compressed",

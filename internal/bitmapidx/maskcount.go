@@ -1,6 +1,8 @@
 package bitmapidx
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 
 	"repro/internal/data"
@@ -53,15 +55,63 @@ func countMasks(base []maskCount, ds *data.Dataset, from int) []maskCount {
 // IncomparableRows returns |F| for a candidate observed on mask: the number
 // of indexed rows sharing no observed dimension with it. Every such row is
 // missing on each of the candidate's dimensions, hence set in every column of
-// those dimensions, hence a member of P — which is what lets the scorers take
-// |G| = |P| − |F| from two counts. Linear in the distinct masks; callers
-// scoring many candidates memoize per mask.
-func (ix *Index) IncomparableRows(mask uint64) int {
+// those dimensions — a member of ∩Qᵢ that the candidate can never dominate,
+// which is what lets Heuristic 2 prune on |∩Qᵢ| − |F|.
+//
+// F is ∩ᵢ Mᵢ over the candidate's observed dimensions and, read row-wise, the
+// rows whose mask is disjoint from the candidate's; the two evaluations cost
+// one word operation per column word per observed dimension and one per
+// distinct mask of the index, and the cheaper is taken — so |F| never costs
+// more than the |∩Qᵢ| count beside it, whether the index holds 31 masks over
+// 100,000 rows or 2,873 over 3,700. It is a constant of the index per mask,
+// and the cursor keeps what it has evaluated for the masks the index holds:
+// the paper's default shapes put ≈ 10⁴ candidates of ≈ 10³ masks through
+// Heuristic 2 in one query.
+func (c *Cursor) IncomparableRows(mask uint64) int {
+	ix := c.ix
+	i, held := slices.BinarySearchFunc(ix.masks, mask, func(mc maskCount, m uint64) int { return cmp.Compare(mc.mask, m) })
+	if held {
+		if c.fmemo == nil {
+			c.fmemo = make([]int32, len(ix.masks))
+		}
+		if f := c.fmemo[i]; f != 0 {
+			return int(f) - 1
+		}
+	}
+	var n int
+	if words := (ix.ds.Len() + 63) / 64; bits.OnesCount64(mask)*words < len(ix.masks) {
+		n = c.missingEverywhere(mask)
+	} else {
+		n = ix.disjointMaskRows(mask)
+	}
+	if held {
+		c.fmemo[i] = int32(n) + 1
+	}
+	return n
+}
+
+// disjointMaskRows is IncomparableRows read off the per-mask row counts.
+func (ix *Index) disjointMaskRows(mask uint64) int {
 	n := 0
 	for _, mc := range ix.masks {
 		if mc.mask&mask == 0 {
 			n += mc.rows
 		}
 	}
+	return n
+}
+
+// missingEverywhere is IncomparableRows read off the columns: |∩ᵢ Mᵢ|, Mᵢ
+// being the last column of dimension i (no bucket reaches past it, so only the
+// rows missing the dimension are set there).
+func (c *Cursor) missingEverywhere(mask uint64) int {
+	refs := c.qrefs[:0]
+	for d := range c.ix.dims {
+		if mask&(1<<uint(d)) != 0 {
+			refs = append(refs, qref{d: int32(d), qb: int32(len(c.ix.dims[d].cols) - 1)})
+		}
+	}
+	c.qrefs = refs
+	n, _ := c.intersectQAbove(refs, noTau)
 	return n
 }

@@ -14,7 +14,6 @@ type bigState struct {
 	ix     *bitmapidx.Index
 	cursor *bitmapidx.Cursor
 	// B+-tree refinement state (RefineBTree only).
-	f     fCounts
 	trees []*btree.Tree
 	tags  *epochTags
 }
@@ -24,31 +23,9 @@ type bigState struct {
 func newBigState(ds *data.Dataset, ix *bitmapidx.Index, refine Refinement, trees []*btree.Tree) *bigState {
 	s := &bigState{ds: ds, ix: ix, cursor: ix.NewCursor()}
 	if refine == RefineBTree {
-		s.f, s.trees, s.tags = newFCounts(ix), trees, newEpochTags(ds.Len())
+		s.trees, s.tags = trees, newEpochTags(ds.Len())
 	}
 	return s
-}
-
-// fCounts memoizes |F(o)| — the number of indexed rows sharing no observed
-// dimension with o — per distinct mask, over the per-mask row counts the
-// index computed once for its epoch (there are far fewer distinct masks than
-// objects). Not safe for concurrent use; each scorer state owns one.
-type fCounts struct {
-	ix   *bitmapidx.Index
-	memo map[uint64]int
-}
-
-func newFCounts(ix *bitmapidx.Index) fCounts {
-	return fCounts{ix: ix, memo: make(map[uint64]int)}
-}
-
-func (f fCounts) of(mask uint64) int {
-	c, ok := f.memo[mask]
-	if !ok {
-		c = f.ix.IncomparableRows(mask)
-		f.memo[mask] = c
-	}
-	return c
 }
 
 // scoreResult tells the caller how bigScore ended.
@@ -74,13 +51,21 @@ const (
 // value-granular index, or a binned one fine enough where o sits, W is empty
 // and no row is visited; BIG and IBIG differ only in that.
 //
+// Heuristic 2 (bitmap pruning) drops o unless |∩Qᵢ| − 1 − |F(o)| exceeds τ.
+// The paper prunes on |∩Qᵢ| − 1; F(o), the rows sharing no observed dimension
+// with o, sits in every Qᵢ by §4.3's all-ones rule and o dominates none of it,
+// so the bound net of it is as sound and is the one a shard applies to a
+// foreign candidate (ForeignScorer.BoundAbove). A candidate it drops scores at
+// most τ, so its missing offer changes no answer.
+//
 // Heuristic 3 (Algorithm 5, lines 11-12) is the kernel's limit: once the
 // members of ∩Qᵢ known not to be dominated exceed |∩Qᵢ| − τ − 1 the score
 // cannot beat τ and the walk stops. It can only fire on a walked row.
 func (s *bigState) bigScore(o int, tau int, full bool, st *Stats) (int, scoreResult) {
 	cnt, limit := -1, bitmapidx.NoLimit
 	if full {
-		maxBit, above := s.cursor.MaxBitScoreAbove(o, tau)
+		f := s.cursor.IncomparableRows(s.ds.Obj(o).Mask)
+		maxBit, above := s.cursor.MaxBitScoreAbove(o, tau+f)
 		if !above {
 			return 0, prunedH2 // Heuristic 2
 		}

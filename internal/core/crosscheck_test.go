@@ -230,14 +230,17 @@ func TestMovieLensStyleAgreement(t *testing.T) {
 }
 
 // TestSerialHeuristicCountsPinned pins the serial BIG/IBIG pruning statistics
-// on the golden sample and the crosscheck configurations. BIG's rows are the
-// stream-over-Q scorer's, unchanged since before score(o) became bitwise; the
-// IBIG rows moved once, on purpose, when the score became |∩Q| − |E| − nonD(W)
-// over ξᵢ = min(cᵢ, 2 · Eq. (8)) bins (CHANGES.md, PR 26, lists old → new):
-// Heuristic 3 fires only on a candidate with rows to walk, so where every
-// bucket of a candidate is exact its share moves to Scored (cfg1, cfg2 and
-// cfg5 now read as BIG does), and it cuts at score ≤ τ where it used to cut at
-// score < τ (cfg0). Comparisons is not pinned.
+// on the golden sample and the crosscheck configurations. The rows have moved
+// twice, on purpose, and CHANGES.md lists old → new both times. PR 26 (IBIG
+// only): the score became |∩Q| − |E| − nonD(W) over ξᵢ = min(cᵢ, 2 · Eq. (8))
+// bins, Heuristic 3 fires only on a candidate with rows to walk, so where every
+// bucket of a candidate is exact its share moved to Scored (cfg1, cfg2 and
+// cfg5 read as BIG does), and it cuts at score ≤ τ where it used to cut at
+// score < τ (cfg0). PR 27 (BIG and IBIG): Heuristic 2 prunes on
+// |∩Q| − 1 − |F(o)|, so wherever rows share no dimension with a candidate —
+// every config but the complete sample and cfg0 — Scored (and with it what
+// Heuristic 3 is left to cut) fell and PrunedH2 rose; Candidates and PrunedH1
+// are the queue's and moved in no row. Comparisons is not pinned.
 func TestSerialHeuristicCountsPinned(t *testing.T) {
 	pins := []struct {
 		data                                          string
@@ -254,46 +257,46 @@ func TestSerialHeuristicCountsPinned(t *testing.T) {
 		{"cfg0", core.AlgIBIG, 5, 7, 6, 293, 0, 1},
 		{"cfg0", core.AlgBIG, 16, 33, 22, 267, 11, 0},
 		{"cfg0", core.AlgIBIG, 16, 33, 20, 267, 0, 13},
-		{"cfg1", core.AlgBIG, 1, 14, 14, 286, 0, 0},
-		{"cfg1", core.AlgIBIG, 1, 14, 14, 286, 0, 0},
-		{"cfg1", core.AlgBIG, 2, 17, 15, 283, 2, 0},
-		{"cfg1", core.AlgIBIG, 2, 17, 15, 283, 2, 0},
-		{"cfg1", core.AlgBIG, 5, 49, 28, 251, 21, 0},
-		{"cfg1", core.AlgIBIG, 5, 49, 28, 251, 21, 0},
-		{"cfg1", core.AlgBIG, 16, 87, 52, 213, 35, 0},
-		{"cfg1", core.AlgIBIG, 16, 87, 52, 213, 35, 0},
-		{"cfg2", core.AlgBIG, 1, 138, 104, 112, 34, 0},
-		{"cfg2", core.AlgIBIG, 1, 138, 104, 112, 34, 0},
-		{"cfg2", core.AlgBIG, 2, 250, 157, 0, 93, 0},
-		{"cfg2", core.AlgIBIG, 2, 250, 157, 0, 93, 0},
-		{"cfg2", core.AlgBIG, 5, 250, 186, 0, 64, 0},
-		{"cfg2", core.AlgIBIG, 5, 250, 186, 0, 64, 0},
-		{"cfg2", core.AlgBIG, 16, 250, 218, 0, 32, 0},
-		{"cfg2", core.AlgIBIG, 16, 250, 218, 0, 32, 0},
-		{"cfg3", core.AlgBIG, 1, 6, 4, 294, 2, 0},
-		{"cfg3", core.AlgIBIG, 1, 6, 2, 294, 1, 3},
-		{"cfg3", core.AlgBIG, 2, 6, 4, 294, 2, 0},
-		{"cfg3", core.AlgIBIG, 2, 6, 2, 294, 1, 3},
-		{"cfg3", core.AlgBIG, 5, 13, 8, 287, 5, 0},
-		{"cfg3", core.AlgIBIG, 5, 13, 6, 287, 1, 6},
-		{"cfg3", core.AlgBIG, 16, 103, 29, 197, 74, 0},
-		{"cfg3", core.AlgIBIG, 16, 103, 27, 197, 59, 17},
-		{"cfg4", core.AlgBIG, 1, 12, 12, 188, 0, 0},
-		{"cfg4", core.AlgIBIG, 1, 12, 8, 188, 0, 4},
-		{"cfg4", core.AlgBIG, 2, 39, 19, 161, 20, 0},
-		{"cfg4", core.AlgIBIG, 2, 39, 15, 161, 20, 4},
-		{"cfg4", core.AlgBIG, 5, 72, 25, 128, 47, 0},
-		{"cfg4", core.AlgIBIG, 5, 72, 19, 128, 46, 7},
-		{"cfg4", core.AlgBIG, 16, 175, 52, 25, 123, 0},
-		{"cfg4", core.AlgIBIG, 16, 175, 31, 25, 119, 25},
-		{"cfg5", core.AlgBIG, 1, 35, 35, 29, 0, 0},
-		{"cfg5", core.AlgIBIG, 1, 35, 35, 29, 0, 0},
-		{"cfg5", core.AlgBIG, 2, 41, 40, 23, 1, 0},
-		{"cfg5", core.AlgIBIG, 2, 41, 40, 23, 1, 0},
-		{"cfg5", core.AlgBIG, 5, 53, 50, 11, 3, 0},
-		{"cfg5", core.AlgIBIG, 5, 53, 50, 11, 3, 0},
-		{"cfg5", core.AlgBIG, 16, 64, 61, 0, 3, 0},
-		{"cfg5", core.AlgIBIG, 16, 64, 61, 0, 3, 0},
+		{"cfg1", core.AlgBIG, 1, 14, 3, 286, 11, 0},
+		{"cfg1", core.AlgIBIG, 1, 14, 3, 286, 11, 0},
+		{"cfg1", core.AlgBIG, 2, 17, 7, 283, 10, 0},
+		{"cfg1", core.AlgIBIG, 2, 17, 7, 283, 10, 0},
+		{"cfg1", core.AlgBIG, 5, 49, 14, 251, 35, 0},
+		{"cfg1", core.AlgIBIG, 5, 49, 14, 251, 35, 0},
+		{"cfg1", core.AlgBIG, 16, 87, 29, 213, 58, 0},
+		{"cfg1", core.AlgIBIG, 16, 87, 29, 213, 58, 0},
+		{"cfg2", core.AlgBIG, 1, 138, 6, 112, 132, 0},
+		{"cfg2", core.AlgIBIG, 1, 138, 6, 112, 132, 0},
+		{"cfg2", core.AlgBIG, 2, 250, 21, 0, 229, 0},
+		{"cfg2", core.AlgIBIG, 2, 250, 21, 0, 229, 0},
+		{"cfg2", core.AlgBIG, 5, 250, 40, 0, 210, 0},
+		{"cfg2", core.AlgIBIG, 5, 250, 40, 0, 210, 0},
+		{"cfg2", core.AlgBIG, 16, 250, 77, 0, 173, 0},
+		{"cfg2", core.AlgIBIG, 16, 250, 77, 0, 173, 0},
+		{"cfg3", core.AlgBIG, 1, 6, 2, 294, 4, 0},
+		{"cfg3", core.AlgIBIG, 1, 6, 2, 294, 2, 2},
+		{"cfg3", core.AlgBIG, 2, 6, 2, 294, 4, 0},
+		{"cfg3", core.AlgIBIG, 2, 6, 2, 294, 2, 2},
+		{"cfg3", core.AlgBIG, 5, 13, 6, 287, 7, 0},
+		{"cfg3", core.AlgIBIG, 5, 13, 6, 287, 4, 3},
+		{"cfg3", core.AlgBIG, 16, 103, 27, 197, 76, 0},
+		{"cfg3", core.AlgIBIG, 16, 103, 27, 197, 64, 12},
+		{"cfg4", core.AlgBIG, 1, 12, 1, 188, 11, 0},
+		{"cfg4", core.AlgIBIG, 1, 12, 1, 188, 11, 0},
+		{"cfg4", core.AlgBIG, 2, 39, 6, 161, 33, 0},
+		{"cfg4", core.AlgIBIG, 2, 39, 5, 161, 33, 1},
+		{"cfg4", core.AlgBIG, 5, 72, 11, 128, 61, 0},
+		{"cfg4", core.AlgIBIG, 5, 72, 11, 128, 60, 1},
+		{"cfg4", core.AlgBIG, 16, 175, 24, 25, 151, 0},
+		{"cfg4", core.AlgIBIG, 16, 175, 21, 25, 150, 4},
+		{"cfg5", core.AlgBIG, 1, 35, 20, 29, 15, 0},
+		{"cfg5", core.AlgIBIG, 1, 35, 20, 29, 15, 0},
+		{"cfg5", core.AlgBIG, 2, 41, 23, 23, 18, 0},
+		{"cfg5", core.AlgIBIG, 2, 41, 23, 23, 18, 0},
+		{"cfg5", core.AlgBIG, 5, 53, 25, 11, 28, 0},
+		{"cfg5", core.AlgIBIG, 5, 53, 25, 11, 28, 0},
+		{"cfg5", core.AlgBIG, 16, 64, 44, 0, 20, 0},
+		{"cfg5", core.AlgIBIG, 16, 64, 44, 0, 20, 0},
 	}
 	type fixture struct {
 		ds  *data.Dataset

@@ -17,9 +17,9 @@ import (
 // pulls candidates off the queue in batch windows and fans each window
 // across a worker pool:
 //
-//   - every worker owns its scoring state (bitmap cursor, epoch tags,
-//     |F(o)| cache) — only the dataset, the index (including its shared
-//     decompressed-column cache) and the B+-trees are shared, all read-only;
+//   - every worker owns its scoring state (bitmap cursor, epoch tags) — only
+//     the dataset, the index (including its shared decompressed-column
+//     cache) and the B+-trees are shared, all read-only;
 //   - finished candidates are committed to the candidate heap in queue
 //     order as workers complete them (a commit frontier under a light
 //     mutex), replaying exactly the offer sequence the serial loop would

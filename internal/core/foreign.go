@@ -35,13 +35,12 @@ func ForeignScore(ds *data.Dataset, cand *data.Object) int {
 type ForeignScorer struct {
 	ds     *data.Dataset
 	cursor *bitmapidx.Cursor
-	f      fCounts
 }
 
 // NewForeignScorer returns a scorer over one shard's dataset and index (the
 // index must be built over exactly ds).
 func NewForeignScorer(ds *data.Dataset, ix *bitmapidx.Index) *ForeignScorer {
-	return &ForeignScorer{ds: ds, cursor: ix.NewCursor(), f: newFCounts(ix)}
+	return &ForeignScorer{ds: ds, cursor: ix.NewCursor()}
 }
 
 // BoundAbove reports whether the candidate's shard-local Heuristic 2 bound
@@ -54,7 +53,7 @@ func NewForeignScorer(ds *data.Dataset, ix *bitmapidx.Index) *ForeignScorer {
 // candidates whose bound sum cannot beat the global τ — the cross-shard form
 // of bitmap pruning, with tau here being the pushed-down per-shard residual.
 func (s *ForeignScorer) BoundAbove(cand *data.Object, tau int) (int, bool) {
-	f := s.f.of(cand.Mask)
+	f := s.cursor.IncomparableRows(cand.Mask)
 	tau = min(tau, s.ds.Len()) // no count beats either; keeps tau+f in range
 	b, above := s.cursor.ForeignCountAbove(cand.Values, cand.Mask, tau+f)
 	if !above {
@@ -83,7 +82,7 @@ const NoBudget = bitmapidx.NoLimit
 func (s *ForeignScorer) Score(cand *data.Object, nonDBudget int) (score int, ok bool) {
 	limit := nonDBudget
 	if limit != NoBudget {
-		limit += s.f.of(cand.Mask)
+		limit += s.cursor.IncomparableRows(cand.Mask)
 	}
 	score, _, ok = s.cursor.ScoreForeign(cand.Values, cand.Mask, limit)
 	return score, ok

@@ -79,8 +79,10 @@ func servedIndex(ds *data.Dataset, opts bitmapidx.Options, tail int) *bitmapidx.
 
 // checkScoreKernel holds the bitwise scorers to the definition over one
 // dataset and index flavour (built, or patched by its last tail rows):
-// bigScore without a threshold equals Score for every object; with a live τ
-// it returns that exact score or prunes an object whose score cannot beat τ;
+// bigScore without a threshold equals Score for every object, whose
+// Heuristic 2 bound net of the rows sharing no dimension with it is no lower;
+// with a live τ it returns that exact score or prunes an object whose score
+// cannot beat τ;
 // ForeignScorer.Score equals ForeignScore on every slice of a three-way row
 // partition, for candidates that are shard rows, rows of other shards,
 // off-domain values and the no-common-dimension candidate — under a budget it
@@ -98,6 +100,18 @@ func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options, ta
 		got, how := state.bigScore(o, -1, false, &st)
 		if how != scored || got != want {
 			t.Fatalf("object %d: bigScore(τ=-1) = (%d, %v), Score = %d", o, got, how, want)
+		}
+		f := 0
+		for p := 0; p < n; p++ {
+			if !ds.Obj(o).ComparableWith(ds.Obj(p)) {
+				f++
+			}
+		}
+		if got := state.cursor.IncomparableRows(ds.Obj(o).Mask); got != f {
+			t.Fatalf("object %d: IncomparableRows = %d, %d rows share no dimension with it", o, got, f)
+		}
+		if bound := state.cursor.MaxBitScore(o) - f; bound < want {
+			t.Fatalf("object %d: Heuristic 2 bound |∩Q| − 1 − |F| = %d below Score %d", o, bound, want)
 		}
 		for _, tau := range []int{0, want - 1, want, want + 1, n / 4} {
 			if tau < 0 {
@@ -171,10 +185,10 @@ func TestScoreKernelMatchesDefinition(t *testing.T) {
 			cfg := gen.Config{N: 240, Dim: 4, Cardinality: 5, MissingRate: sigma, Dist: dist, Seed: int64(40 + i)}
 			ds := kernelDataset(cfg, 0)
 			if sigma == 0.6 {
-				ix := bitmapidx.Build(ds, bitmapidx.Options{})
+				c := bitmapidx.Build(ds, bitmapidx.Options{}).NewCursor()
 				withF := 0
 				for o := 0; o < ds.Len(); o++ {
-					if ix.IncomparableRows(ds.Obj(o).Mask) > 0 {
+					if c.IncomparableRows(ds.Obj(o).Mask) > 0 {
 						withF++
 					}
 				}
@@ -332,9 +346,10 @@ func TestScoreKernelAllocs(t *testing.T) {
 // 100, σ = 0.2, the serving index as BuildServingIndex lays it out): the
 // top-of-queue object scored in-set without a threshold — every bucket it
 // sits in is exact, so two popcounts — and the same object scored as a
-// foreign candidate against the first of three shards, whose coarser layout
-// leaves rows to walk. Both must stay allocation-free; the CI bench gate and
-// TestScoreKernelAllocs pin that.
+// foreign candidate against a third of the rows under the 48 bins that third
+// would take for itself (what a %shard file written before shard.NewLocal took
+// the dataset's layout holds), which leaves rows to walk. Both must stay
+// allocation-free; the CI bench gate and TestScoreKernelAllocs pin that.
 func BenchmarkScoreKernel(b *testing.B) {
 	ds := gen.Synthetic(gen.Config{N: 100_000, Dim: 5, Cardinality: 100, MissingRate: 0.2, Dist: gen.IND, Seed: 1})
 	build := func(ds *data.Dataset) *bitmapidx.Index { return BuildServingIndex(ds.SortDims(), nil) }

@@ -105,9 +105,11 @@ func (e *epochTags) marked(id int32) bool { return e.mark[id] == e.epoch }
 // F(o) ⊆ P and every comparable member of P is dominated,
 // |G(o)| = |P| − |F(o)| needs no iteration at all.
 func (s *bigState) bigScoreBTree(o int, tau int, full bool, st *Stats) (int, scoreResult) {
+	obj := s.ds.Obj(o)
+	f := s.cursor.IncomparableRows(obj.Mask)
 	var maxBit int
 	if full {
-		mb, above := s.cursor.MaxBitScoreAbove(o, tau)
+		mb, above := s.cursor.MaxBitScoreAbove(o, tau+f)
 		if !above {
 			return 0, prunedH2 // Heuristic 2, threshold-aware cascade
 		}
@@ -116,8 +118,6 @@ func (s *bigState) bigScoreBTree(o int, tau int, full bool, st *Stats) (int, sco
 		maxBit = s.cursor.MaxBitScore(o)
 	}
 	q, p := s.cursor.QP(o)
-	obj := s.ds.Obj(o)
-	f := s.f.of(obj.Mask)
 	g := p.Count() - f
 	rim := maxBit - p.Count() // |Q−P|
 	useH3 := full && s.ix.Binned()

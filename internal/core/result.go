@@ -57,7 +57,13 @@ type Stats struct {
 	// PrunedH1 counts objects pruned by upper-bound-score pruning
 	// (Heuristic 1), including everything cut off by early termination.
 	PrunedH1 int
-	// PrunedH2 counts objects pruned by bitmap pruning (Heuristic 2).
+	// PrunedH2 counts objects pruned by bitmap pruning (Heuristic 2): those
+	// whose bound |∩Qᵢ| − 1 − |F(o)| cannot beat τ. The bound is net of F(o),
+	// the rows sharing no observed dimension with o — members of every Qᵢ that
+	// o never dominates — which the paper's |∩Qᵢ| − 1 leaves in; it is the
+	// same in the serial loop, the engine's workers and a shard's bounds phase,
+	// and a sharded run counts here the candidates its shards' bounds summed
+	// to at most τ.
 	PrunedH2 int
 	// PrunedH3 counts objects pruned by partial-score pruning (Heuristic 3).
 	// It can only fire on a candidate with rows to walk: one that sits in a

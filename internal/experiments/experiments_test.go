@@ -67,8 +67,8 @@ func TestFig11BytesFallWalkedRises(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment drivers in -short mode")
 	}
-	for _, nd := range append(servingShapes(Tiny), allDatasets(Tiny)...) {
-		xis, pts := servingSweep(nd.ds)
+	for _, nd := range servingShapes(Tiny, allDatasets(Tiny)) {
+		xis, pts := servingSweep(nd)
 		for i := 1; i < len(pts); i++ {
 			if pts[i-1].bytes > pts[i].bytes || pts[i-1].walked < pts[i].walked {
 				t.Errorf("%s: ξ %d → %d: index %d → %d B, walked %.0f → %.0f rows per query",

@@ -138,12 +138,22 @@ func (pt binPoint) row(label string) []string {
 	}
 }
 
-// servingShapes are the datasets the serving index's bin rule is stated over,
-// beyond the paper's: the three shapes the served benchmark boots (a
-// -shards 3 slice is a third of the query-heavy rows) and the query-heavy
-// shape over a near-continuous domain, where no bucket is exact at any
-// affordable ξ.
-func servingShapes(s Scale) []named {
+// servingShape is one dataset of the serving sweep and the rows whose (N, σ)
+// its serving index is laid out by: its own, or — for a shard's slice, as
+// shard.NewLocal has it — those of the dataset it is a slice of.
+type servingShape struct {
+	named
+	of *data.Dataset
+}
+
+func (sh servingShape) eq8() int { return core.OptimalBins(sh.of.Len(), sh.of.MissingRate()) }
+
+// servingShapes are the datasets the serving index's bin rule is stated over:
+// the three shapes the served benchmark boots (a -shards 3 slice is a third of
+// the query-heavy rows), the query-heavy shape over a near-continuous domain,
+// where no bucket is exact at any affordable ξ, and the paper's (allDatasets,
+// handed in by the caller that has them).
+func servingShapes(s Scale, paper []named) []servingShape {
 	heavyN, lightN := 100_000, 2000
 	if s == Tiny {
 		heavyN, lightN = 2000, 400
@@ -152,20 +162,25 @@ func servingShapes(s Scale) []named {
 		return gen.Synthetic(gen.Config{N: n, Dim: dim, Cardinality: card, MissingRate: 0.2, Dist: gen.IND, Seed: 1})
 	}
 	heavy := syn(heavyN, 5, 100)
-	return []named{
-		{"query-heavy, ingest (100k x 5, c 100)", heavy},
-		{"query-sharded slice (a third of it)", heavy.Slice(0, heavy.Len()/3)},
+	shapes := []servingShape{
+		{named{"query-heavy, ingest (100k x 5, c 100)", heavy}, heavy},
+		{named{"query-sharded slice (a third of it)", heavy.Slice(0, heavy.Len()/3)}, heavy},
+	}
+	for _, nd := range append([]named{
 		{"query-light (2000 x 4, c 40)", syn(lightN, 4, 40)},
 		{"100k x 5, c 1000", syn(heavyN, 5, 1000)},
+	}, paper...) {
+		shapes = append(shapes, servingShape{nd, nd.ds})
 	}
+	return shapes
 }
 
-// servingSweep measures the serving recipe over ds at ½, 1, 2, 4 and 8 times
-// Eq. (8) bins per dimension, in that order.
-func servingSweep(ds *data.Dataset) (xis []int, pts []binPoint) {
+// servingSweep measures the serving recipe over a shape at ½, 1, 2, 4 and 8
+// times its Eq. (8) bins per dimension, in that order.
+func servingSweep(sh servingShape) (xis []int, pts []binPoint) {
+	ds, eq8 := sh.ds, sh.eq8()
 	queue := core.BuildMaxScoreQueue(ds)
 	sorted := ds.SortDims()
-	eq8 := core.OptimalBins(ds.Len(), ds.MissingRate())
 	for _, xi := range []int{max(1, eq8/2), eq8, 2 * eq8, 4 * eq8, 8 * eq8} {
 		xis = append(xis, xi)
 		pts = append(pts, sweepPoint(ds, sorted, queue, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{xi}, Adaptive: true}, ksSweep))
@@ -200,16 +215,15 @@ func Fig11(s Scale) []Table {
 		}
 		out = append(out, tab)
 	}
-	for _, nd := range append(servingShapes(s), paper...) {
-		eq8 := core.OptimalBins(nd.ds.Len(), nd.ds.MissingRate())
+	for _, sh := range servingShapes(s, paper) {
 		tab := Table{
-			Title:  fmt.Sprintf("Fig. 11 (serving) — %s: adaptive index vs ξ, k ∈ %v, Eq. (8) = %d", nd.name, ksSweep, eq8),
+			Title:  fmt.Sprintf("Fig. 11 (serving) — %s: adaptive index vs ξ, k ∈ %v, Eq. (8) = %d", sh.name, ksSweep, sh.eq8()),
 			Header: binSweepHeader,
 		}
-		xis, pts := servingSweep(nd.ds)
+		xis, pts := servingSweep(sh)
 		for i, pt := range pts {
 			label := fmt.Sprintf("%d", xis[i])
-			if xis[i] == bitmapidx.ServingBins(nd.ds.Len(), nd.ds.MissingRate()) {
+			if xis[i] == bitmapidx.ServingBins(sh.of.Len(), sh.of.MissingRate()) {
 				label += " (rule)"
 			}
 			tab.Rows = append(tab.Rows, pt.row(label))

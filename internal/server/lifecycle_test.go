@@ -368,7 +368,8 @@ func TestWarmRestartSkipsPrepare(t *testing.T) {
 }
 
 // TestIndexFileOfAnotherBinLayoutServedAsIs: an -indexdir file written when
-// the serving index took Eq. (8) bins carries its own layout and is served as
+// the serving index took Eq. (8) bins — or a shard's, written when a slice
+// took the bins of its own row count — carries its own layout and is served as
 // it is — answers never depend on ξ, and which buckets are exact is recomputed
 // from the file's rank→bucket maps at load. The boot over it is warm, builds
 // nothing, and answers byte for byte what a fresh build under today's rule
@@ -432,6 +433,63 @@ func TestIndexFileOfAnotherBinLayoutServedAsIs(t *testing.T) {
 	}
 	if fresh.IndexBuilds() != 1 {
 		t.Fatalf("the reference built %d indexes, want its own one", fresh.IndexBuilds())
+	}
+
+	// The same behind -shards 3: a %shard-0 file of 48 bins — a slice once
+	// binned by its own row count, today by its dataset's — is loaded, served
+	// and left on disk as it is, beside the two parts the boot had to build.
+	raw, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	slice0, err := tkd.ReadCSV(bytes.NewReader(bytes.Join(lines[:1+fresh.Len()/3], nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := slice0.TopK(1, tkd.WithBins(48)); err != nil {
+		t.Fatal(err)
+	}
+	shardFile := bytes.NewBufferString("TKDIXD2\n")
+	if err := slice0.SaveIndex(shardFile); err != nil {
+		t.Fatal(err)
+	}
+	shardDir := filepath.Join(dir, "ix-sharded")
+	shardPath := filepath.Join(shardDir, "d%shard-0.tkdix")
+	if err := os.MkdirAll(shardDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shardPath, shardFile.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ss := server.New(server.Config{IndexDir: shardDir, Shards: 3})
+	defer ss.Close()
+	if err := ss.LoadCSVFile("d", csv, false); err != nil {
+		t.Fatal(err)
+	}
+	tss := httptest.NewServer(ss)
+	defer tss.Close()
+	for _, k := range []int{1, 7, 40} {
+		got, code := postQuery(t, tss.URL, server.QueryRequest{Dataset: "d", K: k})
+		if code != http.StatusOK {
+			t.Fatalf("sharded k=%d: HTTP %d", k, code)
+		}
+		want, err := fresh.TopK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range got.Items {
+			if w := want.Items[i]; len(got.Items) != len(want.Items) || it.Index != w.Index || it.ID != w.ID || it.Score != w.Score {
+				t.Fatalf("sharded k=%d item %d: %+v over the 48-bin shard file, %+v from a fresh build", k, i, it, w)
+			}
+		}
+	}
+	m = getBody(t, tss.URL+"/metrics")
+	if builds, warm := sumMetric(t, m, "tkd_index_builds_total"), sumMetric(t, m, "tkd_index_warm_loads_total"); builds != 2 || warm != 1 {
+		t.Fatalf("sharded: %d index builds, %d warm loads; want 2 / 1", builds, warm)
+	}
+	if onDisk, err := os.ReadFile(shardPath); err != nil || !bytes.Equal(onDisk, shardFile.Bytes()) {
+		t.Fatalf("the 48-bin shard file was not left as it was (err %v)", err)
 	}
 }
 

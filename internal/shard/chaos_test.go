@@ -53,8 +53,8 @@ func replicatedChaosBackends(t *testing.T, ds *data.Dataset, n int, chaos *Chaos
 	t.Helper()
 	out := make([]Backend, n)
 	for i := 0; i < n; i++ {
-		slice := ds.Slice(i*ds.Len()/n, (i+1)*ds.Len()/n)
-		reps := []Backend{NewLocal(slice), NewChaosBackend(NewLocal(slice), chaos)}
+		lo, hi := i*ds.Len()/n, (i+1)*ds.Len()/n
+		reps := []Backend{NewLocal(ds, lo, hi), NewChaosBackend(NewLocal(ds, lo, hi), chaos)}
 		rs, err := NewReplicaSet(i, reps, pol, met)
 		if err != nil {
 			t.Fatal(err)
@@ -114,12 +114,12 @@ func TestChaosRunFailClosedAndDegraded(t *testing.T) {
 	backends := make([]Backend, n)
 	var liveSlices []*data.Dataset
 	for i := 0; i < n; i++ {
-		slice := ds.Slice(i*ds.Len()/n, (i+1)*ds.Len()/n)
-		reps := []Backend{NewLocal(slice), NewLocal(slice)}
+		lo, hi := i*ds.Len()/n, (i+1)*ds.Len()/n
+		reps := []Backend{NewLocal(ds, lo, hi), NewLocal(ds, lo, hi)}
 		if i == 1 {
-			reps = []Backend{downBackend{NewLocal(slice)}, downBackend{NewLocal(slice)}}
+			reps = []Backend{downBackend{NewLocal(ds, lo, hi)}, downBackend{NewLocal(ds, lo, hi)}}
 		} else {
-			liveSlices = append(liveSlices, slice)
+			liveSlices = append(liveSlices, ds.Slice(lo, hi))
 		}
 		rs, err := NewReplicaSet(i, reps, pol, nil)
 		if err != nil {
@@ -214,7 +214,7 @@ func (a budgetAuditor) Partial(ctx context.Context, req *Request) ([]int32, erro
 func TestChaosDegradedBudgetsSound(t *testing.T) {
 	ds := testDataset(3000)
 	const n = 3
-	backends := localBackends(ds, n)
+	backends := coarseBackends(ds, n, 12) // of 15 values: rows to walk, budgets to stop on
 	truth := make(map[*data.Object]int, ds.Len())
 	ranked := make([]int, ds.Len())
 	for i := range ranked {
@@ -268,12 +268,11 @@ func TestChaosCancellationReleasesScatter(t *testing.T) {
 	chaos := NewChaos(ChaosConfig{Seed: 1, TimeoutP: 1})
 	pol := chaosPolicy()
 	pol.AttemptTimeout = 0 // nothing cuts the hang loose but the query deadline
-	slice0, slice1 := ds.Slice(0, 100), ds.Slice(100, 200)
 	var backends []Backend
-	for i, slice := range []*data.Dataset{slice0, slice1} {
+	for i := 0; i < 2; i++ {
 		rs, err := NewReplicaSet(i, []Backend{
-			NewChaosBackend(NewLocal(slice), chaos),
-			NewChaosBackend(NewLocal(slice), chaos),
+			NewChaosBackend(NewLocal(ds, i*100, (i+1)*100), chaos),
+			NewChaosBackend(NewLocal(ds, i*100, (i+1)*100), chaos),
 		}, pol, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -301,10 +300,31 @@ func TestChaosCancellationReleasesScatter(t *testing.T) {
 	})
 }
 
+// stopwatch keeps the longest Partial of the backend it wraps.
+type stopwatch struct {
+	Backend
+	slowest *atomic.Int64 // nanoseconds
+}
+
+func (s stopwatch) Partial(ctx context.Context, req *Request) ([]int32, error) {
+	t0 := time.Now()
+	res, err := s.Backend.Partial(ctx, req)
+	for d := int64(time.Since(t0)); ; {
+		if old := s.slowest.Load(); d <= old || s.slowest.CompareAndSwap(old, d) {
+			return res, err
+		}
+	}
+}
+
 // TestChaosTransportRemoteExactness runs the coordinator against real HTTP
 // peers where one replica of each shard is reached through a fault-injecting
 // RoundTripper — the full wire path under chaos — and checks answers stay
-// byte-identical.
+// byte-identical. A healthy round trip crosses the client's, the transport's
+// and the peer's goroutines, and on a host whose cores are taken each hop can
+// wait out somebody's time slice, so no constant is a safe attempt timeout:
+// the same queries run first with no fault injected and an attempt gets twenty
+// times the slowest round trip seen there. An injected hang still ends on the
+// attempt timeout and nothing else.
 func TestChaosTransportRemoteExactness(t *testing.T) {
 	ds := testDataset(300)
 	resolve := func(name string) (*data.Dataset, uint64, bool) {
@@ -321,26 +341,38 @@ func TestChaosTransportRemoteExactness(t *testing.T) {
 	chaos := NewChaos(chaosMix(7))
 	chaosClient := &http.Client{Transport: NewChaosTransport(nil, chaos), Timeout: 5 * time.Second}
 	const n = 2
-	backends := make([]Backend, n)
+	clean, backends := make([]Backend, n), make([]Backend, n)
+	var slowest atomic.Int64
 	for i := 0; i < n; i++ {
 		lo, hi := i*ds.Len()/n, (i+1)*ds.Len()/n
-		fp := ds.Slice(lo, hi).Fingerprint()
+		clean[i] = stopwatch{NewRemote(nil, peer.URL, "d", lo, hi, ds.Slice(lo, hi).Fingerprint()), &slowest}
+	}
+	pre := core.Preprocess(ds, nil)
+	c := NewCoordinator(core.NewPrepared(ds, nil), NewMetrics(n))
+	algs := []core.Algorithm{core.AlgNaive, core.AlgUBB, core.AlgIBIG}
+	for _, alg := range algs {
+		if _, _, err := c.Run(context.Background(), alg, 6, clean, RunOptions{}); err != nil {
+			t.Fatalf("%v, no fault injected: %v", alg, err)
+		}
+	}
+	pol := chaosPolicy()
+	pol.AttemptTimeout = max(pol.AttemptTimeout, 20*time.Duration(slowest.Load()))
+	for i := 0; i < n; i++ {
+		lo, hi := i*ds.Len()/n, (i+1)*ds.Len()/n
 		rs, err := NewReplicaSet(i, []Backend{
-			NewRemote(nil, peer.URL, "d", lo, hi, fp),
-			NewRemote(chaosClient, peer.URL, "d", lo, hi, fp),
-		}, chaosPolicy(), nil)
+			clean[i],
+			NewRemote(chaosClient, peer.URL, "d", lo, hi, clean[i].Fingerprint()),
+		}, pol, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		backends[i] = rs
 	}
-	pre := core.Preprocess(ds, nil)
-	c := NewCoordinator(core.NewPrepared(ds, nil), NewMetrics(n))
-	for _, alg := range []core.Algorithm{core.AlgNaive, core.AlgUBB, core.AlgIBIG} {
+	for _, alg := range algs {
 		want, _ := core.Run(alg, ds, 6, pre)
 		got, _, err := c.Run(context.Background(), alg, 6, backends, RunOptions{})
 		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+			t.Fatalf("%v (attempt timeout %v): %v", alg, pol.AttemptTimeout, err)
 		}
 		assertEqual(t, alg.String(), want, got)
 	}

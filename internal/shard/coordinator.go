@@ -53,9 +53,10 @@ type pass struct {
 	errs    []error
 }
 
-// scatter fans one request to the live backends concurrently and gathers
-// the per-shard result vectors, indexed by position in live and valid until
-// the next scatter. A ModeBounds request carries τ pushed down as each
+// scatter fans one request to the live backends concurrently — one goroutine
+// per shard but the last, whose call runs here — and gathers the per-shard
+// result vectors, indexed by position in live and valid until the next
+// scatter. A ModeBounds request carries τ pushed down as each
 // shard's residual: τ minus the rows of the other live shards.
 //
 // In a trace the fan-out is one phase span — "scatter" for the bounds phase,
@@ -70,28 +71,35 @@ func (p *pass) scatter(ctx context.Context, req Request) ([][]int32, error) {
 	psp := obs.SpanFromContext(ctx).StartChild(phase)
 	psp.SetInt("candidates", int64(len(req.Cands)))
 	psp.SetInt("shards", int64(len(p.live)))
+	call := func(i, s int) {
+		ssp := psp.StartChild("shard")
+		ssp.SetInt("shard", int64(s))
+		t0 := time.Now()
+		res, err := p.backends[s].Partial(obs.ContextWithSpan(ctx, ssp), &p.reqs[i])
+		p.met.observeShard(s, time.Since(t0))
+		if err == nil && len(res) != len(req.Cands) {
+			err = fmt.Errorf("shard %d returned %d results for %d candidates", s, len(res), len(req.Cands))
+		}
+		if err != nil {
+			ssp.SetStr("error", err.Error())
+		}
+		ssp.End()
+		p.results[i], p.errs[i] = res, err
+	}
 	for i, s := range p.live {
 		p.reqs[i] = req
 		if req.Mode == ModeBounds {
 			p.reqs[i].Residual = req.Tau - p.others[i]
 		}
+		if i == len(p.live)-1 {
+			call(i, s) // this goroutine would only wait: the last call is its own
+			continue
+		}
 		p.wg.Add(1)
-		go func(i, s int, b Backend) {
+		go func(i, s int) {
 			defer p.wg.Done()
-			ssp := psp.StartChild("shard")
-			ssp.SetInt("shard", int64(s))
-			t0 := time.Now()
-			res, err := b.Partial(obs.ContextWithSpan(ctx, ssp), &p.reqs[i])
-			p.met.observeShard(s, time.Since(t0))
-			if err == nil && len(res) != len(req.Cands) {
-				err = fmt.Errorf("shard %d returned %d results for %d candidates", s, len(res), len(req.Cands))
-			}
-			if err != nil {
-				ssp.SetStr("error", err.Error())
-			}
-			ssp.End()
-			p.results[i], p.errs[i] = res, err
-		}(i, s, p.backends[s])
+			call(i, s)
+		}(i, s)
 	}
 	p.wg.Wait()
 	psp.End()

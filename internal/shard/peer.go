@@ -107,7 +107,7 @@ func (p *Peer) local(ds *data.Dataset, key peerKey, wantFP uint64) (*Local, uint
 			}
 			e, ok = nil, false
 		}
-		l := NewLocal(ds.Slice(key.from, key.to))
+		l := NewLocal(ds, key.from, key.to)
 		fresh := &peerEntry{identity: ds, fp: l.Fingerprint(), local: l}
 		if ok {
 			e.prev = nil // one epoch of history, never a chain

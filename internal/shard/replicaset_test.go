@@ -337,8 +337,8 @@ func TestReplicaSetHedgeStragglerJoined(t *testing.T) {
 	pol := Policy{MaxAttempts: 2, Hedge: true, HedgeAfter: time.Nanosecond}
 	backends := make([]Backend, n)
 	for i := range backends {
-		slice := ds.Slice(i*ds.Len()/n, (i+1)*ds.Len()/n)
-		rs, err := NewReplicaSet(i, []Backend{NewLocal(slice), NewLocal(slice)}, pol, nil)
+		lo, hi := i*ds.Len()/n, (i+1)*ds.Len()/n
+		rs, err := NewReplicaSet(i, []Backend{NewLocal(ds, lo, hi), NewLocal(ds, lo, hi)}, pol, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -137,12 +137,18 @@ type scorerBox struct {
 	s  *core.ForeignScorer
 }
 
-// NewLocal wraps a row-range slice (see data.Dataset.Slice). The slice must
-// stay immutable for the shard's lifetime — the epoch contract. Its binned
-// index takes the serving default (bitmapidx.ServingBins) for the slice's own
-// size and missing rate.
-func NewLocal(slice *data.Dataset) *Local {
-	return &Local{Prepared: core.NewPrepared(slice, nil)}
+// NewLocal returns the shard of rows [lo, hi) of parent — a zero-copy slice
+// (see data.Dataset.Slice) that must stay immutable for the shard's lifetime,
+// the epoch contract. Its binned index takes the serving default of the whole
+// dataset, ξᵢ = min(cᵢ, bitmapidx.ServingBins(N, σ)) with parent's N and σ:
+// the point where a candidate's buckets hold one value each depends on the
+// value domain, not on how many rows a slice of it happens to hold, and a
+// candidate scored on a shard is scored on every shard. It is the one
+// constructor the in-process topology and the peer both call, so the two
+// cannot lay one row range out differently.
+func NewLocal(parent *data.Dataset, lo, hi int) *Local {
+	bins := []int{bitmapidx.ServingBins(parent.Len(), parent.MissingRate())}
+	return &Local{Prepared: core.NewPrepared(parent.Slice(lo, hi), bins)}
 }
 
 // Rows implements Backend.

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -23,7 +24,7 @@ func testDataset(n int) *data.Dataset {
 func localBackends(ds *data.Dataset, n int) []Backend {
 	out := make([]Backend, n)
 	for i := 0; i < n; i++ {
-		out[i] = NewLocal(ds.Slice(i*ds.Len()/n, (i+1)*ds.Len()/n))
+		out[i] = NewLocal(ds, i*ds.Len()/n, (i+1)*ds.Len()/n)
 	}
 	return out
 }
@@ -60,6 +61,17 @@ func TestCoordinatorMatchesSerial(t *testing.T) {
 	}
 }
 
+// coarseBackends is localBackends under xi bins per dimension — a layout
+// coarser than NewLocal's, the way to candidates that tie inexact buckets: an
+// exact phase with rows to walk and budgets to stop on.
+func coarseBackends(ds *data.Dataset, n, xi int) []Backend {
+	out := make([]Backend, n)
+	for i := 0; i < n; i++ {
+		out[i] = &Local{Prepared: core.NewPrepared(ds.Slice(i*ds.Len()/n, (i+1)*ds.Len()/n), []int{xi})}
+	}
+	return out
+}
+
 // batchRecorder notes how many candidates each scatter call carried. One
 // query's calls on one backend are sequential, so no lock is needed.
 type batchRecorder struct {
@@ -80,46 +92,52 @@ func (b *batchRecorder) Partial(ctx context.Context, req *Request) ([]int32, err
 // and the sharded plan exact-scores at most 3× what the serial loop scores at
 // any one k and at most 2× over the k cycle — the slack being the window-start
 // τ and a budget each shard must exceed on its own. (At the parent commit the
-// same fixture reads 1.98–28× per k and 3.5–5.8× per cycle.) IBIG prunes on
-// the budget at every k (a 20 k-row slice's layout leaves rows to walk); over
-// BIG's value-granular index nothing is walked, so its budget never stops a
-// shard and is not pinned.
+// same fixture reads 1.98–28× per k and 3.5–5.8× per cycle.) Under the
+// dataset's layout the candidates of this shape sit in exact buckets, as over
+// BIG's value-granular index, so nothing is walked and no budget stops a
+// shard; under 24 bins — what a slice used to take for itself — IBIG has rows
+// to walk and must prune on the budget at every k.
 func TestShardedWorkBounded(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 20000, Dim: 5, Cardinality: 100, MissingRate: 0.2, Dist: gen.IND, Seed: 1})
 	pre := core.Preprocess(ds, nil)
+	c := NewCoordinator(core.NewPrepared(ds, nil), nil)
 	for _, n := range []int{2, 3} {
-		backends := localBackends(ds, n)
-		rec := &batchRecorder{Backend: backends[0]}
-		backends[0] = rec
-		c := NewCoordinator(core.NewPrepared(ds, nil), nil)
-		for _, alg := range []core.Algorithm{core.AlgBIG, core.AlgIBIG} {
-			cycleSerial, cycleSharded := 0, 0
-			for _, k := range []int{4, 16, 64} {
-				label := fmt.Sprintf("%v n=%d k=%d", alg, n, k)
-				want, serial := core.Run(alg, ds, k, pre)
-				rec.batches = rec.batches[:0]
-				got, st, err := c.Run(context.Background(), alg, k, backends, RunOptions{})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				assertEqual(t, label, want, got)
-				if rec.batches[0] != k {
-					t.Errorf("%s: first scatter carried %d candidates, want k", label, rec.batches[0])
-				}
-				if serial.Candidates > k && st.Windows < 2 {
-					t.Errorf("%s: %d windows for %d serial candidates", label, st.Windows, serial.Candidates)
-				}
-				if st.Scored > 3*serial.Scored {
-					t.Errorf("%s: sharded scored %d, serial %d", label, st.Scored, serial.Scored)
-				}
-				if alg == core.AlgIBIG && st.PrunedH3 == 0 {
-					t.Errorf("%s: no exact-phase budget prune (stats %+v)", label, st)
-				}
-				cycleSerial += serial.Scored
-				cycleSharded += st.Scored
+		for _, coarse := range []bool{false, true} {
+			backends := localBackends(ds, n)
+			if coarse {
+				backends = coarseBackends(ds, n, 24)
 			}
-			if cycleSharded > 2*cycleSerial {
-				t.Errorf("%v n=%d: sharded scored %d over the k cycle, serial %d", alg, n, cycleSharded, cycleSerial)
+			rec := &batchRecorder{Backend: backends[0]}
+			backends[0] = rec
+			for _, alg := range []core.Algorithm{core.AlgBIG, core.AlgIBIG} {
+				cycleSerial, cycleSharded := 0, 0
+				for _, k := range []int{4, 16, 64} {
+					label := fmt.Sprintf("%v n=%d coarse=%v k=%d", alg, n, coarse, k)
+					want, serial := core.Run(alg, ds, k, pre)
+					rec.batches = rec.batches[:0]
+					got, st, err := c.Run(context.Background(), alg, k, backends, RunOptions{})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					assertEqual(t, label, want, got)
+					if rec.batches[0] != k {
+						t.Errorf("%s: first scatter carried %d candidates, want k", label, rec.batches[0])
+					}
+					if serial.Candidates > k && st.Windows < 2 {
+						t.Errorf("%s: %d windows for %d serial candidates", label, st.Windows, serial.Candidates)
+					}
+					if st.Scored > 3*serial.Scored {
+						t.Errorf("%s: sharded scored %d, serial %d", label, st.Scored, serial.Scored)
+					}
+					if coarse && alg == core.AlgIBIG && st.PrunedH3 == 0 {
+						t.Errorf("%s: no exact-phase budget prune (stats %+v)", label, st)
+					}
+					cycleSerial += serial.Scored
+					cycleSharded += st.Scored
+				}
+				if cycleSharded > 2*cycleSerial {
+					t.Errorf("%v n=%d coarse=%v: sharded scored %d over the k cycle, serial %d", alg, n, coarse, cycleSharded, cycleSerial)
+				}
 			}
 		}
 	}
@@ -239,7 +257,7 @@ func TestRemoteFailsClosed(t *testing.T) {
 // reported cap still upper-bounds the true partial score.
 func TestLocalBoundsResidualCap(t *testing.T) {
 	ds := testDataset(300)
-	l := NewLocal(ds.Slice(0, 150))
+	l := NewLocal(ds, 0, 150)
 	cands := make([]*data.Object, 20)
 	for i := range cands {
 		cands[i] = ds.Obj(i * 7)
@@ -258,6 +276,33 @@ func TestLocalBoundsResidualCap(t *testing.T) {
 				t.Fatalf("residual %d candidate %d: bound %d outside [exact partial %d, rows %d]", residual, i, bounds[i], exact[i], l.Rows())
 			}
 		}
+	}
+}
+
+// TestPeerLocalIsNewLocal: a peer lays a row range out as a coordinator
+// serving it in-process would — under the layout of the dataset it resolved,
+// not of the range — because Peer.local builds its shard through NewLocal. The
+// fixture is one where the two layouts differ (15 values a dimension: 18 bins
+// asked for 3,000 rows take them all, 12 for 1,000 do not).
+func TestPeerLocalIsNewLocal(t *testing.T) {
+	ds := testDataset(3000)
+	p := NewPeer(func(string) (*data.Dataset, uint64, bool) { return ds, 1, true })
+	served, _ := p.local(ds, peerKey{name: "d", from: 1000, to: 2000}, 0)
+	var peers, coords, own bytes.Buffer
+	for w, l := range map[*bytes.Buffer]*Local{
+		&peers:  served,
+		&coords: NewLocal(ds, 1000, 2000),
+		&own:    {Prepared: core.NewPrepared(ds.Slice(1000, 2000), nil)},
+	} {
+		if err := l.SaveServing(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(peers.Bytes(), coords.Bytes()) {
+		t.Errorf("the peer's index of rows [1000, 2000) is %d B, NewLocal's %d B, and they differ", peers.Len(), coords.Len())
+	}
+	if bytes.Equal(peers.Bytes(), own.Bytes()) {
+		t.Error("the fixture cannot tell the dataset's layout from the slice's own")
 	}
 }
 

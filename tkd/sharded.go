@@ -226,7 +226,7 @@ func (t *topology) build(global *core.Prepared, budget int64, warm *shardSet) *s
 	for i := range ss.backends {
 		lo, hi := i*ds.Len()/t.n, (i+1)*ds.Len()/t.n
 		if len(t.peers) == 0 {
-			l := shard.NewLocal(ds.Slice(lo, hi))
+			l := shard.NewLocal(ds, lo, hi)
 			l.SetCacheBudget(budget)
 			if warm != nil {
 				if wl, ok := warm.backends[i].(*shard.Local); ok {

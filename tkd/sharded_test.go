@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bitmapidx"
 	"repro/internal/data"
 	"repro/internal/shard"
 )
@@ -444,4 +446,79 @@ func TestTopologyAccessorsTotal(t *testing.T) {
 	if _, err := Shard(GenerateIND(10, 2, 4, 0, 1), "zero", WithShards(0)); err == nil {
 		t.Fatal("a zero-shard topology must fail")
 	}
+}
+
+// binsPerDim reads an index's layout off its rows: the buckets in use.
+func binsPerDim(ix *bitmapidx.Index) []int {
+	ds := ix.Dataset()
+	bins := make([]int, ds.Dim())
+	for o := 0; o < ds.Len(); o++ {
+		for d := range bins {
+			bins[d] = max(bins[d], ix.Bucket(o, d)+1)
+		}
+	}
+	return bins
+}
+
+// TestShardSlicesTakeDatasetLayout: a shard bins like the dataset it is a
+// slice of. On the query-sharded benchmark shape every slice's serving index
+// has the unsharded index's bin count in every dimension, so the candidates
+// the coordinator scatters — the head of the global queue — sit in exact
+// buckets on every slice and scoring them walks no row (under a slice's own
+// N it walked 1,200,549); the three parts together weigh what the unsharded
+// index weighs; and the coordinator's slice of a range and a peer's are the
+// same bytes, because both are shard.NewLocal's (the peer's half of that is
+// shard.TestPeerLocalIsNewLocal).
+func TestShardSlicesTakeDatasetLayout(t *testing.T) {
+	const shards = 3
+	whole := GenerateIND(100_000, 5, 100, 0.2, 1)
+	whole.PrepareFor(IBIG)
+	wpre := whole.current().part.Built()
+	want := binsPerDim(wpre.Binned)
+	var wholeBytes bytes.Buffer
+	if err := whole.SaveIndex(&wholeBytes); err != nil {
+		t.Fatal(err)
+	}
+
+	sd, err := Shard(GenerateIND(100_000, 5, 100, 0.2, 1), "layout", WithShards(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd.PrepareFor(IBIG)
+	parent := sd.current().ds
+	walked, partBytes := 0, 0
+	for i, b := range sd.current().shardSet().backends {
+		l := b.(*shard.Local)
+		ix := l.Built().Binned
+		if got := binsPerDim(ix); !slices.Equal(got, want) {
+			t.Errorf("shard %d takes %v bins per dimension, the unsharded index %v", i, got, want)
+		}
+		c := ix.NewCursor()
+		for _, o := range wpre.Queue.Order[:410] {
+			cand := parent.Obj(int(o))
+			_, w, _ := c.ScoreForeign(cand.Values, cand.Mask, bitmapidx.NoLimit)
+			walked += w
+		}
+		var mine, peers bytes.Buffer
+		if err := l.SaveServing(&mine); err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := i*parent.Len()/shards, (i+1)*parent.Len()/shards
+		if err := shard.NewLocal(parent, lo, hi).SaveServing(&peers); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mine.Bytes(), peers.Bytes()) {
+			t.Errorf("shard %d: the topology's index of rows [%d, %d) and shard.NewLocal's differ (%d B, %d B)", i, lo, hi, mine.Len(), peers.Len())
+		}
+		partBytes += mine.Len()
+	}
+	if walked != 0 {
+		t.Errorf("scoring the first 410 queue candidates walked %d rows over the slices, want 0", walked)
+	}
+	// What a part repeats of the whole is its header and rank→bucket maps; what
+	// it rounds is each column up to a word.
+	if slack := wholeBytes.Len() / 100; partBytes < wholeBytes.Len()-slack || partBytes > wholeBytes.Len()+slack {
+		t.Errorf("the %d parts weigh %d B, the unsharded index %d B", shards, partBytes, wholeBytes.Len())
+	}
+	t.Logf("bins %v; parts %d B, unsharded %d B", want, partBytes, wholeBytes.Len())
 }

@@ -722,10 +722,11 @@ func (d *Dataset) setBins(bins []int) {
 // On a sharded dataset (see Shard) the same options give the same answers —
 // byte-identical — through the scatter-gather coordinator. WithWorkers is
 // then accepted and ignored: the fan-out across shards is the parallelism.
-// WithBins is likewise ignored (each shard bins its own slice by the default
-// rule; bin layout never changes answers), and WithBTreeRefinement maps to the
-// IBIG scatter plan — refinement strategy is a shard-local detail that
-// cannot change answers either.
+// WithBins is likewise ignored (every shard lays its slice out by the default
+// rule at the whole dataset's size and missing rate — the layout the unsharded
+// index would take; bin layout never changes answers), and WithBTreeRefinement
+// maps to the IBIG scatter plan — refinement strategy is a shard-local detail
+// that cannot change answers either.
 func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	if k <= 0 {
 		return Result{}, fmt.Errorf("tkd: k must be positive, got %d", k)
