@@ -712,6 +712,9 @@ func (ix *Index) NewCursor() *Cursor {
 	return c
 }
 
+// Index returns the index the cursor reads.
+func (c *Cursor) Index() *Index { return c.ix }
+
 // dense returns column b of dimension d as a dense vector: the stored
 // vector for dense columns, and for compressed columns the shared cache
 // entry — or, when the cache is full of hotter columns, a decompression into

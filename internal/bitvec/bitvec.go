@@ -430,7 +430,7 @@ func IntersectCountAbove(tau int, vs ...*Vector) (count int, above bool) {
 // bit index of each word's first bit — set-difference iteration without a
 // per-bit callback, for callers that only need the difference. (The BIG/IBIG
 // scoring loop needs both a∧b and a∧¬b per word, so it streams the raw words
-// itself; see bigScore.) fn returning false stops the iteration.
+// itself; see bitmapidx.Cursor.Score.) fn returning false stops the iteration.
 func AndNotForEachWord(a, b *Vector, fn func(base int, w uint64) bool) {
 	a.mustMatch(b)
 	for i := range a.words {

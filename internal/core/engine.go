@@ -5,21 +5,24 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bitmapidx"
-	"repro/internal/btree"
 	"repro/internal/data"
 	"repro/internal/obs"
 )
 
-// The parallel query engine. The UBB/BIG/IBIG main loop walks the MaxScore
-// queue in descending bound order, scoring candidates against a monotone
-// threshold τ; candidate scoring is read-only and independent, so the engine
-// pulls candidates off the queue in batch windows and fans each window
-// across a worker pool:
+// The candidate loop. UBB, BIG and IBIG are one framework (Algorithms 2 and
+// 4, §4.4): walk the MaxScore queue in descending bound order, stop on
+// Heuristic 1, score each candidate against a monotone threshold τ. Only the
+// scoring step differs, so each algorithm is a scorer and the walk exists
+// twice — serialRun, the paper's loop and the reference, and engineRun, its
+// parallel form — with runQueue choosing between them by worker count.
 //
-//   - every worker owns its scoring state (bitmap cursor, epoch tags) — only
-//     the dataset, the index (including its shared decompressed-column
-//     cache) and the B+-trees are shared, all read-only;
+// Candidate scoring is read-only and independent, so the engine pulls
+// candidates off the queue in batch windows and fans each window across a
+// worker pool:
+//
+//   - every worker owns its scorer (a bitmap cursor and its scratch) — only
+//     the dataset and the index (including its shared decompressed-column
+//     cache) are shared, both read-only;
 //   - finished candidates are committed to the candidate heap in queue
 //     order as workers complete them (a commit frontier under a light
 //     mutex), replaying exactly the offer sequence the serial loop would
@@ -36,7 +39,7 @@ import (
 //     never does. For BIG/IBIG, Comparisons counts the walked members of W
 //     — rows tying an inexact bucket of a candidate — Heuristic 3 can only
 //     fire on a candidate that has some, and a candidate whose buckets are
-//     all exact is Scored by two popcounts whatever τ is: see bigScore.)
+//     all exact is Scored by two popcounts whatever τ is: see bigState.score.)
 //   - Heuristic 1's early stop is preserved twice over: workers skip
 //     candidates whose bound cannot beat the τ they observe, and a window
 //     whose first (highest-bound) candidate cannot beat τ ends the query.
@@ -49,35 +52,92 @@ import (
 // window covers.
 const WindowSize = 256
 
-// scorer computes one candidate's exact score, or prunes it against tau
-// (full reports whether the candidate heap is full, i.e. tau is live).
-// Implementations are confined to a single worker; st accumulates that
-// worker's counters.
+// scorer computes one candidate's exact score, or prunes it against tau (-1
+// while the candidate heap is not full: nothing prunes yet), and reports the
+// comparisons it made (Stats.Comparisons). Implementations are pointer-shaped,
+// so holding one in the interface allocates nothing, and are confined to a
+// single worker.
 type scorer interface {
-	score(o int, tau int, full bool, st *Stats) (int, scoreResult)
-}
-
-// bigScorer adapts bigState to the scorer interface, dispatching on the
-// refinement strategy.
-type bigScorer struct {
-	state  *bigState
-	refine Refinement
-}
-
-func (b bigScorer) score(o, tau int, full bool, st *Stats) (int, scoreResult) {
-	if b.refine == RefineBTree {
-		return b.state.bigScoreBTree(o, tau, full, st)
-	}
-	return b.state.bigScore(o, tau, full, st)
+	score(o int, tau int) (score int, how scoreResult, comparisons int64)
 }
 
 // ubbScorer scores candidates exhaustively (Algorithm 2 has no per-object
-// pruning beyond Heuristic 1, which the engine applies at the queue level).
+// pruning beyond Heuristic 1, which the loop applies at the queue level).
 type ubbScorer struct{ ds *data.Dataset }
 
-func (u ubbScorer) score(o, tau int, full bool, st *Stats) (int, scoreResult) {
-	st.Comparisons += int64(u.ds.Len() - 1)
-	return Score(u.ds, o), scored
+func (u ubbScorer) score(o, tau int) (int, scoreResult, int64) {
+	return Score(u.ds, o), scored, int64(u.ds.Len() - 1)
+}
+
+// runQueue is the one fork: it walks queue (nil builds one) with one scorer
+// per worker from newScorer — at most one worker is the serial loop, more the
+// batch-windowed engine; workers follows clampWorkers. The answer is the
+// serial loop's either way.
+func runQueue(ds *data.Dataset, k int, queue *MaxScoreQueue, workers int, newScorer func() scorer, sp *obs.Span) (Result, Stats) {
+	if queue == nil {
+		queue = BuildMaxScoreQueue(ds)
+	}
+	workers = clampWorkers(workers, len(queue.Order))
+	if workers <= 1 {
+		return serialRun(ds, k, queue, newScorer(), sp)
+	}
+	scorers := make([]scorer, workers)
+	for w := range scorers {
+		scorers[w] = newScorer()
+	}
+	return engineRun(ds, k, queue, scorers, sp)
+}
+
+// serialRun is the main loop of Algorithms 2 and 4: candidates in queue
+// order, Heuristic 1's early stop, s's score offered to the candidate heap.
+// It is the paper's algorithm and the reference engineRun replays. sp, when
+// non-nil, receives τ trajectory samples at WindowSize granularity — the
+// engine's sampling points, so explain output reads the same whichever path
+// served the query; a nil sp costs one branch per candidate.
+func serialRun(ds *data.Dataset, k int, queue *MaxScoreQueue, s scorer, sp *obs.Span) (Result, Stats) {
+	var st Stats
+	sc := newCandidateHeap(k)
+	pos := 0
+	for p, idx := range queue.Order {
+		pos = p
+		tau := sc.tau()
+		if sp != nil && pos%WindowSize == 0 {
+			sp.SampleTau(pos, tau)
+		}
+		if tau >= 0 && queue.MaxScore[idx] <= tau {
+			st.PrunedH1 += len(queue.Order) - pos // Heuristic 1: early stop
+			break
+		}
+		st.Candidates++
+		score, how, cmp := s.score(int(idx), tau)
+		st.Comparisons += cmp
+		switch how {
+		case prunedH2:
+			st.PrunedH2++
+			continue
+		case prunedH3:
+			st.PrunedH3++
+			continue
+		}
+		st.Scored++
+		sc.offer(Item{Index: int(idx), ID: ds.Obj(int(idx)).ID, Score: score})
+	}
+	if sp != nil {
+		sp.SampleTau(pos, sc.tau())
+	}
+	return sc.result(), st
+}
+
+// fullScan is a queue over order whose bounds no score reaches (a score is at
+// most N − 1), so Heuristic 1 never trips and every candidate is scored, in
+// order — how Naive's rows and ESB's survivors ride the engine.
+func fullScan(ds *data.Dataset, order []int32) *MaxScoreQueue {
+	n := ds.Len()
+	queue := &MaxScoreQueue{Order: order, MaxScore: make([]int, n)}
+	for i := range queue.MaxScore {
+		queue.MaxScore[i] = n
+	}
+	return queue
 }
 
 // clampWorkers resolves the public workers knob: <=0 selects GOMAXPROCS,
@@ -120,7 +180,7 @@ func engineRun(ds *data.Dataset, k int, queue *MaxScoreQueue, scorers []scorer, 
 	workers := len(scorers)
 	var st Stats
 	st.Workers = workers
-	wstats := make([]Stats, workers)
+	comparisons := make([]int64, workers) // one per worker, summed at the end
 	sc := newCandidateHeap(k)
 	fr := NewFrontier(queue)
 	var next atomic.Int64
@@ -191,10 +251,11 @@ func engineRun(ds *data.Dataset, k int, queue *MaxScoreQueue, scorers []scorer, 
 			go func(w int) {
 				defer wg.Done()
 				s := scorers[w]
-				ws := &wstats[w]
+				var walked int64
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= end {
+						comparisons[w] += walked
 						return
 					}
 					t := fr.Tau()
@@ -204,7 +265,8 @@ func engineRun(ds *data.Dataset, k int, queue *MaxScoreQueue, scorers []scorer, 
 						commit(start, end, i, slot{how: skippedH1, done: true})
 						continue
 					}
-					got, how := s.score(int(order[i]), t, t >= 0, ws)
+					got, how, cmp := s.score(int(order[i]), t)
+					walked += cmp
 					commit(start, end, i, slot{score: got, how: how, done: true})
 				}
 			}(w)
@@ -214,44 +276,10 @@ func engineRun(ds *data.Dataset, k int, queue *MaxScoreQueue, scorers []scorer, 
 	if sp != nil {
 		sp.SampleTau(fr.Pos(), sc.tau())
 	}
-	for w := range wstats {
-		st.Comparisons += wstats[w].Comparisons
+	for _, c := range comparisons {
+		st.Comparisons += c
 	}
 	return sc.result(), st
-}
-
-// bitmapRunParallel runs BIG/IBIG across workers goroutines (<=0 selects
-// GOMAXPROCS; 1 falls back to the serial loop). The answer set is
-// byte-identical to the serial path's.
-func bitmapRunParallel(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue, refine Refinement, trees []*btree.Tree, workers int, sp *obs.Span) (Result, Stats) {
-	if queue == nil {
-		queue = BuildMaxScoreQueue(ds)
-	}
-	workers = clampWorkers(workers, len(queue.Order))
-	if workers <= 1 {
-		return bitmapRunRefine(ds, k, ix, queue, refine, trees, sp)
-	}
-	if refine == RefineBTree && trees == nil {
-		trees = BuildDimTrees(ds)
-	}
-	scorers := make([]scorer, workers)
-	for w := range scorers {
-		scorers[w] = bigScorer{state: newBigState(ds, ix, refine, trees), refine: refine}
-	}
-	return engineRun(ds, k, queue, scorers, sp)
-}
-
-// IBIGBTreeWorkers is IBIG with the B+-tree Q−P refinement across a worker
-// pool. trees may be nil (built on the fly); the trees are shared read-only
-// by every worker.
-func IBIGBTreeWorkers(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue, trees []*btree.Tree, workers int) (Result, Stats) {
-	return bitmapRunParallel(ds, k, ix, queue, RefineBTree, trees, workers, nil)
-}
-
-// IBIGBTreeWorkersTraced is IBIGBTreeWorkers with τ trajectory sampling into
-// sp (nil behaves exactly like IBIGBTreeWorkers).
-func IBIGBTreeWorkersTraced(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue, trees []*btree.Tree, workers int, sp *obs.Span) (Result, Stats) {
-	return bitmapRunParallel(ds, k, ix, queue, RefineBTree, trees, workers, sp)
 }
 
 // NaiveWorkers is the exhaustive baseline across a worker pool, built on the
@@ -259,21 +287,12 @@ func IBIGBTreeWorkersTraced(ds *data.Dataset, k int, ix *bitmapidx.Index, queue 
 // index order, and the in-order merge makes the answer byte-identical to
 // Naive's, rank-k tie-breaks included.
 func NaiveWorkers(ds *data.Dataset, k int, workers int) (Result, Stats) {
-	workers = clampWorkers(workers, ds.Len())
-	if workers <= 1 {
+	if clampWorkers(workers, ds.Len()) <= 1 {
 		return Naive(ds, k)
 	}
-	n := ds.Len()
-	// A trivial full-scan queue: dataset order, bounds that never trip the
-	// Heuristic 1 cut (no score reaches n).
-	queue := &MaxScoreQueue{Order: make([]int32, n), MaxScore: make([]int, n)}
-	for i := 0; i < n; i++ {
-		queue.Order[i] = int32(i)
-		queue.MaxScore[i] = n
+	order := make([]int32, ds.Len())
+	for i := range order {
+		order[i] = int32(i)
 	}
-	scorers := make([]scorer, workers)
-	for w := range scorers {
-		scorers[w] = ubbScorer{ds: ds}
-	}
-	return engineRun(ds, k, queue, scorers, nil)
+	return runQueue(ds, k, fullScan(ds, order), workers, func() scorer { return ubbScorer{ds: ds} }, nil)
 }

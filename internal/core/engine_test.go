@@ -40,18 +40,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 					}
 				}
 			}
-			// The B+-tree refinement goes through the same engine.
-			trees := BuildDimTrees(ds)
-			want, _ := IBIGBTree(ds, 16, pre.Binned, pre.Queue, trees)
-			got, _ := IBIGBTreeWorkers(ds, 16, pre.Binned, pre.Queue, trees, 4)
-			if len(got.Items) != len(want.Items) {
-				t.Fatalf("btree/%v seed=%d: %d items, want %d", dist, seed, len(got.Items), len(want.Items))
-			}
-			for i := range got.Items {
-				if got.Items[i] != want.Items[i] {
-					t.Fatalf("btree/%v seed=%d: item %d = %+v, want %+v", dist, seed, i, got.Items[i], want.Items[i])
-				}
-			}
 		}
 	}
 }

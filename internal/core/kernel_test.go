@@ -79,7 +79,7 @@ func servedIndex(ds *data.Dataset, opts bitmapidx.Options, tail int) *bitmapidx.
 
 // checkScoreKernel holds the bitwise scorers to the definition over one
 // dataset and index flavour (built, or patched by its last tail rows):
-// bigScore without a threshold equals Score for every object, whose
+// bigState.score without a threshold equals Score for every object, whose
 // Heuristic 2 bound net of the rows sharing no dimension with it is no lower;
 // with a live τ it returns that exact score or prunes an object whose score
 // cannot beat τ;
@@ -93,13 +93,13 @@ func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options, ta
 	t.Helper()
 	n := ds.Len()
 	ix := servedIndex(ds, opts, tail)
-	state := newBigState(ds, ix, RefineDirect, nil)
-	var st, live Stats
+	state := newBigState(ix)
 	for o := 0; o < n; o++ {
 		want := Score(ds, o)
-		got, how := state.bigScore(o, -1, false, &st)
+		got, how, w := state.score(o, -1)
+		walked += w
 		if how != scored || got != want {
-			t.Fatalf("object %d: bigScore(τ=-1) = (%d, %v), Score = %d", o, got, how, want)
+			t.Fatalf("object %d: score(τ=-1) = (%d, %v), Score = %d", o, got, how, want)
 		}
 		f := 0
 		for p := 0; p < n; p++ {
@@ -117,9 +117,9 @@ func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options, ta
 			if tau < 0 {
 				continue
 			}
-			got, how := state.bigScore(o, tau, true, &live)
+			got, how, _ := state.score(o, tau)
 			if how == scored && got != want {
-				t.Fatalf("object %d τ=%d: bigScore = %d, Score = %d", o, tau, got, want)
+				t.Fatalf("object %d τ=%d: score = %d, Score = %d", o, tau, got, want)
 			}
 			if how != scored && want > tau {
 				t.Fatalf("object %d τ=%d: pruned (%v) with score %d > τ", o, tau, how, want)
@@ -172,7 +172,7 @@ func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options, ta
 			t.Fatalf("object %d: foreign partials sum to %d, Score = %d", o, sum, want)
 		}
 	}
-	return st.Comparisons
+	return walked
 }
 
 // TestScoreKernelMatchesDefinition runs checkScoreKernel over low-cardinality
@@ -319,17 +319,16 @@ func TestScoreKernelAllocs(t *testing.T) {
 		{"walked", 6, true},
 	} {
 		ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{tc.bins}, Adaptive: true})
-		state := newBigState(ds, ix, RefineDirect, nil)
+		state := newBigState(ix)
 		fs := NewForeignScorer(ds, ix)
 		cand := ds.Obj(top)
-		var st Stats
-		score, _ := state.bigScore(top, -1, false, &st)
-		if (st.Comparisons > 0) != tc.walks {
-			t.Fatalf("%s: walked %d rows, want walks = %v", tc.name, st.Comparisons, tc.walks)
+		score, _, walked := state.score(top, -1)
+		if (walked > 0) != tc.walks {
+			t.Fatalf("%s: walked %d rows, want walks = %v", tc.name, walked, tc.walks)
 		}
 		runs := map[string]func(){
-			"in-set":         func() { state.bigScore(top, -1, false, &st) },
-			"in-set, live τ": func() { state.bigScore(top, score/2, true, &st) },
+			"in-set":         func() { state.score(top, -1) },
+			"in-set, live τ": func() { state.score(top, score/2) },
 			"foreign":        func() { fs.Score(cand, NoBudget) },
 		}
 		for what, run := range runs {
@@ -355,11 +354,10 @@ func BenchmarkScoreKernel(b *testing.B) {
 	build := func(ds *data.Dataset) *bitmapidx.Index { return BuildServingIndex(ds.SortDims(), nil) }
 	top := int(BuildMaxScoreQueue(ds).Order[0])
 	b.Run("inset", func(b *testing.B) {
-		state := newBigState(ds, build(ds), RefineDirect, nil)
-		var st Stats
+		state := newBigState(build(ds))
 		b.ReportAllocs()
 		for b.Loop() {
-			state.bigScore(top, -1, false, &st)
+			state.score(top, -1)
 		}
 	})
 	b.Run("foreign", func(b *testing.B) {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/data"
-	"repro/internal/obs"
 	"repro/internal/skyband"
 )
 
@@ -107,18 +106,10 @@ func ESBWorkers(ds *data.Dataset, k int, workers int) (Result, Stats) {
 		candidates = append(candidates, skybands[i]...)
 	}
 
-	// Phase 2: exact scoring through the engine. A full-scan queue in
-	// candidate order with bounds no score can reach keeps Heuristic 1 out of
-	// the way, so every candidate is scored just as topKOf would.
-	queue := &MaxScoreQueue{Order: candidates, MaxScore: make([]int, ds.Len())}
-	for i := range queue.MaxScore {
-		queue.MaxScore[i] = ds.Len()
-	}
-	scorers := make([]scorer, clampWorkers(workers, len(candidates)))
-	for w := range scorers {
-		scorers[w] = ubbScorer{ds: ds}
-	}
-	res, est := engineRun(ds, k, queue, scorers, nil)
+	// Phase 2: exact scoring through the candidate loop, over a full-scan
+	// queue in candidate order, so every candidate is scored just as topKOf
+	// would.
+	res, est := runQueue(ds, k, fullScan(ds, candidates), workers, func() scorer { return ubbScorer{ds: ds} }, nil)
 	est.Comparisons += st.Comparisons
 	est.PrunedSkyband = st.PrunedSkyband
 	return res, est
@@ -130,35 +121,5 @@ func ESBWorkers(ds *data.Dataset, k int, workers int) (Result, Stats) {
 // best score found so far (Heuristic 1). Everything after the cut-off is
 // pruned without being scored.
 func UBB(ds *data.Dataset, k int, queue *MaxScoreQueue) (Result, Stats) {
-	return ubbRun(ds, k, queue, nil)
-}
-
-// ubbRun is the serial UBB loop with optional τ trajectory sampling at
-// WindowSize granularity (sp may be nil).
-func ubbRun(ds *data.Dataset, k int, queue *MaxScoreQueue, sp *obs.Span) (Result, Stats) {
-	if queue == nil {
-		queue = BuildMaxScoreQueue(ds)
-	}
-	var st Stats
-	sc := newCandidateHeap(k)
-	pos := 0
-	for p, idx := range queue.Order {
-		pos = p
-		tau := sc.tau()
-		if sp != nil && pos%WindowSize == 0 {
-			sp.SampleTau(pos, tau)
-		}
-		if tau >= 0 && queue.MaxScore[idx] <= tau {
-			st.PrunedH1 += len(queue.Order) - pos // Heuristic 1: early stop
-			break
-		}
-		st.Candidates++
-		st.Scored++
-		st.Comparisons += int64(ds.Len() - 1)
-		sc.offer(Item{Index: int(idx), ID: ds.Obj(int(idx)).ID, Score: Score(ds, int(idx))})
-	}
-	if sp != nil {
-		sp.SampleTau(pos, sc.tau())
-	}
-	return sc.result(), st
+	return runQueue(ds, k, queue, 1, func() scorer { return ubbScorer{ds: ds} }, nil)
 }

@@ -19,21 +19,17 @@ const (
 	NeedQueue  Need = 1 << iota // the MaxScore queue of §4.2
 	NeedBitmap                  // the value-granular bitmap index of §4.3 (BIG)
 	NeedBinned                  // the binned serving index of §4.4 (IBIG)
-	NeedTrees                   // one B+-tree per dimension (the §4.5 refinement)
 )
 
-// NeedFor maps an algorithm to the artifacts it consumes; btreeRefine is
-// IBIG's B+-tree refinement. Naive and ESB work straight off the data.
-func NeedFor(alg Algorithm, btreeRefine bool) Need {
+// NeedFor maps an algorithm to the artifacts it consumes. Naive and ESB work
+// straight off the data.
+func NeedFor(alg Algorithm) Need {
 	switch alg {
 	case AlgUBB:
 		return NeedQueue
 	case AlgBIG:
 		return NeedQueue | NeedBitmap
 	case AlgIBIG:
-		if btreeRefine {
-			return NeedQueue | NeedBinned | NeedTrees
-		}
 		return NeedQueue | NeedBinned
 	}
 	return 0
@@ -49,9 +45,6 @@ func (pre *Pre) have() Need {
 	}
 	if pre.Binned != nil {
 		n |= NeedBinned
-	}
-	if pre.Trees != nil {
-		n |= NeedTrees
 	}
 	return n
 }
@@ -83,11 +76,7 @@ func (pre *Pre) fill(ds *data.Dataset, bins []int, n Need) (index, queue time.Du
 			pre.Queue = BuildMaxScoreQueue(ds)
 		}
 	}
-	t2 := time.Now()
-	if n&NeedTrees != 0 {
-		pre.Trees = BuildDimTrees(ds)
-	}
-	return t1.Sub(t0), t2.Sub(t1)
+	return t1.Sub(t0), time.Since(t1)
 }
 
 // Prepared holds the preprocessing artifacts of one frozen dataset — an
@@ -181,9 +170,6 @@ func (p *Prepared) Install(pre Pre) {
 	}
 	if pre.Binned != nil {
 		np.Binned = pre.Binned
-	}
-	if pre.Trees != nil {
-		np.Trees = pre.Trees
 	}
 	p.storeLocked(&np)
 }

@@ -29,8 +29,11 @@ func TestPreparedSharing(t *testing.T) {
 	installed := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Raw})
 
 	p := NewPrepared(ds, nil)
-	needs := []Need{NeedFor(AlgUBB, false), NeedFor(AlgBIG, false), NeedFor(AlgIBIG, false), NeedFor(AlgIBIG, true)}
-	algs := []Algorithm{AlgUBB, AlgBIG, AlgIBIG, AlgIBIG}
+	algs := []Algorithm{AlgUBB, AlgBIG, AlgIBIG}
+	needs := make([]Need, len(algs))
+	for i, alg := range algs {
+		needs[i] = NeedFor(alg)
+	}
 	const readers = 12
 	got := make([]*Pre, readers)
 	var wg sync.WaitGroup
@@ -66,7 +69,7 @@ func TestPreparedSharing(t *testing.T) {
 	}()
 	wg.Wait()
 
-	final := p.Ensure(NeedQueue | NeedBitmap | NeedBinned | NeedTrees)
+	final := p.Ensure(NeedQueue | NeedBitmap | NeedBinned)
 	if final.Bitmap != installed {
 		t.Error("an installed artifact was rebuilt")
 	}
@@ -77,9 +80,6 @@ func TestPreparedSharing(t *testing.T) {
 		}
 		if n&NeedBinned != 0 && pre.Binned != final.Binned {
 			t.Errorf("reader %d: a second serving index was built", g)
-		}
-		if n&NeedTrees != 0 && &pre.Trees[0] != &final.Trees[0] {
-			t.Errorf("reader %d: a second tree set was built", g)
 		}
 	}
 	if n := p.Builds(); n != 1 {

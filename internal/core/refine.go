@@ -8,33 +8,17 @@ import (
 	"repro/internal/data"
 )
 
-// Refinement selects how IBIG resolves the Q−P rim of Algorithm 5.
-type Refinement int
-
-const (
-	// RefineDirect compares each Q−P candidate's values against o on the
-	// common observed dimensions — the default.
-	RefineDirect Refinement = iota
-	// RefineBTree follows §4.5's implementation note: one B+-tree per
-	// dimension locates o's bin boundary and sequentially scans only the
-	// in-bin keys below o[i] (the nonD members) and equal to o[i] (the tagT
-	// increments), avoiding value checks against candidates outside the bin.
-	RefineBTree
-)
-
-// String implements fmt.Stringer.
-func (r Refinement) String() string {
-	if r == RefineBTree {
-		return "btree"
-	}
-	return "direct"
-}
+// §4.5's implementation note, kept as a paper reference: IBIG's Q−P
+// refinement through one B+-tree per dimension, which locates o's bin
+// boundary and scans only the in-bin keys below o[i] (the nonD members) and
+// equal to o[i] (the tagT increments). It is one more scorer of the serial
+// candidate loop, reached only through IBIGBTree — by the refinement
+// ablation, BenchmarkAblationRefinement and the identity tests. No served
+// query builds a tree.
 
 // BuildDimTrees constructs one B+-tree per dimension over the observed
-// values (value → object ids), the preprocessing artifact RefineBTree
-// consumes. The same trees back the MaxScore computation conceptually; they
-// are built separately here so each preprocessing cost is measurable on its
-// own.
+// values (value → object ids), the preprocessing artifact IBIGBTree
+// consumes; pass them in to time the query alone.
 func BuildDimTrees(ds *data.Dataset) []*btree.Tree {
 	trees := make([]*btree.Tree, ds.Dim())
 	for d := range trees {
@@ -61,8 +45,8 @@ type epochTags struct {
 	touched []int32
 }
 
-func newEpochTags(n int) *epochTags {
-	return &epochTags{tag: make([]int32, n), tagE: make([]int32, n), mark: make([]int32, n)}
+func newEpochTags(n int) epochTags {
+	return epochTags{tag: make([]int32, n), tagE: make([]int32, n), mark: make([]int32, n)}
 }
 
 func (e *epochTags) reset() {
@@ -96,22 +80,34 @@ func (e *epochTags) setMark(id int32) bool {
 
 func (e *epochTags) marked(id int32) bool { return e.mark[id] == e.epoch }
 
-// bigScoreBTree is the RefineBTree flavour of IBIG-Score. It classifies the
-// Q−P rim without touching per-candidate values: for every observed
-// dimension of o it scans the B+-tree over [bin start, o[i]] — keys strictly
-// below o[i] identify nonD members directly (possible only for same-bin
-// smaller values), keys equal to o[i] feed the tagT counters — and then the
-// all-common-dims-equal candidates are read off the counters. Because
-// F(o) ⊆ P and every comparable member of P is dominated,
-// |G(o)| = |P| − |F(o)| needs no iteration at all.
-func (s *bigState) bigScoreBTree(o int, tau int, full bool, st *Stats) (int, scoreResult) {
+// btreeScorer is IBIG-Score with the B+-tree refinement; it owns its cursor,
+// the trees it scans and its tagT counters.
+type btreeScorer struct {
+	ds     *data.Dataset
+	ix     *bitmapidx.Index
+	cursor *bitmapidx.Cursor
+	trees  []*btree.Tree
+	tags   epochTags
+}
+
+// score classifies the Q−P rim without touching per-candidate values: for
+// every observed dimension of o it scans the B+-tree over [bin start, o[i]] —
+// keys strictly below o[i] identify nonD members directly (possible only for
+// same-bin smaller values), keys equal to o[i] feed the tagT counters — and
+// then the all-common-dims-equal candidates are read off the counters.
+// Because F(o) ⊆ P and every comparable member of P is dominated,
+// |G(o)| = |P| − |F(o)| needs no iteration at all. Heuristic 2 runs first,
+// exactly as in bigState.score; the comparisons reported are the in-bin tree
+// entries visited.
+func (s *btreeScorer) score(o int, tau int) (int, scoreResult, int64) {
 	obj := s.ds.Obj(o)
 	f := s.cursor.IncomparableRows(obj.Mask)
+	full := tau >= 0
 	var maxBit int
 	if full {
 		mb, above := s.cursor.MaxBitScoreAbove(o, tau+f)
 		if !above {
-			return 0, prunedH2 // Heuristic 2, threshold-aware cascade
+			return 0, prunedH2, 0 // Heuristic 2, threshold-aware cascade
 		}
 		maxBit = mb
 	} else {
@@ -123,6 +119,7 @@ func (s *bigState) bigScoreBTree(o int, tau int, full bool, st *Stats) (int, sco
 	useH3 := full && s.ix.Binned()
 	nonDBudget := maxBit - f - tau
 	nonD := 0
+	var visited int64
 
 	s.tags.reset()
 	for d := 0; d < s.ds.Dim(); d++ {
@@ -136,7 +133,7 @@ func (s *bigState) bigScoreBTree(o int, tau int, full bool, st *Stats) (int, sco
 		s.trees[d].AscendRange(lo, ov, func(key float64, ids []int32) bool {
 			if key < ov {
 				for _, id := range ids {
-					st.Comparisons++
+					visited++
 					if q.Get(int(id)) && !p.Get(int(id)) && s.tags.setMark(id) {
 						nonD++
 						if useH3 && nonD > nonDBudget {
@@ -150,14 +147,14 @@ func (s *bigState) bigScoreBTree(o int, tau int, full bool, st *Stats) (int, sco
 			// key == ov: tagT increments for Q−P members.
 			for _, id := range ids {
 				if int(id) != o && q.Get(int(id)) && !p.Get(int(id)) {
-					st.Comparisons++
+					visited++
 					s.tags.bump(id)
 				}
 			}
 			return true
 		})
 		if pruned {
-			return 0, prunedH3
+			return 0, prunedH3, visited
 		}
 	}
 	// All-equal candidates: tagT == |bp & bo|.
@@ -169,19 +166,21 @@ func (s *bigState) bigScoreBTree(o int, tau int, full bool, st *Stats) (int, sco
 		if s.tags.count(id) == int32(bits.OnesCount64(po.Mask&obj.Mask)) {
 			nonD++
 			if useH3 && nonD > nonDBudget {
-				return 0, prunedH3
+				return 0, prunedH3, visited
 			}
 		}
 	}
-	return g + rim - nonD, scored
+	return g + rim - nonD, scored, visited
 }
 
-// IBIGBTree is IBIG with the B+-tree-backed Q−P refinement of §4.5. trees
-// may be nil, in which case they are built on the fly (pass pre-built trees
-// to measure pure query time, as the experiments do).
+// IBIGBTree is serial IBIG with the B+-tree-backed Q−P refinement of §4.5.
+// queue and trees may be nil, in which case they are built on the fly (pass
+// pre-built ones to measure pure query time, as the experiments do).
 func IBIGBTree(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue, trees []*btree.Tree) (Result, Stats) {
 	if trees == nil {
 		trees = BuildDimTrees(ds)
 	}
-	return bitmapRunRefine(ds, k, ix, queue, RefineBTree, trees, nil)
+	return runQueue(ds, k, queue, 1, func() scorer {
+		return &btreeScorer{ds: ds, ix: ix, cursor: ix.NewCursor(), trees: trees, tags: newEpochTags(ds.Len())}
+	}, nil)
 }

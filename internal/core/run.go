@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitmapidx"
-	"repro/internal/btree"
 	"repro/internal/data"
 	"repro/internal/obs"
 )
@@ -65,8 +64,6 @@ type Pre struct {
 	Bitmap *bitmapidx.Index
 	// Binned is the binned, compressed bitmap index (IBIG).
 	Binned *bitmapidx.Index
-	// Trees holds one B+-tree per dimension (IBIG's §4.5 refinement only).
-	Trees []*btree.Tree
 }
 
 // BuildServingIndex builds the binned bitmap index IBIG serves from — the
@@ -121,7 +118,7 @@ func RunWorkersTraced(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers in
 	if pre == nil {
 		pre = &Pre{}
 	}
-	pre.fill(ds, nil, NeedFor(a, false))
+	pre.fill(ds, nil, NeedFor(a))
 	serial := workers == 1
 	switch a {
 	case AlgNaive:
@@ -135,22 +132,11 @@ func RunWorkersTraced(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers in
 		}
 		return ESBWorkers(ds, k, workers)
 	case AlgUBB:
-		workers = clampWorkers(workers, len(pre.Queue.Order))
-		if workers <= 1 {
-			return ubbRun(ds, k, pre.Queue, sp)
-		}
-		scorers := make([]scorer, workers)
-		for w := range scorers {
-			scorers[w] = ubbScorer{ds: ds}
-		}
-		return engineRun(ds, k, pre.Queue, scorers, sp)
+		return runQueue(ds, k, pre.Queue, workers, func() scorer { return ubbScorer{ds: ds} }, sp)
 	case AlgBIG:
-		if pre.Bitmap.Binned() {
-			panic("core: BIG requires an unbinned index; use IBIG")
-		}
-		return bitmapRunParallel(ds, k, pre.Bitmap, pre.Queue, RefineDirect, nil, workers, sp)
+		return bitmapRun(a, ds, k, pre.Bitmap, pre.Queue, workers, sp)
 	case AlgIBIG:
-		return bitmapRunParallel(ds, k, pre.Binned, pre.Queue, RefineDirect, nil, workers, sp)
+		return bitmapRun(a, ds, k, pre.Binned, pre.Queue, workers, sp)
 	default:
 		panic(fmt.Sprintf("core: unknown algorithm %d", int(a)))
 	}

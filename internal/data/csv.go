@@ -13,6 +13,18 @@ import (
 // values are written as "-" (the paper's notation) and read back as either
 // "-" or the empty string.
 
+// CheckID rejects an object ID the CSV layout cannot carry. encoding/csv
+// reads a quoted "\r\n" back as "\n", so such an ID would leave in an epoch
+// stream (full or delta, both WriteCSV text) as one ID and arrive as another,
+// and the rows would hash to a different fingerprint on the other side. Every
+// other byte — a lone "\r", "\n", commas, quotes — round-trips.
+func CheckID(id string) error {
+	if strings.Contains(id, "\r\n") {
+		return fmt.Errorf("data: object id %q contains \\r\\n, which CSV does not carry", id)
+	}
+	return nil
+}
+
 // WriteCSV serializes the dataset.
 func (ds *Dataset) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

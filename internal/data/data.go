@@ -133,8 +133,12 @@ func (ds *Dataset) Obj(i int) *Object { return &ds.objs[i] }
 // Append adds an object built from values, where NaN marks a missing entry.
 // It returns the object's index. Objects with no observed dimension are
 // rejected, per the paper's standing assumption ("we only consider the
-// objects with at least one observed dimensional value").
+// objects with at least one observed dimensional value"), and so is an ID
+// that CheckID refuses.
 func (ds *Dataset) Append(id string, values []float64) (int, error) {
+	if err := CheckID(id); err != nil {
+		return 0, err
+	}
 	if len(values) != ds.dim {
 		return 0, fmt.Errorf("data: object %q has %d values, want %d", id, len(values), ds.dim)
 	}

@@ -31,8 +31,8 @@ func Ablation(s Scale) []Table {
 		})
 		_, stTree := core.IBIGBTree(nd.ds, defaultK, binned, queue, trees)
 		refineTab.Rows = append(refineTab.Rows,
-			[]string{core.RefineDirect.String(), seconds(dDirect), fmt.Sprintf("%d", stDirect.Comparisons)},
-			[]string{core.RefineBTree.String(), seconds(dTree), fmt.Sprintf("%d", stTree.Comparisons)},
+			[]string{"direct", seconds(dDirect), fmt.Sprintf("%d", stDirect.Comparisons)},
+			[]string{"btree", seconds(dTree), fmt.Sprintf("%d", stTree.Comparisons)},
 		)
 		out = append(out, refineTab)
 

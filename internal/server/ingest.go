@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/wal"
 	"repro/tkd"
@@ -224,6 +225,10 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	for i, in := range req.Rows {
 		if in.ID == "" || len(in.ID) > 65535 {
 			writeError(w, r, http.StatusBadRequest, errBadRequest, "rows[%d]: id must be 1..65535 bytes", i)
+			return
+		}
+		if err := data.CheckID(in.ID); err != nil {
+			writeError(w, r, http.StatusBadRequest, errBadRequest, "rows[%d]: %v", i, err)
 			return
 		}
 		if len(in.Values) != dim {

@@ -26,7 +26,7 @@ type ingestDirs struct {
 	csv, walDir, indexDir string
 }
 
-func newIngestDirs(t *testing.T, ds *tkd.Dataset) ingestDirs {
+func newIngestDirs(t testing.TB, ds *tkd.Dataset) ingestDirs {
 	t.Helper()
 	root := t.TempDir()
 	d := ingestDirs{
@@ -48,7 +48,7 @@ func ingestConfig(d ingestDirs, publish time.Duration) server.Config {
 }
 
 // startIngestServer builds a server over the dirs and registers the CSV.
-func startIngestServer(t *testing.T, cfg server.Config, d ingestDirs) (*server.Server, *httptest.Server) {
+func startIngestServer(t testing.TB, cfg server.Config, d ingestDirs) (*server.Server, *httptest.Server) {
 	t.Helper()
 	s := server.New(cfg)
 	if err := s.LoadCSVFile("d", d.csv, false); err != nil {
@@ -292,6 +292,8 @@ func TestIngestValidation(t *testing.T) {
 		{"empty id", []server.AppendRow{{ID: "", Values: []*float64{fptr(1), fptr(2), fptr(3)}}}},
 		{"wrong dim", []server.AppendRow{{ID: "x", Values: []*float64{fptr(1)}}}},
 		{"all missing", []server.AppendRow{{ID: "x", Values: []*float64{nil, nil, nil}}}},
+		// CSV reads a quoted "\r\n" back as "\n": followers would hash another row.
+		{"id holding \\r\\n", []server.AppendRow{{ID: "a\r\nb", Values: []*float64{fptr(1), fptr(2), fptr(3)}}}},
 	}
 	for _, tc := range cases {
 		code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/d/append", server.AppendRequest{Rows: tc.rows})

@@ -23,7 +23,7 @@ import (
 )
 
 // writeCSV materializes ds at path (creating or atomically replacing it).
-func writeCSV(t *testing.T, ds *tkd.Dataset, path string) {
+func writeCSV(t testing.TB, ds *tkd.Dataset, path string) {
 	t.Helper()
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)

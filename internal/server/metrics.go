@@ -27,7 +27,7 @@ type stageMetrics struct {
 
 // observeTrace folds one completed trace's span durations into the stage
 // histograms. Coalesced replies observe only their own queue wait: their
-// execution subtree is shared with (and already observed by) the hosting
+// execution spans are shared with (and already observed by) the hosting
 // query, so counting it again would double-book engine and shard time.
 func (m *stageMetrics) observeTrace(tr *obs.Trace, coalesced bool) {
 	tr.Walk(func(sp *obs.Span) {

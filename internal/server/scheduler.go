@@ -140,7 +140,7 @@ func (s *scheduler) drainStop() {
 // server shutdown) abandons the wait — the scheduler still finishes the
 // query for its window-mates and the buffered reply channel is collected by
 // the garbage collector. sp, when non-nil, receives the queue-wait span and
-// the execution subtree.
+// the execution spans.
 func (s *scheduler) submit(ctx context.Context, key queryKey, sp *obs.Span) (reply, error) {
 	if s.draining.Load() {
 		return reply{}, errSchedulerDraining
@@ -300,8 +300,8 @@ func (s *scheduler) run(key queryKey, reqs []*request, window int, g *grant) {
 	// Every waiter records its own queue wait — from enqueue to the moment
 	// its group holds its slots and starts executing (window collection plus
 	// the admission line), so queue ends where execute begins. The execution
-	// itself runs once, as a subtree of the first traced waiter's trace; the
-	// other waiters adopt the completed subtree by reference, so a coalesced
+	// itself runs once, as a span under the first traced waiter's trace; the
+	// other waiters adopt the completed span by reference, so a coalesced
 	// reply's trace still shows exactly what ran.
 	var exec *obs.Span
 	for _, r := range reqs {

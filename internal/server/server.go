@@ -941,7 +941,7 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 // finishQuery closes out one query's trace: log it (logTrace), fold the span
 // durations into the per-stage histograms, and emit the slow-query warning
 // when the configured threshold is exceeded. A coalesced reply shares another
-// query's execution subtree, so only its own queue wait feeds the stage
+// query's execution spans, so only its own queue wait feeds the stage
 // histograms — the shared engine, scatter, gather and retry spans are
 // observed once, on the hosting query.
 func (s *Server) finishQuery(tr *obs.Trace, req *QueryRequest, alg core.Algorithm, start time.Time, coalesced bool, qerr error) {

@@ -44,8 +44,8 @@ type epochRecord struct {
 // epoch, incrementally when possible. It reports whether the publish was
 // incremental (the previous epoch's binned index was patched rather than
 // rebuilt); either way the new epoch's queue and binned index are ready when
-// the call returns, and queries in flight finish on the old epoch. On error
-// nothing is published and the dataset is unchanged.
+// the call returns, and queries in flight finish on the old epoch. Rows follow
+// Append's rules. On error nothing is published and the dataset is unchanged.
 func (d *Dataset) AppendRows(rows []Row) (patched bool, err error) {
 	return d.appendRows(appendSpec{rows: rows})
 }
@@ -106,8 +106,8 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 	}
 
 	// Incremental path: patch the published binned index and rebuild the
-	// MaxScore queue from it without touching B+-trees. The value-granular
-	// bitmap and trees (BIG-only artifacts) are dropped and rebuild lazily.
+	// MaxScore queue from it. The value-granular bitmap (a BIG-only artifact)
+	// is dropped and rebuilds lazily.
 	var pre core.Pre
 	if old := base.part.Built().Binned; old != nil {
 		if ix, ok := bitmapidx.AppendRows(old, next); ok {

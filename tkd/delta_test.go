@@ -203,6 +203,65 @@ func TestAppendRowsValidation(t *testing.T) {
 	}
 }
 
+// TestAppendIDsCrossEpochStreams: an ID holding "\r\n" — which encoding/csv
+// reads back as "\n", so a follower would hash a different row — is refused
+// by Append and AppendRows, and the IDs they accept, CSV's awkward bytes
+// included, cross both epoch streams under the leader's fingerprint.
+func TestAppendIDsCrossEpochStreams(t *testing.T) {
+	leader := tkd.GenerateIND(100, 3, 8, 0.2, 5)
+	leader.PrepareFor(tkd.IBIG)
+	if err := leader.Append("a\r\nb", 1, 2, 3); err == nil {
+		t.Error(`Append accepted an id holding "\r\n"`)
+	}
+	if _, err := leader.AppendRows([]tkd.Row{{ID: "\r\n", Values: []float64{1, 2, 3}}}); err == nil {
+		t.Error(`AppendRows accepted an id holding "\r\n"`)
+	}
+
+	var full bytes.Buffer
+	if err := leader.ExportEpoch().Write(&full, true); err != nil {
+		t.Fatal(err)
+	}
+	imported, ep, err := tkd.ImportEpoch(&full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := tkd.NewDataset(3)
+	follower.ReplaceFromAt(imported, ep)
+
+	var rows []tkd.Row
+	for i, id := range []string{"a\rb", "a,b", "a\n", "a\nb", `say "hi"`, " lead", "\r", "x\r", "\n\r"} {
+		rows = append(rows, tkd.Row{ID: id, Values: []float64{float64(i), 1, tkd.Missing}})
+	}
+	if _, err := leader.AppendRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	full.Reset()
+	if err := leader.ExportEpoch().Write(&full, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tkd.ImportEpoch(&full); err != nil {
+		t.Fatalf("full stream: %v", err)
+	}
+	x, ok := leader.ExportEpochDelta(follower.Epoch(), follower.Fingerprint())
+	if !ok {
+		t.Fatal("no delta for the follower's base")
+	}
+	var delta bytes.Buffer
+	if err := x.Write(&delta); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := tkd.ReadEpochDelta(&delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := follower.ApplyEpochDelta(parsed); err != nil {
+		t.Fatalf("delta stream: %v", err)
+	}
+	if follower.Fingerprint() != leader.Fingerprint() {
+		t.Fatal("follower fingerprint diverges after the delta")
+	}
+}
+
 // TestDeltaExportApply walks the replication path: a follower holding the
 // leader's epoch applies a delta stream and converges to the same epoch and
 // fingerprint, over a transfer carrying only the appended rows.

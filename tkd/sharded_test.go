@@ -16,8 +16,7 @@ import (
 	"repro/internal/shard"
 )
 
-// algorithms under crosscheck: the paper's five plus the B+-tree-refined
-// IBIG variant (a distinct serial code path, so it earns its own column).
+// algorithms under crosscheck: the paper's five.
 var shardCrosscheckAlgs = []struct {
 	name string
 	opts []Option
@@ -27,7 +26,6 @@ var shardCrosscheckAlgs = []struct {
 	{"UBB", []Option{WithAlgorithm(UBB)}},
 	{"BIG", []Option{WithAlgorithm(BIG)}},
 	{"IBIG", []Option{WithAlgorithm(IBIG)}},
-	{"IBIG-btree", []Option{WithAlgorithm(IBIG), WithBTreeRefinement()}},
 }
 
 func assertSameResult(t *testing.T, label string, want, got Result) {
@@ -47,8 +45,7 @@ func assertSameResult(t *testing.T, label string, want, got Result) {
 // TestShardedCrosscheck asserts that a sharded dataset returns
 // byte-identical answers — identical objects, ranks and scores — to an
 // unsharded one over the same rows (same generator seed), across all five
-// algorithms (plus the B+-tree refinement) and N = 1, 2, 4 shards, on both
-// value distributions.
+// algorithms and N = 1, 2, 4 shards, on both value distributions.
 func TestShardedCrosscheck(t *testing.T) {
 	datasets := map[string]func() *Dataset{
 		"IND": func() *Dataset { return GenerateIND(900, 4, 30, 0.25, 42) },

@@ -303,8 +303,9 @@ func (d *Dataset) BuildTimes() (index, queue time.Duration) {
 }
 
 // Append adds one object; use Missing for unobserved dimensions. Objects
-// must have at least one observed value. Safe to call while queries are
-// running: they finish on the epoch they started on.
+// must have at least one observed value, and an ID without "\r\n" — the one
+// sequence the CSV of an epoch stream does not carry back. Safe to call while
+// queries are running: they finish on the epoch they started on.
 func (d *Dataset) Append(id string, values ...float64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -465,7 +466,6 @@ type queryConfig struct {
 	algSet       bool
 	bins         []int
 	stats        *Stats
-	btree        bool
 	workers      int
 	ctx          context.Context
 	allowPartial bool
@@ -499,10 +499,10 @@ func WithBins(bins ...int) Option {
 }
 
 // WithWorkers fans candidate scoring across n goroutines: 0 selects
-// GOMAXPROCS, 1 (the default) is the serial path. UBB, BIG, IBIG and the
-// B+-tree refinement run through the batch-windowed parallel engine; Naive
-// through the sharded exhaustive scorer; ESB fans its per-bucket skyband
-// queries across the pool and scores the survivors through the engine.
+// GOMAXPROCS, 1 (the default) is the serial path. UBB, BIG and IBIG run
+// their one candidate loop through the batch-windowed parallel engine, and so
+// does Naive, over every row; ESB fans its per-bucket skyband queries across
+// the pool and scores the survivors through the engine.
 //
 // Determinism: a parallel query returns the same answer set — identical
 // objects, ranks and scores — as the serial run over the same dataset.
@@ -517,13 +517,6 @@ func WithWorkers(n int) Option {
 // WithStats captures the query's work counters into st.
 func WithStats(st *Stats) Option {
 	return func(c *queryConfig) { c.stats = st }
-}
-
-// WithBTreeRefinement switches IBIG to the B+-tree-backed Q−P refinement of
-// the paper's §4.5 implementation note (one B+-tree per dimension scans
-// only the keys inside the candidate's bin). Ignored for other algorithms.
-func WithBTreeRefinement() Option {
-	return func(c *queryConfig) { c.btree = true }
 }
 
 // WithContext bounds the query with ctx: cancellation or an expired
@@ -596,7 +589,7 @@ func (d *Dataset) Prepare() {
 func (d *Dataset) PrepareFor(algs ...Algorithm) {
 	var n core.Need
 	for _, a := range algs {
-		n |= core.NeedFor(a, false)
+		n |= core.NeedFor(a)
 	}
 	s := d.current()
 	if d.Shards() > 0 {
@@ -694,7 +687,7 @@ func (d *Dataset) parts() []*core.Prepared {
 
 // setBins records a new bin layout; if it differs from the current one, a
 // fresh epoch is published that carries every bins-independent artifact
-// (queue, value-granular bitmap, trees) and drops only the binned index.
+// (queue, value-granular bitmap) and drops only the binned index.
 func (d *Dataset) setBins(bins []int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -722,11 +715,14 @@ func (d *Dataset) setBins(bins []int) {
 // On a sharded dataset (see Shard) the same options give the same answers —
 // byte-identical — through the scatter-gather coordinator. WithWorkers is
 // then accepted and ignored: the fan-out across shards is the parallelism.
-// WithBins is likewise ignored (every shard lays its slice out by the default
+// WithBins is likewise ignored: every shard lays its slice out by the default
 // rule at the whole dataset's size and missing rate — the layout the unsharded
-// index would take; bin layout never changes answers), and WithBTreeRefinement
-// maps to the IBIG scatter plan — refinement strategy is a shard-local detail
-// that cannot change answers either.
+// index would take; bin layout never changes answers.
+//
+// Unsharded, UBB, BIG and IBIG are one candidate loop over the MaxScore
+// queue — serial, or on the WithWorkers engine — each with its own scorer.
+// What the algorithm needs is built before the query if missing; no query
+// builds a B+-tree.
 func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	if k <= 0 {
 		return Result{}, fmt.Errorf("tkd: k must be positive, got %d", k)
@@ -754,9 +750,9 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	var shards *shardSet
 	if t != nil {
 		shards = s.shardSet()
-		s.part.Ensure(core.NeedFor(cfg.alg, false) & core.NeedQueue) // the coordinator's
+		s.part.Ensure(core.NeedFor(cfg.alg) & core.NeedQueue) // the coordinator's
 	} else {
-		pre = s.part.Ensure(core.NeedFor(cfg.alg, cfg.btree))
+		pre = s.part.Ensure(core.NeedFor(cfg.alg))
 	}
 	eng := cfg.engineSpan(k, rows)
 	var res Result
@@ -764,8 +760,7 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	// An unsharded dataset has no shards to lose: coverage is always total.
 	// (AllowPartial itself is a no-op there.)
 	deg := Degradation{CoveredRows: rows, TotalRows: rows}
-	switch {
-	case t != nil:
+	if t != nil {
 		var err error
 		res, st, deg, err = shards.run(cfg.ctx, cfg.alg, k, cfg.allowPartial, eng)
 		if err != nil {
@@ -773,9 +768,7 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 			eng.End()
 			return Result{}, err
 		}
-	case cfg.alg == IBIG && cfg.btree:
-		res, st = core.IBIGBTreeWorkersTraced(s.ds, k, pre.Binned, pre.Queue, pre.Trees, cfg.workers, eng)
-	default:
+	} else {
 		res, st = core.RunWorkersTraced(cfg.alg, s.ds, k, pre, cfg.workers, eng)
 	}
 	stampStats(eng, st)

@@ -338,33 +338,3 @@ func TestSaveLoadIndexPublic(t *testing.T) {
 		t.Fatal("junk index accepted")
 	}
 }
-
-func TestWithBTreeRefinement(t *testing.T) {
-	ds := paperSample(t)
-	var st tkd.Stats
-	res, err := ds.TopK(2, tkd.WithBTreeRefinement(), tkd.WithStats(&st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := res.IDs()
-	sort.Strings(ids)
-	if ids[0] != "A2" || ids[1] != "C2" {
-		t.Fatalf("btree-refined T2D = %v", res.IDs())
-	}
-	// Larger random dataset: must match the direct refinement exactly.
-	big := tkd.GenerateAC(600, 4, 20, 0.3, 99)
-	a, err := big.TopK(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := big.TopK(10, tkd.WithBTreeRefinement())
-	if err != nil {
-		t.Fatal(err)
-	}
-	as, bs := a.Scores(), b.Scores()
-	for i := range as {
-		if as[i] != bs[i] {
-			t.Fatalf("refinements disagree: %v vs %v", as, bs)
-		}
-	}
-}

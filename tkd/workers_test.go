@@ -37,20 +37,6 @@ func TestWithWorkersDeterminism(t *testing.T) {
 				}
 			}
 		}
-		// The B+-tree refinement path takes the same knob.
-		want, err := ds.TopK(12, tkd.WithBTreeRefinement())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ds.TopK(12, tkd.WithBTreeRefinement(), tkd.WithWorkers(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got.Items {
-			if got.Items[i] != want.Items[i] {
-				t.Fatalf("btree seed=%d: item %d = %+v, want %+v", seed, i, got.Items[i], want.Items[i])
-			}
-		}
 	}
 }
 
