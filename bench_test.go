@@ -444,11 +444,11 @@ func BenchmarkFusedKernels(b *testing.B) {
 	})
 }
 
-// BenchmarkCompressedKernels pits the run-native CONCISE kernels
-// against the decompress-then-dense path they replace. "native" gallops
-// over the compressed run stream (IntersectCount / AndInto); "decompress"
-// models the old mandatory stop — decompress every column into scratch,
-// then run the dense kernel.
+// BenchmarkCompressedKernels pits the run-native CONCISE count against the
+// decompress-then-dense path it replaces. "native" gallops over the
+// compressed run stream (IntersectCount); "decompress" models the old
+// mandatory stop — decompress every column into scratch, then run the dense
+// kernel.
 //
 // Fixtures cover both regimes the cursor dispatch distinguishes. Clustered
 // columns (set bits in bursts, the shape that makes run-length codecs worth
@@ -526,22 +526,6 @@ func BenchmarkCompressedKernels(b *testing.B) {
 					bm.DecompressInto(scratch[j])
 				}
 				bitvec.IntersectCount(scratch...)
-			}
-		})
-		dst := bitvec.New(nbits)
-		b.Run(name+"/CONCISE/nativeAndInto", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dst.CopyFrom(cols[0])
-				concise.AndInto(dst, concBms[1])
-			}
-		})
-		b.Run(name+"/CONCISE/decompressAnd", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dst.CopyFrom(cols[0])
-				concBms[1].DecompressInto(scratch[1])
-				dst.And(scratch[1])
 			}
 		})
 	}

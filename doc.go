@@ -5,7 +5,7 @@
 // binning, a batch-windowed parallel query engine over fused word-level
 // bit kernels (tkd.WithWorkers), a scatter-gather shard topology the same
 // dataset type can run its queries through (tkd.Shard), a multi-dataset
-// HTTP query service with a batch scheduler and CLOCK-evicted column cache
+// HTTP query service with a batch scheduler and a budgeted column cache
 // (cmd/tkdserver), and a benchmark harness regenerating every table and
 // figure of the paper's evaluation.
 //

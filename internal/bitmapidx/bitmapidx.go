@@ -33,7 +33,6 @@ package bitmapidx
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitvec"
@@ -144,20 +143,17 @@ type Index struct {
 	// the input of the scorers' |F(o)| derivation (see maskcount.go).
 	masks []maskCount
 	ones  *bitvec.Vector // shared all-ones column
-	// colCache lazily holds decompressed columns of a compressed index,
-	// shared by every cursor (nil for Raw indexes). It serves the
-	// literal-heavy columns of a pure-CONCISE index (the paper's setups) and
-	// the count path's all-ones column; every other column of an adaptive
-	// index is read in the form it is stored in. A query touches the same
-	// columns for thousands of candidates, and a parallel query touches them
-	// from N workers — caching the decompression means a hot column is
-	// decompressed once per index, not once per cursor. The cache is bounded
-	// by a CLOCK eviction policy (see sharedDense / evictToBudget) instead of
-	// a hard first-come cut-off, so a long-lived serving process keeps the
-	// columns the current query mix actually touches resident.
-	colCache [][]sharedCol
-	clock    []*sharedCol // colCache flattened in sweep order
-	colSize  int64        // bytes of one decompressed column
+	// colCache holds the decompressed columns of a compressed index, shared
+	// by every cursor (nil for Raw indexes): every dense read of a compressed
+	// column goes through it (Cursor.dense). A query touches the same columns
+	// for thousands of candidates, and a parallel query touches them from N
+	// workers, so a column is decompressed at most once per index and stays
+	// resident while it fits the budget; past the budget it is read through
+	// cursor scratch. No policy picks columns to evict: DESIGN.md §1 has the
+	// census that shows no index the repository builds outgrows the default
+	// budget (SetCacheBudget below the resident bytes drops them all).
+	colCache [][]atomic.Pointer[bitvec.Vector]
+	colSize  int64 // bytes of one decompressed column
 	cache    cacheState
 	// ranksExtended marks that the spare capacity behind ranks has been
 	// handed to a successor (AppendRows). Written once per publish; kept at
@@ -165,26 +161,13 @@ type Index struct {
 	ranksExtended atomic.Bool
 }
 
-// sharedCol is one slot of the shared decompressed-column cache. v is nil
-// while the column is not resident; ref is the CLOCK reference bit, set on
-// every hit and cleared (then evicted on the next pass) by the sweep hand.
-type sharedCol struct {
-	v   atomic.Pointer[bitvec.Vector]
-	ref atomic.Bool
-}
-
 // cacheState carries the cache's accounting: the configurable byte budget,
-// the resident byte count, the hit/miss/evicted counters surfaced by
-// CacheStats, and the CLOCK hand (guarded by mu; sweeps are serialized, the
-// hit/miss fast paths are not).
+// the resident byte count and the hit/miss counters surfaced by CacheStats.
 type cacheState struct {
-	budget  atomic.Int64
-	bytes   atomic.Int64
-	hits    atomic.Int64
-	misses  atomic.Int64
-	evicted atomic.Int64
-	mu      sync.Mutex
-	hand    int
+	budget atomic.Int64
+	bytes  atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
 // repStats counts column consumption on the query path: how many columns
@@ -223,18 +206,16 @@ func (ix *Index) flushTally(t *repTally) {
 
 // CacheStats is a point-in-time snapshot of the decompressed-column cache
 // and representation counters. Hits and Misses count sharedDense lookups (a
-// miss pays one decompression), Evicted counts columns dropped by the CLOCK
-// sweep, Bytes is the resident payload and Budget the configured bound.
-// DenseCols/CompressedCols count columns served per physical
-// representation on the query path; NativeKernel and Fallback split the
-// compressed-column traffic into run-native kernel hits versus dense
+// miss pays one decompression), Bytes is the resident payload and Budget the
+// configured bound. DenseCols/CompressedCols count columns served per
+// physical representation on the query path; NativeKernel and Fallback split
+// the compressed-column traffic into run-native kernel hits versus dense
 // materializations (cache or scratch).
 type CacheStats struct {
-	Hits    int64
-	Misses  int64
-	Evicted int64
-	Bytes   int64
-	Budget  int64
+	Hits   int64
+	Misses int64
+	Bytes  int64
+	Budget int64
 
 	DenseCols      int64
 	CompressedCols int64
@@ -242,15 +223,14 @@ type CacheStats struct {
 	Fallback       int64
 }
 
-// CacheStats returns the current cache counters; all zero for Raw indexes,
-// which store dense columns and need no cache.
+// CacheStats returns the current cache and representation counters. A Raw
+// index has no cache: its Hits, Misses, Bytes and Budget stay zero.
 func (ix *Index) CacheStats() CacheStats {
 	return CacheStats{
-		Hits:    ix.cache.hits.Load(),
-		Misses:  ix.cache.misses.Load(),
-		Evicted: ix.cache.evicted.Load(),
-		Bytes:   ix.cache.bytes.Load(),
-		Budget:  ix.cache.budget.Load(),
+		Hits:   ix.cache.hits.Load(),
+		Misses: ix.cache.misses.Load(),
+		Bytes:  ix.cache.bytes.Load(),
+		Budget: ix.cache.budget.Load(),
 
 		DenseCols:      ix.rep.dense.Load(),
 		CompressedCols: ix.rep.compressed.Load(),
@@ -259,17 +239,25 @@ func (ix *Index) CacheStats() CacheStats {
 	}
 }
 
-// SetCacheBudget rebounds the decompressed-column cache to at most bytes
-// (minimum one column; the default is DefaultCacheBudget) and evicts down to
-// the new bound immediately. Safe to call while queries are running: evicted
-// columns are immutable, so cursors holding one simply keep reading it.
+// SetCacheBudget rebounds the decompressed-column cache to at most bytes (the
+// default is DefaultCacheBudget). A bound below what is resident drops every
+// resident column, and the cache refills first-come under the new bound. Safe
+// to call while queries are running: a dropped column is never mutated, so a
+// cursor holding one keeps reading it.
 func (ix *Index) SetCacheBudget(bytes int64) {
 	if ix.codec == Raw {
 		return
 	}
 	ix.cache.budget.Store(bytes)
-	if ix.cache.bytes.Load() > bytes {
-		ix.evictToBudget()
+	if ix.cache.bytes.Load() <= bytes {
+		return
+	}
+	for d := range ix.colCache {
+		for b := range ix.colCache[d] {
+			if ix.colCache[d][b].Swap(nil) != nil {
+				ix.cache.bytes.Add(-ix.colSize)
+			}
+		}
 	}
 }
 
@@ -280,133 +268,40 @@ func (ix *Index) initColCache() {
 	}
 	ix.colSize = int64(8 * ((ix.ds.Len() + 63) / 64))
 	ix.cache.budget.Store(DefaultCacheBudget)
-	ix.colCache = make([][]sharedCol, len(ix.dims))
+	ix.colCache = make([][]atomic.Pointer[bitvec.Vector], len(ix.dims))
 	for d := range ix.dims {
-		ix.colCache[d] = make([]sharedCol, len(ix.dims[d].cols))
-		for b := range ix.colCache[d] {
-			ix.clock = append(ix.clock, &ix.colCache[d][b])
-		}
+		ix.colCache[d] = make([]atomic.Pointer[bitvec.Vector], len(ix.dims[d].cols))
 	}
 }
 
-// sharedDense returns the decompressed column from the shared cache,
-// populating it on a miss when the budget has room (evicting colder columns
-// to make some), or nil when the cache is full of recently referenced
-// columns — callers then decompress into per-cursor scratch, so a budget
-// below the working set degrades to scratch reuse instead of allocating a
-// fresh vector per touch. Safe for concurrent use by many cursors. A
-// returned vector stays valid indefinitely: eviction only drops the cache's
-// reference, never mutates the column.
+// sharedDense returns compressed column (d, b) decompressed from the shared
+// cache, decompressing it into a new resident entry on a miss while the
+// budget has room, or nil when it has none — callers then decompress into
+// per-cursor scratch, so a budget below the working set degrades to scratch
+// reuse instead of allocating a fresh vector per touch. Safe for concurrent
+// use by many cursors; a returned vector is never mutated.
 func (ix *Index) sharedDense(d, b int) *bitvec.Vector {
-	sc := &ix.colCache[d][b]
-	if v := sc.v.Load(); v != nil {
-		if !sc.ref.Load() {
-			sc.ref.Store(true)
-		}
+	slot := &ix.colCache[d][b]
+	if v := slot.Load(); v != nil {
 		ix.cache.hits.Add(1)
 		return v
 	}
 	ix.cache.misses.Add(1)
-	if !ix.reserve() {
+	if ix.cache.bytes.Add(ix.colSize) > ix.cache.budget.Load() {
+		ix.cache.bytes.Add(-ix.colSize)
 		return nil
 	}
 	v := bitvec.New(ix.ds.Len())
 	ix.dims[d].cols[b].conc.DecompressInto(v)
-	if sc.v.CompareAndSwap(nil, v) {
-		sc.ref.Store(true)
-	} else {
-		// A concurrent miss raced us in; return the reservation and use its
-		// copy (or ours, correct either way, if it was already evicted).
+	if !slot.CompareAndSwap(nil, v) {
+		// A concurrent miss raced us in: return the reservation and use its
+		// copy (ours is as good if a budget change dropped it meanwhile).
 		ix.cache.bytes.Add(-ix.colSize)
-		if cached := sc.v.Load(); cached != nil {
+		if cached := slot.Load(); cached != nil {
 			return cached
 		}
 	}
 	return v
-}
-
-// reserve books one column's bytes against the budget, running at most one
-// CLOCK revolution to make room: the hand clears reference bits of recently
-// hit columns (one revolution of grace) and drops unreferenced ones. It
-// reports false — and returns the reservation — when the sweep could not
-// make the column fit, which is what keeps a hot working set resident while
-// overflow traffic reads through scratch.
-func (ix *Index) reserve() bool {
-	c := &ix.cache
-	if c.bytes.Add(ix.colSize) <= c.budget.Load() {
-		return true
-	}
-	c.mu.Lock()
-	budget := c.budget.Load()
-	for step := 0; step < len(ix.clock) && c.bytes.Load() > budget; step++ {
-		sc := ix.clock[c.hand]
-		c.hand = (c.hand + 1) % len(ix.clock)
-		if sc.v.Load() == nil {
-			continue
-		}
-		if sc.ref.Load() {
-			sc.ref.Store(false)
-			continue
-		}
-		sc.v.Store(nil)
-		c.bytes.Add(-ix.colSize)
-		c.evicted.Add(1)
-	}
-	ok := c.bytes.Load() <= budget
-	if !ok {
-		c.bytes.Add(-ix.colSize)
-	}
-	c.mu.Unlock()
-	return ok
-}
-
-// DropCache evicts every resident decompressed column immediately,
-// returning the cache's bytes without waiting for the next GC cycle. It is
-// the retirement hook for epoch swaps: when a serving layer replaces a
-// dataset, the superseded index's cache budget frees right away while
-// queries still draining on the old epoch stay correct — a cursor holding
-// an evicted column keeps reading it (eviction never mutates the vector)
-// and further touches simply decompress again.
-func (ix *Index) DropCache() {
-	if ix.codec == Raw || len(ix.clock) == 0 {
-		return
-	}
-	c := &ix.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, sc := range ix.clock {
-		if sc.v.Load() != nil {
-			sc.v.Store(nil)
-			c.bytes.Add(-ix.colSize)
-			c.evicted.Add(1)
-		}
-		sc.ref.Store(false)
-	}
-}
-
-// evictToBudget force-shrinks the resident set to the current budget (used
-// by SetCacheBudget): up to two full CLOCK revolutions, so even columns
-// whose reference bit was set get stripped on the first pass and dropped on
-// the second.
-func (ix *Index) evictToBudget() {
-	c := &ix.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	budget := c.budget.Load()
-	for step := 0; step < 2*len(ix.clock) && c.bytes.Load() > budget; step++ {
-		sc := ix.clock[c.hand]
-		c.hand = (c.hand + 1) % len(ix.clock)
-		if sc.v.Load() == nil {
-			continue
-		}
-		if sc.ref.Load() {
-			sc.ref.Store(false)
-			continue
-		}
-		sc.v.Store(nil)
-		c.bytes.Add(-ix.colSize)
-		c.evicted.Add(1)
-	}
 }
 
 // Build constructs the index over ds: one sort per dimension
@@ -680,7 +575,7 @@ type Cursor struct {
 	// in q, p and w.
 	q, p, w *bitvec.Vector
 	// scratchQ/scratchP/scratchM are per-dimension materialization
-	// fallbacks used only when the shared cache is full of hotter columns;
+	// fallbacks used only when the shared cache is over its budget;
 	// three per dimension because the scoring pass needs a dimension's Q-, P-
 	// and missing columns alive at once. Lazily allocated: they cost nothing
 	// while the cache holds.
@@ -717,10 +612,10 @@ func (c *Cursor) Index() *Index { return c.ix }
 
 // dense returns column b of dimension d as a dense vector: the stored
 // vector for dense columns, and for compressed columns the shared cache
-// entry — or, when the cache is full of hotter columns, a decompression into
-// *scratch. A cached result stays valid for the caller even if evicted
-// meanwhile; a scratch result is valid until *scratch is reused for the same
-// dimension.
+// entry — or, when the cache is over its budget, a decompression into
+// *scratch. A cached result stays valid for the caller even if a budget
+// change drops it meanwhile; a scratch result is valid until *scratch is
+// reused for the same dimension.
 func (c *Cursor) dense(d, b int, scratch **bitvec.Vector) *bitvec.Vector {
 	col := &c.ix.dims[d].cols[b]
 	if col.kind == kindDense {
@@ -737,18 +632,38 @@ func (c *Cursor) dense(d, b int, scratch **bitvec.Vector) *bitvec.Vector {
 }
 
 // QP computes the paper's sets Q = ∩Qi − {o} and P = ∩Pi for object obj as
-// bit vectors (Definition 4). A Raw index runs the fused dense pass; any
-// other index dispatches per column on its representation — dense AND or
-// CONCISE's run-native AndInto — with the decompressed-column cache serving
-// only the compressed columns that are not fill-dominated (none, on an
-// adaptive index). The returned vectors are owned by the cursor and
-// valid until the next QP call.
+// bit vectors (Definition 4), in one fused pass per observed dimension over
+// the columns' dense views (Cursor.dense); the first observed dimension seeds
+// both accumulators directly, so no SetAll pass is paid. The returned vectors
+// are owned by the cursor and valid until the next QP call.
 func (c *Cursor) QP(obj int) (q, p *bitvec.Vector) {
+	var t repTally
 	refs := c.buildRefs(obj)
-	if c.ix.codec == Raw {
-		return c.qpDense(refs, obj)
+	var cq0, cp0 *bitvec.Vector
+	for i, r := range refs {
+		cq := c.column(int(r.d), r.qb, &c.scratchQ[r.d], &t)
+		cp := c.column(int(r.d), r.qb+1, &c.scratchP[r.d], &t)
+		switch i {
+		case 0:
+			cq0, cp0 = cq, cp
+		case 1:
+			bitvec.And2Into(c.q, cq0, cq)
+			bitvec.And2Into(c.p, cp0, cp)
+		default:
+			bitvec.AndPairInto(c.q, c.p, cq, cp)
+		}
 	}
-	return c.qpDispatch(refs, obj)
+	switch len(refs) {
+	case 0:
+		c.q.SetAll()
+		c.p.SetAll()
+	case 1:
+		c.q.CopyFrom(cq0)
+		c.p.CopyFrom(cp0)
+	}
+	c.q.Clear(obj)
+	c.ix.flushTally(&t)
+	return c.q, c.p
 }
 
 // buildRefs gathers the column references of an in-set object into the
@@ -775,108 +690,8 @@ func (c *Cursor) buildRefs(obj int) []qref {
 	return refs
 }
 
-// qpDense is the all-dense fast path: each dimension's Q- and P-columns are
-// intersected in a single fused pass, and the first observed dimension seeds
-// both accumulators directly so no SetAll pass is paid. obj is cleared from Q
-// (a candidate excludes itself).
-func (c *Cursor) qpDense(refs []qref, obj int) (q, p *bitvec.Vector) {
-	ix := c.ix
-	var cq0, cp0 *bitvec.Vector
-	for i, r := range refs {
-		cq := ix.dims[r.d].cols[r.qb].dense
-		cp := ix.dims[r.d].cols[r.qb+1].dense
-		switch i {
-		case 0:
-			cq0, cp0 = cq, cp
-		case 1:
-			bitvec.And2Into(c.q, cq0, cq)
-			bitvec.And2Into(c.p, cp0, cp)
-		default:
-			bitvec.AndPairInto(c.q, c.p, cq, cp)
-		}
-	}
-	switch len(refs) {
-	case 0:
-		c.q.SetAll()
-		c.p.SetAll()
-	case 1:
-		c.q.CopyFrom(cq0)
-		c.p.CopyFrom(cp0)
-	}
-	c.q.Clear(obj)
-	return c.q, c.p
-}
-
-// qpDispatch accumulates Q and P per-column through each column's best
-// kernel. AND order is irrelevant to the result, so the answer is
-// bit-identical to the dense path's.
-func (c *Cursor) qpDispatch(refs []qref, obj int) (q, p *bitvec.Vector) {
-	var t repTally
-	for i, r := range refs {
-		if i == 0 {
-			c.seedColumn(c.q, int(r.d), int(r.qb), &t)
-			c.seedColumn(c.p, int(r.d), int(r.qb+1), &t)
-		} else {
-			c.andColumn(c.q, int(r.d), int(r.qb), &c.scratchQ[r.d], &t)
-			c.andColumn(c.p, int(r.d), int(r.qb+1), &c.scratchP[r.d], &t)
-		}
-	}
-	if len(refs) == 0 {
-		c.q.SetAll()
-		c.p.SetAll()
-	}
-	c.q.Clear(obj)
-	c.ix.flushTally(&t)
-	return c.q, c.p
-}
-
-// seedColumn materializes column (d, b) into dst, seeding an accumulator:
-// dense copy or — for compressed columns — one run-native decompression
-// straight into dst (no scratch, no cache churn) when fill-dominated, else a
-// copy of the shared cache entry when resident.
-func (c *Cursor) seedColumn(dst *bitvec.Vector, d, b int, t *repTally) {
-	col := &c.ix.dims[d].cols[b]
-	if col.kind == kindDense {
-		t.dense++
-		dst.CopyFrom(col.dense)
-		return
-	}
-	t.compressed++
-	if col.runNative {
-		t.native++
-		col.conc.DecompressInto(dst)
-		return
-	}
-	t.fallback++
-	if v := c.ix.sharedDense(d, b); v != nil {
-		dst.CopyFrom(v)
-		return
-	}
-	col.conc.DecompressInto(dst)
-}
-
-// andColumn sets dst &= column (d, b) through the representation's kernel;
-// compressed columns that are not fill-dominated materialize through the
-// shared cache (or *scratch) and AND densely — the cache's fallback role.
-func (c *Cursor) andColumn(dst *bitvec.Vector, d, b int, scratch **bitvec.Vector, t *repTally) {
-	col := &c.ix.dims[d].cols[b]
-	switch {
-	case col.kind == kindDense:
-		t.dense++
-		dst.And(col.dense)
-	case col.runNative:
-		t.compressed++
-		t.native++
-		concise.AndInto(dst, col.conc)
-	default:
-		t.compressed++
-		t.fallback++
-		dst.And(c.dense(d, b, scratch))
-	}
-}
-
 // qCols collects the Q-columns of refs that constrain anything (bucket 0 is
-// all ones) as dense vectors into the cursor's reusable buffer (the all-dense
+// all ones) as dense vectors into the cursor's reusable buffer (the dense
 // count path).
 func (c *Cursor) qCols(refs []qref) []*bitvec.Vector {
 	cols := c.cols[:0]
@@ -921,10 +736,10 @@ const noTau = -1 << 62
 // IntersectCountAbove contract. A bucket-0 Q-column is all ones, the identity
 // of AND, and is left out; the rest dispatch on the representation mix:
 //
-//   - Raw, or any column dense: materialize compressed columns (shared cache
-//     or scratch) and run the fused dense cascade;
 //   - all columns compressed and fill-dominated: CONCISE's run-native
-//     multi-way gallop, no decompression at all.
+//     multi-way gallop, no decompression at all;
+//   - otherwise: read every column's dense view (Cursor.dense) and run the
+//     fused dense cascade.
 func (c *Cursor) intersectQAbove(refs []qref, tau int) (int, bool) {
 	ix := c.ix
 	// Representation census, paid once over the (few) observed dimensions.
@@ -945,9 +760,6 @@ func (c *Cursor) intersectQAbove(refs []qref, tau int) (int, bool) {
 	if t.dense+t.compressed == 0 {
 		n := ix.ds.Len()
 		return n, n > tau
-	}
-	if ix.codec == Raw {
-		return bitvec.IntersectCountAbove(tau, c.qCols(refs)...)
 	}
 	defer ix.flushTally(&t)
 	if t.dense == 0 && t.native == t.compressed {

@@ -21,8 +21,9 @@ import (
 // literal-heavy CONCISE stream costs a word per 31 bits, more than the raw
 // vector, and a column of incomplete data is never sparse enough for an id
 // list to pay (a row missing on a dimension is set in all of its columns).
-// DESIGN.md §1 has the census. The decompressed-column cache is what serves
-// the literal-heavy columns of a pure-CONCISE index.
+// DESIGN.md §1 has the census. Where a compressed column meets a dense one —
+// and everywhere on a pure-CONCISE index — it is read as its dense view out
+// of the decompressed-column cache (Cursor.dense).
 
 // colKind identifies a column's physical representation. The values double
 // as the persisted column-kind bytes of format v4; 1 was WAH and 3 the

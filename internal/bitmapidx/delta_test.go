@@ -155,7 +155,7 @@ func TestAppendRowsEquivalence(t *testing.T) {
 					}
 				}
 			}
-			if patched.codec != Raw && len(patched.clock) == 0 {
+			if patched.codec != Raw && len(patched.colCache) == 0 {
 				t.Fatal("patched compressed index has no column cache")
 			}
 			if patched.adaptive && patched.LiteralHeavy() != 0 {

@@ -308,9 +308,9 @@ func load(r io.Reader, ds *data.Dataset, prefixOK bool) (*Index, error) {
 
 // checkKind rejects a persisted column kind the file header does not allow:
 // pure-codec indexes carry exactly their codec's kind, adaptive ones may mix
-// dense with CONCISE. The cursor paths dispatch on the header (qpDense for
-// Raw), so an inconsistent kind — reachable only via a crafted file that
-// also beats the CRC — must be rejected here rather than fault there. A kind
+// dense with CONCISE. Only a compressed header gets a column cache, so an
+// inconsistent kind — reachable only via a crafted file that also beats the
+// CRC — must be rejected here rather than fault on the first read. A kind
 // this build does not know (1, the retired WAH; 3, the retired sparse id
 // list) is ErrUnsupportedCodec.
 func checkKind(k colKind, codec Codec, adaptive bool) error {

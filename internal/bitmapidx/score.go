@@ -167,9 +167,9 @@ func (c *Cursor) tieScore(refs []qref, cnt, limit int) (score, walked int, ok bo
 	return cnt - nd, walked, true
 }
 
-// column returns column (d, b) as a dense vector for the kernel, tallying how
+// column returns column (d, b) as a dense vector (Cursor.dense), tallying how
 // it was served: the stored vector of a dense column, else the shared
-// decompressed-column cache (or *scratch when the cache is full).
+// decompressed-column cache (or *scratch when the cache is over budget).
 func (c *Cursor) column(d int, b int32, scratch **bitvec.Vector, t *repTally) *bitvec.Vector {
 	if c.ix.dims[d].cols[b].kind == kindDense {
 		t.dense++

@@ -1,7 +1,7 @@
 // Package codec holds the pieces shared by the WAH and CONCISE bitmap
 // compression codecs: both slice a bit vector into 31-bit groups and
 // represent runs of all-zero / all-one groups compactly, so the group
-// reader/writer and the group-level helpers of CONCISE's run-native kernels
+// reader/writer and the group-level helpers of CONCISE's run-native counts
 // are implemented once here.
 package codec
 
@@ -103,49 +103,6 @@ func (w *Writer) Emit(val uint32, repeat int) {
 
 // Vector returns the assembled vector.
 func (w *Writer) Vector() *bitvec.Vector { return w.v }
-
-// AndGroup intersects the 31-bit group at index g of a dense word array
-// with val: bits of the group that are zero in val are cleared, bits outside
-// the group are untouched. It is the in-place building block of the
-// run-native AndInto kernels, which accumulate compressed columns into a
-// dense result without materializing the column.
-func AndGroup(words []uint64, g int, val uint32) {
-	off := g * GroupBits
-	wi, sh := off/64, uint(off%64)
-	if wi >= len(words) {
-		return
-	}
-	clear := uint64(GroupMask &^ val)
-	words[wi] &^= clear << sh
-	if sh > 64-GroupBits && wi+1 < len(words) {
-		words[wi+1] &^= clear >> (64 - sh)
-	}
-}
-
-// ZeroGroups clears `rep` consecutive 31-bit groups starting at group index
-// g in a dense word array — the 0-fill arm of the AndInto kernels. Interior
-// whole words are zeroed directly; only the two edge words pay a masked
-// read-modify-write.
-func ZeroGroups(words []uint64, g, rep int) {
-	start := g * GroupBits
-	end := start + rep*GroupBits
-	if max := len(words) * 64; end > max {
-		end = max
-	}
-	if start >= end {
-		return
-	}
-	sw, ew, first, last := wordSpan(start, end)
-	if sw == ew {
-		words[sw] &^= first & last
-		return
-	}
-	words[sw] &^= first
-	for wi := sw + 1; wi < ew; wi++ {
-		words[wi] = 0
-	}
-	words[ew] &^= last
-}
 
 // wordSpan locates the non-empty bit range [start, end) in 64-bit words: the
 // first and last word it touches and the mask of its bits in each (when they

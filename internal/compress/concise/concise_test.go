@@ -98,11 +98,6 @@ func TestAndMatchesDense(t *testing.T) {
 		a := randomVector(rng, n, rng.Float64())
 		b := randomVector(rng, n, rng.Float64())
 		want := a.Clone().And(b)
-		got := a.Clone()
-		AndInto(got, Compress(b))
-		if !got.Equal(want) {
-			t.Fatalf("AndInto mismatch n=%d trial=%d", n, trial)
-		}
 		if c := IntersectCount(Compress(a), Compress(b)); c != want.Count() {
 			t.Fatalf("IntersectCount = %d, want %d (n=%d trial=%d)", c, want.Count(), n, trial)
 		}
@@ -120,11 +115,6 @@ func TestAndOnRunHeavyInputs(t *testing.T) {
 	}
 	b.Set(0) // mixed 0-seq head
 	want := a.Clone().And(b)
-	got := a.Clone()
-	AndInto(got, Compress(b))
-	if !got.Equal(want) {
-		t.Fatal("AndInto mismatch on run-heavy input")
-	}
 	if c := IntersectCount(Compress(a), Compress(b)); c != want.Count() {
 		t.Fatalf("IntersectCount = %d on run-heavy input, want %d", c, want.Count())
 	}
@@ -136,7 +126,7 @@ func TestAndLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	AndInto(bitvec.New(31), Compress(bitvec.New(62)))
+	IntersectCount(Compress(bitvec.New(31)), Compress(bitvec.New(62)))
 }
 
 func TestQuickRoundTrip(t *testing.T) {

@@ -18,9 +18,9 @@ func fromBytes(data []byte) *bitvec.Vector {
 	return v
 }
 
-// FuzzCompressedKernels: the run-native kernels (AndInto, IntersectCount,
-// IntersectCountAbove) agree bit-for-bit with the dense bitvec reference on
-// arbitrary column triples.
+// FuzzCompressedKernels: the run-native kernels (IntersectCount,
+// IntersectCountAbove) agree with the dense bitvec reference on arbitrary
+// column triples.
 func FuzzCompressedKernels(f *testing.F) {
 	f.Add([]byte{}, []byte{}, []byte{}, 0)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}, []byte{0x00, 0x00, 0xFF, 0xFF}, []byte{0x0F, 0xF0, 0x0F, 0xF0}, 3)
@@ -38,12 +38,6 @@ func FuzzCompressedKernels(f *testing.F) {
 		bms := make([]*Bitmap, len(cols))
 		for i, v := range cols {
 			bms[i] = Compress(v)
-		}
-
-		dst := cols[0].Clone()
-		AndInto(dst, bms[1])
-		if want := cols[0].Clone().And(cols[1]); !dst.Equal(want) {
-			t.Fatal("AndInto diverges from dense And")
 		}
 
 		exact := bitvec.IntersectCount(cols...)

@@ -1,17 +1,15 @@
 package concise
 
 // Run-native kernels over the CONCISE word stream, mirroring the dense
-// kernel signatures in internal/bitvec: AND into a dense accumulator and
-// multi-way intersection popcount with and without a threshold — all
-// galloping over sequence (fill) words without decompressing. A mixed
-// sequence word (embedded flipped bit) decodes as one literal group followed
-// by a pure fill run; DecompressInto walks the same runReader, so results
-// are bit-identical to the dense reference.
+// kernel signatures in internal/bitvec: multi-way intersection popcount with
+// and without a threshold, galloping over sequence (fill) words without
+// decompressing. A mixed sequence word (embedded flipped bit) decodes as one
+// literal group followed by a pure fill run; DecompressInto walks the same
+// runReader, so results are bit-identical to the dense reference.
 
 import (
 	"math/bits"
 
-	"repro/internal/bitvec"
 	"repro/internal/compress/codec"
 )
 
@@ -88,33 +86,6 @@ func (r *runReader) skip(n int) {
 		}
 		r.rep -= t
 		n -= t
-	}
-}
-
-// AndInto sets dst = dst & b without decompressing b: 1-sequences are
-// skipped untouched, 0-sequences clear dst word-at-a-time, and only literal
-// (and flipped-first) groups pay a masked read-modify-write.
-func AndInto(dst *bitvec.Vector, b *Bitmap) {
-	if dst.Len() != b.nbits {
-		panic("concise: AndInto length mismatch")
-	}
-	words := dst.Words()
-	r := runReader{words: b.words}
-	g := 0
-	for r.next() {
-		switch {
-		case r.fill && r.val == 0:
-			codec.ZeroGroups(words, g, r.rep)
-		case r.fill:
-			// 1-sequence: dst unchanged.
-		default:
-			codec.AndGroup(words, g, r.val)
-		}
-		g += r.rep
-		r.rep = 0
-	}
-	if ng := codec.NumGroups(b.nbits); g < ng {
-		codec.ZeroGroups(words, g, ng-g)
 	}
 }
 

@@ -49,14 +49,6 @@ func TestKernelsAgainstDenseReference(t *testing.T) {
 		}
 		n := cols[0].Len()
 
-		// AndInto == dense And.
-		dst := cols[0].Clone()
-		AndInto(dst, bms[1])
-		want := cols[0].Clone().And(cols[1])
-		if !dst.Equal(want) {
-			t.Fatalf("set %d: AndInto mismatch", si)
-		}
-
 		// IntersectCount == dense cascade.
 		if got, want := IntersectCount(bms...), bitvec.IntersectCount(cols...); got != want {
 			t.Fatalf("set %d: IntersectCount = %d, want %d", si, got, want)

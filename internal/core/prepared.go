@@ -205,15 +205,6 @@ func (p *Prepared) CacheStats() bitmapidx.CacheStats {
 	return bitmapidx.CacheStats{}
 }
 
-// DropCache returns the serving index's decompressed columns to the process.
-// Queries in flight stay correct: a dropped column decompresses again on its
-// next touch.
-func (p *Prepared) DropCache() {
-	if ix := p.pre.Load().Binned; ix != nil {
-		ix.DropCache()
-	}
-}
-
 // SaveServing serializes the serving index, building it first if needed,
 // under the (rows, fingerprint) of the rows it indexes.
 func (p *Prepared) SaveServing(w io.Writer) error {

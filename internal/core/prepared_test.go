@@ -12,8 +12,8 @@ import (
 
 // TestPreparedSharing drives one holder the way an epoch and a shard do at
 // once: goroutines Ensure mixed needs and query what they get, while one
-// installs an artifact made elsewhere and one squeezes, restores and drops the
-// column cache. Every artifact nobody installed is built exactly once (all
+// installs an artifact made elsewhere and one squeezes and restores the
+// column cache budget. Every artifact nobody installed is built exactly once (all
 // readers see one pointer), a *Pre handed out never changes under its reader,
 // and Builds counts the one serving-index build — not the BIG bitmap, not the
 // install, not the load that follows. Under -race this is the holder's
@@ -62,7 +62,6 @@ func TestPreparedSharing(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			p.SetCacheBudget(1 << 10)
-			p.DropCache()
 			p.SetCacheBudget(0)
 			_ = p.CacheStats()
 		}

@@ -208,7 +208,6 @@ var metricFamilies = []family{
 		}
 	}},
 	{"tkd_cache_hits_total", "counter", "Decompressed-column cache hits, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.cache.Hits })},
-	{"tkd_cache_evictions_total", "counter", "Columns evicted by the CLOCK policy, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.cache.Evicted })},
 	{"tkd_columns_served_total", "counter", "Index columns consumed by queries, by dataset and physical representation.", func(x *expo) {
 		for _, d := range x.ds {
 			x.sample(d.label+`,repr="dense"`, d.cache.DenseCols)

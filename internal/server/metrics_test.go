@@ -36,7 +36,6 @@ func metricValue(t *testing.T, body, series string) float64 {
 // must not change.
 const goldenMetricTypes = `# TYPE tkd_batches_total counter
 # TYPE tkd_build_info gauge
-# TYPE tkd_cache_evictions_total counter
 # TYPE tkd_cache_hits_total counter
 # TYPE tkd_coalesced_queries_total counter
 # TYPE tkd_columns_served_total counter

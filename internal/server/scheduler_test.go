@@ -29,10 +29,11 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // graceful Shutdown — while two groups execute and a third waits for a slot:
 // every accepted request gets its answer, none a shutdown error, the loop
 // exits only after the last group replied, and every goroutine the scheduler
-// started is gone when the drain returns.
+// started is gone when the drain returns. The test holds every slot (as
+// TestSchedulerSaturation's hog does) until the drain has begun, so the drain
+// always finds the three groups in flight, and hands the slots back in one
+// step that leaves two of them running and the third in line.
 func TestDrainWaitsForRunningGroups(t *testing.T) {
-	// Naive on 2000 rows runs for tens of milliseconds: long enough for the
-	// drain to find the groups mid-flight.
 	gen := func() *tkd.Dataset { return tkd.GenerateIND(2000, 4, 40, 0.1, 5) }
 	ks := []int{3, 4, 5}
 	want := make([]tkd.Result, len(ks))
@@ -62,6 +63,7 @@ func TestDrainWaitsForRunningGroups(t *testing.T) {
 			}
 			e, _ := s.reg.get("d")
 			sch := e.sch
+			hog := s.adm.enter(2, 0)
 
 			replies := make([]reply, len(ks))
 			errs := make([]error, len(ks))
@@ -73,12 +75,29 @@ func TestDrainWaitsForRunningGroups(t *testing.T) {
 					replies[i], errs[i] = sch.submit(context.Background(), queryKey{K: k, Alg: core.AlgNaive, Workers: 1}, nil)
 				}()
 			}
-			eventually(t, "two groups running and a third in line", func() bool {
+			eventually(t, "three groups in line behind the held slots", func() bool {
 				s.adm.mu.Lock()
 				defer s.adm.mu.Unlock()
-				return s.adm.running == 2 && len(s.adm.line) == 1
+				return s.adm.running == 1 && len(s.adm.line) == len(ks)
 			})
-			stop(t, s)
+			stopped := make(chan struct{})
+			go func() {
+				defer close(stopped)
+				stop(t, s)
+			}()
+			eventually(t, "the drain to begin", sch.draining.Load)
+			// Release the hog as admission.release does, reading the state it
+			// leaves under the same lock.
+			s.adm.mu.Lock()
+			s.adm.used -= hog.wait()
+			s.adm.running--
+			s.adm.admit()
+			running, waiting := s.adm.running, len(s.adm.line)
+			s.adm.mu.Unlock()
+			if running != 2 || waiting != 1 {
+				t.Fatalf("after the hog's release: %d groups running, %d in line; want two and a third in line", running, waiting)
+			}
+			<-stopped
 			select {
 			case <-sch.exited:
 			default:

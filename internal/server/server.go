@@ -10,7 +10,7 @@
 //	POST   /v1/datasets               — {"name","path","negate"} registers a CSV at runtime
 //	POST   /v1/datasets/{name}/reload — rebuild from the source file, swap epochs, zero downtime
 //	POST   /v1/datasets/{name}/append — durable row ingest through the WAL (requires Config.WALDir)
-//	DELETE /v1/datasets/{name}        — evict: drain the scheduler, release the cache, remove the WAL
+//	DELETE /v1/datasets/{name}        — evict: drain the scheduler, remove the dataset and its WAL
 //	GET    /healthz                   — liveness
 //	GET    /metrics                   — Prometheus text: the family table of metrics.go
 //
@@ -1201,10 +1201,9 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Drain: requests already accepted (or racing the removal) get served;
-	// then the scheduler goroutine exits and the cache budget is released —
-	// including any shard slices the peer endpoint cached for coordinators.
+	// then the scheduler goroutine exits, the shard health loops stop and the
+	// peer endpoint forgets the shard slices it cached for coordinators.
 	e.sch.drainStop()
-	e.ds.ReleaseCache()
 	e.ds.Close()
 	if e.ing != nil {
 		// The WAL dies with the dataset: acked-but-unpublished rows are

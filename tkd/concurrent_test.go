@@ -100,11 +100,12 @@ func TestConcurrentPrepare(t *testing.T) {
 }
 
 // TestCacheBudgetPlumbing checks that SetCacheBudget reaches the compressed
-// index and CacheStats surfaces live counters and evictions under a budget
-// squeezed below the working set. The rows are complete, so each dimension's
-// missing column is all zeros — one CONCISE fill word, which the scoring
-// kernel reads through the decompressed-column cache — and at 4000 rows
-// (504-byte columns) only two of the five fit in 1 KiB.
+// index and CacheStats surfaces live counters under a budget squeezed below
+// the working set. The rows are complete, so each dimension's missing column
+// is all zeros — one CONCISE fill word, which the scoring kernel reads through
+// the decompressed-column cache — and at 4000 rows (504-byte columns) only
+// two of the five fit in 1 KiB: the other three are read through scratch, a
+// miss and a fallback on every touch.
 func TestCacheBudgetPlumbing(t *testing.T) {
 	ds := tkd.GenerateIND(4000, 5, 30, 0, 13)
 	ds.SetCacheBudget(1 << 10) // far below the column population
@@ -118,8 +119,8 @@ func TestCacheBudgetPlumbing(t *testing.T) {
 	if st.Misses == 0 {
 		t.Fatal("no cache misses recorded by an IBIG query")
 	}
-	if st.Evicted == 0 {
-		t.Fatal("no evictions under a 1 KiB budget")
+	if st.Misses <= 2 || st.Bytes != 2*504 {
+		t.Fatalf("%d misses, %d bytes resident: want two columns resident and the rest missing on every touch", st.Misses, st.Bytes)
 	}
 	if st.Bytes > st.Budget {
 		t.Fatalf("resident bytes %d exceed budget %d", st.Bytes, st.Budget)

@@ -44,8 +44,11 @@ type epochRecord struct {
 // epoch, incrementally when possible. It reports whether the publish was
 // incremental (the previous epoch's binned index was patched rather than
 // rebuilt); either way the new epoch's queue and binned index are ready when
-// the call returns, and queries in flight finish on the old epoch. Rows follow
-// Append's rules. On error nothing is published and the dataset is unchanged.
+// the call returns, and queries in flight finish on the old epoch. A sharded
+// dataset's epoch holds no binned index of its own — its shards index their
+// slices, at the first query — so there only the coordinator's queue is built
+// and patched is false. Rows follow Append's rules. On error nothing is
+// published and the dataset is unchanged.
 func (d *Dataset) AppendRows(rows []Row) (patched bool, err error) {
 	return d.appendRows(appendSpec{rows: rows})
 }
@@ -108,8 +111,9 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 	// Incremental path: patch the published binned index and rebuild the
 	// MaxScore queue from it. The value-granular bitmap (a BIG-only artifact)
 	// is dropped and rebuilds lazily.
+	sharded := d.topo.Load() != nil
 	var pre core.Pre
-	if old := base.part.Built().Binned; old != nil {
+	if old := base.part.Built().Binned; old != nil && !sharded {
 		if ix, ok := bitmapidx.AppendRows(old, next); ok {
 			pre = core.Pre{Queue: core.BuildMaxScoreQueueFromIndex(ix), Binned: ix}
 			patched = true
@@ -119,11 +123,15 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 	d.staging = next
 	d.shared = true
 	d.cur.Store(ns)
-	base.release(pre.Binned)
+	base.release()
 	if !patched {
 		// Rebuild path: pay the artifact build now so the publish is complete
 		// either way, mirroring the patch path.
-		ns.part.Ensure(core.NeedQueue | core.NeedBinned)
+		need := core.NeedQueue | core.NeedBinned
+		if sharded {
+			need = core.NeedQueue
+		}
+		ns.part.Ensure(need)
 	}
 	d.recordLineageLocked(base, ns.epoch, next.Len(), fp)
 	return patched, nil

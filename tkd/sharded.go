@@ -30,8 +30,8 @@ import (
 // The per-epoch shard set is lazily built state of the snapshot, next to the
 // epoch's own artifacts: the first query (or Prepare) on an epoch slices it
 // under the snapshot's lock, queries in flight keep the set of the epoch they
-// started on, and retiring the snapshot closes the set's health loops and
-// drops its column caches. Nobody blocks anybody, as everywhere else.
+// started on, and retiring the snapshot closes the set's health loops. Nobody
+// blocks anybody, as everywhere else.
 
 // ShardMetrics is a snapshot of a sharded dataset's scatter-gather counters:
 // fan-out calls, τ push-down prunes, retries, hedges, degraded answers and

@@ -253,6 +253,50 @@ func TestShardedFollowsEpochs(t *testing.T) {
 	}
 }
 
+// TestShardedAppendRowsBuildsNoDatasetIndex: a sharded dataset's epoch holds
+// no binned index of its own — the shards index their slices — so an
+// append-publish there builds only the coordinator's queue, patches nothing
+// and says so, and the answers still match an unsharded dataset that took the
+// same appends (and patched its index for them).
+func TestShardedAppendRowsBuildsNoDatasetIndex(t *testing.T) {
+	ds := GenerateIND(2000, 4, 30, 0.2, 5)
+	sd, err := Shard(GenerateIND(2000, 4, 30, 0.2, 5), "append", WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for batch := 0; batch < 3; batch++ {
+		rows := make([]Row, 5)
+		for i := range rows {
+			v := float64(batch*len(rows) + i)
+			rows[i] = Row{ID: fmt.Sprintf("a%d-%d", batch, i), Values: []float64{v, Missing, 30 - v, v / 2}}
+		}
+		if _, err := ds.TopK(4); err != nil { // warm, so the unsharded side patches
+			t.Fatal(err)
+		}
+		if patched, err := ds.AppendRows(rows); err != nil || !patched {
+			t.Fatalf("batch %d unsharded: patched=%v err=%v", batch, patched, err)
+		}
+		patched, err := sd.AppendRows(rows)
+		if err != nil || patched {
+			t.Fatalf("batch %d sharded: patched=%v err=%v, want an unpatched publish", batch, patched, err)
+		}
+		if pre := sd.current().part.Built(); pre.Binned != nil || pre.Queue == nil {
+			t.Fatalf("batch %d: the sharded epoch holds binned index %v, queue %v; want only the coordinator's queue", batch, pre.Binned != nil, pre.Queue != nil)
+		}
+		for _, k := range []int{1, 4, 9} {
+			want, err := ds.TopK(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sd.TopK(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, fmt.Sprintf("batch %d k=%d", batch, k), want, got)
+		}
+	}
+}
+
 // TestShardedConcurrentReload hammers queries against concurrent wholesale
 // ReplaceFrom swaps — alternately from a plain source (the shard set
 // rebuilds lazily) and from a sharded, prepared one (its warm shards carry

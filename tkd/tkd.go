@@ -142,8 +142,8 @@ func (d *Dataset) newPart(ds *data.Dataset, bins []int, pre core.Pre) *core.Prep
 
 // parts lists the holders behind the epoch's serving indexes — the epoch's
 // own on an unsharded dataset, one per in-process shard otherwise (none until
-// the shard set is built). The cache budget, the cache counters, the build
-// count and the release of a retired epoch are each one loop over them.
+// the shard set is built). The cache budget, the cache counters and the build
+// count are each one loop over them.
 func (s *snapshot) parts() []*core.Prepared {
 	if s.d.topo.Load() == nil {
 		return []*core.Prepared{s.part}
@@ -155,20 +155,13 @@ func (s *snapshot) parts() []*core.Prepared {
 }
 
 // release retires a snapshot that was just replaced — or, in replaceFrom, is
-// about to be: its decompressed-column caches are dropped so the epoch
-// returns its budget immediately instead of at the next GC, its builds move
-// to the owner's running count, and its shard set's health loops stop.
-// In-flight queries on the old epoch keep working — they hold any column
-// vector they already have (eviction never mutates a column), re-decompress
-// on further touches, and close never touches the query path. keep is the
-// successor's binned index when the artifact survived the swap (a ReplaceFrom
-// of the dataset's own data, a republish under a restored number).
-func (s *snapshot) release(keep *bitmapidx.Index) {
+// about to be: its builds move to the owner's running count and its shard
+// set's health loops stop. In-flight queries on the old epoch keep working —
+// close never touches the query path — and its decompressed columns go with
+// its index, once the last of them is done.
+func (s *snapshot) release() {
 	s.retired.Store(true)
 	for _, p := range s.parts() {
-		if p.Built().Binned != keep {
-			p.DropCache()
-		}
 		s.d.retiredBuilds.Add(p.Builds())
 	}
 	if ss := s.shards.Load(); ss != nil {
@@ -256,7 +249,7 @@ func (d *Dataset) cowLocked() {
 func (d *Dataset) invalidateLocked() {
 	if old := d.cur.Load(); old != nil {
 		d.cur.Store(nil)
-		old.release(nil)
+		old.release()
 	}
 	d.clearLineageLocked()
 }
@@ -337,7 +330,7 @@ func (d *Dataset) RestoreEpoch(n uint64) {
 	if old := d.cur.Load(); old != nil {
 		pre := *old.part.Built()
 		d.cur.Store(d.newSnapshot(d.epoch.Add(1), old.ds, old.part.Bins(), pre))
-		old.release(pre.Binned)
+		old.release()
 	}
 	d.clearLineageLocked()
 }
@@ -357,9 +350,8 @@ func (d *Dataset) Negate() {
 // acceleration artifacts src already built or loaded — as the receiver's
 // next epoch. It is the zero-downtime reload primitive: build and index the
 // replacement off to the side, then swap it in with one call. In-flight
-// queries finish on the old epoch; the old epoch's column cache is dropped
-// so its budget frees immediately. src is unaffected (the two datasets
-// share the frozen data copy-on-write).
+// queries finish on the old epoch. src is unaffected (the two datasets share
+// the frozen data copy-on-write).
 func (d *Dataset) ReplaceFrom(src *Dataset) { d.replaceFrom(src, 0) }
 
 // ReplaceFromAt is ReplaceFrom with an externally assigned epoch number —
@@ -397,7 +389,7 @@ func (d *Dataset) replaceFrom(src *Dataset, at uint64) {
 	// the predecessor is retired — its loops stopped — before the swap, the
 	// successor's start after it.
 	if old := d.cur.Load(); old != nil {
-		old.release(pre.Binned)
+		old.release()
 	}
 	d.cur.Store(s)
 	if shards != nil {
@@ -623,20 +615,18 @@ func (d *Dataset) partBudget() int64 {
 }
 
 // CacheStats reports the decompressed-column cache and representation
-// counters of the binned bitmap index: lookup hits and misses, columns
-// evicted by the CLOCK policy, resident bytes and the configured budget,
-// plus how many columns each physical representation served on the query
-// path (DenseCols/CompressedCols) and — for compressed columns —
-// the split between run-native kernel execution (NativeKernel) and
-// decompress-to-dense fallbacks (Fallback). All zero until an IBIG query
-// (or Prepare) builds the index. A sharded dataset reports the sum over its
-// in-process shards' indexes.
+// counters of the binned bitmap index: lookup hits and misses, resident bytes
+// and the configured budget, plus how many columns each physical
+// representation served on the query path (DenseCols/CompressedCols) and —
+// for compressed columns — the split between run-native kernel execution
+// (NativeKernel) and decompress-to-dense fallbacks (Fallback). All zero until
+// an IBIG query (or Prepare) builds the index. A sharded dataset reports the
+// sum over its in-process shards' indexes.
 type CacheStats struct {
-	Hits    int64
-	Misses  int64
-	Evicted int64
-	Bytes   int64
-	Budget  int64
+	Hits   int64
+	Misses int64
+	Bytes  int64
+	Budget int64
 
 	DenseCols      int64
 	CompressedCols int64
@@ -647,7 +637,6 @@ type CacheStats struct {
 func (c *CacheStats) add(st bitmapidx.CacheStats) {
 	c.Hits += st.Hits
 	c.Misses += st.Misses
-	c.Evicted += st.Evicted
 	c.Bytes += st.Bytes
 	c.Budget += st.Budget
 	c.DenseCols += st.DenseCols
@@ -663,17 +652,6 @@ func (d *Dataset) CacheStats() CacheStats {
 		out.add(p.CacheStats())
 	}
 	return out
-}
-
-// ReleaseCache drops the decompressed-column caches of the current epoch's
-// compressed indexes, returning their bytes to the process immediately. The
-// artifacts themselves stay installed and queries still in flight stay
-// correct (a dropped column simply decompresses again on the next touch).
-// A serving layer calls this when it evicts a resident dataset.
-func (d *Dataset) ReleaseCache() {
-	for _, p := range d.parts() {
-		p.DropCache()
-	}
 }
 
 // parts returns the current epoch's parts without publishing or building
@@ -702,7 +680,7 @@ func (d *Dataset) setBins(bins []int) {
 	pre := *old.part.Built()
 	pre.Binned = nil
 	d.cur.Store(d.newSnapshot(d.epoch.Add(1), old.ds, d.bins, pre))
-	old.release(nil)
+	old.release()
 	d.clearLineageLocked()
 }
 
