@@ -732,32 +732,58 @@ func BenchmarkDeltaPublish(b *testing.B) {
 
 // BenchmarkColdPrepare times what a server pays before its first answer, at
 // the served benchmark's scale (100 k × 5 IND, 100 values per dimension, 20 %
-// missing — the query-heavy CSV): parse is ReadCSV; prepare is the cold build,
+// missing — the query-heavy CSV): parse is ParseCSV over the file's bytes,
+// what a boot runs once os.ReadFile has them, and the scanner's path since
+// the file quotes nothing; parse-quoted is ParseCSV of the same rows under
+// IDs that WriteCSV must quote, the encoding/csv path; prepare is the cold build,
 // PrepareFor(IBIG) on freshly parsed rows — one sort per dimension, the
 // serving index peeled off it, the MaxScore queue derived from the index;
 // warm is a restart over a persisted index, LoadIndex plus the queue.
 func BenchmarkColdPrepare(b *testing.B) {
 	src := tkd.GenerateIND(100_000, 5, 100, 0.2, 1)
-	var csv, idx bytes.Buffer
+	quoted := tkd.NewDataset(src.Dim())
+	vals := make([]float64, src.Dim())
+	for i := 0; i < src.Len(); i++ {
+		for d := range vals {
+			v, ok := src.Value(i, d)
+			if !ok {
+				v = tkd.Missing
+			}
+			vals[d] = v
+		}
+		if err := quoted.Append(src.ID(i)+",q", vals...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var csv, quotedCSV, idx bytes.Buffer
 	if err := src.WriteCSV(&csv); err != nil {
+		b.Fatal(err)
+	}
+	if err := quoted.WriteCSV(&quotedCSV); err != nil {
 		b.Fatal(err)
 	}
 	if err := src.SaveIndex(&idx); err != nil {
 		b.Fatal(err)
 	}
-	parse := func(b *testing.B) *tkd.Dataset {
-		ds, err := tkd.ReadCSV(bytes.NewReader(csv.Bytes()))
+	parseText := func(b *testing.B, text []byte) *tkd.Dataset {
+		ds, err := tkd.ParseCSV(text)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return ds
 	}
-	b.Run("parse", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			parse(b)
-		}
-	})
+	parse := func(b *testing.B) *tkd.Dataset { return parseText(b, csv.Bytes()) }
+	for _, tc := range []struct {
+		name string
+		text []byte
+	}{{"parse", csv.Bytes()}, {"parse-quoted", quotedCSV.Bytes()}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				parseText(b, tc.text)
+			}
+		})
+	}
 	b.Run("prepare", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -57,17 +57,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	r := stdin
-	if name := fs.Arg(0); name != "-" {
-		f, err := os.Open(name)
-		if err != nil {
-			fmt.Fprintln(stderr, "tkdcli:", err)
-			return 1
+	var ds *data.Dataset
+	if name := fs.Arg(0); name == "-" {
+		ds, err = data.ReadCSV(stdin)
+	} else {
+		var b []byte
+		if b, err = os.ReadFile(name); err == nil {
+			ds, err = data.ParseCSV(b)
 		}
-		defer f.Close()
-		r = f
 	}
-	ds, err := data.ReadCSV(r)
 	if err != nil {
 		fmt.Fprintln(stderr, "tkdcli:", err)
 		return 1

@@ -41,6 +41,12 @@ func TestErrorContract(t *testing.T) {
 	dir := t.TempDir()
 	csv := filepath.Join(dir, "d.csv")
 	writeCSV(t, tkd.GenerateIND(200, 3, 10, 0.2, 11), csv)
+	// One value column more than a dataset can have: a typed 400, not a
+	// panic in the handler and a dropped connection.
+	wide := filepath.Join(dir, "wide.csv")
+	if err := os.WriteFile(wide, []byte("id"+strings.Repeat(",v", 65)+"\na"+strings.Repeat(",1", 65)+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s := server.New(server.Config{})
 	defer s.Close()
@@ -73,6 +79,7 @@ func TestErrorContract(t *testing.T) {
 		{"dataset info unknown", "GET", "/v1/datasets/ghost", nil, "", http.StatusNotFound, "dataset_not_found"},
 		{"register bad json", "POST", "/v1/datasets", nil, "{", http.StatusBadRequest, "bad_request"},
 		{"register duplicate", "POST", "/v1/datasets", server.RegisterRequest{Name: "file", Path: csv}, "", http.StatusConflict, "dataset_exists"},
+		{"register too wide", "POST", "/v1/datasets", server.RegisterRequest{Name: "wide", Path: wide}, "", http.StatusBadRequest, "bad_request"},
 		{"reload unknown", "POST", "/v1/datasets/ghost/reload", nil, "", http.StatusNotFound, "dataset_not_found"},
 		{"reload sourceless", "POST", "/v1/datasets/mem/reload", nil, "", http.StatusConflict, "not_reloadable"},
 		{"evict unknown", "DELETE", "/v1/datasets/ghost", nil, "", http.StatusNotFound, "dataset_not_found"},

@@ -157,14 +157,14 @@ func (r *registry) list() []*entry {
 	return out
 }
 
-// loadCSV reads a datagen-format CSV from path into a tkd.Dataset.
+// loadCSV reads a datagen-format CSV from path into a tkd.Dataset: the file
+// into one buffer sized from its length, then the parse over it.
 func loadCSV(path string, negate bool) (*tkd.Dataset, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	ds, err := tkd.ReadCSV(f)
+	ds, err := tkd.ParseCSV(b)
 	if err != nil {
 		return nil, fmt.Errorf("loading %s: %w", path, err)
 	}

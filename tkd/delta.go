@@ -335,7 +335,7 @@ func ReadEpochDelta(r io.Reader) (*EpochDelta, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tkd: delta stream rows section: %w", err)
 	}
-	rows, err := data.ReadCSV(bytes.NewReader(raw))
+	rows, err := data.ParseCSV(raw)
 	if err != nil {
 		return nil, fmt.Errorf("tkd: delta stream rows section: %w", err)
 	}

@@ -180,7 +180,7 @@ func ImportEpoch(r io.Reader) (*Dataset, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("tkd: epoch stream data section: %w", err)
 	}
-	ds, err := data.ReadCSV(bytes.NewReader(raw))
+	ds, err := data.ParseCSV(raw)
 	if err != nil {
 		return nil, 0, fmt.Errorf("tkd: epoch stream data section: %w", err)
 	}

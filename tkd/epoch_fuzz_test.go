@@ -50,6 +50,8 @@ func FuzzImportEpoch(f *testing.F) {
 	// and under one from the future: version errors, never a parse.
 	mutate(func(b []byte) []byte { b[6] = '1'; return b })
 	mutate(func(b []byte) []byte { b[6] = '3'; return b })
+	wide, _ := wideStreams()
+	f.Add(wide)
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		ds, epoch, err := tkd.ImportEpoch(bytes.NewReader(blob))
@@ -105,6 +107,8 @@ func FuzzReadEpochDelta(f *testing.F) {
 	f.Add([]byte{})
 	mutate(func(b []byte) []byte { b[6] = '1'; return b }) // a TKDEPD1 leader's delta
 	mutate(func(b []byte) []byte { b[6] = '3'; return b })
+	_, wide := wideStreams()
+	f.Add(wide)
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		d, err := tkd.ReadEpochDelta(bytes.NewReader(blob))

@@ -256,6 +256,41 @@ func maxLenHeaders() (full, delta []byte) {
 	return full, delta
 }
 
+// wideStreams returns a full and a delta stream, each well framed, whose CSV
+// section has 65 value columns: one more than a dataset can have.
+func wideStreams() (full, delta []byte) {
+	const dim = 65
+	return csvStreams("id" + strings.Repeat(",v", dim) + "\na" + strings.Repeat(",1", dim) + "\n")
+}
+
+// csvStreams frames csv as the data section of a full stream (no index
+// section) and as the rows section of a delta.
+func csvStreams(csv string) (full, delta []byte) {
+	full = binary.LittleEndian.AppendUint64([]byte("TKDEPO2\n"), 1)
+	full = binary.LittleEndian.AppendUint64(full, 0xfeed)
+	full = append(full, 0) // flags: no index section
+	full = append(binary.LittleEndian.AppendUint64(full, uint64(len(csv))), csv...)
+	delta = []byte("TKDEPD2\n")
+	for _, v := range []uint64{1, 0xfeed, 2, 0xbeef, uint64(len(csv))} {
+		delta = binary.LittleEndian.AppendUint64(delta, v)
+	}
+	return full, append(delta, csv...)
+}
+
+// TestEpochStreamsRejectWideCSV: a stream whose CSV section is wider than a
+// dataset can be fails both readers with the header-width error, where it
+// used to panic the follower's poll goroutine before the fingerprint check.
+func TestEpochStreamsRejectWideCSV(t *testing.T) {
+	full, delta := wideStreams()
+	const want = "65 value columns, at most 64"
+	if _, _, err := tkd.ImportEpoch(bytes.NewReader(full)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("full stream: error = %v, want the header-width error", err)
+	}
+	if _, err := tkd.ReadEpochDelta(bytes.NewReader(delta)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("delta stream: error = %v, want the header-width error", err)
+	}
+}
+
 // TestEpochStreamsAllocateByBytesReceived is the regression test for the
 // pre-allocation bug: both readers used to make([]byte, dlen) straight from
 // the header, so 33 (full) or 48 (delta) crafted bytes cost a follower
@@ -279,6 +314,42 @@ func TestEpochStreamsAllocateByBytesReceived(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("two empty-bodied streams allocated %d bytes; the declared length leaked into an allocation", grew)
+	}
+}
+
+// TestEpochCSVSectionsAllocateByBytesReceived: a CSV section costs what its
+// bytes could hold, not what its line count could. A 64-column header over
+// 1 MiB of two-byte junk lines is half a million lines; sizing the rows from
+// that count reserved about 560 bytes a line, ≈ 280 MiB a parse. Capped by the
+// bytes, a section reserves no more than valid rows of its size would (≈ 9 ×
+// the section under 64 columns) on each path it takes — the scanner then
+// encoding/csv, or encoding/csv alone once a '"' rules the scanner out.
+func TestEpochCSVSectionsAllocateByBytesReceived(t *testing.T) {
+	head := "id" + strings.Repeat(",v", 64) + "\n"
+	junk := strings.Repeat("x\n", 1<<19)
+	for _, tc := range []struct{ name, csv string }{
+		{"scanner", head + junk},
+		{"quoted", head + "\"x\"\n" + junk},
+	} {
+		full, delta := csvStreams(tc.csv)
+		for _, read := range []struct {
+			stream string
+			read   func() error
+		}{
+			{"full", func() error { _, _, err := tkd.ImportEpoch(bytes.NewReader(full)); return err }},
+			{"delta", func() error { _, err := tkd.ReadEpochDelta(bytes.NewReader(delta)); return err }},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read.read()
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "line 2") {
+				t.Errorf("%s %s stream: error = %v, want the CSV's line 2 rejected", tc.name, read.stream, err)
+			}
+			if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(tc.csv)); grew > limit {
+				t.Errorf("%s %s stream: a %d-byte CSV section allocated %d bytes, over %d", tc.name, read.stream, len(tc.csv), grew, limit)
+			}
+		}
 	}
 }
 

@@ -889,9 +889,18 @@ func OptimalBins(n int, sigma float64) int { return core.OptimalBins(n, sigma) }
 // WriteCSV serializes the dataset ("-" marks missing values).
 func (d *Dataset) WriteCSV(w io.Writer) error { return d.view().WriteCSV(w) }
 
-// ReadCSV parses a dataset written by WriteCSV.
+// ReadCSV parses a dataset written by WriteCSV, reading r to its end.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	ds, err := data.ReadCSV(r)
+	if err != nil {
+		return nil, err
+	}
+	return wrap(ds), nil
+}
+
+// ParseCSV is ReadCSV over bytes already in memory; it does not retain b.
+func ParseCSV(b []byte) (*Dataset, error) {
+	ds, err := data.ParseCSV(b)
 	if err != nil {
 		return nil, err
 	}
