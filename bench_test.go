@@ -304,32 +304,37 @@ func BenchmarkFig18_Pruning(b *testing.B) {
 
 // BenchmarkParallelIBIG compares the serial loop against the batch-windowed
 // parallel engine on IBIG at n ∈ {10k, 100k}, d = 6, for both synthetic
-// distributions — the headline numbers of the parallel engine. The speedup
-// ceiling is GOMAXPROCS; on a single-core host every worker count collapses
-// onto the serial path's time plus a small fan-out overhead.
+// distributions — the headline numbers of the parallel engine — and on the
+// served shape: the benchmark's query-heavy dataset (IND 100000×5,
+// cardinality 100, σ = 0.2) over the serving index a tkdserver builds. The
+// speedup ceiling is GOMAXPROCS; on a single-core host every worker count
+// collapses onto the serial path's time plus a small fan-out overhead.
 func BenchmarkParallelIBIG(b *testing.B) {
+	run := func(name string, ds *data.Dataset, binned *bitmapidx.Index) {
+		pre := &core.Pre{Queue: core.BuildMaxScoreQueue(ds), Binned: binned}
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/w%d", name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					core.RunWorkers(core.AlgIBIG, ds, 16, pre, workers)
+				}
+			})
+		}
+	}
 	for _, dist := range []gen.Distribution{gen.IND, gen.AC} {
 		for _, n := range []int{10_000, 100_000} {
 			cfg := gen.Default(dist, 77)
 			cfg.N = n
 			cfg.Dim = 6
 			ds := gen.Synthetic(cfg)
-			queue := core.BuildMaxScoreQueue(ds)
-			binned := bitmapidx.Build(ds, bitmapidx.Options{
+			run(fmt.Sprintf("%s/n%d", dist, n), ds, bitmapidx.Build(ds, bitmapidx.Options{
 				Codec: bitmapidx.Concise,
 				Bins:  []int{core.OptimalBins(n, ds.MissingRate())},
-			})
-			pre := &core.Pre{Queue: queue, Binned: binned}
-			for _, workers := range []int{1, 2, 4, 8} {
-				b.Run(fmt.Sprintf("%s/n%d/w%d", dist, n, workers), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						core.RunWorkers(core.AlgIBIG, ds, 16, pre, workers)
-					}
-				})
-			}
+			}))
 		}
 	}
+	served := gen.Synthetic(gen.Config{N: 100_000, Dim: 5, Cardinality: 100, MissingRate: 0.2, Dist: gen.IND, Seed: 1})
+	run("served/n100000", served, core.BuildServingIndex(served.SortDims(), nil))
 }
 
 // BenchmarkTraceOverhead pins the cost of the obs instrumentation points the

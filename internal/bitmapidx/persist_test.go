@@ -186,21 +186,18 @@ func goldenDataset(t *testing.T) *data.Dataset {
 	return ds
 }
 
-// TestLoadGoldenV3 pins the migration: the v3 files an older build wrote are
+// TestLoadGoldenV3 pins the migration: a v3 file an older build wrote is
 // keyed by the count-first fingerprint, which no dataset hashes to any more,
-// so every one of them — whatever its codec — fails closed with ErrVersion
-// and a rebuild hint before a byte of it is trusted, through the prefix
-// loader too.
+// so it fails closed with ErrVersion and a rebuild hint before a byte of it —
+// codec included — is trusted, through the prefix loader too.
 func TestLoadGoldenV3(t *testing.T) {
 	ds := goldenDataset(t)
-	for _, file := range []string{"golden_v3_adaptive.idx", "golden_v3_concise.idx", "golden_v3_wah.idx"} {
-		for name, load := range map[string]func(io.Reader, *data.Dataset) (*bitmapidx.Index, error){
-			"Load": bitmapidx.Load, "LoadPrefix": bitmapidx.LoadPrefix,
-		} {
-			ix, err := load(bytes.NewReader(golden(t, file)), ds)
-			if ix != nil || !errors.Is(err, bitmapidx.ErrVersion) || !strings.Contains(err.Error(), "rebuild") {
-				t.Fatalf("%s(%s): index %v, error = %v; want ErrVersion with a rebuild hint", name, file, ix != nil, err)
-			}
+	for name, load := range map[string]func(io.Reader, *data.Dataset) (*bitmapidx.Index, error){
+		"Load": bitmapidx.Load, "LoadPrefix": bitmapidx.LoadPrefix,
+	} {
+		ix, err := load(bytes.NewReader(golden(t, "golden_v3_wah.idx")), ds)
+		if ix != nil || !errors.Is(err, bitmapidx.ErrVersion) || !strings.Contains(err.Error(), "rebuild") {
+			t.Fatalf("%s: index %v, error = %v; want ErrVersion with a rebuild hint", name, ix != nil, err)
 		}
 	}
 }

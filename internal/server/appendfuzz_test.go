@@ -18,9 +18,10 @@ import (
 
 // FuzzAppendBody drives POST /v1/datasets/{name}/append with arbitrary bodies
 // against one WAL-backed leader (-fsync none). Every body gets 200 or a typed
-// 4xx envelope, and every accepted batch, once published, crosses both epoch
-// streams under the leader's fingerprint: a follower at the previous epoch
-// applies the rows-since delta, and the full stream imports afresh.
+// 4xx envelope, and every accepted batch, once published, crosses the epoch
+// stream from both kinds of base under the leader's fingerprint: a follower
+// at the previous epoch applies the stream from that epoch, and the stream
+// from the empty base imports afresh.
 func FuzzAppendBody(f *testing.F) {
 	for _, body := range []string{
 		`{"rows":[{"id":"a","values":[1,2,3]}]}`,
@@ -74,12 +75,12 @@ func FuzzAppendBody(f *testing.F) {
 		waitUntil(t, "publish", func() bool { return datasetInfo(t, ts.URL).Objects == want })
 
 		hdr, delta := getEpoch(t, ts.URL, follower)
-		if hdr.Get("X-TKD-Delta") != "1" {
-			t.Fatal("no delta stream for the follower's epoch")
-		}
 		x, err := tkd.ReadEpochDelta(bytes.NewReader(delta))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if x.BaseEpoch != follower.Epoch() {
+			t.Fatalf("stream from epoch %d, want a delta from the follower's %d", x.BaseEpoch, follower.Epoch())
 		}
 		if _, err := follower.ApplyEpochDelta(x); err != nil {
 			t.Fatalf("delta stream: %v", err)

@@ -21,9 +21,10 @@ import (
 // and keeps a local replica of every leader dataset through the epoch
 // stream endpoint (GET /v1/datasets/{name}/epoch): each poll sends the
 // fingerprint it already serves, the leader answers 304 when the follower
-// is current, and ships the full epoch stream — data, epoch number,
-// fingerprint, and (for unsharded leaders) the binned index — when it is
-// not. An imported epoch is validated end to end (header fingerprint
+// is current, and otherwise ships an epoch stream — the rows appended since
+// the epoch the follower holds when its append lineage can prove that, else
+// everything from the empty epoch with (for unsharded leaders) the binned
+// index. An imported epoch is validated end to end (header fingerprint
 // against the rebuilt data, index stream against its own checksums) before
 // being published locally as an RCU epoch swap under the leader's epoch
 // number, so a replica group behind one leader converges to identical
@@ -203,9 +204,9 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 		// follower already serves these bytes.
 		req.Header.Set("X-TKD-Have-Fingerprint", fmt.Sprintf("%016x", e.ds.Fingerprint()))
 		if e.ds.Shards() == 0 { // sharded: no dataset-level index for a delta to patch
-			// Advertise our epoch too: a delta-shipping leader whose append
-			// lineage covers it answers with just the rows appended since
-			// (X-TKD-Delta: 1) instead of the full stream.
+			// Advertise our epoch too: a leader whose append lineage covers
+			// it answers with a stream from it — just the rows appended
+			// since — instead of one from the empty base.
 			req.Header.Set("X-TKD-Have-Epoch", strconv.FormatUint(e.ds.Epoch(), 10))
 		}
 	}
@@ -243,13 +244,9 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 		e.leaderSeen.Store(leaderEpoch)
 	}
 
-	if resp.Header.Get("X-TKD-Delta") == "1" {
-		return f.applyDelta(name, e, resp.Body, sp)
-	}
-
 	start := time.Now()
 	imp := sp.StartChild("import")
-	fresh, epoch, err := tkd.ImportEpoch(resp.Body)
+	x, err := tkd.ReadEpochDelta(resp.Body)
 	imp.End()
 	if err != nil {
 		return false, err
@@ -257,9 +254,13 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 
 	pub := sp.StartChild("publish")
 	defer pub.End()
-	pub.SetInt("epoch", int64(epoch))
+	pub.SetInt("epoch", int64(x.Epoch))
+	if x.BaseEpoch != 0 {
+		return f.applyDelta(name, e, x, pub)
+	}
+	fresh := x.Dataset()
 	if !resident {
-		if err := f.s.registerFollowed(name, fresh, epoch, start); err != nil {
+		if err := f.s.registerFollowed(name, fresh, x.Epoch, start); err != nil {
 			return false, err
 		}
 		return true, nil
@@ -269,41 +270,32 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 	// builds or warm-loads its per-shard ones), swap under the leader's
 	// number, persist what the cache lacked — the shipped index included, so a
 	// restart warms from disk instead of re-fetching.
-	if _, err := f.s.swapIn(e, fresh, epoch, start); err != nil {
+	if _, err := f.s.swapIn(e, fresh, x.Epoch, start); err != nil {
 		return false, err
 	}
 	e.followed.Store(true)
-	e.leaderSeen.Store(epoch)
-	e.leaderEpoch.Store(epoch)
+	e.leaderSeen.Store(x.Epoch)
+	e.leaderEpoch.Store(x.Epoch)
 	// A full import replaces everything; standing queries re-evaluate
 	// unconditionally.
 	f.s.notifyStanding(e, 0)
 	return true, nil
 }
 
-// applyDelta folds a leader's epoch delta — the rows appended since the
-// epoch this follower advertised — into the resident replica through the
-// same patch-publish path local ingest uses. The delta's fingerprint is
-// verified against the extended data before anything publishes, so a bad or
-// misdirected delta leaves the replica untouched; the next poll (whose
-// advertised state is then unchanged) retries, and a leader whose lineage no
-// longer covers us falls back to the full stream on its own.
-func (f *follower) applyDelta(name string, e *entry, body io.Reader, sp *obs.Span) (bool, error) {
-	d := e.ds
-	if d.Shards() > 0 { // sharded: never advertised a delta base, has no index to patch
-		return false, fmt.Errorf("leader sent an epoch delta for %q but the local replica cannot patch", name)
+// applyDelta folds a stream from a real base — the rows a leader appended
+// since the epoch this follower advertised — into the resident replica
+// through the same patch-publish path local ingest uses. The base must be
+// the replica's current epoch and the extended data must hash to the
+// stream's fingerprint before anything publishes, so a bad or misdirected
+// delta leaves the replica untouched; the next poll (whose advertised state
+// is then unchanged) retries, and a leader whose lineage no longer covers us
+// falls back to a stream from the empty base on its own.
+func (f *follower) applyDelta(name string, e *entry, x *tkd.EpochDelta, pub *obs.Span) (bool, error) {
+	if e == nil || e.ds.Shards() > 0 { // never advertised a base, or has no index to patch
+		return false, fmt.Errorf("leader sent a delta from epoch %d for %q, which the local replica cannot apply", x.BaseEpoch, name)
 	}
-	imp := sp.StartChild("import")
-	dx, err := tkd.ReadEpochDelta(body)
-	imp.End()
-	if err != nil {
-		return false, err
-	}
-	pub := sp.StartChild("publish")
-	defer pub.End()
-	pub.SetInt("epoch", int64(dx.Epoch))
-	pub.SetInt("delta_rows", int64(dx.Rows()))
-	if patched, err := d.ApplyEpochDelta(dx); err != nil {
+	pub.SetInt("delta_rows", int64(x.Rows()))
+	if patched, err := e.ds.ApplyEpochDelta(x); err != nil {
 		return false, fmt.Errorf("applying epoch delta for %q: %w", name, err)
 	} else if patched {
 		pub.SetStr("mode", "delta")
@@ -312,11 +304,11 @@ func (f *follower) applyDelta(name string, e *entry, body io.Reader, sp *obs.Spa
 	}
 	f.s.checkpointIndex(e, false)
 	e.followed.Store(true)
-	e.leaderSeen.Store(dx.Epoch)
-	e.leaderEpoch.Store(dx.Epoch)
+	e.leaderSeen.Store(x.Epoch)
+	e.leaderEpoch.Store(x.Epoch)
 	f.deltaSyncs.Add(1)
 	// The delta is append-shaped, so the τ-check applies on replicas too.
-	f.s.notifyStanding(e, dx.Rows())
+	f.s.notifyStanding(e, x.Rows())
 	return true, nil
 }
 
@@ -342,13 +334,13 @@ func (s *Server) registerFollowed(name string, ds *tkd.Dataset, epoch uint64, st
 // X-TKD-Have-Fingerprint equal to the current fingerprint gets 304 and no
 // body — the steady-state poll costs a header exchange.
 //
-// A follower that also advertises its current epoch (X-TKD-Have-Epoch) may
-// instead get the delta form — just the rows
-// appended since that epoch, marked by an X-TKD-Delta: 1 response header —
-// when the leader's append lineage proves the follower's state is a strict
-// prefix of the current one. Any doubt (stale base, divergent fingerprint,
-// non-append mutation since) silently falls back to the full stream, so a
-// delta-speaking follower is never worse off than a full-stream one.
+// The stream names its own base. A follower that also advertises its
+// current epoch (X-TKD-Have-Epoch) gets a stream from that epoch — just the
+// rows appended since — when the leader's append lineage proves the
+// follower's state a strict prefix of the current one. Any doubt (stale
+// base, divergent fingerprint, non-append mutation since) falls back to the
+// stream from the empty base, so a follower is never worse off for
+// advertising.
 func (s *Server) handleEpochStream(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	e, ok := s.reg.get(name)
@@ -357,49 +349,35 @@ func (s *Server) handleEpochStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// An unsharded leader ships its binned index along so followers skip the
-	// dominant preprocessing cost, and offers rows-since deltas off its
-	// append lineage. A sharded coordinator has neither: its indexes are per
-	// shard (followers rebuild or warm-load their own) and it takes no
-	// appends.
+	// dominant preprocessing cost, and offers deltas off its append lineage.
+	// A sharded coordinator has neither: its indexes are per shard (followers
+	// rebuild or warm-load their own) and it takes no appends.
 	unsharded := e.ds.Shards() == 0
 	x := e.ds.ExportEpoch()
-	fp := x.Fingerprint()
-	haveFP, haveFPOK := uint64(0), false
-	if have := r.Header.Get("X-TKD-Have-Fingerprint"); have != "" {
-		if h, err := strconv.ParseUint(have, 16, 64); err == nil {
-			haveFP, haveFPOK = h, true
-		}
-	}
-	if haveFPOK && haveFP == fp {
-		w.Header().Set("X-TKD-Epoch", strconv.FormatUint(x.Epoch(), 10))
-		w.Header().Set("X-TKD-Fingerprint", fmt.Sprintf("%016x", fp))
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	if unsharded && haveFPOK {
-		if have := r.Header.Get("X-TKD-Have-Epoch"); have != "" {
-			if haveEpoch, err := strconv.ParseUint(have, 10, 64); err == nil && haveEpoch > 0 {
-				if dx, ok := e.ds.ExportEpochDelta(haveEpoch, haveFP); ok {
-					w.Header().Set("X-TKD-Epoch", strconv.FormatUint(dx.Epoch(), 10))
-					w.Header().Set("X-TKD-Fingerprint", fmt.Sprintf("%016x", dx.Fingerprint()))
-					w.Header().Set("X-TKD-Delta", "1")
-					w.Header().Set("Content-Type", "application/octet-stream")
-					cw := &countingWriter{w: w}
-					err := dx.Write(cw)
-					s.life.deltaShips.Add(1)
-					s.life.deltaShipBytes.Add(cw.n)
-					if err != nil {
-						s.log.Warn("epoch delta stream aborted", "dataset", name, "err", err)
-					}
-					return
-				}
+	haveFP, err := strconv.ParseUint(r.Header.Get("X-TKD-Have-Fingerprint"), 16, 64)
+	current := err == nil && haveFP == x.Fingerprint()
+	delta := false
+	if err == nil && !current && unsharded {
+		if haveEpoch, err := strconv.ParseUint(r.Header.Get("X-TKD-Have-Epoch"), 10, 64); err == nil {
+			if dx, ok := e.ds.ExportEpochDelta(haveEpoch, haveFP); ok {
+				x, delta = &dx.EpochExport, true
 			}
 		}
 	}
 	w.Header().Set("X-TKD-Epoch", strconv.FormatUint(x.Epoch(), 10))
-	w.Header().Set("X-TKD-Fingerprint", fmt.Sprintf("%016x", fp))
+	w.Header().Set("X-TKD-Fingerprint", fmt.Sprintf("%016x", x.Fingerprint()))
+	if current {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := x.Write(w, unsharded); err != nil {
+	cw := &countingWriter{w: w}
+	err = x.Write(cw, unsharded)
+	if delta {
+		s.life.deltaShips.Add(1)
+		s.life.deltaShipBytes.Add(cw.n)
+	}
+	if err != nil {
 		// Headers are gone; all we can do is abort the stream (the import
 		// side will fail its checks) and surface the event in the log.
 		s.log.Warn("epoch stream aborted", "dataset", name, "err", err)

@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bitmapidx"
 	"repro/internal/server"
 	"repro/tkd"
 )
@@ -363,62 +362,57 @@ func TestFollowerRollingReloadE2E(t *testing.T) {
 	}
 }
 
-// TestFollowerMixedVersionFailsClosed: the epoch stream's magic moved with
-// the fingerprint definition (TKDEPO1/TKDEPD1 → 2), so a leader and a
-// follower from different builds must not exchange a byte they would
-// misread. A follower that converged on a same-build leader and then meets a
-// TKDEPO1 leader — full stream or delta — counts typed version errors and
-// keeps serving the epoch it has; and what a current leader sends is, by its
-// first eight bytes, nothing a TKDEPO1 follower's magic check lets through.
-// The magic did not move when the sorted-id sparse column kind was retired, so
-// a TKDEPO2 leader one build back may ship an index section holding one: the
-// import fails closed on that section (bitmapidx.ErrUnsupportedCodec) and the
-// follower keeps its epoch the same way.
+// TestFollowerMixedVersionFailsClosed: every change of the epoch stream's
+// format moved its magic, so a leader and a follower from different builds
+// never exchange a byte they would misread. A follower that converged on a
+// same-build leader and then meets an older one — a TKDEPO2 full stream, a
+// TKDEPD2 delta, a TKDEPO1 full stream — counts typed version errors and
+// keeps serving the epoch it has; and what this build sends starts with a
+// magic an older follower's reader reads as version skew.
 func TestFollowerMixedVersionFailsClosed(t *testing.T) {
-	testdata := filepath.Join("..", "bitmapidx", "testdata")
 	read := func(name string) []byte {
 		t.Helper()
-		b, err := os.ReadFile(filepath.Join(testdata, name))
+		b, err := os.ReadFile(filepath.Join("..", "bitmapidx", "testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	current, old, threeKind := read("golden_epoch_adaptive.bin"), read("golden_epoch_v1_adaptive.bin"), read("golden_epoch_adaptive_3kind.bin")
-	fpOf := func(stream []byte) string { return fmt.Sprintf("%016x", binary.LittleEndian.Uint64(stream[16:])) }
+	current, old := read("golden_epoch_v3_adaptive.bin"), read("golden_epoch_adaptive.bin")
+	v1 := bytes.Clone(old)
+	v1[6] = '1'
+	currentFP := fmt.Sprintf("%016x", binary.LittleEndian.Uint64(current[32:]))
 
 	// The leader fixture: phase 0 is this build (serves the current stream at
-	// epoch 1, answers conditional polls), phase 1 a TKDEPO1 build that moved
-	// on to epoch 2, phase 2 the same build answering with a TKDEPD1 delta,
-	// phase 3 a TKDEPO2 build whose index still has sparse columns.
+	// epoch 1, answers conditional polls); phases 1–3 are older builds that
+	// moved on to epoch 2 and send a TKDEPO2 full stream, a TKDEPD2 delta and
+	// a TKDEPO1 full stream.
 	var phase atomic.Int32
 	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/v1/datasets":
 			fmt.Fprint(w, `{"datasets":[{"name":"g"}]}`)
 		case "/v1/datasets/g/epoch":
-			switch phase.Load() {
-			case 0:
+			if phase.Load() == 0 {
 				w.Header().Set("X-TKD-Epoch", "1")
-				w.Header().Set("X-TKD-Fingerprint", fpOf(current))
-				if r.Header.Get("X-TKD-Have-Fingerprint") == fpOf(current) {
+				w.Header().Set("X-TKD-Fingerprint", currentFP)
+				if r.Header.Get("X-TKD-Have-Fingerprint") == currentFP {
 					w.WriteHeader(http.StatusNotModified)
 					return
 				}
 				w.Write(current)
+				return
+			}
+			w.Header().Set("X-TKD-Epoch", "2")
+			w.Header().Set("X-TKD-Fingerprint", fmt.Sprintf("%016x", binary.LittleEndian.Uint64(old[16:])))
+			switch phase.Load() {
 			case 1:
-				w.Header().Set("X-TKD-Epoch", "2")
-				w.Header().Set("X-TKD-Fingerprint", fpOf(old))
 				w.Write(old)
 			case 2:
-				w.Header().Set("X-TKD-Epoch", "2")
-				w.Header().Set("X-TKD-Fingerprint", fpOf(old))
 				w.Header().Set("X-TKD-Delta", "1")
-				w.Write(append([]byte("TKDEPD1\n"), make([]byte, 64)...))
+				w.Write(append([]byte("TKDEPD2\n"), make([]byte, 64)...))
 			default:
-				w.Header().Set("X-TKD-Epoch", "2")
-				w.Header().Set("X-TKD-Fingerprint", fpOf(threeKind))
-				w.Write(threeKind)
+				w.Write(v1)
 			}
 		default:
 			http.NotFound(w, r)
@@ -440,27 +434,19 @@ func TestFollowerMixedVersionFailsClosed(t *testing.T) {
 		t.Fatalf("follower query: HTTP %d", code)
 	}
 
-	syncErrors := func(target error) int {
+	versionErrors := func() int {
 		n := 0
 		for _, v := range logs.attr("follower: sync failed", "err") {
-			if err, ok := v.Any().(error); ok && errors.Is(err, target) {
+			if err, ok := v.Any().(error); ok && errors.Is(err, tkd.ErrStreamVersion) {
 				n++
 			}
 		}
 		return n
 	}
-	for p, tc := range map[int32]struct {
-		what string
-		err  error
-	}{
-		1: {"full stream", tkd.ErrStreamVersion},
-		2: {"delta", tkd.ErrStreamVersion},
-		3: {"three-kind index section", bitmapidx.ErrUnsupportedCodec},
-	} {
-		what := tc.what
-		seen := syncErrors(tc.err)
-		phase.Store(p)
-		waitUntil(t, "typed error on an old leader's "+what, func() bool { return syncErrors(tc.err) > seen })
+	for i, what := range []string{"TKDEPO2 full stream", "TKDEPD2 delta", "TKDEPO1 full stream"} {
+		seen := versionErrors()
+		phase.Store(int32(i + 1))
+		waitUntil(t, "typed error on an old leader's "+what, func() bool { return versionErrors() > seen })
 		info := listDatasets(t, fts.URL)["g"]
 		if info.Epoch != 1 || info.LeaderEpoch != 1 || info.LeaderSeen != 2 {
 			t.Fatalf("old leader's %s: follower at epoch %d (applied %d, seen %d), want 1 / 1 / 2", what, info.Epoch, info.LeaderEpoch, info.LeaderSeen)
@@ -470,21 +456,60 @@ func TestFollowerMixedVersionFailsClosed(t *testing.T) {
 			t.Fatalf("old leader's %s: follower stopped serving its last epoch (HTTP %d)", what, code)
 		}
 	}
-	if got := metricValue(t, getBody(t, fts.URL+"/metrics"), "tkd_follower_sync_errors_total"); got < 2 {
+	if got := metricValue(t, getBody(t, fts.URL+"/metrics"), "tkd_follower_sync_errors_total"); got < 3 {
 		t.Fatalf("tkd_follower_sync_errors_total = %v, want the refused syncs counted", got)
 	}
 
-	// The reverse: a TKDEPO1 follower compares the first eight bytes against
-	// its own magic and refuses anything else. What this build's leader puts
-	// on the wire — fetched from the follower's own epoch endpoint — must not
-	// pass that check.
+	// The reverse: an older follower reads every 200 body as a full stream,
+	// whose reader takes the same family under another version byte as
+	// version skew. What this build's leader puts on the wire — fetched from
+	// the follower's own epoch endpoint — is exactly that to a TKDEPO2 reader.
 	resp, err := http.Get(fts.URL + "/v1/datasets/g/epoch")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if err != nil || !bytes.HasPrefix(body, []byte("TKDEPO2\n")) || bytes.HasPrefix(body, old[:8]) {
-		t.Fatalf("this build's stream starts %q (err %v); want TKDEPO2, which an old follower rejects as a bad magic", body[:min(8, len(body))], err)
+	if err != nil || !bytes.HasPrefix(body, []byte("TKDEPO3\n")) || !bytes.Equal(body[:6], old[:6]) || body[7] != old[7] {
+		t.Fatalf("this build's stream starts %q (err %v); want TKDEPO3, which a TKDEPO2 reader refuses as version skew", body[:min(8, len(body))], err)
+	}
+}
+
+// TestFollowerRefusesDeltaWithoutReplica: the follower branches on the base a
+// stream names, so a leader can send a delta from a real base to a follower
+// that holds no replica to apply it to. That is a counted sync error — not a
+// crash of the poll goroutine — and registers nothing.
+func TestFollowerRefusesDeltaWithoutReplica(t *testing.T) {
+	src := tkd.GenerateIND(50, 3, 10, 0.2, 3)
+	src.PrepareFor(tkd.IBIG)
+	base, baseFP := src.Epoch(), src.Fingerprint()
+	if _, err := src.AppendRows([]tkd.Row{{ID: "n", Values: []float64{1, 2, 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	x, ok := src.ExportEpochDelta(base, baseFP)
+	if !ok {
+		t.Fatal("no delta from the source's base")
+	}
+	var delta bytes.Buffer
+	if err := x.Write(&delta); err != nil {
+		t.Fatal(err)
+	}
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/datasets" {
+			fmt.Fprint(w, `{"datasets":[{"name":"g"}]}`)
+			return
+		}
+		w.Write(delta.Bytes())
+	}))
+	defer leader.Close()
+	fol := server.New(server.Config{Follow: leader.URL, FollowInterval: 5 * time.Millisecond})
+	defer fol.Close()
+	fts := httptest.NewServer(fol)
+	defer fts.Close()
+	waitUntil(t, "the refused deltas counted", func() bool {
+		return metricValue(t, getBody(t, fts.URL+"/metrics"), "tkd_follower_sync_errors_total") >= 2
+	})
+	if _, ok := listDatasets(t, fts.URL)["g"]; ok {
+		t.Fatal("a delta with no replica to apply it to registered a dataset")
 	}
 }

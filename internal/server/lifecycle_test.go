@@ -861,7 +861,7 @@ func TestStaleIndexCacheRebuilds(t *testing.T) {
 // build (not an error, never a load): the boot rebuilds once, overwrites the
 // file in the current format under the same name, and the next boot is warm.
 func TestOldIndexCacheFormatRebuilds(t *testing.T) {
-	v3 := goldenIndexFile(t, "golden_v3_adaptive.idx")
+	v3 := goldenIndexFile(t, "golden_v3_wah.idx")
 	// What the previous build left for golden.csv: wrapper magic, the
 	// fingerprint it keyed the file by (the v3 header's own copy), the stream.
 	old := append([]byte("TKDIXD1\n"), v3[6+5*8:6+6*8]...)

@@ -1,10 +1,7 @@
 package tkd
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/bitmapidx"
 	"repro/internal/core"
@@ -203,43 +200,12 @@ func (d *Dataset) recordLineageLocked(base *snapshot, epoch uint64, rows int, fp
 // strict row extension of the matched epoch.
 func (d *Dataset) clearLineageLocked() { d.lineage = nil }
 
-// ---- Delta epoch streams ----
-
-// A delta epoch stream ships only the rows appended since a base epoch the
-// follower already holds, plus enough identity to make applying it exactly
-// as safe as a full transfer:
-//
-//	magic     [8]byte  "TKDEPD2\n"
-//	baseEpoch uint64   the follower's base epoch
-//	baseFP    uint64   the base data fingerprint (apply refuses a divergent base)
-//	epoch     uint64   the epoch the delta produces
-//	fp        uint64   the produced data's fingerprint, verified before publishing
-//	dlen      uint64   rows section length in bytes
-//	rows      []byte   the appended rows in WriteCSV form
-//
-// No index section is shipped: the follower patches (or rebuilds) its own
-// index locally, and the answer-equivalence of a patched index makes the
-// result indistinguishable from having received the leader's. The final
-// fingerprint check runs before anything is published, so a torn or
-// mismatched delta can never install wrong bytes.
-
-// epochDeltaMagic versions the delta stream; it moves together with
-// epochMagic.
-var epochDeltaMagic = [8]byte{'T', 'K', 'D', 'E', 'P', 'D', '2', '\n'}
-
-// EpochDeltaExport pins the rows appended between a follower's base epoch
-// and the current one, ready to stream.
-type EpochDeltaExport struct {
-	baseEpoch, baseFP uint64
-	epoch, fp         uint64
-	rows              *data.Dataset // frozen view of the appended rows
-}
-
-// ExportEpochDelta pins a delta from (haveEpoch, haveFP) to the current
-// epoch. It reports false when the lineage cannot prove the current data is
-// a strict row extension of that base — the base epoch is unknown or too
-// old, its fingerprint diverges, or a non-append mutation intervened — in
-// which case the caller falls back to a full epoch export.
+// ExportEpochDelta pins a stream from the base (haveEpoch, haveFP) to the
+// current epoch: the rows appended since. It reports false when the lineage
+// cannot prove the current data is a strict row extension of that base — the
+// base epoch is unknown or too old, its fingerprint diverges, or a non-append
+// mutation intervened — in which case the caller falls back to a stream from
+// the empty base (ExportEpoch).
 func (d *Dataset) ExportEpochDelta(haveEpoch, haveFP uint64) (*EpochDeltaExport, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -262,108 +228,10 @@ func (d *Dataset) ExportEpochDelta(haveEpoch, haveFP uint64) (*EpochDeltaExport,
 	if curRec.rows != cur.ds.Len() || haveRec.rows >= curRec.rows {
 		return nil, false
 	}
-	return &EpochDeltaExport{
+	return &EpochDeltaExport{EpochExport{
+		s:         cur,
 		baseEpoch: haveEpoch,
 		baseFP:    haveFP,
-		epoch:     cur.epoch,
-		fp:        curRec.fp,
 		rows:      cur.ds.Slice(haveRec.rows, curRec.rows),
-	}, true
-}
-
-// Epoch returns the epoch the delta produces when applied.
-func (x *EpochDeltaExport) Epoch() uint64 { return x.epoch }
-
-// Fingerprint returns the data fingerprint after the delta is applied.
-func (x *EpochDeltaExport) Fingerprint() uint64 { return x.fp }
-
-// Rows returns the number of appended rows the delta carries.
-func (x *EpochDeltaExport) Rows() int { return x.rows.Len() }
-
-// Write streams the pinned delta.
-func (x *EpochDeltaExport) Write(w io.Writer) error {
-	var buf bytes.Buffer
-	if err := x.rows.WriteCSV(&buf); err != nil {
-		return err
-	}
-	if _, err := w.Write(epochDeltaMagic[:]); err != nil {
-		return err
-	}
-	for _, v := range []uint64{x.baseEpoch, x.baseFP, x.epoch, x.fp, uint64(buf.Len())} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// EpochDelta is a parsed delta epoch stream.
-type EpochDelta struct {
-	BaseEpoch       uint64
-	BaseFingerprint uint64
-	Epoch           uint64
-	Fingerprint     uint64
-	rows            *data.Dataset
-}
-
-// Rows returns the number of appended rows the delta carries.
-func (x *EpochDelta) Rows() int { return x.rows.Len() }
-
-// ReadEpochDelta parses a stream written by EpochDeltaExport.Write.
-func ReadEpochDelta(r io.Reader) (*EpochDelta, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("tkd: delta stream header: %w", err)
-	}
-	if err := checkMagic(magic, epochDeltaMagic, "epoch delta"); err != nil {
-		return nil, err
-	}
-	var baseEpoch, baseFP, epoch, fp, dlen uint64
-	for _, v := range []*uint64{&baseEpoch, &baseFP, &epoch, &fp, &dlen} {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("tkd: delta stream header: %w", err)
-		}
-	}
-	if epoch == 0 || epoch <= baseEpoch {
-		return nil, fmt.Errorf("tkd: delta stream epoch %d does not advance base %d", epoch, baseEpoch)
-	}
-	if dlen == 0 || dlen > maxEpochData {
-		return nil, fmt.Errorf("tkd: delta stream rows section of %d bytes is out of range", dlen)
-	}
-	raw, err := readSection(r, dlen)
-	if err != nil {
-		return nil, fmt.Errorf("tkd: delta stream rows section: %w", err)
-	}
-	rows, err := data.ParseCSV(raw)
-	if err != nil {
-		return nil, fmt.Errorf("tkd: delta stream rows section: %w", err)
-	}
-	if rows.Len() == 0 {
-		return nil, fmt.Errorf("tkd: delta stream carries no rows")
-	}
-	return &EpochDelta{BaseEpoch: baseEpoch, BaseFingerprint: baseFP, Epoch: epoch, Fingerprint: fp, rows: rows}, nil
-}
-
-// ApplyEpochDelta appends the delta's rows and publishes at the delta's
-// epoch number. The current epoch must be exactly the delta's base (number
-// and fingerprint) and the resulting data must hash to the delta's
-// fingerprint — all verified before anything is published, so a stale or
-// divergent delta fails cleanly and the caller full-syncs instead. It
-// reports whether the publish patched the index incrementally.
-func (d *Dataset) ApplyEpochDelta(x *EpochDelta) (patched bool, err error) {
-	rows := make([]Row, x.rows.Len())
-	for i := range rows {
-		o := x.rows.Obj(i)
-		rows[i] = Row{ID: o.ID, Values: o.Values}
-	}
-	return d.appendRows(appendSpec{
-		rows:        rows,
-		at:          x.Epoch,
-		wantFP:      x.Fingerprint,
-		verify:      true,
-		baseEpoch:   x.BaseEpoch,
-		baseFP:      x.BaseFingerprint,
-		requireBase: true,
-	})
+	}}, true
 }

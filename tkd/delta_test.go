@@ -447,11 +447,11 @@ func TestApplyEpochDeltaRejectsDivergence(t *testing.T) {
 		t.Fatal("refused delta still published an epoch")
 	}
 
-	// Corrupting the rows section must trip the final fingerprint check.
-	// The flip lands a few bytes into the CSV (the header is 8 bytes of
-	// magic plus five uint64 fields), inside the first row's identifier.
+	// Corrupting the rows section must trip the final fingerprint check. The
+	// flip lands on the first row's identifier, the line after the CSV
+	// header that follows the 49-byte stream header.
 	clipped := append([]byte(nil), raw...)
-	clipped[8+5*8+2] ^= 1
+	clipped[49+bytes.IndexByte(raw[49:], '\n')+1] ^= 1
 	parsed, err = tkd.ReadEpochDelta(bytes.NewReader(clipped))
 	if err == nil {
 		matching := tkd.GenerateIND(200, 3, 8, 0.2, 29)
@@ -459,6 +459,20 @@ func TestApplyEpochDeltaRejectsDivergence(t *testing.T) {
 		if _, err := matching.ApplyEpochDelta(parsed); err == nil {
 			t.Fatal("corrupted delta rows accepted")
 		}
+	}
+
+	// A stream from the empty base is a whole dataset, not rows to append —
+	// even an empty one, which an append would take as a no-op.
+	var empty bytes.Buffer
+	if err := tkd.NewDataset(3).ExportEpoch().Write(&empty, false); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := tkd.ReadEpochDelta(&empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := divergent.ApplyEpochDelta(whole); err == nil {
+		t.Fatal("a stream from the empty base was applied as a delta")
 	}
 }
 

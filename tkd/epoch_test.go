@@ -97,34 +97,46 @@ func TestEpochStreamCorruptionRejected(t *testing.T) {
 
 	corrupt := func(name string, mutate func(b []byte) []byte) {
 		b := mutate(append([]byte(nil), raw...))
-		if _, _, err := tkd.ImportEpoch(bytes.NewReader(b)); err == nil {
-			t.Errorf("%s: corrupt stream imported cleanly", name)
+		if _, err := tkd.ReadEpochDelta(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: corrupt stream read cleanly", name)
 		}
 	}
 	corrupt("bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b })
-	corrupt("zero epoch", func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(b[8:], 0)
-		return b
-	})
-	// Flip the last digit of the data section (a value of the last row):
+	corrupt("zero epoch", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[24:], 0); return b })
+	corrupt("fingerprint on the empty base", func(b []byte) []byte { b[16] = 1; return b })
+	// Flip the last digit of the rows section (a value of the last row):
 	// either the CSV no longer parses or the rebuilt fingerprint misses the
-	// header — both must fail the import.
+	// header — both must fail the read.
 	corrupt("flipped data byte", func(b []byte) []byte {
-		dlen := binary.LittleEndian.Uint64(b[25:])
-		for i := 33 + int(dlen) - 1; i >= 33; i-- {
+		dlen := binary.LittleEndian.Uint64(b[41:])
+		for i := 49 + int(dlen) - 1; i >= 49; i-- {
 			if b[i] >= '0' && b[i] <= '9' {
 				b[i] ^= 0x01
 				return b
 			}
 		}
-		t.Fatal("no digit found in the data section")
+		t.Fatal("no digit found in the rows section")
 		return b
 	})
 	corrupt("truncated index section", func(b []byte) []byte { return b[:len(b)-16] })
 	corrupt("truncated header", func(b []byte) []byte { return b[:20] })
-	if _, _, err := tkd.ImportEpoch(bytes.NewReader(nil)); err == nil {
-		t.Error("empty stream imported cleanly")
+	// A flag bit this build does not know, and the index flag on a stream
+	// from a real base (epoch 1 → 2): read as if the bit were clear or the
+	// stream a delta, each would go through.
+	corrupt("unknown flag bit", func(b []byte) []byte { b[40] |= 2; return b })
+	corrupt("index flag from a real base", func(b []byte) []byte { return fromRealBase(b) })
+	if _, err := tkd.ReadEpochDelta(bytes.NewReader(nil)); err == nil {
+		t.Error("empty stream read cleanly")
 	}
+}
+
+// fromRealBase rewrites a stream's header to extend epoch 1 (fingerprint
+// 0xfeed) into epoch 2, leaving its flags and sections as they are.
+func fromRealBase(b []byte) []byte {
+	for i, v := range []uint64{1, 0xfeed, 2} {
+		binary.LittleEndian.PutUint64(b[8+8*i:], v)
+	}
+	return b
 }
 
 func TestReplaceFromAtAlignsEpochNumbering(t *testing.T) {
@@ -164,20 +176,27 @@ func goldenFixture(t *testing.T, name string) []byte {
 	return blob
 }
 
-// TestImportGoldenEpoch pins wire compatibility: a committed TKDEPO2 epoch
-// stream (default settings, index section included) imports, lands on the
-// leader's epoch and fingerprint, and serves from the shipped index with zero
-// builds — and the TKDEPO1 stream of the same rows, which an old leader still
-// sends, is refused with the typed version error, not misread; so is, on its
-// index section, a TKDEPO2 stream whose index holds a retired column kind.
+// TestImportGoldenEpoch pins wire compatibility: a committed TKDEPO3 stream
+// (default settings, index section included) imports, lands on the leader's
+// epoch and fingerprint, and serves from the shipped index with zero builds.
+// The TKDEPO2 stream of the same rows, which an old leader still sends, is
+// refused with the typed version error, not misread; a current stream whose
+// index section holds a retired column kind fails closed on that section.
 func TestImportGoldenEpoch(t *testing.T) {
-	if _, _, err := tkd.ImportEpoch(bytes.NewReader(goldenFixture(t, "golden_epoch_v1_adaptive.bin"))); !errors.Is(err, tkd.ErrStreamVersion) {
-		t.Fatalf("TKDEPO1 stream: error = %v, want ErrStreamVersion", err)
+	if _, _, err := tkd.ImportEpoch(bytes.NewReader(goldenFixture(t, "golden_epoch_adaptive.bin"))); !errors.Is(err, tkd.ErrStreamVersion) {
+		t.Fatalf("TKDEPO2 stream: error = %v, want ErrStreamVersion", err)
 	}
-	if ds, _, err := tkd.ImportEpoch(bytes.NewReader(goldenFixture(t, "golden_epoch_adaptive_3kind.bin"))); ds != nil || !errors.Is(err, bitmapidx.ErrUnsupportedCodec) {
-		t.Fatalf("TKDEPO2 stream with sparse columns: dataset %v, error = %v; want none and ErrUnsupportedCodec", ds != nil, err)
+	csv := goldenFixture(t, "golden.csv")
+	rows, err := tkd.ReadCSV(bytes.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
 	}
-	fresh, epoch, err := tkd.ImportEpoch(bytes.NewReader(goldenFixture(t, "golden_epoch_adaptive.bin")))
+	threeKind := append(header(0, rows.Fingerprint(), 1, uint64(len(csv))), csv...)
+	threeKind = append(threeKind, goldenFixture(t, "golden_v4_adaptive_3kind.idx")...)
+	if ds, _, err := tkd.ImportEpoch(bytes.NewReader(threeKind)); ds != nil || !errors.Is(err, bitmapidx.ErrUnsupportedCodec) {
+		t.Fatalf("stream with sparse columns: dataset %v, error = %v; want none and ErrUnsupportedCodec", ds != nil, err)
+	}
+	fresh, epoch, err := tkd.ImportEpoch(bytes.NewReader(goldenFixture(t, "golden_epoch_v3_adaptive.bin")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +221,8 @@ func TestImportGoldenEpoch(t *testing.T) {
 
 // TestLoadIndexAcceptsOnlyAdaptive: the dataset builds adaptive indexes and
 // warm-loads nothing else — a pure-CONCISE file is refused, a WAH header
-// codec or a sparse column kind is an unsupported codec, every v3 file (keyed
-// by the old fingerprint) is an unsupported version — and a refused load
+// codec or a sparse column kind is an unsupported codec, a v3 file (keyed by
+// the old fingerprint) is an unsupported version — and a refused load
 // leaves the dataset serving.
 func TestLoadIndexAcceptsOnlyAdaptive(t *testing.T) {
 	ds, err := tkd.ReadCSV(bytes.NewReader(goldenFixture(t, "golden.csv")))
@@ -221,10 +240,8 @@ func TestLoadIndexAcceptsOnlyAdaptive(t *testing.T) {
 	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v4_adaptive_3kind.idx"))); !errors.Is(err, bitmapidx.ErrUnsupportedCodec) {
 		t.Fatalf("three-kind adaptive index: error = %v, want ErrUnsupportedCodec", err)
 	}
-	for _, old := range []string{"golden_v3_adaptive.idx", "golden_v3_concise.idx", "golden_v3_wah.idx"} {
-		if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, old))); !errors.Is(err, bitmapidx.ErrVersion) {
-			t.Fatalf("%s: error = %v, want ErrVersion", old, err)
-		}
+	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v3_wah.idx"))); !errors.Is(err, bitmapidx.ErrVersion) {
+		t.Fatalf("v3 index: error = %v, want ErrVersion", err)
 	}
 	if _, err := ds.TopK(5, tkd.WithAlgorithm(tkd.UBB)); err != nil {
 		t.Fatalf("dataset stopped serving after refused loads: %v", err)
@@ -240,80 +257,72 @@ func TestLoadIndexAcceptsOnlyAdaptive(t *testing.T) {
 	}
 }
 
-// maxLenHeaders returns a full-stream and a delta-stream header that each
-// declare the largest accepted section (4 GiB) and then end.
-func maxLenHeaders() (full, delta []byte) {
-	u64 := func(b []byte, vs ...uint64) []byte {
-		for _, v := range vs {
-			b = binary.LittleEndian.AppendUint64(b, v)
-		}
-		return b
+// bases are the two kinds of stream every reader test runs over: from the
+// empty epoch 0, and from epoch 1.
+var bases = []struct {
+	name string
+	base uint64
+}{{"from the empty base", 0}, {"from a real base", 1}}
+
+// header frames a stream from base to the epoch after it, declaring
+// fingerprint fp, flags and a dlen-byte rows section. A real base is given
+// fingerprint 0xfeed; the empty base's is 0.
+func header(base, fp uint64, flags byte, dlen uint64) []byte {
+	b := []byte("TKDEPO3\n")
+	for _, v := range []uint64{base, min(base, 1) * 0xfeed, base + 1, fp} {
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	full = u64([]byte("TKDEPO2\n"), 1, 0xfeed)
-	full = append(full, 1) // flags
-	full = u64(full, 1<<32)
-	delta = u64([]byte("TKDEPD2\n"), 1, 0xfeed, 2, 0xbeef, 1<<32)
-	return full, delta
+	return binary.LittleEndian.AppendUint64(append(b, flags), dlen)
 }
 
-// wideStreams returns a full and a delta stream, each well framed, whose CSV
-// section has 65 value columns: one more than a dataset can have.
-func wideStreams() (full, delta []byte) {
+// maxLenHeader is a header from base that declares the largest accepted
+// section (4 GiB) and then ends.
+func maxLenHeader(base uint64) []byte { return header(base, 0xbeef, 0, 1<<32) }
+
+// csvStream frames csv as the rows section of a stream from base.
+func csvStream(base uint64, csv string) []byte {
+	return append(header(base, 0xbeef, 0, uint64(len(csv))), csv...)
+}
+
+// wideStream is a well-framed stream from base whose CSV section has 65
+// value columns: one more than a dataset can have.
+func wideStream(base uint64) []byte {
 	const dim = 65
-	return csvStreams("id" + strings.Repeat(",v", dim) + "\na" + strings.Repeat(",1", dim) + "\n")
-}
-
-// csvStreams frames csv as the data section of a full stream (no index
-// section) and as the rows section of a delta.
-func csvStreams(csv string) (full, delta []byte) {
-	full = binary.LittleEndian.AppendUint64([]byte("TKDEPO2\n"), 1)
-	full = binary.LittleEndian.AppendUint64(full, 0xfeed)
-	full = append(full, 0) // flags: no index section
-	full = append(binary.LittleEndian.AppendUint64(full, uint64(len(csv))), csv...)
-	delta = []byte("TKDEPD2\n")
-	for _, v := range []uint64{1, 0xfeed, 2, 0xbeef, uint64(len(csv))} {
-		delta = binary.LittleEndian.AppendUint64(delta, v)
-	}
-	return full, append(delta, csv...)
+	return csvStream(base, "id"+strings.Repeat(",v", dim)+"\na"+strings.Repeat(",1", dim)+"\n")
 }
 
 // TestEpochStreamsRejectWideCSV: a stream whose CSV section is wider than a
-// dataset can be fails both readers with the header-width error, where it
-// used to panic the follower's poll goroutine before the fingerprint check.
+// dataset can be fails the reader with the header-width error, where it used
+// to panic the follower's poll goroutine before the fingerprint check.
 func TestEpochStreamsRejectWideCSV(t *testing.T) {
-	full, delta := wideStreams()
-	const want = "65 value columns, at most 64"
-	if _, _, err := tkd.ImportEpoch(bytes.NewReader(full)); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("full stream: error = %v, want the header-width error", err)
-	}
-	if _, err := tkd.ReadEpochDelta(bytes.NewReader(delta)); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("delta stream: error = %v, want the header-width error", err)
+	for _, b := range bases {
+		if _, err := tkd.ReadEpochDelta(bytes.NewReader(wideStream(b.base))); err == nil || !strings.Contains(err.Error(), "65 value columns, at most 64") {
+			t.Errorf("%s: error = %v, want the header-width error", b.name, err)
+		}
 	}
 }
 
 // TestEpochStreamsAllocateByBytesReceived is the regression test for the
-// pre-allocation bug: both readers used to make([]byte, dlen) straight from
-// the header, so 33 (full) or 48 (delta) crafted bytes cost a follower
-// 4 GiB. A declared length must cost nothing until payload arrives, and the
-// short body must surface as a truncation.
+// pre-allocation bug: the readers used to make([]byte, dlen) straight from
+// the header, so a few dozen crafted bytes cost a follower 4 GiB. A declared
+// length must cost nothing until payload arrives, and the short body must
+// surface as a truncation.
 func TestEpochStreamsAllocateByBytesReceived(t *testing.T) {
-	full, delta := maxLenHeaders()
-	if len(full) != 33 || len(delta) != 48 {
-		t.Fatalf("crafted headers are %d and %d bytes, want 33 and 48", len(full), len(delta))
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, errFull := tkd.ImportEpoch(bytes.NewReader(full))
-	_, errDelta := tkd.ReadEpochDelta(bytes.NewReader(delta))
-	runtime.ReadMemStats(&after)
-	if !errors.Is(errFull, io.ErrUnexpectedEOF) {
-		t.Errorf("full stream: error = %v, want a truncation (io.ErrUnexpectedEOF)", errFull)
-	}
-	if !errors.Is(errDelta, io.ErrUnexpectedEOF) {
-		t.Errorf("delta stream: error = %v, want a truncation (io.ErrUnexpectedEOF)", errDelta)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("two empty-bodied streams allocated %d bytes; the declared length leaked into an allocation", grew)
+	for _, b := range bases {
+		h := maxLenHeader(b.base)
+		if len(h) != 49 {
+			t.Fatalf("crafted header is %d bytes, want 49", len(h))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tkd.ReadEpochDelta(bytes.NewReader(h))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: error = %v, want a truncation (io.ErrUnexpectedEOF)", b.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: an empty-bodied stream allocated %d bytes; the declared length leaked into an allocation", b.name, grew)
+		}
 	}
 }
 
@@ -331,51 +340,44 @@ func TestEpochCSVSectionsAllocateByBytesReceived(t *testing.T) {
 		{"scanner", head + junk},
 		{"quoted", head + "\"x\"\n" + junk},
 	} {
-		full, delta := csvStreams(tc.csv)
-		for _, read := range []struct {
-			stream string
-			read   func() error
-		}{
-			{"full", func() error { _, _, err := tkd.ImportEpoch(bytes.NewReader(full)); return err }},
-			{"delta", func() error { _, err := tkd.ReadEpochDelta(bytes.NewReader(delta)); return err }},
-		} {
+		for _, b := range bases {
+			stream := csvStream(b.base, tc.csv)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			err := read.read()
+			_, err := tkd.ReadEpochDelta(bytes.NewReader(stream))
 			runtime.ReadMemStats(&after)
 			if err == nil || !strings.Contains(err.Error(), "line 2") {
-				t.Errorf("%s %s stream: error = %v, want the CSV's line 2 rejected", tc.name, read.stream, err)
+				t.Errorf("%s, %s: error = %v, want the CSV's line 2 rejected", tc.name, b.name, err)
 			}
 			if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(tc.csv)); grew > limit {
-				t.Errorf("%s %s stream: a %d-byte CSV section allocated %d bytes, over %d", tc.name, read.stream, len(tc.csv), grew, limit)
+				t.Errorf("%s, %s: a %d-byte CSV section allocated %d bytes, over %d", tc.name, b.name, len(tc.csv), grew, limit)
 			}
 		}
 	}
 }
 
-// TestEpochStreamVersionMismatch: both stream readers tell "another version
-// of this format" (the same magic family under a different version byte — a
-// TKDEPO1/TKDEPD1 peer, or one from the future) from "not a stream at all":
-// the first is the typed ErrStreamVersion a follower logs and counts while it
-// keeps serving, the second stays an ordinary bad-magic error.
+// TestEpochStreamVersionMismatch: the reader tells "another version of this
+// format" — TKDEPO under another version byte, a retired TKDEPD delta, or a
+// stream from the future — from "not a stream at all": the first is the typed
+// ErrStreamVersion a follower logs and counts while it keeps serving, the
+// second stays an ordinary bad-magic error. ImportEpoch refuses a delta from
+// a real base, and not as version skew.
 func TestEpochStreamVersionMismatch(t *testing.T) {
-	full, delta := maxLenHeaders()
-	for _, v := range []byte{'1', '3'} {
-		f, d := bytes.Clone(full), bytes.Clone(delta)
-		f[6], d[6] = v, v
-		if _, _, err := tkd.ImportEpoch(bytes.NewReader(f)); !errors.Is(err, tkd.ErrStreamVersion) {
-			t.Errorf("full stream version %c: error = %v, want ErrStreamVersion", v, err)
+	for _, b := range bases {
+		for _, magic := range []string{"TKDEPO1\n", "TKDEPO2\n", "TKDEPD1\n", "TKDEPD2\n", "TKDEPO4\n"} {
+			s := maxLenHeader(b.base)
+			copy(s, magic)
+			if _, err := tkd.ReadEpochDelta(bytes.NewReader(s)); !errors.Is(err, tkd.ErrStreamVersion) {
+				t.Errorf("%s under %q: error = %v, want ErrStreamVersion", b.name, magic[:7], err)
+			}
 		}
-		if _, err := tkd.ReadEpochDelta(bytes.NewReader(d)); !errors.Is(err, tkd.ErrStreamVersion) {
-			t.Errorf("delta stream version %c: error = %v, want ErrStreamVersion", v, err)
+		s := maxLenHeader(b.base)
+		s[0] ^= 0xFF
+		if _, err := tkd.ReadEpochDelta(bytes.NewReader(s)); err == nil || errors.Is(err, tkd.ErrStreamVersion) {
+			t.Errorf("%s under a bad magic: error = %v, want a bad-magic refusal", b.name, err)
 		}
 	}
-	// A delta handed to the full reader, and the reverse, are not version
-	// skew.
-	if _, _, err := tkd.ImportEpoch(bytes.NewReader(delta)); err == nil || errors.Is(err, tkd.ErrStreamVersion) {
-		t.Errorf("delta bytes through ImportEpoch: error = %v, want a bad-magic refusal", err)
-	}
-	if _, err := tkd.ReadEpochDelta(bytes.NewReader(full)); err == nil || errors.Is(err, tkd.ErrStreamVersion) {
-		t.Errorf("full-stream bytes through ReadEpochDelta: error = %v, want a bad-magic refusal", err)
+	if _, _, err := tkd.ImportEpoch(bytes.NewReader(csvStream(1, "id,v\na,1\n"))); err == nil || errors.Is(err, tkd.ErrStreamVersion) {
+		t.Errorf("a delta through ImportEpoch: error = %v, want a not-a-full-transfer refusal", err)
 	}
 }

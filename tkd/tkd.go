@@ -107,7 +107,7 @@ type snapshot struct {
 	d     *Dataset // the owner: topology, cache budget, build count
 	epoch uint64
 	// ds is sealed before the snapshot is published (publishLocked,
-	// appendRows, ImportEpoch), so ds.Fingerprint() is an O(1) read that
+	// appendRows, ReadEpochDelta), so ds.Fingerprint() is an O(1) read that
 	// writes nothing — monitoring endpoints, followers and every publish
 	// poll it.
 	ds *data.Dataset
