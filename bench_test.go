@@ -743,6 +743,8 @@ func BenchmarkDeltaPublish(b *testing.B) {
 // IDs that WriteCSV must quote, the encoding/csv path; prepare is the cold build,
 // PrepareFor(IBIG) on freshly parsed rows — one sort per dimension, the
 // serving index peeled off it, the MaxScore queue derived from the index;
+// sharded is the same build behind -shards 3 in one process — three slices
+// indexed side by side, the coordinator's queue merged from their sorted runs;
 // warm is a restart over a persisted index, LoadIndex plus the queue.
 func BenchmarkColdPrepare(b *testing.B) {
 	src := tkd.GenerateIND(100_000, 5, 100, 0.2, 1)
@@ -794,6 +796,18 @@ func BenchmarkColdPrepare(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			ds := parse(b)
+			b.StartTimer()
+			ds.PrepareFor(tkd.IBIG)
+		}
+	})
+	b.Run("sharded", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ds, err := tkd.Shard(parse(b), "d", tkd.WithShards(3))
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.StartTimer()
 			ds.PrepareFor(tkd.IBIG)
 		}

@@ -113,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		window      = fs.Duration("window", 2*time.Millisecond, "how long a scheduling window collects after its first query before its groups are dispatched (0 = dispatch immediately)")
 		maxWorkers  = fs.Int("max-workers", 0, "total in-flight worker goroutines across queries, shared fairly between the queries runnable at once (0 = GOMAXPROCS)")
 		cacheBudget = fs.Int64("cache-budget", 0, "per-dataset decompressed-column cache bytes (0 = 32 MiB default)")
-		indexDir    = fs.String("indexdir", "", "directory for persisted indexes; warm restarts skip index construction. With -waldir the file is a checkpoint: rewritten when the rows have grown by an eighth and on a graceful shutdown, and a restart after a crash loads it and patches the rows logged since (empty = rebuild at boot)")
+		indexDir    = fs.String("indexdir", "", "directory for persisted indexes; warm restarts skip index construction. A file is written after its dataset starts serving, and a crash before then means a cold rebuild at the next boot, never a wrong index. With -waldir the file is a checkpoint: rewritten when the rows have grown by an eighth and on a graceful shutdown, and a restart after a crash loads it and patches the rows logged since (empty = rebuild at boot)")
 		drainWait   = fs.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight requests on SIGTERM/SIGINT")
 		shards      = fs.Int("shards", 1, "split each dataset into N row-range shards behind a scatter-gather coordinator (1 = unsharded; answers are byte-identical either way)")
 		peersFlag   = fs.String("peers", "", "comma-separated base URLs of tkdserver peers that serve the shards remotely (requires -shards > 1; peers must serve the same -dataset mappings; pipe-separate replicas within an entry, e.g. http://a:8080|http://b:8080)")
@@ -265,7 +265,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // buildServer loads every -dataset mapping into a fresh server that logs to
 // logger — each load ends with the server's "dataset loaded" line, which
-// says where a slow start went: parsing, the index, the queue or the persist.
+// says where a slow start went: parsing, the index or the queue (the index
+// files are written after the dataset serves, under "index persisted").
 func buildServer(datasets []string, negate bool, cfg server.Config, logger *slog.Logger) (*server.Server, error) {
 	cfg.Logger = logger
 	srv := server.New(cfg)

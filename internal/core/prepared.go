@@ -49,12 +49,16 @@ func (pre *Pre) have() Need {
 	return n
 }
 
+// Has reports whether the set holds every artifact of n.
+func (pre *Pre) Has(n Need) bool { return pre.have()&n == n }
+
 // fill builds the artifacts of n that pre lacks — the one place each recipe
 // is chosen — and reports how long the indexes and the queue took. bins is
 // BuildServingIndex's (nil = bitmapidx.ServingBins). The indexes come first, off one sort
 // per dimension however many of them build, and the queue is derived from an
 // index when there is one (built here, loaded or installed): only a queue
-// wanted alone sorts for itself.
+// wanted alone sorts for itself. (A shard coordinator's queue is merged from
+// its shards' sorts instead: EnsureQueueFrom.)
 func (pre *Pre) fill(ds *data.Dataset, bins []int, n Need) (index, queue time.Duration) {
 	n &^= pre.have()
 	t0 := time.Now()
@@ -132,13 +136,13 @@ func (p *Prepared) BuildTimes() (index, queue time.Duration) {
 
 // Ensure returns a set holding every artifact of n, building what is missing.
 func (p *Prepared) Ensure(n Need) *Pre {
-	if pre := p.pre.Load(); pre.have()&n == n {
+	if pre := p.pre.Load(); pre.Has(n) {
 		return pre
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pre := p.pre.Load()
-	if pre.have()&n == n {
+	if pre.Has(n) {
 		return pre
 	}
 	np := *pre
@@ -148,6 +152,33 @@ func (p *Prepared) Ensure(n Need) *Pre {
 	if np.Binned != pre.Binned {
 		p.builds.Add(1)
 	}
+	p.storeLocked(&np)
+	return &np
+}
+
+// EnsureQueueFrom returns a set holding the queue, merging it when missing
+// out of runs() — the sorted runs of consecutive row slices that cover the
+// holder's rows, in row order (QueueFromRuns). It is how a shard coordinator,
+// whose holder indexes nothing, takes its queue from the shards' sorts
+// instead of sorting the rows a second time. runs() and the merge are the
+// holder's queue time.
+func (p *Prepared) EnsureQueueFrom(runs func() []QueueRun) *Pre {
+	if pre := p.pre.Load(); pre.Queue != nil {
+		return pre
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pre := p.pre.Load()
+	if pre.Queue != nil {
+		return pre
+	}
+	start := time.Now()
+	np := *pre
+	np.Queue = QueueFromRuns(runs())
+	if len(np.Queue.Order) != p.ds.Len() {
+		panic(fmt.Sprintf("core: queue runs cover %d rows of %d", len(np.Queue.Order), p.ds.Len()))
+	}
+	p.queueNanos.Add(int64(time.Since(start)))
 	p.storeLocked(&np)
 	return &np
 }

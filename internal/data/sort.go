@@ -40,8 +40,17 @@ func (ds *Dataset) SortDims() *Sorted {
 		Order: make([][]int32, ds.dim),
 	}
 	ForEachDim(ds.dim, func(d int) { s.Stats[d], s.Order[d] = ds.sortDim(d, s.Ranks) })
+	rowsSorted.Add(int64(len(ds.objs)))
 	return s
 }
+
+// rowsSorted counts the rows every SortDims of the process has sorted — the
+// observable behind "a sharded build sorts each row once".
+var rowsSorted atomic.Int64
+
+// RowsSorted returns the number of rows SortDims has sorted in this process
+// so far.
+func RowsSorted() int64 { return rowsSorted.Load() }
 
 // ForEachDim calls fn(d) once for every d in [0, dim), on min(dim,
 // GOMAXPROCS) goroutines — the caller's among them — and returns when every

@@ -605,6 +605,7 @@ func TestIngestRestartPatchesFromCheckpoint(t *testing.T) {
 	ref := tkd.GenerateIND(400, 3, 20, 0.2, 47)
 	d := newIngestDirs(t, ref)
 	s, ts := startIngestServer(t, ingestConfig(d, 5*time.Millisecond), d)
+	s.WaitIndexWrites() // the boot writes its index after the dataset serves
 	ixFile := filepath.Join(d.indexDir, "d.tkdix")
 	atBoot, err := os.ReadFile(ixFile)
 	if err != nil {

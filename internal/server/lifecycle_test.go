@@ -173,6 +173,7 @@ func TestDatasetLifecycle(t *testing.T) {
 				t.Fatalf("cold boot: /v1/datasets row %+v, want shards=%d objects=%d", info, tc.shards, tc.rows)
 			}
 			assertAnswers(t, "cold boot", ts1.URL, gen(1))
+			s1.WaitIndexWrites() // the parts are written once the dataset serves
 			assertCacheFiles(t, "cold boot", ixdir, tc.files)
 			ts1.Close()
 			s1.Close()
@@ -231,6 +232,7 @@ func TestDatasetLifecycle(t *testing.T) {
 				t.Fatalf("changed reload: %d cache errors, want 0", got)
 			}
 			assertAnswers(t, "changed reload", ts2.URL, gen(2))
+			s2.WaitIndexWrites()
 			assertCacheFiles(t, "changed reload", ixdir, tc.files)
 
 			// Follower, same topology: a full import registers the dataset,
@@ -241,6 +243,8 @@ func TestDatasetLifecycle(t *testing.T) {
 			defer fol.Close()
 			fts := httptest.NewServer(fol)
 			defer fts.Close()
+			// The follower marks an import applied after queueing its index
+			// write, so once converged there is a write to wait for.
 			converged := func(stage string, ref *tkd.Dataset) {
 				t.Helper()
 				waitUntil(t, stage, func() bool {
@@ -249,6 +253,7 @@ func TestDatasetLifecycle(t *testing.T) {
 						servesFingerprint(t, fts.URL, ref.Fingerprint())
 				})
 				assertAnswers(t, stage, fts.URL, ref)
+				fol.WaitIndexWrites()
 			}
 			converged("follower bootstrap", gen(2))
 			m = getBody(t, fts.URL+"/metrics")
@@ -291,27 +296,46 @@ func TestWarmRestartSkipsPrepare(t *testing.T) {
 	ixdir := filepath.Join(dir, "ix")
 	var logs bytes.Buffer
 	cfg := server.Config{IndexDir: ixdir, Logger: slog.New(slog.NewTextHandler(&logs, nil))}
-	// Every load ends with one line that decomposes it; wantLoadLine checks
-	// the latest one and empties the buffer.
+	// Every load ends with one line that decomposes it, and a load that built
+	// its index writes the file once the dataset serves, under a line of its
+	// own; wantLoadLine checks both and empties the buffer.
 	wantLoadLine := func(stage, msg string, warm bool) {
 		t.Helper()
-		line := strings.TrimSpace(logs.String())
-		line = line[strings.LastIndex(line, "\n")+1:]
+		var load, persisted string
+		for _, line := range strings.Split(logs.String(), "\n") {
+			switch {
+			case strings.Contains(line, fmt.Sprintf("msg=%q", msg)):
+				load = line
+			case strings.Contains(line, `msg="index persisted"`):
+				persisted = line
+			}
+		}
 		logs.Reset()
-		want := []string{fmt.Sprintf("msg=%q", msg), "dataset=d", "rows=600", fmt.Sprintf("warm=%v", warm),
-			"parse_ms=", "index_ms=", "queue_ms=", "persist_ms=", "seconds="}
-		for _, w := range want {
-			if !strings.Contains(line, w) {
-				t.Fatalf("%s: load line lacks %s:\n%s", stage, w, line)
+		for _, w := range []string{"dataset=d", "rows=600", fmt.Sprintf("warm=%v", warm),
+			"parse_ms=", "index_ms=", "queue_ms=", "seconds="} {
+			if !strings.Contains(load, w) {
+				t.Fatalf("%s: no %q line with %s:\n%s", stage, msg, w, load)
+			}
+		}
+		if strings.Contains(load, "persist_ms=") {
+			t.Fatalf("%s: the load line times the index write, which runs after the dataset serves:\n%s", stage, load)
+		}
+		if warm != (persisted == "") {
+			t.Fatalf("%s: a warm=%v load logged index persisted %q", stage, warm, persisted)
+		}
+		for _, w := range []string{"dataset=d", " ms=", "bytes=", "parts=1"} {
+			if !warm && !strings.Contains(persisted, w) {
+				t.Fatalf("%s: the index persisted line lacks %s:\n%s", stage, w, persisted)
 			}
 		}
 	}
 
-	// Cold boot: builds once, persists.
+	// Cold boot: builds once, persists once the dataset serves.
 	s1 := server.New(cfg)
 	if err := s1.LoadCSVFile("d", csv, false); err != nil {
 		t.Fatal(err)
 	}
+	s1.WaitIndexWrites()
 	wantLoadLine("cold boot", "dataset loaded", false)
 	ts1 := httptest.NewServer(s1)
 	want, code := postQuery(t, ts1.URL, server.QueryRequest{Dataset: "d", K: 5})
@@ -950,7 +974,7 @@ func TestCorruptIndexCacheRebuilds(t *testing.T) {
 			if err := s1.LoadCSVFile("c", csv, false); err != nil {
 				t.Fatal(err)
 			}
-			s1.Close()
+			s1.Shutdown() // the index is written after the dataset serves; the drain waits for it
 
 			files, err := filepath.Glob(filepath.Join(ixdir, "*.tkdix"))
 			if err != nil || len(files) != 1 {

@@ -36,8 +36,9 @@ type entry struct {
 	reloadMu sync.Mutex
 
 	// savedRows is the row count the persisted index in -indexdir covers —
-	// what the last save wrote, or what the file found at boot held. Appends
-	// grow the dataset past it; checkpointIndex decides when to catch up.
+	// what the last write that landed wrote, or what the file found at boot
+	// held. Appends grow the dataset past it; checkpointIndex decides when to
+	// catch up.
 	savedRows atomic.Int64
 
 	// ing is the WAL-backed ingest side; nil when ingest is not enabled

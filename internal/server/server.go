@@ -68,10 +68,13 @@ type Config struct {
 	// IndexDir enables the persisted-index cache: built binned indexes are
 	// written here (keyed by dataset name, validated by the row count and
 	// content fingerprint in the file) and warm starts load them instead of
-	// rebuilding. An ingesting dataset's file is a checkpoint, rewritten when
-	// the rows have grown by an eighth and at a graceful shutdown; a restart
-	// patches the rows logged since on top of it. Empty disables persistence.
-	// Sharded datasets persist one file per shard, keyed by the shard's slice
+	// rebuilding. A load writes the file after the dataset starts serving, in
+	// the background; Shutdown, Close and an evict wait for it, and a crash
+	// before it lands costs the next boot a rebuild, never a wrong index. An
+	// ingesting dataset's file is a checkpoint, rewritten when the rows have
+	// grown by an eighth and at a graceful shutdown; a restart patches the
+	// rows logged since on top of it. Empty disables persistence. Sharded
+	// datasets persist one file per shard, keyed by the shard's slice
 	// fingerprint, so a warm restart skips rebuilds shard by shard.
 	IndexDir string
 	// Shards attaches a shard topology to every registered dataset: that
@@ -163,6 +166,7 @@ type Server struct {
 	reg       *registry
 	ixc       *indexCache // resolved once in New; nil = persistence off
 	ixcErr    error       // why IndexDir could not be opened; fails registration
+	writes    indexWrites // index files being written, per dataset name
 	mux       *http.ServeMux
 	peer      *shard.Peer
 	life      lifecycleMetrics
@@ -270,9 +274,9 @@ func New(cfg Config) *Server {
 }
 
 // AddDataset registers ds under name, applies the cache budget, warms it
-// (persisted index when available, built — and persisted — otherwise) and
-// starts its batch scheduler. Datasets registered this way have no source
-// file, so /reload returns 409 for them; use LoadCSVFile or POST
+// (persisted index when available, built otherwise — and persisted once it
+// serves) and starts its batch scheduler. Datasets registered this way have
+// no source file, so /reload returns 409 for them; use LoadCSVFile or POST
 // /v1/datasets for reloadable datasets. An unsharded dataset gets the
 // server's shard topology attached when Config.Shards > 1; one that already
 // carries a topology (tkd.Shard) is registered as-is.
@@ -329,8 +333,8 @@ func (s *Server) LoadCSVFile(name, path string, negate bool) error {
 // freshly loaded dataset — the first step of the one lifecycle sequence
 // register, handleReload and the follower import all run: load → shard →
 // warm off to the side (warmPrepare) → swap (swapIn; register has nothing
-// to swap with) → persist. A dataset that already carries a topology is
-// left alone.
+// to swap with), after which the dataset serves → persist in the background
+// (persistLater). A dataset that already carries a topology is left alone.
 func (s *Server) shard(name string, ds *tkd.Dataset) (*tkd.Dataset, error) {
 	if s.cfg.Shards <= 1 || ds.Shards() > 0 {
 		return ds, nil
@@ -388,9 +392,6 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 		}
 	}
 	warm, cold, tail := s.warmPrepare(name, ds)
-	persistStart := time.Now()
-	saved := s.persistWarmed(name, ds, cold, tail)
-	persist := time.Since(persistStart)
 	if ing != nil {
 		// The warm-up above published the recovered state (replayed suffix
 		// included); checkpoint it so the next restart skips the replay. A
@@ -410,7 +411,6 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 		negate: negate,
 		ing:    ing,
 	}
-	e.savedRows.Store(saved)
 	if err := s.reg.add(e); err != nil {
 		sch.drainStop() // lost a registration race; don't leak the goroutine
 		ds.Close()
@@ -419,23 +419,28 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 		}
 		return false, err
 	}
-	s.logLoad("dataset loaded", name, path, ds, warm, start, parse, persist)
+	s.logLoad("dataset loaded", name, path, ds, warm, start, parse)
+	s.persistLater(e, cold, int64(ds.Len()-tail))
 	return warm, nil
 }
+
+// millis renders a duration for a log line.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 // logLoad writes the line every load ends with — a boot or runtime register
 // ("dataset loaded"), a reload or a follower's full import ("dataset
 // reloaded") — with the load decomposed: parse_ms reading the source (the CSV
 // file, a leader's epoch stream), index_ms building or warm-loading the
 // serving indexes, queue_ms the MaxScore queue (both from
-// tkd.Dataset.BuildTimes: summed over the shards of a sharded dataset, so
-// they can exceed the wall clock there), persist_ms writing what the index
-// cache lacked. seconds is the wall clock of the whole load.
-func (s *Server) logLoad(msg, name, path string, ds *tkd.Dataset, warm bool, start time.Time, parse, persist time.Duration) {
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+// tkd.Dataset.BuildTimes: index_ms is summed over the shards of a sharded
+// dataset, so it can exceed the wall clock there, and queue_ms is the
+// coordinator's merge of their sorted runs). seconds is the wall clock of the
+// whole load, which ends when the dataset serves: the index files are written
+// after it, and their own line is "index persisted" (writeIndex).
+func (s *Server) logLoad(msg, name, path string, ds *tkd.Dataset, warm bool, start time.Time, parse time.Duration) {
 	index, queue := ds.BuildTimes()
 	s.log.Info(msg, "dataset", name, "path", path, "rows", ds.Len(), "warm", warm,
-		"parse_ms", ms(parse), "index_ms", ms(index), "queue_ms", ms(queue), "persist_ms", ms(persist),
+		"parse_ms", millis(parse), "index_ms", millis(index), "queue_ms", millis(queue),
 		"seconds", time.Since(start).Seconds())
 }
 
@@ -446,17 +451,20 @@ func (s *Server) logLoad(msg, name, path string, ds *tkd.Dataset, warm bool, sta
 // artifact, needed only for explicit BIG queries — builds lazily on first
 // use. warm reports whether the cache supplied every part (rebuild skipped);
 // cold lists the parts it did not — built here, or shipped with an imported
-// epoch — for persist to write once the caller has swapped; tail counts the
+// epoch — for persistLater to write once the dataset serves; tail counts the
 // rows patched behind a checkpoint that was saved when the data was shorter
 // (a restart over a write-ahead log: the file on disk still covers only
 // Len() − tail rows). A sharded dataset has one part per in-process shard, so
 // a restart (or a reload of an unchanged file) skips rebuilds shard by shard
-// and a partially valid cache still saves most of the work.
+// and a partially valid cache still saves most of the work. The files are
+// read once every write queued under the name has landed — the previous
+// load's, an evicted namesake's.
 func (s *Server) warmPrepare(name string, ds *tkd.Dataset) (warm bool, cold []tkd.IndexPart, tail int) {
 	if s.cfg.CacheBudget > 0 {
 		ds.SetCacheBudget(s.cfg.CacheBudget)
 	}
 	if s.ixc != nil {
+		s.writes.join(name)
 		warm = true
 		for _, p := range ds.IndexParts() {
 			patched, ok, err := s.ixc.tryLoad(name, p)
@@ -481,32 +489,47 @@ func (s *Server) warmPrepare(name string, ds *tkd.Dataset) (warm bool, cold []tk
 	return warm, cold, tail
 }
 
-// persist writes index parts to the cache directory so a restart warm-loads
-// them, and reports whether every part made it. An error is a cold restart,
-// not a failure of whatever published the index.
-func (s *Server) persist(name string, parts []tkd.IndexPart) bool {
+// persistLater finishes a load once the dataset serves: it hands the parts
+// the cache did not supply to a background write that e owns (indexWrites).
+// rows is what the files in the cache directory cover once that write lands —
+// all of the loaded rows, less the tail patched behind an older checkpoint —
+// and what e.savedRows then holds; with nothing to write it holds it now.
+func (s *Server) persistLater(e *entry, cold []tkd.IndexPart, rows int64) {
 	if s.ixc == nil {
-		return false
+		return
 	}
-	ok := true
-	for _, p := range parts {
-		if err := s.ixc.save(name, p); err != nil {
-			s.life.indexCacheErrors.Add(1)
-			ok = false
-		}
+	if len(cold) == 0 {
+		e.savedRows.Store(rows)
+		return
 	}
-	return ok
+	s.writes.start(e.name, func() { s.writeIndex(e, cold, rows) })
 }
 
-// persistWarmed finishes a warmPrepare: it writes the parts the cache did not
-// supply and returns the row count the files in the cache directory now
-// cover — all of ds's, less the tail that was patched behind an older
-// checkpoint; 0 when a write failed, so that the first publish tries again.
-func (s *Server) persistWarmed(name string, ds *tkd.Dataset, cold []tkd.IndexPart, tail int) int64 {
-	if !s.persist(name, cold) {
-		return 0
+// writeIndex writes index parts of e's data to the cache directory, in
+// e.name's turn, so a restart warm-loads them, then records in e.savedRows
+// the rows the files cover: rows, or 0 when a part failed, so that the next
+// checkpoint tries again. An error is a cold restart, not a failure of
+// whatever published the index. A newer entry under the name owns the files,
+// and the write is then dropped.
+func (s *Server) writeIndex(e *entry, parts []tkd.IndexPart, rows int64) {
+	if cur, ok := s.reg.get(e.name); ok && cur != e {
+		return
 	}
-	return int64(ds.Len() - tail)
+	start := time.Now()
+	var bytes int64
+	for _, p := range parts {
+		n, err := s.ixc.save(e.name, p)
+		if err != nil {
+			s.life.indexCacheErrors.Add(1)
+			s.log.Warn("index persist failed", "dataset", e.name, "part", p.Suffix, "err", err)
+			rows = 0
+		}
+		bytes += n
+	}
+	e.savedRows.Store(rows)
+	if rows > 0 {
+		s.log.Info("index persisted", "dataset", e.name, "ms", millis(time.Since(start)), "bytes", bytes, "parts", len(parts))
+	}
 }
 
 // checkpointIndex is the one place an append-publish — the leader's fold of
@@ -518,23 +541,27 @@ func (s *Server) persistWarmed(name string, ds *tkd.Dataset, cold []tkd.IndexPar
 // keeps the bytes written over a dataset's life within 9× the final index
 // (a geometric series) — O(1) amortized per appended row where the
 // per-publish rewrite was O(N) — and bounds what a restart after a crash has
-// to patch behind the checkpoint to a ninth of the rows.
+// to patch behind the checkpoint to a ninth of the rows. It writes in
+// e.name's turn, after a load's background write has landed.
 func (s *Server) checkpointIndex(e *entry, force bool) {
-	rows, saved := int64(e.ds.Len()), e.savedRows.Load()
-	if s.ixc == nil || rows == saved || (!force && rows*8 < saved*9) {
+	if s.ixc == nil {
 		return
 	}
-	if s.persist(e.name, e.ds.IndexParts()) {
-		e.savedRows.Store(rows)
-	}
+	s.writes.run(e.name, func() {
+		rows, saved := int64(e.ds.Len()), e.savedRows.Load()
+		if rows != saved && (force || rows*8 >= saved*9) {
+			s.writeIndex(e, e.ds.IndexParts(), rows)
+		}
+	})
 }
 
 // swapIn replaces e's data with a freshly loaded dataset, zero downtime:
 // shard and warm the replacement entirely off to the side — queries keep
 // flowing on the current epoch the whole time — then publish it as e's next
 // epoch (numbered at when that moves the counter forward; 0 = next), which
-// carries the warm artifacts over, and persist what the cache lacked. start
-// is when the caller began reading fresh from its source (see logLoad).
+// carries the warm artifacts over, and persist what the cache lacked in the
+// background. start is when the caller began reading fresh from its source
+// (see logLoad).
 // Coordinators holding cached slices of the pre-swap epoch keep getting
 // them for one more epoch: the peer cache rebuilds on the next scatter call
 // and retains the retired epoch as its grace predecessor, so their
@@ -547,23 +574,25 @@ func (s *Server) swapIn(e *entry, fresh *tkd.Dataset, at uint64, start time.Time
 	warm, cold, tail := s.warmPrepare(e.name, fresh)
 	e.ds.ReplaceFromAt(fresh, at)
 	fresh.Close() // its health loops, if any; the swap built e's own
-	persistStart := time.Now()
-	e.savedRows.Store(s.persistWarmed(e.name, fresh, cold, tail))
-	s.logLoad("dataset reloaded", e.name, e.path, fresh, warm, start, parse, time.Since(persistStart))
+	s.logLoad("dataset reloaded", e.name, e.path, fresh, warm, start, parse)
+	s.persistLater(e, cold, int64(fresh.Len()-tail))
 	return warm, nil
 }
 
 // Close stops the schedulers immediately; in-flight submits return a
-// shutdown error. Safe to call multiple times, concurrently. For a graceful
-// stop that finishes queued work first, call Shutdown.
+// shutdown error. It returns once the index files being written have landed.
+// Safe to call multiple times, concurrently. For a graceful stop that
+// finishes queued work first, call Shutdown.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.done)
 		if s.fol != nil {
 			s.fol.stop()
 		}
-		// Join the ingest publisher before closing the WALs underneath it.
+		// Join the ingest publisher before closing the WALs underneath it, and
+		// with it the last writer of index files.
 		s.pubWG.Wait()
+		s.writes.wait()
 		// Retire the replica-set health loops of every sharded resident so
 		// their goroutines do not outlive the server.
 		for _, e := range s.reg.list() {
@@ -1205,17 +1234,19 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	// peer endpoint forgets the shard slices it cached for coordinators.
 	e.sch.drainStop()
 	e.ds.Close()
+	// The reload lock orders what follows after any in-flight reload or
+	// publish, and so after the index write it queued.
+	e.reloadMu.Lock()
 	if e.ing != nil {
 		// The WAL dies with the dataset: acked-but-unpublished rows are
 		// discarded (DELETE is the explicit discard), and the segments must
 		// not resurrect the dataset if the name is ever registered again.
-		// The reload lock orders this after any in-flight publish.
-		e.reloadMu.Lock()
 		if err := e.ing.log.Remove(); err != nil {
 			s.log.Warn("wal removal on evict failed", "dataset", name, "err", err)
 		}
-		e.reloadMu.Unlock()
 	}
+	e.reloadMu.Unlock()
+	s.writes.join(name)
 	s.peer.Evict(name)
 	s.standing.dropDataset(name)
 	s.life.evictions.Add(1)

@@ -123,12 +123,9 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 	base.release()
 	if !patched {
 		// Rebuild path: pay the artifact build now so the publish is complete
-		// either way, mirroring the patch path.
-		need := core.NeedQueue | core.NeedBinned
-		if sharded {
-			need = core.NeedQueue
-		}
-		ns.part.Ensure(need)
+		// either way, mirroring the patch path — on a sharded dataset the
+		// shards' indexes and the queue merged from them.
+		ns.prepare(core.NeedQueue | core.NeedBinned)
 	}
 	d.recordLineageLocked(base, ns.epoch, next.Len(), fp)
 	return patched, nil

@@ -1,6 +1,7 @@
 package tkd
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
@@ -188,8 +190,8 @@ type shardSet struct {
 }
 
 // shardSet returns the epoch's shard set, slicing it on first use. Slicing
-// builds nothing: the global queue and the shards' indexes come from prewarm,
-// side by side, or from the first query that needs them.
+// builds nothing: the shards' indexes and then the global queue come from
+// prewarm — PrepareFor's, or the first query's that needs them.
 func (s *snapshot) shardSet() *shardSet {
 	if ss := s.shards.Load(); ss != nil {
 		return ss
@@ -285,25 +287,70 @@ func (ss *shardSet) close() {
 	}
 }
 
-// prewarm builds the artifacts of n side by side: the coordinator's global
-// queue in global, the epoch's own holder, and every non-empty in-process
-// shard's part of the rest.
+// prewarm builds the artifacts of n: every non-empty in-process shard's
+// indexes, side by side, then the coordinator's queue in global, the epoch's
+// own holder, merged from the shards' sorted runs (queueRuns) — no sharded
+// epoch sorts its rows as a whole. On a warm set it is an atomic load per
+// holder.
 func (ss *shardSet) prewarm(global *core.Prepared, n core.Need) {
-	var wg sync.WaitGroup
-	ensure := func(p *core.Prepared, n core.Need) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.Ensure(n)
-		}()
+	if idx := n &^ core.NeedQueue; idx != 0 {
+		for _, p := range ss.parts {
+			if p.Dataset().Len() > 0 && !p.Built().Has(idx) {
+				ss.buildParts(idx)
+				break
+			}
+		}
 	}
-	ensure(global, n&core.NeedQueue)
+	if n&core.NeedQueue != 0 && !global.Built().Has(core.NeedQueue) {
+		global.EnsureQueueFrom(func() []core.QueueRun { return ss.queueRuns(global.Dataset()) })
+	}
+}
+
+// buildParts builds n in every non-empty in-process shard (more shards than
+// rows: an empty one has nothing to index), side by side. It is prewarm's
+// cold path, apart so that a warm query allocates nothing for it.
+func (ss *shardSet) buildParts(n core.Need) {
+	var wg sync.WaitGroup
 	for _, p := range ss.parts {
-		if p.Dataset().Len() > 0 { // more shards than rows: nothing to index
-			ensure(p, n&^core.NeedQueue)
+		if p.Dataset().Len() > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.Ensure(n)
+			}()
 		}
 	}
 	wg.Wait()
+}
+
+// queueRuns returns the coordinator's queue input for the epoch's rows ds,
+// one run per shard in row order: an in-process shard's is the stats and
+// ranks of the index it holds; a remote one's — its index lives on its peer —
+// or an in-process one's that was asked for the queue alone is a sort of its
+// slice, the slices side by side.
+func (ss *shardSet) queueRuns(ds *data.Dataset) []core.QueueRun {
+	runs := make([]core.QueueRun, len(ss.backends))
+	var wg sync.WaitGroup
+	lo := 0
+	for i, b := range ss.backends {
+		hi := lo + b.Rows()
+		if l, ok := b.(*shard.Local); ok {
+			pre := l.Built()
+			if ix := cmp.Or(pre.Binned, pre.Bitmap); ix != nil {
+				runs[i], lo = core.QueueRun{Stats: ix.Stats(), Ranks: ix.Ranks()}, hi
+				continue
+			}
+		}
+		wg.Add(1)
+		go func(slice *data.Dataset) {
+			defer wg.Done()
+			s := slice.SortDims()
+			runs[i] = core.QueueRun{Stats: s.Stats, Ranks: s.Ranks}
+		}(ds.Slice(lo, hi))
+		lo = hi
+	}
+	wg.Wait()
+	return runs
 }
 
 // run is TopK's sharded arm: the coordinator walks the global queue and

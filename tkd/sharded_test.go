@@ -255,9 +255,10 @@ func TestShardedFollowsEpochs(t *testing.T) {
 
 // TestShardedAppendRowsBuildsNoDatasetIndex: a sharded dataset's epoch holds
 // no binned index of its own — the shards index their slices — so an
-// append-publish there builds only the coordinator's queue, patches nothing
-// and says so, and the answers still match an unsharded dataset that took the
-// same appends (and patched its index for them).
+// append-publish there builds the shards' indexes and the coordinator's queue
+// merged from them, patches nothing and says so, and the answers still match
+// an unsharded dataset that took the same appends (and patched its index for
+// them).
 func TestShardedAppendRowsBuildsNoDatasetIndex(t *testing.T) {
 	ds := GenerateIND(2000, 4, 30, 0.2, 5)
 	sd, err := Shard(GenerateIND(2000, 4, 30, 0.2, 5), "append", WithShards(3))
@@ -294,6 +295,79 @@ func TestShardedAppendRowsBuildsNoDatasetIndex(t *testing.T) {
 			}
 			assertSameResult(t, fmt.Sprintf("batch %d k=%d", batch, k), want, got)
 		}
+	}
+}
+
+// TestShardedBuildSortsEachRowOnce: a sharded epoch's queue is merged from
+// its shards' sorted runs, so nothing sorts the epoch's rows as a whole. With
+// every shard in-process, a boot's PrepareFor(IBIG) and a first IBIG query on
+// an epoch nobody prepared each sort every row exactly once — in its shard's
+// index build — and a UBB query, which indexes nothing, sorts each slice for
+// the queue alone; with remote shards the coordinator sorts the slices their
+// peers index. The merged queue is the unsharded dataset's, bound for bound.
+func TestShardedBuildSortsEachRowOnce(t *testing.T) {
+	const rows = 3000
+	mk := func() *Dataset { return GenerateIND(rows, 4, 40, 0.2, 8) }
+	plain := mk()
+	wantRes, err := plain.TopK(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plain.current().part.Built().Queue
+
+	var ref *Dataset
+	peer := shard.NewPeer(func(string) (*data.Dataset, uint64, bool) { return ref.ShardData(), ref.Epoch(), true })
+	ts := httptest.NewServer(peer)
+	defer ts.Close()
+	ref = mk()
+
+	prepare := func(d *Dataset) error { d.PrepareFor(IBIG); return nil }
+	query := func(opts ...Option) func(*Dataset) error {
+		return func(d *Dataset) error { _, err := d.TopK(5, opts...); return err }
+	}
+	for _, tc := range []struct {
+		name string
+		opts []ShardOption
+		warm func(*Dataset) error
+		// then is what the IBIG query after the warm-up sorts: nothing once the
+		// in-process shards are indexed, every row where they are not yet or
+		// where the peer indexes its slices.
+		then int64
+	}{
+		{"PrepareFor(IBIG), 3 shards", []ShardOption{WithShards(3)}, prepare, 0},
+		{"cold IBIG query, 1 shard", []ShardOption{WithShards(1)}, query(), 0},
+		{"cold IBIG query, 4 shards", []ShardOption{WithShards(4)}, query(), 0},
+		{"cold UBB query, 2 shards", []ShardOption{WithShards(2)}, query(WithAlgorithm(UBB)), rows},
+		{"PrepareFor(IBIG), 3 remote shards", []ShardOption{WithShards(3), WithShardPeers(ts.URL)}, prepare, rows},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sd, err := Shard(mk(), "d", tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sd.Close()
+			sd.current() // publish: sealing hashes rows, it sorts none
+			before := data.RowsSorted()
+			if err := tc.warm(sd); err != nil {
+				t.Fatal(err)
+			}
+			if got := data.RowsSorted() - before; got != rows {
+				t.Fatalf("the warm-up sorted %d rows, want each of the %d once", got, rows)
+			}
+			got := sd.current().part.Built().Queue
+			if got == nil || !slices.Equal(got.Order, want.Order) || !slices.Equal(got.MaxScore, want.MaxScore) {
+				t.Fatal("the merged queue is not the unsharded dataset's")
+			}
+			before = data.RowsSorted()
+			res, err := sd.TopK(9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, tc.name, wantRes, res)
+			if got := data.RowsSorted() - before; got != tc.then {
+				t.Fatalf("the IBIG query after the warm-up sorted %d rows, want %d", got, tc.then)
+			}
+		})
 	}
 }
 

@@ -154,6 +154,17 @@ func (s *snapshot) parts() []*core.Prepared {
 	return nil
 }
 
+// prepare builds the epoch's artifacts of n and returns its own holder's set:
+// everything there when unsharded; on a sharded dataset the shards build
+// their indexes and the holder takes the queue merged from them (prewarm).
+func (s *snapshot) prepare(n core.Need) *core.Pre {
+	if s.d.topo.Load() == nil {
+		return s.part.Ensure(n)
+	}
+	s.shardSet().prewarm(s.part, n)
+	return s.part.Built()
+}
+
 // release retires a snapshot that was just replaced — or, in replaceFrom, is
 // about to be: its builds move to the owner's running count and its shard
 // set's health loops stop. In-flight queries on the old epoch keep working —
@@ -276,8 +287,9 @@ func (d *Dataset) IndexBuilds() int64 {
 // BuildTimes reports what the current epoch's artifacts cost to make: index
 // is the time spent building or loading its serving indexes (BIG's bitmap
 // too, if a query asked for one), queue the time spent on its MaxScore queue.
-// A sharded dataset adds up its in-process shards, which build side by side
-// and beside the coordinator's queue — the sum can exceed the wall clock.
+// A sharded dataset adds up its in-process shards, which build side by side —
+// the sum can exceed the wall clock — and its queue is the coordinator's
+// merge of the shards' sorted runs.
 // Zero while staging is dirty; artifacts carried in from another epoch or
 // dataset cost nothing. It is what a serving layer logs when a load ends.
 func (d *Dataset) BuildTimes() (index, queue time.Duration) {
@@ -560,9 +572,9 @@ func WithAllowPartial(d *Degradation) Option {
 
 // Prepare eagerly builds every preprocessing artifact (MaxScore queue,
 // bitmap index, binned bitmap index) so that subsequent TopK calls measure
-// pure query time; on a sharded dataset, the global queue plus every
-// in-process shard's binned index — the IBIG scatter plan. It is idempotent
-// and safe to call concurrently.
+// pure query time; on a sharded dataset, every in-process shard's binned
+// index and the global queue merged from them — the IBIG scatter plan. It is
+// idempotent and safe to call concurrently.
 func (d *Dataset) Prepare() {
 	if d.Shards() > 0 {
 		d.PrepareFor(IBIG)
@@ -577,18 +589,14 @@ func (d *Dataset) Prepare() {
 // artifact, needed only by BIG); anything skipped still builds lazily on
 // first use. On a sharded dataset the in-process shards build their side of
 // each algorithm's scatter plan in parallel (remote shards warm on their
-// peers, on first use).
+// peers, on first use), and the coordinator merges its queue from their
+// sorts.
 func (d *Dataset) PrepareFor(algs ...Algorithm) {
 	var n core.Need
 	for _, a := range algs {
 		n |= core.NeedFor(a)
 	}
-	s := d.current()
-	if d.Shards() > 0 {
-		s.shardSet().prewarm(s.part, n)
-		return
-	}
-	s.part.Ensure(n)
+	d.current().prepare(n)
 }
 
 // SetCacheBudget bounds the decompressed-column cache of the compressed
@@ -724,14 +732,7 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 		return Result{}, fmt.Errorf("tkd: empty dataset")
 	}
 	// Whatever has to be built is built before the engine span opens.
-	var pre *core.Pre
-	var shards *shardSet
-	if t != nil {
-		shards = s.shardSet()
-		s.part.Ensure(core.NeedFor(cfg.alg) & core.NeedQueue) // the coordinator's
-	} else {
-		pre = s.part.Ensure(core.NeedFor(cfg.alg))
-	}
+	pre := s.prepare(core.NeedFor(cfg.alg))
 	eng := cfg.engineSpan(k, rows)
 	var res Result
 	var st Stats
@@ -740,7 +741,7 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	deg := Degradation{CoveredRows: rows, TotalRows: rows}
 	if t != nil {
 		var err error
-		res, st, deg, err = shards.run(cfg.ctx, cfg.alg, k, cfg.allowPartial, eng)
+		res, st, deg, err = s.shardSet().run(cfg.ctx, cfg.alg, k, cfg.allowPartial, eng)
 		if err != nil {
 			eng.SetStr("error", err.Error())
 			eng.End()
