@@ -59,13 +59,9 @@ type benchExperiment struct {
 }
 
 // benchReport is the -json output: host context plus every table produced.
-// Shards stamps the serve experiment's topology next to NumCPU/GOMAXPROCS —
-// a per-shard p99 is only interpretable knowing how many shards (and cores)
-// the run had.
 type benchReport struct {
 	Host        hostInfo          `json:"host"`
 	Scale       string            `json:"scale"`
-	Shards      int               `json:"shards,omitempty"`
 	Experiments []benchExperiment `json:"experiments"`
 }
 
@@ -78,14 +74,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp     = fs.String("exp", "all", "experiment: all, fig10, fig11, table3, fig12, table4, fig13..fig18, ablation, serve, kill")
+		exp     = fs.String("exp", "all", "experiment: all, fig10, fig11, table3, fig12, table4, fig13..fig18, ablation")
 		scale   = fs.String("scale", "quick", "scale: quick, full, tiny")
 		format  = fs.String("format", "text", "output format: text, markdown")
 		out     = fs.String("o", "", "output file (default stdout)")
 		list    = fs.Bool("list", false, "list experiments and exit")
-		shards  = fs.Int("shards", 1, "shard count for the serve experiment (1 = unsharded)")
-		chaos   = fs.Bool("chaos", false, "run the serve experiment as a fault-injection soak: replicated remote shards behind a transport injecting seeded errors/timeouts/stale responses; answers must stay byte-identical")
-		seed    = fs.Uint64("seed", 1, "fault-schedule seed for -chaos and the kill experiment")
 		jsonOut = fs.String("json", "", "also write results as JSON with host/runtime info to this file")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -128,28 +121,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		w = f
 	}
 
-	report := benchReport{Host: currentHost(), Scale: sc.String(), Shards: *shards}
+	report := benchReport{Host: currentHost(), Scale: sc.String()}
 	for _, spec := range specs {
 		fmt.Fprintf(stderr, "benchrunner: running %s (%s scale)...\n", spec.Name, sc)
 		start := time.Now()
-		var tables []experiments.Table
-		switch spec.Name {
-		case "serve":
-			// Honour -shards; the report row carries the per-shard p99.
-			// -chaos swaps in the fault-injection soak over replicated
-			// remote shards.
-			if *chaos {
-				tables = experiments.ServeChaos(sc, *shards, *seed)
-			} else {
-				tables = experiments.ServeSharded(sc, *shards)
-			}
-		case "kill":
-			// Honour -seed: the kill schedule is deterministic per seed, so a
-			// CI matrix over seeds varies where the SIGKILL lands.
-			tables = experiments.KillLoad(sc, *seed)
-		default:
-			tables = spec.Run(sc)
-		}
+		tables := spec.Run(sc)
 		elapsed := time.Since(start)
 		fmt.Fprintf(stderr, "benchrunner: %s done in %.1fs\n", spec.Name, elapsed.Seconds())
 		report.Experiments = append(report.Experiments, benchExperiment{

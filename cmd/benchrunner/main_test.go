@@ -6,19 +6,25 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// TestRunList holds -list to the paper's artifacts: Figs. 10–18, Tables 3
+// and 4, and the ablation, nothing else.
 func TestRunList(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	for _, want := range []string{"fig10", "table3", "fig18"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("-list output lacks %s:\n%s", want, out.String())
-		}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		got = append(got, strings.Fields(line)[0])
+	}
+	want := []string{"fig10", "fig11", "table3", "fig12", "table4", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "ablation"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("-list names %v, want %v", got, want)
 	}
 }
 
@@ -89,6 +95,13 @@ func TestRunErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-exp", "fig99"}, &out, &errb); code != 2 {
 		t.Fatalf("unknown experiment: exit %d", code)
+	}
+	// benchrunner drives no server: the soak, chaos and kill gates are tests
+	// in the packages they gate, with no experiment or flag here.
+	for _, args := range [][]string{{"-exp", "serve"}, {"-exp", "kill"}, {"-chaos"}, {"-shards", "2"}, {"-seed", "1"}} {
+		if code := run(args, &out, &errb); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
 	}
 	if code := run([]string{"-scale", "galactic"}, &out, &errb); code != 2 {
 		t.Fatalf("unknown scale: exit %d", code)

@@ -149,8 +149,6 @@ func All() []Spec {
 		{"fig17", "TKD cost on synthetic data vs dimensional cardinality c", Fig17},
 		{"fig18", "Objects pruned by Heuristics 1/2/3 vs k", Fig18},
 		{"ablation", "Design-choice ablations: refinement strategy, column codec (not in the paper)", Ablation},
-		{"serve", "Server soak: concurrent clients + hot reloads vs QPS and latency percentiles (not in the paper)", Serve},
-		{"kill", "Kill-under-load: SIGKILL tkdserver mid-ingest, restart, audit zero acked-row loss (not in the paper)", Kill},
 	}
 }
 

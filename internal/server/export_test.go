@@ -12,6 +12,17 @@ func (s *Server) IndexWritesInFlight() int {
 	return len(s.writes.last)
 }
 
+// ShardHedges counts the hedged scatter calls of a sharded resident dataset.
+// No /metrics family carries it (an operator reads the `hedged` attribute of
+// attempt spans), so TestChaosSoak reads the counter here.
+func (s *Server) ShardHedges(name string) int64 {
+	e, ok := s.reg.get(name)
+	if !ok {
+		return 0
+	}
+	return e.ds.Metrics().Hedges
+}
+
 // HoldIndexWrites makes every index write call hold between writing its
 // temporary file and renaming it over the dataset's file, and joined run
 // whenever something — a Close, an evict, a load reading the files — starts

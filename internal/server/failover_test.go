@@ -1,13 +1,19 @@
 package server_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/tkd"
@@ -150,6 +156,135 @@ func TestServerReplicaFailover(t *testing.T) {
 	}
 	if !strings.Contains(body, `tkd_shard_replicas_healthy{dataset="big",shard="0"}`) {
 		t.Fatal("tkd_shard_replicas_healthy family missing")
+	}
+}
+
+// TestChaosSoak is the fault-tolerance layer's end-to-end claim: four clients
+// query a coordinator whose three shards are two-replica sets reached through
+// a transport injecting seeded faults — transport errors, hangs, stale 409s,
+// latency spikes. A fault may cost a query an explicit error (503 when the
+// retry budget drains or every breaker is open), never a wrong answer: every
+// answer that comes back equals the fault-free library run, and every k gets
+// at least one compared answer, so a run of errors alone cannot pass. The
+// retries and hedges the policy fired must show as spans in the coordinator's
+// query-log traces.
+func TestChaosSoak(t *testing.T) {
+	dir := t.TempDir()
+	csv, ref := shardedFixture(t, dir)
+	peer := startPeer(t, csv)
+	ks := []int{2, 4, 8}
+	want := topKItems(t, ref, ks)
+
+	for seed := uint64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			chaos := shard.NewChaos(shard.ChaosConfig{
+				Seed:     seed,
+				ErrorP:   0.05,
+				LatencyP: 0.10,
+				Latency:  2 * time.Millisecond,
+				StaleP:   0.02,
+				TimeoutP: 0.01,
+			})
+			pol := tkd.ShardPolicy{
+				MaxAttempts:      4,
+				BaseBackoff:      time.Millisecond,
+				MaxBackoff:       20 * time.Millisecond,
+				AttemptTimeout:   250 * time.Millisecond,
+				Hedge:            true,
+				BreakerThreshold: 5,
+				BreakerCooldown:  10 * time.Millisecond,
+			}
+			coord := server.New(server.Config{
+				BatchWindow: time.Millisecond,
+				Shards:      3,
+				// Both replicas of every shard are the one peer, so a failover
+				// always has somewhere correct to land: the non-Byzantine
+				// schedule under which answers must stay exact.
+				ShardPeers:  []string{peer.URL + "|" + peer.URL},
+				ShardClient: &http.Client{Transport: shard.NewChaosTransport(nil, chaos), Timeout: 5 * time.Second},
+				ShardPolicy: &pol,
+			})
+			if err := coord.LoadCSVFile("big", csv, false); err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			cts := httptest.NewServer(coord)
+			defer cts.Close()
+
+			const clients, ops = 4, 15
+			var (
+				mu       sync.Mutex
+				compared = map[int]int{}
+				errored  atomic.Int64
+				wg       sync.WaitGroup
+			)
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < ops; i++ {
+						k := ks[(c+i)%len(ks)]
+						qr, code := postQuery(t, cts.URL, server.QueryRequest{Dataset: "big", K: k, Workers: 1})
+						if code != http.StatusOK {
+							errored.Add(1)
+							continue
+						}
+						if !slices.Equal(qr.Items, want[k]) {
+							t.Errorf("k=%d: wrong answer under faults: %+v, want %+v", k, qr.Items, want[k])
+						}
+						mu.Lock()
+						compared[k]++
+						mu.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			t.Logf("compared per k %v, errored %d of %d, injected %+v", compared, errored.Load(), clients*ops, chaos.Counts())
+			for _, k := range ks {
+				if compared[k] == 0 {
+					t.Errorf("k=%d: no answer compared, every query errored", k)
+				}
+			}
+
+			// Every query was traced into the coordinator's ring; count the
+			// fault-handling spans in it.
+			resp, err := http.Get(fmt.Sprintf("%s/v1/debug/queries?n=%d&trace=1", cts.URL, clients*ops))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dq struct {
+				Queries []struct {
+					Trace *obs.TraceJSON `json:"trace"`
+				} `json:"queries"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&dq)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var retrySpans, hedgeSpans int
+			for _, q := range dq.Queries {
+				if q.Trace == nil {
+					continue
+				}
+				spans := collectSpans(q.Trace.Root)
+				retrySpans += len(spansNamed(spans, "retry"))
+				for _, sp := range spansNamed(spans, "attempt") {
+					if sp.Attrs["hedged"] == float64(1) {
+						hedgeSpans++
+					}
+				}
+			}
+			retries := metricValue(t, fetchMetrics(t, cts.URL), `tkd_shard_retries_total{dataset="big"}`)
+			hedges := coord.ShardHedges("big")
+			t.Logf("retries %v (%d spans), hedges %d (%d spans)", retries, retrySpans, hedges, hedgeSpans)
+			if retries > 0 && retrySpans == 0 {
+				t.Errorf("%v retries fired but no retry span was traced", retries)
+			}
+			if hedges > 0 && hedgeSpans == 0 {
+				t.Errorf("%d hedges fired but no hedged attempt span was traced", hedges)
+			}
+		})
 	}
 }
 

@@ -60,19 +60,16 @@ type follower struct {
 	names   map[string]struct{}
 }
 
-func newFollower(s *Server, leader string, interval time.Duration, client *http.Client) *follower {
+func newFollower(s *Server, leader string, interval time.Duration) *follower {
 	if interval <= 0 {
 		interval = 2 * time.Second
-	}
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &follower{
 		s:        s,
 		leader:   strings.TrimSuffix(leader, "/"),
 		interval: interval,
-		client:   client,
+		client:   &http.Client{Timeout: 30 * time.Second},
 		ctx:      ctx,
 		cancel:   cancel,
 	}

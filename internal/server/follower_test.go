@@ -319,18 +319,15 @@ func TestFollowerRollingReloadE2E(t *testing.T) {
 		}
 		return true
 	})
-	before, _, ok := leader.ShardMetrics("big")
-	if !ok {
-		t.Fatal("leader lost its sharded dataset")
-	}
+	const retries = `tkd_shard_retries_total{dataset="big"}`
+	before := metricValue(t, fetchMetrics(t, lts.URL), retries)
 	for i := 0; i < 40; i++ {
 		if _, code := postQuery(t, lts.URL, server.QueryRequest{Dataset: "big", K: 5}); code != http.StatusOK {
 			t.Fatalf("steady-state query %d: HTTP %d", i, code)
 		}
 	}
-	after, _, _ := leader.ShardMetrics("big")
-	if d := after.Retries - before.Retries; d != 0 {
-		t.Errorf("%d stale/retry scatter calls after convergence, want 0", d)
+	if d := metricValue(t, fetchMetrics(t, lts.URL), retries) - before; d != 0 {
+		t.Errorf("%v stale/retry scatter calls after convergence, want 0", d)
 	}
 
 	close(stop)

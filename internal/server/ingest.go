@@ -60,8 +60,8 @@ type ingestState struct {
 
 	// Publish-path accounting: how many publishes patched the previous
 	// epoch's index in place versus rebuilt it from scratch. Exposed per
-	// dataset in /v1/datasets; the kill harness audits deltaPublishes to
-	// prove recovery covers patched epochs.
+	// dataset in /v1/datasets; cmd/tkdserver's TestKillUnderLoad audits
+	// deltaPublishes to prove recovery covers patched epochs.
 	deltaPublishes   atomic.Int64
 	rebuildPublishes atomic.Int64
 }

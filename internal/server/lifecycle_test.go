@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -526,112 +527,110 @@ func loadPublicCSV(path string) (*tkd.Dataset, error) {
 	return tkd.ReadCSV(f)
 }
 
-// TestReloadUnderLoad is the zero-downtime acceptance test: queries hammer
-// one dataset while its source file is replaced and /reload fires
-// repeatedly. Every query must succeed (zero non-200s), and every answer
-// must equal the old epoch's answer or the new epoch's answer.
+// TestReloadUnderLoad is the zero-downtime acceptance test, unsharded and
+// through the scatter-gather coordinator: six clients cycle k and the worker
+// count (serial, 1, 2) while the source file is replaced and three /reload
+// requests race them and each other — each reload publishes an epoch of the
+// new file. Every query must succeed (zero
+// non-200s) and every answer must equal, item for item, an unsharded
+// library run over the old file or the new one.
 func TestReloadUnderLoad(t *testing.T) {
-	dir := t.TempDir()
-	csv := filepath.Join(dir, "x.csv")
-	v1 := tkd.GenerateIND(800, 4, 30, 0.2, 5)
-	v2 := tkd.GenerateIND(1000, 4, 35, 0.25, 6)
-	writeCSV(t, v1, csv)
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"unsharded", 0}, {"sharded", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			csv := filepath.Join(dir, "x.csv")
+			v1 := tkd.GenerateIND(800, 4, 30, 0.2, 5)
+			v2 := tkd.GenerateIND(1000, 4, 35, 0.25, 6)
+			writeCSV(t, v1, csv)
 
-	s := server.New(server.Config{MaxWorkers: 2, BatchWindow: time.Millisecond, IndexDir: filepath.Join(dir, "ix")})
-	if err := s.LoadCSVFile("x", csv, false); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	defer s.Close()
+			s := server.New(server.Config{MaxWorkers: 2, BatchWindow: time.Millisecond, IndexDir: filepath.Join(dir, "ix"), Shards: tc.shards})
+			if err := s.LoadCSVFile("x", csv, false); err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s)
+			defer ts.Close()
+			defer s.Close()
 
-	const k = 6
-	wantV1, err := v1.TopK(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantV2, err := v2.TopK(k)
-	if err != nil {
-		t.Fatal(err)
-	}
+			ks := []int{2, 4, 6, 8}
+			wantV1, wantV2 := topKItems(t, v1, ks), topKItems(t, v2, ks)
 
-	// Swap the file to v2, then fire queries and reloads concurrently.
-	writeCSV(t, v2, csv)
-	var failed atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "x", K: k})
-				if code != http.StatusOK {
-					failed.Add(1)
-					t.Errorf("query during reload: HTTP %d", code)
-					return
-				}
-				match := func(want server.QueryResponse) bool {
-					if len(qr.Items) != len(want.Items) {
-						return false
-					}
-					for i := range qr.Items {
-						if qr.Items[i] != want.Items[i] {
-							return false
+			// Swap the file to v2, then fire queries and three reloads
+			// concurrently, so the reloads also contend with each other.
+			writeCSV(t, v2, csv)
+			const clients, ops, reloads = 6, 25, 3
+			var failed atomic.Int64
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < ops; i++ {
+						k := ks[(c+i)%len(ks)]
+						qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "x", K: k, Workers: (c + i) % 3})
+						if code != http.StatusOK {
+							failed.Add(1)
+							t.Errorf("query during reload: HTTP %d", code)
+							return
+						}
+						if !slices.Equal(qr.Items, wantV1[k]) && !slices.Equal(qr.Items, wantV2[k]) {
+							t.Errorf("k=%d: answer matches neither epoch: %+v", k, qr.Items)
+							return
 						}
 					}
-					return true
-				}
-				toResp := func(res tkd.Result) server.QueryResponse {
-					var out server.QueryResponse
-					for i, it := range res.Items {
-						out.Items = append(out.Items, server.QueryItem{Rank: i + 1, Index: it.Index, ID: it.ID, Score: it.Score})
+				}()
+			}
+			for r := 0; r < reloads; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/x/reload", nil); code != http.StatusOK {
+						failed.Add(1)
+						t.Errorf("reload: HTTP %d: %s", code, body)
 					}
-					return out
-				}
-				if !match(toResp(wantV1)) && !match(toResp(wantV2)) {
-					t.Errorf("answer matches neither epoch: %+v", qr.Items)
-					return
-				}
+				}()
 			}
-		}()
-	}
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/x/reload", nil)
-			if code != http.StatusOK {
-				failed.Add(1)
-				t.Errorf("reload: HTTP %d: %s", code, body)
+			wg.Wait()
+			if failed.Load() != 0 {
+				t.Fatalf("%d requests failed during live reload", failed.Load())
 			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() != 0 {
-		t.Fatalf("%d requests failed during live reload", failed.Load())
-	}
 
-	// After the storm, the new epoch is authoritative and the epoch
-	// counter advanced.
-	qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "x", K: k})
-	if code != http.StatusOK {
-		t.Fatalf("post-reload query: HTTP %d", code)
-	}
-	for i, it := range qr.Items {
-		w := wantV2.Items[i]
-		if it.Index != w.Index || it.ID != w.ID || it.Score != w.Score {
-			t.Fatalf("post-reload item %d = %+v, want %+v", i, it, w)
-		}
-	}
-	if qr.Epoch < 2 {
-		t.Fatalf("epoch after reloads = %d, want >= 2", qr.Epoch)
-	}
-	metrics := getBody(t, ts.URL+"/metrics")
-	if got := sumMetric(t, metrics, "tkd_dataset_reloads_total"); got != 3 {
-		t.Fatalf("reloads counter = %d, want 3", got)
-	}
-	if sumMetric(t, metrics, "tkd_query_errors_total") != 0 {
-		t.Fatal("query errors recorded during reload storm")
+			// After the storm, the new epoch is authoritative and every
+			// reload published one.
+			for _, k := range ks {
+				qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "x", K: k})
+				if code != http.StatusOK {
+					t.Fatalf("post-reload query: HTTP %d", code)
+				}
+				if !slices.Equal(qr.Items, wantV2[k]) {
+					t.Fatalf("post-reload k=%d: %+v, want %+v", k, qr.Items, wantV2[k])
+				}
+				if qr.Epoch != reloads+1 {
+					t.Fatalf("epoch after %d reloads = %d, want %d", reloads, qr.Epoch, reloads+1)
+				}
+			}
+			metrics := getBody(t, ts.URL+"/metrics")
+			if got := sumMetric(t, metrics, "tkd_dataset_reloads_total"); got != reloads {
+				t.Fatalf("reloads counter = %d, want %d", got, reloads)
+			}
+			if sumMetric(t, metrics, "tkd_query_errors_total") != 0 {
+				t.Fatal("query errors recorded during reload storm")
+			}
+			// A sharded dataset stays sharded across every swap, and each
+			// shard served the load.
+			if tc.shards > 1 {
+				if v := metricValue(t, metrics, `tkd_dataset_shards{dataset="x"}`); v != float64(tc.shards) {
+					t.Fatalf("tkd_dataset_shards = %v, want %d", v, tc.shards)
+				}
+				for sh := 0; sh < tc.shards; sh++ {
+					if v := metricValue(t, metrics, fmt.Sprintf(`tkd_shard_latency_seconds_count{dataset="x",shard="%d"}`, sh)); v == 0 {
+						t.Fatalf("shard %d latency histogram is empty", sh)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -89,9 +89,9 @@ type Config struct {
 	// separated by '|' — and every peer must have the same datasets
 	// registered under the same names. Ignored when Shards <= 1.
 	ShardPeers []string
-	// ShardClient overrides the HTTP client used to reach shard peers (the
-	// chaos harness injects its fault transport here); nil builds one from
-	// PeerTimeout.
+	// ShardClient overrides the HTTP client used to reach shard peers
+	// (TestChaosSoak and TestServerQueryDeadline inject a fault transport
+	// here); nil builds one from PeerTimeout.
 	ShardClient *http.Client
 	// ShardPolicy overrides the per-shard fault-tolerance policy (retries,
 	// backoff, hedging, breakers); nil selects tkd.DefaultShardPolicy.
@@ -124,10 +124,6 @@ type Config struct {
 	// defaults to 2s. Polls are conditional (If-fingerprint-matches answers
 	// 304 with no body), so short intervals are cheap.
 	FollowInterval time.Duration
-	// FollowClient overrides the HTTP client used to reach the leader
-	// (tests and the chaos harness inject transports here); nil builds a
-	// default client.
-	FollowClient *http.Client
 	// WALDir enables durable ingest: every unsharded leader dataset gets a
 	// write-ahead log under this directory and accepts POST
 	// /v1/datasets/{name}/append. Startup recovery replays the log on top
@@ -141,8 +137,9 @@ type Config struct {
 	// published epoch (one index patch per batch, not per row); <= 0
 	// defaults to 500ms.
 	PublishInterval time.Duration
-	// WALFS overrides WAL segment-file creation (the chaos harness injects
-	// write/fsync faults here); nil uses the operating system.
+	// WALFS overrides WAL segment-file creation (TestIngestFsyncFailurePoisons
+	// and TestIngestBatchWriteFailureAcksNothing inject write/fsync faults
+	// here); nil uses the operating system.
 	WALFS wal.FS
 }
 
@@ -263,7 +260,7 @@ func New(cfg Config) *Server {
 		s.mux.Handle(key, h)
 	}
 	if cfg.Follow != "" {
-		s.fol = newFollower(s, cfg.Follow, cfg.FollowInterval, cfg.FollowClient)
+		s.fol = newFollower(s, cfg.Follow, cfg.FollowInterval)
 		s.fol.start()
 	}
 	if s.ingestEnabled() {
@@ -283,17 +280,6 @@ func New(cfg Config) *Server {
 func (s *Server) AddDataset(name string, ds *tkd.Dataset) error {
 	_, err := s.register(name, ds, "", false, time.Now())
 	return err
-}
-
-// ShardMetrics returns the scatter-gather counters of a resident dataset
-// served sharded; ok is false for unknown names and unsharded datasets.
-// The soak harness stamps the per-shard p99 from this into its report.
-func (s *Server) ShardMetrics(name string) (m tkd.ShardMetrics, shards int, ok bool) {
-	e, found := s.reg.get(name)
-	if !found || e.ds.Shards() == 0 { // unsharded: no scatter-gather counters to report
-		return m, 0, false
-	}
-	return e.ds.Metrics(), e.ds.Shards(), true
 }
 
 // resolveShardData backs the /v1/shard/query and /v1/shard/health peer

@@ -70,6 +70,23 @@ func postQuery(t *testing.T, url string, req server.QueryRequest) (server.QueryR
 	return qr, resp.StatusCode
 }
 
+// topKItems is the library's answer over ds at each k, spelled as the query
+// endpoint returns it.
+func topKItems(t *testing.T, ds *tkd.Dataset, ks []int) map[int][]server.QueryItem {
+	t.Helper()
+	out := map[int][]server.QueryItem{}
+	for _, k := range ks {
+		res, err := ds.TopK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range res.Items {
+			out[k] = append(out[k], server.QueryItem{Rank: i + 1, Index: it.Index, ID: it.ID, Score: it.Score})
+		}
+	}
+	return out
+}
+
 // TestEndToEnd is the acceptance test of the serving subsystem: two resident
 // datasets, 40 concurrent queries with mixed k/algorithm/worker settings,
 // every response byte-identical to a serial tkd.TopK over the same data, and

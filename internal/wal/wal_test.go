@@ -464,7 +464,7 @@ func TestWALSegmentGapRejected(t *testing.T) {
 // A checkpoint covering FEWER rows than precede it in the log is not
 // corruption: the publisher snapshots its batch, and appends that land
 // before its checkpoint frame reaches the log belong to the replay suffix.
-// (The kill-under-load harness hits this interleaving constantly.)
+// (cmd/tkdserver's TestKillUnderLoad hits this interleaving constantly.)
 func TestWALCheckpointBehindAppendsAccepted(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{Policy: SyncAlways})
