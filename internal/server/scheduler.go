@@ -62,6 +62,7 @@ type request struct {
 	reply chan reply      // buffered(1); the scheduler never blocks on it
 	sp    *obs.Span       // the waiter's root span (nil = untraced)
 	enq   time.Time       // when the waiter entered the queue
+	disp  time.Time       // when its window closed and dispatch took it
 }
 
 // errSchedulerDraining is returned to submits that race a drainStop; handlers map it
@@ -257,7 +258,9 @@ func (s *scheduler) dispatch(batch []*request) {
 	s.met.batches.Add(1)
 	var order []queryKey
 	groups := make(map[queryKey][]*request, len(batch))
+	now := time.Now()
 	for _, r := range batch {
+		r.disp = now
 		if _, ok := groups[r.key]; !ok {
 			order = append(order, r.key)
 		}
@@ -298,14 +301,17 @@ func (s *scheduler) run(key queryKey, reqs []*request, window int, g *grant) {
 	}
 	start := time.Now()
 	// Every waiter records its own queue wait — from enqueue to the moment
-	// its group holds its slots and starts executing (window collection plus
-	// the admission line), so queue ends where execute begins. The execution
-	// itself runs once, as a span under the first traced waiter's trace; the
-	// other waiters adopt the completed span by reference, so a coalesced
-	// reply's trace still shows exactly what ran.
+	// its group holds its slots and starts executing, so queue ends where
+	// execute begins — split into its two children: window (enqueue to
+	// dispatch) and admission (dispatch to the grant). The execution itself
+	// runs once, as a span under the first traced waiter's trace; the other
+	// waiters adopt the completed span by reference, so a coalesced reply's
+	// trace still shows exactly what ran.
 	var exec *obs.Span
 	for _, r := range reqs {
-		r.sp.ChildAt("queue", r.enq, start)
+		queue := r.sp.ChildAt("queue", r.enq, start)
+		queue.ChildAt("window", r.enq, r.disp)
+		queue.ChildAt("admission", r.disp, start)
 		if exec == nil {
 			exec = r.sp.StartChild("execute")
 		}

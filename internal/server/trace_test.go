@@ -123,7 +123,7 @@ func TestExplainReturnsTraceTree(t *testing.T) {
 	if len(eng.Tau) < 2 || eng.Tau[0][1] != -1 {
 		t.Fatalf("τ trajectory: %v", eng.Tau)
 	}
-	windows := spansNamed(spans, "window")
+	windows := spansNamed(collectSpans(eng), "window")
 	if len(windows) == 0 {
 		t.Fatal("no window spans under the engine")
 	}
@@ -416,9 +416,10 @@ func TestStageMetricsExposed(t *testing.T) {
 
 // TestGrantAndQueueSpans pins what a trace says about admission: two distinct
 // queries of one window on a 2-slot server run side by side, one worker each,
-// and each one's queue span (window plus the wait for slots) ends where its
-// execute span begins, the two together inside the latency the client saw; a
-// lone query is granted both slots.
+// and each one's queue span ends where its execute span begins, the two
+// together inside the latency the client saw; the queue span's window and
+// admission children tile it, the window child carrying the batch window; a
+// lone query is granted both slots and waits for none of them.
 func TestGrantAndQueueSpans(t *testing.T) {
 	_, ts, _ := newTestServer(t, server.Config{MaxWorkers: 2, BatchWindow: 100 * time.Millisecond})
 	type observed struct {
@@ -449,6 +450,23 @@ func TestGrantAndQueueSpans(t *testing.T) {
 	end := func(o observed, sp *obs.SpanJSON) time.Time {
 		return begin(o, sp).Add(time.Duration(sp.DurUS) * time.Microsecond)
 	}
+	// queueParts returns the window and admission children of a queue span
+	// after checking that they tile it: window from the queue's start,
+	// admission from the window's end to the queue's end, each boundary
+	// within one span tick (durations are whole microseconds).
+	const tick = time.Microsecond
+	near := func(a, b time.Time) bool { d := a.Sub(b); return d >= -tick && d <= tick }
+	queueParts := func(o observed, queue *obs.SpanJSON) (window, admission *obs.SpanJSON) {
+		if len(queue.Children) != 2 || queue.Children[0].Name != "window" || queue.Children[1].Name != "admission" {
+			t.Fatalf("queue children %+v, want window then admission", queue.Children)
+		}
+		window, admission = queue.Children[0], queue.Children[1]
+		if !near(begin(o, window), begin(o, queue)) || !near(end(o, window), begin(o, admission)) || !near(end(o, admission), end(o, queue)) {
+			t.Errorf("queue [%d +%d] µs is not tiled by window [%d +%d] and admission [%d +%d]",
+				queue.StartUS, queue.DurUS, window.StartUS, window.DurUS, admission.StartUS, admission.DurUS)
+		}
+		return window, admission
+	}
 
 	// Naive on 4000 rows runs long enough for the two executions to overlap
 	// for certain; the 100 ms window puts both requests in one window.
@@ -466,9 +484,11 @@ func TestGrantAndQueueSpans(t *testing.T) {
 		t.FailNow()
 	}
 	var execs [2]*obs.SpanJSON
+	var windows [2]*obs.SpanJSON
 	for i, o := range pair {
 		queue, exec := spansOf(o)
 		execs[i] = exec
+		windows[i], _ = queueParts(o, queue)
 		if o.qr.Workers != 1 || exec.Attrs["granted"] != float64(1) {
 			t.Errorf("query %d: workers %d, granted attr %v; want 1 of the 2 slots each", i, o.qr.Workers, exec.Attrs["granted"])
 		}
@@ -485,13 +505,28 @@ func TestGrantAndQueueSpans(t *testing.T) {
 	if !begin(pair[0], execs[0]).Before(end(pair[1], execs[1])) || !begin(pair[1], execs[1]).Before(end(pair[0], execs[0])) {
 		t.Errorf("execute spans do not overlap: %+v and %+v", execs[0], execs[1])
 	}
+	// The first arrival opened the window, so its window child is the whole
+	// 100 ms batch window.
+	first := 0
+	if begin(pair[1], windows[1]).Before(begin(pair[0], windows[0])) {
+		first = 1
+	}
+	if d := time.Duration(windows[first].DurUS) * time.Microsecond; d < 100*time.Millisecond {
+		t.Errorf("first arrival's window child is %v, want the 100ms batch window", d)
+	}
 
 	lone := explain(5, "")
 	if t.Failed() {
 		t.FailNow()
 	}
-	if _, exec := spansOf(lone); lone.qr.Workers != 2 || exec.Attrs["granted"] != float64(2) {
+	queue, exec := spansOf(lone)
+	if lone.qr.Workers != 2 || exec.Attrs["granted"] != float64(2) {
 		t.Errorf("lone query: workers %d, granted attr %v; want both slots", lone.qr.Workers, exec.Attrs["granted"])
+	}
+	// Nothing else runs, so the grant is immediate: the admission child is
+	// the few microseconds between dispatch and the group's goroutine.
+	if _, admission := queueParts(lone, queue); time.Duration(admission.DurUS)*time.Microsecond > 5*time.Millisecond {
+		t.Errorf("lone query waited %d µs in admission, want ≈ 0", admission.DurUS)
 	}
 }
 
