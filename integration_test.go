@@ -5,6 +5,7 @@ package repro_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -15,7 +16,7 @@ import (
 
 // TestPipelineCSVRoundTripAllAlgorithms generates a workload, pushes it
 // through the CSV serializer and loader, and checks that every algorithm
-// returns the same score multiset on the original and the reloaded data.
+// returns the same items on the original and the reloaded data.
 func TestPipelineCSVRoundTripAllAlgorithms(t *testing.T) {
 	orig := gen.Synthetic(gen.Config{N: 600, Dim: 5, Cardinality: 24, MissingRate: 0.3, Dist: gen.AC, Seed: 71})
 	var buf bytes.Buffer
@@ -32,11 +33,8 @@ func TestPipelineCSVRoundTripAllAlgorithms(t *testing.T) {
 	for _, alg := range core.Algorithms {
 		a, _ := core.Run(alg, orig, 12, preA)
 		b, _ := core.Run(alg, loaded, 12, preB)
-		as, bs := a.Scores(), b.Scores()
-		for i := range as {
-			if as[i] != bs[i] {
-				t.Fatalf("%v: scores diverge after CSV round trip: %v vs %v", alg, as, bs)
-			}
+		if !slices.Equal(a.Items, b.Items) {
+			t.Fatalf("%v: answers diverge after CSV round trip: %v vs %v", alg, a.Items, b.Items)
 		}
 	}
 }
@@ -49,11 +47,8 @@ func TestPreSharingAcrossQueries(t *testing.T) {
 	for _, k := range []int{2, 16, 64, 3, 1} { // deliberately non-monotone
 		fresh, _ := core.Run(core.AlgIBIG, ds, k, core.Preprocess(ds, nil))
 		reused, _ := core.Run(core.AlgIBIG, ds, k, shared)
-		fs, rs := fresh.Scores(), reused.Scores()
-		for i := range fs {
-			if fs[i] != rs[i] {
-				t.Fatalf("k=%d: shared pre gave %v, fresh %v", k, rs, fs)
-			}
+		if !slices.Equal(fresh.Items, reused.Items) {
+			t.Fatalf("k=%d: shared pre gave %v, fresh %v", k, reused.Items, fresh.Items)
 		}
 	}
 }
@@ -75,11 +70,8 @@ func TestPublicAndInternalAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	intRes, _ := core.Run(core.AlgBIG, internal, 10, nil)
-	ps, is := pubRes.Scores(), intRes.Scores()
-	for i := range ps {
-		if ps[i] != is[i] {
-			t.Fatalf("facade %v vs internal %v", ps, is)
-		}
+	if !slices.Equal(pubRes.Items, intRes.Items) {
+		t.Fatalf("facade %v vs internal %v", pubRes.Items, intRes.Items)
 	}
 }
 

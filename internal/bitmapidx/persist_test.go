@@ -235,8 +235,8 @@ func TestLoadGoldenV4(t *testing.T) {
 			t.Fatalf("%s: re-saved index differs from the golden bytes — the v4 format moved", tc.file)
 		}
 		got, _ := core.IBIG(ds, 7, ix, nil)
-		if ws, gs := want.Scores(), got.Scores(); !slices.Equal(ws, gs) {
-			t.Fatalf("%s: IBIG scores %v, want %v", tc.file, gs, ws)
+		if !slices.Equal(got.Items, want.Items) {
+			t.Fatalf("%s: IBIG answers %v, want %v", tc.file, got.Items, want.Items)
 		}
 	}
 }
@@ -317,8 +317,8 @@ func TestLoadPrefixCheckpoint(t *testing.T) {
 	}
 	want, _ := core.Naive(grown, 9)
 	got, _ := core.IBIG(grown, 9, full, nil)
-	if ws, gs := want.Scores(), got.Scores(); !slices.Equal(ws, gs) {
-		t.Fatalf("IBIG over checkpoint + tail scores %v, Naive %v", gs, ws)
+	if !slices.Equal(got.Items, want.Items) {
+		t.Fatalf("IBIG over checkpoint + tail answers %v, Naive %v", got.Items, want.Items)
 	}
 	// An exact match is the prefix case with nothing behind it.
 	if whole, err := bitmapidx.LoadPrefix(bytes.NewReader(saved.Bytes()), base); err != nil || whole.Dataset() != base {

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -26,29 +27,34 @@ func randomConfigs(seedBase int64) []gen.Config {
 	}
 }
 
-// TestAllAlgorithmsAgree: the five algorithms must return identical top-k
-// score multisets on every configuration (answers may differ on rank-k
-// score ties, per the paper's arbitrary tie-breaking).
+// TestAllAlgorithmsAgree: the answer is a function of (data, k) alone. On
+// every configuration, all five algorithms at 1, 2 and 4 workers return, at
+// every k from 1 to 64, the first k items of serial Naive's top-64 — the same
+// objects in the same order, rank-k ties included.
 func TestAllAlgorithmsAgree(t *testing.T) {
-	for _, cfg := range randomConfigs(100) {
-		ds := gen.Synthetic(cfg)
-		pre := core.Preprocess(ds, nil)
-		for _, k := range []int{1, 2, 5, 16} {
-			want, _ := core.Naive(ds, k)
-			wantScores := want.Scores()
-			for _, alg := range []core.Algorithm{core.AlgESB, core.AlgUBB, core.AlgBIG, core.AlgIBIG} {
-				got, _ := core.Run(alg, ds, k, pre)
-				gs := got.Scores()
-				if len(gs) != len(wantScores) {
-					t.Fatalf("%v cfg=%+v k=%d: %d answers, want %d", alg, cfg, k, len(gs), len(wantScores))
-				}
-				for i := range gs {
-					if gs[i] != wantScores[i] {
-						t.Fatalf("%v cfg=%+v k=%d: scores %v, want %v", alg, cfg, k, gs, wantScores)
+	for i, cfg := range randomConfigs(100) {
+		t.Run(fmt.Sprintf("cfg%d", i), func(t *testing.T) {
+			t.Parallel() // the configurations share nothing
+			ds := gen.Synthetic(cfg)
+			pre := core.Preprocess(ds, nil)
+			oracle, _ := core.Naive(ds, 64)
+			for _, alg := range core.Algorithms {
+				for _, workers := range []int{1, 2, 4} {
+					for k := 1; k <= 64; k++ {
+						got, _ := core.RunWorkers(alg, ds, k, pre, workers)
+						assertItems(t, fmt.Sprintf("%v cfg=%+v workers=%d k=%d", alg, cfg, workers, k), got, oracle.Items[:min(k, len(oracle.Items))])
 					}
 				}
 			}
-		}
+		})
+	}
+}
+
+// assertItems fails t unless got holds exactly want's items, in order.
+func assertItems(t *testing.T, label string, got core.Result, want []core.Item) {
+	t.Helper()
+	if !slices.Equal(got.Items, want) {
+		t.Fatalf("%s: items %v, want %v", label, got.Items, want)
 	}
 }
 
@@ -94,17 +100,25 @@ func TestKZeroOrNegative(t *testing.T) {
 	}
 }
 
-// TestResultSortedDescending: results come ordered by score.
+// TestResultSortedDescending: results come in answer order — by score, then
+// MaxScore bound, then index.
 func TestResultSortedDescending(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 500, Dim: 4, Cardinality: 30, MissingRate: 0.25, Dist: gen.AC, Seed: 9})
 	pre := core.Preprocess(ds, nil)
+	bound := pre.Queue.MaxScore
 	for _, alg := range core.Algorithms {
 		res, _ := core.Run(alg, ds, 12, pre)
 		if !sort.SliceIsSorted(res.Items, func(i, j int) bool {
-			return res.Items[i].Score > res.Items[j].Score ||
-				(res.Items[i].Score == res.Items[j].Score && res.Items[i].Index < res.Items[j].Index)
+			a, b := res.Items[i], res.Items[j]
+			if a.Score != b.Score {
+				return a.Score > b.Score
+			}
+			if bound[a.Index] != bound[b.Index] {
+				return bound[a.Index] > bound[b.Index]
+			}
+			return a.Index < b.Index
 		}) {
-			t.Fatalf("%v result not sorted: %v", alg, res.Scores())
+			t.Fatalf("%v result not sorted: %v", alg, res.Items)
 		}
 	}
 }
@@ -154,12 +168,7 @@ func TestIBIGBinSweep(t *testing.T) {
 	for _, bins := range []int{1, 2, 3, 5, 8, 16, 32, 64} {
 		ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{bins}})
 		got, _ := core.IBIG(ds, 8, ix, queue)
-		w, g := want.Scores(), got.Scores()
-		for i := range w {
-			if w[i] != g[i] {
-				t.Fatalf("bins=%d: scores %v, want %v", bins, g, w)
-			}
-		}
+		assertItems(t, fmt.Sprintf("bins=%d", bins), got, want.Items)
 	}
 }
 
@@ -170,12 +179,7 @@ func TestIBIGWithPerDimensionBins(t *testing.T) {
 	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{2, 5, 11, 23, 40}})
 	want, _ := core.Naive(ds, 6)
 	got, _ := core.IBIG(ds, 6, ix, nil)
-	w, g := want.Scores(), got.Scores()
-	for i := range w {
-		if w[i] != g[i] {
-			t.Fatalf("scores %v, want %v", g, w)
-		}
-	}
+	assertItems(t, "per-dimension bins", got, want.Items)
 }
 
 // TestDominanceProperties: irreflexive and asymmetric on random objects
@@ -220,12 +224,7 @@ func TestMovieLensStyleAgreement(t *testing.T) {
 	want, _ := core.Naive(ds, 8)
 	for _, alg := range []core.Algorithm{core.AlgESB, core.AlgUBB, core.AlgBIG, core.AlgIBIG} {
 		got, _ := core.Run(alg, ds, 8, pre)
-		w, g := want.Scores(), got.Scores()
-		for i := range w {
-			if w[i] != g[i] {
-				t.Fatalf("%v: scores %v, want %v", alg, g, w)
-			}
-		}
+		assertItems(t, alg.String(), got, want.Items)
 	}
 }
 

@@ -13,48 +13,50 @@ import (
 // 4, §4.4): walk the MaxScore queue in descending bound order, stop on
 // Heuristic 1, score each candidate against a monotone threshold τ. Only the
 // scoring step differs, so each algorithm is a scorer and the walk exists
-// twice — serialRun, the paper's loop and the reference, and engineRun, its
-// parallel form — with runQueue choosing between them by worker count.
+// twice — serialRun, the paper's loop, and engineRun, its parallel form —
+// with loop choosing between them by worker count. Naive and ESB ride the
+// same loop over a walk Heuristic 1 never stops (scanAll).
 //
-// Candidate scoring is read-only and independent, so the engine pulls
-// candidates off the queue in batch windows and fans each window across a
-// worker pool:
+// The candidate heap orders items totally (Result's answer order: score,
+// then MaxScore bound, then index), so the answer does not depend on the
+// order candidates are offered in. That is what lets the engine be simple.
+// It pulls candidates off the queue in batch windows and fans each window
+// across a worker pool:
 //
 //   - every worker owns its scorer (a bitmap cursor and its scratch) — only
 //     the dataset and the index (including its shared decompressed-column
 //     cache) are shared, both read-only;
-//   - finished candidates are committed to the candidate heap in queue
-//     order as workers complete them (a commit frontier under a light
-//     mutex), replaying exactly the offer sequence the serial loop would
-//     have produced. The live τ is republished through an atomic after
-//     every commit, so a worker reads a τ that is at most "in-flight
-//     candidates" stale — and a stale τ is only ever lower than the live
-//     one, so Heuristics 1/2/3 prune conservatively, never incorrectly;
-//   - candidates a stale τ let through that the serial loop would have
-//     pruned always carry a score ≤ the replayed τ at their position, so
-//     their offers are no-ops and the heap — hence the answer set, IDs and
-//     scores — is byte-identical to the serial run's. (Which candidates
-//     get H2/H3-pruned versus scored-then-rejected does depend on timing,
-//     so the pruning counters in Stats may vary run to run; the answer
-//     never does. For BIG/IBIG, Comparisons counts the walked members of W
-//     — rows tying an inexact bucket of a candidate — Heuristic 3 can only
-//     fire on a candidate that has some, and a candidate whose buckets are
-//     all exact is Scored by two popcounts whatever τ is: see bigState.score.)
-//   - Heuristic 1's early stop is preserved twice over: workers skip
-//     candidates whose bound cannot beat the τ they observe, and a window
-//     whose first (highest-bound) candidate cannot beat τ ends the query.
+//   - a worker offers each candidate to the heap as soon as it is scored,
+//     under a light mutex, and republishes τ through the frontier's live
+//     cell, where the other workers read it back;
+//   - a worker prunes only a bound strictly below the τ it reads: it checks
+//     Heuristic 1 at MaxScore < τ and hands τ − 1 to its scorer, so
+//     Heuristics 2 and 3 prune only scores below τ. A candidate that
+//     finishes out of queue order can tie the heap minimum and win the tie,
+//     so one scoring exactly τ must be offered. τ only rises, so a stale
+//     read prunes less, never wrongly;
+//   - Heuristic 1's early stop stays the paper's at window granularity: a
+//     window starts after the previous one has finished, so every heap
+//     member precedes its candidates in queue order, and a candidate whose
+//     bound is at most τ loses any tie with them (Frontier.NextWindow).
 //
-// The window size bounds the slot buffer and the H1 stop granularity; 256
-// candidates amortizes the fan-out cost while keeping the tail overshoot
-// negligible.
+// Which candidates get pruned versus scored-then-rejected depends on timing,
+// so the pruning counters in Stats may vary run to run; the answer never
+// does. For BIG/IBIG, Comparisons counts the walked members of W — rows tying
+// an inexact bucket of a candidate — Heuristic 3 can only fire on a candidate
+// that has some, and a candidate whose buckets are all exact is Scored by two
+// popcounts whatever τ is: see bigState.score.
+//
+// The window size is the H1 stop granularity; 256 candidates amortizes the
+// fan-out cost while keeping the tail overshoot negligible.
 
 // WindowSize is the number of MaxScore-queue candidates one parallel batch
 // window covers.
 const WindowSize = 256
 
-// scorer computes one candidate's exact score, or prunes it against tau (-1
-// while the candidate heap is not full: nothing prunes yet), and reports the
-// comparisons it made (Stats.Comparisons). Implementations are pointer-shaped,
+// scorer computes one candidate's exact score, or prunes it when the score
+// cannot exceed tau (a negative tau prunes nothing: the candidate heap is not
+// full yet), and reports the comparisons it made (Stats.Comparisons). Implementations are pointer-shaped,
 // so holding one in the interface allocates nothing, and are confined to a
 // single worker.
 type scorer interface {
@@ -69,34 +71,51 @@ func (u ubbScorer) score(o, tau int) (int, scoreResult, int64) {
 	return Score(u.ds, o), scored, int64(u.ds.Len() - 1)
 }
 
-// runQueue is the one fork: it walks queue (nil builds one) with one scorer
-// per worker from newScorer — at most one worker is the serial loop, more the
-// batch-windowed engine; workers follows clampWorkers. The answer is the
-// serial loop's either way.
+// runQueue walks queue (nil builds one) with one scorer per worker from
+// newScorer; workers follows clampWorkers.
 func runQueue(ds *data.Dataset, k int, queue *MaxScoreQueue, workers int, newScorer func() scorer, sp *obs.Span) (Result, Stats) {
 	if queue == nil {
 		queue = BuildMaxScoreQueue(ds)
 	}
-	workers = clampWorkers(workers, len(queue.Order))
+	return loop(ds, k, queue, queue.MaxScore, workers, newScorer, sp)
+}
+
+// scanAll scores every object of order exhaustively — Naive's rows, ESB's
+// survivors — through the candidate loop, over a walk whose bounds no score
+// reaches (a score is at most N − 1), so Heuristic 1 never trips. queue only
+// supplies the heap's tie order.
+func scanAll(ds *data.Dataset, k int, queue *MaxScoreQueue, order []int32, workers int) (Result, Stats) {
+	walk := &MaxScoreQueue{Order: order, MaxScore: make([]int, ds.Len())}
+	for i := range walk.MaxScore {
+		walk.MaxScore[i] = ds.Len()
+	}
+	return loop(ds, k, walk, queue.MaxScore, workers, func() scorer { return ubbScorer{ds: ds} }, nil)
+}
+
+// loop is the one fork: it walks walk with the heap's ties decided by bound —
+// at most one worker is the serial loop, more the batch-windowed engine.
+func loop(ds *data.Dataset, k int, walk *MaxScoreQueue, bound []int, workers int, newScorer func() scorer, sp *obs.Span) (Result, Stats) {
+	workers = clampWorkers(workers, len(walk.Order))
 	if workers <= 1 {
-		return serialRun(ds, k, queue, newScorer(), sp)
+		return serialRun(ds, k, walk, bound, newScorer(), sp)
 	}
 	scorers := make([]scorer, workers)
 	for w := range scorers {
 		scorers[w] = newScorer()
 	}
-	return engineRun(ds, k, queue, scorers, sp)
+	return engineRun(ds, k, walk, bound, scorers, sp)
 }
 
 // serialRun is the main loop of Algorithms 2 and 4: candidates in queue
 // order, Heuristic 1's early stop, s's score offered to the candidate heap.
-// It is the paper's algorithm and the reference engineRun replays. sp, when
-// non-nil, receives τ trajectory samples at WindowSize granularity — the
+// It is the paper's algorithm: every candidate it tests comes after every
+// heap member in queue order, so pruning a bound equal to τ is exact. sp,
+// when non-nil, receives τ trajectory samples at WindowSize granularity — the
 // engine's sampling points, so explain output reads the same whichever path
 // served the query; a nil sp costs one branch per candidate.
-func serialRun(ds *data.Dataset, k int, queue *MaxScoreQueue, s scorer, sp *obs.Span) (Result, Stats) {
+func serialRun(ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, s scorer, sp *obs.Span) (Result, Stats) {
 	var st Stats
-	sc := newCandidateHeap(k)
+	sc := newCandidateHeap(k, bound)
 	pos := 0
 	for p, idx := range queue.Order {
 		pos = p
@@ -128,18 +147,6 @@ func serialRun(ds *data.Dataset, k int, queue *MaxScoreQueue, s scorer, sp *obs.
 	return sc.result(), st
 }
 
-// fullScan is a queue over order whose bounds no score reaches (a score is at
-// most N − 1), so Heuristic 1 never trips and every candidate is scored, in
-// order — how Naive's rows and ESB's survivors ride the engine.
-func fullScan(ds *data.Dataset, order []int32) *MaxScoreQueue {
-	n := ds.Len()
-	queue := &MaxScoreQueue{Order: order, MaxScore: make([]int, n)}
-	for i := range queue.MaxScore {
-		queue.MaxScore[i] = n
-	}
-	return queue
-}
-
 // clampWorkers resolves the public workers knob: <=0 selects GOMAXPROCS,
 // and no query needs more workers than it has candidates.
 func clampWorkers(workers, candidates int) int {
@@ -152,147 +159,76 @@ func clampWorkers(workers, candidates int) int {
 	return workers
 }
 
-// skippedH1 marks a candidate a worker skipped because its MaxScore bound
-// could not beat the τ it observed — the worker-side Heuristic 1.
-const skippedH1 scoreResult = -1
-
-// slot is one candidate's outcome inside a batch window.
-type slot struct {
-	score int
-	how   scoreResult
-	done  bool
-}
-
-// slotPool recycles window slot buffers across queries: a serving process
-// runs the engine once per (batched) query, and the buffer is the only
-// per-run allocation left on the window path. Pointer-to-array, so neither
-// Get nor Put boxes a slice header.
-var slotPool = sync.Pool{
-	New: func() any { return new([WindowSize]slot) },
-}
-
-// engineRun is the batch-windowed parallel main loop shared by UBB, BIG and
-// IBIG. One scorer per worker; len(scorers) is the worker count. sp, when
-// non-nil, receives one τ trajectory sample per window — recording happens
-// at window granularity (never per candidate), and a nil sp costs one
-// predictable branch per window, keeping the hot path allocation-free.
-func engineRun(ds *data.Dataset, k int, queue *MaxScoreQueue, scorers []scorer, sp *obs.Span) (Result, Stats) {
-	workers := len(scorers)
+// engineRun is the batch-windowed parallel main loop. One scorer per worker;
+// len(scorers) is the worker count. sp, when non-nil, receives one τ
+// trajectory sample per window — recording happens at window granularity
+// (never per candidate), and a nil sp costs one predictable branch per
+// window, keeping the hot path allocation-free.
+func engineRun(ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, scorers []scorer, sp *obs.Span) (Result, Stats) {
 	var st Stats
-	st.Workers = workers
-	comparisons := make([]int64, workers) // one per worker, summed at the end
-	sc := newCandidateHeap(k)
+	st.Workers = len(scorers)
+	sc := newCandidateHeap(k, bound)
 	fr := NewFrontier(queue)
+	var mu sync.Mutex // guards sc, fr's τ writes and st while workers run
 	var next atomic.Int64
-	order := queue.Order
-
-	slotBuf := slotPool.Get().(*[WindowSize]slot)
-	defer slotPool.Put(slotBuf)
-	slots := slotBuf[:]
-
-	// commit folds finished slots into the heap in queue order — the commit
-	// frontier only advances over contiguous done slots, so offers replay
-	// the serial sequence exactly no matter which worker finishes first.
-	// Every advance republishes τ through the window frontier's live cell,
-	// where in-flight workers (and, in the sharded deployment, remote
-	// shards) read it back.
-	var mu sync.Mutex
-	frontier := 0
-	commit := func(start, end, i int, sl slot) {
-		mu.Lock()
-		slots[i-start] = sl
-		if i == frontier {
-			for frontier < end && slots[frontier-start].done {
-				fsl := slots[frontier-start]
-				switch fsl.how {
-				case skippedH1:
-					st.PrunedH1++
-				case prunedH2:
-					st.Candidates++
-					st.PrunedH2++
-				case prunedH3:
-					st.Candidates++
-					st.PrunedH3++
-				default:
-					st.Candidates++
-					st.Scored++
-					idx := int(order[frontier])
-					sc.offer(Item{Index: idx, ID: ds.Obj(idx).ID, Score: fsl.score})
-				}
-				frontier++
-			}
-			fr.SetTau(sc.tau())
-		}
-		mu.Unlock()
-	}
-
 	for {
-		fr.SetTau(sc.tau())
 		if sp != nil {
 			sp.SampleTau(fr.Pos(), fr.Tau())
 		}
-		start, window, pruned, ok := fr.NextWindow(WindowSize)
+		_, window, pruned, ok := fr.NextWindow(WindowSize)
 		if !ok {
 			// Heuristic 1 at window granularity: the queue is sorted by
-			// descending bound, so nothing after the cut can beat τ.
+			// descending bound, so nothing after the cut can enter the
+			// answer (Frontier.NextWindow).
 			st.PrunedH1 += pruned
 			break
 		}
-		end := start + len(window)
 		st.Windows++
-		for i := range slots {
-			slots[i] = slot{}
-		}
-		frontier = start
-		next.Store(int64(start))
+		next.Store(0)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for _, s := range scorers {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				s := scorers[w]
-				var walked int64
+				var ws Stats
 				for {
 					i := int(next.Add(1)) - 1
-					if i >= end {
-						comparisons[w] += walked
-						return
+					if i >= len(window) {
+						break
 					}
+					o := int(window[i])
 					t := fr.Tau()
-					if t >= 0 && queue.MaxScore[order[i]] <= t {
-						// Worker-side Heuristic 1: the serial loop would
-						// have stopped at or before this candidate.
-						commit(start, end, i, slot{how: skippedH1, done: true})
+					if t >= 0 && queue.MaxScore[o] < t {
+						ws.PrunedH1++ // worker-side Heuristic 1
 						continue
 					}
-					got, how, cmp := s.score(int(order[i]), t)
-					walked += cmp
-					commit(start, end, i, slot{score: got, how: how, done: true})
+					ws.Candidates++
+					score, how, cmp := s.score(o, t-1)
+					ws.Comparisons += cmp
+					switch how {
+					case prunedH2:
+						ws.PrunedH2++
+						continue
+					case prunedH3:
+						ws.PrunedH3++
+						continue
+					}
+					ws.Scored++
+					it := Item{Index: o, ID: ds.Obj(o).ID, Score: score}
+					mu.Lock()
+					sc.offer(it)
+					fr.SetTau(sc.tau())
+					mu.Unlock()
 				}
-			}(w)
+				mu.Lock()
+				st.Add(ws)
+				mu.Unlock()
+			}()
 		}
 		wg.Wait()
 	}
 	if sp != nil {
 		sp.SampleTau(fr.Pos(), sc.tau())
 	}
-	for _, c := range comparisons {
-		st.Comparisons += c
-	}
 	return sc.result(), st
-}
-
-// NaiveWorkers is the exhaustive baseline across a worker pool, built on the
-// batch-windowed engine: every object is scored, windows walk the dataset in
-// index order, and the in-order merge makes the answer byte-identical to
-// Naive's, rank-k tie-breaks included.
-func NaiveWorkers(ds *data.Dataset, k int, workers int) (Result, Stats) {
-	if clampWorkers(workers, ds.Len()) <= 1 {
-		return Naive(ds, k)
-	}
-	order := make([]int32, ds.Len())
-	for i := range order {
-		order[i] = int32(i)
-	}
-	return runQueue(ds, k, fullScan(ds, order), workers, func() scorer { return ubbScorer{ds: ds} }, nil)
 }

@@ -46,7 +46,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // TestESBWorkersMatchesSerial pins the parallel ESB path beyond the answer
 // set: the bucket fan-out must reproduce the serial run's candidate count
-// and skyband pruning exactly, since both enumerate the same sorted buckets.
+// and skyband pruning exactly, since each is a sum over the buckets.
 func TestESBWorkersMatchesSerial(t *testing.T) {
 	for _, seed := range []int64{5, 29} {
 		cfg := gen.Default(gen.AC, seed)
@@ -55,7 +55,7 @@ func TestESBWorkersMatchesSerial(t *testing.T) {
 		ds := gen.Synthetic(cfg)
 		want, wantSt := ESB(ds, 10)
 		for _, workers := range []int{2, 4, 7} {
-			got, st := ESBWorkers(ds, 10, workers)
+			got, st := ESBWorkers(ds, 10, nil, workers)
 			for i := range want.Items {
 				if got.Items[i] != want.Items[i] {
 					t.Fatalf("seed=%d workers=%d: item %d = %+v, want %+v",

@@ -7,10 +7,13 @@ import "sync/atomic"
 // coordinator drive their main loops through. It owns two pieces of state —
 // the queue position (advanced window by window, resumable across calls)
 // and a live τ cell that any party may update externally (the engine's
-// commit frontier after every heap offer; a shard coordinator after every
-// gather) — and applies Heuristic 1 at window granularity: the queue is
-// sorted by descending MaxScore bound, so once the window's first bound
-// cannot beat τ, nothing after it can either and the iteration ends.
+// workers after every heap offer; a shard coordinator after every gather) —
+// and applies Heuristic 1 at window granularity: the queue is sorted by
+// descending MaxScore bound, so once the window's first bound is at most τ,
+// nothing after it can enter the answer and the iteration ends. A bound equal
+// to τ stops it too, because both callers start a window only once every
+// earlier one is settled: every heap member then precedes the window in queue
+// order, which is the heap's tie order, and wins a tie with it.
 //
 // τ semantics follow the candidate heap: -1 while the answer set is not
 // full (no pruning possible), then the k-th best score so far. τ is
@@ -69,22 +72,25 @@ func (f *Frontier) NextWindow(size int) (start int, cands []int32, pruned int, o
 
 // AnswerHeap is the candidate set SC of the paper's algorithms exposed for
 // external coordinators (the shard scatter-gather loop): a bounded min-heap
-// of k items keyed by score, with τ = the k-th best score so far (-1 while
-// not full). Offers must be replayed in the serial algorithm's candidate
-// order for the answer — including rank-k tie-breaks — to come out
-// byte-identical to the single-process run. Not safe for concurrent use.
+// of k items in Result's answer order, with ties decided by the bounds of
+// the dataset's MaxScore queue, and τ = the k-th best score so far (-1 while
+// not full). It keeps the same k items whatever order they are offered in.
+// Not safe for concurrent use.
 type AnswerHeap struct{ h *candidateHeap }
 
-// NewAnswerHeap returns an empty heap retaining the best k items.
-func NewAnswerHeap(k int) *AnswerHeap { return &AnswerHeap{h: newCandidateHeap(k)} }
+// NewAnswerHeap returns an empty heap retaining the best k items of the
+// dataset queue was built over.
+func NewAnswerHeap(k int, queue *MaxScoreQueue) *AnswerHeap {
+	return &AnswerHeap{h: newCandidateHeap(k, queue.MaxScore)}
+}
 
-// Offer inserts the item if the heap is not full or the score beats τ.
+// Offer inserts the item if the heap is not full or the item ranks ahead of
+// its minimum.
 func (a *AnswerHeap) Offer(it Item) { a.h.offer(it) }
 
 // Tau returns the current threshold: -1 until k items are held, then the
 // minimum retained score.
 func (a *AnswerHeap) Tau() int { return a.h.tau() }
 
-// Result drains the heap into a Result sorted by descending score (ties by
-// ascending dataset index).
+// Result drains the heap into a Result in answer order.
 func (a *AnswerHeap) Result() Result { return a.h.result() }

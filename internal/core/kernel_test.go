@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bitmapidx"
@@ -262,8 +263,8 @@ func TestScoreKernelCases(t *testing.T) {
 				want, _ := Naive(tc.ds, k)
 				for _, workers := range []int{1, 2} {
 					got, _ := RunWorkers(alg, tc.ds, k, pre, workers)
-					if fmt.Sprint(got.Scores()) != fmt.Sprint(want.Scores()) {
-						t.Fatalf("k=%d workers=%d: scores %v, Naive %v", k, workers, got.Scores(), want.Scores())
+					if !slices.Equal(got.Items, want.Items) {
+						t.Fatalf("k=%d workers=%d: items %v, Naive %v", k, workers, got.Items, want.Items)
 					}
 				}
 			}

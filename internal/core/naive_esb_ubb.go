@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -11,108 +10,86 @@ import (
 
 // Naive answers the TKD query by exhaustive pairwise score computation over
 // the whole dataset (§4.1's strawman): every object is scored against every
-// other, then the k best are returned.
-func Naive(ds *data.Dataset, k int) (Result, Stats) {
-	var st Stats
-	candidates := make([]int32, ds.Len())
-	for i := range candidates {
-		candidates[i] = int32(i)
-	}
-	st.Candidates = len(candidates)
-	return topKOf(ds, candidates, k, &st), st
-}
+// other, then the k best are returned. It is NaiveWorkers' serial path.
+func Naive(ds *data.Dataset, k int) (Result, Stats) { return NaiveWorkers(ds, k, nil, 1) }
 
-// maskBucket is one observed-dimension bucket in the deterministic
-// (ascending-mask) enumeration order shared by the serial and parallel ESB
-// paths, so both produce the same candidate sequence — and hence identical
-// rank-k tie-breaks.
-type maskBucket struct {
-	mask uint64
-	ids  []int32
-}
-
-// sortedBuckets returns the dataset's observed-mask buckets sorted by mask.
-func sortedBuckets(ds *data.Dataset) []maskBucket {
-	m := ds.Buckets()
-	out := make([]maskBucket, 0, len(m))
-	for mask, ids := range m {
-		out = append(out, maskBucket{mask: mask, ids: ids})
+// NaiveWorkers is Naive across a worker pool (workers follows clampWorkers),
+// built on the batch-windowed engine: every object of queue (nil builds one)
+// is scored, and the queue's bounds give the answer's tie order.
+func NaiveWorkers(ds *data.Dataset, k int, queue *MaxScoreQueue, workers int) (Result, Stats) {
+	if queue == nil {
+		queue = BuildMaxScoreQueue(ds)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].mask < out[j].mask })
-	return out
+	return scanAll(ds, k, queue, queue.Order, workers)
 }
 
 // ESB is the extended skyband based algorithm (Algorithm 1): objects are
 // partitioned into buckets by observed-dimension bit vector; a local
 // k-skyband query inside each bucket prunes objects that provably cannot be
 // answers (Lemma 1, sound because dominance is transitive within a bucket);
-// the surviving candidates are scored exactly and the top k returned.
-func ESB(ds *data.Dataset, k int) (Result, Stats) {
-	var st Stats
-	var candidates []int32
-	for _, b := range sortedBuckets(ds) {
-		sb := skyband.KSkyband(ds, b.ids, k)
-		// Local k-skyband costs at most k dominance tests per object.
-		st.Comparisons += int64(len(b.ids)) * int64(min(k, len(b.ids)))
-		st.PrunedSkyband += len(b.ids) - len(sb)
-		candidates = append(candidates, sb...)
+// the surviving candidates are scored exactly and the top k returned. It is
+// ESBWorkers' serial path.
+func ESB(ds *data.Dataset, k int) (Result, Stats) { return ESBWorkers(ds, k, nil, 1) }
+
+// ESBWorkers is ESB across a worker pool (workers follows clampWorkers): the
+// buckets' local k-skybands fan out across the workers (ESBCandidates), and
+// the survivors are scored through the batch-windowed engine. queue (nil
+// builds one) supplies only the answer's tie order.
+func ESBWorkers(ds *data.Dataset, k int, queue *MaxScoreQueue, workers int) (Result, Stats) {
+	if queue == nil {
+		queue = BuildMaxScoreQueue(ds)
 	}
-	st.Candidates = len(candidates)
-	return topKOf(ds, candidates, k, &st), st
+	cands, st := ESBCandidates(ds, k, workers)
+	res, est := scanAll(ds, k, queue, cands, workers)
+	est.Add(st)
+	return res, est
 }
 
-// ESBWorkers is ESB across a worker pool: the per-bucket local k-skyband
-// queries are independent, so buckets fan out across workers; the surviving
-// candidates are then scored through the batch-windowed engine in the same
-// bucket-major order the serial loop uses, replaying its heap offers exactly
-// — the answer set is byte-identical to ESB's, including rank-k tie-breaks.
-func ESBWorkers(ds *data.Dataset, k int, workers int) (Result, Stats) {
-	buckets := sortedBuckets(ds)
-	workers = clampWorkers(workers, ds.Len())
-	if workers <= 1 {
-		return ESB(ds, k)
+// ESBCandidates returns ESB's candidate set SC — the union of every
+// observed-mask bucket's local k-skyband, in no particular order — and its
+// Stats share: the skyband's dominance tests (at most k per object) in
+// Comparisons and the objects it discarded in PrunedSkyband. The buckets are
+// independent, so they fan out across workers (workers follows
+// clampWorkers); each worker reuses one scratch buffer across every bucket it
+// scans and copies out only the survivors.
+func ESBCandidates(ds *data.Dataset, k, workers int) ([]int32, Stats) {
+	m := ds.Buckets()
+	buckets := make([][]int32, 0, len(m))
+	for _, ids := range m {
+		buckets = append(buckets, ids)
 	}
-
-	// Phase 1: local skybands, one bucket per task. Each worker reuses one
-	// scratch buffer across every bucket it scans (and across the batch
-	// windows of a serving workload, via the engine's pooled buffers), then
-	// copies out only the survivors — the allocation is survivor-sized, not
-	// bucket-sized.
 	skybands := make([][]int32, len(buckets))
 	var next atomic.Int64
+	scan := func() {
+		var scratch []int32
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(buckets) {
+				return
+			}
+			scratch = skyband.KSkybandAppend(scratch, ds, buckets[i], k)
+			skybands[i] = append(make([]int32, 0, len(scratch)), scratch...)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range clampWorkers(workers, len(buckets)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var scratch []int32
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(buckets) {
-					return
-				}
-				scratch = skyband.KSkybandAppend(scratch, ds, buckets[i].ids, k)
-				skybands[i] = append(make([]int32, 0, len(scratch)), scratch...)
-			}
+			scan()
 		}()
 	}
+	scan()
 	wg.Wait()
 
 	var st Stats
-	var candidates []int32
-	for i, b := range buckets {
-		st.Comparisons += int64(len(b.ids)) * int64(min(k, len(b.ids)))
-		st.PrunedSkyband += len(b.ids) - len(skybands[i])
-		candidates = append(candidates, skybands[i]...)
+	var cands []int32
+	for i, ids := range buckets {
+		st.Comparisons += int64(len(ids)) * int64(min(k, len(ids)))
+		st.PrunedSkyband += len(ids) - len(skybands[i])
+		cands = append(cands, skybands[i]...)
 	}
-
-	// Phase 2: exact scoring through the candidate loop, over a full-scan
-	// queue in candidate order, so every candidate is scored just as topKOf
-	// would.
-	res, est := runQueue(ds, k, fullScan(ds, candidates), workers, func() scorer { return ubbScorer{ds: ds} }, nil)
-	est.Comparisons += st.Comparisons
-	est.PrunedSkyband = st.PrunedSkyband
-	return res, est
+	return cands, st
 }
 
 // UBB is the upper bound based algorithm (Algorithm 2). It walks the

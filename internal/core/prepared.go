@@ -21,18 +21,17 @@ const (
 	NeedBinned                  // the binned serving index of §4.4 (IBIG)
 )
 
-// NeedFor maps an algorithm to the artifacts it consumes. Naive and ESB work
-// straight off the data.
+// NeedFor maps an algorithm to the artifacts it consumes. Every algorithm
+// takes the MaxScore queue: its bounds are the answer's tie order, and Naive
+// and ESB read nothing else of it.
 func NeedFor(alg Algorithm) Need {
 	switch alg {
-	case AlgUBB:
-		return NeedQueue
 	case AlgBIG:
 		return NeedQueue | NeedBitmap
 	case AlgIBIG:
 		return NeedQueue | NeedBinned
 	}
-	return 0
+	return NeedQueue
 }
 
 func (pre *Pre) have() Need {

@@ -3,8 +3,6 @@ package core
 import (
 	"container/heap"
 	"sort"
-
-	"repro/internal/data"
 )
 
 // Item is one answer object of a TKD query.
@@ -14,21 +12,14 @@ type Item struct {
 	Score int    // score(o), Definition 2
 }
 
-// Result is the answer set SG of a TKD query, sorted by descending score
-// (ties by ascending dataset index — the paper breaks ties arbitrarily).
+// Result is the answer set SG of a TKD query in answer order: a higher score
+// first, then a larger MaxScore bound, then a smaller dataset index. The paper
+// breaks rank-k ties arbitrarily; this order breaks them the way the MaxScore
+// queue visits objects, so every algorithm, worker count and shard layout
+// returns the same items for one (dataset, k), and a top-k is the first k
+// items of any larger top-k.
 type Result struct {
 	Items []Item
-}
-
-// Scores returns the multiset of answer scores in descending order. Because
-// rank-k ties are broken arbitrarily, cross-algorithm tests compare score
-// multisets rather than object identities.
-func (r Result) Scores() []int {
-	out := make([]int, len(r.Items))
-	for i, it := range r.Items {
-		out[i] = it.Score
-	}
-	return out
 }
 
 // IDs returns the answer object identifiers in rank order.
@@ -104,16 +95,33 @@ func (st *Stats) Add(o Stats) {
 }
 
 // candidateHeap is the candidate set SC of Algorithms 2/4: a min-heap of at
-// most k items keyed by score, exposing τ (the k-th highest score so far).
+// most k items, exposing τ (the k-th highest score so far). It orders items
+// totally, in Result's answer order, with bound — every object's MaxScore,
+// indexed by dataset position — deciding score ties: so it keeps the same k
+// items whatever order they are offered in.
 type candidateHeap struct {
 	items []Item
 	k     int
+	bound []int
 }
 
-func newCandidateHeap(k int) *candidateHeap { return &candidateHeap{k: k} }
+func newCandidateHeap(k int, bound []int) *candidateHeap {
+	return &candidateHeap{k: k, bound: bound}
+}
+
+// ahead reports whether a ranks before b in the answer order.
+func (h *candidateHeap) ahead(a, b Item) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if ba, bb := h.bound[a.Index], h.bound[b.Index]; ba != bb {
+		return ba > bb
+	}
+	return a.Index < b.Index
+}
 
 func (h *candidateHeap) Len() int           { return len(h.items) }
-func (h *candidateHeap) Less(i, j int) bool { return h.items[i].Score < h.items[j].Score }
+func (h *candidateHeap) Less(i, j int) bool { return h.ahead(h.items[j], h.items[i]) }
 func (h *candidateHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
 
 func (h *candidateHeap) Push(x any) { h.items = append(h.items, x.(Item)) }
@@ -132,13 +140,14 @@ func (h *candidateHeap) tau() int {
 	return h.items[0].Score
 }
 
-// offer inserts the item if SC is not full or the score beats τ.
+// offer inserts the item if SC is not full or the item ranks ahead of its
+// minimum.
 func (h *candidateHeap) offer(it Item) {
 	if len(h.items) < h.k {
 		heap.Push(h, it)
 		return
 	}
-	if it.Score > h.items[0].Score {
+	if h.ahead(it, h.items[0]) {
 		h.items[0] = it
 		heap.Fix(h, 0)
 	}
@@ -147,24 +156,6 @@ func (h *candidateHeap) offer(it Item) {
 // result drains the heap into a Result.
 func (h *candidateHeap) result() Result {
 	items := append([]Item(nil), h.items...)
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Score != items[j].Score {
-			return items[i].Score > items[j].Score
-		}
-		return items[i].Index < items[j].Index
-	})
+	sort.Slice(items, func(i, j int) bool { return h.ahead(items[i], items[j]) })
 	return Result{Items: items}
-}
-
-// topKOf ranks the provided candidate indices by exact score and returns the
-// best k — the filtering step shared by Naive and ESB. The returned stats
-// fragment carries the comparison count of the scoring pass.
-func topKOf(ds *data.Dataset, candidates []int32, k int, st *Stats) Result {
-	h := newCandidateHeap(k)
-	for _, c := range candidates {
-		st.Scored++
-		st.Comparisons += int64(ds.Len() - 1)
-		h.offer(Item{Index: int(c), ID: ds.Obj(int(c)).ID, Score: Score(ds, int(c))})
-	}
-	return h.result()
 }

@@ -58,7 +58,8 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // Pre bundles the preprocessing artifacts the algorithms consume. Table 3 of
 // the paper measures exactly these three build steps.
 type Pre struct {
-	// Queue is the MaxScore priority queue F (UBB, BIG, IBIG).
+	// Queue is the MaxScore priority queue F (UBB, BIG, IBIG walk it; its
+	// bounds are every algorithm's tie order).
 	Queue *MaxScoreQueue
 	// Bitmap is the value-granular bitmap index (BIG).
 	Bitmap *bitmapidx.Index
@@ -108,7 +109,7 @@ func RunWorkers(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers int) (Re
 // RunWorkersTraced is RunWorkers with tracing: the queue-driven algorithms
 // (UBB/BIG/IBIG) sample their τ trajectory into sp at window granularity.
 // sp may be nil, in which case this is exactly RunWorkers — the span hook
-// adds no allocation to the scoring hot path either way (Naive and ESB have
+// adds no allocation to the scoring hot path either way (Naive and ESB walk
 // no MaxScore queue, hence no trajectory; their Stats still reach the span
 // through the caller).
 func RunWorkersTraced(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers int, sp *obs.Span) (Result, Stats) {
@@ -119,18 +120,11 @@ func RunWorkersTraced(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers in
 		pre = &Pre{}
 	}
 	pre.fill(ds, nil, NeedFor(a))
-	serial := workers == 1
 	switch a {
 	case AlgNaive:
-		if serial {
-			return Naive(ds, k)
-		}
-		return NaiveWorkers(ds, k, workers)
+		return NaiveWorkers(ds, k, pre.Queue, workers)
 	case AlgESB:
-		if serial {
-			return ESB(ds, k)
-		}
-		return ESBWorkers(ds, k, workers)
+		return ESBWorkers(ds, k, pre.Queue, workers)
 	case AlgUBB:
 		return runQueue(ds, k, pre.Queue, workers, func() scorer { return ubbScorer{ds: ds} }, sp)
 	case AlgBIG:

@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/obs"
-	"repro/internal/skyband"
 )
 
 // Coordinator drives scatter-gather queries over a fixed set of shard
@@ -107,34 +105,16 @@ func (p *pass) scatter(ctx context.Context, req Request) ([][]int32, error) {
 	return p.results, errors.Join(p.errs...)
 }
 
-// candidatesFor returns the serial algorithm's candidate order for the
-// non-queue plans: Naive offers every object in dataset order; ESB offers
-// the bucket-local k-skyband survivors in ascending-mask bucket order —
-// both computed coordinator-side on the full data, exactly as the serial
-// loops do, so the offer replay (and hence every rank-k tie-break) matches.
-func (c *Coordinator) candidatesFor(alg core.Algorithm, k int, st *core.Stats) []int32 {
+// candidatesFor returns what a non-queue plan scores, computed
+// coordinator-side on the full data: Naive every object, ESB the
+// bucket-local k-skyband survivors, with their share of st. The answer heap
+// orders items totally, so the order they are offered in does not matter.
+func (c *Coordinator) candidatesFor(alg core.Algorithm, k int, queue *core.MaxScoreQueue, st *core.Stats) []int32 {
 	if alg == core.AlgNaive {
-		out := make([]int32, c.ds.Len())
-		for i := range out {
-			out[i] = int32(i)
-		}
-		return out
+		return queue.Order
 	}
-	// ESB: ascending-mask buckets, local k-skyband each.
-	buckets := c.ds.Buckets()
-	masks := make([]uint64, 0, len(buckets))
-	for m := range buckets {
-		masks = append(masks, m)
-	}
-	sort.Slice(masks, func(i, j int) bool { return masks[i] < masks[j] })
-	var cands []int32
-	for _, m := range masks {
-		ids := buckets[m]
-		sb := skyband.KSkyband(c.ds, ids, k)
-		st.Comparisons += int64(len(ids)) * int64(min(k, len(ids)))
-		st.PrunedSkyband += len(ids) - len(sb)
-		cands = append(cands, sb...)
-	}
+	cands, est := core.ESBCandidates(c.ds, k, 1)
+	st.Add(est)
 	return cands
 }
 
@@ -272,7 +252,6 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 	useQueue := alg == core.AlgUBB || alg == core.AlgBIG || alg == core.AlgIBIG
 	useBounds := alg == core.AlgBIG || alg == core.AlgIBIG
 	var fr *core.Frontier
-	var queue *core.MaxScoreQueue
 	var static []int32
 	// size is the next window's width. The exhaustive plans have nothing to
 	// prune, so they scatter full windows. The queue-driven plans prune
@@ -281,15 +260,15 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 	// candidate past the k-th meets a live τ, at a logarithmic number of
 	// extra round trips.
 	size := core.WindowSize
+	queue := c.part.Ensure(core.NeedQueue).Queue
 	if useQueue {
-		queue = c.part.Ensure(core.NeedQueue).Queue
 		fr = core.NewFrontier(queue)
 		size = min(k, core.WindowSize)
 	} else {
-		static = c.candidatesFor(alg, k, &st)
+		static = c.candidatesFor(alg, k, queue, &st)
 	}
 
-	heap := core.NewAnswerHeap(k)
+	heap := core.NewAnswerHeap(k, queue)
 	// ids holds the window's candidates still in play, cands their objects
 	// and budgets their exact-phase budgets, all in window order.
 	ids := make([]int32, 0, core.WindowSize)
@@ -390,11 +369,9 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 			ids, cands = ids[:n], cands[:n]
 		}
 
-		// Exact phase over the survivors, offered in queue order — the serial
-		// replay that makes the answer, including rank-k tie-breaks,
-		// byte-identical. A candidate any shard answered Pruned scores below
-		// the window-start τ: its offer would be a no-op, exactly as the
-		// serial loop's Heuristic 3 prune is.
+		// Exact phase over the survivors. A candidate any shard answered
+		// Pruned scores below the window-start τ: its offer would be a no-op,
+		// exactly as the serial loop's Heuristic 3 prune is.
 		if len(cands) > 0 {
 			scores, err := p.scatter(wctx, Request{Alg: alg, Mode: ModeScores, Tau: tau, Cands: cands, Budgets: budgets})
 			if err != nil {

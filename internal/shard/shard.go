@@ -33,11 +33,13 @@
 //     nonD_s exceeds the budget stops and answers Pruned (the cross-shard form of
 //     Heuristic 3), and one such answer drops the candidate. Otherwise each
 //     shard returns its exact partial score; the coordinator sums them and
-//     offers the candidates to the answer heap in queue order, replaying
-//     the serial loop's offer sequence exactly. Every pruned candidate
-//     provably scores ≤ τ at its offer position, so its missing offer is a
-//     no-op in the serial replay — the answer set, ranks and scores come
-//     out byte-identical, including ties at the k-th score.
+//     offers them to the answer heap.
+//
+// The heap is core.AnswerHeap over the global queue's bounds, so it orders
+// items as every in-process run does (core.Result): a pruned candidate either
+// scores below τ or ties it and comes after every heap member in queue order,
+// losing the tie. The answer set, ranks and scores come out byte-identical,
+// including ties at the k-th score.
 //
 // Shards are served in-process (Local, a zero-copy slice of the frozen
 // epoch) or by a remote tkdserver peer speaking the small HTTP protocol in

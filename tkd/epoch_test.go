@@ -211,8 +211,8 @@ func TestImportGoldenEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Scores(), want.Scores()) {
-		t.Fatalf("IBIG over the shipped index scores %v, Naive %v", got.Scores(), want.Scores())
+	if !reflect.DeepEqual(got.Items, want.Items) {
+		t.Fatalf("IBIG over the shipped index answers %v, Naive %v", got.Items, want.Items)
 	}
 	if n := fresh.IndexBuilds(); n != 0 {
 		t.Fatalf("golden import built the index %d times, want 0", n)

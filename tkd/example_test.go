@@ -25,7 +25,9 @@ func Example() {
 }
 
 // ExampleDataset_TopK answers a T2D query on the paper's Fig. 3 running
-// example with the default algorithm (IBIG) and prints both answers.
+// example with the default algorithm (IBIG) and prints both answers. They tie
+// at 16, so they come in MaxScore queue order: C2, the queue's head, first —
+// the order Example 2 evaluates them in.
 func ExampleDataset_TopK() {
 	M := tkd.Missing
 	ds := tkd.NewDataset(4)
@@ -51,8 +53,8 @@ func ExampleDataset_TopK() {
 		fmt.Printf("%s: %d\n", it.ID, it.Score)
 	}
 	// Output:
-	// A2: 16
 	// C2: 16
+	// A2: 16
 }
 
 // ExampleDataset_Dominates shows that dominance on incomplete data is

@@ -25,9 +25,9 @@ import (
 // servable in-process or by a remote tkdserver peer, while the coordinator
 // keeps the full data and the global MaxScore queue. Answers are
 // byte-identical to the unsharded plan's for every algorithm: the
-// coordinator replays the serial offer sequence with exact summed partial
-// scores, pruning across shards with the pushed-down global τ (see package
-// repro/internal/shard for the protocol).
+// coordinator offers exact summed partial scores to an answer heap in the
+// one answer order (Result), pruning across shards with the pushed-down
+// global τ (see package repro/internal/shard for the protocol).
 //
 // The per-epoch shard set is lazily built state of the snapshot, next to the
 // epoch's own artifacts: the first query (or Prepare) on an epoch slices it

@@ -75,31 +75,30 @@ func TestShardedCrosscheck(t *testing.T) {
 	}
 }
 
-// TestShardedCrosscheckTies drives the rank-k tie-break case explicitly: a
-// tiny value domain makes many objects share the k-th score, so the merge
-// must replay the serial offer order (stable id-order within the heap's
-// final sort) to stay byte-identical.
+// TestShardedCrosscheckTies drives the rank-k tie case explicitly: a tiny
+// value domain makes many objects share the k-th score. Every algorithm at
+// every k from 1 to 64, over 2, 3 and 4 shards, must return the first k items
+// of unsharded Naive's top-64.
 func TestShardedCrosscheckTies(t *testing.T) {
 	// Cardinality 3 over 600 objects: scores collide massively.
 	mk := func() *Dataset { return GenerateIND(600, 3, 3, 0.35, 7) }
 	ds := mk()
-	for _, n := range []int{2, 4} {
+	oracle, err := ds.TopK(64, WithAlgorithm(Naive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2, 3, 4} {
 		sd, err := Shard(mk(), "ties", WithShards(n))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, alg := range shardCrosscheckAlgs {
-			for _, k := range []int{4, 10, 32} {
-				want, err := ds.TopK(k, alg.opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for k := 1; k <= 64; k++ {
 				got, err := sd.TopK(k, alg.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The k-th score must actually tie for this test to bite.
-				assertSameResult(t, fmt.Sprintf("ties/%s n=%d k=%d", alg.name, n, k), want, got)
+				assertSameResult(t, fmt.Sprintf("ties/%s n=%d k=%d", alg.name, n, k), Result{Items: oracle.Items[:k]}, got)
 			}
 		}
 	}

@@ -508,12 +508,10 @@ func WithBins(bins ...int) Option {
 // does Naive, over every row; ESB fans its per-bucket skyband queries across
 // the pool and scores the survivors through the engine.
 //
-// Determinism: a parallel query returns the same answer set — identical
-// objects, ranks and scores — as the serial run over the same dataset.
-// Rank-k ties are broken arbitrarily but identically in both paths (worker
-// results are committed to the answer heap in queue order, replaying the
-// serial heap's offer sequence exactly), so WithWorkers never changes a
-// query's answer, only its wall-clock time.
+// Determinism: the answer order is total (see Result), so a parallel query
+// returns the same objects, ranks and scores as the serial run over the same
+// dataset, rank-k ties included: WithWorkers never changes a query's answer,
+// only its wall-clock time.
 func WithWorkers(n int) Option {
 	return func(c *queryConfig) { c.workers = n }
 }
@@ -693,8 +691,9 @@ func (d *Dataset) setBins(bins []int) {
 }
 
 // TopK answers the TKD query: the k objects with the highest scores, in
-// descending score order. Rank-k ties are broken arbitrarily, as in the
-// paper. Safe for concurrent use: any number of goroutines may query one
+// answer order — by score, then MaxScore bound, then row index (Result), so
+// rank-k ties, which the paper breaks arbitrarily, are broken the same way by
+// every algorithm and every k. Safe for concurrent use: any number of goroutines may query one
 // Dataset, sharing its warm indexes and column cache, even while other
 // goroutines mutate it (each query runs on the epoch current at its start).
 //
