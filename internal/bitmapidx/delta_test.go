@@ -507,7 +507,12 @@ func TestAppendRowsTwoExtensionsOfOneBase(t *testing.T) {
 				default:
 				}
 				c.QP(i)
-				base.DominatorCeil(i)
+				for d := 0; d < dim; d++ {
+					if base.Rank(i, d) != int(baseRanks[i*dim+d]) {
+						t.Errorf("row %d dim %d: base rank moved under a patch", i, d)
+						return
+					}
+				}
 				baseDS.Fingerprint()
 			}
 		}()

@@ -10,35 +10,6 @@ import (
 	"repro/internal/gen"
 )
 
-// bruteDominators counts the objects that could dominate obj: comparable and
-// no larger on every shared observed dimension (strictness ignored — the
-// ceiling semantics).
-func bruteDominators(ds *data.Dataset, obj int) int {
-	p := ds.Obj(obj)
-	count := 0
-	for q := 0; q < ds.Len(); q++ {
-		if q == obj {
-			continue
-		}
-		o := ds.Obj(q)
-		m := o.Mask & p.Mask
-		if m == 0 {
-			continue
-		}
-		ok := true
-		for d := 0; m != 0; d, m = d+1, m>>1 {
-			if m&1 == 1 && o.Values[d] > p.Values[d] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			count++
-		}
-	}
-	return count
-}
-
 // bruteScore is the dominance score of obj (objects obj dominates).
 func bruteScore(ds *data.Dataset, obj int) int {
 	p := ds.Obj(obj)
@@ -49,88 +20,6 @@ func bruteScore(ds *data.Dataset, obj int) int {
 		}
 	}
 	return count
-}
-
-func boundDataset(seed int64) *data.Dataset {
-	rng := rand.New(rand.NewSource(seed))
-	ds := data.New(4)
-	for i, vals := range randIncomplete(rng, 150, 4, 7, 0.35) {
-		ds.MustAppend(fmt.Sprintf("o%d", i), vals)
-	}
-	return ds
-}
-
-func TestDominatorCeil(t *testing.T) {
-	ds := boundDataset(5)
-	ix := Build(ds, Options{Codec: Concise, Bins: []int{3}, Adaptive: true})
-	for i := 0; i < ds.Len(); i++ {
-		if got, want := ix.DominatorCeil(i), bruteDominators(ds, i); got != want {
-			t.Fatalf("object %d: DominatorCeil=%d, brute force=%d", i, got, want)
-		}
-	}
-}
-
-// TestStandingEntryBound checks the comparability-masked bound is sound
-// (never below the true dominance score) and no looser than the plain
-// Heuristic 2 bound, across representations.
-func TestStandingEntryBound(t *testing.T) {
-	ds := boundDataset(9)
-	for _, opts := range []Options{
-		{Codec: Raw, Bins: []int{3}},
-		{Codec: Concise, Bins: []int{3}},
-		{Codec: Concise, Bins: []int{3}, Adaptive: true},
-	} {
-		ix := Build(ds, opts)
-		c := ix.NewCursor()
-		for i := 0; i < ds.Len(); i++ {
-			bound := c.StandingEntryBound(i)
-			if score := bruteScore(ds, i); bound < score {
-				t.Fatalf("%v object %d: bound %d below true score %d", opts.Codec, i, bound, score)
-			}
-			if mb := c.MaxBitScore(i); bound > mb {
-				t.Fatalf("%v object %d: bound %d looser than MaxBitScore %d", opts.Codec, i, bound, mb)
-			}
-		}
-	}
-}
-
-// TestStandingBoundsPartitioned pins the scenario the standing-query τ-check
-// relies on: two groups observing disjoint dimension pairs, and an appended
-// row whose values are a new minimum in one dimension and a new maximum in
-// the other. The row can neither change an existing score (DominatorCeil
-// is 0: bucket-sharing rows all rank above its new minimum) nor displace a
-// top-k whose τ exceeds its entry bound.
-func TestStandingBoundsPartitioned(t *testing.T) {
-	ds := data.New(4)
-	miss := data.Missing()
-	// Group A observes dims {0,1}; group B observes dims {2,3}.
-	for i := 0; i < 8; i++ {
-		ds.MustAppend(fmt.Sprintf("a%d", i), []float64{float64(i), float64(8 - i), miss, miss})
-	}
-	for i := 0; i < 8; i++ {
-		ds.MustAppend(fmt.Sprintf("b%d", i), []float64{miss, miss, float64(1 + i), float64(1 + i)})
-	}
-	old := Build(ds, Options{Codec: Concise, Bins: []int{8}, Adaptive: true})
-
-	next := ds.Clone()
-	next.MustAppend("p", []float64{miss, miss, 0.5, 42}) // new min in dim 2, new max in dim 3
-	patched, ok := AppendRows(old, next)
-	if !ok {
-		t.Fatal("AppendRows fell back")
-	}
-	p := next.Len() - 1
-	if got := patched.DominatorCeil(p); got != 0 {
-		t.Errorf("DominatorCeil(p)=%d, want 0: p is below every dim-2 value", got)
-	}
-	c := patched.NewCursor()
-	// Only b7 (the old dim-3 maximum) shares p's Q-columns; group A is
-	// incomparable and must not inflate the bound.
-	if got := c.StandingEntryBound(p); got != 1 {
-		t.Errorf("StandingEntryBound(p)=%d, want 1", got)
-	}
-	if mb := c.MaxBitScore(p); mb <= 1 {
-		t.Errorf("fixture defect: plain MaxBitScore=%d should exceed the masked bound", mb)
-	}
 }
 
 // TestHeuristic2NetOfIncomparable is the property Heuristic 2 rests on since

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/server"
 	"repro/tkd"
@@ -72,9 +74,11 @@ func TestErrorContract(t *testing.T) {
 		{"query k zero", "POST", "/v1/datasets/file/query", server.QueryRequest{}, "", http.StatusBadRequest, "bad_request"},
 		{"query bad algorithm", "POST", "/v1/datasets/file/query", server.QueryRequest{K: 3, Algorithm: "nope"}, "", http.StatusBadRequest, "bad_request"},
 		{"query contradiction", "POST", "/v1/datasets/file/query", server.QueryRequest{Dataset: "mem", K: 3}, "", http.StatusBadRequest, "bad_request"},
+		{"query timeout overflows", "POST", "/v1/datasets/file/query", server.QueryRequest{K: 3, TimeoutMillis: math.MaxInt64/int(time.Millisecond) + 1}, "", http.StatusBadRequest, "bad_request"},
 		{"query unknown dataset", "POST", "/v1/datasets/ghost/query", server.QueryRequest{K: 3}, "", http.StatusNotFound, "dataset_not_found"},
 		{"subscribe bad json", "POST", "/v1/datasets/file/subscribe", nil, "nope", http.StatusBadRequest, "bad_request"},
 		{"subscribe k zero", "POST", "/v1/datasets/file/subscribe", server.SubscribeRequest{}, "", http.StatusBadRequest, "bad_request"},
+		{"subscribe wait overflows", "POST", "/v1/datasets/file/subscribe", server.SubscribeRequest{K: 3, WaitMillis: math.MaxInt64/int(time.Millisecond) + 1}, "", http.StatusBadRequest, "bad_request"},
 		{"subscribe unknown dataset", "POST", "/v1/datasets/ghost/subscribe", server.SubscribeRequest{K: 3}, "", http.StatusNotFound, "dataset_not_found"},
 		{"dataset info unknown", "GET", "/v1/datasets/ghost", nil, "", http.StatusNotFound, "dataset_not_found"},
 		{"register bad json", "POST", "/v1/datasets", nil, "{", http.StatusBadRequest, "bad_request"},

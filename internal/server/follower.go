@@ -273,9 +273,7 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 	e.followed.Store(true)
 	e.leaderSeen.Store(x.Epoch)
 	e.leaderEpoch.Store(x.Epoch)
-	// A full import replaces everything; standing queries re-evaluate
-	// unconditionally.
-	f.s.notifyStanding(e, 0)
+	f.s.notifyStanding(e)
 	return true, nil
 }
 
@@ -304,8 +302,7 @@ func (f *follower) applyDelta(name string, e *entry, x *tkd.EpochDelta, pub *obs
 	e.leaderSeen.Store(x.Epoch)
 	e.leaderEpoch.Store(x.Epoch)
 	f.deltaSyncs.Add(1)
-	// The delta is append-shaped, so the τ-check applies on replicas too.
-	f.s.notifyStanding(e, x.Rows())
+	f.s.notifyStanding(e)
 	return true, nil
 }
 

@@ -387,9 +387,8 @@ func (s *Server) publishPendingLocked(e *entry) error {
 	cpSp.End()
 
 	// The epoch is live regardless of how the checkpoint fared — wake the
-	// standing queries. The batch length lets the τ-check skip the engine
-	// when none of the folded rows can touch a full top-k answer.
-	s.notifyStanding(e, len(rows))
+	// standing queries.
+	s.notifyStanding(e)
 	if cpErr == nil {
 		ing.mu.Lock()
 		if logged > ing.published {

@@ -68,7 +68,6 @@ const goldenMetricTypes = `# TYPE tkd_batches_total counter
 # TYPE tkd_shard_tau_pushdowns_total counter
 # TYPE tkd_standing_evals_total counter
 # TYPE tkd_standing_subscribers gauge
-# TYPE tkd_standing_tau_skips_total counter
 # TYPE tkd_wal_appends_total counter
 # TYPE tkd_wal_fsyncs_total counter`
 

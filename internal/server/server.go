@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -620,6 +621,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // ---- wire types ----
 
+// maxMillis is the largest millisecond count a time.Duration holds; a
+// request field above it would wrap to a negative duration.
+const maxMillis = math.MaxInt64 / int64(time.Millisecond)
+
 // QueryRequest is the POST /v1/datasets/{name}/query body.
 type QueryRequest struct {
 	// Dataset is optional: the path names the dataset, and a body that names
@@ -847,8 +852,8 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if req.TimeoutMillis < 0 {
-		writeError(w, r, http.StatusBadRequest, errBadRequest, "timeout_millis must be >= 0")
+	if req.TimeoutMillis < 0 || int64(req.TimeoutMillis) > maxMillis {
+		writeError(w, r, http.StatusBadRequest, errBadRequest, "timeout_millis must be in [0, %d]", maxMillis)
 		return
 	}
 	e, ok := s.reg.get(req.Dataset)
@@ -1194,9 +1199,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	e.met.reloads.Add(1)
-	// The swap may have changed any answer: force standing queries to
-	// re-evaluate (no delta shape to reason about).
-	s.notifyStanding(e, 0)
+	s.notifyStanding(e)
 	writeJSON(w, http.StatusOK, ReloadResponse{
 		Dataset:     name,
 		Epoch:       e.ds.Epoch(),

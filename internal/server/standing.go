@@ -3,17 +3,11 @@ package server
 // Standing top-k subscriptions. A standing query is a (dataset, k,
 // algorithm) triple the server keeps continuously answered: every publish —
 // local ingest fold, follower delta apply, full epoch import, reload —
-// re-evaluates it, and subscribers are woken only when the ranked answer
-// actually changed. Identical subscriptions share one standingQuery, so a
-// thousand dashboards watching the same top-10 cost one evaluation per
+// re-runs its TopK on the new epoch, so the standing answer is always the
+// one POST /query gives, and subscribers are woken only when the ranked
+// answer actually changed. Identical subscriptions share one standingQuery,
+// so a thousand dashboards watching the same top-10 cost one evaluation per
 // epoch, not a thousand.
-//
-// The re-evaluation itself is O(delta)-aware: for a small append onto a
-// full answer, the τ-check (tkd.Dataset.AppendImpact) proves from the
-// bitmap index alone that none of the new rows can reach the k-th score τ
-// and that no existing object's score moved — in which case the top-k
-// cannot have changed and the engine is never invoked. Only when the proof
-// fails does the query actually re-run.
 //
 // Delivery is POST /v1/datasets/{name}/subscribe in two modes: with
 // `Accept: text/event-stream` the connection stays open and each change is
@@ -72,11 +66,6 @@ type standingQuery struct {
 	ver    uint64
 	epoch  uint64
 	items  []QueryItem
-	// tau is the k-th (lowest) score of the current answer, the bar a new
-	// row must reach to matter; full records whether the answer actually
-	// has k items (a short answer makes every append relevant).
-	tau    int
-	full   bool
 	closed bool
 	refs   int
 	subs   map[chan struct{}]struct{}
@@ -114,8 +103,7 @@ type standingRegistry struct {
 	qs map[standingKey]*standingQuery
 
 	subscribers atomic.Int64 // connected subscribers right now
-	evals       atomic.Int64 // engine re-evaluations actually run
-	tauSkips    atomic.Int64 // re-evaluations proven unnecessary by the τ-check
+	evals       atomic.Int64 // engine evaluations run
 }
 
 func newStandingRegistry() *standingRegistry {
@@ -191,38 +179,23 @@ func (g *standingRegistry) dropDataset(name string) {
 	}
 }
 
-// notifyStanding re-evaluates every standing query over name after a
-// publish. appended is the number of rows the publish folded onto the end
-// of the dataset — positive only for delta-shaped publishes, where the
-// τ-check can prove the answer unchanged without running the engine; zero
-// (reload, full epoch import) forces a real re-evaluation.
-func (s *Server) notifyStanding(e *entry, appended int) {
+// notifyStanding re-evaluates every standing query over e after a publish.
+func (s *Server) notifyStanding(e *entry) {
 	for _, sq := range s.standing.forDataset(e.name) {
-		s.standing.evaluate(e, sq, appended)
+		s.standing.evaluate(e, sq)
 	}
 }
 
 // evaluate brings sq's answer up to date against e's current epoch.
-func (g *standingRegistry) evaluate(e *entry, sq *standingQuery, appended int) {
+func (g *standingRegistry) evaluate(e *entry, sq *standingQuery) {
 	sq.evalMu.Lock()
 	defer sq.evalMu.Unlock()
 
 	sq.mu.Lock()
-	if sq.closed {
-		sq.mu.Unlock()
-		return
-	}
-	seeded, full, tau := sq.ver > 0, sq.full, sq.tau
+	closed := sq.closed
 	sq.mu.Unlock()
-
-	if seeded && full && appended > 0 {
-		if affects, ok := e.ds.AppendImpact(appended, tau); ok && !affects {
-			// Proof: none of the appended rows can score ≥ τ, and no
-			// existing object gained a dominated point — the ranked
-			// answer is bit-identical, skip the engine.
-			g.tauSkips.Add(1)
-			return
-		}
+	if closed {
+		return
 	}
 
 	g.evals.Add(1)
@@ -245,11 +218,6 @@ func (g *standingRegistry) evaluate(e *entry, sq *standingQuery, appended int) {
 	changed := !sq.sameLocked(items)
 	sq.epoch = epoch
 	sq.items = items
-	sq.full = len(items) == sq.key.k
-	sq.tau = 0
-	if n := len(items); n > 0 {
-		sq.tau = items[n-1].Score
-	}
 	if changed || sq.ver == 0 {
 		sq.ver++
 		sq.broadcastLocked()
@@ -301,8 +269,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "k must be positive")
 		return
 	}
-	if req.WaitMillis < 0 {
-		writeError(w, r, http.StatusBadRequest, errBadRequest, "wait_millis must be >= 0")
+	if req.WaitMillis < 0 || int64(req.WaitMillis) > maxMillis {
+		writeError(w, r, http.StatusBadRequest, errBadRequest, "wait_millis must be in [0, %d]", maxMillis)
 		return
 	}
 	alg, ok := parseAlgorithm(w, r, req.Algorithm)
@@ -333,7 +301,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	seeded := sq.ver > 0
 	sq.mu.Unlock()
 	if !seeded {
-		s.standing.evaluate(e, sq, 0)
+		s.standing.evaluate(e, sq)
 	}
 
 	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {

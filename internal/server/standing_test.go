@@ -2,11 +2,11 @@ package server_test
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +15,7 @@ import (
 	"repro/tkd"
 )
 
-// standingFixture is the partitioned dataset the τ-check tests pin: group A
+// standingFixture is the partitioned dataset the standing tests pin: group A
 // observes dims {0,1} with mutually incomparable values (all scores 0),
 // group B observes dims {2,3} forming a chain b0 < b1 < … < b7. Smaller
 // values dominate, so b0 dominates the rest of the chain and the standing
@@ -50,10 +50,34 @@ func subscribePoll(t *testing.T, url string, req server.SubscribeRequest) server
 	return ev
 }
 
+// subscribeSSE opens a standing subscription at k as an event stream; the
+// caller closes the body, which ends the subscription.
+func subscribeSSE(t *testing.T, url string, k int) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/datasets/d/subscribe", strings.NewReader(fmt.Sprintf(`{"k":%d}`, k)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("subscribe answered %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		resp.Body.Close()
+		t.Fatalf("content type %q", ct)
+	}
+	return resp
+}
+
 // TestStandingSubscription is the long-poll end-to-end: the first poll
-// materialises the answer, an irrelevant append is proven away by the
-// τ-check without waking anyone, and an append that takes the lead pushes a
-// new version to the parked poller.
+// materialises the answer, an irrelevant append is re-evaluated without
+// waking anyone, and an append that takes the lead pushes a new version to
+// the parked poller.
 func TestStandingSubscription(t *testing.T) {
 	d := newIngestDirs(t, standingFixture(t))
 	cfg := ingestConfig(d, 20*time.Millisecond)
@@ -75,19 +99,24 @@ func TestStandingSubscription(t *testing.T) {
 	}
 
 	// Park a poller waiting for the version after the snapshot, then append
-	// a row the τ-check can dismiss: a new maximum in dim 3 (it dominates
-	// nobody, entry bound below τ) that is also a new minimum in dim 2 (no
-	// existing object gains a dominator, so no score moves). The poll must
-	// time out on the same version.
+	// a row that cannot change the answer: a new maximum in dim 3 (it
+	// dominates nobody) that is also a new minimum in dim 2 (no existing
+	// object gains a dominator, so no score moves). The publish re-evaluates
+	// once, finds the same answer, and the poll times out on the same
+	// version.
 	parked := make(chan server.StandingEvent, 1)
 	go func() {
 		parked <- subscribePoll(t, ts.URL, server.SubscribeRequest{
 			K: 3, AfterVersion: ev.Version, WaitMillis: 1500,
 		})
 	}()
+	// The first poll released the standing query on return, so the parked
+	// poller seeds it again: two evaluations before the append.
 	waitFor(t, "poller parked", func() bool {
-		return metricValue(t, getBody(t, ts.URL+"/metrics"), "tkd_standing_subscribers") >= 1
+		m := getBody(t, ts.URL+"/metrics")
+		return metricValue(t, m, "tkd_standing_subscribers") >= 1 && metricValue(t, m, "tkd_standing_evals_total") >= 2
 	})
+	evalsBefore := metricValue(t, getBody(t, ts.URL+"/metrics"), "tkd_standing_evals_total")
 	appendRows(t, ts.URL, []server.AppendRow{{ID: "p", Values: []*float64{nil, nil, fptr(0.5), fptr(42)}}})
 	waitFor(t, "irrelevant append published", func() bool {
 		return datasetInfo(t, ts.URL).Objects == 17
@@ -96,8 +125,8 @@ func TestStandingSubscription(t *testing.T) {
 	if got.Version != ev.Version {
 		t.Fatalf("irrelevant append advanced the answer to version %d (items %v)", got.Version, got.Items)
 	}
-	if skips := metricValue(t, getBody(t, ts.URL+"/metrics"), "tkd_standing_tau_skips_total"); skips < 1 {
-		t.Fatalf("tau skips = %v, want >= 1 (the irrelevant append must be proven away, not re-evaluated)", skips)
+	if evals := metricValue(t, getBody(t, ts.URL+"/metrics"), "tkd_standing_evals_total"); evals != evalsBefore+1 {
+		t.Fatalf("irrelevant append ran %v evaluations, want exactly 1", evals-evalsBefore)
 	}
 
 	// Now a relevant append: q undercuts the whole B chain in both dims,
@@ -121,6 +150,64 @@ func TestStandingSubscription(t *testing.T) {
 	}
 }
 
+// TestStandingMatchesQueryOnRankKTies: after every publish the standing
+// answer is the one POST /query gives on the same epoch, item for item and
+// rank for rank — including when the publish leaves every score alone and
+// only reorders a rank-k tie. The fixture's base rows make o0 (1,1) and o4
+// (·,1) tie at score 7 once o8 and o9 land; o10 sets a new minimum on
+// dimension 0 and misses dimension 1, so nobody dominates it and no score
+// moves, yet o4 now leads the MaxScore queue and takes the single slot.
+func TestStandingMatchesQueryOnRankKTies(t *testing.T) {
+	nan := math.NaN()
+	ds := tkd.NewDataset(2)
+	for i, row := range [][2]float64{{1, 1}, {4, 2}, {1, 2}, {nan, 4}, {nan, 1}, {nan, 2}, {nan, 1}, {1, 4}} {
+		if err := ds.Append(fmt.Sprintf("o%d", i), row[0], row[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := newIngestDirs(t, ds)
+	s, ts := startIngestServer(t, ingestConfig(d, 5*time.Millisecond), d)
+	defer func() { ts.Close(); s.Close() }()
+	const k = 1
+
+	// An open SSE stream keeps the standing query alive across the publishes;
+	// the checks below read it through long-polls at after_version 0.
+	resp := subscribeSSE(t, ts.URL, k)
+	defer resp.Body.Close()
+
+	appended := []server.AppendRow{
+		{ID: "o8", Values: []*float64{fptr(2), fptr(4)}},
+		{ID: "o9", Values: []*float64{nil, fptr(4)}},
+		{ID: "o10", Values: []*float64{fptr(0), nil}},
+	}
+	for i, row := range appended {
+		appendRows(t, ts.URL, []server.AppendRow{row})
+		waitFor(t, row.ID+" published", func() bool { return datasetInfo(t, ts.URL).Objects == 9+i })
+		// The standing evaluation runs just after the publish turns visible,
+		// so the two answers may differ for a moment; they must then agree.
+		var standing, query []server.QueryItem
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			standing = subscribePoll(t, ts.URL, server.SubscribeRequest{K: k}).Items
+			qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "d", K: k})
+			if code != http.StatusOK {
+				t.Fatalf("after %s: query answered %d", row.ID, code)
+			}
+			query = qr.Items
+			if slices.Equal(standing, query) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("after %s: standing answer %+v, query answer %+v", row.ID, standing, query)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if len(query) != k {
+			t.Fatalf("after %s: %d items, want %d", row.ID, len(query), k)
+		}
+	}
+}
+
 // TestStandingSSE streams the subscription over server-sent events: the
 // connect snapshot arrives immediately, and a top-k-changing append pushes
 // a second event on the open connection.
@@ -130,25 +217,8 @@ func TestStandingSSE(t *testing.T) {
 	s, ts := startIngestServer(t, cfg, d)
 	defer func() { ts.Close(); s.Close() }()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		ts.URL+"/v1/datasets/d/subscribe", strings.NewReader(`{"k":3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := subscribeSSE(t, ts.URL, 3)
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("subscribe answered %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
 
 	// readEvent scans the stream to the next `data:` line.
 	sc := bufio.NewScanner(resp.Body)

@@ -131,41 +131,6 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 	return patched, nil
 }
 
-// AppendImpact answers the standing-query skip test: could the `appended`
-// most recently added rows of the current epoch change a standing top-k
-// answer whose threshold (k-th ranked) score was tau at its last
-// evaluation? It reports affects=false only when the index proves, for every
-// new row p, that p cannot reach the answer (StandingEntryBound(p) < tau)
-// AND no existing object's score changed (DominatorCeil(p) == 0 — scores
-// count dominated objects, so appending p perturbs exactly the objects
-// dominating it). Both bounds are conservative, so a skip is sound. ok
-// reports whether the check could run at all; callers must re-evaluate when
-// it is false (no binned index resident, or the row accounting is off).
-func (d *Dataset) AppendImpact(appended, tau int) (affects, ok bool) {
-	s := d.cur.Load()
-	if s == nil {
-		return false, false
-	}
-	ix := s.part.Built().Binned
-	n := s.ds.Len()
-	if ix == nil || ix.Dataset().Len() != n {
-		return false, false
-	}
-	if appended <= 0 || appended > n {
-		return false, false
-	}
-	c := ix.NewCursor()
-	for i := n - appended; i < n; i++ {
-		if c.StandingEntryBound(i) >= tau {
-			return true, true
-		}
-		if ix.DominatorCeil(i) > 0 {
-			return true, true
-		}
-	}
-	return false, true
-}
-
 // nextEpochLocked advances the epoch counter: at == 0 is the ordinary +1
 // bump, a larger at adopts the external (leader's) number, and an at at or
 // below the counter falls back to +1, keeping the counter strictly monotonic
