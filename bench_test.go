@@ -740,9 +740,13 @@ func BenchmarkDeltaPublish(b *testing.B) {
 // missing — the query-heavy CSV): parse is ParseCSV over the file's bytes,
 // what a boot runs once os.ReadFile has them, and the scanner's path since
 // the file quotes nothing; parse-quoted is ParseCSV of the same rows under
-// IDs that WriteCSV must quote, the encoding/csv path; prepare is the cold build,
-// PrepareFor(IBIG) on freshly parsed rows — one sort per dimension, the
-// serving index peeled off it, the MaxScore queue derived from the index;
+// IDs that WriteCSV must quote, the encoding/csv path; sort is SortDims alone,
+// the one sort per dimension a cold build is made of; prepare is the cold
+// build on freshly parsed rows, their fingerprint fold first — an epoch folds
+// on first read, which a boot pays in the load or, cold, in the background
+// index write, so the fold is timed here to keep the row comparable with one
+// that folded at publish — then PrepareFor(IBIG): the sort, the serving index
+// peeled off it, the MaxScore queue derived from the index;
 // sharded is the same build behind -shards 3 in one process — three slices
 // indexed side by side, the coordinator's queue merged from their sorted runs;
 // warm is a restart over a persisted index, LoadIndex plus the queue.
@@ -791,12 +795,21 @@ func BenchmarkColdPrepare(b *testing.B) {
 			}
 		})
 	}
+	b.Run("sort", func(b *testing.B) {
+		rows := parse(b).ShardData()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rows.SortDims()
+		}
+	})
 	b.Run("prepare", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			ds := parse(b)
 			b.StartTimer()
+			ds.Fingerprint()
 			ds.PrepareFor(tkd.IBIG)
 		}
 	})

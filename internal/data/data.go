@@ -15,7 +15,9 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // MaxDim is the largest supported dimensionality. Observed-dimension masks
@@ -95,10 +97,15 @@ type Dataset struct {
 	dim  int
 	objs []Object
 
-	// chain is the FNV-1a state over dim and rows [0, hashed); Seal advances
-	// it, Fingerprint folds whatever is left on the fly.
-	chain  uint64
-	hashed int
+	// fold guards the chain: chain is the FNV-1a state over dim and rows
+	// [0, hashed), and foldTime what advancing it has cost. Seal advances it,
+	// and so does Fingerprint on a frozen dataset, whose readers may race to
+	// the first call; on any other Fingerprint folds what is left on the fly.
+	fold     sync.Mutex
+	chain    uint64
+	hashed   int
+	foldTime time.Duration
+	frozen   bool
 	// missing counts the unobserved cells of all rows; -1 on a row-range view
 	// that has not counted its own.
 	missing int
@@ -177,9 +184,11 @@ func (ds *Dataset) Append(id string, values []float64) (int, error) {
 
 // Extend returns a dataset that starts out as ds's rows and has room for n
 // more, so a frozen dataset (a published epoch) grows its successor in
-// O(batch): the extension shares ds's rows, their fingerprint chain and
-// missing-cell count, and its appends go into the spare capacity of the
-// shared backing array, behind ds's length where no reader of ds looks.
+// O(batch): the extension shares ds's rows, their fingerprint chain — which
+// Extend first brings up to ds's length, so the extension's Seal folds its
+// own rows alone and no row is folded twice — and missing-cell count, and
+// its appends go into the spare capacity of the shared backing array, behind
+// ds's length where no reader of ds looks.
 // That capacity has a single claimant — the first Extend of a dataset takes
 // it, any later Extend of the same dataset starts from a capacity-clamped
 // view and copies the row headers on its first Append — so two extensions of
@@ -190,6 +199,9 @@ func (ds *Dataset) Extend(n int) *Dataset {
 	if !ds.extended.CompareAndSwap(false, true) {
 		objs = slices.Clip(objs)
 	}
+	ds.fold.Lock()
+	defer ds.fold.Unlock()
+	ds.sealLocked() // the base's rows are folded once, here or by a reader before
 	return &Dataset{
 		dim:     ds.dim,
 		objs:    slices.Grow(objs, n),
@@ -226,12 +238,17 @@ func (ds *Dataset) Negate() {
 			}
 		}
 	}
+	ds.fold.Lock()
 	ds.chain, ds.hashed = chainSeed(ds.dim), 0
+	ds.fold.Unlock()
 }
 
-// Clone returns a deep copy of the dataset.
+// Clone returns a deep copy of the dataset, not frozen: the copy is its
+// owner's to append to.
 func (ds *Dataset) Clone() *Dataset {
+	ds.fold.Lock()
 	out := &Dataset{dim: ds.dim, chain: ds.chain, hashed: ds.hashed, missing: ds.missing}
+	ds.fold.Unlock()
 	out.objs = make([]Object, len(ds.objs))
 	for i, o := range ds.objs {
 		out.objs[i] = Object{ID: o.ID, Values: append([]float64(nil), o.Values...), Mask: o.Mask}
@@ -247,15 +264,19 @@ func (ds *Dataset) Clone() *Dataset {
 // shard built from a frozen epoch stays valid even if the source dataset
 // moves on. A view from row 0 that covers everything the parent's
 // fingerprint chain has folded continues that chain; any other view starts
-// its own.
+// its own. A view of a frozen dataset is frozen, its rows being as final as
+// its parent's: it folds its own chain once, on its first Fingerprint.
 func (ds *Dataset) Slice(lo, hi int) *Dataset {
 	if lo < 0 || hi > len(ds.objs) || lo > hi {
 		panic(fmt.Sprintf("data: slice [%d,%d) out of range [0,%d)", lo, hi, len(ds.objs)))
 	}
 	out := &Dataset{dim: ds.dim, objs: ds.objs[lo:hi:hi], chain: chainSeed(ds.dim), missing: -1}
+	ds.fold.Lock()
 	if lo == 0 && hi >= ds.hashed {
 		out.chain, out.hashed = ds.chain, ds.hashed
 	}
+	out.frozen = ds.frozen
+	ds.fold.Unlock()
 	if lo == 0 && hi == len(ds.objs) {
 		out.missing = ds.missing
 	}
@@ -342,16 +363,47 @@ func foldRows(h uint64, objs []Object, dim int) uint64 {
 
 // Seal folds every row the chain has not absorbed yet into it, after which
 // Fingerprint is an O(1) read until the next Append — and stays O(1) across
-// appends if Seal is called again, which then costs O(appended rows). It
-// writes to the dataset, so the owner calls it before sharing the dataset
-// with readers (tkd seals every epoch it publishes); Fingerprint itself
-// never writes.
+// appends if Seal is called again, which then costs O(appended rows). The
+// owner of a dataset that is still growing calls it (an append-publish seals
+// its batch); a frozen dataset needs no call, its first Fingerprint seals it.
 func (ds *Dataset) Seal() {
+	ds.fold.Lock()
+	defer ds.fold.Unlock()
+	ds.sealLocked()
+}
+
+func (ds *Dataset) sealLocked() {
 	if ds.hashed == len(ds.objs) {
 		return // nothing to fold, and nothing written under a reader's feet
 	}
+	start := time.Now()
 	ds.chain = foldRows(ds.chain, ds.objs[ds.hashed:], ds.dim)
 	ds.hashed = len(ds.objs)
+	ds.foldTime += time.Since(start)
+}
+
+// Freeze declares the rows final: from here on the dataset may be read by
+// any number of goroutines at once, and must not be appended to or negated
+// (Extend and Clone give a dataset that may). What Freeze changes is
+// Fingerprint, which on a frozen dataset folds the rows the chain lacks into
+// the chain itself — the first call pays, concurrent ones wait for it, later
+// ones are O(1) — where on any other it folds them on the fly and leaves the
+// chain to its owner's Seal. tkd freezes every epoch it publishes, so an
+// epoch folds once, when something first reads its fingerprint, rather than
+// when it is published. Idempotent.
+func (ds *Dataset) Freeze() {
+	ds.fold.Lock()
+	ds.frozen = true
+	ds.fold.Unlock()
+}
+
+// FoldTime reports what folding rows into the dataset's chain has cost so
+// far — Seal's passes and a frozen dataset's first Fingerprint; an Extend's
+// fold of its base counts on the base. 0 for a dataset nothing has folded.
+func (ds *Dataset) FoldTime() time.Duration {
+	ds.fold.Lock()
+	defer ds.fold.Unlock()
+	return ds.foldTime
 }
 
 // Fingerprint returns the 64-bit digest of the dataset's full contents —
@@ -360,9 +412,16 @@ func (ds *Dataset) Seal() {
 // path built them (ReadCSV, Append, Extend, Clone, a Slice), and stable
 // across process restarts, so a persisted index keyed by fingerprint can
 // decide reuse-vs-rebuild without trusting file names or modification times.
-// It is a pure read: on a sealed dataset O(1), otherwise one pass over the
-// rows Seal has not folded.
+// On a sealed dataset it is O(1). Otherwise it is one pass over the rows the
+// chain has not folded: on a frozen dataset (Freeze) the pass is memoised in
+// the chain, once however many callers race to it; on any other it is a pure
+// read, repeated by every call.
 func (ds *Dataset) Fingerprint() uint64 {
+	ds.fold.Lock()
+	defer ds.fold.Unlock()
+	if ds.frozen {
+		ds.sealLocked()
+	}
 	h := ds.chain
 	if ds.hashed < len(ds.objs) {
 		h = foldRows(h, ds.objs[ds.hashed:], ds.dim)

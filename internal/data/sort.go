@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -31,16 +32,26 @@ func (s *Sorted) Dataset() *Dataset { return s.ds }
 
 // SortDims sorts every dimension of the dataset — into the Sorted it returns;
 // the rows stay where they are — the dimensions side by side (see
-// ForEachDim). The result does not depend on how many run at once.
+// ForEachDim). Each goroutine sorts in one scratch pair of its own, reused
+// for every dimension it takes, so a dimension allocates only its Order. The
+// result does not depend on how many run at once.
 func (ds *Dataset) SortDims() *Sorted {
+	n := len(ds.objs)
 	s := &Sorted{
 		ds:    ds,
 		Stats: make([]DimStats, ds.dim),
-		Ranks: make([]int32, len(ds.objs)*ds.dim),
+		Ranks: make([]int32, n*ds.dim),
 		Order: make([][]int32, ds.dim),
 	}
-	ForEachDim(ds.dim, func(d int) { s.Stats[d], s.Order[d] = ds.sortDim(d, s.Ranks) })
-	rowsSorted.Add(int64(len(ds.objs)))
+	workers := min(ds.dim, runtime.GOMAXPROCS(0))
+	scratch := make([][]RadixKey, workers) // worker w's keys, then its tmp
+	forEachDim(ds.dim, workers, func(w, d int) {
+		if scratch[w] == nil {
+			scratch[w] = make([]RadixKey, 2*n)
+		}
+		s.Stats[d], s.Order[d] = ds.sortDim(d, s.Ranks, scratch[w][:n], scratch[w][n:])
+	})
+	rowsSorted.Add(int64(n))
 	return s
 }
 
@@ -57,29 +68,37 @@ func RowsSorted() int64 { return rowsSorted.Load() }
 // call has. Dimensions are independent in everything the cold build does, so
 // fn writes slot d of whatever it fills and the output is the serial loop's.
 func ForEachDim(dim int, fn func(d int)) {
+	forEachDim(dim, min(dim, runtime.GOMAXPROCS(0)), func(_, d int) { fn(d) })
+}
+
+// forEachDim is ForEachDim on the given number of goroutines, which tells fn
+// which of them runs it — w in [0, workers) — so state kept per goroutine
+// needs no lock.
+func forEachDim(dim, workers int, fn func(w, d int)) {
 	var next atomic.Int32
-	work := func() {
+	work := func(w int) {
 		for d := int(next.Add(1)) - 1; d < dim; d = int(next.Add(1)) - 1 {
-			fn(d)
+			fn(w, d)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := min(dim, runtime.GOMAXPROCS(0)); w > 1; w-- {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			work(w)
 		}()
 	}
-	work()
+	work(0)
 	wg.Wait()
 }
 
-// dimKey is one observed cell on its way through the sort: the value as an
-// order-preserving integer key, and the object that holds it.
-type dimKey struct {
-	key uint64
-	id  int32
+// RadixKey is one entry of the radix kernel (RadixSort): an order-preserving
+// integer key and the row that holds it — in SortDims an observed cell, the
+// value's sortKey and its object.
+type RadixKey struct {
+	Key uint64
+	Row int32
 }
 
 // sortKey maps a float64 to a uint64 that orders the same way: the sign bit
@@ -104,14 +123,14 @@ func keyValue(k uint64) float64 {
 // sortDim sorts dimension d and reads everything the build needs off the
 // sorted order in one walk: the distinct values and their counts, the missing
 // count, column d of ranks (stride dim, -1 on the missing) and the objects in
-// ascending order. The sort is a least-significant-byte radix sort over
-// (key, id) pairs — stable, so ties stay in index order; a byte position on
-// which every key agrees is skipped, which for integer-valued data is most
-// of the mantissa.
-func (ds *Dataset) sortDim(d int, ranks []int32) (DimStats, []int32) {
+// ascending order. keys and tmp are scratch of len(ds.objs) each. The pass
+// that collects the observed cells also takes the AND and the OR of their
+// keys, which name the bits on which some two keys differ — the only ones
+// RadixSort passes over.
+func (ds *Dataset) sortDim(d int, ranks []int32, keys, tmp []RadixKey) (DimStats, []int32) {
 	n, dim := len(ds.objs), ds.dim
-	keys := make([]dimKey, 0, n)
-	var hist [8][256]int32
+	m := 0
+	and, or := ^uint64(0), uint64(0)
 	for i := range ds.objs {
 		o := &ds.objs[i]
 		if !o.Observed(d) {
@@ -119,40 +138,23 @@ func (ds *Dataset) sortDim(d int, ranks []int32) (DimStats, []int32) {
 			continue
 		}
 		k := sortKey(o.Values[d])
-		keys = append(keys, dimKey{key: k, id: int32(i)})
-		for b := range hist {
-			hist[b][byte(k>>(8*b))]++
-		}
+		keys[m] = RadixKey{Key: k, Row: int32(i)}
+		m++
+		and &= k
+		or |= k
 	}
-	st := DimStats{MissingCount: n - len(keys)}
-	if len(keys) == 0 {
+	st := DimStats{MissingCount: n - m}
+	if m == 0 {
 		return st, nil
 	}
-	tmp := make([]dimKey, len(keys))
-	for b := range hist {
-		h := &hist[b]
-		shift := uint(8 * b)
-		if h[byte(keys[0].key>>shift)] == int32(len(keys)) {
-			continue
-		}
-		sum := int32(0)
-		for v, c := range h {
-			h[v], sum = sum, sum+c
-		}
-		for _, k := range keys {
-			v := byte(k.key >> shift)
-			tmp[h[v]] = k
-			h[v]++
-		}
-		keys, tmp = tmp, keys
-	}
-	order := make([]int32, len(keys))
-	for i := 0; i < len(keys); {
-		k := keys[i].key
+	keys = RadixSort(keys[:m], tmp[:m], and^or)
+	order := make([]int32, m)
+	for i := 0; i < m; {
+		k := keys[i].Key
 		r := int32(len(st.Distinct))
 		j := i
-		for ; j < len(keys) && keys[j].key == k; j++ {
-			id := keys[j].id
+		for ; j < m && keys[j].Key == k; j++ {
+			id := keys[j].Row
 			order[j] = id
 			ranks[int(id)*dim+d] = r
 		}
@@ -162,3 +164,40 @@ func (ds *Dataset) sortDim(d int, ranks []int32) (DimStats, []int32) {
 	}
 	return st, order
 }
+
+// RadixSort sorts keys by Key, equal keys in the order given: a
+// least-significant-digit radix sort with one counting pass and one scatter
+// pass per digit, whose digits cover only the bits set in diff — the AND of
+// the keys XOR their OR, which the caller takes in the pass that collects
+// them. A digit is the radixBits bits from the lowest varying bit not yet
+// sorted on, so a bit every key agrees on costs nothing: on the benchmark's
+// 100-value integer dimensions the keys vary in bits 46–62, two digits where
+// whole bytes took three, and continuous data takes six where bytes took
+// eight. tmp is scratch of len(keys); the result is keys or tmp, whichever
+// the last pass wrote.
+func RadixSort(keys, tmp []RadixKey, diff uint64) []RadixKey {
+	const mask = 1<<radixBits - 1
+	for diff != 0 {
+		shift := uint(bits.TrailingZeros64(diff))
+		var at [1 << radixBits]int32
+		for _, k := range keys {
+			at[k.Key>>shift&mask]++
+		}
+		sum := int32(0)
+		for v, c := range at {
+			at[v], sum = sum, sum+c
+		}
+		for _, k := range keys {
+			v := k.Key >> shift & mask
+			tmp[at[v]] = k
+			at[v]++
+		}
+		keys, tmp = tmp, keys
+		diff &^= uint64(mask) << shift
+	}
+	return keys
+}
+
+// radixBits is RadixSort's digit width: 2,048 counters, 8 KiB, stay in the
+// first-level cache beside the keys streaming through.
+const radixBits = 11

@@ -142,14 +142,15 @@ func (s *Server) openIngest(name string, base *tkd.Dataset) (*ingestState, error
 // sealRecovery checkpoints the state just published by the post-replay
 // warm-up when recovery found acked-but-unpublished rows, so the next
 // restart warm-loads instead of replaying the same suffix again. A no-op
-// for a clean start (the recovered checkpoint already covers every row).
-func (ing *ingestState) sealRecovery(epoch, fingerprint uint64) error {
+// for a clean start (the recovered checkpoint already covers every row),
+// which therefore leaves the dataset's fingerprint unread.
+func (ing *ingestState) sealRecovery(ds *tkd.Dataset) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	if ing.logged == ing.published {
 		return nil
 	}
-	if err := ing.log.AppendCheckpoint(wal.Checkpoint{Rows: ing.logged, Epoch: epoch, Fingerprint: fingerprint}); err != nil {
+	if err := ing.log.AppendCheckpoint(wal.Checkpoint{Rows: ing.logged, Epoch: ds.Epoch(), Fingerprint: ds.Fingerprint()}); err != nil {
 		return err
 	}
 	ing.published = ing.logged

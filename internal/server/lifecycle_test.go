@@ -299,7 +299,10 @@ func TestWarmRestartSkipsPrepare(t *testing.T) {
 	cfg := server.Config{IndexDir: ixdir, Logger: slog.New(slog.NewTextHandler(&logs, nil))}
 	// Every load ends with one line that decomposes it, and a load that built
 	// its index writes the file once the dataset serves, under a line of its
-	// own; wantLoadLine checks both and empties the buffer.
+	// own; wantLoadLine checks both and empties the buffer. The fingerprint
+	// fold is where it is paid: a warm load checks the checkpoint against the
+	// rows, so its line times the fold, and a cold one has nothing to check
+	// and leaves it to the index write, whose line times it instead.
 	wantLoadLine := func(stage, msg string, warm bool) {
 		t.Helper()
 		var load, persisted string
@@ -313,7 +316,7 @@ func TestWarmRestartSkipsPrepare(t *testing.T) {
 		}
 		logs.Reset()
 		for _, w := range []string{"dataset=d", "rows=600", fmt.Sprintf("warm=%v", warm),
-			"parse_ms=", "index_ms=", "queue_ms=", "seconds="} {
+			"parse_ms=", "fingerprint_ms=", "index_ms=", "queue_ms=", "seconds="} {
 			if !strings.Contains(load, w) {
 				t.Fatalf("%s: no %q line with %s:\n%s", stage, msg, w, load)
 			}
@@ -324,7 +327,10 @@ func TestWarmRestartSkipsPrepare(t *testing.T) {
 		if warm != (persisted == "") {
 			t.Fatalf("%s: a warm=%v load logged index persisted %q", stage, warm, persisted)
 		}
-		for _, w := range []string{"dataset=d", " ms=", "bytes=", "parts=1"} {
+		if deferred := strings.Contains(load, "fingerprint_ms=0 "); deferred == warm {
+			t.Fatalf("%s: a warm=%v load paid the fingerprint fold = %v:\n%s", stage, warm, !deferred, load)
+		}
+		for _, w := range []string{"dataset=d", " ms=", "bytes=", "parts=1", "fingerprint_ms="} {
 			if !warm && !strings.Contains(persisted, w) {
 				t.Fatalf("%s: the index persisted line lacks %s:\n%s", stage, w, persisted)
 			}

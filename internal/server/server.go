@@ -379,11 +379,12 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 		}
 	}
 	warm, cold, tail := s.warmPrepare(name, ds)
+	rows := ds.ShardData() // the epoch the cold parts index, before appends can move it
 	if ing != nil {
 		// The warm-up above published the recovered state (replayed suffix
 		// included); checkpoint it so the next restart skips the replay. A
 		// failed checkpoint only costs that restart a replay.
-		if err := ing.sealRecovery(ds.Epoch(), ds.Fingerprint()); err != nil {
+		if err := ing.sealRecovery(ds); err != nil {
 			s.log.Warn("wal recovery checkpoint failed", "dataset", name, "err", err)
 		}
 	}
@@ -407,7 +408,7 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 		return false, err
 	}
 	s.logLoad("dataset loaded", name, path, ds, warm, start, parse)
-	s.persistLater(e, cold, int64(ds.Len()-tail))
+	s.persistLater(e, cold, int64(ds.Len()-tail), rows)
 	return warm, nil
 }
 
@@ -417,17 +418,21 @@ func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 // logLoad writes the line every load ends with — a boot or runtime register
 // ("dataset loaded"), a reload or a follower's full import ("dataset
 // reloaded") — with the load decomposed: parse_ms reading the source (the CSV
-// file, a leader's epoch stream), index_ms building or warm-loading the
-// serving indexes, queue_ms the MaxScore queue (both from
-// tkd.Dataset.BuildTimes: index_ms is summed over the shards of a sharded
-// dataset, so it can exceed the wall clock there, and queue_ms is the
+// file, a leader's epoch stream), fingerprint_ms folding the rows into the
+// fingerprint chain (tkd.Dataset.FoldTime: 0 when nothing the load did read
+// the fingerprint — a cold boot with no checkpoint or write-ahead log to
+// check it against — and the fold is left to the first reader), index_ms
+// building or warm-loading the serving indexes, queue_ms the MaxScore queue
+// (both from tkd.Dataset.BuildTimes: index_ms is summed over the shards of a
+// sharded dataset, so it can exceed the wall clock there, and queue_ms is the
 // coordinator's merge of their sorted runs). seconds is the wall clock of the
 // whole load, which ends when the dataset serves: the index files are written
 // after it, and their own line is "index persisted" (writeIndex).
 func (s *Server) logLoad(msg, name, path string, ds *tkd.Dataset, warm bool, start time.Time, parse time.Duration) {
 	index, queue := ds.BuildTimes()
 	s.log.Info(msg, "dataset", name, "path", path, "rows", ds.Len(), "warm", warm,
-		"parse_ms", millis(parse), "index_ms", millis(index), "queue_ms", millis(queue),
+		"parse_ms", millis(parse), "fingerprint_ms", millis(ds.FoldTime()),
+		"index_ms", millis(index), "queue_ms", millis(queue),
 		"seconds", time.Since(start).Seconds())
 }
 
@@ -481,7 +486,9 @@ func (s *Server) warmPrepare(name string, ds *tkd.Dataset) (warm bool, cold []tk
 // rows is what the files in the cache directory cover once that write lands —
 // all of the loaded rows, less the tail patched behind an older checkpoint —
 // and what e.savedRows then holds; with nothing to write it holds it now.
-func (s *Server) persistLater(e *entry, cold []tkd.IndexPart, rows int64) {
+// loaded is the data of the epoch the parts index, whose fingerprint fold the
+// write pays when the load left it to the first reader.
+func (s *Server) persistLater(e *entry, cold []tkd.IndexPart, rows int64, loaded *data.Dataset) {
 	if s.ixc == nil {
 		return
 	}
@@ -489,7 +496,7 @@ func (s *Server) persistLater(e *entry, cold []tkd.IndexPart, rows int64) {
 		e.savedRows.Store(rows)
 		return
 	}
-	s.writes.start(e.name, func() { s.writeIndex(e, cold, rows) })
+	s.writes.start(e.name, func() { s.writeIndex(e, cold, rows, loaded) })
 }
 
 // writeIndex writes index parts of e's data to the cache directory, in
@@ -497,12 +504,18 @@ func (s *Server) persistLater(e *entry, cold []tkd.IndexPart, rows int64) {
 // the rows the files cover: rows, or 0 when a part failed, so that the next
 // checkpoint tries again. An error is a cold restart, not a failure of
 // whatever published the index. A newer entry under the name owns the files,
-// and the write is then dropped.
-func (s *Server) writeIndex(e *entry, parts []tkd.IndexPart, rows int64) {
+// and the write is then dropped. A part's header carries the fingerprint of
+// the rows it indexes, so the write folds them if nothing has yet; when they
+// are a load's rows (loaded, nil otherwise) the line times that fold.
+func (s *Server) writeIndex(e *entry, parts []tkd.IndexPart, rows int64, loaded *data.Dataset) {
 	if cur, ok := s.reg.get(e.name); ok && cur != e {
 		return
 	}
 	start := time.Now()
+	var folded time.Duration
+	if loaded != nil {
+		folded = loaded.FoldTime()
+	}
 	var bytes int64
 	for _, p := range parts {
 		n, err := s.ixc.save(e.name, p)
@@ -515,7 +528,13 @@ func (s *Server) writeIndex(e *entry, parts []tkd.IndexPart, rows int64) {
 	}
 	e.savedRows.Store(rows)
 	if rows > 0 {
-		s.log.Info("index persisted", "dataset", e.name, "ms", millis(time.Since(start)), "bytes", bytes, "parts", len(parts))
+		attrs := []any{"dataset", e.name, "ms", millis(time.Since(start)), "bytes", bytes, "parts", len(parts)}
+		if loaded != nil {
+			if fold := loaded.FoldTime() - folded; fold > 0 {
+				attrs = append(attrs, "fingerprint_ms", millis(fold))
+			}
+		}
+		s.log.Info("index persisted", attrs...)
 	}
 }
 
@@ -537,7 +556,7 @@ func (s *Server) checkpointIndex(e *entry, force bool) {
 	s.writes.run(e.name, func() {
 		rows, saved := int64(e.ds.Len()), e.savedRows.Load()
 		if rows != saved && (force || rows*8 >= saved*9) {
-			s.writeIndex(e, e.ds.IndexParts(), rows)
+			s.writeIndex(e, e.ds.IndexParts(), rows, nil)
 		}
 	})
 }
@@ -559,10 +578,11 @@ func (s *Server) swapIn(e *entry, fresh *tkd.Dataset, at uint64, start time.Time
 		return false, err
 	}
 	warm, cold, tail := s.warmPrepare(e.name, fresh)
+	rows := fresh.ShardData()
 	e.ds.ReplaceFromAt(fresh, at)
 	fresh.Close() // its health loops, if any; the swap built e's own
 	s.logLoad("dataset reloaded", e.name, e.path, fresh, warm, start, parse)
-	s.persistLater(e, cold, int64(fresh.Len()-tail))
+	s.persistLater(e, cold, int64(fresh.Len()-tail), rows)
 	return warm, nil
 }
 

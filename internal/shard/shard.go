@@ -120,13 +120,10 @@ type Backend interface {
 // Local is an in-process shard: a core.Prepared over a row-range slice of a
 // frozen epoch — its indexes are built, loaded, saved, budgeted and counted
 // there, exactly as the epoch's own are — plus what only a scatter target
-// needs: the fingerprint memo and the pooled foreign scorers. Safe for
-// concurrent use; a warm Partial takes no lock.
+// needs: the pooled foreign scorers. Safe for concurrent use; a warm Partial
+// takes no lock.
 type Local struct {
 	*core.Prepared
-
-	fpOnce sync.Once
-	fp     uint64
 
 	binnedScorers sync.Pool // *scorerBox over the binned index
 	bitmapScorers sync.Pool // *scorerBox over the value-granular index
@@ -156,11 +153,9 @@ func NewLocal(parent *data.Dataset, lo, hi int) *Local {
 // Rows implements Backend.
 func (l *Local) Rows() int { return l.Dataset().Len() }
 
-// Fingerprint digests the slice contents, memoized (the data is frozen).
-func (l *Local) Fingerprint() uint64 {
-	l.fpOnce.Do(func() { l.fp = l.Dataset().Fingerprint() })
-	return l.fp
-}
+// Fingerprint digests the slice contents: O(1) after the first call, the
+// slice of a frozen epoch being frozen (data.Dataset.Freeze).
+func (l *Local) Fingerprint() uint64 { return l.Dataset().Fingerprint() }
 
 // scorer fetches a pooled foreign scorer box over ix (cursors are
 // single-goroutine; the pool amortizes their scratch buffers and |F| memo

@@ -90,9 +90,10 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 	// Extend off to the side, in O(batch): the extension appends behind the
 	// frozen rows in their own backing array (data.Dataset.Extend — readers
 	// of the base epoch never look past its length) and continues the base's
-	// fingerprint chain over the batch alone. The base rows are never
-	// touched, so a mid-batch validation error or a fingerprint mismatch
-	// discards the extension with no state change.
+	// fingerprint chain over the batch alone — once the base has folded its
+	// own rows, which the first append after a load pays if no reader has.
+	// The base rows are never touched, so a mid-batch validation error or a
+	// fingerprint mismatch discards the extension with no state change.
 	next := base.ds.Extend(len(sp.rows))
 	for _, r := range sp.rows {
 		if _, err := next.Append(r.ID, r.Values); err != nil {

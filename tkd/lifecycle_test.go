@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bitmapidx"
+	"repro/internal/data"
 	"repro/tkd"
 )
 
@@ -307,6 +308,82 @@ func TestFingerprintMemoized(t *testing.T) {
 		}
 		if want := reparse(); got != want {
 			t.Fatalf("%s: fingerprint %016x, a fresh ReadCSV of the same rows reports %016x", st.name, got, want)
+		}
+	}
+}
+
+// TestFingerprintFoldsOnce: publishing a freshly parsed dataset folds none of
+// its rows; the epoch folds them on the first Fingerprint, once, however many
+// readers race to it and though an append-publish extends the epoch
+// meanwhile (the extension needs the base's chain too), and the
+// append-publish folds its batch alone: N + batch rows in all, and every
+// reader gets the digest a fresh parse of the rows has. Each round races
+// eight readers and an AppendRows; in the first the append starts once one
+// reader has its digest, so the readers fold before the extension does, and
+// in the second it has returned before any reader starts, so the extension
+// folds first.
+func TestFingerprintFoldsOnce(t *testing.T) {
+	const readers = 8
+	var csv bytes.Buffer
+	if err := tkd.GenerateIND(3000, 4, 40, 0.2, 9).WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	parse := func() *tkd.Dataset {
+		t.Helper()
+		ds, err := tkd.ParseCSV(csv.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	want := parse().Fingerprint()
+	batch := []tkd.Row{{ID: "x", Values: []float64{1, 2, tkd.Missing, 4}}, {ID: "y", Values: []float64{tkd.Missing, 3, 3, 3}}}
+
+	for _, readersFirst := range []bool{true, false} {
+		ds := parse()
+		hashed := data.RowsHashed()
+		epoch := ds.ShardData() // published, and nothing has read its fingerprint
+		if n := data.RowsHashed() - hashed; n != 0 {
+			t.Fatalf("publishing a parsed dataset folded %d rows, want 0", n)
+		}
+		appendRows := func() {
+			if _, err := ds.AppendRows(batch); err != nil {
+				t.Error(err)
+			}
+		}
+		if !readersFirst {
+			appendRows()
+		}
+		got := make([]uint64, readers)
+		start, first := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[i] = epoch.Fingerprint()
+				once.Do(func() { close(first) })
+			}()
+		}
+		close(start)
+		if readersFirst {
+			<-first
+			appendRows()
+		}
+		wg.Wait()
+		for i, fp := range got {
+			if fp != want {
+				t.Fatalf("readersFirst=%v: reader %d read %016x, a fresh parse hashes to %016x", readersFirst, i, fp, want)
+			}
+		}
+		if fp := epoch.Fingerprint(); fp != want {
+			t.Fatalf("readersFirst=%v: a later read gives %016x, want %016x", readersFirst, fp, want)
+		}
+		ds.Fingerprint() // the appended epoch's: the batch was folded at its publish
+		if n, wantN := data.RowsHashed()-hashed, int64(epoch.Len()+len(batch)); n != wantN {
+			t.Fatalf("readersFirst=%v: %d readers and an append-publish folded %d rows, want N + batch = %d", readersFirst, readers, n, wantN)
 		}
 	}
 }

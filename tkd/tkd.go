@@ -106,10 +106,11 @@ type (
 type snapshot struct {
 	d     *Dataset // the owner: topology, cache budget, build count
 	epoch uint64
-	// ds is sealed before the snapshot is published (publishLocked,
-	// appendRows, ReadEpochDelta), so ds.Fingerprint() is an O(1) read that
-	// writes nothing — monitoring endpoints, followers and every publish
-	// poll it.
+	// ds is frozen (data.Dataset.Freeze): its first Fingerprint folds the rows
+	// its chain lacks — all of a freshly loaded file, none of an
+	// append-publish's, which seals its batch — once, however many readers
+	// race to it, and every later one is O(1): monitoring endpoints, followers
+	// and every publish poll it.
 	ds *data.Dataset
 	// part builds, loads, budgets and counts the epoch's artifacts; a warm
 	// query reads them with one atomic load and no lock traffic.
@@ -128,6 +129,7 @@ type snapshot struct {
 // newSnapshot freezes ds as the given epoch of d, its artifacts in a fresh
 // holder (newPart).
 func (d *Dataset) newSnapshot(epoch uint64, ds *data.Dataset, bins []int, pre core.Pre) *snapshot {
+	ds.Freeze()
 	return &snapshot{d: d, epoch: epoch, ds: ds, part: d.newPart(ds, bins, pre)}
 }
 
@@ -235,10 +237,10 @@ func (d *Dataset) publishLocked() *snapshot {
 	if s := d.cur.Load(); s != nil {
 		return s
 	}
-	// Freeze: fold the rows the fingerprint chain has not seen (all of a
-	// freshly loaded file, the appended ones after a copy-on-write) so every
-	// reader of the epoch gets the digest in O(1).
-	d.staging.Seal()
+	// No fold here: the rows the fingerprint chain has not seen (all of a
+	// freshly loaded file, the appended ones after a copy-on-write) are folded
+	// by the epoch's first Fingerprint, which a boot with nothing to check
+	// reaches only after it serves.
 	s := d.newSnapshot(d.epoch.Add(1), d.staging, d.bins, core.Pre{})
 	d.shared = true
 	d.cur.Store(s)
@@ -427,10 +429,22 @@ func (d *Dataset) MissingRate() float64 { return d.view().MissingRate() }
 // Fingerprint returns a 64-bit digest of the dataset's full contents —
 // dimensionality, object order, IDs, masks and observed values — stable
 // across process restarts. A persisted-index cache compares fingerprints to
-// decide reuse-vs-rebuild without trusting file names or mtimes. Publishing
-// an epoch folds its new rows into a running chain (see
-// data.Dataset.Fingerprint), so the call itself is O(1).
+// decide reuse-vs-rebuild without trusting file names or mtimes. An epoch
+// folds its rows into a running chain (see data.Dataset.Fingerprint) once, on
+// the first call — concurrent callers wait for that one fold — and the calls
+// after it are O(1); an append-publish folds its batch alone.
 func (d *Dataset) Fingerprint() uint64 { return d.view().Fingerprint() }
+
+// FoldTime reports what the current epoch's fingerprint fold has cost so far:
+// 0 while it is deferred to the first Fingerprint, and for an append-publish
+// the fold of its batch. Zero while staging is dirty. Like BuildTimes, it is
+// what a serving layer logs when a load ends.
+func (d *Dataset) FoldTime() time.Duration {
+	if s := d.cur.Load(); s != nil {
+		return s.ds.FoldTime()
+	}
+	return 0
+}
 
 // ShardData returns the frozen data of the dataset's current epoch — the
 // handle the serving layer's shard-protocol endpoint slices row ranges
