@@ -571,9 +571,9 @@ const DefaultCacheBudget = 32 << 20
 // allocation-free per candidate on both the serial and parallel paths.
 type Cursor struct {
 	ix *Index
-	// q and p hold QP's result; the scoring kernel accumulates ∩Qᵢ, E and W
-	// in q, p and w.
+	// q and p hold QP's result; w the scoring kernel's W ∩ ∩Qᵢ.
 	q, p, w *bitvec.Vector
+	terms   []bitvec.TieTerm // the scoring kernel's reusable column buffer
 	// scratchQ/scratchP/scratchM are per-dimension materialization
 	// fallbacks used only when the shared cache is over its budget;
 	// three per dimension because the scoring pass needs a dimension's Q-, P-
@@ -603,6 +603,7 @@ func (ix *Index) NewCursor() *Cursor {
 		cols:     make([]*bitvec.Vector, 0, len(ix.dims)),
 		concCols: make([]*concise.Bitmap, 0, len(ix.dims)),
 		qrefs:    make([]qref, 0, len(ix.dims)),
+		terms:    make([]bitvec.TieTerm, 0, len(ix.dims)),
 	}
 	return c
 }
@@ -680,9 +681,9 @@ func (c *Cursor) buildRefs(obj int) []qref {
 		}
 		di := &ix.dims[d]
 		b := di.rankToBucket[r]
-		t := tieWalk
+		t := bitvec.TieWalk
 		if di.exact[b] {
-			t = tieExact
+			t = bitvec.TieExact
 		}
 		refs = append(refs, qref{d: int32(d), qb: int32(b), tie: t, key: 2 * r})
 	}

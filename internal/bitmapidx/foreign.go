@@ -1,5 +1,7 @@
 package bitmapidx
 
+import "repro/internal/bitvec"
+
 // Foreign-candidate access: the cursor operations keyed not by an object
 // index but by raw (values, mask) pairs, for candidates that are not rows of
 // the indexed dataset. This is the shard-side primitive of scatter-gather
@@ -39,19 +41,19 @@ func (c *Cursor) buildRefsForeign(values []float64, mask uint64) []qref {
 		st := &ix.stats[d]
 		di := &ix.dims[d]
 		r := st.RankGE(v)
-		ref := qref{d: int32(d), qb: int32(len(di.cols) - 1), tie: tieNone, key: int32(2*r - 1)}
+		ref := qref{d: int32(d), qb: int32(len(di.cols) - 1), tie: bitvec.TieNone, key: int32(2*r - 1)}
 		if r < len(st.Distinct) {
 			b := di.rankToBucket[r]
 			ref.qb = int32(b)
 			switch {
 			case st.Distinct[r] == v:
 				ref.key++
-				ref.tie = tieWalk
+				ref.tie = bitvec.TieWalk
 				if di.exact[b] {
-					ref.tie = tieExact
+					ref.tie = bitvec.TieExact
 				}
 			case r > 0 && di.rankToBucket[r-1] == b:
-				ref.tie = tieWalk
+				ref.tie = bitvec.TieWalk
 			}
 		}
 		refs = append(refs, ref)

@@ -37,23 +37,17 @@ import (
 // value-granular index, or a binned one fine enough where o sits — W is empty
 // and the score is two popcounts.
 
-// tie says what the tie set Tᵢ of one candidate dimension holds.
-type tie uint8
-
-const (
-	tieNone  tie = iota // nothing: no row's value can land between Qᵢ and Pᵢ, which coincide
-	tieExact            // the rows equal to the candidate on the dimension
-	tieWalk             // rows of several values: each is classified by rank
-)
-
 // qref locates one observed dimension of a candidate in the index: the
-// Q-column bucket (the P-column is the next one), the kind of its tie set and
-// the candidate's value as a doubled rank — 2r when it is the dimension's
+// Q-column bucket (the P-column is the next one), the kind of its tie set Tᵢ
+// and the candidate's value as a doubled rank — 2r when it is the dimension's
 // r-th value, 2r−1 when it falls between the r−1-th and the r-th — so that a
-// row of rank s compares to it as 2s does.
+// row of rank s compares to it as 2s does. Tᵢ holds nothing (bitvec.TieNone:
+// no row's value can land between Qᵢ and Pᵢ, which coincide), the rows equal
+// to the candidate on the dimension (bitvec.TieExact), or rows of several
+// values, each classified by rank (bitvec.TieWalk).
 type qref struct {
 	d, qb int32
-	tie   tie
+	tie   bitvec.Tie
 	key   int32
 }
 
@@ -73,8 +67,10 @@ func (c *Cursor) Score(obj, cnt, limit int) (score, walked int, ok bool) {
 
 // ScoreForeign is Score for a candidate given by (values, mask) that need not
 // be a row of the index; if it is one, it lands in E or W like any duplicate.
-func (c *Cursor) ScoreForeign(values []float64, mask uint64, limit int) (score, walked int, ok bool) {
-	return c.tieScore(c.buildRefsForeign(values, mask), -1, limit)
+// cnt is |∩Qᵢ| when the caller knows it — a shard's bounds-phase answer plus
+// |F| (ForeignCountAbove on this index) — and negative to count it here.
+func (c *Cursor) ScoreForeign(values []float64, mask uint64, cnt, limit int) (score, walked int, ok bool) {
+	return c.tieScore(c.buildRefsForeign(values, mask), cnt, limit)
 }
 
 func (c *Cursor) tieScore(refs []qref, cnt, limit int) (score, walked int, ok bool) {
@@ -82,54 +78,35 @@ func (c *Cursor) tieScore(refs []qref, cnt, limit int) (score, walked int, ok bo
 	if cnt < 0 {
 		cnt, _ = c.intersectQAbove(refs, noTau)
 	}
-	walk := false
-	for _, r := range refs {
-		walk = walk || r.tie == tieWalk
-	}
 
-	// E as a cascade over the observed dimensions, one fused pass each; with
-	// an inexact bucket among them, ∩Qᵢ and ∪Tᵢ of the inexact ones too.
+	// E — and, with an inexact bucket among the dimensions, W ∩ ∩Qᵢ into c.w —
+	// in one blocked pass over every dimension's Q-, P- and missing columns.
 	var t repTally
-	e, qa, w := c.p, c.q, c.w
-	e.SetAll()
-	if walk {
-		qa.SetAll()
-		w.Reset()
-	}
+	terms := c.terms[:0]
+	walk := false
 	for _, r := range refs {
 		d := int(r.d)
 		last := int32(len(ix.dims[d].cols) - 1)
-		m := c.column(d, last, &c.scratchM[d], &t)
-		var q, p *bitvec.Vector // q nil: bucket 0, the identity of AND
+		term := bitvec.TieTerm{M: c.column(d, last, &c.scratchM[d], &t), Tie: r.tie}
 		switch r.qb {
-		case 0:
+		case 0: // Q nil: bucket 0, the identity of AND
 		case last:
-			q = m
+			term.Q = term.M
 		default:
-			q = c.column(d, r.qb, &c.scratchQ[d], &t)
+			term.Q = c.column(d, r.qb, &c.scratchQ[d], &t)
 		}
-		if r.tie != tieNone {
-			p = m
+		if r.tie != bitvec.TieNone {
+			term.P = term.M
 			if r.qb+1 < last {
-				p = c.column(d, r.qb+1, &c.scratchP[d], &t)
+				term.P = c.column(d, r.qb+1, &c.scratchP[d], &t)
 			}
 		}
-		if r.tie == tieExact {
-			e.AndTie(q, p, m)
-		} else {
-			e.And(m)
-		}
-		if walk {
-			if q != nil {
-				qa.And(q)
-			}
-			if r.tie == tieWalk {
-				w.OrAndNot(q, p)
-			}
-		}
+		terms = append(terms, term)
+		walk = walk || r.tie == bitvec.TieWalk
 	}
+	c.terms = terms
 	ix.flushTally(&t)
-	nd := e.Count()
+	nd := bitvec.TieCount(c.w, terms)
 	if !walk {
 		return cnt - nd, 0, true
 	}
@@ -140,9 +117,8 @@ func (c *Cursor) tieScore(refs []qref, cnt, limit int) (score, walked int, ok bo
 	// The walk. A row is dominated when it is at or above the candidate on
 	// every common dimension and above on one.
 	dim := ix.ds.Dim()
-	qaw := qa.Words()
-	for wi, wk := range w.Words() {
-		for wk &= qaw[wi]; wk != 0; wk &= wk - 1 {
+	for wi, wk := range c.w.Words() {
+		for ; wk != 0; wk &= wk - 1 {
 			row := ix.ranks[(wi*64+bits.TrailingZeros64(wk))*dim:]
 			walked++
 			above := false

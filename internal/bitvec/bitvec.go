@@ -4,7 +4,9 @@
 // the TKD paper (§4.3): one bit per object in the dataset, one vector per
 // (dimension, value-rank) column. The hot path of the BIG/IBIG algorithms is
 // the d-way intersection of such columns, so And/AndNot/Count are implemented
-// over whole 64-bit words.
+// over whole 64-bit words, and the two counting kernels of a candidate's score
+// (IntersectCountAbove, TieCount) fold their columns a block of words at a
+// time.
 package bitvec
 
 import (
@@ -327,83 +329,42 @@ func AndPairInto(q, p, cq, cp *Vector) {
 	}
 }
 
-// AndTie sets v &= (q &^ p) | m in one pass and returns v: the step of the
-// scoring kernel that keeps, of a candidate dimension's rows, those tying its
-// bucket (in Q but not P) or missing the dimension. A nil q reads as all
-// ones — bucket 0, whose Q-column constrains nothing.
-func (v *Vector) AndTie(q, p, m *Vector) *Vector {
-	v.mustMatch(p)
-	v.mustMatch(m)
-	vw := v.words
-	pw, mw := p.words[:len(vw)], m.words[:len(vw)]
-	if q == nil {
-		for i := range vw {
-			vw[i] &= ^pw[i] | mw[i]
-		}
-		return v
-	}
-	v.mustMatch(q)
-	qw := q.words[:len(vw)]
-	for i := range vw {
-		vw[i] &= qw[i]&^pw[i] | mw[i]
-	}
-	return v
-}
-
-// OrAndNot sets v |= a &^ b and returns v; a nil a reads as all ones (bits
-// past the length may then be set in the last word: AND the result with a
-// trimmed vector before counting).
-func (v *Vector) OrAndNot(a, b *Vector) *Vector {
-	v.mustMatch(b)
-	vw := v.words
-	bw := b.words[:len(vw)]
-	if a == nil {
-		for i := range vw {
-			vw[i] |= ^bw[i]
-		}
-		return v
-	}
-	v.mustMatch(a)
-	aw := a.words[:len(vw)]
-	for i := range vw {
-		vw[i] |= aw[i] &^ bw[i]
-	}
-	return v
-}
-
-// IntersectCount returns |v0 & v1 & …| via a word-level cascade without
-// materializing the intersection. It panics if vs is empty or lengths
-// differ.
+// IntersectCount returns |v0 & v1 & …| through IntersectCountAbove's blocked
+// cascade, without materializing the intersection. It panics if vs is empty
+// or lengths differ.
 func IntersectCount(vs ...*Vector) int {
 	if len(vs) == 0 {
 		panic("bitvec: IntersectCount of nothing")
 	}
-	switch len(vs) {
-	case 1:
-		return vs[0].Count()
-	case 2:
-		return vs[0].AndCount(vs[1])
-	}
-	for _, v := range vs[1:] {
-		vs[0].mustMatch(v)
-	}
-	c := 0
-	for i := range vs[0].words {
-		w := vs[0].words[i]
-		for _, v := range vs[1:] {
-			w &= v.words[i]
-		}
-		c += bits.OnesCount64(w)
-	}
+	c, _ := IntersectCountAbove(-1, vs...) // every count beats -1
 	return c
 }
 
+// blockWords is the span of the blocked kernels (IntersectCountAbove,
+// TieCount): each block of words is folded one column at a time into a stack
+// buffer and then popcounted — a tight loop per column over a block that stays
+// in L1, instead of a loop over every column per word — and a threshold is
+// checked once per block. The chunking is the one Roaring bitmaps build on
+// (Chambi, Lemire, Kaser, Godin, arXiv:1402.6407).
+const blockWords = 128
+
+// ones is a block of all-ones words: what a fold starts from, and what a nil
+// Q-column reads as.
+var ones = func() (b [blockWords]uint64) {
+	for i := range b {
+		b[i] = ^uint64(0)
+	}
+	return b
+}()
+
 // IntersectCountAbove reports whether |v0 & v1 & …| > tau, returning the
-// exact count when it is. It walks the word cascade with a per-word early
-// exit: as soon as the running count plus every remaining word's 64 bits can
-// no longer beat tau, it bails with (0, false). Heuristic 2 of the paper
-// only needs the bound-vs-τ verdict, so most pruned candidates stop after a
-// fraction of the words.
+// exact count when it is. It walks the columns a block of words at a time and
+// bails with (0, false) between blocks, as soon as the running count plus
+// every remaining word's 64 bits can no longer beat tau. Heuristic 2 of the
+// paper only needs the bound-vs-τ verdict, so most pruned candidates stop
+// after a fraction of the words. A block ends where the bail-out can first
+// fire — never later than blockWords, never earlier than one word — so the
+// exit comes at the word a per-word check would take it.
 func IntersectCountAbove(tau int, vs ...*Vector) (count int, above bool) {
 	if len(vs) == 0 {
 		panic("bitvec: IntersectCountAbove of nothing")
@@ -413,17 +374,268 @@ func IntersectCountAbove(tau int, vs ...*Vector) (count int, above bool) {
 	}
 	nw := len(vs[0].words)
 	c := 0
-	for i := 0; i < nw; i++ {
-		w := vs[0].words[i]
+	for lo := 0; lo < nw; {
+		hi, ok := blockEnd(c, lo, nw, tau)
+		if !ok {
+			return 0, false
+		}
+		// One or two columns count straight from the columns. So do more
+		// when the first block is cut short: the bail-out's slack only
+		// shrinks as words are counted, so it may fire at any word from
+		// here on.
+		if lo == 0 && len(vs) > 2 && hi == min(nw, blockWords) {
+			return intersectCountAboveN(tau, vs)
+		}
+		c += countWords(vs, lo, hi)
+		lo = hi
+	}
+	if c <= tau {
+		return 0, false
+	}
+	return c, true
+}
+
+// intersectCountAboveN is IntersectCountAbove over three or more columns,
+// which fold each block into a stack buffer before counting it.
+func intersectCountAboveN(tau int, vs []*Vector) (int, bool) {
+	var buf [blockWords]uint64
+	nw := len(vs[0].words)
+	last := vs[len(vs)-1]
+	c := 0
+	for lo := 0; lo < nw; {
+		hi, ok := blockEnd(c, lo, nw, tau)
+		if !ok {
+			return 0, false
+		}
+		b := buf[:hi-lo]
+		andInto(b, vs[0].words[lo:hi], vs[1].words[lo:hi])
+		for _, v := range vs[2 : len(vs)-1] {
+			andInto(b, b, v.words[lo:hi])
+		}
+		c += andCount(b, b, last.words[lo:hi])
+		lo = hi
+	}
+	if c <= tau {
+		return 0, false
+	}
+	return c, true
+}
+
+// countWords returns |v0 & v1 & …| over words [lo, hi), a word at a time.
+func countWords(vs []*Vector, lo, hi int) (c int) {
+	if len(vs) <= 2 {
+		a, b := vs[0].words[lo:hi], vs[len(vs)-1].words[lo:hi] // one column: x & x = x
+		for j := range a {
+			c += bits.OnesCount64(a[j] & b[j])
+		}
+		return c
+	}
+	for j := lo; j < hi; j++ {
+		w := vs[0].words[j]
 		for _, v := range vs[1:] {
-			w &= v.words[i]
+			w &= v.words[j]
 		}
 		c += bits.OnesCount64(w)
-		if c+(nw-i-1)*wordBits <= tau {
+	}
+	return c
+}
+
+// blockEnd returns where IntersectCountAbove's block from word lo of nw ends,
+// c bits counted so far: at the first word where the bail-out could fire,
+// capped at blockWords words. It returns false when the bail-out fires
+// already — c plus every remaining word's bits cannot beat tau.
+func blockEnd(c, lo, nw, tau int) (int, bool) {
+	// slack is how many more zero bits bail out; a block of fewer words than
+	// it takes to hold them cannot. A negative tau is beaten already.
+	slack := blockWords * wordBits
+	if tau >= 0 {
+		if slack = c + (nw-lo)*wordBits - tau; slack <= 0 {
 			return 0, false
 		}
 	}
-	return c, c > tau
+	return min(lo+min((slack+wordBits-1)/wordBits, blockWords), nw), true
+}
+
+// Tie says how one term of TieCount enters E and W.
+type Tie uint8
+
+const (
+	TieNone  Tie = iota // E ∩= M
+	TieExact            // E ∩= (Q &^ P) ∪ M
+	TieWalk             // E ∩= M, and W ∪= Q &^ P
+)
+
+// TieTerm is one candidate dimension of TieCount: its Q-, P- and missing
+// columns and how the tie set Q &^ P enters. A nil Q reads as all ones
+// (bucket 0, whose Q-column constrains nothing); P is read only when Tie is
+// not TieNone.
+type TieTerm struct {
+	Q, P, M *Vector
+	Tie     Tie
+}
+
+// TieCount is the scoring kernel's fused pass (bitmapidx/score.go): it
+// returns |E|,
+//
+//	E = ∩_{TieExact} ((Q &^ P) ∪ M) ∩ ∩_{others} M
+//
+// — every bit of w's length when terms is empty — and, when some term is
+// TieWalk, sets
+//
+//	w = ∩ Q ∩ ∪_{TieWalk} (Q &^ P)
+//
+// (w is not written otherwise), all in one blocked pass over the terms'
+// columns.
+func TieCount(w *Vector, terms []TieTerm) int {
+	walk := false
+	for i := range terms {
+		t := &terms[i]
+		w.mustMatch(t.M)
+		if t.Q != nil {
+			w.mustMatch(t.Q)
+		}
+		if t.Tie != TieNone {
+			w.mustMatch(t.P)
+		}
+		walk = walk || t.Tie == TieWalk
+	}
+	if len(terms) == 0 {
+		return w.n
+	}
+	if walk {
+		var qbuf [blockWords]uint64
+		return tieCount(w, terms, qbuf[:])
+	}
+	return tieCount(w, terms, nil)
+}
+
+// tieCount is TieCount's pass; qbuf, a block of scratch for ∩Q, is nil when
+// no term walks.
+func tieCount(w *Vector, terms []TieTerm, qbuf []uint64) int {
+	var ebuf [blockWords]uint64
+	nw := len(w.words)
+	tail := ^uint64(0)
+	if r := w.n % wordBits; r != 0 {
+		tail = uint64(1)<<r - 1
+	}
+	c := 0
+	for lo := 0; lo < nw; lo += blockWords {
+		hi := min(lo+blockWords, nw)
+		e, all := ebuf[:hi-lo], ones[:hi-lo]
+		// src is what the next term folds into E, and qsrc what the next Q
+		// folds into ∩Q: all ones until a term has written the block, so no
+		// pass only fills one. The last term counts E as it writes it.
+		src, qsrc := all, all
+		var qa, wb []uint64
+		if qbuf != nil {
+			qa, wb = qbuf[:len(e)], w.words[lo:hi]
+			clear(wb)
+		}
+		for i := range terms {
+			t := &terms[i]
+			m, q := t.M.words[lo:hi], all
+			if t.Q != nil {
+				q = t.Q.words[lo:hi]
+			}
+			var p []uint64
+			if t.Tie != TieNone {
+				p = t.P.words[lo:hi]
+			}
+			switch last := i == len(terms)-1; {
+			case t.Tie == TieExact && last:
+				c += tieAndCount(e, src, q, p, m)
+			case t.Tie == TieExact:
+				tieAnd(e, src, q, p, m)
+			case last:
+				c += andCount(e, src, m)
+			default:
+				andInto(e, src, m)
+			}
+			src = e
+			if qa == nil {
+				continue
+			}
+			if t.Q != nil {
+				andInto(qa, qsrc, q)
+				qsrc = qa
+			}
+			if t.Tie == TieWalk {
+				tieOr(wb, q, p)
+			}
+		}
+		// A nil Q read as all ones leaves bits past the length set.
+		if hi == nw {
+			c -= bits.OnesCount64(e[len(e)-1] &^ tail)
+		}
+		if qa != nil {
+			andInto(wb, wb, qsrc)
+			if hi == nw {
+				wb[len(wb)-1] &= tail
+			}
+		}
+	}
+	return c
+}
+
+// The block kernels below each run one loop over one block of words. They
+// stay out of line: inlined into tieCount's loop over the terms, whose state
+// holds most registers, their counters spill to the stack and
+// BenchmarkScoreKernel/inset reads ≈ 1.5× slower.
+
+// andInto sets dst = src & a over dst's length; src may be dst.
+//
+//go:noinline
+func andInto(dst, src, a []uint64) {
+	src, a = src[:len(dst)], a[:len(dst)]
+	for j := range dst {
+		dst[j] = src[j] & a[j]
+	}
+}
+
+// andCount is andInto returning the set bits of the dst it leaves.
+//
+//go:noinline
+func andCount(dst, src, a []uint64) (c int) {
+	src, a = src[:len(dst)], a[:len(dst)]
+	for j := range dst {
+		x := src[j] & a[j]
+		dst[j] = x
+		c += bits.OnesCount64(x)
+	}
+	return c
+}
+
+// tieAnd sets e = src & ((q &^ p) | m) over e's length; src may be e.
+//
+//go:noinline
+func tieAnd(e, src, q, p, m []uint64) {
+	src, q, p, m = src[:len(e)], q[:len(e)], p[:len(e)], m[:len(e)]
+	for j := range e {
+		e[j] = src[j] & (q[j]&^p[j] | m[j])
+	}
+}
+
+// tieAndCount is tieAnd returning the set bits of the e it leaves.
+//
+//go:noinline
+func tieAndCount(e, src, q, p, m []uint64) (c int) {
+	src, q, p, m = src[:len(e)], q[:len(e)], p[:len(e)], m[:len(e)]
+	for j := range e {
+		x := src[j] & (q[j]&^p[j] | m[j])
+		e[j] = x
+		c += bits.OnesCount64(x)
+	}
+	return c
+}
+
+// tieOr sets w |= q &^ p over w's length.
+//
+//go:noinline
+func tieOr(w, q, p []uint64) {
+	q, p = q[:len(w)], p[:len(w)]
+	for j := range w {
+		w[j] |= q[j] &^ p[j]
+	}
 }
 
 // AndNotForEachWord streams the nonzero words of a &^ b to fn along with the

@@ -65,12 +65,21 @@ func (s *ForeignScorer) BoundAbove(cand *data.Object, tau int) (int, bool) {
 // NoBudget disables Score's cross-shard Heuristic 3 cut.
 const NoBudget = bitmapidx.NoLimit
 
+// NoBound asks Score to count the candidate's |∩Qᵢ| itself.
+const NoBound = -1
+
 // Score computes the exact number of shard rows dominated by cand — the
 // in-set scorer's kernel run over a foreign candidate:
 // |∩Qᵢ| − |E| − nonD(W) (bitmapidx/score.go). F(cand) ⊆ E holds for a foreign
 // candidate too — a shard row sharing no dimension with cand is missing on
 // each of them — so |E| − |F| + nonD(W) is the shard's |nonD|: what separates
 // the score from BoundAbove's net bound.
+//
+// bound is BoundAbove's exact answer for cand on this scorer's index — what a
+// coordinator forwards from the bounds phase — so |∩Qᵢ| = bound + |F| is not
+// counted again; NoBound counts it here. A capped BoundAbove answer is not a
+// bound to pass (the coordinator never forwards one: a candidate with a capped
+// shard has a bound sum of at most τ and is pruned).
 //
 // nonDBudget is the cross-shard form of Heuristic 3. A shard cannot prune on
 // its partial score — the candidate's fate depends on the sum — but
@@ -79,11 +88,17 @@ const NoBudget = bitmapidx.NoLimit
 // any one shard s: once this shard's own |nonD| exceeds B − τ the total is
 // below τ and the walk stops with ok false. Pass NoBudget for the exact score
 // unconditionally.
-func (s *ForeignScorer) Score(cand *data.Object, nonDBudget int) (score int, ok bool) {
-	limit := nonDBudget
-	if limit != NoBudget {
-		limit += s.cursor.IncomparableRows(cand.Mask)
+func (s *ForeignScorer) Score(cand *data.Object, bound, nonDBudget int) (score int, ok bool) {
+	cnt, limit := -1, nonDBudget
+	if bound >= 0 || limit != NoBudget {
+		f := s.cursor.IncomparableRows(cand.Mask)
+		if bound >= 0 {
+			cnt = bound + f
+		}
+		if limit != NoBudget {
+			limit += f
+		}
 	}
-	score, _, ok = s.cursor.ScoreForeign(cand.Values, cand.Mask, limit)
+	score, _, ok = s.cursor.ScoreForeign(cand.Values, cand.Mask, cnt, limit)
 	return score, ok
 }

@@ -65,7 +65,7 @@ func TestForeignScorer(t *testing.T) {
 		fs := NewForeignScorer(ds, ix)
 		for ci, cand := range cands {
 			want := bruteForeign(ds, cand)
-			if got, _ := fs.Score(cand, NoBudget); got != want {
+			if got, _ := fs.Score(cand, NoBound, NoBudget); got != want {
 				t.Fatalf("%s: candidate %d: Score=%d want %d", name, ci, got, want)
 			}
 			// The bound must never undercut the true partial score.
@@ -112,7 +112,7 @@ func TestForeignPartialsSumToGlobalScore(t *testing.T) {
 		for i := 0; i < ds.Len(); i += 17 {
 			sum := 0
 			for _, fs := range scorers {
-				part, _ := fs.Score(ds.Obj(i), NoBudget)
+				part, _ := fs.Score(ds.Obj(i), NoBound, NoBudget)
 				sum += part
 			}
 			if want := Score(ds, i); sum != want {

@@ -147,12 +147,17 @@ func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options, ta
 				t.Fatalf("shard %d, %s: bound %d below ForeignScore %d", s, what, bound, want)
 			}
 			for _, budget := range []int{-1, 0, 1, nonD - 1, nonD, NoBudget} {
-				got, ok := fs.Score(cand, budget)
+				got, ok := fs.Score(cand, NoBound, budget)
 				if ok && got != want {
 					t.Fatalf("shard %d, %s, budget %d: ForeignScorer.Score = %d, ForeignScore = %d", s, what, budget, got, want)
 				}
 				if !ok && nonD <= budget {
 					t.Fatalf("shard %d, %s: pruned on budget %d with nonD %d", s, what, budget, nonD)
+				}
+				// The exact phase's form: the bounds phase's answer supplied,
+				// |∩Q| not counted again. It must be the recount exactly.
+				if bgot, bok := fs.Score(cand, bound, budget); bgot != got || bok != ok {
+					t.Fatalf("shard %d, %s, budget %d: Score with bound %d = (%d, %v), recounted (%d, %v)", s, what, budget, bound, bgot, bok, got, ok)
 				}
 			}
 			return want
@@ -306,8 +311,9 @@ func FuzzScoreKernel(f *testing.F) {
 }
 
 // TestScoreKernelAllocs: a warmed cursor scores without allocating — in-set
-// with and without τ, and as a foreign candidate — whether every bucket of
-// the candidate is exact (popcounts only) or some rows are walked.
+// with and without τ, and as a foreign candidate with and without its bound —
+// whether every bucket of the candidate is exact (popcounts only) or some rows
+// are walked.
 func TestScoreKernelAllocs(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 6000, Dim: 5, Cardinality: 60, MissingRate: 0.2, Dist: gen.IND, Seed: 1})
 	top := int(BuildMaxScoreQueue(ds).Order[0])
@@ -327,10 +333,12 @@ func TestScoreKernelAllocs(t *testing.T) {
 		if (walked > 0) != tc.walks {
 			t.Fatalf("%s: walked %d rows, want walks = %v", tc.name, walked, tc.walks)
 		}
+		bound, _ := fs.BoundAbove(cand, -1)
 		runs := map[string]func(){
-			"in-set":         func() { state.score(top, -1) },
-			"in-set, live τ": func() { state.score(top, score/2) },
-			"foreign":        func() { fs.Score(cand, NoBudget) },
+			"in-set":             func() { state.score(top, -1) },
+			"in-set, live τ":     func() { state.score(top, score/2) },
+			"foreign":            func() { fs.Score(cand, NoBound, NoBudget) },
+			"foreign, its bound": func() { fs.Score(cand, bound, NoBudget) },
 		}
 		for what, run := range runs {
 			run() // warm: column cache, scratch, the |F| memo
@@ -367,7 +375,7 @@ func BenchmarkScoreKernel(b *testing.B) {
 		cand := ds.Obj(top)
 		b.ReportAllocs()
 		for b.Loop() {
-			fs.Score(cand, NoBudget)
+			fs.Score(cand, NoBound, NoBudget)
 		}
 	})
 }

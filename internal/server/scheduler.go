@@ -279,11 +279,14 @@ func (s *scheduler) run(key queryKey, reqs []*request, window int, g *grant) {
 	defer s.groups.Done()
 	defer func() { <-s.inflight }()
 	granted := g.wait()
-	// The execution's context is the union of its waiters': it cancels —
-	// aborting in-flight shard RPCs and freeing the worker slots — only
+	// The execution's context is the union of its waiters': it cancels only
 	// once EVERY waiter's deadline fired or client disconnected. One
 	// impatient client in a coalesced group must not kill the answer the
-	// patient ones are still waiting for.
+	// patient ones are still waiting for. Cancelling aborts the run only on
+	// a sharded dataset, whose coordinator checks it per window and whose
+	// shards check it between candidates, dropping in-flight shard RPCs: an
+	// unsharded run takes no context, so it runs to the end and holds its
+	// worker slots until TopK returns and the grant is released.
 	execCtx, cancel := context.WithCancel(context.Background())
 	execDone := make(chan struct{})
 	var waiting atomic.Int64

@@ -46,22 +46,26 @@ type pass struct {
 	others   []int // per live shard: rows held by the other live shards
 
 	wg      sync.WaitGroup
-	reqs    []Request // each shard's copy of the request: Residual differs
+	reqs    []Request // each shard's copy of the request: Residual or Bounds differ
 	results [][]int32
-	errs    []error
+	// bounds holds each live shard's bounds-phase answers for the exact
+	// phase's candidates, compacted in place in the bounds phase's results.
+	bounds [][]int32
+	errs   []error
 }
 
 // scatter fans one request to the live backends concurrently — one goroutine
 // per shard but the last, whose call runs here — and gathers the per-shard
 // result vectors, indexed by position in live and valid until the next
 // scatter. A ModeBounds request carries τ pushed down as each
-// shard's residual: τ minus the rows of the other live shards.
+// shard's residual: τ minus the rows of the other live shards; a ModeScores
+// one carries each shard's own bounds, when bounds is non-nil.
 //
 // In a trace the fan-out is one phase span — "scatter" for the bounds phase,
 // "gather" for the exact-score phase, matching the stage histogram labels —
 // with one "shard" child per live backend, each carrying whatever replica
 // attempts happen beneath it.
-func (p *pass) scatter(ctx context.Context, req Request) ([][]int32, error) {
+func (p *pass) scatter(ctx context.Context, req Request, bounds [][]int32) ([][]int32, error) {
 	phase := "gather"
 	if req.Mode == ModeBounds {
 		phase = "scatter"
@@ -88,6 +92,8 @@ func (p *pass) scatter(ctx context.Context, req Request) ([][]int32, error) {
 		p.reqs[i] = req
 		if req.Mode == ModeBounds {
 			p.reqs[i].Residual = req.Tau - p.others[i]
+		} else if bounds != nil {
+			p.reqs[i].Bounds = bounds[i]
 		}
 		if i == len(p.live)-1 {
 			call(i, s) // this goroutine would only wait: the last call is its own
@@ -246,7 +252,8 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 		p.others[i] = liveRows - backends[s].Rows()
 	}
 	p.reqs = make([]Request, len(p.live))
-	p.results = make([][]int32, len(p.live))
+	vecs := make([][]int32, 2*len(p.live))
+	p.results, p.bounds = vecs[:len(p.live)], vecs[len(p.live):]
 	p.errs = make([]error, len(p.live))
 
 	useQueue := alg == core.AlgUBB || alg == core.AlgBIG || alg == core.AlgIBIG
@@ -335,13 +342,14 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 		}
 
 		budgets = budgets[:0]
+		var bounds [][]int32 // each shard's answers for the survivors, nil without a bounds phase
 		if useBounds && tau >= 0 && len(cands) > 0 {
 			// Bounds phase: push τ down as per-shard residuals and prune
 			// candidates whose per-shard bound sum cannot beat it. Only the
 			// Heuristic-1 survivors scatter — the dropped ones would cost a
 			// bound walk per shard (and wire payload per candidate for
 			// remote shards) just to be ignored.
-			bounds, err := p.scatter(wctx, Request{Alg: alg, Mode: ModeBounds, Tau: tau, Cands: cands})
+			res, err := p.scatter(wctx, Request{Alg: alg, Mode: ModeBounds, Tau: tau, Cands: cands}, nil)
 			if err != nil {
 				wsp.End()
 				return core.Result{}, st, err
@@ -349,8 +357,8 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 			n := 0
 			for i := range cands {
 				sum := 0
-				for s := range bounds {
-					sum += int(bounds[s][i])
+				for s := range res {
+					sum += int(res[s][i])
 				}
 				if sum <= tau {
 					st.Candidates++
@@ -361,19 +369,32 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 				// rows it finds not dominated, so the total is at most sum minus
 				// any one shard's count: a shard that counts more than
 				// sum − τ has proved the total below τ and stops there.
+				//
+				// Every bound of a survivor is exact: a shard that capped its
+				// answer at its residual τ − others holds the sum to at most τ,
+				// an honest shard's answer being within its rows. So each
+				// shard gets its own answer back, and a Local scores from it
+				// instead of counting |Q_s| again (Request.Bounds).
 				ids[n], cands[n] = ids[i], cands[i]
+				for s := range res {
+					res[s][n] = res[s][i]
+				}
 				budgets = append(budgets, sum-tau)
 				n++
 			}
 			c.met.pushdowns.Add(int64(len(cands) - n))
 			ids, cands = ids[:n], cands[:n]
+			for s := range res {
+				p.bounds[s] = res[s][:n]
+			}
+			bounds = p.bounds
 		}
 
 		// Exact phase over the survivors. A candidate any shard answered
 		// Pruned scores below the window-start τ: its offer would be a no-op,
 		// exactly as the serial loop's Heuristic 3 prune is.
 		if len(cands) > 0 {
-			scores, err := p.scatter(wctx, Request{Alg: alg, Mode: ModeScores, Tau: tau, Cands: cands, Budgets: budgets})
+			scores, err := p.scatter(wctx, Request{Alg: alg, Mode: ModeScores, Tau: tau, Cands: cands, Budgets: budgets}, bounds)
 			if err != nil {
 				wsp.End()
 				return core.Result{}, st, err

@@ -143,7 +143,8 @@ func (r *Remote) Rows() int { return r.to - r.from }
 func (r *Remote) Fingerprint() uint64 { return r.fp }
 
 // Partial implements Backend: one HTTP round trip per scatter batch,
-// cancelled with ctx.
+// cancelled with ctx. req.Bounds is not sent: the peer counts |Q_s| on its
+// own index (Request.Bounds).
 func (r *Remote) Partial(ctx context.Context, req *Request) ([]int32, error) {
 	wr := WireRequest{
 		Dataset:     r.dataset,

@@ -27,13 +27,18 @@
 //     with the candidate; a candidate whose bounds sum to at most τ is
 //     pruned without exact scoring (the cross-shard form of Heuristic 2).
 //  3. Exact phase: survivors fan out again, each with the budget
-//     B − τ, B = Σ b_s. On every shard score_s = b_s − nonD_s, nonD_s being
-//     the comparable rows of Q_s the candidate does not dominate, so the
-//     total is at most B − nonD_s for any one shard: a shard whose own
-//     nonD_s exceeds the budget stops and answers Pruned (the cross-shard form of
-//     Heuristic 3), and one such answer drops the candidate. Otherwise each
-//     shard returns its exact partial score; the coordinator sums them and
-//     offers them to the answer heap.
+//     B − τ, B = Σ b_s, and each in-process shard with its own b_s. A
+//     survivor's b_s are all exact: a shard that capped its answer at the
+//     residual makes the sum at most τ. So a Local scores from
+//     |Q_s| = b_s + |F_s| and does not count it again; a peer, whose index
+//     layout the coordinator cannot pin, counts it (Request.Bounds). On
+//     every shard score_s = b_s − nonD_s, nonD_s being the comparable rows
+//     of Q_s the candidate does not dominate, so the total is at most
+//     B − nonD_s for any one shard: a shard whose own nonD_s exceeds the
+//     budget stops and answers Pruned (the cross-shard form of Heuristic 3),
+//     and one such answer drops the candidate. Otherwise each shard returns
+//     its exact partial score; the coordinator sums them and offers them to
+//     the answer heap.
 //
 // The heap is core.AnswerHeap over the global queue's bounds, so it orders
 // items as every in-process run does (core.Result): a pruned candidate either
@@ -95,6 +100,15 @@ type Request struct {
 	// may answer Pruned instead of its partial score. Empty asks for exact
 	// scores unconditionally.
 	Budgets []int
+	// Bounds, when non-empty on ModeScores, holds one entry per candidate:
+	// this shard's exact (uncapped) bounds-phase answer |Q_s| − |F_s| for it,
+	// so a Local scores from it instead of counting |Q_s| again. A bound is
+	// valid only on the index that counted it, so it stays in the process:
+	// Remote does not send it and the peer counts |Q_s| itself. A peer lays
+	// its slice out from its own dataset (NewLocal), and the two phases may
+	// reach different replicas, or one peer before and after a reload, whose
+	// datasets differ past the slice. Empty counts |Q_s| here.
+	Bounds []int32
 }
 
 // Pruned is the exact-phase answer for a candidate whose walk stopped on its
@@ -111,9 +125,9 @@ type Backend interface {
 	// fingerprint of the row range).
 	Fingerprint() uint64
 	// Partial returns one int32 per candidate: an upper bound (ModeBounds),
-	// or the exact partial score or Pruned (ModeScores). ctx bounds the call
-	// — a cancelled or expired context abandons the work and returns
-	// ctx.Err().
+	// or the exact partial score or Pruned (ModeScores); the slice is the
+	// caller's to keep and modify. ctx bounds the call — a cancelled or
+	// expired context abandons the work and returns ctx.Err().
 	Partial(ctx context.Context, req *Request) ([]int32, error)
 }
 
@@ -184,6 +198,21 @@ func checkBudgets(mode Mode, budgets, cands int) error {
 	return nil
 }
 
+// checkBounds is the Request.Bounds shape rule: exact phase only, one per
+// candidate or none.
+func checkBounds(mode Mode, bounds, cands int) error {
+	if bounds == 0 {
+		return nil
+	}
+	if mode != ModeScores {
+		return fmt.Errorf("shard: bounds on a bounds request")
+	}
+	if bounds != cands {
+		return fmt.Errorf("shard: %d bounds for %d candidates", bounds, cands)
+	}
+	return nil
+}
+
 // ctxCheckStride is how many candidates a Local scores between context
 // checks — fine enough that cancellation lands within microseconds, coarse
 // enough that the atomic load never shows up in a profile.
@@ -195,6 +224,9 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 		return nil, err
 	}
 	if err := checkBudgets(req.Mode, len(req.Budgets), len(req.Cands)); err != nil {
+		return nil, err
+	}
+	if err := checkBounds(req.Mode, len(req.Bounds), len(req.Cands)); err != nil {
 		return nil, err
 	}
 	out := make([]int32, len(req.Cands))
@@ -256,11 +288,14 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 					return nil, err
 				}
 			}
-			budget := core.NoBudget
+			bound, budget := core.NoBound, core.NoBudget
+			if len(req.Bounds) > 0 {
+				bound = int(req.Bounds[i])
+			}
 			if len(req.Budgets) > 0 {
 				budget = req.Budgets[i]
 			}
-			if score, ok := s.Score(c, budget); ok {
+			if score, ok := s.Score(c, bound, budget); ok {
 				out[i] = int32(score)
 			} else {
 				out[i] = Pruned

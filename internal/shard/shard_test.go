@@ -8,9 +8,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/bitmapidx"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/gen"
@@ -143,6 +145,107 @@ func TestShardedWorkBounded(t *testing.T) {
 	}
 }
 
+// boundsAuditor wraps a Local and holds every bound the coordinator forwards
+// to it to the exact-phase contract: the shard's own bounds-phase answer for
+// the candidate, and that answer exact — |Q_s| − |F_s| as the shard's index
+// counts it with no threshold — never one capped at the residual. One query's
+// calls on one backend are sequential, so the answer map needs no lock.
+type boundsAuditor struct {
+	*Local
+	t        *testing.T
+	answered map[*data.Object]int32
+	// forwarded and capped count the bounds checked and the bounds-phase
+	// answers that were caps, so the test can tell the check was not vacuous.
+	forwarded, capped int
+}
+
+func (a *boundsAuditor) Partial(ctx context.Context, req *Request) ([]int32, error) {
+	ix := a.Ensure(core.NeedBinned).Binned
+	if req.Alg == core.AlgBIG {
+		ix = a.Ensure(core.NeedBitmap).Bitmap
+	}
+	fs := core.NewForeignScorer(a.Dataset(), ix)
+	exact := func(c *data.Object) int32 {
+		b, _ := fs.BoundAbove(c, -1) // below every bound: never capped
+		return int32(b)
+	}
+	for i, b := range req.Bounds {
+		a.forwarded++
+		c := req.Cands[i]
+		if want := exact(c); b != want {
+			a.t.Errorf("candidate %q: forwarded bound %d, the exact bound is %d", c.ID, b, want)
+		}
+		if got, ok := a.answered[c]; !ok || got != b {
+			a.t.Errorf("candidate %q: forwarded bound %d, the bounds phase answered %d (seen %v)", c.ID, b, got, ok)
+		}
+	}
+	res, err := a.Local.Partial(ctx, req)
+	if err == nil && req.Mode == ModeBounds {
+		for i, c := range req.Cands {
+			a.answered[c] = res[i]
+			if res[i] != exact(c) {
+				a.capped++
+			}
+		}
+	}
+	return slices.Clone(res), err // the coordinator compacts what it is given
+}
+
+// TestForwardedBoundsAreExact runs BIG and IBIG at every k from 1 to 64 over
+// three audited shards — fully, then degraded with one shard down under
+// AllowPartial — and checks the answers against the serial run (the degraded
+// ones against brute force over the live rows) while every bound the exact
+// phase receives is audited.
+func TestForwardedBoundsAreExact(t *testing.T) {
+	ds := testDataset(3000)
+	const n = 3
+	pre := core.Preprocess(ds, nil)
+	auditors := make([]*boundsAuditor, n)
+	full := make([]Backend, n)
+	for i := range full {
+		l := coarseBackends(ds, n, 12)[i].(*Local) // of 15 values: rows to walk
+		auditors[i] = &boundsAuditor{Local: l, t: t, answered: map[*data.Object]int32{}}
+		full[i] = auditors[i]
+	}
+	down, err := NewReplicaSet(1, []Backend{downBackend{full[1]}}, chaosPolicy(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := []Backend{full[0], down, full[2]}
+	scores := make([]int, ds.Len())
+	for i := range scores {
+		for _, s := range []int{0, 2} {
+			scores[i] += core.ForeignScore(auditors[s].Dataset(), ds.Obj(i))
+		}
+	}
+
+	c := NewCoordinator(core.NewPrepared(ds, nil), nil)
+	for _, alg := range []core.Algorithm{core.AlgBIG, core.AlgIBIG} {
+		for k := 1; k <= 64; k++ {
+			want, _ := core.Run(alg, ds, k, pre)
+			got, _, err := c.Run(context.Background(), alg, k, full, RunOptions{})
+			if err != nil {
+				t.Fatalf("%v k=%d: %v", alg, k, err)
+			}
+			assertEqual(t, fmt.Sprintf("%v k=%d", alg, k), want, got)
+
+			var out Outcome
+			got, _, err = c.Run(context.Background(), alg, k, degraded, RunOptions{AllowPartial: true, Outcome: &out})
+			if err != nil || !out.Degraded {
+				t.Fatalf("%v k=%d degraded: %v (outcome %+v)", alg, k, err, out)
+			}
+			if want := bruteTopK(ds, scores, k); !slices.Equal(got.Items, want) {
+				t.Fatalf("%v k=%d: degraded answer %v, brute force over live rows %v", alg, k, got.Items, want)
+			}
+		}
+	}
+	for i, a := range auditors {
+		if a.forwarded == 0 || a.capped == 0 {
+			t.Errorf("shard %d: %d bounds forwarded, %d bounds-phase answers capped — the audit is vacuous", i, a.forwarded, a.capped)
+		}
+	}
+}
+
 // TestRemoteBackends runs the coordinator against two real HTTP peers, each
 // a Peer handler over the same dataset, and checks answers and the
 // fingerprint guard.
@@ -195,6 +298,87 @@ func TestRemoteBackends(t *testing.T) {
 	bad[1] = NewRemote(nil, peers[1].URL, "nope", ds.Len()/n, 2*ds.Len()/n, 0)
 	if _, _, err := c.Run(context.Background(), core.AlgIBIG, 6, bad, RunOptions{}); err == nil {
 		t.Fatal("expected an unknown-dataset error")
+	}
+}
+
+// phaseLog records, per replica of one shard, the mode of each call it
+// served, in call order across the shard's replicas. One query's calls on one
+// shard are sequential, so the shared log needs no lock.
+type phaseLog struct {
+	Backend
+	replica int
+	log     *[][2]int // (replica, mode)
+}
+
+func (p phaseLog) Partial(ctx context.Context, req *Request) ([]int32, error) {
+	*p.log = append(*p.log, [2]int{p.replica, int(req.Mode)})
+	return p.Backend.Partial(ctx, req)
+}
+
+// TestRemoteReplicasOfOtherLayouts gives every shard two peer replicas that
+// hold the same rows of its range but datasets of different lengths past
+// it, the way a follower lags by rows appended after the range. NewLocal
+// takes the bin count from the whole dataset, so the two lay the slice out
+// differently; the replica set alternates, so a window's bounds phase and
+// its exact phase reach different replicas. The answers must still be the
+// serial run's: no bound counted on one layout may be scored on the other.
+func TestRemoteReplicasOfOtherLayouts(t *testing.T) {
+	long := gen.Synthetic(gen.Config{N: 4000, Dim: 4, Cardinality: 200, MissingRate: 0.2, Dist: gen.IND, Seed: 17})
+	ds := long.Slice(0, 2000)
+	short, wide := bitmapidx.ServingBins(ds.Len(), ds.MissingRate()), bitmapidx.ServingBins(long.Len(), long.MissingRate())
+	if short == wide {
+		t.Fatalf("both datasets serve %d bins: the replicas share a layout", short)
+	}
+	datasets := []*data.Dataset{ds, long}
+	peers := make([]*httptest.Server, len(datasets))
+	for i := range peers {
+		held := datasets[i]
+		mux := http.NewServeMux()
+		mux.Handle("POST /v1/shard/query", NewPeer(func(name string) (*data.Dataset, uint64, bool) {
+			return held, 1, name == "d"
+		}))
+		peers[i] = httptest.NewServer(mux)
+		defer peers[i].Close()
+	}
+
+	const n = 3
+	logs := make([][][2]int, n)
+	backends := make([]Backend, n)
+	for i := range backends {
+		lo, hi := i*ds.Len()/n, (i+1)*ds.Len()/n
+		replicas := make([]Backend, len(peers))
+		for r, peer := range peers {
+			replicas[r] = phaseLog{NewRemote(nil, peer.URL, "d", lo, hi, ds.Slice(lo, hi).Fingerprint()), r, &logs[i]}
+		}
+		rs, err := NewReplicaSet(i, replicas, noHedge(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = rs
+	}
+
+	pre := core.Preprocess(ds, nil)
+	c := NewCoordinator(core.NewPrepared(ds, nil), nil)
+	for _, alg := range []core.Algorithm{core.AlgBIG, core.AlgIBIG} {
+		for _, k := range []int{1, 4, 16, 64} {
+			want, _ := core.Run(alg, ds, k, pre)
+			got, _, err := c.Run(context.Background(), alg, k, backends, RunOptions{})
+			if err != nil {
+				t.Fatalf("%v k=%d: %v", alg, k, err)
+			}
+			assertEqual(t, fmt.Sprintf("%v k=%d (%d and %d bins)", alg, k, short, wide), want, got)
+		}
+	}
+	crossed := 0
+	for _, log := range logs {
+		for i := 1; i < len(log); i++ {
+			if log[i-1][1] == int(ModeBounds) && log[i][1] == int(ModeScores) && log[i-1][0] != log[i][0] {
+				crossed++
+			}
+		}
+	}
+	if crossed == 0 {
+		t.Fatal("no exact phase reached another replica than its bounds phase: the test is vacuous")
 	}
 }
 

@@ -610,7 +610,7 @@ func TestShardSlicesTakeDatasetLayout(t *testing.T) {
 		c := ix.NewCursor()
 		for _, o := range wpre.Queue.Order[:410] {
 			cand := parent.Obj(int(o))
-			_, w, _ := c.ScoreForeign(cand.Values, cand.Mask, bitmapidx.NoLimit)
+			_, w, _ := c.ScoreForeign(cand.Values, cand.Mask, -1, bitmapidx.NoLimit)
 			walked += w
 		}
 		var mine, peers bytes.Buffer
