@@ -110,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
 		negate      = fs.Bool("negate", false, "negate loaded values (use when larger is better)")
-		window      = fs.Duration("window", time.Millisecond, "how long a scheduling window collects after its first query before its groups are dispatched (0 = dispatch immediately; a non-zero window under 1ms sleeps 1ms on an idle process, the shortest timer wait the Go runtime's netpoller takes)")
+		window      = fs.Duration("window", time.Millisecond, "the longest a scheduling window waits for company after its first query: it closes sooner once it holds as many distinct queries as -max-workers (at least two), and identical queries do not fill it (0 = dispatch immediately; a non-zero window under 1ms sleeps 1ms on an idle process, the shortest timer wait the Go runtime's netpoller takes)")
 		maxWorkers  = fs.Int("max-workers", 0, "total in-flight worker goroutines across queries, shared fairly between the queries runnable at once (0 = GOMAXPROCS)")
 		cacheBudget = fs.Int64("cache-budget", 0, "per-dataset decompressed-column cache bytes (0 = 32 MiB default)")
 		indexDir    = fs.String("indexdir", "", "directory for persisted indexes; warm restarts skip index construction. A file is written after its dataset starts serving, and a crash before then means a cold rebuild at the next boot, never a wrong index. With -waldir the file is a checkpoint: rewritten when the rows have grown by an eighth and on a graceful shutdown, and a restart after a crash loads it and patches the rows logged since (empty = rebuild at boot)")

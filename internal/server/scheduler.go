@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,14 +16,20 @@ import (
 // The batch scheduler. Each resident dataset owns one scheduler goroutine;
 // concurrent requests against that dataset are coalesced into scheduling
 // windows. A window forms when the first request arrives: the loop keeps
-// collecting until the batch window elapses (or maxBatch requests are in
-// hand), groups identical queries (same k, algorithm, workers) so each group
-// executes once and fans its answer out to every waiter, hands every group to
-// a goroutine of its own and goes straight back to collecting. The loop only
-// collects and groups: distinct queries — of one window or of successive
-// ones — run side by side over the same warm core.Pre and decompressed-column
-// cache, and a connection whose answer came back early starts its next window
-// while another's query is still executing. How many workers a group gets,
+// collecting until the window is full — it holds as many distinct queries as
+// the admission controller has worker slots, at least two — or the batch
+// window elapses, maxBatch requests are in hand or a drain begins. A full
+// window closes at once: each of its groups already gets one worker as its
+// fair share, so waiting longer could not change any group's grant and would
+// only delay them all; identical queries do not fill a window, so they still
+// coalesce for as long as the batch window runs. The loop groups identical
+// queries (same k, algorithm, workers) so each group executes once and fans
+// its answer out to every waiter, hands every group to a goroutine of its own
+// and goes straight back to collecting. The loop only collects and groups:
+// distinct queries — of one window or of successive ones — run side by side
+// over the same warm core.Pre and decompressed-column cache, and a
+// connection whose answer came back early starts its next window while
+// another's query is still executing. How many workers a group gets,
 // and when, is the admission controller's decision (admission.go), server-wide
 // across datasets.
 //
@@ -63,7 +70,17 @@ type request struct {
 	sp    *obs.Span       // the waiter's root span (nil = untraced)
 	enq   time.Time       // when the waiter entered the queue
 	disp  time.Time       // when its window closed and dispatch took it
+	why   string          // why its window closed: closedFull, …
 }
+
+// Why a scheduling window stopped collecting; the explain trace's window
+// span carries it as its "closed" attribute.
+const (
+	closedFull  = "full"  // as many distinct queries as worker slots
+	closedTimer = "timer" // the batch window elapsed (at once for a zero window)
+	closedBatch = "batch" // maxBatch requests in hand
+	closedDrain = "drain" // the scheduler is draining
+)
 
 // errSchedulerDraining is returned to submits that race a drainStop; handlers map it
 // to 503 so clients retry elsewhere (or see the eviction as a 404 on the
@@ -188,6 +205,19 @@ func (s *scheduler) submit(ctx context.Context, key queryKey, sp *obs.Span) (rep
 func (s *scheduler) loop() {
 	defer close(s.exited)
 	defer s.groups.Wait()
+	// One timer serves every window: armed by Reset when a window opens and
+	// stopped when it closes (since Go 1.23 a stopped timer's channel holds
+	// no stale tick, so nothing needs draining).
+	var timer *time.Timer
+	if s.window > 0 {
+		timer = time.NewTimer(s.window)
+		timer.Stop()
+	}
+	// keys holds the open window's distinct query keys; full of them close
+	// it. A window never closes on its first request alone, so a one-slot
+	// server still waits for identical company.
+	full := min(max(s.adm.slots(), 2), maxBatch)
+	keys := make([]queryKey, 0, full)
 	for {
 		var first *request
 		select {
@@ -199,13 +229,26 @@ func (s *scheduler) loop() {
 			return
 		}
 		batch := []*request{first}
+		why := closedTimer
 		if s.window > 0 {
-			timer := time.NewTimer(s.window)
+			keys = append(keys[:0], first.key)
+			timer.Reset(s.window)
 		collect:
-			for len(batch) < maxBatch {
+			for {
+				if len(keys) == full {
+					why = closedFull
+					break
+				}
+				if len(batch) == maxBatch {
+					why = closedBatch
+					break
+				}
 				select {
 				case r := <-s.in:
 					batch = append(batch, r)
+					if !slices.Contains(keys, r.key) {
+						keys = append(keys, r.key)
+					}
 				case <-timer.C:
 					break collect
 				case <-s.done:
@@ -214,6 +257,7 @@ func (s *scheduler) loop() {
 				case <-s.drained:
 					// Dispatch what is in hand now; the next loop iteration
 					// lands in finalDrain for the rest.
+					why = closedDrain
 					break collect
 				}
 			}
@@ -230,7 +274,7 @@ func (s *scheduler) loop() {
 				break drain
 			}
 		}
-		s.dispatch(batch)
+		s.dispatch(batch, why)
 	}
 }
 
@@ -245,22 +289,23 @@ func (s *scheduler) finalDrain() {
 			batch = append(batch, r)
 		default:
 			if len(batch) > 0 {
-				s.dispatch(batch)
+				s.dispatch(batch, closedDrain)
 			}
 			return
 		}
 	}
 }
 
-// dispatch closes one scheduling window: group identical queries, take each
-// group's place in the admission line in arrival order and start it.
-func (s *scheduler) dispatch(batch []*request) {
+// dispatch closes one scheduling window, which stopped collecting for the
+// reason why: group identical queries, take each group's place in the
+// admission line in arrival order and start it.
+func (s *scheduler) dispatch(batch []*request, why string) {
 	s.met.batches.Add(1)
 	var order []queryKey
 	groups := make(map[queryKey][]*request, len(batch))
 	now := time.Now()
 	for _, r := range batch {
-		r.disp = now
+		r.disp, r.why = now, why
 		if _, ok := groups[r.key]; !ok {
 			order = append(order, r.key)
 		}
@@ -313,7 +358,7 @@ func (s *scheduler) run(key queryKey, reqs []*request, window int, g *grant) {
 	var exec *obs.Span
 	for _, r := range reqs {
 		queue := r.sp.ChildAt("queue", r.enq, start)
-		queue.ChildAt("window", r.enq, r.disp)
+		queue.ChildAt("window", r.enq, r.disp).SetStr("closed", r.why)
 		queue.ChildAt("admission", r.disp, start)
 		if exec == nil {
 			exec = r.sp.StartChild("execute")

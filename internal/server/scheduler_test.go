@@ -5,12 +5,15 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/tkd"
 )
 
@@ -174,4 +177,227 @@ func TestSchedulerSaturation(t *testing.T) {
 	}
 	sch.drainStop()
 	idle(t, adm)
+}
+
+// TestWindowClosesWhenFull pins when a scheduling window stops collecting.
+// Every case runs behind a 10 s batch window, so only the timer case may
+// take it: a window holding as many distinct queries as the server has
+// worker slots closes at once; identical queries do not fill it, so a burst
+// of them still waits out the timer and executes once, on a one-slot server
+// too; and a Shutdown during an open window that is not full answers every
+// request in it. Each request is traced, and its window span says why its
+// window closed.
+func TestWindowClosesWhenFull(t *testing.T) {
+	const window = 10 * time.Second
+	gen := func() *tkd.Dataset { return tkd.GenerateIND(2000, 4, 40, 0.1, 5) }
+	// start serves gen() at the given capacity behind the 10 s window.
+	start := func(t *testing.T, maxWorkers int) (*Server, *scheduler) {
+		s := New(Config{MaxWorkers: maxWorkers, BatchWindow: window})
+		t.Cleanup(s.Close)
+		if err := s.AddDataset("d", gen()); err != nil {
+			t.Fatal(err)
+		}
+		e, _ := s.reg.get("d")
+		return s, e.sch
+	}
+	coalesced := regexp.MustCompile(`(?m)^tkd_coalesced_queries_total\{dataset="d"\} (\d+)$`)
+	coalescedTotal := func(t *testing.T, s *Server) int {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		m := coalesced.FindStringSubmatch(rec.Body.String())
+		if m == nil {
+			t.Fatalf("no tkd_coalesced_queries_total sample for d in:\n%s", rec.Body)
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	// check holds one traced reply to Naive's answer for its k and returns
+	// why its window closed.
+	check := func(t *testing.T, key queryKey, tr *obs.Trace, rep reply) string {
+		t.Helper()
+		if rep.err != nil {
+			t.Fatalf("k=%d: %v", key.K, rep.err)
+		}
+		want, err := gen().TopK(key.K, tkd.WithAlgorithm(tkd.Naive))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.res.Items) != len(want.Items) {
+			t.Fatalf("k=%d: %d items, want %d", key.K, len(rep.res.Items), len(want.Items))
+		}
+		for j, it := range rep.res.Items {
+			if w := want.Items[j]; it.Index != w.Index || it.Score != w.Score {
+				t.Fatalf("k=%d: answer diverged at rank %d", key.K, j+1)
+			}
+		}
+		queue := tr.JSON().Root.Children[0]
+		if queue.Name != "queue" || len(queue.Children) == 0 || queue.Children[0].Name != "window" {
+			t.Fatalf("k=%d: no queue span with a window child in %+v", key.K, tr.JSON().Root)
+		}
+		why, _ := queue.Children[0].Attrs["closed"].(string)
+		return why
+	}
+	// burst submits every key at once, traced, and returns the replies, the
+	// traces and how long the burst took.
+	burst := func(t *testing.T, sch *scheduler, keys []queryKey) ([]reply, []*obs.Trace, time.Duration) {
+		replies := make([]reply, len(keys))
+		errs := make([]error, len(keys))
+		traces := make([]*obs.Trace, len(keys))
+		began := time.Now()
+		var wg sync.WaitGroup
+		for i, key := range keys {
+			traces[i] = obs.New("query")
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				replies[i], errs[i] = sch.submit(context.Background(), key, traces[i].Root())
+			}()
+		}
+		wg.Wait()
+		took := time.Since(began)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("k=%d: %v", keys[i].K, err)
+			}
+		}
+		return replies, traces, took
+	}
+	naive := func(k int) queryKey { return queryKey{K: k, Alg: core.AlgNaive, Workers: 1} }
+
+	t.Run("distinct pair fills the window", func(t *testing.T) {
+		t.Parallel()
+		_, sch := start(t, 2)
+		keys := []queryKey{naive(3), naive(4)}
+		replies, traces, took := burst(t, sch, keys)
+		if took > window/4 {
+			t.Fatalf("two distinct queries on two slots took %v, want the window closed by the second", took)
+		}
+		for i, rep := range replies {
+			if rep.batch != 2 || rep.coalesced {
+				t.Errorf("k=%d: window of %d, coalesced %v; want both in one window of 2, none coalesced", keys[i].K, rep.batch, rep.coalesced)
+			}
+			if why := check(t, keys[i], traces[i], rep); why != closedFull {
+				t.Errorf("k=%d: window closed %q, want %q", keys[i].K, why, closedFull)
+			}
+		}
+	})
+	for _, tc := range []struct {
+		name       string
+		maxWorkers int
+		identical  int
+	}{
+		{"identical queries wait out the timer", 2, 3},
+		{"one slot still coalesces", 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			s, sch := start(t, tc.maxWorkers)
+			before := coalescedTotal(t, s)
+			keys := make([]queryKey, tc.identical)
+			for i := range keys {
+				keys[i] = naive(5)
+			}
+			replies, traces, took := burst(t, sch, keys)
+			if took < window {
+				t.Errorf("%d identical queries answered after %v; the window must stay open until its %v timer", tc.identical, took, window)
+			}
+			shared := 0
+			for i, rep := range replies {
+				if rep.batch != tc.identical {
+					t.Errorf("query %d rode a window of %d, want %d", i, rep.batch, tc.identical)
+				}
+				if rep.coalesced {
+					shared++
+				}
+				if why := check(t, keys[i], traces[i], rep); why != closedTimer {
+					t.Errorf("query %d: window closed %q, want %q", i, why, closedTimer)
+				}
+			}
+			if shared != tc.identical-1 {
+				t.Errorf("%d of %d identical queries coalesced, want %d", shared, tc.identical, tc.identical-1)
+			}
+			if got := coalescedTotal(t, s) - before; got != tc.identical-1 {
+				t.Errorf("tkd_coalesced_queries_total rose by %d, want %d", got, tc.identical-1)
+			}
+		})
+	}
+	t.Run("shutdown answers an open window", func(t *testing.T) {
+		t.Parallel()
+		s, sch := start(t, 4)
+		// Three distinct queries on four slots: the window is open and not
+		// full. The test enqueues them as submit does, so it can tell when
+		// the loop holds all three in its window.
+		keys := []queryKey{naive(3), naive(4), naive(5)}
+		reqs := make([]*request, len(keys))
+		traces := make([]*obs.Trace, len(keys))
+		for i, key := range keys {
+			traces[i] = obs.New("query")
+			reqs[i] = &request{key: key, ctx: context.Background(), reply: make(chan reply, 1), sp: traces[i].Root(), enq: time.Now()}
+			sch.in <- reqs[i]
+		}
+		eventually(t, "the loop to collect all three", func() bool { return len(sch.in) == 0 })
+		if n := sch.met.batches.Load(); n != 0 {
+			t.Fatalf("%d windows dispatched before the shutdown; the window must still be open", n)
+		}
+		s.Shutdown()
+		for i, r := range reqs {
+			var rep reply
+			select {
+			case rep = <-r.reply:
+			default:
+				t.Fatalf("k=%d queued in the open window was not answered by Shutdown", keys[i].K)
+			}
+			if rep.batch != len(keys) {
+				t.Errorf("k=%d rode a window of %d, want %d", keys[i].K, rep.batch, len(keys))
+			}
+			if why := check(t, keys[i], traces[i], rep); why != closedDrain {
+				t.Errorf("k=%d: window closed %q, want %q", keys[i].K, why, closedDrain)
+			}
+		}
+	})
+}
+
+// BenchmarkSchedulerWindow is the scheduler's row of the ledger, on the
+// served benchmark's query-light shape (2,000 × 4 IND rows, where the engine
+// costs ≈ 0.1 ms) at two worker slots and tkdserver's default 1 ms window:
+// /pair submits two distinct queries together, one per slot, and an op is
+// the pair's wall time — their window is full once both arrived, so neither
+// waits for the timer; /lone submits one query, which has no company to
+// wait for and still pays the whole window.
+func BenchmarkSchedulerWindow(b *testing.B) {
+	ds := tkd.GenerateIND(2000, 4, 40, 0.2, 1)
+	ds.Prepare()
+	done := make(chan struct{})
+	defer close(done)
+	sch := newScheduler(ds, newAdmission(2), &datasetMetrics{}, time.Millisecond, done)
+	ask := func(b *testing.B, k int) {
+		rep, err := sch.submit(context.Background(), queryKey{K: k, Alg: core.AlgIBIG}, nil)
+		if err == nil {
+			err = rep.err
+		}
+		if err != nil {
+			b.Error(err)
+		}
+	}
+	b.Run("pair", func(b *testing.B) {
+		b.ReportAllocs()
+		var wg sync.WaitGroup
+		for i := 0; i < b.N; i++ {
+			wg.Add(2)
+			for _, k := range []int{1 + i%4, 5 + i%3} {
+				go func() {
+					defer wg.Done()
+					ask(b, k)
+				}()
+			}
+			wg.Wait()
+		}
+	})
+	b.Run("lone", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ask(b, 1+i%7)
+		}
+	})
+	sch.drainStop()
 }

@@ -59,9 +59,12 @@ type Config struct {
 	// MaxWorkers caps the total worker goroutines in flight across all
 	// queries (the admission controller's capacity); <= 0 selects GOMAXPROCS.
 	MaxWorkers int
-	// BatchWindow is how long a scheduling window stays open to coalesce
-	// concurrent queries after the first one arrives; 0 serves whatever has
-	// already queued without waiting.
+	// BatchWindow is the longest a scheduling window stays open to coalesce
+	// concurrent queries after the first one arrives. A window closes
+	// sooner once it is full — it holds as many distinct queries as
+	// MaxWorkers resolves to, at least two — because each of its queries
+	// then gets one worker however long it waits; identical queries do not
+	// fill it. 0 serves whatever has already queued without waiting.
 	BatchWindow time.Duration
 	// CacheBudget bounds each dataset's decompressed-column cache in bytes;
 	// <= 0 keeps the bitmapidx default (32 MiB).

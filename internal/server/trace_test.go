@@ -418,8 +418,10 @@ func TestStageMetricsExposed(t *testing.T) {
 // queries of one window on a 2-slot server run side by side, one worker each,
 // and each one's queue span ends where its execute span begins, the two
 // together inside the latency the client saw; the queue span's window and
-// admission children tile it, the window child carrying the batch window; a
-// lone query is granted both slots and waits for none of them.
+// admission children tile it. The pair fills its window, so the first
+// arrival's window child ends at the second arrival and says it closed full;
+// a lone query waits out the whole batch window, its window child says the
+// timer closed it, and it is granted both slots and waits for none of them.
 func TestGrantAndQueueSpans(t *testing.T) {
 	_, ts, _ := newTestServer(t, server.Config{MaxWorkers: 2, BatchWindow: 100 * time.Millisecond})
 	type observed struct {
@@ -469,7 +471,8 @@ func TestGrantAndQueueSpans(t *testing.T) {
 	}
 
 	// Naive on 4000 rows runs long enough for the two executions to overlap
-	// for certain; the 100 ms window puts both requests in one window.
+	// for certain; the 100 ms window puts both requests in one window, which
+	// the second one fills.
 	var pair [2]observed
 	var wg sync.WaitGroup
 	for i, k := range []int{3, 4} {
@@ -505,14 +508,23 @@ func TestGrantAndQueueSpans(t *testing.T) {
 	if !begin(pair[0], execs[0]).Before(end(pair[1], execs[1])) || !begin(pair[1], execs[1]).Before(end(pair[0], execs[0])) {
 		t.Errorf("execute spans do not overlap: %+v and %+v", execs[0], execs[1])
 	}
-	// The first arrival opened the window, so its window child is the whole
+	// The first arrival opened the window and the second filled it: the
+	// first's window child ends at the second's arrival, well inside the
 	// 100 ms batch window.
-	first := 0
+	first, second := 0, 1
 	if begin(pair[1], windows[1]).Before(begin(pair[0], windows[0])) {
-		first = 1
+		first, second = 1, 0
 	}
-	if d := time.Duration(windows[first].DurUS) * time.Microsecond; d < 100*time.Millisecond {
-		t.Errorf("first arrival's window child is %v, want the 100ms batch window", d)
+	if closed := end(pair[first], windows[first]); closed.Before(begin(pair[second], windows[second]).Add(-tick)) {
+		t.Errorf("first arrival's window closed %v before the second arrived", begin(pair[second], windows[second]).Sub(closed))
+	}
+	if d := time.Duration(windows[first].DurUS) * time.Microsecond; d >= 50*time.Millisecond {
+		t.Errorf("first arrival's window child is %v, want it closed by the second arrival, well under the 100ms batch window", d)
+	}
+	for i, w := range windows {
+		if w.Attrs["closed"] != "full" {
+			t.Errorf("query %d: window closed %v, want full", i, w.Attrs["closed"])
+		}
 	}
 
 	lone := explain(5, "")
@@ -524,9 +536,14 @@ func TestGrantAndQueueSpans(t *testing.T) {
 		t.Errorf("lone query: workers %d, granted attr %v; want both slots", lone.qr.Workers, exec.Attrs["granted"])
 	}
 	// Nothing else runs, so the grant is immediate: the admission child is
-	// the few microseconds between dispatch and the group's goroutine.
-	if _, admission := queueParts(lone, queue); time.Duration(admission.DurUS)*time.Microsecond > 5*time.Millisecond {
+	// the few microseconds between dispatch and the group's goroutine. No
+	// second query fills the window, so it is the whole batch window.
+	window, admission := queueParts(lone, queue)
+	if time.Duration(admission.DurUS)*time.Microsecond > 5*time.Millisecond {
 		t.Errorf("lone query waited %d µs in admission, want ≈ 0", admission.DurUS)
+	}
+	if d := time.Duration(window.DurUS) * time.Microsecond; d < 100*time.Millisecond || window.Attrs["closed"] != "timer" {
+		t.Errorf("lone query's window child is %v, closed %v; want the 100ms batch window, closed by its timer", d, window.Attrs["closed"])
 	}
 }
 
