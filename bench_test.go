@@ -338,7 +338,7 @@ func BenchmarkParallelIBIG(b *testing.B) {
 }
 
 // BenchmarkTraceOverhead pins the cost of the obs instrumentation points the
-// engine hot path runs per scheduling window: extract the span from a
+// engine hot path runs per batch window: extract the span from a
 // context, open a child, stamp two attributes and a τ sample, close it.
 //
 //	off — tracing disabled (no span in the context): the per-window sequence

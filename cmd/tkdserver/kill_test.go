@@ -212,7 +212,6 @@ func startServer(t *testing.T, dir, csv string) (*exec.Cmd, string) {
 		"-indexdir", filepath.Join(dir, "idx"),
 		"-fsync", "always",
 		"-publish-interval", "25ms",
-		"-window", "0",
 	)
 	cmd.Env = append(os.Environ(), serveEnv+"=1")
 	var stderr bytes.Buffer

@@ -1,16 +1,17 @@
 // Command tkdserver serves top-k dominating queries over multiple resident
 // datasets through an HTTP/JSON API. Each dataset is loaded once (datagen
-// CSV format), indexed once, and queried from warm indexes; concurrent
-// queries against one dataset are collected into batch scheduling windows
-// (identical ones execute once, distinct ones run side by side) and an
-// admission controller bounds the total worker fan-out and shares it fairly.
+// CSV format), indexed once, and queried from warm indexes; a query is
+// dispatched the moment it arrives, an identical query that arrives while it
+// still waits for worker slots shares its execution, distinct ones run side
+// by side, and an admission controller bounds the total worker fan-out and
+// shares it fairly.
 //
 // The dataset lifecycle is live: datasets can be registered, hot-reloaded
 // (zero downtime — in-flight queries finish on the old epoch) and evicted
 // through the /v1/datasets admin endpoints, and -indexdir persists built
 // indexes so warm restarts and reloads of unchanged files skip the paper's
 // dominant preprocessing cost. SIGINT/SIGTERM drain gracefully: queued
-// scheduling windows finish, new queries get 503.
+// queries finish, new queries get 503.
 //
 // One huge dataset can be split across processes: -shards N serves it
 // through a scatter-gather coordinator (answers stay byte-identical to the
@@ -110,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
 		negate      = fs.Bool("negate", false, "negate loaded values (use when larger is better)")
-		window      = fs.Duration("window", time.Millisecond, "the longest a scheduling window waits for company after its first query: it closes sooner once it holds as many distinct queries as -max-workers (at least two), and identical queries do not fill it (0 = dispatch immediately; a non-zero window under 1ms sleeps 1ms on an idle process, the shortest timer wait the Go runtime's netpoller takes)")
 		maxWorkers  = fs.Int("max-workers", 0, "total in-flight worker goroutines across queries, shared fairly between the queries runnable at once (0 = GOMAXPROCS)")
 		cacheBudget = fs.Int64("cache-budget", 0, "per-dataset decompressed-column cache bytes (0 = 32 MiB default)")
 		indexDir    = fs.String("indexdir", "", "directory for persisted indexes; warm restarts skip index construction. A file is written after its dataset starts serving, and a crash before then means a cold rebuild at the next boot, never a wrong index. With -waldir the file is a checkpoint: rewritten when the rows have grown by an eighth and on a graceful shutdown, and a restart after a crash loads it and patches the rows logged since (empty = rebuild at boot)")
@@ -135,10 +135,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(datasets) == 0 && *follow == "" {
 		fmt.Fprintln(stderr, "tkdserver: at least one -dataset name=path is required (or -follow a leader)")
 		fs.PrintDefaults()
-		return 2
-	}
-	if *window < 0 {
-		fmt.Fprintf(stderr, "tkdserver: -window must not be negative, got %v\n", *window)
 		return 2
 	}
 	var handler slog.Handler
@@ -173,7 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	srv, err := buildServer(datasets, *negate, server.Config{
 		MaxWorkers:      *maxWorkers,
-		BatchWindow:     *window,
 		CacheBudget:     *cacheBudget,
 		IndexDir:        *indexDir,
 		Shards:          *shards,
@@ -223,7 +218,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	logger.Info("listening", "addr", ln.Addr().String())
 
 	// Serve until a termination signal, then drain: the query service stops
-	// accepting (503) and finishes every queued scheduling window before
+	// accepting (503) and finishes every queued query before
 	// the HTTP server closes its connections — SIGTERM never drops work
 	// that was already accepted.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -246,7 +241,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	logger.Info("draining", "reason", "signal received")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
-	// Drain the schedulers (refuse new queries, finish queued windows)
+	// Drain the schedulers (refuse new queries, finish queued ones)
 	// under the same deadline that bounds the HTTP teardown.
 	drained := make(chan struct{})
 	go func() {

@@ -177,10 +177,6 @@ func TestRunFlagErrors(t *testing.T) {
 	if code := run([]string{"-dataset", "x=/no/such/file.csv"}, &out, &errb); code != 1 {
 		t.Fatalf("missing file: exit %d", code)
 	}
-	errb.Reset()
-	if code := run([]string{"-window", "-1ms", "-dataset", "x=/no/such/file.csv"}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "-window must not be negative") {
-		t.Fatalf("negative -window: exit %d, stderr %q", code, errb.String())
-	}
 }
 
 func TestBuildServerRejectsEmptyName(t *testing.T) {

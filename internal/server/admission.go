@@ -43,12 +43,9 @@ func newAdmission(capacity int) *admission {
 	return &admission{capacity: capacity}
 }
 
-// slots returns the controller's worker capacity; it never changes.
-func (a *admission) slots() int { return a.capacity }
-
 // enter takes the next place in line without blocking. want <= 0 asks for
 // the fair share; mates is how many further groups the caller is about to
-// enter (the rest of its scheduling window), so that every group of a window
+// enter (the rest of its dispatch), so that every group of one dispatch
 // divides by the same count.
 func (a *admission) enter(want, mates int) *grant {
 	a.mu.Lock()

@@ -73,8 +73,8 @@ func TestAdmissionFIFO(t *testing.T) {
 }
 
 // TestAdmissionFairShare pins the grant rule: the fair share divides the
-// capacity by the groups running plus the groups in line (the caller and its
-// window-mates included) with a floor of one; an explicit count is honoured,
+// capacity by the groups running plus the groups in line (the caller and the
+// mates of its dispatch included) with a floor of one; an explicit count is honoured,
 // never raised, and clamped to the capacity.
 func TestAdmissionFairShare(t *testing.T) {
 	a := newAdmission(4)
@@ -97,11 +97,11 @@ func TestAdmissionFairShare(t *testing.T) {
 	if !held(second) {
 		t.Fatal("second group not admitted on release")
 	}
-	// One running; a window of two groups enters together and both divide by
-	// three.
+	// One running; one dispatch of two groups enters together and both divide
+	// by three.
 	m0, m1 := enter(0, 1), enter(0, 0)
 	if m0.n != 1 || m1.n != 1 || !held(m0) || !held(m1) {
-		t.Fatalf("window-mates granted %d and %d (want 1 and 1), held %v %v", m0.n, m1.n, held(m0), held(m1))
+		t.Fatalf("dispatch mates granted %d and %d (want 1 and 1), held %v %v", m0.n, m1.n, held(m0), held(m1))
 	}
 	// Explicit counts are honoured as asked, never raised to the share, and
 	// clamped to the capacity; the floor is one however long the line.

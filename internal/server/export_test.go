@@ -31,3 +31,27 @@ func (s *Server) HoldIndexWrites(hold, joined func()) {
 	s.ixc.beforeRename = hold
 	s.writes.joining = joined
 }
+
+// HoldSlots takes every admission slot, as running queries holding the whole
+// machine would, and returns the function that hands them back. Queries
+// submitted meanwhile wait in the admission line.
+func (s *Server) HoldSlots() (release func()) {
+	n := s.adm.enter(s.adm.capacity, 0).wait()
+	return func() { s.adm.release(n) }
+}
+
+// Waiting counts the requests of a resident dataset that have been
+// dispatched and wait for their group's admission grant.
+func (s *Server) Waiting(name string) int {
+	e, ok := s.reg.get(name)
+	if !ok {
+		return 0
+	}
+	e.sch.mu.Lock()
+	defer e.sch.mu.Unlock()
+	n := 0
+	for _, g := range e.sch.pending {
+		n += len(g.reqs)
+	}
+	return n
+}

@@ -195,8 +195,7 @@ func TestChaosSoak(t *testing.T) {
 				BreakerCooldown:  10 * time.Millisecond,
 			}
 			coord := server.New(server.Config{
-				BatchWindow: time.Millisecond,
-				Shards:      3,
+				Shards: 3,
 				// Both replicas of every shard are the one peer, so a failover
 				// always has somewhere correct to land: the non-Byzantine
 				// schedule under which answers must stay exact.

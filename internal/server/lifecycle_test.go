@@ -552,7 +552,7 @@ func TestReloadUnderLoad(t *testing.T) {
 			v2 := tkd.GenerateIND(1000, 4, 35, 0.25, 6)
 			writeCSV(t, v1, csv)
 
-			s := server.New(server.Config{MaxWorkers: 2, BatchWindow: time.Millisecond, IndexDir: filepath.Join(dir, "ix"), Shards: tc.shards})
+			s := server.New(server.Config{MaxWorkers: 2, IndexDir: filepath.Join(dir, "ix"), Shards: tc.shards})
 			if err := s.LoadCSVFile("x", csv, false); err != nil {
 				t.Fatal(err)
 			}
@@ -649,7 +649,7 @@ func TestEvictRegisterRace(t *testing.T) {
 	ds := tkd.GenerateIND(500, 4, 25, 0.2, 9)
 	writeCSV(t, ds, csv)
 
-	s := server.New(server.Config{BatchWindow: time.Millisecond, IndexDir: filepath.Join(dir, "ix")})
+	s := server.New(server.Config{IndexDir: filepath.Join(dir, "ix")})
 	if err := s.LoadCSVFile("y", csv, false); err != nil {
 		t.Fatal(err)
 	}
@@ -729,16 +729,18 @@ func TestEvictRegisterRace(t *testing.T) {
 }
 
 // TestShutdownDrainsQueuedWindows is the graceful-shutdown regression test:
-// queries queued inside an open batch window when Shutdown fires must all
-// be answered, not dropped; queries arriving after Shutdown get 503.
+// queries queued behind running work when Shutdown fires — here every worker
+// slot is held, so the burst waits in the admission line — must all be
+// answered, not dropped, and Shutdown must wait for them; queries arriving
+// after Shutdown get 503.
 func TestShutdownDrainsQueuedWindows(t *testing.T) {
-	// A long window so the burst is still queued when Shutdown fires.
-	_, ts, ref := newTestServer(t, server.Config{BatchWindow: 300 * time.Millisecond})
+	srv, ts, ref := newTestServer(t, server.Config{})
 	want, err := ref["ac"].TopK(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	release := srv.HoldSlots()
 	const burst = 10
 	var wg sync.WaitGroup
 	codes := make([]int, burst)
@@ -750,15 +752,19 @@ func TestShutdownDrainsQueuedWindows(t *testing.T) {
 			answers[i], codes[i] = postQuery(t, ts.URL, server.QueryRequest{Dataset: "ac", K: 4})
 		}(i)
 	}
-	// Give the burst time to enqueue into the open window, then shut down
-	// while the window is still collecting.
-	time.Sleep(100 * time.Millisecond)
-	srv := tsServer(t, ts)
+	waitFor(t, "the burst to queue behind the held slots", func() bool { return srv.Waiting("ac") == burst })
 	done := make(chan struct{})
 	go func() {
 		srv.Shutdown()
 		close(done)
 	}()
+	waitFor(t, "the shutdown to begin", func() bool { return strings.Contains(getBody(t, ts.URL+"/healthz"), `"draining"`) })
+	select {
+	case <-done:
+		t.Fatal("Shutdown returned while queued queries were still waiting")
+	default:
+	}
+	release()
 	wg.Wait()
 	<-done
 
@@ -777,17 +783,6 @@ func TestShutdownDrainsQueuedWindows(t *testing.T) {
 	if _, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "ac", K: 4}); code != http.StatusServiceUnavailable {
 		t.Fatalf("query after shutdown: HTTP %d, want 503", code)
 	}
-}
-
-// tsServer digs the *server.Server back out of the test fixture; the
-// fixture's first return value is what newTestServer created.
-func tsServer(t *testing.T, ts *httptest.Server) *server.Server {
-	t.Helper()
-	s, ok := ts.Config.Handler.(*server.Server)
-	if !ok {
-		t.Fatalf("handler is %T, want *server.Server", ts.Config.Handler)
-	}
-	return s
 }
 
 // TestLifecycleValidation covers the admin endpoints' error paths.

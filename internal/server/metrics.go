@@ -196,8 +196,7 @@ var metricFamilies = []family{
 	}},
 	{"tkd_query_errors_total", "counter", "Queries that failed, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.errors.Load() })},
 	{"tkd_query_deadline_exceeded_total", "counter", "Queries that outran their deadline (answered 504), by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.deadlineExceeded.Load() })},
-	{"tkd_batches_total", "counter", "Scheduling windows the batch scheduler served, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.batches.Load() })},
-	{"tkd_coalesced_queries_total", "counter", "Queries answered by sharing an identical in-window query's execution.", each(resident, func(d *datasetScrape) int64 { return d.e.met.coalesced.Load() })},
+	{"tkd_coalesced_queries_total", "counter", "Queries answered by joining an identical query still waiting for its worker slots.", each(resident, func(d *datasetScrape) int64 { return d.e.met.coalesced.Load() })},
 	{"tkd_pruned_objects_total", "counter", "Objects pruned before exact scoring, by dataset and heuristic.", func(x *expo) {
 		for _, d := range x.ds {
 			x.sample(d.label+`,heuristic="h1"`, int64(d.stats.PrunedH1))

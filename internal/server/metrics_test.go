@@ -34,8 +34,7 @@ func metricValue(t *testing.T, body, series string) float64 {
 // and its TYPE, sorted. A dashboard is built on these names; a line may
 // leave this list (with its README glossary row and a DESIGN.md note) but
 // must not change.
-const goldenMetricTypes = `# TYPE tkd_batches_total counter
-# TYPE tkd_build_info gauge
+const goldenMetricTypes = `# TYPE tkd_build_info gauge
 # TYPE tkd_cache_hits_total counter
 # TYPE tkd_coalesced_queries_total counter
 # TYPE tkd_columns_served_total counter

@@ -66,7 +66,6 @@ const numAlgorithms = int(core.AlgIBIG) + 1
 type datasetMetrics struct {
 	queries          [numAlgorithms]atomic.Int64
 	errors           atomic.Int64 // failed client queries
-	batches          atomic.Int64 // scheduling windows served
 	coalesced        atomic.Int64 // queries answered by sharing an identical query's run
 	reloads          atomic.Int64 // epoch swaps served for this dataset
 	deadlineExceeded atomic.Int64 // queries that outran their deadline (504s)

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,25 +12,20 @@ import (
 	"repro/tkd"
 )
 
-// The batch scheduler. Each resident dataset owns one scheduler goroutine;
-// concurrent requests against that dataset are coalesced into scheduling
-// windows. A window forms when the first request arrives: the loop keeps
-// collecting until the window is full — it holds as many distinct queries as
-// the admission controller has worker slots, at least two — or the batch
-// window elapses, maxBatch requests are in hand or a drain begins. A full
-// window closes at once: each of its groups already gets one worker as its
-// fair share, so waiting longer could not change any group's grant and would
-// only delay them all; identical queries do not fill a window, so they still
-// coalesce for as long as the batch window runs. The loop groups identical
-// queries (same k, algorithm, workers) so each group executes once and fans
-// its answer out to every waiter, hands every group to a goroutine of its own
-// and goes straight back to collecting. The loop only collects and groups:
-// distinct queries — of one window or of successive ones — run side by side
-// over the same warm core.Pre and decompressed-column cache, and a
-// connection whose answer came back early starts its next window while
-// another's query is still executing. How many workers a group gets,
-// and when, is the admission controller's decision (admission.go), server-wide
-// across datasets.
+// The batch scheduler. Each resident dataset owns one scheduler goroutine,
+// which hands every request to the admission line the moment it receives it:
+// a query never waits for company. Requests already queued behind it are
+// swept into the same dispatch and divide the fair share between them as
+// mates. The loop groups identical queries (same k, algorithm, workers) so
+// each group executes once and fans its answer out to every waiter, hands
+// every new group to a goroutine of its own and goes straight back to
+// receiving. A request whose key matches a group that is still waiting for
+// its admission grant joins that group instead of entering the line again:
+// identical queries coalesce exactly when they queue behind running work.
+// Distinct queries run side by side over the same warm core.Pre and
+// decompressed-column cache. How many workers a group gets, and when, is the
+// admission controller's decision (admission.go), server-wide across
+// datasets.
 //
 // Lifecycle: a scheduler retires through drainStop (dataset eviction,
 // graceful server shutdown), which refuses new submits, lets in-flight
@@ -42,7 +36,7 @@ import (
 // used by tests.
 
 // queryKey identifies one executable query shape; requests with equal keys
-// inside a window share one execution. AllowPartial is part of the key: a
+// that wait together share one execution. AllowPartial is part of the key: a
 // degradation-tolerant query and a fail-closed one must not share an
 // execution, because under a shard outage they want different answers.
 type queryKey struct {
@@ -59,7 +53,7 @@ type reply struct {
 	deg       tkd.Degradation
 	err       error
 	coalesced bool // answered by another identical query's execution
-	batch     int  // size of the scheduling window the query rode in
+	batch     int  // requests the execution answered
 	granted   int  // worker goroutines the admission controller granted
 }
 
@@ -69,18 +63,14 @@ type request struct {
 	reply chan reply      // buffered(1); the scheduler never blocks on it
 	sp    *obs.Span       // the waiter's root span (nil = untraced)
 	enq   time.Time       // when the waiter entered the queue
-	disp  time.Time       // when its window closed and dispatch took it
-	why   string          // why its window closed: closedFull, …
 }
 
-// Why a scheduling window stopped collecting; the explain trace's window
-// span carries it as its "closed" attribute.
-const (
-	closedFull  = "full"  // as many distinct queries as worker slots
-	closedTimer = "timer" // the batch window elapsed (at once for a zero window)
-	closedBatch = "batch" // maxBatch requests in hand
-	closedDrain = "drain" // the scheduler is draining
-)
+// group is one execution's waiters: the requests dispatched with its key and
+// those that joined it before it started.
+type group struct {
+	key  queryKey
+	reqs []*request
+}
 
 // errSchedulerDraining is returned to submits that race a drainStop; handlers map it
 // to 503 so clients retry elsewhere (or see the eviction as a 404 on the
@@ -88,18 +78,24 @@ const (
 var errSchedulerDraining = fmt.Errorf("server: dataset is draining")
 
 type scheduler struct {
-	ds     *tkd.Dataset
-	adm    *admission
-	met    *datasetMetrics
-	in     chan *request
-	done   chan struct{} // server-wide immediate shutdown (Server.Close)
-	window time.Duration
+	ds   *tkd.Dataset
+	adm  *admission
+	met  *datasetMetrics
+	in   chan *request
+	done chan struct{} // server-wide immediate shutdown (Server.Close)
 
 	// Groups dispatched and not yet answered: inflight holds one token per
-	// group, so at maxBatch of them the loop stops collecting and a full
-	// queue pushes back on submit; groups is what the loop joins on exit.
+	// group (a request that joins a pending group takes none), so at
+	// maxBatch of them the loop stops receiving and a full queue pushes back
+	// on submit; groups is what the loop joins on exit.
 	inflight chan struct{}
 	groups   sync.WaitGroup
+
+	// pending maps a key to its dispatched group that has not started
+	// executing; the loop adds to it and each group's goroutine removes
+	// itself once it holds its grant.
+	mu      sync.Mutex
+	pending map[queryKey]*group
 
 	// Drain machinery: draining flips first, then drainStop takes rw
 	// exclusively as a barrier against submits that passed the flag check,
@@ -112,11 +108,11 @@ type scheduler struct {
 	drainOnce sync.Once
 }
 
-// maxBatch bounds the queries one scheduling window may hold, the submit
-// queue behind it and the groups in flight ahead of it.
+// maxBatch bounds the requests one dispatch sweeps up, the submit queue
+// behind it and the groups in flight ahead of it.
 const maxBatch = 64
 
-func newScheduler(ds *tkd.Dataset, adm *admission, met *datasetMetrics, window time.Duration, done chan struct{}) *scheduler {
+func newScheduler(ds *tkd.Dataset, adm *admission, met *datasetMetrics, done chan struct{}) *scheduler {
 	s := &scheduler{
 		ds:       ds,
 		adm:      adm,
@@ -125,8 +121,8 @@ func newScheduler(ds *tkd.Dataset, adm *admission, met *datasetMetrics, window t
 		done:     done,
 		drained:  make(chan struct{}),
 		exited:   make(chan struct{}),
-		window:   window,
 		inflight: make(chan struct{}, maxBatch),
+		pending:  make(map[queryKey]*group),
 	}
 	go s.loop()
 	return s
@@ -156,7 +152,7 @@ func (s *scheduler) drainStop() {
 
 // submit enqueues one query and waits for its reply; ctx cancellation (or
 // server shutdown) abandons the wait — the scheduler still finishes the
-// query for its window-mates and the buffered reply channel is collected by
+// query for its group-mates and the buffered reply channel is collected by
 // the garbage collector. sp, when non-nil, receives the queue-wait span and
 // the execution spans.
 func (s *scheduler) submit(ctx context.Context, key queryKey, sp *obs.Span) (reply, error) {
@@ -199,25 +195,12 @@ func (s *scheduler) submit(ctx context.Context, key queryKey, sp *obs.Span) (rep
 	}
 }
 
-// loop is the scheduler goroutine: collect a window, dispatch it, repeat;
-// on drain, dispatch the backlog. It exits only once every group it
-// dispatched has replied.
+// loop is the scheduler goroutine: receive a request, dispatch it with
+// whatever queued behind it, repeat; on drain, dispatch the backlog. It exits
+// only once every group it dispatched has replied.
 func (s *scheduler) loop() {
 	defer close(s.exited)
 	defer s.groups.Wait()
-	// One timer serves every window: armed by Reset when a window opens and
-	// stopped when it closes (since Go 1.23 a stopped timer's channel holds
-	// no stale tick, so nothing needs draining).
-	var timer *time.Timer
-	if s.window > 0 {
-		timer = time.NewTimer(s.window)
-		timer.Stop()
-	}
-	// keys holds the open window's distinct query keys; full of them close
-	// it. A window never closes on its first request alone, so a one-slot
-	// server still waits for identical company.
-	full := min(max(s.adm.slots(), 2), maxBatch)
-	keys := make([]queryKey, 0, full)
 	for {
 		var first *request
 		select {
@@ -229,52 +212,16 @@ func (s *scheduler) loop() {
 			return
 		}
 		batch := []*request{first}
-		why := closedTimer
-		if s.window > 0 {
-			keys = append(keys[:0], first.key)
-			timer.Reset(s.window)
-		collect:
-			for {
-				if len(keys) == full {
-					why = closedFull
-					break
-				}
-				if len(batch) == maxBatch {
-					why = closedBatch
-					break
-				}
-				select {
-				case r := <-s.in:
-					batch = append(batch, r)
-					if !slices.Contains(keys, r.key) {
-						keys = append(keys, r.key)
-					}
-				case <-timer.C:
-					break collect
-				case <-s.done:
-					timer.Stop()
-					return
-				case <-s.drained:
-					// Dispatch what is in hand now; the next loop iteration
-					// lands in finalDrain for the rest.
-					why = closedDrain
-					break collect
-				}
-			}
-			timer.Stop()
-		}
-		// Opportunistic drain: anything that arrived while the window closed
-		// rides along rather than waiting a full extra window.
-	drain:
+	sweep:
 		for len(batch) < maxBatch {
 			select {
 			case r := <-s.in:
 				batch = append(batch, r)
 			default:
-				break drain
+				break sweep
 			}
 		}
-		s.dispatch(batch, why)
+		s.dispatch(batch)
 	}
 }
 
@@ -289,41 +236,47 @@ func (s *scheduler) finalDrain() {
 			batch = append(batch, r)
 		default:
 			if len(batch) > 0 {
-				s.dispatch(batch, closedDrain)
+				s.dispatch(batch)
 			}
 			return
 		}
 	}
 }
 
-// dispatch closes one scheduling window, which stopped collecting for the
-// reason why: group identical queries, take each group's place in the
-// admission line in arrival order and start it.
-func (s *scheduler) dispatch(batch []*request, why string) {
-	s.met.batches.Add(1)
-	var order []queryKey
-	groups := make(map[queryKey][]*request, len(batch))
-	now := time.Now()
+// dispatch hands one sweep of requests to the admission line: a request joins
+// the pending group of its key if there is one, the rest are grouped by key
+// and each new group takes its place in line in arrival order, dividing the
+// fair share with the new groups behind it, and starts.
+func (s *scheduler) dispatch(batch []*request) {
+	var fresh []*group
+	s.mu.Lock()
 	for _, r := range batch {
-		r.disp, r.why = now, why
-		if _, ok := groups[r.key]; !ok {
-			order = append(order, r.key)
+		if g, ok := s.pending[r.key]; ok {
+			g.reqs = append(g.reqs, r)
+			continue
 		}
-		groups[r.key] = append(groups[r.key], r)
+		g := &group{key: r.key, reqs: []*request{r}}
+		s.pending[r.key] = g
+		fresh = append(fresh, g)
 	}
-	for i, key := range order {
+	s.mu.Unlock()
+	for i, g := range fresh {
 		s.inflight <- struct{}{}
 		s.groups.Add(1)
-		go s.run(key, groups[key], len(batch), s.adm.enter(key.Workers, len(order)-1-i))
+		go s.run(g, s.adm.enter(g.key.Workers, len(fresh)-1-i))
 	}
 }
 
 // run executes one group once its admission grant is held and fans the
-// answer out; window is the size of the scheduling window the group rode in.
-func (s *scheduler) run(key queryKey, reqs []*request, window int, g *grant) {
+// answer out to every waiter, joiners included.
+func (s *scheduler) run(grp *group, g *grant) {
 	defer s.groups.Done()
 	defer func() { <-s.inflight }()
 	granted := g.wait()
+	s.mu.Lock()
+	delete(s.pending, grp.key)
+	reqs, key := grp.reqs, grp.key
+	s.mu.Unlock()
 	// The execution's context is the union of its waiters': it cancels only
 	// once EVERY waiter's deadline fired or client disconnected. One
 	// impatient client in a coalesced group must not kill the answer the
@@ -350,16 +303,13 @@ func (s *scheduler) run(key queryKey, reqs []*request, window int, g *grant) {
 	start := time.Now()
 	// Every waiter records its own queue wait — from enqueue to the moment
 	// its group holds its slots and starts executing, so queue ends where
-	// execute begins — split into its two children: window (enqueue to
-	// dispatch) and admission (dispatch to the grant). The execution itself
-	// runs once, as a span under the first traced waiter's trace; the other
-	// waiters adopt the completed span by reference, so a coalesced reply's
-	// trace still shows exactly what ran.
+	// execute begins. The execution itself runs once, as a span under the
+	// first traced waiter's trace; the other waiters adopt the completed span
+	// by reference, so a coalesced reply's trace still shows exactly what
+	// ran.
 	var exec *obs.Span
 	for _, r := range reqs {
-		queue := r.sp.ChildAt("queue", r.enq, start)
-		queue.ChildAt("window", r.enq, r.disp).SetStr("closed", r.why)
-		queue.ChildAt("admission", r.disp, start)
+		r.sp.ChildAt("queue", r.enq, start)
 		if exec == nil {
 			exec = r.sp.StartChild("execute")
 		}
@@ -400,7 +350,7 @@ func (s *scheduler) run(key queryKey, reqs []*request, window int, g *grant) {
 			deg:       deg,
 			err:       err,
 			coalesced: i > 0,
-			batch:     window,
+			batch:     len(reqs),
 			granted:   granted,
 		}
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -140,11 +141,11 @@ func TestSchedulerSaturation(t *testing.T) {
 	adm := newAdmission(1)
 	hog := adm.enter(1, 0) // the test holds the only slot
 	done := make(chan struct{})
-	sch := newScheduler(tkd.GenerateIND(300, 2, 20, 0.1, 7), adm, &datasetMetrics{}, 0, done)
+	sch := newScheduler(tkd.GenerateIND(300, 2, 20, 0.1, 7), adm, &datasetMetrics{}, done)
 	defer close(done)
 
 	// Distinct k's, so every request is a group of its own. The scheduler
-	// absorbs maxBatch groups in flight, at most one window in the loop's
+	// absorbs maxBatch groups in flight, at most one sweep in the loop's
 	// hand and maxBatch queued; the rest block in submit.
 	const accepted = 4 * maxBatch
 	errs := make(chan error, accepted)
@@ -179,20 +180,19 @@ func TestSchedulerSaturation(t *testing.T) {
 	idle(t, adm)
 }
 
-// TestWindowClosesWhenFull pins when a scheduling window stops collecting.
-// Every case runs behind a 10 s batch window, so only the timer case may
-// take it: a window holding as many distinct queries as the server has
-// worker slots closes at once; identical queries do not fill it, so a burst
-// of them still waits out the timer and executes once, on a one-slot server
-// too; and a Shutdown during an open window that is not full answers every
-// request in it. Each request is traced, and its window span says why its
-// window closed.
-func TestWindowClosesWhenFull(t *testing.T) {
-	const window = 10 * time.Second
+// TestCoalescesBehindRunningGroups pins when identical queries share an
+// execution now that a query dispatches the moment it arrives: while they
+// wait behind running work, and only then. A hog grant holds every worker
+// slot, as running queries would. Three identical queries submitted one at a
+// time queue behind it as one group — the second and third join the group
+// the first put in the admission line instead of entering the line again —
+// and execute once. A distinct query submitted while a slot is free starts
+// without waiting for anything, and a Shutdown while a joined group is still
+// in line answers every waiter.
+func TestCoalescesBehindRunningGroups(t *testing.T) {
 	gen := func() *tkd.Dataset { return tkd.GenerateIND(2000, 4, 40, 0.1, 5) }
-	// start serves gen() at the given capacity behind the 10 s window.
-	start := func(t *testing.T, maxWorkers int) (*Server, *scheduler) {
-		s := New(Config{MaxWorkers: maxWorkers, BatchWindow: window})
+	start := func(t *testing.T) (*Server, *scheduler) {
+		s := New(Config{MaxWorkers: 2})
 		t.Cleanup(s.Close)
 		if err := s.AddDataset("d", gen()); err != nil {
 			t.Fatal(err)
@@ -211,165 +211,169 @@ func TestWindowClosesWhenFull(t *testing.T) {
 		n, _ := strconv.Atoi(m[1])
 		return n
 	}
-	// check holds one traced reply to Naive's answer for its k and returns
-	// why its window closed.
-	check := func(t *testing.T, key queryKey, tr *obs.Trace, rep reply) string {
+	type answer struct {
+		rep reply
+		err error
+	}
+	// ask submits one traced query and delivers its answer on the channel.
+	ask := func(sch *scheduler, key queryKey, tr *obs.Trace) <-chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			rep, err := sch.submit(context.Background(), key, tr.Root())
+			ch <- answer{rep, err}
+		}()
+		return ch
+	}
+	// await takes one answer, failing if it never comes.
+	await := func(t *testing.T, ch <-chan answer) answer {
 		t.Helper()
-		if rep.err != nil {
-			t.Fatalf("k=%d: %v", key.K, rep.err)
+		select {
+		case a := <-ch:
+			return a
+		case <-time.After(10 * time.Second):
+			t.Fatal("a waiter was never answered")
+			return answer{}
+		}
+	}
+	// queued reports how many requests wait in key's pending group and how
+	// many groups wait in the admission line.
+	queued := func(s *Server, sch *scheduler, key queryKey) (waiters, line int) {
+		sch.mu.Lock()
+		if g := sch.pending[key]; g != nil {
+			waiters = len(g.reqs)
+		}
+		sch.mu.Unlock()
+		s.adm.mu.Lock()
+		defer s.adm.mu.Unlock()
+		return waiters, len(s.adm.line)
+	}
+	// queueBehind submits n identical traced queries one at a time, each once
+	// the previous one waits in the key's one group in line.
+	queueBehind := func(t *testing.T, s *Server, sch *scheduler, key queryKey, n int) ([]<-chan answer, []*obs.Trace) {
+		answers := make([]<-chan answer, n)
+		traces := make([]*obs.Trace, n)
+		for i := range answers {
+			traces[i] = obs.New("query")
+			answers[i] = ask(sch, key, traces[i])
+			eventually(t, fmt.Sprintf("query %d to wait in the one group in line", i+1), func() bool {
+				waiters, line := queued(s, sch, key)
+				return waiters == i+1 && line == 1
+			})
+		}
+		return answers, traces
+	}
+	// check holds one answer to Naive's for its k and returns its queue span.
+	check := func(t *testing.T, key queryKey, tr *obs.Trace, a answer) *obs.SpanJSON {
+		t.Helper()
+		if a.err == nil {
+			a.err = a.rep.err
+		}
+		if a.err != nil {
+			t.Fatalf("k=%d: %v", key.K, a.err)
 		}
 		want, err := gen().TopK(key.K, tkd.WithAlgorithm(tkd.Naive))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rep.res.Items) != len(want.Items) {
-			t.Fatalf("k=%d: %d items, want %d", key.K, len(rep.res.Items), len(want.Items))
+		if len(a.rep.res.Items) != len(want.Items) {
+			t.Fatalf("k=%d: %d items, want %d", key.K, len(a.rep.res.Items), len(want.Items))
 		}
-		for j, it := range rep.res.Items {
+		for j, it := range a.rep.res.Items {
 			if w := want.Items[j]; it.Index != w.Index || it.Score != w.Score {
 				t.Fatalf("k=%d: answer diverged at rank %d", key.K, j+1)
 			}
 		}
 		queue := tr.JSON().Root.Children[0]
-		if queue.Name != "queue" || len(queue.Children) == 0 || queue.Children[0].Name != "window" {
-			t.Fatalf("k=%d: no queue span with a window child in %+v", key.K, tr.JSON().Root)
+		if queue.Name != "queue" || len(queue.Children) != 0 {
+			t.Fatalf("k=%d: first span %q with %d children, want a queue leaf", key.K, queue.Name, len(queue.Children))
 		}
-		why, _ := queue.Children[0].Attrs["closed"].(string)
-		return why
-	}
-	// burst submits every key at once, traced, and returns the replies, the
-	// traces and how long the burst took.
-	burst := func(t *testing.T, sch *scheduler, keys []queryKey) ([]reply, []*obs.Trace, time.Duration) {
-		replies := make([]reply, len(keys))
-		errs := make([]error, len(keys))
-		traces := make([]*obs.Trace, len(keys))
-		began := time.Now()
-		var wg sync.WaitGroup
-		for i, key := range keys {
-			traces[i] = obs.New("query")
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				replies[i], errs[i] = sch.submit(context.Background(), key, traces[i].Root())
-			}()
-		}
-		wg.Wait()
-		took := time.Since(began)
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("k=%d: %v", keys[i].K, err)
-			}
-		}
-		return replies, traces, took
+		return queue
 	}
 	naive := func(k int) queryKey { return queryKey{K: k, Alg: core.AlgNaive, Workers: 1} }
 
-	t.Run("distinct pair fills the window", func(t *testing.T) {
+	t.Run("identical queries join the group in line", func(t *testing.T) {
 		t.Parallel()
-		_, sch := start(t, 2)
-		keys := []queryKey{naive(3), naive(4)}
-		replies, traces, took := burst(t, sch, keys)
-		if took > window/4 {
-			t.Fatalf("two distinct queries on two slots took %v, want the window closed by the second", took)
+		s, sch := start(t)
+		before := coalescedTotal(t, s)
+		hog := s.adm.enter(2, 0)
+		key := naive(5)
+		answers, traces := queueBehind(t, s, sch, key, 3)
+		s.adm.release(hog.wait())
+		shared := 0
+		for i, ch := range answers {
+			a := await(t, ch)
+			check(t, key, traces[i], a)
+			if a.rep.batch != 3 {
+				t.Errorf("query %d was answered by an execution of %d requests, want all 3", i, a.rep.batch)
+			}
+			if a.rep.coalesced {
+				shared++
+			}
 		}
-		for i, rep := range replies {
-			if rep.batch != 2 || rep.coalesced {
-				t.Errorf("k=%d: window of %d, coalesced %v; want both in one window of 2, none coalesced", keys[i].K, rep.batch, rep.coalesced)
-			}
-			if why := check(t, keys[i], traces[i], rep); why != closedFull {
-				t.Errorf("k=%d: window closed %q, want %q", keys[i].K, why, closedFull)
-			}
+		if shared != 2 {
+			t.Errorf("%d of 3 identical queries coalesced, want 2", shared)
+		}
+		if got := coalescedTotal(t, s) - before; got != 2 {
+			t.Errorf("tkd_coalesced_queries_total rose by %d, want 2", got)
 		}
 	})
-	for _, tc := range []struct {
-		name       string
-		maxWorkers int
-		identical  int
-	}{
-		{"identical queries wait out the timer", 2, 3},
-		{"one slot still coalesces", 1, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			s, sch := start(t, tc.maxWorkers)
-			before := coalescedTotal(t, s)
-			keys := make([]queryKey, tc.identical)
-			for i := range keys {
-				keys[i] = naive(5)
-			}
-			replies, traces, took := burst(t, sch, keys)
-			if took < window {
-				t.Errorf("%d identical queries answered after %v; the window must stay open until its %v timer", tc.identical, took, window)
-			}
-			shared := 0
-			for i, rep := range replies {
-				if rep.batch != tc.identical {
-					t.Errorf("query %d rode a window of %d, want %d", i, rep.batch, tc.identical)
-				}
-				if rep.coalesced {
-					shared++
-				}
-				if why := check(t, keys[i], traces[i], rep); why != closedTimer {
-					t.Errorf("query %d: window closed %q, want %q", i, why, closedTimer)
-				}
-			}
-			if shared != tc.identical-1 {
-				t.Errorf("%d of %d identical queries coalesced, want %d", shared, tc.identical, tc.identical-1)
-			}
-			if got := coalescedTotal(t, s) - before; got != tc.identical-1 {
-				t.Errorf("tkd_coalesced_queries_total rose by %d, want %d", got, tc.identical-1)
-			}
-		})
-	}
-	t.Run("shutdown answers an open window", func(t *testing.T) {
+	t.Run("a free slot starts a query at once", func(t *testing.T) {
 		t.Parallel()
-		s, sch := start(t, 4)
-		// Three distinct queries on four slots: the window is open and not
-		// full. The test enqueues them as submit does, so it can tell when
-		// the loop holds all three in its window.
-		keys := []queryKey{naive(3), naive(4), naive(5)}
-		reqs := make([]*request, len(keys))
-		traces := make([]*obs.Trace, len(keys))
-		for i, key := range keys {
-			traces[i] = obs.New("query")
-			reqs[i] = &request{key: key, ctx: context.Background(), reply: make(chan reply, 1), sp: traces[i].Root(), enq: time.Now()}
-			sch.in <- reqs[i]
+		s, sch := start(t)
+		hog := s.adm.enter(1, 0) // one of the two slots stays free
+		defer func() { s.adm.release(hog.wait()) }()
+		key := naive(4)
+		tr := obs.New("query")
+		a := await(t, ask(sch, key, tr))
+		check(t, key, tr, a)
+		if a.rep.granted != 1 || a.rep.coalesced || a.rep.batch != 1 {
+			t.Errorf("granted %d, coalesced %v, batch %d; want the free slot to itself", a.rep.granted, a.rep.coalesced, a.rep.batch)
 		}
-		eventually(t, "the loop to collect all three", func() bool { return len(sch.in) == 0 })
-		if n := sch.met.batches.Load(); n != 0 {
-			t.Fatalf("%d windows dispatched before the shutdown; the window must still be open", n)
+	})
+	t.Run("shutdown answers a joined group in line", func(t *testing.T) {
+		t.Parallel()
+		s, sch := start(t)
+		hog := s.adm.enter(2, 0)
+		key := naive(3)
+		answers, traces := queueBehind(t, s, sch, key, 2)
+		stopped := make(chan struct{})
+		go func() {
+			defer close(stopped)
+			s.Shutdown()
+		}()
+		eventually(t, "the drain to begin", sch.draining.Load)
+		if _, err := sch.submit(context.Background(), key, nil); !errors.Is(err, errSchedulerDraining) {
+			t.Fatalf("submit during the drain: %v, want errSchedulerDraining", err)
 		}
-		s.Shutdown()
-		for i, r := range reqs {
-			var rep reply
-			select {
-			case rep = <-r.reply:
-			default:
-				t.Fatalf("k=%d queued in the open window was not answered by Shutdown", keys[i].K)
+		s.adm.release(hog.wait())
+		<-stopped
+		shared := 0
+		for i, ch := range answers {
+			a := await(t, ch)
+			check(t, key, traces[i], a)
+			if a.rep.coalesced {
+				shared++
 			}
-			if rep.batch != len(keys) {
-				t.Errorf("k=%d rode a window of %d, want %d", keys[i].K, rep.batch, len(keys))
-			}
-			if why := check(t, keys[i], traces[i], rep); why != closedDrain {
-				t.Errorf("k=%d: window closed %q, want %q", keys[i].K, why, closedDrain)
-			}
+		}
+		if shared != 1 {
+			t.Errorf("%d of the 2 waiters coalesced, want 1", shared)
 		}
 	})
 }
 
 // BenchmarkSchedulerWindow is the scheduler's row of the ledger, on the
 // served benchmark's query-light shape (2,000 × 4 IND rows, where the engine
-// costs ≈ 0.1 ms) at two worker slots and tkdserver's default 1 ms window:
-// /pair submits two distinct queries together, one per slot, and an op is
-// the pair's wall time — their window is full once both arrived, so neither
-// waits for the timer; /lone submits one query, which has no company to
-// wait for and still pays the whole window.
+// costs ≈ 0.1 ms) at two worker slots. /pair submits two distinct queries
+// together and an op is the pair's wall time: the first arrival on an idle
+// controller is granted both slots as its fair share, so the second runs
+// after it unless one dispatch swept up both. /lone submits one query, which
+// dispatches at once. The name is kept so the ledger row stays continuous.
 func BenchmarkSchedulerWindow(b *testing.B) {
 	ds := tkd.GenerateIND(2000, 4, 40, 0.2, 1)
 	ds.Prepare()
 	done := make(chan struct{})
 	defer close(done)
-	sch := newScheduler(ds, newAdmission(2), &datasetMetrics{}, time.Millisecond, done)
+	sch := newScheduler(ds, newAdmission(2), &datasetMetrics{}, done)
 	ask := func(b *testing.B, k int) {
 		rep, err := sch.submit(context.Background(), queryKey{K: k, Alg: core.AlgIBIG}, nil)
 		if err == nil {

@@ -14,12 +14,12 @@
 //	GET    /healthz                   — liveness
 //	GET    /metrics                   — Prometheus text: the family table of metrics.go
 //
-// Concurrent requests against one dataset are collected by a per-dataset
-// batch scheduler (see scheduler.go) into scheduling windows: identical
-// queries of a window execute once, distinct ones run side by side over the
-// warm artifacts and the decompressed-column cache, and a server-wide FIFO
-// admission controller (admission.go) sizes and gates each query's worker
-// fan-out. The paper's determinism guarantee (WithWorkers never changes an
+// A per-dataset batch scheduler (see scheduler.go) dispatches each query the
+// moment it arrives: distinct queries run side by side over the warm
+// artifacts and the decompressed-column cache, an identical query that
+// arrives while its twin still waits for worker slots shares the twin's
+// execution, and a server-wide FIFO admission controller (admission.go)
+// sizes and gates each query's worker fan-out. The paper's determinism guarantee (WithWorkers never changes an
 // answer) is what makes both the dedup and the admission grant transparent
 // to clients.
 //
@@ -59,13 +59,6 @@ type Config struct {
 	// MaxWorkers caps the total worker goroutines in flight across all
 	// queries (the admission controller's capacity); <= 0 selects GOMAXPROCS.
 	MaxWorkers int
-	// BatchWindow is the longest a scheduling window stays open to coalesce
-	// concurrent queries after the first one arrives. A window closes
-	// sooner once it is full — it holds as many distinct queries as
-	// MaxWorkers resolves to, at least two — because each of its queries
-	// then gets one worker however long it waits; identical queries do not
-	// fill it. 0 serves whatever has already queued without waiting.
-	BatchWindow time.Duration
 	// CacheBudget bounds each dataset's decompressed-column cache in bytes;
 	// <= 0 keeps the bitmapidx default (32 MiB).
 	CacheBudget int64
@@ -392,7 +385,7 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 		}
 	}
 	met := &datasetMetrics{}
-	sch := newScheduler(ds, s.adm, met, s.cfg.BatchWindow, s.done)
+	sch := newScheduler(ds, s.adm, met, s.done)
 	e := &entry{
 		name:   name,
 		ds:     ds,
@@ -615,7 +608,7 @@ func (s *Server) Close() {
 }
 
 // Shutdown gracefully retires the server: new queries are refused with 503,
-// every per-dataset scheduler drains its queued windows to completion, and
+// every per-dataset scheduler drains its queued queries to completion, and
 // only then is the server closed. Safe to call multiple times; callers that
 // also manage an http.Server should call Shutdown before (or concurrently
 // with) the http.Server's own Shutdown so handlers waiting on scheduler
@@ -708,8 +701,8 @@ type QueryResponse struct {
 	Workers int         `json:"workers"`
 	Items   []QueryItem `json:"items"`
 	Stats   QueryStats  `json:"stats"`
-	// Coalesced marks an answer shared from an identical query in the same
-	// scheduling window; BatchSize is that window's query count.
+	// Coalesced marks an answer shared from an identical query's execution;
+	// BatchSize is the number of requests that execution answered.
 	Coalesced bool    `json:"coalesced"`
 	BatchSize int     `json:"batch_size"`
 	LatencyMS float64 `json:"latency_ms"`
@@ -914,7 +907,7 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	rep, err := e.sch.submit(ctx, queryKey{K: req.K, Alg: alg, Workers: req.Workers, AllowPartial: req.AllowPartial}, root)
 	if err != nil {
 		// Scheduler-path failure: the deadline fired (or the client left)
-		// while the query waited or ran for its window-mates, or the
+		// while the query waited for its slots or ran, or the
 		// scheduler is draining/shut down.
 		s.finishQuery(tr, &req, alg, start, false, err)
 		status, code := http.StatusServiceUnavailable, errDraining

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/server"
 	"repro/tkd"
@@ -97,7 +96,6 @@ func TestEndToEnd(t *testing.T) {
 	// columns that fit keep hitting while the rest are read through scratch.
 	_, ts, ref := newTestServer(t, server.Config{
 		MaxWorkers:  4,
-		BatchWindow: 2 * time.Millisecond,
 		CacheBudget: 1 << 10, // fewer columns than one Q/P pass touches
 	})
 
@@ -254,13 +252,12 @@ func grepMetric(metrics, name string) string {
 }
 
 // TestCoalescing pins the batch scheduler's dedup: a burst of identical
-// queries inside one window runs once and fans out, with the coalesced flag
-// and counter reflecting it.
+// queries that queues behind running work — here every worker slot is held
+// until the whole burst waits in line — runs once and fans out, with the
+// coalesced flag, the batch size and the counter reflecting it.
 func TestCoalescing(t *testing.T) {
-	_, ts, _ := newTestServer(t, server.Config{
-		MaxWorkers:  2,
-		BatchWindow: 20 * time.Millisecond,
-	})
+	s, ts, _ := newTestServer(t, server.Config{MaxWorkers: 2})
+	release := s.HoldSlots()
 	const burst = 12
 	var wg sync.WaitGroup
 	responses := make([]server.QueryResponse, burst)
@@ -276,24 +273,25 @@ func TestCoalescing(t *testing.T) {
 			responses[i] = qr
 		}(i)
 	}
+	waitFor(t, "the burst to wait behind the held slots", func() bool { return s.Waiting("ac") == burst })
+	release()
 	wg.Wait()
 	coalesced := 0
 	for _, qr := range responses {
 		if qr.Coalesced {
 			coalesced++
 		}
+		if qr.BatchSize != burst {
+			t.Errorf("a query was answered by an execution of %d requests, want the whole burst of %d", qr.BatchSize, burst)
+		}
 	}
-	if coalesced == 0 {
-		t.Error("no query in a 12-wide identical burst was coalesced")
+	if coalesced != burst-1 {
+		t.Errorf("%d of a %d-wide identical burst coalesced, want %d", coalesced, burst, burst-1)
 	}
 	metrics := getBody(t, ts.URL+"/metrics")
 	if sumMetric(t, metrics, "tkd_coalesced_queries_total") != int64(coalesced) {
 		t.Errorf("coalesced counter = %d, responses said %d",
 			sumMetric(t, metrics, "tkd_coalesced_queries_total"), coalesced)
-	}
-	// Batches < queries proves windows carried more than one query each.
-	if b := sumMetric(t, metrics, "tkd_batches_total"); b >= burst {
-		t.Errorf("batches = %d for %d queries; scheduler never coalesced a window", b, burst)
 	}
 }
 

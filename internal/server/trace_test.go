@@ -415,15 +415,15 @@ func TestStageMetricsExposed(t *testing.T) {
 }
 
 // TestGrantAndQueueSpans pins what a trace says about admission: two distinct
-// queries of one window on a 2-slot server run side by side, one worker each,
-// and each one's queue span ends where its execute span begins, the two
-// together inside the latency the client saw; the queue span's window and
-// admission children tile it. The pair fills its window, so the first
-// arrival's window child ends at the second arrival and says it closed full;
-// a lone query waits out the whole batch window, its window child says the
-// timer closed it, and it is granted both slots and waits for none of them.
+// queries that queue behind running work on a 2-slot server — here both
+// slots are held until both queries wait in line — are granted one worker
+// each and run side by side. Each one's queue span is a leaf that ends where
+// its execute span begins, after the slots were handed back, and the two
+// spans together fit inside the latency the client saw. A lone query on the
+// idle server dispatches at once, is granted both slots and waits for none
+// of them.
 func TestGrantAndQueueSpans(t *testing.T) {
-	_, ts, _ := newTestServer(t, server.Config{MaxWorkers: 2, BatchWindow: 100 * time.Millisecond})
+	s, ts, _ := newTestServer(t, server.Config{MaxWorkers: 2})
 	type observed struct {
 		qr      server.QueryResponse
 		latency time.Duration
@@ -444,6 +444,9 @@ func TestGrantAndQueueSpans(t *testing.T) {
 		if len(queues) != 1 || len(execs) != 1 {
 			t.Fatalf("%d queue / %d execute spans, want 1 / 1", len(queues), len(execs))
 		}
+		if len(queues[0].Children) != 0 {
+			t.Fatalf("queue children %+v, want a leaf", queues[0].Children)
+		}
 		return queues[0], execs[0]
 	}
 	begin := func(o observed, sp *obs.SpanJSON) time.Time {
@@ -452,27 +455,10 @@ func TestGrantAndQueueSpans(t *testing.T) {
 	end := func(o observed, sp *obs.SpanJSON) time.Time {
 		return begin(o, sp).Add(time.Duration(sp.DurUS) * time.Microsecond)
 	}
-	// queueParts returns the window and admission children of a queue span
-	// after checking that they tile it: window from the queue's start,
-	// admission from the window's end to the queue's end, each boundary
-	// within one span tick (durations are whole microseconds).
-	const tick = time.Microsecond
-	near := func(a, b time.Time) bool { d := a.Sub(b); return d >= -tick && d <= tick }
-	queueParts := func(o observed, queue *obs.SpanJSON) (window, admission *obs.SpanJSON) {
-		if len(queue.Children) != 2 || queue.Children[0].Name != "window" || queue.Children[1].Name != "admission" {
-			t.Fatalf("queue children %+v, want window then admission", queue.Children)
-		}
-		window, admission = queue.Children[0], queue.Children[1]
-		if !near(begin(o, window), begin(o, queue)) || !near(end(o, window), begin(o, admission)) || !near(end(o, admission), end(o, queue)) {
-			t.Errorf("queue [%d +%d] µs is not tiled by window [%d +%d] and admission [%d +%d]",
-				queue.StartUS, queue.DurUS, window.StartUS, window.DurUS, admission.StartUS, admission.DurUS)
-		}
-		return window, admission
-	}
 
 	// Naive on 4000 rows runs long enough for the two executions to overlap
-	// for certain; the 100 ms window puts both requests in one window, which
-	// the second one fills.
+	// for certain once the slots come back together.
+	release := s.HoldSlots()
 	var pair [2]observed
 	var wg sync.WaitGroup
 	for i, k := range []int{3, 4} {
@@ -482,21 +468,25 @@ func TestGrantAndQueueSpans(t *testing.T) {
 			pair[i] = explain(k, "Naive")
 		}()
 	}
+	waitFor(t, "both queries to wait behind the held slots", func() bool { return s.Waiting("ac") == 2 })
+	released := time.Now()
+	release()
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
 	}
 	var execs [2]*obs.SpanJSON
-	var windows [2]*obs.SpanJSON
 	for i, o := range pair {
 		queue, exec := spansOf(o)
 		execs[i] = exec
-		windows[i], _ = queueParts(o, queue)
 		if o.qr.Workers != 1 || exec.Attrs["granted"] != float64(1) {
 			t.Errorf("query %d: workers %d, granted attr %v; want 1 of the 2 slots each", i, o.qr.Workers, exec.Attrs["granted"])
 		}
-		if o.qr.BatchSize != 2 {
-			t.Errorf("query %d rode a window of %d, want 2", i, o.qr.BatchSize)
+		if o.qr.BatchSize != 1 {
+			t.Errorf("query %d: its execution answered %d requests, want 1", i, o.qr.BatchSize)
+		}
+		if end(o, queue).Before(released.Add(-time.Millisecond)) {
+			t.Errorf("query %d: queue ended %v before the slots were handed back", i, released.Sub(end(o, queue)))
 		}
 		if gap := begin(o, exec).Sub(end(o, queue)); gap < -time.Millisecond || gap > 20*time.Millisecond {
 			t.Errorf("query %d: execute begins %v after queue ends; the two must meet", i, gap)
@@ -508,24 +498,6 @@ func TestGrantAndQueueSpans(t *testing.T) {
 	if !begin(pair[0], execs[0]).Before(end(pair[1], execs[1])) || !begin(pair[1], execs[1]).Before(end(pair[0], execs[0])) {
 		t.Errorf("execute spans do not overlap: %+v and %+v", execs[0], execs[1])
 	}
-	// The first arrival opened the window and the second filled it: the
-	// first's window child ends at the second's arrival, well inside the
-	// 100 ms batch window.
-	first, second := 0, 1
-	if begin(pair[1], windows[1]).Before(begin(pair[0], windows[0])) {
-		first, second = 1, 0
-	}
-	if closed := end(pair[first], windows[first]); closed.Before(begin(pair[second], windows[second]).Add(-tick)) {
-		t.Errorf("first arrival's window closed %v before the second arrived", begin(pair[second], windows[second]).Sub(closed))
-	}
-	if d := time.Duration(windows[first].DurUS) * time.Microsecond; d >= 50*time.Millisecond {
-		t.Errorf("first arrival's window child is %v, want it closed by the second arrival, well under the 100ms batch window", d)
-	}
-	for i, w := range windows {
-		if w.Attrs["closed"] != "full" {
-			t.Errorf("query %d: window closed %v, want full", i, w.Attrs["closed"])
-		}
-	}
 
 	lone := explain(5, "")
 	if t.Failed() {
@@ -535,15 +507,11 @@ func TestGrantAndQueueSpans(t *testing.T) {
 	if lone.qr.Workers != 2 || exec.Attrs["granted"] != float64(2) {
 		t.Errorf("lone query: workers %d, granted attr %v; want both slots", lone.qr.Workers, exec.Attrs["granted"])
 	}
-	// Nothing else runs, so the grant is immediate: the admission child is
-	// the few microseconds between dispatch and the group's goroutine. No
-	// second query fills the window, so it is the whole batch window.
-	window, admission := queueParts(lone, queue)
-	if time.Duration(admission.DurUS)*time.Microsecond > 5*time.Millisecond {
-		t.Errorf("lone query waited %d µs in admission, want ≈ 0", admission.DurUS)
-	}
-	if d := time.Duration(window.DurUS) * time.Microsecond; d < 100*time.Millisecond || window.Attrs["closed"] != "timer" {
-		t.Errorf("lone query's window child is %v, closed %v; want the 100ms batch window, closed by its timer", d, window.Attrs["closed"])
+	// Nothing else runs, so the query dispatches at once and its grant is
+	// immediate: the queue span is the few microseconds between the handler
+	// and the group's goroutine.
+	if d := time.Duration(queue.DurUS) * time.Microsecond; d > 5*time.Millisecond {
+		t.Errorf("lone query queued %v, want ≈ 0", d)
 	}
 }
 
