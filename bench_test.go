@@ -382,7 +382,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("engine-off", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.RunWorkersTraced(core.AlgUBB, ds, 8, pre, 1, nil)
+			core.RunContext(context.Background(), core.AlgUBB, ds, 8, pre, 1, nil)
 		}
 	})
 }

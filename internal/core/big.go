@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/bitmapidx"
 	"repro/internal/data"
 	"repro/internal/obs"
@@ -71,22 +73,22 @@ func (s bigState) score(o int, tau int) (int, scoreResult, int64) {
 // (Heuristic 2) and bitwise score computation through the bitmap index.
 // The index must be value-granular (unbinned); IBIG handles binned indexes.
 func BIG(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue) (Result, Stats) {
-	return bitmapRun(AlgBIG, ds, k, ix, queue, 1, nil)
+	return Run(AlgBIG, ds, k, &Pre{Queue: queue, Bitmap: ix})
 }
 
 // IBIG is the improved BIG algorithm (§4.4): identical framework, but over
 // a binned (and typically compressed) bitmap index, with the Q−P value
 // refinement and partial-score pruning (Heuristic 3) of Algorithm 5.
 func IBIG(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue) (Result, Stats) {
-	return bitmapRun(AlgIBIG, ds, k, ix, queue, 1, nil)
+	return Run(AlgIBIG, ds, k, &Pre{Queue: queue, Binned: ix})
 }
 
 // bitmapRun runs BIG or IBIG (a) over ix through the candidate loop, one
 // cursor per worker. The two share the scorer; BIG only insists that its
 // index is value-granular.
-func bitmapRun(a Algorithm, ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue, workers int, sp *obs.Span) (Result, Stats) {
+func bitmapRun(ctx context.Context, a Algorithm, ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue, workers int, sp *obs.Span) (Result, Stats, error) {
 	if a == AlgBIG && ix.Binned() {
 		panic("core: BIG requires an unbinned index; use IBIG")
 	}
-	return runQueue(ds, k, queue, workers, func() scorer { return newBigState(ix) }, sp)
+	return loop(ctx, ds, k, queue, queue.MaxScore, workers, func() scorer { return newBigState(ix) }, sp)
 }

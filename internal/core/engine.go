@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -71,57 +72,55 @@ func (u ubbScorer) score(o, tau int) (int, scoreResult, int64) {
 	return Score(u.ds, o), scored, int64(u.ds.Len() - 1)
 }
 
-// runQueue walks queue (nil builds one) with one scorer per worker from
-// newScorer; workers follows clampWorkers.
-func runQueue(ds *data.Dataset, k int, queue *MaxScoreQueue, workers int, newScorer func() scorer, sp *obs.Span) (Result, Stats) {
-	if queue == nil {
-		queue = BuildMaxScoreQueue(ds)
-	}
-	return loop(ds, k, queue, queue.MaxScore, workers, newScorer, sp)
-}
-
 // scanAll scores every object of order exhaustively — Naive's rows, ESB's
 // survivors — through the candidate loop, over a walk whose bounds no score
 // reaches (a score is at most N − 1), so Heuristic 1 never trips. queue only
 // supplies the heap's tie order.
-func scanAll(ds *data.Dataset, k int, queue *MaxScoreQueue, order []int32, workers int) (Result, Stats) {
+func scanAll(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueue, order []int32, workers int) (Result, Stats, error) {
 	walk := &MaxScoreQueue{Order: order, MaxScore: make([]int, ds.Len())}
 	for i := range walk.MaxScore {
 		walk.MaxScore[i] = ds.Len()
 	}
-	return loop(ds, k, walk, queue.MaxScore, workers, func() scorer { return ubbScorer{ds: ds} }, nil)
+	return loop(ctx, ds, k, walk, queue.MaxScore, workers, func() scorer { return ubbScorer{ds: ds} }, nil)
 }
 
 // loop is the one fork: it walks walk with the heap's ties decided by bound —
-// at most one worker is the serial loop, more the batch-windowed engine.
-func loop(ds *data.Dataset, k int, walk *MaxScoreQueue, bound []int, workers int, newScorer func() scorer, sp *obs.Span) (Result, Stats) {
+// at most one worker is the serial loop, more the batch-windowed engine. Both
+// check ctx once per WindowSize candidates and return its error, with the
+// Stats of the work done, when it is cancelled.
+func loop(ctx context.Context, ds *data.Dataset, k int, walk *MaxScoreQueue, bound []int, workers int, newScorer func() scorer, sp *obs.Span) (Result, Stats, error) {
 	workers = clampWorkers(workers, len(walk.Order))
 	if workers <= 1 {
-		return serialRun(ds, k, walk, bound, newScorer(), sp)
+		return serialRun(ctx, ds, k, walk, bound, newScorer(), sp)
 	}
 	scorers := make([]scorer, workers)
 	for w := range scorers {
 		scorers[w] = newScorer()
 	}
-	return engineRun(ds, k, walk, bound, scorers, sp)
+	return engineRun(ctx, ds, k, walk, bound, scorers, sp)
 }
 
 // serialRun is the main loop of Algorithms 2 and 4: candidates in queue
 // order, Heuristic 1's early stop, s's score offered to the candidate heap.
 // It is the paper's algorithm: every candidate it tests comes after every
-// heap member in queue order, so pruning a bound equal to τ is exact. sp,
-// when non-nil, receives τ trajectory samples at WindowSize granularity — the
-// engine's sampling points, so explain output reads the same whichever path
-// served the query; a nil sp costs one branch per candidate.
-func serialRun(ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, s scorer, sp *obs.Span) (Result, Stats) {
+// heap member in queue order, so pruning a bound equal to τ is exact. Every
+// WindowSize candidates — the engine's window starts, so explain output reads
+// the same whichever path served the query — it checks ctx and, when sp is
+// non-nil, samples the τ trajectory into it.
+func serialRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, s scorer, sp *obs.Span) (Result, Stats, error) {
 	var st Stats
 	sc := newCandidateHeap(k, bound)
 	pos := 0
 	for p, idx := range queue.Order {
 		pos = p
 		tau := sc.tau()
-		if sp != nil && pos%WindowSize == 0 {
-			sp.SampleTau(pos, tau)
+		if pos%WindowSize == 0 {
+			if err := ctx.Err(); err != nil {
+				return Result{}, st, err
+			}
+			if sp != nil {
+				sp.SampleTau(pos, tau)
+			}
 		}
 		if tau >= 0 && queue.MaxScore[idx] <= tau {
 			st.PrunedH1 += len(queue.Order) - pos // Heuristic 1: early stop
@@ -144,7 +143,7 @@ func serialRun(ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, s sco
 	if sp != nil {
 		sp.SampleTau(pos, sc.tau())
 	}
-	return sc.result(), st
+	return sc.result(), st, nil
 }
 
 // clampWorkers resolves the public workers knob: <=0 selects GOMAXPROCS,
@@ -160,11 +159,12 @@ func clampWorkers(workers, candidates int) int {
 }
 
 // engineRun is the batch-windowed parallel main loop. One scorer per worker;
-// len(scorers) is the worker count. sp, when non-nil, receives one τ
+// len(scorers) is the worker count. ctx is checked before each window, whose
+// WindowSize candidates the workers share. sp, when non-nil, receives one τ
 // trajectory sample per window — recording happens at window granularity
 // (never per candidate), and a nil sp costs one predictable branch per
 // window, keeping the hot path allocation-free.
-func engineRun(ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, scorers []scorer, sp *obs.Span) (Result, Stats) {
+func engineRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, scorers []scorer, sp *obs.Span) (Result, Stats, error) {
 	var st Stats
 	st.Workers = len(scorers)
 	sc := newCandidateHeap(k, bound)
@@ -172,6 +172,9 @@ func engineRun(ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, score
 	var mu sync.Mutex // guards sc, fr's τ writes and st while workers run
 	var next atomic.Int64
 	for {
+		if err := ctx.Err(); err != nil {
+			return Result{}, st, err
+		}
 		if sp != nil {
 			sp.SampleTau(fr.Pos(), fr.Tau())
 		}
@@ -230,5 +233,5 @@ func engineRun(ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, score
 	if sp != nil {
 		sp.SampleTau(fr.Pos(), sc.tau())
 	}
-	return sc.result(), st
+	return sc.result(), st, nil
 }

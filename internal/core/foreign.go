@@ -16,8 +16,9 @@ import (
 // so the same code serves home and remote shards alike.
 
 // ForeignScore counts the rows of ds dominated by cand, by exhaustive
-// pairwise comparison — the shard-side partial scorer of the Naive, ESB and
-// UBB scatter-gather plans, which score exhaustively in the paper too.
+// pairwise comparison. No plan serves from it — shards serve IBIG alone,
+// through ForeignScorer — so it is the oracle the shard tests hold partial
+// scores to.
 func ForeignScore(ds *data.Dataset, cand *data.Object) int {
 	score := 0
 	for i := 0; i < ds.Len(); i++ {
@@ -29,7 +30,7 @@ func ForeignScore(ds *data.Dataset, cand *data.Object) int {
 }
 
 // ForeignScorer computes shard-local partial scores and bounds of foreign
-// candidates through the shard's bitmap index — the BIG/IBIG scatter-gather
+// candidates through the shard's binned index — the IBIG scatter-gather
 // shard executor. Not safe for concurrent use (it owns a cursor); create one
 // per goroutine, they share the index's decompressed-column cache.
 type ForeignScorer struct {

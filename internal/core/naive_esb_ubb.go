@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -10,18 +11,9 @@ import (
 
 // Naive answers the TKD query by exhaustive pairwise score computation over
 // the whole dataset (§4.1's strawman): every object is scored against every
-// other, then the k best are returned. It is NaiveWorkers' serial path.
-func Naive(ds *data.Dataset, k int) (Result, Stats) { return NaiveWorkers(ds, k, nil, 1) }
-
-// NaiveWorkers is Naive across a worker pool (workers follows clampWorkers),
-// built on the batch-windowed engine: every object of queue (nil builds one)
-// is scored, and the queue's bounds give the answer's tie order.
-func NaiveWorkers(ds *data.Dataset, k int, queue *MaxScoreQueue, workers int) (Result, Stats) {
-	if queue == nil {
-		queue = BuildMaxScoreQueue(ds)
-	}
-	return scanAll(ds, k, queue, queue.Order, workers)
-}
+// other, then the k best are returned. RunWorkers runs it across a worker
+// pool, through the batch-windowed engine.
+func Naive(ds *data.Dataset, k int) (Result, Stats) { return Run(AlgNaive, ds, k, nil) }
 
 // ESB is the extended skyband based algorithm (Algorithm 1): objects are
 // partitioned into buckets by observed-dimension bit vector; a local
@@ -29,30 +21,25 @@ func NaiveWorkers(ds *data.Dataset, k int, queue *MaxScoreQueue, workers int) (R
 // answers (Lemma 1, sound because dominance is transitive within a bucket);
 // the surviving candidates are scored exactly and the top k returned. It is
 // ESBWorkers' serial path.
-func ESB(ds *data.Dataset, k int) (Result, Stats) { return ESBWorkers(ds, k, nil, 1) }
+func ESB(ds *data.Dataset, k int) (Result, Stats) { return Run(AlgESB, ds, k, nil) }
 
 // ESBWorkers is ESB across a worker pool (workers follows clampWorkers): the
-// buckets' local k-skybands fan out across the workers (ESBCandidates), and
+// buckets' local k-skybands fan out across the workers (esbCandidates), and
 // the survivors are scored through the batch-windowed engine. queue (nil
 // builds one) supplies only the answer's tie order.
 func ESBWorkers(ds *data.Dataset, k int, queue *MaxScoreQueue, workers int) (Result, Stats) {
-	if queue == nil {
-		queue = BuildMaxScoreQueue(ds)
-	}
-	cands, st := ESBCandidates(ds, k, workers)
-	res, est := scanAll(ds, k, queue, cands, workers)
-	est.Add(st)
-	return res, est
+	return RunWorkers(AlgESB, ds, k, &Pre{Queue: queue}, workers)
 }
 
-// ESBCandidates returns ESB's candidate set SC — the union of every
+// esbCandidates returns ESB's candidate set SC — the union of every
 // observed-mask bucket's local k-skyband, in no particular order — and its
 // Stats share: the skyband's dominance tests (at most k per object) in
 // Comparisons and the objects it discarded in PrunedSkyband. The buckets are
 // independent, so they fan out across workers (workers follows
 // clampWorkers); each worker reuses one scratch buffer across every bucket it
-// scans and copies out only the survivors.
-func ESBCandidates(ds *data.Dataset, k, workers int) ([]int32, Stats) {
+// scans and copies out only the survivors. A cancelled ctx stops the scan
+// within a bucket (skyband.KSkybandAppend) and returns its error.
+func esbCandidates(ctx context.Context, ds *data.Dataset, k, workers int) ([]int32, Stats, error) {
 	m := ds.Buckets()
 	buckets := make([][]int32, 0, len(m))
 	for _, ids := range m {
@@ -62,12 +49,12 @@ func ESBCandidates(ds *data.Dataset, k, workers int) ([]int32, Stats) {
 	var next atomic.Int64
 	scan := func() {
 		var scratch []int32
-		for {
+		for ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= len(buckets) {
 				return
 			}
-			scratch = skyband.KSkybandAppend(scratch, ds, buckets[i], k)
+			scratch = skyband.KSkybandAppend(ctx, scratch, ds, buckets[i], k)
 			skybands[i] = append(make([]int32, 0, len(scratch)), scratch...)
 		}
 	}
@@ -81,6 +68,9 @@ func ESBCandidates(ds *data.Dataset, k, workers int) ([]int32, Stats) {
 	}
 	scan()
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, Stats{}, err
+	}
 
 	var st Stats
 	var cands []int32
@@ -89,7 +79,7 @@ func ESBCandidates(ds *data.Dataset, k, workers int) ([]int32, Stats) {
 		st.PrunedSkyband += len(ids) - len(skybands[i])
 		cands = append(cands, skybands[i]...)
 	}
-	return cands, st
+	return cands, st, nil
 }
 
 // UBB is the upper bound based algorithm (Algorithm 2). It walks the
@@ -98,5 +88,5 @@ func ESBCandidates(ds *data.Dataset, k, workers int) ([]int32, Stats) {
 // best score found so far (Heuristic 1). Everything after the cut-off is
 // pruned without being scored.
 func UBB(ds *data.Dataset, k int, queue *MaxScoreQueue) (Result, Stats) {
-	return runQueue(ds, k, queue, 1, func() scorer { return ubbScorer{ds: ds} }, nil)
+	return Run(AlgUBB, ds, k, &Pre{Queue: queue})
 }

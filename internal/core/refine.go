@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/bits"
 
 	"repro/internal/bitmapidx"
@@ -180,7 +181,10 @@ func IBIGBTree(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueu
 	if trees == nil {
 		trees = BuildDimTrees(ds)
 	}
-	return runQueue(ds, k, queue, 1, func() scorer {
-		return &btreeScorer{ds: ds, ix: ix, cursor: ix.NewCursor(), trees: trees, tags: newEpochTags(ds.Len())}
-	}, nil)
+	if queue == nil {
+		queue = BuildMaxScoreQueue(ds)
+	}
+	s := &btreeScorer{ds: ds, ix: ix, cursor: ix.NewCursor(), trees: trees, tags: newEpochTags(ds.Len())}
+	res, st, _ := serialRun(context.Background(), ds, k, queue, queue.MaxScore, s, nil) // never cancelled
+	return res, st
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bitmapidx"
@@ -103,18 +104,20 @@ func Run(a Algorithm, ds *data.Dataset, k int, pre *Pre) (Result, Stats) {
 // the batch-windowed engine (UBB/BIG/IBIG/Naive) or ESB's bucket fan-out.
 // The answer set is identical to the serial run's.
 func RunWorkers(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers int) (Result, Stats) {
-	return RunWorkersTraced(a, ds, k, pre, workers, nil)
+	res, st, _ := RunContext(context.Background(), a, ds, k, pre, workers, nil) // never cancelled
+	return res, st
 }
 
-// RunWorkersTraced is RunWorkers with tracing: the queue-driven algorithms
-// (UBB/BIG/IBIG) sample their τ trajectory into sp at window granularity.
-// sp may be nil, in which case this is exactly RunWorkers — the span hook
-// adds no allocation to the scoring hot path either way (Naive and ESB walk
-// no MaxScore queue, hence no trajectory; their Stats still reach the span
-// through the caller).
-func RunWorkersTraced(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers int, sp *obs.Span) (Result, Stats) {
+// RunContext is RunWorkers under ctx, with tracing. The candidate loop checks
+// ctx once per WindowSize candidates, and ESB's skyband scan every 256
+// objects; a cancelled run returns ctx's error. The queue-driven algorithms
+// (UBB/BIG/IBIG) sample their τ trajectory into sp at window granularity. sp
+// may be nil — the span hook adds no allocation to the scoring hot path
+// either way (Naive and ESB walk no MaxScore queue, hence no trajectory;
+// their Stats still reach the span through the caller).
+func RunContext(ctx context.Context, a Algorithm, ds *data.Dataset, k int, pre *Pre, workers int, sp *obs.Span) (Result, Stats, error) {
 	if k <= 0 {
-		return Result{}, Stats{}
+		return Result{}, Stats{}, nil
 	}
 	if pre == nil {
 		pre = &Pre{}
@@ -122,15 +125,21 @@ func RunWorkersTraced(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers in
 	pre.fill(ds, nil, NeedFor(a))
 	switch a {
 	case AlgNaive:
-		return NaiveWorkers(ds, k, pre.Queue, workers)
+		return scanAll(ctx, ds, k, pre.Queue, pre.Queue.Order, workers)
 	case AlgESB:
-		return ESBWorkers(ds, k, pre.Queue, workers)
+		cands, st, err := esbCandidates(ctx, ds, k, workers)
+		if err != nil {
+			return Result{}, st, err
+		}
+		res, est, err := scanAll(ctx, ds, k, pre.Queue, cands, workers)
+		est.Add(st)
+		return res, est, err
 	case AlgUBB:
-		return runQueue(ds, k, pre.Queue, workers, func() scorer { return ubbScorer{ds: ds} }, sp)
+		return loop(ctx, ds, k, pre.Queue, pre.Queue.MaxScore, workers, func() scorer { return ubbScorer{ds: ds} }, sp)
 	case AlgBIG:
-		return bitmapRun(a, ds, k, pre.Bitmap, pre.Queue, workers, sp)
+		return bitmapRun(ctx, a, ds, k, pre.Bitmap, pre.Queue, workers, sp)
 	case AlgIBIG:
-		return bitmapRun(a, ds, k, pre.Binned, pre.Queue, workers, sp)
+		return bitmapRun(ctx, a, ds, k, pre.Binned, pre.Queue, workers, sp)
 	default:
 		panic(fmt.Sprintf("core: unknown algorithm %d", int(a)))
 	}

@@ -109,6 +109,39 @@ func TestServerQueryDeadline(t *testing.T) {
 	}
 }
 
+// TestServerDeadlineFreesSlots checks that a query's deadline frees the
+// worker slots it holds, not just its client: on 20 k × 4 rows a Naive query
+// runs for seconds, so with timeout_millis 100 it answers 504, and a plain
+// IBIG query sent right after must answer within a second — the engine
+// stopped at the deadline and the admission grant came back. Under the race
+// detector a 256-candidate window of Naive alone takes ≈ 0.5 s, so the bound
+// is three seconds there.
+func TestServerDeadlineFreesSlots(t *testing.T) {
+	bound := time.Second
+	if raceEnabled {
+		bound = 3 * time.Second
+	}
+	srv := server.New(server.Config{})
+	defer srv.Close()
+	if err := srv.AddDataset("d", tkd.GenerateIND(20000, 4, 100, 0.2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	start := time.Now()
+	if _, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "d", K: 16, Algorithm: "Naive", TimeoutMillis: 100}); code != http.StatusGatewayTimeout {
+		t.Fatalf("Naive query with a 100 ms budget: status %d after %v, want 504", code, time.Since(start))
+	}
+	start = time.Now()
+	if _, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "d", K: 16}); code != http.StatusOK {
+		t.Fatalf("IBIG query after it: status %d, want 200", code)
+	}
+	if d := time.Since(start); d > bound {
+		t.Fatalf("IBIG query after a timed-out Naive one took %v — the Naive run kept its slots", d)
+	}
+}
+
 // TestServerReplicaFailover pairs a dead replica with a live one in every
 // shard's group and checks queries keep answering exactly, with the retries
 // and breaker state visible in /metrics.

@@ -280,11 +280,10 @@ func (s *scheduler) run(grp *group, g *grant) {
 	// The execution's context is the union of its waiters': it cancels only
 	// once EVERY waiter's deadline fired or client disconnected. One
 	// impatient client in a coalesced group must not kill the answer the
-	// patient ones are still waiting for. Cancelling aborts the run only on
-	// a sharded dataset, whose coordinator checks it per window and whose
-	// shards check it between candidates, dropping in-flight shard RPCs: an
-	// unsharded run takes no context, so it runs to the end and holds its
-	// worker slots until TopK returns and the grant is released.
+	// patient ones are still waiting for. Cancelling aborts the run within a
+	// window of candidates — the engine checks it per window, a sharded
+	// IBIG run drops its in-flight shard RPCs too — so TopK returns the
+	// context's error and the grant is released at once.
 	execCtx, cancel := context.WithCancel(context.Background())
 	execDone := make(chan struct{})
 	var waiting atomic.Int64

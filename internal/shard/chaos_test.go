@@ -80,7 +80,7 @@ func TestChaosReplicaExactness(t *testing.T) {
 		for _, alg := range core.Algorithms {
 			for _, k := range []int{1, 7} {
 				want, _ := core.Run(alg, ds, k, pre)
-				got, _, err := c.Run(context.Background(), alg, k, backends, RunOptions{})
+				got, _, err := c.Run(context.Background(), k, backends, RunOptions{})
 				if err != nil {
 					t.Fatalf("seed=%d %v k=%d: %v", seed, alg, k, err)
 				}
@@ -131,7 +131,7 @@ func TestChaosRunFailClosedAndDegraded(t *testing.T) {
 	c := NewCoordinator(core.NewPrepared(ds, nil), NewMetrics(n))
 
 	// Default: fail closed with the typed error naming the shard.
-	_, _, err := c.Run(context.Background(), core.AlgIBIG, k, backends, RunOptions{})
+	_, _, err := c.Run(context.Background(), k, backends, RunOptions{})
 	var u *Unavailable
 	if !errors.As(err, &u) {
 		t.Fatalf("want *Unavailable, got %v", err)
@@ -142,7 +142,7 @@ func TestChaosRunFailClosedAndDegraded(t *testing.T) {
 
 	// AllowPartial: exact over the live rows, coverage reported.
 	var out Outcome
-	got, _, err := c.Run(context.Background(), core.AlgIBIG, k, backends, RunOptions{AllowPartial: true, Outcome: &out})
+	got, _, err := c.Run(context.Background(), k, backends, RunOptions{AllowPartial: true, Outcome: &out})
 	if err != nil {
 		t.Fatalf("degraded run: %v", err)
 	}
@@ -247,19 +247,18 @@ func TestChaosDegradedBudgetsSound(t *testing.T) {
 	backends[1] = down
 
 	c := NewCoordinator(core.NewPrepared(ds, nil), nil)
-	for _, alg := range []core.Algorithm{core.AlgBIG, core.AlgIBIG} {
-		for _, k := range []int{1, 3, 7, 16, 40, 100} {
-			var out Outcome
-			got, _, err := c.Run(context.Background(), alg, k, backends, RunOptions{AllowPartial: true, Outcome: &out})
-			if err != nil {
-				t.Fatalf("%v k=%d: %v", alg, k, err)
-			}
-			if !out.Degraded {
-				t.Fatalf("%v k=%d: answer not marked degraded", alg, k)
-			}
-			if want := bruteTopK(ds, scores, k); !slices.Equal(got.Items, want) {
-				t.Fatalf("%v k=%d: degraded answer %v, brute force over live rows %v", alg, k, got.Items, want)
-			}
+	alg := core.AlgIBIG
+	for _, k := range []int{1, 3, 7, 16, 40, 100} {
+		var out Outcome
+		got, _, err := c.Run(context.Background(), k, backends, RunOptions{AllowPartial: true, Outcome: &out})
+		if err != nil {
+			t.Fatalf("%v k=%d: %v", alg, k, err)
+		}
+		if !out.Degraded {
+			t.Fatalf("%v k=%d: answer not marked degraded", alg, k)
+		}
+		if want := bruteTopK(ds, scores, k); !slices.Equal(got.Items, want) {
+			t.Fatalf("%v k=%d: degraded answer %v, brute force over live rows %v", alg, k, got.Items, want)
 		}
 	}
 	if pruned.Load() == 0 {
@@ -292,7 +291,7 @@ func TestChaosCancellationReleasesScatter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		start := time.Now()
-		_, _, err := c.Run(ctx, core.AlgIBIG, 3, backends, RunOptions{})
+		_, _, err := c.Run(ctx, 3, backends, RunOptions{})
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("run %d: want DeadlineExceeded, got %v", i, err)
@@ -356,11 +355,8 @@ func TestChaosTransportRemoteExactness(t *testing.T) {
 	}
 	pre := core.Preprocess(ds, nil)
 	c := NewCoordinator(core.NewPrepared(ds, nil), NewMetrics(n))
-	algs := []core.Algorithm{core.AlgNaive, core.AlgUBB, core.AlgIBIG}
-	for _, alg := range algs {
-		if _, _, err := c.Run(context.Background(), alg, 6, clean, RunOptions{}); err != nil {
-			t.Fatalf("%v, no fault injected: %v", alg, err)
-		}
+	if _, _, err := c.Run(context.Background(), 6, clean, RunOptions{}); err != nil {
+		t.Fatalf("no fault injected: %v", err)
 	}
 	pol := chaosPolicy()
 	pol.AttemptTimeout = max(pol.AttemptTimeout, 20*time.Duration(slowest.Load()))
@@ -375,14 +371,12 @@ func TestChaosTransportRemoteExactness(t *testing.T) {
 		}
 		backends[i] = rs
 	}
-	for _, alg := range algs {
-		want, _ := core.Run(alg, ds, 6, pre)
-		got, _, err := c.Run(context.Background(), alg, 6, backends, RunOptions{})
-		if err != nil {
-			t.Fatalf("%v (attempt timeout %v): %v", alg, pol.AttemptTimeout, err)
-		}
-		assertEqual(t, alg.String(), want, got)
+	want, _ := core.Run(core.AlgIBIG, ds, 6, pre)
+	got, _, err := c.Run(context.Background(), 6, backends, RunOptions{})
+	if err != nil {
+		t.Fatalf("attempt timeout %v: %v", pol.AttemptTimeout, err)
 	}
+	assertEqual(t, "IBIG", want, got)
 	counts := chaos.Counts()
 	if counts.Errors+counts.Timeouts+counts.Stales+counts.Latencies == 0 {
 		t.Fatal("the transport injected nothing — the test is vacuous")

@@ -24,7 +24,7 @@ type Coordinator struct {
 }
 
 // NewCoordinator wraps the holder of the full dataset's artifacts: the first
-// queue-driven query builds the global queue in it unless someone already has
+// query builds the global queue in it unless someone already has
 // (a caller warming up beside the shards' index builds, a predecessor's queue
 // installed), and every later one reads it with an atomic load. met may be
 // nil (no metrics collected).
@@ -111,19 +111,6 @@ func (p *pass) scatter(ctx context.Context, req Request, bounds [][]int32) ([][]
 	return p.results, errors.Join(p.errs...)
 }
 
-// candidatesFor returns what a non-queue plan scores, computed
-// coordinator-side on the full data: Naive every object, ESB the
-// bucket-local k-skyband survivors, with their share of st. The answer heap
-// orders items totally, so the order they are offered in does not matter.
-func (c *Coordinator) candidatesFor(alg core.Algorithm, k int, queue *core.MaxScoreQueue, st *core.Stats) []int32 {
-	if alg == core.AlgNaive {
-		return queue.Order
-	}
-	cands, est := core.ESBCandidates(c.ds, k, 1)
-	st.Add(est)
-	return cands
-}
-
 // RunOptions tunes one Run call's failure behaviour.
 type RunOptions struct {
 	// AllowPartial answers over the live row-ranges when a shard has no
@@ -150,8 +137,8 @@ type Outcome struct {
 	DownShards []int
 }
 
-// Run executes one query over the backends and returns the answer — byte-
-// identical to the unsharded algorithm's — plus coordinator-side stats. ctx
+// Run executes one IBIG query over the backends and returns the answer —
+// byte-identical to the unsharded run's — plus coordinator-side stats. ctx
 // cancellation aborts the query (and its in-flight scatter calls) with the
 // context's error.
 //
@@ -160,15 +147,12 @@ type Outcome struct {
 // remaining shards instead of failing: dominance counts are additive across
 // the row partition, so every pruning bound stays a sound upper bound on
 // the subset score, and the answer is the exact top-k by number of *live*
-// rows dominated. The ESB skyband prune is subset-sound too: a same-bucket
-// dominator dominates everything its victim dominates (masks are equal, so
-// the comparison dimensions coincide), hence outscores it on any row
-// subset. The degradation is reported explicitly via opts.Outcome — never
-// silently.
-func (c *Coordinator) Run(ctx context.Context, alg core.Algorithm, k int, backends []Backend, opts RunOptions) (core.Result, core.Stats, error) {
+// rows dominated. The degradation is reported explicitly via opts.Outcome —
+// never silently.
+func (c *Coordinator) Run(ctx context.Context, k int, backends []Backend, opts RunOptions) (core.Result, core.Stats, error) {
 	down := make([]bool, len(backends))
 	for {
-		res, st, err := c.runOnce(ctx, alg, k, backends, down)
+		res, st, err := c.runOnce(ctx, k, backends, down)
 		if err == nil {
 			if opts.Outcome != nil {
 				*opts.Outcome = c.outcome(backends, down)
@@ -228,7 +212,7 @@ func (c *Coordinator) outcome(backends []Backend, down []bool) Outcome {
 }
 
 // runOnce is one full pass over the live shards (the non-down subset).
-func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, backends []Backend, down []bool) (core.Result, core.Stats, error) {
+func (c *Coordinator) runOnce(ctx context.Context, k int, backends []Backend, down []bool) (core.Result, core.Stats, error) {
 	var st core.Stats
 	p := &pass{met: c.met, backends: backends, live: make([]int, 0, len(backends))}
 	liveRows := 0
@@ -256,24 +240,13 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 	p.results, p.bounds = vecs[:len(p.live)], vecs[len(p.live):]
 	p.errs = make([]error, len(p.live))
 
-	useQueue := alg == core.AlgUBB || alg == core.AlgBIG || alg == core.AlgIBIG
-	useBounds := alg == core.AlgBIG || alg == core.AlgIBIG
-	var fr *core.Frontier
-	var static []int32
-	// size is the next window's width. The exhaustive plans have nothing to
-	// prune, so they scatter full windows. The queue-driven plans prune
-	// against τ, which is only live once k candidates have been offered: the
-	// first window is exactly those k, and each later one doubles — every
-	// candidate past the k-th meets a live τ, at a logarithmic number of
-	// extra round trips.
-	size := core.WindowSize
+	// size is the next window's width. Pruning against τ starts once k
+	// candidates have been offered: the first window is exactly those k, and
+	// each later one doubles — every candidate past the k-th meets a live τ,
+	// at a logarithmic number of extra round trips.
+	size := min(k, core.WindowSize)
 	queue := c.part.Ensure(core.NeedQueue).Queue
-	if useQueue {
-		fr = core.NewFrontier(queue)
-		size = min(k, core.WindowSize)
-	} else {
-		static = c.candidatesFor(alg, k, queue, &st)
-	}
+	fr := core.NewFrontier(queue)
 
 	heap := core.NewAnswerHeap(k, queue)
 	// ids holds the window's candidates still in play, cands their objects
@@ -281,7 +254,6 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 	ids := make([]int32, 0, core.WindowSize)
 	cands := make([]*data.Object, 0, core.WindowSize)
 	budgets := make([]int, 0, core.WindowSize)
-	pos := 0
 
 	// sp is the engine span riding ctx (nil when tracing is off): it receives
 	// the τ trajectory at window granularity — the sharded counterpart of the
@@ -294,31 +266,14 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 			return core.Result{}, st, err
 		}
 		tau := heap.Tau()
-		if sp != nil {
-			if useQueue {
-				sp.SampleTau(fr.Pos(), tau)
-			} else {
-				sp.SampleTau(pos, tau)
-			}
+		sp.SampleTau(fr.Pos(), tau)
+		fr.SetTau(tau)
+		_, window, pruned, ok := fr.NextWindow(size)
+		st.PrunedH1 += pruned
+		if !ok {
+			break
 		}
-		var window []int32
-		if useQueue {
-			fr.SetTau(tau)
-			_, w, pruned, ok := fr.NextWindow(size)
-			st.PrunedH1 += pruned
-			if !ok {
-				break
-			}
-			window = w
-			size = min(2*size, core.WindowSize)
-		} else {
-			if pos >= len(static) {
-				break
-			}
-			end := min(pos+size, len(static))
-			window = static[pos:end]
-			pos = end
-		}
+		size = min(2*size, core.WindowSize)
 		st.Windows++
 		wsp := sp.StartChild("window")
 		wsp.SetInt("window", int64(st.Windows))
@@ -333,7 +288,7 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 			// so skipping its scatter is free and sound. (MaxScore bounds the
 			// full-data score, which bounds any subset score, so this stays
 			// sound on a degraded pass.)
-			if useQueue && tau >= 0 && queue.MaxScore[id] <= tau {
+			if tau >= 0 && queue.MaxScore[id] <= tau {
 				st.PrunedH1++
 				continue
 			}
@@ -343,13 +298,13 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 
 		budgets = budgets[:0]
 		var bounds [][]int32 // each shard's answers for the survivors, nil without a bounds phase
-		if useBounds && tau >= 0 && len(cands) > 0 {
+		if tau >= 0 && len(cands) > 0 {
 			// Bounds phase: push τ down as per-shard residuals and prune
 			// candidates whose per-shard bound sum cannot beat it. Only the
 			// Heuristic-1 survivors scatter — the dropped ones would cost a
 			// bound walk per shard (and wire payload per candidate for
 			// remote shards) just to be ignored.
-			res, err := p.scatter(wctx, Request{Alg: alg, Mode: ModeBounds, Tau: tau, Cands: cands}, nil)
+			res, err := p.scatter(wctx, Request{Mode: ModeBounds, Tau: tau, Cands: cands}, nil)
 			if err != nil {
 				wsp.End()
 				return core.Result{}, st, err
@@ -394,7 +349,7 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 		// Pruned scores below the window-start τ: its offer would be a no-op,
 		// exactly as the serial loop's Heuristic 3 prune is.
 		if len(cands) > 0 {
-			scores, err := p.scatter(wctx, Request{Alg: alg, Mode: ModeScores, Tau: tau, Cands: cands, Budgets: budgets}, bounds)
+			scores, err := p.scatter(wctx, Request{Mode: ModeScores, Tau: tau, Cands: cands, Budgets: budgets}, bounds)
 			if err != nil {
 				wsp.End()
 				return core.Result{}, st, err
@@ -416,12 +371,6 @@ func (c *Coordinator) runOnce(ctx context.Context, alg core.Algorithm, k int, ba
 		}
 		wsp.End()
 	}
-	if sp != nil {
-		endPos := pos
-		if useQueue {
-			endPos = fr.Pos()
-		}
-		sp.SampleTau(endPos, heap.Tau())
-	}
+	sp.SampleTau(fr.Pos(), heap.Tau())
 	return heap.Result(), st, nil
 }

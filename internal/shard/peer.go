@@ -185,9 +185,8 @@ func (p *Peer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch of %d candidates exceeds the %d cap", len(req.Candidates), maxWireCandidates)
 		return
 	}
-	alg, err := algFromWire(req.Algorithm)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if req.Algorithm != wireAlgorithm { // an older coordinator's other plan fails closed
+		writeError(w, http.StatusBadRequest, "shard: algorithm %q is not served; the shard protocol serves %s only", req.Algorithm, wireAlgorithm)
 		return
 	}
 	mode, err := ParseMode(req.Mode)
@@ -230,7 +229,7 @@ func (p *Peer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	root.SetInt("from", int64(req.From))
 	root.SetInt("to", int64(req.To))
 	root.SetInt("candidates", int64(len(cands)))
-	results, err := local.Partial(r.Context(), &Request{Alg: alg, Mode: mode, Tau: req.Tau, Residual: req.Residual, Cands: cands, Budgets: req.Budgets})
+	results, err := local.Partial(r.Context(), &Request{Mode: mode, Tau: req.Tau, Residual: req.Residual, Cands: cands, Budgets: req.Budgets})
 	root.End()
 	p.record(tr, &req, time.Since(started), err)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/obs"
 )
@@ -34,7 +33,9 @@ type WireCandidate struct {
 // (the only shape before it existed) asks a "scores" request for exact
 // partial scores; present, it carries Request.Budgets and lets the peer
 // answer -1 (Pruned) per candidate. A peer decodes with
-// DisallowUnknownFields, so peers are upgraded before coordinators.
+// DisallowUnknownFields, so peers are upgraded before coordinators. Older
+// peers require Algorithm too; it is always wireAlgorithm, and a peer
+// answers any other value 400.
 type WireRequest struct {
 	Dataset     string          `json:"dataset"`
 	From        int             `json:"from"`
@@ -89,6 +90,9 @@ type PeerError struct {
 func (e *PeerError) Error() string {
 	return fmt.Sprintf("shard: peer %s: %s (status %d)", e.URL, e.Msg, e.Status)
 }
+
+// wireAlgorithm is the one algorithm the shard protocol serves.
+const wireAlgorithm = "IBIG"
 
 // modeString maps a Mode onto the wire.
 func modeString(m Mode) string {
@@ -151,7 +155,7 @@ func (r *Remote) Partial(ctx context.Context, req *Request) ([]int32, error) {
 		From:        r.from,
 		To:          r.to,
 		Fingerprint: r.fp,
-		Algorithm:   req.Alg.String(),
+		Algorithm:   wireAlgorithm,
 		Mode:        modeString(req.Mode),
 		Tau:         req.Tau,
 		Residual:    req.Residual,
@@ -301,9 +305,4 @@ func decodeCandidates(dim int, wcs []WireCandidate) ([]*data.Object, error) {
 		out[i] = o
 	}
 	return out, nil
-}
-
-// algFromWire resolves the wire algorithm name.
-func algFromWire(s string) (core.Algorithm, error) {
-	return core.ParseAlgorithm(s)
 }

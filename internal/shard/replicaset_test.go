@@ -348,7 +348,7 @@ func TestReplicaSetHedgeStragglerJoined(t *testing.T) {
 	c := NewCoordinator(core.NewPrepared(ds, nil), nil)
 	for _, k := range []int{3, 20} {
 		want, _ := core.Run(core.AlgIBIG, ds, k, pre)
-		got, st, err := c.Run(context.Background(), core.AlgIBIG, k, backends, RunOptions{})
+		got, st, err := c.Run(context.Background(), k, backends, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,16 +10,18 @@
 // mask), while the coordinator owns the full dataset, the global MaxScore
 // queue, and the candidate heap.
 //
+// The protocol serves one plan, IBIG's (§4.4); a sharded dataset runs the
+// paper's other four unsharded, over the coordinator's full rows (repro/tkd).
+//
 // A query walks the queue in windows through the same core.Frontier seam
 // the in-process parallel engine uses. τ is live once k candidates have been
-// offered, so the queue-driven plans ramp their windows: the first is
-// exactly the k candidates that fill the heap, each later one doubles up to
-// core.WindowSize.
+// offered, so the windows ramp: the first is exactly the k candidates that
+// fill the heap, each later one doubles up to core.WindowSize.
 //
 //  1. Heuristic 1 stays global: the frontier stops once the window's best
 //     bound cannot beat τ, and per-candidate bounds are rechecked against
 //     the live τ before any scatter.
-//  2. Bounds phase (BIG/IBIG, once the heap is full): the window fans out
+//  2. Bounds phase (once the heap is full): the window fans out
 //     to every shard with the global τ *pushed down* as a per-shard
 //     residual — τ minus the other shards' row counts — so a shard's
 //     threshold-aware |∩Qi| walk can bail out early. A shard answers
@@ -77,9 +79,6 @@ const (
 // Request is one scatter call: a batch of candidates to bound or score
 // against a shard's rows.
 type Request struct {
-	// Alg selects the shard-side machinery: BIG uses the value-granular
-	// index, IBIG the binned one, everything else scores exhaustively.
-	Alg core.Algorithm
 	// Mode is bounds or exact scores.
 	Mode Mode
 	// Tau is the coordinator's global τ at scatter time (-1 while the
@@ -132,15 +131,14 @@ type Backend interface {
 }
 
 // Local is an in-process shard: a core.Prepared over a row-range slice of a
-// frozen epoch — its indexes are built, loaded, saved, budgeted and counted
-// there, exactly as the epoch's own are — plus what only a scatter target
-// needs: the pooled foreign scorers. Safe for concurrent use; a warm Partial
-// takes no lock.
+// frozen epoch — its binned index is built, loaded, saved, budgeted and
+// counted there, exactly as the epoch's own is — plus what only a scatter
+// target needs: the pooled foreign scorers. Safe for concurrent use; a warm
+// Partial takes no lock.
 type Local struct {
 	*core.Prepared
 
-	binnedScorers sync.Pool // *scorerBox over the binned index
-	bitmapScorers sync.Pool // *scorerBox over the value-granular index
+	scorers sync.Pool // *scorerBox over the binned index
 }
 
 // scorerBox ties a pooled scorer to the index it was built over, so a
@@ -174,8 +172,8 @@ func (l *Local) Fingerprint() uint64 { return l.Dataset().Fingerprint() }
 // scorer fetches a pooled foreign scorer box over ix (cursors are
 // single-goroutine; the pool amortizes their scratch buffers and |F| memo
 // across scatter calls). The caller puts the same box back when done.
-func (l *Local) scorer(pool *sync.Pool, ix *bitmapidx.Index) *scorerBox {
-	if v := pool.Get(); v != nil {
+func (l *Local) scorer(ix *bitmapidx.Index) *scorerBox {
+	if v := l.scorers.Get(); v != nil {
 		if box := v.(*scorerBox); box.ix == ix {
 			return box
 		}
@@ -234,34 +232,8 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 	if ds.Len() == 0 {
 		return out, nil
 	}
-	indexed := req.Alg == core.AlgBIG || req.Alg == core.AlgIBIG
-	if !indexed {
-		if req.Mode == ModeBounds {
-			// The exhaustive plans have no cheap bound; every row is one.
-			for i := range out {
-				out[i] = int32(ds.Len())
-			}
-			return out, nil
-		}
-		for i, c := range req.Cands {
-			if i%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			out[i] = int32(core.ForeignScore(ds, c))
-		}
-		return out, nil
-	}
-	var pool *sync.Pool
-	var ix *bitmapidx.Index
-	if req.Alg == core.AlgBIG {
-		pool, ix = &l.bitmapScorers, l.Ensure(core.NeedBitmap).Bitmap
-	} else {
-		pool, ix = &l.binnedScorers, l.Ensure(core.NeedBinned).Binned
-	}
-	box := l.scorer(pool, ix)
-	defer pool.Put(box)
+	box := l.scorer(l.Ensure(core.NeedBinned).Binned)
+	defer l.scorers.Put(box)
 	s := box.s
 	switch req.Mode {
 	case ModeBounds:

@@ -53,7 +53,7 @@ func TestCoordinatorMatchesSerial(t *testing.T) {
 			c := NewCoordinator(core.NewPrepared(ds, nil), NewMetrics(n))
 			for _, k := range []int{1, 7} {
 				want, _ := core.Run(alg, ds, k, pre)
-				got, _, err := c.Run(context.Background(), alg, k, localBackends(ds, n), RunOptions{})
+				got, _, err := c.Run(context.Background(), k, localBackends(ds, n), RunOptions{})
 				if err != nil {
 					t.Fatalf("%v n=%d k=%d: %v", alg, n, k, err)
 				}
@@ -111,35 +111,34 @@ func TestShardedWorkBounded(t *testing.T) {
 			}
 			rec := &batchRecorder{Backend: backends[0]}
 			backends[0] = rec
-			for _, alg := range []core.Algorithm{core.AlgBIG, core.AlgIBIG} {
-				cycleSerial, cycleSharded := 0, 0
-				for _, k := range []int{4, 16, 64} {
-					label := fmt.Sprintf("%v n=%d coarse=%v k=%d", alg, n, coarse, k)
-					want, serial := core.Run(alg, ds, k, pre)
-					rec.batches = rec.batches[:0]
-					got, st, err := c.Run(context.Background(), alg, k, backends, RunOptions{})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					assertEqual(t, label, want, got)
-					if rec.batches[0] != k {
-						t.Errorf("%s: first scatter carried %d candidates, want k", label, rec.batches[0])
-					}
-					if serial.Candidates > k && st.Windows < 2 {
-						t.Errorf("%s: %d windows for %d serial candidates", label, st.Windows, serial.Candidates)
-					}
-					if st.Scored > 3*serial.Scored {
-						t.Errorf("%s: sharded scored %d, serial %d", label, st.Scored, serial.Scored)
-					}
-					if coarse && alg == core.AlgIBIG && st.PrunedH3 == 0 {
-						t.Errorf("%s: no exact-phase budget prune (stats %+v)", label, st)
-					}
-					cycleSerial += serial.Scored
-					cycleSharded += st.Scored
+			alg := core.AlgIBIG
+			cycleSerial, cycleSharded := 0, 0
+			for _, k := range []int{4, 16, 64} {
+				label := fmt.Sprintf("%v n=%d coarse=%v k=%d", alg, n, coarse, k)
+				want, serial := core.Run(alg, ds, k, pre)
+				rec.batches = rec.batches[:0]
+				got, st, err := c.Run(context.Background(), k, backends, RunOptions{})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				if cycleSharded > 2*cycleSerial {
-					t.Errorf("%v n=%d coarse=%v: sharded scored %d over the k cycle, serial %d", alg, n, coarse, cycleSharded, cycleSerial)
+				assertEqual(t, label, want, got)
+				if rec.batches[0] != k {
+					t.Errorf("%s: first scatter carried %d candidates, want k", label, rec.batches[0])
 				}
+				if serial.Candidates > k && st.Windows < 2 {
+					t.Errorf("%s: %d windows for %d serial candidates", label, st.Windows, serial.Candidates)
+				}
+				if st.Scored > 3*serial.Scored {
+					t.Errorf("%s: sharded scored %d, serial %d", label, st.Scored, serial.Scored)
+				}
+				if coarse && st.PrunedH3 == 0 {
+					t.Errorf("%s: no exact-phase budget prune (stats %+v)", label, st)
+				}
+				cycleSerial += serial.Scored
+				cycleSharded += st.Scored
+			}
+			if cycleSharded > 2*cycleSerial {
+				t.Errorf("%v n=%d coarse=%v: sharded scored %d over the k cycle, serial %d", alg, n, coarse, cycleSharded, cycleSerial)
 			}
 		}
 	}
@@ -160,11 +159,7 @@ type boundsAuditor struct {
 }
 
 func (a *boundsAuditor) Partial(ctx context.Context, req *Request) ([]int32, error) {
-	ix := a.Ensure(core.NeedBinned).Binned
-	if req.Alg == core.AlgBIG {
-		ix = a.Ensure(core.NeedBitmap).Bitmap
-	}
-	fs := core.NewForeignScorer(a.Dataset(), ix)
+	fs := core.NewForeignScorer(a.Dataset(), a.Ensure(core.NeedBinned).Binned)
 	exact := func(c *data.Object) int32 {
 		b, _ := fs.BoundAbove(c, -1) // below every bound: never capped
 		return int32(b)
@@ -220,23 +215,22 @@ func TestForwardedBoundsAreExact(t *testing.T) {
 	}
 
 	c := NewCoordinator(core.NewPrepared(ds, nil), nil)
-	for _, alg := range []core.Algorithm{core.AlgBIG, core.AlgIBIG} {
-		for k := 1; k <= 64; k++ {
-			want, _ := core.Run(alg, ds, k, pre)
-			got, _, err := c.Run(context.Background(), alg, k, full, RunOptions{})
-			if err != nil {
-				t.Fatalf("%v k=%d: %v", alg, k, err)
-			}
-			assertEqual(t, fmt.Sprintf("%v k=%d", alg, k), want, got)
+	alg := core.AlgIBIG
+	for k := 1; k <= 64; k++ {
+		want, _ := core.Run(alg, ds, k, pre)
+		got, _, err := c.Run(context.Background(), k, full, RunOptions{})
+		if err != nil {
+			t.Fatalf("%v k=%d: %v", alg, k, err)
+		}
+		assertEqual(t, fmt.Sprintf("%v k=%d", alg, k), want, got)
 
-			var out Outcome
-			got, _, err = c.Run(context.Background(), alg, k, degraded, RunOptions{AllowPartial: true, Outcome: &out})
-			if err != nil || !out.Degraded {
-				t.Fatalf("%v k=%d degraded: %v (outcome %+v)", alg, k, err, out)
-			}
-			if want := bruteTopK(ds, scores, k); !slices.Equal(got.Items, want) {
-				t.Fatalf("%v k=%d: degraded answer %v, brute force over live rows %v", alg, k, got.Items, want)
-			}
+		var out Outcome
+		got, _, err = c.Run(context.Background(), k, degraded, RunOptions{AllowPartial: true, Outcome: &out})
+		if err != nil || !out.Degraded {
+			t.Fatalf("%v k=%d degraded: %v (outcome %+v)", alg, k, err, out)
+		}
+		if want := bruteTopK(ds, scores, k); !slices.Equal(got.Items, want) {
+			t.Fatalf("%v k=%d: degraded answer %v, brute force over live rows %v", alg, k, got.Items, want)
 		}
 	}
 	for i, a := range auditors {
@@ -273,16 +267,15 @@ func TestRemoteBackends(t *testing.T) {
 	}
 	pre := core.Preprocess(ds, nil)
 	c := NewCoordinator(core.NewPrepared(ds, nil), NewMetrics(n))
-	for _, alg := range []core.Algorithm{core.AlgNaive, core.AlgUBB, core.AlgIBIG} {
-		want, _ := core.Run(alg, ds, 6, pre)
-		got, st, err := c.Run(context.Background(), alg, 6, backends, RunOptions{})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		assertEqual(t, alg.String(), want, got)
-		if st.Workers != n {
-			t.Fatalf("%v: stats report %d workers, want %d", alg, st.Workers, n)
-		}
+	alg := core.AlgIBIG
+	want, _ := core.Run(alg, ds, 6, pre)
+	got, st, err := c.Run(context.Background(), 6, backends, RunOptions{})
+	if err != nil {
+		t.Fatalf("%v: %v", alg, err)
+	}
+	assertEqual(t, alg.String(), want, got)
+	if st.Workers != n {
+		t.Fatalf("%v: stats report %d workers, want %d", alg, st.Workers, n)
 	}
 
 	// A wrong fingerprint (coordinator ahead of a lagging peer) must fail
@@ -290,13 +283,13 @@ func TestRemoteBackends(t *testing.T) {
 	bad := make([]Backend, n)
 	copy(bad, backends)
 	bad[1] = NewRemote(nil, peers[1].URL, "d", ds.Len()/n, 2*ds.Len()/n, 0xdeadbeef)
-	if _, _, err := c.Run(context.Background(), core.AlgIBIG, 6, bad, RunOptions{}); err == nil {
+	if _, _, err := c.Run(context.Background(), 6, bad, RunOptions{}); err == nil {
 		t.Fatal("expected a fingerprint-mismatch error")
 	}
 
 	// Unknown dataset: 404 surfaces as an error.
 	bad[1] = NewRemote(nil, peers[1].URL, "nope", ds.Len()/n, 2*ds.Len()/n, 0)
-	if _, _, err := c.Run(context.Background(), core.AlgIBIG, 6, bad, RunOptions{}); err == nil {
+	if _, _, err := c.Run(context.Background(), 6, bad, RunOptions{}); err == nil {
 		t.Fatal("expected an unknown-dataset error")
 	}
 }
@@ -359,15 +352,14 @@ func TestRemoteReplicasOfOtherLayouts(t *testing.T) {
 
 	pre := core.Preprocess(ds, nil)
 	c := NewCoordinator(core.NewPrepared(ds, nil), nil)
-	for _, alg := range []core.Algorithm{core.AlgBIG, core.AlgIBIG} {
-		for _, k := range []int{1, 4, 16, 64} {
-			want, _ := core.Run(alg, ds, k, pre)
-			got, _, err := c.Run(context.Background(), alg, k, backends, RunOptions{})
-			if err != nil {
-				t.Fatalf("%v k=%d: %v", alg, k, err)
-			}
-			assertEqual(t, fmt.Sprintf("%v k=%d (%d and %d bins)", alg, k, short, wide), want, got)
+	alg := core.AlgIBIG
+	for _, k := range []int{1, 4, 16, 64} {
+		want, _ := core.Run(alg, ds, k, pre)
+		got, _, err := c.Run(context.Background(), k, backends, RunOptions{})
+		if err != nil {
+			t.Fatalf("%v k=%d: %v", alg, k, err)
 		}
+		assertEqual(t, fmt.Sprintf("%v k=%d (%d and %d bins)", alg, k, short, wide), want, got)
 	}
 	crossed := 0
 	for _, log := range logs {
@@ -446,12 +438,12 @@ func TestLocalBoundsResidualCap(t *testing.T) {
 	for i := range cands {
 		cands[i] = ds.Obj(i * 7)
 	}
-	exact, err := l.Partial(context.Background(), &Request{Alg: core.AlgIBIG, Mode: ModeScores, Cands: cands})
+	exact, err := l.Partial(context.Background(), &Request{Mode: ModeScores, Cands: cands})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, residual := range []int{math.MinInt, -5, 0, 3, 50, 1000, math.MaxInt} {
-		bounds, err := l.Partial(context.Background(), &Request{Alg: core.AlgIBIG, Mode: ModeBounds, Tau: residual, Residual: residual, Cands: cands})
+		bounds, err := l.Partial(context.Background(), &Request{Mode: ModeBounds, Tau: residual, Residual: residual, Cands: cands})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,6 +64,8 @@ func mustJSON(tb testing.TB, v any) []byte {
 // panic, never answer 5xx to a malformed body (bad input is the coordinator's
 // bug, reported as 4xx), always answer JSON — and the traceparent header
 // never changes the status (a malformed header means "untraced", not 4xx).
+// An older coordinator's non-IBIG scatter bodies are seeds too, each answered
+// 400 whatever the header.
 func FuzzShardWire(f *testing.F) {
 	peer, ds := fuzzPeer(f)
 
@@ -118,6 +120,10 @@ func FuzzShardWire(f *testing.F) {
 	f.Add(mustJSON(f, onBounds), "")
 	f.Add([]byte(strings.Replace(string(validBody), `"mode"`, `"budgets":[1e400],"mode"`, 1)), "")
 	f.Add(goldenScoresRequest(f), "")
+	rejected := oldNonIBIGRequests(f)
+	for _, alg := range []string{"Naive", "BIG"} {
+		f.Add(rejected[alg], "")
+	}
 
 	f.Add([]byte(`{"dataset":"d","from":0,"to":10,"unknown_field":true}`), "")
 	f.Add(validBody[:20], "") // truncated JSON
@@ -155,6 +161,11 @@ func FuzzShardWire(f *testing.F) {
 		if bytes.Equal(body, validBody) && resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d for a valid body with traceparent %q — the header must never fail a request", resp.StatusCode, traceparent)
 		}
+		for _, r := range rejected {
+			if bytes.Equal(body, r) && resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d for an old coordinator's non-IBIG body, want 400", resp.StatusCode)
+			}
+		}
 		out, err := io.ReadAll(resp.Body)
 		if err != nil {
 			t.Fatal(err)
@@ -174,6 +185,18 @@ func FuzzShardWire(f *testing.F) {
 func goldenScoresRequest(tb testing.TB) []byte {
 	tb.Helper()
 	return readFixture(tb, "scores_request_pr15.json")
+}
+
+// oldNonIBIGRequests are scatter bodies a coordinator from before the shard
+// protocol served IBIG alone sends for other plans (captured from its
+// Remote.Partial over rows [40,120) of testDataset(120), k 3): a Naive exact
+// phase — every row a candidate, no budgets — and a BIG bounds phase.
+func oldNonIBIGRequests(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	return map[string][]byte{
+		"Naive": readFixture(tb, "scores_request_naive.json"),
+		"BIG":   readFixture(tb, "bounds_request_big.json"),
+	}
 }
 
 func readFixture(tb testing.TB, name string) []byte {
@@ -212,6 +235,28 @@ func TestPeerAnswersOldCoordinator(t *testing.T) {
 		if want := core.ForeignScore(slice, ds.Obj(o)); int(results[i]) != want {
 			t.Fatalf("candidate %d: %d, want the exact partial score %d", o, results[i], want)
 		}
+	}
+}
+
+// TestPeerRejectsOtherAlgorithms pins the fail-closed half of the narrowing
+// to IBIG: an older coordinator's Naive or BIG scatter gets a 400 with a
+// stable error, never an answer, while its IBIG bodies keep answering 200.
+func TestPeerRejectsOtherAlgorithms(t *testing.T) {
+	peer, _ := fuzzPeer(t)
+	for alg, body := range oldNonIBIGRequests(t) {
+		rec := httptest.NewRecorder()
+		peer.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/query", bytes.NewReader(body)))
+		var we WireError
+		if err := json.NewDecoder(rec.Body).Decode(&we); err != nil {
+			t.Fatalf("%s: decoding the error body: %v", alg, err)
+		}
+		want := `shard: algorithm "` + alg + `" is not served; the shard protocol serves IBIG only`
+		if rec.Code != http.StatusBadRequest || we.Error != want {
+			t.Fatalf("%s: status %d, error %q; want 400, %q", alg, rec.Code, we.Error, want)
+		}
+	}
+	if code, _ := postShardQuery(t, peer, goldenScoresRequest(t)); code != http.StatusOK {
+		t.Fatalf("status %d for the old coordinator's IBIG body, want 200", code)
 	}
 }
 

@@ -8,7 +8,11 @@
 // query (Lemma 1).
 package skyband
 
-import "repro/internal/data"
+import (
+	"context"
+
+	"repro/internal/data"
+)
 
 // DominatesSameMask reports whether object a dominates object b when both
 // share the same observed-dimension mask: a <= b on every observed dimension
@@ -36,14 +40,16 @@ func DominatesSameMask(a, b *data.Object, mask uint64) bool {
 // counting an object's dominators at k, so pruned objects cost at most k
 // hits each.
 func KSkyband(ds *data.Dataset, ids []int32, k int) []int32 {
-	return KSkybandAppend(nil, ds, ids, k)
+	return KSkybandAppend(context.Background(), nil, ds, ids, k)
 }
 
 // KSkybandAppend is KSkyband appending into dst (which may be nil or a
 // recycled buffer; it is truncated first). The parallel ESB fan-out calls
 // this with one per-worker scratch buffer so scanning thousands of buckets
-// does not allocate a bucket-capacity slice per bucket.
-func KSkybandAppend(dst []int32, ds *data.Dataset, ids []int32, k int) []int32 {
+// does not allocate a bucket-capacity slice per bucket. A bucket's scan is
+// quadratic, so it checks ctx every checkStride objects and stops early,
+// with a partial answer the caller must discard, once ctx is done.
+func KSkybandAppend(ctx context.Context, dst []int32, ds *data.Dataset, ids []int32, k int) []int32 {
 	if k <= 0 {
 		return nil
 	}
@@ -51,7 +57,10 @@ func KSkybandAppend(dst []int32, ds *data.Dataset, ids []int32, k int) []int32 {
 		dst = make([]int32, 0, len(ids))
 	}
 	out := dst[:0]
-	for _, id := range ids {
+	for i, id := range ids {
+		if i%checkStride == 0 && ctx.Err() != nil {
+			return out
+		}
 		o := ds.Obj(int(id))
 		dominators := 0
 		for _, other := range ids {
@@ -71,6 +80,9 @@ func KSkybandAppend(dst []int32, ds *data.Dataset, ids []int32, k int) []int32 {
 	}
 	return out
 }
+
+// checkStride is how many objects KSkybandAppend scans between context checks.
+const checkStride = 256
 
 // Skyline returns the 1-skyband: objects dominated by no other object in
 // the bucket.

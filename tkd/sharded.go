@@ -1,7 +1,6 @@
 package tkd
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -24,10 +23,11 @@ import (
 // published epoch with its own binned bitmap index and column cache,
 // servable in-process or by a remote tkdserver peer, while the coordinator
 // keeps the full data and the global MaxScore queue. Answers are
-// byte-identical to the unsharded plan's for every algorithm: the
-// coordinator offers exact summed partial scores to an answer heap in the
-// one answer order (Result), pruning across shards with the pushed-down
-// global τ (see package repro/internal/shard for the protocol).
+// byte-identical to the unsharded plan's for every algorithm: IBIG scatters,
+// the coordinator offering exact summed partial scores to an answer heap in
+// the one answer order (Result) and pruning across shards with the
+// pushed-down global τ (package repro/internal/shard); the other four run
+// unsharded over the full rows and the global queue.
 //
 // The per-epoch shard set is lazily built state of the snapshot, next to the
 // epoch's own artifacts: the first query (or Prepare) on an epoch slices it
@@ -288,15 +288,15 @@ func (ss *shardSet) close() {
 }
 
 // prewarm builds the artifacts of n: every non-empty in-process shard's
-// indexes, side by side, then the coordinator's queue in global, the epoch's
-// own holder, merged from the shards' sorted runs (queueRuns) — no sharded
-// epoch sorts its rows as a whole. On a warm set it is an atomic load per
-// holder.
+// binned index, side by side, then in global, the epoch's own holder, the
+// coordinator's queue merged from the shards' sorted runs (queueRuns) — no
+// sharded epoch sorts its rows for the queue — and BIG's index, which only
+// the unsharded run reads. On a warm set it is an atomic load per holder.
 func (ss *shardSet) prewarm(global *core.Prepared, n core.Need) {
-	if idx := n &^ core.NeedQueue; idx != 0 {
+	if n&core.NeedBinned != 0 {
 		for _, p := range ss.parts {
-			if p.Dataset().Len() > 0 && !p.Built().Has(idx) {
-				ss.buildParts(idx)
+			if p.Dataset().Len() > 0 && !p.Built().Has(core.NeedBinned) {
+				ss.buildParts()
 				break
 			}
 		}
@@ -304,19 +304,22 @@ func (ss *shardSet) prewarm(global *core.Prepared, n core.Need) {
 	if n&core.NeedQueue != 0 && !global.Built().Has(core.NeedQueue) {
 		global.EnsureQueueFrom(func() []core.QueueRun { return ss.queueRuns(global.Dataset()) })
 	}
+	if n&core.NeedBitmap != 0 {
+		global.Ensure(core.NeedBitmap)
+	}
 }
 
-// buildParts builds n in every non-empty in-process shard (more shards than
-// rows: an empty one has nothing to index), side by side. It is prewarm's
-// cold path, apart so that a warm query allocates nothing for it.
-func (ss *shardSet) buildParts(n core.Need) {
+// buildParts builds every non-empty in-process shard's binned index (more
+// shards than rows: an empty one has nothing to index), side by side. It is
+// prewarm's cold path, apart so that a warm query allocates nothing for it.
+func (ss *shardSet) buildParts() {
 	var wg sync.WaitGroup
 	for _, p := range ss.parts {
 		if p.Dataset().Len() > 0 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				p.Ensure(n)
+				p.Ensure(core.NeedBinned)
 			}()
 		}
 	}
@@ -335,8 +338,7 @@ func (ss *shardSet) queueRuns(ds *data.Dataset) []core.QueueRun {
 	for i, b := range ss.backends {
 		hi := lo + b.Rows()
 		if l, ok := b.(*shard.Local); ok {
-			pre := l.Built()
-			if ix := cmp.Or(pre.Binned, pre.Bitmap); ix != nil {
+			if ix := l.Built().Binned; ix != nil {
 				runs[i], lo = core.QueueRun{Stats: ix.Stats(), Ranks: ix.Ranks()}, hi
 				continue
 			}
@@ -353,20 +355,17 @@ func (ss *shardSet) queueRuns(ds *data.Dataset) []core.QueueRun {
 	return runs
 }
 
-// run is TopK's sharded arm: the coordinator walks the global queue and
+// run is TopK's sharded IBIG arm: the coordinator walks the global queue and
 // fans windows out to the backends. eng wraps the whole scatter-gather run;
 // the coordinator reads it back out of the context for its window spans and
 // τ samples.
-func (ss *shardSet) run(ctx context.Context, alg Algorithm, k int, allowPartial bool, eng *obs.Span) (Result, Stats, Degradation, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (ss *shardSet) run(ctx context.Context, k int, allowPartial bool, eng *obs.Span) (Result, Stats, Degradation, error) {
 	eng.SetInt("shards", int64(len(ss.backends)))
 	if eng != nil {
 		ctx = obs.ContextWithSpan(ctx, eng)
 	}
 	var outcome shard.Outcome
-	res, st, err := ss.coord.Run(ctx, alg, k, ss.backends, shard.RunOptions{AllowPartial: allowPartial, Outcome: &outcome})
+	res, st, err := ss.coord.Run(ctx, k, ss.backends, shard.RunOptions{AllowPartial: allowPartial, Outcome: &outcome})
 	if err == nil && outcome.Degraded {
 		eng.SetInt("degraded", 1)
 		eng.SetInt("covered_rows", int64(outcome.CoveredRows))

@@ -52,6 +52,7 @@
 package tkd
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -158,7 +159,7 @@ func (s *snapshot) parts() []*core.Prepared {
 
 // prepare builds the epoch's artifacts of n and returns its own holder's set:
 // everything there when unsharded; on a sharded dataset the shards build
-// their indexes and the holder takes the queue merged from them (prewarm).
+// their binned indexes and the holder the rest (prewarm).
 func (s *snapshot) prepare(n core.Need) *core.Pre {
 	if s.d.topo.Load() == nil {
 		return s.part.Ensure(n)
@@ -536,10 +537,11 @@ func WithStats(st *Stats) Option {
 }
 
 // WithContext bounds the query with ctx: cancellation or an expired
-// deadline aborts the work — including, on a sharded dataset, every
-// in-flight replica RPC — and TopK returns the context's error.
+// deadline stops the work within a window of 256 candidates — and drops a
+// sharded query's in-flight replica RPCs — and TopK returns ctx's error. A
+// nil ctx is ignored.
 func WithContext(ctx context.Context) Option {
-	return func(c *queryConfig) { c.ctx = ctx }
+	return func(c *queryConfig) { c.ctx = cmp.Or(ctx, c.ctx) }
 }
 
 // Span is a trace span of the obs tracing spine; a nil *Span disables
@@ -573,8 +575,9 @@ type Degradation struct {
 // exactly over the live row-ranges instead of failing, and d (which may be
 // nil) receives the explicit coverage report. Without this option the
 // default is fail-closed — an unreachable shard fails the query with a
-// typed error, never a silently partial answer. Unsharded datasets have no
-// shards to lose; they always report full coverage.
+// typed error, never a silently partial answer. Only an IBIG query on a
+// sharded dataset has shards to lose; every other query always reports full
+// coverage.
 func WithAllowPartial(d *Degradation) Option {
 	return func(c *queryConfig) {
 		c.allowPartial = true
@@ -599,10 +602,10 @@ func (d *Dataset) Prepare() {
 // consume. A serving process that answers IBIG by default calls
 // PrepareFor(IBIG) to skip the value-granular bitmap (the most expensive
 // artifact, needed only by BIG); anything skipped still builds lazily on
-// first use. On a sharded dataset the in-process shards build their side of
-// each algorithm's scatter plan in parallel (remote shards warm on their
-// peers, on first use), and the coordinator merges its queue from their
-// sorts.
+// first use. On a sharded dataset the in-process shards build their binned
+// indexes in parallel (remote shards warm on their peers, on first use), the
+// coordinator merges its queue from their sorts, and BIG's index builds over
+// the coordinator's full rows.
 func (d *Dataset) PrepareFor(algs ...Algorithm) {
 	var n core.Need
 	for _, a := range algs {
@@ -712,11 +715,12 @@ func (d *Dataset) setBins(bins []int) {
 // goroutines mutate it (each query runs on the epoch current at its start).
 //
 // On a sharded dataset (see Shard) the same options give the same answers —
-// byte-identical — through the scatter-gather coordinator. WithWorkers is
-// then accepted and ignored: the fan-out across shards is the parallelism.
-// WithBins is likewise ignored: every shard lays its slice out by the default
-// rule at the whole dataset's size and missing rate — the layout the unsharded
-// index would take; bin layout never changes answers.
+// byte-identical. IBIG runs through the scatter-gather coordinator, ignoring
+// WithWorkers (the fan-out across shards is the parallelism); the other four
+// run unsharded over the epoch's full rows. WithBins is ignored: every shard
+// lays its slice out by the default rule at the whole dataset's size and
+// missing rate — the layout the unsharded index would take; bin layout never
+// changes answers.
 //
 // Unsharded, UBB, BIG and IBIG are one candidate loop over the MaxScore
 // queue — serial, or on the WithWorkers engine — each with its own scorer.
@@ -726,14 +730,12 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	if k <= 0 {
 		return Result{}, fmt.Errorf("tkd: k must be positive, got %d", k)
 	}
-	cfg := queryConfig{alg: IBIG, workers: 1}
+	cfg := queryConfig{alg: IBIG, workers: 1, ctx: context.Background()}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.ctx != nil {
-		if err := cfg.ctx.Err(); err != nil {
-			return Result{}, err
-		}
+	if err := cfg.ctx.Err(); err != nil {
+		return Result{}, err
 	}
 	t := d.topo.Load()
 	if cfg.bins != nil && t == nil {
@@ -749,19 +751,18 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	eng := cfg.engineSpan(k, rows)
 	var res Result
 	var st Stats
-	// An unsharded dataset has no shards to lose: coverage is always total.
-	// (AllowPartial itself is a no-op there.)
+	var err error
+	// Only the scatter plan has shards to lose: coverage is otherwise total.
 	deg := Degradation{CoveredRows: rows, TotalRows: rows}
-	if t != nil {
-		var err error
-		res, st, deg, err = s.shardSet().run(cfg.ctx, cfg.alg, k, cfg.allowPartial, eng)
-		if err != nil {
-			eng.SetStr("error", err.Error())
-			eng.End()
-			return Result{}, err
-		}
+	if t != nil && cfg.alg == IBIG {
+		res, st, deg, err = s.shardSet().run(cfg.ctx, k, cfg.allowPartial, eng)
 	} else {
-		res, st = core.RunWorkersTraced(cfg.alg, s.ds, k, pre, cfg.workers, eng)
+		res, st, err = core.RunContext(cfg.ctx, cfg.alg, s.ds, k, pre, cfg.workers, eng)
+	}
+	if err != nil {
+		eng.SetStr("error", err.Error())
+		eng.End()
+		return Result{}, err
 	}
 	stampStats(eng, st)
 	eng.End()
@@ -779,7 +780,7 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 // context, else nil (tracing off — every span call below no-ops).
 func (cfg *queryConfig) engineSpan(k, rows int) *obs.Span {
 	sp := cfg.trace
-	if sp == nil && cfg.ctx != nil {
+	if sp == nil {
 		sp = obs.SpanFromContext(cfg.ctx)
 	}
 	eng := sp.StartChild("engine")

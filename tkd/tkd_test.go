@@ -2,9 +2,13 @@ package tkd_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/tkd"
 )
@@ -336,5 +340,49 @@ func TestSaveLoadIndexPublic(t *testing.T) {
 	}
 	if err := fresh.LoadIndex(strings.NewReader("junk")); err == nil {
 		t.Fatal("junk index accepted")
+	}
+}
+
+// TestDeadlineCancelsEveryAlgorithm holds every plan to its deadline. On
+// 20 k × 4 rows at k = N — every row an answer, so no heuristic prunes — each
+// of the five algorithms, unsharded and over three shards, returns within a
+// second of a 50 ms deadline (five under the race detector, which slows a
+// 256-candidate window of Naive to ≈ 0.4 s). Naive, ESB and UBB run for
+// seconds at this shape, so they must report the deadline; BIG and IBIG may
+// finish first on a fast host, and then must answer in full.
+func TestDeadlineCancelsEveryAlgorithm(t *testing.T) {
+	const n, deadline = 20000, 50 * time.Millisecond
+	slack := time.Second
+	if raceEnabled {
+		slack = 5 * time.Second
+	}
+	for _, shards := range []int{0, 3} {
+		ds := tkd.GenerateIND(n, 4, 100, 0.2, 1)
+		if shards > 0 {
+			if _, err := tkd.Shard(ds, "d", tkd.WithShards(shards)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ds.PrepareFor(tkd.Naive, tkd.ESB, tkd.UBB, tkd.BIG, tkd.IBIG)
+		for _, alg := range []tkd.Algorithm{tkd.Naive, tkd.ESB, tkd.UBB, tkd.BIG, tkd.IBIG} {
+			label := fmt.Sprintf("%v shards=%d", alg, shards)
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			start := time.Now()
+			res, err := ds.TopK(n, tkd.WithAlgorithm(alg), tkd.WithContext(ctx))
+			elapsed := time.Since(start)
+			cancel()
+			if elapsed > deadline+slack {
+				t.Errorf("%s: returned after %v, more than %v past the %v deadline", label, elapsed, slack, deadline)
+			}
+			switch {
+			case errors.Is(err, context.DeadlineExceeded):
+			case err != nil:
+				t.Errorf("%s: %v, want the deadline's error", label, err)
+			case alg != tkd.BIG && alg != tkd.IBIG:
+				t.Errorf("%s: answered in %v, want the deadline's error", label, elapsed)
+			case len(res.Items) != n:
+				t.Errorf("%s: %d items, want %d", label, len(res.Items), n)
+			}
+		}
 	}
 }
