@@ -3,6 +3,7 @@ package bitmapidx
 import (
 	"math"
 
+	"repro/internal/bitvec"
 	"repro/internal/data"
 )
 
@@ -29,19 +30,31 @@ func OptimalBins(n int, sigma float64) int {
 }
 
 // ServingBins is the bin count the serving index asks of every dimension when
-// the caller names none: r(N, σ) = 2 · Eq. (8), which AssignBins caps at the
-// dimension's distinct-value count, so ξᵢ = min(cᵢ, r). Eq. (8) minimizes
-// space × query cost under a model where a score visits all of Q; since the
-// score became popcounts plus a walk of what ties an inexact bucket (score.go)
-// the query term is that walk, ∝ N·d/ξ, and it vanishes where a candidate's
+// the caller names none, r(N, σ), which AssignBins caps at the dimension's
+// distinct-value count, so ξᵢ = min(cᵢ, r). Over more than one kernel block
+// of rows (bitvec.BlockBits) r is 2 · Eq. (8). Eq. (8) minimizes space ×
+// query cost under a model where a score visits all of Q; since the score
+// became popcounts plus a walk of what ties an inexact bucket (score.go) the
+// query term is that walk, ∝ N·d/ξ, and it vanishes where a candidate's
 // buckets hold one value each. Twice Eq. (8) is where the Fig. 11 sweep
 // (DESIGN.md §1) puts that point for low-cardinality dimensions — the greedy
 // equi-depth rule gives the low ranks, where candidates live, a bucket each —
 // and where, on continuous ones, the next doubling stops paying for its
-// bytes.
+// bytes. Over at most one block, 2 · Eq. (8) is at most 52 and leaves small
+// shapes walking, while a column is at most a block of words: there r is
+// ValueGranularBins, so every dimension of at most that many values has a
+// bucket per value and nothing is walked, for at most
+// (ValueGranularBins + 1) columns of 1 KiB per dimension.
 func ServingBins(n int, sigma float64) int {
+	if n <= bitvec.BlockBits {
+		return ValueGranularBins
+	}
 	return 2 * OptimalBins(n, sigma)
 }
+
+// ValueGranularBins is ServingBins over at most one kernel block of rows: one
+// bucket per value for every dimension of at most 64 distinct values.
+const ValueGranularBins = 64
 
 // AssignBins partitions the distinct values of one dimension into at most
 // xi bins using the paper's adaptive equi-depth rule (§4.4, Eq. 3–4): each

@@ -587,6 +587,8 @@ type Cursor struct {
 	// fmemo[i] is IncomparableRows(ix.masks[i].mask) + 1 once evaluated, 0
 	// before; allocated by the first call.
 	fmemo []int32
+	// blocks is the dense count and scoring kernels' block scratch.
+	blocks bitvec.Scratch
 }
 
 // NewCursor returns a cursor over the index.
@@ -767,7 +769,7 @@ func (c *Cursor) intersectQAbove(refs []qref, tau int) (int, bool) {
 		return c.countNative(tau, refs)
 	}
 	t.native, t.fallback = 0, t.compressed
-	return bitvec.IntersectCountAbove(tau, c.qCols(refs)...)
+	return c.blocks.IntersectCountAbove(tau, c.qCols(refs)...)
 }
 
 // countNative runs CONCISE's multi-way run gallop over the candidate's

@@ -106,7 +106,7 @@ func (c *Cursor) tieScore(refs []qref, cnt, limit int) (score, walked int, ok bo
 	}
 	c.terms = terms
 	ix.flushTally(&t)
-	nd := bitvec.TieCount(c.w, terms)
+	nd := c.blocks.TieCount(c.w, terms)
 	if !walk {
 		return cnt - nd, 0, true
 	}

@@ -341,12 +341,26 @@ func IntersectCount(vs ...*Vector) int {
 }
 
 // blockWords is the span of the blocked kernels (IntersectCountAbove,
-// TieCount): each block of words is folded one column at a time into a stack
-// buffer and then popcounted — a tight loop per column over a block that stays
-// in L1, instead of a loop over every column per word — and a threshold is
-// checked once per block. The chunking is the one Roaring bitmaps build on
-// (Chambi, Lemire, Kaser, Godin, arXiv:1402.6407).
+// TieCount): each block of words is folded one column at a time into a
+// scratch block and then popcounted — a tight loop per column over a block
+// that stays in L1, instead of a loop over every column per word — and a
+// threshold is checked once per block. The chunking is the one Roaring bitmaps
+// build on (Chambi, Lemire, Kaser, Godin, arXiv:1402.6407).
 const blockWords = 128
+
+// BlockBits is how many bits one kernel block spans: a vector of at most this
+// length is counted in a single block of every column.
+const BlockBits = blockWords * wordBits
+
+// Scratch is the blocked kernels' working memory: a block for E and one for
+// ∩Q. A caller that counts many candidates (bitmapidx.Cursor) owns one and
+// passes it to every call, so no call zeroes a stack frame of it and a fresh
+// goroutine that counts does not grow its stack for it. The package-level
+// kernels keep their blocks on the stack. A Scratch is not safe for
+// concurrent use.
+type Scratch struct {
+	e, q [blockWords]uint64
+}
 
 // ones is a block of all-ones words: what a fold starts from, and what a nil
 // Q-column reads as.
@@ -366,6 +380,18 @@ var ones = func() (b [blockWords]uint64) {
 // fire — never later than blockWords, never earlier than one word — so the
 // exit comes at the word a per-word check would take it.
 func IntersectCountAbove(tau int, vs ...*Vector) (count int, above bool) {
+	return intersectCountAbove(tau, vs, nil)
+}
+
+// IntersectCountAbove is the package-level IntersectCountAbove over s's
+// blocks.
+func (s *Scratch) IntersectCountAbove(tau int, vs ...*Vector) (count int, above bool) {
+	return intersectCountAbove(tau, vs, &s.e)
+}
+
+// intersectCountAbove is IntersectCountAbove's pass; buf, the fold's block, is
+// nil when the caller holds none.
+func intersectCountAbove(tau int, vs []*Vector, buf *[blockWords]uint64) (int, bool) {
 	if len(vs) == 0 {
 		panic("bitvec: IntersectCountAbove of nothing")
 	}
@@ -384,7 +410,10 @@ func IntersectCountAbove(tau int, vs ...*Vector) (count int, above bool) {
 		// shrinks as words are counted, so it may fire at any word from
 		// here on.
 		if lo == 0 && len(vs) > 2 && hi == min(nw, blockWords) {
-			return intersectCountAboveN(tau, vs)
+			if buf == nil {
+				return intersectCountAboveStack(tau, vs)
+			}
+			return intersectCountAboveN(tau, vs, buf)
 		}
 		c += countWords(vs, lo, hi)
 		lo = hi
@@ -395,10 +424,19 @@ func IntersectCountAbove(tau int, vs ...*Vector) (count int, above bool) {
 	return c, true
 }
 
-// intersectCountAboveN is IntersectCountAbove over three or more columns,
-// which fold each block into a stack buffer before counting it.
-func intersectCountAboveN(tau int, vs []*Vector) (int, bool) {
+// intersectCountAboveStack is intersectCountAboveN over a block on its own
+// frame, for callers without a Scratch. Inlined, it would put the block on
+// the frame of every caller.
+//
+//go:noinline
+func intersectCountAboveStack(tau int, vs []*Vector) (int, bool) {
 	var buf [blockWords]uint64
+	return intersectCountAboveN(tau, vs, &buf)
+}
+
+// intersectCountAboveN is IntersectCountAbove over three or more columns,
+// which fold each block into buf before counting it.
+func intersectCountAboveN(tau int, vs []*Vector, buf *[blockWords]uint64) (int, bool) {
 	nw := len(vs[0].words)
 	last := vs[len(vs)-1]
 	c := 0
@@ -487,7 +525,24 @@ type TieTerm struct {
 // (w is not written otherwise), all in one blocked pass over the terms'
 // columns.
 func TieCount(w *Vector, terms []TieTerm) int {
-	walk := false
+	if !tieCheck(w, terms) {
+		return tieCountStack(w, terms, nil)
+	}
+	var qbuf [blockWords]uint64
+	return tieCountStack(w, terms, &qbuf)
+}
+
+// TieCount is the package-level TieCount over s's blocks.
+func (s *Scratch) TieCount(w *Vector, terms []TieTerm) int {
+	if !tieCheck(w, terms) {
+		return tieCount(w, terms, &s.e, nil)
+	}
+	return tieCount(w, terms, &s.e, &s.q)
+}
+
+// tieCheck panics unless every column of terms has w's length and reports
+// whether some term walks.
+func tieCheck(w *Vector, terms []TieTerm) (walk bool) {
 	for i := range terms {
 		t := &terms[i]
 		w.mustMatch(t.M)
@@ -499,20 +554,24 @@ func TieCount(w *Vector, terms []TieTerm) int {
 		}
 		walk = walk || t.Tie == TieWalk
 	}
+	return walk
+}
+
+// tieCountStack is tieCount over an E block on its own frame, for callers
+// without a Scratch.
+//
+//go:noinline
+func tieCountStack(w *Vector, terms []TieTerm, qbuf *[blockWords]uint64) int {
+	var ebuf [blockWords]uint64
+	return tieCount(w, terms, &ebuf, qbuf)
+}
+
+// tieCount is TieCount's pass over the blocks ebuf (E) and qbuf (∩Q, nil when
+// no term walks).
+func tieCount(w *Vector, terms []TieTerm, ebuf, qbuf *[blockWords]uint64) int {
 	if len(terms) == 0 {
 		return w.n
 	}
-	if walk {
-		var qbuf [blockWords]uint64
-		return tieCount(w, terms, qbuf[:])
-	}
-	return tieCount(w, terms, nil)
-}
-
-// tieCount is TieCount's pass; qbuf, a block of scratch for ∩Q, is nil when
-// no term walks.
-func tieCount(w *Vector, terms []TieTerm, qbuf []uint64) int {
-	var ebuf [blockWords]uint64
 	nw := len(w.words)
 	tail := ^uint64(0)
 	if r := w.n % wordBits; r != 0 {

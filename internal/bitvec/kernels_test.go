@@ -215,6 +215,42 @@ func TestTieCountMatchesCascade(t *testing.T) {
 	}
 }
 
+// TestScratchKernelsMatch holds the Scratch kernels to the package-level
+// ones with one Scratch reused across every call — lengths up and down,
+// thresholds that bail and that do not, walking terms and none — so nothing a
+// call leaves in the blocks reaches the next one.
+func TestScratchKernelsMatch(t *testing.T) {
+	const noTau = -1 << 62
+	rng := rand.New(rand.NewSource(8))
+	var s Scratch
+	for round := 0; round < 2; round++ {
+		for _, n := range kernelLengths {
+			vs := make([]*Vector, 5)
+			for i := range vs {
+				vs[i] = randVec(rng, n, 0.9)
+			}
+			want := wordCount(vs)
+			for _, tau := range []int{noTau, want - 1, want} {
+				c, above := s.IntersectCountAbove(tau, vs...)
+				if wc, wa := IntersectCountAbove(tau, vs...); c != wc || above != wa {
+					t.Fatalf("n=%d tau=%d: Scratch (%d, %v), package (%d, %v)", n, tau, c, above, wc, wa)
+				}
+			}
+			terms := make([]TieTerm, 3)
+			for i := range terms {
+				m := randVec(rng, n, 0.2)
+				p := randVec(rng, n, 0.3).Or(m)
+				terms[i] = TieTerm{Q: randVec(rng, n, 0.5).Or(p), P: p, M: m, Tie: Tie(rng.Intn(3))}
+			}
+			w, wantW := randVec(rng, n, 0.5), New(n)
+			wantW.CopyFrom(w)
+			if got, want := s.TieCount(w, terms), TieCount(wantW, terms); got != want || !w.Equal(wantW) {
+				t.Fatalf("n=%d terms=%+v: Scratch |E| = %d, package %d (W equal: %v)", n, terms, got, want, w.Equal(wantW))
+			}
+		}
+	}
+}
+
 func TestAndNotForEachWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 64, 130, 999} {

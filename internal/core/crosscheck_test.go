@@ -14,6 +14,14 @@ import (
 	"repro/internal/paperdata"
 )
 
+// walkingBins is the serving rule's layout past one kernel block of rows,
+// 2 · Eq. (8). The few-hundred-row fixtures here take ValueGranularBins under
+// the rule itself, where nearly every bucket is exact; under walkingBins IBIG
+// still walks W and Heuristic 3 still fires.
+func walkingBins(ds *data.Dataset) []int {
+	return []int{2 * bitmapidx.OptimalBins(ds.Len(), ds.MissingRate())}
+}
+
 // randomConfigs spans the regimes the algorithms branch on: dense/sparse
 // missingness, tiny/large domains, correlated/independent values.
 func randomConfigs(seedBase int64) []gen.Config {
@@ -28,21 +36,28 @@ func randomConfigs(seedBase int64) []gen.Config {
 }
 
 // TestAllAlgorithmsAgree: the answer is a function of (data, k) alone. On
-// every configuration, all five algorithms at 1, 2 and 4 workers return, at
-// every k from 1 to 64, the first k items of serial Naive's top-64 — the same
-// objects in the same order, rank-k ties included.
+// every configuration, all five algorithms at 1, 2 and 4 workers — and IBIG
+// over walkingBins too — return, at every k from 1 to 64, the first k items of
+// serial Naive's top-64 — the same objects in the same order, rank-k ties
+// included.
 func TestAllAlgorithmsAgree(t *testing.T) {
 	for i, cfg := range randomConfigs(100) {
 		t.Run(fmt.Sprintf("cfg%d", i), func(t *testing.T) {
 			t.Parallel() // the configurations share nothing
 			ds := gen.Synthetic(cfg)
 			pre := core.Preprocess(ds, nil)
+			walking := &core.Pre{Queue: pre.Queue, Binned: core.BuildServingIndex(ds.SortDims(), walkingBins(ds))}
 			oracle, _ := core.Naive(ds, 64)
 			for _, alg := range core.Algorithms {
 				for _, workers := range []int{1, 2, 4} {
 					for k := 1; k <= 64; k++ {
+						want := oracle.Items[:min(k, len(oracle.Items))]
 						got, _ := core.RunWorkers(alg, ds, k, pre, workers)
-						assertItems(t, fmt.Sprintf("%v cfg=%+v workers=%d k=%d", alg, cfg, workers, k), got, oracle.Items[:min(k, len(oracle.Items))])
+						assertItems(t, fmt.Sprintf("%v cfg=%+v workers=%d k=%d", alg, cfg, workers, k), got, want)
+						if alg == core.AlgIBIG {
+							got, _ = core.RunWorkers(alg, ds, k, walking, workers)
+							assertItems(t, fmt.Sprintf("%v over %v bins cfg=%+v workers=%d k=%d", alg, walkingBins(ds), cfg, workers, k), got, want)
+						}
 					}
 				}
 			}
@@ -239,7 +254,10 @@ func TestMovieLensStyleAgreement(t *testing.T) {
 // |∩Q| − 1 − |F(o)|, so wherever rows share no dimension with a candidate —
 // every config but the complete sample and cfg0 — Scored (and with it what
 // Heuristic 3 is left to cut) fell and PrunedH2 rose; Candidates and PrunedH1
-// are the queue's and moved in no row. Comparisons is not pinned.
+// are the queue's and moved in no row. Comparisons is not pinned. Since the
+// serving rule gives a dataset within one kernel block 64 bins, the cfg
+// fixtures pass walkingBins, the layout every row was pinned under, so
+// IBIG's split between Scored and Heuristic 3 on inexact buckets stays held.
 func TestSerialHeuristicCountsPinned(t *testing.T) {
 	pins := []struct {
 		data                                          string
@@ -305,7 +323,7 @@ func TestSerialHeuristicCountsPinned(t *testing.T) {
 	fixtures := map[string]fixture{"sample": {sample, core.Preprocess(sample, []int{2, 2, 3, 3})}}
 	for i, cfg := range randomConfigs(100) {
 		ds := gen.Synthetic(cfg)
-		fixtures[fmt.Sprintf("cfg%d", i)] = fixture{ds, core.Preprocess(ds, nil)}
+		fixtures[fmt.Sprintf("cfg%d", i)] = fixture{ds, core.Preprocess(ds, walkingBins(ds))}
 	}
 	for _, p := range pins {
 		fx := fixtures[p.data]

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/bitmapidx"
+	"repro/internal/bitvec"
 	"repro/internal/data"
 	"repro/internal/obs"
 )
@@ -99,10 +101,25 @@ func Run(a Algorithm, ds *data.Dataset, k int, pre *Pre) (Result, Stats) {
 	return RunWorkers(a, ds, k, pre, 1)
 }
 
+// UsefulWorkers caps n, the workers a query of algorithm a over rows rows
+// would be given, at what it can use. BIG and IBIG score a candidate in
+// popcounts over rows/64 words: over at most one kernel block of rows
+// (bitvec.BlockBits) that is one block per column, too little to split (two
+// workers ran the 2,000-row benchmark shape at 0.64× of one), so they are
+// worth one worker. Naive, ESB and UBB compare rows per candidate and keep n.
+// A default — RunContext's workers <= 0, the server's fair share — is capped;
+// an explicit count is not.
+func UsefulWorkers(a Algorithm, rows, n int) int {
+	if (a == AlgBIG || a == AlgIBIG) && rows <= bitvec.BlockBits {
+		return min(n, 1)
+	}
+	return n
+}
+
 // RunWorkers is Run with a worker count: 1 is the serial path, 0 selects
-// GOMAXPROCS, and n > 1 fans candidate scoring across n goroutines through
-// the batch-windowed engine (UBB/BIG/IBIG/Naive) or ESB's bucket fan-out.
-// The answer set is identical to the serial run's.
+// GOMAXPROCS capped by UsefulWorkers, and n > 1 fans candidate scoring across
+// n goroutines through the batch-windowed engine (UBB/BIG/IBIG/Naive) or
+// ESB's bucket fan-out. The answer set is identical to the serial run's.
 func RunWorkers(a Algorithm, ds *data.Dataset, k int, pre *Pre, workers int) (Result, Stats) {
 	res, st, _ := RunContext(context.Background(), a, ds, k, pre, workers, nil) // never cancelled
 	return res, st
@@ -123,6 +140,9 @@ func RunContext(ctx context.Context, a Algorithm, ds *data.Dataset, k int, pre *
 		pre = &Pre{}
 	}
 	pre.fill(ds, nil, NeedFor(a))
+	if workers <= 0 {
+		workers = UsefulWorkers(a, ds.Len(), runtime.GOMAXPROCS(0))
+	}
 	switch a {
 	case AlgNaive:
 		return scanAll(ctx, ds, k, pre.Queue, pre.Queue.Order, workers)

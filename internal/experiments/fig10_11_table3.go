@@ -188,13 +188,27 @@ func servingSweep(sh servingShape) (xis []int, pts []binPoint) {
 	return xis, pts
 }
 
+// sameLayout reports whether asking a and b bins of every dimension lays ds
+// out alike: AssignBins caps each at the dimension's distinct-value count cᵢ,
+// so what counts is min(cᵢ, a) against min(cᵢ, b).
+func sameLayout(ds *data.Dataset, a, b int) bool {
+	for _, st := range ds.Stats() {
+		if c := len(st.CountPerValue); min(c, a) != min(c, b) {
+			return false
+		}
+	}
+	return true
+}
+
 // Fig11 reproduces Fig. 11: for every dataset, TKD CPU time of BIG (fixed)
 // and IBIG under increasing bin count ξ, plus the index sizes S_BIG and
 // S_IBIG(ξ) — and, past the paper, what each ξ costs to build and patch and
 // how many rows a query still walks. The second set of tables is the sweep
 // the serving rule ξᵢ = min(cᵢ, 2 · Eq. (8)) is read off (DESIGN.md §1): the
 // serving recipe at multiples of Eq. (8), Table 2's k sweep, over the
-// benchmark's shapes and the paper's datasets.
+// benchmark's shapes and the paper's datasets; "(rule)" marks the rows laid
+// out as the rule lays the shape out, min(cᵢ, 64) within one kernel block of
+// rows.
 func Fig11(s Scale) []Table {
 	var out []Table
 	paper := allDatasets(s)
@@ -221,9 +235,13 @@ func Fig11(s Scale) []Table {
 			Header: binSweepHeader,
 		}
 		xis, pts := servingSweep(sh)
+		// A row is the rule's where it lays the shape out as the rule does,
+		// whether or not the rule's ξ is on the sweep (ValueGranularBins,
+		// within one kernel block of rows, is off it).
+		rule := bitmapidx.ServingBins(sh.of.Len(), sh.of.MissingRate())
 		for i, pt := range pts {
 			label := fmt.Sprintf("%d", xis[i])
-			if xis[i] == bitmapidx.ServingBins(sh.of.Len(), sh.of.MissingRate()) {
+			if sameLayout(sh.ds, xis[i], rule) {
 				label += " (rule)"
 			}
 			tab.Rows = append(tab.Rows, pt.row(label))

@@ -246,7 +246,8 @@ func (s *scheduler) finalDrain() {
 // dispatch hands one sweep of requests to the admission line: a request joins
 // the pending group of its key if there is one, the rest are grouped by key
 // and each new group takes its place in line in arrival order, dividing the
-// fair share with the new groups behind it, and starts.
+// fair share with the new groups behind it — at most what its query can use
+// (core.UsefulWorkers) — and starts.
 func (s *scheduler) dispatch(batch []*request) {
 	var fresh []*group
 	s.mu.Lock()
@@ -260,10 +261,12 @@ func (s *scheduler) dispatch(batch []*request) {
 		fresh = append(fresh, g)
 	}
 	s.mu.Unlock()
+	rows := s.ds.Len()
 	for i, g := range fresh {
 		s.inflight <- struct{}{}
 		s.groups.Add(1)
-		go s.run(g, s.adm.enter(g.key.Workers, len(fresh)-1-i))
+		most := core.UsefulWorkers(g.key.Alg, rows, s.adm.capacity)
+		go s.run(g, s.adm.enter(g.key.Workers, most, len(fresh)-1-i))
 	}
 }
 
@@ -283,21 +286,20 @@ func (s *scheduler) run(grp *group, g *grant) {
 	// patient ones are still waiting for. Cancelling aborts the run within a
 	// window of candidates — the engine checks it per window, a sharded
 	// IBIG run drops its in-flight shard RPCs too — so TopK returns the
-	// context's error and the grant is released at once.
+	// context's error and the grant is released at once. Each waiter's
+	// context counts itself out through an AfterFunc — no goroutine waits on
+	// it — and every registration is stopped when the execution ends.
 	execCtx, cancel := context.WithCancel(context.Background())
-	execDone := make(chan struct{})
 	var waiting atomic.Int64
 	waiting.Store(int64(len(reqs)))
-	for _, r := range reqs {
-		go func(c context.Context) {
-			select {
-			case <-c.Done():
-				if waiting.Add(-1) == 0 {
-					cancel()
-				}
-			case <-execDone:
-			}
-		}(r.ctx)
+	gone := func() {
+		if waiting.Add(-1) == 0 {
+			cancel()
+		}
+	}
+	stops := make([]func() bool, len(reqs))
+	for i, r := range reqs {
+		stops[i] = context.AfterFunc(r.ctx, gone)
 	}
 	start := time.Now()
 	// Every waiter records its own queue wait — from enqueue to the moment
@@ -328,7 +330,9 @@ func (s *scheduler) run(grp *group, g *grant) {
 	}
 	res, err := s.ds.TopK(key.K, opts...)
 	exec.End()
-	close(execDone)
+	for _, stop := range stops {
+		stop()
+	}
 	cancel()
 	s.adm.release(granted)
 	s.met.record(key.Alg, st, len(reqs), err)

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitvec"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/tkd"
 )
 
 // postQueryRaw posts a query body to the "big" dataset (the one every trace
@@ -419,8 +421,9 @@ func TestStageMetricsExposed(t *testing.T) {
 // slots are held until both queries wait in line — are granted one worker
 // each and run side by side. Each one's queue span is a leaf that ends where
 // its execute span begins, after the slots were handed back, and the two
-// spans together fit inside the latency the client saw. A lone query on the
-// idle server dispatches at once, is granted both slots and waits for none
+// spans together fit inside the latency the client saw. A lone Naive query on
+// the idle server dispatches at once, is granted both slots (its fair share:
+// Naive can use them, see TestGrantCappedAtUsefulWorkers) and waits for none
 // of them.
 func TestGrantAndQueueSpans(t *testing.T) {
 	s, ts, _ := newTestServer(t, server.Config{MaxWorkers: 2})
@@ -499,7 +502,7 @@ func TestGrantAndQueueSpans(t *testing.T) {
 		t.Errorf("execute spans do not overlap: %+v and %+v", execs[0], execs[1])
 	}
 
-	lone := explain(5, "")
+	lone := explain(5, "Naive")
 	if t.Failed() {
 		t.FailNow()
 	}
@@ -512,6 +515,37 @@ func TestGrantAndQueueSpans(t *testing.T) {
 	// and the group's goroutine.
 	if d := time.Duration(queue.DurUS) * time.Microsecond; d > 5*time.Millisecond {
 		t.Errorf("lone query queued %v, want ≈ 0", d)
+	}
+}
+
+// TestGrantCappedAtUsefulWorkers pins the fair share's cap
+// (core.UsefulWorkers): on an idle 2-slot server a lone BIG or IBIG query
+// over at most one kernel block of rows is granted one slot and its answer
+// reports workers 1, while a lone Naive or UBB query over the same rows, an
+// IBIG query over one row more than a block, and an explicit count are
+// granted what they would be without the cap.
+func TestGrantCappedAtUsefulWorkers(t *testing.T) {
+	s, ts, _ := newTestServer(t, server.Config{MaxWorkers: 2})
+	if err := s.AddDataset("block", tkd.GenerateIND(bitvec.BlockBits+1, 3, 50, 0.1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		dataset, alg     string
+		workers, granted int
+	}{
+		{"ac", "", 0, 1}, // IBIG, the default
+		{"ac", "BIG", 0, 1},
+		{"ac", "Naive", 0, 2},
+		{"ac", "UBB", 0, 2},
+		{"ac", "IBIG", 2, 2},
+		{"block", "IBIG", 0, 2},
+	} {
+		// Each query runs alone: a group hands its slots back before it
+		// replies.
+		qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: c.dataset, K: 5, Algorithm: c.alg, Workers: c.workers})
+		if code != http.StatusOK || qr.Workers != c.granted {
+			t.Errorf("%s %q workers %d: HTTP %d, granted %d; want %d", c.dataset, c.alg, c.workers, code, qr.Workers, c.granted)
+		}
 	}
 }
 

@@ -130,7 +130,9 @@ func (s BreakerState) String() string {
 // consecutive failures, then open for the cooldown, then half-open for a
 // single probe whose outcome decides the next state. A 409 fingerprint
 // mismatch (a stale or divergent replica) trips it straight to open via
-// trip — retrying a stale replica cannot succeed until it catches up.
+// trip — retrying a stale replica cannot succeed until it catches up. Any
+// other 4xx is the request's fault, which every replica refuses alike, and
+// moves it nowhere (abstain).
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -198,6 +200,15 @@ func (b *breaker) onFailure() {
 	if b.fails >= b.threshold {
 		b.open()
 	}
+}
+
+// abstain ends an admitted call whose outcome says nothing about the replica
+// (a 4xx refusal of the request itself): the state and the failure run stay
+// as they were, and a half-open probe's turn passes to the next call.
+func (b *breaker) abstain() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
 }
 
 // trip opens the breaker immediately, bypassing the threshold — the stale-

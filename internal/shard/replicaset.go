@@ -54,6 +54,15 @@ func isStale(err error) bool {
 	return errors.As(err, &pe) && pe.Status == statusConflict
 }
 
+// isRefusal reports a 4xx answer other than 409 (stale) and 429 (overload):
+// the peer refused the request itself, as every replica would, so the answer
+// says nothing about the replica's health.
+func isRefusal(err error) bool {
+	var pe *PeerError
+	return errors.As(err, &pe) && pe.Status >= 400 && pe.Status < 500 &&
+		pe.Status != statusConflict && pe.Status != statusTooManyRequests
+}
+
 // retryable classifies replica errors worth another attempt: transport
 // failures, timeouts and 5xx answers. 4xx answers (the coordinator sent a
 // bad request — another replica will refuse it identically) and context
@@ -408,9 +417,12 @@ func (rs *ReplicaSet) call(ctx context.Context, r *replica, req *Request, hedged
 		err = fmt.Errorf("%w (%v)", errAttemptTimeout, rs.pol.AttemptTimeout)
 	}
 	sp.SetStr("error", err.Error())
-	if isStale(err) {
+	switch {
+	case isStale(err):
 		r.br.trip()
-	} else {
+	case isRefusal(err):
+		r.br.abstain() // the request's fault, not the replica's
+	default:
 		r.br.onFailure()
 	}
 	return nil, err

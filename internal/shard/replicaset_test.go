@@ -178,6 +178,46 @@ func TestReplicaSet5xxRetriedBut4xxNot(t *testing.T) {
 	}
 }
 
+// TestReplicaSet4xxLeavesBreakersClosed: a 4xx other than 409 and 429 is the
+// coordinator's own bad request, which every replica refuses alike, so it is
+// no evidence against a replica. Five in a row — more than the threshold on
+// each of the two replicas — leave every breaker closed, and the next valid
+// request is answered at once, not after the hour-long cooldown.
+func TestReplicaSet4xxLeavesBreakersClosed(t *testing.T) {
+	var refuse atomic.Bool
+	refuse.Store(true)
+	replica := func() *fakeReplica {
+		return &fakeReplica{rows: 10, fp: 42, partial: func(ctx context.Context, req *Request) ([]int32, error) {
+			if refuse.Load() {
+				return nil, &PeerError{URL: "x", Status: 400, Msg: `shard: algorithm "Naive" is not served`}
+			}
+			return make([]int32, len(req.Cands)), nil
+		}}
+	}
+	pol := noHedge()
+	pol.BreakerThreshold = 2
+	pol.BreakerCooldown = time.Hour
+	rs, err := NewReplicaSet(0, []Backend{replica(), replica()}, pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		var pe *PeerError
+		if _, err := rs.Partial(context.Background(), testReq()); !errors.As(err, &pe) || pe.Status != 400 {
+			t.Fatalf("refusal %d: want the 400 PeerError, got %v", i, err)
+		}
+	}
+	for i, st := range rs.States() {
+		if st != BreakerClosed {
+			t.Fatalf("after five 400s replica %d's breaker is %v, want closed", i, st)
+		}
+	}
+	refuse.Store(false)
+	if _, err := rs.Partial(context.Background(), testReq()); err != nil {
+		t.Fatalf("valid request after the refusals: %v", err)
+	}
+}
+
 func TestReplicaSetStaleNeverRetriedOnSameReplica(t *testing.T) {
 	stale := failReplica(&PeerError{URL: "x", Status: statusConflict, Msg: "fingerprint mismatch"})
 	good := okReplica()

@@ -316,7 +316,8 @@ func (p phaseLog) Partial(ctx context.Context, req *Request) ([]int32, error) {
 // its exact phase reach different replicas. The answers must still be the
 // serial run's: no bound counted on one layout may be scored on the other.
 func TestRemoteReplicasOfOtherLayouts(t *testing.T) {
-	long := gen.Synthetic(gen.Config{N: 4000, Dim: 4, Cardinality: 200, MissingRate: 0.2, Dist: gen.IND, Seed: 17})
+	// 2,000 rows fit one kernel block and take 64 bins; 10,000 take 2 · Eq. (8) = 28.
+	long := gen.Synthetic(gen.Config{N: 10_000, Dim: 4, Cardinality: 200, MissingRate: 0.2, Dist: gen.IND, Seed: 17})
 	ds := long.Slice(0, 2000)
 	short, wide := bitmapidx.ServingBins(ds.Len(), ds.MissingRate()), bitmapidx.ServingBins(long.Len(), long.MissingRate())
 	if short == wide {
@@ -458,10 +459,11 @@ func TestLocalBoundsResidualCap(t *testing.T) {
 // TestPeerLocalIsNewLocal: a peer lays a row range out as a coordinator
 // serving it in-process would — under the layout of the dataset it resolved,
 // not of the range — because Peer.local builds its shard through NewLocal. The
-// fixture is one where the two layouts differ (15 values a dimension: 18 bins
-// asked for 3,000 rows take them all, 12 for 1,000 do not).
+// fixture is one where the two layouts differ (200 values a dimension: the
+// dataset's 9,000 rows ask 2 · Eq. (8) = 28 bins, the range's 1,000, within one
+// kernel block, 64).
 func TestPeerLocalIsNewLocal(t *testing.T) {
-	ds := testDataset(3000)
+	ds := gen.Synthetic(gen.Config{N: 9000, Dim: 4, Cardinality: 200, MissingRate: 0.2, Dist: gen.IND, Seed: 17})
 	p := NewPeer(func(string) (*data.Dataset, uint64, bool) { return ds, 1, true })
 	served, _ := p.local(ds, peerKey{name: "d", from: 1000, to: 2000}, 0)
 	var peers, coords, own bytes.Buffer

@@ -20,7 +20,8 @@
 // dataset changes; call Prepare to pay the cost up front.
 //
 // Queries are serial by default; WithWorkers(n) fans candidate scoring
-// across a worker pool (0 = GOMAXPROCS) without changing the answer:
+// across a worker pool (0 = GOMAXPROCS, one for BIG and IBIG over at most
+// 8,192 rows) without changing the answer:
 //
 //	res, err = ds.TopK(2, tkd.WithWorkers(0))      // parallel IBIG
 //
@@ -518,7 +519,9 @@ func WithBins(bins ...int) Option {
 }
 
 // WithWorkers fans candidate scoring across n goroutines: 0 selects
-// GOMAXPROCS, 1 (the default) is the serial path. UBB, BIG and IBIG run
+// GOMAXPROCS — one for BIG and IBIG over at most 8,192 rows, where a second
+// worker costs more than it saves (core.UsefulWorkers) — and 1 (the default)
+// is the serial path. UBB, BIG and IBIG run
 // their one candidate loop through the batch-windowed parallel engine, and so
 // does Naive, over every row; ESB fans its per-bucket skyband queries across
 // the pool and scores the survivors through the engine.
