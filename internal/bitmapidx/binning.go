@@ -56,6 +56,13 @@ func ServingBins(n int, sigma float64) int {
 // bucket per value for every dimension of at most 64 distinct values.
 const ValueGranularBins = 64
 
+// LeavesFloor reports whether a dataset growing from oldN to n rows crosses
+// one kernel block, where ServingBins turns from ValueGranularBins to
+// 2 · Eq. (8). An index the rule laid out at oldN is then rebuilt rather than
+// patched (AppendRows keeps its layout), so that a small dataset grown by
+// appends takes the large-N layout once instead of 64 bins at any size.
+func LeavesFloor(oldN, n int) bool { return oldN <= bitvec.BlockBits && n > bitvec.BlockBits }
+
 // AssignBins partitions the distinct values of one dimension into at most
 // xi bins using the paper's adaptive equi-depth rule (§4.4, Eq. 3–4): each
 // bin greedily takes whole distinct values while its accumulated object

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -146,12 +145,9 @@ func serialRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueu
 	return sc.result(), st, nil
 }
 
-// clampWorkers resolves the public workers knob: <=0 selects GOMAXPROCS,
-// and no query needs more workers than it has candidates.
+// clampWorkers caps a resolved worker count (RunContext states the default
+// for workers <= 0): no query needs more workers than it has candidates.
 func clampWorkers(workers, candidates int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers > candidates {
 		workers = candidates
 	}

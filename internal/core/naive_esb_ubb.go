@@ -23,7 +23,7 @@ func Naive(ds *data.Dataset, k int) (Result, Stats) { return Run(AlgNaive, ds, k
 // ESBWorkers' serial path.
 func ESB(ds *data.Dataset, k int) (Result, Stats) { return Run(AlgESB, ds, k, nil) }
 
-// ESBWorkers is ESB across a worker pool (workers follows clampWorkers): the
+// ESBWorkers is ESB across a worker pool (workers as in RunWorkers): the
 // buckets' local k-skybands fan out across the workers (esbCandidates), and
 // the survivors are scored through the batch-windowed engine. queue (nil
 // builds one) supplies only the answer's tie order.

@@ -34,14 +34,14 @@ func idle(t *testing.T, a *admission) {
 // free slot at once; after it, the narrow ones go in arrival order.
 func TestAdmissionFIFO(t *testing.T) {
 	a := newAdmission(2)
-	first := a.enter(1, 1, 0)
+	first := a.enter(1, 0)
 	if !held(first) {
 		t.Fatal("a 1-slot request on an idle 2-slot controller had to wait")
 	}
-	wide := a.enter(2, 2, 0)
+	wide := a.enter(2, 0)
 	narrow := make([]*grant, 10)
 	for i := range narrow {
-		narrow[i] = a.enter(1, 1, 0)
+		narrow[i] = a.enter(1, 0)
 	}
 	if held(wide) {
 		t.Fatal("2-slot request admitted with one slot in use")
@@ -74,18 +74,16 @@ func TestAdmissionFIFO(t *testing.T) {
 
 // TestAdmissionFairShare pins the grant rule: the fair share divides the
 // capacity by the groups running plus the groups in line (the caller and the
-// mates of its dispatch included) with a floor of one, and no more than the
-// query can use; an explicit count is honoured, never raised, never capped by
-// use and clamped to the capacity.
+// mates of its dispatch included) with a floor of one; an explicit count is honoured,
+// never raised, and clamped to the capacity.
 func TestAdmissionFairShare(t *testing.T) {
 	a := newAdmission(4)
 	var all []*grant
-	enterAtMost := func(want, most, mates int) *grant {
-		g := a.enter(want, most, mates)
+	enter := func(want, mates int) *grant {
+		g := a.enter(want, mates)
 		all = append(all, g)
 		return g
 	}
-	enter := func(want, mates int) *grant { return enterAtMost(want, a.capacity, mates) }
 	alone := enter(0, 0)
 	if alone.n != 4 || !held(alone) {
 		t.Fatalf("a lone group was granted %d of 4 slots (held: %v)", alone.n, held(alone))
@@ -106,13 +104,10 @@ func TestAdmissionFairShare(t *testing.T) {
 		t.Fatalf("dispatch mates granted %d and %d (want 1 and 1), held %v %v", m0.n, m1.n, held(m0), held(m1))
 	}
 	// Explicit counts are honoured as asked, never raised to the share, and
-	// clamped to the capacity; the floor is one however long the line. What
-	// the query can use caps the share and nothing else.
-	for _, c := range []struct{ want, most, mates, n int }{
-		{1, 4, 0, 1}, {3, 4, 0, 3}, {9, 4, 0, 4}, {0, 4, 20, 1}, {3, 1, 0, 3}, {0, 1, 20, 1},
-	} {
-		if g := enterAtMost(c.want, c.most, c.mates); g.n != c.n {
-			t.Fatalf("enter(%d, %d, %d) was granted %d, want %d", c.want, c.most, c.mates, g.n, c.n)
+	// clamped to the capacity; the floor is one however long the line.
+	for _, c := range []struct{ want, mates, n int }{{1, 0, 1}, {3, 0, 3}, {9, 0, 4}, {0, 20, 1}} {
+		if g := enter(c.want, c.mates); g.n != c.n {
+			t.Fatalf("enter(%d, %d) was granted %d, want %d", c.want, c.mates, g.n, c.n)
 		}
 	}
 	// The line is strict FIFO, so releasing in arrival order never blocks.
@@ -127,11 +122,11 @@ func TestAdmissionFairShare(t *testing.T) {
 // release to be noticed.
 func TestAdmissionReleaseWakesAll(t *testing.T) {
 	a := newAdmission(4)
-	wide := a.enter(4, 4, 0)
+	wide := a.enter(4, 0)
 	waiters := make([]*grant, 4)
 	done := make(chan int, len(waiters))
 	for i := range waiters {
-		waiters[i] = a.enter(1, 1, 0)
+		waiters[i] = a.enter(1, 0)
 		go func(g *grant) { done <- g.wait() }(waiters[i])
 	}
 	a.release(wide.wait())
@@ -164,10 +159,9 @@ func TestAdmissionInterleavings(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < rounds; i++ {
 				want := rng.Intn(capacity+3) - 1 // -1 … capacity+1
-				most := 1 + rng.Intn(capacity)
-				n := a.enter(want, most, rng.Intn(2)).wait()
-				if n < 1 || n > capacity || (want > 0 && n > want) || (want <= 0 && n > most) {
-					t.Errorf("asked %d (at most %d), granted %d of %d", want, most, n, capacity)
+				n := a.enter(want, rng.Intn(2)).wait()
+				if n < 1 || n > capacity || (want > 0 && n > want) {
+					t.Errorf("asked %d, granted %d of %d", want, n, capacity)
 				}
 				if now := inUse.Add(int64(n)); now > capacity {
 					t.Errorf("%d slots in use, capacity %d", now, capacity)

@@ -36,7 +36,7 @@ func (s *Server) HoldIndexWrites(hold, joined func()) {
 // machine would, and returns the function that hands them back. Queries
 // submitted meanwhile wait in the admission line.
 func (s *Server) HoldSlots() (release func()) {
-	n := s.adm.enter(s.adm.capacity, s.adm.capacity, 0).wait()
+	n := s.adm.enter(s.adm.capacity, 0).wait()
 	return func() { s.adm.release(n) }
 }
 

@@ -246,8 +246,8 @@ func (s *scheduler) finalDrain() {
 // dispatch hands one sweep of requests to the admission line: a request joins
 // the pending group of its key if there is one, the rest are grouped by key
 // and each new group takes its place in line in arrival order, dividing the
-// fair share with the new groups behind it — at most what its query can use
-// (core.UsefulWorkers) — and starts.
+// fair share with the new groups behind it — or one worker, when that is all
+// its query can use (core.UsefulWorkers) — and starts.
 func (s *scheduler) dispatch(batch []*request) {
 	var fresh []*group
 	s.mu.Lock()
@@ -265,8 +265,11 @@ func (s *scheduler) dispatch(batch []*request) {
 	for i, g := range fresh {
 		s.inflight <- struct{}{}
 		s.groups.Add(1)
-		most := core.UsefulWorkers(g.key.Alg, rows, s.adm.capacity)
-		go s.run(g, s.adm.enter(g.key.Workers, most, len(fresh)-1-i))
+		want := g.key.Workers
+		if want <= 0 && core.UsefulWorkers(g.key.Alg, rows, s.adm.capacity) == 1 {
+			want = 1 // the rest of its fair share stays free for the next query
+		}
+		go s.run(g, s.adm.enter(want, len(fresh)-1-i))
 	}
 }
 

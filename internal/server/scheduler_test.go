@@ -67,7 +67,7 @@ func TestDrainWaitsForRunningGroups(t *testing.T) {
 			}
 			e, _ := s.reg.get("d")
 			sch := e.sch
-			hog := s.adm.enter(2, 2, 0)
+			hog := s.adm.enter(2, 0)
 
 			replies := make([]reply, len(ks))
 			errs := make([]error, len(ks))
@@ -139,7 +139,7 @@ func TestDrainWaitsForRunningGroups(t *testing.T) {
 // backlog; once slots free up every accepted request is answered.
 func TestSchedulerSaturation(t *testing.T) {
 	adm := newAdmission(1)
-	hog := adm.enter(1, 1, 0) // the test holds the only slot
+	hog := adm.enter(1, 0) // the test holds the only slot
 	done := make(chan struct{})
 	sch := newScheduler(tkd.GenerateIND(300, 2, 20, 0.1, 7), adm, &datasetMetrics{}, done)
 	defer close(done)
@@ -295,7 +295,7 @@ func TestCoalescesBehindRunningGroups(t *testing.T) {
 		t.Parallel()
 		s, sch := start(t)
 		before := coalescedTotal(t, s)
-		hog := s.adm.enter(2, 2, 0)
+		hog := s.adm.enter(2, 0)
 		key := naive(5)
 		answers, traces := queueBehind(t, s, sch, key, 3)
 		s.adm.release(hog.wait())
@@ -320,7 +320,7 @@ func TestCoalescesBehindRunningGroups(t *testing.T) {
 	t.Run("a free slot starts a query at once", func(t *testing.T) {
 		t.Parallel()
 		s, sch := start(t)
-		hog := s.adm.enter(1, 1, 0) // one of the two slots stays free
+		hog := s.adm.enter(1, 0) // one of the two slots stays free
 		defer func() { s.adm.release(hog.wait()) }()
 		key := naive(4)
 		tr := obs.New("query")
@@ -333,7 +333,7 @@ func TestCoalescesBehindRunningGroups(t *testing.T) {
 	t.Run("shutdown answers a joined group in line", func(t *testing.T) {
 		t.Parallel()
 		s, sch := start(t)
-		hog := s.adm.enter(2, 2, 0)
+		hog := s.adm.enter(2, 0)
 		key := naive(3)
 		answers, traces := queueBehind(t, s, sch, key, 2)
 		stopped := make(chan struct{})

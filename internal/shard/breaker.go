@@ -130,9 +130,9 @@ func (s BreakerState) String() string {
 // consecutive failures, then open for the cooldown, then half-open for a
 // single probe whose outcome decides the next state. A 409 fingerprint
 // mismatch (a stale or divergent replica) trips it straight to open via
-// trip — retrying a stale replica cannot succeed until it catches up. Any
-// other 4xx is the request's fault, which every replica refuses alike, and
-// moves it nowhere (abstain).
+// trip — retrying a stale replica cannot succeed until it catches up. A 400
+// or 413 refuses the request itself, as every replica would, and moves it
+// nowhere (abstain).
 type breaker struct {
 	threshold int
 	cooldown  time.Duration

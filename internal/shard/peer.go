@@ -203,8 +203,16 @@ func (p *Peer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
 		return
 	}
-	if req.From < 0 || req.To > ds.Len() || req.From > req.To {
-		writeError(w, http.StatusBadRequest, "range [%d,%d) out of bounds for %d rows", req.From, req.To, ds.Len())
+	if req.From < 0 || req.From > req.To {
+		writeError(w, http.StatusBadRequest, "range [%d,%d) is malformed", req.From, req.To)
+		return
+	}
+	if req.To > ds.Len() {
+		// A well-formed range past this peer's rows means its copy is
+		// shorter than the coordinator's — a follower behind on appends. Like
+		// a fingerprint mismatch, that is this replica's state, not the
+		// request's fault: another replica may hold the rows.
+		writeError(w, http.StatusConflict, "range [%d,%d) out of bounds for %d rows", req.From, req.To, ds.Len())
 		return
 	}
 	local, fp := p.local(ds, peerKey{name: req.Dataset, from: req.From, to: req.To}, req.Fingerprint)

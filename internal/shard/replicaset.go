@@ -46,21 +46,24 @@ func (u *Unavailable) Error() string {
 
 func (u *Unavailable) Unwrap() error { return u.Last }
 
-// isStale reports a 409 fingerprint mismatch: the replica serves different
-// bytes than the coordinator expects (a lagging reload, a divergent file).
-// Retrying it cannot succeed; the replica is quarantined instead.
+// isStale reports a 409: the replica serves different bytes than the
+// coordinator expects (a lagging reload, a divergent file) or fewer rows than
+// the range asks (a follower behind on appends). Retrying it cannot succeed;
+// the replica is quarantined instead.
 func isStale(err error) bool {
 	var pe *PeerError
 	return errors.As(err, &pe) && pe.Status == statusConflict
 }
 
-// isRefusal reports a 4xx answer other than 409 (stale) and 429 (overload):
-// the peer refused the request itself, as every replica would, so the answer
-// says nothing about the replica's health.
+// isRefusal reports a peer's refusal of the request itself — a 400 (a body,
+// candidate, algorithm, mode or budget it rejects) or a 413 (a body over the
+// cap) — which every replica answers alike, so it says nothing about the
+// replica's health. Other 4xx answers are the replica's own state: a 404
+// "unknown dataset" from a replica that evicted or has not loaded it, a 409
+// from one whose copy is stale or short, a 429 from one that is overloaded.
 func isRefusal(err error) bool {
 	var pe *PeerError
-	return errors.As(err, &pe) && pe.Status >= 400 && pe.Status < 500 &&
-		pe.Status != statusConflict && pe.Status != statusTooManyRequests
+	return errors.As(err, &pe) && (pe.Status == statusBadRequest || pe.Status == statusTooLarge)
 }
 
 // retryable classifies replica errors worth another attempt: transport
@@ -82,7 +85,9 @@ func retryable(err error) bool {
 }
 
 const (
+	statusBadRequest      = 400
 	statusConflict        = 409
+	statusTooLarge        = 413
 	statusTooManyRequests = 429
 )
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -178,8 +180,8 @@ func TestReplicaSet5xxRetriedBut4xxNot(t *testing.T) {
 	}
 }
 
-// TestReplicaSet4xxLeavesBreakersClosed: a 4xx other than 409 and 429 is the
-// coordinator's own bad request, which every replica refuses alike, so it is
+// TestReplicaSet4xxLeavesBreakersClosed: a 400 is the coordinator's own bad
+// request, which every replica refuses alike, so it is
 // no evidence against a replica. Five in a row — more than the threshold on
 // each of the two replicas — leave every breaker closed, and the next valid
 // request is answered at once, not after the hour-long cooldown.
@@ -215,6 +217,78 @@ func TestReplicaSet4xxLeavesBreakersClosed(t *testing.T) {
 	refuse.Store(false)
 	if _, err := rs.Partial(context.Background(), testReq()); err != nil {
 		t.Fatalf("valid request after the refusals: %v", err)
+	}
+}
+
+// TestReplicaSet404OpensThatReplicasBreaker: a 404 "unknown dataset" comes
+// from one replica that evicted the dataset or has not loaded it, not from
+// the request, so it counts against that replica: once the threshold's worth
+// of queries have failed on it, its breaker opens and every later query is
+// answered by the replica that holds the dataset.
+func TestReplicaSet404OpensThatReplicasBreaker(t *testing.T) {
+	evicted := failReplica(&PeerError{URL: "x", Status: 404, Msg: `unknown dataset "d"`})
+	pol := noHedge()
+	pol.BreakerThreshold = 2
+	pol.BreakerCooldown = time.Hour
+	rs, err := NewReplicaSet(0, []Backend{evicted, okReplica()}, pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for i := 0; i < 10; i++ {
+		if _, err := rs.Partial(context.Background(), testReq()); err != nil {
+			failed++
+		}
+	}
+	if failed != pol.BreakerThreshold {
+		t.Fatalf("%d of 10 queries failed, want %d (the threshold, then the breaker opens)", failed, pol.BreakerThreshold)
+	}
+	if st := rs.States(); st[0] != BreakerOpen || st[1] != BreakerClosed {
+		t.Fatalf("breakers %v, want [open closed]", st)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := rs.Partial(context.Background(), testReq()); err != nil {
+			t.Fatalf("query %d after the breaker opened: %v", i, err)
+		}
+	}
+}
+
+// TestPeerShortCopyIsStale: a peer whose copy holds fewer rows than the
+// coordinator's range — a follower behind on appends — answers 409, as a
+// fingerprint mismatch does, not a 400 that reads as the request's fault.
+// The replica set quarantines it and answers from the replica that holds
+// the rows.
+func TestPeerShortCopyIsStale(t *testing.T) {
+	ds := testDataset(200)
+	short := ds.Slice(0, 150)
+	serve := func(of *data.Dataset) *httptest.Server {
+		mux := http.NewServeMux()
+		mux.Handle("POST /v1/shard/query", NewPeer(func(string) (*data.Dataset, uint64, bool) { return of, 1, true }))
+		return httptest.NewServer(mux)
+	}
+	behind, full := serve(short), serve(ds)
+	defer behind.Close()
+	defer full.Close()
+	lo, hi := 100, 200
+	fp := ds.Slice(lo, hi).Fingerprint()
+	req := &Request{Mode: ModeScores, Cands: []*data.Object{ds.Obj(0)}}
+	var pe *PeerError
+	if _, err := NewRemote(nil, behind.URL, "d", lo, hi, fp).Partial(context.Background(), req); !errors.As(err, &pe) || pe.Status != statusConflict {
+		t.Fatalf("range past the peer's rows: want a 409 PeerError, got %v", err)
+	}
+	pol := noHedge()
+	pol.BreakerCooldown = time.Hour
+	rs, err := NewReplicaSet(0, []Backend{NewRemote(nil, behind.URL, "d", lo, hi, fp), NewRemote(nil, full.URL, "d", lo, hi, fp)}, pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := rs.Partial(context.Background(), req); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	if st := rs.States(); st[0] != BreakerOpen || st[1] != BreakerClosed {
+		t.Fatalf("breakers %v, want [open closed]", st)
 	}
 }
 

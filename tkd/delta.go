@@ -108,10 +108,13 @@ func (d *Dataset) appendRows(sp appendSpec) (patched bool, err error) {
 
 	// Incremental path: patch the published binned index and rebuild the
 	// MaxScore queue from it. The value-granular bitmap (a BIG-only artifact)
-	// is dropped and rebuilds lazily.
+	// is dropped and rebuilds lazily. A patch keeps the base's bin layout, so
+	// an append that takes a rule-laid-out dataset past one kernel block
+	// rebuilds instead, leaving the small-N floor for 2 · Eq. (8).
 	sharded := d.topo.Load() != nil
+	relayout := base.part.Bins() == nil && bitmapidx.LeavesFloor(base.ds.Len(), next.Len())
 	var pre core.Pre
-	if old := base.part.Built().Binned; old != nil && !sharded {
+	if old := base.part.Built().Binned; old != nil && !sharded && !relayout {
 		if ix, ok := bitmapidx.AppendRows(old, next); ok {
 			pre = core.Pre{Queue: core.BuildMaxScoreQueueFromIndex(ix), Binned: ix}
 			patched = true
