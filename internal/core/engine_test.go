@@ -5,8 +5,34 @@ import (
 	"testing"
 
 	"repro/internal/bitmapidx"
+	"repro/internal/bitvec"
 	"repro/internal/gen"
 )
+
+// TestUsefulWorkers pins the default worker count's cap: BIG and IBIG score
+// in popcounts over one kernel block per column up to bitvec.BlockBits rows
+// and are worth one worker there and n beyond it; Naive, ESB and UBB compare
+// rows per candidate and keep n at every size.
+func TestUsefulWorkers(t *testing.T) {
+	const n = 4
+	for _, c := range []struct {
+		alg        Algorithm
+		rows, want int
+	}{
+		{AlgBIG, bitvec.BlockBits, 1},
+		{AlgIBIG, bitvec.BlockBits, 1},
+		{AlgIBIG, 1, 1},
+		{AlgBIG, bitvec.BlockBits + 1, n},
+		{AlgIBIG, bitvec.BlockBits + 1, n},
+		{AlgNaive, bitvec.BlockBits, n},
+		{AlgESB, bitvec.BlockBits, n},
+		{AlgUBB, bitvec.BlockBits, n},
+	} {
+		if got := UsefulWorkers(c.alg, c.rows, n); got != c.want {
+			t.Errorf("UsefulWorkers(%v, %d rows, %d) = %d, want %d", c.alg, c.rows, n, got, c.want)
+		}
+	}
+}
 
 // TestParallelMatchesSerial asserts the engine's determinism guarantee: the
 // parallel path returns a byte-identical answer set — same objects, same

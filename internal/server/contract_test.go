@@ -164,6 +164,58 @@ func TestSubscribeShardedRefused(t *testing.T) {
 	}
 }
 
+// TestOnlyIBIGServed pins the narrowing of the query routes to one plan:
+// on /query and /subscribe the four algorithms the library keeps beside
+// IBIG answer 400 bad_request naming the library as where they run, and
+// count as no query; an unknown name stays an unknown name; "IBIG" and an
+// absent algorithm answer 200 with "algorithm":"IBIG", counted in
+// tkd_queries_total under the dataset label alone.
+func TestOnlyIBIGServed(t *testing.T) {
+	s := server.New(server.Config{})
+	defer s.Close()
+	if err := s.AddDataset("d", tkd.GenerateIND(300, 3, 10, 0.2, 14)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	routes := map[string]func(alg string) any{
+		"query":     func(alg string) any { return server.QueryRequest{K: 3, Algorithm: alg} },
+		"subscribe": func(alg string) any { return server.SubscribeRequest{K: 3, Algorithm: alg} },
+	}
+	for route, body := range routes {
+		url := ts.URL + "/v1/datasets/d/" + route
+		for _, alg := range []string{"Naive", "ESB", "UBB", "BIG"} {
+			code, raw := doJSON(t, http.MethodPost, url, body(alg))
+			if code != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400 (%s)", route, alg, code, raw)
+				continue
+			}
+			got := decodeEnvelope(t, route+" "+alg, raw)
+			want := `algorithm "` + alg + `" is not served; the library runs it (tkd.WithAlgorithm)`
+			if got.Code != "bad_request" || got.Message != want {
+				t.Errorf("%s %s: %s %q, want bad_request %q", route, alg, got.Code, got.Message, want)
+			}
+		}
+		code, raw := doJSON(t, http.MethodPost, url, body("nope"))
+		if got := decodeEnvelope(t, route+" nope", raw); code != http.StatusBadRequest || got.Message != `core: unknown algorithm "nope"` {
+			t.Errorf("%s nope: status %d, message %q; want 400 for an unknown algorithm", route, code, got.Message)
+		}
+		for _, alg := range []string{"", "IBIG"} {
+			code, raw := doJSON(t, http.MethodPost, url, body(alg))
+			var reply struct {
+				Algorithm string `json:"algorithm"`
+			}
+			if err := json.Unmarshal(raw, &reply); code != http.StatusOK || err != nil || reply.Algorithm != "IBIG" {
+				t.Errorf("%s %q: status %d, algorithm %q; want 200 and IBIG (%s)", route, alg, code, reply.Algorithm, raw)
+			}
+		}
+	}
+	metrics := fetchMetrics(t, ts.URL)
+	if got := grepMetric(metrics, "tkd_queries_total{"); got != `[tkd_queries_total{dataset="d"} 2]` {
+		t.Errorf("tkd_queries_total samples %s; want the two served queries under the dataset label alone", got)
+	}
+}
+
 // TestRoutesRegistered: every route the table declares is actually wired
 // into the mux — a request to it must reach a handler, never the mux's own
 // plain-text 404/405.

@@ -185,15 +185,7 @@ var metricFamilies = []family{
 		}
 		return 0
 	})},
-	{"tkd_queries_total", "counter", "Queries served, by dataset and algorithm.", func(x *expo) {
-		for _, d := range x.ds {
-			for i, alg := range core.Algorithms {
-				if n := d.e.met.queries[i].Load(); n > 0 {
-					x.sample(fmt.Sprintf("%s,algorithm=%q", d.label, alg), n)
-				}
-			}
-		}
-	}},
+	{"tkd_queries_total", "counter", "Queries served, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.queries.Load() })},
 	{"tkd_query_errors_total", "counter", "Queries that failed, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.errors.Load() })},
 	{"tkd_query_deadline_exceeded_total", "counter", "Queries that outran their deadline (answered 504), by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.deadlineExceeded.Load() })},
 	{"tkd_coalesced_queries_total", "counter", "Queries answered by joining an identical query still waiting for its worker slots.", each(resident, func(d *datasetScrape) int64 { return d.e.met.coalesced.Load() })},

@@ -55,16 +55,11 @@ type entry struct {
 	leaderEpoch atomic.Uint64
 }
 
-// numAlgorithms sizes the per-algorithm counters; IBIG is the last entry of
-// core's algorithm enumeration.
-const numAlgorithms = int(core.AlgIBIG) + 1
-
-// datasetMetrics aggregates one dataset's serving counters. Query counts are
-// per algorithm; the pruning counters accumulate each query's core.Stats via
-// Stats.Add under a light mutex (queries are milliseconds, the add is
-// nanoseconds).
+// datasetMetrics aggregates one dataset's serving counters. The pruning
+// counters accumulate each query's core.Stats via Stats.Add under a light
+// mutex (queries are milliseconds, the add is nanoseconds).
 type datasetMetrics struct {
-	queries          [numAlgorithms]atomic.Int64
+	queries          atomic.Int64 // client queries answered
 	errors           atomic.Int64 // failed client queries
 	coalesced        atomic.Int64 // queries answered by sharing an identical query's run
 	reloads          atomic.Int64 // epoch swaps served for this dataset
@@ -78,24 +73,15 @@ type datasetMetrics struct {
 // number of client queries the execution answered (> 1 when the scheduler
 // coalesced identical queries onto it); the work counters are recorded once
 // per execution, the query counter once per client.
-func (m *datasetMetrics) record(alg core.Algorithm, st core.Stats, served int, err error) {
+func (m *datasetMetrics) record(st core.Stats, served int, err error) {
 	if err != nil {
 		m.errors.Add(int64(served))
 		return
 	}
-	m.queries[int(alg)].Add(int64(served))
+	m.queries.Add(int64(served))
 	m.mu.Lock()
 	m.agg.Add(st)
 	m.mu.Unlock()
-}
-
-// queryTotal sums the per-algorithm query counters.
-func (m *datasetMetrics) queryTotal() int64 {
-	var t int64
-	for i := range m.queries {
-		t += m.queries[i].Load()
-	}
-	return t
 }
 
 // errDuplicate marks a name collision; handlers map it to 409 Conflict.

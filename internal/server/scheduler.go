@@ -16,12 +16,14 @@ import (
 // which hands every request to the admission line the moment it receives it:
 // a query never waits for company. Requests already queued behind it are
 // swept into the same dispatch and divide the fair share between them as
-// mates. The loop groups identical queries (same k, algorithm, workers) so
-// each group executes once and fans its answer out to every waiter, hands
-// every new group to a goroutine of its own and goes straight back to
-// receiving. A request whose key matches a group that is still waiting for
-// its admission grant joins that group instead of entering the line again:
-// identical queries coalesce exactly when they queue behind running work.
+// mates. Every query runs IBIG, the one plan the server serves (the handler
+// refuses the other four). The loop groups identical queries (same k,
+// workers, allow_partial) so each group executes once and fans its answer
+// out to every waiter, hands every new group to a goroutine of its own and
+// goes straight back to receiving. A request whose key matches a group that
+// is still waiting for its admission grant joins that group instead of
+// entering the line again: identical queries coalesce exactly when they
+// queue behind running work.
 // Distinct queries run side by side over the same warm core.Pre and
 // decompressed-column cache. How many workers a group gets, and when, is the
 // admission controller's decision (admission.go), server-wide across
@@ -41,7 +43,6 @@ import (
 // execution, because under a shard outage they want different answers.
 type queryKey struct {
 	K            int
-	Alg          core.Algorithm
 	Workers      int
 	AllowPartial bool
 }
@@ -266,7 +267,7 @@ func (s *scheduler) dispatch(batch []*request) {
 		s.inflight <- struct{}{}
 		s.groups.Add(1)
 		want := g.key.Workers
-		if want <= 0 && core.UsefulWorkers(g.key.Alg, rows, s.adm.capacity) == 1 {
+		if want <= 0 && core.UsefulWorkers(core.AlgIBIG, rows, s.adm.capacity) == 1 {
 			want = 1 // the rest of its fair share stays free for the next query
 		}
 		go s.run(g, s.adm.enter(want, len(fresh)-1-i))
@@ -322,8 +323,7 @@ func (s *scheduler) run(grp *group, g *grant) {
 	exec.SetInt("granted", int64(granted))
 	var st tkd.Stats
 	var deg tkd.Degradation
-	opts := []tkd.Option{
-		tkd.WithAlgorithm(key.Alg),
+	opts := []tkd.Option{ // the library's default algorithm is IBIG
 		tkd.WithWorkers(granted),
 		tkd.WithStats(&st),
 		tkd.WithContext(obs.ContextWithSpan(execCtx, exec)),
@@ -338,7 +338,7 @@ func (s *scheduler) run(grp *group, g *grant) {
 	}
 	cancel()
 	s.adm.release(granted)
-	s.met.record(key.Alg, st, len(reqs), err)
+	s.met.record(st, len(reqs), err)
 	if n := len(reqs) - 1; n > 0 {
 		s.met.coalesced.Add(int64(n))
 	}

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/tkd"
 )
@@ -76,7 +75,7 @@ func TestDrainWaitsForRunningGroups(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					replies[i], errs[i] = sch.submit(context.Background(), queryKey{K: k, Alg: core.AlgNaive, Workers: 1}, nil)
+					replies[i], errs[i] = sch.submit(context.Background(), queryKey{K: k, Workers: 1}, nil)
 				}()
 			}
 			eventually(t, "three groups in line behind the held slots", func() bool {
@@ -289,14 +288,14 @@ func TestCoalescesBehindRunningGroups(t *testing.T) {
 		}
 		return queue
 	}
-	naive := func(k int) queryKey { return queryKey{K: k, Alg: core.AlgNaive, Workers: 1} }
+	serial := func(k int) queryKey { return queryKey{K: k, Workers: 1} }
 
 	t.Run("identical queries join the group in line", func(t *testing.T) {
 		t.Parallel()
 		s, sch := start(t)
 		before := coalescedTotal(t, s)
 		hog := s.adm.enter(2, 0)
-		key := naive(5)
+		key := serial(5)
 		answers, traces := queueBehind(t, s, sch, key, 3)
 		s.adm.release(hog.wait())
 		shared := 0
@@ -322,7 +321,7 @@ func TestCoalescesBehindRunningGroups(t *testing.T) {
 		s, sch := start(t)
 		hog := s.adm.enter(1, 0) // one of the two slots stays free
 		defer func() { s.adm.release(hog.wait()) }()
-		key := naive(4)
+		key := serial(4)
 		tr := obs.New("query")
 		a := await(t, ask(sch, key, tr))
 		check(t, key, tr, a)
@@ -334,7 +333,7 @@ func TestCoalescesBehindRunningGroups(t *testing.T) {
 		t.Parallel()
 		s, sch := start(t)
 		hog := s.adm.enter(2, 0)
-		key := naive(3)
+		key := serial(3)
 		answers, traces := queueBehind(t, s, sch, key, 2)
 		stopped := make(chan struct{})
 		go func() {
@@ -375,7 +374,7 @@ func BenchmarkSchedulerWindow(b *testing.B) {
 	defer close(done)
 	sch := newScheduler(ds, newAdmission(2), &datasetMetrics{}, done)
 	ask := func(b *testing.B, k int) {
-		rep, err := sch.submit(context.Background(), queryKey{K: k, Alg: core.AlgIBIG}, nil)
+		rep, err := sch.submit(context.Background(), queryKey{K: k}, nil)
 		if err == nil {
 			err = rep.err
 		}

@@ -436,9 +436,9 @@ func (s *Server) logLoad(msg, name, path string, ds *tkd.Dataset, warm bool, sta
 // restore every index part the cache directory holds a checkpoint of, and
 // eagerly finish the IBIG serving artifacts so the first query is as fast as
 // the thousandth. The value-granular BIG bitmap — the most expensive
-// artifact, needed only for explicit BIG queries — builds lazily on first
-// use. warm reports whether the cache supplied every part (rebuild skipped);
-// cold lists the parts it did not — built here, or shipped with an imported
+// artifact — is never built: the server runs IBIG alone. warm reports
+// whether the cache supplied every part (rebuild skipped); cold lists the
+// parts it did not — built here, or shipped with an imported
 // epoch — for persistLater to write once the dataset serves; tail counts the
 // rows patched behind a checkpoint that was saved when the data was shorter
 // (a restart over a write-ahead log: the file on disk still covers only
@@ -647,7 +647,8 @@ type QueryRequest struct {
 	// a different one is rejected.
 	Dataset string `json:"dataset,omitempty"`
 	K       int    `json:"k"`
-	// Algorithm is one of Naive, ESB, UBB, BIG, IBIG; empty selects IBIG.
+	// Algorithm is absent or IBIG, the one plan the server runs; the other
+	// four names answer 400 (the library runs them: tkd.WithAlgorithm).
 	Algorithm string `json:"algorithm,omitempty"`
 	// Workers fans candidate scoring across that many goroutines (1 is
 	// serial), clamped to the admission capacity. 0 or absent leaves the
@@ -806,17 +807,25 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// parseAlgorithm resolves a request's algorithm name — empty selects IBIG —
-// and answers 400 itself for a name it does not know.
-func parseAlgorithm(w http.ResponseWriter, r *http.Request, name string) (core.Algorithm, bool) {
-	if name == "" {
-		return core.AlgIBIG, true
+// servedAlgorithm is the one plan /query and /subscribe run. Every
+// algorithm returns the same items in the same order, so the others would
+// only answer slower; the library keeps all five.
+const servedAlgorithm = "IBIG"
+
+// checkAlgorithm admits a request's algorithm name — absent or IBIG — and
+// answers 400 itself for any other: a name the library runs is not served,
+// and a name it does not know is unknown.
+func checkAlgorithm(w http.ResponseWriter, r *http.Request, name string) bool {
+	if name == "" || name == servedAlgorithm {
+		return true
 	}
-	alg, err := core.ParseAlgorithm(name)
-	if err != nil {
+	if _, err := core.ParseAlgorithm(name); err != nil {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "%v", err)
+	} else {
+		writeError(w, r, http.StatusBadRequest, errBadRequest,
+			"algorithm %q is not served; the library runs it (tkd.WithAlgorithm)", name)
 	}
-	return alg, err == nil
+	return false
 }
 
 // queryLogSize is how many recent operations the in-memory ring behind GET
@@ -864,8 +873,7 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "workers must be >= 0")
 		return
 	}
-	alg, ok := parseAlgorithm(w, r, req.Algorithm)
-	if !ok {
+	if !checkAlgorithm(w, r, req.Algorithm) {
 		return
 	}
 	if req.TimeoutMillis < 0 || int64(req.TimeoutMillis) > maxMillis {
@@ -901,15 +909,15 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	root := tr.Root()
 	root.SetStr("dataset", req.Dataset)
 	root.SetInt("k", int64(req.K))
-	root.SetStr("algorithm", alg.String())
+	root.SetStr("algorithm", servedAlgorithm)
 
 	start := time.Now()
-	rep, err := e.sch.submit(ctx, queryKey{K: req.K, Alg: alg, Workers: req.Workers, AllowPartial: req.AllowPartial}, root)
+	rep, err := e.sch.submit(ctx, queryKey{K: req.K, Workers: req.Workers, AllowPartial: req.AllowPartial}, root)
 	if err != nil {
 		// Scheduler-path failure: the deadline fired (or the client left)
 		// while the query waited for its slots or ran, or the
 		// scheduler is draining/shut down.
-		s.finishQuery(tr, &req, alg, start, false, err)
+		s.finishQuery(tr, &req, start, false, err)
 		status, code := http.StatusServiceUnavailable, errDraining
 		if errors.Is(err, context.DeadlineExceeded) {
 			status, code = http.StatusGatewayTimeout, errDeadlineExceeded
@@ -932,11 +940,11 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 		case errors.As(rep.err, new(*shard.Unavailable)):
 			status, code = http.StatusServiceUnavailable, errDegradedUnavailable
 		}
-		s.finishQuery(tr, &req, alg, start, rep.coalesced, rep.err)
+		s.finishQuery(tr, &req, start, rep.coalesced, rep.err)
 		writeErrorTrace(w, tr.ID(), status, code, "%v", rep.err)
 		return
 	}
-	s.finishQuery(tr, &req, alg, start, rep.coalesced, nil)
+	s.finishQuery(tr, &req, start, rep.coalesced, nil)
 	items := make([]QueryItem, len(rep.res.Items))
 	for i, it := range rep.res.Items {
 		items[i] = QueryItem{Rank: i + 1, Index: it.Index, ID: it.ID, Score: it.Score}
@@ -944,7 +952,7 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	resp := QueryResponse{
 		Dataset:   req.Dataset,
 		K:         req.K,
-		Algorithm: alg.String(),
+		Algorithm: servedAlgorithm,
 		Workers:   rep.granted,
 		Items:     items,
 		Stats: QueryStats{
@@ -980,15 +988,15 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 // query's execution spans, so only its own queue wait feeds the stage
 // histograms — the shared engine, scatter, gather and retry spans are
 // observed once, on the hosting query.
-func (s *Server) finishQuery(tr *obs.Trace, req *QueryRequest, alg core.Algorithm, start time.Time, coalesced bool, qerr error) {
-	entry := s.logTrace(tr, obs.QueryEntry{Time: start, Dataset: req.Dataset, K: req.K, Algorithm: alg.String(), Coalesced: coalesced}, qerr)
+func (s *Server) finishQuery(tr *obs.Trace, req *QueryRequest, start time.Time, coalesced bool, qerr error) {
+	entry := s.logTrace(tr, obs.QueryEntry{Time: start, Dataset: req.Dataset, K: req.K, Algorithm: servedAlgorithm, Coalesced: coalesced}, qerr)
 	s.stages.observeTrace(tr, coalesced)
 	if s.cfg.SlowQuery > 0 && entry.Duration >= s.cfg.SlowQuery {
 		s.log.Warn("slow query",
 			"trace_id", tr.ID().String(),
 			"dataset", req.Dataset,
 			"k", req.K,
-			"algorithm", alg.String(),
+			"algorithm", servedAlgorithm,
 			"duration_ms", float64(entry.Duration.Microseconds())/1000,
 			"coalesced", coalesced,
 			"err", entry.Err,
@@ -1061,7 +1069,7 @@ func (s *Server) datasetInfo(e *entry) DatasetInfo {
 		Objects:     e.ds.Len(),
 		Dims:        e.ds.Dim(),
 		MissingRate: e.ds.MissingRate(),
-		Queries:     e.met.queryTotal(),
+		Queries:     e.met.queries.Load(),
 		CacheBytes:  e.ds.CacheStats().Bytes,
 		Epoch:       e.ds.Epoch(),
 		Reloads:     e.met.reloads.Load(),

@@ -1,7 +1,7 @@
 package server
 
-// Standing top-k subscriptions. A standing query is a (dataset, k,
-// algorithm) triple the server keeps continuously answered: every publish —
+// Standing top-k subscriptions. A standing query is a (dataset, k) pair the
+// server keeps continuously answered with IBIG, its one plan: every publish —
 // local ingest fold, follower delta apply, full epoch import, reload —
 // re-runs its TopK on the new epoch, so the standing answer is always the
 // one POST /query gives, and subscribers are woken only when the ranked
@@ -24,16 +24,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/core"
-	"repro/tkd"
 )
 
 // standingKey identifies one shared standing query.
 type standingKey struct {
 	dataset string
 	k       int
-	alg     core.Algorithm
 }
 
 // StandingEvent is the wire form of one standing-query answer, used both as
@@ -76,7 +72,7 @@ func (sq *standingQuery) snapshotLocked() StandingEvent {
 	return StandingEvent{
 		Dataset:   sq.key.dataset,
 		K:         sq.key.k,
-		Algorithm: sq.key.alg.String(),
+		Algorithm: servedAlgorithm,
 		Version:   sq.ver,
 		Epoch:     sq.epoch,
 		Items:     sq.items,
@@ -199,7 +195,7 @@ func (g *standingRegistry) evaluate(e *entry, sq *standingQuery) {
 	}
 
 	g.evals.Add(1)
-	res, err := e.ds.TopK(sq.key.k, tkd.WithAlgorithm(sq.key.alg))
+	res, err := e.ds.TopK(sq.key.k)
 	if err != nil {
 		// An evaluation raced a reload/evict; the next publish retries.
 		return
@@ -241,7 +237,8 @@ func (sq *standingQuery) sameLocked(items []QueryItem) bool {
 // SubscribeRequest is the POST /v1/datasets/{name}/subscribe body.
 type SubscribeRequest struct {
 	K int `json:"k"`
-	// Algorithm is one of Naive, ESB, UBB, BIG, IBIG; empty selects IBIG.
+	// Algorithm is absent or IBIG, as on QueryRequest; the other four names
+	// answer 400.
 	Algorithm string `json:"algorithm,omitempty"`
 	// AfterVersion (long-poll mode only) is the last version the caller has
 	// seen: the request answers immediately while the standing answer is
@@ -273,8 +270,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "wait_millis must be in [0, %d]", maxMillis)
 		return
 	}
-	alg, ok := parseAlgorithm(w, r, req.Algorithm)
-	if !ok {
+	if !checkAlgorithm(w, r, req.Algorithm) {
 		return
 	}
 	name := r.PathValue("name")
@@ -291,7 +287,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sq, dirty := s.standing.acquire(standingKey{dataset: name, k: req.K, alg: alg})
+	sq, dirty := s.standing.acquire(standingKey{dataset: name, k: req.K})
 	defer s.standing.release(sq, dirty)
 
 	// First subscriber on this key: materialise the answer now so there is

@@ -253,7 +253,7 @@ func TestStandingSSE(t *testing.T) {
 }
 
 // TestStandingSubscribersShareOneQuery: two subscribers on the same
-// (dataset, k, algorithm) ride one standing query — a publish evaluates the
+// (dataset, k) ride one standing query — a publish evaluates the
 // engine once, not per subscriber.
 func TestStandingSubscribersShareOneQuery(t *testing.T) {
 	d := newIngestDirs(t, standingFixture(t))

@@ -421,19 +421,22 @@ func TestStageMetricsExposed(t *testing.T) {
 // slots are held until both queries wait in line — are granted one worker
 // each and run side by side. Each one's queue span is a leaf that ends where
 // its execute span begins, after the slots were handed back, and the two
-// spans together fit inside the latency the client saw. A lone Naive query on
-// the idle server dispatches at once, is granted both slots (its fair share:
-// Naive can use them, see TestGrantCappedAtUsefulWorkers) and waits for none
-// of them.
+// spans together fit inside the latency the client saw. A lone query on the
+// idle server dispatches at once, is granted both slots (its fair share: an
+// IBIG query over more than one kernel block of rows can use them, see
+// TestGrantCappedAtUsefulWorkers) and waits for none of them.
 func TestGrantAndQueueSpans(t *testing.T) {
 	s, ts, _ := newTestServer(t, server.Config{MaxWorkers: 2})
+	if err := s.AddDataset("wide", tkd.GenerateIND(bitvec.BlockBits+1, 4, 100, 0.2, 3)); err != nil {
+		t.Fatal(err)
+	}
 	type observed struct {
 		qr      server.QueryResponse
 		latency time.Duration
 	}
-	explain := func(k int, alg string) observed {
+	explain := func(k int) observed {
 		start := time.Now()
-		qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "ac", K: k, Algorithm: alg, Explain: true})
+		qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "wide", K: k, Explain: true})
 		if code != http.StatusOK || qr.Trace == nil {
 			t.Errorf("k=%d: HTTP %d, trace %v", k, code, qr.Trace)
 		}
@@ -459,19 +462,20 @@ func TestGrantAndQueueSpans(t *testing.T) {
 		return begin(o, sp).Add(time.Duration(sp.DurUS) * time.Microsecond)
 	}
 
-	// Naive on 4000 rows runs long enough for the two executions to overlap
-	// for certain once the slots come back together.
+	// Ranking 3,000 of the 8,193 rows takes tens of milliseconds on one
+	// worker, long enough for the two executions to overlap for certain once
+	// the slots come back together.
 	release := s.HoldSlots()
 	var pair [2]observed
 	var wg sync.WaitGroup
-	for i, k := range []int{3, 4} {
+	for i, k := range []int{3000, 3001} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pair[i] = explain(k, "Naive")
+			pair[i] = explain(k)
 		}()
 	}
-	waitFor(t, "both queries to wait behind the held slots", func() bool { return s.Waiting("ac") == 2 })
+	waitFor(t, "both queries to wait behind the held slots", func() bool { return s.Waiting("wide") == 2 })
 	released := time.Now()
 	release()
 	wg.Wait()
@@ -502,7 +506,7 @@ func TestGrantAndQueueSpans(t *testing.T) {
 		t.Errorf("execute spans do not overlap: %+v and %+v", execs[0], execs[1])
 	}
 
-	lone := explain(5, "Naive")
+	lone := explain(5)
 	if t.Failed() {
 		t.FailNow()
 	}
@@ -519,11 +523,11 @@ func TestGrantAndQueueSpans(t *testing.T) {
 }
 
 // TestGrantCappedAtUsefulWorkers pins the fair share's cap
-// (core.UsefulWorkers): on an idle 2-slot server a lone BIG or IBIG query
-// over at most one kernel block of rows is granted one slot and its answer
-// reports workers 1, while a lone Naive or UBB query over the same rows, an
-// IBIG query over one row more than a block, and an explicit count are
-// granted what they would be without the cap.
+// (core.UsefulWorkers): on an idle 2-slot server a lone query over at most
+// one kernel block of rows is granted one slot and its answer reports
+// workers 1, while a query over one row more than a block and an explicit
+// count are granted what they would be without the cap. The cap's other
+// algorithms are core's table test, TestUsefulWorkers.
 func TestGrantCappedAtUsefulWorkers(t *testing.T) {
 	s, ts, _ := newTestServer(t, server.Config{MaxWorkers: 2})
 	if err := s.AddDataset("block", tkd.GenerateIND(bitvec.BlockBits+1, 3, 50, 0.1, 3)); err != nil {
@@ -534,9 +538,6 @@ func TestGrantCappedAtUsefulWorkers(t *testing.T) {
 		workers, granted int
 	}{
 		{"ac", "", 0, 1}, // IBIG, the default
-		{"ac", "BIG", 0, 1},
-		{"ac", "Naive", 0, 2},
-		{"ac", "UBB", 0, 2},
 		{"ac", "IBIG", 2, 2},
 		{"block", "IBIG", 0, 2},
 	} {

@@ -379,9 +379,9 @@ var errAttemptTimeout = errors.New("shard: replica attempt timed out")
 
 // call runs exactly one scatter call on one replica, bounded by the
 // attempt timeout, and feeds the outcome to the replica's breaker. A parent
-// context expiry is returned as the context's error and does not count
-// against the replica; an attempt-timeout expiry does — that is the slow
-// replica the timeout exists to cut loose.
+// context expiry is returned as the context's error and the breaker
+// abstains: it does not count against the replica. An attempt-timeout expiry
+// does — that is the slow replica the timeout exists to cut loose.
 //
 // Each call is an "attempt" span under whatever span rides ctx (the
 // coordinator's per-shard span), recording the replica index, the breaker
@@ -411,8 +411,10 @@ func (rs *ReplicaSet) call(ctx context.Context, r *replica, req *Request, hedged
 	}
 	if ctx.Err() != nil {
 		// The query itself is dead (deadline, client disconnect, or the
-		// hedge race was decided) — not the replica's fault.
+		// hedge race was decided) — not the replica's fault. If the call
+		// was the half-open probe, its turn passes to the next call.
 		sp.SetStr("error", ctx.Err().Error())
+		r.br.abstain()
 		return nil, ctx.Err()
 	}
 	if actx.Err() != nil {

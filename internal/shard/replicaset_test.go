@@ -414,6 +414,64 @@ func TestReplicaSetParentCancellationPropagates(t *testing.T) {
 	}
 }
 
+// TestReplicaSetCancelledProbeFreesBreaker pins that a half-open probe whose
+// query is cancelled hands its turn on: the next query reaches the replica
+// and closes the breaker, instead of finding it half-open with a probe that
+// will never report back.
+func TestReplicaSetCancelledProbeFreesBreaker(t *testing.T) {
+	var mode atomic.Int32 // 0 fail, 1 hang until cancelled, 2 answer
+	rep := &fakeReplica{rows: 10, fp: 42, partial: func(ctx context.Context, req *Request) ([]int32, error) {
+		switch mode.Load() {
+		case 0:
+			return nil, fmt.Errorf("down")
+		case 1:
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return make([]int32, len(req.Cands)), nil
+	}}
+	pol := noHedge()
+	pol.BreakerThreshold = 1
+	pol.BreakerCooldown = 10 * time.Millisecond
+	rs, err := NewReplicaSet(0, []Backend{rep}, pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Partial(context.Background(), testReq()); err == nil {
+		t.Fatal("failing replica returned success")
+	}
+	if st := rs.States()[0]; st != BreakerOpen {
+		t.Fatalf("breaker %v after a failure at threshold 1, want open", st)
+	}
+	time.Sleep(2 * pol.BreakerCooldown)
+
+	// Past the cooldown the next call is the half-open probe; its query is
+	// cancelled while the replica works on it.
+	mode.Store(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := rs.Partial(ctx, testReq())
+		done <- err
+	}()
+	waitFor(t, "the probe to reach the replica", func() bool { return rep.calls.Load() == 2 })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled probe: %v, want context.Canceled", err)
+	}
+
+	mode.Store(2)
+	if _, err := rs.Partial(context.Background(), testReq()); err != nil {
+		t.Fatalf("query after the cancelled probe: %v", err)
+	}
+	if n := rep.calls.Load(); n != 3 {
+		t.Fatalf("replica called %d times, want 3", n)
+	}
+	if st := rs.States()[0]; st != BreakerClosed {
+		t.Fatalf("breaker %v after a successful call, want closed", st)
+	}
+}
+
 func TestReplicaSetHedgeRacesSecondReplica(t *testing.T) {
 	// reps[1] hangs; reps[0] answers fast. Whichever is picked as primary,
 	// the call must come back fast — if the primary is the hanging one, the
