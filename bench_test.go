@@ -1,22 +1,9 @@
-// Benchmarks regenerating the paper's evaluation artifacts, one benchmark
-// per table/figure of §5. Each benchmark times the operation the artifact
-// plots, on reduced-cardinality versions of the paper's workloads so that
-// `go test -bench=. -benchmem` finishes in minutes; cmd/benchrunner runs the
-// same experiments at the paper's scale and prints the full tables.
-//
-// Mapping (benchrunner -list prints the full per-experiment index):
-//
-//	Fig. 10  -> BenchmarkFig10_Compression
-//	Fig. 11  -> BenchmarkFig11_BinSweep
-//	Table 3  -> BenchmarkTable3_Preprocessing
-//	Fig. 12  -> BenchmarkFig12_RealVsK
-//	Table 4  -> BenchmarkTable4_Imputation
-//	Fig. 13  -> BenchmarkFig13_SynVsK
-//	Fig. 14  -> BenchmarkFig14_VsN
-//	Fig. 15  -> BenchmarkFig15_VsDim
-//	Fig. 16  -> BenchmarkFig16_VsMissing
-//	Fig. 17  -> BenchmarkFig17_VsCardinality
-//	Fig. 18  -> BenchmarkFig18_Pruning
+// Benchmarks of the mechanisms this repo adds around the paper: the parallel
+// engine, the kernels it sits on, tracing, the sharded plan, incremental
+// publish and a cold boot. BENCH_baseline.json and CI gate most of them. The
+// paper's own artifacts (Figs. 10–18, Tables 3–4) and the design ablations
+// are reproduced by internal/experiments alone: `go run ./cmd/benchrunner
+// -list` names them.
 package repro_test
 
 import (
@@ -29,278 +16,12 @@ import (
 	"repro/internal/bitmapidx"
 	"repro/internal/bitvec"
 	"repro/internal/compress/concise"
-	"repro/internal/compress/wah"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/gen"
-	"repro/internal/impute"
 	"repro/internal/obs"
-	"repro/internal/skyband"
 	"repro/tkd"
 )
-
-// benchSynthetic builds a Table-2-default dataset at bench scale.
-func benchSynthetic(dist gen.Distribution, mutate func(*gen.Config)) *data.Dataset {
-	cfg := gen.Default(dist, 99)
-	cfg.N = 4000
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return gen.Synthetic(cfg)
-}
-
-func benchPre(ds *data.Dataset, bins []int) *core.Pre {
-	if bins == nil {
-		bins = []int{core.OptimalBins(ds.Len(), ds.MissingRate())}
-	}
-	sorted := ds.SortDims()
-	return &core.Pre{
-		Queue:  core.BuildMaxScoreQueue(ds),
-		Bitmap: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw}),
-		Binned: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins}),
-	}
-}
-
-// BenchmarkFig10_Compression times WAH and CONCISE compression of the
-// columns of a real bitmap index (Fig. 10a; the ratio of Fig. 10b is
-// reported as a custom metric).
-func BenchmarkFig10_Compression(b *testing.B) {
-	ds := gen.Zillow(3, 4000)
-	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Raw})
-	raw := float64(ix.SizeBytes())
-	b.Run("WAH", func(b *testing.B) {
-		b.ReportAllocs()
-		var bytes int
-		for i := 0; i < b.N; i++ {
-			bytes = 0
-			ix.ForEachDenseColumn(func(v *bitvec.Vector) { bytes += wah.Compress(v).SizeBytes() })
-		}
-		b.ReportMetric(float64(bytes)/raw, "ratio")
-	})
-	b.Run("CONCISE", func(b *testing.B) {
-		b.ReportAllocs()
-		var bytes int
-		for i := 0; i < b.N; i++ {
-			bytes = 0
-			ix.ForEachDenseColumn(func(v *bitvec.Vector) { bytes += concise.Compress(v).SizeBytes() })
-		}
-		b.ReportMetric(float64(bytes)/raw, "ratio")
-	})
-}
-
-// BenchmarkFig11_BinSweep times the IBIG query under increasing bin counts
-// against BIG on the same data, reporting per ξ what the layout costs — index
-// bytes, and as sub-benchmarks the cold build off a shared sort and the
-// AppendRows of a 20-row batch — and what a query over it still does: rows
-// walked and exact scores computed (`benchrunner -exp fig11` is the same
-// sweep over every dataset).
-func BenchmarkFig11_BinSweep(b *testing.B) {
-	ds := benchSynthetic(gen.IND, nil)
-	sorted := ds.SortDims()
-	queue := core.BuildMaxScoreQueue(ds)
-	big := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw})
-	b.Run("BIG", func(b *testing.B) {
-		pre := &core.Pre{Queue: queue, Bitmap: big}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.Run(core.AlgBIG, ds, 16, pre)
-		}
-		b.ReportMetric(float64(big.SizeBytes())/1024, "KB-index")
-	})
-	base := ds.Slice(0, ds.Len()-20)
-	for _, xi := range []int{4, 16, 64} {
-		opts := bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{xi}}
-		binned := bitmapidx.BuildSorted(sorted, opts)
-		b.Run(fmt.Sprintf("IBIG-xi%d", xi), func(b *testing.B) {
-			pre := &core.Pre{Queue: queue, Binned: binned}
-			b.ReportAllocs()
-			var st core.Stats
-			for i := 0; i < b.N; i++ {
-				_, st = core.Run(core.AlgIBIG, ds, 16, pre)
-			}
-			b.ReportMetric(float64(binned.SizeBytes())/1024, "KB-index")
-			b.ReportMetric(float64(st.Comparisons), "walked/op")
-			b.ReportMetric(float64(st.Scored), "scored/op")
-		})
-		b.Run(fmt.Sprintf("build-xi%d", xi), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bitmapidx.BuildSorted(sorted, opts)
-			}
-		})
-		old := bitmapidx.Build(base, opts)
-		b.Run(fmt.Sprintf("AppendRows-xi%d", xi), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bitmapidx.AppendRows(old, ds)
-			}
-		})
-	}
-}
-
-// BenchmarkTable3_Preprocessing times the three preprocessing builds.
-// MaxScoreQueue is the paper's §4.2 procedure (one B+-tree per dimension, the
-// column Table 3 reports); MaxScoreQueueSorted is the builder everything that
-// serves uses — the identical queue from one sort per dimension. Each index
-// case is a whole build, its sorts included.
-func BenchmarkTable3_Preprocessing(b *testing.B) {
-	ds := benchSynthetic(gen.IND, nil)
-	b.Run("MaxScoreQueue", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.BuildMaxScoreQueueBTree(ds)
-		}
-	})
-	b.Run("MaxScoreQueueSorted", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.BuildMaxScoreQueue(ds)
-		}
-	})
-	b.Run("BitmapIndex", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Raw})
-		}
-	})
-	b.Run("BinnedBitmapIndex", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{32}})
-		}
-	})
-}
-
-// BenchmarkFig12_RealVsK times all five algorithms on a real-shaped
-// workload (NBA subsample) at the default k.
-func BenchmarkFig12_RealVsK(b *testing.B) {
-	full := gen.NBA(2)
-	ds := data.New(full.Dim())
-	for i := 0; i < full.Len(); i += 8 {
-		o := full.Obj(i)
-		ds.MustAppend(o.ID, o.Values)
-	}
-	pre := benchPre(ds, []int{64})
-	for _, alg := range core.Algorithms {
-		b.Run(alg.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.Run(alg, ds, 16, pre)
-			}
-		})
-	}
-}
-
-// BenchmarkTable4_Imputation times the matrix-factorization imputation plus
-// the answer-set comparison of Table 4.
-func BenchmarkTable4_Imputation(b *testing.B) {
-	full := gen.NBA(2)
-	ds := data.New(full.Dim())
-	for i := 0; i < full.Len(); i += 32 {
-		o := full.Obj(i)
-		ds.MustAppend(o.ID, o.Values)
-	}
-	cfg := impute.DefaultConfig(42)
-	cfg.Iterations = 10
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dj := impute.CompareTKD(ds, 16, cfg)
-		if dj < 0 || dj > 1 {
-			b.Fatal("bad DJ")
-		}
-	}
-}
-
-// BenchmarkFig13_SynVsK times the four synthetic-data algorithms across k.
-func BenchmarkFig13_SynVsK(b *testing.B) {
-	ds := benchSynthetic(gen.IND, nil)
-	pre := benchPre(ds, nil)
-	for _, k := range []int{4, 16, 64} {
-		for _, alg := range []core.Algorithm{core.AlgESB, core.AlgUBB, core.AlgBIG, core.AlgIBIG} {
-			b.Run(fmt.Sprintf("%s/k%d", alg, k), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					core.Run(alg, ds, k, pre)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig14_VsN times IBIG and UBB as cardinality grows.
-func BenchmarkFig14_VsN(b *testing.B) {
-	for _, n := range []int{1000, 2000, 4000, 8000} {
-		ds := benchSynthetic(gen.IND, func(c *gen.Config) { c.N = n })
-		pre := benchPre(ds, nil)
-		for _, alg := range []core.Algorithm{core.AlgUBB, core.AlgIBIG} {
-			b.Run(fmt.Sprintf("%s/N%d", alg, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					core.Run(alg, ds, 16, pre)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig15_VsDim times IBIG as dimensionality grows.
-func BenchmarkFig15_VsDim(b *testing.B) {
-	for _, dim := range []int{5, 10, 15, 20} {
-		ds := benchSynthetic(gen.IND, func(c *gen.Config) { c.Dim = dim })
-		pre := benchPre(ds, nil)
-		b.Run(fmt.Sprintf("dim%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.Run(core.AlgIBIG, ds, 16, pre)
-			}
-		})
-	}
-}
-
-// BenchmarkFig16_VsMissing times IBIG as the missing rate grows (cost must
-// fall — fewer comparable pairs).
-func BenchmarkFig16_VsMissing(b *testing.B) {
-	for _, sigma := range []float64{0, 0.1, 0.2, 0.4} {
-		ds := benchSynthetic(gen.IND, func(c *gen.Config) { c.MissingRate = sigma })
-		pre := benchPre(ds, nil)
-		b.Run(fmt.Sprintf("sigma%.0f%%", sigma*100), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.Run(core.AlgIBIG, ds, 16, pre)
-			}
-		})
-	}
-}
-
-// BenchmarkFig17_VsCardinality times IBIG as the per-dimension domain
-// grows (cost should be insensitive).
-func BenchmarkFig17_VsCardinality(b *testing.B) {
-	for _, c := range []int{50, 200, 800} {
-		ds := benchSynthetic(gen.IND, func(cf *gen.Config) { cf.Cardinality = c })
-		pre := benchPre(ds, nil)
-		b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.Run(core.AlgIBIG, ds, 16, pre)
-			}
-		})
-	}
-}
-
-// BenchmarkFig18_Pruning runs IBIG and reports the per-heuristic pruning
-// counts as custom metrics.
-func BenchmarkFig18_Pruning(b *testing.B) {
-	ds := benchSynthetic(gen.IND, nil)
-	pre := benchPre(ds, nil)
-	var st core.Stats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, st = core.Run(core.AlgIBIG, ds, 16, pre)
-	}
-	b.ReportMetric(float64(st.PrunedH1), "prunedH1")
-	b.ReportMetric(float64(st.PrunedH2), "prunedH2")
-	b.ReportMetric(float64(st.PrunedH3), "prunedH3")
-}
 
 // BenchmarkParallelIBIG compares the serial loop against the batch-windowed
 // parallel engine on IBIG at n ∈ {10k, 100k}, d = 6, for both synthetic
@@ -376,7 +97,9 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	// off — the nil-span checks ride inside the measured region, so a
 	// regression that sneaks allocations into the disabled path moves this
 	// number too.
-	ds := benchSynthetic(gen.IND, func(c *gen.Config) { c.N = 300 })
+	cfg := gen.Default(gen.IND, 99)
+	cfg.N = 300
+	ds := gen.Synthetic(cfg)
 	queue := core.BuildMaxScoreQueue(ds)
 	pre := &core.Pre{Queue: queue}
 	b.Run("engine-off", func(b *testing.B) {
@@ -588,81 +311,6 @@ func BenchmarkShardedTopK(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationMFD times the MFD-weighted scoring extension (not in the
-// paper's evaluation; included as a documented ablation).
-func BenchmarkAblationMFD(b *testing.B) {
-	ds := benchSynthetic(gen.IND, func(c *gen.Config) { c.N = 800 })
-	m := core.UniformMFD(ds.Dim(), 0.5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.TopKMFD(ds, 16, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationRefinement compares IBIG's two Q−P refinement
-// strategies (§4.5: direct value comparison vs B+-tree bin scanning) on the
-// same binned index — the implementation choice the paper leaves optional.
-func BenchmarkAblationRefinement(b *testing.B) {
-	ds := benchSynthetic(gen.IND, nil)
-	queue := core.BuildMaxScoreQueue(ds)
-	trees := core.BuildDimTrees(ds)
-	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{8}})
-	b.Run("direct", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.IBIG(ds, 16, ix, queue)
-		}
-	})
-	b.Run("btree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.IBIGBTree(ds, 16, ix, queue, trees)
-		}
-	})
-}
-
-// BenchmarkAblationCodecs compares the same binned IBIG query over raw and
-// CONCISE column stores: the codec buys index space at the price of
-// per-query decompression.
-func BenchmarkAblationCodecs(b *testing.B) {
-	ds := benchSynthetic(gen.IND, nil)
-	queue := core.BuildMaxScoreQueue(ds)
-	sorted := ds.SortDims()
-	for _, codec := range []bitmapidx.Codec{bitmapidx.Raw, bitmapidx.Concise} {
-		ix := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: codec, Bins: []int{32}})
-		b.Run(codec.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.IBIG(ds, 16, ix, queue)
-			}
-			b.ReportMetric(float64(ix.SizeBytes())/1024, "KB-index")
-		})
-	}
-}
-
-// BenchmarkAblationESBvsGlobalSkyband isolates the candidate-set phase: the
-// per-bucket local skybands ESB uses vs the exact global k-skyband.
-func BenchmarkAblationESBvsGlobalSkyband(b *testing.B) {
-	ds := benchSynthetic(gen.IND, func(c *gen.Config) { c.N = 1500 })
-	b.Run("localPerBucket", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, ids := range ds.Buckets() {
-				skyband.KSkyband(ds, ids, 16)
-			}
-		}
-	})
-	b.Run("global", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			skyband.GlobalKSkyband(ds, 16)
-		}
-	})
 }
 
 // BenchmarkDeltaPublish measures the incremental publish path against the

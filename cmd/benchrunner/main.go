@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -97,6 +98,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchrunner:", err)
 		return 2
 	}
+	if *format != "text" && *format != "markdown" {
+		fmt.Fprintf(stderr, "benchrunner: unknown format %q (want text or markdown)\n", *format)
+		return 2
+	}
 
 	var specs []experiments.Spec
 	if *exp == "all" {
@@ -110,15 +115,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		specs = []experiments.Spec{spec}
 	}
 
-	w := stdout
+	// Tables print through w, which keeps the first write error; it is
+	// checked after each experiment, so a full disk fails the run.
+	w := bufio.NewWriter(stdout)
+	var file *os.File
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fmt.Fprintln(stderr, "benchrunner:", err)
 			return 1
 		}
-		defer f.Close()
-		w = f
+		defer f.Close() // after a failed write; success closes and checks below
+		file = f
+		w.Reset(f)
 	}
 
 	report := benchReport{Host: currentHost(), Scale: sc.String()}
@@ -140,6 +149,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			} else {
 				t.Format(w)
 			}
+		}
+		if err := w.Flush(); err != nil {
+			fmt.Fprintln(stderr, "benchrunner:", err)
+			return 1
+		}
+	}
+	if file != nil {
+		if err := file.Close(); err != nil {
+			fmt.Fprintln(stderr, "benchrunner:", err)
+			return 1
 		}
 	}
 	if *jsonOut != "" {

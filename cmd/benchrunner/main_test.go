@@ -109,4 +109,14 @@ func TestRunErrors(t *testing.T) {
 	if code := run([]string{"-exp", "table3", "-scale", "tiny", "-o", "/no/such/dir/x"}, &out, &errb); code != 1 {
 		t.Fatalf("bad output path: exit %d", code)
 	}
+	if code := run([]string{"-exp", "table3", "-scale", "tiny", "-format", "xml"}, &out, &errb); code != 2 {
+		t.Fatalf("unknown format: exit %d, want 2", code)
+	}
+	// A device that refuses every write: the tables are lost, so the run fails.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	if code := run([]string{"-exp", "table3", "-scale", "tiny", "-o", "/dev/full"}, &out, &errb); code != 1 {
+		t.Fatalf("-o /dev/full: exit %d, want 1", code)
+	}
 }

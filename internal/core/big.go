@@ -16,13 +16,13 @@ type bigState struct{ cursor *bitmapidx.Cursor }
 // newBigState returns one worker's scorer over ix.
 func newBigState(ix *bitmapidx.Index) bigState { return bigState{ix.NewCursor()} }
 
-// scoreResult tells the caller how a scorer ended.
-type scoreResult int
+// ScoreResult tells the caller how a scorer ended.
+type ScoreResult int
 
 const (
-	scored   scoreResult = iota // exact score computed
-	prunedH2                    // dropped by bitmap pruning (Heuristic 2)
-	prunedH3                    // dropped by partial score pruning (Heuristic 3)
+	Scored   ScoreResult = iota // exact score computed
+	PrunedH2                    // dropped by bitmap pruning (Heuristic 2)
+	PrunedH3                    // dropped by partial score pruning (Heuristic 3)
 )
 
 // score computes score(o) through the bitmap index — Algorithm 3
@@ -51,21 +51,21 @@ const (
 // cannot beat τ and the walk stops. It can only fire on a walked row.
 //
 // The comparisons reported are the walked rows of W.
-func (s bigState) score(o int, tau int) (int, scoreResult, int64) {
+func (s bigState) Score(o int, tau int) (int, ScoreResult, int64) {
 	cnt, limit := -1, bitmapidx.NoLimit
 	if tau >= 0 {
 		f := s.cursor.IncomparableRows(s.cursor.Index().Dataset().Obj(o).Mask)
 		maxBit, above := s.cursor.MaxBitScoreAbove(o, tau+f)
 		if !above {
-			return 0, prunedH2, 0 // Heuristic 2
+			return 0, PrunedH2, 0 // Heuristic 2
 		}
 		cnt, limit = maxBit+1, maxBit-tau
 	}
 	score, walked, ok := s.cursor.Score(o, cnt, limit)
 	if !ok {
-		return 0, prunedH3, int64(walked)
+		return 0, PrunedH3, int64(walked)
 	}
-	return score, scored, int64(walked)
+	return score, Scored, int64(walked)
 }
 
 // BIG is the bitmap index guided algorithm (Algorithm 4): the UBB main loop
@@ -90,5 +90,5 @@ func bitmapRun(ctx context.Context, a Algorithm, ds *data.Dataset, k int, ix *bi
 	if a == AlgBIG && ix.Binned() {
 		panic("core: BIG requires an unbinned index; use IBIG")
 	}
-	return loop(ctx, ds, k, queue, queue.MaxScore, workers, func() scorer { return newBigState(ix) }, sp)
+	return loop(ctx, ds, k, queue, queue.MaxScore, workers, func() Scorer { return newBigState(ix) }, sp)
 }

@@ -54,21 +54,29 @@ import (
 // window covers.
 const WindowSize = 256
 
-// scorer computes one candidate's exact score, or prunes it when the score
+// Scorer computes one candidate's exact score, or prunes it when the score
 // cannot exceed tau (a negative tau prunes nothing: the candidate heap is not
 // full yet), and reports the comparisons it made (Stats.Comparisons). Implementations are pointer-shaped,
 // so holding one in the interface allocates nothing, and are confined to a
-// single worker.
-type scorer interface {
-	score(o int, tau int) (score int, how scoreResult, comparisons int64)
+// single worker. It is exported for the paper's reference scorers outside
+// this package, which run through SerialRun.
+type Scorer interface {
+	Score(o int, tau int) (score int, how ScoreResult, comparisons int64)
+}
+
+// SerialRun walks queue through the serial candidate loop with s scoring,
+// the one entry a scorer defined outside this package runs through.
+func SerialRun(ds *data.Dataset, k int, queue *MaxScoreQueue, s Scorer) (Result, Stats) {
+	res, st, _ := serialRun(context.Background(), ds, k, queue, queue.MaxScore, s, nil) // never cancelled
+	return res, st
 }
 
 // ubbScorer scores candidates exhaustively (Algorithm 2 has no per-object
 // pruning beyond Heuristic 1, which the loop applies at the queue level).
 type ubbScorer struct{ ds *data.Dataset }
 
-func (u ubbScorer) score(o, tau int) (int, scoreResult, int64) {
-	return Score(u.ds, o), scored, int64(u.ds.Len() - 1)
+func (u ubbScorer) Score(o, tau int) (int, ScoreResult, int64) {
+	return Score(u.ds, o), Scored, int64(u.ds.Len() - 1)
 }
 
 // scanAll scores every object of order exhaustively — Naive's rows, ESB's
@@ -80,19 +88,19 @@ func scanAll(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueue,
 	for i := range walk.MaxScore {
 		walk.MaxScore[i] = ds.Len()
 	}
-	return loop(ctx, ds, k, walk, queue.MaxScore, workers, func() scorer { return ubbScorer{ds: ds} }, nil)
+	return loop(ctx, ds, k, walk, queue.MaxScore, workers, func() Scorer { return ubbScorer{ds: ds} }, nil)
 }
 
 // loop is the one fork: it walks walk with the heap's ties decided by bound —
 // at most one worker is the serial loop, more the batch-windowed engine. Both
 // check ctx once per WindowSize candidates and return its error, with the
 // Stats of the work done, when it is cancelled.
-func loop(ctx context.Context, ds *data.Dataset, k int, walk *MaxScoreQueue, bound []int, workers int, newScorer func() scorer, sp *obs.Span) (Result, Stats, error) {
+func loop(ctx context.Context, ds *data.Dataset, k int, walk *MaxScoreQueue, bound []int, workers int, newScorer func() Scorer, sp *obs.Span) (Result, Stats, error) {
 	workers = clampWorkers(workers, len(walk.Order))
 	if workers <= 1 {
 		return serialRun(ctx, ds, k, walk, bound, newScorer(), sp)
 	}
-	scorers := make([]scorer, workers)
+	scorers := make([]Scorer, workers)
 	for w := range scorers {
 		scorers[w] = newScorer()
 	}
@@ -106,7 +114,7 @@ func loop(ctx context.Context, ds *data.Dataset, k int, walk *MaxScoreQueue, bou
 // WindowSize candidates — the engine's window starts, so explain output reads
 // the same whichever path served the query — it checks ctx and, when sp is
 // non-nil, samples the τ trajectory into it.
-func serialRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, s scorer, sp *obs.Span) (Result, Stats, error) {
+func serialRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, s Scorer, sp *obs.Span) (Result, Stats, error) {
 	var st Stats
 	sc := newCandidateHeap(k, bound)
 	pos := 0
@@ -126,13 +134,13 @@ func serialRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueu
 			break
 		}
 		st.Candidates++
-		score, how, cmp := s.score(int(idx), tau)
+		score, how, cmp := s.Score(int(idx), tau)
 		st.Comparisons += cmp
 		switch how {
-		case prunedH2:
+		case PrunedH2:
 			st.PrunedH2++
 			continue
-		case prunedH3:
+		case PrunedH3:
 			st.PrunedH3++
 			continue
 		}
@@ -160,7 +168,7 @@ func clampWorkers(workers, candidates int) int {
 // trajectory sample per window — recording happens at window granularity
 // (never per candidate), and a nil sp costs one predictable branch per
 // window, keeping the hot path allocation-free.
-func engineRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, scorers []scorer, sp *obs.Span) (Result, Stats, error) {
+func engineRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, scorers []Scorer, sp *obs.Span) (Result, Stats, error) {
 	var st Stats
 	st.Workers = len(scorers)
 	sc := newCandidateHeap(k, bound)
@@ -202,13 +210,13 @@ func engineRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueu
 						continue
 					}
 					ws.Candidates++
-					score, how, cmp := s.score(o, t-1)
+					score, how, cmp := s.Score(o, t-1)
 					ws.Comparisons += cmp
 					switch how {
-					case prunedH2:
+					case PrunedH2:
 						ws.PrunedH2++
 						continue
-					case prunedH3:
+					case PrunedH3:
 						ws.PrunedH3++
 						continue
 					}

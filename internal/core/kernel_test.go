@@ -97,9 +97,9 @@ func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options, ta
 	state := newBigState(ix)
 	for o := 0; o < n; o++ {
 		want := Score(ds, o)
-		got, how, w := state.score(o, -1)
+		got, how, w := state.Score(o, -1)
 		walked += w
-		if how != scored || got != want {
+		if how != Scored || got != want {
 			t.Fatalf("object %d: score(τ=-1) = (%d, %v), Score = %d", o, got, how, want)
 		}
 		f := 0
@@ -118,11 +118,11 @@ func checkScoreKernel(t testing.TB, ds *data.Dataset, opts bitmapidx.Options, ta
 			if tau < 0 {
 				continue
 			}
-			got, how, _ := state.score(o, tau)
-			if how == scored && got != want {
+			got, how, _ := state.Score(o, tau)
+			if how == Scored && got != want {
 				t.Fatalf("object %d τ=%d: score = %d, Score = %d", o, tau, got, want)
 			}
-			if how != scored && want > tau {
+			if how != Scored && want > tau {
 				t.Fatalf("object %d τ=%d: pruned (%v) with score %d > τ", o, tau, how, want)
 			}
 		}
@@ -329,14 +329,14 @@ func TestScoreKernelAllocs(t *testing.T) {
 		state := newBigState(ix)
 		fs := NewForeignScorer(ds, ix)
 		cand := ds.Obj(top)
-		score, _, walked := state.score(top, -1)
+		score, _, walked := state.Score(top, -1)
 		if (walked > 0) != tc.walks {
 			t.Fatalf("%s: walked %d rows, want walks = %v", tc.name, walked, tc.walks)
 		}
 		bound, _ := fs.BoundAbove(cand, -1)
 		runs := map[string]func(){
-			"in-set":             func() { state.score(top, -1) },
-			"in-set, live τ":     func() { state.score(top, score/2) },
+			"in-set":             func() { state.Score(top, -1) },
+			"in-set, live τ":     func() { state.Score(top, score/2) },
 			"foreign":            func() { fs.Score(cand, NoBound, NoBudget) },
 			"foreign, its bound": func() { fs.Score(cand, bound, NoBudget) },
 		}
@@ -366,7 +366,7 @@ func BenchmarkScoreKernel(b *testing.B) {
 		state := newBigState(build(ds))
 		b.ReportAllocs()
 		for b.Loop() {
-			state.score(top, -1)
+			state.Score(top, -1)
 		}
 	})
 	b.Run("foreign", func(b *testing.B) {

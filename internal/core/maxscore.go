@@ -1,10 +1,7 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/bitmapidx"
-	"repro/internal/btree"
 	"repro/internal/data"
 )
 
@@ -12,9 +9,9 @@ import (
 // dataset sorted in descending order of its MaxScore upper bound (Lemma 2).
 // It is a preprocessing artifact — Table 3 measures its construction time —
 // shared by the UBB, BIG and IBIG algorithms. The paper builds it with one
-// B+-tree per dimension (BuildMaxScoreQueueBTree, the reference); everything
-// that serves builds the identical queue from sorted stats and ranks
-// (QueueFromRuns).
+// B+-tree per dimension (internal/reference keeps that procedure as the
+// oracle); this package builds the identical queue from sorted stats and
+// ranks (QueueFromRuns).
 type MaxScoreQueue struct {
 	// Order lists object indices by descending MaxScore (ties by index).
 	Order []int32
@@ -196,58 +193,6 @@ func mergedBounds(runs []QueueRun, n int) [][][]int32 {
 		}
 	}
 	return out
-}
-
-// BuildMaxScoreQueueBTree is the paper's §4.2 procedure, kept as the
-// reference: one B+-tree per dimension, CountGE per observed cell, a stable
-// comparison sort — O(N·lgN), the MaxScore column Table 3 times. Nothing
-// that serves queries calls it; the identity test holds the builders above
-// to its output, bounds and order alike.
-func BuildMaxScoreQueueBTree(ds *data.Dataset) *MaxScoreQueue {
-	n, dim := ds.Len(), ds.Dim()
-	trees := make([]*btree.Tree, dim)
-	missing := make([]int, dim)
-	for d := 0; d < dim; d++ {
-		trees[d] = btree.NewDefault()
-	}
-	for i := 0; i < n; i++ {
-		o := ds.Obj(i)
-		for d := 0; d < dim; d++ {
-			if o.Observed(d) {
-				trees[d].Insert(o.Values[d], int32(i))
-			} else {
-				missing[d]++
-			}
-		}
-	}
-	q := &MaxScoreQueue{
-		Order:    make([]int32, n),
-		MaxScore: make([]int, n),
-	}
-	for i := 0; i < n; i++ {
-		o := ds.Obj(i)
-		best := n // |Ti| = |S| for unobserved dimensions
-		for d := 0; d < dim && best > 0; d++ {
-			if !o.Observed(d) {
-				continue
-			}
-			// CountGE includes o itself; exclude it, then add |Si|.
-			ti := trees[d].CountGE(o.Values[d]) - 1 + missing[d]
-			if ti < best {
-				best = ti
-			}
-		}
-		q.MaxScore[i] = best
-		q.Order[i] = int32(i)
-	}
-	sort.SliceStable(q.Order, func(a, b int) bool {
-		ia, ib := q.Order[a], q.Order[b]
-		if q.MaxScore[ia] != q.MaxScore[ib] {
-			return q.MaxScore[ia] > q.MaxScore[ib]
-		}
-		return ia < ib
-	})
-	return q
 }
 
 // OptimalBins evaluates the paper's Eq. (8): the bin count ξ minimizing the

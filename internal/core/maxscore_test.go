@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/gen"
+	"repro/internal/reference"
 )
 
 // TestMaxScoreQueueFromIndexIdentical: the queue has one builder and two ways
@@ -23,7 +24,7 @@ func TestMaxScoreQueueFromIndexIdentical(t *testing.T) {
 	serving := bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{4}, Adaptive: true}
 	check := func(label string, ds *data.Dataset, ix *bitmapidx.Index) {
 		t.Helper()
-		want := core.BuildMaxScoreQueueBTree(ds)
+		want := reference.BuildMaxScoreQueueBTree(ds)
 		for name, got := range map[string]*core.MaxScoreQueue{
 			"from dataset": core.BuildMaxScoreQueue(ds),
 			"from index":   core.BuildMaxScoreQueueFromIndex(ix),
@@ -92,7 +93,7 @@ func TestMaxScoreQueueMergedFromRuns(t *testing.T) {
 	serving := bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{4}, Adaptive: true}
 	check := func(label string, ds *data.Dataset, cuts []int) {
 		t.Helper()
-		want := core.BuildMaxScoreQueueBTree(ds)
+		want := reference.BuildMaxScoreQueueBTree(ds)
 		var sorted, indexed []core.QueueRun
 		for i := 0; i+1 < len(cuts); i++ {
 			s := ds.Slice(cuts[i], cuts[i+1]).SortDims()

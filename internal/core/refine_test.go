@@ -11,6 +11,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/gen"
 	"repro/internal/paperdata"
+	"repro/internal/reference"
 )
 
 // TestIBIGBTreeMatchesDirect: IBIG's two scorers — the bitwise kernel and
@@ -55,7 +56,7 @@ func TestIBIGBTreeMatchesDirect(t *testing.T) {
 	for _, in := range inputs {
 		ds := in.ds
 		queue := core.BuildMaxScoreQueue(ds)
-		trees := core.BuildDimTrees(ds)
+		trees := reference.BuildDimTrees(ds)
 		for _, bins := range []int{2, 5, 16} {
 			opts := bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{bins}}
 			ix := bitmapidx.Build(ds, opts)
@@ -67,7 +68,7 @@ func TestIBIGBTreeMatchesDirect(t *testing.T) {
 			}
 			for _, k := range []int{1, 8, 32} {
 				direct, dst := core.IBIG(ds, k, ix, queue)
-				viaTree, tst := core.IBIGBTree(ds, k, ix, queue, trees)
+				viaTree, tst := reference.IBIGBTree(ds, k, ix, queue, trees)
 				if !reflect.DeepEqual(direct.Items, viaTree.Items) {
 					t.Fatalf("%s bins=%d k=%d: B+-tree answer %v, kernel %v", in.name, bins, k, viaTree.Items, direct.Items)
 				}
@@ -86,7 +87,7 @@ func TestIBIGBTreeMatchesDirect(t *testing.T) {
 func TestIBIGBTreeOnPaperSample(t *testing.T) {
 	ds := paperdata.Sample()
 	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{2, 2, 3, 3}})
-	res, _ := core.IBIGBTree(ds, 2, ix, nil, nil) // build queue and trees on the fly
+	res, _ := reference.IBIGBTree(ds, 2, ix, nil, nil) // build queue and trees on the fly
 	for _, it := range res.Items {
 		if it.Score != paperdata.T2DAnswerScore {
 			t.Fatalf("score(%s) = %d, want %d", it.ID, it.Score, paperdata.T2DAnswerScore)
@@ -103,7 +104,7 @@ func TestIBIGBTreeOnPaperSample(t *testing.T) {
 func TestIBIGBTreeReportsHeuristics(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 800, Dim: 4, Cardinality: 16, MissingRate: 0.3, Dist: gen.IND, Seed: 55})
 	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{4}})
-	_, st := core.IBIGBTree(ds, 10, ix, nil, nil)
+	_, st := reference.IBIGBTree(ds, 10, ix, nil, nil)
 	if st.Candidates+st.PrunedH1 != ds.Len() {
 		t.Fatalf("candidates %d + H1 %d != N %d", st.Candidates, st.PrunedH1, ds.Len())
 	}

@@ -68,8 +68,8 @@ type Stats struct {
 	// dominates by popcount (|∩Q| − |E|, bitmapidx/score.go) without
 	// visiting it, so there Comparisons counts only the walked members of W
 	// — the rows that tie an inexact bucket of the candidate, classified
-	// against the rank table; zero over a value-granular index. IBIGBTree,
-	// §4.5's reference, counts the in-bin tree entries it visits instead.
+	// against the rank table; zero over a value-granular index. IBIGBTree
+	// (internal/reference, §4.5) counts the in-bin tree entries it visits instead.
 	Comparisons int64
 	// Workers is the goroutine count a parallel run used (0 for the serial
 	// paths).

@@ -155,7 +155,7 @@ func RunContext(ctx context.Context, a Algorithm, ds *data.Dataset, k int, pre *
 		est.Add(st)
 		return res, est, err
 	case AlgUBB:
-		return loop(ctx, ds, k, pre.Queue, pre.Queue.MaxScore, workers, func() scorer { return ubbScorer{ds: ds} }, sp)
+		return loop(ctx, ds, k, pre.Queue, pre.Queue.MaxScore, workers, func() Scorer { return ubbScorer{ds: ds} }, sp)
 	case AlgBIG:
 		return bitmapRun(ctx, a, ds, k, pre.Bitmap, pre.Queue, workers, sp)
 	case AlgIBIG:

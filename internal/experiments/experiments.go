@@ -148,7 +148,7 @@ func All() []Spec {
 		{"fig16", "TKD cost on synthetic data vs missing rate σ", Fig16},
 		{"fig17", "TKD cost on synthetic data vs dimensional cardinality c", Fig17},
 		{"fig18", "Objects pruned by Heuristics 1/2/3 vs k", Fig18},
-		{"ablation", "Design-choice ablations: refinement strategy, column codec (not in the paper)", Ablation},
+		{"ablation", "Design-choice ablations: refinement strategy, column codec, ESB candidate set (not in the paper)", Ablation},
 	}
 }
 

@@ -38,23 +38,41 @@ func TestAllSpecsRunAtTinyScale(t *testing.T) {
 	}
 }
 
-// TestFig18CountsAreConsistent: pruning counts must not exceed N and must
-// sum with candidates correctly (spot check at tiny scale).
+// TestFig18CountsAreConsistent holds Fig. 18's counts to what the serial
+// loop implies. Every object is either cut by Heuristic 1 or a candidate, and
+// at least min(k, N) candidates are scored to fill the answer, so
+// H1 + H2 + H3 ≤ N − min(k, N). And τ at a queue position is the k-th best
+// score so far, which a larger k never raises, so Heuristic 1 never prunes
+// more as k grows.
 func TestFig18CountsAreConsistent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment drivers in -short mode")
 	}
 	tables := Fig18(Tiny)
-	if len(tables) != 5 {
+	datasets := allDatasets(Tiny)
+	if len(tables) != len(datasets) || len(tables) != 5 {
 		t.Fatalf("Fig18 produced %d tables, want 5 datasets", len(tables))
 	}
-	for _, tab := range tables {
+	for i, tab := range tables {
+		n := datasets[i].ds.Len()
+		prevH1 := n
 		for _, row := range tab.Rows {
-			for _, cell := range row {
-				if _, err := strconv.Atoi(cell); err != nil {
+			var v [4]int
+			for c, cell := range row {
+				x, err := strconv.Atoi(cell)
+				if err != nil {
 					t.Fatalf("non-integer cell %q in %q", cell, tab.Title)
 				}
+				v[c] = x
 			}
+			k, h1, h2, h3 := v[0], v[1], v[2], v[3]
+			if h1+h2+h3 > n-min(k, n) {
+				t.Errorf("%q k=%d: H1 %d + H2 %d + H3 %d > N %d − min(k, N)", tab.Title, k, h1, h2, h3, n)
+			}
+			if h1 > prevH1 {
+				t.Errorf("%q k=%d: H1 %d rose from %d at a smaller k", tab.Title, k, h1, prevH1)
+			}
+			prevH1 = h1
 		}
 	}
 }

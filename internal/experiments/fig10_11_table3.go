@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/gen"
+	"repro/internal/reference"
 )
 
 // defaultBins returns the per-dataset bin layout of §5.1: "we employ IBIG
@@ -263,7 +264,7 @@ func Table3(s Scale) []Table {
 		Header: []string{"dataset", "MaxScore", "bitmap index", "binned bitmap index"},
 	}
 	for _, nd := range allDatasets(s) {
-		tq := measure(func() { core.BuildMaxScoreQueueBTree(nd.ds) })
+		tq := measure(func() { reference.BuildMaxScoreQueueBTree(nd.ds) })
 		tBig := measure(func() {
 			bitmapidx.Build(nd.ds, bitmapidx.Options{Codec: bitmapidx.Raw})
 		})

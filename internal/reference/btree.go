@@ -1,7 +1,20 @@
-// Package btree implements an order-configurable B+-tree mapping float64
-// keys to postings lists of object identifiers.
+// Package reference keeps the paper's two B+-tree procedures. Nothing that
+// serves a query runs them; only the experiments and tests import this
+// package.
 //
-// The TKD paper uses B+-trees in two places, and so do we:
+//   - §4.2's MaxScore queue, BuildMaxScoreQueueBTree: the MaxScore column of
+//     Table 3, and the oracle core's queue builders are held to.
+//   - §4.5's IBIG refinement, IBIGBTree: one side of the refinement ablation,
+//     a scorer of core's serial candidate loop.
+package reference
+
+import "sort"
+
+// DefaultOrder is the default maximum number of keys per node.
+const DefaultOrder = 64
+
+// Tree is an order-configurable B+-tree from float64 keys to postings lists
+// of object identifiers. The paper uses it in two places:
 //
 //   - computing the MaxScore upper bound of every object at O(N·lgN) cost
 //     (§4.2): one tree per dimension answers "how many objects have a value
@@ -14,15 +27,7 @@
 // queries (CountGE/CountGT/CountLT/CountLE) run in O(log N) regardless of
 // how many postings match. The tree supports duplicate keys by storing all
 // ids for a key in one postings list. Deletion is intentionally omitted:
-// every use in this system builds the tree once over a static dataset.
-package btree
-
-import "sort"
-
-// DefaultOrder is the default maximum number of keys per node.
-const DefaultOrder = 64
-
-// Tree is a B+-tree from float64 keys to postings lists.
+// every use builds the tree once over a static dataset.
 type Tree struct {
 	root  *node
 	order int
@@ -256,7 +261,7 @@ func (t *Tree) AscendRange(lo, hi float64, fn func(key float64, ids []int32) boo
 // slices; a convenience for index construction.
 func FromPairs(keys []float64, ids []int32) *Tree {
 	if len(keys) != len(ids) {
-		panic("btree: FromPairs length mismatch")
+		panic("reference: FromPairs length mismatch")
 	}
 	t := NewDefault()
 	for i, k := range keys {

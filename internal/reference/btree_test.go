@@ -1,4 +1,4 @@
-package btree
+package reference
 
 import (
 	"math/rand"

@@ -1,29 +1,27 @@
-package core
+package reference
 
 import (
-	"context"
 	"math/bits"
 
 	"repro/internal/bitmapidx"
-	"repro/internal/btree"
+	"repro/internal/core"
 	"repro/internal/data"
 )
 
-// §4.5's implementation note, kept as a paper reference: IBIG's Q−P
-// refinement through one B+-tree per dimension, which locates o's bin
-// boundary and scans only the in-bin keys below o[i] (the nonD members) and
-// equal to o[i] (the tagT increments). It is one more scorer of the serial
-// candidate loop, reached only through IBIGBTree — by the refinement
-// ablation, BenchmarkAblationRefinement and the identity tests. No served
-// query builds a tree.
+// §4.5's implementation note: IBIG's Q−P refinement through one B+-tree per
+// dimension, which locates o's bin boundary and scans only the in-bin keys
+// below o[i] (the nonD members) and equal to o[i] (the tagT increments). It
+// is one more scorer of core's serial candidate loop (core.SerialRun),
+// reached only through IBIGBTree — by the refinement ablation and the
+// identity tests.
 
 // BuildDimTrees constructs one B+-tree per dimension over the observed
 // values (value → object ids), the preprocessing artifact IBIGBTree
 // consumes; pass them in to time the query alone.
-func BuildDimTrees(ds *data.Dataset) []*btree.Tree {
-	trees := make([]*btree.Tree, ds.Dim())
+func BuildDimTrees(ds *data.Dataset) []*Tree {
+	trees := make([]*Tree, ds.Dim())
 	for d := range trees {
-		trees[d] = btree.NewDefault()
+		trees[d] = NewDefault()
 	}
 	for i := 0; i < ds.Len(); i++ {
 		o := ds.Obj(i)
@@ -87,20 +85,20 @@ type btreeScorer struct {
 	ds     *data.Dataset
 	ix     *bitmapidx.Index
 	cursor *bitmapidx.Cursor
-	trees  []*btree.Tree
+	trees  []*Tree
 	tags   epochTags
 }
 
-// score classifies the Q−P rim without touching per-candidate values: for
+// Score classifies the Q−P rim without touching per-candidate values: for
 // every observed dimension of o it scans the B+-tree over [bin start, o[i]] —
 // keys strictly below o[i] identify nonD members directly (possible only for
 // same-bin smaller values), keys equal to o[i] feed the tagT counters — and
 // then the all-common-dims-equal candidates are read off the counters.
 // Because F(o) ⊆ P and every comparable member of P is dominated,
 // |G(o)| = |P| − |F(o)| needs no iteration at all. Heuristic 2 runs first,
-// exactly as in bigState.score; the comparisons reported are the in-bin tree
-// entries visited.
-func (s *btreeScorer) score(o int, tau int) (int, scoreResult, int64) {
+// exactly as in core's bitmap scorer; the comparisons reported are the
+// in-bin tree entries visited.
+func (s *btreeScorer) Score(o int, tau int) (int, core.ScoreResult, int64) {
 	obj := s.ds.Obj(o)
 	f := s.cursor.IncomparableRows(obj.Mask)
 	full := tau >= 0
@@ -108,7 +106,7 @@ func (s *btreeScorer) score(o int, tau int) (int, scoreResult, int64) {
 	if full {
 		mb, above := s.cursor.MaxBitScoreAbove(o, tau+f)
 		if !above {
-			return 0, prunedH2, 0 // Heuristic 2, threshold-aware cascade
+			return 0, core.PrunedH2, 0 // Heuristic 2, threshold-aware cascade
 		}
 		maxBit = mb
 	} else {
@@ -155,7 +153,7 @@ func (s *btreeScorer) score(o int, tau int) (int, scoreResult, int64) {
 			return true
 		})
 		if pruned {
-			return 0, prunedH3, visited
+			return 0, core.PrunedH3, visited
 		}
 	}
 	// All-equal candidates: tagT == |bp & bo|.
@@ -167,24 +165,23 @@ func (s *btreeScorer) score(o int, tau int) (int, scoreResult, int64) {
 		if s.tags.count(id) == int32(bits.OnesCount64(po.Mask&obj.Mask)) {
 			nonD++
 			if useH3 && nonD > nonDBudget {
-				return 0, prunedH3, visited
+				return 0, core.PrunedH3, visited
 			}
 		}
 	}
-	return g + rim - nonD, scored, visited
+	return g + rim - nonD, core.Scored, visited
 }
 
 // IBIGBTree is serial IBIG with the B+-tree-backed Q−P refinement of §4.5.
 // queue and trees may be nil, in which case they are built on the fly (pass
 // pre-built ones to measure pure query time, as the experiments do).
-func IBIGBTree(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue, trees []*btree.Tree) (Result, Stats) {
+func IBIGBTree(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *core.MaxScoreQueue, trees []*Tree) (core.Result, core.Stats) {
 	if trees == nil {
 		trees = BuildDimTrees(ds)
 	}
 	if queue == nil {
-		queue = BuildMaxScoreQueue(ds)
+		queue = core.BuildMaxScoreQueue(ds)
 	}
 	s := &btreeScorer{ds: ds, ix: ix, cursor: ix.NewCursor(), trees: trees, tags: newEpochTags(ds.Len())}
-	res, st, _ := serialRun(context.Background(), ds, k, queue, queue.MaxScore, s, nil) // never cancelled
-	return res, st
+	return core.SerialRun(ds, k, queue, s)
 }
