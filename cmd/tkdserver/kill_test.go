@@ -293,7 +293,7 @@ func epochStatus(t *testing.T, hc *http.Client, base string, fp uint64) int {
 
 func queryItems(t *testing.T, hc *http.Client, base string, k int) []server.QueryItem {
 	t.Helper()
-	resp, err := hc.Post(base+"/v1/datasets/kill/query", "application/json", strings.NewReader(fmt.Sprintf(`{"k":%d,"workers":1}`, k)))
+	resp, err := hc.Post(base+"/v1/datasets/kill/query", "application/json", strings.NewReader(fmt.Sprintf(`{"k":%d}`, k)))
 	if err != nil {
 		t.Fatal(err)
 	}

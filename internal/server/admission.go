@@ -12,17 +12,17 @@ import (
 // run side by side at full speed, while fanning one query over two workers
 // buys well under 2 × (a stale τ scores candidates the serial loop prunes),
 // so intra-query workers are kept for cores that would otherwise idle: a
-// group that did not ask for a worker count is granted its fair share
-// max(1, capacity ÷ (groups running + groups waiting)), taken when it joins
-// the line — the whole machine when it is alone, one worker each when as
-// many groups as cores are runnable. A group whose query can use only one
-// worker (core.UsefulWorkers: BIG and IBIG over at most one kernel block of
-// rows) asks for one instead (scheduler.dispatch), so the slots it cannot use
-// stay free for the next query. An explicit count is honoured, clamped to the
-// capacity so one oversized request can never deadlock. Slots are handed out
-// strictly in arrival order by the releaser itself, so a wide request is
-// never overtaken by a stream of narrow ones and no wake-up is lost; a burst
-// degrades to queueing instead of oversubscribing the cores.
+// group is granted its fair share max(1, capacity ÷ (groups running + groups
+// waiting)), taken when it joins the line — the whole machine when it is
+// alone, one worker each when as many groups as cores are runnable. A group
+// whose query can use only one worker (core.UsefulWorkers: BIG and IBIG over
+// at most one kernel block of rows) asks for one instead (scheduler.submit),
+// so the slots it cannot use stay free for the next query. A count asked for
+// is clamped to the capacity, so one oversized request can never deadlock.
+// Slots are handed out strictly in arrival order by the releaser itself, so
+// a wide request is never overtaken by a stream of narrow ones and no
+// wake-up is lost; a burst degrades to queueing instead of oversubscribing
+// the cores.
 type admission struct {
 	mu       sync.Mutex
 	capacity int
@@ -47,14 +47,12 @@ func newAdmission(capacity int) *admission {
 }
 
 // enter takes the next place in line without blocking. want <= 0 asks for
-// the fair share; mates is how many further groups the caller is about to
-// enter (the rest of its dispatch), so that every group of one dispatch
-// divides by the same count.
-func (a *admission) enter(want, mates int) *grant {
+// the fair share.
+func (a *admission) enter(want int) *grant {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if want <= 0 {
-		want = a.capacity / (a.running + len(a.line) + 1 + mates)
+		want = a.capacity / (a.running + len(a.line) + 1)
 	}
 	g := &grant{n: min(max(want, 1), a.capacity), ready: make(chan struct{})}
 	a.line = append(a.line, g)

@@ -34,14 +34,14 @@ func idle(t *testing.T, a *admission) {
 // free slot at once; after it, the narrow ones go in arrival order.
 func TestAdmissionFIFO(t *testing.T) {
 	a := newAdmission(2)
-	first := a.enter(1, 0)
+	first := a.enter(1)
 	if !held(first) {
 		t.Fatal("a 1-slot request on an idle 2-slot controller had to wait")
 	}
-	wide := a.enter(2, 0)
+	wide := a.enter(2)
 	narrow := make([]*grant, 10)
 	for i := range narrow {
-		narrow[i] = a.enter(1, 0)
+		narrow[i] = a.enter(1)
 	}
 	if held(wide) {
 		t.Fatal("2-slot request admitted with one slot in use")
@@ -73,22 +73,22 @@ func TestAdmissionFIFO(t *testing.T) {
 }
 
 // TestAdmissionFairShare pins the grant rule: the fair share divides the
-// capacity by the groups running plus the groups in line (the caller and the
-// mates of its dispatch included) with a floor of one; an explicit count is honoured,
-// never raised, and clamped to the capacity.
+// capacity by the groups running plus the groups in line (the caller
+// included) with a floor of one; an explicit count is honoured, never raised,
+// and clamped to the capacity.
 func TestAdmissionFairShare(t *testing.T) {
 	a := newAdmission(4)
 	var all []*grant
-	enter := func(want, mates int) *grant {
-		g := a.enter(want, mates)
+	enter := func(want int) *grant {
+		g := a.enter(want)
 		all = append(all, g)
 		return g
 	}
-	alone := enter(0, 0)
+	alone := enter(0)
 	if alone.n != 4 || !held(alone) {
 		t.Fatalf("a lone group was granted %d of 4 slots (held: %v)", alone.n, held(alone))
 	}
-	second := enter(0, 0) // one running + itself
+	second := enter(0) // one running + itself
 	if second.n != 2 || held(second) {
 		t.Fatalf("second group: granted %d (want 2), held %v (want waiting)", second.n, held(second))
 	}
@@ -97,17 +97,15 @@ func TestAdmissionFairShare(t *testing.T) {
 	if !held(second) {
 		t.Fatal("second group not admitted on release")
 	}
-	// One running; one dispatch of two groups enters together and both divide
-	// by three.
-	m0, m1 := enter(0, 1), enter(0, 0)
-	if m0.n != 1 || m1.n != 1 || !held(m0) || !held(m1) {
-		t.Fatalf("dispatch mates granted %d and %d (want 1 and 1), held %v %v", m0.n, m1.n, held(m0), held(m1))
+	if third := enter(0); third.n != 2 || !held(third) {
+		t.Fatalf("third group: granted %d (want 2), held %v (want running)", third.n, held(third))
 	}
 	// Explicit counts are honoured as asked, never raised to the share, and
-	// clamped to the capacity; the floor is one however long the line.
-	for _, c := range []struct{ want, mates, n int }{{1, 0, 1}, {3, 0, 3}, {9, 0, 4}, {0, 20, 1}} {
-		if g := enter(c.want, c.mates); g.n != c.n {
-			t.Fatalf("enter(%d, %d) was granted %d, want %d", c.want, c.mates, g.n, c.n)
+	// clamped to the capacity; with two running and three in line the share
+	// is below one, and the floor is one.
+	for _, c := range []struct{ want, n int }{{1, 1}, {3, 3}, {9, 4}, {0, 1}} {
+		if g := enter(c.want); g.n != c.n {
+			t.Fatalf("enter(%d) was granted %d, want %d", c.want, g.n, c.n)
 		}
 	}
 	// The line is strict FIFO, so releasing in arrival order never blocks.
@@ -122,11 +120,11 @@ func TestAdmissionFairShare(t *testing.T) {
 // release to be noticed.
 func TestAdmissionReleaseWakesAll(t *testing.T) {
 	a := newAdmission(4)
-	wide := a.enter(4, 0)
+	wide := a.enter(4)
 	waiters := make([]*grant, 4)
 	done := make(chan int, len(waiters))
 	for i := range waiters {
-		waiters[i] = a.enter(1, 0)
+		waiters[i] = a.enter(1)
 		go func(g *grant) { done <- g.wait() }(waiters[i])
 	}
 	a.release(wide.wait())
@@ -159,7 +157,7 @@ func TestAdmissionInterleavings(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < rounds; i++ {
 				want := rng.Intn(capacity+3) - 1 // -1 … capacity+1
-				n := a.enter(want, rng.Intn(2)).wait()
+				n := a.enter(want).wait()
 				if n < 1 || n > capacity || (want > 0 && n > want) {
 					t.Errorf("asked %d, granted %d of %d", want, n, capacity)
 				}

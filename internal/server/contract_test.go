@@ -74,6 +74,7 @@ func TestErrorContract(t *testing.T) {
 		{"query k zero", "POST", "/v1/datasets/file/query", server.QueryRequest{}, "", http.StatusBadRequest, "bad_request"},
 		{"query bad algorithm", "POST", "/v1/datasets/file/query", server.QueryRequest{K: 3, Algorithm: "nope"}, "", http.StatusBadRequest, "bad_request"},
 		{"query contradiction", "POST", "/v1/datasets/file/query", server.QueryRequest{Dataset: "mem", K: 3}, "", http.StatusBadRequest, "bad_request"},
+		{"query names workers", "POST", "/v1/datasets/file/query", nil, `{"k":3,"workers":2}`, http.StatusBadRequest, "bad_request"},
 		{"query timeout overflows", "POST", "/v1/datasets/file/query", server.QueryRequest{K: 3, TimeoutMillis: math.MaxInt64/int(time.Millisecond) + 1}, "", http.StatusBadRequest, "bad_request"},
 		{"query unknown dataset", "POST", "/v1/datasets/ghost/query", server.QueryRequest{K: 3}, "", http.StatusNotFound, "dataset_not_found"},
 		{"subscribe bad json", "POST", "/v1/datasets/file/subscribe", nil, "nope", http.StatusBadRequest, "bad_request"},

@@ -257,7 +257,7 @@ func TestChaosSoak(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < ops; i++ {
 						k := ks[(c+i)%len(ks)]
-						qr, code := postQuery(t, cts.URL, server.QueryRequest{Dataset: "big", K: k, Workers: 1})
+						qr, code := postQuery(t, cts.URL, server.QueryRequest{Dataset: "big", K: k})
 						if code != http.StatusOK {
 							errored.Add(1)
 							continue

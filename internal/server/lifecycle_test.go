@@ -575,7 +575,7 @@ func TestReloadUnderLoad(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < ops; i++ {
 						k := ks[(c+i)%len(ks)]
-						qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "x", K: k, Workers: (c + i) % 3})
+						qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "x", K: k})
 						if code != http.StatusOK {
 							failed.Add(1)
 							t.Errorf("query during reload: HTTP %d", code)

@@ -12,30 +12,25 @@ import (
 	"repro/tkd"
 )
 
-// The batch scheduler. Each resident dataset owns one scheduler goroutine,
-// which hands every request to the admission line the moment it receives it:
-// a query never waits for company. Requests already queued behind it are
-// swept into the same dispatch and divide the fair share between them as
-// mates. Every query runs IBIG, the one plan the server serves (the handler
-// refuses the other four). The loop groups identical queries (same k,
-// workers, allow_partial) so each group executes once and fans its answer
-// out to every waiter, hands every new group to a goroutine of its own and
-// goes straight back to receiving. A request whose key matches a group that
-// is still waiting for its admission grant joins that group instead of
-// entering the line again: identical queries coalesce exactly when they
-// queue behind running work.
-// Distinct queries run side by side over the same warm core.Pre and
-// decompressed-column cache. How many workers a group gets, and when, is the
-// admission controller's decision (admission.go), server-wide across
-// datasets.
+// The batch scheduler. A query dispatches on the goroutine that submits it,
+// under the scheduler's lock: it joins the group of an identical query (same
+// k and allow_partial) that still waits for its admission grant, or it takes
+// one of maxBatch in-flight tokens, opens a group of its own, takes its place
+// in the admission line and hands the group to a goroutine of its own. Each
+// group executes once and fans its answer out to every waiter, so identical
+// queries coalesce exactly when they queue behind running work, and a waiter
+// whose deadline fires answers at once while its group runs on for the
+// others. Every query runs IBIG, the one plan the server serves (the handler
+// refuses the other four). Distinct queries run side by side over the same
+// warm core.Pre and decompressed-column cache. How many workers a group gets,
+// and when, is the admission controller's decision (admission.go),
+// server-wide across datasets.
 //
 // Lifecycle: a scheduler retires through drainStop (dataset eviction,
-// graceful server shutdown), which refuses new submits, lets in-flight
-// submits finish enqueueing, dispatches everything already queued, joins
-// every group still executing and only then lets the goroutine exit — no
-// accepted query is ever dropped, and no goroutine the scheduler started
-// outlives it. The server's done channel (Close) is the immediate teardown
-// used by tests.
+// graceful server shutdown), which refuses new submits and returns once every
+// group already dispatched has answered — no accepted query is ever dropped,
+// and no goroutine the scheduler started outlives it. The server's done
+// channel (Close) is the immediate teardown used by tests.
 
 // queryKey identifies one executable query shape; requests with equal keys
 // that wait together share one execution. AllowPartial is part of the key: a
@@ -43,7 +38,6 @@ import (
 // execution, because under a shard outage they want different answers.
 type queryKey struct {
 	K            int
-	Workers      int
 	AllowPartial bool
 }
 
@@ -59,15 +53,14 @@ type reply struct {
 }
 
 type request struct {
-	key   queryKey
 	ctx   context.Context // the waiter's deadline/disconnect signal
-	reply chan reply      // buffered(1); the scheduler never blocks on it
+	reply chan reply      // buffered(1); the group never blocks on it
 	sp    *obs.Span       // the waiter's root span (nil = untraced)
-	enq   time.Time       // when the waiter entered the queue
+	enq   time.Time       // when the waiter submitted
 }
 
-// group is one execution's waiters: the requests dispatched with its key and
-// those that joined it before it started.
+// group is one execution's waiters: the request that opened it and those
+// that joined it before it started.
 type group struct {
 	key  queryKey
 	reqs []*request
@@ -78,112 +71,130 @@ type group struct {
 // next attempt).
 var errSchedulerDraining = fmt.Errorf("server: dataset is draining")
 
+// errShuttingDown is returned to waiters the server's Close cut off.
+var errShuttingDown = fmt.Errorf("server: shutting down")
+
 type scheduler struct {
 	ds   *tkd.Dataset
 	adm  *admission
 	met  *datasetMetrics
-	in   chan *request
 	done chan struct{} // server-wide immediate shutdown (Server.Close)
 
-	// Groups dispatched and not yet answered: inflight holds one token per
-	// group (a request that joins a pending group takes none), so at
-	// maxBatch of them the loop stops receiving and a full queue pushes back
-	// on submit; groups is what the loop joins on exit.
+	// inflight holds one token per group dispatched and not yet answered (a
+	// request that joins a pending group takes none), so at maxBatch of them
+	// a submit that would open another waits.
 	inflight chan struct{}
-	groups   sync.WaitGroup
 
 	// pending maps a key to its dispatched group that has not started
-	// executing; the loop adds to it and each group's goroutine removes
-	// itself once it holds its grant.
-	mu      sync.Mutex
-	pending map[queryKey]*group
-
-	// Drain machinery: draining flips first, then drainStop takes rw
-	// exclusively as a barrier against submits that passed the flag check,
-	// then drained tells the loop to dispatch the backlog, join its groups
-	// and exit (closing exited). See drainStop for the full handshake.
-	draining  atomic.Bool
-	rw        sync.RWMutex
-	drained   chan struct{}
-	exited    chan struct{}
-	drainOnce sync.Once
+	// executing; each group's goroutine removes itself once it holds its
+	// grant. running counts the groups dispatched and not yet answered, and
+	// idle closes once the scheduler is draining and running is 0.
+	mu       sync.Mutex
+	pending  map[queryKey]*group
+	running  int
+	draining atomic.Bool // written under mu
+	idle     chan struct{}
 }
 
-// maxBatch bounds the requests one dispatch sweeps up, the submit queue
-// behind it and the groups in flight ahead of it.
+// maxBatch bounds the groups in flight per dataset.
 const maxBatch = 64
 
 func newScheduler(ds *tkd.Dataset, adm *admission, met *datasetMetrics, done chan struct{}) *scheduler {
-	s := &scheduler{
+	return &scheduler{
 		ds:       ds,
 		adm:      adm,
 		met:      met,
-		in:       make(chan *request, maxBatch),
 		done:     done,
-		drained:  make(chan struct{}),
-		exited:   make(chan struct{}),
 		inflight: make(chan struct{}, maxBatch),
 		pending:  make(map[queryKey]*group),
+		idle:     make(chan struct{}),
 	}
-	go s.loop()
-	return s
 }
 
-// drainStop retires the scheduler gracefully: new submits are refused with
-// errSchedulerDraining, submits already past the check finish enqueueing, and the
-// loop answers every queued request before its goroutine exits. Safe to call
-// multiple times and concurrently; it returns once the loop and every group
-// it dispatched are gone (or the server was torn down via Close).
-func (s *scheduler) drainStop() {
-	s.drainOnce.Do(func() {
+// drain refuses every later submit with errSchedulerDraining; the groups
+// already dispatched run on. Safe to call multiple times.
+func (s *scheduler) drain() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.draining.Load() {
 		s.draining.Store(true)
-		// Barrier: an exclusive lock cannot be granted until every submit
-		// that read draining==false has released its read lock, i.e. has
-		// finished (or abandoned) its send on s.in. After this point the
-		// queue can only shrink.
-		s.rw.Lock()
-		s.rw.Unlock() //nolint:staticcheck // empty critical section IS the barrier
-		close(s.drained)
-	})
+		if s.running == 0 {
+			close(s.idle)
+		}
+	}
+}
+
+// drainStop retires the scheduler gracefully: it drains and returns once
+// every group dispatched has answered its waiters (or the server was torn
+// down via Close). Safe to call multiple times and concurrently.
+func (s *scheduler) drainStop() {
+	s.drain()
 	select {
-	case <-s.exited:
+	case <-s.idle:
 	case <-s.done:
 	}
 }
 
-// submit enqueues one query and waits for its reply; ctx cancellation (or
-// server shutdown) abandons the wait — the scheduler still finishes the
-// query for its group-mates and the buffered reply channel is collected by
-// the garbage collector. sp, when non-nil, receives the queue-wait span and
-// the execution spans.
+// submit dispatches one query and waits for its reply; ctx cancellation (or
+// server shutdown) abandons the wait — the group still finishes the query for
+// its other waiters and the buffered reply channel is collected by the
+// garbage collector. sp, when non-nil, receives the queue-wait span and the
+// execution spans.
 func (s *scheduler) submit(ctx context.Context, key queryKey, sp *obs.Span) (reply, error) {
-	if s.draining.Load() {
-		return reply{}, errSchedulerDraining
+	req := &request{ctx: ctx, reply: make(chan reply, 1), sp: sp, enq: time.Now()}
+	// The first pass joins or refuses without a token. A request that needs a
+	// group of its own waits for a token outside the lock and places itself
+	// again, since an identical query may have opened the group meanwhile.
+	for token := false; ; token = true {
+		s.mu.Lock()
+		g, joined := s.pending[key]
+		switch {
+		case s.draining.Load():
+			s.mu.Unlock()
+			if token {
+				<-s.inflight
+			}
+			return reply{}, errSchedulerDraining
+		case joined:
+			g.reqs = append(g.reqs, req)
+			s.mu.Unlock()
+			if token {
+				<-s.inflight
+			}
+			return s.await(ctx, req)
+		case token:
+			g = &group{key: key, reqs: []*request{req}}
+			s.pending[key] = g
+			s.running++
+			s.mu.Unlock()
+			want := 0 // the fair share
+			if core.UsefulWorkers(core.AlgIBIG, s.ds.Len(), s.adm.capacity) == 1 {
+				want = 1 // the rest of its fair share stays free for the next query
+			}
+			go s.run(g, s.adm.enter(want))
+			return s.await(ctx, req)
+		}
+		s.mu.Unlock()
+		select {
+		case s.inflight <- struct{}{}:
+		case <-ctx.Done():
+			return reply{}, ctx.Err()
+		case <-s.done:
+			return reply{}, errShuttingDown
+		}
 	}
-	req := &request{key: key, ctx: ctx, reply: make(chan reply, 1), sp: sp, enq: time.Now()}
-	s.rw.RLock()
-	if s.draining.Load() {
-		s.rw.RUnlock()
-		return reply{}, errSchedulerDraining
-	}
-	select {
-	case s.in <- req:
-		s.rw.RUnlock()
-	case <-ctx.Done():
-		s.rw.RUnlock()
-		return reply{}, ctx.Err()
-	case <-s.done:
-		s.rw.RUnlock()
-		return reply{}, fmt.Errorf("server: shutting down")
-	}
+}
+
+// await waits for req's reply.
+func (s *scheduler) await(ctx context.Context, req *request) (reply, error) {
 	select {
 	case r := <-req.reply:
 		return r, nil
 	case <-ctx.Done():
 		return reply{}, ctx.Err()
 	case <-s.done:
-		// A graceful Shutdown closes done only after the drain served every
-		// queued request, so the answer may already sit in the buffered
+		// A graceful Shutdown closes done only after the drain answered every
+		// dispatched group, so the answer may already sit in the buffered
 		// reply channel alongside the closed done — prefer it: an accepted
 		// and served query must not turn into a shutdown error by select
 		// randomness.
@@ -191,94 +202,15 @@ func (s *scheduler) submit(ctx context.Context, key queryKey, sp *obs.Span) (rep
 		case r := <-req.reply:
 			return r, nil
 		default:
-			return reply{}, fmt.Errorf("server: shutting down")
+			return reply{}, errShuttingDown
 		}
-	}
-}
-
-// loop is the scheduler goroutine: receive a request, dispatch it with
-// whatever queued behind it, repeat; on drain, dispatch the backlog. It exits
-// only once every group it dispatched has replied.
-func (s *scheduler) loop() {
-	defer close(s.exited)
-	defer s.groups.Wait()
-	for {
-		var first *request
-		select {
-		case first = <-s.in:
-		case <-s.done:
-			return
-		case <-s.drained:
-			s.finalDrain()
-			return
-		}
-		batch := []*request{first}
-	sweep:
-		for len(batch) < maxBatch {
-			select {
-			case r := <-s.in:
-				batch = append(batch, r)
-			default:
-				break sweep
-			}
-		}
-		s.dispatch(batch)
-	}
-}
-
-// finalDrain dispatches everything enqueued before the drain barrier closed the
-// queue. The barrier guarantees no concurrent senders remain, so a
-// non-blocking sweep sees the complete backlog.
-func (s *scheduler) finalDrain() {
-	var batch []*request
-	for {
-		select {
-		case r := <-s.in:
-			batch = append(batch, r)
-		default:
-			if len(batch) > 0 {
-				s.dispatch(batch)
-			}
-			return
-		}
-	}
-}
-
-// dispatch hands one sweep of requests to the admission line: a request joins
-// the pending group of its key if there is one, the rest are grouped by key
-// and each new group takes its place in line in arrival order, dividing the
-// fair share with the new groups behind it — or one worker, when that is all
-// its query can use (core.UsefulWorkers) — and starts.
-func (s *scheduler) dispatch(batch []*request) {
-	var fresh []*group
-	s.mu.Lock()
-	for _, r := range batch {
-		if g, ok := s.pending[r.key]; ok {
-			g.reqs = append(g.reqs, r)
-			continue
-		}
-		g := &group{key: r.key, reqs: []*request{r}}
-		s.pending[r.key] = g
-		fresh = append(fresh, g)
-	}
-	s.mu.Unlock()
-	rows := s.ds.Len()
-	for i, g := range fresh {
-		s.inflight <- struct{}{}
-		s.groups.Add(1)
-		want := g.key.Workers
-		if want <= 0 && core.UsefulWorkers(core.AlgIBIG, rows, s.adm.capacity) == 1 {
-			want = 1 // the rest of its fair share stays free for the next query
-		}
-		go s.run(g, s.adm.enter(want, len(fresh)-1-i))
 	}
 }
 
 // run executes one group once its admission grant is held and fans the
 // answer out to every waiter, joiners included.
 func (s *scheduler) run(grp *group, g *grant) {
-	defer s.groups.Done()
-	defer func() { <-s.inflight }()
+	defer s.finish()
 	granted := g.wait()
 	s.mu.Lock()
 	delete(s.pending, grp.key)
@@ -359,5 +291,17 @@ func (s *scheduler) run(grp *group, g *grant) {
 			batch:     len(reqs),
 			granted:   granted,
 		}
+	}
+}
+
+// finish retires one answered group: its token goes back, and the last group
+// of a draining scheduler lets drainStop return.
+func (s *scheduler) finish() {
+	<-s.inflight
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.running--
+	if s.running == 0 && s.draining.Load() {
+		close(s.idle)
 	}
 }

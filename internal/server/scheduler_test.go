@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,9 +31,9 @@ func eventually(t *testing.T, what string, cond func() bool) {
 
 // TestDrainWaitsForRunningGroups retires a scheduler — by eviction and by
 // graceful Shutdown — while two groups execute and a third waits for a slot:
-// every accepted request gets its answer, none a shutdown error, the loop
-// exits only after the last group replied, and every goroutine the scheduler
-// started is gone when the drain returns. The test holds every slot (as
+// every accepted request gets its answer, none a shutdown error, the drain
+// returns only after the last group replied, and every goroutine the
+// scheduler started is gone when the drain returns. The test holds every slot (as
 // TestSchedulerSaturation's hog does) until the drain has begun, so the drain
 // always finds the three groups in flight, and hands the slots back in one
 // step that leaves two of them running and the third in line.
@@ -66,7 +67,7 @@ func TestDrainWaitsForRunningGroups(t *testing.T) {
 			}
 			e, _ := s.reg.get("d")
 			sch := e.sch
-			hog := s.adm.enter(2, 0)
+			hog := s.adm.enter(2)
 
 			replies := make([]reply, len(ks))
 			errs := make([]error, len(ks))
@@ -75,7 +76,7 @@ func TestDrainWaitsForRunningGroups(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					replies[i], errs[i] = sch.submit(context.Background(), queryKey{K: k, Workers: 1}, nil)
+					replies[i], errs[i] = sch.submit(context.Background(), queryKey{K: k}, nil)
 				}()
 			}
 			eventually(t, "three groups in line behind the held slots", func() bool {
@@ -101,13 +102,8 @@ func TestDrainWaitsForRunningGroups(t *testing.T) {
 				t.Fatalf("after the hog's release: %d groups running, %d in line; want two and a third in line", running, waiting)
 			}
 			<-stopped
-			select {
-			case <-sch.exited:
-			default:
-				t.Fatal("drain returned before the scheduler loop exited")
-			}
 			if n := len(sch.inflight); n != 0 {
-				t.Fatalf("loop exited with %d groups still in flight", n)
+				t.Fatalf("drain returned with %d groups still in flight", n)
 			}
 			wg.Wait()
 			for i, k := range ks {
@@ -133,40 +129,75 @@ func TestDrainWaitsForRunningGroups(t *testing.T) {
 }
 
 // TestSchedulerSaturation: with maxBatch groups dispatched and unable to
-// run, the loop stops collecting, the queue fills, and a further submit
-// blocks and returns its context's error on cancel instead of growing the
-// backlog; once slots free up every accepted request is answered.
+// run, a submit that would open another group waits for a token and returns
+// its context's error on cancel instead of growing the backlog, while a
+// submit identical to a group still in line joins it without a token; once
+// the slot frees every accepted request is answered, the joiner by its
+// group's execution.
 func TestSchedulerSaturation(t *testing.T) {
 	adm := newAdmission(1)
-	hog := adm.enter(1, 0) // the test holds the only slot
+	hog := adm.enter(1) // the test holds the only slot
 	done := make(chan struct{})
 	sch := newScheduler(tkd.GenerateIND(300, 2, 20, 0.1, 7), adm, &datasetMetrics{}, done)
 	defer close(done)
 
 	// Distinct k's, so every request is a group of its own. The scheduler
-	// absorbs maxBatch groups in flight, at most one sweep in the loop's
-	// hand and maxBatch queued; the rest block in submit.
+	// absorbs maxBatch groups in flight; the rest wait for a token in submit.
 	const accepted = 4 * maxBatch
 	errs := make(chan error, accepted)
 	for i := 0; i < accepted; i++ {
 		go func() {
-			rep, err := sch.submit(context.Background(), queryKey{K: 1 + i, Workers: 1}, nil)
+			rep, err := sch.submit(context.Background(), queryKey{K: 1 + i}, nil)
 			if err == nil {
 				err = rep.err
 			}
 			errs <- err
 		}()
 	}
-	saturated := func() bool { return len(sch.inflight) == maxBatch && len(sch.in) == maxBatch }
-	eventually(t, "maxBatch groups in flight and a full queue", saturated)
+	inLine := func() int {
+		sch.mu.Lock()
+		defer sch.mu.Unlock()
+		return len(sch.pending)
+	}
+	saturated := func() bool { return len(sch.inflight) == maxBatch && inLine() == maxBatch }
+	eventually(t, "maxBatch groups in flight", saturated)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := sch.submit(ctx, queryKey{K: 299, Workers: 1}, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := sch.submit(ctx, queryKey{K: 299}, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("submit against a saturated scheduler: %v, want DeadlineExceeded", err)
 	}
 	if !saturated() {
-		t.Fatalf("backlog moved while no slot was free: %d in flight, %d queued", len(sch.inflight), len(sch.in))
+		t.Fatalf("backlog moved while no slot was free: %d in flight, %d in line", len(sch.inflight), inLine())
+	}
+
+	// An identical query joins a group in line: it takes no token and is
+	// answered by that group's execution.
+	sch.mu.Lock()
+	var key queryKey
+	for key = range sch.pending {
+		break
+	}
+	sch.mu.Unlock()
+	joined := make(chan error, 1)
+	go func() {
+		rep, err := sch.submit(context.Background(), key, nil)
+		if err == nil && !rep.coalesced {
+			err = fmt.Errorf("k=%d: answered by an execution of its own", key.K)
+		}
+		if err == nil {
+			err = rep.err
+		}
+		joined <- err
+	}()
+	eventually(t, "the identical submit to join its group", func() bool {
+		sch.mu.Lock()
+		defer sch.mu.Unlock()
+		g := sch.pending[key]
+		return g != nil && len(g.reqs) == 2
+	})
+	if !saturated() {
+		t.Fatalf("a joiner moved the backlog: %d in flight, %d in line", len(sch.inflight), inLine())
 	}
 
 	adm.release(hog.wait())
@@ -175,8 +206,49 @@ func TestSchedulerSaturation(t *testing.T) {
 			t.Fatalf("accepted request failed after the slot was freed: %v", err)
 		}
 	}
+	if err := <-joined; err != nil {
+		t.Fatalf("the joiner: %v", err)
+	}
 	sch.drainStop()
 	idle(t, adm)
+}
+
+// TestNoGoroutinePerDataset: a resident dataset costs no goroutine of its
+// own. With ingest, following and the index directory off, registering
+// datasets leaves the goroutine count where it started, each answers a query
+// and evicting them all leaves it there too; a query's group goroutine is
+// gone once it has answered.
+func TestNoGoroutinePerDataset(t *testing.T) {
+	s := New(Config{MaxWorkers: 2})
+	defer s.Close()
+	base := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		eventually(t, what, func() bool { return runtime.NumGoroutine() <= base })
+	}
+	const datasets = 4
+	for i := 0; i < datasets; i++ {
+		if err := s.AddDataset(fmt.Sprintf("d%d", i), tkd.GenerateIND(500, 3, 20, 0.1, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		settled(fmt.Sprintf("the goroutine count after registering %d datasets", i+1))
+	}
+	for i := 0; i < datasets; i++ {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, fmt.Sprintf("/v1/datasets/d%d/query", i), strings.NewReader(`{"k":3}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("d%d query: HTTP %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	settled("the group goroutines to be gone")
+	for i := 0; i < datasets; i++ {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, fmt.Sprintf("/v1/datasets/d%d", i), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("d%d evict: HTTP %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	settled("the goroutine count after evicting every dataset")
 }
 
 // TestCoalescesBehindRunningGroups pins when identical queries share an
@@ -288,14 +360,13 @@ func TestCoalescesBehindRunningGroups(t *testing.T) {
 		}
 		return queue
 	}
-	serial := func(k int) queryKey { return queryKey{K: k, Workers: 1} }
 
 	t.Run("identical queries join the group in line", func(t *testing.T) {
 		t.Parallel()
 		s, sch := start(t)
 		before := coalescedTotal(t, s)
-		hog := s.adm.enter(2, 0)
-		key := serial(5)
+		hog := s.adm.enter(2)
+		key := queryKey{K: 5}
 		answers, traces := queueBehind(t, s, sch, key, 3)
 		s.adm.release(hog.wait())
 		shared := 0
@@ -319,9 +390,9 @@ func TestCoalescesBehindRunningGroups(t *testing.T) {
 	t.Run("a free slot starts a query at once", func(t *testing.T) {
 		t.Parallel()
 		s, sch := start(t)
-		hog := s.adm.enter(1, 0) // one of the two slots stays free
+		hog := s.adm.enter(1) // one of the two slots stays free
 		defer func() { s.adm.release(hog.wait()) }()
-		key := serial(4)
+		key := queryKey{K: 4}
 		tr := obs.New("query")
 		a := await(t, ask(sch, key, tr))
 		check(t, key, tr, a)
@@ -332,8 +403,8 @@ func TestCoalescesBehindRunningGroups(t *testing.T) {
 	t.Run("shutdown answers a joined group in line", func(t *testing.T) {
 		t.Parallel()
 		s, sch := start(t)
-		hog := s.adm.enter(2, 0)
-		key := serial(3)
+		hog := s.adm.enter(2)
+		key := queryKey{K: 3}
 		answers, traces := queueBehind(t, s, sch, key, 2)
 		stopped := make(chan struct{})
 		go func() {

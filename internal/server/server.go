@@ -5,7 +5,7 @@
 //
 // Endpoints:
 //
-//	POST   /v1/datasets/{name}/query  — {"k","algorithm","workers"} → ranked answer
+//	POST   /v1/datasets/{name}/query  — {"k","algorithm"} → ranked answer
 //	GET    /v1/datasets               — resident datasets and their shapes
 //	POST   /v1/datasets               — {"name","path","negate"} registers a CSV at runtime
 //	POST   /v1/datasets/{name}/reload — rebuild from the source file, swap epochs, zero downtime
@@ -14,9 +14,9 @@
 //	GET    /healthz                   — liveness
 //	GET    /metrics                   — Prometheus text: the family table of metrics.go
 //
-// A per-dataset batch scheduler (see scheduler.go) dispatches each query the
-// moment it arrives: distinct queries run side by side over the warm
-// artifacts and the decompressed-column cache, an identical query that
+// A per-dataset batch scheduler (see scheduler.go) dispatches each query on
+// the goroutine that submits it: distinct queries run side by side over the
+// warm artifacts and the decompressed-column cache, an identical query that
 // arrives while its twin still waits for worker slots shares the twin's
 // execution, and a server-wide FIFO admission controller (admission.go)
 // sizes and gates each query's worker fan-out. The paper's determinism guarantee (WithWorkers never changes an
@@ -269,7 +269,7 @@ func New(cfg Config) *Server {
 
 // AddDataset registers ds under name, applies the cache budget, warms it
 // (persisted index when available, built otherwise — and persisted once it
-// serves) and starts its batch scheduler. Datasets registered this way have
+// serves) and gives it a batch scheduler. Datasets registered this way have
 // no source file, so /reload returns 409 for them; use LoadCSVFile or POST
 // /v1/datasets for reloadable datasets. An unsharded dataset gets the
 // server's shard topology attached when Config.Shards > 1; one that already
@@ -385,18 +385,16 @@ func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool
 		}
 	}
 	met := &datasetMetrics{}
-	sch := newScheduler(ds, s.adm, met, s.done)
 	e := &entry{
 		name:   name,
 		ds:     ds,
 		met:    met,
-		sch:    sch,
+		sch:    newScheduler(ds, s.adm, met, s.done),
 		path:   path,
 		negate: negate,
 		ing:    ing,
 	}
 	if err := s.reg.add(e); err != nil {
-		sch.drainStop() // lost a registration race; don't leak the goroutine
 		ds.Close()
 		if ing != nil {
 			ing.log.Close() // the resident entry owns the segment files
@@ -608,22 +606,20 @@ func (s *Server) Close() {
 }
 
 // Shutdown gracefully retires the server: new queries are refused with 503,
-// every per-dataset scheduler drains its queued queries to completion, and
+// every per-dataset scheduler answers the queries it dispatched, and
 // only then is the server closed. Safe to call multiple times; callers that
 // also manage an http.Server should call Shutdown before (or concurrently
 // with) the http.Server's own Shutdown so handlers waiting on scheduler
 // replies get their answers.
 func (s *Server) Shutdown() {
 	s.draining.Store(true)
-	var wg sync.WaitGroup
-	for _, e := range s.reg.list() {
-		wg.Add(1)
-		go func(e *entry) {
-			defer wg.Done()
-			e.sch.drainStop()
-		}(e)
+	entries := s.reg.list()
+	for _, e := range entries {
+		e.sch.drain()
 	}
-	wg.Wait()
+	for _, e := range entries {
+		e.sch.drainStop()
+	}
 	// Flush, don't drop: rows acked into the WAL but not yet folded into an
 	// epoch are published and fsynced before the logs close.
 	s.flushIngest()
@@ -650,12 +646,6 @@ type QueryRequest struct {
 	// Algorithm is absent or IBIG, the one plan the server runs; the other
 	// four names answer 400 (the library runs them: tkd.WithAlgorithm).
 	Algorithm string `json:"algorithm,omitempty"`
-	// Workers fans candidate scoring across that many goroutines (1 is
-	// serial), clamped to the admission capacity. 0 or absent leaves the
-	// count to the admission controller: the query's fair share of the
-	// cores — all of them when it is alone, one when as many queries as
-	// cores are runnable.
-	Workers int `json:"workers,omitempty"`
 	// TimeoutMillis bounds this query end to end — scheduler wait, shard
 	// fan-out, in-flight peer RPCs all observe the deadline. 0 falls back to
 	// the server's configured default (which may be none).
@@ -869,10 +859,6 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "k must be positive")
 		return
 	}
-	if req.Workers < 0 {
-		writeError(w, r, http.StatusBadRequest, errBadRequest, "workers must be >= 0")
-		return
-	}
 	if !checkAlgorithm(w, r, req.Algorithm) {
 		return
 	}
@@ -912,7 +898,7 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	root.SetStr("algorithm", servedAlgorithm)
 
 	start := time.Now()
-	rep, err := e.sch.submit(ctx, queryKey{K: req.K, Workers: req.Workers, AllowPartial: req.AllowPartial}, root)
+	rep, err := e.sch.submit(ctx, queryKey{K: req.K, AllowPartial: req.AllowPartial}, root)
 	if err != nil {
 		// Scheduler-path failure: the deadline fired (or the client left)
 		// while the query waited for its slots or ran, or the
@@ -1243,8 +1229,9 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Drain: requests already accepted (or racing the removal) get served;
-	// then the scheduler goroutine exits, the shard health loops stop and the
-	// peer endpoint forgets the shard slices it cached for coordinators.
+	// once every dispatched group has answered, the shard health loops stop
+	// and the peer endpoint forgets the shard slices it cached for
+	// coordinators.
 	e.sch.drainStop()
 	e.ds.Close()
 	// The reload lock orders what follows after any in-flight reload or

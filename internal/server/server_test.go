@@ -87,9 +87,9 @@ func topKItems(t *testing.T, ds *tkd.Dataset, ks []int) map[int][]server.QueryIt
 }
 
 // TestEndToEnd is the acceptance test of the serving subsystem: two resident
-// datasets, 48 concurrent queries with mixed k/worker settings, the
-// algorithm named IBIG or left out, every response byte-identical to a
-// serial Naive tkd.TopK over the same data, and
+// datasets, 48 concurrent queries with mixed k, the algorithm named IBIG or
+// left out, every response byte-identical to a serial Naive tkd.TopK over
+// the same data, and
 // /metrics reporting non-zero cache hits plus decompress fallbacks under a
 // deliberately small cache budget.
 func TestEndToEnd(t *testing.T) {
@@ -104,15 +104,14 @@ func TestEndToEnd(t *testing.T) {
 		dataset string
 		k       int
 		alg     string
-		workers int
 	}
 	shapes := []tq{
-		{"ac", 3, "IBIG", 1}, {"ac", 5, "IBIG", 2}, {"ac", 8, "IBIG", 0},
-		{"ac", 5, "", 3}, {"ac", 7, "", 2}, {"ac", 4, "IBIG", 3},
-		{"ac", 6, "", 0}, {"ac", 5, "", 1}, // empty algorithm = IBIG
-		{"ind", 4, "IBIG", 1}, {"ind", 9, "IBIG", 3}, {"ind", 2, "IBIG", 0},
-		{"ind", 6, "", 2}, {"ind", 3, "", 3}, {"ind", 5, "IBIG", 2},
-		{"ind", 7, "", 0}, {"ind", 12, "", 2},
+		{"ac", 3, "IBIG"}, {"ac", 5, "IBIG"}, {"ac", 8, "IBIG"},
+		{"ac", 5, ""}, {"ac", 7, ""}, {"ac", 4, "IBIG"},
+		{"ac", 6, ""}, {"ac", 2, ""}, // empty algorithm = IBIG
+		{"ind", 4, "IBIG"}, {"ind", 9, "IBIG"}, {"ind", 2, "IBIG"},
+		{"ind", 6, ""}, {"ind", 3, ""}, {"ind", 5, "IBIG"},
+		{"ind", 7, ""}, {"ind", 12, ""},
 	}
 	// Serial ground truth from untouched copies of the same data, by the
 	// paper's definition (Naive), which every algorithm returns item for item.
@@ -133,7 +132,7 @@ func TestEndToEnd(t *testing.T) {
 			defer wg.Done()
 			q := shapes[g%len(shapes)]
 			qr, code := postQuery(t, ts.URL, server.QueryRequest{
-				Dataset: q.dataset, K: q.k, Algorithm: q.alg, Workers: q.workers,
+				Dataset: q.dataset, K: q.k, Algorithm: q.alg,
 			})
 			if code != http.StatusOK {
 				t.Errorf("query %+v: HTTP %d", q, code)
@@ -290,7 +289,6 @@ func TestValidation(t *testing.T) {
 		{server.QueryRequest{Dataset: "nope", K: 3}, http.StatusNotFound},
 		{server.QueryRequest{Dataset: "ac", K: 0}, http.StatusBadRequest},
 		{server.QueryRequest{Dataset: "ac", K: 3, Algorithm: "QUICKSORT"}, http.StatusBadRequest},
-		{server.QueryRequest{Dataset: "ac", K: 3, Workers: -1}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if _, code := postQuery(t, ts.URL, c.req); code != c.code {

@@ -525,8 +525,8 @@ func TestGrantAndQueueSpans(t *testing.T) {
 // TestGrantCappedAtUsefulWorkers pins the fair share's cap
 // (core.UsefulWorkers): on an idle 2-slot server a lone query over at most
 // one kernel block of rows is granted one slot and its answer reports
-// workers 1, while a query over one row more than a block and an explicit
-// count are granted what they would be without the cap. The cap's other
+// workers 1, while a query over one row more than a block is granted what it
+// would be without the cap. The cap's other
 // algorithms are core's table test, TestUsefulWorkers.
 func TestGrantCappedAtUsefulWorkers(t *testing.T) {
 	s, ts, _ := newTestServer(t, server.Config{MaxWorkers: 2})
@@ -534,18 +534,17 @@ func TestGrantCappedAtUsefulWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		dataset, alg     string
-		workers, granted int
+		dataset, alg string
+		granted      int
 	}{
-		{"ac", "", 0, 1}, // IBIG, the default
-		{"ac", "IBIG", 2, 2},
-		{"block", "IBIG", 0, 2},
+		{"ac", "", 1}, // IBIG, the default
+		{"block", "IBIG", 2},
 	} {
 		// Each query runs alone: a group hands its slots back before it
 		// replies.
-		qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: c.dataset, K: 5, Algorithm: c.alg, Workers: c.workers})
+		qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: c.dataset, K: 5, Algorithm: c.alg})
 		if code != http.StatusOK || qr.Workers != c.granted {
-			t.Errorf("%s %q workers %d: HTTP %d, granted %d; want %d", c.dataset, c.alg, c.workers, code, qr.Workers, c.granted)
+			t.Errorf("%s %q: HTTP %d, granted %d; want %d", c.dataset, c.alg, code, qr.Workers, c.granted)
 		}
 	}
 }
