@@ -53,15 +53,6 @@ func FromBits(bits []bool) *Vector {
 	return v
 }
 
-// FromIndices builds a vector of length n with the given bit positions set.
-func FromIndices(n int, idx []int) *Vector {
-	v := New(n)
-	for _, i := range idx {
-		v.Set(i)
-	}
-	return v
-}
-
 // Parse builds a vector from a string of '0'/'1' runes, bit 0 first.
 // It is used by tests to transcribe the paper's figures verbatim.
 func Parse(s string) (*Vector, error) {
@@ -199,15 +190,6 @@ func (v *Vector) AndNot(o *Vector) *Vector {
 	return v
 }
 
-// Xor sets v = v ^ o in place and returns v.
-func (v *Vector) Xor(o *Vector) *Vector {
-	v.mustMatch(o)
-	for i := range v.words {
-		v.words[i] ^= o.words[i]
-	}
-	return v
-}
-
 // Not flips every bit in place and returns v.
 func (v *Vector) Not() *Vector {
 	for i := range v.words {
@@ -267,37 +249,6 @@ func (v *Vector) Indices() []int {
 		return true
 	})
 	return out
-}
-
-// NextSet returns the index of the first set bit at or after i, or -1.
-func (v *Vector) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= v.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := v.words[wi] >> (i % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(v.words); wi++ {
-		if v.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(v.words[wi])
-		}
-	}
-	return -1
-}
-
-// AndCount returns |v & o| without materializing the intersection.
-func (v *Vector) AndCount(o *Vector) int {
-	v.mustMatch(o)
-	c := 0
-	for i := range v.words {
-		c += bits.OnesCount64(v.words[i] & o.words[i])
-	}
-	return c
 }
 
 // And2Into sets dst = a & b in a single fused pass and returns dst, without
@@ -694,22 +645,6 @@ func tieOr(w, q, p []uint64) {
 	q, p = q[:len(w)], p[:len(w)]
 	for j := range w {
 		w[j] |= q[j] &^ p[j]
-	}
-}
-
-// AndNotForEachWord streams the nonzero words of a &^ b to fn along with the
-// bit index of each word's first bit — set-difference iteration without a
-// per-bit callback, for callers that only need the difference. (The BIG/IBIG
-// scoring loop needs both a∧b and a∧¬b per word, so it streams the raw words
-// itself; see bitmapidx.Cursor.Score.) fn returning false stops the iteration.
-func AndNotForEachWord(a, b *Vector, fn func(base int, w uint64) bool) {
-	a.mustMatch(b)
-	for i := range a.words {
-		if w := a.words[i] &^ b.words[i]; w != 0 {
-			if !fn(i*wordBits, w) {
-				return
-			}
-		}
 	}
 }
 

@@ -250,36 +250,3 @@ func TestScratchKernelsMatch(t *testing.T) {
 		}
 	}
 }
-
-func TestAndNotForEachWord(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{1, 64, 130, 999} {
-		a := randVec(rng, n, 0.6)
-		b := randVec(rng, n, 0.4)
-		want := a.Clone().AndNot(b).Indices()
-		var got []int
-		AndNotForEachWord(a, b, func(base int, w uint64) bool {
-			for ; w != 0; w &= w - 1 {
-				got = append(got, base+bits.TrailingZeros64(w))
-			}
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: %d indices, want %d", n, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: index %d = %d, want %d", n, i, got[i], want[i])
-			}
-		}
-		// Early stop after the first word.
-		calls := 0
-		AndNotForEachWord(a, b, func(base int, w uint64) bool {
-			calls++
-			return false
-		})
-		if calls > 1 {
-			t.Errorf("n=%d: early stop ignored, %d calls", n, calls)
-		}
-	}
-}

@@ -26,15 +26,6 @@ type MFD struct {
 	Lambda float64
 }
 
-// UniformMFD returns an MFD with unit weights and the given λ.
-func UniformMFD(dim int, lambda float64) MFD {
-	w := make([]float64, dim)
-	for i := range w {
-		w[i] = 1
-	}
-	return MFD{Weights: w, Lambda: lambda}
-}
-
 // validate checks the operator against a dataset.
 func (m MFD) validate(ds *data.Dataset) error {
 	if len(m.Weights) != ds.Dim() {

@@ -27,9 +27,18 @@ func TestMFDPairWeightPaperExample(t *testing.T) {
 	}
 }
 
+// uniformMFD returns an MFD with unit weights and the given λ.
+func uniformMFD(dim int, lambda float64) core.MFD {
+	w := make([]float64, dim)
+	for i := range w {
+		w[i] = 1
+	}
+	return core.MFD{Weights: w, Lambda: lambda}
+}
+
 func TestMFDWeightSymmetricInArguments(t *testing.T) {
 	ds := paperdata.Sample()
-	m := core.UniformMFD(4, 0.5)
+	m := uniformMFD(4, 0.5)
 	a, b := ds.Obj(0), ds.Obj(11)
 	if m.PairWeight(a, b) != m.PairWeight(b, a) {
 		t.Fatal("PairWeight must be symmetric (depends only on masks)")
@@ -40,7 +49,7 @@ func TestMFDWeightSymmetricInArguments(t *testing.T) {
 // objects share one mask, the weighted score is proportional to score(o).
 func TestMFDReducesToCountOnCompleteData(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 120, Dim: 3, Cardinality: 10, MissingRate: 0, Dist: gen.IND, Seed: 21})
-	m := core.UniformMFD(3, 0.5)
+	m := uniformMFD(3, 0.5)
 	items, err := core.TopKMFD(ds, ds.Len(), m)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +66,7 @@ func TestMFDReducesToCountOnCompleteData(t *testing.T) {
 // weighted ordering and return k items.
 func TestMFDTopKOnSample(t *testing.T) {
 	ds := paperdata.Sample()
-	items, err := core.TopKMFD(ds, 3, core.UniformMFD(4, 0.5))
+	items, err := core.TopKMFD(ds, 3, uniformMFD(4, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +83,10 @@ func TestMFDValidation(t *testing.T) {
 	if _, err := core.TopKMFD(ds, 2, core.MFD{Weights: []float64{1}, Lambda: 0.5}); err == nil {
 		t.Fatal("wrong weight width accepted")
 	}
-	if _, err := core.TopKMFD(ds, 2, core.UniformMFD(4, 0)); err == nil {
+	if _, err := core.TopKMFD(ds, 2, uniformMFD(4, 0)); err == nil {
 		t.Fatal("lambda=0 accepted")
 	}
-	if _, err := core.TopKMFD(ds, 2, core.UniformMFD(4, 1)); err == nil {
+	if _, err := core.TopKMFD(ds, 2, uniformMFD(4, 1)); err == nil {
 		t.Fatal("lambda=1 accepted")
 	}
 }
@@ -86,11 +95,11 @@ func TestMFDValidation(t *testing.T) {
 // (more credit for half-observed dimensions).
 func TestMFDLambdaMonotone(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 150, Dim: 4, Cardinality: 8, MissingRate: 0.4, Dist: gen.IND, Seed: 22})
-	lo, err := core.TopKMFD(ds, ds.Len(), core.UniformMFD(4, 0.2))
+	lo, err := core.TopKMFD(ds, ds.Len(), uniformMFD(4, 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := core.TopKMFD(ds, ds.Len(), core.UniformMFD(4, 0.8))
+	hi, err := core.TopKMFD(ds, ds.Len(), uniformMFD(4, 0.8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,6 @@ func (o *Object) ObservedCount() int { return bits.OnesCount64(o.Mask) }
 // dimension (bo & bp != 0), the precondition for dominance in Definition 1.
 func (o *Object) ComparableWith(p *Object) bool { return o.Mask&p.Mask != 0 }
 
-// CommonDims returns |Iset(o) ∩ Iset(p)|.
-func (o *Object) CommonDims(p *Object) int { return bits.OnesCount64(o.Mask & p.Mask) }
-
 // Dominates reports o ≺ p under the incomplete-data dominance relation of
 // Khalefa et al. (Definition 1 of the TKD paper; smaller is better): o is no
 // larger than p on every common observed dimension and strictly smaller on

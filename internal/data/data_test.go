@@ -72,11 +72,8 @@ func TestComparableWith(t *testing.T) {
 	if !c.ComparableWith(e) {
 		t.Fatal("C2 and A2 share dim 4")
 	}
-	if got := c.CommonDims(e); got != 1 {
-		t.Fatalf("CommonDims = %d", got)
-	}
-	if got := e.CommonDims(b); got != 2 {
-		t.Fatalf("CommonDims = %d", got)
+	if !e.ComparableWith(b) {
+		t.Fatal("A2 and B3 share dims 3 and 4")
 	}
 }
 

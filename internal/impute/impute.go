@@ -13,7 +13,6 @@ package impute
 import (
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/data"
 )
 
@@ -145,16 +144,4 @@ func JaccardDistance(a, b []string) float64 {
 		union[x] = true
 	}
 	return 1 - float64(inter)/float64(len(union))
-}
-
-// CompareTKD reproduces one Table 4 cell: it answers the TKD query on the
-// incomplete dataset (set A), imputes and answers on the completed dataset
-// (set B), and returns D_J(A, B). The inference-side query runs the same
-// incomplete-data algorithms — on complete input they degenerate to the
-// classical TKD semantics.
-func CompareTKD(ds *data.Dataset, k int, cfg Config) float64 {
-	resA, _ := core.ESB(ds, k)
-	completed := Impute(ds, cfg)
-	resB, _ := core.ESB(completed, k)
-	return JaccardDistance(resA.IDs(), resB.IDs())
 }

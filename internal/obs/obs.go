@@ -258,18 +258,6 @@ func (s *Span) End() {
 	s.tr.mu.Unlock()
 }
 
-// EndAt stamps an explicit end time (first call wins; nil-safe).
-func (s *Span) EndAt(at time.Time) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	if s.end.IsZero() {
-		s.end = at
-	}
-	s.tr.mu.Unlock()
-}
-
 // SetInt records an integer attribute.
 func (s *Span) SetInt(key string, v int64) {
 	if s == nil {

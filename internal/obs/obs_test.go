@@ -115,7 +115,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	sp.Adopt(nil)
 	sp.End()
-	sp.EndAt(time.Now())
 	sp.SetInt("k", 1)
 	sp.SetStr("s", "v")
 	sp.SampleTau(0, -1)

@@ -42,9 +42,3 @@ func GlobalKSkyband(ds *data.Dataset, k int) []int32 {
 	}
 	return out
 }
-
-// GlobalSkyline returns the incomplete-data skyline: objects no other
-// object dominates (ISkyline semantics, the 1-skyband).
-func GlobalSkyline(ds *data.Dataset) []int32 {
-	return GlobalKSkyband(ds, 1)
-}

@@ -49,14 +49,12 @@ func TestGlobalKSkybandAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestGlobalSkylineOnFig2: from the Fig. 2 constellation, the objects with
-// score>0 that no one dominates. With our derived coordinates the skyline
-// is {c? no...} — compute against brute force and additionally pin the
-// known non-members: every object f dominates cannot be in the skyline.
+// TestGlobalSkylineOnSample: the incomplete-data skyline (the 1-skyband) of
+// the Fig. 2 constellation holds every object brute force finds undominated.
 func TestGlobalSkylineOnSample(t *testing.T) {
 	ds := paperdata.Sample()
 	want := bruteSkyband(ds, 1)
-	got := skyband.GlobalSkyline(ds)
+	got := skyband.GlobalKSkyband(ds, 1)
 	if len(got) != len(want) {
 		t.Fatalf("skyline size %d, want %d", len(got), len(want))
 	}
@@ -64,9 +62,6 @@ func TestGlobalSkylineOnSample(t *testing.T) {
 	for _, id := range got {
 		inGot[id] = true
 	}
-	// The T2D answers C2 and A2 dominate 16 objects each; anything they
-	// dominate is out, and both are themselves undominated?
-	// Verify set equality with brute force instead of guessing:
 	for id := range want {
 		if !inGot[id] {
 			t.Fatalf("skyline missing %s", paperdata.Names[id])
@@ -105,7 +100,7 @@ func TestGlobalKSkybandZeroK(t *testing.T) {
 // every member is undominated.
 func TestGlobalSkylineMembersUndominated(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 400, Dim: 4, Cardinality: 6, MissingRate: 0.4, Dist: gen.AC, Seed: 45})
-	got := skyband.GlobalSkyline(ds)
+	got := skyband.GlobalKSkyband(ds, 1)
 	if len(got) == 0 {
 		t.Fatal("empty skyline on non-empty dataset")
 	}
