@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/shard"
+	"repro/internal/shard/shardtest"
 	"repro/tkd"
 )
 
@@ -76,12 +76,12 @@ func TestServerQueryDeadline(t *testing.T) {
 	csv, _ := shardedFixture(t, dir)
 	peer := startPeer(t, csv)
 
-	chaos := shard.NewChaos(shard.ChaosConfig{Seed: 1, TimeoutP: 1})
+	chaos := shardtest.NewChaos(shardtest.ChaosConfig{Seed: 1, TimeoutP: 1})
 	pol := fastPolicy()
 	coord := server.New(server.Config{
 		Shards:      2,
 		ShardPeers:  []string{peer.URL},
-		ShardClient: &http.Client{Transport: shard.NewChaosTransport(nil, chaos)},
+		ShardClient: &http.Client{Transport: shardtest.NewChaosTransport(nil, chaos)},
 		ShardPolicy: &pol,
 	})
 	if err := coord.LoadCSVFile("big", csv, false); err != nil {
@@ -211,7 +211,7 @@ func TestChaosSoak(t *testing.T) {
 
 	for seed := uint64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			chaos := shard.NewChaos(shard.ChaosConfig{
+			chaos := shardtest.NewChaos(shardtest.ChaosConfig{
 				Seed:     seed,
 				ErrorP:   0.05,
 				LatencyP: 0.10,
@@ -234,7 +234,7 @@ func TestChaosSoak(t *testing.T) {
 				// always has somewhere correct to land: the non-Byzantine
 				// schedule under which answers must stay exact.
 				ShardPeers:  []string{peer.URL + "|" + peer.URL},
-				ShardClient: &http.Client{Transport: shard.NewChaosTransport(nil, chaos), Timeout: 5 * time.Second},
+				ShardClient: &http.Client{Transport: shardtest.NewChaosTransport(nil, chaos), Timeout: 5 * time.Second},
 				ShardPolicy: &pol,
 			})
 			if err := coord.LoadCSVFile("big", csv, false); err != nil {

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/wal"
+	"repro/internal/wal/waltest"
 	"repro/tkd"
 )
 
@@ -386,7 +387,7 @@ func TestIngestFsyncFailurePoisons(t *testing.T) {
 	ref := tkd.GenerateIND(100, 3, 20, 0.2, 29)
 	d := newIngestDirs(t, ref)
 	cfg := ingestConfig(d, time.Hour)
-	cfg.WALFS = wal.NewChaos(wal.ChaosConfig{Seed: 1, SyncErrP: 1})
+	cfg.WALFS = waltest.NewChaos(waltest.ChaosConfig{Seed: 1, SyncErrP: 1})
 	s, ts := startIngestServer(t, cfg, d)
 	defer func() { ts.Close(); s.Close() }()
 
@@ -522,7 +523,7 @@ func TestIngestBatchWriteFailureAcksNothing(t *testing.T) {
 	ref := tkd.GenerateIND(100, 3, 20, 0.2, 43)
 	d := newIngestDirs(t, ref)
 	cfg := ingestConfig(d, 5*time.Millisecond)
-	cfg.WALFS = wal.NewChaos(wal.ChaosConfig{Seed: 5, ShortWriteP: 1})
+	cfg.WALFS = waltest.NewChaos(waltest.ChaosConfig{Seed: 5, ShortWriteP: 1})
 	s, ts := startIngestServer(t, cfg, d)
 	rows := batchOf("torn", 20)
 	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/d/append", server.AppendRequest{Rows: rows})

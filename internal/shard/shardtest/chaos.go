@@ -1,4 +1,8 @@
-package shard
+// Package shardtest holds the shard layer's seeded fault injector: a
+// shard.Backend wrapper and an http.RoundTripper that add latency, errors,
+// hangs and stale answers. Only tests import it, so no serving binary
+// links it.
+package shardtest
 
 import (
 	"bytes"
@@ -11,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/shard"
 )
 
 // ChaosConfig is one seeded fault schedule. Each intercepted call draws one
@@ -32,8 +38,8 @@ type ChaosConfig struct {
 	// the query deadline cuts it loose.
 	TimeoutP float64
 	// StaleP is the probability of answering as a stale replica: a 409
-	// fingerprint-mismatch (PeerError on a Backend, a fabricated 409
-	// response on a RoundTripper). Non-retryable by design; trips breakers.
+	// fingerprint-mismatch (shard.PeerError on a shard.Backend, a fabricated
+	// 409 response on a RoundTripper). Non-retryable by design; trips breakers.
 	StaleP float64
 }
 
@@ -113,16 +119,17 @@ func (c *Chaos) draw() (chaosFault, time.Duration) {
 	return faultNone, 0
 }
 
-// ChaosBackend wraps a Backend with fault injection on Partial and Health.
+// ChaosBackend wraps a shard.Backend with fault injection on Partial and
+// Health.
 // Rows and Fingerprint pass through untouched — chaos perturbs delivery,
 // never identity.
 type ChaosBackend struct {
-	inner Backend
+	inner shard.Backend
 	c     *Chaos
 }
 
 // NewChaosBackend wraps inner with injector c.
-func NewChaosBackend(inner Backend, c *Chaos) *ChaosBackend {
+func NewChaosBackend(inner shard.Backend, c *Chaos) *ChaosBackend {
 	return &ChaosBackend{inner: inner, c: c}
 }
 
@@ -132,8 +139,8 @@ func (b *ChaosBackend) Rows() int { return b.inner.Rows() }
 // Fingerprint implements Backend.
 func (b *ChaosBackend) Fingerprint() uint64 { return b.inner.Fingerprint() }
 
-// Partial implements Backend with the drawn fault applied first.
-func (b *ChaosBackend) Partial(ctx context.Context, req *Request) ([]int32, error) {
+// Partial implements shard.Backend with the drawn fault applied first.
+func (b *ChaosBackend) Partial(ctx context.Context, req *shard.Request) ([]int32, error) {
 	switch fault, lat := b.c.draw(); fault {
 	case faultError:
 		return nil, fmt.Errorf("chaos: injected transport error")
@@ -141,7 +148,7 @@ func (b *ChaosBackend) Partial(ctx context.Context, req *Request) ([]int32, erro
 		<-ctx.Done()
 		return nil, ctx.Err()
 	case faultStale:
-		return nil, &PeerError{URL: "chaos", Status: statusConflict, Msg: "chaos: injected stale fingerprint"}
+		return nil, &shard.PeerError{URL: "chaos", Status: http.StatusConflict, Msg: "chaos: injected stale fingerprint"}
 	case faultLatency:
 		select {
 		case <-time.After(lat):
@@ -152,30 +159,30 @@ func (b *ChaosBackend) Partial(ctx context.Context, req *Request) ([]int32, erro
 	return b.inner.Partial(ctx, req)
 }
 
-// Health implements HealthChecker, injecting the same fault kinds: a stale
-// draw reports a wrong fingerprint (the quarantine trigger), an error draw
-// fails the probe. Backends without a HealthChecker answer from their
+// Health implements shard.HealthChecker, injecting the same fault kinds: a
+// stale draw reports a wrong fingerprint (the quarantine trigger), an error
+// draw fails the probe. Backends without a HealthChecker answer from their
 // Backend identity.
-func (b *ChaosBackend) Health(ctx context.Context) (HealthInfo, error) {
+func (b *ChaosBackend) Health(ctx context.Context) (shard.HealthInfo, error) {
 	switch fault, lat := b.c.draw(); fault {
 	case faultError:
-		return HealthInfo{}, fmt.Errorf("chaos: injected health-probe error")
+		return shard.HealthInfo{}, fmt.Errorf("chaos: injected health-probe error")
 	case faultTimeout:
 		<-ctx.Done()
-		return HealthInfo{}, ctx.Err()
+		return shard.HealthInfo{}, ctx.Err()
 	case faultStale:
-		return HealthInfo{Rows: b.inner.Rows(), Fingerprint: b.inner.Fingerprint() + 1}, nil
+		return shard.HealthInfo{Rows: b.inner.Rows(), Fingerprint: b.inner.Fingerprint() + 1}, nil
 	case faultLatency:
 		select {
 		case <-time.After(lat):
 		case <-ctx.Done():
-			return HealthInfo{}, ctx.Err()
+			return shard.HealthInfo{}, ctx.Err()
 		}
 	}
-	if hc, ok := b.inner.(HealthChecker); ok {
+	if hc, ok := b.inner.(shard.HealthChecker); ok {
 		return hc.Health(ctx)
 	}
-	return HealthInfo{Rows: b.inner.Rows(), Fingerprint: b.inner.Fingerprint()}, nil
+	return shard.HealthInfo{Rows: b.inner.Rows(), Fingerprint: b.inner.Fingerprint()}, nil
 }
 
 // ChaosTransport wraps an http.RoundTripper with the same fault schedule,
@@ -205,9 +212,9 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		<-req.Context().Done()
 		return nil, req.Context().Err()
 	case faultStale:
-		body, _ := json.Marshal(WireError{Error: "chaos: injected stale fingerprint"})
+		body, _ := json.Marshal(shard.WireError{Error: "chaos: injected stale fingerprint"})
 		return &http.Response{
-			StatusCode:    statusConflict,
+			StatusCode:    http.StatusConflict,
 			Status:        "409 Conflict",
 			Proto:         "HTTP/1.1",
 			ProtoMajor:    1,

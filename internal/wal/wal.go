@@ -72,15 +72,15 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // File is the writable handle a Log appends through; *os.File satisfies it.
-// The indirection exists for fault injection (see Chaos).
+// The indirection exists for fault injection (see waltest.Chaos).
 type File interface {
 	io.Writer
 	Sync() error
 	Close() error
 }
 
-// FS creates segment files. The zero value of osFS is the default; Chaos
-// wraps it with seeded faults.
+// FS creates segment files. The zero value of osFS is the default;
+// waltest.Chaos replaces it with seeded faults.
 type FS interface {
 	Create(path string) (File, error)
 }

@@ -1,4 +1,7 @@
-package wal
+// Package waltest holds the write-ahead log's seeded fault injector: an
+// FS whose files write short, fail fsync or lose every byte past a cut
+// point. Only tests import it, so no serving binary links it.
+package waltest
 
 import (
 	"fmt"
@@ -6,6 +9,8 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/wal"
 )
 
 // Chaos is a seeded fault injector for the WAL's write path, mirroring the
@@ -42,7 +47,7 @@ type ChaosCounts struct {
 	CutBytes    int64 `json:"cut_bytes"` // bytes silently dropped past the cut point
 }
 
-// Chaos implements FS over the real filesystem with the configured faults.
+// Chaos implements wal.FS over the real filesystem with the configured faults.
 type Chaos struct {
 	cfg ChaosConfig
 
@@ -70,8 +75,8 @@ func (c *Chaos) Counts() ChaosCounts {
 	}
 }
 
-// Create implements FS.
-func (c *Chaos) Create(path string) (File, error) {
+// Create implements wal.FS.
+func (c *Chaos) Create(path string) (wal.File, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, err
