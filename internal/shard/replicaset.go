@@ -347,7 +347,10 @@ func (rs *ReplicaSet) once(ctx context.Context, r *replica, req *Request) ([]int
 }
 
 // hedgeDelay resolves the hedging trigger: the configured HedgeAfter, or
-// the set's observed p99 scatter latency once enough calls have been seen.
+// the set's observed p99 scatter latency once enough calls have been seen,
+// read inside its histogram bucket — the bucket's upper bound would put the
+// trigger at or past a spike that ends inside the bucket (5 ms spikes, a
+// 5 ms trigger).
 func (rs *ReplicaSet) hedgeDelay() time.Duration {
 	if !rs.pol.Hedge {
 		return 0
@@ -360,7 +363,7 @@ func (rs *ReplicaSet) hedgeDelay() time.Duration {
 	if sl.Count < minObservations {
 		return 0
 	}
-	d := time.Duration(sl.Quantile(0.99) * float64(time.Second))
+	d := time.Duration(sl.InterpolatedQuantile(0.99) * float64(time.Second))
 	// A degenerate distribution — observations concentrated in the overflow
 	// tail — resolves to the histogram's last bucket bound (seconds), a
 	// trigger so late it silently disables hedging. The attempt timeout is

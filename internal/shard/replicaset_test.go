@@ -652,6 +652,25 @@ func TestReplicaSetHedgeDelayClampsDegenerateP99(t *testing.T) {
 	}
 }
 
+// TestReplicaSetHedgeDelayInterpolatesP99: 98 calls under 1 ms and two
+// 4 ms spikes put the p99 inside the (1, 5] ms bucket. The trigger reads
+// inside that bucket, below the spikes' 5 ms bound, so a hedge can beat them.
+func TestReplicaSetHedgeDelayInterpolatesP99(t *testing.T) {
+	pol := Policy{MaxAttempts: 2, Hedge: true}
+	rs, err := NewReplicaSet(0, []Backend{okReplica(), okReplica()}, pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 98; i++ {
+		rs.lat.Observe(800 * time.Microsecond)
+	}
+	rs.lat.Observe(4 * time.Millisecond)
+	rs.lat.Observe(4 * time.Millisecond)
+	if d := rs.hedgeDelay(); d <= time.Millisecond || d >= 5*time.Millisecond {
+		t.Fatalf("hedgeDelay = %v, want inside (1 ms, 5 ms)", d)
+	}
+}
+
 func TestReplicaSetHealthProbeTracksEpochs(t *testing.T) {
 	a, b := okReplica(), okReplica()
 	a.healthEpoch.Store(7)
