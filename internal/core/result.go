@@ -76,6 +76,9 @@ type Stats struct {
 	Workers int
 	// Windows is the number of batch windows the parallel engine processed.
 	Windows int
+	// Epoch is the dataset epoch the query ran on. tkd.Dataset.TopK sets it;
+	// the runners here leave it 0, and Add leaves it alone.
+	Epoch uint64
 }
 
 // Add accumulates another query's counters into st — the aggregation the

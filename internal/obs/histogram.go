@@ -62,44 +62,28 @@ type HistogramSnapshot struct {
 // call stays visible, which is the whole point of a per-shard histogram.
 // Each bucket's mass is attributed to its upper bound (the conservative
 // Prometheus-style read). Returns 0 with no observations.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	i, _ := s.locate(q)
-	return LatencyBuckets[min(i, len(LatencyBuckets)-1)] // +Inf tail: the last bound
-}
+func (s HistogramSnapshot) Quantile(q float64) float64 { return s.quantile(q, false) }
 
 // InterpolatedQuantile is Quantile read linearly inside the bucket that
 // holds the rank instead of at its upper bound: 98 calls under 1 ms and two
-// in (1, 5] ms put the p99 at 3 ms, not 5. A straggler that is the rank
-// alone still reads at its bucket's bound. Returns 0 with no observations.
-func (s HistogramSnapshot) InterpolatedQuantile(q float64) float64 {
+// in (1, 5] ms put the p99 at 3 ms, not 5.
+func (s HistogramSnapshot) InterpolatedQuantile(q float64) float64 { return s.quantile(q, true) }
+
+func (s HistogramSnapshot) quantile(q float64, within bool) float64 {
 	if s.Count == 0 {
 		return 0
 	}
-	i, frac := s.locate(q)
-	if i == len(LatencyBuckets) {
-		return LatencyBuckets[i-1]
-	}
-	lo := 0.0
-	if i > 0 {
-		lo = LatencyBuckets[i-1]
-	}
-	return lo + frac*(LatencyBuckets[i]-lo)
-}
-
-// locate finds the bucket holding the nearest-rank q-quantile and the rank's
-// place among that bucket's observations, in (0, 1]; i is
-// len(LatencyBuckets) for the +Inf tail.
-func (s HistogramSnapshot) locate(q float64) (i int, frac float64) {
 	rank := max(int64(math.Ceil(q*float64(s.Count))), 1)
 	var cum int64
+	lo := 0.0
 	for i, c := range s.Buckets {
 		if cum+c >= rank {
-			return i, float64(rank-cum) / float64(c)
+			if !within {
+				return LatencyBuckets[i]
+			}
+			return lo + float64(rank-cum)/float64(c)*(LatencyBuckets[i]-lo)
 		}
-		cum += c
+		cum, lo = cum+c, LatencyBuckets[i]
 	}
-	return len(LatencyBuckets), 1
+	return LatencyBuckets[len(LatencyBuckets)-1] // +Inf tail: report the last bound
 }

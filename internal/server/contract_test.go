@@ -211,9 +211,11 @@ func TestOnlyIBIGServed(t *testing.T) {
 			}
 		}
 	}
+	// Each served subscribe is a key's first subscriber, so its answer is a
+	// standing evaluation: a query of its own in tkd_queries_total.
 	metrics := fetchMetrics(t, ts.URL)
-	if got := grepMetric(metrics, "tkd_queries_total{"); got != `[tkd_queries_total{dataset="d"} 2]` {
-		t.Errorf("tkd_queries_total samples %s; want the two served queries under the dataset label alone", got)
+	if got := grepMetric(metrics, "tkd_queries_total{"); got != `[tkd_queries_total{dataset="d"} 4]` {
+		t.Errorf("tkd_queries_total samples %s; want the two served queries and the two subscribes' evaluations under the dataset label alone", got)
 	}
 }
 

@@ -185,10 +185,6 @@ type AppendResponse struct {
 }
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, r, http.StatusServiceUnavailable, errDraining, "server: shutting down")
-		return
-	}
 	name := r.PathValue("name")
 	e, ok := s.reg.get(name)
 	if !ok {

@@ -173,7 +173,7 @@ var metricFamilies = []family{
 	{"tkd_epoch_delta_ships_total", "counter", "Epoch-stream requests answered with a rows-since delta instead of the full stream.", func(x *expo) { x.sample("", x.s.life.deltaShips.Load()) }},
 	{"tkd_epoch_delta_ship_bytes_total", "counter", "Bytes those delta bodies put on the wire.", func(x *expo) { x.sample("", x.s.life.deltaShipBytes.Load()) }},
 	{"tkd_standing_subscribers", "gauge", "Standing-query subscribers connected right now.", func(x *expo) { x.sample("", x.s.standing.subscribers.Load()) }},
-	{"tkd_standing_evals_total", "counter", "Standing-query engine evaluations run: one per standing key per publish, and one when a key gets its first subscriber.", func(x *expo) { x.sample("", x.s.standing.evals.Load()) }},
+	{"tkd_standing_evals_total", "counter", "Standing-query evaluations submitted: at most one per standing key per publish, and one when a key gets its first subscriber.", func(x *expo) { x.sample("", x.s.standing.evals.Load()) }},
 	{"tkd_wal_appends_total", "counter", "Row records appended to the ingest WAL since boot, by dataset.", each(ingesting, func(d *datasetScrape) int64 { return d.e.ing.log.Appends() })},
 	{"tkd_wal_fsyncs_total", "counter", "Fsyncs issued by the ingest WAL since boot, by dataset.", each(ingesting, func(d *datasetScrape) int64 { return d.e.ing.log.Fsyncs() })},
 	{"tkd_follower_syncs_total", "counter", "Leader epochs imported and published by the follower sync loop.", whenFollowing(func(f *follower) int64 { return f.syncs.Load() })},
@@ -185,7 +185,7 @@ var metricFamilies = []family{
 		}
 		return 0
 	})},
-	{"tkd_queries_total", "counter", "Queries served, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.queries.Load() })},
+	{"tkd_queries_total", "counter", "Queries served, standing evaluations included, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.queries.Load() })},
 	{"tkd_query_errors_total", "counter", "Queries that failed, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.errors.Load() })},
 	{"tkd_query_deadline_exceeded_total", "counter", "Queries that outran their deadline (answered 504), by dataset.", each(resident, func(d *datasetScrape) int64 { return d.e.met.deadlineExceeded.Load() })},
 	{"tkd_coalesced_queries_total", "counter", "Queries answered by joining an identical query still waiting for its worker slots.", each(resident, func(d *datasetScrape) int64 { return d.e.met.coalesced.Load() })},

@@ -251,6 +251,47 @@ func TestNoGoroutinePerDataset(t *testing.T) {
 	settled("the goroutine count after evicting every dataset")
 }
 
+// TestShutdownJoinsStandingEvaluations: Shutdown with a subscriber
+// connected, a dataset ingesting and a standing evaluation in flight —
+// submitted, and waiting in the admission line behind a hog grant — leaves
+// the goroutine count where it started: the evaluation's goroutine, the
+// subscriber's handler and the publisher are all gone.
+func TestShutdownJoinsStandingEvaluations(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New(Config{MaxWorkers: 2, WALDir: t.TempDir(), PublishInterval: time.Millisecond})
+	defer s.Close()
+	if err := s.AddDataset("d", tkd.GenerateIND(2000, 4, 40, 0.1, 5)); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		req := httptest.NewRequest(http.MethodPost, "/v1/datasets/d/subscribe", strings.NewReader(`{"k":5}`))
+		req.Header.Set("Accept", "text/event-stream")
+		s.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	eventually(t, "the subscriber's first answer", func() bool {
+		return s.standing.subscribers.Load() == 1 && s.standing.evals.Load() == 1 && s.Waiting("d") == 0
+	})
+
+	release := s.HoldSlots()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets/d/append",
+		strings.NewReader(`{"rows":[{"id":"z","values":[0,0,0,0]}]}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("append: HTTP %d: %s", rec.Code, rec.Body)
+	}
+	eventually(t, "the publish's evaluation in the admission line", func() bool { return s.Waiting("d") == 1 })
+
+	shut := make(chan struct{})
+	go func() { s.Shutdown(); close(shut) }()
+	eventually(t, "Shutdown to begin", s.draining.Load)
+	release() // the evaluation's group holds slots, finds its waiter gone and answers nobody
+	<-shut
+	<-served
+	eventually(t, "the goroutine count after Shutdown", func() bool { return runtime.NumGoroutine() <= base })
+}
+
 // TestCoalescesBehindRunningGroups pins when identical queries share an
 // execution now that a query dispatches the moment it arrives: while they
 // wait behind running work, and only then. A hog grant holds every worker

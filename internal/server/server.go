@@ -230,14 +230,14 @@ func New(cfg Config) *Server {
 	s.peer = shard.NewPeer(s.resolveShardData)
 	s.peer.SetQueryLog(s.qlog)
 	handlers := map[string]http.Handler{
-		"POST /v1/datasets/{name}/query":     http.HandlerFunc(s.handleDatasetQuery),
-		"POST /v1/datasets/{name}/subscribe": http.HandlerFunc(s.handleSubscribe),
+		"POST /v1/datasets/{name}/query":     s.open(s.handleDatasetQuery),
+		"POST /v1/datasets/{name}/subscribe": s.open(s.handleSubscribe),
 		"GET /v1/datasets":                   http.HandlerFunc(s.handleDatasets),
 		"GET /v1/datasets/{name}":            http.HandlerFunc(s.handleDatasetInfo),
-		"POST /v1/datasets":                  http.HandlerFunc(s.handleRegister),
-		"POST /v1/datasets/{name}/reload":    http.HandlerFunc(s.handleReload),
+		"POST /v1/datasets":                  s.open(s.handleRegister),
+		"POST /v1/datasets/{name}/reload":    s.open(s.handleReload),
 		"DELETE /v1/datasets/{name}":         http.HandlerFunc(s.handleEvict),
-		"POST /v1/datasets/{name}/append":    http.HandlerFunc(s.handleAppend),
+		"POST /v1/datasets/{name}/append":    s.open(s.handleAppend),
 		"GET /v1/datasets/{name}/epoch":      http.HandlerFunc(s.handleEpochStream),
 		"GET /v1/debug/queries":              http.HandlerFunc(s.handleDebugQueries),
 		"GET /healthz":                       http.HandlerFunc(s.handleHealthz),
@@ -587,6 +587,7 @@ func (s *Server) swapIn(e *entry, fresh *tkd.Dataset, at uint64, start time.Time
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.done)
+		s.standing.stop()
 		if s.fol != nil {
 			s.fol.stop()
 		}
@@ -606,13 +607,14 @@ func (s *Server) Close() {
 }
 
 // Shutdown gracefully retires the server: new queries are refused with 503,
-// every per-dataset scheduler answers the queries it dispatched, and
-// only then is the server closed. Safe to call multiple times; callers that
+// standing evaluations end, every per-dataset scheduler answers the queries
+// it dispatched, and only then is the server closed. Safe to call multiple times; callers that
 // also manage an http.Server should call Shutdown before (or concurrently
 // with) the http.Server's own Shutdown so handlers waiting on scheduler
 // replies get their answers.
 func (s *Server) Shutdown() {
 	s.draining.Store(true)
+	s.standing.stop() // the drains below then wait only for queries a client awaits
 	entries := s.reg.list()
 	for _, e := range entries {
 		e.sch.drain()
@@ -624,6 +626,17 @@ func (s *Server) Shutdown() {
 	// epoch are published and fsynced before the logs close.
 	s.flushIngest()
 	s.Close()
+}
+
+// open serves h until Shutdown begins and answers 503 from then on.
+func (s *Server) open(h http.HandlerFunc) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if s.draining.Load() {
+			writeError(w, r, http.StatusServiceUnavailable, errDraining, "server: shutting down")
+			return
+		}
+		h(w, r)
+	})
 }
 
 // ServeHTTP implements http.Handler.
@@ -670,6 +683,15 @@ type QueryItem struct {
 	Score int    `json:"score"`
 }
 
+// queryItems renders an answer's items in rank order.
+func queryItems(res tkd.Result) []QueryItem {
+	items := make([]QueryItem, len(res.Items))
+	for i, it := range res.Items {
+		items[i] = QueryItem{Rank: i + 1, Index: it.Index, ID: it.ID, Score: it.Score}
+	}
+	return items
+}
+
 // QueryStats mirrors core.Stats on the wire.
 type QueryStats struct {
 	Candidates    int   `json:"candidates"`
@@ -697,9 +719,9 @@ type QueryResponse struct {
 	Coalesced bool    `json:"coalesced"`
 	BatchSize int     `json:"batch_size"`
 	LatencyMS float64 `json:"latency_ms"`
-	// Epoch is the dataset's epoch counter observed as the reply was
-	// formed — informational: it advances on every reload, so clients can
-	// watch hot swaps happen without polling /v1/datasets.
+	// Epoch is the dataset epoch the answer was computed on — it advances
+	// on every reload and publish, so clients can watch hot swaps happen
+	// without polling /v1/datasets.
 	Epoch uint64 `json:"epoch"`
 	// Degraded marks an allow_partial answer computed without every shard:
 	// exact over CoveredRows of the TotalRows. Absent on full answers.
@@ -838,10 +860,6 @@ func (s *Server) logTrace(tr *obs.Trace, e obs.QueryEntry, err error) obs.QueryE
 
 // handleDatasetQuery serves POST /v1/datasets/{name}/query.
 func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, r, http.StatusServiceUnavailable, errDraining, "server: shutting down")
-		return
-	}
 	var req QueryRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -931,16 +949,12 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.finishQuery(tr, &req, start, rep.coalesced, nil)
-	items := make([]QueryItem, len(rep.res.Items))
-	for i, it := range rep.res.Items {
-		items[i] = QueryItem{Rank: i + 1, Index: it.Index, ID: it.ID, Score: it.Score}
-	}
 	resp := QueryResponse{
 		Dataset:   req.Dataset,
 		K:         req.K,
 		Algorithm: servedAlgorithm,
 		Workers:   rep.granted,
-		Items:     items,
+		Items:     queryItems(rep.res),
 		Stats: QueryStats{
 			Candidates:    rep.st.Candidates,
 			Scored:        rep.st.Scored,
@@ -955,7 +969,7 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 		Coalesced: rep.coalesced,
 		BatchSize: rep.batch,
 		LatencyMS: float64(time.Since(start).Microseconds()) / 1000,
-		Epoch:     e.ds.Epoch(),
+		Epoch:     rep.st.Epoch,
 	}
 	if rep.deg.Degraded {
 		resp.Degraded = true
@@ -1101,10 +1115,6 @@ func (s *Server) handleDatasetInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, r, http.StatusServiceUnavailable, errDraining, "server: shutting down")
-		return
-	}
 	var req RegisterRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -1149,10 +1159,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, r, http.StatusServiceUnavailable, errDraining, "server: shutting down")
-		return
-	}
 	name := r.PathValue("name")
 	e, ok := s.reg.get(name)
 	if !ok {
@@ -1231,7 +1237,9 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	// Drain: requests already accepted (or racing the removal) get served;
 	// once every dispatched group has answered, the shard health loops stop
 	// and the peer endpoint forgets the shard slices it cached for
-	// coordinators.
+	// coordinators. Its standing queries close first, so the drain does not
+	// wait for their evaluations.
+	s.standing.dropDataset(name)
 	e.sch.drainStop()
 	e.ds.Close()
 	// The reload lock orders what follows after any in-flight reload or
@@ -1248,7 +1256,6 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	e.reloadMu.Unlock()
 	s.writes.join(name)
 	s.peer.Evict(name)
-	s.standing.dropDataset(name)
 	s.life.evictions.Add(1)
 	writeJSON(w, http.StatusOK, map[string]any{"evicted": name, "epoch": e.ds.Epoch()})
 }

@@ -1,13 +1,12 @@
 package server
 
 // Standing top-k subscriptions. A standing query is a (dataset, k) pair the
-// server keeps continuously answered with IBIG, its one plan: every publish —
-// local ingest fold, follower delta apply, full epoch import, reload —
-// re-runs its TopK on the new epoch, so the standing answer is always the
-// one POST /query gives, and subscribers are woken only when the ranked
-// answer actually changed. Identical subscriptions share one standingQuery,
-// so a thousand dashboards watching the same top-10 cost one evaluation per
-// epoch, not a thousand.
+// server keeps continuously answered: every publish — local ingest fold,
+// follower delta apply, full epoch import, reload — hands it an evaluation,
+// a query submitted to the dataset's scheduler like any other, and returns
+// at once. Subscribers are woken only when the ranked answer changed, and
+// identical subscriptions share one standingQuery, so a thousand dashboards
+// watching the same top-10 cost at most one evaluation per publish.
 //
 // Delivery is POST /v1/datasets/{name}/subscribe in two modes: with
 // `Accept: text/event-stream` the connection stays open and each change is
@@ -17,13 +16,17 @@ package server
 // wait_millis for the next change when it is current.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // standingKey identifies one shared standing query.
@@ -53,18 +56,20 @@ type StandingEvent struct {
 // standingQuery is the shared state behind every subscriber of one key.
 type standingQuery struct {
 	key standingKey
-
-	// evalMu serialises evaluations (publish hooks and the first-subscriber
-	// seed may race); mu guards the answer state below and is never held
-	// across an engine call.
-	evalMu sync.Mutex
-	mu     sync.Mutex
-	ver    uint64
-	epoch  uint64
-	items  []QueryItem
-	closed bool
-	refs   int
-	subs   map[chan struct{}]struct{}
+	// ctx, under which the key evaluates, ends when the key closes (evicted,
+	// last subscriber gone) or the server stops. mu guards the state below
+	// and is never held across an engine call; running marks a goroutine
+	// evaluating the key, and again asks it for one more pass.
+	ctx            context.Context
+	cancel         context.CancelFunc
+	mu             sync.Mutex
+	ver            uint64
+	epoch          uint64
+	items          []QueryItem
+	closed         bool
+	refs           int
+	subs           map[chan struct{}]struct{}
+	running, again bool
 }
 
 // snapshotLocked renders the current answer; callers hold sq.mu.
@@ -92,18 +97,31 @@ func (sq *standingQuery) broadcastLocked() {
 	}
 }
 
-// standingRegistry owns every live standing query and the counters the
-// metrics endpoint renders.
+// standingRegistry owns every live standing query, the evaluation goroutines
+// (wg) and the counters the metrics endpoint renders. ctx parents every key's.
 type standingRegistry struct {
-	mu sync.Mutex
-	qs map[standingKey]*standingQuery
+	mu     sync.Mutex
+	qs     map[standingKey]*standingQuery
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	subscribers atomic.Int64 // connected subscribers right now
-	evals       atomic.Int64 // engine evaluations run
+	evals       atomic.Int64 // evaluations submitted
 }
 
 func newStandingRegistry() *standingRegistry {
-	return &standingRegistry{qs: make(map[standingKey]*standingQuery)}
+	g := &standingRegistry{qs: make(map[standingKey]*standingQuery)}
+	g.ctx, g.cancel = context.WithCancel(context.Background())
+	return g
+}
+
+// stop ends every evaluation, and under mu no publish starts one after it.
+func (g *standingRegistry) stop() {
+	g.mu.Lock()
+	g.cancel()
+	g.mu.Unlock()
+	g.wg.Wait()
 }
 
 // acquire returns the shared query for key, creating it on first use, and
@@ -113,14 +131,15 @@ func (g *standingRegistry) acquire(key standingKey) (*standingQuery, chan struct
 	sq := g.qs[key]
 	if sq == nil {
 		sq = &standingQuery{key: key, subs: make(map[chan struct{}]struct{})}
+		sq.ctx, sq.cancel = context.WithCancel(g.ctx)
 		g.qs[key] = sq
 	}
-	g.mu.Unlock()
 	ch := make(chan struct{}, 1)
 	sq.mu.Lock()
 	sq.refs++
 	sq.subs[ch] = struct{}{}
 	sq.mu.Unlock()
+	g.mu.Unlock()
 	g.subscribers.Add(1)
 	return sq, ch
 }
@@ -129,42 +148,29 @@ func (g *standingRegistry) acquire(key standingKey) (*standingQuery, chan struct
 // so an idle key stops being re-evaluated on every publish.
 func (g *standingRegistry) release(sq *standingQuery, ch chan struct{}) {
 	g.subscribers.Add(-1)
-	sq.mu.Lock()
-	delete(sq.subs, ch)
-	sq.refs--
-	gone := sq.refs == 0
-	sq.mu.Unlock()
-	if !gone {
-		return
-	}
-	g.mu.Lock()
-	// Re-check under the registry lock: a new subscriber may have acquired
-	// the same key between our unlock and here.
-	sq.mu.Lock()
-	if sq.refs == 0 && g.qs[sq.key] == sq {
-		delete(g.qs, sq.key)
-	}
-	sq.mu.Unlock()
-	g.mu.Unlock()
-}
-
-// forDataset returns the live queries standing over name.
-func (g *standingRegistry) forDataset(name string) []*standingQuery {
+	// References move under the registry lock, so no subscriber can acquire
+	// the key between the last one's release and the delete.
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var out []*standingQuery
-	for key, sq := range g.qs {
-		if key.dataset == name {
-			out = append(out, sq)
-		}
+	sq.mu.Lock()
+	defer sq.mu.Unlock()
+	delete(sq.subs, ch)
+	if sq.refs--; sq.refs == 0 {
+		delete(g.qs, sq.key)
+		sq.cancel()
 	}
-	return out
 }
 
 // dropDataset ends every subscription over an evicted dataset: the final
 // broadcast carries closed=true and wakes both delivery modes.
 func (g *standingRegistry) dropDataset(name string) {
-	for _, sq := range g.forDataset(name) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for key, sq := range g.qs {
+		if key.dataset != name {
+			continue
+		}
+		sq.cancel()
 		sq.mu.Lock()
 		if !sq.closed {
 			sq.closed = true
@@ -175,46 +181,66 @@ func (g *standingRegistry) dropDataset(name string) {
 	}
 }
 
-// notifyStanding re-evaluates every standing query over e after a publish.
+// notifyStanding hands every standing query over e an evaluation of its new
+// epoch and returns at once. A key evaluates on one goroutine at a time, and
+// the publishes that land meanwhile fold into one more pass.
 func (s *Server) notifyStanding(e *entry) {
-	for _, sq := range s.standing.forDataset(e.name) {
-		s.standing.evaluate(e, sq)
+	g := s.standing
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for key, sq := range g.qs {
+		if key.dataset != e.name || sq.ctx.Err() != nil {
+			continue
+		}
+		sq.mu.Lock()
+		idle := !sq.running
+		sq.running, sq.again = true, sq.running
+		sq.mu.Unlock()
+		if idle {
+			g.wg.Add(1)
+			go func() {
+				defer g.wg.Done()
+				for more := true; more; {
+					s.evaluate(sq.ctx, e, sq)
+					sq.mu.Lock()
+					more = sq.again && sq.ctx.Err() == nil
+					sq.running, sq.again = more, false
+					sq.mu.Unlock()
+				}
+			}()
+		}
 	}
 }
 
-// evaluate brings sq's answer up to date against e's current epoch.
-func (g *standingRegistry) evaluate(e *entry, sq *standingQuery) {
-	sq.evalMu.Lock()
-	defer sq.evalMu.Unlock()
-
-	sq.mu.Lock()
-	closed := sq.closed
-	sq.mu.Unlock()
-	if closed {
-		return
+// evaluate submits sq's key to e's scheduler under ctx and -query-timeout,
+// and stores the answer unless one from a later epoch is stored already:
+// answers on equal epochs are identical, so no version moves backwards.
+func (s *Server) evaluate(ctx context.Context, e *entry, sq *standingQuery) {
+	if s.cfg.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
+		defer cancel()
 	}
-
-	g.evals.Add(1)
-	res, err := e.ds.TopK(sq.key.k)
+	s.standing.evals.Add(1)
+	start, tr := time.Now(), obs.New("standing")
+	rep, err := e.sch.submit(ctx, queryKey{K: sq.key.k}, tr.Root())
+	if err == nil {
+		err = rep.err
+	}
+	s.logTrace(tr, obs.QueryEntry{Time: start, Dataset: e.name, K: sq.key.k, Algorithm: "standing/" + servedAlgorithm}, err)
 	if err != nil {
-		// An evaluation raced a reload/evict; the next publish retries.
+		// Cancelled, timed out, refused or failed; the next publish retries.
 		return
 	}
-	epoch := e.ds.Epoch()
-	items := make([]QueryItem, len(res.Items))
-	for i, it := range res.Items {
-		items[i] = QueryItem{Rank: i + 1, Index: it.Index, ID: it.ID, Score: it.Score}
-	}
-
+	items := queryItems(rep.res)
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
-	if sq.closed {
+	if sq.closed || rep.st.Epoch < sq.epoch {
 		return
 	}
 	changed := !sq.sameLocked(items)
-	sq.epoch = epoch
-	sq.items = items
-	if changed || sq.ver == 0 {
+	sq.epoch, sq.items = rep.st.Epoch, items
+	if changed {
 		sq.ver++
 		sq.broadcastLocked()
 	}
@@ -223,15 +249,7 @@ func (g *standingRegistry) evaluate(e *entry, sq *standingQuery) {
 // sameLocked reports whether items matches the current answer object for
 // object and score for score; callers hold sq.mu.
 func (sq *standingQuery) sameLocked(items []QueryItem) bool {
-	if len(items) != len(sq.items) {
-		return false
-	}
-	for i, it := range items {
-		if it.ID != sq.items[i].ID || it.Score != sq.items[i].Score {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(items, sq.items, func(a, b QueryItem) bool { return a.ID == b.ID && a.Score == b.Score })
 }
 
 // SubscribeRequest is the POST /v1/datasets/{name}/subscribe body.
@@ -254,10 +272,6 @@ type SubscribeRequest struct {
 const defaultSubscribeWait = 30 * time.Second
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, r, http.StatusServiceUnavailable, errDraining, "server: shutting down")
-		return
-	}
 	var req SubscribeRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -290,14 +304,13 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	sq, dirty := s.standing.acquire(standingKey{dataset: name, k: req.K})
 	defer s.standing.release(sq, dirty)
 
-	// First subscriber on this key: materialise the answer now so there is
-	// a version-1 state to deliver. Subsequent subscribers see ver > 0 and
-	// skip straight to the current snapshot.
+	// Until the key has an answer, this subscriber evaluates it on its own
+	// request's context, so there is a version-1 state to deliver.
 	sq.mu.Lock()
 	seeded := sq.ver > 0
 	sq.mu.Unlock()
 	if !seeded {
-		s.standing.evaluate(e, sq)
+		s.evaluate(r.Context(), e, sq)
 	}
 
 	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -313,5 +314,107 @@ func TestStandingEvictCloses(t *testing.T) {
 	ev := <-parked
 	if !ev.Closed {
 		t.Fatalf("poller woke without closed: %+v", ev)
+	}
+}
+
+// slowStanding serves GenerateIND(20000, 4, 100, 0.2, 1) with ingest
+// publishing every 10 ms; one IBIG run over it at k = 20,000 takes a few
+// hundred milliseconds on two cores.
+func slowStanding(t *testing.T) (*server.Server, *httptest.Server) {
+	t.Helper()
+	d := newIngestDirs(t, tkd.GenerateIND(slowRows, 4, 100, 0.2, 1))
+	return startIngestServer(t, ingestConfig(d, 10*time.Millisecond), d)
+}
+
+const slowRows = 20000
+
+// dominatingRow is a row every fixture row has a common observed dimension
+// with and loses to on it: appended, it ranks first in every answer.
+func dominatingRow(id string) server.AppendRow {
+	return server.AppendRow{ID: id, Values: []*float64{fptr(-1), fptr(-1), fptr(-1), fptr(-1)}}
+}
+
+// TestStandingEvaluationHoldsNoPublish: with an SSE subscriber at k = 20,000,
+// a publish hands the standing evaluation off and returns, so an append made
+// while the evaluation runs turns visible at once; the appends made during
+// one evaluation fold into at most one more; and Shutdown cuts the
+// evaluation in flight short instead of waiting for it.
+func TestStandingEvaluationHoldsNoPublish(t *testing.T) {
+	s, ts := slowStanding(t)
+	defer ts.Close()
+	defer s.Close()
+
+	// The subscription answers once its key's first evaluation has run.
+	start := time.Now()
+	resp := subscribeSSE(t, ts.URL, slowRows)
+	defer resp.Body.Close()
+	eval := time.Since(start)
+	t.Logf("one evaluation: %v", eval)
+	evals := func() float64 { return metricValue(t, getBody(t, ts.URL+"/metrics"), "tkd_standing_evals_total") }
+	before := evals()
+
+	// The first append's publish starts an evaluation; the next two land
+	// while it runs.
+	began := time.Now()
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		appendRows(t, ts.URL, []server.AppendRow{dominatingRow(fmt.Sprintf("z%d", i))})
+		waitFor(t, "the append published", func() bool { return datasetInfo(t, ts.URL).Objects == slowRows+i+1 })
+		if visible := time.Since(start); i > 0 && visible > eval/2 {
+			t.Fatalf("append %d turned visible %v after its ack, against a %v evaluation", i, visible, eval)
+		}
+	}
+	if spent := time.Since(began); spent > eval {
+		t.Fatalf("three appends took %v, longer than one %v evaluation", spent, eval)
+	}
+	// Two evaluations can outlast waitFor's budget under the race detector.
+	epoch := datasetInfo(t, ts.URL).Epoch
+	for deadline := time.Now().Add(10 * eval); subscribePoll(t, ts.URL, server.SubscribeRequest{K: slowRows}).Epoch < epoch; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no standing answer at epoch %d after %v", epoch, 10*eval)
+		}
+	}
+	if n := evals() - before; n > 2 {
+		t.Fatalf("three appends during one evaluation ran %v evaluations, want at most 2", n)
+	}
+
+	// One more publish, and Shutdown while its evaluation runs.
+	before = evals()
+	appendRows(t, ts.URL, []server.AppendRow{dominatingRow("z3")})
+	waitFor(t, "an evaluation in flight", func() bool { return evals() > before })
+	start = time.Now()
+	s.Shutdown()
+	if took := time.Since(start); took > eval/2 {
+		t.Fatalf("Shutdown took %v with an evaluation in flight, against a %v evaluation", took, eval)
+	}
+}
+
+// TestQueryStampsTheEpochItRanOn: a query over the 20,000-row fixture at
+// k = 20,000 runs for hundreds of milliseconds; one whose run sees an append
+// published answers with the epoch it computed on, not the one current when
+// it finished.
+func TestQueryStampsTheEpochItRanOn(t *testing.T) {
+	s, ts := slowStanding(t)
+	defer func() { ts.Close(); s.Close() }()
+	epoch := datasetInfo(t, ts.URL).Epoch
+	done := make(chan server.QueryResponse, 1)
+	go func() {
+		qr, _ := postQuery(t, ts.URL, server.QueryRequest{Dataset: "d", K: slowRows})
+		done <- qr
+	}()
+	time.Sleep(20 * time.Millisecond) // the query starts running
+	appendRows(t, ts.URL, []server.AppendRow{dominatingRow("z")})
+	waitFor(t, "the append published", func() bool { return datasetInfo(t, ts.URL).Epoch > epoch })
+	select {
+	case <-done:
+		t.Fatal("the query answered before the append was published; the test raced")
+	default:
+	}
+	qr := <-done
+	if len(qr.Items) == 0 || qr.Items[0].ID == "z" {
+		t.Fatalf("the query ran on the append's epoch (items %d); the test raced", len(qr.Items))
+	}
+	if qr.Epoch != epoch {
+		t.Fatalf("a query computed on epoch %d is stamped %d", epoch, qr.Epoch)
 	}
 }

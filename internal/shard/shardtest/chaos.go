@@ -119,8 +119,7 @@ func (c *Chaos) draw() (chaosFault, time.Duration) {
 	return faultNone, 0
 }
 
-// ChaosBackend wraps a shard.Backend with fault injection on Partial and
-// Health.
+// ChaosBackend wraps a shard.Backend with fault injection on Partial.
 // Rows and Fingerprint pass through untouched — chaos perturbs delivery,
 // never identity.
 type ChaosBackend struct {
@@ -157,32 +156,6 @@ func (b *ChaosBackend) Partial(ctx context.Context, req *shard.Request) ([]int32
 		}
 	}
 	return b.inner.Partial(ctx, req)
-}
-
-// Health implements shard.HealthChecker, injecting the same fault kinds: a
-// stale draw reports a wrong fingerprint (the quarantine trigger), an error
-// draw fails the probe. Backends without a HealthChecker answer from their
-// Backend identity.
-func (b *ChaosBackend) Health(ctx context.Context) (shard.HealthInfo, error) {
-	switch fault, lat := b.c.draw(); fault {
-	case faultError:
-		return shard.HealthInfo{}, fmt.Errorf("chaos: injected health-probe error")
-	case faultTimeout:
-		<-ctx.Done()
-		return shard.HealthInfo{}, ctx.Err()
-	case faultStale:
-		return shard.HealthInfo{Rows: b.inner.Rows(), Fingerprint: b.inner.Fingerprint() + 1}, nil
-	case faultLatency:
-		select {
-		case <-time.After(lat):
-		case <-ctx.Done():
-			return shard.HealthInfo{}, ctx.Err()
-		}
-	}
-	if hc, ok := b.inner.(shard.HealthChecker); ok {
-		return hc.Health(ctx)
-	}
-	return shard.HealthInfo{Rows: b.inner.Rows(), Fingerprint: b.inner.Fingerprint()}, nil
 }
 
 // ChaosTransport wraps an http.RoundTripper with the same fault schedule,

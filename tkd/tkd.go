@@ -534,7 +534,8 @@ func WithWorkers(n int) Option {
 	return func(c *queryConfig) { c.workers = n }
 }
 
-// WithStats captures the query's work counters into st.
+// WithStats captures the query's work counters and the epoch it ran on into
+// st.
 func WithStats(st *Stats) Option {
 	return func(c *queryConfig) { c.stats = st }
 }
@@ -769,6 +770,7 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	}
 	stampStats(eng, st)
 	eng.End()
+	st.Epoch = s.epoch
 	if cfg.stats != nil {
 		*cfg.stats = st
 	}

@@ -85,6 +85,20 @@ func TestWithStats(t *testing.T) {
 	if st.Scored != 2 || st.PrunedH1 != 18 {
 		t.Fatalf("stats = %+v, want 2 scored / 18 pruned (Example 2)", st)
 	}
+	if st.Epoch == 0 || st.Epoch != ds.Epoch() {
+		t.Fatalf("stats epoch %d, dataset epoch %d", st.Epoch, ds.Epoch())
+	}
+	// An append publishes the next epoch; the next query reports it.
+	if err := ds.Append("z", 9, 9, 9, 9); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Epoch
+	if _, err := ds.TopK(2, tkd.WithStats(&st)); err != nil {
+		t.Fatal(err)
+	}
+	if st.Epoch <= before || st.Epoch != ds.Epoch() {
+		t.Fatalf("after an append: stats epoch %d (was %d), dataset epoch %d", st.Epoch, before, ds.Epoch())
+	}
 }
 
 func TestWithBins(t *testing.T) {
