@@ -230,14 +230,14 @@ func New(cfg Config) *Server {
 	s.peer = shard.NewPeer(s.resolveShardData)
 	s.peer.SetQueryLog(s.qlog)
 	handlers := map[string]http.Handler{
-		"POST /v1/datasets/{name}/query":     s.open(s.handleDatasetQuery),
-		"POST /v1/datasets/{name}/subscribe": s.open(s.handleSubscribe),
+		"POST /v1/datasets/{name}/query":     s.unlessDraining(s.handleDatasetQuery),
+		"POST /v1/datasets/{name}/subscribe": s.unlessDraining(s.handleSubscribe),
 		"GET /v1/datasets":                   http.HandlerFunc(s.handleDatasets),
 		"GET /v1/datasets/{name}":            http.HandlerFunc(s.handleDatasetInfo),
-		"POST /v1/datasets":                  s.open(s.handleRegister),
-		"POST /v1/datasets/{name}/reload":    s.open(s.handleReload),
+		"POST /v1/datasets":                  s.unlessDraining(s.handleRegister),
+		"POST /v1/datasets/{name}/reload":    s.unlessDraining(s.handleReload),
 		"DELETE /v1/datasets/{name}":         http.HandlerFunc(s.handleEvict),
-		"POST /v1/datasets/{name}/append":    s.open(s.handleAppend),
+		"POST /v1/datasets/{name}/append":    s.unlessDraining(s.handleAppend),
 		"GET /v1/datasets/{name}/epoch":      http.HandlerFunc(s.handleEpochStream),
 		"GET /v1/debug/queries":              http.HandlerFunc(s.handleDebugQueries),
 		"GET /healthz":                       http.HandlerFunc(s.handleHealthz),
@@ -628,8 +628,8 @@ func (s *Server) Shutdown() {
 	s.Close()
 }
 
-// open serves h until Shutdown begins and answers 503 from then on.
-func (s *Server) open(h http.HandlerFunc) http.Handler {
+// unlessDraining serves h until Shutdown begins and answers 503 from then on.
+func (s *Server) unlessDraining(h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			writeError(w, r, http.StatusServiceUnavailable, errDraining, "server: shutting down")

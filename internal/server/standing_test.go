@@ -317,6 +317,8 @@ func TestStandingEvictCloses(t *testing.T) {
 	}
 }
 
+const slowRows = 20000
+
 // slowStanding serves GenerateIND(20000, 4, 100, 0.2, 1) with ingest
 // publishing every 10 ms; one IBIG run over it at k = 20,000 takes a few
 // hundred milliseconds on two cores.
@@ -325,8 +327,6 @@ func slowStanding(t *testing.T) (*server.Server, *httptest.Server) {
 	d := newIngestDirs(t, tkd.GenerateIND(slowRows, 4, 100, 0.2, 1))
 	return startIngestServer(t, ingestConfig(d, 10*time.Millisecond), d)
 }
-
-const slowRows = 20000
 
 // dominatingRow is a row every fixture row has a common observed dimension
 // with and loses to on it: appended, it ranks first in every answer.
