@@ -418,3 +418,24 @@ func TestQueryStampsTheEpochItRanOn(t *testing.T) {
 		t.Fatalf("a query computed on epoch %d is stamped %d", epoch, qr.Epoch)
 	}
 }
+
+// TestStandingEvaluationHonoursQueryTimeout: -query-timeout bounds a standing
+// evaluation like any query. A first subscriber whose evaluation cannot
+// finish within it gets no answer — version 0 once its wait runs out — and
+// the evaluation counts as a failed query.
+func TestStandingEvaluationHonoursQueryTimeout(t *testing.T) {
+	s := server.New(server.Config{QueryTimeout: time.Millisecond})
+	defer s.Close()
+	if err := s.AddDataset("d", tkd.GenerateIND(slowRows, 4, 100, 0.2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	ev := subscribePoll(t, ts.URL, server.SubscribeRequest{K: slowRows, WaitMillis: 50})
+	if ev.Version != 0 || len(ev.Items) != 0 {
+		t.Fatalf("a 1 ms timeout let the evaluation answer: version %d, %d items", ev.Version, len(ev.Items))
+	}
+	waitFor(t, "the timed-out evaluation counted as a failed query", func() bool {
+		return metricValue(t, getBody(t, ts.URL+"/metrics"), `tkd_query_errors_total{dataset="d"}`) == 1
+	})
+}
