@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shards      = fs.Int("shards", 1, "split each dataset into N row-range shards behind a scatter-gather coordinator (1 = unsharded; answers are byte-identical either way)")
 		peersFlag   = fs.String("peers", "", "comma-separated base URLs of tkdserver peers that serve the shards remotely (requires -shards > 1; peers must serve the same -dataset mappings; pipe-separate replicas within an entry, e.g. http://a:8080|http://b:8080)")
 		peerTimeout = fs.Duration("peer-timeout", 30*time.Second, "per-request timeout for shard-peer round trips")
-		queryTO     = fs.Duration("query-timeout", 0, "default per-query deadline when the request carries no timeout_millis (0 = none)")
+		queryTO     = fs.Duration("query-timeout", 0, "default per-query deadline when the request carries no timeout_millis, and every standing evaluation's (0 = none)")
 		healthIvl   = fs.Duration("health-interval", 0, "period of the background replica health probes; divergent replicas are quarantined (0 = disabled)")
 		logFormat   = fs.String("log-format", "text", "structured log encoding: text or json")
 		slowQuery   = fs.Duration("slow-query", 0, "log queries slower than this at warn level with their trace ID (0 = disabled; the /v1/debug/queries ring is always on)")
