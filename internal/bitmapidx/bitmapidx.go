@@ -33,6 +33,7 @@ package bitmapidx
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitvec"
@@ -159,6 +160,9 @@ type Index struct {
 	// handed to a successor (AppendRows). Written once per publish; kept at
 	// the end, away from the fields every candidate reads.
 	ranksExtended atomic.Bool
+	// cursors holds released cursors over this index (Cursor.Release), so a
+	// query's vectors, buffers and |F| memo serve the next query's NewCursor.
+	cursors sync.Pool
 }
 
 // cacheState carries the cache's accounting: the configurable byte budget,
@@ -565,10 +569,12 @@ func (ix *Index) BucketMinValue(d, b int) float64 {
 const DefaultCacheBudget = 32 << 20
 
 // Cursor carries the per-query scratch state for Q/P computation. Cursors
-// are not safe for concurrent use; create one per goroutine — all cursors of
+// are not safe for concurrent use; take one per goroutine — all cursors of
 // one index share its decompressed-column cache, so extra cursors are cheap.
 // Every buffer below is reused across candidates, so a warmed-up cursor is
-// allocation-free per candidate on both the serial and parallel paths.
+// allocation-free per candidate on both the serial and parallel paths, and a
+// released cursor (Release) is reused by a later NewCursor on its index, so
+// a query that draws one allocates none of it.
 type Cursor struct {
 	ix *Index
 	// q and p hold QP's result; w the scoring kernel's W ∩ ∩Qᵢ.
@@ -591,10 +597,19 @@ type Cursor struct {
 	blocks bitvec.Scratch
 }
 
-// NewCursor returns a cursor over the index.
+// NewCursor returns a cursor over the index: a released one when the index
+// holds one, else a new one.
 func (ix *Index) NewCursor() *Cursor {
+	if c, ok := ix.cursors.Get().(*Cursor); ok {
+		return c
+	}
+	return ix.newCursor()
+}
+
+// newCursor allocates a cursor over the index.
+func (ix *Index) newCursor() *Cursor {
 	n := ix.ds.Len()
-	c := &Cursor{
+	return &Cursor{
 		ix:       ix,
 		q:        bitvec.New(n),
 		p:        bitvec.New(n),
@@ -607,8 +622,13 @@ func (ix *Index) NewCursor() *Cursor {
 		qrefs:    make([]qref, 0, len(ix.dims)),
 		terms:    make([]bitvec.TieTerm, 0, len(ix.dims)),
 	}
-	return c
 }
+
+// Release hands the cursor back to its index for a later NewCursor; the
+// caller must not use it, or a vector it returned, afterwards. Nothing a
+// cursor keeps depends on the query that used it: every buffer is rewritten
+// before it is read, and the |F| memo is a constant of the index.
+func (c *Cursor) Release() { c.ix.cursors.Put(c) }
 
 // Index returns the index the cursor reads.
 func (c *Cursor) Index() *Index { return c.ix }

@@ -16,6 +16,10 @@ type bigState struct{ cursor *bitmapidx.Cursor }
 // newBigState returns one worker's scorer over ix.
 func newBigState(ix *bitmapidx.Index) bigState { return bigState{ix.NewCursor()} }
 
+// Release hands the cursor back to its index (loop calls it when the run
+// ends).
+func (s bigState) Release() { s.cursor.Release() }
+
 // ScoreResult tells the caller how a scorer ended.
 type ScoreResult int
 

@@ -94,17 +94,28 @@ func scanAll(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueue,
 // loop is the one fork: it walks walk with the heap's ties decided by bound —
 // at most one worker is the serial loop, more the batch-windowed engine. Both
 // check ctx once per WindowSize candidates and return its error, with the
-// Stats of the work done, when it is cancelled.
+// Stats of the work done, when it is cancelled. A scorer that holds pooled
+// scratch (a bitmap cursor) hands it back when the run ends.
 func loop(ctx context.Context, ds *data.Dataset, k int, walk *MaxScoreQueue, bound []int, workers int, newScorer func() Scorer, sp *obs.Span) (Result, Stats, error) {
 	workers = clampWorkers(workers, len(walk.Order))
 	if workers <= 1 {
-		return serialRun(ctx, ds, k, walk, bound, newScorer(), sp)
+		s := newScorer()
+		defer release(s)
+		return serialRun(ctx, ds, k, walk, bound, s, sp)
 	}
 	scorers := make([]Scorer, workers)
 	for w := range scorers {
 		scorers[w] = newScorer()
+		defer release(scorers[w])
 	}
 	return engineRun(ctx, ds, k, walk, bound, scorers, sp)
+}
+
+// release hands back s's pooled scratch, if it holds any.
+func release(s Scorer) {
+	if r, ok := s.(interface{ Release() }); ok {
+		r.Release()
+	}
 }
 
 // serialRun is the main loop of Algorithms 2 and 4: candidates in queue
@@ -192,44 +203,51 @@ func engineRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueu
 		}
 		st.Windows++
 		next.Store(0)
+		work := func(s Scorer) {
+			var ws Stats
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(window) {
+					break
+				}
+				o := int(window[i])
+				t := fr.Tau()
+				if t >= 0 && queue.MaxScore[o] < t {
+					ws.PrunedH1++ // worker-side Heuristic 1
+					continue
+				}
+				ws.Candidates++
+				score, how, cmp := s.Score(o, t-1)
+				ws.Comparisons += cmp
+				switch how {
+				case PrunedH2:
+					ws.PrunedH2++
+					continue
+				case PrunedH3:
+					ws.PrunedH3++
+					continue
+				}
+				ws.Scored++
+				it := Item{Index: o, ID: ds.Obj(o).ID, Score: score}
+				mu.Lock()
+				sc.offer(it)
+				fr.SetTau(sc.tau())
+				mu.Unlock()
+			}
+			mu.Lock()
+			st.Add(ws)
+			mu.Unlock()
+		}
 		var wg sync.WaitGroup
-		for _, s := range scorers {
+		for i, s := range scorers {
+			if i == len(scorers)-1 {
+				work(s) // this goroutine would only wait: the last worker is its own
+				continue
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var ws Stats
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(window) {
-						break
-					}
-					o := int(window[i])
-					t := fr.Tau()
-					if t >= 0 && queue.MaxScore[o] < t {
-						ws.PrunedH1++ // worker-side Heuristic 1
-						continue
-					}
-					ws.Candidates++
-					score, how, cmp := s.Score(o, t-1)
-					ws.Comparisons += cmp
-					switch how {
-					case PrunedH2:
-						ws.PrunedH2++
-						continue
-					case PrunedH3:
-						ws.PrunedH3++
-						continue
-					}
-					ws.Scored++
-					it := Item{Index: o, ID: ds.Obj(o).ID, Score: score}
-					mu.Lock()
-					sc.offer(it)
-					fr.SetTau(sc.tau())
-					mu.Unlock()
-				}
-				mu.Lock()
-				st.Add(ws)
-				mu.Unlock()
+				work(s)
 			}()
 		}
 		wg.Wait()

@@ -32,7 +32,8 @@ func ForeignScore(ds *data.Dataset, cand *data.Object) int {
 // ForeignScorer computes shard-local partial scores and bounds of foreign
 // candidates through the shard's binned index — the IBIG scatter-gather
 // shard executor. Not safe for concurrent use (it owns a cursor); create one
-// per goroutine, they share the index's decompressed-column cache.
+// per goroutine, they share the index's decompressed-column cache, and
+// Release it when done so its cursor serves the next one.
 type ForeignScorer struct {
 	ds     *data.Dataset
 	cursor *bitmapidx.Cursor
@@ -43,6 +44,10 @@ type ForeignScorer struct {
 func NewForeignScorer(ds *data.Dataset, ix *bitmapidx.Index) *ForeignScorer {
 	return &ForeignScorer{ds: ds, cursor: ix.NewCursor()}
 }
+
+// Release hands the scorer's cursor back to its index; the scorer must not
+// be used afterwards.
+func (s *ForeignScorer) Release() { s.cursor.Release() }
 
 // BoundAbove reports whether the candidate's shard-local Heuristic 2 bound
 // |∩Qi| − |F(cand)| exceeds tau, returning the exact bound when it does. The

@@ -92,5 +92,6 @@ func (a *AnswerHeap) Offer(it Item) { a.h.offer(it) }
 // minimum retained score.
 func (a *AnswerHeap) Tau() int { return a.h.tau() }
 
-// Result drains the heap into a Result in answer order.
+// Result returns the heap's items in answer order; the heap is spent
+// afterwards.
 func (a *AnswerHeap) Result() Result { return a.h.result() }

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"container/heap"
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // Item is one answer object of a TKD query.
@@ -101,38 +101,35 @@ func (st *Stats) Add(o Stats) {
 // most k items, exposing τ (the k-th highest score so far). It orders items
 // totally, in Result's answer order, with bound — every object's MaxScore,
 // indexed by dataset position — deciding score ties: so it keeps the same k
-// items whatever order they are offered in.
+// items whatever order they are offered in. It sifts its []Item in place, so
+// an offer boxes nothing.
 type candidateHeap struct {
 	items []Item
 	k     int
 	bound []int
 }
 
+// heapPresize caps the items a heap allocates room for up front: a large k
+// grows the slice as the heap fills instead.
+const heapPresize = 64
+
 func newCandidateHeap(k int, bound []int) *candidateHeap {
-	return &candidateHeap{k: k, bound: bound}
+	return &candidateHeap{items: make([]Item, 0, min(k, heapPresize)), k: k, bound: bound}
+}
+
+// order compares a and b in the answer order: negative when a ranks first.
+func (h *candidateHeap) order(a, b Item) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(h.bound[b.Index], h.bound[a.Index]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Index, b.Index)
 }
 
 // ahead reports whether a ranks before b in the answer order.
-func (h *candidateHeap) ahead(a, b Item) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	if ba, bb := h.bound[a.Index], h.bound[b.Index]; ba != bb {
-		return ba > bb
-	}
-	return a.Index < b.Index
-}
-
-func (h *candidateHeap) Len() int           { return len(h.items) }
-func (h *candidateHeap) Less(i, j int) bool { return h.ahead(h.items[j], h.items[i]) }
-func (h *candidateHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-
-func (h *candidateHeap) Push(x any) { h.items = append(h.items, x.(Item)) }
-func (h *candidateHeap) Pop() any {
-	last := h.items[len(h.items)-1]
-	h.items = h.items[:len(h.items)-1]
-	return last
-}
+func (h *candidateHeap) ahead(a, b Item) bool { return h.order(a, b) < 0 }
 
 // tau returns the paper's τ: the minimum score in SC once |SC| = k, and -1
 // before the candidate set fills up.
@@ -147,18 +144,52 @@ func (h *candidateHeap) tau() int {
 // minimum.
 func (h *candidateHeap) offer(it Item) {
 	if len(h.items) < h.k {
-		heap.Push(h, it)
+		h.items = append(h.items, it)
+		h.up(len(h.items) - 1)
 		return
 	}
 	if h.ahead(it, h.items[0]) {
 		h.items[0] = it
-		heap.Fix(h, 0)
+		h.down(0)
 	}
 }
 
-// result drains the heap into a Result.
+// up moves item i toward the root while it ranks behind its parent (the root
+// is the item furthest behind in answer order).
+func (h *candidateHeap) up(i int) {
+	items := h.items
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.ahead(items[p], items[i]) {
+			return
+		}
+		items[p], items[i] = items[i], items[p]
+		i = p
+	}
+}
+
+// down moves item i toward the leaves while a child ranks behind it.
+func (h *candidateHeap) down(i int) {
+	items := h.items
+	for {
+		c := 2*i + 1
+		if c >= len(items) {
+			return
+		}
+		if r := c + 1; r < len(items) && h.ahead(items[c], items[r]) {
+			c = r
+		}
+		if !h.ahead(items[i], items[c]) {
+			return
+		}
+		items[i], items[c] = items[c], items[i]
+		i = c
+	}
+}
+
+// result returns the heap's items in answer order. It sorts them in place:
+// the heap is spent afterwards.
 func (h *candidateHeap) result() Result {
-	items := append([]Item(nil), h.items...)
-	sort.Slice(items, func(i, j int) bool { return h.ahead(items[i], items[j]) })
-	return Result{Items: items}
+	slices.SortFunc(h.items, h.order)
+	return Result{Items: h.items}
 }

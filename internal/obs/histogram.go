@@ -56,20 +56,14 @@ type HistogramSnapshot struct {
 	Buckets    []int64
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) in seconds from the bucket
-// counts by nearest rank — ceil(q·Count), so with 10 observations the p99
-// is the 10th (slowest) sample, never a faster one: a single straggler
-// call stays visible, which is the whole point of a per-shard histogram.
-// Each bucket's mass is attributed to its upper bound (the conservative
-// Prometheus-style read). Returns 0 with no observations.
-func (s HistogramSnapshot) Quantile(q float64) float64 { return s.quantile(q, false) }
-
-// InterpolatedQuantile is Quantile read linearly inside the bucket that
-// holds the rank instead of at its upper bound: 98 calls under 1 ms and two
-// in (1, 5] ms put the p99 at 3 ms, not 5.
-func (s HistogramSnapshot) InterpolatedQuantile(q float64) float64 { return s.quantile(q, true) }
-
-func (s HistogramSnapshot) quantile(q float64, within bool) float64 {
+// InterpolatedQuantile estimates the q-quantile (0 < q < 1) in seconds from
+// the bucket counts: it finds the bucket holding the nearest rank,
+// ceil(q·Count), and reads linearly inside it — 98 calls under 1 ms and two
+// in (1, 5] ms put the p99 at 3 ms. Nearest rank keeps a single straggler
+// visible: with 10 observations the p99 is the 10th (slowest) sample's
+// bucket, never a faster one. A rank past the last bound reads as the last
+// bound. Returns 0 with no observations.
+func (s HistogramSnapshot) InterpolatedQuantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
 	}
@@ -78,9 +72,6 @@ func (s HistogramSnapshot) quantile(q float64, within bool) float64 {
 	lo := 0.0
 	for i, c := range s.Buckets {
 		if cum+c >= rank {
-			if !within {
-				return LatencyBuckets[i]
-			}
 			return lo + float64(rank-cum)/float64(c)*(LatencyBuckets[i]-lo)
 		}
 		cum, lo = cum+c, LatencyBuckets[i]

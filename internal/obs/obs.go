@@ -268,6 +268,17 @@ func (s *Span) SetInt(key string, v int64) {
 	s.tr.mu.Unlock()
 }
 
+// SetAttrs records several attributes in one step: the span's attribute
+// list grows once, however many they are.
+func (s *Span) SetAttrs(attrs ...Attr) {
+	if s == nil {
+		return
+	}
+	s.tr.mu.Lock()
+	s.attrs = append(s.attrs, attrs...)
+	s.tr.mu.Unlock()
+}
+
 // SetStr records a string attribute.
 func (s *Span) SetStr(key, v string) {
 	if s == nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -46,27 +47,45 @@ func newAdmission(capacity int) *admission {
 	return &admission{capacity: capacity}
 }
 
+// heldAtOnce is the ready channel of every grant whose slots were free when
+// it entered an empty line: closed once and shared, so such a grant makes no
+// channel of its own.
+var heldAtOnce = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // enter takes the next place in line without blocking. want <= 0 asks for
-// the fair share.
+// the fair share. A grant that fits an empty line holds its slots at once;
+// any other waits behind the head, which admit left there because it did
+// not fit.
 func (a *admission) enter(want int) *grant {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if want <= 0 {
 		want = a.capacity / (a.running + len(a.line) + 1)
 	}
-	g := &grant{n: min(max(want, 1), a.capacity), ready: make(chan struct{})}
+	g := &grant{n: min(max(want, 1), a.capacity)}
+	if len(a.line) == 0 && a.used+g.n <= a.capacity {
+		a.used += g.n
+		a.running++
+		g.ready = heldAtOnce
+		return g
+	}
+	g.ready = make(chan struct{})
 	a.line = append(a.line, g)
-	a.admit()
 	return g
 }
 
 // admit hands slots to the head of the line for as long as it fits; a.mu is
-// held. Nothing behind a head that does not fit is considered.
+// held. Nothing behind a head that does not fit is considered. The line
+// keeps its backing array, so a steady stream of grants appends to it
+// without allocating.
 func (a *admission) admit() {
 	for len(a.line) > 0 && a.used+a.line[0].n <= a.capacity {
 		g := a.line[0]
-		a.line[0] = nil // the backing array outlives the grant
-		a.line = a.line[1:]
+		a.line = slices.Delete(a.line, 0, 1)
 		a.used += g.n
 		a.running++
 		close(g.ready)
@@ -77,6 +96,20 @@ func (a *admission) admit() {
 func (g *grant) wait() int {
 	<-g.ready
 	return g.n
+}
+
+// withdraw takes a grant nobody will use out of the line, or returns its
+// slots if it was admitted meanwhile, and admits whoever now fits.
+func (a *admission) withdraw(g *grant) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if i := slices.Index(a.line, g); i >= 0 {
+		a.line = slices.Delete(a.line, i, i+1)
+	} else {
+		a.used -= g.n
+		a.running--
+	}
+	a.admit()
 }
 
 // release returns the slots of one admitted grant and admits whoever now fits.

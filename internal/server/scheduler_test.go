@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -290,6 +291,159 @@ func TestShutdownJoinsStandingEvaluations(t *testing.T) {
 	<-shut
 	<-served
 	eventually(t, "the goroutine count after Shutdown", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestLoneQueryRunsOnItsSubmitter: a query nobody joins waits for its grant
+// and executes on the goroutine that submitted it. While it waits behind a
+// hog grant the goroutine count rises by exactly one — the submitter — and
+// once the hog lets go it answers Naive's items, answered by an execution of
+// its own, and leaves no goroutine behind.
+func TestLoneQueryRunsOnItsSubmitter(t *testing.T) {
+	gen := func() *tkd.Dataset { return tkd.GenerateIND(2000, 4, 40, 0.1, 5) }
+	s := New(Config{MaxWorkers: 2})
+	defer s.Close()
+	if err := s.AddDataset("d", gen()); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := s.reg.get("d")
+	release := s.HoldSlots()
+	type answer struct {
+		rep reply
+		err error
+	}
+	base := runtime.NumGoroutine()
+	answered := make(chan answer, 1)
+	go func() {
+		rep, err := e.sch.submit(context.Background(), queryKey{K: 7}, nil)
+		answered <- answer{rep, err}
+	}()
+	eventually(t, "the query in the admission line", func() bool { return s.Waiting("d") == 1 })
+	if n := runtime.NumGoroutine() - base; n != 1 {
+		t.Fatalf("a lone query waiting for its grant added %d goroutines, want 1: its submitter", n)
+	}
+	release()
+	var a answer
+	select {
+	case a = <-answered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the query was never answered")
+	}
+	if a.err == nil {
+		a.err = a.rep.err
+	}
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.rep.coalesced || a.rep.batch != 1 || a.rep.granted != 1 {
+		t.Errorf("coalesced %v, batch %d, granted %d; want an execution of its own on one slot", a.rep.coalesced, a.rep.batch, a.rep.granted)
+	}
+	want, err := gen().TopK(7, tkd.WithAlgorithm(tkd.Naive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.rep.res.Items, want.Items) {
+		t.Fatalf("answer %v, want Naive's %v", a.rep.res.Items, want.Items)
+	}
+	eventually(t, "the goroutine count after the answer", func() bool { return runtime.NumGoroutine() <= base })
+	idle(t, s.adm)
+}
+
+// TestShutdownRetiresAbandonedGroups: a group that no waiter still waits for
+// leaves the admission line and hands its in-flight token back without
+// running. A hog grant holds every slot; the only waiter of a queued
+// standing evaluation, of a lone query, or both waiters of a coalesced group
+// in line are cancelled, and Shutdown returns within 100 ms while the hog
+// still holds its slots — the drain does not wait for a grant that would
+// answer nobody. Once the hog lets go the controller is idle: the group's
+// grant was withdrawn, not left to take slots later.
+func TestShutdownRetiresAbandonedGroups(t *testing.T) {
+	gen := func() *tkd.Dataset { return tkd.GenerateIND(2000, 4, 40, 0.1, 5) }
+	// cancelled queues the given number of waiters of one key behind the hog
+	// and cancels them all once they wait in one group.
+	cancelled := func(waiters int) func(*testing.T, *Server) {
+		return func(t *testing.T, s *Server) {
+			e, _ := s.reg.get("d")
+			ctx, cancel := context.WithCancel(context.Background())
+			errs := make(chan error, waiters)
+			for i := 0; i < waiters; i++ {
+				go func() {
+					_, err := e.sch.submit(ctx, queryKey{K: 3}, nil)
+					errs <- err
+				}()
+				eventually(t, fmt.Sprintf("waiter %d in the group in line", i+1), func() bool { return s.Waiting("d") == i+1 })
+			}
+			cancel()
+			for i := 0; i < waiters; i++ {
+				if err := <-errs; !errors.Is(err, context.Canceled) {
+					t.Fatalf("a cancelled waiter: %v, want context.Canceled", err)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		standing bool
+		queue    func(*testing.T, *Server)
+	}{
+		{"standing evaluation", true, func(t *testing.T, s *Server) {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets/d/append",
+				strings.NewReader(`{"rows":[{"id":"z","values":[0,0,0,0]}]}`)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("append: HTTP %d: %s", rec.Code, rec.Body)
+			}
+			eventually(t, "the publish's evaluation in the admission line", func() bool { return s.Waiting("d") == 1 })
+		}},
+		{"lone query", false, cancelled(1)},
+		{"coalesced group", false, cancelled(2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			cfg := Config{MaxWorkers: 2}
+			if tc.standing {
+				cfg.WALDir, cfg.PublishInterval = t.TempDir(), time.Millisecond
+			}
+			s := New(cfg)
+			defer s.Close()
+			if err := s.AddDataset("d", gen()); err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan struct{})
+			if tc.standing {
+				go func() {
+					defer close(served)
+					req := httptest.NewRequest(http.MethodPost, "/v1/datasets/d/subscribe", strings.NewReader(`{"k":5}`))
+					req.Header.Set("Accept", "text/event-stream")
+					s.ServeHTTP(httptest.NewRecorder(), req)
+				}()
+				eventually(t, "the subscriber's first answer", func() bool {
+					return s.standing.subscribers.Load() == 1 && s.standing.evals.Load() == 1 && s.Waiting("d") == 0
+				})
+			} else {
+				close(served)
+			}
+			release := s.HoldSlots()
+			tc.queue(t, s)
+
+			start := time.Now()
+			shut := make(chan struct{})
+			go func() { s.Shutdown(); close(shut) }()
+			select {
+			case <-shut:
+			case <-time.After(100 * time.Millisecond):
+				release()
+				<-shut
+				t.Fatalf("Shutdown took %v: it waited for a group nobody waits for", time.Since(start))
+			}
+			<-served
+			if n := s.Waiting("d"); n != 0 {
+				t.Errorf("%d requests still wait in line after Shutdown", n)
+			}
+			release()
+			idle(t, s.adm)
+			eventually(t, "the goroutine count after Shutdown", func() bool { return runtime.NumGoroutine() <= base })
+		})
+	}
 }
 
 // TestCoalescesBehindRunningGroups pins when identical queries share an

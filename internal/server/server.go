@@ -911,9 +911,11 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	// caller's trace); a malformed or absent header is ignored, never a 4xx.
 	tr := obs.Adopt(r.Header.Get("traceparent"), "query")
 	root := tr.Root()
-	root.SetStr("dataset", req.Dataset)
-	root.SetInt("k", int64(req.K))
-	root.SetStr("algorithm", servedAlgorithm)
+	root.SetAttrs(
+		obs.Attr{Key: "dataset", Str: req.Dataset, IsStr: true},
+		obs.Attr{Key: "k", Int: int64(req.K)},
+		obs.Attr{Key: "algorithm", Str: servedAlgorithm, IsStr: true},
+	)
 
 	start := time.Now()
 	rep, err := e.sch.submit(ctx, queryKey{K: req.K, AllowPartial: req.AllowPartial}, root)

@@ -56,7 +56,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/bitmapidx"
 	"repro/internal/core"
@@ -132,20 +131,11 @@ type Backend interface {
 
 // Local is an in-process shard: a core.Prepared over a row-range slice of a
 // frozen epoch — its binned index is built, loaded, saved, budgeted and
-// counted there, exactly as the epoch's own is — plus what only a scatter
-// target needs: the pooled foreign scorers. Safe for concurrent use; a warm
-// Partial takes no lock.
+// counted there, exactly as the epoch's own is. A Partial scores through a
+// foreign scorer whose cursor the index pools. Safe for concurrent use; a
+// warm Partial takes no lock.
 type Local struct {
 	*core.Prepared
-
-	scorers sync.Pool // *scorerBox over the binned index
-}
-
-// scorerBox ties a pooled scorer to the index it was built over, so a
-// warm-installed index never serves a stale scorer.
-type scorerBox struct {
-	ix *bitmapidx.Index
-	s  *core.ForeignScorer
 }
 
 // NewLocal returns the shard of rows [lo, hi) of parent — a zero-copy slice
@@ -168,18 +158,6 @@ func (l *Local) Rows() int { return l.Dataset().Len() }
 // Fingerprint digests the slice contents: O(1) after the first call, the
 // slice of a frozen epoch being frozen (data.Dataset.Freeze).
 func (l *Local) Fingerprint() uint64 { return l.Dataset().Fingerprint() }
-
-// scorer fetches a pooled foreign scorer box over ix (cursors are
-// single-goroutine; the pool amortizes their scratch buffers and |F| memo
-// across scatter calls). The caller puts the same box back when done.
-func (l *Local) scorer(ix *bitmapidx.Index) *scorerBox {
-	if v := l.scorers.Get(); v != nil {
-		if box := v.(*scorerBox); box.ix == ix {
-			return box
-		}
-	}
-	return &scorerBox{ix: ix, s: core.NewForeignScorer(l.Dataset(), ix)}
-}
 
 // checkBudgets is the Request.Budgets shape rule, shared by Local and the
 // peer's wire validation: exact phase only, one per candidate or none.
@@ -232,9 +210,8 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 	if ds.Len() == 0 {
 		return out, nil
 	}
-	box := l.scorer(l.Ensure(core.NeedBinned).Binned)
-	defer l.scorers.Put(box)
-	s := box.s
+	s := core.NewForeignScorer(ds, l.Ensure(core.NeedBinned).Binned)
+	defer s.Release()
 	switch req.Mode {
 	case ModeBounds:
 		for i, c := range req.Cands {

@@ -484,33 +484,39 @@ func TestPeerLocalIsNewLocal(t *testing.T) {
 	}
 }
 
-// TestMetricsQuantile pins the histogram quantile estimator.
+// TestMetricsQuantile pins the histogram quantile estimator the hedge
+// trigger reads (InterpolatedQuantile): nearest rank, read linearly inside
+// the bucket that holds it.
 func TestMetricsQuantile(t *testing.T) {
-	l := ShardLatency{Count: 100, Buckets: make([]int64, len(obs.LatencyBuckets))}
-	l.Buckets[2] = 90 // 90 obs <= 5ms
-	l.Buckets[5] = 10 // 10 obs <= 100ms
-	if got := l.Quantile(0.5); got != obs.LatencyBuckets[2] {
-		t.Fatalf("p50 = %v, want %v", got, obs.LatencyBuckets[2])
+	b := obs.LatencyBuckets
+	hist := func(count int64, buckets map[int]int64) ShardLatency {
+		l := ShardLatency{Count: count, Buckets: make([]int64, len(b))}
+		for i, n := range buckets {
+			l.Buckets[i] = n
+		}
+		return l
 	}
-	if got := l.Quantile(0.99); got != obs.LatencyBuckets[5] {
-		t.Fatalf("p99 = %v, want %v", got, obs.LatencyBuckets[5])
-	}
-	if got := (ShardLatency{}).Quantile(0.99); got != 0 {
-		t.Fatalf("empty p99 = %v, want 0", got)
-	}
-	// Nearest rank: with 10 observations, one straggler IS the p99 — it
-	// must not hide behind the nine fast calls.
-	s := ShardLatency{Count: 10, Buckets: make([]int64, len(obs.LatencyBuckets))}
-	s.Buckets[0] = 9 // nine fast calls
-	s.Buckets[7] = 1 // one 1s straggler
-	if got := s.Quantile(0.99); got != obs.LatencyBuckets[7] {
-		t.Fatalf("straggler p99 = %v, want %v", got, obs.LatencyBuckets[7])
-	}
-	// Two observations: the "p99" is the slower one, never the faster.
-	two := ShardLatency{Count: 2, Buckets: make([]int64, len(obs.LatencyBuckets))}
-	two.Buckets[0] = 1
-	two.Buckets[4] = 1
-	if got := two.Quantile(0.99); got != obs.LatencyBuckets[4] {
-		t.Fatalf("two-sample p99 = %v, want %v", got, obs.LatencyBuckets[4])
+	for _, tc := range []struct {
+		name string
+		l    ShardLatency
+		q    float64
+		want float64
+	}{
+		// 90 obs in (1, 5] ms and 10 in (50, 100] ms: rank 50 is the 50th of
+		// the 90, rank 99 the 9th of the 10.
+		{"p50", hist(100, map[int]int64{2: 90, 5: 10}), 0.5, b[1] + 50.0/90*(b[2]-b[1])},
+		{"p99", hist(100, map[int]int64{2: 90, 5: 10}), 0.99, b[4] + 9.0/10*(b[5]-b[4])},
+		{"empty", ShardLatency{}, 0.99, 0},
+		// The doc's example: 98 calls under 1 ms, two in (1, 5] ms.
+		{"hedge trigger", hist(100, map[int]int64{1: 98, 2: 2}), 0.99, 0.003},
+		// Nearest rank: with 10 observations, one straggler IS the p99 — it
+		// must not hide behind the nine fast calls.
+		{"straggler", hist(10, map[int]int64{0: 9, 7: 1}), 0.99, b[7]},
+		// Two observations: the "p99" is the slower one, never the faster.
+		{"two samples", hist(2, map[int]int64{0: 1, 4: 1}), 0.99, b[4]},
+	} {
+		if got := tc.l.InterpolatedQuantile(tc.q); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: q%v = %v, want %v", tc.name, tc.q, got, tc.want)
+		}
 	}
 }

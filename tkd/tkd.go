@@ -752,7 +752,7 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	}
 	// Whatever has to be built is built before the engine span opens.
 	pre := s.prepare(core.NeedFor(cfg.alg))
-	eng := cfg.engineSpan(k, rows)
+	eng := cfg.engineSpan()
 	var res Result
 	var st Stats
 	var err error
@@ -763,13 +763,11 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	} else {
 		res, st, err = core.RunContext(cfg.ctx, cfg.alg, s.ds, k, pre, cfg.workers, eng)
 	}
+	stampRun(eng, cfg.alg, k, rows, st, err)
+	eng.End()
 	if err != nil {
-		eng.SetStr("error", err.Error())
-		eng.End()
 		return Result{}, err
 	}
-	stampStats(eng, st)
-	eng.End()
 	st.Epoch = s.epoch
 	if cfg.stats != nil {
 		*cfg.stats = st
@@ -783,32 +781,41 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 // engineSpan opens the "engine" child span a traced query executes under:
 // the explicit WithTrace span wins, else a span riding the WithContext
 // context, else nil (tracing off — every span call below no-ops).
-func (cfg *queryConfig) engineSpan(k, rows int) *obs.Span {
+func (cfg *queryConfig) engineSpan() *obs.Span {
 	sp := cfg.trace
 	if sp == nil {
 		sp = obs.SpanFromContext(cfg.ctx)
 	}
-	eng := sp.StartChild("engine")
-	eng.SetStr("algorithm", cfg.alg.String())
-	eng.SetInt("k", int64(k))
-	eng.SetInt("rows", int64(rows))
-	return eng
+	return sp.StartChild("engine")
 }
 
-// stampStats records the paper's pruning counters on the engine span.
-func stampStats(sp *obs.Span, st Stats) {
+// stampRun records the engine span's attributes once the run has ended, in
+// one step: what ran over how many rows, then the paper's pruning counters,
+// or the error that ended the run.
+func stampRun(sp *obs.Span, alg Algorithm, k, rows int, st Stats, err error) {
 	if sp == nil {
 		return
 	}
-	sp.SetInt("candidates", int64(st.Candidates))
-	sp.SetInt("scored", int64(st.Scored))
-	sp.SetInt("pruned_h1", int64(st.PrunedH1))
-	sp.SetInt("pruned_h2", int64(st.PrunedH2))
-	sp.SetInt("pruned_h3", int64(st.PrunedH3))
-	sp.SetInt("pruned_skyband", int64(st.PrunedSkyband))
-	sp.SetInt("comparisons", st.Comparisons)
-	sp.SetInt("windows", int64(st.Windows))
-	sp.SetInt("workers", int64(st.Workers))
+	ran := [...]obs.Attr{
+		{Key: "algorithm", Str: alg.String(), IsStr: true},
+		{Key: "k", Int: int64(k)},
+		{Key: "rows", Int: int64(rows)},
+	}
+	if err != nil {
+		sp.SetAttrs(ran[0], ran[1], ran[2], obs.Attr{Key: "error", Str: err.Error(), IsStr: true})
+		return
+	}
+	sp.SetAttrs(ran[0], ran[1], ran[2],
+		obs.Attr{Key: "candidates", Int: int64(st.Candidates)},
+		obs.Attr{Key: "scored", Int: int64(st.Scored)},
+		obs.Attr{Key: "pruned_h1", Int: int64(st.PrunedH1)},
+		obs.Attr{Key: "pruned_h2", Int: int64(st.PrunedH2)},
+		obs.Attr{Key: "pruned_h3", Int: int64(st.PrunedH3)},
+		obs.Attr{Key: "pruned_skyband", Int: int64(st.PrunedSkyband)},
+		obs.Attr{Key: "comparisons", Int: st.Comparisons},
+		obs.Attr{Key: "windows", Int: int64(st.Windows)},
+		obs.Attr{Key: "workers", Int: int64(st.Workers)},
+	)
 }
 
 // Project returns a new dataset restricted to the given dimensions, in the
