@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/bitmapidx"
 	"repro/internal/bitvec"
-	"repro/internal/compress/concise"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/gen"
@@ -49,8 +48,7 @@ func BenchmarkParallelIBIG(b *testing.B) {
 			cfg.Dim = 6
 			ds := gen.Synthetic(cfg)
 			run(fmt.Sprintf("%s/n%d", dist, n), ds, bitmapidx.Build(ds, bitmapidx.Options{
-				Codec: bitmapidx.Concise,
-				Bins:  []int{core.OptimalBins(n, ds.MissingRate())},
+				Bins: []int{core.OptimalBins(n, ds.MissingRate())},
 			}))
 		}
 	}
@@ -150,7 +148,7 @@ func BenchmarkFusedKernels(b *testing.B) {
 	})
 
 	ds := gen.Synthetic(gen.Config{N: 20_000, Dim: 6, Cardinality: 100, MissingRate: 0.2, Dist: gen.IND, Seed: 9})
-	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{16}})
+	ix := bitmapidx.Build(ds, bitmapidx.Options{Bins: []int{16}})
 	cur := ix.NewCursor()
 	b.Run("Cursor/QP", func(b *testing.B) {
 		b.ReportAllocs()
@@ -172,114 +170,10 @@ func BenchmarkFusedKernels(b *testing.B) {
 	})
 }
 
-// BenchmarkCompressedKernels pits the run-native CONCISE count against the
-// decompress-then-dense path it replaces. "native" gallops over the
-// compressed run stream (IntersectCount); "decompress" models the old
-// mandatory stop — decompress every column into scratch, then run the dense
-// kernel.
-//
-// Fixtures cover both regimes the cursor dispatch distinguishes. Clustered
-// columns (set bits in bursts, the shape that makes run-length codecs worth
-// having) are fill-dominated — these are the columns the index actually
-// serves through the native kernels, and the perf target applies to them:
-// native ≥1.3x at ≤5% density and never >5% slower on the dense (95%)
-// fixture. The scatter fixture — uniform random bits, almost no fills — is
-// the regime where galloping cannot win; the adaptive index detects it per
-// column (compressed size above ¼ of dense) and routes those columns through
-// the decompression cache instead, so its rows document the crossover rather
-// than a served path.
+// BenchmarkCompressedKernels times IBIG on the many-masks shape. (The name
+// is the row's key in BENCH_baseline.json; the compressed kernels it was
+// named for are gone, and every serving column is dense.)
 func BenchmarkCompressedKernels(b *testing.B) {
-	const nbits = 100_000
-	rng := rand.New(rand.NewSource(5))
-	mkClustered := func(density float64, burst int) *bitvec.Vector {
-		// Bursts tiled at a fixed period (with a random per-column phase)
-		// rather than placed independently: overlap-free, so the realized
-		// density matches the label exactly instead of saturating below it.
-		v := bitvec.New(nbits)
-		period := float64(burst) / density
-		for p := float64(rng.Intn(int(period) - burst + 1)); int(p) < nbits; p += period {
-			for j, start := 0, int(p); j < burst && start+j < nbits; j++ {
-				v.Set(start + j)
-			}
-		}
-		return v
-	}
-	mkScatter := func(density float64, _ int) *bitvec.Vector {
-		v := bitvec.New(nbits)
-		for j := 0; j < nbits; j++ {
-			if rng.Float64() < density {
-				v.Set(j)
-			}
-		}
-		return v
-	}
-	fixtures := []struct {
-		name    string
-		density float64
-		burst   int
-		mk      func(float64, int) *bitvec.Vector
-	}{
-		{"clustered1%", 0.01, 128, mkClustered},
-		{"clustered5%", 0.05, 128, mkClustered},
-		{"clustered25%", 0.25, 128, mkClustered},
-		// Dense columns gallop only when their one-runs span whole 31-bit
-		// groups; short bursts at 95% leave a literal gap in most groups,
-		// which the index's fill-dominated rule would reject — burst 2048
-		// models the long-run shape that actually executes natively.
-		{"dense95%", 0.95, 2048, mkClustered},
-		{"scatter5%", 0.05, 0, mkScatter},
-	}
-	for _, fx := range fixtures {
-		cols := make([]*bitvec.Vector, 4)
-		for i := range cols {
-			cols[i] = fx.mk(fx.density, fx.burst)
-		}
-		concBms := make([]*concise.Bitmap, len(cols))
-		scratch := make([]*bitvec.Vector, len(cols))
-		for i, v := range cols {
-			concBms[i] = concise.Compress(v)
-			scratch[i] = bitvec.New(nbits)
-		}
-		name := fx.name
-		b.Run(name+"/CONCISE/nativeCount", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				concise.IntersectCount(concBms...)
-			}
-		})
-		b.Run(name+"/CONCISE/decompressCount", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for j, bm := range concBms {
-					bm.DecompressInto(scratch[j])
-				}
-				bitvec.IntersectCount(scratch...)
-			}
-		})
-	}
-
-	// The end-to-end view: IBIG over the same data under the adaptive
-	// representation (run-native dispatch) versus a pure CONCISE index that
-	// decompresses through the cache.
-	ds := gen.Synthetic(gen.Config{N: 20_000, Dim: 5, Cardinality: 64, MissingRate: 0.02, Dist: gen.IND, Seed: 31})
-	queue := core.BuildMaxScoreQueue(ds)
-	sorted := ds.SortDims()
-	for _, cfg := range []struct {
-		name string
-		opts bitmapidx.Options
-	}{
-		{"IBIG/adaptive", bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{32}, Adaptive: true}},
-		{"IBIG/pureConcise", bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{32}}},
-	} {
-		ix := bitmapidx.BuildSorted(sorted, cfg.opts)
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.IBIG(ds, 16, ix, queue)
-			}
-		})
-	}
-
 	// The many-masks shape: 3,700 rows over 60 dimensions at σ = 0.95 hold
 	// 2,873 distinct masks, every row passes Heuristic 1, and Heuristic 2's
 	// |F(o)| is asked 3,700 times a query — the gate on what that costs.
@@ -320,7 +214,7 @@ func BenchmarkShardedTopK(b *testing.B) {
 // holds the delta path to its budget, and the 200k-row case beside the 20k
 // one shows what of it still grows with N: the rows, their fingerprint and
 // the rank table extend in O(batch); the MaxScore queue (O(N·d), inherent —
-// see DESIGN.md §2) and the column extension (O(compressed words)) do not.
+// see DESIGN.md §2) and the column extension (a copy of each column) do not.
 func BenchmarkDeltaPublish(b *testing.B) {
 	const n, dim, card, batch = 20_000, 5, 64, 64
 	mkRows := func(seed int64) []tkd.Row {

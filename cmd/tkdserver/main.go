@@ -49,7 +49,7 @@
 // Usage:
 //
 //	tkdserver -dataset nba=nba.csv -dataset movies=movies.csv
-//	tkdserver -addr :9000 -dataset d=data.csv -cache-budget 4194304 -indexdir /var/cache/tkd
+//	tkdserver -addr :9000 -dataset d=data.csv -indexdir /var/cache/tkd
 //	tkdserver -dataset big=big.csv -shards 4                               # sharded in-process
 //	tkdserver -dataset big=big.csv -shards 4 -peers http://p1:8080,http://p2:8080
 //	tkdserver -dataset big=big.csv -shards 2 \
@@ -112,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addr        = fs.String("addr", ":8080", "listen address")
 		negate      = fs.Bool("negate", false, "negate loaded values (use when larger is better)")
 		maxWorkers  = fs.Int("max-workers", 0, "total in-flight worker goroutines across queries, shared fairly between the queries runnable at once (0 = GOMAXPROCS)")
-		cacheBudget = fs.Int64("cache-budget", 0, "per-dataset decompressed-column cache bytes (0 = 32 MiB default)")
 		indexDir    = fs.String("indexdir", "", "directory for persisted indexes; warm restarts skip index construction. A file is written after its dataset starts serving, and a crash before then means a cold rebuild at the next boot, never a wrong index. With -waldir the file is a checkpoint: rewritten when the rows have grown by an eighth and on a graceful shutdown, and a restart after a crash loads it and patches the rows logged since (empty = rebuild at boot)")
 		drainWait   = fs.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight requests on SIGTERM/SIGINT")
 		shards      = fs.Int("shards", 1, "split each dataset into N row-range shards behind a scatter-gather coordinator (1 = unsharded; answers are byte-identical either way)")
@@ -169,7 +168,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	srv, err := buildServer(datasets, *negate, server.Config{
 		MaxWorkers:      *maxWorkers,
-		CacheBudget:     *cacheBudget,
 		IndexDir:        *indexDir,
 		Shards:          *shards,
 		ShardPeers:      peers,

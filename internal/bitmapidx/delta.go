@@ -8,8 +8,8 @@ import (
 )
 
 // AppendRows builds the index of next — old's dataset plus delta appended
-// rows — by patching old's columns instead of rebuilding them, in
-// O(compressed words + delta · columns) instead of O(N · columns).
+// rows — by patching old's columns instead of rebuilding them: each column
+// is a word copy plus the appended rows' bits, and nothing is sorted.
 //
 // Precondition: next's first old.Dataset().Len() rows are exactly old's
 // dataset (the caller constructs next by extending the indexed dataset; the
@@ -32,10 +32,7 @@ import (
 // candidate sets and the IBIG refinement computes exact scores — so answers
 // are identical to a from-scratch build even though the bin boundaries drift
 // from the Eq. (3)–(4) equi-depth optimum; the equi-depth re-bin is deferred
-// to the next full rebuild (reload). A column keeps old's physical
-// representation, with one exception that keeps an adaptive index's rule —
-// every column dense or fill-dominated — true across patches: a compressed
-// column the appended bits take out of fill-domination is re-stored dense.
+// to the next full rebuild (reload).
 //
 // It reports false — and the caller falls back to a full rebuild — when the
 // patch cannot preserve semantics: next is not a strict row extension, the
@@ -150,31 +147,28 @@ func AppendRows(old *Index, next *data.Dataset) (*Index, bool) {
 	}
 
 	ix := &Index{
-		ds:       next,
-		stats:    merged,
-		dims:     make([]dimIndex, dim),
-		codec:    old.codec,
-		binned:   true,
-		adaptive: old.adaptive,
-		ranks:    ranks,
-		masks:    countMasks(old.masks, next, oldN),
-		ones:     bitvec.NewOnes(n),
+		ds:     next,
+		stats:  merged,
+		dims:   make([]dimIndex, dim),
+		binned: true,
+		ranks:  ranks,
+		masks:  countMasks(old.masks, next, oldN),
 	}
 
 	// Patch the columns: each column's new tail is the delta rows' bits under
 	// the same range-encoded rule (bit j set iff bin(row oldN+j) >= b or
 	// missing), produced by buildDim's peel-off pass over the delta rows'
-	// bits, then appended through the representation's extend path. A batch
+	// bits, then appended to a copy of the old column (extendColumn). A batch
 	// is not sorted, so each bucket's rows are found by a scan of bucketOf
 	// (−1: missing, never peeled), one buffer for every dimension.
-	deltaOnes := bitvec.NewOnes(delta)
+	ones := bitvec.NewOnes(n) // every dimension's column 0, shared
 	cur := bitvec.New(delta)
 	bucketOf := make([]int32, delta)
 	for d := 0; d < dim; d++ {
 		oldDi := &old.dims[d]
 		buckets := len(oldDi.cols) - 1
-		cols := make([]column, buckets+1)
-		cols[0] = ix.extendColumn(&oldDi.cols[0], deltaOnes)
+		cols := make([]*bitvec.Vector, buckets+1)
+		cols[0] = ones
 		for j := range bucketOf {
 			bucketOf[j] = -1
 			if r := ranks[(oldN+j)*dim+d]; r >= 0 {
@@ -188,33 +182,26 @@ func AppendRows(old *Index, next *data.Dataset) (*Index, bool) {
 					cur.Clear(j)
 				}
 			}
-			cols[b] = ix.extendColumn(&oldDi.cols[b], cur)
+			cols[b] = extendColumn(oldDi.cols[b], cur)
 		}
 		// A new distinct value joined its predecessor's bucket: one that was
 		// exact stops being so here.
 		ix.dims[d] = mustDimIndex(cols, r2bs[d])
 	}
-	ix.initColCache()
 	return ix, true
 }
 
-// extendColumn appends extra's bits (the delta rows' tail) to a frozen
-// column of the index ix patches, without mutating it: dense columns
-// word-copy into a longer vector (the trimmed-tail invariant guarantees the
-// straddling word's padding is clean) and compressed columns go through
-// CONCISE's O(words + delta) Extend, which re-measures the run-native flag
-// for the new length. On an adaptive index a column that stops being
-// fill-dominated is decompressed once and dense from then on.
-func (ix *Index) extendColumn(old *column, extra *bitvec.Vector) column {
-	if old.kind == kindDense {
-		oldN := old.dense.Len()
-		v := bitvec.New(oldN + extra.Len())
-		copy(v.Words(), old.dense.Words())
-		extra.ForEach(func(j int) bool {
-			v.Set(oldN + j)
-			return true
-		})
-		return column{kind: kindDense, dense: v}
-	}
-	return newConciseColumn(old.conc.Extend(extra), ix.adaptive)
+// extendColumn returns old's bits followed by extra's (the delta rows'
+// tail) in a new vector, leaving old to the index it belongs to: a word copy,
+// which the trimmed-tail invariant keeps exact (the straddling word's padding
+// is clean), then the tail's set bits.
+func extendColumn(old, extra *bitvec.Vector) *bitvec.Vector {
+	oldN := old.Len()
+	v := bitvec.New(oldN + extra.Len())
+	copy(v.Words(), old.Words())
+	extra.ForEach(func(j int) bool {
+		v.Set(oldN + j)
+		return true
+	})
+	return v
 }

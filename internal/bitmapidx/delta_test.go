@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/bitvec"
 	"repro/internal/data"
 )
 
@@ -62,47 +61,41 @@ func deltaFixture(seed int64) (base, next *data.Dataset) {
 	return base, next
 }
 
-func colBits(col *column) *bitvec.Vector {
-	if col.kind == kindDense {
-		return col.dense
-	}
-	return col.conc.Decompress()
-}
-
-// LiteralHeavy counts the compressed columns that are not fill-dominated —
-// zero on every adaptive index, however it came to be (built, patched,
-// loaded). Exported to the external tests of this package.
-func (ix *Index) LiteralHeavy() int {
-	n := 0
+// Columns returns the index's column count. Exported to the external tests
+// of this package.
+func (ix *Index) Columns() int {
+	total := 0
 	for d := range ix.dims {
-		for c := range ix.dims[d].cols {
-			if col := &ix.dims[d].cols[c]; col.kind == kindConcise && !col.runNative {
-				n++
-			}
-		}
+		total += len(ix.dims[d].cols)
 	}
-	return n
+	return total
 }
 
 // TestAppendRowsEquivalence checks the patched index against a from-scratch
-// build under the same frozen bin layout: identical stats, ranks and
-// column bits, with each column keeping its pre-patch physical
-// representation — but for an adaptive index's compressed columns that left
-// fill-domination, now dense — and a re-measured run-native flag.
+// build under the same frozen bin layout: identical stats, ranks and column
+// bits. The base is built, or loaded from what an earlier build wrote — a
+// CONCISE or an adaptive file (SaveLegacy) — as a checkpoint is.
 func TestAppendRowsEquivalence(t *testing.T) {
 	base, next := deltaFixture(3)
 	cases := []struct {
-		name string
-		opts Options
+		name    string
+		opts    Options
+		written string // "": built; else the codec of the file it is loaded from
 	}{
-		{"rawBinned", Options{Codec: Raw, Bins: []int{4}}},
-		{"conciseBinned", Options{Codec: Concise, Bins: []int{3}}},
-		{"adaptive", Options{Codec: Concise, Bins: []int{4}, Adaptive: true}},
-		{"optimalBins", Options{Codec: Concise, Bins: []int{}}},
+		{"rawBinned", Options{Bins: []int{4}}, ""},
+		{"conciseBinned", Options{Bins: []int{3}}, "CONCISE"},
+		{"adaptive", Options{Bins: []int{4}}, "adaptive"},
+		{"optimalBins", Options{Bins: []int{}}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			old := Build(base, tc.opts)
+			if tc.written != "" {
+				var err error
+				if old, err = Load(bytes.NewReader(old.SaveLegacy(t, tc.written == "adaptive")), base); err != nil {
+					t.Fatal(err)
+				}
+			}
 			patched, ok := AppendRows(old, next)
 			if !ok {
 				t.Fatal("AppendRows fell back on a patchable append")
@@ -116,13 +109,7 @@ func TestAppendRowsEquivalence(t *testing.T) {
 
 			// Ranks match a from-scratch sort of the merged rows.
 			sorted := next.SortDims()
-			ref := &Index{
-				ds:       next,
-				stats:    patched.stats,
-				codec:    patched.codec,
-				adaptive: patched.adaptive,
-				ones:     bitvec.NewOnes(next.Len()),
-			}
+			ref := &Index{ds: next, stats: patched.stats}
 			if !slices.Equal(sorted.Ranks, patched.ranks) {
 				t.Fatal("patched rank table diverges from a recompute")
 			}
@@ -142,24 +129,11 @@ func TestAppendRowsEquivalence(t *testing.T) {
 					t.Fatalf("dim %d: bucket count changed %d -> %d", d, len(old.dims[d].cols)-1, buckets)
 				}
 				want := ref.buildDim(r2b, sorted.Stats[d].CountPerValue, sorted.Order[d])
-				for b := range want.cols {
-					pc, oc := &patched.dims[d].cols[b], &old.dims[d].cols[b]
-					if !colBits(pc).Equal(colBits(&want.cols[b])) {
+				for b, col := range want.cols {
+					if !patched.dims[d].cols[b].Equal(col) {
 						t.Fatalf("dim %d column %d bits diverge from scratch build", d, b)
 					}
-					if pc.kind != oc.kind && !(patched.adaptive && pc.kind == kindDense) {
-						t.Fatalf("dim %d column %d changed representation %d -> %d", d, b, oc.kind, pc.kind)
-					}
-					if pc.kind == kindConcise && pc.runNative != (pc.conc.Words() <= runNativeLimit(pc.conc.NBits())) {
-						t.Fatalf("dim %d column %d: stale run-native flag", d, b)
-					}
 				}
-			}
-			if patched.codec != Raw && len(patched.colCache) == 0 {
-				t.Fatal("patched compressed index has no column cache")
-			}
-			if patched.adaptive && patched.LiteralHeavy() != 0 {
-				t.Fatal("patched adaptive index holds a literal-heavy compressed column")
 			}
 		})
 	}
@@ -170,26 +144,22 @@ func TestAppendRowsEquivalence(t *testing.T) {
 // frozen bins for every object.
 func TestAppendRowsQueries(t *testing.T) {
 	base, next := deltaFixture(7)
-	old := Build(base, Options{Codec: Concise, Bins: []int{4}, Adaptive: true})
+	old := Build(base, Options{Bins: []int{4}})
 	patched, ok := AppendRows(old, next)
 	if !ok {
 		t.Fatal("AppendRows fell back")
 	}
 	scratch := &Index{
-		ds:       next,
-		stats:    patched.stats,
-		dims:     make([]dimIndex, next.Dim()),
-		codec:    patched.codec,
-		binned:   true,
-		adaptive: patched.adaptive,
-		ranks:    patched.ranks,
-		ones:     bitvec.NewOnes(next.Len()),
+		ds:     next,
+		stats:  patched.stats,
+		dims:   make([]dimIndex, next.Dim()),
+		binned: true,
+		ranks:  patched.ranks,
 	}
 	sorted := next.SortDims()
 	for d := range scratch.dims {
 		scratch.dims[d] = scratch.buildDim(patched.dims[d].rankToBucket, sorted.Stats[d].CountPerValue, sorted.Order[d])
 	}
-	scratch.initColCache()
 	cp, cs := patched.NewCursor(), scratch.NewCursor()
 	for i := 0; i < next.Len(); i++ {
 		qp, pp := cp.QP(i)
@@ -203,14 +173,13 @@ func TestAppendRowsQueries(t *testing.T) {
 	}
 }
 
-// TestAppendRowsKeepsServingRule: "adaptive ⇒ every column is dense or
-// fill-dominated" holds for a patched index as it does for a built one. The
-// base is sorted on every dimension, so its columns are single runs and stay
-// compressed; 200 twenty-row publishes of scattered values then take them out
-// of fill-domination one by one, and each is re-stored dense in the patch
-// that does it. A checkpoint saved along the way, prefix-loaded over the
-// final rows and patched level, obeys the rule too; both equal a from-scratch
-// build bit for bit.
+// TestAppendRowsKeepsServingRule: the serving index stays what a build makes
+// through a long run of publishes and a checkpoint taken along the way. The
+// base is sorted on every dimension, so an earlier build's adaptive file held
+// every column of it CONCISE; loaded from that file, it takes 200 twenty-row
+// publishes of scattered values. A checkpoint saved along the way,
+// prefix-loaded over the final rows and patched level, equals the patched
+// index, and both equal a from-scratch build bit for bit.
 func TestAppendRowsKeepsServingRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n, dim, grid, publishes, batch = 2000, 3, 16, 200, 20
@@ -219,10 +188,9 @@ func TestAppendRowsKeepsServingRule(t *testing.T) {
 		v := float64(i * grid / n)
 		ds.MustAppend(fmt.Sprintf("o%d", i), []float64{v, v, v})
 	}
-	ix := Build(ds, Options{Codec: Concise, Bins: []int{8}, Adaptive: true})
-	dense0, conc0 := ix.Representations()
-	if dense0 != 0 || ix.LiteralHeavy() != 0 {
-		t.Fatalf("sorted base: %d dense, %d compressed (%d literal-heavy), want every column fill-dominated", dense0, conc0, ix.LiteralHeavy())
+	ix, err := Load(bytes.NewReader(Build(ds, Options{Bins: []int{8}}).SaveLegacy(t, true)), ds)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var checkpoint bytes.Buffer
 	for p := 0; p < publishes; p++ {
@@ -232,18 +200,11 @@ func TestAppendRowsKeepsServingRule(t *testing.T) {
 			t.Fatalf("publish %d fell back", p)
 		}
 		ix = next
-		if lh := ix.LiteralHeavy(); lh != 0 {
-			t.Fatalf("publish %d: %d literal-heavy compressed columns", p, lh)
-		}
 		if p == publishes/4 {
 			if err := ix.Save(&checkpoint); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	dense, conc := ix.Representations()
-	if dense == 0 || conc < dim {
-		t.Fatalf("after %d publishes: %d dense, %d compressed; want re-stored columns beside the %d all-ones ones", publishes, dense, conc, dim)
 	}
 	assertSameAsScratch(t, "patched", ix)
 
@@ -255,12 +216,6 @@ func TestAppendRowsKeepsServingRule(t *testing.T) {
 	if !ok {
 		t.Fatal("the tail could not be patched onto the loaded checkpoint")
 	}
-	if loaded.LiteralHeavy() != 0 || level.LiteralHeavy() != 0 {
-		t.Fatalf("checkpoint: %d literal-heavy columns as loaded, %d once patched level", loaded.LiteralHeavy(), level.LiteralHeavy())
-	}
-	if ld, _ := level.Representations(); ld != dense {
-		t.Fatalf("checkpoint + tail stores %d columns dense, %d publishes stored %d", ld, publishes, dense)
-	}
 	assertSameAsScratch(t, "checkpoint + tail", level)
 }
 
@@ -269,12 +224,12 @@ func TestAppendRowsKeepsServingRule(t *testing.T) {
 func TestAppendRowsFallbacks(t *testing.T) {
 	base, next := deltaFixture(11)
 
-	unbinned := Build(base, Options{Codec: Raw})
+	unbinned := Build(base, Options{})
 	if _, ok := AppendRows(unbinned, next); ok {
 		t.Error("unbinned index must fall back: value-rank columns shift on insertion")
 	}
 
-	binned := Build(base, Options{Codec: Concise, Bins: []int{4}})
+	binned := Build(base, Options{Bins: []int{4}})
 	if _, ok := AppendRows(binned, base); ok {
 		t.Error("zero-row delta must fall back")
 	}
@@ -291,7 +246,7 @@ func TestAppendRowsFallbacks(t *testing.T) {
 	zc := data.New(2)
 	zc.MustAppend("a", []float64{1, data.Missing()})
 	zc.MustAppend("b", []float64{2, data.Missing()})
-	zcIdx := Build(zc, Options{Codec: Concise, Bins: []int{2}})
+	zcIdx := Build(zc, Options{Bins: []int{2}})
 
 	gains := data.New(2)
 	gains.MustAppend("a", []float64{1, data.Missing()})
@@ -323,7 +278,7 @@ func TestAppendRowsFallbacks(t *testing.T) {
 // of IncomparableRows agree with a scan of the rows.
 func TestAppendRowsMaskCounts(t *testing.T) {
 	base, next := deltaFixture(5)
-	opts := Options{Codec: Concise, Bins: []int{3}, Adaptive: true}
+	opts := Options{Bins: []int{3}}
 	old := Build(base, opts)
 	patched, ok := AppendRows(old, next)
 	if !ok {
@@ -381,7 +336,7 @@ func TestAppendRowsClearsExactBucket(t *testing.T) {
 	for i, vals := range [][]float64{{0, 5}, {1, 5}, {2, 6}, {2, data.Missing()}, {0, 7}} {
 		base.MustAppend(fmt.Sprintf("o%d", i), vals)
 	}
-	ix := Build(base, Options{Codec: Concise, Bins: []int{3}, Adaptive: true})
+	ix := Build(base, Options{Bins: []int{3}})
 	if want := []bool{true, true, true}; !slices.Equal(ix.dims[0].exact, want) || !slices.Equal(ix.dims[1].exact, want) {
 		t.Fatalf("three values in three bins: exact = %v, %v", ix.dims[0].exact, ix.dims[1].exact)
 	}
@@ -434,15 +389,12 @@ func assertSameAsScratch(t *testing.T, label string, p *Index) {
 	ds := p.ds
 	sorted := ds.SortDims()
 	s := &Index{
-		ds:       ds,
-		stats:    sorted.Stats,
-		dims:     make([]dimIndex, ds.Dim()),
-		codec:    p.codec,
-		binned:   true,
-		adaptive: p.adaptive,
-		ranks:    sorted.Ranks,
-		masks:    countMasks(nil, ds, 0),
-		ones:     bitvec.NewOnes(ds.Len()),
+		ds:     ds,
+		stats:  sorted.Stats,
+		dims:   make([]dimIndex, ds.Dim()),
+		binned: true,
+		ranks:  sorted.Ranks,
+		masks:  countMasks(nil, ds, 0),
 	}
 	if !reflect.DeepEqual(p.stats, s.stats) || !reflect.DeepEqual(p.masks, s.masks) {
 		t.Fatalf("%s: stats or mask counts diverge from a from-scratch build", label)
@@ -455,8 +407,8 @@ func assertSameAsScratch(t *testing.T, label string, p *Index) {
 		if !slices.Equal(p.dims[d].exact, s.dims[d].exact) {
 			t.Fatalf("%s: dim %d exact-bucket flags %v, its rank→bucket map says %v", label, d, p.dims[d].exact, s.dims[d].exact)
 		}
-		for b := range s.dims[d].cols {
-			if !colBits(&p.dims[d].cols[b]).Equal(colBits(&s.dims[d].cols[b])) {
+		for b, col := range s.dims[d].cols {
+			if !p.dims[d].cols[b].Equal(col) {
 				t.Fatalf("%s: dim %d column %d bits diverge from a from-scratch build", label, d, b)
 			}
 		}
@@ -479,7 +431,7 @@ func TestAppendRowsTwoExtensionsOfOneBase(t *testing.T) {
 	for i, vals := range randIncomplete(rng, 300, dim, grid, 0.3) {
 		seed.MustAppend(fmt.Sprintf("o%d", i), vals)
 	}
-	opts := Options{Codec: Concise, Bins: []int{4}, Adaptive: true}
+	opts := Options{Bins: []int{4}}
 	// One patch first: a freshly built table has no spare capacity, a patched
 	// one (grown by append) does. The grid holds every value already, so no
 	// batch below brings a new distinct one and the table is extended as is.
@@ -553,7 +505,7 @@ func TestAppendRowsTwoExtensionsOfOneBase(t *testing.T) {
 // rewritten, to the ranks a from-scratch sort assigns.
 func TestAppendRowsRankTableSharedOrRewritten(t *testing.T) {
 	const dim = 3
-	opts := Options{Codec: Concise, Bins: []int{4}, Adaptive: true}
+	opts := Options{Bins: []int{4}}
 	for _, tc := range []struct {
 		name   string
 		grid   int // 0: continuous values

@@ -50,7 +50,7 @@ func TestHeuristic2NetOfIncomparable(t *testing.T) {
 		oneDim.MustAppend(fmt.Sprintf("o%d", i), row)
 	}
 	base, next := deltaFixture(3)
-	opts := Options{Codec: Concise, Bins: []int{4}, Adaptive: true}
+	opts := Options{Bins: []int{4}}
 	patched, ok := AppendRows(Build(base, opts), next)
 	if !ok {
 		t.Fatal("AppendRows refused a strict row extension")
@@ -65,7 +65,7 @@ func TestHeuristic2NetOfIncomparable(t *testing.T) {
 		{"complete rows", Build(synth(200, 4, 9, 0), opts), "", 1},
 		{"sigma 0.6 x 5", Build(synth(2000, 5, 9, 0.6), opts), "mask counts", 7},
 		{"one dimension a row", Build(oneDim, opts), "", 1},
-		{"MovieLens", Build(movielens, Options{Codec: Concise, Bins: []int{ServingBins(movielens.Len(), movielens.MissingRate())}, Adaptive: true}), "columns", 37},
+		{"MovieLens", Build(movielens, Options{Bins: []int{ServingBins(movielens.Len(), movielens.MissingRate())}}), "columns", 37},
 		{"patched", patched, "", 1},
 		{"value-granular", Build(synth(300, 4, 9, 0.35), Options{}), "", 1},
 	} {

@@ -41,13 +41,28 @@ import (
 // ErrStale, and a file holding a retired representation (WAH: header codec
 // or column kind 1; the sorted-id sparse list: column kind 3) with
 // ErrUnsupportedCodec; callers degrade to a rebuild, exactly as the serving
-// layer's index cache does for any unreadable file. An adaptive file written
-// under the earlier three-kind rule may also hold literal-heavy CONCISE
-// columns; those load, re-stored dense (see loadColumn).
+// layer's index cache does for any unreadable file.
+//
+// Save writes header codec 0 (raw), adaptive 0 and every column dense. Load
+// also reads what earlier builds wrote: a CONCISE file (header codec 2, every
+// column CONCISE) and an adaptive one (codec 2, adaptive 1, dense and CONCISE
+// columns mixed). Each CONCISE column is decompressed once, as it is read, so
+// a loaded index is all dense like a built one and re-saves as one.
 // The per-mask row counts (maskcount.go) are derived state like the ranks:
 // recomputed by Load, never stored.
 
 var persistMagic = [6]byte{'T', 'K', 'D', 'I', 'X', 4}
+
+// The header codec bytes and the column-kind bytes of format v4. Value 1 was
+// WAH in both places and 3 the sorted-id sparse column kind; neither is read
+// (ErrUnsupportedCodec).
+const (
+	codecRaw     = 0
+	codecConcise = 2
+
+	kindDense   = 0
+	kindConcise = 2
+)
 
 // ErrUnsupportedCodec is wrapped by Load when the file names a codec or
 // column kind this build does not read — in practice value 1, the WAH codec
@@ -141,11 +156,7 @@ func (ix *Index) Save(w io.Writer) error {
 	if ix.binned {
 		binned = 1
 	}
-	adaptive := uint8(0)
-	if ix.adaptive {
-		adaptive = 1
-	}
-	hdr := []uint64{uint64(ix.codec), uint64(binned), uint64(adaptive), uint64(len(ix.dims)), uint64(ix.ds.Len()), ix.ds.Fingerprint()}
+	hdr := []uint64{codecRaw, uint64(binned), 0, uint64(len(ix.dims)), uint64(ix.ds.Len()), ix.ds.Fingerprint()}
 	if err := binary.Write(cw, binary.LittleEndian, hdr); err != nil {
 		return err
 	}
@@ -161,8 +172,8 @@ func (ix *Index) Save(w io.Writer) error {
 		if err := binary.Write(cw, binary.LittleEndian, uint64(len(di.cols))); err != nil {
 			return err
 		}
-		for c := range di.cols {
-			if err := saveColumn(cw, &di.cols[c]); err != nil {
+		for _, v := range di.cols {
+			if err := saveColumn(cw, v); err != nil {
 				return err
 			}
 		}
@@ -173,27 +184,16 @@ func (ix *Index) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// The persisted column-kind bytes coincide with the in-memory colKind
-// values: dense 0, CONCISE 2 (1 and 3 are reserved).
-func saveColumn(w io.Writer, c *column) error {
-	if err := binary.Write(w, binary.LittleEndian, uint8(c.kind)); err != nil {
+// saveColumn writes one column: kind byte, nbits, word count, words.
+func saveColumn(w io.Writer, v *bitvec.Vector) error {
+	if err := binary.Write(w, binary.LittleEndian, uint8(kindDense)); err != nil {
 		return err
 	}
-	if c.kind == kindDense {
-		words := c.dense.Words()
-		if err := binary.Write(w, binary.LittleEndian, uint64(c.dense.Len())); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint64(len(words))); err != nil {
-			return err
-		}
-		return writeWords(w, words)
-	}
-	nbits, words := c.conc.Persist()
-	if err := binary.Write(w, binary.LittleEndian, uint64(nbits)); err != nil {
+	words := v.Words()
+	if err := binary.Write(w, binary.LittleEndian, []uint64{uint64(v.Len()), uint64(len(words))}); err != nil {
 		return err
 	}
-	return writeU32s(w, words)
+	return writeWords(w, words)
 }
 
 // Load deserializes an index previously written by Save and re-binds it to
@@ -224,15 +224,9 @@ func load(r io.Reader, ds *data.Dataset, prefixOK bool) (*Index, error) {
 	if err := binary.Read(cr, binary.LittleEndian, hdr); err != nil {
 		return nil, fmt.Errorf("bitmapidx: reading header: %w", err)
 	}
-	codec, binned, adaptive, dim, n := Codec(hdr[0]), hdr[1] == 1, hdr[2] == 1, int(hdr[3]), int(hdr[4])
-	if codec != Raw && codec != Concise {
+	codec, binned, adaptive, dim, n := hdr[0], hdr[1] == 1, hdr[2] == 1, int(hdr[3]), int(hdr[4])
+	if codec != codecRaw && codec != codecConcise {
 		return nil, fmt.Errorf("%w %d — rebuild", ErrUnsupportedCodec, hdr[0])
-	}
-	if adaptive && codec == Raw {
-		// Build promotes adaptive+Raw to CONCISE, so no valid file carries
-		// this combination — and accepting it would route compressed columns
-		// through the dense-only cursor path.
-		return nil, fmt.Errorf("bitmapidx: adaptive index with Raw base codec")
 	}
 	if dim != ds.Dim() || hdr[4] > uint64(ds.Len()) || (!prefixOK && n != ds.Len()) {
 		return nil, fmt.Errorf("%w: index is %dx%d, dataset is %dx%d", ErrStale, hdr[4], dim, ds.Len(), ds.Dim())
@@ -261,9 +255,9 @@ func load(r io.Reader, ds *data.Dataset, prefixOK bool) (*Index, error) {
 		if ncols > uint64(n)+2 {
 			return nil, fmt.Errorf("bitmapidx: implausible column count %d", ncols)
 		}
-		cols := make([]column, ncols)
+		cols := make([]*bitvec.Vector, ncols)
 		for c := range cols {
-			if err := loadColumn(cr, &cols[c], n, codec, adaptive); err != nil {
+			if cols[c], err = loadColumn(cr, n, codec, adaptive); err != nil {
 				return nil, fmt.Errorf("bitmapidx: dimension %d column %d: %w", d, c, err)
 			}
 		}
@@ -291,82 +285,59 @@ func load(r io.Reader, ds *data.Dataset, prefixOK bool) (*Index, error) {
 				d, sorted.Stats[d].Cardinality(), len(dims[d].rankToBucket))
 		}
 	}
-	ix := &Index{
-		ds:       ds,
-		stats:    sorted.Stats,
-		dims:     dims,
-		codec:    codec,
-		binned:   binned,
-		adaptive: adaptive,
-		ranks:    sorted.Ranks,
-		masks:    countMasks(nil, ds, 0),
-		ones:     bitvec.NewOnes(n),
-	}
-	ix.initColCache()
-	return ix, nil
+	return &Index{
+		ds:     ds,
+		stats:  sorted.Stats,
+		dims:   dims,
+		binned: binned,
+		ranks:  sorted.Ranks,
+		masks:  countMasks(nil, ds, 0),
+	}, nil
 }
 
-// checkKind rejects a persisted column kind the file header does not allow:
-// pure-codec indexes carry exactly their codec's kind, adaptive ones may mix
-// dense with CONCISE. Only a compressed header gets a column cache, so an
-// inconsistent kind — reachable only via a crafted file that also beats the
-// CRC — must be rejected here rather than fault on the first read. A kind
-// this build does not know (1, the retired WAH; 3, the retired sparse id
-// list) is ErrUnsupportedCodec.
-func checkKind(k colKind, codec Codec, adaptive bool) error {
-	var ok bool
-	switch k {
-	case kindDense:
-		ok = codec == Raw || adaptive
-	case kindConcise:
-		ok = codec == Concise
-	default:
-		return fmt.Errorf("%w: column kind %d — rebuild", ErrUnsupportedCodec, k)
-	}
-	if !ok {
-		return fmt.Errorf("column kind %d inconsistent with codec %v (adaptive %v)", k, codec, adaptive)
-	}
-	return nil
-}
-
-// loadColumn reads one column. A literal-heavy CONCISE column under an
-// adaptive header — what the earlier density rule stored in its middle band —
-// is re-stored dense, so a loaded adaptive index obeys the same rule as a
-// built one.
-func loadColumn(r io.Reader, c *column, n int, codec Codec, adaptive bool) error {
+// loadColumn reads one column as a dense vector. The kind byte must be one
+// the header allows: a raw file holds dense columns, a CONCISE one CONCISE
+// columns, an adaptive CONCISE one both. A CONCISE column is decompressed
+// here, once.
+func loadColumn(r io.Reader, n int, codec uint64, adaptive bool) (*bitvec.Vector, error) {
 	var kind uint8
 	if err := binary.Read(r, binary.LittleEndian, &kind); err != nil {
-		return err
+		return nil, err
 	}
-	if err := checkKind(colKind(kind), codec, adaptive); err != nil {
-		return err
+	var ok bool
+	switch kind {
+	case kindDense:
+		ok = codec == codecRaw || adaptive
+	case kindConcise:
+		ok = codec == codecConcise
+	default:
+		return nil, fmt.Errorf("%w: column kind %d — rebuild", ErrUnsupportedCodec, kind)
+	}
+	if !ok {
+		return nil, fmt.Errorf("column kind %d inconsistent with codec %d (adaptive %v)", kind, codec, adaptive)
 	}
 	var nbits uint64
 	if err := binary.Read(r, binary.LittleEndian, &nbits); err != nil {
-		return err
+		return nil, err
 	}
 	if int(nbits) != n {
-		return fmt.Errorf("column has %d bits, dataset has %d objects", nbits, n)
+		return nil, fmt.Errorf("column has %d bits, dataset has %d objects", nbits, n)
 	}
-	if colKind(kind) == kindDense {
-		var nwords uint64
-		if err := binary.Read(r, binary.LittleEndian, &nwords); err != nil {
-			return err
+	v := bitvec.New(n)
+	if kind == kindConcise {
+		words, err := readU32s(r, uint64(n)+2)
+		if err != nil {
+			return nil, err
 		}
-		if nwords != uint64((n+63)/64) {
-			return fmt.Errorf("dense column has %d words, want %d", nwords, (n+63)/64)
-		}
-		v := bitvec.New(n)
-		if err := binary.Read(r, binary.LittleEndian, v.Words()); err != nil {
-			return err
-		}
-		*c = column{kind: kindDense, dense: v}
-		return nil
+		concise.Restore(n, words).DecompressInto(v)
+		return v, nil
 	}
-	words, err := readU32s(r, uint64(n)+2)
-	if err != nil {
-		return err
+	var nwords uint64
+	if err := binary.Read(r, binary.LittleEndian, &nwords); err != nil {
+		return nil, err
 	}
-	*c = newConciseColumn(concise.Restore(int(nbits), words), adaptive)
-	return nil
+	if nwords != uint64((n+63)/64) {
+		return nil, fmt.Errorf("dense column has %d words, want %d", nwords, (n+63)/64)
+	}
+	return v, binary.Read(r, binary.LittleEndian, v.Words())
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"repro/internal/compress/concise"
 	"repro/internal/data"
 	"repro/internal/gen"
 )
@@ -17,13 +18,58 @@ func fuzzDataset() *data.Dataset {
 	return gen.Synthetic(gen.Config{N: 120, Dim: 3, Cardinality: 10, MissingRate: 0.2, Dist: gen.IND, Seed: 42})
 }
 
-// savedIndex serializes one index of the fuzz dataset.
+// savedIndex serializes one index of the fuzz dataset; legacyIndex writes it
+// as an earlier build did (SaveLegacy).
 func savedIndex(tb testing.TB, opts Options) []byte {
 	tb.Helper()
-	ds := fuzzDataset()
-	ix := Build(ds, opts)
+	ix := Build(fuzzDataset(), opts)
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func legacyIndex(tb testing.TB, opts Options, adaptive bool) []byte {
+	return Build(fuzzDataset(), opts).SaveLegacy(tb, adaptive)
+}
+
+// SaveLegacy writes ix as the builds that stored CONCISE columns did: header
+// codec CONCISE, and every column CONCISE — or, adaptive, the columns whose
+// stream is at most a quarter of the dense payload, the rest dense. Over
+// golden.csv it reproduces golden_v4_concise.idx and golden_v4_adaptive.idx
+// byte for byte (TestBuildDeterministicAcrossCores). Exported to the external
+// tests of this package.
+func (ix *Index) SaveLegacy(tb testing.TB, adaptive bool) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	cw := &crcWriter{w: &buf}
+	binned, flag := uint64(0), uint64(0)
+	if ix.binned {
+		binned = 1
+	}
+	if adaptive {
+		flag = 1
+	}
+	cw.Write(persistMagic[:])
+	err := binary.Write(cw, binary.LittleEndian, []uint64{codecConcise, binned, flag, uint64(len(ix.dims)), uint64(ix.ds.Len()), ix.ds.Fingerprint()})
+	for _, di := range ix.dims {
+		r2b := make([]uint32, len(di.rankToBucket))
+		for i, b := range di.rankToBucket {
+			r2b[i] = uint32(b)
+		}
+		err = errors.Join(err, writeU32s(cw, r2b), binary.Write(cw, binary.LittleEndian, uint64(len(di.cols))))
+		for _, v := range di.cols {
+			nbits, words := concise.Compress(v).Persist()
+			if adaptive && len(words) > (nbits+63)/64/2 {
+				err = errors.Join(err, saveColumn(cw, v))
+				continue
+			}
+			err = errors.Join(err, binary.Write(cw, binary.LittleEndian, uint8(kindConcise)),
+				binary.Write(cw, binary.LittleEndian, uint64(nbits)), writeU32s(cw, words))
+		}
+	}
+	if err = errors.Join(err, binary.Write(&buf, binary.LittleEndian, cw.crc)); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -45,7 +91,7 @@ func firstKindAt(blob []byte) int {
 // that are not fill-dominated. Made from a pure-CONCISE save by setting the
 // header flag and re-sealing the checksum.
 func threeKindMiddleBand(tb testing.TB, bins int) []byte {
-	blob := savedIndex(tb, Options{Codec: Concise, Bins: []int{bins}})
+	blob := legacyIndex(tb, Options{Bins: []int{bins}}, false)
 	blob[adaptiveFlagAt] = 1
 	body := blob[:len(blob)-4]
 	binary.LittleEndian.PutUint32(blob[len(body):], crc32.ChecksumIEEE(body))
@@ -57,7 +103,7 @@ func threeKindMiddleBand(tb testing.TB, bins int) []byte {
 // that does not start at bucket 0, under a valid checksum — is refused rather
 // than indexed past the columns.
 func TestLoadRejectsMalformedBuckets(t *testing.T) {
-	blob := savedIndex(t, Options{Codec: Concise, Bins: []int{4}})
+	blob := savedIndex(t, Options{Bins: []int{4}})
 	const firstBucketAt = len(persistMagic) + 6*8 + 8
 	binary.LittleEndian.PutUint32(blob[firstBucketAt:], 9)
 	body := blob[:len(blob)-4]
@@ -84,12 +130,12 @@ func fuzzGrown() *data.Dataset {
 // on implausible lengths, and never yields an index whose use would fault. A
 // stream that does load must round-trip byte-identically through Save, and
 // one that loads as a prefix of a grown dataset must cover exactly the rows
-// its header names and take the tail through AppendRows. An adaptive stream
-// holds a retired column kind (rejected) or comes up under the serving rule:
-// every column dense or fill-dominated.
+// its header names and take the tail through AppendRows. The corpus holds the
+// files earlier builds wrote too: CONCISE and adaptive, which load dense, and
+// the retired WAH codec and sparse column kind, which are refused.
 func FuzzLoadIndex(f *testing.F) {
-	binned := savedIndex(f, Options{Codec: Concise, Bins: []int{4}})
-	raw := savedIndex(f, Options{Codec: Raw})
+	binned := legacyIndex(f, Options{Bins: []int{4}}, false)
+	raw := savedIndex(f, Options{})
 	// What a build that could still pin WAH wrote: header codec byte 1.
 	wahIdx := append([]byte(nil), binned...)
 	wahIdx[len(persistMagic)] = 1
@@ -97,7 +143,7 @@ func FuzzLoadIndex(f *testing.F) {
 	// What the three-kind adaptive rule wrote: a sparse id list (column kind
 	// 3 — here the kind byte alone, over a fill word read as an id count) and
 	// literal-heavy CONCISE columns under the adaptive header.
-	sparseIdx := savedIndex(f, Options{Codec: Concise, Bins: []int{4}, Adaptive: true})
+	sparseIdx := legacyIndex(f, Options{Bins: []int{4}}, true)
 	sparseIdx[firstKindAt(sparseIdx)] = 3
 
 	f.Add(binned)
@@ -137,9 +183,6 @@ func FuzzLoadIndex(f *testing.F) {
 		if err != nil {
 			return // rejected, as corrupt input should be
 		}
-		if ix.adaptive && ix.LiteralHeavy() != 0 {
-			t.Fatalf("adaptive index loaded with %d literal-heavy compressed columns", ix.LiteralHeavy())
-		}
 		// The accepted stream must be semantically intact: saving it again
 		// reproduces a loadable index, and a query-path touch of every
 		// column must not fault.
@@ -170,7 +213,7 @@ func FuzzLoadIndex(f *testing.F) {
 // a failed Load has no side effects.
 func TestLoadCorruptionMatrix(t *testing.T) {
 	ds := fuzzDataset()
-	ix := Build(ds, Options{Codec: Concise, Bins: []int{4}})
+	ix := Build(ds, Options{Bins: []int{4}})
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -215,15 +258,13 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 
 // TestLoadThreeKindAdaptive: an adaptive file written under the three-kind
 // rule either holds a sparse id list — column kind 3, ErrUnsupportedCodec,
-// rebuild — or loads with its literal-heavy CONCISE columns re-stored dense:
-// the index obeys the serving rule, answers as the columns it was read from
-// and re-saves as exactly what a fresh adaptive build saves.
+// rebuild — or loads with its literal-heavy CONCISE columns decompressed like
+// the rest: the index answers as a build over the same rows does and re-saves
+// as exactly what that build saves.
 func TestLoadThreeKindAdaptive(t *testing.T) {
 	ds := fuzzDataset()
-	opts := Options{Codec: Concise, Bins: []int{4}, Adaptive: true}
-	fresh := savedIndex(t, opts)
-
-	sparse := append([]byte(nil), fresh...)
+	opts := Options{Bins: []int{4}}
+	sparse := legacyIndex(t, opts, true)
 	sparse[firstKindAt(sparse)] = 3
 	if _, err := Load(bytes.NewReader(sparse), ds); !errors.Is(err, ErrUnsupportedCodec) {
 		t.Fatalf("column kind 3: error = %v, want ErrUnsupportedCodec", err)
@@ -233,26 +274,19 @@ func TestLoadThreeKindAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pure := Build(ds, Options{Codec: Concise, Bins: []int{4}})
-	if pure.LiteralHeavy() == 0 {
-		t.Fatal("fixture has no literal-heavy column to re-store")
-	}
-	if !ix.adaptive || ix.LiteralHeavy() != 0 {
-		t.Fatalf("loaded adaptive=%v with %d literal-heavy compressed columns", ix.adaptive, ix.LiteralHeavy())
-	}
-	got, want := ix.NewCursor(), pure.NewCursor()
+	got, want := ix.NewCursor(), Build(ds, opts).NewCursor()
 	for o := 0; o < ds.Len(); o++ {
 		gq, gp := got.QP(o)
 		wq, wp := want.QP(o)
 		if !gq.Equal(wq) || !gp.Equal(wp) {
-			t.Fatalf("object %d: Q/P diverge from the columns the file held", o)
+			t.Fatalf("object %d: Q/P diverge from a build's", o)
 		}
 	}
 	var out bytes.Buffer
 	if err := ix.Save(&out); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Bytes(), fresh) {
-		t.Fatal("the re-stored index does not save as a fresh adaptive build does")
+	if !bytes.Equal(out.Bytes(), savedIndex(t, opts)) {
+		t.Fatal("the loaded index does not save as a build does")
 	}
 }

@@ -19,25 +19,30 @@ import (
 	"repro/internal/paperdata"
 )
 
-func roundTrip(t *testing.T, opts bitmapidx.Options) {
+// saved is what Save writes of ix.
+func saved(t *testing.T, ix *bitmapidx.Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// roundTrip builds an index under opts, writes it with write and loads it
+// back: the loaded index has the build's layout and bytes, answers Q/P as it
+// does and re-saves as it saves.
+func roundTrip(t *testing.T, opts bitmapidx.Options, write func(*bitmapidx.Index) []byte) {
 	t.Helper()
 	ds := gen.Synthetic(gen.Config{N: 500, Dim: 4, Cardinality: 16, MissingRate: 0.25, Dist: gen.IND, Seed: 81})
 	orig := bitmapidx.Build(ds, opts)
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := bitmapidx.Load(&buf, ds)
+	loaded, err := bitmapidx.Load(bytes.NewReader(write(orig)), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Binned() != orig.Binned() || loaded.CodecUsed() != orig.CodecUsed() {
-		t.Fatal("metadata mismatch after load")
+	if loaded.Binned() != orig.Binned() || loaded.SizeBytes() != orig.SizeBytes() {
+		t.Fatalf("loaded binned=%v in %d B, built binned=%v in %d B", loaded.Binned(), loaded.SizeBytes(), orig.Binned(), orig.SizeBytes())
 	}
-	if loaded.SizeBytes() != orig.SizeBytes() {
-		t.Fatalf("size %d after load, want %d", loaded.SizeBytes(), orig.SizeBytes())
-	}
-	// The loaded index must answer queries identically.
 	oc, lc := orig.NewCursor(), loaded.NewCursor()
 	for i := 0; i < ds.Len(); i += 17 {
 		qo, po := oc.QP(i)
@@ -46,42 +51,24 @@ func roundTrip(t *testing.T, opts bitmapidx.Options) {
 			t.Fatalf("QP mismatch at object %d", i)
 		}
 	}
+	if !bytes.Equal(saved(t, loaded), saved(t, orig)) {
+		t.Fatal("the loaded index does not re-save as the build saves")
+	}
 }
 
-func TestSaveLoadRaw(t *testing.T) { roundTrip(t, bitmapidx.Options{Codec: bitmapidx.Raw}) }
+func TestSaveLoadRaw(t *testing.T) {
+	roundTrip(t, bitmapidx.Options{}, func(ix *bitmapidx.Index) []byte { return saved(t, ix) })
+}
+
+// TestSaveLoadConcise and TestSaveLoadAdaptive load the files earlier builds
+// wrote — every column CONCISE, or the fill-dominated ones — into the dense
+// index a build makes.
 func TestSaveLoadConcise(t *testing.T) {
-	roundTrip(t, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{8}})
+	roundTrip(t, bitmapidx.Options{Bins: []int{8}}, func(ix *bitmapidx.Index) []byte { return ix.SaveLegacy(t, false) })
 }
 
-// TestSaveLoadAdaptive round-trips the adaptive representation: the
-// per-column kinds must survive persistence exactly (TestServingIndexKinds
-// holds which kinds a build picks).
 func TestSaveLoadAdaptive(t *testing.T) {
-	ds := gen.Synthetic(gen.Config{N: 1500, Dim: 4, Cardinality: 80, MissingRate: 0.01, Dist: gen.IND, Seed: 77})
-	orig := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{32}, Adaptive: true})
-	od, oc := orig.Representations()
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := bitmapidx.Load(&buf, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.Adaptive() {
-		t.Fatal("adaptive flag lost in round trip")
-	}
-	if ld, lc := loaded.Representations(); ld != od || lc != oc || loaded.LiteralHeavy() != 0 {
-		t.Fatalf("representations changed: loaded %d dense / %d compressed (%d literal-heavy), want %d / %d (0)", ld, lc, loaded.LiteralHeavy(), od, oc)
-	}
-	oCur, lCur := orig.NewCursor(), loaded.NewCursor()
-	for i := 0; i < ds.Len(); i += 31 {
-		qo, po := oCur.QP(i)
-		ql, pl := lCur.QP(i)
-		if !qo.Equal(ql) || !po.Equal(pl) {
-			t.Fatalf("QP mismatch at object %d", i)
-		}
-	}
+	roundTrip(t, bitmapidx.Options{Bins: []int{32}}, func(ix *bitmapidx.Index) []byte { return ix.SaveLegacy(t, true) })
 }
 
 // TestLoadRejectsV2 pins the version gate: a v2 file (no representation
@@ -89,7 +76,7 @@ func TestSaveLoadAdaptive(t *testing.T) {
 // misparse — the serving layer's cache treats that as a miss and rebuilds.
 func TestLoadRejectsV2(t *testing.T) {
 	ds := paperdata.Sample()
-	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{2}})
+	ix := bitmapidx.Build(ds, bitmapidx.Options{Bins: []int{2}})
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -104,7 +91,7 @@ func TestLoadRejectsV2(t *testing.T) {
 
 func TestLoadedIndexAnswersQueries(t *testing.T) {
 	ds := paperdata.Sample()
-	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{2, 2, 3, 3}})
+	ix := bitmapidx.Build(ds, bitmapidx.Options{Bins: []int{2, 2, 3, 3}})
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -123,7 +110,7 @@ func TestLoadedIndexAnswersQueries(t *testing.T) {
 
 func TestLoadRejectsCorruption(t *testing.T) {
 	ds := paperdata.Sample()
-	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{2}})
+	ix := bitmapidx.Build(ds, bitmapidx.Options{Bins: []int{2}})
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -202,41 +189,28 @@ func TestLoadGoldenV3(t *testing.T) {
 	}
 }
 
-// TestLoadGoldenV4 pins on-disk compatibility from here on: v4 files written
-// under the adaptive default and under pure CONCISE load unchanged — same
-// header codec value, same column-kind bytes — re-save byte-identically, and
-// answer exactly.
+// TestLoadGoldenV4 pins on-disk compatibility from here on: the dense v4 file
+// loads and re-saves byte-identically, and the adaptive and pure-CONCISE
+// files earlier builds wrote load with their CONCISE columns decompressed —
+// each re-saves as the dense file — and every one answers exactly.
 func TestLoadGoldenV4(t *testing.T) {
 	ds := goldenDataset(t)
 	want, _ := core.Naive(ds, 7)
-	for _, tc := range []struct {
-		file     string
-		adaptive bool
-	}{
-		{"golden_v4_adaptive.idx", true},
-		{"golden_v4_concise.idx", false},
-	} {
-		blob := golden(t, tc.file)
-		ix, err := bitmapidx.Load(bytes.NewReader(blob), ds)
+	dense := golden(t, "golden_v4_dense.idx")
+	for _, file := range []string{"golden_v4_dense.idx", "golden_v4_adaptive.idx", "golden_v4_concise.idx"} {
+		ix, err := bitmapidx.Load(bytes.NewReader(golden(t, file)), ds)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
+			t.Fatalf("%s: %v", file, err)
 		}
-		if ix.Adaptive() != tc.adaptive || ix.CodecUsed() != bitmapidx.Concise || !ix.Binned() {
-			t.Fatalf("%s: loaded as adaptive=%v codec=%v binned=%v", tc.file, ix.Adaptive(), ix.CodecUsed(), ix.Binned())
+		if !ix.Binned() {
+			t.Fatalf("%s: loaded unbinned", file)
 		}
-		if d, c := ix.Representations(); tc.adaptive && (d == 0 || c == 0 || ix.LiteralHeavy() != 0) {
-			t.Fatalf("%s: dense=%d compressed=%d (%d literal-heavy), want both kinds and every compressed column fill-dominated", tc.file, d, c, ix.LiteralHeavy())
-		}
-		var out bytes.Buffer
-		if err := ix.Save(&out); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), blob) {
-			t.Fatalf("%s: re-saved index differs from the golden bytes — the v4 format moved", tc.file)
+		if !bytes.Equal(saved(t, ix), dense) {
+			t.Fatalf("%s: re-saved index differs from golden_v4_dense.idx — the v4 format moved", file)
 		}
 		got, _ := core.IBIG(ds, 7, ix, nil)
 		if !slices.Equal(got.Items, want.Items) {
-			t.Fatalf("%s: IBIG answers %v, want %v", tc.file, got.Items, want.Items)
+			t.Fatalf("%s: IBIG answers %v, want %v", file, got.Items, want.Items)
 		}
 	}
 }
@@ -287,7 +261,7 @@ func TestLoadRejectsWAH(t *testing.T) {
 func TestLoadPrefixCheckpoint(t *testing.T) {
 	base := gen.Synthetic(gen.Config{N: 400, Dim: 4, Cardinality: 12, MissingRate: 0.2, Dist: gen.IND, Seed: 91})
 	more := gen.Synthetic(gen.Config{N: 37, Dim: 4, Cardinality: 14, MissingRate: 0.2, Dist: gen.IND, Seed: 92})
-	opts := bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{}, Adaptive: true}
+	opts := bitmapidx.Options{Bins: []int{}}
 	var saved bytes.Buffer
 	if err := bitmapidx.Build(base, opts).Save(&saved); err != nil {
 		t.Fatal(err)
@@ -346,31 +320,26 @@ func TestLoadPrefixCheckpoint(t *testing.T) {
 // side by side, each into its own slot, so the index — down to the bytes Save
 // writes — must not depend on how many run at once. The golden files say the
 // bytes are also the ones earlier builds wrote: a cold build over golden.csv
-// reproduces golden_v4_*.idx exactly.
+// saves golden_v4_dense.idx exactly, and written as the CONCISE builds wrote
+// (SaveLegacy) golden_v4_concise.idx and golden_v4_adaptive.idx.
 func TestBuildDeterministicAcrossCores(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	saved := func(ds *data.Dataset, opts bitmapidx.Options) []byte {
-		var out bytes.Buffer
-		if err := bitmapidx.Build(ds, opts).Save(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
-	}
 	small := goldenDataset(t)
 	large := gen.Synthetic(gen.Config{N: 20000, Dim: 7, Cardinality: 100, MissingRate: 0.2, Dist: gen.IND, Seed: 5})
-	serving := bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{}, Adaptive: true}
 	var want []byte
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		for file, opts := range map[string]bitmapidx.Options{
-			"golden_v4_adaptive.idx": {Codec: bitmapidx.Concise, Bins: []int{30}, Adaptive: true},
-			"golden_v4_concise.idx":  {Codec: bitmapidx.Concise, Bins: []int{30}},
+		ix := bitmapidx.Build(small, bitmapidx.Options{Bins: []int{30}})
+		for file, blob := range map[string][]byte{
+			"golden_v4_dense.idx":    saved(t, ix),
+			"golden_v4_adaptive.idx": ix.SaveLegacy(t, true),
+			"golden_v4_concise.idx":  ix.SaveLegacy(t, false),
 		} {
-			if !bytes.Equal(saved(small, opts), golden(t, file)) {
-				t.Fatalf("GOMAXPROCS %d: a cold build over golden.csv no longer saves %s's bytes", procs, file)
+			if !bytes.Equal(blob, golden(t, file)) {
+				t.Fatalf("GOMAXPROCS %d: a cold build over golden.csv no longer writes %s's bytes", procs, file)
 			}
 		}
-		got := saved(large, serving)
+		got := saved(t, bitmapidx.Build(large, bitmapidx.Options{Bins: []int{}}))
 		if want == nil {
 			want = got
 		}

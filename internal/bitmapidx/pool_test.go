@@ -60,10 +60,10 @@ func TestReleasedCursorMatchesFresh(t *testing.T) {
 		for i, vals := range randIncomplete(rng, n, 4, 9, 0.3) {
 			ds.MustAppend(fmt.Sprintf("o%d", i), vals)
 		}
-		return Build(ds, Options{Codec: Concise, Bins: []int{4}, Adaptive: true})
+		return Build(ds, Options{Bins: []int{4}})
 	}
 	base, next := deltaFixture(7)
-	old := Build(base, Options{Codec: Concise, Bins: []int{4}, Adaptive: true})
+	old := Build(base, Options{Bins: []int{4}})
 	patched, ok := AppendRows(old, next)
 	if !ok {
 		t.Fatal("AppendRows fell back")

@@ -33,7 +33,7 @@ func TestSortedRanksMatchFillRanks(t *testing.T) {
 		if !slices.Equal(sorted.Ranks, want) {
 			t.Fatalf("cfg=%+v: sorted ranks differ from fillRanks", cfg)
 		}
-		if ix := Build(ds, Options{Codec: Raw}); !slices.Equal(ix.Ranks(), want) {
+		if ix := Build(ds, Options{}); !slices.Equal(ix.Ranks(), want) {
 			t.Fatalf("cfg=%+v: a built index's ranks differ from fillRanks", cfg)
 		}
 	}

@@ -81,31 +81,22 @@ func (c *Cursor) tieScore(refs []qref, cnt, limit int) (score, walked int, ok bo
 
 	// E — and, with an inexact bucket among the dimensions, W ∩ ∩Qᵢ into c.w —
 	// in one blocked pass over every dimension's Q-, P- and missing columns.
-	var t repTally
 	terms := c.terms[:0]
 	walk := false
 	for _, r := range refs {
-		d := int(r.d)
-		last := int32(len(ix.dims[d].cols) - 1)
-		term := bitvec.TieTerm{M: c.column(d, last, &c.scratchM[d], &t), Tie: r.tie}
-		switch r.qb {
-		case 0: // Q nil: bucket 0, the identity of AND
-		case last:
-			term.Q = term.M
-		default:
-			term.Q = c.column(d, r.qb, &c.scratchQ[d], &t)
+		cols := ix.dims[r.d].cols
+		last := int32(len(cols) - 1)
+		term := bitvec.TieTerm{M: cols[last], Tie: r.tie}
+		if r.qb != 0 { // Q nil: bucket 0, the identity of AND
+			term.Q = cols[r.qb]
 		}
 		if r.tie != bitvec.TieNone {
-			term.P = term.M
-			if r.qb+1 < last {
-				term.P = c.column(d, r.qb+1, &c.scratchP[d], &t)
-			}
+			term.P = cols[min(r.qb+1, last)]
 		}
 		terms = append(terms, term)
 		walk = walk || r.tie == bitvec.TieWalk
 	}
 	c.terms = terms
-	ix.flushTally(&t)
 	nd := c.blocks.TieCount(c.w, terms)
 	if !walk {
 		return cnt - nd, 0, true
@@ -141,17 +132,4 @@ func (c *Cursor) tieScore(refs []qref, cnt, limit int) (score, walked int, ok bo
 		}
 	}
 	return cnt - nd, walked, true
-}
-
-// column returns column (d, b) as a dense vector (Cursor.dense), tallying how
-// it was served: the stored vector of a dense column, else the shared
-// decompressed-column cache (or *scratch when the cache is over budget).
-func (c *Cursor) column(d int, b int32, scratch **bitvec.Vector, t *repTally) *bitvec.Vector {
-	if c.ix.dims[d].cols[b].kind == kindDense {
-		t.dense++
-	} else {
-		t.compressed++
-		t.fallback++
-	}
-	return c.dense(d, int(b), scratch)
 }

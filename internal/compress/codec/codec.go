@@ -1,8 +1,7 @@
 // Package codec holds the pieces shared by the WAH and CONCISE bitmap
 // compression codecs: both slice a bit vector into 31-bit groups and
 // represent runs of all-zero / all-one groups compactly, so the group
-// reader/writer and the group-level helpers of CONCISE's run-native counts
-// are implemented once here.
+// reader and writer are implemented once here.
 package codec
 
 import "repro/internal/bitvec"
@@ -37,8 +36,7 @@ func Slice(v *bitvec.Vector, g int) uint32 {
 }
 
 // Writer reassembles 31-bit groups into a bit vector of a known length,
-// writing whole words (not individual bits) so decompression stays cheap on
-// the BIG/IBIG hot path.
+// writing whole words (not individual bits) so decompression stays cheap.
 type Writer struct {
 	v    *bitvec.Vector
 	next int // next group index
@@ -109,29 +107,4 @@ func (w *Writer) Vector() *bitvec.Vector { return w.v }
 // are one word, the range is first & last).
 func wordSpan(start, end int) (sw, ew int, first, last uint64) {
 	return start / 64, (end - 1) / 64, ^uint64(0) << (start % 64), ^uint64(0) >> (63 - (end-1)%64)
-}
-
-// OnesInGroups returns how many one bits `rep` all-ones groups starting at
-// group index g contribute to a bitmap of nbits logical bits — rep*GroupBits,
-// clamped so bits at or beyond nbits never count.
-func OnesInGroups(g, rep, nbits int) int {
-	c := rep * GroupBits
-	if end := (g + rep) * GroupBits; end > nbits {
-		c -= end - nbits
-	}
-	if c < 0 {
-		return 0
-	}
-	return c
-}
-
-// ClampGroup masks away the bits of group g that lie at or beyond nbits.
-func ClampGroup(val uint32, g, nbits int) uint32 {
-	if base := g * GroupBits; base+GroupBits > nbits {
-		if base >= nbits {
-			return 0
-		}
-		val &= uint32(1)<<(nbits-base) - 1
-	}
-	return val
 }

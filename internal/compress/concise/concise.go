@@ -4,7 +4,10 @@
 // for IBIG after comparing it with WAH (Fig. 10): same 31-bit-group layout
 // as WAH, but sequence (fill) words may embed one "flipped" bit in their
 // first group, which lets CONCISE absorb near-uniform groups that WAH must
-// store as literals.
+// store as literals. The serving index stores no CONCISE column (bitmapidx
+// keeps every column dense); this package serves the experiments that
+// reproduce Figs. 10–11 and Table 3, and bitmapidx.Load, which decompresses
+// the CONCISE columns of an index file an earlier build wrote.
 //
 // Word layout (32-bit words):
 //
@@ -17,7 +20,6 @@
 package concise
 
 import (
-	"math"
 	"math/bits"
 
 	"repro/internal/bitvec"
@@ -39,14 +41,8 @@ type Bitmap struct {
 	nbits int
 }
 
-// NBits returns the logical (uncompressed) length in bits.
-func (b *Bitmap) NBits() int { return b.nbits }
-
 // SizeBytes returns the compressed payload size in bytes.
 func (b *Bitmap) SizeBytes() int { return len(b.words) * 4 }
-
-// Words returns the number of compressed words; exposed for tests.
-func (b *Bitmap) Words() int { return len(b.words) }
 
 // Persist exposes the logical length and raw compressed words for
 // serialization.
@@ -60,24 +56,11 @@ func Restore(nbits int, words []uint32) *Bitmap {
 
 // Compress encodes v.
 func Compress(v *bitvec.Vector) *Bitmap {
-	b, _ := CompressWithin(v, math.MaxInt)
-	return b
-}
-
-// CompressWithin encodes v unless that takes more than maxWords compressed
-// words, in which case it stops there and reports false — for a caller that
-// keeps the stream only when it is small. (The stream never shrinks: a group
-// either adds a word or folds into the last one.)
-func CompressWithin(v *bitvec.Vector, maxWords int) (*Bitmap, bool) {
 	b := &Bitmap{nbits: v.Len()}
-	ng := codec.NumGroups(v.Len())
-	for g := 0; g < ng; g++ {
+	for g := range codec.NumGroups(v.Len()) {
 		b.appendGroup(codec.Slice(v, g))
-		if len(b.words) > maxWords {
-			return nil, false
-		}
 	}
-	return b, true
+	return b
 }
 
 func (b *Bitmap) appendGroup(g uint32) {
@@ -135,13 +118,6 @@ func (b *Bitmap) appendSeq(bit uint32) {
 	b.words = append(b.words, w)
 }
 
-// Decompress reconstructs the original bit vector.
-func (b *Bitmap) Decompress() *bitvec.Vector {
-	w := codec.NewWriter(b.nbits)
-	b.emitAll(w)
-	return w.Vector()
-}
-
 // DecompressInto reconstructs the original bit vector into dst (which must
 // have the bitmap's logical length), avoiding allocation on hot paths.
 func (b *Bitmap) DecompressInto(dst *bitvec.Vector) {
@@ -151,9 +127,23 @@ func (b *Bitmap) DecompressInto(dst *bitvec.Vector) {
 	b.emitAll(codec.NewWriterInto(dst))
 }
 
+// emitAll decodes the word stream run by run. A mixed sequence word decodes
+// as its flipped first group followed by a pure fill of the rest.
 func (b *Bitmap) emitAll(w *codec.Writer) {
-	r := runReader{words: b.words}
-	for r.next() {
-		w.Emit(r.val, r.rep)
+	for _, x := range b.words {
+		if x&literalFlag != 0 {
+			w.Emit(x&codec.GroupMask, 1)
+			continue
+		}
+		fill := uint32(0)
+		if x&seqOneFlag != 0 {
+			fill = codec.GroupMask
+		}
+		groups := int(x&counterMask) + 1
+		if pos := (x & posMask) >> posShift; pos > 0 {
+			w.Emit(fill^(1<<(pos-1)), 1)
+			groups--
+		}
+		w.Emit(fill, groups)
 	}
 }

@@ -31,7 +31,7 @@ func TestRoundTripSmall(t *testing.T) {
 	}
 	for _, s := range cases {
 		v := bitvec.MustParse(s)
-		got := Compress(v).Decompress()
+		got := decompress(Compress(v))
 		if !got.Equal(v) {
 			t.Errorf("round trip failed for %q: got %q", s, got.String())
 		}
@@ -43,7 +43,7 @@ func TestRoundTripDensities(t *testing.T) {
 	for _, n := range []int{0, 1, 31, 32, 62, 63, 100, 1000, 12345} {
 		for _, d := range []float64{0, 0.01, 0.5, 0.99, 1} {
 			v := randomVector(rng, n, d)
-			got := Compress(v).Decompress()
+			got := decompress(Compress(v))
 			if !got.Equal(v) {
 				t.Fatalf("round trip failed n=%d d=%g", n, d)
 			}
@@ -58,10 +58,10 @@ func TestMixedSequenceAbsorbsLoneBit(t *testing.T) {
 	v := bitvec.New(31 * 100)
 	v.Set(5)
 	c := Compress(v)
-	if c.Words() != 1 {
-		t.Fatalf("CONCISE words = %d, want 1", c.Words())
+	if len(c.words) != 1 {
+		t.Fatalf("CONCISE words = %d, want 1", len(c.words))
 	}
-	if !c.Decompress().Equal(v) {
+	if !decompress(c).Equal(v) {
 		t.Fatal("round trip failed")
 	}
 }
@@ -71,68 +71,18 @@ func TestMixedOneSequence(t *testing.T) {
 	v := bitvec.NewOnes(31 * 50)
 	v.Clear(7)
 	c := Compress(v)
-	if c.Words() != 1 {
-		t.Fatalf("words = %d, want 1", c.Words())
+	if len(c.words) != 1 {
+		t.Fatalf("words = %d, want 1", len(c.words))
 	}
-	if !c.Decompress().Equal(v) {
+	if !decompress(c).Equal(v) {
 		t.Fatal("round trip failed")
 	}
-}
-
-func TestCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{0, 1, 31, 62, 100, 997, 4096} {
-		for _, d := range []float64{0, 0.1, 0.9, 1} {
-			v := randomVector(rng, n, d)
-			if got, want := IntersectCount(Compress(v)), v.Count(); got != want {
-				t.Fatalf("IntersectCount n=%d d=%g: got %d want %d", n, d, got, want)
-			}
-		}
-	}
-}
-
-func TestAndMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 100; trial++ {
-		n := rng.Intn(700)
-		a := randomVector(rng, n, rng.Float64())
-		b := randomVector(rng, n, rng.Float64())
-		want := a.Clone().And(b)
-		if c := IntersectCount(Compress(a), Compress(b)); c != want.Count() {
-			t.Fatalf("IntersectCount = %d, want %d (n=%d trial=%d)", c, want.Count(), n, trial)
-		}
-	}
-}
-
-func TestAndOnRunHeavyInputs(t *testing.T) {
-	// Exercise the fill×fill, fill×literal and mixed-word paths of the run
-	// gallop.
-	a := bitvec.NewOnes(31 * 40)
-	a.Clear(3) // mixed 1-seq
-	b := bitvec.New(31 * 40)
-	for i := 31 * 10; i < 31*30; i++ {
-		b.Set(i)
-	}
-	b.Set(0) // mixed 0-seq head
-	want := a.Clone().And(b)
-	if c := IntersectCount(Compress(a), Compress(b)); c != want.Count() {
-		t.Fatalf("IntersectCount = %d on run-heavy input, want %d", c, want.Count())
-	}
-}
-
-func TestAndLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	IntersectCount(Compress(bitvec.New(31)), Compress(bitvec.New(62)))
 }
 
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(bits []bool) bool {
 		v := bitvec.FromBits(bits)
-		return Compress(v).Decompress().Equal(v)
+		return decompress(Compress(v)).Equal(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -146,4 +96,11 @@ func BenchmarkCompressDense(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Compress(v)
 	}
+}
+
+// decompress is DecompressInto a fresh vector.
+func decompress(b *Bitmap) *bitvec.Vector {
+	v := bitvec.New(b.nbits)
+	b.DecompressInto(v)
+	return v
 }

@@ -81,7 +81,7 @@ func BIG(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue) (Re
 }
 
 // IBIG is the improved BIG algorithm (§4.4): identical framework, but over
-// a binned (and typically compressed) bitmap index, with the Q−P value
+// a binned bitmap index, with the Q−P value
 // refinement and partial-score pruning (Heuristic 3) of Algorithm 5.
 func IBIG(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *MaxScoreQueue) (Result, Stats) {
 	return Run(AlgIBIG, ds, k, &Pre{Queue: queue, Binned: ix})

@@ -181,7 +181,7 @@ func TestIBIGBinSweep(t *testing.T) {
 	queue := core.BuildMaxScoreQueue(ds)
 	want, _ := core.Naive(ds, 8)
 	for _, bins := range []int{1, 2, 3, 5, 8, 16, 32, 64} {
-		ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{bins}})
+		ix := bitmapidx.Build(ds, bitmapidx.Options{Bins: []int{bins}})
 		got, _ := core.IBIG(ds, 8, ix, queue)
 		assertItems(t, fmt.Sprintf("bins=%d", bins), got, want.Items)
 	}
@@ -191,7 +191,7 @@ func TestIBIGBinSweep(t *testing.T) {
 // dimension gets its own bin count.
 func TestIBIGWithPerDimensionBins(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 300, Dim: 5, Cardinality: 40, MissingRate: 0.15, Dist: gen.IND, Seed: 13})
-	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{2, 5, 11, 23, 40}})
+	ix := bitmapidx.Build(ds, bitmapidx.Options{Bins: []int{2, 5, 11, 23, 40}})
 	want, _ := core.Naive(ds, 6)
 	got, _ := core.IBIG(ds, 6, ix, nil)
 	assertItems(t, "per-dimension bins", got, want.Items)

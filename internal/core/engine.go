@@ -24,8 +24,7 @@ import (
 // across a worker pool:
 //
 //   - every worker owns its scorer (a bitmap cursor and its scratch) — only
-//     the dataset and the index (including its shared decompressed-column
-//     cache) are shared, both read-only;
+//     the dataset and the index are shared, both read-only;
 //   - a worker offers each candidate to the heap as soon as it is scored,
 //     under a light mutex, and republishes τ through the frontier's live
 //     cell, where the other workers read it back;

@@ -122,20 +122,20 @@ func TestUBBWorkersMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSharedColumnCache exercises many cursors of one compressed index
-// concurrently (the decompressed-column cache is per-index, not per-cursor)
-// and checks Q/P agreement with a Raw index over the same data.
+// TestSharedColumnCache exercises many cursors of one index concurrently —
+// every cursor reads the index's one copy of each column — and checks Q/P and
+// the Heuristic 2 bound against a second build over the same data.
 func TestSharedColumnCache(t *testing.T) {
 	cfg := gen.Default(gen.IND, 11)
 	cfg.N = 500
 	ds := gen.Synthetic(cfg)
 	sorted := ds.SortDims()
-	raw := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw, Bins: []int{8}})
-	conc := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{8}})
+	raw := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Bins: []int{8}})
+	shared := bitmapidx.BuildSorted(sorted, bitmapidx.Options{Bins: []int{8}})
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		go func() {
-			rc, cc := raw.NewCursor(), conc.NewCursor()
+			rc, cc := raw.NewCursor(), shared.NewCursor()
 			for o := 0; o < ds.Len(); o++ {
 				rq, rp := rc.QP(o)
 				q, p := cc.QP(o)

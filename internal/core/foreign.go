@@ -32,8 +32,8 @@ func ForeignScore(ds *data.Dataset, cand *data.Object) int {
 // ForeignScorer computes shard-local partial scores and bounds of foreign
 // candidates through the shard's binned index — the IBIG scatter-gather
 // shard executor. Not safe for concurrent use (it owns a cursor); create one
-// per goroutine, they share the index's decompressed-column cache, and
-// Release it when done so its cursor serves the next one.
+// per goroutine, they share the index's read-only columns, and Release it
+// when done so its cursor serves the next one.
 type ForeignScorer struct {
 	ds     *data.Dataset
 	cursor *bitmapidx.Cursor

@@ -48,10 +48,9 @@ func TestForeignScorer(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 400, Dim: 4, Cardinality: 12, MissingRate: 0.25, Dist: gen.IND, Seed: 7})
 	rng := rand.New(rand.NewSource(99))
 	builds := map[string]bitmapidx.Options{
-		"raw-unbinned": {Codec: bitmapidx.Raw},
-		"concise-bins": {Codec: bitmapidx.Concise, Bins: []int{4}},
-		"adaptive":     {Codec: bitmapidx.Concise, Bins: []int{4}, Adaptive: true},
-		"concise-3":    {Codec: bitmapidx.Concise, Bins: []int{3}},
+		"value-granular": {},
+		"4 bins":         {Bins: []int{4}},
+		"3 bins":         {Bins: []int{3}},
 	}
 	cands := make([]*data.Object, 0, 60)
 	for i := 0; i < 40; i++ {
@@ -107,7 +106,7 @@ func TestForeignPartialsSumToGlobalScore(t *testing.T) {
 		for s := 0; s < n; s++ {
 			lo, hi := s*ds.Len()/n, (s+1)*ds.Len()/n
 			slice := ds.Slice(lo, hi)
-			scorers[s] = NewForeignScorer(slice, bitmapidx.Build(slice, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{4}, Adaptive: true}))
+			scorers[s] = NewForeignScorer(slice, bitmapidx.Build(slice, bitmapidx.Options{Bins: []int{4}}))
 		}
 		for i := 0; i < ds.Len(); i += 17 {
 			sum := 0

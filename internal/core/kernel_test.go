@@ -39,18 +39,19 @@ func blindDim(src *data.Dataset, tail int) *data.Dataset {
 	return ds
 }
 
-// kernelIndexes are the index flavours the scorers run over: BIG's
-// value-granular Raw index, the serving path's binned adaptive CONCISE index
-// and pure CONCISE with per-dimension bin counts.
+// kernelIndexes are the index layouts the scorers run over: BIG's
+// value-granular index, one bin count for every dimension as on the serving
+// path (named for the adaptive index that once held it) and per-dimension bin
+// counts.
 func kernelIndexes(dim, bins int) map[string]bitmapidx.Options {
 	perDim := make([]int, dim)
 	for d := range perDim {
 		perDim[d] = 1 + (bins+2*d)%7
 	}
 	return map[string]bitmapidx.Options{
-		"raw":      {Codec: bitmapidx.Raw},
-		"adaptive": {Codec: bitmapidx.Concise, Bins: []int{bins}, Adaptive: true},
-		"per-dim":  {Codec: bitmapidx.Concise, Bins: perDim},
+		"raw":      {},
+		"adaptive": {Bins: []int{bins}},
+		"per-dim":  {Bins: perDim},
 	}
 }
 
@@ -244,14 +245,14 @@ func TestScoreKernelCases(t *testing.T) {
 		// walks: whether some unpruned in-set score has rows to walk.
 		walks bool
 	}{
-		{"all rows equal (o ∈ E)", rows(2, repeat(20, []float64{3, 7})...), bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{4}, Adaptive: true}, 0, false},
-		{"duplicates, value-granular", rows(3, repeat(8, []float64{1, 2, 3}, []float64{1, 2, na}, []float64{2, 1, 3}, []float64{na, na, 5})...), bitmapidx.Options{Codec: bitmapidx.Raw}, 0, false},
-		{"duplicates in one bucket (o ∈ W)", rows(3, repeat(8, []float64{1, 2, 3}, []float64{1, 2, na}, []float64{2, 1, 3}, []float64{na, na, 5})...), bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{1}, Adaptive: true}, 0, true},
-		{"one observed dimension", rows(3, repeat(6, []float64{1, na, na}, []float64{2, na, na}, []float64{na, 4, na}, []float64{na, 4, na}, []float64{na, na, 9}, []float64{5, 6, 7})...), bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{2}, Adaptive: true}, 0, true},
-		{"catch-all last bin", ladder, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{3}}, 0, true},
-		{"exact and inexact buckets on one candidate", ladder, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{12, 1, 7, 1}, Adaptive: true}, 0, true},
-		{"every bucket exact under a binned layout", ladder, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{12}, Adaptive: true}, 0, false},
-		{"publish: new values join exact buckets", kernelDataset(ladderCfg, 40), bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{12}, Adaptive: true}, 40, true},
+		{"all rows equal (o ∈ E)", rows(2, repeat(20, []float64{3, 7})...), bitmapidx.Options{Bins: []int{4}}, 0, false},
+		{"duplicates, value-granular", rows(3, repeat(8, []float64{1, 2, 3}, []float64{1, 2, na}, []float64{2, 1, 3}, []float64{na, na, 5})...), bitmapidx.Options{}, 0, false},
+		{"duplicates in one bucket (o ∈ W)", rows(3, repeat(8, []float64{1, 2, 3}, []float64{1, 2, na}, []float64{2, 1, 3}, []float64{na, na, 5})...), bitmapidx.Options{Bins: []int{1}}, 0, true},
+		{"one observed dimension", rows(3, repeat(6, []float64{1, na, na}, []float64{2, na, na}, []float64{na, 4, na}, []float64{na, 4, na}, []float64{na, na, 9}, []float64{5, 6, 7})...), bitmapidx.Options{Bins: []int{2}}, 0, true},
+		{"catch-all last bin", ladder, bitmapidx.Options{Bins: []int{3}}, 0, true},
+		{"exact and inexact buckets on one candidate", ladder, bitmapidx.Options{Bins: []int{12, 1, 7, 1}}, 0, true},
+		{"every bucket exact under a binned layout", ladder, bitmapidx.Options{Bins: []int{12}}, 0, false},
+		{"publish: new values join exact buckets", kernelDataset(ladderCfg, 40), bitmapidx.Options{Bins: []int{12}}, 40, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if walked := checkScoreKernel(t, tc.ds, tc.opts, tc.tail); (walked > 0) != tc.walks {
@@ -325,7 +326,7 @@ func TestScoreKernelAllocs(t *testing.T) {
 		{"exact buckets", 60, false},
 		{"walked", 6, true},
 	} {
-		ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{tc.bins}, Adaptive: true})
+		ix := bitmapidx.Build(ds, bitmapidx.Options{Bins: []int{tc.bins}})
 		state := newBigState(ix)
 		fs := NewForeignScorer(ds, ix)
 		cand := ds.Obj(top)
@@ -341,7 +342,7 @@ func TestScoreKernelAllocs(t *testing.T) {
 			"foreign, its bound": func() { fs.Score(cand, bound, NoBudget) },
 		}
 		for what, run := range runs {
-			run() // warm: column cache, scratch, the |F| memo
+			run() // warm: scratch, the |F| memo
 			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 				t.Errorf("%s, %s: %v allocs per score, want 0", tc.name, what, allocs)
 			}

@@ -21,7 +21,7 @@ import (
 // duplicate rows, a dimension missing everywhere, a single row, a negated
 // dataset, and an index patched by AppendRows.
 func TestMaxScoreQueueFromIndexIdentical(t *testing.T) {
-	serving := bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{4}, Adaptive: true}
+	serving := bitmapidx.Options{Bins: []int{4}}
 	check := func(label string, ds *data.Dataset, ix *bitmapidx.Index) {
 		t.Helper()
 		want := reference.BuildMaxScoreQueueBTree(ds)
@@ -90,7 +90,7 @@ func TestMaxScoreQueueFromIndexIdentical(t *testing.T) {
 // its sort and off an index built from that sort — and on the edges a merge
 // of Distinct lists can get wrong.
 func TestMaxScoreQueueMergedFromRuns(t *testing.T) {
-	serving := bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{4}, Adaptive: true}
+	serving := bitmapidx.Options{Bins: []int{4}}
 	check := func(label string, ds *data.Dataset, cuts []int) {
 		t.Helper()
 		want := reference.BuildMaxScoreQueueBTree(ds)

@@ -66,7 +66,7 @@ func (pre *Pre) fill(ds *data.Dataset, bins []int, n Need) (index, queue time.Du
 		sorted = ds.SortDims()
 	}
 	if n&NeedBitmap != 0 {
-		pre.Bitmap = bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw})
+		pre.Bitmap = bitmapidx.BuildSorted(sorted, bitmapidx.Options{})
 	}
 	if n&NeedBinned != 0 {
 		pre.Binned = BuildServingIndex(sorted, bins)
@@ -84,7 +84,7 @@ func (pre *Pre) fill(ds *data.Dataset, bins []int, n Need) (index, queue time.Du
 
 // Prepared holds the preprocessing artifacts of one frozen dataset — an
 // epoch, or a shard's slice of one — and is the one place they are built,
-// installed, loaded, saved, budgeted and counted. The set is an immutable Pre
+// installed, loaded, saved and counted. The set is an immutable Pre
 // behind an atomic pointer: growing it publishes a fresh copy under the build
 // lock, so a reader's *Pre never changes and a warm Ensure is one atomic load
 // and a mask test. Safe for concurrent use.
@@ -93,8 +93,7 @@ type Prepared struct {
 	bins []int
 
 	pre    atomic.Pointer[Pre]
-	mu     sync.Mutex // serializes every change of pre and budget
-	budget int64      // serving index's column-cache budget; 0 = bitmapidx.DefaultCacheBudget
+	mu     sync.Mutex // serializes every change of pre
 	builds atomic.Int64
 	// indexNanos and queueNanos add up what the holder has spent making (or
 	// loading) its indexes and its queue — how a slow boot or reload says
@@ -151,7 +150,7 @@ func (p *Prepared) Ensure(n Need) *Pre {
 	if np.Binned != pre.Binned {
 		p.builds.Add(1)
 	}
-	p.storeLocked(&np)
+	p.pre.Store(&np)
 	return &np
 }
 
@@ -178,7 +177,7 @@ func (p *Prepared) EnsureQueueFrom(runs func() []QueueRun) *Pre {
 		panic(fmt.Sprintf("core: queue runs cover %d rows of %d", len(np.Queue.Order), p.ds.Len()))
 	}
 	p.queueNanos.Add(int64(time.Since(start)))
-	p.storeLocked(&np)
+	p.pre.Store(&np)
 	return &np
 }
 
@@ -201,38 +200,7 @@ func (p *Prepared) Install(pre Pre) {
 	if pre.Binned != nil {
 		np.Binned = pre.Binned
 	}
-	p.storeLocked(&np)
-}
-
-// storeLocked publishes np with the holder's budget on its serving index.
-func (p *Prepared) storeLocked(np *Pre) {
-	if np.Binned != nil {
-		b := p.budget
-		if b <= 0 {
-			b = bitmapidx.DefaultCacheBudget
-		}
-		np.Binned.SetCacheBudget(b)
-	}
-	p.pre.Store(np)
-}
-
-// SetCacheBudget bounds the serving index's decompressed-column cache to
-// bytes (<= 0 restores bitmapidx.DefaultCacheBudget): at once on an index
-// already here, and on any that is built, installed or loaded later.
-func (p *Prepared) SetCacheBudget(bytes int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.budget = bytes
-	p.storeLocked(p.pre.Load())
-}
-
-// CacheStats snapshots the serving index's column-cache counters (zero while
-// there is none).
-func (p *Prepared) CacheStats() bitmapidx.CacheStats {
-	if ix := p.pre.Load().Binned; ix != nil {
-		return ix.CacheStats()
-	}
-	return bitmapidx.CacheStats{}
+	p.pre.Store(&np)
 }
 
 // SaveServing serializes the serving index, building it first if needed,
@@ -245,18 +213,14 @@ func (p *Prepared) SaveServing(w io.Writer) error {
 // the holder has. The stream is a checkpoint: it is accepted when the holder's
 // first that-many rows hash to its fingerprint, and the rows behind that
 // prefix — patched reports how many — are folded in by the bitmapidx.AppendRows
-// that serves append-publishes. Only an adaptive index is accepted: that is
-// the only kind BuildServingIndex makes, and one persisted under a pinned
-// codec must not silently replace it. On any error the holder is unchanged and
-// callers rebuild.
+// that serves append-publishes. The file carries its own bin layout, and
+// whatever codec an earlier build wrote it in, it loads dense (bitmapidx.Load).
+// On any error the holder is unchanged and callers rebuild.
 func (p *Prepared) LoadServing(r io.Reader) (patched int, err error) {
 	defer func(start time.Time) { p.indexNanos.Add(int64(time.Since(start))) }(time.Now())
 	ix, err := bitmapidx.LoadPrefix(r, p.ds)
 	if err != nil {
 		return 0, err
-	}
-	if !ix.Adaptive() {
-		return 0, fmt.Errorf("core: persisted index is not adaptive (codec=%v) — rebuild", ix.CodecUsed())
 	}
 	if tail := p.ds.Len() - ix.Dataset().Len(); tail > 0 {
 		px, ok := bitmapidx.AppendRows(ix, p.ds)

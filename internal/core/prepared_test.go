@@ -12,8 +12,7 @@ import (
 
 // TestPreparedSharing drives one holder the way an epoch and a shard do at
 // once: goroutines Ensure mixed needs and query what they get, while one
-// installs an artifact made elsewhere and one squeezes and restores the
-// column cache budget. Every artifact nobody installed is built exactly once (all
+// installs an artifact made elsewhere. Every artifact nobody installed is built exactly once (all
 // readers see one pointer), a *Pre handed out never changes under its reader,
 // and Builds counts the one serving-index build — not the BIG bitmap, not the
 // install, not the load that follows. Under -race this is the holder's
@@ -26,7 +25,7 @@ func TestPreparedSharing(t *testing.T) {
 	for _, alg := range []Algorithm{AlgUBB, AlgBIG, AlgIBIG} {
 		want[alg], _ = Run(alg, ds, 8, nil)
 	}
-	installed := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Raw})
+	installed := bitmapidx.Build(ds, bitmapidx.Options{})
 
 	p := NewPrepared(ds, nil)
 	algs := []Algorithm{AlgUBB, AlgBIG, AlgIBIG}
@@ -53,18 +52,10 @@ func TestPreparedSharing(t *testing.T) {
 			got[g] = pre
 		}()
 	}
-	wg.Add(2)
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		p.Install(Pre{Bitmap: installed})
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			p.SetCacheBudget(1 << 10)
-			p.SetCacheBudget(0)
-			_ = p.CacheStats()
-		}
 	}()
 	wg.Wait()
 
@@ -83,9 +74,6 @@ func TestPreparedSharing(t *testing.T) {
 	}
 	if n := p.Builds(); n != 1 {
 		t.Errorf("Builds = %d after one serving-index build", n)
-	}
-	if b := p.CacheStats().Budget; b != bitmapidx.DefaultCacheBudget {
-		t.Errorf("budget = %d after SetCacheBudget(0), want the default", b)
 	}
 
 	// A loaded index replaces the built one and is not a build.

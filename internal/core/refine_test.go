@@ -58,7 +58,7 @@ func TestIBIGBTreeMatchesDirect(t *testing.T) {
 		queue := core.BuildMaxScoreQueue(ds)
 		trees := reference.BuildDimTrees(ds)
 		for _, bins := range []int{2, 5, 16} {
-			opts := bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{bins}}
+			opts := bitmapidx.Options{Bins: []int{bins}}
 			ix := bitmapidx.Build(ds, opts)
 			if in.tail > 0 {
 				var ok bool
@@ -86,7 +86,7 @@ func TestIBIGBTreeMatchesDirect(t *testing.T) {
 // B+-tree refinement with the Fig. 9 bin layout.
 func TestIBIGBTreeOnPaperSample(t *testing.T) {
 	ds := paperdata.Sample()
-	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{2, 2, 3, 3}})
+	ix := bitmapidx.Build(ds, bitmapidx.Options{Bins: []int{2, 2, 3, 3}})
 	res, _ := reference.IBIGBTree(ds, 2, ix, nil, nil) // build queue and trees on the fly
 	for _, it := range res.Items {
 		if it.Score != paperdata.T2DAnswerScore {
@@ -103,7 +103,7 @@ func TestIBIGBTreeOnPaperSample(t *testing.T) {
 // Heuristics 1–3 and its counters stay consistent.
 func TestIBIGBTreeReportsHeuristics(t *testing.T) {
 	ds := gen.Synthetic(gen.Config{N: 800, Dim: 4, Cardinality: 16, MissingRate: 0.3, Dist: gen.IND, Seed: 55})
-	ix := bitmapidx.Build(ds, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: []int{4}})
+	ix := bitmapidx.Build(ds, bitmapidx.Options{Bins: []int{4}})
 	_, st := reference.IBIGBTree(ds, 10, ix, nil, nil)
 	if st.Candidates+st.PrunedH1 != ds.Len() {
 		t.Fatalf("candidates %d + H1 %d != N %d", st.Candidates, st.PrunedH1, ds.Len())

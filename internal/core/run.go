@@ -66,24 +66,20 @@ type Pre struct {
 	Queue *MaxScoreQueue
 	// Bitmap is the value-granular bitmap index (BIG).
 	Bitmap *bitmapidx.Index
-	// Binned is the binned, compressed bitmap index (IBIG).
+	// Binned is the binned bitmap index (IBIG).
 	Binned *bitmapidx.Index
 }
 
 // BuildServingIndex builds the binned bitmap index IBIG serves from — the
 // one place the serving recipe is spelled: bins follows
 // bitmapidx.Options.Bins semantics, nil meaning bitmapidx.ServingBins for
-// every dimension, over a representation-adaptive CONCISE base (the
-// paper's codec choice for IBIG), so each column is stored compressed when
-// that is fill-dominated and dense otherwise, and query execution dispatches
-// to the matching kernels. Answers are bit-identical to a pure-codec index
-// (build one directly via bitmapidx for the paper's storage experiments).
+// every dimension. Its columns are dense, like every bitmapidx index's.
 func BuildServingIndex(sorted *data.Sorted, bins []int) *bitmapidx.Index {
 	if bins == nil {
 		ds := sorted.Dataset()
 		bins = []int{bitmapidx.ServingBins(ds.Len(), ds.MissingRate())}
 	}
-	return bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: bins, Adaptive: true})
+	return bitmapidx.BuildSorted(sorted, bitmapidx.Options{Bins: bins})
 }
 
 // Preprocess builds every artifact an algorithm set needs; bins is handed to

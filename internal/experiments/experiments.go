@@ -4,6 +4,12 @@
 // from the paper (different hardware, Go instead of Java, simulated real
 // datasets); the shapes — which algorithm wins, growth trends, crossovers —
 // are the reproduction target; `benchrunner -exp … -json` records them.
+//
+// The paper stores IBIG's binned index in CONCISE. Here every index is dense,
+// as the server's is, so every query time is over a dense index; where a
+// table reports what an index stores (Figs. 10–11, Table 3, the ablation),
+// the bytes are the codecs' — each column compressed on its own, as the
+// paper stores it (compressColumns).
 package experiments
 
 import (

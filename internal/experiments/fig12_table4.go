@@ -18,8 +18,8 @@ func Fig12(s Scale) []Table {
 		sorted := nd.ds.SortDims()
 		pre := &core.Pre{
 			Queue:  core.BuildMaxScoreQueue(nd.ds),
-			Bitmap: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw}),
-			Binned: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: defaultBins(nd.name)}),
+			Bitmap: bitmapidx.BuildSorted(sorted, bitmapidx.Options{}),
+			Binned: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Bins: defaultBins(nd.name)}),
 		}
 		tab := Table{
 			Title:  fmt.Sprintf("Fig. 12 — %s: TKD cost (s) vs k", nd.name),

@@ -32,8 +32,8 @@ func sweepSynthetic(title, label string, points []string,
 			sorted := ds.SortDims()
 			pre := &core.Pre{
 				Queue:  core.BuildMaxScoreQueue(ds),
-				Bitmap: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Raw}),
-				Binned: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: defaultBins(dist.String())}),
+				Bitmap: bitmapidx.BuildSorted(sorted, bitmapidx.Options{}),
+				Binned: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Bins: defaultBins(dist.String())}),
 			}
 			row := []string{points[p]}
 			for _, alg := range synAlgorithms {

@@ -17,7 +17,7 @@ func Fig18(s Scale) []Table {
 		sorted := nd.ds.SortDims()
 		pre := &core.Pre{
 			Queue:  core.BuildMaxScoreQueue(nd.ds),
-			Binned: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Codec: bitmapidx.Concise, Bins: defaultBins(nd.name)}),
+			Binned: bitmapidx.BuildSorted(sorted, bitmapidx.Options{Bins: defaultBins(nd.name)}),
 		}
 		tab := Table{
 			Title:  fmt.Sprintf("Fig. 18 — %s: objects pruned per heuristic vs k (IBIG)", nd.name),

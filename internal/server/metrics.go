@@ -56,13 +56,11 @@ func buildVersion() string {
 
 // datasetScrape is everything a scrape reads of one dataset, taken once
 // before any family is written so that the samples of one scrape agree: the
-// pruning counters under one lock, the cache and representation counters
-// from one CacheStats, the shard counters from one Metrics.
+// pruning counters under one lock, the shard counters from one Metrics.
 type datasetScrape struct {
 	e        *entry
 	label    string // dataset="<name>"
 	stats    core.Stats
-	cache    tkd.CacheStats
 	shards   int // 0 = unsharded: the shard families carry no sample for it
 	shard    tkd.ShardMetrics
 	replicas [][]tkd.BreakerState
@@ -139,7 +137,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	entries := s.reg.list()
 	x := &expo{w: w, s: s, ds: make([]datasetScrape, 0, len(entries))}
 	for _, e := range entries {
-		d := datasetScrape{e: e, label: fmt.Sprintf("dataset=%q", e.name), cache: e.ds.CacheStats(), shards: e.ds.Shards()}
+		d := datasetScrape{e: e, label: fmt.Sprintf("dataset=%q", e.name), shards: e.ds.Shards()}
 		e.met.mu.Lock()
 		d.stats = e.met.agg
 		e.met.mu.Unlock()
@@ -197,15 +195,6 @@ var metricFamilies = []family{
 			x.sample(d.label+`,heuristic="skyband"`, int64(d.stats.PrunedSkyband))
 		}
 	}},
-	{"tkd_cache_hits_total", "counter", "Decompressed-column cache hits, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.cache.Hits })},
-	{"tkd_columns_served_total", "counter", "Index columns consumed by queries, by dataset and physical representation.", func(x *expo) {
-		for _, d := range x.ds {
-			x.sample(d.label+`,repr="dense"`, d.cache.DenseCols)
-			x.sample(d.label+`,repr="compressed"`, d.cache.CompressedCols)
-		}
-	}},
-	{"tkd_kernel_native_hits_total", "counter", "Compressed columns served by the run-native CONCISE kernels, by dataset.", each(resident, func(d *datasetScrape) int64 { return d.cache.NativeKernel })},
-	{"tkd_kernel_decompress_fallbacks_total", "counter", "Compressed columns that fell back to a dense materialization (cache or scratch), by dataset.", each(resident, func(d *datasetScrape) int64 { return d.cache.Fallback })},
 	{"tkd_dataset_shards", "gauge", "Row-range shards the dataset is split into.", each(sharded, func(d *datasetScrape) int64 { return int64(d.shards) })},
 	{"tkd_shard_fanout_total", "counter", "Scatter calls fanned out to shards (one per shard per phase per window).", each(sharded, func(d *datasetScrape) int64 { return d.shard.Fanout })},
 	{"tkd_shard_tau_pushdowns_total", "counter", "Candidates pruned across shards by the pushed-down global tau (the cross-shard Heuristic 2).", each(sharded, func(d *datasetScrape) int64 { return d.shard.TauPushdowns })},

@@ -35,9 +35,7 @@ func metricValue(t *testing.T, body, series string) float64 {
 // leave this list (with its README glossary row and a DESIGN.md note) but
 // must not change.
 const goldenMetricTypes = `# TYPE tkd_build_info gauge
-# TYPE tkd_cache_hits_total counter
 # TYPE tkd_coalesced_queries_total counter
-# TYPE tkd_columns_served_total counter
 # TYPE tkd_dataset_epoch gauge
 # TYPE tkd_dataset_evictions_total counter
 # TYPE tkd_dataset_reloads_total counter
@@ -51,8 +49,6 @@ const goldenMetricTypes = `# TYPE tkd_build_info gauge
 # TYPE tkd_index_builds_total counter
 # TYPE tkd_index_cache_errors_total counter
 # TYPE tkd_index_warm_loads_total counter
-# TYPE tkd_kernel_decompress_fallbacks_total counter
-# TYPE tkd_kernel_native_hits_total counter
 # TYPE tkd_pruned_objects_total counter
 # TYPE tkd_queries_total counter
 # TYPE tkd_query_deadline_exceeded_total counter

@@ -28,10 +28,9 @@ import (
 // the others. A group that every waiter left while it was still in line
 // leaves the line and hands its token back without running. Every query
 // runs IBIG, the one plan the server serves (the handler refuses the other
-// four). Distinct queries run side by side over the same warm core.Pre and
-// decompressed-column cache. How many workers a group gets, and when, is the
-// admission controller's decision (admission.go), server-wide across
-// datasets.
+// four). Distinct queries run side by side over the same warm core.Pre. How
+// many workers a group gets, and when, is the admission controller's decision
+// (admission.go), server-wide across datasets.
 //
 // Lifecycle: a scheduler retires through drainStop (dataset eviction,
 // graceful server shutdown), which refuses new submits and returns once every

@@ -5,7 +5,7 @@
 //
 // Endpoints:
 //
-//	POST   /v1/datasets/{name}/query  — {"k","algorithm"} → ranked answer
+//	POST   /v1/datasets/{name}/query  — {"k"} → ranked answer (IBIG, the one plan served)
 //	GET    /v1/datasets               — resident datasets and their shapes
 //	POST   /v1/datasets               — {"name","path","negate"} registers a CSV at runtime
 //	POST   /v1/datasets/{name}/reload — rebuild from the source file, swap epochs, zero downtime
@@ -14,12 +14,11 @@
 //	GET    /healthz                   — liveness
 //	GET    /metrics                   — Prometheus text: the family table of metrics.go
 //
-// A per-dataset batch scheduler (see scheduler.go) dispatches each query on
-// the goroutine that submits it: distinct queries run side by side over the
-// warm artifacts and the decompressed-column cache, an identical query that
-// arrives while its twin still waits for worker slots shares the twin's
-// execution, and a server-wide FIFO admission controller (admission.go)
-// sizes and gates each query's worker fan-out. The paper's determinism guarantee (WithWorkers never changes an
+// A per-dataset scheduler (see scheduler.go) runs each query on the goroutine
+// that submits it: distinct queries run side by side over the warm artifacts,
+// an identical query that arrives while its twin still waits for worker slots
+// shares the twin's execution, and a server-wide FIFO admission controller
+// (admission.go) sizes and gates each query's worker fan-out. The paper's determinism guarantee (WithWorkers never changes an
 // answer) is what makes both the dedup and the admission grant transparent
 // to clients.
 //
@@ -59,9 +58,6 @@ type Config struct {
 	// MaxWorkers caps the total worker goroutines in flight across all
 	// queries (the admission controller's capacity); <= 0 selects GOMAXPROCS.
 	MaxWorkers int
-	// CacheBudget bounds each dataset's decompressed-column cache in bytes;
-	// <= 0 keeps the bitmapidx default (32 MiB).
-	CacheBudget int64
 	// IndexDir enables the persisted-index cache: built binned indexes are
 	// written here (keyed by dataset name, validated by the row count and
 	// content fingerprint in the file) and warm starts load them instead of
@@ -267,7 +263,7 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// AddDataset registers ds under name, applies the cache budget, warms it
+// AddDataset registers ds under name, warms it
 // (persisted index when available, built otherwise — and persisted once it
 // serves) and gives it a batch scheduler. Datasets registered this way have
 // no source file, so /reload returns 409 for them; use LoadCSVFile or POST
@@ -430,8 +426,7 @@ func (s *Server) logLoad(msg, name, path string, ds *tkd.Dataset, warm bool, sta
 		"seconds", time.Since(start).Seconds())
 }
 
-// warmPrepare gets ds query-ready off to the side: apply the cache budget,
-// restore every index part the cache directory holds a checkpoint of, and
+// warmPrepare gets ds query-ready off to the side: restore every index part the cache directory holds a checkpoint of, and
 // eagerly finish the IBIG serving artifacts so the first query is as fast as
 // the thousandth. The value-granular BIG bitmap — the most expensive
 // artifact — is never built: the server runs IBIG alone. warm reports
@@ -446,9 +441,6 @@ func (s *Server) logLoad(msg, name, path string, ds *tkd.Dataset, warm bool, sta
 // read once every write queued under the name has landed — the previous
 // load's, an evicted namesake's.
 func (s *Server) warmPrepare(name string, ds *tkd.Dataset) (warm bool, cold []tkd.IndexPart, tail int) {
-	if s.cfg.CacheBudget > 0 {
-		ds.SetCacheBudget(s.cfg.CacheBudget)
-	}
 	if s.ixc != nil {
 		s.writes.join(name)
 		warm = true
@@ -740,7 +732,6 @@ type DatasetInfo struct {
 	Dims        int     `json:"dims"`
 	MissingRate float64 `json:"missing_rate"`
 	Queries     int64   `json:"queries"`
-	CacheBytes  int64   `json:"cache_bytes"`
 	Epoch       uint64  `json:"epoch"`
 	Reloads     int64   `json:"reloads"`
 	// Shards is the row-range shard count; 0 for unsharded datasets.
@@ -1072,7 +1063,6 @@ func (s *Server) datasetInfo(e *entry) DatasetInfo {
 		Dims:        e.ds.Dim(),
 		MissingRate: e.ds.MissingRate(),
 		Queries:     e.met.queries.Load(),
-		CacheBytes:  e.ds.CacheStats().Bytes,
 		Epoch:       e.ds.Epoch(),
 		Reloads:     e.met.reloads.Load(),
 		Shards:      e.ds.Shards(),

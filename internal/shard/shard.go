@@ -5,8 +5,7 @@
 // The decomposition rests on one identity: dominance counts are additive
 // across a row partition. score(o) — how many objects o dominates — equals
 // the sum over shards of the number of *shard rows* o dominates, so each
-// shard indexes only its own rows (its own binned bitmap index, its own
-// column cache) and scores any candidate shipped to it as raw (values,
+// shard indexes only its own rows (its own binned bitmap index) and scores any candidate shipped to it as raw (values,
 // mask), while the coordinator owns the full dataset, the global MaxScore
 // queue, and the candidate heap.
 //

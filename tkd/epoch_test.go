@@ -219,18 +219,17 @@ func TestImportGoldenEpoch(t *testing.T) {
 	}
 }
 
-// TestLoadIndexAcceptsOnlyAdaptive: the dataset builds adaptive indexes and
-// warm-loads nothing else — a pure-CONCISE file is refused, a WAH header
-// codec or a sparse column kind is an unsupported codec, a v3 file (keyed by
-// the old fingerprint) is an unsupported version — and a refused load
-// leaves the dataset serving.
-func TestLoadIndexAcceptsOnlyAdaptive(t *testing.T) {
+// TestLoadIndexReadsEveryV4Codec: the dataset warm-loads a v4 index file
+// whatever codec wrote it — dense, as it writes them, or adaptive or pure
+// CONCISE, as earlier builds did, their CONCISE columns decompressed at load —
+// and answers from it as Naive does with zero builds. A WAH header codec or a
+// sparse column kind is an unsupported codec, a v3 file (keyed by the old
+// fingerprint) an unsupported version, and a refused load leaves the dataset
+// serving.
+func TestLoadIndexReadsEveryV4Codec(t *testing.T) {
 	ds, err := tkd.ReadCSV(bytes.NewReader(goldenFixture(t, "golden.csv")))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v4_concise.idx"))); err == nil || !strings.Contains(err.Error(), "rebuild") {
-		t.Fatalf("pure-CONCISE index: error = %v, want a rebuild refusal", err)
 	}
 	wah := goldenFixture(t, "golden_v4_concise.idx")
 	wah[6] = 1 // the header codec byte a WAH-pinned build wrote
@@ -243,14 +242,21 @@ func TestLoadIndexAcceptsOnlyAdaptive(t *testing.T) {
 	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v3_wah.idx"))); !errors.Is(err, bitmapidx.ErrVersion) {
 		t.Fatalf("v3 index: error = %v, want ErrVersion", err)
 	}
-	if _, err := ds.TopK(5, tkd.WithAlgorithm(tkd.UBB)); err != nil {
+	want, err := ds.TopK(7, tkd.WithAlgorithm(tkd.UBB))
+	if err != nil {
 		t.Fatalf("dataset stopped serving after refused loads: %v", err)
 	}
-	if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, "golden_v4_adaptive.idx"))); err != nil {
-		t.Fatalf("adaptive index: %v", err)
-	}
-	if _, err := ds.TopK(5); err != nil {
-		t.Fatal(err)
+	for _, file := range []string{"golden_v4_dense.idx", "golden_v4_adaptive.idx", "golden_v4_concise.idx"} {
+		if err := ds.LoadIndex(bytes.NewReader(goldenFixture(t, file))); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		got, err := ds.TopK(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Items, want.Items) {
+			t.Fatalf("%s: IBIG answers %v, UBB %v", file, got.Items, want.Items)
+		}
 	}
 	if n := ds.IndexBuilds(); n != 0 {
 		t.Fatalf("warm-loaded dataset built the index %d times, want 0", n)

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/bitmapidx"
 	"repro/internal/data"
 	"repro/tkd"
 )
@@ -151,7 +150,9 @@ func TestReplaceFromSwapsAtomically(t *testing.T) {
 }
 
 // TestReplaceFromCarriesWarmArtifacts: a replacement whose index was built
-// (or loaded) off to the side must not be rebuilt after the swap.
+// (or loaded) off to the side must not be rebuilt after the swap; and a BIG
+// query, which builds a value-granular bitmap, not a serving index, leaves
+// IndexBuilds alone.
 func TestReplaceFromCarriesWarmArtifacts(t *testing.T) {
 	target := tkd.GenerateIND(200, 3, 15, 0.2, 3)
 	target.Prepare()
@@ -173,6 +174,12 @@ func TestReplaceFromCarriesWarmArtifacts(t *testing.T) {
 	}
 	if got := target.IndexBuilds(); got != 1 {
 		t.Fatalf("target built %d indexes, want just its own pre-swap one", got)
+	}
+	if _, err := target.TopK(5, tkd.WithAlgorithm(tkd.BIG)); err != nil {
+		t.Fatal(err)
+	}
+	if got := target.IndexBuilds(); got != 1 {
+		t.Fatalf("a BIG query moved IndexBuilds 1 -> %d", got)
 	}
 }
 
@@ -385,52 +392,5 @@ func TestFingerprintFoldsOnce(t *testing.T) {
 		if n, wantN := data.RowsHashed()-hashed, int64(epoch.Len()+len(batch)); n != wantN {
 			t.Fatalf("readersFirst=%v: %d readers and an append-publish folded %d rows, want N + batch = %d", readersFirst, readers, n, wantN)
 		}
-	}
-}
-
-// TestCacheBudgetSurvivesSwap: the budget configured on the serving dataset
-// re-applies to the index that arrives with a ReplaceFrom.
-func TestCacheBudgetSurvivesSwap(t *testing.T) {
-	target := tkd.GenerateIND(400, 4, 30, 0.2, 8)
-	target.SetCacheBudget(1 << 10)
-	target.Prepare()
-	replacement := tkd.GenerateIND(500, 4, 30, 0.2, 9)
-	replacement.Prepare() // built with the default budget
-	target.ReplaceFrom(replacement)
-	if _, err := target.TopK(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := target.CacheStats().Budget; got != 1<<10 {
-		t.Fatalf("budget after swap = %d, want %d", got, 1<<10)
-	}
-
-	// The same on a shard topology, whose swap carries per-shard indexes; and
-	// a budget put back to 0 lands on the carried indexes too.
-	shard3 := func(n int, seed int64) *tkd.Dataset {
-		ds, err := tkd.Shard(tkd.GenerateIND(n, 4, 30, 0.2, seed), "swap", tkd.WithShards(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ds
-	}
-	starget := shard3(400, 8)
-	starget.SetCacheBudget(3 << 10)
-	starget.Prepare()
-	sreplacement := shard3(500, 9)
-	sreplacement.Prepare()
-	starget.ReplaceFrom(sreplacement)
-	builds := starget.IndexBuilds()
-	if _, err := starget.TopK(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := starget.CacheStats().Budget; got != 3<<10 {
-		t.Fatalf("sharded budget after swap = %d, want %d", got, 3<<10)
-	}
-	if got := starget.IndexBuilds(); got != builds {
-		t.Fatalf("sharded swap rebuilt carried indexes: IndexBuilds %d -> %d", builds, got)
-	}
-	starget.SetCacheBudget(0)
-	if got, want := starget.CacheStats().Budget, int64(3*bitmapidx.DefaultCacheBudget); got != want {
-		t.Fatalf("sharded budget after SetCacheBudget(0) = %d, want the default %d", got, want)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // Shard attaches a topology — N row-range shards behind a scatter-gather
 // coordinator — and every query, mutation and lifecycle call keeps going
 // through the same *Dataset. Each shard is an independent slice of the
-// published epoch with its own binned bitmap index and column cache,
+// published epoch with its own binned bitmap index,
 // servable in-process or by a remote tkdserver peer, while the coordinator
 // keeps the full data and the global MaxScore queue. Answers are
 // byte-identical to the unsharded plan's for every algorithm: IBIG scatters,
@@ -202,7 +202,7 @@ func (s *snapshot) shardSet() *shardSet {
 		return ss
 	}
 	t := s.d.topo.Load()
-	ss := t.build(s.part, s.d.partBudget(), nil)
+	ss := t.build(s.part, nil)
 	ss.startHealthChecks(t.healthInterval)
 	s.shards.Store(ss)
 	if s.retired.Load() {
@@ -216,10 +216,9 @@ func (s *snapshot) shardSet() *shardSet {
 // artifacts of warm's, the set another Dataset built over this very data, when
 // there is one — or a replica set of Remotes pointing at the shard's peer
 // group (retry/hedge/breaker semantics apply even to a single-peer group —
-// one replica is just the degenerate set). budget is each shard's cache budget
-// (Dataset.partBudget). The replica sets' health loops are the caller's to
-// start (startHealthChecks), once the epoch is published.
-func (t *topology) build(global *core.Prepared, budget int64, warm *shardSet) *shardSet {
+// one replica is just the degenerate set). The replica sets' health loops are
+// the caller's to start (startHealthChecks), once the epoch is published.
+func (t *topology) build(global *core.Prepared, warm *shardSet) *shardSet {
 	ds := global.Dataset()
 	ss := &shardSet{coord: shard.NewCoordinator(global, t.met), backends: make([]shard.Backend, t.n)}
 	if warm != nil && len(warm.backends) != t.n {
@@ -229,7 +228,6 @@ func (t *topology) build(global *core.Prepared, budget int64, warm *shardSet) *s
 		lo, hi := i*ds.Len()/t.n, (i+1)*ds.Len()/t.n
 		if len(t.peers) == 0 {
 			l := shard.NewLocal(ds, lo, hi)
-			l.SetCacheBudget(budget)
 			if warm != nil {
 				if wl, ok := warm.backends[i].(*shard.Local); ok {
 					l.Install(*wl.Built())

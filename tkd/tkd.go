@@ -45,8 +45,8 @@
 // topology to the same *Dataset — N row-range shards, in-process or on
 // remote peers, behind a scatter-gather coordinator — after which TopK fans
 // out across the shards and returns byte-identical answers. Nothing else
-// about the dataset changes type or owner: mutations, epochs, Prepare, the
-// cache budget and index persistence (IndexParts) all go through the same
+// about the dataset changes type or owner: mutations, epochs, Prepare and
+// index persistence (IndexParts) all go through the same
 // methods, which aggregate over the shards where there are any, and
 // Shards() — 0 when unsharded — is the one accessor policy code branches
 // on. See sharded.go.
@@ -106,7 +106,7 @@ type (
 // Dataset.cowLocked), so any number of queries may run on one snapshot while
 // newer epochs are being prepared and published.
 type snapshot struct {
-	d     *Dataset // the owner: topology, cache budget, build count
+	d     *Dataset // the owner: topology, build count
 	epoch uint64
 	// ds is frozen (data.Dataset.Freeze): its first Fingerprint folds the rows
 	// its chain lacks — all of a freshly loaded file, none of an
@@ -135,19 +135,17 @@ func (d *Dataset) newSnapshot(epoch uint64, ds *data.Dataset, bins []int, pre co
 	return &snapshot{d: d, epoch: epoch, ds: ds, part: d.newPart(ds, bins, pre)}
 }
 
-// newPart returns a holder over ds under d's cache budget, seeded with the
-// artifacts that arrive already made.
+// newPart returns a holder over ds seeded with the artifacts that arrive
+// already made.
 func (d *Dataset) newPart(ds *data.Dataset, bins []int, pre core.Pre) *core.Prepared {
 	p := core.NewPrepared(ds, bins)
-	p.SetCacheBudget(d.cacheBudget.Load())
 	p.Install(pre)
 	return p
 }
 
 // parts lists the holders behind the epoch's serving indexes — the epoch's
 // own on an unsharded dataset, one per in-process shard otherwise (none until
-// the shard set is built). The cache budget, the cache counters and the build
-// count are each one loop over them.
+// the shard set is built). The build count is one loop over them.
 func (s *snapshot) parts() []*core.Prepared {
 	if s.d.topo.Load() == nil {
 		return []*core.Prepared{s.part}
@@ -172,8 +170,8 @@ func (s *snapshot) prepare(n core.Need) *core.Pre {
 // release retires a snapshot that was just replaced — or, in replaceFrom, is
 // about to be: its builds move to the owner's running count and its shard
 // set's health loops stop. In-flight queries on the old epoch keep working —
-// close never touches the query path — and its decompressed columns go with
-// its index, once the last of them is done.
+// close never touches the query path — and its index goes once the last of
+// them is done.
 func (s *snapshot) release() {
 	s.retired.Store(true)
 	for _, p := range s.parts() {
@@ -201,7 +199,6 @@ type Dataset struct {
 	cur   atomic.Pointer[snapshot] // the published epoch; nil when staging is dirty
 	epoch atomic.Uint64            // epochs published so far
 
-	cacheBudget   atomic.Int64 // SetCacheBudget value; 0 = bitmapidx default
 	retiredBuilds atomic.Int64 // serving-index builds of epochs since replaced
 
 	// topo is the shard topology Shard attached, nil for an unsharded
@@ -392,7 +389,7 @@ func (d *Dataset) replaceFrom(src *Dataset, at uint64) {
 	part := d.newPart(ss.ds, ss.part.Bins(), pre)
 	var shards *shardSet
 	if t, warm := d.topo.Load(), ss.shards.Load(); t != nil && warm != nil {
-		shards = t.build(part, d.partBudget(), warm)
+		shards = t.build(part, warm)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -618,68 +615,18 @@ func (d *Dataset) PrepareFor(algs ...Algorithm) {
 	d.current().prepare(n)
 }
 
-// SetCacheBudget bounds the decompressed-column cache of the compressed
-// bitmap index to at most bytes (0 restores the bitmapidx default), taking
-// effect immediately on an already-built index and carrying over to future
-// epochs; a sharded dataset splits the budget evenly across its shards.
-// Long-lived servers use this together with CacheStats to size the
-// per-dataset memory footprint.
-func (d *Dataset) SetCacheBudget(bytes int64) {
-	d.cacheBudget.Store(bytes)
-	for _, p := range d.parts() {
-		p.SetCacheBudget(d.partBudget())
-	}
-}
+// SetCacheBudget does nothing. It bounded the decompressed-column cache of
+// a compressed index; every serving column is dense now, so there is no cache
+// to bound. It stays, with CacheStats, only while the served-request
+// benchmark (benchmark/layers.go) still calls both.
+func (d *Dataset) SetCacheBudget(bytes int64) {}
 
-// partBudget is the cache budget of one part: the dataset's, split evenly
-// across the shards of a topology; 0 stays 0, the bitmapidx default per part.
-func (d *Dataset) partBudget() int64 {
-	b := d.cacheBudget.Load()
-	if b <= 0 {
-		return 0
-	}
-	return max(b/int64(max(d.Shards(), 1)), 1)
-}
+// CacheStats is what CacheStats reports: always zero (see SetCacheBudget).
+type CacheStats struct{ Hits, Misses int64 }
 
-// CacheStats reports the decompressed-column cache and representation
-// counters of the binned bitmap index: lookup hits and misses, resident bytes
-// and the configured budget, plus how many columns each physical
-// representation served on the query path (DenseCols/CompressedCols) and —
-// for compressed columns — the split between run-native kernel execution
-// (NativeKernel) and decompress-to-dense fallbacks (Fallback). All zero until
-// an IBIG query (or Prepare) builds the index. A sharded dataset reports the
-// sum over its in-process shards' indexes.
-type CacheStats struct {
-	Hits   int64
-	Misses int64
-	Bytes  int64
-	Budget int64
-
-	DenseCols      int64
-	CompressedCols int64
-	NativeKernel   int64
-	Fallback       int64
-}
-
-func (c *CacheStats) add(st bitmapidx.CacheStats) {
-	c.Hits += st.Hits
-	c.Misses += st.Misses
-	c.Bytes += st.Bytes
-	c.Budget += st.Budget
-	c.DenseCols += st.DenseCols
-	c.CompressedCols += st.CompressedCols
-	c.NativeKernel += st.NativeKernel
-	c.Fallback += st.Fallback
-}
-
-// CacheStats snapshots the column-cache counters; see the CacheStats type.
-func (d *Dataset) CacheStats() CacheStats {
-	var out CacheStats
-	for _, p := range d.parts() {
-		out.add(p.CacheStats())
-	}
-	return out
-}
+// CacheStats returns zero counters: there is no column cache (see
+// SetCacheBudget).
+func (d *Dataset) CacheStats() CacheStats { return CacheStats{} }
 
 // parts returns the current epoch's parts without publishing or building
 // anything (none while staging is dirty).
@@ -715,7 +662,7 @@ func (d *Dataset) setBins(bins []int) {
 // answer order — by score, then MaxScore bound, then row index (Result), so
 // rank-k ties, which the paper breaks arbitrarily, are broken the same way by
 // every algorithm and every k. Safe for concurrent use: any number of goroutines may query one
-// Dataset, sharing its warm indexes and column cache, even while other
+// Dataset, sharing its warm indexes, even while other
 // goroutines mutate it (each query runs on the epoch current at its start).
 //
 // On a sharded dataset (see Shard) the same options give the same answers —
