@@ -81,7 +81,7 @@ func TestESBWorkersMatchesSerial(t *testing.T) {
 		ds := gen.Synthetic(cfg)
 		want, wantSt := ESB(ds, 10)
 		for _, workers := range []int{2, 4, 7} {
-			got, st := ESBWorkers(ds, 10, nil, workers)
+			got, st := RunWorkers(AlgESB, ds, 10, nil, workers)
 			for i := range want.Items {
 				if got.Items[i] != want.Items[i] {
 					t.Fatalf("seed=%d workers=%d: item %d = %+v, want %+v",

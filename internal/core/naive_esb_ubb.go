@@ -19,17 +19,11 @@ func Naive(ds *data.Dataset, k int) (Result, Stats) { return Run(AlgNaive, ds, k
 // partitioned into buckets by observed-dimension bit vector; a local
 // k-skyband query inside each bucket prunes objects that provably cannot be
 // answers (Lemma 1, sound because dominance is transitive within a bucket);
-// the surviving candidates are scored exactly and the top k returned. It is
-// ESBWorkers' serial path.
+// the surviving candidates are scored exactly and the top k returned.
+// RunWorkers runs it across a worker pool: the buckets' local k-skybands fan
+// out across the workers (esbCandidates), and the survivors are scored
+// through the batch-windowed engine.
 func ESB(ds *data.Dataset, k int) (Result, Stats) { return Run(AlgESB, ds, k, nil) }
-
-// ESBWorkers is ESB across a worker pool (workers as in RunWorkers): the
-// buckets' local k-skybands fan out across the workers (esbCandidates), and
-// the survivors are scored through the batch-windowed engine. queue (nil
-// builds one) supplies only the answer's tie order.
-func ESBWorkers(ds *data.Dataset, k int, queue *MaxScoreQueue, workers int) (Result, Stats) {
-	return RunWorkers(AlgESB, ds, k, &Pre{Queue: queue}, workers)
-}
 
 // esbCandidates returns ESB's candidate set SC — the union of every
 // observed-mask bucket's local k-skyband, in no particular order — and its

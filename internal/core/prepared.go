@@ -60,6 +60,9 @@ func (pre *Pre) Has(n Need) bool { return pre.have()&n == n }
 // its shards' sorts instead: EnsureQueueFrom.)
 func (pre *Pre) fill(ds *data.Dataset, bins []int, n Need) (index, queue time.Duration) {
 	n &^= pre.have()
+	if n == 0 {
+		return 0, 0 // a warm query: no clock to read
+	}
 	t0 := time.Now()
 	var sorted *data.Sorted
 	if n&(NeedBitmap|NeedBinned) != 0 {

@@ -111,8 +111,10 @@ func (s *Span) walk(fn func(*Span)) {
 		return
 	}
 	fn(s)
+	// Children are append-only: the first n never change, and a capped
+	// snapshot cannot be appended into.
 	s.tr.mu.Lock()
-	children := append([]*Span(nil), s.children...)
+	children := s.children[:len(s.children):len(s.children)]
 	s.tr.mu.Unlock()
 	for _, c := range children {
 		c.walk(fn)

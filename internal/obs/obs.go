@@ -20,6 +20,14 @@
 //
 // Completed traces are immutable and safe to share: the scheduler stamps one
 // execution subtree into every coalesced waiter's trace by reference.
+//
+// Economy. A trace is always on for a served query, so it costs as few heap
+// objects as it can: New makes one crypto/rand read (the trace ID and the
+// span-ID base together), and a Trace carries small inline arenas that its
+// first spans, attributes, child slots and τ samples are carved from — a
+// served query's tree fits them but for the engine's attribute list. Past
+// the arenas a span's lists grow on the heap as before; a carved list has
+// exactly its carved capacity, so it never grows into a neighbour's slots.
 package obs
 
 import (
@@ -52,6 +60,21 @@ func (id SpanID) IsZero() bool { return id == SpanID{} }
 // (and counted) rather than recorded.
 const MaxSpans = 512
 
+// The inline arenas' sizes. A served query's tree is four spans (query,
+// queue, execute, engine), three child slots, a few τ samples and seventeen
+// attributes — twelve of them the engine's, in one list. The attribute arena
+// holds the other five: every byte of an arena is zeroed and collected with
+// the trace, and twelve more attributes would cost ~580 B to save one
+// allocation.
+const (
+	arenaSpans    = 4
+	arenaAttrs    = 8
+	arenaChildren = 4
+	arenaTau      = 4
+	attrCarve     = 2 // attribute slots a span's first attributes carve at least
+	childCarve    = 2 // child slots a span's first child carves
+)
+
 // Trace is one query's span tree. Create with New or Adopt; a nil *Trace is
 // a valid "tracing off" value whose methods all no-op.
 type Trace struct {
@@ -65,6 +88,15 @@ type Trace struct {
 	nspans  int
 	dropped int
 	root    *Span
+
+	// The inline arenas and how much of each is carved, under mu.
+	spanArena  [arenaSpans]Span
+	attrArena  [arenaAttrs]Attr
+	childArena [arenaChildren]*Span
+	tauArena   [arenaTau]TauSample
+	nattr      int
+	nchild     int
+	ntau       int
 }
 
 // newSpanIDBase draws the per-trace random base span IDs derive from. One
@@ -74,21 +106,31 @@ type Trace struct {
 func newSpanIDBase(id TraceID) uint64 {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		return binary.BigEndian.Uint64(id[8:]) ^ uint64(time.Now().UnixNano())
+		return spanIDBaseFallback(id)
 	}
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// New starts a trace with a fresh random ID and a root span named name.
+// spanIDBaseFallback is the span-ID base when crypto/rand fails.
+func spanIDBaseFallback(id TraceID) uint64 {
+	return binary.BigEndian.Uint64(id[8:]) ^ uint64(time.Now().UnixNano())
+}
+
+// New starts a trace with a fresh random ID and a root span named name. One
+// crypto/rand read draws the trace ID and the span-ID base together.
 func New(name string) *Trace {
-	var id TraceID
-	if _, err := rand.Read(id[:]); err != nil || id.IsZero() {
+	t := &Trace{}
+	var b [len(TraceID{}) + 8]byte
+	_, err := rand.Read(b[:])
+	copy(t.id[:], b[:])
+	t.sidBase = binary.BigEndian.Uint64(b[len(t.id):])
+	if err != nil || t.id.IsZero() {
 		// crypto/rand never fails on supported platforms; keep the trace
 		// usable (and the ID valid) regardless.
-		binary.BigEndian.PutUint64(id[:8], uint64(time.Now().UnixNano()))
-		id[15] |= 1
+		binary.BigEndian.PutUint64(t.id[:8], uint64(time.Now().UnixNano()))
+		t.id[15] |= 1
+		t.sidBase = spanIDBaseFallback(t.id)
 	}
-	t := &Trace{id: id, sidBase: newSpanIDBase(id)}
 	t.root = t.newSpan(name, time.Now())
 	return t
 }
@@ -137,11 +179,17 @@ func (t *Trace) Dropped() int {
 	return t.dropped
 }
 
-// newSpan allocates a span with the next in-trace span ID. Caller holds no
+// newSpan makes a span with the next in-trace span ID. Caller holds no
 // lock; the method takes t.mu itself.
 func (t *Trace) newSpan(name string, start time.Time) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.newSpanLocked(name, start)
+}
+
+// newSpanLocked is newSpan under t.mu: the span is carved from the span
+// arena while it lasts, and allocated after.
+func (t *Trace) newSpanLocked(name string, start time.Time) *Span {
 	t.seq++
 	t.nspans++
 	var sid SpanID
@@ -154,7 +202,42 @@ func (t *Trace) newSpan(name string, start time.Time) *Span {
 		v = t.seq
 	}
 	binary.BigEndian.PutUint64(sid[:], v)
+	if i := t.nspans - 1; i < arenaSpans {
+		t.spanArena[i] = Span{tr: t, id: sid, name: name, start: start}
+		return &t.spanArena[i]
+	}
 	return &Span{tr: t, id: sid, name: name, start: start}
+}
+
+// addAttrs appends src to a span's attributes dst; t.mu is held. A span's
+// first attributes are carved from the arena when they fit it, with room for
+// at least attrCarve.
+func (t *Trace) addAttrs(dst []Attr, src ...Attr) []Attr {
+	if n := max(len(src), attrCarve); dst == nil && t.nattr+n <= arenaAttrs {
+		dst = t.attrArena[t.nattr : t.nattr : t.nattr+n]
+		t.nattr += n
+	}
+	return append(dst, src...)
+}
+
+// addChild appends c to a span's children dst; t.mu is held. A span's first
+// child carves childCarve slots from the arena when they fit it.
+func (t *Trace) addChild(dst []*Span, c *Span) []*Span {
+	if dst == nil && t.nchild+childCarve <= arenaChildren {
+		dst = t.childArena[t.nchild : t.nchild : t.nchild+childCarve]
+		t.nchild += childCarve
+	}
+	return append(dst, c)
+}
+
+// addTau appends ts to a span's τ trajectory dst; t.mu is held. One span's
+// first sample carves the whole τ arena.
+func (t *Trace) addTau(dst []TauSample, ts TauSample) []TauSample {
+	if dst == nil && t.ntau == 0 {
+		dst = t.tauArena[:0:arenaTau]
+		t.ntau = arenaTau
+	}
+	return append(dst, ts)
 }
 
 // Attr is one key/value annotation on a span. Values are either int64 or
@@ -220,17 +303,14 @@ func (s *Span) childAt(name string, start, end time.Time) *Span {
 	}
 	t := s.tr
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.nspans >= MaxSpans {
 		t.dropped++
-		t.mu.Unlock()
 		return nil
 	}
-	t.mu.Unlock()
-	c := t.newSpan(name, start)
+	c := t.newSpanLocked(name, start)
 	c.end = end
-	t.mu.Lock()
-	s.children = append(s.children, c)
-	t.mu.Unlock()
+	s.children = t.addChild(s.children, c)
 	return c
 }
 
@@ -242,7 +322,7 @@ func (s *Span) Adopt(child *Span) {
 		return
 	}
 	s.tr.mu.Lock()
-	s.children = append(s.children, child)
+	s.children = s.tr.addChild(s.children, child)
 	s.tr.mu.Unlock()
 }
 
@@ -264,7 +344,7 @@ func (s *Span) SetInt(key string, v int64) {
 		return
 	}
 	s.tr.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Int: v})
+	s.attrs = s.tr.addAttrs(s.attrs, Attr{Key: key, Int: v})
 	s.tr.mu.Unlock()
 }
 
@@ -275,7 +355,7 @@ func (s *Span) SetAttrs(attrs ...Attr) {
 		return
 	}
 	s.tr.mu.Lock()
-	s.attrs = append(s.attrs, attrs...)
+	s.attrs = s.tr.addAttrs(s.attrs, attrs...)
 	s.tr.mu.Unlock()
 }
 
@@ -285,7 +365,7 @@ func (s *Span) SetStr(key, v string) {
 		return
 	}
 	s.tr.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Str: v, IsStr: true})
+	s.attrs = s.tr.addAttrs(s.attrs, Attr{Key: key, Str: v, IsStr: true})
 	s.tr.mu.Unlock()
 }
 
@@ -295,7 +375,7 @@ func (s *Span) SampleTau(pos, tau int) {
 		return
 	}
 	s.tr.mu.Lock()
-	s.tau = append(s.tau, TauSample{Pos: pos, Tau: tau})
+	s.tau = s.tr.addTau(s.tau, TauSample{Pos: pos, Tau: tau})
 	s.tr.mu.Unlock()
 }
 

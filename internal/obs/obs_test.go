@@ -265,3 +265,72 @@ func TestContextPropagation(t *testing.T) {
 		t.Fatal("empty context produced a span")
 	}
 }
+
+// TestArenaListsStayApart grows every span's lists past what the inline
+// arenas carved for it, interleaved across spans, and checks no span's
+// attributes, τ samples or children land in another's: a carved list must
+// never grow into its neighbour's slots. It also pins a served query's tree
+// to one allocation beyond the engine's attribute list.
+func TestArenaListsStayApart(t *testing.T) {
+	tr := New("root")
+	spans := []*Span{tr.Root()}
+	for i := 0; i < 2*arenaSpans; i++ {
+		spans = append(spans, tr.Root().StartChild(fmt.Sprintf("c%d", i)))
+	}
+	for round := 0; round < 3*arenaAttrs; round++ {
+		for i, sp := range spans {
+			sp.SetInt(fmt.Sprintf("s%d", i), int64(round))
+			sp.SampleTau(round, i)
+			if round < 3 {
+				sp.StartChild(fmt.Sprintf("g%d.%d", i, round))
+			}
+		}
+	}
+	out := tr.JSON()
+	var check func(i int, s *SpanJSON)
+	check = func(i int, s *SpanJSON) {
+		if len(s.Attrs) != 1 || len(s.Tau) != 3*arenaAttrs {
+			t.Fatalf("span %s: %d attrs, %d τ samples; want 1 and %d", s.Name, len(s.Attrs), len(s.Tau), 3*arenaAttrs)
+		}
+		if v := s.Attrs[fmt.Sprintf("s%d", i)]; v != int64(3*arenaAttrs-1) {
+			t.Fatalf("span %s: attribute s%d = %v, want %d", s.Name, i, v, 3*arenaAttrs-1)
+		}
+		for j, ts := range s.Tau {
+			if ts != [2]int{j, i} {
+				t.Fatalf("span %s: τ sample %d = %v, want %v", s.Name, j, ts, [2]int{j, i})
+			}
+		}
+	}
+	check(0, out.Root)
+	if len(out.Root.Children) != 2*arenaSpans+3 {
+		t.Fatalf("root has %d children, want %d", len(out.Root.Children), 2*arenaSpans+3)
+	}
+	for i, c := range out.Root.Children[:2*arenaSpans] {
+		check(i+1, c)
+		for r, g := range c.Children {
+			if want := fmt.Sprintf("g%d.%d", i+1, r); g.Name != want || len(c.Children) != 3 {
+				t.Fatalf("span %s: child %d is %s of %d, want %s of 3", c.Name, r, g.Name, len(c.Children), want)
+			}
+		}
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		tr := New("query")
+		root := tr.Root()
+		root.SetAttrs(Attr{Key: "dataset", Str: "d", IsStr: true}, Attr{Key: "k", Int: 3}, Attr{Key: "algorithm", Str: "IBIG", IsStr: true})
+		now := time.Now()
+		root.ChildAt("queue", now, now)
+		exec := root.StartChild("execute")
+		exec.SetAttrs(Attr{Key: "batch", Int: 1}, Attr{Key: "granted", Int: 1})
+		eng := exec.StartChild("engine")
+		eng.SampleTau(1, 2)
+		eng.SampleTau(2, 3)
+		eng.End()
+		exec.End()
+		root.End()
+		tr.Walk(func(*Span) {})
+	})
+	if allocs != 1 && !raceEnabled {
+		t.Fatalf("a served query's trace without the engine's attributes costs %v allocations, want 1", allocs)
+	}
+}

@@ -56,26 +56,26 @@ var heldAtOnce = func() chan struct{} {
 	return c
 }()
 
-// enter takes the next place in line without blocking. want <= 0 asks for
-// the fair share. A grant that fits an empty line holds its slots at once;
-// any other waits behind the head, which admit left there because it did
-// not fit.
-func (a *admission) enter(want int) *grant {
+// place takes the next place in line for g without blocking; g belongs to
+// its caller (a group carries its grant inline) and is settled here. want <=
+// 0 asks for the fair share. A grant that fits an empty line holds its slots
+// at once; any other waits behind the head, which admit left there because
+// it did not fit.
+func (a *admission) place(g *grant, want int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if want <= 0 {
 		want = a.capacity / (a.running + len(a.line) + 1)
 	}
-	g := &grant{n: min(max(want, 1), a.capacity)}
+	g.n = min(max(want, 1), a.capacity)
 	if len(a.line) == 0 && a.used+g.n <= a.capacity {
 		a.used += g.n
 		a.running++
 		g.ready = heldAtOnce
-		return g
+		return
 	}
 	g.ready = make(chan struct{})
 	a.line = append(a.line, g)
-	return g
 }
 
 // admit hands slots to the head of the line for as long as it fits; a.mu is

@@ -8,6 +8,14 @@ import (
 	"time"
 )
 
+// enter places a fresh grant for want slots in a's line, as a group places
+// the grant it carries.
+func (a *admission) enter(want int) *grant {
+	g := new(grant)
+	a.place(g, want)
+	return g
+}
+
 // held reports whether g has been admitted, without blocking.
 func held(g *grant) bool {
 	select {

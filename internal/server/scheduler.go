@@ -74,9 +74,9 @@ type request struct {
 type group struct {
 	key   queryKey
 	reqs  []*request
-	grant *grant // the group's place in the admission line
+	grant grant // the group's place in the admission line
 	// host and first hold the host's request and reqs' first slot, so a
-	// group nobody joins is one allocation.
+	// group nobody joins is one allocation, its grant included.
 	host  request
 	first [1]*request
 
@@ -196,7 +196,8 @@ func (s *scheduler) submit(ctx context.Context, key queryKey, sp *obs.Span) (rep
 			if core.UsefulWorkers(core.AlgIBIG, s.ds.Len(), s.adm.capacity) == 1 {
 				want = 1 // the rest of its fair share stays free for the next query
 			}
-			g = &group{key: key, grant: s.adm.enter(want), host: request{ctx: ctx, sp: sp, enq: enq}}
+			g = &group{key: key, host: request{ctx: ctx, sp: sp, enq: enq}}
+			s.adm.place(&g.grant, want)
 			g.first[0] = &g.host
 			g.reqs = g.first[:]
 			s.pending[key] = g
@@ -269,7 +270,7 @@ func (s *scheduler) leave(g *group, err error) error {
 // same moment — and its token goes back. g is no longer pending.
 func (s *scheduler) retire(g *group) {
 	defer s.finish()
-	s.adm.withdraw(g.grant)
+	s.adm.withdraw(&g.grant)
 }
 
 // unpend removes g from pending unless an identical group has taken its
@@ -401,17 +402,7 @@ func (s *scheduler) execute(ctx context.Context, g *group) (reply, *obs.Span) {
 		}
 	}
 	exec.SetAttrs(obs.Attr{Key: "batch", Int: int64(len(reqs))}, obs.Attr{Key: "granted", Int: int64(granted)})
-	var st tkd.Stats
-	var deg tkd.Degradation
-	opts := []tkd.Option{ // the library's default algorithm is IBIG
-		tkd.WithWorkers(granted),
-		tkd.WithStats(&st),
-		tkd.WithContext(obs.ContextWithSpan(ctx, exec)),
-	}
-	if key.AllowPartial {
-		opts = append(opts, tkd.WithAllowPartial(&deg))
-	}
-	res, err := s.ds.TopK(key.K, opts...)
+	res, st, deg, err := s.ds.Run(key.K, tkd.Query{Workers: granted, Context: ctx, Trace: exec, AllowPartial: key.AllowPartial})
 	exec.End()
 	s.met.record(st, len(reqs), err)
 	if n := len(reqs) - 1; n > 0 {

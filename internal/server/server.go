@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -676,9 +677,9 @@ type QueryItem struct {
 }
 
 // queryItems renders an answer's items in rank order.
-func queryItems(res tkd.Result) []QueryItem {
-	items := make([]QueryItem, len(res.Items))
-	for i, it := range res.Items {
+func queryItems(answer []tkd.Item) []QueryItem {
+	items := make([]QueryItem, len(answer))
+	for i, it := range answer {
 		items[i] = QueryItem{Rank: i + 1, Index: it.Index, ID: it.ID, Score: it.Score}
 	}
 	return items
@@ -801,7 +802,12 @@ const maxBodyBytes = 1 << 20
 // rejected — and answers 400 itself when it cannot; the handler goes on only
 // on true.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return decodeFrom(w, r, r.Body, v)
+}
+
+// decodeFrom is decodeBody over body, which stands for r's.
+func decodeFrom(w http.ResponseWriter, r *http.Request, body io.ReadCloser, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "bad request body: %v", err)
@@ -852,7 +858,7 @@ func (s *Server) logTrace(tr *obs.Trace, e obs.QueryEntry, err error) obs.QueryE
 // handleDatasetQuery serves POST /v1/datasets/{name}/query.
 func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeQuery(w, r, &req) {
 		return
 	}
 	// The path names the dataset. A body that names a different one is a
@@ -900,7 +906,7 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	// nil-span fast path costs nothing further down. An incoming W3C
 	// traceparent header is adopted (this query becomes a child of the
 	// caller's trace); a malformed or absent header is ignored, never a 4xx.
-	tr := obs.Adopt(r.Header.Get("traceparent"), "query")
+	tr := obs.Adopt(r.Header.Get(traceparentHeader), "query")
 	root := tr.Root()
 	root.SetAttrs(
 		obs.Attr{Key: "dataset", Str: req.Dataset, IsStr: true},
@@ -947,7 +953,6 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 		K:         req.K,
 		Algorithm: servedAlgorithm,
 		Workers:   rep.granted,
-		Items:     queryItems(rep.res),
 		Stats: QueryStats{
 			Candidates:    rep.st.Candidates,
 			Scored:        rep.st.Scored,
@@ -972,7 +977,7 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Explain {
 		resp.Trace = tr.JSON()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryResponse(w, &resp, rep.res.Items)
 }
 
 // finishQuery closes out one query's trace: log it (logTrace), fold the span

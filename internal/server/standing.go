@@ -232,7 +232,7 @@ func (s *Server) evaluate(ctx context.Context, e *entry, sq *standingQuery) {
 		// Cancelled, timed out, refused or failed; the next publish retries.
 		return
 	}
-	items := queryItems(rep.res)
+	items := queryItems(rep.res.Items)
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
 	if sq.closed || rep.st.Epoch < sq.epoch {

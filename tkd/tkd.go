@@ -678,15 +678,51 @@ func (d *Dataset) setBins(bins []int) {
 // What the algorithm needs is built before the query if missing; no query
 // builds a B+-tree.
 func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
-	if k <= 0 {
-		return Result{}, fmt.Errorf("tkd: k must be positive, got %d", k)
-	}
 	cfg := queryConfig{alg: IBIG, workers: 1, ctx: context.Background()}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if err := cfg.ctx.Err(); err != nil {
+	res, st, deg, err := d.topK(k, &cfg)
+	if err != nil {
 		return Result{}, err
+	}
+	if cfg.stats != nil {
+		*cfg.stats = st
+	}
+	if cfg.degradation != nil {
+		*cfg.degradation = deg
+	}
+	return res, nil
+}
+
+// Query is an IBIG query's options spelled as one value, for a caller that
+// answers a query per request: TopK's Option closures, and the config and
+// Stats they point into, are heap allocations a served query need not pay.
+// Each field is its option's argument.
+type Query struct {
+	Workers      int             // WithWorkers(Workers): 0 selects GOMAXPROCS, 1 is serial
+	Context      context.Context // WithContext(Context); nil is context.Background
+	Trace        *Span           // WithTrace(Trace); nil is a span riding Context, if any
+	AllowPartial bool            // WithAllowPartial
+}
+
+// Run answers the TKD query with IBIG under q: the answer, Stats and
+// Degradation TopK(k) gives under the same options, returned rather than
+// written through pointers.
+func (d *Dataset) Run(k int, q Query) (Result, Stats, Degradation, error) {
+	cfg := queryConfig{alg: IBIG, workers: q.Workers, ctx: cmp.Or(q.Context, context.Background()),
+		trace: q.Trace, allowPartial: q.AllowPartial}
+	return d.topK(k, &cfg)
+}
+
+// topK is TopK and Run under a resolved config; a failed query returns zero
+// Stats and Degradation.
+func (d *Dataset) topK(k int, cfg *queryConfig) (Result, Stats, Degradation, error) {
+	if k <= 0 {
+		return Result{}, Stats{}, Degradation{}, fmt.Errorf("tkd: k must be positive, got %d", k)
+	}
+	if err := cfg.ctx.Err(); err != nil {
+		return Result{}, Stats{}, Degradation{}, err
 	}
 	t := d.topo.Load()
 	if cfg.bins != nil && t == nil {
@@ -695,7 +731,7 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	s := d.current()
 	rows := s.ds.Len()
 	if rows == 0 {
-		return Result{}, fmt.Errorf("tkd: empty dataset")
+		return Result{}, Stats{}, Degradation{}, fmt.Errorf("tkd: empty dataset")
 	}
 	// Whatever has to be built is built before the engine span opens.
 	pre := s.prepare(core.NeedFor(cfg.alg))
@@ -713,16 +749,10 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 	stampRun(eng, cfg.alg, k, rows, st, err)
 	eng.End()
 	if err != nil {
-		return Result{}, err
+		return Result{}, Stats{}, Degradation{}, err
 	}
 	st.Epoch = s.epoch
-	if cfg.stats != nil {
-		*cfg.stats = st
-	}
-	if cfg.degradation != nil {
-		*cfg.degradation = deg
-	}
-	return res, nil
+	return res, st, deg, nil
 }
 
 // engineSpan opens the "engine" child span a traced query executes under:

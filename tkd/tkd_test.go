@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/tkd"
 )
 
@@ -397,6 +398,54 @@ func TestDeadlineCancelsEveryAlgorithm(t *testing.T) {
 			case len(res.Items) != n:
 				t.Errorf("%s: %d items, want %d", label, len(res.Items), n)
 			}
+		}
+	}
+}
+
+// TestRunMatchesTopK holds Run to TopK under the equivalent options: the same
+// items, Stats and Degradation, unsharded and sharded, an engine span under
+// the Trace span, and the context's error once it is cancelled.
+func TestRunMatchesTopK(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		ds := tkd.GenerateIND(3000, 4, 40, 0.2, 5)
+		if shards > 0 {
+			if _, err := tkd.Shard(ds, "d", tkd.WithShards(shards)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range []int{1, 7, 40} {
+			for _, partial := range []bool{false, true} {
+				var wantSt tkd.Stats
+				var wantDeg tkd.Degradation
+				opts := []tkd.Option{tkd.WithWorkers(1), tkd.WithStats(&wantSt)}
+				if partial {
+					opts = append(opts, tkd.WithAllowPartial(&wantDeg))
+				}
+				want, err := ds.TopK(k, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := obs.New("query")
+				got, st, deg, err := ds.Run(k, tkd.Query{Workers: 1, Trace: tr.Root(), AllowPartial: partial})
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("shards=%d k=%d partial=%v", shards, k, partial)
+				if fmt.Sprint(got.Items) != fmt.Sprint(want.Items) || st != wantSt {
+					t.Fatalf("%s: Run %v %+v, TopK %v %+v", what, got.Items, st, want.Items, wantSt)
+				}
+				if partial && fmt.Sprint(deg) != fmt.Sprint(wantDeg) {
+					t.Fatalf("%s: Run degradation %+v, TopK %+v", what, deg, wantDeg)
+				}
+				if eng := tr.JSON().Root.Children; len(eng) != 1 || eng[0].Name != "engine" {
+					t.Fatalf("%s: Trace span's children %+v, want one engine span", what, eng)
+				}
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, _, _, err := ds.Run(3, tkd.Query{Context: ctx}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("shards=%d: Run under a cancelled context: %v", shards, err)
 		}
 	}
 }
