@@ -57,19 +57,18 @@ func BenchmarkParallelIBIG(b *testing.B) {
 }
 
 // BenchmarkTraceOverhead pins the cost of the obs instrumentation points the
-// engine hot path runs per batch window: extract the span from a
-// context, open a child, stamp two attributes and a τ sample, close it.
+// engine hot path runs per batch window, its span an argument as the
+// engine's is: open a child, stamp two attributes and a τ sample, close it.
 //
-//	off — tracing disabled (no span in the context): the per-window sequence
-//	      must stay allocation-free, which is what lets every engine call the
-//	      span API unconditionally. Gated at 0 allocs/op by benchdiff.
+//	off — tracing disabled (a nil span): the per-window sequence must stay
+//	      allocation-free, which is what lets every engine call the span API
+//	      unconditionally. Gated at 0 allocs/op by benchdiff.
 //	on  — a live trace, measuring what an explain query actually pays.
 func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()
-		ctx := context.Background()
+		var sp *obs.Span
 		for i := 0; i < b.N; i++ {
-			sp := obs.SpanFromContext(ctx)
 			w := sp.StartChild("window")
 			w.SetInt("window", int64(i))
 			w.SetInt("candidates", 64)
@@ -81,14 +80,13 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tr := obs.New("query")
-			ctx := obs.ContextWithSpan(context.Background(), tr.Root())
-			sp := obs.SpanFromContext(ctx)
+			sp := tr.Root()
 			w := sp.StartChild("window")
 			w.SetInt("window", int64(i))
 			w.SetInt("candidates", 64)
 			sp.SampleTau(i, 42)
 			w.End()
-			tr.Root().End()
+			sp.End()
 		}
 	})
 	// Whole-engine flavor: one UBB query over a small dataset with tracing
@@ -204,6 +202,27 @@ func BenchmarkShardedTopK(b *testing.B) {
 		if _, err := ds.TopK(ks[i%len(ks)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkShardedTopKTraced is BenchmarkShardedTopK with every query traced
+// (WithTrace under a fresh trace, as an explain query is): what the
+// coordinator's window, phase and shard spans cost on top of the plan.
+func BenchmarkShardedTopKTraced(b *testing.B) {
+	ds, err := tkd.Shard(tkd.GenerateIND(100_000, 5, 100, 0.2, 1), "bench", tkd.WithShards(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds.PrepareFor(tkd.IBIG)
+	ks := []int{4, 8, 16, 32, 64, 6, 12, 24, 48}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := obs.New("query")
+		if _, err := ds.TopK(ks[i%len(ks)], tkd.WithTrace(tr.Root())); err != nil {
+			b.Fatal(err)
+		}
+		tr.Root().End()
 	}
 }
 

@@ -126,11 +126,11 @@ func release(s Scorer) {
 // non-nil, samples the τ trajectory into it.
 func serialRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, s Scorer, sp *obs.Span) (Result, Stats, error) {
 	var st Stats
-	sc := newCandidateHeap(k, bound)
+	sc := NewAnswerHeap(k, bound)
 	pos := 0
 	for p, idx := range queue.Order {
 		pos = p
-		tau := sc.tau()
+		tau := sc.Tau()
 		if pos%WindowSize == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, st, err
@@ -155,12 +155,12 @@ func serialRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueu
 			continue
 		}
 		st.Scored++
-		sc.offer(Item{Index: int(idx), ID: ds.Obj(int(idx)).ID, Score: score})
+		sc.Offer(Item{Index: int(idx), ID: ds.Obj(int(idx)).ID, Score: score})
 	}
 	if sp != nil {
-		sp.SampleTau(pos, sc.tau())
+		sp.SampleTau(pos, sc.Tau())
 	}
-	return sc.result(), st, nil
+	return sc.Result(), st, nil
 }
 
 // clampWorkers caps a resolved worker count (RunContext states the default
@@ -181,7 +181,7 @@ func clampWorkers(workers, candidates int) int {
 func engineRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueue, bound []int, scorers []Scorer, sp *obs.Span) (Result, Stats, error) {
 	var st Stats
 	st.Workers = len(scorers)
-	sc := newCandidateHeap(k, bound)
+	sc := NewAnswerHeap(k, bound)
 	fr := NewFrontier(queue)
 	var mu sync.Mutex // guards sc, fr's τ writes and st while workers run
 	var next atomic.Int64
@@ -229,8 +229,8 @@ func engineRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueu
 				ws.Scored++
 				it := Item{Index: o, ID: ds.Obj(o).ID, Score: score}
 				mu.Lock()
-				sc.offer(it)
-				fr.SetTau(sc.tau())
+				sc.Offer(it)
+				fr.SetTau(sc.Tau())
 				mu.Unlock()
 			}
 			mu.Lock()
@@ -252,7 +252,7 @@ func engineRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueu
 		wg.Wait()
 	}
 	if sp != nil {
-		sp.SampleTau(fr.Pos(), sc.tau())
+		sp.SampleTau(fr.Pos(), sc.Tau())
 	}
-	return sc.result(), st, nil
+	return sc.Result(), st, nil
 }

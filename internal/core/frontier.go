@@ -69,29 +69,3 @@ func (f *Frontier) NextWindow(size int) (start int, cands []int32, pruned int, o
 	f.pos = end
 	return start, order[start:end], 0, true
 }
-
-// AnswerHeap is the candidate set SC of the paper's algorithms exposed for
-// external coordinators (the shard scatter-gather loop): a bounded min-heap
-// of k items in Result's answer order, with ties decided by the bounds of
-// the dataset's MaxScore queue, and τ = the k-th best score so far (-1 while
-// not full). It keeps the same k items whatever order they are offered in.
-// Not safe for concurrent use.
-type AnswerHeap struct{ h *candidateHeap }
-
-// NewAnswerHeap returns an empty heap retaining the best k items of the
-// dataset queue was built over.
-func NewAnswerHeap(k int, queue *MaxScoreQueue) *AnswerHeap {
-	return &AnswerHeap{h: newCandidateHeap(k, queue.MaxScore)}
-}
-
-// Offer inserts the item if the heap is not full or the item ranks ahead of
-// its minimum.
-func (a *AnswerHeap) Offer(it Item) { a.h.offer(it) }
-
-// Tau returns the current threshold: -1 until k items are held, then the
-// minimum retained score.
-func (a *AnswerHeap) Tau() int { return a.h.tau() }
-
-// Result returns the heap's items in answer order; the heap is spent
-// afterwards.
-func (a *AnswerHeap) Result() Result { return a.h.result() }

@@ -97,13 +97,15 @@ func (st *Stats) Add(o Stats) {
 	st.Windows += o.Windows
 }
 
-// candidateHeap is the candidate set SC of Algorithms 2/4: a min-heap of at
+// AnswerHeap is the candidate set SC of Algorithms 2/4: a min-heap of at
 // most k items, exposing τ (the k-th highest score so far). It orders items
 // totally, in Result's answer order, with bound — every object's MaxScore,
 // indexed by dataset position — deciding score ties: so it keeps the same k
 // items whatever order they are offered in. It sifts its []Item in place, so
-// an offer boxes nothing.
-type candidateHeap struct {
+// an offer boxes nothing. The serial and parallel runs keep one, and so does
+// the shard coordinator, over its global queue's bounds. Not safe for
+// concurrent use.
+type AnswerHeap struct {
 	items []Item
 	k     int
 	bound []int
@@ -113,12 +115,15 @@ type candidateHeap struct {
 // grows the slice as the heap fills instead.
 const heapPresize = 64
 
-func newCandidateHeap(k int, bound []int) *candidateHeap {
-	return &candidateHeap{items: make([]Item, 0, min(k, heapPresize)), k: k, bound: bound}
+// NewAnswerHeap returns an empty heap retaining the best k items, bound being
+// the MaxScore of every object of the dataset, by position
+// (MaxScoreQueue.MaxScore).
+func NewAnswerHeap(k int, bound []int) *AnswerHeap {
+	return &AnswerHeap{items: make([]Item, 0, min(k, heapPresize)), k: k, bound: bound}
 }
 
 // order compares a and b in the answer order: negative when a ranks first.
-func (h *candidateHeap) order(a, b Item) int {
+func (h *AnswerHeap) order(a, b Item) int {
 	if c := cmp.Compare(b.Score, a.Score); c != 0 {
 		return c
 	}
@@ -129,20 +134,20 @@ func (h *candidateHeap) order(a, b Item) int {
 }
 
 // ahead reports whether a ranks before b in the answer order.
-func (h *candidateHeap) ahead(a, b Item) bool { return h.order(a, b) < 0 }
+func (h *AnswerHeap) ahead(a, b Item) bool { return h.order(a, b) < 0 }
 
-// tau returns the paper's τ: the minimum score in SC once |SC| = k, and -1
+// Tau returns the paper's τ: the minimum score in SC once |SC| = k, and -1
 // before the candidate set fills up.
-func (h *candidateHeap) tau() int {
+func (h *AnswerHeap) Tau() int {
 	if len(h.items) < h.k {
 		return -1
 	}
 	return h.items[0].Score
 }
 
-// offer inserts the item if SC is not full or the item ranks ahead of its
+// Offer inserts the item if SC is not full or the item ranks ahead of its
 // minimum.
-func (h *candidateHeap) offer(it Item) {
+func (h *AnswerHeap) Offer(it Item) {
 	if len(h.items) < h.k {
 		h.items = append(h.items, it)
 		h.up(len(h.items) - 1)
@@ -156,7 +161,7 @@ func (h *candidateHeap) offer(it Item) {
 
 // up moves item i toward the root while it ranks behind its parent (the root
 // is the item furthest behind in answer order).
-func (h *candidateHeap) up(i int) {
+func (h *AnswerHeap) up(i int) {
 	items := h.items
 	for i > 0 {
 		p := (i - 1) / 2
@@ -169,7 +174,7 @@ func (h *candidateHeap) up(i int) {
 }
 
 // down moves item i toward the leaves while a child ranks behind it.
-func (h *candidateHeap) down(i int) {
+func (h *AnswerHeap) down(i int) {
 	items := h.items
 	for {
 		c := 2*i + 1
@@ -187,9 +192,9 @@ func (h *candidateHeap) down(i int) {
 	}
 }
 
-// result returns the heap's items in answer order. It sorts them in place:
+// Result returns the heap's items in answer order. It sorts them in place:
 // the heap is spent afterwards.
-func (h *candidateHeap) result() Result {
+func (h *AnswerHeap) Result() Result {
 	slices.SortFunc(h.items, h.order)
 	return Result{Items: h.items}
 }

@@ -18,6 +18,11 @@
 //     rather than restarted, and the coordinator propagates the same ID to
 //     remote shard peers.
 //
+// Spans travel as arguments, never as context.Context values: a traced call
+// takes its parent span as a parameter or a request field (tkd.Query.Trace,
+// core.RunContext, shard.RunOptions.Trace, shard.Request.Span), so a nil span
+// is the whole of "untraced" and opening a child costs no context wrapper.
+//
 // Completed traces are immutable and safe to share: the scheduler stamps one
 // execution subtree into every coalesced waiter's trace by reference.
 //

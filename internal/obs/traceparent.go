@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"context"
-	"encoding/hex"
-)
+import "encoding/hex"
 
 // W3C trace-context traceparent handling:
 //
@@ -46,6 +43,11 @@ func ParseTraceparent(h string) (tid TraceID, sid SpanID, ok bool) {
 	return tid, sid, true
 }
 
+// TraceparentHeader is the traceparent header's name in net/http's canonical
+// form: reading or setting it under this spelling skips the canonical copy a
+// lower-case name costs on every call.
+const TraceparentHeader = "Traceparent"
+
 // FormatTraceparent renders a version-00 traceparent value with the sampled
 // flag set (everything this system traces, it keeps).
 func FormatTraceparent(tid TraceID, sid SpanID) string {
@@ -67,27 +69,4 @@ func isLowerHex(s string) bool {
 		}
 	}
 	return true
-}
-
-// spanKey carries the active span through a context.
-type spanKey struct{}
-
-// ContextWithSpan returns a context carrying s as the active span. A nil
-// span returns ctx unchanged (and allocation-free), preserving the
-// tracing-off fast path.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
-// SpanFromContext returns the active span, or nil — which every Span method
-// accepts — when the context carries none.
-func SpanFromContext(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
 }

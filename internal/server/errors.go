@@ -98,17 +98,13 @@ func writeFollowerReadonly(w http.ResponseWriter, r *http.Request, leader, forma
 	}})
 }
 
-// traceparentHeader is the W3C traceparent header's name in canonical form,
-// so reading it does not allocate the canonical copy of a lower-case name.
-const traceparentHeader = "Traceparent"
-
 // requestTraceID parses the trace id out of a request's traceparent header;
 // zero when absent or malformed.
 func requestTraceID(r *http.Request) obs.TraceID {
 	if r == nil {
 		return obs.TraceID{}
 	}
-	tid, _, ok := obs.ParseTraceparent(r.Header.Get(traceparentHeader))
+	tid, _, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
 	if !ok {
 		return obs.TraceID{}
 	}

@@ -253,7 +253,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		rows[i] = wal.Row{ID: in.ID, Values: vals}
 	}
 
-	tr := obs.Adopt(r.Header.Get(traceparentHeader), "ingest")
+	tr := obs.Adopt(r.Header.Get(obs.TraceparentHeader), "ingest")
 	root := tr.Root()
 	root.SetStr("dataset", name)
 	root.SetInt("rows", int64(len(rows)))

@@ -906,7 +906,7 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	// nil-span fast path costs nothing further down. An incoming W3C
 	// traceparent header is adopted (this query becomes a child of the
 	// caller's trace); a malformed or absent header is ignored, never a 4xx.
-	tr := obs.Adopt(r.Header.Get(traceparentHeader), "query")
+	tr := obs.Adopt(r.Header.Get(obs.TraceparentHeader), "query")
 	root := tr.Root()
 	root.SetAttrs(
 		obs.Attr{Key: "dataset", Str: req.Dataset, IsStr: true},

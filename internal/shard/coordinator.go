@@ -61,23 +61,24 @@ type pass struct {
 // shard's residual: τ minus the rows of the other live shards; a ModeScores
 // one carries each shard's own bounds, when bounds is non-nil.
 //
-// In a trace the fan-out is one phase span — "scatter" for the bounds phase,
-// "gather" for the exact-score phase, matching the stage histogram labels —
-// with one "shard" child per live backend, each carrying whatever replica
-// attempts happen beneath it.
-func (p *pass) scatter(ctx context.Context, req Request, bounds [][]int32) ([][]int32, error) {
+// In a trace the fan-out is one phase span under sp — "scatter" for the
+// bounds phase, "gather" for the exact-score phase, matching the stage
+// histogram labels — with one "shard" child per live backend, set on that
+// shard's request so whatever replica attempts happen beneath it nest there.
+func (p *pass) scatter(ctx context.Context, sp *obs.Span, req Request, bounds [][]int32) ([][]int32, error) {
 	phase := "gather"
 	if req.Mode == ModeBounds {
 		phase = "scatter"
 	}
-	psp := obs.SpanFromContext(ctx).StartChild(phase)
+	psp := sp.StartChild(phase)
 	psp.SetInt("candidates", int64(len(req.Cands)))
 	psp.SetInt("shards", int64(len(p.live)))
 	call := func(i, s int) {
 		ssp := psp.StartChild("shard")
 		ssp.SetInt("shard", int64(s))
+		p.reqs[i].Span = ssp
 		t0 := time.Now()
-		res, err := p.backends[s].Partial(obs.ContextWithSpan(ctx, ssp), &p.reqs[i])
+		res, err := p.backends[s].Partial(ctx, &p.reqs[i])
 		p.met.observeShard(s, time.Since(t0))
 		if err == nil && len(res) != len(req.Cands) {
 			err = fmt.Errorf("shard %d returned %d results for %d candidates", s, len(res), len(req.Cands))
@@ -122,6 +123,10 @@ type RunOptions struct {
 	AllowPartial bool
 	// Outcome, when non-nil, receives the query's coverage report.
 	Outcome *Outcome
+	// Trace, when non-nil, is the span the query runs under: it receives the
+	// τ trajectory at window granularity and one "window" child per batch,
+	// under which the scatter and gather phases nest.
+	Trace *obs.Span
 }
 
 // Outcome reports how a query was answered: fully, or degraded to a subset
@@ -152,7 +157,7 @@ type Outcome struct {
 func (c *Coordinator) Run(ctx context.Context, k int, backends []Backend, opts RunOptions) (core.Result, core.Stats, error) {
 	down := make([]bool, len(backends))
 	for {
-		res, st, err := c.runOnce(ctx, k, backends, down)
+		res, st, err := c.runOnce(ctx, k, backends, down, opts.Trace)
 		if err == nil {
 			if opts.Outcome != nil {
 				*opts.Outcome = c.outcome(backends, down)
@@ -211,8 +216,9 @@ func (c *Coordinator) outcome(backends []Backend, down []bool) Outcome {
 	return o
 }
 
-// runOnce is one full pass over the live shards (the non-down subset).
-func (c *Coordinator) runOnce(ctx context.Context, k int, backends []Backend, down []bool) (core.Result, core.Stats, error) {
+// runOnce is one full pass over the live shards (the non-down subset), traced
+// under sp (RunOptions.Trace).
+func (c *Coordinator) runOnce(ctx context.Context, k int, backends []Backend, down []bool, sp *obs.Span) (core.Result, core.Stats, error) {
 	var st core.Stats
 	p := &pass{met: c.met, backends: backends, live: make([]int, 0, len(backends))}
 	liveRows := 0
@@ -248,18 +254,12 @@ func (c *Coordinator) runOnce(ctx context.Context, k int, backends []Backend, do
 	queue := c.part.Ensure(core.NeedQueue).Queue
 	fr := core.NewFrontier(queue)
 
-	heap := core.NewAnswerHeap(k, queue)
+	heap := core.NewAnswerHeap(k, queue.MaxScore)
 	// ids holds the window's candidates still in play, cands their objects
 	// and budgets their exact-phase budgets, all in window order.
 	ids := make([]int32, 0, core.WindowSize)
 	cands := make([]*data.Object, 0, core.WindowSize)
 	budgets := make([]int, 0, core.WindowSize)
-
-	// sp is the engine span riding ctx (nil when tracing is off): it receives
-	// the τ trajectory at window granularity — the sharded counterpart of the
-	// serial engine's sampling — and one "window" child per batch under which
-	// the scatter/gather phases nest.
-	sp := obs.SpanFromContext(ctx)
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -279,7 +279,6 @@ func (c *Coordinator) runOnce(ctx context.Context, k int, backends []Backend, do
 		wsp.SetInt("window", int64(st.Windows))
 		wsp.SetInt("tau", int64(tau))
 		wsp.SetInt("candidates", int64(len(window)))
-		wctx := obs.ContextWithSpan(ctx, wsp)
 
 		ids, cands = ids[:0], cands[:0]
 		for _, id := range window {
@@ -304,7 +303,7 @@ func (c *Coordinator) runOnce(ctx context.Context, k int, backends []Backend, do
 			// Heuristic-1 survivors scatter — the dropped ones would cost a
 			// bound walk per shard (and wire payload per candidate for
 			// remote shards) just to be ignored.
-			res, err := p.scatter(wctx, Request{Mode: ModeBounds, Tau: tau, Cands: cands}, nil)
+			res, err := p.scatter(ctx, wsp, Request{Mode: ModeBounds, Tau: tau, Cands: cands}, nil)
 			if err != nil {
 				wsp.End()
 				return core.Result{}, st, err
@@ -349,7 +348,7 @@ func (c *Coordinator) runOnce(ctx context.Context, k int, backends []Backend, do
 		// Pruned scores below the window-start τ: its offer would be a no-op,
 		// exactly as the serial loop's Heuristic 3 prune is.
 		if len(cands) > 0 {
-			scores, err := p.scatter(wctx, Request{Mode: ModeScores, Tau: tau, Cands: cands, Budgets: budgets}, bounds)
+			scores, err := p.scatter(ctx, wsp, Request{Mode: ModeScores, Tau: tau, Cands: cands, Budgets: budgets}, bounds)
 			if err != nil {
 				wsp.End()
 				return core.Result{}, st, err

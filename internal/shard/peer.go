@@ -164,7 +164,7 @@ const maxWireCandidates = 16384
 func (p *Peer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	var tr *obs.Trace
-	if tp := r.Header.Get("traceparent"); tp != "" {
+	if tp := r.Header.Get(obs.TraceparentHeader); tp != "" {
 		if _, _, ok := obs.ParseTraceparent(tp); ok {
 			tr = obs.Adopt(tp, "shard")
 		}

@@ -148,7 +148,8 @@ func (r *Remote) Fingerprint() uint64 { return r.fp }
 
 // Partial implements Backend: one HTTP round trip per scatter batch,
 // cancelled with ctx. req.Bounds is not sent: the peer counts |Q_s| on its
-// own index (Request.Bounds).
+// own index (Request.Bounds). A traced call (req.Span) carries the span as
+// its traceparent and records the peer's summary in it.
 func (r *Remote) Partial(ctx context.Context, req *Request) ([]int32, error) {
 	wr := WireRequest{
 		Dataset:     r.dataset,
@@ -180,11 +181,11 @@ func (r *Remote) Partial(ctx context.Context, req *Request) ([]int32, error) {
 		return nil, fmt.Errorf("shard: peer %s: %w", r.baseURL, err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	sp := obs.SpanFromContext(ctx)
+	sp := req.Span
 	if tp := sp.Traceparent(); tp != "" {
 		// Cross-process propagation: the peer adopts this trace ID, so its
 		// own slow-query log correlates with the coordinator's.
-		hreq.Header.Set("traceparent", tp)
+		hreq.Header.Set(obs.TraceparentHeader, tp)
 	}
 	resp, err := r.client.Do(hreq)
 	if err != nil {

@@ -96,12 +96,6 @@ type replica struct {
 	idx int
 	b   Backend
 	br  *breaker
-
-	// epoch is the replica's last health-reported epoch counter. It is
-	// observability, not a correctness key: the fingerprint decides
-	// quarantine (see probeAll), the epoch only shows how far a replication
-	// follower trails its leader.
-	epoch atomic.Uint64
 }
 
 // ReplicaSet serves one shard from N equivalent replicas behind the plain
@@ -177,19 +171,6 @@ func (rs *ReplicaSet) States() []BreakerState {
 	return out
 }
 
-// ReplicaEpochs snapshots each replica's last health-reported epoch
-// counter, in replica order (zero until the first successful probe). The
-// serving layer renders these next to the breaker states so an operator can
-// see a follower catching up — distinct from divergence, which the
-// fingerprint decides.
-func (rs *ReplicaSet) ReplicaEpochs() []uint64 {
-	out := make([]uint64, len(rs.reps))
-	for i, r := range rs.reps {
-		out[i] = r.epoch.Load()
-	}
-	return out
-}
-
 // pick returns the next replica whose breaker admits a call, round-robin,
 // skipping exclude. ok is false when every admissible replica is exhausted.
 func (rs *ReplicaSet) pick(exclude *replica) (*replica, bool) {
@@ -249,7 +230,7 @@ func (rs *ReplicaSet) Partial(ctx context.Context, req *Request) ([]int32, error
 		// The backoff wait is its own span: in a trace it reads as dead time
 		// attributable to retries, and the server folds it into the "retry"
 		// stage histogram.
-		rsp := obs.SpanFromContext(ctx).StartChild("retry")
+		rsp := req.Span.StartChild("retry")
 		rsp.SetInt("attempt", int64(attempt))
 		rsp.SetStr("error", err.Error())
 		select {
@@ -261,13 +242,6 @@ func (rs *ReplicaSet) Partial(ctx context.Context, req *Request) ([]int32, error
 		}
 	}
 	return nil, &Unavailable{Shard: rs.shard, Last: last}
-}
-
-// callResult carries one replica call's outcome through the hedge race.
-type callResult struct {
-	res    []int32
-	err    error
-	hedged bool
 }
 
 // classifyPair ranks the two failures of a lost hedge race for attribution:
@@ -294,14 +268,16 @@ func classifyPair(primary, hedge error) error {
 	return primary
 }
 
-// once runs one attempt: a call on r, optionally hedged on a second replica
-// when r is slow. The first success wins, cancels the loser and waits for it
-// to return — a backend abandons a cancelled call at once, and the caller
-// reuses req's slices for its next scatter, so no call may outlive this one
-// still reading them. When both fail, the errors are classified
-// deterministically (stale, then retryable, then the primary's) so the
-// caller's retry decision never depends on the race between the two failure
-// paths.
+// once runs one attempt: a call on r, on the caller's goroutine, hedged on a
+// second replica when r is slow. The hedge starts only when its trigger
+// fires (a timer's function), so a call that answers in time starts no
+// goroutine. The first success cancels the other call, and once returns only
+// after both calls have returned — a backend abandons a cancelled call at
+// once, and the caller reuses req's slices for its next scatter, so no call
+// may outlive this one still reading them. When both fail, the errors are
+// classified deterministically (stale, then retryable, then the primary's)
+// so the caller's retry decision never depends on the race between the two
+// failure paths.
 func (rs *ReplicaSet) once(ctx context.Context, r *replica, req *Request) ([]int32, error) {
 	d := rs.hedgeDelay()
 	if d <= 0 || len(rs.reps) < 2 {
@@ -309,41 +285,43 @@ func (rs *ReplicaSet) once(ctx context.Context, r *replica, req *Request) ([]int
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch := make(chan callResult, 2) // buffered: a losing call never blocks
-	go func() { res, err := rs.call(cctx, r, req, false); ch <- callResult{res, err, false} }()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	pending := 1
-	var primaryErr, hedgeErr error
-	for {
-		select {
-		case o := <-ch:
-			pending--
-			if o.err == nil {
-				cancel()
-				for ; pending > 0; pending-- {
-					<-ch
-				}
-				return o.res, nil
-			}
-			if o.hedged {
-				hedgeErr = o.err
-			} else {
-				primaryErr = o.err
-			}
-			if pending == 0 {
-				return nil, classifyPair(primaryErr, hedgeErr)
-			}
-		case <-timer.C:
-			if r2, ok := rs.pick(r); ok {
-				rs.met.hedges.Add(1)
-				pending++
-				go func() { res, err := rs.call(cctx, r2, req, true); ch <- callResult{res, err, true} }()
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	var (
+		hedged bool // a hedge call ran; hres and herr hold its outcome
+		hres   []int32
+		herr   error
+		done   = make(chan struct{}) // closed once the trigger's function returns
+	)
+	trigger := time.AfterFunc(d, func() {
+		defer close(done)
+		if cctx.Err() != nil {
+			return // the primary answered, or the query is gone
 		}
+		r2, ok := rs.pick(r)
+		if !ok {
+			return
+		}
+		rs.met.hedges.Add(1)
+		hedged = true
+		if hres, herr = rs.call(cctx, r2, req, true); herr == nil {
+			cancel()
+		}
+	})
+	res, err := rs.call(cctx, r, req, false)
+	if err == nil {
+		cancel()
 	}
+	if !trigger.Stop() {
+		<-done // the trigger fired: join the hedge
+	}
+	switch {
+	case err == nil:
+		return res, nil
+	case hedged && herr == nil:
+		return hres, nil
+	case ctx.Err() != nil:
+		return nil, ctx.Err()
+	}
+	return nil, classifyPair(err, herr)
 }
 
 // hedgeDelay resolves the hedging trigger: the configured HedgeAfter, or
@@ -386,25 +364,30 @@ var errAttemptTimeout = errors.New("shard: replica attempt timed out")
 // abstains: it does not count against the replica. An attempt-timeout expiry
 // does — that is the slow replica the timeout exists to cut loose.
 //
-// Each call is an "attempt" span under whatever span rides ctx (the
-// coordinator's per-shard span), recording the replica index, the breaker
-// state at dispatch, and whether the call was a hedge — so a trace shows
-// exactly which replica answered and why others were tried.
+// Each call is an "attempt" span under req.Span (the coordinator's per-shard
+// span), recording the replica index, the breaker state at dispatch, and
+// whether the call was a hedge — so a trace shows exactly which replica
+// answered and why others were tried. A traced call hands the replica a copy
+// of req that carries the attempt's span.
 func (rs *ReplicaSet) call(ctx context.Context, r *replica, req *Request, hedged bool) ([]int32, error) {
-	sp := obs.SpanFromContext(ctx).StartChild("attempt")
-	sp.SetInt("replica", int64(r.idx))
-	sp.SetStr("breaker", r.br.snapshot().String())
-	if hedged {
-		sp.SetInt("hedged", 1)
+	sp := req.Span.StartChild("attempt")
+	if sp != nil {
+		sp.SetInt("replica", int64(r.idx))
+		sp.SetStr("breaker", r.br.snapshot().String())
+		if hedged {
+			sp.SetInt("hedged", 1)
+		}
+		defer sp.End()
+		areq := *req
+		areq.Span = sp
+		req = &areq
 	}
-	defer sp.End()
 	actx := ctx
 	if rs.pol.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(ctx, rs.pol.AttemptTimeout)
 		defer cancel()
 	}
-	actx = obs.ContextWithSpan(actx, sp)
 	t0 := time.Now()
 	res, err := r.b.Partial(actx, req)
 	if err == nil {
@@ -489,9 +472,6 @@ func (rs *ReplicaSet) probeAll(timeout time.Duration) {
 		case <-rs.stop:
 			return
 		default:
-		}
-		if err == nil {
-			r.epoch.Store(hi.Epoch)
 		}
 		switch {
 		case err != nil:

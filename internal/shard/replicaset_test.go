@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -671,7 +672,10 @@ func TestReplicaSetHedgeDelayInterpolatesP99(t *testing.T) {
 	}
 }
 
-func TestReplicaSetHealthProbeTracksEpochs(t *testing.T) {
+// TestReplicaSetStaleEpochKeepsBreakersClosed: a replica whose health probe
+// reports an older epoch under a matching fingerprint is a follower catching
+// up, not a divergent copy — both breakers stay closed and queries are served.
+func TestReplicaSetStaleEpochKeepsBreakersClosed(t *testing.T) {
 	a, b := okReplica(), okReplica()
 	a.healthEpoch.Store(7)
 	b.healthEpoch.Store(5) // same fingerprint, older epoch: a follower catching up
@@ -683,12 +687,7 @@ func TestReplicaSetHealthProbeTracksEpochs(t *testing.T) {
 	}
 	defer rs.Close()
 	rs.StartHealthChecks(2 * time.Millisecond)
-	waitFor(t, "replica epochs recorded", func() bool {
-		es := rs.ReplicaEpochs()
-		return es[0] == 7 && es[1] == 5
-	})
-	// A stale epoch with a matching fingerprint is lag, not divergence: both
-	// replicas must keep serving.
+	waitFor(t, "both replicas probed twice", func() bool { return a.probes.Load() >= 2 && b.probes.Load() >= 2 })
 	if st := rs.States(); st[0] != BreakerClosed || st[1] != BreakerClosed {
 		t.Fatalf("breakers %v with matching fingerprints, want both closed", st)
 	}
@@ -697,9 +696,72 @@ func TestReplicaSetHealthProbeTracksEpochs(t *testing.T) {
 			t.Fatalf("query with a lagging replica: %v", err)
 		}
 	}
-	// The lagging replica converges; the probe reflects it.
-	b.healthEpoch.Store(7)
-	waitFor(t, "replica b epoch converged", func() bool { return rs.ReplicaEpochs()[1] == 7 })
+}
+
+// TestReplicaSetAttemptsEndBeforePartialReturns: with the hedge trigger
+// armed, a query cancelled mid-call returns only once the replica call has
+// returned, though the replica takes 20 ms to notice the cancellation — the
+// coordinator reuses the request's slices as soon as Partial returns.
+func TestReplicaSetAttemptsEndBeforePartialReturns(t *testing.T) {
+	var started, ended atomic.Int64
+	entered := make(chan struct{}, 2)
+	sluggish := func() *fakeReplica {
+		return &fakeReplica{rows: 10, fp: 42, partial: func(ctx context.Context, req *Request) ([]int32, error) {
+			started.Add(1)
+			defer ended.Add(1)
+			entered <- struct{}{}
+			<-ctx.Done()
+			time.Sleep(20 * time.Millisecond)
+			return nil, ctx.Err()
+		}}
+	}
+	pol := Policy{MaxAttempts: 2, Hedge: true, HedgeAfter: time.Hour}
+	rs, err := NewReplicaSet(0, []Backend{sluggish(), sluggish()}, pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-entered
+		cancel()
+	}()
+	if _, err := rs.Partial(ctx, testReq()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled query: %v, want context.Canceled", err)
+	}
+	if s, e := started.Load(), ended.Load(); s != 1 || e != 1 {
+		t.Fatalf("Partial returned with %d of %d replica calls ended, want 1 of 1", e, s)
+	}
+}
+
+// TestReplicaSetArmedHedgeStartsNoGoroutine: with the hedge trigger armed and
+// the primary answering first, a call runs on its caller's goroutine alone —
+// the hedge's goroutine exists only once its trigger fires.
+func TestReplicaSetArmedHedgeStartsNoGoroutine(t *testing.T) {
+	var during atomic.Int64
+	counting := func() *fakeReplica {
+		return &fakeReplica{rows: 10, fp: 42, partial: func(ctx context.Context, req *Request) ([]int32, error) {
+			during.Store(int64(runtime.NumGoroutine()))
+			return make([]int32, len(req.Cands)), nil
+		}}
+	}
+	met := NewMetrics(1)
+	pol := Policy{MaxAttempts: 2, Hedge: true, HedgeAfter: time.Hour}
+	rs, err := NewReplicaSet(0, []Backend{counting(), counting()}, pol, met)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		base := runtime.NumGoroutine()
+		if _, err := rs.Partial(context.Background(), testReq()); err != nil {
+			t.Fatal(err)
+		}
+		if n := during.Load() - int64(base); n > 0 {
+			t.Fatalf("call %d: an armed hedge that never fired added %d goroutines, want 0", i, n)
+		}
+	}
+	if h := met.Snapshot().Hedges; h != 0 {
+		t.Fatalf("%d hedges fired under an hour-long trigger", h)
+	}
 }
 
 // waitFor polls cond for up to 2s.

@@ -41,7 +41,7 @@
 //     its exact partial score; the coordinator sums them and offers them to
 //     the answer heap.
 //
-// The heap is core.AnswerHeap over the global queue's bounds, so it orders
+// The heap is a core.AnswerHeap over the global queue's bounds, so it orders
 // items as every in-process run does (core.Result): a pruned candidate either
 // scores below τ or ties it and comes after every heap member in queue order,
 // losing the tie. The answer set, ranks and scores come out byte-identical,
@@ -59,6 +59,7 @@ import (
 	"repro/internal/bitmapidx"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/obs"
 )
 
 // Mode selects what a shard computes for a batch of candidates.
@@ -106,6 +107,12 @@ type Request struct {
 	// reach different replicas, or one peer before and after a reload, whose
 	// datasets differ past the slice. Empty counts |Q_s| here.
 	Bounds []int32
+	// Span is the trace span the call records under; nil is untraced. The
+	// coordinator sets each shard's "shard" span here, a ReplicaSet opens its
+	// "retry" and "attempt" spans under it and hands each attempt's span on
+	// to the replica it calls, and a Remote sends it as the traceparent and
+	// stamps the peer's summary into it.
+	Span *obs.Span
 }
 
 // Pruned is the exact-phase answer for a candidate whose walk stopped on its

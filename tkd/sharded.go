@@ -354,16 +354,12 @@ func (ss *shardSet) queueRuns(ds *data.Dataset) []core.QueueRun {
 }
 
 // run is TopK's sharded IBIG arm: the coordinator walks the global queue and
-// fans windows out to the backends. eng wraps the whole scatter-gather run;
-// the coordinator reads it back out of the context for its window spans and
-// τ samples.
+// fans windows out to the backends. eng wraps the whole scatter-gather run:
+// the coordinator records its τ samples and window spans under it.
 func (ss *shardSet) run(ctx context.Context, k int, allowPartial bool, eng *obs.Span) (Result, Stats, Degradation, error) {
 	eng.SetInt("shards", int64(len(ss.backends)))
-	if eng != nil {
-		ctx = obs.ContextWithSpan(ctx, eng)
-	}
 	var outcome shard.Outcome
-	res, st, err := ss.coord.Run(ctx, k, ss.backends, shard.RunOptions{AllowPartial: allowPartial, Outcome: &outcome})
+	res, st, err := ss.coord.Run(ctx, k, ss.backends, shard.RunOptions{AllowPartial: allowPartial, Outcome: &outcome, Trace: eng})
 	if err == nil && outcome.Degraded {
 		eng.SetInt("degraded", 1)
 		eng.SetInt("covered_rows", int64(outcome.CoveredRows))

@@ -551,10 +551,10 @@ type Span = obs.Span
 
 // WithTrace records the query's execution under sp as an "engine" child
 // span: the algorithm run, its pruning Stats (H1/H2/H3 counts, comparisons,
-// windows) and the τ-threshold trajectory at window granularity. sp may be
-// nil (tracing off). A span carried by the WithContext context is used when
-// this option is absent, which is how the serving layer threads one trace
-// through scheduler, engine and shard fan-out.
+// windows) and the τ-threshold trajectory at window granularity; on a sharded
+// dataset, the windows and their scatter and gather phases too. A nil sp
+// means untraced, as does leaving the option out: a span is an argument,
+// never read from the WithContext context.
 func WithTrace(sp *Span) Option {
 	return func(c *queryConfig) { c.trace = sp }
 }
@@ -702,7 +702,7 @@ func (d *Dataset) TopK(k int, opts ...Option) (Result, error) {
 type Query struct {
 	Workers      int             // WithWorkers(Workers): 0 selects GOMAXPROCS, 1 is serial
 	Context      context.Context // WithContext(Context); nil is context.Background
-	Trace        *Span           // WithTrace(Trace); nil is a span riding Context, if any
+	Trace        *Span           // WithTrace(Trace); nil is untraced
 	AllowPartial bool            // WithAllowPartial
 }
 
@@ -735,7 +735,7 @@ func (d *Dataset) topK(k int, cfg *queryConfig) (Result, Stats, Degradation, err
 	}
 	// Whatever has to be built is built before the engine span opens.
 	pre := s.prepare(core.NeedFor(cfg.alg))
-	eng := cfg.engineSpan()
+	eng := cfg.trace.StartChild("engine") // nil when untraced: every span call below no-ops
 	var res Result
 	var st Stats
 	var err error
@@ -753,17 +753,6 @@ func (d *Dataset) topK(k int, cfg *queryConfig) (Result, Stats, Degradation, err
 	}
 	st.Epoch = s.epoch
 	return res, st, deg, nil
-}
-
-// engineSpan opens the "engine" child span a traced query executes under:
-// the explicit WithTrace span wins, else a span riding the WithContext
-// context, else nil (tracing off — every span call below no-ops).
-func (cfg *queryConfig) engineSpan() *obs.Span {
-	sp := cfg.trace
-	if sp == nil {
-		sp = obs.SpanFromContext(cfg.ctx)
-	}
-	return sp.StartChild("engine")
 }
 
 // stampRun records the engine span's attributes once the run has ended, in

@@ -402,6 +402,68 @@ func TestDeadlineCancelsEveryAlgorithm(t *testing.T) {
 	}
 }
 
+// TestShardedTraceTree pins the span tree a traced sharded IBIG query
+// records under its WithTrace span — the path the served-request
+// benchmark's shard layer reads: engine → window → scatter (bounds phase) or
+// gather (exact phase) → one shard span per shard, in whatever order their
+// calls started, and the τ trajectory on the engine span.
+func TestShardedTraceTree(t *testing.T) {
+	const shards = 3
+	ds := tkd.GenerateIND(3000, 4, 40, 0.2, 5)
+	if _, err := tkd.Shard(ds, "d", tkd.WithShards(shards)); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 7, 40} {
+		tr := obs.New("query")
+		var st tkd.Stats
+		if _, err := ds.TopK(k, tkd.WithTrace(tr.Root()), tkd.WithStats(&st)); err != nil {
+			t.Fatal(err)
+		}
+		tr.Root().End()
+		eng := tr.JSON().Root.Children
+		if len(eng) != 1 || eng[0].Name != "engine" {
+			t.Fatalf("k=%d: root's children %+v, want one engine span", k, eng)
+		}
+		if len(eng[0].Tau) == 0 {
+			t.Fatalf("k=%d: the engine span holds no τ sample", k)
+		}
+		windows := eng[0].Children
+		if len(windows) != st.Windows || len(windows) < 2 {
+			t.Fatalf("k=%d: %d engine children for %d windows, want one window span each and at least two", k, len(windows), st.Windows)
+		}
+		phases := map[string]int{}
+		for _, w := range windows {
+			if w.Name != "window" {
+				t.Fatalf("k=%d: engine child %q, want window", k, w.Name)
+			}
+			for _, ph := range w.Children {
+				if ph.Name != "scatter" && ph.Name != "gather" {
+					t.Fatalf("k=%d: window child %q, want scatter or gather", k, ph.Name)
+				}
+				phases[ph.Name]++
+				if len(ph.Children) != shards {
+					t.Fatalf("k=%d: %s span has %d children, want one per shard", k, ph.Name, len(ph.Children))
+				}
+				seen := map[any]bool{}
+				for _, sh := range ph.Children {
+					if sh.Name != "shard" {
+						t.Fatalf("k=%d: %s child %q, want shard", k, ph.Name, sh.Name)
+					}
+					seen[sh.Attrs["shard"]] = true
+				}
+				for i := range shards {
+					if !seen[int64(i)] {
+						t.Fatalf("k=%d: %s span has no shard %d child", k, ph.Name, i)
+					}
+				}
+			}
+		}
+		if phases["scatter"] == 0 || phases["gather"] == 0 {
+			t.Fatalf("k=%d: phases %v, want both a scatter and a gather", k, phases)
+		}
+	}
+}
+
 // TestRunMatchesTopK holds Run to TopK under the equivalent options: the same
 // items, Stats and Degradation, unsharded and sharded, an engine span under
 // the Trace span, and the context's error once it is cancelled.
