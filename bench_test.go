@@ -48,7 +48,7 @@ func BenchmarkParallelIBIG(b *testing.B) {
 			cfg.Dim = 6
 			ds := gen.Synthetic(cfg)
 			run(fmt.Sprintf("%s/n%d", dist, n), ds, bitmapidx.Build(ds, bitmapidx.Options{
-				Bins: []int{core.OptimalBins(n, ds.MissingRate())},
+				Bins: []int{bitmapidx.OptimalBins(n, ds.MissingRate())},
 			}))
 		}
 	}

@@ -26,10 +26,8 @@ func main() {
 	fmt.Printf("MovieLens-shaped dataset: %d movies x %d audiences, %.1f%% missing\n\n",
 		ds.Len(), ds.Dim(), 100*ds.MissingRate())
 
-	// The paper's §5.1 finding for MovieLens: with a rating domain of just
-	// five values, two bins per dimension are enough for IBIG.
 	var st tkd.Stats
-	res, err := ds.TopK(10, tkd.WithBins(2), tkd.WithStats(&st))
+	res, err := ds.TopK(10, tkd.WithStats(&st))
 	if err != nil {
 		fatal(err)
 	}

@@ -5,9 +5,10 @@
 // Zillow's five attributes have wildly different domain sizes (a handful of
 // bedroom counts vs ~10^5 distinct prices), which is exactly the regime
 // where the value-granular bitmap index of BIG explodes and IBIG's
-// per-dimension binning (§4.4) pays off. The example sweeps the bin count
-// of the high-cardinality dimension and prints the space/time trade-off of
-// Fig. 11(c), including the Eq. (8) optimum.
+// per-dimension binning (§4.4) pays off. The example prints the Eq. (8)
+// optimum and the answer under the serving layout the rows pick; the
+// space/time sweep over ξ of Fig. 11(c) is
+// go run ./cmd/benchrunner -exp fig11.
 //
 //	go run ./examples/realestate
 package main
@@ -16,39 +17,22 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"time"
 
 	"repro/tkd"
 )
 
 func main() {
-	// 20K listings keep the value-granular BIG index laptop-sized; the
-	// binning behaviour is identical at full scale.
+	// 20K listings keep the example quick; the layout rule is the same at
+	// full scale.
 	ds := tkd.SimulateZillow(90210, 20_000)
 	fmt.Printf("Zillow-shaped dataset: %d listings x %d attributes, %.1f%% missing\n",
 		ds.Len(), ds.Dim(), 100*ds.MissingRate())
-	fmt.Printf("Eq. (8) optimal bin count for this dataset: ξ* = %d\n\n",
+	fmt.Printf("Eq. (8) optimal bin count for this dataset: ξ* = %d\n",
 		tkd.OptimalBins(ds.Len(), ds.MissingRate()))
 
+	// The layout is a property of the rows: 2 · Eq. (8) bins a dimension,
+	// and never more than a dimension has distinct values.
 	const k = 8
-	// Sweep the bin count of the two huge dimensions (lot area, price)
-	// while keeping the small domains value-granular, as the paper does.
-	for _, xi := range []int{100, 1000, 3000} {
-		start := time.Now()
-		var st tkd.Stats
-		res, err := ds.TopK(k,
-			tkd.WithBins(6, 10, 35, xi, xi),
-			tkd.WithStats(&st))
-		if err != nil {
-			fatal(err)
-		}
-		elapsed := time.Since(start)
-		fmt.Printf("ξ=%-5d best listing %-7s (score %5d) | total %.2fs | scored %d, H1/H2/H3 pruned %d/%d/%d\n",
-			xi, res.Items[0].ID, res.Items[0].Score, elapsed.Seconds(),
-			st.Scored, st.PrunedH1, st.PrunedH2, st.PrunedH3)
-	}
-
-	// Final answer set at the default (optimal) binning.
 	res, err := ds.TopK(k)
 	if err != nil {
 		fatal(err)

@@ -216,6 +216,19 @@ func TestQPAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestOptimalBins checks Eq. (8) against the two worked examples of §4.5.
+func TestOptimalBins(t *testing.T) {
+	if got := bitmapidx.OptimalBins(100_000, 0.1); got != 29 {
+		t.Errorf("OptimalBins(100K, 0.1) = %d, want 29", got)
+	}
+	if got := bitmapidx.OptimalBins(16_000, 0.2); got != 17 {
+		t.Errorf("OptimalBins(16K, 0.2) = %d, want 17", got)
+	}
+	if got := bitmapidx.OptimalBins(10, 0.1); got != 1 {
+		t.Errorf("OptimalBins tiny = %d, want 1", got)
+	}
+}
+
 func TestAssignBinsEdgeCases(t *testing.T) {
 	st := data.DimStats{
 		Distinct:      []float64{1, 2, 3},

@@ -204,19 +204,6 @@ func TestBIGRejectsBinnedIndex(t *testing.T) {
 	core.BIG(ds, 2, ix, nil)
 }
 
-// TestOptimalBins checks Eq. (8) against the two worked examples of §4.5.
-func TestOptimalBins(t *testing.T) {
-	if got := core.OptimalBins(100_000, 0.1); got != 29 {
-		t.Errorf("OptimalBins(100K, 0.1) = %d, want 29", got)
-	}
-	if got := core.OptimalBins(16_000, 0.2); got != 17 {
-		t.Errorf("OptimalBins(16K, 0.2) = %d, want 17", got)
-	}
-	if got := core.OptimalBins(10, 0.1); got != 1 {
-		t.Errorf("OptimalBins tiny = %d, want 1", got)
-	}
-}
-
 // TestMaxScoreB3 reproduces the §4.2 walk-through for B3: T3(B3) has 13
 // members, T4(B3) is empty, so MaxScore(B3) = 0.
 func TestMaxScoreB3(t *testing.T) {

@@ -194,9 +194,3 @@ func mergedBounds(runs []QueueRun, n int) [][][]int32 {
 	}
 	return out
 }
-
-// OptimalBins evaluates the paper's Eq. (8): the bin count ξ minimizing the
-// space×time product for n objects at missing rate sigma. The formula lives
-// in bitmapidx (so Build can default to it); this re-export keeps the core
-// API stable.
-func OptimalBins(n int, sigma float64) int { return bitmapidx.OptimalBins(n, sigma) }

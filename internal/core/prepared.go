@@ -118,9 +118,6 @@ var nothingBuilt Pre
 // Dataset returns the frozen rows the holder was made over.
 func (p *Prepared) Dataset() *data.Dataset { return p.ds }
 
-// Bins returns the layout NewPrepared was given.
-func (p *Prepared) Bins() []int { return p.bins }
-
 // Built returns whatever is built so far, without building anything.
 func (p *Prepared) Built() *Pre { return p.pre.Load() }
 

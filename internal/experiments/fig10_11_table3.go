@@ -156,7 +156,7 @@ type servingShape struct {
 	of *data.Dataset
 }
 
-func (sh servingShape) eq8() int { return core.OptimalBins(sh.of.Len(), sh.of.MissingRate()) }
+func (sh servingShape) eq8() int { return bitmapidx.OptimalBins(sh.of.Len(), sh.of.MissingRate()) }
 
 // servingShapes are the datasets the serving index's bin rule is stated over:
 // the three shapes the served benchmark boots (a -shards 3 slice is a third of

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/tkd"
 )
@@ -413,11 +414,8 @@ func TestIndexFileOfAnotherBinLayoutServedAsIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := old.TopK(1, tkd.WithBins(39)); err != nil {
-		t.Fatal(err)
-	}
 	file := bytes.NewBufferString("TKDIXD2\n")
-	if err := old.SaveIndex(file); err != nil {
+	if err := core.NewPrepared(old.ShardData(), []int{39}).SaveServing(file); err != nil {
 		t.Fatal(err)
 	}
 	ixdir := filepath.Join(dir, "ix")
@@ -469,20 +467,9 @@ func TestIndexFileOfAnotherBinLayoutServedAsIs(t *testing.T) {
 	// The same behind -shards 3: a %shard-0 file of 48 bins — a slice once
 	// binned by its own row count, today by its dataset's — is loaded, served
 	// and left on disk as it is, beside the two parts the boot had to build.
-	raw, err := os.ReadFile(csv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(raw, []byte("\n"))
-	slice0, err := tkd.ReadCSV(bytes.NewReader(bytes.Join(lines[:1+fresh.Len()/3], nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := slice0.TopK(1, tkd.WithBins(48)); err != nil {
-		t.Fatal(err)
-	}
+	slice0 := old.ShardData().Slice(0, old.Len()/3)
 	shardFile := bytes.NewBufferString("TKDIXD2\n")
-	if err := slice0.SaveIndex(shardFile); err != nil {
+	if err := core.NewPrepared(slice0, []int{48}).SaveServing(shardFile); err != nil {
 		t.Fatal(err)
 	}
 	shardDir := filepath.Join(dir, "ix-sharded")

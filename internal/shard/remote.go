@@ -66,7 +66,8 @@ type WireError struct {
 
 // WireHealth is the GET /v1/shard/health answer: what the peer would serve
 // for the row range right now. The coordinator's replica sets compare the
-// fingerprint against their expectation and quarantine divergence.
+// fingerprint against their expectation and quarantine divergence; Epoch is
+// the peer's current epoch, which the coordinator does not read.
 type WireHealth struct {
 	Dataset     string `json:"dataset"`
 	From        int    `json:"from"`
@@ -278,7 +279,7 @@ func (r *Remote) Health(ctx context.Context) (HealthInfo, error) {
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&wh); err != nil {
 		return HealthInfo{}, fmt.Errorf("shard: peer %s: decoding health: %w", r.baseURL, err)
 	}
-	return HealthInfo{Rows: wh.Rows, Fingerprint: wh.Fingerprint, Epoch: wh.Epoch}, nil
+	return HealthInfo{Rows: wh.Rows, Fingerprint: wh.Fingerprint}, nil
 }
 
 // decodeCandidates reconstructs data.Objects from the wire (NaN restored in

@@ -16,7 +16,6 @@ import (
 type HealthInfo struct {
 	Rows        int
 	Fingerprint uint64
-	Epoch       uint64
 }
 
 // HealthChecker is implemented by backends that can answer a cheap health

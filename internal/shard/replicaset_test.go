@@ -24,9 +24,8 @@ type fakeReplica struct {
 	calls   atomic.Int64
 	partial func(ctx context.Context, req *Request) ([]int32, error)
 
-	healthFP    atomic.Uint64 // 0 = report fp (healthy)
-	healthEpoch atomic.Uint64
-	probes      atomic.Int64
+	healthFP atomic.Uint64 // 0 = report fp (healthy)
+	probes   atomic.Int64
 }
 
 func (f *fakeReplica) Rows() int           { return f.rows }
@@ -43,7 +42,7 @@ func (f *fakeReplica) Health(ctx context.Context) (HealthInfo, error) {
 	if fp == 0 {
 		fp = f.fp
 	}
-	return HealthInfo{Rows: f.rows, Fingerprint: fp, Epoch: f.healthEpoch.Load()}, nil
+	return HealthInfo{Rows: f.rows, Fingerprint: fp}, nil
 }
 
 func okReplica() *fakeReplica {
@@ -672,13 +671,11 @@ func TestReplicaSetHedgeDelayInterpolatesP99(t *testing.T) {
 	}
 }
 
-// TestReplicaSetStaleEpochKeepsBreakersClosed: a replica whose health probe
-// reports an older epoch under a matching fingerprint is a follower catching
-// up, not a divergent copy — both breakers stay closed and queries are served.
-func TestReplicaSetStaleEpochKeepsBreakersClosed(t *testing.T) {
+// TestReplicaSetMatchingProbeKeepsBreakersClosed: replicas whose health
+// probes answer the expected fingerprint keep both breakers closed, and
+// queries are served.
+func TestReplicaSetMatchingProbeKeepsBreakersClosed(t *testing.T) {
 	a, b := okReplica(), okReplica()
-	a.healthEpoch.Store(7)
-	b.healthEpoch.Store(5) // same fingerprint, older epoch: a follower catching up
 	pol := noHedge()
 	pol.BreakerCooldown = time.Hour // only the probes may change breaker state
 	rs, err := NewReplicaSet(0, []Backend{a, b}, pol, nil)
@@ -693,7 +690,7 @@ func TestReplicaSetStaleEpochKeepsBreakersClosed(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		if _, err := rs.Partial(context.Background(), testReq()); err != nil {
-			t.Fatalf("query with a lagging replica: %v", err)
+			t.Fatalf("query with both replicas healthy: %v", err)
 		}
 	}
 }

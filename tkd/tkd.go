@@ -31,12 +31,12 @@
 // Internally the data and its acceleration artifacts live in immutable
 // published snapshots ("epochs"): a query resolves the current epoch with
 // one atomic load and runs on it to completion, while a mutation (Append,
-// Negate, ReplaceFrom, a bin-layout change) prepares the next epoch off to
-// the side and publishes it with an atomic pointer swap. In-flight queries
-// finish on the epoch they started on; queries that start after the swap
-// see the new one; nobody blocks anybody. Epoch reports the current
-// version, and ReplaceFrom is the zero-downtime wholesale swap a serving
-// layer uses to hot-reload a resident dataset.
+// Negate, ReplaceFrom) prepares the next epoch off to the side and publishes
+// it with an atomic pointer swap. In-flight queries finish on the epoch they
+// started on; queries that start after the swap see the new one; nobody
+// blocks anybody. Epoch reports the current version, and ReplaceFrom is the
+// zero-downtime wholesale swap a serving layer uses to hot-reload a resident
+// dataset.
 //
 // # Topologies
 //
@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,15 +129,16 @@ type snapshot struct {
 
 // newSnapshot freezes ds as the given epoch of d, its artifacts in a fresh
 // holder (newPart).
-func (d *Dataset) newSnapshot(epoch uint64, ds *data.Dataset, bins []int, pre core.Pre) *snapshot {
+func (d *Dataset) newSnapshot(epoch uint64, ds *data.Dataset, pre core.Pre) *snapshot {
 	ds.Freeze()
-	return &snapshot{d: d, epoch: epoch, ds: ds, part: d.newPart(ds, bins, pre)}
+	return &snapshot{d: d, epoch: epoch, ds: ds, part: d.newPart(ds, pre)}
 }
 
 // newPart returns a holder over ds seeded with the artifacts that arrive
-// already made.
-func (d *Dataset) newPart(ds *data.Dataset, bins []int, pre core.Pre) *core.Prepared {
-	p := core.NewPrepared(ds, bins)
+// already made. A serving index it builds takes the rule's layout for ds's
+// rows (core.BuildServingIndex); one that arrives made keeps its own.
+func (d *Dataset) newPart(ds *data.Dataset, pre core.Pre) *core.Prepared {
+	p := core.NewPrepared(ds, nil)
 	p.Install(pre)
 	return p
 }
@@ -194,7 +194,6 @@ type Dataset struct {
 	mu      sync.Mutex
 	staging *data.Dataset // mutable master copy of the data
 	shared  bool          // staging is referenced by a published snapshot: copy before writing
-	bins    []int
 
 	cur   atomic.Pointer[snapshot] // the published epoch; nil when staging is dirty
 	epoch atomic.Uint64            // epochs published so far
@@ -240,7 +239,7 @@ func (d *Dataset) publishLocked() *snapshot {
 	// freshly loaded file, the appended ones after a copy-on-write) are folded
 	// by the epoch's first Fingerprint, which a boot with nothing to check
 	// reaches only after it serves.
-	s := d.newSnapshot(d.epoch.Add(1), d.staging, d.bins, core.Pre{})
+	s := d.newSnapshot(d.epoch.Add(1), d.staging, core.Pre{})
 	d.shared = true
 	d.cur.Store(s)
 	return s
@@ -342,7 +341,7 @@ func (d *Dataset) RestoreEpoch(n uint64) {
 	d.epoch.Store(n - 1) // the next Add(1) — here or in publishLocked — lands on n
 	if old := d.cur.Load(); old != nil {
 		pre := *old.part.Built()
-		d.cur.Store(d.newSnapshot(d.epoch.Add(1), old.ds, old.part.Bins(), pre))
+		d.cur.Store(d.newSnapshot(d.epoch.Add(1), old.ds, pre))
 		old.release()
 	}
 	d.clearLineageLocked()
@@ -386,7 +385,7 @@ func (d *Dataset) replaceFrom(src *Dataset, at uint64) {
 	// into src's metrics and its replica sets run src's health loops — but a
 	// sharded receiver rebuilds its own set around src's warm in-process
 	// shards, so per-shard indexes built off to the side survive the swap.
-	part := d.newPart(ss.ds, ss.part.Bins(), pre)
+	part := d.newPart(ss.ds, pre)
 	var shards *shardSet
 	if t, warm := d.topo.Load(), ss.shards.Load(); t != nil && warm != nil {
 		shards = t.build(part, warm)
@@ -397,7 +396,6 @@ func (d *Dataset) replaceFrom(src *Dataset, at uint64) {
 	s.shards.Store(shards)
 	d.staging = ss.ds
 	d.shared = true
-	d.bins = ss.part.Bins()
 	// Health loops run on the published epoch only (see startHealthChecks):
 	// the predecessor is retired — its loops stopped — before the swap, the
 	// successor's start after it.
@@ -481,7 +479,6 @@ type Option func(*queryConfig)
 type queryConfig struct {
 	alg          Algorithm
 	algSet       bool
-	bins         []int
 	stats        *Stats
 	workers      int
 	ctx          context.Context
@@ -493,26 +490,6 @@ type queryConfig struct {
 // WithAlgorithm forces a specific algorithm (default IBIG).
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *queryConfig) { c.alg, c.algSet = a, true }
-}
-
-// WithBins overrides the bin counts of the binned bitmap index used by
-// IBIG: one entry per dimension, or a single entry broadcast to all. The
-// default is twice the paper's space×time optimum, Eq. (8), and never more
-// than a dimension has distinct values (DESIGN.md §1 has the sweep behind
-// it); calling WithBins with no arguments keeps that default rather than
-// requesting an empty layout. Answers never depend on the layout.
-// Changing the layout publishes a new epoch (the queue and value-granular
-// bitmap carry over; only the binned index rebuilds).
-func WithBins(bins ...int) Option {
-	return func(c *queryConfig) {
-		if len(bins) == 0 {
-			// No counts given: leave the default in force instead of
-			// handing the index builder an empty (and formerly panicking)
-			// bin list.
-			return
-		}
-		c.bins = bins
-	}
 }
 
 // WithWorkers fans candidate scoring across n goroutines: 0 selects
@@ -637,27 +614,6 @@ func (d *Dataset) parts() []*core.Prepared {
 	return nil
 }
 
-// setBins records a new bin layout; if it differs from the current one, a
-// fresh epoch is published that carries every bins-independent artifact
-// (queue, value-granular bitmap) and drops only the binned index.
-func (d *Dataset) setBins(bins []int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if slices.Equal(d.bins, bins) {
-		return
-	}
-	d.bins = slices.Clone(bins)
-	old := d.cur.Load()
-	if old == nil {
-		return // staging dirty; the layout lands at the next publish
-	}
-	pre := *old.part.Built()
-	pre.Binned = nil
-	d.cur.Store(d.newSnapshot(d.epoch.Add(1), old.ds, d.bins, pre))
-	old.release()
-	d.clearLineageLocked()
-}
-
 // TopK answers the TKD query: the k objects with the highest scores, in
 // answer order — by score, then MaxScore bound, then row index (Result), so
 // rank-k ties, which the paper breaks arbitrarily, are broken the same way by
@@ -668,10 +624,7 @@ func (d *Dataset) setBins(bins []int) {
 // On a sharded dataset (see Shard) the same options give the same answers —
 // byte-identical. IBIG runs through the scatter-gather coordinator, ignoring
 // WithWorkers (the fan-out across shards is the parallelism); the other four
-// run unsharded over the epoch's full rows. WithBins is ignored: every shard
-// lays its slice out by the default rule at the whole dataset's size and
-// missing rate — the layout the unsharded index would take; bin layout never
-// changes answers.
+// run unsharded over the epoch's full rows.
 //
 // Unsharded, UBB, BIG and IBIG are one candidate loop over the MaxScore
 // queue — serial, or on the WithWorkers engine — each with its own scorer.
@@ -725,9 +678,6 @@ func (d *Dataset) topK(k int, cfg *queryConfig) (Result, Stats, Degradation, err
 		return Result{}, Stats{}, Degradation{}, err
 	}
 	t := d.topo.Load()
-	if cfg.bins != nil && t == nil {
-		d.setBins(cfg.bins)
-	}
 	s := d.current()
 	rows := s.ds.Len()
 	if rows == 0 {
@@ -782,23 +732,6 @@ func stampRun(sp *obs.Span, alg Algorithm, k, rows int, st Stats, err error) {
 		obs.Attr{Key: "windows", Int: int64(st.Windows)},
 		obs.Attr{Key: "workers", Int: int64(st.Workers)},
 	)
-}
-
-// Project returns a new dataset restricted to the given dimensions, in the
-// given order — subspace dominating queries (a TKD variant the paper
-// surveys in §2.1) are TopK calls on the projection. Objects that lose all
-// observed values are dropped; the returned slice maps each projected
-// object back to its index in the receiver.
-func (d *Dataset) Project(dims ...int) (*Dataset, []int, error) {
-	sub, origin, err := d.view().Project(dims)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]int, len(origin))
-	for i, o := range origin {
-		out[i] = int(o)
-	}
-	return wrap(sub), out, nil
 }
 
 // SaveIndex builds (if necessary) and serializes the IBIG binned bitmap
@@ -877,7 +810,7 @@ func JaccardDistance(a, b Result) float64 {
 // OptimalBins evaluates the paper's Eq. (8): the bin count that optimizes
 // the space×time product for a dataset of n objects with missing rate
 // sigma.
-func OptimalBins(n int, sigma float64) int { return core.OptimalBins(n, sigma) }
+func OptimalBins(n int, sigma float64) int { return bitmapidx.OptimalBins(n, sigma) }
 
 // WriteCSV serializes the dataset ("-" marks missing values).
 func (d *Dataset) WriteCSV(w io.Writer) error { return d.view().WriteCSV(w) }

@@ -102,16 +102,53 @@ func TestWithStats(t *testing.T) {
 	}
 }
 
-func TestWithBins(t *testing.T) {
-	ds := paperSample(t)
-	res, err := ds.TopK(2, tkd.WithBins(2, 2, 3, 3)) // the Fig. 9 layout
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := res.IDs()
-	sort.Strings(ids)
-	if ids[0] != "A2" || ids[1] != "C2" {
-		t.Fatalf("binned T2D = %v", res.IDs())
+// TestQueryOptionsNeverPublish: a query option configures the query and never
+// the dataset. After one append-publish from epoch e1, unsharded and behind
+// three in-process shards, every algorithm at every worker count, with stats,
+// a trace, a context and partial coverage asked for, leaves the epoch and the
+// index build count where the warm-up left them, and the lineage intact: the
+// delta from e1 still exports.
+func TestQueryOptionsNeverPublish(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, shards := range []int{0, 3} {
+		ds := tkd.GenerateIND(600, 3, 20, 0.2, 11)
+		if shards > 0 {
+			if _, err := tkd.Shard(ds, "d", tkd.WithShards(shards)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ds.PrepareFor(tkd.IBIG)
+		e1, fp1 := ds.Epoch(), ds.Fingerprint()
+		if _, err := ds.AppendRows(deltaBatch("q", 10, 3, 20, 5)); err != nil {
+			t.Fatal(err)
+		}
+		query := func() {
+			for _, alg := range []tkd.Algorithm{tkd.Naive, tkd.ESB, tkd.UBB, tkd.BIG, tkd.IBIG} {
+				for _, workers := range []int{0, 1, 2} {
+					var st tkd.Stats
+					var deg tkd.Degradation
+					tr := obs.New("query")
+					if _, err := ds.TopK(5, tkd.WithAlgorithm(alg), tkd.WithWorkers(workers), tkd.WithStats(&st),
+						tkd.WithTrace(tr.Root()), tkd.WithContext(ctx), tkd.WithAllowPartial(&deg)); err != nil {
+						t.Fatalf("shards=%d %v workers=%d: %v", shards, alg, workers, err)
+					}
+					tr.Root().End()
+					if st.Epoch != ds.Epoch() || deg.Degraded {
+						t.Fatalf("shards=%d %v workers=%d: ran on epoch %d of %d, degraded=%v", shards, alg, workers, st.Epoch, ds.Epoch(), deg.Degraded)
+					}
+				}
+			}
+		}
+		query() // warm-up: BIG's bitmap and anything else built on first use
+		epoch, builds := ds.Epoch(), ds.IndexBuilds()
+		query()
+		if ds.Epoch() != epoch || ds.IndexBuilds() != builds {
+			t.Fatalf("shards=%d: queries moved the epoch %d → %d and the index builds %d → %d", shards, epoch, ds.Epoch(), builds, ds.IndexBuilds())
+		}
+		if _, ok := ds.ExportEpochDelta(e1, fp1); !ok {
+			t.Fatalf("shards=%d: no delta from epoch %d after the queries: the lineage was cut", shards, e1)
+		}
 	}
 }
 
@@ -305,31 +342,6 @@ func TestSkylineAndKSkyband(t *testing.T) {
 	}
 	if got := len(ds.KSkyband(ds.Len())); got != ds.Len() {
 		t.Fatalf("N-skyband has %d members, want all %d", got, ds.Len())
-	}
-}
-
-func TestProjectPublic(t *testing.T) {
-	ds := paperSample(t)
-	// Subspace query on dimensions 3 and 4 only (buckets A and B observe
-	// them).
-	sub, origin, err := ds.Project(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Dim() != 2 {
-		t.Fatalf("Dim = %d", sub.Dim())
-	}
-	res, err := sub.TopK(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Map the winner back to the original dataset.
-	winner := origin[res.Items[0].Index]
-	if ds.ID(winner) != res.Items[0].ID {
-		t.Fatal("origin mapping broken")
-	}
-	if _, _, err := ds.Project(9); err == nil {
-		t.Fatal("bad dimension accepted")
 	}
 }
 

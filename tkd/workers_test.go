@@ -39,23 +39,3 @@ func TestWithWorkersDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestWithBinsNoArgs pins the fixed empty-bin-list behaviour: WithBins()
-// with no arguments keeps the default layout instead of panicking during
-// index construction.
-func TestWithBinsNoArgs(t *testing.T) {
-	ds := tkd.GenerateIND(200, 4, 20, 0.2, 9)
-	want, err := ds.TopK(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ds.TopK(5, tkd.WithBins())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got.Items {
-		if got.Items[i] != want.Items[i] {
-			t.Fatalf("item %d = %+v, want %+v", i, got.Items[i], want.Items[i])
-		}
-	}
-}
