@@ -185,10 +185,11 @@ func BenchmarkCompressedKernels(b *testing.B) {
 	})
 }
 
-// BenchmarkShardedTopK times the in-process sharded plan end to end on the
-// served benchmark's query-sharded shape — IND 100000×5, cardinality 100,
-// σ = 0.2 behind three shards, warm — one query an op, cycling the nine k
-// values that workload's two clients send.
+// BenchmarkShardedTopK times the in-process sharded plan — core's serial
+// candidate loop over a cross-shard scorer — end to end on the served
+// benchmark's query-sharded shape: IND 100000×5, cardinality 100, σ = 0.2
+// behind three shards, warm, one query an op, cycling the nine k values that
+// workload's two clients send.
 func BenchmarkShardedTopK(b *testing.B) {
 	ds, err := tkd.Shard(tkd.GenerateIND(100_000, 5, 100, 0.2, 1), "bench", tkd.WithShards(3))
 	if err != nil {
@@ -206,8 +207,9 @@ func BenchmarkShardedTopK(b *testing.B) {
 }
 
 // BenchmarkShardedTopKTraced is BenchmarkShardedTopK with every query traced
-// (WithTrace under a fresh trace, as an explain query is): what the
-// coordinator's window, phase and shard spans cost on top of the plan.
+// (WithTrace under a fresh trace, as an explain query is): what the engine
+// span and its τ samples cost on top of the plan, which opens no window,
+// phase or shard span.
 func BenchmarkShardedTopKTraced(b *testing.B) {
 	ds, err := tkd.Shard(tkd.GenerateIND(100_000, 5, 100, 0.2, 1), "bench", tkd.WithShards(3))
 	if err != nil {

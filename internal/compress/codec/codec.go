@@ -42,11 +42,6 @@ type Writer struct {
 	next int // next group index
 }
 
-// NewWriter returns a Writer producing a vector with nbits bits.
-func NewWriter(nbits int) *Writer {
-	return &Writer{v: bitvec.New(nbits)}
-}
-
 // NewWriterInto returns a Writer that reassembles into dst, which is reset
 // to zero first.
 func NewWriterInto(dst *bitvec.Vector) *Writer {

@@ -47,7 +47,7 @@ func vectors(t *testing.T) []*bitvec.Vector {
 // the vector bit for bit.
 func TestSliceWriterRoundTrip(t *testing.T) {
 	for vi, v := range vectors(t) {
-		w := codec.NewWriter(v.Len())
+		w := codec.NewWriterInto(bitvec.New(v.Len()))
 		for g := 0; g < codec.NumGroups(v.Len()); g++ {
 			w.Emit(codec.Slice(v, g), 1)
 		}
@@ -74,7 +74,7 @@ func TestWriterInto(t *testing.T) {
 // codecs.
 func TestCodecRoundTrip(t *testing.T) {
 	for vi, v := range vectors(t) {
-		if got := wah.Compress(v).Decompress(); !got.Equal(v) {
+		if got := unwah(wah.Compress(v), v.Len()); !got.Equal(v) {
 			t.Fatalf("vector %d (len %d): WAH round trip mismatch", vi, v.Len())
 		}
 		if got := unconcise(concise.Compress(v), v.Len()); !got.Equal(v) {
@@ -90,7 +90,7 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCrossCodecEquivalence(t *testing.T) {
 	for vi, v := range vectors(t) {
 		w, c := wah.Compress(v), concise.Compress(v)
-		if !w.Decompress().Equal(unconcise(c, v.Len())) {
+		if !unwah(w, v.Len()).Equal(unconcise(c, v.Len())) {
 			t.Fatalf("vector %d (len %d): codecs decode to different bits", vi, v.Len())
 		}
 		if c.SizeBytes() > w.SizeBytes() {
@@ -125,6 +125,13 @@ func TestCompressionNoWorseThanWAHOnIndexColumns(t *testing.T) {
 
 // unconcise decodes a CONCISE bitmap of n bits into a fresh vector.
 func unconcise(b *concise.Bitmap, n int) *bitvec.Vector {
+	v := bitvec.New(n)
+	b.DecompressInto(v)
+	return v
+}
+
+// unwah decodes a WAH bitmap of n bits into a fresh vector.
+func unwah(b *wah.Bitmap, n int) *bitvec.Vector {
 	v := bitvec.New(n)
 	b.DecompressInto(v)
 	return v

@@ -60,13 +60,6 @@ func (b *Bitmap) appendFill(kind uint32) {
 	b.words = append(b.words, kind|1)
 }
 
-// Decompress reconstructs the original bit vector.
-func (b *Bitmap) Decompress() *bitvec.Vector {
-	w := codec.NewWriter(b.nbits)
-	b.emitAll(w)
-	return w.Vector()
-}
-
 // DecompressInto reconstructs the original bit vector into dst (which must
 // have the bitmap's logical length), avoiding allocation on hot paths.
 func (b *Bitmap) DecompressInto(dst *bitvec.Vector) {

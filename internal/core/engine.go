@@ -57,17 +57,20 @@ const WindowSize = 256
 // cannot exceed tau (a negative tau prunes nothing: the candidate heap is not
 // full yet), and reports the comparisons it made (Stats.Comparisons). Implementations are pointer-shaped,
 // so holding one in the interface allocates nothing, and are confined to a
-// single worker. It is exported for the paper's reference scorers outside
-// this package, which run through SerialRun.
+// single worker. It is exported for the scorers outside this package that
+// run through SerialRun: the paper's reference scorers and the in-process
+// sharded plan's cross-shard scorer.
 type Scorer interface {
 	Score(o int, tau int) (score int, how ScoreResult, comparisons int64)
 }
 
 // SerialRun walks queue through the serial candidate loop with s scoring,
-// the one entry a scorer defined outside this package runs through.
-func SerialRun(ds *data.Dataset, k int, queue *MaxScoreQueue, s Scorer) (Result, Stats) {
-	res, st, _ := serialRun(context.Background(), ds, k, queue, queue.MaxScore, s, nil) // never cancelled
-	return res, st
+// the one entry a scorer defined outside this package runs through: the
+// paper's reference scorers, and the in-process sharded plan's cross-shard
+// scorer. It checks ctx and samples τ into sp (nil is untraced) every
+// WindowSize candidates, as serialRun does.
+func SerialRun(ctx context.Context, ds *data.Dataset, k int, queue *MaxScoreQueue, s Scorer, sp *obs.Span) (Result, Stats, error) {
+	return serialRun(ctx, ds, k, queue, queue.MaxScore, s, sp)
 }
 
 // ubbScorer scores candidates exhaustively (Algorithm 2 has no per-object

@@ -81,11 +81,11 @@ const NoBound = -1
 // each of them — so |E| − |F| + nonD(W) is the shard's |nonD|: what separates
 // the score from BoundAbove's net bound.
 //
-// bound is BoundAbove's exact answer for cand on this scorer's index — what a
-// coordinator forwards from the bounds phase — so |∩Qᵢ| = bound + |F| is not
-// counted again; NoBound counts it here. A capped BoundAbove answer is not a
-// bound to pass (the coordinator never forwards one: a candidate with a capped
-// shard has a bound sum of at most τ and is pruned).
+// bound is BoundAbove's exact answer for cand on this scorer's index — what
+// the in-process sharded plan passes on from its bounds pass — so
+// |∩Qᵢ| = bound + |F| is not counted again; NoBound counts it here. A bound is
+// valid only on the index that counted it, so a peer, reached over the wire,
+// always counts it itself.
 //
 // nonDBudget is the cross-shard form of Heuristic 3. A shard cannot prune on
 // its partial score — the candidate's fate depends on the sum — but

@@ -1,6 +1,7 @@
 package reference
 
 import (
+	"context"
 	"math/bits"
 
 	"repro/internal/bitmapidx"
@@ -183,5 +184,6 @@ func IBIGBTree(ds *data.Dataset, k int, ix *bitmapidx.Index, queue *core.MaxScor
 		queue = core.BuildMaxScoreQueue(ds)
 	}
 	s := &btreeScorer{ds: ds, ix: ix, cursor: ix.NewCursor(), trees: trees, tags: newEpochTags(ds.Len())}
-	return core.SerialRun(ds, k, queue, s)
+	res, st, _ := core.SerialRun(context.Background(), ds, k, queue, s, nil) // never cancelled
+	return res, st
 }

@@ -611,16 +611,19 @@ func TestReloadUnderLoad(t *testing.T) {
 			if sumMetric(t, metrics, "tkd_query_errors_total") != 0 {
 				t.Fatal("query errors recorded during reload storm")
 			}
-			// A sharded dataset stays sharded across every swap, and each
-			// shard served the load.
+			// A sharded dataset stays sharded across every swap, and its
+			// shards served the load: the cross-shard scorer pruned on their
+			// summed bounds, through no peer call (in-process shards make
+			// none; TestShardedServingRemotePeers counts a peer's).
 			if tc.shards > 1 {
 				if v := metricValue(t, metrics, `tkd_dataset_shards{dataset="x"}`); v != float64(tc.shards) {
 					t.Fatalf("tkd_dataset_shards = %v, want %d", v, tc.shards)
 				}
-				for sh := 0; sh < tc.shards; sh++ {
-					if v := metricValue(t, metrics, fmt.Sprintf(`tkd_shard_latency_seconds_count{dataset="x",shard="%d"}`, sh)); v == 0 {
-						t.Fatalf("shard %d latency histogram is empty", sh)
-					}
+				if v := metricValue(t, metrics, `tkd_shard_tau_pushdowns_total{dataset="x"}`); v == 0 {
+					t.Fatal("tkd_shard_tau_pushdowns_total is zero after the load")
+				}
+				if v := metricValue(t, metrics, `tkd_shard_fanout_total{dataset="x"}`); v != 0 {
+					t.Fatalf("tkd_shard_fanout_total = %v over in-process shards, want 0", v)
 				}
 			}
 		})

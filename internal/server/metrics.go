@@ -14,8 +14,8 @@ import (
 
 // queryStages enumerates the tkd_query_stage_seconds labels in exposition
 // order. Each stage is fed from the trace spans of the same name — queue is
-// the scheduler wait, engine the algorithm run, scatter/gather the two shard
-// fan-out phases, retry the backoff waits between replica attempts, wal the
+// the scheduler wait, engine the algorithm run, scatter/gather the two
+// fan-out phases of the peer plan, retry the backoff waits between replica attempts, wal the
 // write-ahead log time of ingest appends and publish checkpoints, publish
 // the epoch-fold time of the ingest publisher (index patch or rebuild).
 var queryStages = [...]string{"queue", "engine", "scatter", "gather", "retry", "wal", "publish"}
@@ -157,7 +157,7 @@ var metricFamilies = []family{
 	{"tkd_build_info", "gauge", "Build metadata; the metric is always 1, the labels carry the information.", func(x *expo) {
 		x.sample(fmt.Sprintf("version=%q,go=%q,gomaxprocs=\"%d\"", buildVersion(), runtime.Version(), runtime.GOMAXPROCS(0)), 1)
 	}},
-	{"tkd_query_stage_seconds", "histogram", "Query time by pipeline stage: scheduler queue wait, engine execution, shard scatter (bounds) and gather (scores) phases, retry backoff waits, WAL write/fsync time, and ingest publish (epoch fold) time.", func(x *expo) {
+	{"tkd_query_stage_seconds", "histogram", "Query time by pipeline stage: scheduler queue wait, engine execution, peer shards' scatter (bounds) and gather (scores) phases, retry backoff waits, WAL write/fsync time, and ingest publish (epoch fold) time.", func(x *expo) {
 		for i, stage := range queryStages {
 			x.hist(fmt.Sprintf("stage=%q", stage), x.s.stages.hists[i].Snapshot())
 		}
@@ -196,8 +196,8 @@ var metricFamilies = []family{
 		}
 	}},
 	{"tkd_dataset_shards", "gauge", "Row-range shards the dataset is split into.", each(sharded, func(d *datasetScrape) int64 { return int64(d.shards) })},
-	{"tkd_shard_fanout_total", "counter", "Scatter calls fanned out to shards (one per shard per phase per window).", each(sharded, func(d *datasetScrape) int64 { return d.shard.Fanout })},
-	{"tkd_shard_tau_pushdowns_total", "counter", "Candidates pruned across shards by the pushed-down global tau (the cross-shard Heuristic 2).", each(sharded, func(d *datasetScrape) int64 { return d.shard.TauPushdowns })},
+	{"tkd_shard_fanout_total", "counter", "Scatter calls fanned out to peer shards (one per shard per phase per window); in-process shards make none.", each(sharded, func(d *datasetScrape) int64 { return d.shard.Fanout })},
+	{"tkd_shard_tau_pushdowns_total", "counter", "Candidates pruned across shards by the global tau pushed down to each shard (the cross-shard Heuristic 2), on either plan.", each(sharded, func(d *datasetScrape) int64 { return d.shard.TauPushdowns })},
 	{"tkd_shard_retries_total", "counter", "Scatter calls re-issued to another replica after a retryable failure.", each(sharded, func(d *datasetScrape) int64 { return d.shard.Retries })},
 	{"tkd_shard_degraded_queries_total", "counter", "Queries answered in allow_partial degraded mode (exact over the live row-ranges only).", each(sharded, func(d *datasetScrape) int64 { return d.shard.Degraded })},
 	{"tkd_shard_breaker_state", "gauge", "Replica circuit-breaker position: 0 closed, 1 open, 2 half-open.", func(x *expo) {
@@ -225,7 +225,7 @@ var metricFamilies = []family{
 			}
 		}
 	}},
-	{"tkd_shard_latency_seconds", "histogram", "Per-shard scatter-call latency histogram.", func(x *expo) {
+	{"tkd_shard_latency_seconds", "histogram", "Per-shard peer scatter-call latency histogram; in-process shards record none.", func(x *expo) {
 		for _, d := range x.ds {
 			for sh, lat := range d.shard.PerShard {
 				x.hist(fmt.Sprintf("%s,shard=\"%d\"", d.label, sh), lat)

@@ -87,17 +87,12 @@ func TestShardedServing(t *testing.T) {
 	if v := metricValue(t, body, `tkd_dataset_shards{dataset="big"}`); v != 4 {
 		t.Fatalf("tkd_dataset_shards = %v, want 4", v)
 	}
-	if v := metricValue(t, body, `tkd_shard_fanout_total{dataset="big"}`); v == 0 {
-		t.Fatal("tkd_shard_fanout_total is zero after queries")
-	}
 	if v := metricValue(t, body, `tkd_shard_tau_pushdowns_total{dataset="big"}`); v == 0 {
 		t.Fatal("tkd_shard_tau_pushdowns_total is zero after an IBIG run")
 	}
-	for sh := 0; sh < 4; sh++ {
-		if v := metricValue(t, body, fmt.Sprintf(`tkd_shard_latency_seconds_count{dataset="big",shard="%d"}`, sh)); v == 0 {
-			t.Fatalf("shard %d latency histogram is empty", sh)
-		}
-	}
+	// In-process shards run the serial loop: no peer call to count or time
+	// (TestShardedServingRemotePeers holds the peer plan to both).
+	checkPeerCalls(t, body, 4, false)
 
 	// Reload works on a sharded entry (same file: answers unchanged).
 	resp, err = http.Post(ts.URL+"/v1/datasets/big/reload", "application/json", bytes.NewReader(nil))
@@ -195,6 +190,26 @@ func TestShardedServingRemotePeers(t *testing.T) {
 
 	for _, k := range []int{1, 9, 40} {
 		checkNaive(t, cts.URL, ref, k)
+	}
+	body := getBody(t, cts.URL+"/metrics")
+	if v := metricValue(t, body, `tkd_shard_tau_pushdowns_total{dataset="big"}`); v == 0 {
+		t.Fatal("tkd_shard_tau_pushdowns_total is zero after an IBIG run")
+	}
+	checkPeerCalls(t, body, 4, true)
+}
+
+// checkPeerCalls holds a scrape's peer-call metrics for dataset "big" over
+// shards shards: fan-out and every shard's latency histogram non-zero when
+// the shards are peers, all zero when they are in-process.
+func checkPeerCalls(t *testing.T, body string, shards int, peers bool) {
+	t.Helper()
+	if v := metricValue(t, body, `tkd_shard_fanout_total{dataset="big"}`); (v != 0) != peers {
+		t.Fatalf("tkd_shard_fanout_total = %v with peers %v", v, peers)
+	}
+	for sh := 0; sh < shards; sh++ {
+		if v := metricValue(t, body, fmt.Sprintf(`tkd_shard_latency_seconds_count{dataset="big",shard="%d"}`, sh)); (v != 0) != peers {
+			t.Fatalf("shard %d latency histogram counts %v calls with peers %v", sh, v, peers)
+		}
 	}
 }
 

@@ -12,11 +12,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Coordinator drives scatter-gather queries over a fixed set of shard
-// backends. The coordinator-side artifacts — the full (frozen) dataset and
-// the global MaxScore queue — live in the holder it is made over; it is safe
-// for concurrent Run calls, and the backends it is handed per call do the
-// shard-side work.
+// Coordinator drives sharded queries: over in-process shards through the
+// serial candidate loop (RunLocal), over any backends through the windowed
+// scatter-gather plan (Run). The coordinator-side artifacts — the full
+// (frozen) dataset and the global MaxScore queue — live in the holder it is
+// made over; it is safe for concurrent calls, and the shards it is handed per
+// call do the shard-side work.
 type Coordinator struct {
 	ds   *data.Dataset
 	part *core.Prepared
@@ -46,26 +47,22 @@ type pass struct {
 	others   []int // per live shard: rows held by the other live shards
 
 	wg      sync.WaitGroup
-	reqs    []Request // each shard's copy of the request: Residual or Bounds differ
+	reqs    []Request // each shard's copy of the request: Residual and Span differ
 	results [][]int32
-	// bounds holds each live shard's bounds-phase answers for the exact
-	// phase's candidates, compacted in place in the bounds phase's results.
-	bounds [][]int32
-	errs   []error
+	errs    []error
 }
 
 // scatter fans one request to the live backends concurrently — one goroutine
 // per shard but the last, whose call runs here — and gathers the per-shard
 // result vectors, indexed by position in live and valid until the next
 // scatter. A ModeBounds request carries τ pushed down as each
-// shard's residual: τ minus the rows of the other live shards; a ModeScores
-// one carries each shard's own bounds, when bounds is non-nil.
+// shard's residual: τ minus the rows of the other live shards.
 //
 // In a trace the fan-out is one phase span under sp — "scatter" for the
 // bounds phase, "gather" for the exact-score phase, matching the stage
 // histogram labels — with one "shard" child per live backend, set on that
 // shard's request so whatever replica attempts happen beneath it nest there.
-func (p *pass) scatter(ctx context.Context, sp *obs.Span, req Request, bounds [][]int32) ([][]int32, error) {
+func (p *pass) scatter(ctx context.Context, sp *obs.Span, req Request) ([][]int32, error) {
 	phase := "gather"
 	if req.Mode == ModeBounds {
 		phase = "scatter"
@@ -93,8 +90,6 @@ func (p *pass) scatter(ctx context.Context, sp *obs.Span, req Request, bounds []
 		p.reqs[i] = req
 		if req.Mode == ModeBounds {
 			p.reqs[i].Residual = req.Tau - p.others[i]
-		} else if bounds != nil {
-			p.reqs[i].Bounds = bounds[i]
 		}
 		if i == len(p.live)-1 {
 			call(i, s) // this goroutine would only wait: the last call is its own
@@ -123,9 +118,10 @@ type RunOptions struct {
 	AllowPartial bool
 	// Outcome, when non-nil, receives the query's coverage report.
 	Outcome *Outcome
-	// Trace, when non-nil, is the span the query runs under: it receives the
-	// τ trajectory at window granularity and one "window" child per batch,
-	// under which the scatter and gather phases nest.
+	// Trace, when non-nil, is the span the query runs under: under Run it
+	// receives the τ trajectory at window granularity and one "window" child
+	// per batch, under which the scatter and gather phases nest; under
+	// RunLocal the τ trajectory alone.
 	Trace *obs.Span
 }
 
@@ -142,8 +138,9 @@ type Outcome struct {
 	DownShards []int
 }
 
-// Run executes one IBIG query over the backends and returns the answer —
-// byte-identical to the unsharded run's — plus coordinator-side stats. ctx
+// Run executes one IBIG query over the backends through the windowed
+// scatter-gather plan — the peer plan — and returns the answer,
+// byte-identical to the unsharded run's, plus coordinator-side stats. ctx
 // cancellation aborts the query (and its in-flight scatter calls) with the
 // context's error.
 //
@@ -183,6 +180,113 @@ func (c *Coordinator) Run(ctx context.Context, k int, backends []Backend, opts R
 		// aborted attempt are discarded wholesale — mixing pre- and
 		// post-failure coverage would make the scores incomparable.
 	}
+}
+
+// RunLocal executes one IBIG query over in-process shards, every one a
+// Local, through core's serial candidate loop (core.SerialRun) — the paper's
+// loop, with τ current at every candidate — and one cross-shard scorer. It
+// starts no goroutine and opens no window: with nothing to overlap, the
+// windowed plan's fan-outs and window-start τ only cost (Run is the peer
+// plan). The answer is byte-identical to the unsharded run's, and so are
+// Stats' Candidates and PrunedH1: a candidate the cross-shard heuristics
+// prune scores at most τ, as one the serial heuristics prune does, and its
+// missing offer leaves the heap as it was. A Local cannot fail, so the answer
+// always covers every row (opts.Outcome) and opts.AllowPartial has nothing to
+// degrade. opts.Trace receives the τ trajectory every core.WindowSize
+// candidates and nothing else; ctx is checked as often.
+func (c *Coordinator) RunLocal(ctx context.Context, k int, shards []*Local, opts RunOptions) (core.Result, core.Stats, error) {
+	rows := 0
+	for _, l := range shards {
+		rows += l.Rows()
+	}
+	if rows != c.ds.Len() {
+		return core.Result{}, core.Stats{}, fmt.Errorf("shard: shards cover %d rows, dataset has %d", rows, c.ds.Len())
+	}
+	var res core.Result
+	var st core.Stats
+	if k > 0 && rows > 0 {
+		s := newCrossScorer(c.ds, shards)
+		defer s.release()
+		var err error
+		res, st, err = core.SerialRun(ctx, c.ds, k, c.part.Ensure(core.NeedQueue).Queue, s, opts.Trace)
+		if err != nil {
+			return core.Result{}, st, err
+		}
+		c.met.pushdowns.Add(int64(st.PrunedH2)) // every H2 prune here is a cross-shard one
+	}
+	if opts.Outcome != nil {
+		*opts.Outcome = Outcome{CoveredRows: rows, TotalRows: rows}
+	}
+	return res, st, nil
+}
+
+// crossScorer is RunLocal's core.Scorer: a candidate's score summed over the
+// non-empty shards' foreign scorers, with Heuristics 2 and 3 applied across
+// shards against the serial loop's τ.
+type crossScorer struct {
+	ds     *data.Dataset
+	shards []shardScorer
+}
+
+// shardScorer is one shard's part of a crossScorer.
+type shardScorer struct {
+	f     core.ForeignScorer
+	after int // rows of the shards after this one
+	bound int // the current candidate's bound here, once the bounds pass has set it
+}
+
+func newCrossScorer(ds *data.Dataset, shards []*Local) *crossScorer {
+	s := &crossScorer{ds: ds, shards: make([]shardScorer, 0, len(shards))}
+	after := ds.Len()
+	for _, l := range shards {
+		if l.Rows() == 0 {
+			continue // more shards than rows: nothing to bound or score
+		}
+		after -= l.Rows()
+		s.shards = append(s.shards, shardScorer{f: *core.NewForeignScorer(l.Dataset(), l.Ensure(core.NeedBinned).Binned), after: after})
+	}
+	return s
+}
+
+// release hands every shard's cursor back to its index.
+func (s *crossScorer) release() {
+	for i := range s.shards {
+		s.shards[i].f.Release()
+	}
+}
+
+// Score implements core.Scorer: steps 2 and 3 of the in-process plan (the
+// package doc), the shards asked one after another so that each one's
+// threshold is as tight as the earlier ones' bounds allow. Comparisons are not
+// reported: a foreign scorer does not count its walk.
+func (s *crossScorer) Score(o, tau int) (int, core.ScoreResult, int64) {
+	c := s.ds.Obj(o)
+	if tau < 0 { // the heap is not full: nothing prunes
+		score := 0
+		for i := range s.shards {
+			p, _ := s.shards[i].f.Score(c, core.NoBound, core.NoBudget)
+			score += p
+		}
+		return score, core.Scored, 0
+	}
+	sum := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		b, above := sh.f.BoundAbove(c, tau-sum-sh.after)
+		if !above {
+			return 0, core.PrunedH2, 0
+		}
+		sh.bound, sum = b, sum+b
+	}
+	score := 0
+	for i := range s.shards {
+		p, ok := s.shards[i].f.Score(c, s.shards[i].bound, sum-tau)
+		if !ok {
+			return 0, core.PrunedH3, 0
+		}
+		score += p
+	}
+	return score, core.Scored, 0
 }
 
 func anyDown(down []bool) bool {
@@ -242,8 +346,7 @@ func (c *Coordinator) runOnce(ctx context.Context, k int, backends []Backend, do
 		p.others[i] = liveRows - backends[s].Rows()
 	}
 	p.reqs = make([]Request, len(p.live))
-	vecs := make([][]int32, 2*len(p.live))
-	p.results, p.bounds = vecs[:len(p.live)], vecs[len(p.live):]
+	p.results = make([][]int32, len(p.live))
 	p.errs = make([]error, len(p.live))
 
 	// size is the next window's width. Pruning against τ starts once k
@@ -296,14 +399,13 @@ func (c *Coordinator) runOnce(ctx context.Context, k int, backends []Backend, do
 		}
 
 		budgets = budgets[:0]
-		var bounds [][]int32 // each shard's answers for the survivors, nil without a bounds phase
 		if tau >= 0 && len(cands) > 0 {
 			// Bounds phase: push τ down as per-shard residuals and prune
 			// candidates whose per-shard bound sum cannot beat it. Only the
 			// Heuristic-1 survivors scatter — the dropped ones would cost a
 			// bound walk per shard (and wire payload per candidate for
 			// remote shards) just to be ignored.
-			res, err := p.scatter(ctx, wsp, Request{Mode: ModeBounds, Tau: tau, Cands: cands}, nil)
+			res, err := p.scatter(ctx, wsp, Request{Mode: ModeBounds, Tau: tau, Cands: cands})
 			if err != nil {
 				wsp.End()
 				return core.Result{}, st, err
@@ -323,32 +425,19 @@ func (c *Coordinator) runOnce(ctx context.Context, k int, backends []Backend, do
 				// rows it finds not dominated, so the total is at most sum minus
 				// any one shard's count: a shard that counts more than
 				// sum − τ has proved the total below τ and stops there.
-				//
-				// Every bound of a survivor is exact: a shard that capped its
-				// answer at its residual τ − others holds the sum to at most τ,
-				// an honest shard's answer being within its rows. So each
-				// shard gets its own answer back, and a Local scores from it
-				// instead of counting |Q_s| again (Request.Bounds).
 				ids[n], cands[n] = ids[i], cands[i]
-				for s := range res {
-					res[s][n] = res[s][i]
-				}
 				budgets = append(budgets, sum-tau)
 				n++
 			}
 			c.met.pushdowns.Add(int64(len(cands) - n))
 			ids, cands = ids[:n], cands[:n]
-			for s := range res {
-				p.bounds[s] = res[s][:n]
-			}
-			bounds = p.bounds
 		}
 
 		// Exact phase over the survivors. A candidate any shard answered
 		// Pruned scores below the window-start τ: its offer would be a no-op,
 		// exactly as the serial loop's Heuristic 3 prune is.
 		if len(cands) > 0 {
-			scores, err := p.scatter(ctx, wsp, Request{Mode: ModeScores, Tau: tau, Cands: cands, Budgets: budgets}, bounds)
+			scores, err := p.scatter(ctx, wsp, Request{Mode: ModeScores, Tau: tau, Cands: cands, Budgets: budgets})
 			if err != nil {
 				wsp.End()
 				return core.Result{}, st, err

@@ -7,11 +7,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Metrics aggregates one sharded dataset's scatter-gather counters: how many
-// shard calls fanned out, how many candidates the pushed-down τ pruned
-// before exact scoring, and a per-shard latency histogram (the lens for
-// spotting a straggler shard). Counters persist across shard reloads and
-// epoch swaps.
+// Metrics aggregates one sharded dataset's counters: how many candidates the
+// pushed-down τ pruned before exact scoring (either plan), and for the
+// windowed plan (Run) how many shard calls fanned out and a per-shard
+// latency histogram (the lens for spotting a straggler peer). RunLocal makes
+// no shard call and reads no clock per candidate, so in-process shards leave
+// those two at zero. Counters persist across shard reloads and epoch swaps.
 type Metrics struct {
 	fanout    atomic.Int64
 	pushdowns atomic.Int64
@@ -38,11 +39,12 @@ type ShardLatency = obs.HistogramSnapshot
 
 // Snapshot is a point-in-time copy of the metrics.
 type Snapshot struct {
-	// Fanout counts shard scatter calls (one per shard per phase per window).
+	// Fanout counts the windowed plan's shard scatter calls (one per shard
+	// per phase per window).
 	Fanout int64
 	// TauPushdowns counts candidates pruned because their per-shard bound
 	// sum could not beat the pushed-down global τ — the cross-shard form of
-	// bitmap pruning.
+	// bitmap pruning, on either plan.
 	TauPushdowns int64
 	// Retries counts scatter calls re-issued to another replica after a
 	// retryable failure (or a stale 409 replica-switch).
@@ -53,7 +55,7 @@ type Snapshot struct {
 	// Degraded counts queries answered in AllowPartial degraded mode —
 	// exact over the live row-ranges, with at least one shard down.
 	Degraded int64
-	// PerShard holds each shard's scatter-latency histogram.
+	// PerShard holds each shard's scatter-latency histogram (windowed plan).
 	PerShard []ShardLatency
 }
 

@@ -148,9 +148,8 @@ func (r *Remote) Rows() int { return r.to - r.from }
 func (r *Remote) Fingerprint() uint64 { return r.fp }
 
 // Partial implements Backend: one HTTP round trip per scatter batch,
-// cancelled with ctx. req.Bounds is not sent: the peer counts |Q_s| on its
-// own index (Request.Bounds). A traced call (req.Span) carries the span as
-// its traceparent and records the peer's summary in it.
+// cancelled with ctx. A traced call (req.Span) carries the span as its
+// traceparent and records the peer's summary in it.
 func (r *Remote) Partial(ctx context.Context, req *Request) ([]int32, error) {
 	wr := WireRequest{
 		Dataset:     r.dataset,

@@ -9,47 +9,64 @@
 // mask), while the coordinator owns the full dataset, the global MaxScore
 // queue, and the candidate heap.
 //
-// The protocol serves one plan, IBIG's (§4.4); a sharded dataset runs the
-// paper's other four unsharded, over the coordinator's full rows (repro/tkd).
+// The protocol serves one algorithm, IBIG's (§4.4); a sharded dataset runs
+// the paper's other four unsharded, over the coordinator's full rows
+// (repro/tkd). It has two plans, one per topology.
 //
-// A query walks the queue in windows through the same core.Frontier seam
-// the in-process parallel engine uses. τ is live once k candidates have been
-// offered, so the windows ramp: the first is exactly the k candidates that
-// fill the heap, each later one doubles up to core.WindowSize.
+// In-process shards (every backend a Local) run core's serial candidate loop
+// (Coordinator.RunLocal), the paper's Algorithm 4 with τ current at every
+// candidate, scoring each candidate on one shard after another:
+//
+//  1. Heuristic 1 is the loop's own: it stops at the first bound that cannot
+//     beat τ.
+//  2. Bounds: shard i answers whether its bound b_i = |Q_i| − |F_i| — its
+//     bound net of the rows sharing no dimension with the candidate — beats
+//     τ − Σ_{j<i} b_j − Σ_{j>i} rows_j, so its threshold-aware |∩Qi| walk
+//     can bail out early. A "no" holds the bound sum to at most τ and prunes
+//     the candidate (the cross-shard form of Heuristic 2).
+//  3. Exact scores: each shard scores from its own b_i (it does not count
+//     |Q_i| again) under the budget B − τ, B = Σ b_i. On every shard
+//     score_i = b_i − nonD_i, nonD_i being the comparable rows of Q_i the
+//     candidate does not dominate, so the total is at most B − nonD_i for any
+//     one shard: a shard whose own nonD_i exceeds the budget stops, and the
+//     candidate is pruned (the cross-shard form of Heuristic 3). Otherwise
+//     the partial scores sum to the exact score, offered to the heap.
+//
+// The loop starts no goroutine: on one machine there is no latency for a
+// fan-out to overlap.
+//
+// Peer shards are reached over the network, so a query batches candidates
+// into windows and scatters each window to every shard at once (Run). It
+// walks the queue through the core.Frontier seam the in-process parallel
+// engine uses, against τ as it stood at the window's start. τ is live once k
+// candidates have been offered, so the windows ramp: the first is exactly the
+// k candidates that fill the heap, each later one doubles up to
+// core.WindowSize.
 //
 //  1. Heuristic 1 stays global: the frontier stops once the window's best
 //     bound cannot beat τ, and per-candidate bounds are rechecked against
-//     the live τ before any scatter.
-//  2. Bounds phase (once the heap is full): the window fans out
-//     to every shard with the global τ *pushed down* as a per-shard
-//     residual — τ minus the other shards' row counts — so a shard's
-//     threshold-aware |∩Qi| walk can bail out early. A shard answers
-//     b_s = |Q_s| − |F_s|, its bound net of the rows sharing no dimension
-//     with the candidate; a candidate whose bounds sum to at most τ is
-//     pruned without exact scoring (the cross-shard form of Heuristic 2).
-//  3. Exact phase: survivors fan out again, each with the budget
-//     B − τ, B = Σ b_s, and each in-process shard with its own b_s. A
-//     survivor's b_s are all exact: a shard that capped its answer at the
-//     residual makes the sum at most τ. So a Local scores from
-//     |Q_s| = b_s + |F_s| and does not count it again; a peer, whose index
-//     layout the coordinator cannot pin, counts it (Request.Bounds). On
-//     every shard score_s = b_s − nonD_s, nonD_s being the comparable rows
-//     of Q_s the candidate does not dominate, so the total is at most
-//     B − nonD_s for any one shard: a shard whose own nonD_s exceeds the
-//     budget stops and answers Pruned (the cross-shard form of Heuristic 3),
-//     and one such answer drops the candidate. Otherwise each shard returns
-//     its exact partial score; the coordinator sums them and offers them to
-//     the answer heap.
+//     the window's τ before any scatter.
+//  2. Bounds phase (once the heap is full): the window fans out to every
+//     shard with τ pushed down as a per-shard residual — τ minus the other
+//     shards' row counts. A shard answers b_s, or a cap when it proves b_s
+//     at most its residual, and a candidate whose answers sum to at most τ
+//     is pruned.
+//  3. Exact phase: survivors fan out again, each with the budget B − τ. A
+//     peer counts |Q_s| again — a bound is valid only on the index that
+//     counted it, and the two phases may reach different replicas — and
+//     answers its partial score or Pruned; one Pruned drops the candidate,
+//     and the coordinator sums the rest and offers them to the heap.
 //
-// The heap is a core.AnswerHeap over the global queue's bounds, so it orders
-// items as every in-process run does (core.Result): a pruned candidate either
-// scores below τ or ties it and comes after every heap member in queue order,
-// losing the tie. The answer set, ranks and scores come out byte-identical,
-// including ties at the k-th score.
+// On either plan the heap is a core.AnswerHeap over the global queue's
+// bounds, so it orders items as every in-process run does (core.Result): a
+// pruned candidate either scores below τ or ties it and comes after every
+// heap member in queue order, losing the tie. The answer set, ranks and
+// scores come out byte-identical, including ties at the k-th score.
 //
 // Shards are served in-process (Local, a zero-copy slice of the frozen
 // epoch) or by a remote tkdserver peer speaking the small HTTP protocol in
-// remote.go / peer.go; the coordinator cannot tell the difference.
+// remote.go / peer.go; Run cannot tell the difference, and its tests drive it
+// over Locals.
 package shard
 
 import (
@@ -98,15 +115,6 @@ type Request struct {
 	// may answer Pruned instead of its partial score. Empty asks for exact
 	// scores unconditionally.
 	Budgets []int
-	// Bounds, when non-empty on ModeScores, holds one entry per candidate:
-	// this shard's exact (uncapped) bounds-phase answer |Q_s| − |F_s| for it,
-	// so a Local scores from it instead of counting |Q_s| again. A bound is
-	// valid only on the index that counted it, so it stays in the process:
-	// Remote does not send it and the peer counts |Q_s| itself. A peer lays
-	// its slice out from its own dataset (NewLocal), and the two phases may
-	// reach different replicas, or one peer before and after a reload, whose
-	// datasets differ past the slice. Empty counts |Q_s| here.
-	Bounds []int32
 	// Span is the trace span the call records under; nil is untraced. The
 	// coordinator sets each shard's "shard" span here, a ReplicaSet opens its
 	// "retry" and "attempt" spans under it and hands each attempt's span on
@@ -137,9 +145,9 @@ type Backend interface {
 
 // Local is an in-process shard: a core.Prepared over a row-range slice of a
 // frozen epoch — its binned index is built, loaded, saved, budgeted and
-// counted there, exactly as the epoch's own is. A Partial scores through a
-// foreign scorer whose cursor the index pools. Safe for concurrent use; a
-// warm Partial takes no lock.
+// counted there, exactly as the epoch's own is. A Partial — or RunLocal,
+// which calls no Partial — scores through a foreign scorer whose cursor the
+// index pools. Safe for concurrent use; a warm query takes no lock.
 type Local struct {
 	*core.Prepared
 }
@@ -180,21 +188,6 @@ func checkBudgets(mode Mode, budgets, cands int) error {
 	return nil
 }
 
-// checkBounds is the Request.Bounds shape rule: exact phase only, one per
-// candidate or none.
-func checkBounds(mode Mode, bounds, cands int) error {
-	if bounds == 0 {
-		return nil
-	}
-	if mode != ModeScores {
-		return fmt.Errorf("shard: bounds on a bounds request")
-	}
-	if bounds != cands {
-		return fmt.Errorf("shard: %d bounds for %d candidates", bounds, cands)
-	}
-	return nil
-}
-
 // ctxCheckStride is how many candidates a Local scores between context
 // checks — fine enough that cancellation lands within microseconds, coarse
 // enough that the atomic load never shows up in a profile.
@@ -206,9 +199,6 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 		return nil, err
 	}
 	if err := checkBudgets(req.Mode, len(req.Budgets), len(req.Cands)); err != nil {
-		return nil, err
-	}
-	if err := checkBounds(req.Mode, len(req.Bounds), len(req.Cands)); err != nil {
 		return nil, err
 	}
 	out := make([]int32, len(req.Cands))
@@ -243,14 +233,11 @@ func (l *Local) Partial(ctx context.Context, req *Request) ([]int32, error) {
 					return nil, err
 				}
 			}
-			bound, budget := core.NoBound, core.NoBudget
-			if len(req.Bounds) > 0 {
-				bound = int(req.Bounds[i])
-			}
+			budget := core.NoBudget
 			if len(req.Budgets) > 0 {
 				budget = req.Budgets[i]
 			}
-			if score, ok := s.Score(c, bound, budget); ok {
+			if score, ok := s.Score(c, core.NoBound, budget); ok {
 				out[i] = int32(score)
 			} else {
 				out[i] = Pruned

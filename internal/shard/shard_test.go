@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"testing"
 
@@ -59,6 +58,64 @@ func TestCoordinatorMatchesSerial(t *testing.T) {
 				}
 				assertEqual(t, fmt.Sprintf("%v n=%d k=%d", alg, n, k), want, got)
 			}
+		}
+	}
+}
+
+// TestWindowedTraceTree pins the span tree a traced Run — the peer plan —
+// records under RunOptions.Trace: one window span per batch, under it a
+// scatter (bounds phase) or gather (exact phase) span per fan-out, and under
+// that one shard span per backend, in whatever order their calls started,
+// with the τ trajectory on the run's own span. (RunLocal, the in-process
+// plan, records τ samples alone: tkd's TestShardedTraceTree.)
+func TestWindowedTraceTree(t *testing.T) {
+	const shards = 3
+	ds := testDataset(3000)
+	c := NewCoordinator(core.NewPrepared(ds, nil), nil)
+	for _, k := range []int{1, 7, 40} {
+		tr := obs.New("query")
+		_, st, err := c.Run(context.Background(), k, localBackends(ds, shards), RunOptions{Trace: tr.Root()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Root().End()
+		root := tr.JSON().Root
+		if len(root.Tau) == 0 {
+			t.Fatalf("k=%d: the run's span holds no τ sample", k)
+		}
+		windows := root.Children
+		if len(windows) != st.Windows || len(windows) < 2 {
+			t.Fatalf("k=%d: %d children for %d windows, want one window span each and at least two", k, len(windows), st.Windows)
+		}
+		phases := map[string]int{}
+		for _, w := range windows {
+			if w.Name != "window" {
+				t.Fatalf("k=%d: child %q, want window", k, w.Name)
+			}
+			for _, ph := range w.Children {
+				if ph.Name != "scatter" && ph.Name != "gather" {
+					t.Fatalf("k=%d: window child %q, want scatter or gather", k, ph.Name)
+				}
+				phases[ph.Name]++
+				if len(ph.Children) != shards {
+					t.Fatalf("k=%d: %s span has %d children, want one per shard", k, ph.Name, len(ph.Children))
+				}
+				seen := map[any]bool{}
+				for _, sh := range ph.Children {
+					if sh.Name != "shard" {
+						t.Fatalf("k=%d: %s child %q, want shard", k, ph.Name, sh.Name)
+					}
+					seen[sh.Attrs["shard"]] = true
+				}
+				for i := range shards {
+					if !seen[int64(i)] {
+						t.Fatalf("k=%d: %s span has no shard %d child", k, ph.Name, i)
+					}
+				}
+			}
+		}
+		if phases["scatter"] == 0 || phases["gather"] == 0 {
+			t.Fatalf("k=%d: phases %v, want both a scatter and a gather", k, phases)
 		}
 	}
 }
@@ -140,102 +197,6 @@ func TestShardedWorkBounded(t *testing.T) {
 			if cycleSharded > 2*cycleSerial {
 				t.Errorf("%v n=%d coarse=%v: sharded scored %d over the k cycle, serial %d", alg, n, coarse, cycleSharded, cycleSerial)
 			}
-		}
-	}
-}
-
-// boundsAuditor wraps a Local and holds every bound the coordinator forwards
-// to it to the exact-phase contract: the shard's own bounds-phase answer for
-// the candidate, and that answer exact — |Q_s| − |F_s| as the shard's index
-// counts it with no threshold — never one capped at the residual. One query's
-// calls on one backend are sequential, so the answer map needs no lock.
-type boundsAuditor struct {
-	*Local
-	t        *testing.T
-	answered map[*data.Object]int32
-	// forwarded and capped count the bounds checked and the bounds-phase
-	// answers that were caps, so the test can tell the check was not vacuous.
-	forwarded, capped int
-}
-
-func (a *boundsAuditor) Partial(ctx context.Context, req *Request) ([]int32, error) {
-	fs := core.NewForeignScorer(a.Dataset(), a.Ensure(core.NeedBinned).Binned)
-	exact := func(c *data.Object) int32 {
-		b, _ := fs.BoundAbove(c, -1) // below every bound: never capped
-		return int32(b)
-	}
-	for i, b := range req.Bounds {
-		a.forwarded++
-		c := req.Cands[i]
-		if want := exact(c); b != want {
-			a.t.Errorf("candidate %q: forwarded bound %d, the exact bound is %d", c.ID, b, want)
-		}
-		if got, ok := a.answered[c]; !ok || got != b {
-			a.t.Errorf("candidate %q: forwarded bound %d, the bounds phase answered %d (seen %v)", c.ID, b, got, ok)
-		}
-	}
-	res, err := a.Local.Partial(ctx, req)
-	if err == nil && req.Mode == ModeBounds {
-		for i, c := range req.Cands {
-			a.answered[c] = res[i]
-			if res[i] != exact(c) {
-				a.capped++
-			}
-		}
-	}
-	return slices.Clone(res), err // the coordinator compacts what it is given
-}
-
-// TestForwardedBoundsAreExact runs BIG and IBIG at every k from 1 to 64 over
-// three audited shards — fully, then degraded with one shard down under
-// AllowPartial — and checks the answers against the serial run (the degraded
-// ones against brute force over the live rows) while every bound the exact
-// phase receives is audited.
-func TestForwardedBoundsAreExact(t *testing.T) {
-	ds := testDataset(3000)
-	const n = 3
-	pre := core.Preprocess(ds, nil)
-	auditors := make([]*boundsAuditor, n)
-	full := make([]Backend, n)
-	for i := range full {
-		l := coarseBackends(ds, n, 12)[i].(*Local) // of 15 values: rows to walk
-		auditors[i] = &boundsAuditor{Local: l, t: t, answered: map[*data.Object]int32{}}
-		full[i] = auditors[i]
-	}
-	down, err := NewReplicaSet(1, []Backend{downBackend{full[1]}}, chaosPolicy(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	degraded := []Backend{full[0], down, full[2]}
-	scores := make([]int, ds.Len())
-	for i := range scores {
-		for _, s := range []int{0, 2} {
-			scores[i] += core.ForeignScore(auditors[s].Dataset(), ds.Obj(i))
-		}
-	}
-
-	c := NewCoordinator(core.NewPrepared(ds, nil), nil)
-	alg := core.AlgIBIG
-	for k := 1; k <= 64; k++ {
-		want, _ := core.Run(alg, ds, k, pre)
-		got, _, err := c.Run(context.Background(), k, full, RunOptions{})
-		if err != nil {
-			t.Fatalf("%v k=%d: %v", alg, k, err)
-		}
-		assertEqual(t, fmt.Sprintf("%v k=%d", alg, k), want, got)
-
-		var out Outcome
-		got, _, err = c.Run(context.Background(), k, degraded, RunOptions{AllowPartial: true, Outcome: &out})
-		if err != nil || !out.Degraded {
-			t.Fatalf("%v k=%d degraded: %v (outcome %+v)", alg, k, err, out)
-		}
-		if want := bruteTopK(ds, scores, k); !slices.Equal(got.Items, want) {
-			t.Fatalf("%v k=%d: degraded answer %v, brute force over live rows %v", alg, k, got.Items, want)
-		}
-	}
-	for i, a := range auditors {
-		if a.forwarded == 0 || a.capped == 0 {
-			t.Errorf("shard %d: %d bounds forwarded, %d bounds-phase answers capped — the audit is vacuous", i, a.forwarded, a.capped)
 		}
 	}
 }

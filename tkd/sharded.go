@@ -23,11 +23,13 @@ import (
 // published epoch with its own binned bitmap index,
 // servable in-process or by a remote tkdserver peer, while the coordinator
 // keeps the full data and the global MaxScore queue. Answers are
-// byte-identical to the unsharded plan's for every algorithm: IBIG scatters,
-// the coordinator offering exact summed partial scores to an answer heap in
-// the one answer order (Result) and pruning across shards with the
-// pushed-down global τ (package repro/internal/shard); the other four run
-// unsharded over the full rows and the global queue.
+// byte-identical to the unsharded plan's for every algorithm: IBIG runs
+// through the coordinator, which offers exact summed partial scores to an
+// answer heap in the one answer order (Result) and prunes across shards with
+// the pushed-down global τ — over in-process shards in the serial candidate
+// loop, over peers in windows scattered to them all (package
+// repro/internal/shard); the other four run unsharded over the full rows and
+// the global queue.
 //
 // The per-epoch shard set is lazily built state of the snapshot, next to the
 // epoch's own artifacts: the first query (or Prepare) on an epoch slices it
@@ -181,11 +183,13 @@ func (d *Dataset) Shards() int {
 	return 0
 }
 
-// shardSet is one epoch's shard backends behind their coordinator; parts
-// lists the in-process ones' artifact holders (see snapshot.parts).
+// shardSet is one epoch's shard backends behind their coordinator. On an
+// in-process topology locals holds every backend as its Local and parts their
+// artifact holders (see snapshot.parts); both are nil on a peer topology.
 type shardSet struct {
 	coord    *shard.Coordinator
 	backends []shard.Backend
+	locals   []*shard.Local
 	parts    []*core.Prepared
 }
 
@@ -234,6 +238,7 @@ func (t *topology) build(global *core.Prepared, warm *shardSet) *shardSet {
 				}
 			}
 			ss.backends[i] = l
+			ss.locals = append(ss.locals, l)
 			ss.parts = append(ss.parts, l.Prepared)
 			continue
 		}
@@ -353,13 +358,24 @@ func (ss *shardSet) queueRuns(ds *data.Dataset) []core.QueueRun {
 	return runs
 }
 
-// run is TopK's sharded IBIG arm: the coordinator walks the global queue and
-// fans windows out to the backends. eng wraps the whole scatter-gather run:
-// the coordinator records its τ samples and window spans under it.
+// run is TopK's sharded IBIG arm: the coordinator walks the global queue. Over
+// in-process shards it runs the serial candidate loop, scoring each candidate
+// on every shard in turn (shard.Coordinator.RunLocal); over peers it fans
+// windows of candidates out to the backends (shard.Coordinator.Run). eng
+// wraps the whole run: the coordinator records its τ samples under it, and
+// the peer plan its window spans.
 func (ss *shardSet) run(ctx context.Context, k int, allowPartial bool, eng *obs.Span) (Result, Stats, Degradation, error) {
 	eng.SetInt("shards", int64(len(ss.backends)))
 	var outcome shard.Outcome
-	res, st, err := ss.coord.Run(ctx, k, ss.backends, shard.RunOptions{AllowPartial: allowPartial, Outcome: &outcome, Trace: eng})
+	opts := shard.RunOptions{AllowPartial: allowPartial, Outcome: &outcome, Trace: eng}
+	var res Result
+	var st Stats
+	var err error
+	if ss.locals != nil {
+		res, st, err = ss.coord.RunLocal(ctx, k, ss.locals, opts)
+	} else {
+		res, st, err = ss.coord.Run(ctx, k, ss.backends, opts)
+	}
 	if err == nil && outcome.Degraded {
 		eng.SetInt("degraded", 1)
 		eng.SetInt("covered_rows", int64(outcome.CoveredRows))

@@ -2,16 +2,19 @@ package tkd
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bitmapidx"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/shard"
 )
@@ -119,37 +122,164 @@ func TestShardedCrosscheckTies(t *testing.T) {
 	}
 }
 
-// TestShardedTauPushdown asserts the cross-shard pruning is observable: an
-// IBIG run over enough data must prune at least one candidate through the
-// pushed-down τ, and must have fanned out to every shard.
+// TestShardedTauPushdown asserts the cross-shard pruning is observable on
+// both plans: an IBIG run over enough data must prune at least one candidate
+// through the pushed-down τ. Over in-process shards every Heuristic 2 prune
+// is one (the serial loop's cross-shard scorer), and no peer call is made —
+// fan-out and the per-shard latency histograms count peer calls alone. Over
+// a peer, the windowed plan fans out to every shard and times each call.
 func TestShardedTauPushdown(t *testing.T) {
 	// Anti-correlated data with a high missing rate keeps several hundred
 	// candidates past Heuristic 1, so the query spans multiple windows and
 	// the bounds phase runs with a live τ (the serial run prunes ~200 of
 	// these through Heuristic 2).
-	ds := GenerateAC(3000, 4, 20, 0.4, 9)
-	sd, err := Shard(ds, "push", WithShards(4))
+	mk := func() *Dataset { return GenerateAC(3000, 4, 20, 0.4, 9) }
+	want, err := mk().TopK(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sd.TopK(16, WithAlgorithm(IBIG)); err != nil {
-		t.Fatal(err)
-	}
-	m := sd.Metrics()
-	if m.TauPushdowns == 0 {
-		t.Fatalf("expected τ push-down prunes on an IBIG run, metrics: %+v", m)
-	}
-	if m.Fanout == 0 {
-		t.Fatal("expected shard fan-out calls")
-	}
-	if len(m.PerShard) != 4 {
-		t.Fatalf("expected 4 per-shard histograms, got %d", len(m.PerShard))
-	}
-	for s, h := range m.PerShard {
-		if h.Count == 0 {
-			t.Fatalf("shard %d observed no scatter calls", s)
+	ref := mk()
+	peer := shard.NewPeer(func(string) (*data.Dataset, uint64, bool) { return ref.ShardData(), ref.Epoch(), true })
+	ts := httptest.NewServer(peer)
+	defer ts.Close()
+	for _, remote := range []bool{false, true} {
+		opts := []ShardOption{WithShards(4)}
+		if remote {
+			opts = append(opts, WithShardPeers(ts.URL))
+		}
+		sd, err := Shard(mk(), "push", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sd.Close()
+		var st Stats
+		got, err := sd.TopK(16, WithAlgorithm(IBIG), WithStats(&st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, fmt.Sprintf("remote=%v", remote), want, got)
+		m := sd.Metrics()
+		if m.TauPushdowns == 0 {
+			t.Fatalf("remote=%v: expected τ push-down prunes on an IBIG run, metrics: %+v", remote, m)
+		}
+		if len(m.PerShard) != 4 {
+			t.Fatalf("remote=%v: expected 4 per-shard histograms, got %d", remote, len(m.PerShard))
+		}
+		if !remote {
+			if m.TauPushdowns != int64(st.PrunedH2) || m.Fanout != 0 {
+				t.Fatalf("in-process: %d push-downs for %d Heuristic 2 prunes, %d fan-out calls; want equal, and none", m.TauPushdowns, st.PrunedH2, m.Fanout)
+			}
+			for s, h := range m.PerShard {
+				if h.Count != 0 {
+					t.Fatalf("in-process shard %d observed %d peer calls", s, h.Count)
+				}
+			}
+			continue
+		}
+		if m.Fanout == 0 {
+			t.Fatal("remote: expected shard fan-out calls")
+		}
+		for s, h := range m.PerShard {
+			if h.Count == 0 {
+				t.Fatalf("remote: shard %d observed no scatter calls", s)
+			}
 		}
 	}
+}
+
+// TestInProcessShardsRunTheSerialLoop holds the in-process sharded plan
+// (shard.Coordinator.RunLocal) to core's serial IBIG on a tie-heavy,
+// low-cardinality dataset, for every k and every shard count from 1 to 5 and
+// more shards than rows: the answer is byte-identical to core.Run(AlgIBIG),
+// and Candidates and PrunedH1 equal the serial run's — both loops offer the
+// heap the same scores that matter, so τ moves alike and they stop at one
+// place. A warm query starts no goroutine: every context check the query
+// makes sees the goroutine count it started with. Then concurrent queries
+// share each shard's cursor pool (CI runs this under the race detector).
+func TestInProcessShardsRunTheSerialLoop(t *testing.T) {
+	const rows = 60
+	mk := func() *Dataset { return GenerateIND(rows, 3, 3, 0.3, 4) }
+	src := mk().ShardData()
+	pre := core.Preprocess(src, nil)
+	want := make([]Result, rows+1)
+	wantSt := make([]Stats, rows+1)
+	for k := 1; k <= rows; k++ {
+		want[k], wantSt[k] = core.Run(core.AlgIBIG, src, k, pre)
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, rows + 3} {
+		sd, err := Shard(mk(), "d", WithShards(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= rows; k++ {
+			var st Stats
+			got, err := sd.TopK(k, WithStats(&st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("shards=%d k=%d", n, k)
+			if !slices.Equal(got.Items, want[k].Items) {
+				t.Fatalf("%s: %v, serial IBIG %v", what, got.Items, want[k].Items)
+			}
+			if st.Candidates != wantSt[k].Candidates || st.PrunedH1 != wantSt[k].PrunedH1 {
+				t.Fatalf("%s: %d candidates and %d Heuristic 1 prunes, the serial run %d and %d",
+					what, st.Candidates, st.PrunedH1, wantSt[k].Candidates, wantSt[k].PrunedH1)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := g + 1; k <= rows; k += 4 {
+					got, err := sd.TopK(k)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !slices.Equal(got.Items, want[k].Items) {
+						t.Errorf("shards=%d k=%d, concurrent: %v, serial IBIG %v", n, k, got.Items, want[k].Items)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	// Anti-correlated rows with a high missing rate keep hundreds of
+	// candidates past Heuristic 1, so the loop checks its context mid-run.
+	sd, err := Shard(GenerateAC(3000, 4, 20, 0.4, 9), "d", WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd.PrepareFor(IBIG)
+	probe := &goroutineProbe{Context: context.Background()}
+	base := runtime.NumGoroutine()
+	var st Stats
+	if _, err := sd.TopK(16, WithContext(probe), WithStats(&st)); err != nil {
+		t.Fatal(err)
+	}
+	if probe.checks < 2 || st.Candidates <= core.WindowSize {
+		t.Fatalf("%d context checks over %d candidates: the probe saw too little of the run", probe.checks, st.Candidates)
+	}
+	if probe.most > base {
+		t.Fatalf("a warm in-process sharded query ran beside %d goroutines of its own", probe.most-base)
+	}
+}
+
+// goroutineProbe is a context that notes the most goroutines alive at any of
+// its Err calls — the checks a query's loop makes on whatever goroutine runs
+// it.
+type goroutineProbe struct {
+	context.Context
+	checks, most int
+}
+
+func (p *goroutineProbe) Err() error {
+	p.checks++
+	p.most = max(p.most, runtime.NumGoroutine())
+	return p.Context.Err()
 }
 
 // TestShardedHealthLoopsFollowThePublishedEpoch pins when a replica set's

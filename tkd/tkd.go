@@ -43,8 +43,8 @@
 // There is one dataset type and two ways to execute TopK on it. By default a
 // query runs in-process over the whole epoch. Shard attaches a shard
 // topology to the same *Dataset — N row-range shards, in-process or on
-// remote peers, behind a scatter-gather coordinator — after which TopK fans
-// out across the shards and returns byte-identical answers. Nothing else
+// remote peers, behind a coordinator — after which TopK scores across the
+// shards and returns byte-identical answers. Nothing else
 // about the dataset changes type or owner: mutations, epochs, Prepare and
 // index persistence (IndexParts) all go through the same
 // methods, which aggregate over the shards where there are any, and
@@ -528,8 +528,9 @@ type Span = obs.Span
 
 // WithTrace records the query's execution under sp as an "engine" child
 // span: the algorithm run, its pruning Stats (H1/H2/H3 counts, comparisons,
-// windows) and the τ-threshold trajectory at window granularity; on a sharded
-// dataset, the windows and their scatter and gather phases too. A nil sp
+// windows) and the τ-threshold trajectory at window granularity; on a
+// dataset sharded across peers, the windows and their scatter and gather
+// phases too. A nil sp
 // means untraced, as does leaving the option out: a span is an argument,
 // never read from the WithContext context.
 func WithTrace(sp *Span) Option {
@@ -622,9 +623,10 @@ func (d *Dataset) parts() []*core.Prepared {
 // goroutines mutate it (each query runs on the epoch current at its start).
 //
 // On a sharded dataset (see Shard) the same options give the same answers —
-// byte-identical. IBIG runs through the scatter-gather coordinator, ignoring
-// WithWorkers (the fan-out across shards is the parallelism); the other four
-// run unsharded over the epoch's full rows.
+// byte-identical. IBIG runs through the shard coordinator, ignoring
+// WithWorkers: over in-process shards it is the serial candidate loop, over
+// peers a scatter-gather whose fan-out across shards is its parallelism. The
+// other four run unsharded over the epoch's full rows.
 //
 // Unsharded, UBB, BIG and IBIG are one candidate loop over the MaxScore
 // queue — serial, or on the WithWorkers engine — each with its own scorer.
